@@ -1,13 +1,12 @@
 #!/usr/bin/env python
-"""Track the training hot path: aggregation-step time, legacy vs arena.
+"""Track the training hot path: aggregation-step time on the gradient arena.
 
 Thin wrapper over ``python -m repro bench`` (see
 :mod:`repro.perf.bench`): times S-SGD and every compressed aggregator's
-step at world_size 4 on a VGG-style model, once with legacy copying
-gradients (the pre-arena code path, reconstructed in the same run) and
-once with zero-copy arena slabs, and writes the comparison — including
-the fused-allocation counters, an end-to-end sequential-vs-parallel
-``train_step`` row, and the per-backend worker-mode comparison
+step at world_size 4 on a VGG-style model over zero-copy arena slabs,
+and writes the rows — including the fused-allocation counters, an
+end-to-end sequential-vs-thread ``train_step`` row, the fusion
+buffer-size sweep, and the per-backend worker-mode comparison
 (``--workers seq,thread,process``: where the GIL costs each method) —
 to ``BENCH_hotpath.json``.
 

@@ -10,18 +10,19 @@ Eight checks, all diffing final weights bit-exactly:
    wall-clock or unseeded randomness in the fault/recovery path shows up
    here);
 2. the same clean training job run with sequential workers and with
-   thread-parallel workers (``parallel_workers=True``) must produce
+   thread-parallel workers (``workers="thread"``) must produce
    identical weights (scheduling-order leakage in the parallel backprop
    path shows up here);
 3. the same elastic-churn job — a rank ejected, readmitted, then a
    brand-new rank joined mid-run — replayed twice must produce identical
    weights (unseeded state in the admission protocol: warm-start, rng
    allocation, re-sharding, ring re-chunk, shows up here);
-4. the same clean training job run monolithically (``buffer_bytes=None``)
-   and through the bucketed WFBP reducer pipeline must produce identical
-   weights for every bucket-capable method (drift between the per-bucket
-   segmented collectives / staged compression and the fused path shows up
-   here);
+4. the same clean training job run monolithically (``buffer_bytes=None``,
+   the one-bucket case of the staged protocol) and through the N-bucket
+   WFBP reducer pipeline must produce identical weights for every
+   bucket-capable method (any dependence of the segmented collectives /
+   staged compression on the bucket partition or on eager firing shows
+   up here);
 5. the same open-membership gossip run — adversarial peers (sign-flip +
    corrupt-payload) plus churn (departure, return, fresh join via store
    replay) — replayed twice must produce identical honest weights and the
@@ -96,7 +97,7 @@ def run_once(steps: int) -> np.ndarray:
     return model.state_vector()
 
 
-def run_clean(steps: int, parallel_workers: bool) -> np.ndarray:
+def run_clean(steps: int, workers: str) -> np.ndarray:
     """A clean (no-fault) run, sequential or thread-parallel workers."""
     from repro.comm import ProcessGroup
 
@@ -106,7 +107,7 @@ def run_clean(steps: int, parallel_workers: bool) -> np.ndarray:
     trainer = DataParallelTrainer(
         model, SGD(model, lr=0.05, momentum=0.9), aggregator,
         train_data, test_data, batch_size_per_worker=8, seed=13,
-        parallel_workers=parallel_workers,
+        workers=workers,
     )
     trainer.run(epochs=1, steps_per_epoch=steps, method_label="powersgd")
     return model.state_vector()
@@ -254,8 +255,8 @@ def main() -> int:
               f"(max |diff| = {diff:g})")
         failures += 1
 
-    sequential = run_clean(args.steps, parallel_workers=False)
-    parallel = run_clean(args.steps, parallel_workers=True)
+    sequential = run_clean(args.steps, workers="seq")
+    parallel = run_clean(args.steps, workers="thread")
     if np.array_equal(sequential, parallel):
         print(f"PASS: sequential and parallel-worker runs of {args.steps} "
               "steps produced bit-identical weights")

@@ -27,8 +27,8 @@ Subcommands:
   memoized result cache with single-flight de-duplication;
 - ``evaluate`` — regenerate the paper's tables/figures (wraps the
   experiment drivers; ``--fast`` skips the convergence figures);
-- ``bench`` — hot-path micro-benchmark: per-aggregator step time with
-  legacy copying gradients vs the zero-copy arena, written to JSON;
+- ``bench`` — hot-path micro-benchmark: per-aggregator step time and
+  fused-allocation counts on the zero-copy arena, written to JSON;
   ``--planner`` benchmarks the planning service instead (cold/warm
   queries-per-second, hit rate, p50/p99 latency → BENCH_planner.json).
 """
@@ -548,17 +548,14 @@ def cmd_bench(args: argparse.Namespace) -> int:
     config = report["config"]
     print(f"hot-path bench: {config['model_parameters']} params, "
           f"{config['world_size']} workers, best of {config['iters']}")
-    print(f"{'method':>10}  {'legacy ms':>10}  {'arena ms':>10}  {'speedup':>8}")
+    print(f"{'method':>10}  {'best ms':>10}  {'mean ms':>10}  {'fused allocs':>12}")
     for method, row in report["aggregate_step"].items():
-        print(f"{method:>10}  {row['legacy']['best_s'] * 1e3:>10.2f}  "
-              f"{row['arena']['best_s'] * 1e3:>10.2f}  "
-              f"{row['arena_speedup']:>7.2f}x")
-    if "criteria" in report:
-        crit = report["criteria"]
-        print(f"ssgd arena speedup {crit['ssgd_arena_speedup']:.2f}x "
-              f"(target {crit['ssgd_speedup_target']}x); "
-              f"fused allocs/step on arena path: "
-              f"{crit['arena_fused_allocs_per_step']:.0f}")
+        print(f"{method:>10}  {row['best_s'] * 1e3:>10.2f}  "
+              f"{row['mean_s'] * 1e3:>10.2f}  "
+              f"{row['fused_allocs_per_step']:>12.0f}")
+    if "arena_fused_allocs_per_step" in report.get("criteria", {}):
+        print("fused allocs/step, worst bucket-capable method: "
+              f"{report['criteria']['arena_fused_allocs_per_step']:.0f}")
     if "buffer_sweep" in report:
         print(f"{'buffer MB':>10}  {'buckets':>8}  {'step ms':>8}")
         for row in report["buffer_sweep"]:
@@ -772,7 +769,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_chaos.set_defaults(func=cmd_chaos)
 
     p_bench = sub.add_parser(
-        "bench", help="hot-path benchmark: legacy vs zero-copy arena"
+        "bench", help="hot-path benchmark: aggregation on the zero-copy arena"
     )
     p_bench.add_argument("--world-size", type=int, default=4,
                          help="simulated data-parallel worker count")

@@ -342,6 +342,37 @@ def _segment_ring_traffic(
     return sent
 
 
+def _fold_segment_(
+    buffers: Sequence[np.ndarray],
+    seg_start: int,
+    total_length: int,
+    scratch: RingScratch,
+) -> None:
+    """Sum a segment into every rank in the canonical flat-ring association.
+
+    Per global chunk ``c`` of the ``total_length`` buffer, fold ranks
+    ``c, c+1, ...`` (ascending, wrapping) into a scratch row, then write
+    the row to every rank — the per-element order of the monolithic ring.
+    The one fold kernel behind :func:`all_reduce_ring_segment_` and the
+    hierarchical schedule in :mod:`repro.comm.hierarchical`.
+    """
+    world_size = len(buffers)
+    seg_len = buffers[0].shape[0]
+    acc_row = scratch.get(1, max(1, seg_len))[0]
+    for chunk, (lo, hi) in enumerate(_chunk_bounds(total_length, world_size)):
+        olo = max(lo, seg_start)
+        ohi = min(hi, seg_start + seg_len)
+        if olo >= ohi:
+            continue
+        a, b = olo - seg_start, ohi - seg_start
+        acc = acc_row[: b - a]
+        np.copyto(acc, buffers[chunk % world_size][a:b])
+        for hop in range(1, world_size):
+            acc += buffers[(chunk + hop) % world_size][a:b]
+        for rank in range(world_size):
+            buffers[rank][a:b] = acc
+
+
 def all_reduce_ring_segment_(
     buffers: Sequence[np.ndarray],
     seg_start: int,
@@ -396,24 +427,10 @@ def all_reduce_ring_segment_(
     if world_size == 1:
         return CollectiveStats("allreduce_ring_segment", 1, [0], 0)
 
-    bounds = _chunk_bounds(total_length, world_size)
-    scratch = scratch if scratch is not None else RingScratch()
-    acc_row = scratch.get(1, max(1, seg_len))[0]
-    for chunk, (lo, hi) in enumerate(bounds):
-        olo = max(lo, seg_start)
-        ohi = min(hi, seg_start + seg_len)
-        if olo >= ohi:
-            continue
-        a, b = olo - seg_start, ohi - seg_start
-        acc = acc_row[: b - a]
-        # Fold in the monolithic ring's per-element order: start at the
-        # chunk-index rank, then ascending ranks around the ring.
-        np.copyto(acc, buffers[chunk % world_size][a:b])
-        for hop in range(1, world_size):
-            acc += buffers[(chunk + hop) % world_size][a:b]
-        for rank in range(world_size):
-            buffers[rank][a:b] = acc
-
+    _fold_segment_(
+        buffers, seg_start, total_length,
+        scratch if scratch is not None else RingScratch(),
+    )
     return CollectiveStats(
         algorithm="allreduce_ring_segment",
         world_size=world_size,

@@ -35,7 +35,7 @@ import numpy as np
 from repro.comm.collectives import (
     CollectiveStats,
     RingScratch,
-    _chunk_bounds,
+    _fold_segment_,
 )
 from repro.comm.topology import ClusterTopology
 
@@ -96,36 +96,6 @@ def _check_buffers(
     return length
 
 
-def _canonical_fold(
-    buffers: Sequence[np.ndarray],
-    seg_start: int,
-    total_length: int,
-    scratch: RingScratch,
-) -> None:
-    """Reduce every element in the canonical flat-ring association.
-
-    Identical arithmetic to ``all_reduce_ring_segment_``: per global
-    chunk ``c``, fold ranks ``c, c+1, ...`` (ascending, wrapping) into a
-    scratch row, then write the row to every rank.
-    """
-    world_size = len(buffers)
-    seg_len = buffers[0].shape[0]
-    bounds = _chunk_bounds(total_length, world_size)
-    acc_row = scratch.get(1, max(1, seg_len))[0]
-    for chunk, (lo, hi) in enumerate(bounds):
-        olo = max(lo, seg_start)
-        ohi = min(hi, seg_start + seg_len)
-        if olo >= ohi:
-            continue
-        a, b = olo - seg_start, ohi - seg_start
-        acc = acc_row[: b - a]
-        np.copyto(acc, buffers[chunk % world_size][a:b])
-        for hop in range(1, world_size):
-            acc += buffers[(chunk + hop) % world_size][a:b]
-        for rank in range(world_size):
-            buffers[rank][a:b] = acc
-
-
 def all_reduce_hierarchical_(
     buffers: Sequence[np.ndarray],
     topology: ClusterTopology,
@@ -144,7 +114,7 @@ def all_reduce_hierarchical_(
     if world_size == 1:
         return CollectiveStats("allreduce_hierarchical", 1, [0], 0)
     scratch = scratch if scratch is not None else RingScratch()
-    _canonical_fold(buffers, 0, length, scratch)
+    _fold_segment_(buffers, 0, length, scratch)
     return CollectiveStats(
         algorithm="allreduce_hierarchical",
         world_size=world_size,
@@ -180,7 +150,7 @@ def all_reduce_hierarchical_segment_(
     if world_size == 1:
         return CollectiveStats("allreduce_hierarchical_segment", 1, [0], 0)
     scratch = scratch if scratch is not None else RingScratch()
-    _canonical_fold(buffers, seg_start, total_length, scratch)
+    _fold_segment_(buffers, seg_start, total_length, scratch)
     return CollectiveStats(
         algorithm="allreduce_hierarchical_segment",
         world_size=world_size,

@@ -14,7 +14,7 @@ makes the method convergent in practice: the compressed representative of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -71,22 +71,22 @@ class SignCompressor:
         bits = np.unpackbits(payload.packed_bits)[: payload.num_elements]
         return np.where(bits == 1, 1.0, -1.0)
 
-    def residual_for(self, name: str):
-        """Stored EF residual for ``name`` (``None`` when absent or EF off).
+    def residual(self, name: str, size: int) -> Optional[np.ndarray]:
+        """The EF residual of ``name`` as one writable ``size``-vector.
 
-        The bucketed reducer stages per-bucket slices of the fused gradient
-        and needs the matching residual slice before the full vector exists;
-        it reads/writes the residual through these accessors so reset and
-        per-rank state semantics stay in one place.
+        Same contract as :meth:`repro.compression.topk.TopkCompressor
+        .residual` (``None`` with EF off; fresh = ``-0.0``): the aggregator
+        adds the gradient bucket by bucket, shipping each bucket's sign
+        bits as it lands, and subtracts ``scale * sign`` in place once the
+        whole-vector scale is known — :meth:`compress`'s arithmetic without
+        a second full-size copy beside the residual.
         """
         if not self.use_error_feedback:
             return None
-        return self._error.get(name)
-
-    def store_residual(self, name: str, residual: np.ndarray) -> None:
-        """Replace the EF residual for ``name`` (no-op when EF is off)."""
-        if self.use_error_feedback:
-            self._error[name] = residual
+        residual = self._error.get(name)
+        if residual is None or residual.size != size:
+            residual = self._error[name] = np.full(size, -0.0)
+        return residual
 
     def reset(self) -> None:
         """Drop accumulated error state."""

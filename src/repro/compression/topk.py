@@ -145,9 +145,8 @@ class TopkCompressor:
         """Top-k coordinate selection over an (EF-corrected) flat vector.
 
         One call consumes at most one draw from the sampling stream, so
-        callers that stage the vector themselves (the bucketed reducer
-        builds it bucket by bucket) select bit-identically to
-        :meth:`compress`.
+        callers that stage the vector themselves (see :meth:`residual`)
+        select bit-identically to :meth:`compress`.
         """
         k = max(self.min_k, int(round(self.ratio * flat.size)))
         if self.selection == "exact":
@@ -169,16 +168,23 @@ class TopkCompressor:
             self._error[name] = residual
         return SparsePayload(indices=idx, values=values, num_elements=flat.size)
 
-    def residual_for(self, name: str):
-        """Stored EF residual for ``name`` (``None`` when absent or EF off)."""
+    def residual(self, name: str, size: int) -> Optional[np.ndarray]:
+        """The EF residual of ``name`` as one writable ``size``-vector.
+
+        ``None`` with error feedback off. Callers that stage the gradient
+        themselves (the aggregator adds it bucket by bucket) accumulate
+        into this vector in place, :meth:`select` on it, and zero what they
+        sent — the same arithmetic as :meth:`compress` without a second
+        full-size copy beside the residual. A fresh residual is filled with
+        ``-0.0``, IEEE-754's additive identity, so the first ``+=``
+        reproduces the gradient bit for bit, signed zeros included.
+        """
         if not self.use_error_feedback:
             return None
-        return self._error.get(name)
-
-    def store_residual(self, name: str, residual: np.ndarray) -> None:
-        """Replace the EF residual for ``name`` (no-op when EF is off)."""
-        if self.use_error_feedback:
-            self._error[name] = residual
+        residual = self._error.get(name)
+        if residual is None or residual.size != size:
+            residual = self._error[name] = np.full(size, -0.0)
+        return residual
 
     def reset(self) -> None:
         """Drop accumulated error state."""

@@ -17,6 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.comm.process_group import ProcessGroup
+from repro.perf.arena import ArenaGrads, ArenaLayout
 from repro.perf.counters import ALLOC_STATS
 from repro.compression.acpsgd import ACPSGDState
 from repro.compression.powersgd import PowerSGDState
@@ -28,8 +29,8 @@ from repro.compression.reshaping import (
     matrix_view_shape,
     should_compress,
 )
-from repro.compression.signsgd import SignCompressor, majority_vote_aggregate
-from repro.compression.topk import TopkCompressor, sparse_aggregate
+from repro.compression.signsgd import SignCompressor
+from repro.compression.topk import SparsePayload, TopkCompressor, sparse_aggregate
 
 NamedGrads = Dict[str, np.ndarray]
 
@@ -46,29 +47,28 @@ def _check_worker_grads(per_worker: List[NamedGrads], expected: int) -> None:
             raise ValueError(f"worker {rank} gradient names differ from worker 0")
 
 
-def _pack_fused(
-    grads: NamedGrads, names: List[str]
-) -> Tuple[np.ndarray, bool]:
-    """Fused buffer for ``names`` plus whether it is a zero-copy view.
+def _adopt(per_worker: List[NamedGrads], expected: int) -> List[ArenaGrads]:
+    """One step's gradients as arena-backed slabs (``aggregate``'s entry).
 
-    Arena-backed gradients (:class:`repro.perf.arena.ArenaGrads`) whose
-    ``names`` match a contiguous run of the arena layout return the slab
-    view directly — tensor fusion as a no-op. Everything else pays the
-    legacy concatenation copy (counted in
-    :data:`repro.perf.counters.ALLOC_STATS`).
+    :class:`~repro.perf.arena.ArenaGrads` sharing one layout — what the
+    trainer hands over — pass through untouched: tensor fusion is a no-op.
+    Anything else (plain ``{name: array}`` dicts) is copied once into a
+    transient one-bucket layout built from worker 0's names and shapes:
+    one counted ``pack_copies`` per worker. The copies are private to the
+    call, so the caller's arrays are never modified and the returned
+    tensors (views into the transient slabs) stay valid for as long as the
+    caller holds them.
     """
-    fused_view = getattr(grads, "fused_view", None)
-    if fused_view is not None:
-        view = fused_view(names)
-        if view is not None:
-            return view, True
-    ALLOC_STATS.pack_copies += 1
-    return np.concatenate([grads[name].reshape(-1) for name in names]), False
-
-
-def _pack(grads: NamedGrads, names: List[str]) -> np.ndarray:
-    """Flatten named gradients into one fused buffer (tensor fusion)."""
-    return _pack_fused(grads, names)[0]
+    _check_worker_grads(per_worker, expected)
+    layout = getattr(per_worker[0], "layout", None)
+    if layout is not None and all(
+        getattr(grads, "layout", None) is layout for grads in per_worker
+    ):
+        return per_worker
+    layout = ArenaLayout(
+        [(name, np.shape(grad)) for name, grad in per_worker[0].items()]
+    )
+    return [ArenaGrads.adopt(grads, layout) for grads in per_worker]
 
 
 def _unpack(
@@ -151,14 +151,18 @@ class GradientAggregator:
     silently hand its residual to rank 1, and a rank that rejoins later is
     readmitted with fresh (warm-started) state via :meth:`admit_rank`.
 
-    Bucketed protocol: aggregators that set ``supports_bucketed`` also
-    implement ``begin_buckets`` / ``reduce_bucket`` / ``finish_buckets``,
-    the staged form of :meth:`aggregate` the
-    :class:`~repro.train.reducer.BucketedReducer` drives bucket by bucket
-    as backward produces gradients. For every such aggregator the staged
-    path is bit-identical to :meth:`aggregate` in any bucket order (the
-    per-bucket collectives reuse the monolithic chunk schedule; see
-    :func:`repro.comm.collectives.all_reduce_ring_segment_`).
+    Staged protocol: aggregators that set ``supports_bucketed`` implement
+    ``begin_buckets`` / ``reduce_bucket`` / ``finish_buckets`` and nothing
+    else — :meth:`aggregate` is the base-class loop over every bucket of
+    the gradients' layout, so monolithic aggregation is literally the
+    one-bucket case (``bucket_bytes=None``, the Fig. 8 end point "buffer >=
+    model"). The :class:`~repro.train.reducer.BucketedReducer` drives the
+    same three calls bucket by bucket as backward produces gradients.
+    Results are bit-identical for any bucket partition and any bucket
+    order: per-bucket collectives reuse the whole-slab chunk schedule (see
+    :func:`repro.comm.collectives.all_reduce_ring_segment_`) and
+    vector-global compressors (top-k selection, the sign scale) only act
+    once every bucket is staged.
     """
 
     method = "base"
@@ -225,18 +229,35 @@ class GradientAggregator:
             warm_start(donor)
         self._per_rank[rank] = state
 
-    def aggregate(self, per_worker_grads: List[NamedGrads]) -> NamedGrads:
-        """Aggregate one step's gradients; returns the shared global gradient."""
-        raise NotImplementedError
+    def aggregate(
+        self,
+        per_worker_grads: List[NamedGrads],
+        order: Optional[Sequence[int]] = None,
+    ) -> NamedGrads:
+        """Aggregate one step's gradients; returns the shared global gradient.
+
+        Runs the whole staged protocol at once over every bucket of the
+        gradients' layout (plain dicts are adopted into a one-bucket layout
+        first, see :func:`_adopt`). ``order`` defaults to reverse layout
+        order — the order backward would have produced the buckets — but
+        any permutation yields bit-identical results. Whole-vector methods
+        without a staged form override this.
+        """
+        self.begin_buckets(_adopt(per_worker_grads, len(self.roster)))
+        if order is None:
+            order = range(len(self._bucket_state().buckets) - 1, -1, -1)
+        for index in order:
+            self.reduce_bucket(index)
+        return self.finish_buckets()
 
     # ------------------------------------------------------------------
     # Bucketed (WFBP) protocol
     # ------------------------------------------------------------------
     def begin_buckets(self, per_worker_grads: List[NamedGrads]) -> None:
-        """Open a bucketed aggregation step over arena-backed gradients.
+        """Open a staged aggregation step over arena-backed gradients.
 
         ``per_worker_grads`` must be :class:`~repro.perf.arena.ArenaGrads`
-        sharing one bucketed layout, in roster (slot) order. The caller may
+        sharing one layout, in roster (slot) order. The caller may
         then fire :meth:`reduce_bucket` for every bucket in any order —
         typically reverse layout order, as backward produces them — and
         collect the result with :meth:`finish_buckets`.
@@ -252,32 +273,10 @@ class GradientAggregator:
     def finish_buckets(self) -> NamedGrads:
         """Complete the step; every bucket must have been reduced.
 
-        Returned tensors follow the same ownership contract as
-        :meth:`aggregate`'s zero-copy paths: they are read-only views valid
-        until the next aggregation begins.
+        Returned tensors are read-only views, valid until the next
+        aggregation begins (S-SGD's point into worker 0's reduced slab).
         """
         raise NotImplementedError
-
-    def aggregate_bucketed(
-        self,
-        per_worker_grads: List[NamedGrads],
-        order: Optional[Sequence[int]] = None,
-    ) -> NamedGrads:
-        """Run the whole staged protocol at once (deferred-mode entry).
-
-        ``order`` defaults to reverse layout order — the order backward
-        would have produced the buckets — but any permutation yields
-        bit-identical results.
-        """
-        self.begin_buckets(per_worker_grads)
-        session = self._bucket_state()
-        indices = (
-            order if order is not None
-            else range(len(session.buckets) - 1, -1, -1)
-        )
-        for index in indices:
-            self.reduce_bucket(index)
-        return self.finish_buckets()
 
     def _open_bucket_session(
         self, per_worker_grads: List[NamedGrads]
@@ -316,6 +315,30 @@ class GradientAggregator:
                 f"finish_buckets called with unreduced buckets {missing}"
             )
         self._bucket_session = None
+
+    def _ef_vectors(self, session: _BucketSession) -> List[np.ndarray]:
+        """Per-slot vectors a vector-global compressor selects / votes on.
+
+        With error feedback that is the rank's whole-vector residual, into
+        which :meth:`_accumulate_bucket` adds the gradients bucket by
+        bucket (DGC's local gradient accumulation: no second staging copy
+        beside the residual). With EF off it is the slab itself, read-only.
+        """
+        vectors = []
+        for rank, slab in zip(self.roster, session.slabs):
+            residual = self._per_rank[rank].residual("fused", session.total)
+            vectors.append(slab if residual is None else residual)
+        return vectors
+
+    def _accumulate_bucket(self, session: _BucketSession, index: int) -> None:
+        """``residual[lo:hi] += slab[lo:hi]`` for every slot (EF on).
+
+        IEEE addition commutes, so the bits equal ``grad + residual``.
+        """
+        lo, hi = session.buckets[index]
+        for vector, slab in zip(session.vectors, session.slabs):
+            if vector is not slab:
+                vector[lo:hi] += slab[lo:hi]
 
     def _staging_rows(self, key: str, rows: int, cols: int) -> List[np.ndarray]:
         """Per-slot 1-D staging buffers, allocated once and reused.
@@ -373,32 +396,18 @@ class GradientAggregator:
 class AllReduceAggregator(GradientAggregator):
     """S-SGD: fused ring all-reduce of the raw gradients (the baseline).
 
-    With arena-backed gradients on a group that supports it, the all-reduce
-    runs **in place** on the per-worker slabs: zero packing copies, zero
-    per-step fused allocations, and the returned tensors are read-only
-    views into the reduced slab. The per-worker gradients are consumed by
-    the call (every slab ends up holding the reduced average), matching
-    NCCL in-place all-reduce semantics.
+    On a group that supports it the all-reduce runs **in place** on the
+    per-worker slabs: zero packing copies, zero per-step fused allocations,
+    and the returned tensors are read-only views into the reduced slab. The
+    per-worker gradients are consumed by the call (every slab ends up
+    holding the reduced average), matching NCCL in-place all-reduce
+    semantics. Groups that must keep payloads pristine for retransmission
+    (``supports_inplace = False``) and workers aliasing one slab take the
+    copying segment collective instead.
     """
 
     method = "ssgd"
     supports_bucketed = True
-
-    def aggregate(self, per_worker_grads: List[NamedGrads]) -> NamedGrads:
-        _check_worker_grads(per_worker_grads, len(self.roster))
-        self.step += 1
-        names = list(per_worker_grads[0])
-        packed = [_pack_fused(grads, names) for grads in per_worker_grads]
-        buffers = [buffer for buffer, _ in packed]
-        if (
-            getattr(self.group, "supports_inplace", False)
-            and all(is_view for _, is_view in packed)
-            and len({id(buffer) for buffer in buffers}) == len(buffers)
-        ):
-            self.group.all_reduce_(buffers, average=True)
-            return _unpack(buffers[0], per_worker_grads[0], names)
-        reduced = self.group.all_reduce(buffers, average=True)
-        return _unpack(reduced[0], per_worker_grads[0], names)
 
     def begin_buckets(self, per_worker_grads: List[NamedGrads]) -> None:
         session = self._open_bucket_session(per_worker_grads)
@@ -424,8 +433,8 @@ class AllReduceAggregator(GradientAggregator):
         views = [slab[lo:hi] for slab in session.slabs]
         if session.inplace:
             # Zero-copy: reduce the arena bucket views where they live,
-            # with the monolithic slab's chunk schedule (bit-identical to
-            # one fused in-place all-reduce; destroys the local payloads).
+            # with the whole slab's chunk schedule (bit-identical for any
+            # bucket partition; destroys the local payloads).
             self.group.all_reduce_segment_(views, lo, session.total, average=True)
         else:
             ALLOC_STATS.bucket_copies += 1
@@ -467,27 +476,10 @@ class SignSGDAggregator(GradientAggregator):
     def _make_state(self, rank: int) -> SignCompressor:
         return SignCompressor(self.use_error_feedback)
 
-    def aggregate(self, per_worker_grads: List[NamedGrads]) -> NamedGrads:
-        _check_worker_grads(per_worker_grads, len(self.roster))
-        self.step += 1
-        names = list(per_worker_grads[0])
-        payloads = []
-        for rank, grads in zip(self.roster, per_worker_grads):
-            flat = _pack(grads, names)
-            payloads.append(self._per_rank[rank].compress("fused", flat))
-        # All-gather the packed bits (scales ride along; they are 4 bytes).
-        gathered = self.group.all_gather([p.packed_bits for p in payloads])
-        del gathered  # numerics below use the payload objects directly
-        shape = (payloads[0].num_elements,)
-        aggregated = majority_vote_aggregate(payloads, shape, validate=self.validate)
-        return _unpack(aggregated, per_worker_grads[0], names)
-
     def begin_buckets(self, per_worker_grads: List[NamedGrads]) -> None:
         session = self._open_bucket_session(per_worker_grads)
         self.step += 1
-        session.scratch = self._staging_rows(
-            "signsgd", len(self.roster), session.total
-        )
+        session.vectors = self._ef_vectors(session)
         session.bits = [None] * len(session.buckets)
 
     def reduce_bucket(self, index: int) -> None:
@@ -496,22 +488,16 @@ class SignSGDAggregator(GradientAggregator):
         Sign bits are *per-element* (``flat >= 0`` does not depend on the
         global scale), so each bucket's 1-bit payload all-gathers as soon
         as the bucket's gradients are ready — Sign-SGD keeps WFBP overlap
-        for the bulk of its traffic. Only the scalar L1-mean scale is
-        vector-global and waits for :meth:`finish_buckets`.
+        for the bulk of its traffic (scales ride along; they are 4 bytes).
+        Only the scalar L1-mean scale is vector-global and waits for
+        :meth:`finish_buckets`.
         """
         session = self._bucket_state()
         self._mark_bucket(session, index)
         lo, hi = session.buckets[index]
         ALLOC_STATS.bucket_reduces += 1
-        packed = []
-        for slot, rank in enumerate(self.roster):
-            state = self._per_rank[rank]
-            staged = session.scratch[slot][lo:hi]
-            np.copyto(staged, session.slabs[slot][lo:hi])
-            residual = state.residual_for(f"fused/b{index}")
-            if residual is not None:
-                staged += residual
-            packed.append(np.packbits((staged >= 0).astype(np.uint8)))
+        self._accumulate_bucket(session, index)
+        packed = [np.packbits(vector[lo:hi] >= 0) for vector in session.vectors]
         session.bits[index] = packed
         if hi > lo:
             self.group.all_gather(packed)
@@ -520,20 +506,18 @@ class SignSGDAggregator(GradientAggregator):
         session = self._bucket_state()
         self._close_bucket_session(session)
         num_slots = len(self.roster)
-        # The scale is the L1 mean of the *whole* EF-corrected vector —
-        # identical to the monolithic compressor's — computed over the
-        # per-slot staging buffers the buckets filled.
+        # The scale is the L1 mean of the *whole* EF-corrected vector,
+        # whatever the bucket partition.
         scales = np.array([
-            float(np.abs(session.scratch[slot]).mean()) if session.total else 0.0
-            for slot in range(num_slots)
+            float(np.abs(vector).mean()) if session.total else 0.0
+            for vector in session.vectors
         ])
         if self.validate:
             from repro.utils.validation import assert_finite
 
             assert_finite(scales, "signsgd payload scales")
         mean_scale = float(scales.mean())
-        out = self._staging_rows("signsgd_out", 1, max(1, session.total))[0]
-        out = out[: session.total]
+        out = np.empty(session.total)
         for index, (lo, hi) in enumerate(session.buckets):
             if hi == lo:
                 continue
@@ -546,13 +530,10 @@ class SignSGDAggregator(GradientAggregator):
                 vote += signs
             majority = np.where(vote >= 0, 1.0, -1.0)
             out[lo:hi] = mean_scale * majority
-            for slot, rank in enumerate(self.roster):
-                state = self._per_rank[rank]
-                state.store_residual(
-                    f"fused/b{index}",
-                    session.scratch[slot][lo:hi]
-                    - scales[slot] * signs_per_slot[slot],
-                )
+            if self.use_error_feedback:
+                # What was not sent stays behind, in place.
+                for slot, vector in enumerate(session.vectors):
+                    vector[lo:hi] -= scales[slot] * signs_per_slot[slot]
         return _unpack(out, session.template, session.names)
 
 
@@ -587,34 +568,10 @@ class TopkSGDAggregator(GradientAggregator):
             rng=np.random.default_rng(self.seed + rank),
         )
 
-    def aggregate(self, per_worker_grads: List[NamedGrads]) -> NamedGrads:
-        _check_worker_grads(per_worker_grads, len(self.roster))
-        self.step += 1
-        names = list(per_worker_grads[0])
-        payloads = []
-        for rank, grads in zip(self.roster, per_worker_grads):
-            flat = _pack(grads, names)
-            payloads.append(self._per_rank[rank].compress("fused", flat))
-        # Wire format: interleaved (index, value) pairs per worker.
-        wires = [
-            np.concatenate([p.indices.astype(np.float64), p.values])
-            for p in payloads
-        ]
-        self.group.all_gather(wires)
-        aggregated = sparse_aggregate(
-            payloads,
-            (payloads[0].num_elements,),
-            average=True,
-            validate=self.validate,
-        )
-        return _unpack(aggregated, per_worker_grads[0], names)
-
     def begin_buckets(self, per_worker_grads: List[NamedGrads]) -> None:
         session = self._open_bucket_session(per_worker_grads)
         self.step += 1
-        session.scratch = self._staging_rows(
-            "topk", len(self.roster), session.total
-        )
+        session.vectors = self._ef_vectors(session)
 
     def reduce_bucket(self, index: int) -> None:
         """Stage the bucket's EF-corrected segment (no communication yet).
@@ -622,61 +579,40 @@ class TopkSGDAggregator(GradientAggregator):
         Top-k selection is *vector-global* — one ``k`` and one threshold
         over the whole fused gradient — so nothing can ship until every
         bucket is staged: exactly the §IV observation that top-k
-        compression forfeits WFBP overlap. Staging is still per bucket so
-        the EF residual stays keyed by (rank, bucket).
+        compression forfeits WFBP overlap.
         """
         session = self._bucket_state()
         self._mark_bucket(session, index)
-        lo, hi = session.buckets[index]
         ALLOC_STATS.bucket_reduces += 1
-        for slot, rank in enumerate(self.roster):
-            state = self._per_rank[rank]
-            staged = session.scratch[slot][lo:hi]
-            np.copyto(staged, session.slabs[slot][lo:hi])
-            residual = state.residual_for(f"fused/b{index}")
-            if residual is not None:
-                staged += residual
+        self._accumulate_bucket(session, index)
 
     def finish_buckets(self) -> NamedGrads:
         session = self._bucket_state()
         self._close_bucket_session(session)
-        num_slots = len(self.roster)
         selections = []
-        for slot, rank in enumerate(self.roster):
-            state = self._per_rank[rank]
-            flat = session.scratch[slot]
-            idx = state.select(flat)
-            values = flat[idx]
-            if self.validate:
-                from repro.utils.validation import assert_finite
-
-                assert_finite(values, f"topk payload values (worker {slot})")
-            residual = flat.copy()
-            residual[idx] = 0.0
-            for index, (lo, hi) in enumerate(session.buckets):
-                state.store_residual(f"fused/b{index}", residual[lo:hi])
-            selections.append((idx, values))
-        out = self._staging_rows("topk_out", 1, max(1, session.total))[0]
-        out = out[: session.total]
-        out[:] = 0.0
-        for index, (lo, hi) in enumerate(session.buckets):
+        for rank, vector in zip(self.roster, session.vectors):
+            idx = self._per_rank[rank].select(vector)
+            selections.append((idx, vector[idx]))
+            if self.use_error_feedback:
+                vector[idx] = 0.0  # sent; the rest stays behind, in place
+        out = np.empty(session.total)
+        for lo, hi in session.buckets:
             if hi == lo:
                 continue
-            parts = []
-            for idx, values in selections:
-                mask = (idx >= lo) & (idx < hi)
-                parts.append((idx[mask] - lo, values[mask]))
             # Per-bucket wire format: each rank ships only the (index,
             # value) pairs whose coordinates fall in this bucket; the
-            # per-bucket wires partition the monolithic payload exactly.
+            # per-bucket wires partition the whole-vector payload exactly.
+            payloads = []
+            for idx, values in selections:
+                mask = (idx >= lo) & (idx < hi)
+                payloads.append(SparsePayload(idx[mask] - lo, values[mask], hi - lo))
             self.group.all_gather([
-                np.concatenate([part_idx.astype(np.float64), part_vals])
-                for part_idx, part_vals in parts
+                np.concatenate([p.indices.astype(np.float64), p.values])
+                for p in payloads
             ])
-            dense = out[lo:hi]
-            for part_idx, part_vals in parts:
-                np.add.at(dense, part_idx, part_vals)
-            dense /= num_slots
+            out[lo:hi] = sparse_aggregate(
+                payloads, (hi - lo,), average=True, validate=self.validate
+            )
         return _unpack(out, session.template, session.names)
 
 
@@ -708,13 +644,12 @@ class RandomKAggregator(GradientAggregator):
         )
 
     def aggregate(self, per_worker_grads: List[NamedGrads]) -> NamedGrads:
-        _check_worker_grads(per_worker_grads, len(self.roster))
+        per_worker_grads = _adopt(per_worker_grads, len(self.roster))
         self.step += 1
         names = list(per_worker_grads[0])
         payloads = []
         for rank, grads in zip(self.roster, per_worker_grads):
-            flat = _pack(grads, names)
-            payloads.append(self._per_rank[rank].compress("fused", flat, self.step))
+            payloads.append(self._per_rank[rank].compress("fused", grads.slab, self.step))
         reduced = self.group.all_reduce([p.values for p in payloads], average=True)
         dense = np.zeros(payloads[0].num_elements)
         dense[payloads[0].indices] = reduced[0]
@@ -738,13 +673,12 @@ class QSGDAggregator(GradientAggregator):
         )
 
     def aggregate(self, per_worker_grads: List[NamedGrads]) -> NamedGrads:
-        _check_worker_grads(per_worker_grads, len(self.roster))
+        per_worker_grads = _adopt(per_worker_grads, len(self.roster))
         self.step += 1
         names = list(per_worker_grads[0])
         payloads = []
         for rank, grads in zip(self.roster, per_worker_grads):
-            flat = _pack(grads, names)
-            payloads.append(self._per_rank[rank].compress(flat))
+            payloads.append(self._per_rank[rank].compress(grads.slab))
         # Wire format: uint8 levels (for s <= 255) + 1 packed sign bit per
         # element, so the measured traffic reflects QSGD's ~9 bits/element.
         wires = []
@@ -788,13 +722,12 @@ class TernGradAggregator(GradientAggregator):
     def aggregate(self, per_worker_grads: List[NamedGrads]) -> NamedGrads:
         from repro.compression.terngrad import TernGradCompressor
 
-        _check_worker_grads(per_worker_grads, len(self.roster))
+        per_worker_grads = _adopt(per_worker_grads, len(self.roster))
         self.step += 1
         names = list(per_worker_grads[0])
         payloads = []
         for rank, grads in zip(self.roster, per_worker_grads):
-            flat = _pack(grads, names)
-            payloads.append(self._per_rank[rank].compress(flat))
+            payloads.append(self._per_rank[rank].compress(grads.slab))
         self.group.all_gather([p.packed for p in payloads])
         size = payloads[0].num_elements
         dense = np.zeros(size)
@@ -834,18 +767,6 @@ class _LowRankBase(GradientAggregator):
         plain = [n for n in grads if n not in set(compressible)]
         return compressible, plain
 
-    def _allreduce_plain(
-        self, per_worker_grads: List[NamedGrads], plain: List[str]
-    ) -> NamedGrads:
-        if not plain:
-            return {}
-        buffers = [_pack(grads, plain) for grads in per_worker_grads]
-        reduced = self.group.all_reduce(buffers, average=True)
-        return _unpack(reduced[0], per_worker_grads[0], plain)
-
-    # ------------------------------------------------------------------
-    # Bucketed protocol shared plumbing
-    # ------------------------------------------------------------------
     def _begin_lowrank_session(
         self, per_worker_grads: List[NamedGrads]
     ) -> _BucketSession:
@@ -949,49 +870,6 @@ class PowerSGDAggregator(_LowRankBase):
             self.rank, self.seed, self.use_error_feedback,
             self.reuse_query, self.validate,
         )
-
-    def aggregate(self, per_worker_grads: List[NamedGrads]) -> NamedGrads:
-        _check_worker_grads(per_worker_grads, len(self.roster))
-        self.step += 1
-        compressible, plain = self._split_names(per_worker_grads[0])
-        result = self._allreduce_plain(per_worker_grads, plain)
-
-        if compressible:
-            # Stage 1: local P factors, fused all-reduce.
-            local_ps: List[NamedGrads] = []
-            for rank_idx, grads in zip(self.roster, per_worker_grads):
-                state = self._per_rank[rank_idx]
-                ps = {
-                    name: state.compute_p(name, grad_to_matrix(grads[name]))
-                    for name in compressible
-                }
-                local_ps.append(ps)
-            p_buffers = [_pack(ps, compressible) for ps in local_ps]
-            p_reduced = self.group.all_reduce(p_buffers, average=True)
-            p_agg = _unpack(p_reduced[0], local_ps[0], compressible)
-
-            # Stage 2: local Q factors, fused all-reduce.
-            local_qs: List[NamedGrads] = []
-            for rank_idx in self.roster:
-                state = self._per_rank[rank_idx]
-                qs = {
-                    name: state.compute_q(name, p_agg[name]) for name in compressible
-                }
-                local_qs.append(qs)
-            q_buffers = [_pack(qs, compressible) for qs in local_qs]
-            q_reduced = self.group.all_reduce(q_buffers, average=True)
-            q_agg = _unpack(q_reduced[0], local_qs[0], compressible)
-
-            # Stage 3: reconstruct on every worker (results identical).
-            for slot, rank_idx in enumerate(self.roster):
-                state = self._per_rank[rank_idx]
-                for name in compressible:
-                    m_hat = state.reconstruct(name, q_agg[name])
-                    if slot == 0:
-                        result[name] = matrix_to_grad(
-                            m_hat, per_worker_grads[0][name].shape
-                        )
-        return {name: result[name] for name in per_worker_grads[0]}
 
     def begin_buckets(self, per_worker_grads: List[NamedGrads]) -> None:
         session = self._begin_lowrank_session(per_worker_grads)
@@ -1098,34 +976,6 @@ class ACPSGDAggregator(_LowRankBase):
             self.rank, self.seed, self.use_error_feedback,
             self.reuse_query, self.validate,
         )
-
-    def aggregate(self, per_worker_grads: List[NamedGrads]) -> NamedGrads:
-        _check_worker_grads(per_worker_grads, len(self.roster))
-        self.step += 1
-        compressible, plain = self._split_names(per_worker_grads[0])
-        result = self._allreduce_plain(per_worker_grads, plain)
-
-        if compressible:
-            local_factors: List[NamedGrads] = []
-            for rank_idx, grads in zip(self.roster, per_worker_grads):
-                state = self._per_rank[rank_idx]
-                factors = {
-                    name: state.compress(name, grad_to_matrix(grads[name]), self.step)
-                    for name in compressible
-                }
-                local_factors.append(factors)
-            buffers = [_pack(factors, compressible) for factors in local_factors]
-            reduced = self.group.all_reduce(buffers, average=True)
-            agg = _unpack(reduced[0], local_factors[0], compressible)
-            for slot, rank_idx in enumerate(self.roster):
-                state = self._per_rank[rank_idx]
-                for name in compressible:
-                    m_hat = state.finalize(name, agg[name], self.step)
-                    if slot == 0:
-                        result[name] = matrix_to_grad(
-                            m_hat, per_worker_grads[0][name].shape
-                        )
-        return {name: result[name] for name in per_worker_grads[0]}
 
     def begin_buckets(self, per_worker_grads: List[NamedGrads]) -> None:
         session = self._begin_lowrank_session(per_worker_grads)

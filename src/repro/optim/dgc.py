@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.comm.process_group import ProcessGroup
 from repro.compression.topk import SparsePayload, exact_topk_mask, sparse_aggregate
-from repro.optim.aggregators import GradientAggregator, NamedGrads, _pack, _unpack
+from repro.optim.aggregators import GradientAggregator, NamedGrads, _adopt, _unpack
 
 
 class _WorkerDGCState:
@@ -33,7 +33,9 @@ class _WorkerDGCState:
     def accumulate(self, name: str, grad: np.ndarray) -> np.ndarray:
         """Update u, v; returns the velocity to sparsify."""
         u_prev = self.u.get(name)
-        u = grad if u_prev is None else self.momentum * u_prev + grad
+        # The first step copies: ``grad`` is an arena slab the next backward
+        # pass overwrites, and the accumulators must outlive it.
+        u = grad.copy() if u_prev is None else self.momentum * u_prev + grad
         v_prev = self.v.get(name)
         v = u if v_prev is None else v_prev + u
         self.u[name] = u
@@ -84,19 +86,13 @@ class DGCTopkAggregator(GradientAggregator):
         return _WorkerDGCState(self.momentum)
 
     def aggregate(self, per_worker_grads: List[NamedGrads]) -> NamedGrads:
-        if len(per_worker_grads) != len(self.roster):
-            raise ValueError(
-                f"expected gradients from {len(self.roster)} workers, "
-                f"got {len(per_worker_grads)}"
-                f" (stale roster? call set_roster with the live ranks)"
-            )
+        per_worker_grads = _adopt(per_worker_grads, len(self.roster))
         self.step += 1
         names = list(per_worker_grads[0])
         payloads = []
         for rank, grads in zip(self.roster, per_worker_grads):
             state = self._per_rank[rank]
-            flat = _pack(grads, names)
-            velocity = state.accumulate("fused", flat)
+            velocity = state.accumulate("fused", grads.slab)
             k = max(self.min_k, int(round(self.ratio * velocity.size)))
             idx = exact_topk_mask(velocity, k)
             payloads.append(

@@ -5,8 +5,7 @@ worker-parallel (see ``docs/performance.md``):
 
 - :class:`~repro.perf.arena.GradientArena` — preallocated per-worker fused
   gradient buffers; every ``Parameter.grad`` is a zero-copy view, so
-  tensor fusion (``_pack``/``_unpack``) stops copying and the collectives
-  can aggregate in place;
+  tensor fusion stops copying and the collectives can aggregate in place;
 - :class:`~repro.perf.replicas.ReplicaSet` — per-worker model replicas
   sharing weight storage, enabling thread-parallel backprop with
   bit-identical trajectories;

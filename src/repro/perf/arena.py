@@ -1,20 +1,20 @@
 """Zero-copy gradient arena: preallocated per-worker fused buffers.
 
 The paper's tensor-fusion optimization exists in this repo twice: as a
-simulator cost model and as a per-step ``np.concatenate`` in the
-aggregators. The arena replaces the second with real fusion: at trainer
-construction one contiguous float64 slab is allocated **per worker**, laid
-out in parameter order, and every ``Parameter.grad`` becomes a zero-copy
-view into it. From then on:
+simulator cost model and as this arena, the only gradient storage the
+aggregators read. At trainer construction one contiguous float64 slab is
+allocated **per worker**, laid out in parameter order, and every
+``Parameter.grad`` becomes a zero-copy view into it. From then on:
 
 - back-propagation writes gradients straight into the fused buffer
   (:meth:`~repro.nn.parameter.Parameter.accumulate_grad` accumulates into
   the attached slot in place);
-- ``_pack`` in :mod:`repro.optim.aggregators` returns the slab itself —
+- the aggregators in :mod:`repro.optim.aggregators` read the slab itself —
   tensor fusion becomes a no-op instead of a full-model copy per worker
-  per step;
+  per step (plain ``{name: array}`` dicts are adopted into a transient
+  slab by :meth:`ArenaGrads.adopt`, the only remaining packing copy);
 - the in-place ring all-reduce
-  (:func:`repro.comm.collectives.all_reduce_ring_inplace`) aggregates the
+  (:func:`repro.comm.collectives.all_reduce_ring_segment_`) aggregates the
   slabs where they live, reusing a preallocated scratch block instead of
   allocating per ring step;
 - ``_unpack`` hands back read-only views into the reduced slab.
@@ -31,8 +31,8 @@ Ownership contract (see ``docs/performance.md``):
 - Groups that must retransmit original payloads on failure
   (:class:`~repro.faults.resilient.ResilientProcessGroup` re-sends buffers
   after a CRC mismatch) advertise ``supports_inplace = False``; the
-  aggregators then keep the copying path for the collective while still
-  using zero-copy packing.
+  aggregators then take the copying collective while still reading the
+  slabs without packing.
 
 Buckets: the slab is optionally partitioned into contiguous buckets of at
 most ``bucket_bytes`` (parameter order, like DDP's gradient buckets). Each
@@ -50,6 +50,7 @@ from repro.fusion import partition_buckets
 from repro.nn.module import Module
 from repro.nn.parameter import Parameter
 from repro.perf import shm
+from repro.perf.counters import ALLOC_STATS
 
 
 class ArenaLayout:
@@ -78,13 +79,11 @@ class ArenaLayout:
         self.names: List[str] = []
         self.shapes: Dict[str, Tuple[int, ...]] = {}
         self.offsets: Dict[str, int] = {}
-        self._index: Dict[str, int] = {}
         offset = 0
         for name, shape in named_shapes:
             if name in self.shapes:
                 raise ValueError(f"duplicate parameter name {name!r}")
             size = int(np.prod(shape, dtype=np.int64)) if shape else 1
-            self._index[name] = len(self.names)
             self.names.append(name)
             self.shapes[name] = tuple(shape)
             self.offsets[name] = offset
@@ -124,31 +123,22 @@ class ArenaLayout:
         shape = self.shapes[name]
         return int(np.prod(shape, dtype=np.int64)) if shape else 1
 
-    def span(self, names: Sequence[str]) -> Optional[Tuple[int, int]]:
-        """Element range covered by ``names`` iff they form a contiguous run.
-
-        Returns ``(start, end)`` when ``names`` equals a consecutive slice of
-        the layout order (so a single view can stand in for their fused
-        concatenation), else ``None``.
-        """
-        if not names:
-            return None
-        first = self._index.get(names[0])
-        if first is None:
-            return None
-        for step, name in enumerate(names):
-            if self._index.get(name) != first + step:
-                return None
-        last = names[-1]
-        return self.offsets[names[0]], self.offsets[last] + self.size_of(last)
+    def carve(self, slab: np.ndarray) -> Dict[str, np.ndarray]:
+        """Named parameter-shaped views over one fused buffer."""
+        views: Dict[str, np.ndarray] = {}
+        for name in self.names:
+            lo = self.offsets[name]
+            views[name] = slab[lo : lo + self.size_of(name)].reshape(
+                self.shapes[name]
+            )
+        return views
 
 
 class ArenaGrads(Dict[str, np.ndarray]):
     """Named gradient views backed by one fused slab.
 
-    Behaves as a plain ``{name: ndarray}`` dict (what every aggregator
-    consumes) while also exposing the backing slab, so ``_pack`` can skip
-    the concatenation entirely.
+    Behaves as a plain ``{name: ndarray}`` dict while also exposing the
+    backing slab and its layout — what every aggregator actually reads.
     """
 
     def __init__(
@@ -161,19 +151,23 @@ class ArenaGrads(Dict[str, np.ndarray]):
         self.slab = slab
         self.layout = layout
 
-    def fused_view(self, names: Sequence[str]) -> Optional[np.ndarray]:
-        """Zero-copy fused buffer for ``names``, or ``None`` if impossible.
+    @classmethod
+    def adopt(
+        cls, grads: Dict[str, np.ndarray], layout: ArenaLayout
+    ) -> "ArenaGrads":
+        """Copy plain named gradients into a fresh private slab.
 
-        The full parameter list (the common case) returns the whole slab;
-        any contiguous sub-run of the layout returns a slice view. Orders
-        that do not match the layout force the caller back to a copy.
+        The one packing copy left in the repo (counted in
+        :data:`~repro.perf.counters.ALLOC_STATS` ``pack_copies``): inputs
+        that did not come from a :class:`GradientArena` pay it once per
+        worker at the aggregator's entry. ``grads`` is left untouched.
         """
-        if list(names) == self.layout.names:
-            return self.slab
-        span = self.layout.span(list(names))
-        if span is None:
-            return None
-        return self.slab[span[0] : span[1]]
+        slab = np.empty(layout.total_elements)
+        views = layout.carve(slab)
+        for name, view in views.items():
+            np.copyto(view, np.reshape(grads[name], view.shape))
+        ALLOC_STATS.pack_copies += 1
+        return cls(views, slab, layout)
 
 
 class GradientArena:
@@ -228,7 +222,7 @@ class GradientArena:
             self._alloc_slab() for _ in range(world_size)
         ]
         self._views: List[Dict[str, np.ndarray]] = [
-            self._carve(slab) for slab in self._slabs
+            self.layout.carve(slab) for slab in self._slabs
         ]
 
     def _alloc_slab(self) -> np.ndarray:
@@ -244,14 +238,6 @@ class GradientArena:
         self._segments.append(None)
         return np.zeros(self.layout.total_elements, dtype=self.dtype)
 
-    def _carve(self, slab: np.ndarray) -> Dict[str, np.ndarray]:
-        views: Dict[str, np.ndarray] = {}
-        for name in self.layout.names:
-            lo = self.layout.offsets[name]
-            hi = lo + self.layout.size_of(name)
-            views[name] = slab[lo:hi].reshape(self.layout.shapes[name])
-        return views
-
     def ensure_slots(self, count: int) -> None:
         """Grow the arena to at least ``count`` worker slabs.
 
@@ -264,7 +250,7 @@ class GradientArena:
         while len(self._slabs) < count:
             slab = self._alloc_slab()
             self._slabs.append(slab)
-            self._views.append(self._carve(slab))
+            self._views.append(self.layout.carve(slab))
         self.world_size = max(self.world_size, count)
 
     # ------------------------------------------------------------------

@@ -1,23 +1,15 @@
-"""Hot-path benchmark: aggregation-step timing, legacy vs arena.
+"""Hot-path benchmark: aggregation-step timing on the gradient arena.
 
 Measures the per-step cost of every aggregation method on a VGG-style
-model at ``world_size`` workers, twice each:
-
-- **legacy** — per-worker gradients are plain ``{name: array}`` dicts, so
-  ``_pack`` concatenates (a full-model copy per worker per step) and the
-  S-SGD collective runs the copying ring all-reduce: the pre-arena code
-  path, reconstructed in the same run so the speedup is an
-  apples-to-apples measurement on the same machine;
-- **arena** — gradients are :class:`~repro.perf.arena.ArenaGrads` slab
-  views, so packing is a no-op and S-SGD aggregates in place on the slabs
-  with preallocated ring scratch.
-
-Gradient *values* are identical between modes (both are refilled from the
-same reference arrays), so any timing difference is pure data movement.
-The JSON report also records the :data:`~repro.perf.counters.ALLOC_STATS`
-deltas — the arena S-SGD row must show zero fused-buffer allocations —
-and an optional end-to-end ``train_step`` comparison (sequential vs
-parallel workers).
+model at ``world_size`` workers. Gradients are
+:class:`~repro.perf.arena.ArenaGrads` slab views — the only gradient
+storage the trainer has — so packing is a no-op and S-SGD aggregates in
+place on the slabs with preallocated ring scratch. The JSON report also
+records the :data:`~repro.perf.counters.ALLOC_STATS` deltas — every
+bucket-capable method must show zero fused-buffer allocations — and an
+optional end-to-end ``train_step`` comparison (sequential vs thread
+workers). (The pre-arena concatenating path this file used to time beside
+the arena is gone; its last tracked numbers are frozen in CHANGES.md.)
 
 The ``worker_modes`` section compares the three backprop backends
 (``seq`` / ``thread`` / ``process``) end-to-end per method, with a
@@ -47,8 +39,7 @@ from repro.train.trainer import DataParallelTrainer
 
 NamedGrads = Dict[str, np.ndarray]
 
-#: method name -> aggregator factory, in report order. S-SGD first: it is
-#: the row the >= 1.5x arena-speedup acceptance criterion reads.
+#: method name -> aggregator factory, in report order.
 AGGREGATOR_FACTORIES: Dict[str, Callable[[ProcessGroup], agg.GradientAggregator]] = {
     "ssgd": agg.AllReduceAggregator,
     "signsgd": agg.SignSGDAggregator,
@@ -70,25 +61,6 @@ def _reference_gradients(
         rng.standard_normal(arena.layout.total_elements)
         for _ in range(arena.world_size)
     ]
-
-
-def _legacy_gradients(
-    arena: GradientArena, reference: List[np.ndarray]
-) -> List[NamedGrads]:
-    """Plain-dict gradients carrying the same values as the arena slabs."""
-    layout = arena.layout
-    out: List[NamedGrads] = []
-    for ref in reference:
-        grads: NamedGrads = {}
-        for name in layout.names:
-            lo = layout.offsets[name]
-            grads[name] = (
-                ref[lo : lo + layout.size_of(name)]
-                .reshape(layout.shapes[name])
-                .copy()
-            )
-        out.append(grads)
-    return out
 
 
 def _time_aggregation(
@@ -148,7 +120,7 @@ def _bench_train_step(
             data,
             batch_size_per_worker=8,
             seed=seed,
-            parallel_workers=(mode == "parallel"),
+            workers="thread" if mode == "parallel" else "seq",
         )
         for _ in range(warmup):
             trainer.train_step()
@@ -342,20 +314,6 @@ def run_hot_path_bench(
     arena = GradientArena(model, world_size)
     layout = arena.layout
     reference = _reference_gradients(arena, seed + 1)
-    legacy = _legacy_gradients(arena, reference)
-
-    def legacy_provider() -> List[NamedGrads]:
-        # Refill so in-place-consumed values cannot leak between modes.
-        for grads, ref in zip(legacy, reference):
-            for name in layout.names:
-                lo = layout.offsets[name]
-                np.copyto(
-                    grads[name],
-                    ref[lo : lo + layout.size_of(name)].reshape(
-                        layout.shapes[name]
-                    ),
-                )
-        return legacy
 
     def arena_provider() -> List[ArenaGrads]:
         for slot, ref in enumerate(reference):
@@ -363,19 +321,14 @@ def run_hot_path_bench(
         return [arena.grads(slot) for slot in range(world_size)]
 
     selected = methods or list(AGGREGATOR_FACTORIES)
-    aggregate_step: Dict[str, object] = {}
-    for method in selected:
-        factory = AGGREGATOR_FACTORIES[method]
-        row: Dict[str, object] = {}
-        for mode, provider in (
-            ("legacy", legacy_provider),
-            ("arena", arena_provider),
-        ):
-            row[mode] = _time_aggregation(
-                factory(ProcessGroup(world_size)), provider, iters, warmup
-            )
-        row["arena_speedup"] = row["legacy"]["best_s"] / row["arena"]["best_s"]
-        aggregate_step[method] = row
+    aggregators = {
+        method: AGGREGATOR_FACTORIES[method](ProcessGroup(world_size))
+        for method in selected
+    }
+    aggregate_step: Dict[str, object] = {
+        method: _time_aggregation(aggregator, arena_provider, iters, warmup)
+        for method, aggregator in aggregators.items()
+    }
 
     report: Dict[str, object] = {
         "config": {
@@ -414,14 +367,19 @@ def run_hot_path_bench(
             world_size, base_width, max(3, iters // 2), 1, seed,
             worker_methods, worker_modes,
         )
-    if "ssgd" in aggregate_step:
-        ssgd = aggregate_step["ssgd"]
+    staged = [
+        method for method, aggregator in aggregators.items()
+        if aggregator.supports_bucketed
+    ]
+    if staged:
+        # Worst case over the bucket-capable methods: all of them stage
+        # into preallocated scratch, so the arena path allocates nothing.
+        worst = max(
+            aggregate_step[method]["fused_allocs_per_step"] for method in staged
+        )
         report["criteria"] = {
-            "ssgd_arena_speedup": ssgd["arena_speedup"],
-            "ssgd_speedup_target": 1.5,
-            "ssgd_speedup_ok": ssgd["arena_speedup"] >= 1.5,
-            "arena_fused_allocs_per_step": ssgd["arena"]["fused_allocs_per_step"],
-            "arena_zero_fused_allocs": ssgd["arena"]["fused_allocs_per_step"] == 0,
+            "arena_fused_allocs_per_step": worst,
+            "arena_zero_fused_allocs": worst == 0,
         }
     worker_rows = report.get("worker_modes", {})
     process_vs_thread = {
@@ -433,12 +391,20 @@ def run_hot_path_bench(
         criteria = report.setdefault("criteria", {})
         criteria["process_vs_thread_speedup"] = process_vs_thread
         criteria["process_speedup_target"] = 2.0
-        # The >=2x target needs at least two compute-bound methods over
-        # the bar — and physically needs multiple cores (see cpu_count).
-        compute_bound = [
-            method for method in ("signsgd", "terngrad")
-            if process_vs_thread.get(method, 0.0) >= 2.0
-        ]
-        criteria["process_speedup_ok"] = len(compute_bound) >= 2
         criteria["cpu_count"] = os.cpu_count()
+        # The >=2x target needs at least two compute-bound methods over
+        # the bar — and physically needs a core per worker, so on a smaller
+        # host the criterion is skipped, not recorded as a failure.
+        if (os.cpu_count() or 1) >= world_size:
+            compute_bound = [
+                method for method in ("signsgd", "terngrad")
+                if process_vs_thread.get(method, 0.0) >= 2.0
+            ]
+            criteria["process_speedup_ok"] = len(compute_bound) >= 2
+        else:
+            criteria["process_speedup_ok"] = None
+            criteria["skipped"] = (
+                f"process_speedup_ok: cpu_count {os.cpu_count()} < "
+                f"world_size {world_size}"
+            )
     return report

@@ -164,18 +164,6 @@ def _scrubbed_template(model: Module) -> Module:
     return template
 
 
-def _carve_views(
-    buffer: np.ndarray, layout
-) -> Dict[str, np.ndarray]:
-    """Named parameter-shaped views over one fused buffer."""
-    views: Dict[str, np.ndarray] = {}
-    for name in layout.names:
-        lo = layout.offsets[name]
-        hi = lo + layout.size_of(name)
-        views[name] = buffer[lo:hi].reshape(layout.shapes[name])
-    return views
-
-
 def _self_destruct() -> None:
     """Die the hardest available death (no handlers, no cleanup)."""
     if hasattr(signal, "SIGKILL"):
@@ -287,7 +275,7 @@ def _worker_main(conn, payload: dict, init_crash: bool = False) -> None:
                 (layout.total_elements,), dtype=np.float64, buffer=segment.buf
             )
             cached = slabs[task.slab_segment] = (
-                segment, slab, _carve_views(slab, layout)
+                segment, slab, layout.carve(slab)
             )
         _, slab, views = cached
         for name, param in model.named_parameters():
@@ -424,7 +412,7 @@ class ProcessWorkerPool:
                 dtype=np.float64,
                 buffer=self._weights_segment.buf,
             )
-            self._weight_views = _carve_views(self._weights, layout)
+            self._weight_views = layout.carve(self._weights)
             self._payload = {
                 "model": _scrubbed_template(model),
                 "train_data": train_data,

@@ -72,7 +72,7 @@ class ReplicaSet:
                     "parallel worker backprop requires a deterministic "
                     "forward pass; the model contains Dropout(p > 0), whose "
                     "sequential mask stream per-worker replicas cannot "
-                    "reproduce — train it with parallel_workers=False"
+                    "reproduce — train it with workers='seq'"
                 )
         self.master = model
         self.replicas: List[Module] = [model]

@@ -15,9 +15,9 @@ both to the actual training loop:
   as every gradient in the bucket is complete — reverse layout order, the
   order back-propagation produces them;
 - per-bucket reduction drives the aggregator's staged protocol
-  (``begin_buckets`` / ``reduce_bucket`` / ``finish_buckets``), which is
-  bit-identical to the monolithic ``aggregate`` for every method that
-  advertises ``supports_bucketed``.
+  (``begin_buckets`` / ``reduce_bucket`` / ``finish_buckets``) — the same
+  three calls ``aggregate`` loops over, so the result is bit-identical
+  for every bucket partition, the monolithic one-bucket layout included.
 
 Eager (hook-driven) firing needs to know when a bucket's gradients are
 *final*: a parameter may be touched several times per backward (shared
@@ -27,7 +27,7 @@ each step, then counts the final worker's hook firings against it. When
 the counts cannot be known yet — the very first step at world size 1 has
 no earlier worker or step to observe — the step runs in deferred mode:
 the same per-bucket protocol, fired after backward completes. Both modes
-are bit-identical to each other and to the monolithic path.
+are bit-identical to each other and to the one-bucket layout.
 
 Methods whose compression is *vector-global* (top-k selection, sign-SGD's
 L1 scale) still stage per bucket but cannot ship until every bucket is

@@ -82,11 +82,9 @@ class DataParallelTrainer:
         seed: int = 0,
         accumulation_steps: int = 1,
         resilience: Optional[ResilienceConfig] = None,
-        use_arena: bool = True,
-        parallel_workers: bool = False,
         membership: Optional["MembershipController"] = None,
         buffer_bytes: Optional[int] = None,
-        workers: Optional[str] = None,
+        workers: str = "seq",
         worker_start_method: Optional[str] = None,
         worker_step_timeout: Optional[float] = None,
         supervision: Optional[SupervisionPolicy] = None,
@@ -100,24 +98,14 @@ class DataParallelTrainer:
             raise ValueError(
                 f"accumulation_steps must be >= 1, got {accumulation_steps}"
             )
-        # ``workers`` selects the backprop backend; ``parallel_workers`` is
-        # the legacy boolean alias for the thread backend and still works.
-        if workers is None:
-            workers = "thread" if parallel_workers else "seq"
         if workers not in ("seq", "thread", "process"):
             raise ValueError(
                 f"workers must be 'seq', 'thread' or 'process', got {workers!r}"
             )
-        if workers == "process" and not use_arena:
-            raise ValueError(
-                "workers='process' requires use_arena=True: worker processes "
-                "exchange gradients through the shared-memory arena slabs"
-            )
         self.workers = workers
-        parallel_workers = workers == "thread"
-        if membership is not None and parallel_workers:
+        if membership is not None and workers == "thread":
             raise ValueError(
-                "membership and thread workers (parallel_workers) are "
+                "membership and thread workers (workers='thread') are "
                 "mutually exclusive: the "
                 "replica set is sized at construction and cannot follow an "
                 "elastic roster (workers='process' spawns joiners on demand "
@@ -159,11 +147,6 @@ class DataParallelTrainer:
                     "supervision requires workers='process' (real child "
                     "processes) or workers='seq' (the simulated twin the "
                     f"determinism checks diff against); got workers={workers!r}"
-                )
-            if not use_arena:
-                raise ValueError(
-                    "supervision requires use_arena=True: a failed worker's "
-                    "slot contributes its (stale) arena slab to the step"
                 )
             if supervision.on_failure == "eject" and membership is None:
                 raise ValueError(
@@ -211,28 +194,19 @@ class DataParallelTrainer:
             enumerate(spawn_rngs(seed, self.world_size))
         )
         # --- hot-path state: gradient arena + optional parallel workers ---
-        if buffer_bytes is not None and not use_arena:
-            raise ValueError(
-                "buffer_bytes requires use_arena=True: buckets are "
-                "contiguous views of the fused arena slab"
-            )
         if buffer_bytes is not None and not aggregator.supports_bucketed:
             raise ValueError(
                 f"aggregator {aggregator.method!r} does not support bucketed "
                 "reduction; use buffer_bytes=None for this method"
             )
-        self.use_arena = use_arena
-        self.parallel_workers = parallel_workers
         self.buffer_bytes = buffer_bytes
-        self._arena: Optional[GradientArena] = (
-            GradientArena(
-                model,
-                self.world_size,
-                bucket_bytes=buffer_bytes,
-                backing="shared" if workers == "process" else "private",
-            )
-            if use_arena
-            else None
+        # The arena is the only gradient storage: ``buffer_bytes=None`` is
+        # the one-bucket layout, i.e. monolithic aggregation.
+        self._arena = GradientArena(
+            model,
+            self.world_size,
+            bucket_bytes=buffer_bytes,
+            backing="shared" if workers == "process" else "private",
         )
         self._reducer: Optional[BucketedReducer] = (
             BucketedReducer(model, self._arena, aggregator, accumulation_steps)
@@ -243,7 +217,7 @@ class DataParallelTrainer:
         self._pool: Optional[ThreadPoolExecutor] = None
         self._procpool: Optional[ProcessWorkerPool] = None
         self._worker_loss_fns: List[CrossEntropyLoss] = [self.loss_fn]
-        if parallel_workers and self.world_size > 1:
+        if workers == "thread" and self.world_size > 1:
             self._replicas = ReplicaSet(model, self.world_size)
             self._worker_loss_fns = [
                 CrossEntropyLoss() for _ in range(self.world_size)
@@ -253,7 +227,6 @@ class DataParallelTrainer:
                 thread_name_prefix="repro-worker",
             )
         elif workers == "process":
-            assert self._arena is not None
             self._procpool = ProcessWorkerPool(
                 model,
                 self._arena,
@@ -309,8 +282,7 @@ class DataParallelTrainer:
             model = self.model
         if loss_fn is None:
             loss_fn = self.loss_fn
-        if self._arena is not None:
-            self._arena.bind(model, slot)
+        self._arena.bind(model, slot)
         model.zero_grad()
         losses = []
         for _ in range(self.accumulation_steps):
@@ -320,28 +292,19 @@ class DataParallelTrainer:
             logits = model(inputs)
             losses.append(loss_fn(logits, labels))
             model.backward(loss_fn.backward())
-        if self._arena is not None:
-            for name, param in model.named_parameters():
-                if param.grad is None:
-                    raise RuntimeError(
-                        f"parameter {name!r} received no gradient"
-                    )
-            if self.accumulation_steps > 1 and not (
-                self._reducer is not None and self._reducer.owns_division(slot)
-            ):
-                # True division in place: bit-identical to the legacy
-                # ``param.grad / accumulation_steps`` below, minus the copy.
-                # On an eager bucketed step the reducer divides the final
-                # worker's slab bucket by bucket instead, just before each
-                # bucket fires.
-                self._arena.divide_(slot, self.accumulation_steps)
-            return float(np.mean(losses)), self._arena.grads(slot)
-        grads: Dict[str, np.ndarray] = {}
         for name, param in model.named_parameters():
             if param.grad is None:
                 raise RuntimeError(f"parameter {name!r} received no gradient")
-            grads[name] = param.grad / self.accumulation_steps
-        return float(np.mean(losses)), grads
+        if self.accumulation_steps > 1 and not (
+            self._reducer is not None and self._reducer.owns_division(slot)
+        ):
+            # True division in place (not a reciprocal multiply), so the
+            # micro-batch average is ``sum / accumulation_steps`` exactly.
+            # On an eager bucketed step the reducer divides the final
+            # worker's slab bucket by bucket instead, just before each
+            # bucket fires.
+            self._arena.divide_(slot, self.accumulation_steps)
+        return float(np.mean(losses)), self._arena.grads(slot)
 
     def _parallel_worker_gradients(
         self, ranks: List[int]
@@ -389,7 +352,7 @@ class DataParallelTrainer:
         sequential loop while backprop uses every core.
         """
         pool = self._procpool
-        assert pool is not None and self._arena is not None
+        assert pool is not None
         self._ensure_ranks_supervised(pool, ranks)
         pool.broadcast_weights(self.model)
         tasks = []
@@ -585,8 +548,7 @@ class DataParallelTrainer:
         for rank in ranks:
             if rank not in self._rngs:
                 self._rngs[rank] = joiner_rng(self.seed, rank)
-        if self._arena is not None:
-            self._arena.ensure_slots(len(ranks))
+        self._arena.ensure_slots(len(ranks))
 
     def train_step(self) -> float:
         """One synchronous step across the live workers; returns mean loss.
@@ -634,7 +596,6 @@ class DataParallelTrainer:
                     # exactly what the process backend aggregates when
                     # the dead child never wrote this step.
                     seq_failures.append(failure)
-                    assert self._arena is not None
                     per_worker.append(self._arena.grads(slot))
                     continue
                 loss, grads = self._worker_gradients(rank, slot)
@@ -816,7 +777,7 @@ class DataParallelTrainer:
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
-        if self._arena is not None and self._arena.is_shared:
+        if self._arena.is_shared:
             self._arena.unbind(self.model)
             self._arena.close()
 

@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 
 from repro.comm.process_group import ProcessGroup
+from repro.compression import (
+    SignCompressor,
+    TopkCompressor,
+    majority_vote_aggregate,
+    sparse_aggregate,
+)
+from repro.models.convnets import make_mlp
 from repro.optim.aggregators import make_aggregator
+from repro.perf.arena import GradientArena
 
 WORLD = 4
 
@@ -172,6 +180,74 @@ class TestCompressionAggregators:
         group = ProcessGroup(WORLD)
         make_aggregator("topk", group, ratio=0.01).aggregate(_worker_grads(rng))
         assert any(s.algorithm == "all_gather" for s in group.history)
+
+
+class TestPaperPrimitiveOracle:
+    """The staged Top-k / Sign-SGD bodies accumulate into the EF residual
+    in place; the paper-level primitives in ``repro.compression`` (fresh
+    arrays, whole vector at once) are the independent reference they must
+    match bit for bit — across EF steps, for one bucket and for many."""
+
+    STEPS = 3
+
+    def _slabs(self, bucket_bytes):
+        model = make_mlp(17, 9, 4, rng=np.random.default_rng(7))
+        arena = GradientArena(model, WORLD, bucket_bytes=bucket_bytes)
+        rng = np.random.default_rng(3)
+        for _ in range(self.STEPS):
+            flats = [
+                rng.normal(size=arena.layout.total_elements)
+                for _ in range(WORLD)
+            ]
+            for slot, flat in enumerate(flats):
+                arena.slab(slot)[:] = flat
+            yield flats, [arena.grads(slot) for slot in range(WORLD)]
+
+    @staticmethod
+    def _flatten(named):
+        return np.concatenate([grad.ravel() for grad in named.values()])
+
+    @pytest.mark.parametrize("bucket_bytes", [None, 40 * 8])
+    @pytest.mark.parametrize("use_ef", [True, False])
+    @pytest.mark.parametrize("selection", ["exact", "sampled"])
+    def test_topk_matches_compress_plus_sparse_aggregate(
+        self, selection, use_ef, bucket_bytes
+    ):
+        agg = make_aggregator(
+            "topk", ProcessGroup(WORLD), ratio=0.1, selection=selection,
+            use_error_feedback=use_ef, seed=5,
+        )
+        oracle = [
+            TopkCompressor(
+                ratio=0.1, selection=selection, use_error_feedback=use_ef,
+                rng=np.random.default_rng(5 + rank),
+            )
+            for rank in range(WORLD)
+        ]
+        for flats, per_worker in self._slabs(bucket_bytes):
+            payloads = [
+                comp.compress("g", flat) for comp, flat in zip(oracle, flats)
+            ]
+            want = sparse_aggregate(payloads, flats[0].shape, average=True)
+            got = self._flatten(agg.aggregate(per_worker))
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("bucket_bytes", [None, 40 * 8])
+    @pytest.mark.parametrize("use_ef", [True, False])
+    def test_signsgd_matches_compress_plus_majority_vote(
+        self, use_ef, bucket_bytes
+    ):
+        agg = make_aggregator(
+            "signsgd", ProcessGroup(WORLD), use_error_feedback=use_ef
+        )
+        oracle = [SignCompressor(use_ef) for _ in range(WORLD)]
+        for flats, per_worker in self._slabs(bucket_bytes):
+            payloads = [
+                comp.compress("g", flat) for comp, flat in zip(oracle, flats)
+            ]
+            want = majority_vote_aggregate(payloads, flats[0].shape)
+            got = self._flatten(agg.aggregate(per_worker))
+            np.testing.assert_array_equal(got, want)
 
 
 class TestFactory:

@@ -10,8 +10,7 @@ from repro.models.convnets import make_mlp
 from repro.nn.parameter import Parameter
 from repro.optim.aggregators import (
     AllReduceAggregator,
-    _pack,
-    _pack_fused,
+    _adopt,
     _unpack,
 )
 from repro.perf.arena import ArenaLayout, GradientArena
@@ -41,15 +40,6 @@ class TestArenaLayout:
         with pytest.raises(ValueError, match="duplicate"):
             ArenaLayout([("a", (2,)), ("a", (3,))])
 
-    def test_span_contiguous_run(self):
-        layout = ArenaLayout([("a", (2,)), ("b", (3,)), ("c", (4,))])
-        assert layout.span(["a", "b", "c"]) == (0, 9)
-        assert layout.span(["b", "c"]) == (2, 9)
-        assert layout.span(["b"]) == (2, 5)
-        assert layout.span(["a", "c"]) is None
-        assert layout.span(["c", "b"]) is None
-        assert layout.span(["missing"]) is None
-
     def test_buckets_partition_slab(self):
         layout = ArenaLayout(
             [("a", (4,)), ("b", (4,)), ("c", (4,))], bucket_bytes=32
@@ -65,7 +55,7 @@ class TestGradientArena:
         grads = arena.grads(0)
         for name in arena.layout.names:
             assert np.shares_memory(grads[name], arena.slab(0))
-        assert grads.fused_view(arena.layout.names) is arena.slab(0)
+        assert grads.slab is arena.slab(0)
 
     def test_backward_writes_land_in_slab(self):
         model = small_model()
@@ -152,8 +142,8 @@ class TestPackUnpack:
         arena = GradientArena(model, world_size=1)
         grads = arena.grads(0)
         ALLOC_STATS.reset()
-        buffer, is_view = _pack_fused(grads, arena.layout.names)
-        assert is_view and buffer is arena.slab(0)
+        (adopted,) = _adopt([grads], 1)
+        assert adopted is grads and adopted.slab is arena.slab(0)
         assert ALLOC_STATS.pack_copies == 0
 
     def test_pack_plain_dict_copies_and_counts(self):
@@ -161,19 +151,23 @@ class TestPackUnpack:
         grads = random_grads(model)
         names = list(grads)
         ALLOC_STATS.reset()
-        buffer, is_view = _pack_fused(grads, names)
-        assert not is_view
+        (adopted,) = _adopt([grads], 1)
         assert ALLOC_STATS.pack_copies == 1
+        assert adopted.layout.names == names
+        assert adopted.layout.buckets == [(0, adopted.slab.size)]
         np.testing.assert_array_equal(
-            buffer, np.concatenate([grads[n].ravel() for n in names])
+            adopted.slab, np.concatenate([grads[n].ravel() for n in names])
         )
+        for name in names:
+            assert np.shares_memory(adopted[name], adopted.slab)
+            assert not np.shares_memory(adopted[name], grads[name])
 
     def test_unpack_returns_read_only_views(self):
         """Satellite regression: callers cannot scribble on shared buffers."""
         model = small_model()
         grads = random_grads(model)
         names = list(grads)
-        buffer = _pack(grads, names)
+        buffer = np.concatenate([grads[n].ravel() for n in names])
         out = _unpack(buffer, grads, names)
         first = names[0]
         assert np.shares_memory(out[first], buffer)
@@ -184,7 +178,7 @@ class TestPackUnpack:
         model = small_model()
         grads = random_grads(model)
         names = list(grads)
-        buffer = _pack(grads, names)
+        buffer = np.concatenate([grads[n].ravel() for n in names])
         ALLOC_STATS.reset()
         out = _unpack(buffer, grads, names, copy=True)
         assert ALLOC_STATS.unpack_copies == len(names)

@@ -58,7 +58,7 @@ class TestBench:
                      "--output", str(report_path)])
         assert code == 0
         out = capsys.readouterr().out
-        assert "ssgd" in out and "speedup" in out
+        assert "ssgd" in out and "fused allocs" in out
         with open(report_path) as handle:
             report = json.load(handle)
         assert set(report["aggregate_step"]) == {"ssgd", "randomk"}

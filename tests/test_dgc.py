@@ -74,6 +74,14 @@ class TestDGC:
         with pytest.raises(ValueError, match="expected"):
             agg.aggregate(_grads(rng, world=2))
 
+    def test_gradient_names_checked(self, rng):
+        """Same name-consistency check as the other eight aggregators."""
+        agg = DGCTopkAggregator(ProcessGroup(2))
+        per_worker = _grads(rng, world=2)
+        per_worker[1] = {"w": per_worker[1]["w"], "bias": per_worker[1]["b"]}
+        with pytest.raises(ValueError, match="names differ"):
+            agg.aggregate(per_worker)
+
     def test_trains_a_model(self, rng):
         """DGC + momentum-free SGD reduces loss on a small task."""
         from repro.models.convnets import make_mlp

@@ -192,10 +192,10 @@ class TestChurnTraining:
         )
         membership = MembershipController(group)
         aggregator = make_aggregator("ssgd", group)
-        with pytest.raises(ValueError, match="parallel_workers"):
+        with pytest.raises(ValueError, match="workers='thread'"):
             DataParallelTrainer(
                 model, SGD(model, lr=0.05), aggregator, train_data,
-                test_data, membership=membership, parallel_workers=True,
+                test_data, membership=membership, workers="thread",
             )
 
 

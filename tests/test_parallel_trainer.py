@@ -1,9 +1,9 @@
 """Bit-exactness of the arena and parallel-worker training paths.
 
-The acceptance property of the whole perf subsystem: turning on the
-zero-copy arena, the in-place collective, or thread-parallel worker
-backprop must not change a single bit of the training trajectory relative
-to the legacy sequential implementation — for every aggregation method.
+The acceptance property of the whole perf subsystem: feeding the
+aggregators zero-copy arena slabs instead of plain gradient dicts, or
+turning on thread-parallel worker backprop, must not change a single bit
+of the result — for every aggregation method.
 """
 
 import numpy as np
@@ -15,17 +15,18 @@ from repro.nn.dropout import Dropout
 from repro.nn.norm import BatchNorm2d
 from repro.optim.aggregators import make_aggregator
 from repro.optim.sgd import SGD
+from repro.perf.arena import GradientArena
 from repro.perf.replicas import ReplicaSet, iter_modules
 from repro.train.datasets import make_cifar_like
 from repro.train.trainer import DataParallelTrainer
 
 METHODS = ["ssgd", "signsgd", "topk", "powersgd", "acpsgd"]
+ALL_METHODS = METHODS + ["randomk", "qsgd", "terngrad", "dgc"]
 
 
 def run_training(
     method,
-    use_arena,
-    parallel_workers,
+    workers,
     steps=3,
     world_size=2,
     seed=7,
@@ -45,8 +46,7 @@ def run_training(
         batch_size_per_worker=4,
         seed=seed,
         accumulation_steps=accumulation_steps,
-        use_arena=use_arena,
-        parallel_workers=parallel_workers,
+        workers=workers,
     )
     losses = [trainer.train_step() for _ in range(steps)]
     weights = np.concatenate(
@@ -71,43 +71,58 @@ def assert_identical(result_a, result_b):
 
 
 class TestArenaBitExactness:
-    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("method", ALL_METHODS)
     def test_arena_matches_legacy(self, method):
-        assert_identical(
-            run_training(method, use_arena=False, parallel_workers=False),
-            run_training(method, use_arena=True, parallel_workers=False),
-        )
+        """``aggregate(plain dicts) == aggregate(ArenaGrads)``, bit for bit.
 
-    def test_arena_matches_legacy_with_accumulation(self):
-        assert_identical(
-            run_training(
-                "ssgd", use_arena=False, parallel_workers=False,
-                accumulation_steps=3, steps=2,
-            ),
-            run_training(
-                "ssgd", use_arena=True, parallel_workers=False,
-                accumulation_steps=3, steps=2,
-            ),
-        )
+        Three steps, so EF residuals / momentum / carried factors cross
+        step boundaries; the plain inputs must come back untouched.
+        """
+        world = 2
+        model = make_small_vgg(base_width=2, rng=np.random.default_rng(0))
+        arena = GradientArena(model, world)
+        on_dicts = make_aggregator(method, ProcessGroup(world))
+        on_arena = make_aggregator(method, ProcessGroup(world))
+        rng = np.random.default_rng(1)
+        for _ in range(3):
+            plain = []
+            for slot in range(world):
+                arena.slab(slot)[:] = rng.standard_normal(
+                    arena.layout.total_elements
+                )
+                plain.append({
+                    name: view.copy()
+                    for name, view in arena.grads(slot).items()
+                })
+            untouched = [
+                {name: grad.copy() for name, grad in grads.items()}
+                for grads in plain
+            ]
+            want = on_dicts.aggregate(plain)
+            got = on_arena.aggregate(
+                [arena.grads(slot) for slot in range(world)]
+            )
+            assert list(got) == list(want)
+            for name in want:
+                np.testing.assert_array_equal(got[name], want[name])
+            for grads, before in zip(plain, untouched):
+                for name in before:
+                    np.testing.assert_array_equal(grads[name], before[name])
 
 
 class TestParallelBitExactness:
     @pytest.mark.parametrize("method", METHODS)
     def test_parallel_matches_sequential(self, method):
         assert_identical(
-            run_training(method, use_arena=True, parallel_workers=False),
-            run_training(method, use_arena=True, parallel_workers=True),
+            run_training(method, workers="seq"),
+            run_training(method, workers="thread"),
         )
 
     def test_parallel_matches_legacy_world_four(self):
-        """The full stack (arena + in-place + threads) vs the original."""
+        """The full stack (arena + in-place + threads) vs sequential."""
         assert_identical(
-            run_training(
-                "ssgd", use_arena=False, parallel_workers=False, world_size=4
-            ),
-            run_training(
-                "ssgd", use_arena=True, parallel_workers=True, world_size=4
-            ),
+            run_training("ssgd", workers="seq", world_size=4),
+            run_training("ssgd", workers="thread", world_size=4),
         )
 
 

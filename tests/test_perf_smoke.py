@@ -13,7 +13,7 @@ import pytest
 
 from repro.comm.process_group import ProcessGroup
 from repro.models.convnets import make_mlp, make_small_vgg
-from repro.optim.aggregators import AllReduceAggregator
+from repro.optim.aggregators import AllReduceAggregator, make_aggregator
 from repro.optim.sgd import SGD
 from repro.perf.arena import GradientArena
 from repro.perf.counters import ALLOC_STATS
@@ -53,6 +53,23 @@ class TestZeroFusedAllocations:
         assert ALLOC_STATS.unpack_copies == 0
         assert ALLOC_STATS.fused_allocs == 0
 
+    @pytest.mark.parametrize(
+        "method", ["signsgd", "topk", "powersgd", "acpsgd"]
+    )
+    def test_arena_compressed_aggregate_makes_no_fused_copies(self, method):
+        """Every bucket-capable method stages into preallocated scratch."""
+        world_size = 4
+        arena, refill = mlp_arena(world_size)
+        aggregator = make_aggregator(method, ProcessGroup(world_size))
+        for _ in range(2):  # warmup: both ACP-SGD parities size their packs
+            aggregator.aggregate(refill())
+        ALLOC_STATS.reset()
+        for _ in range(4):
+            aggregator.aggregate(refill())
+        assert ALLOC_STATS.pack_copies == 0
+        assert ALLOC_STATS.unpack_copies == 0
+        assert ALLOC_STATS.fused_allocs == 0
+
     def test_train_step_makes_no_fused_copies(self):
         train_data, test_data = make_cifar_like(num_train=32, num_test=8, seed=0)
         model = make_small_vgg(base_width=2, rng=np.random.default_rng(0))
@@ -74,7 +91,8 @@ class TestZeroFusedAllocations:
         assert ALLOC_STATS.fused_allocs == 0
 
     def test_legacy_path_still_counts_copies(self):
-        """The counters themselves must not rot: legacy packing registers."""
+        """The counters themselves must not rot: adopting plain dicts
+        registers one packing copy per worker."""
         world_size = 2
         arena, refill = mlp_arena(world_size)
         grads = refill()
@@ -106,4 +124,26 @@ class TestSteadyStateMemory:
         assert peak - baseline < slab_bytes // 2, (
             f"aggregation allocated {peak - baseline} bytes at peak; "
             f"slab is {slab_bytes} — the zero-copy path has regressed"
+        )
+
+    @pytest.mark.parametrize("method", ["topk", "signsgd"])
+    def test_ef_aggregator_retains_one_residual_per_rank(self, method):
+        """After warmup a vector-global EF aggregator holds the per-rank
+        residuals and nothing else slab-sized: gradients are accumulated
+        into the residual itself, not into a staging block beside it."""
+        world_size = 4
+        arena, refill = mlp_arena(world_size)
+        slab_bytes = arena.slab(0).nbytes
+        tracemalloc.start()
+        try:
+            baseline = tracemalloc.get_traced_memory()[0]
+            aggregator = make_aggregator(method, ProcessGroup(world_size))
+            for _ in range(3):
+                aggregator.aggregate(refill())
+            retained = tracemalloc.get_traced_memory()[0] - baseline
+        finally:
+            tracemalloc.stop()
+        assert retained <= (world_size + 1.5) * slab_bytes, (
+            f"{method} retains {retained} bytes; the slab is {slab_bytes} — "
+            "a second full-size buffer per rank is back"
         )

@@ -326,22 +326,6 @@ class TestPoolLifecycle:
         trainer.close()
         assert not shm.live_segment_names()
 
-    def test_process_requires_arena(self):
-        train_data, test_data = make_cifar_like(
-            num_train=16, num_test=4, seed=0
-        )
-        model = make_small_vgg(base_width=2, rng=np.random.default_rng(0))
-        with pytest.raises(ValueError, match="use_arena"):
-            DataParallelTrainer(
-                model,
-                SGD(model, lr=0.05),
-                make_aggregator("ssgd", ProcessGroup(2)),
-                train_data,
-                test_data,
-                use_arena=False,
-                workers="process",
-            )
-
 
 class TestAllocStats:
     def test_merge_folds_counter_snapshots(self):

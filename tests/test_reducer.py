@@ -100,7 +100,7 @@ class TestSegmentCollectives:
 
 
 class TestBucketedAggregation:
-    """aggregate_bucketed must be bit-identical to aggregate, per method."""
+    """N buckets must be bit-identical to one bucket (monolithic), per method."""
 
     @pytest.mark.parametrize("method", BUCKETED_METHODS)
     @pytest.mark.parametrize("world", [1, 2, 4])
@@ -117,7 +117,7 @@ class TestBucketedAggregation:
             want = mono.aggregate(
                 [mono_arena.grads(s) for s in range(world)]
             )
-            got = bucketed.aggregate_bucketed(
+            got = bucketed.aggregate(
                 [bucket_arena.grads(s) for s in range(world)]
             )
             for name in want:
@@ -139,7 +139,7 @@ class TestBucketedAggregation:
         for arena, agg, order in zip(arenas, aggs, orders):
             _fill_slabs(arena, world, 3)
             results.append(
-                agg.aggregate_bucketed(
+                agg.aggregate(
                     [arena.grads(s) for s in range(world)], order=order
                 )
             )
@@ -165,7 +165,7 @@ class TestBucketedAggregation:
             want = mono.aggregate(
                 [mono_arena.grads(s) for s in range(len(roster))]
             )
-            got = bucketed.aggregate_bucketed(
+            got = bucketed.aggregate(
                 [bucket_arena.grads(s) for s in range(len(roster))]
             )
             for name in want:
@@ -185,7 +185,7 @@ class TestBucketedAggregation:
             _fill_slabs(mono_arena, 2, 1)
             agg = AllReduceAggregator(ProcessGroup(2))
             mono = AllReduceAggregator(ProcessGroup(2))
-            got = agg.aggregate_bucketed([arena.grads(0), arena.grads(1)])
+            got = agg.aggregate([arena.grads(0), arena.grads(1)])
             want = mono.aggregate([mono_arena.grads(0), mono_arena.grads(1)])
             np.testing.assert_array_equal(got["w"], want["w"])
 
@@ -201,7 +201,7 @@ class TestBucketedAggregation:
             _fill_slabs(a, 2, 4)
         bucketed = make_aggregator("signsgd", ProcessGroup(2))
         mono = make_aggregator("signsgd", ProcessGroup(2))
-        got = bucketed.aggregate_bucketed([arena.grads(0), arena.grads(1)])
+        got = bucketed.aggregate([arena.grads(0), arena.grads(1)])
         want = mono.aggregate([mono_arena.grads(0), mono_arena.grads(1)])
         for name in want:
             np.testing.assert_array_equal(got[name], want[name])
@@ -222,7 +222,7 @@ class TestBucketedAggregation:
             _fill_slabs(a, 2, 8)
         bucketed = make_aggregator(method, ProcessGroup(2))
         mono = make_aggregator(method, ProcessGroup(2))
-        got = bucketed.aggregate_bucketed([arena.grads(0), arena.grads(1)])
+        got = bucketed.aggregate([arena.grads(0), arena.grads(1)])
         want = mono.aggregate([mono_arena.grads(0), mono_arena.grads(1)])
         for name in want:
             np.testing.assert_array_equal(got[name], want[name])
@@ -347,7 +347,7 @@ class TestBucketedTrainer:
         )
 
     def test_parallel_workers_defer_but_match(self):
-        t_par = _make_trainer("ssgd", 2, self.BUCKET, parallel_workers=True)
+        t_par = _make_trainer("ssgd", 2, self.BUCKET, workers="thread")
         self._assert_same_trajectory(_make_trainer("ssgd", 2, None), t_par)
         assert t_par._reducer.deferred_steps > 0
         assert t_par._reducer.eager_steps == 0
@@ -383,8 +383,6 @@ class TestBucketedTrainer:
         assert len(trainer._reducer.last_timings) > 0
 
     def test_buffer_bytes_validation(self):
-        with pytest.raises(ValueError, match="use_arena"):
-            _make_trainer("ssgd", 2, self.BUCKET, use_arena=False)
         with pytest.raises(ValueError, match="does not support bucketed"):
             _make_trainer("randomk", 2, self.BUCKET)
 
