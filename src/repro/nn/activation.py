@@ -11,7 +11,15 @@ from repro.nn.module import Module
 
 
 class ReLU(Module):
-    """Rectified linear unit."""
+    """Rectified linear unit, ``max(x, 0)``.
+
+    Non-finite inputs are not hidden: NaN stays NaN (so a diverged
+    activation still reaches the trainer's non-finite-loss check),
+    ``-inf`` maps to 0 and ``+inf`` to ``+inf``; for finite input the
+    result equals ``where(x > 0, x, 0)`` (the sign of a zero may differ).
+    Backward multiplies by the ``x > 0`` mask, which passes exactly 0
+    wherever the forward input was <= 0 (or NaN) for finite ``grad_output``.
+    """
 
     def __init__(self) -> None:
         super().__init__()
@@ -19,12 +27,12 @@ class ReLU(Module):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._mask = x > 0
-        return np.where(self._mask, x, 0.0)
+        return np.maximum(x, 0.0)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._mask is None:
             raise RuntimeError("backward called before forward")
-        grad_input = np.where(self._mask, grad_output, 0.0)
+        grad_input = grad_output * self._mask
         self._mask = None
         return grad_input
 

@@ -1,4 +1,13 @@
-"""2-D convolution layer (im2col + GEMM)."""
+"""2-D convolution layer (im2col + GEMM).
+
+Forward unfolds the input once (:func:`repro.nn.functional.im2col`, kept
+for backward in training mode only) and multiplies every sample's columns
+by the flattened weight with one broadcast ``np.matmul``. Backward is two
+more plain GEMM families on the same operands as they lie in memory — the
+weight gradient from a transposed view of the columns, the column gradient
+from a transposed view of the weight — and a ``col2im`` fold. Nothing is
+padded, transposed-and-copied or routed through ``einsum``.
+"""
 
 from __future__ import annotations
 
@@ -60,32 +69,37 @@ class Conv2d(Module):
         out_h = F.conv_output_size(x.shape[2], kh, self.stride, self.padding)
         out_w = F.conv_output_size(x.shape[3], kw, self.stride, self.padding)
         w_mat = self.weight.data.reshape(self.weight.data.shape[0], -1)
-        out = F.cached_einsum("of,nfl->nol", w_mat, cols)
+        # One (out_c, F) @ (F, L) GEMM per sample, straight off the column
+        # buffer: matmul broadcasts w_mat over the batch without copying.
+        out = np.matmul(w_mat, cols)
         if self.bias is not None:
-            # In place: ``out`` is einsum's private output buffer.
+            # In place: ``out`` is matmul's private output buffer.
             out += self.bias.data[None, :, None]
-        self._cache = (cols, x.shape)
+        if self.training:
+            self._cache = (cols, x.shape)
         return out.reshape(n, -1, out_h, out_w)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("backward called before forward")
         cols, input_shape = self._cache
+        self._cache = None
         n, out_c = grad_output.shape[:2]
         grad_mat = grad_output.reshape(n, out_c, -1)
         w_mat = self.weight.data.reshape(out_c, -1)
 
         if self.bias is not None:
             self.bias.accumulate_grad(grad_mat.sum(axis=(0, 2)))
-        grad_w = F.cached_einsum("nol,nfl->of", grad_mat, cols)
-        grad_cols = F.cached_einsum("of,nol->nfl", w_mat, grad_mat)
-        grad_input = F.col2im(
+        # One (out_c, L) @ (L, F) GEMM per sample on a transposed *view* of
+        # its columns, summed as they come: no (n, out_c, F) intermediate.
+        grad_w = sum(np.matmul(g, col.T) for g, col in zip(grad_mat, cols))
+        del cols
+        self.weight.accumulate_grad(grad_w.reshape(self.weight.data.shape))
+        grad_cols = np.matmul(w_mat.T, grad_mat)
+        return F.col2im(
             grad_cols,
             input_shape,
             (self.kernel_size, self.kernel_size),
             self.stride,
             self.padding,
         )
-        self.weight.accumulate_grad(grad_w.reshape(self.weight.data.shape))
-        self._cache = None
-        return grad_input

@@ -1,14 +1,20 @@
-"""Low-level array ops shared by layers: im2col/col2im, padding, softmax."""
+"""Low-level array ops shared by layers: im2col/col2im, softmax, einsum paths.
+
+``im2col`` / ``col2im`` move data once per kernel tap between the NCHW
+array and the ``(N, C*kh*kw, L)`` column buffer (one strided-slice copy,
+respectively one strided-slice add, per tap; zero padding is implicit).
+The conv and pooling layers do their arithmetic on that buffer directly.
+"""
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 # Contraction paths memoized by (subscripts, operand shapes). With
 # ``optimize=True`` numpy re-runs the greedy path search on every call,
-# which shows up in the hot-path profile for the per-step conv/attention
+# which shows up in the hot-path profile for the per-step attention
 # einsums; the operand shapes repeat every step, so the path is computed
 # once. The path only fixes the contraction ORDER — the arithmetic per
 # contraction is unchanged, so results are bit-identical to optimize=True.
@@ -36,31 +42,46 @@ def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
     return out
 
 
+def _axis_taps(
+    size: int, kernel: int, stride: int, padding: int
+) -> Tuple[int, List[Tuple[slice, slice]]]:
+    """Output size along one axis and, per kernel tap, ``(output slice, input slice)``.
+
+    Output positions in the first slice read the (unpadded) input at the
+    second, a strided slice of equal length; every other output position of
+    that tap reads padding.
+    """
+    out = conv_output_size(size, kernel, stride, padding)
+    taps = []
+    for tap in range(kernel):
+        lo = min(out, max(0, -((tap - padding) // stride)))
+        hi = max(lo, min(out, (size - 1 - tap + padding) // stride + 1))
+        first = lo * stride + tap - padding
+        taps.append((slice(lo, hi), slice(first, first + (hi - lo) * stride, stride)))
+    return out, taps
+
+
 def im2col(
     x: np.ndarray, kernel: Tuple[int, int], stride: int, padding: int
 ) -> np.ndarray:
     """Unfold NCHW input into (N, C*kh*kw, out_h*out_w) patch columns.
 
-    Convolution then becomes a single GEMM — the same lowering cuDNN uses,
-    which keeps the numpy convnets fast enough to actually train.
+    Convolution then becomes one GEMM per sample — the same lowering cuDNN
+    uses, which keeps the numpy convnets fast enough to actually train. The
+    columns are written once: each of the kh*kw kernel taps is one strided
+    slice of ``x`` copied into its plane of the column buffer, and padding
+    is the part of a plane no slice reaches (the input is never padded).
     """
     n, c, h, w = x.shape
     kh, kw = kernel
-    out_h = conv_output_size(h, kh, stride, padding)
-    out_w = conv_output_size(w, kw, stride, padding)
-    if padding > 0:
-        x = np.pad(
-            x, ((0, 0), (0, 0), (padding, padding), (padding, padding)), mode="constant"
-        )
-    # Strided view of all patches: shape (n, c, kh, kw, out_h, out_w).
-    sn, sc, sh, sw = x.strides
-    patches = np.lib.stride_tricks.as_strided(
-        x,
-        shape=(n, c, kh, kw, out_h, out_w),
-        strides=(sn, sc, sh, sw, sh * stride, sw * stride),
-        writeable=False,
-    )
-    return patches.reshape(n, c * kh * kw, out_h * out_w).copy()
+    out_h, row_taps = _axis_taps(h, kh, stride, padding)
+    out_w, col_taps = _axis_taps(w, kw, stride, padding)
+    alloc = np.zeros if padding > 0 else np.empty
+    cols = alloc((n, c, kh, kw, out_h, out_w), dtype=x.dtype)
+    for ki, (out_rows, in_rows) in enumerate(row_taps):
+        for kj, (out_cols, in_cols) in enumerate(col_taps):
+            cols[:, :, ki, kj, out_rows, out_cols] = x[:, :, in_rows, in_cols]
+    return cols.reshape(n, c * kh * kw, out_h * out_w)
 
 
 def col2im(
@@ -72,22 +93,20 @@ def col2im(
 ) -> np.ndarray:
     """Fold patch columns back to NCHW, summing overlapping contributions.
 
-    Inverse-adjoint of :func:`im2col`; used for the conv input gradient.
+    Adjoint of :func:`im2col`, tap for tap: what a tap read from padding is
+    dropped, so the fold accumulates straight into the (unpadded) result.
+    Used for the conv and pooling input gradients.
     """
     n, c, h, w = input_shape
     kh, kw = kernel
-    out_h = conv_output_size(h, kh, stride, padding)
-    out_w = conv_output_size(w, kw, stride, padding)
-    padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=cols.dtype)
+    out_h, row_taps = _axis_taps(h, kh, stride, padding)
+    out_w, col_taps = _axis_taps(w, kw, stride, padding)
     cols6 = cols.reshape(n, c, kh, kw, out_h, out_w)
-    for ki in range(kh):
-        h_end = ki + stride * out_h
-        for kj in range(kw):
-            w_end = kj + stride * out_w
-            padded[:, :, ki:h_end:stride, kj:w_end:stride] += cols6[:, :, ki, kj]
-    if padding > 0:
-        return padded[:, :, padding:-padding, padding:-padding]
-    return padded
+    image = np.zeros(input_shape, dtype=cols.dtype)
+    for ki, (out_rows, in_rows) in enumerate(row_taps):
+        for kj, (out_cols, in_cols) in enumerate(col_taps):
+            image[:, :, in_rows, in_cols] += cols6[:, :, ki, kj, out_rows, out_cols]
+    return image
 
 
 def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:

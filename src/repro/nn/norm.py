@@ -36,29 +36,30 @@ class BatchNorm2d(Module):
         # running buffers end up bit-identical to a sequential pass (the
         # batch statistics depend only on the batch, not on the buffers).
         self.stat_recorder: Optional[list] = None
-        self._cache: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+        self._cache: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 4:
             raise ValueError(f"BatchNorm2d expects NCHW input, got shape {x.shape}")
+        # Two-pass, centred variance with the mean computed once; the centred
+        # input becomes x_hat in place, so the only full-size arrays a forward
+        # makes are x_hat and the output.
+        mean = x.mean(axis=(0, 2, 3)) if self.training else self.running_mean
+        x_hat = x - mean[None, :, None, None]
         if self.training:
-            mean = x.mean(axis=(0, 2, 3))
-            var = x.var(axis=(0, 2, 3))
+            var = np.einsum("nchw,nchw->c", x_hat, x_hat) / (x.size // x.shape[1])
             if self.stat_recorder is not None:
                 self.stat_recorder.append((mean, var))
             else:
                 self.apply_batch_stats(mean, var)
         else:
-            mean = self.running_mean
             var = self.running_var
         inv_std = 1.0 / np.sqrt(var + self.eps)
-        x_hat = (x - mean[None, :, None, None]) * inv_std[None, :, None, None]
-        out = (
-            self.weight.data[None, :, None, None] * x_hat
-            + self.bias.data[None, :, None, None]
-        )
+        x_hat *= inv_std[None, :, None, None]
+        out = x_hat * self.weight.data[None, :, None, None]
+        out += self.bias.data[None, :, None, None]
         if self.training:
-            self._cache = (x_hat, inv_std, x)
+            self._cache = (x_hat, inv_std)
         return out
 
     def apply_batch_stats(self, mean: np.ndarray, var: np.ndarray) -> None:
@@ -78,21 +79,21 @@ class BatchNorm2d(Module):
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("backward called before forward (training mode)")
-        x_hat, inv_std, x = self._cache
-        m = x.shape[0] * x.shape[2] * x.shape[3]
-
-        self.bias.accumulate_grad(grad_output.sum(axis=(0, 2, 3)))
-        self.weight.accumulate_grad((grad_output * x_hat).sum(axis=(0, 2, 3)))
-
-        gamma = self.weight.data[None, :, None, None]
-        grad_xhat = grad_output * gamma
-        sum_grad = grad_xhat.sum(axis=(0, 2, 3), keepdims=True)
-        sum_grad_xhat = (grad_xhat * x_hat).sum(axis=(0, 2, 3), keepdims=True)
-        grad_input = (
-            inv_std[None, :, None, None]
-            * (grad_xhat - sum_grad / m - x_hat * sum_grad_xhat / m)
-        )
+        x_hat, inv_std = self._cache
         self._cache = None
+        m = x_hat.size // x_hat.shape[1]
+
+        sum_grad = grad_output.sum(axis=(0, 2, 3))
+        sum_grad_xhat = np.einsum("nchw,nchw->c", grad_output, x_hat)
+        self.bias.accumulate_grad(sum_grad)
+        self.weight.accumulate_grad(sum_grad_xhat)
+
+        # gamma * inv_std * (g - mean(g) - x_hat * mean(g * x_hat)), with
+        # the released x_hat as scratch: one new full-size array, the result.
+        x_hat *= (sum_grad_xhat / m)[None, :, None, None]
+        x_hat += (sum_grad / m)[None, :, None, None]
+        grad_input = grad_output - x_hat
+        grad_input *= (self.weight.data * inv_std)[None, :, None, None]
         return grad_input
 
 

@@ -11,7 +11,20 @@ from repro.nn.module import Module
 
 
 class MaxPool2d(Module):
-    """Max pooling with square window."""
+    """Max pooling with square window.
+
+    The k*k window positions become the leading axis of one array, the
+    output is the maximum along it, and a boolean mask per position marks
+    where it holds the window's *first* maximum in row-major order (what
+    ``argmax`` picks), which is where backward sends the gradient. When the
+    windows partition the input exactly (``stride == kernel_size``, no
+    padding, height and width multiples of the kernel — every pooling layer
+    of the bundled convnets) the positions are gathered by one transposed
+    copy of the input and the gradient is written through k*k strided views;
+    any other geometry (overlapping, padded or non-dividing windows) goes
+    through :func:`repro.nn.functional.im2col` / ``col2im``. The choice is
+    made per call from the layer's geometry and the input's shape.
+    """
 
     def __init__(self, kernel_size: int, stride: Optional[int] = None, padding: int = 0):
         super().__init__()
@@ -20,39 +33,63 @@ class MaxPool2d(Module):
         self.kernel_size = kernel_size
         self.stride = stride if stride is not None else kernel_size
         self.padding = padding
-        self._cache: Optional[Tuple[np.ndarray, Tuple[int, ...], int, int]] = None
+        self._cache: Optional[Tuple[np.ndarray, Tuple[int, ...]]] = None
+
+    def _tiles(self, h: int, w: int) -> bool:
+        """Whether the windows partition an ``h x w`` input exactly."""
+        k = self.kernel_size
+        return self.stride == k and self.padding == 0 and h % k == 0 and w % k == 0
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         n, c, h, w = x.shape
         k = self.kernel_size
-        cols = F.im2col(x, (k, k), self.stride, self.padding)
         out_h = F.conv_output_size(h, k, self.stride, self.padding)
         out_w = F.conv_output_size(w, k, self.stride, self.padding)
-        # cols: (n, c*k*k, out_h*out_w) -> (n, c, k*k, L)
-        cols = cols.reshape(n, c, k * k, -1)
-        argmax = cols.argmax(axis=2)
-        out = np.take_along_axis(cols, argmax[:, :, None, :], axis=2).squeeze(2)
-        self._cache = (argmax, x.shape, out_h, out_w)
-        return out.reshape(n, c, out_h, out_w)
+        # windows: (k*k, n, c, out_h, out_w), window position leading.
+        if self._tiles(h, w):
+            windows = (
+                x.reshape(n, c, out_h, k, out_w, k)
+                .transpose(3, 5, 0, 1, 2, 4)
+                .reshape(k * k, n, c, out_h, out_w)
+            )
+        else:
+            cols = F.im2col(x, (k, k), self.stride, self.padding)
+            windows = np.moveaxis(cols.reshape(n, c, k * k, out_h, out_w), 2, 0)
+        out = windows.max(axis=0)
+        if self.training:
+            # first[t] marks the windows whose first maximum is position t.
+            first = windows == out
+            taken = first[0].copy()
+            for tap in range(1, k * k):
+                first[tap] &= ~taken
+                taken |= first[tap]
+            self._cache = (first, x.shape)
+        return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("backward called before forward")
-        argmax, input_shape, out_h, out_w = self._cache
-        n, c = input_shape[:2]
+        first, input_shape = self._cache
+        self._cache = None
+        n, c, h, w = input_shape
         k = self.kernel_size
-        grad_cols = np.zeros((n, c, k * k, out_h * out_w))
-        flat_grad = grad_output.reshape(n, c, 1, -1)
-        np.put_along_axis(grad_cols, argmax[:, :, None, :], flat_grad, axis=2)
-        grad_input = F.col2im(
+        if self._tiles(h, w):
+            grad_input = np.empty(input_shape)
+            for tap in range(k * k):
+                np.multiply(
+                    grad_output,
+                    first[tap],
+                    out=grad_input[:, :, tap // k :: k, tap % k :: k],
+                )
+            return grad_input
+        grad_cols = np.moveaxis(first * grad_output, 0, 2)
+        return F.col2im(
             grad_cols.reshape(n, c * k * k, -1),
             input_shape,
             (k, k),
             self.stride,
             self.padding,
         )
-        self._cache = None
-        return grad_input
 
 
 class AvgPool2d(Module):
@@ -74,7 +111,8 @@ class AvgPool2d(Module):
         out_h = F.conv_output_size(h, k, self.stride, self.padding)
         out_w = F.conv_output_size(w, k, self.stride, self.padding)
         out = cols.reshape(n, c, k * k, -1).mean(axis=2)
-        self._input_shape = x.shape
+        if self.training:
+            self._input_shape = x.shape
         return out.reshape(n, c, out_h, out_w)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
