@@ -31,6 +31,13 @@ volume: one orthogonalization + one GEMM + one all-reduce of
 
 ``P_0`` and ``Q_0`` are initialized i.i.d. standard normal with a seed
 shared across workers; ``E_0 = 0``.
+
+Memory cost: one persistent ``n x m`` float64 residual per compressible
+tensor (none with error feedback off) plus the two rank-``r`` factors.
+``compress`` updates the residual in place through the row-blocked kernel
+in :mod:`repro.compression.lowrank_kernels` — one pass over the matrix on
+odd steps, two on even steps — and allocates no full-size temporary; the
+gradient it is given is only read.
 """
 
 from __future__ import annotations
@@ -40,6 +47,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
+from repro.compression.lowrank_kernels import BlockedProjector, residual_for
 from repro.compression.orthogonalize import orthogonalize
 from repro.compression.powersgd import init_low_rank
 
@@ -87,7 +95,9 @@ class ACPSGDState:
         self.validate = validate
         self._p: Dict[str, np.ndarray] = {}
         self._q: Dict[str, np.ndarray] = {}
+        # Persistent EF residuals, updated in place by ``compress``.
         self._error: Dict[str, np.ndarray] = {}
+        self._projector = BlockedProjector()
         self._fresh_rng: Dict[str, np.random.Generator] = {}
         # Scratch between compress() and finalize(): the orthonormal carried
         # factor used for this step's projection.
@@ -134,35 +144,37 @@ class ACPSGDState:
         """Compute this step's local low-rank factor and update the error.
 
         Returns P_local (odd steps) or Q_local (even steps). The EF residual
-        is updated *here*, before aggregation, per Algorithm 2 lines 6/11.
+        is updated *here*, in place, before aggregation, per Algorithm 2
+        lines 6/11. ``matrix`` is only read (any float dtype, any strides).
         """
         if matrix.ndim != 2:
             raise ValueError(f"expected a matrix, got shape {matrix.shape}")
         if step < 1:
             raise ValueError(f"step counter is 1-based, got {step}")
         self._ensure_factors(name, matrix.shape)
-        work = matrix.astype(np.float64, copy=True)
-        if self.use_error_feedback:
-            residual = self._error.get(name)
-            if residual is not None:
-                work = work + residual
+        residual = (
+            residual_for(self._error, name, matrix.shape)
+            if self.use_error_feedback
+            else None
+        )
         carried = orthogonalize(self._carried_factor(name, matrix.shape, step))
         self._carried[name] = carried
         if self.compresses_p(step):
-            factor_local = work @ carried  # P = (M + E) Q_t
-        else:
-            factor_local = work.T @ carried  # Q = (M + E)^T P_t
-        if self.use_error_feedback:
-            if self.compresses_p(step):
-                self._error[name] = work - factor_local @ carried.T
-            else:
-                self._error[name] = work - carried @ factor_local.T
-        return factor_local
+            # P = (M + E) Q_t;  E <- (M + E) - P Q_t^T
+            return self._projector.project_right(
+                matrix, residual, carried, subtract=True
+            )
+        # Q = (M + E)^T P_t;  E <- (M + E) - P_t Q^T
+        return self._projector.project_left(matrix, residual, carried)
 
-    def finalize(
+    def store_factor(
         self, name: str, factor_aggregated: np.ndarray, step: int
-    ) -> np.ndarray:
-        """Reconstruct ``M_hat`` from the aggregated factor; store for reuse."""
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Adopt the aggregated factor for next-step reuse; returns ``(P_t, Q_t)``.
+
+        Everything :meth:`finalize` does except forming ``P_t Q_t^T`` — what
+        a rank needs when another rank's reconstruction is the one used.
+        """
         carried = self._carried.pop(name, None)
         if carried is None:
             raise RuntimeError(f"finalize called before compress for {name!r}")
@@ -171,12 +183,17 @@ class ACPSGDState:
 
             assert_finite(factor_aggregated, f"aggregated factor for {name!r}")
         if self.compresses_p(step):
-            self._p[name] = factor_aggregated.copy()
-            self._q[name] = carried
-            return factor_aggregated @ carried.T  # P_t Q_t^T
-        self._q[name] = factor_aggregated.copy()
-        self._p[name] = carried
-        return carried @ factor_aggregated.T  # P_t Q_t^T
+            self._p[name], self._q[name] = factor_aggregated.copy(), carried
+        else:
+            self._p[name], self._q[name] = carried, factor_aggregated.copy()
+        return self._p[name], self._q[name]
+
+    def finalize(
+        self, name: str, factor_aggregated: np.ndarray, step: int
+    ) -> np.ndarray:
+        """Reconstruct ``M_hat`` from the aggregated factor; store for reuse."""
+        p, q = self.store_factor(name, factor_aggregated, step)
+        return p @ q.T  # P_t Q_t^T
 
     def warm_start_from(self, donor: "ACPSGDState") -> None:
         """Adopt a survivor's shared carried state (elastic admission).

@@ -14,6 +14,14 @@ Error feedback: the residual ``M - P Q_local^T`` (computed with the *local*
 Q before aggregation, following Vogels' reference implementation) is added
 to the next step's gradient.
 
+Memory cost: one persistent ``n x m`` float64 residual per compressible
+tensor (none with error feedback off) plus the rank-``r`` query. The
+residual doubles as the work matrix ``M + E`` between the two stages and is
+updated in place through the row-blocked kernel in
+:mod:`repro.compression.lowrank_kernels` (one pass in ``compute_p``, two in
+``compute_q``); no full-size temporary is allocated and the gradient is only
+read.
+
 The class below holds one worker's state. Communication is done by the
 caller between the staged methods — the blocking structure
 ``compute_p -> aggregate -> compute_q -> aggregate`` is exactly the property
@@ -27,6 +35,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
+from repro.compression.lowrank_kernels import BlockedProjector, residual_for
 from repro.compression.orthogonalize import orthogonalize
 
 
@@ -79,9 +88,13 @@ class PowerSGDState:
         self.reuse_query = reuse_query
         self.validate = validate
         self._query: Dict[str, np.ndarray] = {}
+        # Persistent EF residuals, updated in place by compute_p / compute_q.
         self._error: Dict[str, np.ndarray] = {}
+        self._projector = BlockedProjector()
         self._fresh_rng: Dict[str, np.random.Generator] = {}
-        # Per-call scratch between compute_p and compute_q.
+        # Between compute_p and compute_q: the work matrix M + E (the
+        # residual itself with EF on); between compute_q and reconstruct:
+        # P_hat.
         self._pending: Dict[str, np.ndarray] = {}
 
     def _ensure_query(self, name: str, matrix_shape: Tuple[int, int]) -> np.ndarray:
@@ -111,17 +124,27 @@ class PowerSGDState:
     # Staged compression protocol
     # ------------------------------------------------------------------
     def compute_p(self, name: str, matrix: np.ndarray) -> np.ndarray:
-        """Stage 1: ``P = (M + E) Q_{t-1}``; caller must all-reduce the result."""
+        """Stage 1: ``P = (M + E) Q_{t-1}``; caller must all-reduce the result.
+
+        With error feedback the residual is advanced to ``M + E`` in place
+        and serves as the work matrix until :meth:`compute_q` corrects it;
+        without it the work matrix is ``matrix`` itself (a float64 view when
+        it already is float64), which must stay unchanged until then.
+        """
         if matrix.ndim != 2:
             raise ValueError(f"expected a matrix, got shape {matrix.shape}")
-        work = matrix.astype(np.float64, copy=True)
-        if self.use_error_feedback:
-            residual = self._error.get(name)
-            if residual is not None:
-                work = work + residual
-        self._pending[name] = work
+        residual = (
+            residual_for(self._error, name, matrix.shape)
+            if self.use_error_feedback
+            else None
+        )
+        if residual is None:
+            matrix = np.asarray(matrix, dtype=np.float64)
+        self._pending[name] = matrix if residual is None else residual
         query = self._ensure_query(name, matrix.shape)
-        return work @ query
+        return self._projector.project_right(
+            matrix, residual, query, subtract=False
+        )
 
     def compute_q(self, name: str, p_aggregated: np.ndarray) -> np.ndarray:
         """Stage 2: orthogonalize aggregated P, then ``Q = (M + E)^T P_hat``.
@@ -137,14 +160,21 @@ class PowerSGDState:
 
             assert_finite(p_aggregated, f"aggregated P factor for {name!r}")
         p_hat = orthogonalize(p_aggregated)
-        q_local = work.T @ p_hat
         if self.use_error_feedback:
-            self._error[name] = work - p_hat @ q_local.T
+            # ``work`` is the residual holding M + E: corrected in place to
+            # E' = (M + E) - P_hat Q_local^T.
+            q_local = self._projector.project_left(None, work, p_hat)
+        else:
+            q_local = self._projector.project_left(work, None, p_hat)
         self._pending[name] = p_hat  # stash for reconstruct
         return q_local
 
-    def reconstruct(self, name: str, q_aggregated: np.ndarray) -> np.ndarray:
-        """Stage 3: ``M_hat = P_hat Q^T``; stores Q for next-step reuse."""
+    def store_query(self, name: str, q_aggregated: np.ndarray) -> np.ndarray:
+        """Adopt the aggregated Q for next-step reuse; returns ``P_hat``.
+
+        Everything :meth:`reconstruct` does except forming ``P_hat Q^T`` —
+        what a rank needs when another rank's reconstruction is the one used.
+        """
         p_hat = self._pending.pop(name, None)
         if p_hat is None:
             raise RuntimeError(f"reconstruct called before compute_q for {name!r}")
@@ -154,7 +184,11 @@ class PowerSGDState:
             assert_finite(q_aggregated, f"aggregated Q factor for {name!r}")
         if self.reuse_query:
             self._query[name] = q_aggregated.copy()
-        return p_hat @ q_aggregated.T
+        return p_hat
+
+    def reconstruct(self, name: str, q_aggregated: np.ndarray) -> np.ndarray:
+        """Stage 3: ``M_hat = P_hat Q^T``; stores Q for next-step reuse."""
+        return self.store_query(name, q_aggregated) @ q_aggregated.T
 
     def warm_start_from(self, donor: "PowerSGDState") -> None:
         """Adopt a survivor's shared carried state (elastic admission).

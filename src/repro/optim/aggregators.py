@@ -737,6 +737,52 @@ class TernGradAggregator(GradientAggregator):
         return _unpack(dense, per_worker_grads[0], names)
 
 
+class _LowRankPlan:
+    """What a low-rank step derives from the gradient layout alone.
+
+    The compressible / plain split of every bucket, the P ``(n, r)`` and
+    Q ``(m, r)`` factor shapes and the three pack layouts depend only on
+    parameter shapes and the target rank, not on the step. Each pack (plain / P / Q)
+    orders its blocks by layout order, so every bucket's names cover a
+    contiguous pack segment and per-bucket reduction can reuse the
+    monolithic pack's chunk schedule.
+    """
+
+    def __init__(
+        self,
+        template: ArenaGrads,
+        rank: int,
+        compressible: List[str],
+        plain: List[str],
+    ):
+        self.layout = template.layout
+        comp_set = set(compressible)
+        #: Per bucket: its (compressible, plain) names, in layout order.
+        self.bucket_split = [
+            (
+                [n for n in names if n in comp_set],
+                [n for n in names if n not in comp_set],
+            )
+            for names in self.layout.bucket_names()
+        ]
+        self.plain_pack = _PackLayout(
+            {name: int(template[name].size) for name in plain}, plain
+        )
+        self.p_shapes: Dict[str, Tuple[int, int]] = {}
+        self.q_shapes: Dict[str, Tuple[int, int]] = {}
+        for name in compressible:
+            n, m = matrix_view_shape(template[name].shape)
+            r_eff = min(rank, n, m)
+            self.p_shapes[name] = (n, r_eff)
+            self.q_shapes[name] = (m, r_eff)
+        self.p_pack = _PackLayout(
+            {name: n * r for name, (n, r) in self.p_shapes.items()}, compressible
+        )
+        self.q_pack = _PackLayout(
+            {name: m * r for name, (m, r) in self.q_shapes.items()}, compressible
+        )
+
+
 class _LowRankBase(GradientAggregator):
     """Shared plumbing for Power-SGD / ACP-SGD: compressibility and fallbacks.
 
@@ -751,6 +797,7 @@ class _LowRankBase(GradientAggregator):
         if rank < 1:
             raise ValueError(f"rank must be >= 1, got {rank}")
         self.rank = rank
+        self._plan: Optional[_LowRankPlan] = None
 
     def _is_compressible(self, shape: Tuple[int, ...]) -> bool:
         if not should_compress(shape):
@@ -764,33 +811,33 @@ class _LowRankBase(GradientAggregator):
 
     def _split_names(self, grads: NamedGrads) -> Tuple[List[str], List[str]]:
         compressible = [n for n, g in grads.items() if self._is_compressible(g.shape)]
-        plain = [n for n in grads if n not in set(compressible)]
+        comp_set = set(compressible)
+        plain = [n for n in grads if n not in comp_set]
         return compressible, plain
+
+    def _layout_plan(self, template: NamedGrads) -> _LowRankPlan:
+        """The step-invariant plan for ``template``'s layout, built once.
+
+        A trainer's arena hands in the same layout object every step;
+        adopted plain dicts arrive under a fresh layout and rebuild.
+        """
+        plan = self._plan
+        if plan is None or plan.layout is not template.layout:
+            plan = self._plan = _LowRankPlan(
+                template, self.rank, *self._split_names(template)
+            )
+        return plan
 
     def _begin_lowrank_session(
         self, per_worker_grads: List[NamedGrads]
     ) -> _BucketSession:
-        """Open a session and lay out the shared plain (uncompressed) pack.
-
-        Each pack (plain here; P/Q/alternating factor in the subclasses)
-        orders its blocks by layout order, so every bucket's names cover a
-        contiguous pack segment and per-bucket reduction can reuse the
-        monolithic pack's chunk schedule.
-        """
+        """Open a session and stage the shared plain (uncompressed) pack."""
         session = self._open_bucket_session(per_worker_grads)
         self.step += 1
-        compressible, plain = self._split_names(session.template)
-        session.compressible = compressible
-        session.comp_set = set(compressible)
-        plain_sizes = {name: int(session.template[name].size) for name in plain}
-        session.plain_pack = _PackLayout(plain_sizes, plain)
+        session.plan = self._layout_plan(session.template)
         session.plain_scratch = self._staging_rows(
-            "plain", len(self.roster), max(1, session.plain_pack.total)
+            "plain", len(self.roster), max(1, session.plan.plain_pack.total)
         )
-        session.mshapes = {
-            name: matrix_view_shape(session.template[name].shape)
-            for name in compressible
-        }
         session.result = {}
         return session
 
@@ -800,7 +847,7 @@ class _LowRankBase(GradientAggregator):
         """Stage and average-reduce a bucket's uncompressed tensors."""
         if not plain_b:
             return
-        pack = session.plain_pack
+        pack = session.plan.plain_pack
         lo, hi = pack.segment(plain_b)
         for slot in range(len(self.roster)):
             grads = session.per_worker[slot]
@@ -873,25 +920,12 @@ class PowerSGDAggregator(_LowRankBase):
 
     def begin_buckets(self, per_worker_grads: List[NamedGrads]) -> None:
         session = self._begin_lowrank_session(per_worker_grads)
-        p_sizes: Dict[str, int] = {}
-        q_sizes: Dict[str, int] = {}
-        session.p_shapes = {}
-        session.q_shapes = {}
-        for name in session.compressible:
-            n, m = session.mshapes[name]
-            r_eff = min(self.rank, n, m)
-            session.p_shapes[name] = (n, r_eff)
-            session.q_shapes[name] = (m, r_eff)
-            p_sizes[name] = n * r_eff
-            q_sizes[name] = m * r_eff
-        session.p_pack = _PackLayout(p_sizes, session.compressible)
-        session.q_pack = _PackLayout(q_sizes, session.compressible)
         num_slots = len(self.roster)
         session.p_scratch = self._staging_rows(
-            "powersgd_p", num_slots, max(1, session.p_pack.total)
+            "powersgd_p", num_slots, max(1, session.plan.p_pack.total)
         )
         session.q_scratch = self._staging_rows(
-            "powersgd_q", num_slots, max(1, session.q_pack.total)
+            "powersgd_q", num_slots, max(1, session.plan.q_pack.total)
         )
 
     def reduce_bucket(self, index: int) -> None:
@@ -902,17 +936,17 @@ class PowerSGDAggregator(_LowRankBase):
         on the bucket's segment of the global P/Q packs. The P collective
         still blocks the Q computation *within* the bucket (the §III-C
         structure), but bucketing lets later buckets start as soon as their
-        gradients exist.
+        gradients exist. Every rank adopts the aggregated Q (query reuse);
+        ``P_hat Q^T`` is identical on all of them, so only slot 0 forms it.
         """
         session = self._bucket_state()
         self._mark_bucket(session, index)
-        names_b = session.bucket_names[index]
-        comp_b = [n for n in names_b if n in session.comp_set]
-        plain_b = [n for n in names_b if n not in session.comp_set]
+        comp_b, plain_b = session.plan.bucket_split[index]
         self._reduce_plain_bucket(session, plain_b)
         if not comp_b:
             return
-        p_pack, q_pack = session.p_pack, session.q_pack
+        plan = session.plan
+        p_pack, q_pack = plan.p_pack, plan.q_pack
         plo, phi = p_pack.segment(comp_b)
         for slot, rank_idx in enumerate(self.roster):
             state = self._per_rank[rank_idx]
@@ -929,23 +963,22 @@ class PowerSGDAggregator(_LowRankBase):
             row = session.q_scratch[slot]
             for name in comp_b:
                 p_agg = self._pack_view(
-                    session.p_scratch[0], p_pack, name, session.p_shapes[name]
+                    session.p_scratch[0], p_pack, name, plan.p_shapes[name]
                 )
                 q_local = state.compute_q(name, p_agg)
                 off = q_pack.offsets[name]
                 row[off : off + q_pack.sizes[name]] = q_local.reshape(-1)
         self._reduce_pack_segment(session.q_scratch, qlo, qhi, q_pack.total)
-        for slot, rank_idx in enumerate(self.roster):
-            state = self._per_rank[rank_idx]
-            for name in comp_b:
-                q_agg = self._pack_view(
-                    session.q_scratch[0], q_pack, name, session.q_shapes[name]
-                )
-                m_hat = state.reconstruct(name, q_agg)
-                if slot == 0:
-                    session.result[name] = matrix_to_grad(
-                        m_hat, session.template[name].shape
-                    )
+        for name in comp_b:
+            q_agg = self._pack_view(
+                session.q_scratch[0], q_pack, name, plan.q_shapes[name]
+            )
+            for rank_idx in self.roster[1:]:
+                self._per_rank[rank_idx].store_query(name, q_agg)
+            m_hat = self._per_rank[self.roster[0]].reconstruct(name, q_agg)
+            session.result[name] = matrix_to_grad(
+                m_hat, session.template[name].shape
+            )
 
 
 class ACPSGDAggregator(_LowRankBase):
@@ -979,18 +1012,14 @@ class ACPSGDAggregator(_LowRankBase):
 
     def begin_buckets(self, per_worker_grads: List[NamedGrads]) -> None:
         session = self._begin_lowrank_session(per_worker_grads)
-        # Factor shapes alternate with step parity: P=(n, r) on odd steps,
+        # The factor alternates with step parity: P=(n, r) on odd steps,
         # Q=(m, r) on even steps — fixed for the whole session because every
         # bucket shares this step's parity.
-        p_step = ACPSGDState.compresses_p(self.step)
-        f_sizes: Dict[str, int] = {}
-        session.f_shapes = {}
-        for name in session.compressible:
-            n, m = session.mshapes[name]
-            r_eff = min(self.rank, n, m)
-            session.f_shapes[name] = (n, r_eff) if p_step else (m, r_eff)
-            f_sizes[name] = session.f_shapes[name][0] * r_eff
-        session.factor_pack = _PackLayout(f_sizes, session.compressible)
+        plan = session.plan
+        if ACPSGDState.compresses_p(self.step):
+            session.factor_pack, session.f_shapes = plan.p_pack, plan.p_shapes
+        else:
+            session.factor_pack, session.f_shapes = plan.q_pack, plan.q_shapes
         session.factor_scratch = self._staging_rows(
             "acpsgd_f", len(self.roster), max(1, session.factor_pack.total)
         )
@@ -1001,13 +1030,13 @@ class ACPSGDAggregator(_LowRankBase):
         ACP-SGD's single alternating-factor all-reduce is the cheapest of
         the low-rank schedules (§IV-C), and it buckets cleanly: each bucket
         compresses, reduces its contiguous segment of the factor pack, and
-        reconstructs immediately.
+        reconstructs immediately. Every rank adopts the aggregated factor
+        (the next step orthogonalizes it); ``P_t Q_t^T`` is identical on
+        all of them, so only slot 0 forms it.
         """
         session = self._bucket_state()
         self._mark_bucket(session, index)
-        names_b = session.bucket_names[index]
-        comp_b = [n for n in names_b if n in session.comp_set]
-        plain_b = [n for n in names_b if n not in session.comp_set]
+        comp_b, plain_b = session.plan.bucket_split[index]
         self._reduce_plain_bucket(session, plain_b)
         if not comp_b:
             return
@@ -1024,17 +1053,16 @@ class ACPSGDAggregator(_LowRankBase):
                 off = pack.offsets[name]
                 row[off : off + pack.sizes[name]] = factor.reshape(-1)
         self._reduce_pack_segment(session.factor_scratch, lo, hi, pack.total)
-        for slot, rank_idx in enumerate(self.roster):
-            state = self._per_rank[rank_idx]
-            for name in comp_b:
-                agg = self._pack_view(
-                    session.factor_scratch[0], pack, name, session.f_shapes[name]
-                )
-                m_hat = state.finalize(name, agg, self.step)
-                if slot == 0:
-                    session.result[name] = matrix_to_grad(
-                        m_hat, session.template[name].shape
-                    )
+        for name in comp_b:
+            agg = self._pack_view(
+                session.factor_scratch[0], pack, name, session.f_shapes[name]
+            )
+            for rank_idx in self.roster[1:]:
+                self._per_rank[rank_idx].store_factor(name, agg, self.step)
+            m_hat = self._per_rank[self.roster[0]].finalize(name, agg, self.step)
+            session.result[name] = matrix_to_grad(
+                m_hat, session.template[name].shape
+            )
 
 
 def make_aggregator(

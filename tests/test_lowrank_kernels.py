@@ -1,0 +1,381 @@
+"""Property tests for the blocked error-feedback kernel and what rests on it.
+
+The kernel (:mod:`repro.compression.lowrank_kernels`) is the only place
+Power-SGD and ACP-SGD touch a full-size matrix, so the dense three-line
+reference lives here and everything is checked against it: the kernel
+itself over awkward shapes, error-feedback conservation, orthonormality of
+the carried factor, cross-rank agreement of the shared factors, and the
+aggregators against a per-rank ``compress -> mean -> finalize`` oracle.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.comm.process_group import ProcessGroup
+from repro.compression.acpsgd import ACPSGDState
+from repro.compression.lowrank_kernels import (
+    BlockedProjector,
+    block_rows,
+    residual_for,
+)
+from repro.compression.powersgd import PowerSGDState
+from repro.optim.aggregators import make_aggregator
+from repro.perf.arena import ArenaGrads, ArenaLayout
+
+
+def rel_err(actual, expected, scale=None):
+    scale = np.linalg.norm(expected) if scale is None else scale
+    return np.linalg.norm(np.asarray(actual) - expected) / max(scale, 1e-300)
+
+
+# (n, m) pairs hitting every block regime: several blocks with a ragged
+# tail, fewer rows than one block, one-row blocks (m > 65536), and factors
+# wider than either dimension (the ranks below go up to 5).
+EDGE_SHAPES = [
+    (150, 1024),  # 64-row blocks: 64 + 64 + 22
+    (64, 1024),  # exactly one block
+    (37, 4096),  # 16-row blocks: 16 + 16 + 5
+    (3, 70000),  # rows = 1
+    (2, 9),  # n < r
+    (9, 2),  # m < r
+    (1, 1),
+    (7000, 12),  # 5461-row blocks: 5461 + 1539
+]
+small_shapes = st.tuples(st.integers(1, 40), st.integers(1, 40))
+
+
+def check_right_projection(shape, rank, seed, subtract):
+    n, m = shape
+    rng = np.random.default_rng(seed)
+    grad = rng.normal(size=(n, m))
+    error = rng.normal(size=(n, m))
+    basis = rng.normal(size=(m, rank)) / np.sqrt(m)
+    residual = error.copy()
+    grad_before = grad.copy()
+    factor = BlockedProjector().project_right(grad, residual, basis, subtract)
+    # The dense reference: work = g + e; f = work @ B; e' = work - f @ B.T
+    work = grad + error
+    expected = work @ basis
+    assert rel_err(factor, expected) <= 1e-12
+    after = work - expected @ basis.T if subtract else work
+    assert rel_err(residual, after, np.linalg.norm(work)) <= 1e-12
+    np.testing.assert_array_equal(grad, grad_before)
+
+
+def check_left_projection(shape, rank, seed, add):
+    n, m = shape
+    rng = np.random.default_rng(seed)
+    grad = rng.normal(size=(n, m))
+    error = rng.normal(size=(n, m))
+    basis = rng.normal(size=(n, rank)) / np.sqrt(n)
+    residual = error.copy()
+    grad_before = grad.copy()
+    factor = BlockedProjector().project_left(
+        grad if add else None, residual, basis
+    )
+    work = grad + error if add else error
+    expected = work.T @ basis
+    assert rel_err(factor, expected) <= 1e-12
+    after = work - basis @ expected.T
+    assert rel_err(residual, after, np.linalg.norm(work)) <= 1e-12
+    np.testing.assert_array_equal(grad, grad_before)
+
+
+class TestBlockedKernelMatchesDense:
+    def test_block_rows_is_a_function_of_width_only(self):
+        assert block_rows(1024) == 64
+        assert block_rows(65536) == 1
+        assert block_rows(70000) == 1
+        assert block_rows(1) == 65536
+
+    @pytest.mark.parametrize("shape", EDGE_SHAPES)
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_edge_shapes(self, shape, flag):
+        check_right_projection(shape, rank=5, seed=1, subtract=flag)
+        check_left_projection(shape, rank=5, seed=2, add=flag)
+
+    def test_one_projector_serves_tensors_of_different_widths(self):
+        """The scratch is grow-only and re-viewed per block shape."""
+        rng = np.random.default_rng(0)
+        projector = BlockedProjector()
+        for n, m in [(5, 7), (150, 1024), (3, 2), (37, 4096)]:
+            grad = rng.normal(size=(n, m))
+            basis = rng.normal(size=(m, 2)) / np.sqrt(m)
+            residual = residual_for({}, "w", (n, m))
+            factor = projector.project_right(grad, residual, basis, subtract=True)
+            assert rel_err(factor, grad @ basis) <= 1e-12
+            expected = grad - (grad @ basis) @ basis.T
+            assert rel_err(residual, expected, np.linalg.norm(grad)) <= 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        shape=small_shapes,
+        rank=st.integers(1, 5),
+        seed=st.integers(0, 10_000),
+        subtract=st.booleans(),
+    )
+    def test_property_right_projection(self, shape, rank, seed, subtract):
+        check_right_projection(shape, rank, seed, subtract)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        shape=small_shapes,
+        rank=st.integers(1, 5),
+        seed=st.integers(0, 10_000),
+        add=st.booleans(),
+    )
+    def test_property_left_projection(self, shape, rank, seed, add):
+        check_left_projection(shape, rank, seed, add)
+
+    def test_fresh_residual_is_the_bitwise_additive_identity(self):
+        grad = np.array([[0.0, -0.0, 1.5], [-2.0, np.pi, 1e-300]])
+        residual = residual_for({}, "w", grad.shape)
+        residual += grad
+        assert residual.tobytes() == grad.tobytes()
+
+    def test_without_residual_projects_the_gradient_and_writes_nothing(self):
+        rng = np.random.default_rng(0)
+        grad = rng.normal(size=(6, 8))
+        grad.flags.writeable = False
+        projector = BlockedProjector()
+        right = rng.normal(size=(8, 2))
+        left = rng.normal(size=(6, 2))
+        np.testing.assert_array_equal(
+            projector.project_right(grad, None, right, subtract=True), grad @ right
+        )
+        np.testing.assert_array_equal(
+            projector.project_left(grad, None, left), grad.T @ left
+        )
+
+
+def _input_variants(rng):
+    """(label, array) inputs that are not plain float64 C-contiguous."""
+    base = rng.normal(size=(24, 18))
+    read_only = rng.normal(size=(12, 18))
+    read_only.flags.writeable = False
+    return [
+        ("float32", rng.normal(size=(12, 18)).astype(np.float32)),
+        ("transposed", base[:18].T[:12]),
+        ("strided", base[::2]),
+        ("read-only", read_only),
+    ]
+
+
+class TestInputsAreOnlyRead:
+    """float32, non-contiguous and read-only gradients are accepted, give
+    the factors of their float64 C-contiguous copies, and are never written
+    — with error feedback on and off."""
+
+    @pytest.mark.parametrize("use_ef", [True, False])
+    def test_acpsgd_compress(self, use_ef, rng):
+        for label, matrix in _input_variants(rng):
+            reference = np.ascontiguousarray(matrix, dtype=np.float64)
+            before = matrix.copy()
+            state = ACPSGDState(rank=3, seed=5, use_error_feedback=use_ef)
+            oracle = ACPSGDState(rank=3, seed=5, use_error_feedback=use_ef)
+            for step in (1, 2, 3):
+                factor = state.compress("w", matrix, step)
+                expected = oracle.compress("w", reference, step)
+                assert factor.dtype == np.float64
+                assert rel_err(factor, expected) <= 1e-12, (label, step)
+                state.finalize("w", factor, step)
+                oracle.finalize("w", expected, step)
+            np.testing.assert_array_equal(matrix, before, err_msg=label)
+            assert matrix.dtype == before.dtype
+
+    @pytest.mark.parametrize("use_ef", [True, False])
+    def test_powersgd_stages(self, use_ef, rng):
+        for label, matrix in _input_variants(rng):
+            reference = np.ascontiguousarray(matrix, dtype=np.float64)
+            before = matrix.copy()
+            state = PowerSGDState(rank=3, seed=5, use_error_feedback=use_ef)
+            oracle = PowerSGDState(rank=3, seed=5, use_error_feedback=use_ef)
+            for _ in range(2):
+                p = state.compute_p("w", matrix)
+                p_ref = oracle.compute_p("w", reference)
+                assert rel_err(p, p_ref) <= 1e-12, label
+                q = state.compute_q("w", p)
+                q_ref = oracle.compute_q("w", p_ref)
+                assert rel_err(q, q_ref) <= 1e-12, label
+                state.reconstruct("w", q)
+                oracle.reconstruct("w", q_ref)
+            np.testing.assert_array_equal(matrix, before, err_msg=label)
+            assert matrix.dtype == before.dtype
+
+
+@st.composite
+def gradient_streams(draw, steps=6):
+    """(world, rank, per-step per-worker matrices) incl. degenerate steps."""
+    world = draw(st.integers(1, 3))
+    n = draw(st.integers(2, 14))
+    m = draw(st.integers(2, 14))
+    rank = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 10_000)))
+    kinds = draw(
+        st.lists(
+            st.sampled_from(["dense", "dense", "zero", "rank1"]),
+            min_size=steps,
+            max_size=steps + 2,
+        )
+    )
+    stream = []
+    for kind in kinds:
+        if kind == "zero":
+            stream.append([np.zeros((n, m)) for _ in range(world)])
+        elif kind == "rank1":
+            stream.append(
+                [np.outer(rng.normal(size=n), rng.normal(size=m))
+                 for _ in range(world)]
+            )
+        else:
+            stream.append([rng.normal(size=(n, m)) for _ in range(world)])
+    return world, rank, stream
+
+
+def assert_orthonormal(factor):
+    gram = factor.T @ factor
+    np.testing.assert_allclose(gram, np.eye(factor.shape[1]), atol=1e-8)
+
+
+class TestErrorFeedbackInvariants:
+    """(b) conservation and (c) orthonormality, on the bare states."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=gradient_streams())
+    def test_property_acpsgd_conserves_gradient_mass(self, data):
+        """Sum of gradients == sum of locally transmitted P Q^T + residual
+        (Algorithm 2 lines 6/11), and the carried factor stays orthonormal."""
+        world, rank, stream = data
+        states = [ACPSGDState(rank=rank, seed=3) for _ in range(world)]
+        total_in = [0.0] * world
+        total_sent = [0.0] * world
+        for step, grads in enumerate(stream, start=1):
+            factors = []
+            for w, state in enumerate(states):
+                factor = state.compress("w", grads[w], step)
+                carried = state._carried["w"]
+                assert_orthonormal(carried)
+                sent = (
+                    factor @ carried.T
+                    if ACPSGDState.compresses_p(step)
+                    else carried @ factor.T
+                )
+                total_in[w] = total_in[w] + grads[w]
+                total_sent[w] = total_sent[w] + sent
+                factors.append(factor)
+            mean = np.mean(factors, axis=0)
+            for state in states:
+                state.finalize("w", mean, step)
+        for w, state in enumerate(states):
+            scale = max(np.linalg.norm(total_in[w]), 1.0)
+            gap = total_sent[w] + state._error["w"] - total_in[w]
+            assert np.linalg.norm(gap) / scale <= 1e-10
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=gradient_streams())
+    def test_property_powersgd_conserves_gradient_mass(self, data):
+        """Same identity with Vogels' local-Q residual; P_hat orthonormal."""
+        world, rank, stream = data
+        states = [PowerSGDState(rank=rank, seed=3) for _ in range(world)]
+        total_in = [0.0] * world
+        total_sent = [0.0] * world
+        for grads in stream:
+            p_mean = np.mean(
+                [s.compute_p("w", g) for s, g in zip(states, grads)], axis=0
+            )
+            q_locals = []
+            for w, state in enumerate(states):
+                q_local = state.compute_q("w", p_mean)
+                p_hat = state._pending["w"]
+                assert_orthonormal(p_hat)
+                total_in[w] = total_in[w] + grads[w]
+                total_sent[w] = total_sent[w] + p_hat @ q_local.T
+                q_locals.append(q_local)
+            q_mean = np.mean(q_locals, axis=0)
+            for state in states:
+                state.reconstruct("w", q_mean)
+        for w, state in enumerate(states):
+            scale = max(np.linalg.norm(total_in[w]), 1.0)
+            gap = total_sent[w] + state._error["w"] - total_in[w]
+            assert np.linalg.norm(gap) / scale <= 1e-10
+
+
+SHAPES = [("fc1.w", (12, 20)), ("fc1.b", (12,)), ("fc2.w", (9, 12)), ("fc2.b", (9,))]
+
+
+def arena_grads(rng, world, bucket_bytes):
+    """Per-worker arena-backed gradients under one (bucketed) layout."""
+    layout = ArenaLayout(SHAPES, bucket_bytes=bucket_bytes)
+    plain = [
+        {name: rng.normal(size=shape) for name, shape in SHAPES}
+        for _ in range(world)
+    ]
+    return plain, [ArenaGrads.adopt(grads, layout) for grads in plain]
+
+
+def oracle_step(method, states, plain, step):
+    """Per-rank compress -> mean -> finalize, no aggregator involved."""
+    out = {}
+    for name, shape in SHAPES:
+        if len(shape) < 2:
+            out[name] = np.mean([grads[name] for grads in plain], axis=0)
+            continue
+        mats = [grads[name] for grads in plain]
+        if method == "acpsgd":
+            mean = np.mean(
+                [s.compress(name, g, step) for s, g in zip(states, mats)], axis=0
+            )
+            hats = [s.finalize(name, mean, step) for s in states]
+        else:
+            p_mean = np.mean(
+                [s.compute_p(name, g) for s, g in zip(states, mats)], axis=0
+            )
+            q_mean = np.mean([s.compute_q(name, p_mean) for s in states], axis=0)
+            hats = [s.reconstruct(name, q_mean) for s in states]
+        out[name] = hats[0]
+    return out
+
+
+def assert_ranks_agree(aggregator, method, world):
+    """Every rank holds bit-identical shared factors and no stale scratch —
+    what ``warm_start_from`` and reconstruct-once both rest on."""
+    shared = ("_p", "_q") if method == "acpsgd" else ("_query",)
+    scratch = "_carried" if method == "acpsgd" else "_pending"
+    first = aggregator.state_for(0)
+    for other in map(aggregator.state_for, range(1, world)):
+        for attr in shared:
+            mine, theirs = getattr(first, attr), getattr(other, attr)
+            assert mine.keys() == theirs.keys()
+            for name in mine:
+                np.testing.assert_array_equal(mine[name], theirs[name])
+        assert not getattr(other, scratch)
+
+
+class TestAggregatorsAgainstOracle:
+    """(d) shared factors agree across ranks; (e) aggregate == oracle."""
+
+    @pytest.mark.parametrize("method", ["acpsgd", "powersgd"])
+    # None: one bucket (monolithic); 0: one tensor per bucket; 1200: two.
+    @pytest.mark.parametrize("bucket_bytes", [None, 0, 1200])
+    def test_aggregate_matches_per_rank_oracle(self, method, bucket_bytes, rng):
+        world, rank = 3, 2
+        aggregator = make_aggregator(method, ProcessGroup(world), rank=rank, seed=7)
+        state_cls = ACPSGDState if method == "acpsgd" else PowerSGDState
+        oracle_states = [state_cls(rank=rank, seed=7) for _ in range(world)]
+        for step in range(1, 7):  # odd and even steps
+            plain, per_worker = arena_grads(rng, world, bucket_bytes)
+            out = aggregator.aggregate(per_worker)
+            expected = oracle_step(method, oracle_states, plain, step)
+            for name, _ in SHAPES:
+                assert rel_err(out[name], expected[name]) <= 1e-12, (name, step)
+            assert_ranks_agree(aggregator, method, world)
+
+    @settings(max_examples=15, deadline=None)
+    @given(data=gradient_streams(steps=4), method=st.sampled_from(["acpsgd", "powersgd"]))
+    def test_property_ranks_agree_after_every_aggregate(self, data, method):
+        world, rank, stream = data
+        aggregator = make_aggregator(method, ProcessGroup(world), rank=rank)
+        for grads in stream:
+            aggregator.aggregate([{"w": g} for g in grads])
+            assert_ranks_agree(aggregator, method, world)

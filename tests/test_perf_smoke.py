@@ -40,6 +40,19 @@ def mlp_arena(world_size=4, seed=0):
     return arena, refill
 
 
+def peak_allocation(call):
+    """Bytes allocated at peak, over the starting level, while ``call()`` runs."""
+    tracemalloc.start()
+    try:
+        baseline = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - baseline
+
+
 class TestZeroFusedAllocations:
     def test_arena_ssgd_aggregate_makes_no_fused_copies(self):
         world_size = 4
@@ -113,16 +126,9 @@ class TestSteadyStateMemory:
         aggregator.aggregate(refill())  # warmup: scratch + history settle
         per_worker = refill()
         slab_bytes = arena.slab(0).nbytes
-        tracemalloc.start()
-        try:
-            baseline = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            aggregator.aggregate(per_worker)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak - baseline < slab_bytes // 2, (
-            f"aggregation allocated {peak - baseline} bytes at peak; "
+        peak = peak_allocation(lambda: aggregator.aggregate(per_worker))
+        assert peak < slab_bytes // 2, (
+            f"aggregation allocated {peak} bytes at peak; "
             f"slab is {slab_bytes} — the zero-copy path has regressed"
         )
 
@@ -147,3 +153,54 @@ class TestSteadyStateMemory:
             f"{method} retains {retained} bytes; the slab is {slab_bytes} — "
             "a second full-size buffer per rank is back"
         )
+
+
+class TestLowRankSteadyStateMemory:
+    """The low-rank hot path keeps one residual per tensor and nothing else
+    full-size: no ``astype`` copy, no ``work + residual``, no
+    ``work - P Q^T`` temporaries, and one reconstruction per tensor."""
+
+    def test_acpsgd_compress_allocates_no_full_size_temporary(self):
+        from repro.compression.acpsgd import ACPSGDState
+
+        rng = np.random.default_rng(0)
+        grad = rng.standard_normal((1024, 1024))
+        state = ACPSGDState(rank=4)
+        factor = state.compress("w", grad, 1)  # allocates the residual
+        state.finalize("w", factor, 1)
+        for step in (2, 3):  # one left (two-pass) and one right projection
+            factors = []
+            peak = peak_allocation(
+                lambda: factors.append(state.compress("w", grad, step))
+            )
+            state.finalize("w", factors[0], step)
+            assert peak < 1 << 20, (
+                f"compress allocated {peak} bytes at step {step}; "
+                f"the gradient is {grad.nbytes} — a full-size temporary is back"
+            )
+
+    @pytest.mark.parametrize("method", ["acpsgd", "powersgd"])
+    def test_lowrank_aggregate_peaks_near_one_reconstruction(self, method):
+        """At world 4 a step's peak is the returned ``M_hat`` of ONE worker
+        plus block scratch — not a reconstruction per rank."""
+        world_size = 4
+        model = make_mlp(768, 1024, 10, depth=3, rng=np.random.default_rng(0))
+        arena = GradientArena(model, world_size)
+        rng = np.random.default_rng(1)
+        for slot in range(world_size):
+            np.copyto(
+                arena.slab(slot),
+                rng.standard_normal(arena.layout.total_elements),
+            )
+        per_worker = [arena.grads(slot) for slot in range(world_size)]
+        aggregator = make_aggregator(method, ProcessGroup(world_size), rank=4)
+        compressible, _ = aggregator._split_names(per_worker[0])
+        compressible_bytes = sum(per_worker[0][n].nbytes for n in compressible)
+        for _ in range(2):  # residuals, staging rows and scratch settle
+            aggregator.aggregate(per_worker)
+        for _ in range(2):  # an even and an odd step
+            peak = peak_allocation(lambda: aggregator.aggregate(per_worker))
+            assert peak < 1.25 * compressible_bytes, (
+                f"{method} aggregate allocated {peak} bytes at peak; one "
+                f"worker's compressible gradients are {compressible_bytes}"
+            )
