@@ -3,8 +3,9 @@
 This package plays the role NCCL/Gloo play in the paper's testbed:
 
 - :mod:`repro.comm.collectives` implements the collective algorithms
-  themselves (chunked ring all-reduce as reduce-scatter + all-gather,
-  ring all-gather, broadcast, reduce) operating on one buffer per rank.
+  themselves (chunked ring all-reduce as reduce-scatter + all-gather and
+  the one in-place kernel every group all-reduce runs, ring all-gather,
+  broadcast, reduce) operating on one buffer per rank.
   They are *numerically real*: data actually moves chunk by chunk between
   per-rank buffers, and every call records how many bytes each rank sent,
   so Table II's communication complexity can be verified by measurement.
@@ -19,23 +20,15 @@ This package plays the role NCCL/Gloo play in the paper's testbed:
 from repro.comm.collectives import (
     CollectiveStats,
     all_gather,
+    all_reduce_inplace,
     all_reduce_naive,
     all_reduce_ring,
-    all_reduce_ring_segment,
-    all_reduce_ring_segment_,
     broadcast,
     gather,
     reduce,
     reduce_scatter,
 )
-from repro.comm.hierarchical import (
-    all_reduce_hierarchical,
-    all_reduce_hierarchical_,
-    all_reduce_hierarchical_segment,
-    all_reduce_hierarchical_segment_,
-    hierarchical_steps,
-    hierarchical_traffic,
-)
+from repro.comm.hierarchical import hierarchical_steps, hierarchical_traffic
 from repro.comm.process_group import ProcessGroup
 from repro.comm.cost_model import (
     LinkSpec,
@@ -67,18 +60,13 @@ from repro.comm.topology import (
 __all__ = [
     "CollectiveStats",
     "all_gather",
+    "all_reduce_inplace",
     "all_reduce_naive",
     "all_reduce_ring",
-    "all_reduce_ring_segment",
-    "all_reduce_ring_segment_",
     "broadcast",
     "gather",
     "reduce",
     "reduce_scatter",
-    "all_reduce_hierarchical",
-    "all_reduce_hierarchical_",
-    "all_reduce_hierarchical_segment",
-    "all_reduce_hierarchical_segment_",
     "hierarchical_steps",
     "hierarchical_traffic",
     "ProcessGroup",

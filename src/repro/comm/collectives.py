@@ -9,6 +9,13 @@ reduce-scatter phase of ``p - 1`` steps followed by an all-gather phase of
 between per-rank buffers step by step; nothing takes the shortcut of a global
 sum, so tests can check both the numerics and the traffic accounting.
 
+All-reduce exists three times, on purpose: :func:`all_reduce_ring` is the
+step-wise schedule and :func:`all_reduce_naive` the gather-to-root sum — the
+two reference implementations the tests compare against (and the resilient
+group's fallback) — and :func:`all_reduce_inplace` is the one kernel every
+:class:`~repro.comm.process_group.ProcessGroup` all-reduce runs: flat or
+hierarchical, monolithic or one bucket of a fused buffer.
+
 Traffic accounting: each collective returns a :class:`CollectiveStats`
 recording bytes sent per rank and the step count, which the test suite uses to
 verify the communication-complexity column of the paper's Table II
@@ -22,6 +29,9 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
+
+from repro.comm.hierarchical import hierarchical_steps, hierarchical_traffic
+from repro.comm.topology import ClusterTopology
 
 
 @dataclass
@@ -110,9 +120,9 @@ def all_reduce_naive(
 ) -> Tuple[List[np.ndarray], CollectiveStats]:
     """Reference all-reduce: gather-to-root, sum, broadcast.
 
-    Used only as a correctness oracle for :func:`all_reduce_ring` and as the
-    "parameter server"-style baseline whose traffic is linear in ``p`` at the
-    root.
+    The correctness oracle for :func:`all_reduce_ring`, the "parameter
+    server"-style baseline whose traffic is linear in ``p`` at the root, and
+    the resilient group's fallback once the ring is abandoned.
     """
     world_size, _ = _check_inputs(buffers)
     total = buffers[0].astype(np.float64, copy=True)
@@ -201,115 +211,27 @@ def all_reduce_ring(
 
 
 class RingScratch:
-    """Preallocated snapshot storage for the in-place ring collectives.
+    """Preallocated accumulator storage for :func:`all_reduce_inplace`.
 
-    The copying ring allocates one chunk copy per rank per step (the
-    "simultaneous send" snapshot). The in-place variant snapshots into this
+    The step-wise :func:`all_reduce_ring` allocates one chunk copy per rank
+    per step. The in-place kernel folds each chunk into a row of this
     reusable block instead, so a steady-state training loop performs zero
     per-step allocations on the collective path. The block grows
-    monotonically to the largest ``(world_size, chunk)`` ever requested and
-    is then reused for every later call.
+    monotonically to the largest ``(rows, chunk)`` ever requested and is
+    then reused for every later call.
     """
 
     def __init__(self) -> None:
         self._block: np.ndarray = np.zeros((0, 0), dtype=np.float64)
 
-    def get(self, world_size: int, chunk: int) -> np.ndarray:
-        """A ``(world_size, chunk)`` float64 view, reallocating only to grow."""
-        rows, cols = self._block.shape
-        if rows < world_size or cols < chunk:
+    def get(self, rows: int, chunk: int) -> np.ndarray:
+        """A ``(rows, chunk)`` float64 view, reallocating only to grow."""
+        have_rows, have_cols = self._block.shape
+        if have_rows < rows or have_cols < chunk:
             self._block = np.zeros(
-                (max(rows, world_size), max(cols, chunk)), dtype=np.float64
+                (max(have_rows, rows), max(have_cols, chunk)), dtype=np.float64
             )
-        return self._block[:world_size, :chunk]
-
-
-def all_reduce_ring_inplace(
-    buffers: Sequence[np.ndarray],
-    scratch: Optional[RingScratch] = None,
-) -> CollectiveStats:
-    """Ring all-reduce (sum) that aggregates **in place** in ``buffers``.
-
-    Runs the exact same chunk schedule as :func:`all_reduce_ring` — same
-    accumulation order, hence bit-identical results — but with the arena's
-    cost profile: per-rank buffers are reduced where they live (no input
-    cast-copy, no output cast-copy) and the reduce-scatter snapshot reuses
-    a preallocated :class:`RingScratch` block instead of allocating one
-    chunk copy per rank per step.
-
-    Requirements: 1-D float64 C-contiguous writable buffers of equal
-    length, no two of which alias the same array. The fused arena slabs
-    satisfy this by construction. On return every buffer holds the summed
-    result (like an NCCL in-place all-reduce); the original per-rank
-    payloads are destroyed, which is why groups that may need to
-    retransmit originals (CRC-checked resilient groups) must not use it.
-    """
-    world_size = len(buffers)
-    if world_size == 0:
-        raise ValueError("collective requires at least one rank buffer")
-    length = buffers[0].shape[0]
-    for rank, buf in enumerate(buffers):
-        if buf.ndim != 1 or buf.shape[0] != length:
-            raise ValueError(
-                f"rank {rank} buffer shape {buf.shape} != 1-D length {length}"
-            )
-        if buf.dtype != np.float64:
-            raise ValueError(
-                f"in-place all-reduce requires float64 buffers, "
-                f"rank {rank} has {buf.dtype}"
-            )
-        if not buf.flags.writeable or not buf.flags.c_contiguous:
-            raise ValueError(
-                f"rank {rank} buffer must be writable and C-contiguous"
-            )
-    if world_size == 1:
-        return CollectiveStats("allreduce_ring_inplace", 1, [0], 0)
-
-    bounds = _chunk_bounds(length, world_size)
-    max_chunk = max(hi - lo for lo, hi in bounds)
-    scratch = scratch if scratch is not None else RingScratch()
-    snapshot = scratch.get(world_size, max_chunk)
-    elem_bytes = buffers[0].dtype.itemsize
-    sent = [0] * world_size
-
-    # Reduce-scatter phase. All sends in a step happen "simultaneously":
-    # snapshot the outgoing chunks into the scratch block, then accumulate.
-    for step in range(world_size - 1):
-        sizes = []
-        for rank in range(world_size):
-            chunk_idx = (rank - step) % world_size
-            lo, hi = bounds[chunk_idx]
-            snapshot[rank, : hi - lo] = buffers[rank][lo:hi]
-            sizes.append((chunk_idx, hi - lo))
-            sent[rank] += (hi - lo) * elem_bytes
-        for rank in range(world_size):
-            dst = (rank + 1) % world_size
-            chunk_idx, size = sizes[rank]
-            lo, hi = bounds[chunk_idx]
-            buffers[dst][lo:hi] += snapshot[rank, :size]
-
-    # All-gather phase: pure chunk copies. Within a step, the chunk rank r
-    # reads ((r + 1 - s) mod p) and the chunk written into rank r
-    # ((r - s) mod p) are always distinct, so direct writes are equivalent
-    # to the snapshot-then-write schedule — no scratch needed.
-    for step in range(world_size - 1):
-        writes = []
-        for rank in range(world_size):
-            chunk_idx = (rank + 1 - step) % world_size
-            lo, hi = bounds[chunk_idx]
-            writes.append((rank, chunk_idx))
-            sent[rank] += (hi - lo) * elem_bytes
-        for rank, chunk_idx in writes:
-            dst = (rank + 1) % world_size
-            lo, hi = bounds[chunk_idx]
-            buffers[dst][lo:hi] = buffers[rank][lo:hi]
-
-    return CollectiveStats(
-        algorithm="allreduce_ring_inplace",
-        world_size=world_size,
-        bytes_sent_per_rank=sent,
-        steps=2 * (world_size - 1),
-    )
+        return self._block[:rows, :chunk]
 
 
 def _segment_ring_traffic(
@@ -352,9 +274,7 @@ def _fold_segment_(
 
     Per global chunk ``c`` of the ``total_length`` buffer, fold ranks
     ``c, c+1, ...`` (ascending, wrapping) into a scratch row, then write
-    the row to every rank — the per-element order of the monolithic ring.
-    The one fold kernel behind :func:`all_reduce_ring_segment_` and the
-    hierarchical schedule in :mod:`repro.comm.hierarchical`.
+    the row to every rank — the per-element order of :func:`all_reduce_ring`.
     """
     world_size = len(buffers)
     seg_len = buffers[0].shape[0]
@@ -373,43 +293,55 @@ def _fold_segment_(
             buffers[rank][a:b] = acc
 
 
-def all_reduce_ring_segment_(
+def all_reduce_inplace(
     buffers: Sequence[np.ndarray],
-    seg_start: int,
-    total_length: int,
+    seg_start: int = 0,
+    total_length: Optional[int] = None,
+    topology: Optional[ClusterTopology] = None,
     scratch: Optional[RingScratch] = None,
+    elem_bytes: int = 8,
 ) -> CollectiveStats:
-    """In-place ring all-reduce of one *segment* of a logical fused buffer.
+    """The all-reduce (sum) kernel: reduces **into** ``buffers``.
 
     ``buffers`` are the per-rank views of elements
-    ``[seg_start, seg_start + len)`` of a logical buffer of
-    ``total_length`` elements (a tensor-fusion bucket of an arena slab).
-    The chunk schedule is derived from ``total_length`` — the **monolithic**
-    buffer's chunk bounds — so reducing every bucket of a slab through this
-    function yields bit-identical values to one fused
-    :func:`all_reduce_ring_inplace` call over the whole slab:
+    ``[seg_start, seg_start + len)`` of a logical buffer of ``total_length``
+    elements — a tensor-fusion bucket of an arena slab. The defaults make
+    the views the whole buffer: monolithic is the zero-offset segment. On
+    return every view holds the sum (like an NCCL in-place all-reduce); the
+    per-rank payloads are destroyed, so a caller that must keep them reduces
+    copies.
 
-    - the ring accumulates each element of chunk ``c`` in ascending rank
-      order starting at rank ``c`` (``g_c``, then ``g_{c+1}``, ...), an
-      order that depends only on the element's *global* chunk index;
-    - IEEE addition is commutative (only association changes results), so
-      folding the same operands in the same association over a segment view
-      reproduces the fused result exactly, element by element.
+    **Values** never depend on how the call is cut up or routed. Each
+    element of global chunk ``c`` (chunk bounds of ``total_length`` over
+    ``len(buffers)`` ranks) is accumulated in ascending rank order starting
+    at rank ``c`` — the association of the step-wise :func:`all_reduce_ring`.
+    IEEE addition is commutative (only association changes results), so
+    reducing every bucket of a slab in any order, with or without a
+    ``topology``, is bit-identical to one fused ring over the slab. Every
+    determinism check in this repo leans on that: a schedule that
+    re-associated per bucket or per node would silently fork the trajectory
+    of every compressed method.
 
-    Traffic accounting likewise replicates the monolithic schedule
-    restricted to the segment, so per-bucket stats sum to the fused stats.
-    Requirements match :func:`all_reduce_ring_inplace`: 1-D float64
-    C-contiguous writable non-aliasing buffers of equal length.
+    **Stats** account the wire schedule. Without a ``topology``: the flat
+    ring restricted to the segment (``allreduce_ring``; per-segment bytes
+    sum exactly to the monolithic ring's). With one: the two-level
+    schedule of :mod:`repro.comm.hierarchical` scaled to the segment
+    (``allreduce_hierarchical``). ``elem_bytes`` is the wire size of one
+    element — callers reducing float64 copies of narrower payloads pass the
+    payload's itemsize.
+
+    Requirements: 1-D float64 C-contiguous writable buffers of equal
+    length, no two of which alias; ``len(buffers) == topology.world_size``.
     """
     world_size = len(buffers)
     if world_size == 0:
         raise ValueError("collective requires at least one rank buffer")
-    seg_len = buffers[0].shape[0]
-    if not 0 <= seg_start <= seg_start + seg_len <= total_length:
+    if topology is not None and topology.world_size != world_size:
         raise ValueError(
-            f"segment [{seg_start}, {seg_start + seg_len}) out of range for "
-            f"total length {total_length}"
+            f"topology world size {topology.world_size} != "
+            f"{world_size} rank buffers"
         )
+    seg_len = buffers[0].size
     for rank, buf in enumerate(buffers):
         if buf.ndim != 1 or buf.shape[0] != seg_len:
             raise ValueError(
@@ -417,47 +349,38 @@ def all_reduce_ring_segment_(
             )
         if buf.dtype != np.float64:
             raise ValueError(
-                f"segment all-reduce requires float64 buffers, "
+                f"in-place all-reduce requires float64 buffers, "
                 f"rank {rank} has {buf.dtype}"
             )
         if not buf.flags.writeable or not buf.flags.c_contiguous:
             raise ValueError(
                 f"rank {rank} buffer must be writable and C-contiguous"
             )
-    if world_size == 1:
-        return CollectiveStats("allreduce_ring_segment", 1, [0], 0)
-
-    _fold_segment_(
-        buffers, seg_start, total_length,
-        scratch if scratch is not None else RingScratch(),
-    )
+    if total_length is None:
+        total_length = seg_len
+    if not 0 <= seg_start <= seg_start + seg_len <= total_length:
+        raise ValueError(
+            f"segment [{seg_start}, {seg_start + seg_len}) out of range for "
+            f"total length {total_length}"
+        )
+    if world_size > 1:
+        _fold_segment_(
+            buffers, seg_start, total_length,
+            scratch if scratch is not None else RingScratch(),
+        )
+    if topology is None:
+        return CollectiveStats(
+            "allreduce_ring", world_size,
+            _segment_ring_traffic(
+                seg_start, seg_len, total_length, world_size, elem_bytes
+            ),
+            steps=2 * (world_size - 1),
+        )
     return CollectiveStats(
-        algorithm="allreduce_ring_segment",
-        world_size=world_size,
-        bytes_sent_per_rank=_segment_ring_traffic(
-            seg_start, seg_len, total_length, world_size,
-            buffers[0].dtype.itemsize,
-        ),
-        steps=2 * (world_size - 1),
+        "allreduce_hierarchical", world_size,
+        hierarchical_traffic(seg_len, topology, elem_bytes),
+        steps=hierarchical_steps(topology),
     )
-
-
-def all_reduce_ring_segment(
-    buffers: Sequence[np.ndarray],
-    seg_start: int,
-    total_length: int,
-) -> Tuple[List[np.ndarray], CollectiveStats]:
-    """Copying variant of :func:`all_reduce_ring_segment_`.
-
-    Leaves the inputs untouched (groups that may retransmit originals on a
-    detected fault need the payloads intact) and returns per-rank result
-    arrays, all holding the reduced segment.
-    """
-    work = [
-        buf.reshape(-1).astype(np.float64, copy=True) for buf in buffers
-    ]
-    stats = all_reduce_ring_segment_(work, seg_start, total_length)
-    return work, stats
 
 
 def reduce_scatter(

@@ -12,7 +12,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.comm import collectives, hierarchical
+from repro.comm import collectives
 from repro.comm.topology import ClusterTopology
 
 
@@ -30,12 +30,6 @@ class ProcessGroup:
             for every collective executed through this group.
     """
 
-    #: Whether callers may use :meth:`all_reduce_` with buffers they want
-    #: aggregated where they live. Subclasses that must retransmit the
-    #: *original* payloads on failure (CRC-checked resilient groups) set
-    #: this False, forcing the aggregators back onto the copying path.
-    supports_inplace = True
-
     def __init__(
         self,
         world_size: int,
@@ -45,8 +39,8 @@ class ProcessGroup:
             raise ValueError(f"world_size must be >= 1, got {world_size}")
         self.world_size = world_size
         self.history: List[collectives.CollectiveStats] = []
-        # Reusable snapshot block for the in-place ring; grows to the
-        # largest call ever made and is then allocation-free per step.
+        # Reusable accumulator block for the all-reduce kernel; grows to
+        # the largest call ever made and is then allocation-free per step.
         self._ring_scratch = collectives.RingScratch()
         self.topology: Optional[ClusterTopology] = None
         if topology is not None:
@@ -56,9 +50,9 @@ class ProcessGroup:
         """Route all-reduces over a two-level node topology (or back to flat).
 
         With a topology set, :meth:`all_reduce` / :meth:`all_reduce_` and
-        their segment variants execute the hierarchical schedule of
+        their segment variants account the hierarchical schedule of
         :mod:`repro.comm.hierarchical` — bit-identical values, two-level
-        traffic accounting. ``None`` restores the flat ring.
+        traffic and step counts. ``None`` restores the flat ring.
         """
         if topology is not None and topology.world_size != self.world_size:
             raise ValueError(
@@ -73,54 +67,70 @@ class ProcessGroup:
                 f"expected {self.world_size} rank buffers, got {len(buffers)}"
             )
 
-    def all_reduce(
-        self, buffers: Sequence[np.ndarray], average: bool = False
-    ) -> List[np.ndarray]:
-        """Ring all-reduce (sum, or mean when ``average`` is set).
-
-        With a topology set (see :meth:`set_topology`), runs the two-level
-        hierarchical schedule instead — same results bit-for-bit.
-        """
-        self._check_world(buffers)
-        if self.topology is not None:
-            results, stats = hierarchical.all_reduce_hierarchical(
-                buffers, self.topology
-            )
-        else:
-            results, stats = collectives.all_reduce_ring(buffers)
-        self.history.append(stats)
-        if average:
-            results = [res / self.world_size for res in results]
-        return results
-
-    def all_reduce_(
-        self, buffers: Sequence[np.ndarray], average: bool = False
+    def _all_reduce(
+        self,
+        buffers: Sequence[np.ndarray],
+        seg_start: int,
+        total_length: Optional[int],
+        average: bool,
+        inplace: bool,
     ) -> Sequence[np.ndarray]:
-        """In-place ring all-reduce: aggregates **into** ``buffers``.
+        """The one all-reduce behind the four public methods below.
 
-        Bit-identical to :meth:`all_reduce` (same chunk schedule, same
-        accumulation order) but allocation-free: the per-rank buffers are
-        reduced where they live and the per-step snapshot reuses the
-        group's preallocated scratch block. On return every buffer holds
-        the reduced result; the original payloads are destroyed.
-
-        Buffers must be distinct 1-D float64 contiguous arrays — the fused
-        arena slabs of :class:`repro.perf.arena.GradientArena`.
+        Runs :func:`repro.comm.collectives.all_reduce_inplace` over the
+        group's topology — on ``buffers`` themselves when ``inplace``, else
+        on flat float64 copies that are reshaped and cast back to the input
+        dtype (whose itemsize is what the traffic stats charge).
         """
         self._check_world(buffers)
-        if self.topology is not None:
-            stats = hierarchical.all_reduce_hierarchical_(
-                buffers, self.topology, scratch=self._ring_scratch
-            )
-        else:
-            stats = collectives.all_reduce_ring_inplace(
-                buffers, scratch=self._ring_scratch
-            )
+        work = buffers
+        if not inplace:
+            collectives._check_inputs(buffers)
+            work = [buf.reshape(-1).astype(np.float64) for buf in buffers]
+        stats = collectives.all_reduce_inplace(
+            work, seg_start, total_length, self.topology, self._ring_scratch,
+            elem_bytes=buffers[0].dtype.itemsize,
+        )
         self.history.append(stats)
+        if not inplace:
+            results = [
+                res.astype(buf.dtype, copy=False).reshape(buf.shape)
+                for res, buf in zip(work, buffers)
+            ]
+            if average:
+                results = [res / self.world_size for res in results]
+            return results
         if average:
             for buf in buffers:
                 buf /= self.world_size
         return buffers
+
+    def all_reduce(
+        self, buffers: Sequence[np.ndarray], average: bool = False
+    ) -> List[np.ndarray]:
+        """All-reduce (sum, or mean when ``average`` is set) of any-shape,
+        any-dtype buffers; inputs stay intact, results keep shape and dtype.
+
+        With a topology set (see :meth:`set_topology`) the two-level
+        schedule is accounted instead of the flat ring — same results
+        bit-for-bit.
+        """
+        return self._all_reduce(buffers, 0, None, average, inplace=False)
+
+    def all_reduce_(
+        self, buffers: Sequence[np.ndarray], average: bool = False
+    ) -> Sequence[np.ndarray]:
+        """In-place all-reduce: aggregates **into** ``buffers``.
+
+        Bit-identical to :meth:`all_reduce` but allocation-free: the
+        per-rank buffers are reduced where they live. On return every
+        buffer holds the reduced result; the original payloads are
+        destroyed.
+
+        Buffers must be distinct 1-D float64 contiguous arrays — the fused
+        arena slabs of :class:`repro.perf.arena.GradientArena`.
+        """
+        return self._all_reduce(buffers, 0, None, average, inplace=True)
 
     def all_reduce_segment(
         self,
@@ -129,28 +139,18 @@ class ProcessGroup:
         total_length: int,
         average: bool = False,
     ) -> List[np.ndarray]:
-        """Ring all-reduce of one bucket of a logical fused buffer (copying).
+        """All-reduce of one bucket of a logical fused buffer (copying).
 
         ``buffers`` are per-rank views of elements
         ``[seg_start, seg_start + len)`` of a logical ``total_length``-element
         buffer; the ring chunk schedule comes from ``total_length``, so
         reducing every bucket reproduces one fused :meth:`all_reduce` over
         the whole buffer bit-exactly (see
-        :func:`repro.comm.collectives.all_reduce_ring_segment_`).
+        :func:`repro.comm.collectives.all_reduce_inplace`).
         """
-        self._check_world(buffers)
-        if self.topology is not None:
-            results, stats = hierarchical.all_reduce_hierarchical_segment(
-                buffers, seg_start, total_length, self.topology
-            )
-        else:
-            results, stats = collectives.all_reduce_ring_segment(
-                buffers, seg_start, total_length
-            )
-        self.history.append(stats)
-        if average:
-            results = [res / self.world_size for res in results]
-        return results
+        return self._all_reduce(
+            buffers, seg_start, total_length, average, inplace=False
+        )
 
     def all_reduce_segment_(
         self,
@@ -161,26 +161,14 @@ class ProcessGroup:
     ) -> Sequence[np.ndarray]:
         """In-place bucket all-reduce: reduces **into** the segment views.
 
-        The bucketed counterpart of :meth:`all_reduce_`: zero-copy on arena
-        bucket views, destroys the per-rank payloads, and is bit-identical
-        to the fused in-place call when every bucket of the slab goes
-        through it.
+        The bucketed counterpart of :meth:`all_reduce_` and the call every
+        aggregator makes: zero-copy on arena bucket views, destroys the
+        per-rank payloads, and is bit-identical to the fused in-place call
+        when every bucket of the slab goes through it.
         """
-        self._check_world(buffers)
-        if self.topology is not None:
-            stats = hierarchical.all_reduce_hierarchical_segment_(
-                buffers, seg_start, total_length, self.topology,
-                scratch=self._ring_scratch,
-            )
-        else:
-            stats = collectives.all_reduce_ring_segment_(
-                buffers, seg_start, total_length, scratch=self._ring_scratch
-            )
-        self.history.append(stats)
-        if average:
-            for buf in buffers:
-                buf /= self.world_size
-        return buffers
+        return self._all_reduce(
+            buffers, seg_start, total_length, average, inplace=True
+        )
 
     def all_gather(self, buffers: Sequence[np.ndarray]) -> List[List[np.ndarray]]:
         """Ring all-gather; per-rank payloads may differ in shape."""

@@ -40,6 +40,7 @@ import numpy as np
 from repro.comm import collectives
 from repro.comm.process_group import ProcessGroup
 from repro.faults.plan import AttemptFaults, FaultInjector
+from repro.perf.counters import ALLOC_STATS
 from repro.utils.validation import is_finite, payload_checksum
 
 
@@ -204,13 +205,6 @@ class ResilientProcessGroup(ProcessGroup):
     loss is committed by :meth:`begin_step`, callers must supply one buffer
     per surviving rank and averages divide by the survivor count.
     """
-
-    #: In-place aggregation is forbidden here: retries retransmit the
-    #: *original* per-rank buffers after a CRC/finite failure, and degraded
-    #: averaging rescales to the contributing subset — both need the
-    #: payloads intact after the first attempt. Aggregators therefore keep
-    #: zero-copy packing but route the collective through the copying path.
-    supports_inplace = False
 
     def __init__(
         self,
@@ -422,125 +416,71 @@ class ResilientProcessGroup(ProcessGroup):
     # ------------------------------------------------------------------
     # Collectives
     # ------------------------------------------------------------------
-    def all_reduce(
-        self, buffers: Sequence[np.ndarray], average: bool = False
-    ) -> List[np.ndarray]:
+    def _all_reduce(
+        self,
+        buffers: Sequence[np.ndarray],
+        seg_start: int,
+        total_length: Optional[int],
+        average: bool,
+        inplace: bool,
+    ) -> Sequence[np.ndarray]:
         """Resilient all-reduce: ring while healthy, naive after fallback.
 
-        The average (when requested) divides by the number of ranks that
+        The one negotiated body behind the four inherited ``all_reduce*``
+        methods. Every call — a whole buffer or one bucket — runs the full
+        detect/retry/backoff negotiation on its own payloads, so a
+        transient fault retransmits only the affected bucket before
+        degrading. The reduction always runs on copies of the contributing
+        ranks' payloads (retransmissions need the originals pristine, and a
+        degraded call sums a subset): while the ring is healthy through the
+        same kernel and chunk schedule as a clean group — bit-identical,
+        and accounted over the group's topology when every rank of it
+        contributed, over a flat ring of the survivors otherwise — and,
+        once the fallback ladder fired, summed naively in rank order. The
+        average (when requested) divides by the number of ranks that
         actually contributed, so a degraded call still returns an unbiased
-        mean of the surviving gradients.
+        mean of the surviving gradients. ``inplace`` only decides where the
+        result goes: copied back into every buffer, or returned as copies.
         """
         self._check_world(buffers)
         ranks = list(self.live_ranks)
         outcome = self._negotiate(buffers, ranks)
         self._note_ring_health(outcome)
-        contributing = [
-            position for position, rank in enumerate(ranks)
+        subset = [
+            buffers[position] for position, rank in enumerate(ranks)
             if rank not in outcome.excluded
         ]
-        if not contributing:
+        if not subset:
             raise RuntimeError(
                 f"all-reduce call {outcome.call_index}: no healthy rank left"
             )
-        subset = [buffers[position] for position in contributing]
+        ALLOC_STATS.bucket_copies += 1
         if self._ring_disabled:
             reduced, stats = collectives.all_reduce_naive(subset)
             self.stats.ring_fallback_calls += 1
+            result = reduced[0]
         else:
-            reduced, stats = collectives.all_reduce_ring(subset)
-        stats.delay_s = outcome.delay_s
-        self.history.append(stats)
-        result = reduced[0]
-        if average:
-            result = result / len(subset)
-        return [result.copy() for _ in buffers]
-
-    def all_reduce_(
-        self, buffers: Sequence[np.ndarray], average: bool = False
-    ) -> Sequence[np.ndarray]:
-        """Semantic-compatible fallback: fault-checked reduce, copy back.
-
-        A caller that reaches for the in-place API on a resilient group
-        still gets the full detect/retry/degrade ladder — the reduction
-        runs on copies (so retransmissions see pristine payloads) and the
-        result is copied back into ``buffers``.
-        """
-        results = self.all_reduce(list(buffers), average=average)
-        for buf, res in zip(buffers, results):
-            np.copyto(buf, res)
-        return buffers
-
-    def all_reduce_segment(
-        self,
-        buffers: Sequence[np.ndarray],
-        seg_start: int,
-        total_length: int,
-        average: bool = False,
-    ) -> List[np.ndarray]:
-        """Resilient bucket all-reduce with a *per-bucket* retry ladder.
-
-        Each bucket runs the full detect/retry/backoff negotiation on its
-        own payloads, so a transient fault retransmits only the affected
-        bucket — not the whole fused gradient — before degrading. While the
-        ring is healthy the reduction uses the monolithic chunk schedule
-        (bit-identical to a fused all-reduce on a clean group); after the
-        fallback ladder fires, the bucket is summed naively in rank order,
-        and a degraded bucket averages over the ranks that contributed.
-        """
-        self._check_world(buffers)
-        ranks = list(self.live_ranks)
-        outcome = self._negotiate(buffers, ranks)
-        self._note_ring_health(outcome)
-        contributing = [
-            position for position, rank in enumerate(ranks)
-            if rank not in outcome.excluded
-        ]
-        if not contributing:
-            raise RuntimeError(
-                f"bucket all-reduce call {outcome.call_index}: "
-                f"no healthy rank left"
+            work = [buf.reshape(-1).astype(np.float64) for buf in subset]
+            whole = (
+                self.topology is not None
+                and len(subset) == self.topology.world_size
             )
-        subset = [buffers[position] for position in contributing]
-        if self._ring_disabled:
-            flat = [buf.reshape(-1).astype(np.float64) for buf in subset]
-            result = flat[0].copy()
-            for payload in flat[1:]:
-                result += payload
-            nbytes = result.nbytes
-            stats = collectives.CollectiveStats(
-                algorithm="allreduce_naive_segment",
-                world_size=len(subset),
-                bytes_sent_per_rank=[nbytes * (len(subset) - 1)]
-                + [nbytes] * (len(subset) - 1),
-                steps=2,
+            stats = collectives.all_reduce_inplace(
+                work, seg_start, total_length,
+                self.topology if whole else None, self._ring_scratch,
+                elem_bytes=subset[0].dtype.itemsize,
             )
-            reduced = [result]
-            self.stats.ring_fallback_calls += 1
-        else:
-            reduced, stats = collectives.all_reduce_ring_segment(
-                subset, seg_start, total_length
+            result = work[0].astype(subset[0].dtype, copy=False).reshape(
+                subset[0].shape
             )
         stats.delay_s = outcome.delay_s
         self.history.append(stats)
-        result = reduced[0]
         if average:
             result = result / len(subset)
-        return [result.copy() for _ in buffers]
-
-    def all_reduce_segment_(
-        self,
-        buffers: Sequence[np.ndarray],
-        seg_start: int,
-        total_length: int,
-        average: bool = False,
-    ) -> Sequence[np.ndarray]:
-        """Fault-checked bucket reduce on copies, result copied back."""
-        results = self.all_reduce_segment(
-            list(buffers), seg_start, total_length, average=average
-        )
-        for buf, res in zip(buffers, results):
-            np.copyto(buf, res)
+        if not inplace:
+            return [result.copy() for _ in buffers]
+        for buf in buffers:
+            np.copyto(buf, result)
         return buffers
 
     def all_gather(self, buffers: Sequence[np.ndarray]) -> List[List[np.ndarray]]:

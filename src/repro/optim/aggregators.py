@@ -160,7 +160,7 @@ class GradientAggregator:
     same three calls bucket by bucket as backward produces gradients.
     Results are bit-identical for any bucket partition and any bucket
     order: per-bucket collectives reuse the whole-slab chunk schedule (see
-    :func:`repro.comm.collectives.all_reduce_ring_segment_`) and
+    :func:`repro.comm.collectives.all_reduce_inplace`) and
     vector-global compressors (top-k selection, the sign scale) only act
     once every bucket is staged.
     """
@@ -359,23 +359,16 @@ class GradientAggregator:
     ) -> None:
         """Average-reduce ``rows[lo:hi]`` with the monolithic chunk schedule.
 
-        The aggregated values land in ``rows[0]``'s segment (in every row
-        when the group reduces in place). Staging rows are private to this
-        aggregator, so in-place reduction is safe whenever the group allows
-        it; resilient groups take the copying, fault-checked path.
+        The aggregated values land in every row's segment. Staging rows are
+        private to this aggregator; whether the group sums them where they
+        live or on fault-checked copies is the group's business.
         """
         if hi == lo:
             return
-        views = [row[lo:hi] for row in rows]
         ALLOC_STATS.bucket_reduces += 1
-        if getattr(self.group, "supports_inplace", False):
-            self.group.all_reduce_segment_(views, lo, total, average=True)
-        else:
-            ALLOC_STATS.bucket_copies += 1
-            reduced = self.group.all_reduce_segment(
-                views, lo, total, average=True
-            )
-            np.copyto(views[0], reduced[0])
+        self.group.all_reduce_segment_(
+            [row[lo:hi] for row in rows], lo, total, average=True
+        )
 
     def reset(self) -> None:
         """Drop accumulated compressor state (EF residuals, cached factors).
@@ -396,14 +389,13 @@ class GradientAggregator:
 class AllReduceAggregator(GradientAggregator):
     """S-SGD: fused ring all-reduce of the raw gradients (the baseline).
 
-    On a group that supports it the all-reduce runs **in place** on the
-    per-worker slabs: zero packing copies, zero per-step fused allocations,
-    and the returned tensors are read-only views into the reduced slab. The
-    per-worker gradients are consumed by the call (every slab ends up
-    holding the reduced average), matching NCCL in-place all-reduce
-    semantics. Groups that must keep payloads pristine for retransmission
-    (``supports_inplace = False``) and workers aliasing one slab take the
-    copying segment collective instead.
+    The all-reduce runs **in place** on the per-worker slabs: zero packing
+    copies, zero per-step fused allocations, and the returned tensors are
+    read-only views into the reduced slab. The per-worker gradients are
+    consumed by the call (every slab ends up holding the reduced average),
+    matching NCCL in-place all-reduce semantics; a group that needs the
+    payloads pristine (the resilient group's retransmissions) copies them
+    itself.
     """
 
     method = "ssgd"
@@ -412,16 +404,14 @@ class AllReduceAggregator(GradientAggregator):
     def begin_buckets(self, per_worker_grads: List[NamedGrads]) -> None:
         session = self._open_bucket_session(per_worker_grads)
         self.step += 1
-        session.inplace = (
-            getattr(self.group, "supports_inplace", False)
-            and len({id(slab) for slab in session.slabs}) == len(session.slabs)
-        )
-        if not session.inplace:
-            out = self._staging_blocks.get("ssgd_out")
-            if out is None or out.shape[0] < session.total:
-                out = np.zeros(max(1, session.total))
-                self._staging_blocks["ssgd_out"] = out
-            session.out = out[: session.total]
+        # Two workers handing in the SAME slab cannot be summed where it
+        # lives (the first write would corrupt the other operand): every
+        # repeat gets a private copy.
+        slabs = session.slabs
+        for slot in range(1, len(slabs)):
+            if any(slabs[slot] is earlier for earlier in slabs[:slot]):
+                ALLOC_STATS.bucket_copies += 1
+                slabs[slot] = slabs[slot].copy()
 
     def reduce_bucket(self, index: int) -> None:
         session = self._bucket_state()
@@ -430,24 +420,18 @@ class AllReduceAggregator(GradientAggregator):
         if hi == lo:
             return
         ALLOC_STATS.bucket_reduces += 1
-        views = [slab[lo:hi] for slab in session.slabs]
-        if session.inplace:
-            # Zero-copy: reduce the arena bucket views where they live,
-            # with the whole slab's chunk schedule (bit-identical for any
-            # bucket partition; destroys the local payloads).
-            self.group.all_reduce_segment_(views, lo, session.total, average=True)
-        else:
-            ALLOC_STATS.bucket_copies += 1
-            reduced = self.group.all_reduce_segment(
-                views, lo, session.total, average=True
-            )
-            session.out[lo:hi] = reduced[0]
+        # Zero-copy: reduce the arena bucket views where they live, with
+        # the whole slab's chunk schedule (bit-identical for any bucket
+        # partition; destroys the local payloads).
+        self.group.all_reduce_segment_(
+            [slab[lo:hi] for slab in session.slabs], lo, session.total,
+            average=True,
+        )
 
     def finish_buckets(self) -> NamedGrads:
         session = self._bucket_state()
         self._close_bucket_session(session)
-        buffer = session.slabs[0] if session.inplace else session.out
-        return _unpack(buffer, session.template, session.names)
+        return _unpack(session.slabs[0], session.template, session.names)
 
 
 class SignSGDAggregator(GradientAggregator):

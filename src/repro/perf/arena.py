@@ -13,8 +13,8 @@ allocated **per worker**, laid out in parameter order, and every
   tensor fusion becomes a no-op instead of a full-model copy per worker
   per step (plain ``{name: array}`` dicts are adopted into a transient
   slab by :meth:`ArenaGrads.adopt`, the only remaining packing copy);
-- the in-place ring all-reduce
-  (:func:`repro.comm.collectives.all_reduce_ring_segment_`) aggregates the
+- the all-reduce kernel
+  (:func:`repro.comm.collectives.all_reduce_inplace`) aggregates the
   slabs where they live, reusing a preallocated scratch block instead of
   allocating per ring step;
 - ``_unpack`` hands back read-only views into the reduced slab.
@@ -28,11 +28,12 @@ Ownership contract (see ``docs/performance.md``):
 - Views returned by the arena or by ``_unpack`` are invalidated by the
   next backward pass. Callers that need to retain a gradient across steps
   must copy it explicitly.
-- Groups that must retransmit original payloads on failure
+- Whether the sum runs on the slabs or on copies is the group's decision,
+  not a flag the aggregators branch on: a group that must retransmit
+  original payloads on failure
   (:class:`~repro.faults.resilient.ResilientProcessGroup` re-sends buffers
-  after a CRC mismatch) advertise ``supports_inplace = False``; the
-  aggregators then take the copying collective while still reading the
-  slabs without packing.
+  after a CRC mismatch) reduces copies and writes the result back into
+  every slab.
 
 Buckets: the slab is optionally partitioned into contiguous buckets of at
 most ``bucket_bytes`` (parameter order, like DDP's gradient buckets). Each

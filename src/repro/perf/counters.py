@@ -26,8 +26,9 @@ class AllocStats:
         unpack_copies: per-tensor copies made on unpack (``copy=True``).
         bucket_reduces: per-bucket collective reductions fired by the
             bucketed reducer (in-place and copying alike).
-        bucket_copies: bucket payloads that had to be staged through an
-            allocating copy instead of reduced in the arena views.
+        bucket_copies: all-reduce payloads summed on an allocating copy
+            instead of where they live (every resilient-group all-reduce;
+            an S-SGD worker handing in a slab another worker also holds).
     """
 
     pack_copies: int = 0

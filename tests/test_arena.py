@@ -206,35 +206,38 @@ class TestInplaceAllReduce:
         group = ProcessGroup(4)
         group.all_reduce_([np.ones(8) for _ in range(4)])
         stats = group.history[-1]
-        assert stats.algorithm == "allreduce_ring_inplace"
+        assert stats.algorithm == "allreduce_ring"
         assert stats.steps == 6
 
     def test_world_size_one_is_identity(self):
         buf = np.arange(5.0)
-        collectives.all_reduce_ring_inplace([buf])
+        collectives.all_reduce_inplace([buf])
         np.testing.assert_array_equal(buf, np.arange(5.0))
 
     def test_rejects_bad_buffers(self):
         good = [np.zeros(8), np.zeros(8)]
         with pytest.raises(ValueError, match="float64"):
-            collectives.all_reduce_ring_inplace(
+            collectives.all_reduce_inplace(
                 [np.zeros(8, dtype=np.float32), np.zeros(8)]
             )
         with pytest.raises(ValueError, match="length"):
-            collectives.all_reduce_ring_inplace([np.zeros(8), np.zeros(9)])
+            collectives.all_reduce_inplace([np.zeros(8), np.zeros(9)])
         read_only = np.zeros(8)
         read_only.flags.writeable = False
         with pytest.raises(ValueError, match="writable"):
-            collectives.all_reduce_ring_inplace([good[0], read_only])
+            collectives.all_reduce_inplace([good[0], read_only])
 
     def test_resilient_group_forces_copying_path(self):
+        """The in-place-or-copy decision is the group's: the resilient
+        group reduces fault-checked copies and writes the result back."""
         group = ResilientProcessGroup(3)
-        assert group.supports_inplace is False
         rng = np.random.default_rng(7)
         originals = [rng.standard_normal(11) for _ in range(3)]
         expected = group.all_reduce([b.copy() for b in originals], average=True)
         buffers = [b.copy() for b in originals]
+        ALLOC_STATS.reset()
         group.all_reduce_(buffers, average=True)
+        assert ALLOC_STATS.bucket_copies == 1
         for buf, ref in zip(buffers, expected):
             np.testing.assert_array_equal(buf, ref)
 
@@ -278,7 +281,9 @@ class TestAggregatorFastPath:
         np.copyto(arena.slab(0), 1.0)
         grads = arena.grads(0)
         aggregator = AllReduceAggregator(ProcessGroup(2))
+        ALLOC_STATS.reset()
         result = aggregator.aggregate([grads, grads])
+        assert ALLOC_STATS.bucket_copies == 1
         for name in result:
             np.testing.assert_array_equal(
                 result[name], np.ones(arena.layout.shapes[name])

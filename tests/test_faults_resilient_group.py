@@ -462,7 +462,7 @@ class TestSegmentRetryAndFallback:
         # Call 0 tripped the one-strike threshold before its reduction ran,
         # so all three bucket calls took the naive path.
         assert group.stats.ring_fallback_calls == 3
-        assert group.history[-1].algorithm == "allreduce_naive_segment"
+        assert group.history[-1].algorithm == "allreduce_naive"
 
     def test_naive_fallback_segment_matches_ring_values(self):
         policy = BackoffPolicy(max_retries=0, ring_failure_threshold=1)

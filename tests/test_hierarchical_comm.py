@@ -1,8 +1,8 @@
-"""Tests of the topology-aware hierarchical all-reduce.
+"""Tests of the topology-aware (hierarchical) all-reduce accounting.
 
-The load-bearing contract: hierarchical all-reduce is **bit-identical**
-to the flat ring (it replays the canonical flat-ring fold and only
-*accounts* the two-level schedule), so switching ``topology=`` on a
+The load-bearing contract: a ``topology`` on the all-reduce kernel is
+**bit-identical** to the flat ring (same canonical flat-ring fold; only the
+two-level schedule is *accounted*), so switching ``topology=`` on a
 trainer can never change a training trajectory — only the modeled wire
 traffic. Traffic/step accounting follows the reduce-scatter/all-gather
 decomposition at each level.
@@ -13,15 +13,11 @@ import pytest
 
 from repro.comm import (
     ProcessGroup,
-    all_reduce_hierarchical,
-    all_reduce_hierarchical_,
-    all_reduce_hierarchical_segment_,
+    all_reduce_inplace,
     all_reduce_ring,
-    all_reduce_ring_segment_,
     hierarchical_steps,
     hierarchical_traffic,
 )
-from repro.comm.collectives import all_reduce_ring_inplace
 from repro.comm.topology import ClusterTopology
 
 TOPO_2x2 = ClusterTopology(num_nodes=2, gpus_per_node=2)
@@ -43,8 +39,8 @@ class TestBitIdentity:
     def test_matches_flat_ring_exactly(self, rng, topology, length):
         flat = _random_buffers(rng, topology.world_size, length)
         hier = [buf.copy() for buf in flat]
-        all_reduce_ring_inplace(flat)
-        all_reduce_hierarchical_(hier, topology)
+        all_reduce_inplace(flat)
+        all_reduce_inplace(hier, topology=topology)
         for rank in range(topology.world_size):
             assert flat[rank].tobytes() == hier[rank].tobytes()
 
@@ -53,10 +49,10 @@ class TestBitIdentity:
         flat = _random_buffers(rng, 4, length)
         hier = [buf.copy() for buf in flat]
         for start, stop in ((0, 300), (300, 777)):
-            all_reduce_ring_segment_(
+            all_reduce_inplace(
                 [buf[start:stop] for buf in flat], start, length
             )
-            all_reduce_hierarchical_segment_(
+            all_reduce_inplace(
                 [buf[start:stop] for buf in hier], start, length, TOPO_2x2
             )
         for rank in range(4):
@@ -65,8 +61,9 @@ class TestBitIdentity:
     def test_copying_variant_preserves_inputs_and_shapes(self, rng):
         buffers = [rng.standard_normal((4, 8)) for _ in range(4)]
         originals = [buf.copy() for buf in buffers]
-        results, stats = all_reduce_hierarchical(buffers, TOPO_2x2)
-        assert stats.algorithm == "allreduce_hierarchical"
+        group = ProcessGroup(4, topology=TOPO_2x2)
+        results = group.all_reduce(buffers)
+        assert group.history[-1].algorithm == "allreduce_hierarchical"
         expected, _ = all_reduce_ring([buf.reshape(-1) for buf in buffers])
         for rank in range(4):
             np.testing.assert_array_equal(buffers[rank], originals[rank])
@@ -77,7 +74,7 @@ class TestBitIdentity:
     def test_single_rank_is_identity(self):
         topology = ClusterTopology(num_nodes=1, gpus_per_node=1)
         buf = np.arange(5, dtype=np.float64)
-        stats = all_reduce_hierarchical_([buf], topology)
+        stats = all_reduce_inplace([buf], topology=topology)
         np.testing.assert_array_equal(buf, np.arange(5, dtype=np.float64))
         assert stats.bytes_sent_per_rank == [0]
         assert stats.steps == 0
@@ -103,10 +100,8 @@ class TestAccounting:
         # serial rounds, and only 1/g of the traffic crosses nodes.
         topology = ClusterTopology(num_nodes=2, gpus_per_node=4)
         buffers = _random_buffers(rng, 8, 4096)
-        flat_stats = all_reduce_ring_inplace(
-            [buf.copy() for buf in buffers]
-        )
-        hier_stats = all_reduce_hierarchical_(buffers, topology)
+        flat_stats = all_reduce_inplace([buf.copy() for buf in buffers])
+        hier_stats = all_reduce_inplace(buffers, topology=topology)
         assert hier_stats.algorithm == "allreduce_hierarchical"
         assert (sum(hier_stats.bytes_sent_per_rank)
                 == sum(flat_stats.bytes_sent_per_rank))
@@ -120,17 +115,19 @@ class TestAccounting:
 class TestValidation:
     def test_world_size_mismatch(self, rng):
         with pytest.raises(ValueError, match="rank buffers"):
-            all_reduce_hierarchical_(_random_buffers(rng, 3, 8), TOPO_2x2)
+            all_reduce_inplace(
+                _random_buffers(rng, 3, 8), topology=TOPO_2x2
+            )
 
     def test_non_float64_rejected(self):
         buffers = [np.zeros(4, dtype=np.float32) for _ in range(4)]
         with pytest.raises(ValueError, match="float64"):
-            all_reduce_hierarchical_(buffers, TOPO_2x2)
+            all_reduce_inplace(buffers, topology=TOPO_2x2)
 
     def test_segment_out_of_range(self, rng):
         buffers = _random_buffers(rng, 4, 10)
         with pytest.raises(ValueError, match="out of range"):
-            all_reduce_hierarchical_segment_(buffers, 8, 10, TOPO_2x2)
+            all_reduce_inplace(buffers, 8, 10, TOPO_2x2)
 
 
 class TestProcessGroupDispatch:

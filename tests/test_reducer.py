@@ -50,7 +50,7 @@ class TestSegmentCollectives:
         cuts = [0, 13, 14, 60, total]
         for lo, hi in zip(cuts, cuts[1:]):
             views = [buf[lo:hi] for buf in segmented]
-            collectives.all_reduce_ring_segment_(views, lo, total)
+            collectives.all_reduce_inplace(views, lo, total)
         for got, want in zip(segmented, fused):
             np.testing.assert_array_equal(got, want)
 
@@ -60,14 +60,17 @@ class TestSegmentCollectives:
         total = 40
         data = [rng.normal(size=total) for _ in range(world)]
         inplace = [buf.copy() for buf in data]
-        collectives.all_reduce_ring_segment_(
+        collectives.all_reduce_inplace(
             [buf[8:25] for buf in inplace], 8, total
         )
-        copied, _ = collectives.all_reduce_ring_segment(
+        originals = [buf.copy() for buf in data]
+        copied = ProcessGroup(world).all_reduce_segment(
             [buf[8:25] for buf in data], 8, total
         )
         for res in copied:
             np.testing.assert_array_equal(res, inplace[0][8:25])
+        for buf, want in zip(data, originals):
+            np.testing.assert_array_equal(buf, want)
 
     def test_traffic_sums_to_monolithic(self):
         """Per-segment bytes_sent must add up to the fused call's exactly."""
@@ -83,7 +86,7 @@ class TestSegmentCollectives:
         sums = np.zeros(world)
         cuts = [0, 30, 75, total]
         for lo, hi in zip(cuts, cuts[1:]):
-            stats = collectives.all_reduce_ring_segment_(
+            stats = collectives.all_reduce_inplace(
                 [buf[lo:hi] for buf in segmented], lo, total
             )
             sums += np.array(stats.bytes_sent_per_rank)
@@ -94,7 +97,7 @@ class TestSegmentCollectives:
     def test_zero_length_segment_is_noop(self):
         data = [np.arange(5.0), np.arange(5.0)]
         before = [buf.copy() for buf in data]
-        collectives.all_reduce_ring_segment_([buf[2:2] for buf in data], 2, 5)
+        collectives.all_reduce_inplace([buf[2:2] for buf in data], 2, 5)
         for buf, want in zip(data, before):
             np.testing.assert_array_equal(buf, want)
 

@@ -16,15 +16,28 @@ class TestDocsReferenceRealFiles:
             assert (ROOT / match).exists(), f"{doc} references missing {match}"
 
     def test_readme_module_paths_exist(self):
-        text = (ROOT / "README.md").read_text()
-        for match in set(re.findall(r"`repro\.([a-z_.]+)`", text)):
-            parts = match.split(".")
-            candidate = ROOT / "src" / "repro" / Path(*parts)
-            assert (
-                candidate.with_suffix(".py").exists()
-                or (candidate / "__init__.py").exists()
-                or _is_attribute(parts)
-            ), f"README references repro.{match}"
+        _assert_module_paths_exist("README.md")
+
+    @pytest.mark.parametrize(
+        "doc",
+        ["DESIGN.md", "CONTRIBUTING.md"]
+        + sorted(f"docs/{path.name}" for path in (ROOT / "docs").glob("*.md")),
+    )
+    def test_doc_module_paths_exist(self, doc):
+        _assert_module_paths_exist(doc)
+
+
+def _assert_module_paths_exist(doc):
+    """Every backticked ``repro.x.y`` in ``doc`` is a module or attribute."""
+    text = (ROOT / doc).read_text()
+    for match in set(re.findall(r"`repro\.([a-z_.]+)`", text)):
+        parts = match.split(".")
+        candidate = ROOT / "src" / "repro" / Path(*parts)
+        assert (
+            candidate.with_suffix(".py").exists()
+            or (candidate / "__init__.py").exists()
+            or _is_attribute(parts)
+        ), f"{doc} references repro.{match}"
 
 
 def _is_attribute(parts):
