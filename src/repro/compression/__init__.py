@@ -52,6 +52,7 @@ from repro.compression.topk import (
     exact_topk_mask,
     sampled_threshold_topk_mask,
     sparse_aggregate,
+    topk_select,
 )
 from repro.compression.randomk import RandomKCompressor, RandomKPayload
 from repro.compression.qsgd import QSGDCompressor, QSGDPayload
@@ -98,6 +99,7 @@ __all__ = [
     "exact_topk_mask",
     "sampled_threshold_topk_mask",
     "sparse_aggregate",
+    "topk_select",
     "RandomKCompressor",
     "RandomKPayload",
     "QSGDCompressor",

@@ -7,8 +7,10 @@ not additive and aggregation uses all-gather + local sparse summation.
 
 Two selection strategies, matching §III-A of the paper:
 
-- exact: full ``argpartition`` selection (the paper notes this is slow on
-  GPUs);
+- exact: the k largest magnitudes (the paper notes a full selection is slow
+  on GPUs) — :func:`exact_topk_mask` is one ``argpartition`` over ``|x|``;
+  :func:`topk_select` picks the same set from the few candidates a sampled
+  lower bound leaves, and is what :class:`TopkCompressor` runs;
 - multiple sampling: estimate a magnitude threshold by binary search over a
   random sample of the tensor so that roughly k elements exceed it — the
   "multiple sampling uses binary search to find a close top-k threshold"
@@ -20,6 +22,7 @@ Error feedback stores the unsent residual and adds it back next step
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -44,17 +47,94 @@ class SparsePayload:
         return int(self.indices.size)
 
 
-def exact_topk_mask(flat: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the ``k`` largest-magnitude elements (exact)."""
+def _trivial_selection(size: int, k: int) -> Optional[np.ndarray]:
+    """The selection when ``k`` leaves nothing to choose (else ``None``)."""
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    k = min(k, flat.size)
     if k == 0:
         return np.zeros(0, dtype=np.int64)
-    if k == flat.size:
-        return np.arange(flat.size, dtype=np.int64)
-    idx = np.argpartition(np.abs(flat), flat.size - k)[flat.size - k :]
-    return idx.astype(np.int64)
+    if k >= size:
+        return np.arange(size, dtype=np.int64)
+    return None
+
+
+def _largest(magnitudes: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the ``k`` largest entries, ``0 < k <= size`` (NaN sorts last)."""
+    cut = magnitudes.size - k
+    return np.argpartition(magnitudes, cut)[cut:].astype(np.int64, copy=False)
+
+
+def exact_topk_mask(flat: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the ``k`` largest-magnitude elements (exact, the oracle)."""
+    trivial = _trivial_selection(flat.size, k)
+    return trivial if trivial is not None else _largest(np.abs(flat), k)
+
+
+_BLOCK = 1 << 16  # confirming-pass block: 512 KiB of magnitudes stay in cache
+_SAMPLE = 1 << 15  # strided magnitudes the candidate bound is read from
+_KERNEL_MIN_SIZE = 1 << 16  # below it one argpartition is as cheap
+
+
+def _select_above_sampled_bound(
+    flat: np.ndarray, k: int, block: np.ndarray
+) -> Optional[np.ndarray]:
+    """Exact top-k through a sampled lower bound, or ``None`` to fall back.
+
+    The bound is an order statistic of a deterministic strided sample of
+    ``|flat|`` (no rng draw), four standard deviations of sampling noise
+    below the sample's estimate of the k-th magnitude, so one confirming
+    pass — ``|x|`` block by block into ``block`` — leaves a little over
+    ``k`` candidates for the ``argpartition``. ``not (|x| < bound)`` keeps
+    NaN a candidate, as the oracle orders it. ``None`` when the bound was
+    wrong (fewer than ``k`` candidates: ties, mostly zeros) or useless
+    (more than ``4k``: a NaN or zero bound).
+    """
+    size = flat.size
+    sample = np.abs(flat[:: (size // _SAMPLE) | 1])
+    expected = sample.size * k / size
+    rank = int(expected + 4.0 * math.sqrt(expected)) + 1
+    if rank >= sample.size:
+        return None
+    bound = np.partition(sample, sample.size - rank)[sample.size - rank]
+    below = np.empty(block.size, dtype=bool)
+    found, magnitudes, count = [], [], 0
+    for lo in range(0, size, block.size):
+        mags = np.abs(flat[lo : lo + block.size], out=block[: size - lo])
+        mask = np.less(mags, bound, out=below[: mags.size])
+        hits = np.logical_not(mask, out=mask).nonzero()[0]
+        magnitudes.append(mags[hits])
+        found.append(hits + lo)
+        count += hits.size
+        if count > 4 * k:
+            return None
+    if count < k:
+        return None
+    return np.concatenate(found)[_largest(np.concatenate(magnitudes), k)]
+
+
+def topk_select(
+    flat: np.ndarray, k: int, scratch: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """The set :func:`exact_topk_mask` selects, without sorting the vector.
+
+    Exact on the kernel's path and on its fall-back to the oracle, NaN and
+    +-inf included (only *which* of several equal magnitudes at the k-th
+    place is taken may differ, as between two ``argpartition`` calls).
+    ``flat`` is only read; ``scratch`` is float64 storage of ``flat.size``
+    the call may overwrite — the aggregators pass their consumed slabs, so
+    that no path allocates O(size).
+    """
+    size = flat.size
+    trivial = _trivial_selection(size, k)
+    if trivial is not None:
+        return trivial
+    if scratch is None:
+        scratch = np.empty(size)
+    if size >= _KERNEL_MIN_SIZE and 8 * k <= size:
+        selected = _select_above_sampled_bound(flat, k, scratch[:_BLOCK])
+        if selected is not None:
+            return selected
+    return _largest(np.abs(flat, out=scratch), k)
 
 
 def sampled_threshold_topk_mask(
@@ -64,6 +144,7 @@ def sampled_threshold_topk_mask(
     sample_size: int = 4096,
     max_rounds: int = 20,
     tolerance: float = 0.3,
+    scratch: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Approximate top-k via sampled-threshold binary search.
 
@@ -72,17 +153,13 @@ def sampled_threshold_topk_mask(
     the true exceed count each round. Returns the indices above the final
     threshold — between ``(1-tolerance)k`` and ``(1+tolerance)k`` of them in
     the common case, mirroring the inexactness of the paper's multi-sampling
-    selection.
+    selection. ``scratch`` is :func:`topk_select`'s: it receives ``|flat|``.
     """
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
     size = flat.size
-    k = min(k, size)
-    if k == 0:
-        return np.zeros(0, dtype=np.int64)
-    if k >= size:
-        return np.arange(size, dtype=np.int64)
-    magnitudes = np.abs(flat)
+    trivial = _trivial_selection(size, k)
+    if trivial is not None:
+        return trivial
+    magnitudes = np.abs(flat, out=scratch)
     sample = magnitudes
     if size > sample_size:
         sample = magnitudes[rng.integers(0, size, size=sample_size)]
@@ -91,7 +168,7 @@ def sampled_threshold_topk_mask(
     low, high = 0.0, float(magnitudes.max())
     threshold = float(np.quantile(sample, 1.0 - tail_fraction))
     for _ in range(max_rounds):
-        count = int((magnitudes > threshold).sum())
+        count = np.count_nonzero(magnitudes > threshold)
         if (1.0 - tolerance) * k <= count <= (1.0 + tolerance) * k:
             break
         if count > k:  # threshold too low
@@ -102,12 +179,12 @@ def sampled_threshold_topk_mask(
     idx = np.nonzero(magnitudes > threshold)[0]
     if idx.size == 0:
         # Degenerate (all elements equal): fall back to exact selection.
-        return exact_topk_mask(flat, k)
-    if idx.size > int((1.0 + tolerance) * k):
+        return _largest(magnitudes, k)
+    cap = int((1.0 + tolerance) * k)
+    if idx.size > cap:
         # Cap the payload like real implementations do.
-        order = np.argsort(magnitudes[idx])[::-1][: int((1.0 + tolerance) * k)]
-        idx = idx[order]
-    return idx.astype(np.int64)
+        idx = idx[_largest(magnitudes[idx], cap)]
+    return idx.astype(np.int64, copy=False)
 
 
 class TopkCompressor:
@@ -141,31 +218,36 @@ class TopkCompressor:
         self.min_k = min_k
         self._error: Dict[str, np.ndarray] = {}
 
-    def select(self, flat: np.ndarray) -> np.ndarray:
+    def select(
+        self, flat: np.ndarray, scratch: Optional[np.ndarray] = None
+    ) -> np.ndarray:
         """Top-k coordinate selection over an (EF-corrected) flat vector.
 
         One call consumes at most one draw from the sampling stream, so
         callers that stage the vector themselves (see :meth:`residual`)
-        select bit-identically to :meth:`compress`.
+        select bit-identically to :meth:`compress`. ``scratch`` is
+        :func:`topk_select`'s: full-size storage the call may overwrite.
         """
         k = max(self.min_k, int(round(self.ratio * flat.size)))
         if self.selection == "exact":
-            return exact_topk_mask(flat, k)
-        return sampled_threshold_topk_mask(flat, k, self.rng)
+            return topk_select(flat, k, scratch)
+        return sampled_threshold_topk_mask(flat, k, self.rng, scratch=scratch)
 
     def compress(self, name: str, grad: np.ndarray) -> SparsePayload:
-        """Sparsify ``grad`` (plus stored residual) to ~ratio*size elements."""
-        flat = grad.reshape(-1).astype(np.float64)
-        if self.use_error_feedback:
-            residual = self._error.get(name)
-            if residual is not None:
-                flat = flat + residual
+        """Sparsify ``grad`` (plus stored residual) to ~ratio*size elements.
+
+        ``grad`` is only read: with error feedback it is added into the
+        persistent :meth:`residual`, which is selected on in place.
+        """
+        flat = np.asarray(grad, dtype=np.float64).reshape(-1)
+        residual = self.residual(name, flat.size)
+        if residual is not None:
+            residual += flat
+            flat = residual
         idx = self.select(flat)
         values = flat[idx]
-        if self.use_error_feedback:
-            residual = flat.copy()
-            residual[idx] = 0.0
-            self._error[name] = residual
+        if residual is not None:
+            residual[idx] = 0.0  # sent; the rest stays behind, in place
         return SparsePayload(indices=idx, values=values, num_elements=flat.size)
 
     def residual(self, name: str, size: int) -> Optional[np.ndarray]:
@@ -196,8 +278,12 @@ def sparse_aggregate(
     shape: Tuple[int, ...],
     average: bool = True,
     validate: bool = False,
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Sum gathered sparse payloads into a dense tensor (optionally mean).
+
+    ``out``, a flat float64 buffer of the dense size, is cleared and
+    scatter-added into instead of a new tensor (the result is a view of it).
 
     With ``validate`` each payload's values are checked finite before the
     scatter-add (cost: one pass over the ~k received values per worker), so
@@ -212,7 +298,12 @@ def sparse_aggregate(
         for worker, payload in enumerate(payloads):
             assert_finite(payload.values, f"topk payload values (worker {worker})")
     num_elements = payloads[0].num_elements
-    dense = np.zeros(num_elements)
+    dense = np.empty(num_elements) if out is None else out
+    if dense.shape != (num_elements,) or dense.dtype != np.float64:
+        raise ValueError(
+            f"out must be flat float64[{num_elements}], got {out.dtype} {out.shape}"
+        )
+    dense.fill(0.0)
     for payload in payloads:
         if payload.num_elements != num_elements:
             raise ValueError("payload dense sizes disagree across workers")

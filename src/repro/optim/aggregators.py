@@ -522,7 +522,19 @@ class SignSGDAggregator(GradientAggregator):
 
 
 class TopkSGDAggregator(GradientAggregator):
-    """Top-k SGD: all-gather (values, indices), sum sparse, average."""
+    """Top-k SGD: all-gather (values, indices), sum sparse, average.
+
+    Like :class:`AllReduceAggregator`, aggregation **consumes the slabs**:
+    with error feedback each is accumulated into its rank's residual, so
+    by :meth:`finish_buckets` it is dead storage — selection scratch, and
+    slot 0's then receives the decoded average the returned read-only
+    views point into. A steady-state step allocates O(k * world), never
+    O(model). With error feedback off the slab still holds the values, so
+    the scratch is one staging row and only slot 0's slab is overwritten.
+    A slot that skips backward (an ejected worker's stale slab) contributes
+    what the last step left there — that scratch, or on slot 0 the last
+    average: deterministic, and the same on every worker backend.
+    """
 
     method = "topk"
     supports_bucketed = True
@@ -573,29 +585,42 @@ class TopkSGDAggregator(GradientAggregator):
     def finish_buckets(self) -> NamedGrads:
         session = self._bucket_state()
         self._close_bucket_session(session)
+        # The buckets partition the slab in order: sorted indices split
+        # into per-bucket wires at the bucket edges (one bucket: no sort).
+        buckets = [(lo, hi) for lo, hi in session.buckets if hi > lo]
+        edges = [lo for lo, _ in buckets] + [session.total]
         selections = []
-        for rank, vector in zip(self.roster, session.vectors):
-            idx = self._per_rank[rank].select(vector)
-            selections.append((idx, vector[idx]))
+        for rank, vector, slab in zip(self.roster, session.vectors, session.slabs):
+            if vector is slab:  # EF off: the slab holds the values to send
+                slab = self._staging_rows("topk", 1, session.total)[0]
+            idx = self._per_rank[rank].select(vector, slab)
+            if len(buckets) > 1:
+                idx.sort()
+                cuts = np.searchsorted(idx, edges)
+            else:
+                cuts = (0, idx.size)
+            selections.append((idx, vector[idx], cuts))
             if self.use_error_feedback:
                 vector[idx] = 0.0  # sent; the rest stays behind, in place
-        out = np.empty(session.total)
-        for lo, hi in session.buckets:
-            if hi == lo:
-                continue
+        out = session.slabs[0]
+        for b, (lo, hi) in enumerate(buckets):
             # Per-bucket wire format: each rank ships only the (index,
-            # value) pairs whose coordinates fall in this bucket; the
-            # per-bucket wires partition the whole-vector payload exactly.
-            payloads = []
-            for idx, values in selections:
-                mask = (idx >= lo) & (idx < hi)
-                payloads.append(SparsePayload(idx[mask] - lo, values[mask], hi - lo))
+            # value) pairs whose coordinates fall in this bucket.
+            payloads = [
+                SparsePayload(
+                    idx[cuts[b] : cuts[b + 1]] - lo,
+                    values[cuts[b] : cuts[b + 1]],
+                    hi - lo,
+                )
+                for idx, values, cuts in selections
+            ]
             self.group.all_gather([
                 np.concatenate([p.indices.astype(np.float64), p.values])
                 for p in payloads
             ])
-            out[lo:hi] = sparse_aggregate(
-                payloads, (hi - lo,), average=True, validate=self.validate
+            sparse_aggregate(
+                payloads, (hi - lo,), average=True, validate=self.validate,
+                out=out[lo:hi],
             )
         return _unpack(out, session.template, session.names)
 

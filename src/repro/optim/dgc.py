@@ -18,7 +18,7 @@ from typing import Dict, List
 import numpy as np
 
 from repro.comm.process_group import ProcessGroup
-from repro.compression.topk import SparsePayload, exact_topk_mask, sparse_aggregate
+from repro.compression.topk import SparsePayload, sparse_aggregate, topk_select
 from repro.optim.aggregators import GradientAggregator, NamedGrads, _adopt, _unpack
 
 
@@ -94,9 +94,11 @@ class DGCTopkAggregator(GradientAggregator):
             state = self._per_rank[rank]
             velocity = state.accumulate("fused", grads.slab)
             k = max(self.min_k, int(round(self.ratio * velocity.size)))
-            idx = exact_topk_mask(velocity, k)
+            # Accumulated, the slab is dead: selection scratch, and slot
+            # 0's the decode target (consumed, as in TopkSGDAggregator).
+            idx = topk_select(velocity, k, grads.slab)
             payloads.append(
-                SparsePayload(idx, velocity[idx].copy(), velocity.size)
+                SparsePayload(idx, velocity[idx], velocity.size)
             )
             state.clear_transmitted("fused", idx)
         wires = [
@@ -104,5 +106,8 @@ class DGCTopkAggregator(GradientAggregator):
             for p in payloads
         ]
         self.group.all_gather(wires)
-        dense = sparse_aggregate(payloads, (payloads[0].num_elements,), average=True)
+        dense = sparse_aggregate(
+            payloads, (payloads[0].num_elements,), average=True,
+            out=per_worker_grads[0].slab,
+        )
         return _unpack(dense, per_worker_grads[0], names)

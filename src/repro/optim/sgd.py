@@ -15,6 +15,10 @@ class SGD:
     Matches the paper's training recipe (momentum 0.9). The gradient comes
     either from the parameters' own ``.grad`` fields (single-worker use) or
     from an explicit aggregated-gradient dict (distributed use).
+
+    The update runs in place (``v *= mu; v += g; w -= lr * v`` through one
+    scratch sized for the largest parameter, bit for bit the out-of-place
+    arithmetic), so a steady-state step allocates nothing.
     """
 
     def __init__(
@@ -37,6 +41,9 @@ class SGD:
         self._velocity: Dict[str, np.ndarray] = {}
         # Materialize names once so step() can look gradients up by name.
         self._named = dict(model.named_parameters())
+        self._scratch = np.empty(
+            max((p.data.size for p in self._named.values()), default=0)
+        )
 
     def step(self, grads: Optional[Dict[str, np.ndarray]] = None) -> None:
         """Apply one update.
@@ -57,15 +64,21 @@ class SGD:
                     f"gradient shape {grad.shape} != parameter shape "
                     f"{param.data.shape} for {name!r}"
                 )
+            scratch = self._scratch[: param.data.size].reshape(param.data.shape)
             if self.weight_decay:
-                grad = grad + self.weight_decay * param.data
+                np.multiply(param.data, self.weight_decay, out=scratch)
+                scratch += grad
+                grad = scratch
             velocity = self._velocity.get(name)
-            if self.momentum and velocity is not None:
-                velocity = self.momentum * velocity + grad
+            if velocity is None:
+                velocity = self._velocity[name] = grad.astype(np.float64, copy=True)
+            elif self.momentum:
+                velocity *= self.momentum
+                velocity += grad
             else:
-                velocity = grad.astype(np.float64, copy=True)
-            self._velocity[name] = velocity
-            param.data = param.data - self.lr * velocity
+                np.copyto(velocity, grad)
+            np.multiply(velocity, self.lr, out=scratch)
+            param.data -= scratch
 
     def zero_grad(self) -> None:
         """Clear gradients on the wrapped model."""
