@@ -2,12 +2,15 @@
 """Capture or check the golden simulator traces.
 
 ``capture`` runs every scenario in ``tests/golden_scenarios.py`` and
-writes the per-task start/end times (IEEE-754 hex, so comparison is
-bit-exact) to ``tests/data/golden_traces.json``. ``check`` re-runs the
-scenarios and fails on any drift. The committed golden file was captured
-from the engine *before* the ``repro.sched`` refactor; ``check`` passing
-therefore proves the legacy ``Engine`` adapter reproduces the original
-records bit-for-bit.
+writes ``tests/data/golden_traces.json``: one SHA-256 per scenario over
+its sorted ``(task_id, start.hex(), end.hex())`` records (IEEE-754 hex,
+so comparison is bit-exact), plus the full records of the three
+scenarios in ``golden_scenarios.FULL_TRACES``, one record per line.
+``check`` re-runs the scenarios and fails on any drift, naming the first
+drifting task where a full trace is stored. The committed values were
+captured before the simulator's graph builders and entry points were
+collapsed onto one path; ``check`` passing therefore proves every
+simulated timeline is unchanged bit-for-bit.
 
 Usage::
 
@@ -26,21 +29,50 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 sys.path.insert(0, os.path.join(REPO_ROOT, "tests"))
 
-from golden_scenarios import iter_scenarios, run_scenario  # noqa: E402
+from golden_scenarios import (  # noqa: E402
+    FULL_TRACES,
+    digest,
+    first_drift,
+    iter_scenarios,
+    run_scenario,
+)
 
 GOLDEN_FILE = os.path.join(REPO_ROOT, "tests", "data", "golden_traces.json")
 
 
+def _dump(digests, traces) -> str:
+    """The golden document with one digest / one record per line."""
+    lines = ["{", '"digests": {']
+    lines.append(",\n".join(
+        f"{json.dumps(name)}: {json.dumps(value)}"
+        for name, value in sorted(digests.items())
+    ))
+    lines += ["},", '"traces": {']
+    blocks = []
+    for name, records in sorted(traces.items()):
+        body = ",\n".join(json.dumps(record) for record in records)
+        blocks.append(f"{json.dumps(name)}: [\n{body}\n]")
+    lines.append(",\n".join(blocks))
+    lines += ["}", "}"]
+    return "\n".join(lines) + "\n"
+
+
 def capture() -> None:
-    traces = {}
-    for name, tasks, engine_kwargs in iter_scenarios():
-        traces[name] = run_scenario(tasks, engine_kwargs)
-        print(f"captured {name}: {len(traces[name])} records")
+    digests, traces = {}, {}
+    for name, graph, engine_kwargs in iter_scenarios():
+        records = run_scenario(graph, engine_kwargs)
+        digests[name] = digest(records)
+        if name in FULL_TRACES:
+            traces[name] = records
+        print(f"captured {name}: {len(records)} records")
+    missing = sorted(set(FULL_TRACES) - set(traces))
+    if missing:
+        raise SystemExit(f"FULL_TRACES names no scenario: {missing}")
     os.makedirs(os.path.dirname(GOLDEN_FILE), exist_ok=True)
     with open(GOLDEN_FILE, "w") as handle:
-        json.dump(traces, handle, indent=0, sort_keys=True)
-        handle.write("\n")
-    print(f"wrote {len(traces)} scenarios to {GOLDEN_FILE}")
+        handle.write(_dump(digests, traces))
+    print(f"wrote {len(digests)} digests, {len(traces)} full traces "
+          f"to {GOLDEN_FILE}")
 
 
 def check() -> int:
@@ -48,25 +80,21 @@ def check() -> int:
         golden = json.load(handle)
     failures = []
     seen = set()
-    for name, tasks, engine_kwargs in iter_scenarios():
+    for name, graph, engine_kwargs in iter_scenarios():
         seen.add(name)
-        if name not in golden:
+        if name not in golden["digests"]:
             failures.append(f"{name}: missing from golden file (re-capture?)")
             continue
-        actual = run_scenario(tasks, engine_kwargs)
-        expected = golden[name]
-        if actual != expected:
-            drift = [
-                task_id
-                for task_id in sorted(set(actual) | set(expected))
-                if actual.get(task_id) != expected.get(task_id)
-            ]
+        actual = run_scenario(graph, engine_kwargs)
+        if digest(actual) == golden["digests"][name]:
+            print(f"ok {name}: {len(actual)} records bit-identical")
+        elif name in golden["traces"]:
             failures.append(
-                f"{name}: {len(drift)} drifted records, first: {drift[:3]}"
+                f"{name}: {first_drift(actual, golden['traces'][name])}"
             )
         else:
-            print(f"ok {name}: {len(actual)} records bit-identical")
-    stale = sorted(set(golden) - seen)
+            failures.append(f"{name}: digest drifted (no full trace stored)")
+    stale = sorted(set(golden["digests"]) - seen)
     if stale:
         failures.append(f"stale golden scenarios: {stale}")
     for failure in failures:
