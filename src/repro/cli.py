@@ -36,9 +36,11 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import sys
 from typing import List, Optional
 
 from repro.models import get_model_spec
+from repro.models.registry import UnknownModelError
 from repro.sim.calibration import SIM_LINKS
 from repro.sim.strategies import ALL_METHODS, ClusterSpec, SystemConfig
 
@@ -371,8 +373,6 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
 def cmd_serve(args: argparse.Namespace) -> int:
     """JSONL planning loop: queries in, canonical plan documents out."""
-    import sys
-
     from repro.serve import PlannerService, ResultCache, serve_jsonl
 
     service = PlannerService(
@@ -828,7 +828,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, UnknownModelError) as exc:
+        # Values argparse cannot vet fail the library's own validation.
+        message = exc.args[0] if exc.args else repr(exc)
+        print(f"repro {args.command}: error: {message}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

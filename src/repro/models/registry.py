@@ -45,11 +45,15 @@ PAPER_RANKS: Dict[str, int] = {
 MODEL_SPECS = tuple(_BUILDERS)
 
 
+class UnknownModelError(KeyError):
+    """:func:`get_model_spec` was asked for a name not in the registry."""
+
+
 def get_model_spec(name: str) -> ModelSpec:
     """Build the spec for a model by its paper name (e.g. ``"ResNet-50"``)."""
     builder = _BUILDERS.get(name)
     if builder is None:
-        raise KeyError(
+        raise UnknownModelError(
             f"unknown model {name!r}; available: {', '.join(sorted(_BUILDERS))}"
         )
     return builder()

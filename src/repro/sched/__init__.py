@@ -17,9 +17,9 @@ Layering (each importable and testable on its own):
   :class:`~repro.comm.topology.ClusterTopology` (flat vs hierarchical
   all-reduce as task DAGs over per-node resources).
 
-The legacy ``repro.sim.engine.Engine`` is a thin adapter over this
-package; strategy/pipeline/fault timelines in :mod:`repro.sim` are
-builders producing :class:`TaskGraph` instances.
+``repro.sim.engine.Engine`` is this package's :class:`EventLoop` with the
+two-GPU contention pair; strategy/pipeline/fault timelines in
+:mod:`repro.sim` are builders producing :class:`TaskGraph` instances.
 """
 
 from repro.sched.builders import (

@@ -128,7 +128,7 @@ class TaskGraph:
 
     @classmethod
     def coerce(cls, obj: Union["TaskGraph", Sequence[Task]]) -> "TaskGraph":
-        """Accept a graph or a plain task sequence (the legacy API)."""
+        """Accept a graph or a plain task sequence."""
         graph = obj if isinstance(obj, cls) else cls(obj)
         graph.validate()
         return graph

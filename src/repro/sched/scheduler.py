@@ -16,8 +16,8 @@ Two scheduler kinds, both plain objects testable without the event loop:
   :class:`~repro.comm.topology.ClusterTopology` and per-task node hints.
 
 To add a discipline, implement ``select`` and register it in
-:data:`DISCIPLINES`; every consumer (legacy ``Engine`` included) resolves
-names through :func:`resolve_discipline`.
+:data:`DISCIPLINES`; every consumer (``repro.sim.engine.Engine`` included)
+resolves names through :func:`resolve_discipline`.
 """
 
 from __future__ import annotations

@@ -20,7 +20,8 @@ Strategies (:mod:`repro.sim.strategies`) build the per-method task graph
 :class:`~repro.sim.strategies.SystemConfig` (WFBP on/off, tensor fusion
 on/off, buffer size), and :mod:`repro.sim.results` reports the paper's
 breakdown metric: FF&BP time, compression time, non-overlapped
-communication time.
+communication time. Every entry point takes one path — resolved scenario
+-> :class:`~repro.sched.TaskGraph` -> ``Engine.run`` -> breakdown.
 """
 
 from repro.sim.calibration import (
@@ -35,7 +36,7 @@ from repro.sim.results import IterationBreakdown
 from repro.sim.strategies import (
     ClusterSpec,
     SystemConfig,
-    build_iteration_tasks,
+    build_iteration_graph,
     simulate_iteration,
     simulate_iteration_records,
     ALL_METHODS,
@@ -84,7 +85,7 @@ __all__ = [
     "IterationBreakdown",
     "ClusterSpec",
     "SystemConfig",
-    "build_iteration_tasks",
+    "build_iteration_graph",
     "simulate_iteration",
     "simulate_iteration_records",
     "METHODS",

@@ -1,15 +1,14 @@
-"""Legacy engine facade over the :mod:`repro.sched` scheduling core.
+"""The simulator's engine: the :mod:`repro.sched` event loop over one
+worker's three streams.
 
-Historically this module owned the whole discrete-event loop, hard-coded
-to three streams. The loop now lives in
-:class:`repro.sched.engine.EventLoop` over arbitrary named resources and
-pluggable schedulers; this module keeps the original API — ``Task``,
-``TaskRecord``, ``Engine``, and the three canonical stream names — as a
-thin adapter so every existing caller and trace stays bit-identical
-(``scripts/golden_trace.py`` enforces this against records captured from
-the pre-refactor engine).
+The discrete-event loop lives in :class:`repro.sched.engine.EventLoop`
+over arbitrary named resources and pluggable schedulers; this module
+fixes the resources the iteration timelines use — ``Task``,
+``TaskRecord``, ``Engine``, and the three canonical stream names — and
+is the one ``run`` every :mod:`repro.sim` path goes through
+(``scripts/golden_trace.py`` pins its records bit-for-bit).
 
-Semantics, unchanged: two GPU streams (``gpu_main`` and ``gpu_side``)
+Semantics: two GPU streams (``gpu_main`` and ``gpu_side``)
 interfere — while both are busy with contending work, each progresses at
 ``contention_rate`` of full speed (the paper's compute resource
 competition between back-propagation and Power-SGD*'s hook compression,
@@ -21,18 +20,15 @@ matching CUDA stream and NCCL queue semantics.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional
 
 from repro.sched.engine import EventLoop
 from repro.sched.graph import Task, TaskGraph, TaskRecord
 from repro.sched.resources import ResourceModel
-from repro.sched.scheduler import DISCIPLINES
 
 GPU_MAIN = "gpu_main"
 GPU_SIDE = "gpu_side"
 NIC = "nic"
-
-_CONTENDING = (GPU_MAIN, GPU_SIDE)
 
 __all__ = [
     "GPU_MAIN",
@@ -45,12 +41,11 @@ __all__ = [
 ]
 
 
-class Engine:
+class Engine(EventLoop):
     """Run a task graph to completion and return per-task records.
 
-    Thin adapter: validates the legacy configuration surface, then
-    delegates to one :class:`~repro.sched.engine.EventLoop` with the
-    two-GPU contention pair.
+    An :class:`~repro.sched.engine.EventLoop` with the two-GPU contention
+    pair; both arguments are validated on construction.
 
     Args:
         contention_rate: GPU-stream mutual slowdown (see module docstring).
@@ -66,27 +61,11 @@ class Engine:
         contention_rate: float = 0.40,
         disciplines: Optional[Dict[str, str]] = None,
     ):
-        if not 0.0 < contention_rate <= 1.0:
-            raise ValueError(
-                f"contention_rate must be in (0, 1], got {contention_rate}"
-            )
-        self.contention_rate = contention_rate
-        self.disciplines = dict(disciplines or {})
-        for stream, discipline in self.disciplines.items():
-            if discipline not in DISCIPLINES:
-                raise ValueError(
-                    f"unknown discipline {discipline!r} for stream {stream!r}"
-                )
-        self._loop = EventLoop(
+        super().__init__(
             resources=ResourceModel.gpu_contention(contention_rate),
-            disciplines=self.disciplines,
+            disciplines=disciplines,
         )
 
-    def run(self, tasks: Sequence[Task]) -> Dict[str, TaskRecord]:
-        """Simulate ``tasks``; returns records keyed by task_id.
-
-        Raises:
-            ValueError: duplicate ids, unknown dependencies, or a deadlock
-                (circular dependencies / FIFO head blocked forever).
-        """
-        return self._loop.run(tasks)
+    # An attribute of this class, not only inherited: perfbench wraps and
+    # restores ``vars(Engine)["run"]`` to time every simulated run.
+    run = EventLoop.run

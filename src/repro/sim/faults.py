@@ -28,7 +28,7 @@ bit-for-bit. Follows the :mod:`repro.sim.variance` idiom.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -36,9 +36,9 @@ import numpy as np
 from repro.models.spec import ModelSpec
 from repro.sched import TaskGraph
 from repro.sim.calibration import SimConfig
-from repro.sim.engine import Engine, Task
+from repro.sim.engine import Task
 from repro.sim.results import breakdown_from_records
-from repro.sim.strategies import ClusterSpec, SystemConfig, build_iteration_tasks
+from repro.sim.strategies import BuildContext, ClusterSpec, SystemConfig
 
 _COMPUTE_TAGS = ("forward", "backward", "compression")
 _MAX_RETRANSMITS = 10
@@ -137,8 +137,7 @@ class FaultModel:
         """One faulty replay of ``graph``: scaled compute, retried comm.
 
         The per-task draws happen in submission order (``map_tasks``
-        preserves it), so seeded traces are stable across the list and
-        graph APIs.
+        preserves it), so seeded traces are stable.
         """
         slowdown = self.sample_compute_slowdown(world_size, rng)
         # Worker-crash draws are gated on the knob (not just zero-prob
@@ -164,18 +163,9 @@ class FaultModel:
                     start_after = max(
                         start_after, self.rank_down_s, respawn_delay
                     )
-            return Task(task.task_id, task.stream, work, task.deps,
-                        tag=task.tag, contends=task.contends,
-                        priority=task.priority, start_after=start_after)
+            return replace(task, work=work, start_after=start_after)
 
         return graph.map_tasks(perturb_one)
-
-    def perturb(
-        self, tasks: Sequence[Task], world_size: int, rng: np.random.Generator
-    ) -> List[Task]:
-        """Task-list view of :meth:`perturb_graph` (legacy API)."""
-        graph = tasks if isinstance(tasks, TaskGraph) else TaskGraph(tasks)
-        return list(self.perturb_graph(graph, world_size, rng).tasks)
 
 
 @dataclass(frozen=True)
@@ -232,23 +222,22 @@ def simulate_fault_trace(
     """
     if iterations < 1:
         raise ValueError(f"need >= 1 iteration, got {iterations}")
-    cluster = cluster if cluster is not None else ClusterSpec()
-    sim = sim if sim is not None else SimConfig()
+    ctx = BuildContext.resolve(
+        method, model, cluster, system, sim, batch_size, rank, topk_ratio
+    )
     rng = np.random.default_rng(seed)
-    engine = Engine(contention_rate=sim.contention_rate)
+    graphs = [ctx.graph(parity_p) for parity_p in ctx.parities]
     samples: List[float] = []
-    clean_times: List[float] = []
     for idx in range(iterations):
-        tasks = build_iteration_tasks(
-            method, model, cluster, system, sim, batch_size, rank, topk_ratio,
-            acp_parity_p=(idx % 2 == 0),
+        perturbed = fault_model.perturb_graph(
+            graphs[idx % len(graphs)], ctx.cluster.world_size, rng
         )
-        if idx < 2:  # both parities cover the clean baseline
-            clean_times.append(
-                breakdown_from_records(engine.run(tasks)).total
-            )
-        perturbed = fault_model.perturb(tasks, cluster.world_size, rng)
-        samples.append(breakdown_from_records(engine.run(perturbed)).total)
+        samples.append(breakdown_from_records(ctx.run(perturbed)).total)
+    # The parities the run actually visited cover the clean baseline.
+    clean_times = [
+        breakdown_from_records(ctx.run(graph)).total
+        for graph in graphs[:iterations]
+    ]
     return FaultTrace(
         method=method,
         clean_time=float(np.mean(clean_times)),
@@ -386,12 +375,8 @@ def simulate_elastic_trace(
     added rank. ACP-SGD's parity asymmetry is averaged out by costing both
     the P- and Q-step graphs per phase.
     """
-    import dataclasses
-
     if iterations < 1:
         raise ValueError(f"need >= 1 iteration, got {iterations}")
-    cluster = cluster if cluster is not None else ClusterSpec()
-    sim = sim if sim is not None else SimConfig()
     events = sorted(schedule, key=lambda event: event.iteration)
     for event in events:
         if event.iteration > iterations:
@@ -399,23 +384,22 @@ def simulate_elastic_trace(
                 f"churn at iteration {event.iteration} is beyond the "
                 f"{iterations}-iteration run"
             )
-    engine = Engine(contention_rate=sim.contention_rate)
+    ctx = BuildContext.resolve(
+        method, model, cluster, system, sim, batch_size, rank, topk_ratio
+    )
     boundaries = [1] + [event.iteration for event in events] + [iterations + 1]
-    sizes = [cluster.world_size] + [event.world_size for event in events]
+    sizes = [ctx.cluster.world_size] + [event.world_size for event in events]
     phases: List[ElasticPhase] = []
     previous_size = None
     for start, end, size in zip(boundaries, boundaries[1:], sizes):
         if end <= start:
             previous_size = size
             continue  # zero-length phase: superseded at the same iteration
-        sized = dataclasses.replace(cluster, world_size=size)
-        times = []
-        for parity in (True, False):
-            tasks = build_iteration_tasks(
-                method, model, sized, system, sim, batch_size, rank,
-                topk_ratio, acp_parity_p=parity,
-            )
-            times.append(breakdown_from_records(engine.run(tasks)).total)
+        sized = replace(ctx, cluster=replace(ctx.cluster, world_size=size))
+        times = [
+            breakdown_from_records(sized.run(sized.graph(parity_p))).total
+            for parity_p in sized.parities
+        ]
         added = max(0, size - previous_size) if previous_size is not None else 0
         phases.append(
             ElasticPhase(
@@ -423,7 +407,7 @@ def simulate_elastic_trace(
                 iterations=end - start,
                 world_size=size,
                 iteration_time_s=float(np.mean(times)),
-                admission_cost_s=added * admission_sync_cost(model, sized),
+                admission_cost_s=added * admission_sync_cost(model, sized.cluster),
             )
         )
         previous_size = size

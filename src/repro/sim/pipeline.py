@@ -23,12 +23,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.models.spec import ModelSpec
 from repro.sched import TaskGraph
 from repro.sim.calibration import SimConfig
-from repro.sim.engine import Engine, Task
-from repro.sim.strategies import (
-    ClusterSpec,
-    SystemConfig,
-    build_iteration_graph,
-)
+from repro.sim.engine import Task
+from repro.sim.strategies import BuildContext, ClusterSpec, SystemConfig
 
 _PIPELINED_METHODS = ("ssgd", "acpsgd")
 
@@ -54,11 +50,6 @@ class SteadyStateResult:
         if self.steady_iteration <= 0:
             return 1.0
         return self.single_iteration / self.steady_iteration
-
-
-def _retag(tasks: Sequence[Task], iteration: int) -> List[Task]:
-    """Clone tasks with iteration-scoped ids."""
-    return list(TaskGraph(tasks).prefixed(f"it{iteration}:").tasks)
 
 
 def _chain_graphs(
@@ -113,15 +104,6 @@ def _chain_graphs(
     return chained
 
 
-def _chain(
-    per_iteration: List[List[Task]],
-    comm_barrier: bool,
-) -> List[Task]:
-    """Task-list view of :func:`_chain_graphs` (legacy API)."""
-    graphs = [TaskGraph(tasks) for tasks in per_iteration]
-    return list(_chain_graphs(graphs, comm_barrier).tasks)
-
-
 def _prioritize_comm(graph: TaskGraph) -> TaskGraph:
     """Priority-schedule communication by next-iteration need.
 
@@ -141,9 +123,16 @@ def _prioritize_comm(graph: TaskGraph) -> TaskGraph:
     return graph.map_tasks(bump)
 
 
-def _apply_comm_priorities(tasks: Sequence[Task]) -> List[Task]:
-    """Task-list view of :func:`_prioritize_comm` (legacy API)."""
-    return list(_prioritize_comm(TaskGraph(tasks)).tasks)
+def _steady_state_graph(
+    ctx: BuildContext, iterations: int, pipelined: Optional[bool], priority_comm: bool
+) -> TaskGraph:
+    """``iterations`` step graphs of ``ctx`` (ACP-SGD alternating P/Q), chained."""
+    if pipelined is None:
+        pipelined = ctx.method in _PIPELINED_METHODS
+    per_iteration = [ctx.graph(idx % 2 == 0) for idx in range(iterations)]
+    if priority_comm:
+        per_iteration = [_prioritize_comm(graph) for graph in per_iteration]
+    return _chain_graphs(per_iteration, comm_barrier=not pipelined)
 
 
 def build_steady_state_graph(
@@ -161,18 +150,8 @@ def build_steady_state_graph(
     """The chained multi-iteration graph ``simulate_steady_state`` runs."""
     if iterations < 2:
         raise ValueError(f"need >= 2 iterations, got {iterations}")
-    if pipelined is None:
-        pipelined = method in _PIPELINED_METHODS
-    per_iteration = []
-    for idx in range(iterations):
-        graph = build_iteration_graph(
-            method, model, cluster, system, sim, batch_size, rank,
-            acp_parity_p=(idx % 2 == 0),
-        )
-        if priority_comm:
-            graph = _prioritize_comm(graph)
-        per_iteration.append(graph)
-    return _chain_graphs(per_iteration, comm_barrier=not pipelined)
+    ctx = BuildContext.resolve(method, model, cluster, system, sim, batch_size, rank)
+    return _steady_state_graph(ctx, iterations, pipelined, priority_comm)
 
 
 def simulate_steady_state(
@@ -199,26 +178,15 @@ def simulate_steady_state(
     """
     if iterations < 2:
         raise ValueError(f"need >= 2 iterations, got {iterations}")
-    sim = sim if sim is not None else SimConfig()
-    if pipelined is None:
-        pipelined = method in _PIPELINED_METHODS
-
-    single_graph = build_iteration_graph(
-        method, model, cluster, system, sim, batch_size, rank,
-        acp_parity_p=True,
-    )
+    ctx = BuildContext.resolve(method, model, cluster, system, sim, batch_size, rank)
+    single_graph = ctx.graph()
     if priority_comm:
         single_graph = _prioritize_comm(single_graph)
-    chained = build_steady_state_graph(
-        method, model, cluster, system, sim, batch_size, rank,
-        iterations, pipelined, priority_comm,
-    )
+    chained = _steady_state_graph(ctx, iterations, pipelined, priority_comm)
     disciplines = {"nic": "priority"} if priority_comm else None
-    engine = Engine(contention_rate=sim.contention_rate,
-                    disciplines=disciplines)
     single = max(
-        record.end for record in engine.run(single_graph).values()
+        record.end for record in ctx.run(single_graph, disciplines).values()
     )
-    total = max(record.end for record in engine.run(chained).values())
+    total = max(record.end for record in ctx.run(chained, disciplines).values())
     steady = (total - single) / (iterations - 1)
     return SteadyStateResult(single, steady, iterations)

@@ -16,8 +16,8 @@ task records by sweeping the timeline:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from dataclasses import dataclass, fields
+from typing import Dict, List, Sequence, Tuple
 
 from repro.sim.engine import TaskRecord
 
@@ -30,6 +30,14 @@ class IterationBreakdown:
     ffbp: float
     compression: float
     comm_nonoverlap: float
+
+    @classmethod
+    def mean(cls, breakdowns: Sequence["IterationBreakdown"]) -> "IterationBreakdown":
+        """Field-wise mean (ACP-SGD averages its P- and Q-step graphs)."""
+        return cls(*(
+            sum(getattr(bd, field.name) for bd in breakdowns) / len(breakdowns)
+            for field in fields(cls)
+        ))
 
     @property
     def milliseconds(self) -> Tuple[float, float, float, float]:

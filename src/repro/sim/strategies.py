@@ -1,8 +1,11 @@
 """Per-method iteration task graphs for the performance simulator.
 
-``simulate_iteration`` is the single entry point: it builds one training
-iteration's task graph for a method under a cluster and system-optimization
-configuration, runs the engine, and returns the paper's breakdown.
+Every :mod:`repro.sim` entry point takes one path: :meth:`BuildContext.resolve`
+defaults and validates the scenario once, :meth:`BuildContext.graph` builds
+one iteration's :class:`~repro.sched.TaskGraph`, :meth:`BuildContext.run`
+hands it to ``Engine.run``, and the records are swept into the paper's
+breakdown (``simulate_iteration`` is that path end to end). Adding a method
+is one ``(ctx, parity_p) -> tasks`` function plus one ``_BUILDERS`` entry.
 
 Methods (METHODS):
 
@@ -27,18 +30,24 @@ finish; with ``tensor_fusion=False`` every tensor is its own bucket.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.comm.cost_model import LinkSpec, allgather_time, allreduce_time
 from repro.compression.reshaping import matrix_view_shape, should_compress
-from repro.models.spec import LayerSpec, ModelSpec, TensorSpec
+from repro.models.spec import ModelSpec, TensorSpec
 from repro.sched import TaskGraph
 from repro.sim import gpu as gpu_cost
 from repro.sim.calibration import LINK_10GBE, SimConfig
-from repro.sim.engine import GPU_MAIN, GPU_SIDE, NIC, Engine, Task
+from repro.sim.engine import GPU_MAIN, GPU_SIDE, NIC, Engine, Task, TaskRecord
 from repro.fusion import DEFAULT_BUFFER_BYTES, partition_buckets, scaled_buffer_size
 from repro.sim.results import IterationBreakdown, breakdown_from_records
+
+if TYPE_CHECKING:
+    from repro.comm.topology import ClusterTopology
+    from repro.sim.faults import FaultModel
 
 FP32 = 4
 
@@ -50,37 +59,6 @@ METHODS = ("ssgd", "signsgd", "topk", "powersgd", "powersgd_star", "acpsgd")
 # full WFBP+TF treatment like ACP-SGD.
 EXTENSION_METHODS = ("terngrad", "qsgd", "randomk", "dgc")
 ALL_METHODS = METHODS + EXTENSION_METHODS
-
-
-@dataclass(frozen=True)
-class BuildContext:
-    """Resolved inputs handed to a registered per-method graph builder."""
-
-    method: str
-    model: ModelSpec
-    batch_size: int
-    cluster: "ClusterSpec"
-    system: "SystemConfig"
-    sim: SimConfig
-    rank: int
-    topk_ratio: float
-    acp_parity_p: bool
-
-
-#: method name -> graph builder. Populated by :func:`register_graph_builder`;
-#: new methods plug in here without touching the dispatch code.
-_GRAPH_BUILDERS: Dict[str, Callable[[BuildContext], TaskGraph]] = {}
-
-
-def register_graph_builder(*methods: str):
-    """Register a ``BuildContext -> TaskGraph`` builder for method names."""
-
-    def decorate(fn: Callable[[BuildContext], TaskGraph]):
-        for method in methods:
-            _GRAPH_BUILDERS[method] = fn
-        return fn
-
-    return decorate
 
 
 @dataclass(frozen=True)
@@ -152,6 +130,68 @@ class SystemConfig:
         return self.buffer_bytes if self.tensor_fusion else 0.0
 
 
+@dataclass(frozen=True)
+class BuildContext:
+    """One resolved scenario: what every ``repro.sim`` entry point runs.
+
+    :meth:`resolve` fills the defaults and validates once; :meth:`graph`
+    builds the method's task graph and :meth:`run` prices it.
+    """
+
+    method: str
+    model: ModelSpec
+    batch_size: int
+    cluster: ClusterSpec
+    system: SystemConfig
+    sim: SimConfig
+    rank: int
+    topk_ratio: float
+
+    @classmethod
+    def resolve(
+        cls,
+        method: str,
+        model: ModelSpec,
+        cluster: Optional[ClusterSpec] = None,
+        system: Optional[SystemConfig] = None,
+        sim: Optional[SimConfig] = None,
+        batch_size: Optional[int] = None,
+        rank: int = 4,
+        topk_ratio: float = 0.001,
+    ) -> "BuildContext":
+        """Default the optional inputs (32 x 10GbE, WFBP + TF at 25MB, the
+        calibrated ``SimConfig``, the spec's paper batch size) and reject a
+        non-positive batch size or an unknown method."""
+        batch = batch_size if batch_size is not None else model.default_batch_size
+        if batch < 1:
+            raise ValueError(f"batch_size must be >= 1, got {batch}")
+        if method not in _BUILDERS:
+            raise ValueError(f"unknown method {method!r}; available: {ALL_METHODS}")
+        return cls(
+            method=method, model=model, batch_size=batch,
+            cluster=cluster if cluster is not None else ClusterSpec(),
+            system=system if system is not None else SystemConfig(),
+            sim=sim if sim is not None else SimConfig(),
+            rank=rank, topk_ratio=topk_ratio,
+        )
+
+    @property
+    def parities(self) -> Tuple[bool, ...]:
+        """``parity_p`` of each distinct step graph: ACP-SGD alternates
+        P-steps and Q-steps (their factor sizes differ slightly)."""
+        return (True, False) if self.method == "acpsgd" else (True,)
+
+    def graph(self, parity_p: bool = True) -> TaskGraph:
+        """One iteration's task graph (ACP-SGD: the P- or Q-step)."""
+        return TaskGraph(_BUILDERS[self.method](self, parity_p))
+
+    def run(
+        self, graph: TaskGraph, disciplines: Optional[Dict[str, str]] = None
+    ) -> Dict[str, TaskRecord]:
+        """Price ``graph`` on this scenario's GPU contention model."""
+        return Engine(self.sim.contention_rate, disciplines).run(graph)
+
+
 @dataclass
 class _ReadyTensor:
     """A gradient tensor in BP-readiness order with its producing BP task."""
@@ -164,13 +204,12 @@ class _ReadyTensor:
         return self.tensor.nbytes
 
 
-def _compute_tasks(
-    model: ModelSpec, batch_size: int, sim: SimConfig
-) -> Tuple[List[Task], List[_ReadyTensor], str]:
+def _compute_tasks(ctx: BuildContext) -> Tuple[List[Task], List[_ReadyTensor], str]:
     """FF + BP task chain; returns (tasks, tensors in readiness order, last bp id)."""
+    batch_size, sim = ctx.batch_size, ctx.sim
     tasks: List[Task] = []
     prev = ""
-    for idx, layer in enumerate(model.layers):
+    for idx, layer in enumerate(ctx.model.layers):
         task_id = f"ff{idx}"
         deps = (prev,) if prev else ()
         tasks.append(
@@ -179,9 +218,7 @@ def _compute_tasks(
         )
         prev = task_id
     ready: List[_ReadyTensor] = []
-    for rev_idx, (idx, layer) in enumerate(
-        reversed(list(enumerate(model.layers)))
-    ):
+    for idx, layer in reversed(list(enumerate(ctx.model.layers))):
         task_id = f"bp{idx}"
         tasks.append(
             Task(task_id, GPU_MAIN,
@@ -194,6 +231,12 @@ def _compute_tasks(
     return tasks, ready, prev
 
 
+def _lowrank_dims(item: _ReadyTensor, rank: int) -> Tuple[int, int, int]:
+    """``(n, m, r)``: the tensor's matrix view and its effective rank."""
+    n, m = matrix_view_shape(item.tensor.shape)
+    return n, m, min(rank, n, m)
+
+
 def _lowrank_split(
     ready: Sequence[_ReadyTensor], rank: int
 ) -> Tuple[List[_ReadyTensor], List[_ReadyTensor]]:
@@ -201,10 +244,8 @@ def _lowrank_split(
     matrices: List[_ReadyTensor] = []
     plain: List[_ReadyTensor] = []
     for item in ready:
-        shape = item.tensor.shape
-        if should_compress(shape):
-            n, m = matrix_view_shape(shape)
-            r = min(rank, n, m)
+        if should_compress(item.tensor.shape):
+            n, m, r = _lowrank_dims(item, rank)
             if n * m > (n + m) * r:
                 matrices.append(item)
                 continue
@@ -212,76 +253,104 @@ def _lowrank_split(
     return matrices, plain
 
 
-def _factor_rows(tensor: TensorSpec, rank: int, parity_p: bool) -> Tuple[int, int, int]:
-    """(n, m, r) matrix view; the travelling factor has ``n`` (P) or ``m``
-    (Q) rows depending on the step parity."""
-    n, m = matrix_view_shape(tensor.shape)
-    return n, m, min(rank, n, m)
-
-
 def _bucket_comm_tasks(
-    ready: Sequence[_ReadyTensor],
-    sizes: Sequence[float],
-    buffer_bytes: float,
-    cluster: ClusterSpec,
-    sim: SimConfig,
-    wfbp: bool,
-    last_bp: str,
-    prefix: str,
-    collective: str = "allreduce",
-) -> Tuple[List[Task], List[str]]:
-    """Fusion buckets -> collective tasks.
+    ctx: BuildContext, ready: Sequence[_ReadyTensor], last_bp: str, prefix: str
+) -> List[Task]:
+    """Fusion buckets of raw gradients -> all-reduce tasks.
 
     Each bucket becomes one NIC collective, dependent on the producing
-    BP/compress task of its *last* tensor (WFBP) or on the end of BP.
+    BP task of its *last* tensor (WFBP) or on the end of BP.
     The flat-buffer copy is folded into the collective duration (it is a
     ~0.1ms GPU memcpy per 25MB bucket, negligible against alpha).
-    Returns (tasks, comm task ids).
     """
-    if len(ready) != len(sizes):
-        raise ValueError("sizes must align with tensors")
+    sizes = [item.nbytes for item in ready]
     tasks: List[Task] = []
-    comm_ids: List[str] = []
-    buckets = partition_buckets(sizes, buffer_bytes)
+    buckets = partition_buckets(sizes, ctx.system.effective_buffer)
     for b_idx, (start, end) in enumerate(buckets):
         bucket_bytes = float(sum(sizes[start:end]))
-        dep = ready[end - 1].bp_task if wfbp else last_bp
-        comm_id = f"{prefix}_comm{b_idx}"
-        if collective == "allreduce":
-            duration = cluster.allreduce_cost(bucket_bytes)
-        elif collective == "allgather":
-            duration = allgather_time(bucket_bytes, cluster.world_size, cluster.link)
-        else:
-            raise ValueError(f"unknown collective {collective!r}")
-        duration += gpu_cost.pack_copy_time(bucket_bytes, sim)
-        tasks.append(Task(comm_id, NIC, duration, (dep,), tag="comm"))
-        comm_ids.append(comm_id)
-    return tasks, comm_ids
-
-
-# ---------------------------------------------------------------------------
-# Method graphs
-# ---------------------------------------------------------------------------
-
-
-def _ssgd_tasks(
-    model: ModelSpec, batch_size: int, cluster: ClusterSpec,
-    system: SystemConfig, sim: SimConfig,
-) -> List[Task]:
-    tasks, ready, last_bp = _compute_tasks(model, batch_size, sim)
-    sizes = [item.nbytes for item in ready]
-    comm_tasks, _ = _bucket_comm_tasks(
-        ready, sizes, system.effective_buffer, cluster, sim,
-        system.wfbp, last_bp, "grad",
-    )
-    tasks.extend(comm_tasks)
+        dep = ready[end - 1].bp_task if ctx.system.wfbp else last_bp
+        duration = ctx.cluster.allreduce_cost(bucket_bytes)
+        duration += gpu_cost.pack_copy_time(bucket_bytes, ctx.sim)
+        tasks.append(Task(f"{prefix}_comm{b_idx}", NIC, duration, (dep,), tag="comm"))
     return tasks
 
 
-def _allgather_method_tasks(
-    model: ModelSpec, batch_size: int, cluster: ClusterSpec,
-    system: SystemConfig, sim: SimConfig, method: str, topk_ratio: float,
+def _chained(stages: Sequence[Tuple[str, str, float, bool]], dep: str) -> List[Task]:
+    """``(task_id, resource, work, contends)`` stages as a linear chain
+    hanging off ``dep``; NIC stages are communication, the rest compression."""
+    tasks: List[Task] = []
+    for task_id, resource, work, contends in stages:
+        tag = "comm" if resource == NIC else "compression"
+        tasks.append(Task(task_id, resource, work, (dep,), tag=tag, contends=contends))
+        dep = task_id
+    return tasks
+
+
+def _hooked_tasks(
+    ctx: BuildContext,
+    prefix: str,
+    compute: Tuple[List[Task], List[_ReadyTensor], str],
+    hooked: Sequence[_ReadyTensor],
+    compress_work: Callable[[_ReadyTensor], float],
+    wire_bytes: Callable[[_ReadyTensor], float],
+    post_name: str,
+    post_work: Callable[[Sequence[_ReadyTensor]], float],
 ) -> List[Task]:
+    """The inline backward-hook timeline of an additive compressor (Fig. 4(c)).
+
+    Each ``hooked`` tensor is compressed on the main stream right after the
+    BP task that produced it (without WFBP: after the full BP). The payloads
+    are fused, under a buffer scaled by the compression rate (§IV-B), into
+    one non-blocking all-reduce per bucket; it waits for its last member's
+    compression (without WFBP: for all of it) and is followed by the
+    bucket's ``post_name`` task (reconstruct / scatter).
+    """
+    ff_bp_tasks, ready, last_bp = compute
+    system = ctx.system
+    hooks = [
+        Task(f"{prefix}_compress{idx}", GPU_MAIN, compress_work(item),
+             (item.bp_task if system.wfbp else last_bp,), tag="compression")
+        for idx, item in enumerate(hooked)
+    ]
+    if system.wfbp:
+        by_bp: Dict[str, List[Task]] = {}
+        for item, hook in zip(hooked, hooks):
+            by_bp.setdefault(item.bp_task, []).append(hook)
+        tasks: List[Task] = []
+        for task in ff_bp_tasks:
+            tasks.append(task)
+            tasks.extend(by_bp.get(task.task_id, ()))
+    else:
+        tasks = ff_bp_tasks + hooks
+
+    sizes = [wire_bytes(item) for item in hooked]
+    if not system.tensor_fusion:
+        buffer = 0.0
+    elif system.scale_compressed_buffer:
+        raw_bytes = float(sum(item.nbytes for item in ready))
+        buffer = scaled_buffer_size(system.buffer_bytes, sum(sizes), raw_bytes)
+    else:
+        buffer = system.buffer_bytes
+    for b_idx, (start, end) in enumerate(partition_buckets(sizes, buffer)):
+        comm_id = f"{prefix}_comm{b_idx}"
+        duration = ctx.cluster.allreduce_cost(float(sum(sizes[start:end])))
+        gate = hooks[end - 1 if system.wfbp else -1].task_id
+        tasks.append(Task(comm_id, NIC, duration, (gate,), tag="comm"))
+        tasks.append(Task(f"{prefix}_{post_name}{b_idx}", GPU_MAIN,
+                          post_work(hooked[start:end]), (comm_id,), tag="compression"))
+    return tasks
+
+
+# Method builders: ``(ctx, parity_p) -> tasks`` in submission order. Only
+# ACP-SGD's graph depends on the step parity.
+
+
+def _ssgd_tasks(ctx: BuildContext, parity_p: bool) -> List[Task]:
+    tasks, ready, last_bp = _compute_tasks(ctx)
+    return tasks + _bucket_comm_tasks(ctx, ready, last_bp, "grad")
+
+
+def _allgather_method_tasks(ctx: BuildContext, parity_p: bool) -> List[Task]:
     """All-gather methods: post-BP packed compress -> all-gather -> decode.
 
     Sign-SGD and Top-k follow the paper's §III-A characterization (packed
@@ -289,7 +358,8 @@ def _allgather_method_tasks(
     with their own payload sizes and compression costs. WFBP/TF switches do
     not change these graphs.
     """
-    tasks, ready, last_bp = _compute_tasks(model, batch_size, sim)
+    method, cluster, sim, topk_ratio = ctx.method, ctx.cluster, ctx.sim, ctx.topk_ratio
+    tasks, ready, last_bp = _compute_tasks(ctx)
     total_bytes = float(sum(item.nbytes for item in ready))
     total_elems = total_bytes / FP32
     if method == "signsgd":
@@ -310,35 +380,25 @@ def _allgather_method_tasks(
         decompress = 4.0 * gpu_cost.sign_decompress_time(
             total_bytes, cluster.world_size, sim
         )
-    elif method == "dgc":
-        # Top-k selection on the velocity + two accumulator update passes.
-        k = max(1, int(round(total_elems * topk_ratio)))
-        compress = (
-            gpu_cost.topk_compress_time(total_bytes, sim)
-            + sim.memory_pass_time(4.0 * total_bytes)
-        )
-        payload = 2.0 * k * FP32
-        decompress = gpu_cost.topk_decompress_time(k, cluster.world_size, sim)
-    else:  # topk
+    else:  # topk / dgc
         k = max(1, int(round(total_elems * topk_ratio)))
         compress = gpu_cost.topk_compress_time(total_bytes, sim)
+        if method == "dgc":
+            # Selection runs on the velocity: two accumulator update passes.
+            compress += sim.memory_pass_time(4.0 * total_bytes)
         payload = 2.0 * k * FP32  # values + indices
         decompress = gpu_cost.topk_decompress_time(k, cluster.world_size, sim)
-    tasks.append(Task("compress", GPU_MAIN, compress, (last_bp,), tag="compression"))
-    tasks.append(
-        Task("gather", NIC,
-             sim.allgather_penalty
-             * allgather_time(payload, cluster.world_size, cluster.link),
-             ("compress",), tag="comm")
+    gather = sim.allgather_penalty * allgather_time(
+        payload, cluster.world_size, cluster.link
     )
-    tasks.append(Task("decompress", GPU_MAIN, decompress, ("gather",), tag="compression"))
-    return tasks
+    return tasks + _chained([
+        ("compress", GPU_MAIN, compress, True),
+        ("gather", NIC, gather, True),
+        ("decompress", GPU_MAIN, decompress, True),
+    ], last_bp)
 
 
-def _randomk_tasks(
-    model: ModelSpec, batch_size: int, cluster: ClusterSpec,
-    system: SystemConfig, sim: SimConfig, ratio: float,
-) -> List[Task]:
+def _randomk_tasks(ctx: BuildContext, parity_p: bool) -> List[Task]:
     """Random-k with a shared selection seed (extension).
 
     Because all workers select identical coordinates, the sparse values are
@@ -347,397 +407,174 @@ def _randomk_tasks(
     tensor-fusion treatment: inline per-tensor gather on the main stream,
     fused ring all-reduce of the selected values, scatter on arrival.
     """
-    ff_bp_tasks, ready, last_bp = _compute_tasks(model, batch_size, sim)
-    tasks: List[Task] = [t for t in ff_bp_tasks if t.tag == "forward"]
-    bp_tasks = [t for t in ff_bp_tasks if t.tag == "backward"]
-
-    compress_of: Dict[int, str] = {}
-    by_bp: Dict[str, List[_ReadyTensor]] = {}
-    for item in ready:
-        by_bp.setdefault(item.bp_task, []).append(item)
-
-    def gather_task(item: _ReadyTensor, idx: int, dep: str) -> Task:
+    sim = ctx.sim
+    compute = _compute_tasks(ctx)
+    _, ready, _ = compute
+    return _hooked_tasks(
+        ctx, "rk", compute, ready,  # every tensor is hooked
         # EF add + masked gather: two streaming passes over the tensor.
-        work = sim.memory_pass_time(2.0 * item.nbytes)
-        return Task(f"rk_compress{idx}", GPU_MAIN, work, (dep,),
-                    tag="compression")
+        compress_work=lambda item: sim.memory_pass_time(2.0 * item.nbytes),
+        wire_bytes=lambda item: item.nbytes * ctx.topk_ratio,
+        post_name="scatter",
+        post_work=lambda items: sim.memory_pass_time(
+            float(sum(item.nbytes for item in items))
+        ),
+    )
 
-    comp_idx = 0
-    if system.wfbp:
-        for bp in bp_tasks:
-            tasks.append(bp)
-            for item in by_bp.get(bp.task_id, []):
-                task = gather_task(item, comp_idx, bp.task_id)
-                compress_of[id(item)] = task.task_id
-                tasks.append(task)
-                comp_idx += 1
-    else:
-        tasks.extend(bp_tasks)
-        for item in ready:
-            task = gather_task(item, comp_idx, last_bp)
-            compress_of[id(item)] = task.task_id
-            tasks.append(task)
-            comp_idx += 1
 
-    compressed_sizes = [item.nbytes * ratio for item in ready]
-    raw_bytes = float(sum(item.nbytes for item in ready))
-    if not system.tensor_fusion:
-        buffer = 0.0
-    elif system.scale_compressed_buffer:
-        buffer = scaled_buffer_size(
-            system.buffer_bytes, sum(compressed_sizes), raw_bytes
-        )
-    else:
-        buffer = system.buffer_bytes
-    for b_idx, (start, end) in enumerate(partition_buckets(compressed_sizes, buffer)):
-        bucket_bytes = float(sum(compressed_sizes[start:end]))
-        dep = compress_of[id(ready[end - 1])] if system.wfbp else \
-            compress_of[id(ready[-1])]
-        comm_id = f"rk_comm{b_idx}"
-        tasks.append(Task(comm_id, NIC,
-                          cluster.allreduce_cost(bucket_bytes),
-                          (dep,), tag="comm"))
-        raw_bucket = float(sum(ready[i].nbytes for i in range(start, end)))
-        tasks.append(Task(f"rk_scatter{b_idx}", GPU_MAIN,
-                          sim.memory_pass_time(raw_bucket), (comm_id,),
-                          tag="compression"))
-    return tasks
+def _powersgd_costs(ctx: BuildContext, matrices: Sequence[_ReadyTensor]):
+    """Kernel seconds ``(ef, project, ortho, reconstruct)`` and factor bytes
+    ``(P, Q)`` summed over a group of matrices."""
+    sim = ctx.sim
+    dims = [_lowrank_dims(item, ctx.rank) for item in matrices]
+    return (
+        sum(gpu_cost.error_feedback_time(n, m, sim) for n, m, _ in dims),
+        sum(gpu_cost.lowrank_project_time(n, m, r, sim) for n, m, r in dims),
+        sum(gpu_cost.orthogonalize_time(n, r, sim) for n, _, r in dims),
+        sum(gpu_cost.reconstruct_time(n, m, r, sim) for n, m, r in dims),
+        sum(n * r * FP32 for n, _, r in dims),
+        sum(m * r * FP32 for _, m, r in dims),
+    )
 
 
 def _powersgd_bucket_tasks(
-    bucket_idx: int,
-    matrices: Sequence[_ReadyTensor],
-    plain_bytes: float,
-    rank: int,
-    dep: str,
-    stream: str,
-    cluster: ClusterSpec,
-    sim: SimConfig,
-    ortho_contends: Optional[bool] = None,
+    ctx: BuildContext, bucket_idx: int, matrices: Sequence[_ReadyTensor],
+    plain_bytes: float, dep: str, stream: str, ortho_contends: bool,
 ) -> List[Task]:
-    """One Power-SGD bucket: compress P -> AR -> ortho+Q -> AR -> reconstruct.
+    """One Power-SGD bucket: compress P -> AR -> ortho -> Q -> AR -> reconstruct.
 
     ``plain_bytes`` (uncompressed tensors of the bucket) ride the P
     all-reduce, as in the PowerSGD DDP hook.
     """
-    ef = sum(
-        gpu_cost.error_feedback_time(*matrix_view_shape(m.tensor.shape), sim=sim)
-        for m in matrices
-    )
-    project_p = sum(
-        gpu_cost.lowrank_project_time(*_factor_rows(m.tensor, rank, True), sim=sim)
-        for m in matrices
-    )
-    p_bytes = sum(
-        _factor_rows(m.tensor, rank, True)[0]
-        * _factor_rows(m.tensor, rank, True)[2] * FP32
-        for m in matrices
-    )
-    q_bytes = sum(
-        _factor_rows(m.tensor, rank, True)[1]
-        * _factor_rows(m.tensor, rank, True)[2] * FP32
-        for m in matrices
-    )
-    ortho = sum(
-        gpu_cost.orthogonalize_time(
-            _factor_rows(m.tensor, rank, True)[0],
-            _factor_rows(m.tensor, rank, True)[2], sim)
-        for m in matrices
-    )
-    project_q = sum(
-        gpu_cost.lowrank_project_time(*_factor_rows(m.tensor, rank, True), sim=sim)
-        for m in matrices
-    )
-    reconstruct = sum(
-        gpu_cost.reconstruct_time(*_factor_rows(m.tensor, rank, True), sim=sim)
-        for m in matrices
-    )
+    ef, project, ortho, reconstruct, p_bytes, q_bytes = _powersgd_costs(ctx, matrices)
+    allreduce = ctx.cluster.allreduce_cost
     prefix = f"psgd{bucket_idx}"
     # QR is launch-latency bound and does not contend for SMs; the EF pass,
     # the projections and the reconstruction are FLOP-heavy and do.
-    tasks = [
-        Task(f"{prefix}_compress_p", stream, ef + project_p, (dep,),
-             tag="compression", contends=True),
-        Task(f"{prefix}_comm_p", NIC,
-             cluster.allreduce_cost(p_bytes + plain_bytes),
-             (f"{prefix}_compress_p",), tag="comm"),
-        Task(f"{prefix}_ortho", stream, ortho, (f"{prefix}_comm_p",),
-             tag="compression",
-             contends=sim.qr_contends if ortho_contends is None else ortho_contends),
-        Task(f"{prefix}_project_q", stream, project_q, (f"{prefix}_ortho",),
-             tag="compression", contends=True),
-        Task(f"{prefix}_comm_q", NIC,
-             cluster.allreduce_cost(q_bytes),
-             (f"{prefix}_project_q",), tag="comm"),
-        Task(f"{prefix}_reconstruct", stream, reconstruct,
-             (f"{prefix}_comm_q",), tag="compression", contends=True),
-    ]
-    return tasks
+    return _chained([
+        (f"{prefix}_compress_p", stream, ef + project, True),
+        (f"{prefix}_comm_p", NIC, allreduce(p_bytes + plain_bytes), True),
+        (f"{prefix}_ortho", stream, ortho, ortho_contends),
+        (f"{prefix}_project_q", stream, project, True),
+        (f"{prefix}_comm_q", NIC, allreduce(q_bytes), True),
+        (f"{prefix}_reconstruct", stream, reconstruct, True),
+    ], dep)
 
 
-def _powersgd_tasks(
-    model: ModelSpec, batch_size: int, cluster: ClusterSpec,
-    system: SystemConfig, sim: SimConfig, rank: int, hook: bool,
-) -> List[Task]:
-    """Power-SGD (``hook=False``: original post-BP; ``hook=True``: Power-SGD*)."""
-    tasks, ready, last_bp = _compute_tasks(model, batch_size, sim)
-    overlap = system.wfbp and hook
-    stream = GPU_SIDE if overlap else GPU_MAIN
-
-    if not hook:
-        # Original Power-SGD: packed after BP, batched by matrix shape
-        # (Vogels' reference implementation batches same-shape matrices into
-        # one batched GEMM/QR and one collective per shape group per factor).
-        matrices, plain = _lowrank_split(ready, rank)
-        plain_bytes = float(sum(item.nbytes for item in plain))
-        if not system.tensor_fusion:
-            # Naive variant: per-tensor collectives — same payload split into
-            # one all-reduce per matrix, charging the startup cost each time.
-            tasks.extend(
-                _powersgd_naive_comm(
-                    matrices, plain, rank, last_bp, stream, cluster, sim
-                )
+def _powersgd_tasks(ctx: BuildContext, parity_p: bool) -> List[Task]:
+    """Original Power-SGD: packed after BP on the main stream, batched by
+    matrix shape (Vogels' reference implementation batches same-shape
+    matrices into one batched GEMM/QR and one collective per shape group
+    per factor)."""
+    tasks, ready, last_bp = _compute_tasks(ctx)
+    matrices, plain = _lowrank_split(ready, ctx.rank)
+    if not ctx.system.tensor_fusion:
+        # Naive variant: per-tensor collectives — same payload split into
+        # one P and one Q all-reduce per matrix (and one per plain tensor),
+        # charging the startup cost each time.
+        allreduce = ctx.cluster.allreduce_cost
+        for idx, item in enumerate(matrices):
+            ef, project, ortho, reconstruct, p_bytes, q_bytes = _powersgd_costs(
+                ctx, [item]
             )
-            return tasks
-        groups: Dict[Tuple[int, int], List[_ReadyTensor]] = {}
-        for item in matrices:
-            groups.setdefault(matrix_view_shape(item.tensor.shape), []).append(item)
-        for g_idx, group in enumerate(groups.values()):
-            tasks.extend(
-                _powersgd_bucket_tasks(
-                    g_idx, group, plain_bytes if g_idx == 0 else 0.0, rank,
-                    last_bp, stream, cluster, sim,
-                )
-            )
+            tasks.extend(_chained([
+                (f"psgdn_compress_p{idx}", GPU_MAIN, ef + project, True),
+                (f"psgdn_comm_p{idx}", NIC, allreduce(p_bytes), True),
+                (f"psgdn_ortho_q{idx}", GPU_MAIN, ortho + project, True),
+                (f"psgdn_comm_q{idx}", NIC, allreduce(q_bytes), True),
+                (f"psgdn_reconstruct{idx}", GPU_MAIN, reconstruct, True),
+            ], last_bp))
+        tasks.extend(
+            Task(f"psgdn_plain_comm{idx}", NIC, allreduce(item.nbytes),
+                 (last_bp,), tag="comm")
+            for idx, item in enumerate(plain)
+        )
         return tasks
-
-    # DDP-hook Power-SGD*: buckets of raw gradient bytes in readiness order.
-    # The hook's stages queue on the side stream in completion order — a
-    # bucket's orthogonalize/Q callback runs when its P all-reduce future
-    # resolves, typically before the next bucket's gradients are ready — so
-    # per-bucket interleaved FIFO order models the real pipeline.
-    sizes = [item.nbytes for item in ready]
-    buckets = partition_buckets(sizes, system.effective_buffer)
-    # Fine-grained (per-tensor, no TF) hooks launch a storm of tiny kernels
-    # that stalls the main stream: their orthogonalizations contend too.
-    ortho_contends = True if not system.tensor_fusion else None
-    for b_idx, (start, end) in enumerate(buckets):
-        bucket_items = ready[start:end]
-        matrices, plain = _lowrank_split(bucket_items, rank)
-        plain_bytes = float(sum(item.nbytes for item in plain))
-        dep = bucket_items[-1].bp_task if system.wfbp else last_bp
+    plain_bytes = float(sum(item.nbytes for item in plain))
+    groups: Dict[Tuple[int, int], List[_ReadyTensor]] = {}
+    for item in matrices:
+        groups.setdefault(matrix_view_shape(item.tensor.shape), []).append(item)
+    for g_idx, group in enumerate(groups.values()):
         tasks.extend(
             _powersgd_bucket_tasks(
-                b_idx, matrices, plain_bytes, rank, dep, stream, cluster, sim,
-                ortho_contends=ortho_contends,
+                ctx, g_idx, group, plain_bytes if g_idx == 0 else 0.0,
+                last_bp, GPU_MAIN, ctx.sim.qr_contends,
             )
         )
     return tasks
 
 
-def _powersgd_naive_comm(
-    matrices: Sequence[_ReadyTensor],
-    plain: Sequence[_ReadyTensor],
-    rank: int,
-    last_bp: str,
-    stream: str,
-    cluster: ClusterSpec,
-    sim: SimConfig,
-) -> List[Task]:
-    """Power-SGD without TF: per-matrix P/Q all-reduces (startup-bound)."""
-    tasks: List[Task] = []
-    compress_ids: List[str] = []
-    for idx, item in enumerate(matrices):
-        n, m, r = _factor_rows(item.tensor, rank, True)
-        cid = f"psgdn_compress_p{idx}"
-        tasks.append(
-            Task(cid, stream,
-                 gpu_cost.error_feedback_time(n, m, sim)
-                 + gpu_cost.lowrank_project_time(n, m, r, sim),
-                 (last_bp,), tag="compression")
-        )
-        tasks.append(
-            Task(f"psgdn_comm_p{idx}", NIC,
-                 cluster.allreduce_cost(n * r * FP32),
-                 (cid,), tag="comm")
-        )
-        oid = f"psgdn_ortho_q{idx}"
-        tasks.append(
-            Task(oid, stream,
-                 gpu_cost.orthogonalize_time(n, r, sim)
-                 + gpu_cost.lowrank_project_time(n, m, r, sim),
-                 (f"psgdn_comm_p{idx}",), tag="compression")
-        )
-        tasks.append(
-            Task(f"psgdn_comm_q{idx}", NIC,
-                 cluster.allreduce_cost(m * r * FP32),
-                 (oid,), tag="comm")
-        )
-        tasks.append(
-            Task(f"psgdn_reconstruct{idx}", stream,
-                 gpu_cost.reconstruct_time(n, m, r, sim),
-                 (f"psgdn_comm_q{idx}",), tag="compression")
-        )
-    for idx, item in enumerate(plain):
-        tasks.append(
-            Task(f"psgdn_plain_comm{idx}", NIC,
-                 cluster.allreduce_cost(item.nbytes),
-                 (last_bp,), tag="comm")
+def _powersgd_star_tasks(ctx: BuildContext, parity_p: bool) -> List[Task]:
+    """Power-SGD* (DDP hook): buckets of raw gradient bytes in readiness order.
+
+    The hook's stages queue on the side stream in completion order — a
+    bucket's orthogonalize/Q callback runs when its P all-reduce future
+    resolves, typically before the next bucket's gradients are ready — so
+    per-bucket interleaved FIFO order models the real pipeline.
+    """
+    system = ctx.system
+    tasks, ready, last_bp = _compute_tasks(ctx)
+    stream = GPU_SIDE if system.wfbp else GPU_MAIN
+    sizes = [item.nbytes for item in ready]
+    # Fine-grained (per-tensor, no TF) hooks launch a storm of tiny kernels
+    # that stalls the main stream: their orthogonalizations contend too.
+    ortho_contends = ctx.sim.qr_contends if system.tensor_fusion else True
+    buckets = partition_buckets(sizes, system.effective_buffer)
+    for b_idx, (start, end) in enumerate(buckets):
+        matrices, plain = _lowrank_split(ready[start:end], ctx.rank)
+        plain_bytes = float(sum(item.nbytes for item in plain))
+        dep = ready[end - 1].bp_task if system.wfbp else last_bp
+        tasks.extend(
+            _powersgd_bucket_tasks(
+                ctx, b_idx, matrices, plain_bytes, dep, stream, ortho_contends
+            )
         )
     return tasks
 
 
-def _acpsgd_tasks(
-    model: ModelSpec, batch_size: int, cluster: ClusterSpec,
-    system: SystemConfig, sim: SimConfig, rank: int, parity_p: bool,
-) -> List[Task]:
+def _acpsgd_tasks(ctx: BuildContext, parity_p: bool) -> List[Task]:
     """ACP-SGD: inline hook compression, one all-reduce per fused bucket."""
-    ff_bp_tasks, ready, last_bp = _compute_tasks(model, batch_size, sim)
+    sim, rank = ctx.sim, ctx.rank
+    compute = _compute_tasks(ctx)
+    _, ready, last_bp = compute
     matrices, plain = _lowrank_split(ready, rank)
-    matrix_set = {id(item) for item in matrices}
 
-    # --- Inline compression tasks, interleaved with BP in FIFO order. ---
-    # Rebuild the main-stream queue: after each BP task, the compression
-    # tasks of the tensors that BP task produced (WFBP). Without WFBP all
-    # compression queues after the full BP.
-    tasks: List[Task] = [t for t in ff_bp_tasks if t.tag == "forward"]
-    bp_tasks = [t for t in ff_bp_tasks if t.tag == "backward"]
-    compress_of: Dict[int, str] = {}  # id(_ReadyTensor) -> compress task id
-    by_bp: Dict[str, List[_ReadyTensor]] = {}
-    for item in matrices:
-        by_bp.setdefault(item.bp_task, []).append(item)
-
-    def compression_task(item: _ReadyTensor, idx: int, dep: str) -> Task:
-        n, m = matrix_view_shape(item.tensor.shape)
-        r = min(rank, n, m)
+    def compress_work(item: _ReadyTensor) -> float:
+        n, m, r = _lowrank_dims(item, rank)
         carried_rows = m if parity_p else n
-        work = (
+        return (
             gpu_cost.error_feedback_time(n, m, sim)
             + gpu_cost.orthogonalize_time(carried_rows, r, sim)
             + gpu_cost.lowrank_project_time(n, m, r, sim)
         )
-        return Task(f"acp_compress{idx}", GPU_MAIN, work, (dep,), tag="compression")
 
-    comp_idx = 0
-    if system.wfbp:
-        for bp in bp_tasks:
-            tasks.append(bp)
-            for item in by_bp.get(bp.task_id, []):
-                task = compression_task(item, comp_idx, bp.task_id)
-                compress_of[id(item)] = task.task_id
-                tasks.append(task)
-                comp_idx += 1
-    else:
-        tasks.extend(bp_tasks)
-        for item in matrices:
-            task = compression_task(item, comp_idx, last_bp)
-            compress_of[id(item)] = task.task_id
-            tasks.append(task)
-            comp_idx += 1
-
-    # --- Fused all-reduce of the compressed factors. ---
     def factor_bytes(item: _ReadyTensor) -> float:
-        n, m = matrix_view_shape(item.tensor.shape)
-        r = min(rank, n, m)
-        rows = n if parity_p else m
-        return float(rows * r * FP32)
+        n, m, r = _lowrank_dims(item, rank)
+        return float((n if parity_p else m) * r * FP32)
 
-    factor_sizes = [factor_bytes(item) for item in matrices]
-    raw_bytes = float(sum(item.nbytes for item in ready))
-    if not system.tensor_fusion:
-        comp_buffer = 0.0
-    elif system.scale_compressed_buffer:
-        comp_buffer = scaled_buffer_size(
-            system.buffer_bytes, sum(factor_sizes), raw_bytes
-        )
-    else:
-        comp_buffer = system.buffer_bytes
-    comm_ids: List[str] = []
-    buckets = partition_buckets(factor_sizes, comp_buffer)
-    for b_idx, (start, end) in enumerate(buckets):
-        bucket_bytes = float(sum(factor_sizes[start:end]))
-        last_item = matrices[end - 1]
-        dep = compress_of[id(last_item)] if system.wfbp else compress_of[id(matrices[-1])]
-        # Without WFBP the bucket still waits for all compression (which is
-        # itself queued after BP); with WFBP it waits only for its last
-        # member's compression.
-        comm_id = f"acp_comm{b_idx}"
-        tasks.append(Task(comm_id, NIC,
-                          cluster.allreduce_cost(bucket_bytes),
-                          (dep,), tag="comm"))
-        comm_ids.append(comm_id)
+    tasks = _hooked_tasks(
+        ctx, "acp", compute, matrices, compress_work, factor_bytes,
         # Reconstruction (P Q^T) per bucket once its factor is aggregated.
-        reconstruct = sum(
-            gpu_cost.reconstruct_time(
-                *matrix_view_shape(matrices[i].tensor.shape),
-                min(rank, *matrix_view_shape(matrices[i].tensor.shape)), sim)
-            for i in range(start, end)
-        )
-        tasks.append(Task(f"acp_reconstruct{b_idx}", GPU_MAIN, reconstruct,
-                          (comm_id,), tag="compression"))
-
-    # --- Plain (vector) tensors: fused uncompressed all-reduce. ---
-    plain_sizes = [float(item.nbytes) for item in plain]
-    if plain:
-        plain_tasks, _ = _bucket_comm_tasks(
-            plain, plain_sizes, system.effective_buffer, cluster, sim,
-            system.wfbp, last_bp, "acp_plain",
-        )
-        tasks.extend(plain_tasks)
-    return tasks
-
-
-# ---------------------------------------------------------------------------
-# Registered graph builders: each method's hand-built timeline, expressed
-# as a ``BuildContext -> TaskGraph`` constructor over the repro.sched core.
-# ---------------------------------------------------------------------------
-
-
-@register_graph_builder("ssgd")
-def _ssgd_graph(ctx: BuildContext) -> TaskGraph:
-    return TaskGraph(
-        _ssgd_tasks(ctx.model, ctx.batch_size, ctx.cluster, ctx.system, ctx.sim)
+        post_name="reconstruct",
+        post_work=lambda items: sum(
+            gpu_cost.reconstruct_time(*_lowrank_dims(item, rank), sim)
+            for item in items
+        ),
     )
+    # Plain (vector) tensors: fused uncompressed all-reduce.
+    return tasks + _bucket_comm_tasks(ctx, plain, last_bp, "acp_plain")
 
 
-@register_graph_builder("signsgd", "topk", "terngrad", "qsgd", "dgc")
-def _allgather_graph(ctx: BuildContext) -> TaskGraph:
-    return TaskGraph(
-        _allgather_method_tasks(
-            ctx.model, ctx.batch_size, ctx.cluster, ctx.system, ctx.sim,
-            ctx.method, ctx.topk_ratio,
-        )
-    )
-
-
-@register_graph_builder("randomk")
-def _randomk_graph(ctx: BuildContext) -> TaskGraph:
-    return TaskGraph(
-        _randomk_tasks(
-            ctx.model, ctx.batch_size, ctx.cluster, ctx.system, ctx.sim,
-            ctx.topk_ratio,
-        )
-    )
-
-
-@register_graph_builder("powersgd", "powersgd_star")
-def _powersgd_graph(ctx: BuildContext) -> TaskGraph:
-    return TaskGraph(
-        _powersgd_tasks(
-            ctx.model, ctx.batch_size, ctx.cluster, ctx.system, ctx.sim,
-            ctx.rank, hook=(ctx.method == "powersgd_star"),
-        )
-    )
-
-
-@register_graph_builder("acpsgd")
-def _acpsgd_graph(ctx: BuildContext) -> TaskGraph:
-    return TaskGraph(
-        _acpsgd_tasks(
-            ctx.model, ctx.batch_size, ctx.cluster, ctx.system, ctx.sim,
-            ctx.rank, ctx.acp_parity_p,
-        )
-    )
+_BUILDERS: Dict[str, Callable[[BuildContext, bool], List[Task]]] = {
+    "ssgd": _ssgd_tasks,
+    "powersgd": _powersgd_tasks,
+    "powersgd_star": _powersgd_star_tasks,
+    "acpsgd": _acpsgd_tasks,
+    "randomk": _randomk_tasks,
+    **dict.fromkeys(
+        ("signsgd", "topk", "terngrad", "qsgd", "dgc"), _allgather_method_tasks
+    ),
+}
 
 
 def build_iteration_graph(
@@ -753,46 +590,13 @@ def build_iteration_graph(
 ) -> TaskGraph:
     """Build (without running) one iteration's task graph for a method.
 
-    Dispatches to the builder registered for ``method`` (see
-    :func:`register_graph_builder`). For ACP-SGD, ``acp_parity_p`` picks
+    Dispatches to the method's builder through
+    :meth:`BuildContext.graph`. For ACP-SGD, ``acp_parity_p`` picks
     the P-step (odd) or Q-step (even) graph.
     """
-    cluster = cluster if cluster is not None else ClusterSpec()
-    system = system if system is not None else SystemConfig()
-    sim = sim if sim is not None else SimConfig()
-    batch = batch_size if batch_size is not None else model.default_batch_size
-    if batch < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch}")
-    builder = _GRAPH_BUILDERS.get(method)
-    if builder is None:
-        raise ValueError(f"unknown method {method!r}; available: {ALL_METHODS}")
-    return builder(
-        BuildContext(
-            method=method, model=model, batch_size=batch, cluster=cluster,
-            system=system, sim=sim, rank=rank, topk_ratio=topk_ratio,
-            acp_parity_p=acp_parity_p,
-        )
-    )
-
-
-def build_iteration_tasks(
-    method: str,
-    model: ModelSpec,
-    cluster: Optional[ClusterSpec] = None,
-    system: Optional[SystemConfig] = None,
-    sim: Optional[SimConfig] = None,
-    batch_size: Optional[int] = None,
-    rank: int = 4,
-    topk_ratio: float = 0.001,
-    acp_parity_p: bool = True,
-) -> List[Task]:
-    """Task-list view of :func:`build_iteration_graph` (legacy API)."""
-    return list(
-        build_iteration_graph(
-            method, model, cluster, system, sim, batch_size, rank,
-            topk_ratio, acp_parity_p,
-        ).tasks
-    )
+    return BuildContext.resolve(
+        method, model, cluster, system, sim, batch_size, rank, topk_ratio
+    ).graph(acp_parity_p)
 
 
 def simulate_iteration_records(
@@ -811,12 +615,10 @@ def simulate_iteration_records(
     The records feed :func:`repro.sim.trace.to_chrome_trace` for timeline
     visualization. For ACP-SGD this runs a single parity (default: P-step).
     """
-    sim = sim if sim is not None else SimConfig()
-    tasks = build_iteration_tasks(
-        method, model, cluster, system, sim, batch_size, rank, topk_ratio,
-        acp_parity_p,
+    ctx = BuildContext.resolve(
+        method, model, cluster, system, sim, batch_size, rank, topk_ratio
     )
-    return Engine(contention_rate=sim.contention_rate).run(tasks)
+    return ctx.run(ctx.graph(acp_parity_p))
 
 
 def simulate_iteration(
@@ -852,40 +654,14 @@ def simulate_iteration(
     For ACP-SGD the result averages the P-step and Q-step parities (their
     factor sizes differ slightly).
     """
-    cluster = cluster if cluster is not None else ClusterSpec()
-    system = system if system is not None else SystemConfig()
-    sim = sim if sim is not None else SimConfig()
-    batch = batch_size if batch_size is not None else model.default_batch_size
-    if batch < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch}")
-
-    def maybe_perturb(tasks: List[Task], parity_idx: int) -> List[Task]:
-        if fault_model is None:
-            return tasks
-        import numpy as np
-
-        rng = np.random.default_rng((fault_seed, parity_idx))
-        return fault_model.perturb(tasks, cluster.world_size, rng)
-
-    engine = Engine(contention_rate=sim.contention_rate)
-    if method == "acpsgd":
-        first = breakdown_from_records(
-            engine.run(maybe_perturb(
-                _acpsgd_tasks(model, batch, cluster, system, sim, rank, True), 0
-            ))
-        )
-        second = breakdown_from_records(
-            engine.run(maybe_perturb(
-                _acpsgd_tasks(model, batch, cluster, system, sim, rank, False), 1
-            ))
-        )
-        return IterationBreakdown(
-            total=(first.total + second.total) / 2,
-            ffbp=(first.ffbp + second.ffbp) / 2,
-            compression=(first.compression + second.compression) / 2,
-            comm_nonoverlap=(first.comm_nonoverlap + second.comm_nonoverlap) / 2,
-        )
-    tasks = build_iteration_tasks(
-        method, model, cluster, system, sim, batch, rank, topk_ratio
+    ctx = BuildContext.resolve(
+        method, model, cluster, system, sim, batch_size, rank, topk_ratio
     )
-    return breakdown_from_records(engine.run(maybe_perturb(tasks, 0)))
+    breakdowns = []
+    for idx, parity_p in enumerate(ctx.parities):
+        graph = ctx.graph(parity_p)
+        if fault_model is not None:
+            rng = np.random.default_rng((fault_seed, idx))
+            graph = fault_model.perturb_graph(graph, ctx.cluster.world_size, rng)
+        breakdowns.append(breakdown_from_records(ctx.run(graph)))
+    return IterationBreakdown.mean(breakdowns)

@@ -16,16 +16,16 @@ averages out across hundreds of tasks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.models.spec import ModelSpec
+from repro.sched import TaskGraph
 from repro.sim.calibration import SimConfig
-from repro.sim.engine import Engine, Task
 from repro.sim.results import breakdown_from_records
-from repro.sim.strategies import ClusterSpec, SystemConfig, build_iteration_tasks
+from repro.sim.strategies import BuildContext, ClusterSpec, SystemConfig
 
 
 @dataclass(frozen=True)
@@ -55,17 +55,12 @@ class IterationDistribution:
         return f"{prefix}{self.mean_ms:.0f} +/- {self.std_ms:.0f} ms"
 
 
-def _jitter_tasks(
-    tasks: List[Task], rng: np.random.Generator, sigma: float
-) -> List[Task]:
+def _jitter_graph(
+    graph: TaskGraph, rng: np.random.Generator, sigma: float
+) -> TaskGraph:
     """Scale each task's work by an independent log-normal factor."""
-    factors = np.exp(rng.normal(0.0, sigma, size=len(tasks)))
-    return [
-        Task(t.task_id, t.stream, t.work * factor, t.deps,
-             tag=t.tag, contends=t.contends, priority=t.priority,
-             start_after=t.start_after)
-        for t, factor in zip(tasks, factors)
-    ]
+    factors = iter(np.exp(rng.normal(0.0, sigma, size=len(graph))))
+    return graph.map_tasks(lambda task: replace(task, work=task.work * next(factors)))
 
 
 def simulate_iteration_distribution(
@@ -90,16 +85,11 @@ def simulate_iteration_distribution(
         raise ValueError(f"need >= 2 iterations, got {iterations}")
     if jitter_sigma < 0:
         raise ValueError(f"jitter_sigma must be >= 0, got {jitter_sigma}")
-    sim = sim if sim is not None else SimConfig()
+    ctx = BuildContext.resolve(method, model, cluster, system, sim, batch_size, rank)
     rng = np.random.default_rng(seed)
-    engine = Engine(contention_rate=sim.contention_rate)
+    graphs = [ctx.graph(parity_p) for parity_p in ctx.parities]
     samples = []
     for idx in range(iterations):
-        tasks = build_iteration_tasks(
-            method, model, cluster, system, sim, batch_size, rank,
-            acp_parity_p=(idx % 2 == 0),
-        )
-        jittered = _jitter_tasks(tasks, rng, jitter_sigma)
-        records = engine.run(jittered)
-        samples.append(breakdown_from_records(records).total)
+        jittered = _jitter_graph(graphs[idx % len(graphs)], rng, jitter_sigma)
+        samples.append(breakdown_from_records(ctx.run(jittered)).total)
     return IterationDistribution(tuple(samples))

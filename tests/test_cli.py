@@ -1,10 +1,16 @@
 """Command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.cli import build_parser, main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 class TestSimulate:
@@ -30,13 +36,38 @@ class TestSimulate:
             doc = json.load(handle)
         assert doc["traceEvents"]
 
-    def test_unknown_model_errors(self):
-        with pytest.raises(KeyError):
-            main(["simulate", "--model", "AlexNet"])
+    def test_unknown_model_errors(self, capsys):
+        assert main(["simulate", "--model", "AlexNet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro simulate: error: unknown model 'AlexNet'")
 
     def test_unknown_method_rejected_by_parser(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["simulate", "--method", "magic"])
+
+
+class TestErrorsAreMessages:
+    """Bad argument values end in one ``error:`` line and exit status 2."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["simulate", "--model", "Nope"],
+         "repro simulate: error: unknown model 'Nope'"),
+        (["faults", "--model", "ResNet-50", "--methods", "acpsgd",
+          "--gpus", "8", "--iterations", "2", "--drop-rate", "1.0"],
+         "repro faults: error: drop_rate must be in [0, 1), got 1.0"),
+        (["simulate", "--method", "magic"],
+         "repro simulate: error: argument --method: invalid choice: 'magic'"),
+    ], ids=["unknown-model", "faults-drop-rate", "unknown-method"])
+    def test_no_traceback(self, argv, message):
+        result = subprocess.run(
+            [sys.executable, "-m", "repro", *argv],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert result.returncode == 2
+        assert message in result.stderr
+        assert "Traceback" not in result.stderr
+        assert result.stdout == ""
 
 
 class TestAutotune:

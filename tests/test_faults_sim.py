@@ -1,10 +1,13 @@
 """Simulator-side fault model: start_after gating, FaultModel, CLI."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.cli import main
 from repro.models import get_model_spec
+from repro.sched import TaskGraph
 from repro.sim.engine import Engine, Task
 from repro.sim.faults import (
     ChurnEvent,
@@ -14,7 +17,8 @@ from repro.sim.faults import (
     simulate_elastic_trace,
     simulate_fault_trace,
 )
-from repro.sim.strategies import ClusterSpec, build_iteration_tasks
+from repro.sim.strategies import ClusterSpec
+from repro.sim.variance import _jitter_graph
 
 pytestmark = pytest.mark.faults
 
@@ -76,7 +80,9 @@ class TestFaultModel:
     def test_no_faults_is_identity(self):
         tasks = [Task("c", "gpu_main", 1.0, tag="forward"),
                  Task("n", "nic", 2.0, tag="comm")]
-        out = FaultModel().perturb(tasks, 8, np.random.default_rng(0))
+        out = FaultModel().perturb_graph(
+            TaskGraph(tasks), 8, np.random.default_rng(0)
+        ).tasks
         assert [t.work for t in out] == [1.0, 2.0]
         assert all(t.start_after == 0.0 for t in out)
 
@@ -86,19 +92,20 @@ class TestFaultModel:
                  Task("cmp", "gpu_main", 0.5, tag="compression"),
                  Task("net", "nic", 3.0, tag="comm")]
         model = FaultModel(straggler_prob=1.0, straggler_sigma=3.0)
-        out = {t.task_id: t for t in
-               model.perturb(tasks, 4, np.random.default_rng(1))}
-        slowdown = out["fwd"].work / 1.0
+        out = model.perturb_graph(TaskGraph(tasks), 4, np.random.default_rng(1))
+        slowdown = out.get("fwd").work / 1.0
         assert slowdown > 1.0
         # One slowdown for the whole iteration: the slowest rank gates all.
-        assert out["bwd"].work == pytest.approx(2.0 * slowdown)
-        assert out["cmp"].work == pytest.approx(0.5 * slowdown)
-        assert out["net"].work == pytest.approx(3.0)
+        assert out.get("bwd").work == pytest.approx(2.0 * slowdown)
+        assert out.get("cmp").work == pytest.approx(0.5 * slowdown)
+        assert out.get("net").work == pytest.approx(3.0)
 
     def test_drops_inflate_comm_work(self):
         tasks = [Task("net", "nic", 1.0, tag="comm")]
         model = FaultModel(drop_rate=0.9, retry_timeout_s=0.25)
-        out = model.perturb(tasks, 4, np.random.default_rng(0))[0]
+        out = model.perturb_graph(
+            TaskGraph(tasks), 4, np.random.default_rng(0)
+        ).tasks[0]
         # Each retransmission costs a full resend plus the timeout.
         retries = round((out.work - 1.0) / (1.0 + 0.25))
         assert 1 <= retries <= 10
@@ -108,17 +115,63 @@ class TestFaultModel:
         tasks = [Task("net", "nic", 1.0, tag="comm"),
                  Task("fwd", "gpu_main", 1.0, tag="forward")]
         model = FaultModel(rank_down_s=0.5)
-        out = {t.task_id: t for t in
-               model.perturb(tasks, 4, np.random.default_rng(0))}
-        assert out["net"].start_after == pytest.approx(0.5)
-        assert out["fwd"].start_after == 0.0  # compute proceeds locally
+        out = model.perturb_graph(TaskGraph(tasks), 4, np.random.default_rng(0))
+        assert out.get("net").start_after == pytest.approx(0.5)
+        assert out.get("fwd").start_after == 0.0  # compute proceeds locally
 
     def test_perturb_is_deterministic(self):
         tasks = [Task(f"t{i}", "nic", 1.0, tag="comm") for i in range(20)]
         model = FaultModel(straggler_prob=0.3, drop_rate=0.3)
-        a = model.perturb(tasks, 8, np.random.default_rng(7))
-        b = model.perturb(tasks, 8, np.random.default_rng(7))
+        graph = TaskGraph(tasks)
+        a = model.perturb_graph(graph, 8, np.random.default_rng(7))
+        b = model.perturb_graph(graph, 8, np.random.default_rng(7))
         assert [t.work for t in a] == [t.work for t in b]
+
+
+@dataclasses.dataclass
+class _NotedTask(Task):
+    """A ``Task`` with a field no perturbation was written to know about."""
+
+    note: str = ""
+
+
+#: name -> (graph perturbation, the fields it is allowed to change).
+_PERTURBATIONS = {
+    "fault": (
+        lambda graph: FaultModel(
+            straggler_prob=1.0, drop_rate=0.5, rank_down_s=0.5,
+            worker_crash_prob=1.0,
+        ).perturb_graph(graph, 4, np.random.default_rng(0)),
+        {"work", "start_after"},
+    ),
+    "jitter": (
+        lambda graph: _jitter_graph(graph, np.random.default_rng(0), 0.1),
+        {"work"},
+    ),
+}
+
+
+class TestPerturbationsOwnOnlyTheirFields:
+    """A perturbed replay must carry every other ``Task`` field through —
+    including fields added to ``Task`` after the perturbation was written."""
+
+    @pytest.mark.parametrize(
+        "field", [field.name for field in dataclasses.fields(_NotedTask)])
+    @pytest.mark.parametrize("name", sorted(_PERTURBATIONS))
+    def test_field_survives_or_is_owned(self, name, field):
+        perturb, owned = _PERTURBATIONS[name]
+        tasks = [
+            _NotedTask("c", "gpu_side", 1.0, tag="compression", contends=False,
+                       priority=3, start_after=0.25, note="keep"),
+            _NotedTask("n", "nic", 2.0, deps=("c",), tag="comm", contends=False,
+                       priority=7, start_after=0.125, note="me"),
+        ]
+        before = [getattr(task, field) for task in tasks]
+        after = [getattr(task, field) for task in perturb(TaskGraph(tasks))]
+        if field in owned:
+            assert after != before
+        else:
+            assert after == before
 
 
 class TestFaultTraces:

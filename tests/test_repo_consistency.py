@@ -1,5 +1,7 @@
 """Repository-coherence checks: docs, benches and drivers stay in sync."""
 
+import ast
+import builtins
 import re
 from pathlib import Path
 
@@ -116,3 +118,78 @@ class TestPublicApiImportable:
                         repro.nn, repro.optim, repro.sim, repro.train):
             for name in package.__all__:
                 assert hasattr(package, name), (package.__name__, name)
+
+
+class TestQuotedAnnotationsResolve:
+    """pyflakes' F821 for string annotations, checked without ``ruff``."""
+
+    def test_quoted_annotations_name_module_level_bindings(self):
+        unresolved = []
+        for top in ("src", "scripts", "examples"):
+            for path in sorted((ROOT / top).rglob("*.py")):
+                tree = ast.parse(path.read_text(), filename=str(path))
+                known = _module_level_names(tree)
+                for annotation in _annotations(tree):
+                    for name in _quoted_names(annotation):
+                        if name not in known:
+                            unresolved.append(
+                                f"{path.relative_to(ROOT)}:{annotation.lineno} {name}"
+                            )
+        assert not unresolved, unresolved
+
+
+def _module_level_names(tree):
+    """Builtins plus every name the module body binds (``if`` / ``try``
+    blocks such as ``if TYPE_CHECKING:`` included)."""
+    names = set(dir(builtins))
+    pending = list(tree.body)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(
+                (alias.asname or alias.name).split(".")[0] for alias in node.names
+            )
+        elif isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                names.update(
+                    n.id for n in ast.walk(target) if isinstance(n, ast.Name)
+                )
+        elif isinstance(node, (ast.If, ast.Try, ast.ExceptHandler)):
+            for block in ("body", "orelse", "handlers", "finalbody"):
+                pending.extend(getattr(node, block, []))
+    return names
+
+
+def _annotations(tree):
+    """Every argument, return and variable annotation expression."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            spec = node.args
+            for arg in (*spec.posonlyargs, *spec.args, *spec.kwonlyargs,
+                        spec.vararg, spec.kwarg):
+                if arg is not None and arg.annotation is not None:
+                    yield arg.annotation
+            if node.returns is not None:
+                yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def _quoted_names(node, quoted=False):
+    """Names referenced inside the string constants of an annotation
+    (``Literal[...]`` members are values, not references)."""
+    if isinstance(node, ast.Subscript) and (
+        getattr(node.value, "id", getattr(node.value, "attr", None)) == "Literal"
+    ):
+        return
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        yield from _quoted_names(ast.parse(node.value, mode="eval").body, True)
+    elif isinstance(node, ast.Name):
+        if quoted:
+            yield node.id
+    else:
+        for child in ast.iter_child_nodes(node):
+            yield from _quoted_names(child, quoted)

@@ -1,15 +1,32 @@
 """Method task-graph strategies: structure and qualitative behaviour."""
 
+import dataclasses
+
 import pytest
 
 from repro.models import get_model_spec
+from repro.sim.autotune import autotune_buffer_size
 from repro.sim.calibration import SimConfig
+from repro.sim.engine import Engine
+from repro.sim.faults import (
+    ChurnEvent,
+    FaultModel,
+    simulate_elastic_trace,
+    simulate_fault_trace,
+)
+from repro.sim.pipeline import build_steady_state_graph, simulate_steady_state
+from repro.sim.results import IterationBreakdown, breakdown_from_records
 from repro.sim.strategies import (
+    ALL_METHODS,
+    BuildContext,
     ClusterSpec,
     METHODS,
     SystemConfig,
+    build_iteration_graph,
     simulate_iteration,
+    simulate_iteration_records,
 )
+from repro.sim.variance import simulate_iteration_distribution
 
 
 @pytest.fixture(scope="module")
@@ -129,3 +146,94 @@ class TestMethodStructure:
         fast = simulate_iteration("ssgd", resnet18, sim=SimConfig())
         slow = simulate_iteration("ssgd", resnet18, sim=SimConfig(gpu=slow_gpu))
         assert slow.ffbp > 2 * fast.ffbp
+
+
+#: Every public way into the simulator, called as ``(method, model, **kwargs)``.
+ENTRY_POINTS = {
+    "simulate_iteration": simulate_iteration,
+    "simulate_iteration_records": simulate_iteration_records,
+    "build_iteration_graph": build_iteration_graph,
+    "build_steady_state_graph": build_steady_state_graph,
+    "simulate_steady_state": simulate_steady_state,
+    "simulate_iteration_distribution": simulate_iteration_distribution,
+    "simulate_fault_trace": lambda method, model, **kwargs: simulate_fault_trace(
+        method, model, FaultModel(), iterations=2, **kwargs),
+    "simulate_elastic_trace": lambda method, model, **kwargs: simulate_elastic_trace(
+        method, model, [], 2, **kwargs),
+    "autotune_buffer_size": autotune_buffer_size,
+}
+
+#: ``simulate_elastic_trace`` phase times (8 -> 4 -> 16 workers, ResNet-18,
+#: rank 4) as printed by the code before the entry points were unified.
+ELASTIC_PHASE_HEX = {
+    "ssgd": ("0x1.008d99a0544e6p-2", "0x1.f5a21d78a9d2ap-3", "0x1.0394c40debbc5p-2"),
+    "topk": ("0x1.10f3800388aadp-2", "0x1.0ffc05fab46e6p-2", "0x1.12e274153123cp-2"),
+    "powersgd": ("0x1.c7e4ba94bb7adp-3", "0x1.c27f01ade5750p-3",
+                 "0x1.d242863499a34p-3"),
+    "acpsgd": ("0x1.bd3d236ae703ep-3", "0x1.bcbf7b8b0725cp-3",
+               "0x1.be21a1f452668p-3"),
+}
+
+
+class TestOnePath:
+    """resolve -> graph -> ``Engine.run`` -> breakdown behind every entry point."""
+
+    @pytest.mark.parametrize("method", ALL_METHODS)
+    def test_records_are_engine_run_of_the_public_graph(self, method, resnet18):
+        kwargs = dict(cluster=ClusterSpec(8), batch_size=32, rank=4)
+        ctx = BuildContext.resolve(method, resnet18, **kwargs)
+        assert ctx.parities == ((True, False) if method == "acpsgd" else (True,))
+        for parity_p in ctx.parities:
+            graph = build_iteration_graph(
+                method, resnet18, acp_parity_p=parity_p, **kwargs)
+            records = simulate_iteration_records(
+                method, resnet18, acp_parity_p=parity_p, **kwargs)
+            expected = Engine(ctx.sim.contention_rate).run(graph)
+            assert list(records) == [task.task_id for task in graph]
+            assert records == expected
+
+    @pytest.mark.parametrize("method", ALL_METHODS)
+    def test_breakdown_is_field_wise_mean_over_parities(self, method, resnet18):
+        kwargs = dict(cluster=ClusterSpec(8), batch_size=32, rank=4)
+        ctx = BuildContext.resolve(method, resnet18, **kwargs)
+        per_parity = [
+            breakdown_from_records(ctx.run(ctx.graph(parity_p)))
+            for parity_p in ctx.parities
+        ]
+        result = simulate_iteration(method, resnet18, **kwargs)
+        for field in dataclasses.fields(IterationBreakdown):
+            values = [getattr(bd, field.name) for bd in per_parity]
+            assert getattr(result, field.name) == sum(values) / len(values)
+
+    @pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+    def test_every_entry_point_validates_alike(self, name, resnet18):
+        entry = ENTRY_POINTS[name]
+        with pytest.raises(ValueError) as err:
+            entry("ssgd", resnet18, batch_size=0)
+        assert str(err.value) == "batch_size must be >= 1, got 0"
+        with pytest.raises(ValueError) as err:
+            entry("sgd2", resnet18)
+        assert str(err.value) == f"unknown method 'sgd2'; available: {ALL_METHODS}"
+
+    def test_defaults_are_resolved_once(self, resnet18):
+        ctx = BuildContext.resolve("ssgd", resnet18)
+        assert ctx.cluster == ClusterSpec() and ctx.system == SystemConfig()
+        assert ctx.sim == SimConfig()
+        assert ctx.batch_size == resnet18.default_batch_size
+
+    @pytest.mark.parametrize("method", sorted(ELASTIC_PHASE_HEX))
+    def test_elastic_trace_runs_one_graph_per_parity(
+            self, method, resnet18, monkeypatch):
+        sizes = []
+        run = Engine.run
+        monkeypatch.setattr(
+            Engine, "run",
+            lambda self, graph: sizes.append(len(graph)) or run(self, graph))
+        trace = simulate_elastic_trace(
+            method, resnet18, [ChurnEvent(3, 4), ChurnEvent(5, 16)],
+            iterations=6, cluster=ClusterSpec(8), rank=4,
+        )
+        assert len(sizes) == 3 * (2 if method == "acpsgd" else 1)
+        assert tuple(
+            phase.iteration_time_s.hex() for phase in trace.phases
+        ) == ELASTIC_PHASE_HEX[method]

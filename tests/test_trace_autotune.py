@@ -8,7 +8,7 @@ from repro.models import get_model_spec
 from repro.sim import (
     ClusterSpec,
     autotune_buffer_size,
-    build_iteration_tasks,
+    build_iteration_graph,
     simulate_iteration,
     simulate_iteration_records,
     to_chrome_trace,
@@ -24,16 +24,16 @@ def resnet18():
 
 class TestBuildTasks:
     def test_graph_structure_ssgd(self, resnet18):
-        tasks = build_iteration_tasks("ssgd", resnet18, batch_size=32)
+        tasks = build_iteration_graph("ssgd", resnet18, batch_size=32)
         streams = {t.stream for t in tasks}
         assert streams == {GPU_MAIN, NIC}
         tags = {t.tag for t in tasks}
         assert {"forward", "backward", "comm"} <= tags
 
     def test_acp_parities_differ(self, resnet18):
-        p_tasks = build_iteration_tasks("acpsgd", resnet18, rank=4,
+        p_tasks = build_iteration_graph("acpsgd", resnet18, rank=4,
                                         acp_parity_p=True)
-        q_tasks = build_iteration_tasks("acpsgd", resnet18, rank=4,
+        q_tasks = build_iteration_graph("acpsgd", resnet18, rank=4,
                                         acp_parity_p=False)
         p_comm = sum(t.work for t in p_tasks if t.tag == "comm")
         q_comm = sum(t.work for t in q_tasks if t.tag == "comm")
@@ -41,7 +41,7 @@ class TestBuildTasks:
 
     def test_unknown_method(self, resnet18):
         with pytest.raises(ValueError, match="unknown"):
-            build_iteration_tasks("magic", resnet18)
+            build_iteration_graph("magic", resnet18)
 
 
 class TestTrace:
