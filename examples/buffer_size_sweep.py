@@ -33,7 +33,7 @@ from repro.utils import format_bytes
 
 WORLD_SIZE = 4
 
-# None = the monolithic fallback path (one fused all-reduce, no WFBP).
+# None = the one-bucket end point of the same path (one fused all-reduce).
 BUFFER_SIZES = [None, 2 * 1024, 8 * 1024, 16 * 1024, 64 * 1024]
 
 
@@ -54,17 +54,13 @@ def run_sweep_point(buffer_bytes, steps):
         start = time.perf_counter()
         trainer.train_step()
         times.append(time.perf_counter() - start)
-        if trainer._reducer is not None:
-            bucket_samples.extend(
-                (elements * 8, seconds)
-                for _, elements, seconds in trainer._reducer.last_timings
-            )
-    num_buckets = (
-        trainer._reducer.num_buckets if trainer._reducer is not None else 1
-    )
+        bucket_samples.extend(
+            (elements * 8, seconds)
+            for _, elements, seconds in trainer.reducer.last_timings
+        )
     return {
         "mean_s": float(np.mean(times)),
-        "num_buckets": num_buckets,
+        "num_buckets": trainer.reducer.num_buckets,
         "bucket_samples": bucket_samples,
         "weights": model.state_vector(),
     }

@@ -19,10 +19,10 @@ Eight checks, all diffing final weights bit-exactly:
    allocation, re-sharding, ring re-chunk, shows up here);
 4. the same clean training job run monolithically (``buffer_bytes=None``,
    the one-bucket case of the staged protocol) and through the N-bucket
-   WFBP reducer pipeline must produce identical weights for every
-   bucket-capable method (any dependence of the segmented collectives /
-   staged compression on the bucket partition or on eager firing shows
-   up here);
+   WFBP reducer pipeline must produce identical weights for all nine
+   methods (any dependence of the segmented collectives / staged
+   compression on the bucket partition or on eager firing shows up
+   here);
 5. the same open-membership gossip run — adversarial peers (sign-flip +
    corrupt-payload) plus churn (departure, return, fresh join via store
    replay) — replayed twice must produce identical honest weights and the
@@ -30,8 +30,8 @@ Eight checks, all diffing final weights bit-exactly:
    peer scorer, or the donor-less admission replay shows up here);
 6. the same clean training job run sequentially and with process workers
    (``workers="process"``: child processes writing gradients into
-   shared-memory arena slabs) must produce identical weights for every
-   bucket-capable method — including a BatchNorm model and an elastic
+   shared-memory arena slabs) must produce identical weights for all
+   nine methods — including a BatchNorm model and an elastic
    eject -> rejoin -> scale-up churn replay (cross-process rng-stream,
    shard, weight-broadcast, or BatchNorm-replay drift shows up here);
 7. a supervised run whose worker child is SIGKILLed mid-step must
@@ -46,7 +46,7 @@ Eight checks, all diffing final weights bit-exactly:
 8. the same clean training job run over the flat ring and over the
    topology-aware hierarchical all-reduce
    (``DataParallelTrainer(..., topology=...)``) must produce identical
-   weights for every bucket-capable method, monolithic and bucketed, on
+   weights for all nine methods, monolithic and bucketed, on
    a degenerate single-node topology and a 2-node x 2-GPU one (any
    re-association of the reduction in the two-level schedule shows up
    here).
@@ -278,7 +278,11 @@ def main() -> int:
               f"(max |diff| = {diff:g})")
         failures += 1
 
-    bucketed_methods = ("ssgd", "signsgd", "topk", "powersgd", "acpsgd")
+    # Every name ``make_aggregator`` accepts: all of them stage.
+    bucketed_methods = (
+        "ssgd", "signsgd", "topk", "randomk", "qsgd", "terngrad",
+        "powersgd", "acpsgd", "dgc",
+    )
     mismatched = []
     sequential_monolithic = {}
     for method in bucketed_methods:
@@ -374,8 +378,8 @@ def main() -> int:
         failures += 1
 
     # Check 8: the topology-aware hierarchical all-reduce must be
-    # bit-identical to the flat ring — monolithic and bucketed — for every
-    # bucket-capable method, on a single 2-GPU node (degenerate hierarchy)
+    # bit-identical to the flat ring — monolithic and bucketed — for all
+    # nine methods, on a single 2-GPU node (degenerate hierarchy)
     # and on 2 nodes x 2 GPUs (real two-level schedule). The canonical-fold
     # contract of repro.comm.hierarchical is what this enforces.
     from repro.comm import ClusterTopology

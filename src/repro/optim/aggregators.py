@@ -8,6 +8,14 @@ tests compare these measurements to the analytical complexities.
 
 Aggregation semantics are gradient *averaging* across workers (the S-SGD
 convention the paper's convergence experiments use).
+
+Every method is *staged*: the three public calls ``begin_buckets`` /
+``reduce_bucket`` / ``finish_buckets`` live once, in
+:class:`GradientAggregator`, and a method supplies the ``_begin`` /
+``_reduce`` / ``_finish`` bodies behind them. Methods that compress the
+whole fused vector at once (Random-k, QSGD, TernGrad, DGC) leave
+``_reduce`` empty and do all their work in ``_finish`` over the staged
+slabs, so every method runs under any bucket partition of the arena.
 """
 
 from __future__ import annotations
@@ -151,24 +159,24 @@ class GradientAggregator:
     silently hand its residual to rank 1, and a rank that rejoins later is
     readmitted with fresh (warm-started) state via :meth:`admit_rank`.
 
-    Staged protocol: aggregators that set ``supports_bucketed`` implement
-    ``begin_buckets`` / ``reduce_bucket`` / ``finish_buckets`` and nothing
-    else — :meth:`aggregate` is the base-class loop over every bucket of
-    the gradients' layout, so monolithic aggregation is literally the
-    one-bucket case (``bucket_bytes=None``, the Fig. 8 end point "buffer >=
-    model"). The :class:`~repro.train.reducer.BucketedReducer` drives the
-    same three calls bucket by bucket as backward produces gradients.
+    Staged protocol: :meth:`begin_buckets` / :meth:`reduce_bucket` /
+    :meth:`finish_buckets` own the session bookkeeping (roster and layout
+    validation, the step counter, reduced-twice and unreduced-bucket
+    errors); a method implements :meth:`_begin`, :meth:`_reduce` and
+    :meth:`_finish` and nothing else. :meth:`aggregate` is the loop over
+    every bucket of the gradients' layout, so monolithic aggregation is
+    literally the one-bucket case (``bucket_bytes=None``, the Fig. 8 end
+    point "buffer >= model"). The
+    :class:`~repro.train.reducer.BucketedReducer` drives the same three
+    calls bucket by bucket as backward produces gradients.
     Results are bit-identical for any bucket partition and any bucket
     order: per-bucket collectives reuse the whole-slab chunk schedule (see
     :func:`repro.comm.collectives.all_reduce_inplace`) and
-    vector-global compressors (top-k selection, the sign scale) only act
-    once every bucket is staged.
+    vector-global compressors (top-k selection, the sign scale, the
+    whole-vector quantizers) only act once every bucket is staged.
     """
 
     method = "base"
-
-    #: Whether the staged bucket protocol below is implemented.
-    supports_bucketed = False
 
     def __init__(self, group: ProcessGroup):
         self.group = group
@@ -240,8 +248,7 @@ class GradientAggregator:
         gradients' layout (plain dicts are adopted into a one-bucket layout
         first, see :func:`_adopt`). ``order`` defaults to reverse layout
         order — the order backward would have produced the buckets — but
-        any permutation yields bit-identical results. Whole-vector methods
-        without a staged form override this.
+        any permutation yields bit-identical results.
         """
         self.begin_buckets(_adopt(per_worker_grads, len(self.roster)))
         if order is None:
@@ -262,25 +269,6 @@ class GradientAggregator:
         typically reverse layout order, as backward produces them — and
         collect the result with :meth:`finish_buckets`.
         """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support bucketed aggregation"
-        )
-
-    def reduce_bucket(self, index: int) -> None:
-        """Reduce (or stage) one bucket; gradients for it must be final."""
-        raise NotImplementedError
-
-    def finish_buckets(self) -> NamedGrads:
-        """Complete the step; every bucket must have been reduced.
-
-        Returned tensors are read-only views, valid until the next
-        aggregation begins (S-SGD's point into worker 0's reduced slab).
-        """
-        raise NotImplementedError
-
-    def _open_bucket_session(
-        self, per_worker_grads: List[NamedGrads]
-    ) -> _BucketSession:
         _check_worker_grads(per_worker_grads, len(self.roster))
         layout = getattr(per_worker_grads[0], "layout", None)
         if layout is None or any(
@@ -293,7 +281,31 @@ class GradientAggregator:
             )
         session = _BucketSession(per_worker_grads, layout)
         self._bucket_session = session
-        return session
+        self.step += 1
+        self._begin(session)
+
+    def reduce_bucket(self, index: int) -> None:
+        """Reduce (or stage) one bucket; gradients for it must be final."""
+        session = self._bucket_state()
+        if session.done[index]:
+            raise RuntimeError(f"bucket {index} reduced twice in one step")
+        session.done[index] = True
+        self._reduce(session, index)
+
+    def finish_buckets(self) -> NamedGrads:
+        """Complete the step; every bucket must have been reduced.
+
+        Returned tensors are read-only views, valid until the next
+        aggregation begins (S-SGD's point into worker 0's reduced slab).
+        """
+        session = self._bucket_state()
+        missing = [i for i, done in enumerate(session.done) if not done]
+        if missing:
+            raise RuntimeError(
+                f"finish_buckets called with unreduced buckets {missing}"
+            )
+        self._bucket_session = None
+        return self._finish(session)
 
     def _bucket_state(self) -> _BucketSession:
         session = self._bucket_session
@@ -303,18 +315,18 @@ class GradientAggregator:
             )
         return session
 
-    def _mark_bucket(self, session: _BucketSession, index: int) -> None:
-        if session.done[index]:
-            raise RuntimeError(f"bucket {index} reduced twice in one step")
-        session.done[index] = True
+    # What a method supplies. ``session.slabs`` hold the gradients; a
+    # method that compresses the whole vector at once leaves ``_begin`` and
+    # ``_reduce`` empty and works in ``_finish``, when every bucket is in.
+    def _begin(self, session: _BucketSession) -> None:
+        """Attach the method's per-step scratch to a freshly opened session."""
 
-    def _close_bucket_session(self, session: _BucketSession) -> None:
-        missing = [i for i, done in enumerate(session.done) if not done]
-        if missing:
-            raise RuntimeError(
-                f"finish_buckets called with unreduced buckets {missing}"
-            )
-        self._bucket_session = None
+    def _reduce(self, session: _BucketSession, index: int) -> None:
+        """Reduce or stage bucket ``index``, whose gradients are final."""
+
+    def _finish(self, session: _BucketSession) -> NamedGrads:
+        """The aggregated gradients, once every bucket has been reduced."""
+        raise NotImplementedError
 
     def _ef_vectors(self, session: _BucketSession) -> List[np.ndarray]:
         """Per-slot vectors a vector-global compressor selects / votes on.
@@ -399,11 +411,8 @@ class AllReduceAggregator(GradientAggregator):
     """
 
     method = "ssgd"
-    supports_bucketed = True
 
-    def begin_buckets(self, per_worker_grads: List[NamedGrads]) -> None:
-        session = self._open_bucket_session(per_worker_grads)
-        self.step += 1
+    def _begin(self, session: _BucketSession) -> None:
         # Two workers handing in the SAME slab cannot be summed where it
         # lives (the first write would corrupt the other operand): every
         # repeat gets a private copy.
@@ -413,9 +422,7 @@ class AllReduceAggregator(GradientAggregator):
                 ALLOC_STATS.bucket_copies += 1
                 slabs[slot] = slabs[slot].copy()
 
-    def reduce_bucket(self, index: int) -> None:
-        session = self._bucket_state()
-        self._mark_bucket(session, index)
+    def _reduce(self, session: _BucketSession, index: int) -> None:
         lo, hi = session.buckets[index]
         if hi == lo:
             return
@@ -428,9 +435,7 @@ class AllReduceAggregator(GradientAggregator):
             average=True,
         )
 
-    def finish_buckets(self) -> NamedGrads:
-        session = self._bucket_state()
-        self._close_bucket_session(session)
+    def _finish(self, session: _BucketSession) -> NamedGrads:
         return _unpack(session.slabs[0], session.template, session.names)
 
 
@@ -444,7 +449,6 @@ class SignSGDAggregator(GradientAggregator):
     """
 
     method = "signsgd"
-    supports_bucketed = True
 
     def __init__(
         self,
@@ -460,13 +464,11 @@ class SignSGDAggregator(GradientAggregator):
     def _make_state(self, rank: int) -> SignCompressor:
         return SignCompressor(self.use_error_feedback)
 
-    def begin_buckets(self, per_worker_grads: List[NamedGrads]) -> None:
-        session = self._open_bucket_session(per_worker_grads)
-        self.step += 1
+    def _begin(self, session: _BucketSession) -> None:
         session.vectors = self._ef_vectors(session)
         session.bits = [None] * len(session.buckets)
 
-    def reduce_bucket(self, index: int) -> None:
+    def _reduce(self, session: _BucketSession, index: int) -> None:
         """Stage the bucket's EF-corrected segment and ship its sign bits.
 
         Sign bits are *per-element* (``flat >= 0`` does not depend on the
@@ -476,8 +478,6 @@ class SignSGDAggregator(GradientAggregator):
         Only the scalar L1-mean scale is vector-global and waits for
         :meth:`finish_buckets`.
         """
-        session = self._bucket_state()
-        self._mark_bucket(session, index)
         lo, hi = session.buckets[index]
         ALLOC_STATS.bucket_reduces += 1
         self._accumulate_bucket(session, index)
@@ -486,9 +486,7 @@ class SignSGDAggregator(GradientAggregator):
         if hi > lo:
             self.group.all_gather(packed)
 
-    def finish_buckets(self) -> NamedGrads:
-        session = self._bucket_state()
-        self._close_bucket_session(session)
+    def _finish(self, session: _BucketSession) -> NamedGrads:
         num_slots = len(self.roster)
         # The scale is the L1 mean of the *whole* EF-corrected vector,
         # whatever the bucket partition.
@@ -537,7 +535,6 @@ class TopkSGDAggregator(GradientAggregator):
     """
 
     method = "topk"
-    supports_bucketed = True
 
     def __init__(
         self,
@@ -564,12 +561,10 @@ class TopkSGDAggregator(GradientAggregator):
             rng=np.random.default_rng(self.seed + rank),
         )
 
-    def begin_buckets(self, per_worker_grads: List[NamedGrads]) -> None:
-        session = self._open_bucket_session(per_worker_grads)
-        self.step += 1
+    def _begin(self, session: _BucketSession) -> None:
         session.vectors = self._ef_vectors(session)
 
-    def reduce_bucket(self, index: int) -> None:
+    def _reduce(self, session: _BucketSession, index: int) -> None:
         """Stage the bucket's EF-corrected segment (no communication yet).
 
         Top-k selection is *vector-global* — one ``k`` and one threshold
@@ -577,14 +572,10 @@ class TopkSGDAggregator(GradientAggregator):
         bucket is staged: exactly the §IV observation that top-k
         compression forfeits WFBP overlap.
         """
-        session = self._bucket_state()
-        self._mark_bucket(session, index)
         ALLOC_STATS.bucket_reduces += 1
         self._accumulate_bucket(session, index)
 
-    def finish_buckets(self) -> NamedGrads:
-        session = self._bucket_state()
-        self._close_bucket_session(session)
+    def _finish(self, session: _BucketSession) -> NamedGrads:
         # The buckets partition the slab in order: sorted indices split
         # into per-bucket wires at the bucket edges (one bucket: no sort).
         buckets = [(lo, hi) for lo, hi in session.buckets if hi > lo]
@@ -652,17 +643,14 @@ class RandomKAggregator(GradientAggregator):
             use_error_feedback=self.use_error_feedback,
         )
 
-    def aggregate(self, per_worker_grads: List[NamedGrads]) -> NamedGrads:
-        per_worker_grads = _adopt(per_worker_grads, len(self.roster))
-        self.step += 1
-        names = list(per_worker_grads[0])
+    def _finish(self, session: _BucketSession) -> NamedGrads:
         payloads = []
-        for rank, grads in zip(self.roster, per_worker_grads):
-            payloads.append(self._per_rank[rank].compress("fused", grads.slab, self.step))
+        for rank, slab in zip(self.roster, session.slabs):
+            payloads.append(self._per_rank[rank].compress("fused", slab, self.step))
         reduced = self.group.all_reduce([p.values for p in payloads], average=True)
         dense = np.zeros(payloads[0].num_elements)
         dense[payloads[0].indices] = reduced[0]
-        return _unpack(dense, per_worker_grads[0], names)
+        return _unpack(dense, session.template, session.names)
 
 
 class QSGDAggregator(GradientAggregator):
@@ -681,13 +669,10 @@ class QSGDAggregator(GradientAggregator):
             self.num_levels, rng=np.random.default_rng(self.seed + rank)
         )
 
-    def aggregate(self, per_worker_grads: List[NamedGrads]) -> NamedGrads:
-        per_worker_grads = _adopt(per_worker_grads, len(self.roster))
-        self.step += 1
-        names = list(per_worker_grads[0])
+    def _finish(self, session: _BucketSession) -> NamedGrads:
         payloads = []
-        for rank, grads in zip(self.roster, per_worker_grads):
-            payloads.append(self._per_rank[rank].compress(grads.slab))
+        for rank, slab in zip(self.roster, session.slabs):
+            payloads.append(self._per_rank[rank].compress(slab))
         # Wire format: uint8 levels (for s <= 255) + 1 packed sign bit per
         # element, so the measured traffic reflects QSGD's ~9 bits/element.
         wires = []
@@ -703,7 +688,7 @@ class QSGDAggregator(GradientAggregator):
         for payload in payloads:
             dense += QSGDCompressor.decompress(payload, (size,))
         dense /= len(payloads)
-        return _unpack(dense, per_worker_grads[0], names)
+        return _unpack(dense, session.template, session.names)
 
 
 class TernGradAggregator(GradientAggregator):
@@ -728,22 +713,19 @@ class TernGradAggregator(GradientAggregator):
             np.random.default_rng(self.seed + rank), self.clip_sigma
         )
 
-    def aggregate(self, per_worker_grads: List[NamedGrads]) -> NamedGrads:
+    def _finish(self, session: _BucketSession) -> NamedGrads:
         from repro.compression.terngrad import TernGradCompressor
 
-        per_worker_grads = _adopt(per_worker_grads, len(self.roster))
-        self.step += 1
-        names = list(per_worker_grads[0])
         payloads = []
-        for rank, grads in zip(self.roster, per_worker_grads):
-            payloads.append(self._per_rank[rank].compress(grads.slab))
+        for rank, slab in zip(self.roster, session.slabs):
+            payloads.append(self._per_rank[rank].compress(slab))
         self.group.all_gather([p.packed for p in payloads])
         size = payloads[0].num_elements
         dense = np.zeros(size)
         for payload in payloads:
             dense += TernGradCompressor.decompress(payload, (size,))
         dense /= len(payloads)
-        return _unpack(dense, per_worker_grads[0], names)
+        return _unpack(dense, session.template, session.names)
 
 
 class _LowRankPlan:
@@ -801,12 +783,36 @@ class _LowRankBase(GradientAggregator):
     all-reduce, exactly as in the paper's §IV-C.
     """
 
-    def __init__(self, group: ProcessGroup, rank: int):
+    #: The per-rank compressor state class (same constructor for both).
+    state_cls: type
+
+    def __init__(
+        self,
+        group: ProcessGroup,
+        rank: int = 4,
+        seed: int = 0,
+        use_error_feedback: bool = True,
+        reuse_query: bool = True,
+        validate: bool = False,
+    ):
         super().__init__(group)
         if rank < 1:
             raise ValueError(f"rank must be >= 1, got {rank}")
         self.rank = rank
         self._plan: Optional[_LowRankPlan] = None
+        self.seed = seed
+        self.use_error_feedback = use_error_feedback
+        self.reuse_query = reuse_query
+        self.validate = validate
+        self._init_states()
+
+    def _make_state(self, rank: int):
+        # Same seed everywhere: the initial query matrices (Power-SGD) /
+        # P0, Q0 factors (ACP-SGD) must agree across ranks.
+        return self.state_cls(
+            self.rank, self.seed, self.use_error_feedback,
+            self.reuse_query, self.validate,
+        )
 
     def _is_compressible(self, shape: Tuple[int, ...]) -> bool:
         if not should_compress(shape):
@@ -837,18 +843,13 @@ class _LowRankBase(GradientAggregator):
             )
         return plan
 
-    def _begin_lowrank_session(
-        self, per_worker_grads: List[NamedGrads]
-    ) -> _BucketSession:
-        """Open a session and stage the shared plain (uncompressed) pack."""
-        session = self._open_bucket_session(per_worker_grads)
-        self.step += 1
+    def _begin(self, session: _BucketSession) -> None:
+        """Stage the shared plain (uncompressed) pack."""
         session.plan = self._layout_plan(session.template)
         session.plain_scratch = self._staging_rows(
             "plain", len(self.roster), max(1, session.plan.plain_pack.total)
         )
         session.result = {}
-        return session
 
     def _reduce_plain_bucket(
         self, session: _BucketSession, plain_b: List[str]
@@ -887,9 +888,7 @@ class _LowRankBase(GradientAggregator):
         view.flags.writeable = False
         return view
 
-    def finish_buckets(self) -> NamedGrads:
-        session = self._bucket_state()
-        self._close_bucket_session(session)
+    def _finish(self, session: _BucketSession) -> NamedGrads:
         return {name: session.result[name] for name in session.template}
 
 
@@ -902,33 +901,10 @@ class PowerSGDAggregator(_LowRankBase):
     """
 
     method = "powersgd"
-    supports_bucketed = True
+    state_cls = PowerSGDState
 
-    def __init__(
-        self,
-        group: ProcessGroup,
-        rank: int = 4,
-        seed: int = 0,
-        use_error_feedback: bool = True,
-        reuse_query: bool = True,
-        validate: bool = False,
-    ):
-        super().__init__(group, rank)
-        self.seed = seed
-        self.use_error_feedback = use_error_feedback
-        self.reuse_query = reuse_query
-        self.validate = validate
-        self._init_states()
-
-    def _make_state(self, rank: int) -> PowerSGDState:
-        # Same seed everywhere: the initial query matrices must agree.
-        return PowerSGDState(
-            self.rank, self.seed, self.use_error_feedback,
-            self.reuse_query, self.validate,
-        )
-
-    def begin_buckets(self, per_worker_grads: List[NamedGrads]) -> None:
-        session = self._begin_lowrank_session(per_worker_grads)
+    def _begin(self, session: _BucketSession) -> None:
+        super()._begin(session)
         num_slots = len(self.roster)
         session.p_scratch = self._staging_rows(
             "powersgd_p", num_slots, max(1, session.plan.p_pack.total)
@@ -937,7 +913,7 @@ class PowerSGDAggregator(_LowRankBase):
             "powersgd_q", num_slots, max(1, session.plan.q_pack.total)
         )
 
-    def reduce_bucket(self, index: int) -> None:
+    def _reduce(self, session: _BucketSession, index: int) -> None:
         """Full Power-SGD round for one bucket as its gradients land.
 
         Per bucket: plain tensors reduce uncompressed, then the blocking
@@ -948,8 +924,6 @@ class PowerSGDAggregator(_LowRankBase):
         gradients exist. Every rank adopts the aggregated Q (query reuse);
         ``P_hat Q^T`` is identical on all of them, so only slot 0 forms it.
         """
-        session = self._bucket_state()
-        self._mark_bucket(session, index)
         comp_b, plain_b = session.plan.bucket_split[index]
         self._reduce_plain_bucket(session, plain_b)
         if not comp_b:
@@ -994,33 +968,10 @@ class ACPSGDAggregator(_LowRankBase):
     """ACP-SGD: a single fused all-reduce of the alternating factor."""
 
     method = "acpsgd"
-    supports_bucketed = True
+    state_cls = ACPSGDState
 
-    def __init__(
-        self,
-        group: ProcessGroup,
-        rank: int = 4,
-        seed: int = 0,
-        use_error_feedback: bool = True,
-        reuse_query: bool = True,
-        validate: bool = False,
-    ):
-        super().__init__(group, rank)
-        self.seed = seed
-        self.use_error_feedback = use_error_feedback
-        self.reuse_query = reuse_query
-        self.validate = validate
-        self._init_states()
-
-    def _make_state(self, rank: int) -> ACPSGDState:
-        # Same seed everywhere: the initial P0/Q0 factors must agree.
-        return ACPSGDState(
-            self.rank, self.seed, self.use_error_feedback,
-            self.reuse_query, self.validate,
-        )
-
-    def begin_buckets(self, per_worker_grads: List[NamedGrads]) -> None:
-        session = self._begin_lowrank_session(per_worker_grads)
+    def _begin(self, session: _BucketSession) -> None:
+        super()._begin(session)
         # The factor alternates with step parity: P=(n, r) on odd steps,
         # Q=(m, r) on even steps — fixed for the whole session because every
         # bucket shares this step's parity.
@@ -1033,7 +984,7 @@ class ACPSGDAggregator(_LowRankBase):
             "acpsgd_f", len(self.roster), max(1, session.factor_pack.total)
         )
 
-    def reduce_bucket(self, index: int) -> None:
+    def _reduce(self, session: _BucketSession, index: int) -> None:
         """One fused-factor round for the bucket as its gradients land.
 
         ACP-SGD's single alternating-factor all-reduce is the cheapest of
@@ -1043,8 +994,6 @@ class ACPSGDAggregator(_LowRankBase):
         (the next step orthogonalizes it); ``P_t Q_t^T`` is identical on
         all of them, so only slot 0 forms it.
         """
-        session = self._bucket_state()
-        self._mark_bucket(session, index)
         comp_b, plain_b = session.plan.bucket_split[index]
         self._reduce_plain_bucket(session, plain_b)
         if not comp_b:

@@ -13,13 +13,18 @@ again — pair this aggregator with SGD(momentum=0).
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
 import numpy as np
 
 from repro.comm.process_group import ProcessGroup
 from repro.compression.topk import SparsePayload, sparse_aggregate, topk_select
-from repro.optim.aggregators import GradientAggregator, NamedGrads, _adopt, _unpack
+from repro.optim.aggregators import (
+    GradientAggregator,
+    NamedGrads,
+    _BucketSession,
+    _unpack,
+)
 
 
 class _WorkerDGCState:
@@ -85,18 +90,15 @@ class DGCTopkAggregator(GradientAggregator):
     def _make_state(self, rank: int) -> _WorkerDGCState:
         return _WorkerDGCState(self.momentum)
 
-    def aggregate(self, per_worker_grads: List[NamedGrads]) -> NamedGrads:
-        per_worker_grads = _adopt(per_worker_grads, len(self.roster))
-        self.step += 1
-        names = list(per_worker_grads[0])
+    def _finish(self, session: _BucketSession) -> NamedGrads:
         payloads = []
-        for rank, grads in zip(self.roster, per_worker_grads):
+        for rank, slab in zip(self.roster, session.slabs):
             state = self._per_rank[rank]
-            velocity = state.accumulate("fused", grads.slab)
+            velocity = state.accumulate("fused", slab)
             k = max(self.min_k, int(round(self.ratio * velocity.size)))
             # Accumulated, the slab is dead: selection scratch, and slot
             # 0's the decode target (consumed, as in TopkSGDAggregator).
-            idx = topk_select(velocity, k, grads.slab)
+            idx = topk_select(velocity, k, slab)
             payloads.append(
                 SparsePayload(idx, velocity[idx], velocity.size)
             )
@@ -108,6 +110,6 @@ class DGCTopkAggregator(GradientAggregator):
         self.group.all_gather(wires)
         dense = sparse_aggregate(
             payloads, (payloads[0].num_elements,), average=True,
-            out=per_worker_grads[0].slab,
+            out=session.slabs[0],
         )
-        return _unpack(dense, per_worker_grads[0], names)
+        return _unpack(dense, session.template, session.names)

@@ -6,7 +6,7 @@ model at ``world_size`` workers. Gradients are
 storage the trainer has — so packing is a no-op and S-SGD aggregates in
 place on the slabs with preallocated ring scratch. The JSON report also
 records the :data:`~repro.perf.counters.ALLOC_STATS` deltas — every
-bucket-capable method must show zero fused-buffer allocations — and an
+method must show zero fused-buffer allocations — and an
 optional end-to-end ``train_step`` comparison (sequential vs thread
 workers). (The pre-arena concatenating path this file used to time beside
 the arena is gone; its last tracked numbers are frozen in CHANGES.md.)
@@ -150,7 +150,9 @@ def _bench_worker_modes(
     For every (method, backend) pair the row records the total step time
     plus where it went: ``worker_mean_s`` (backprop + compression-input
     production — the part the backend parallelizes), ``aggregate_mean_s``
-    (compression kernels + collective, always in the parent), and for the
+    (compression kernels + collective, always in the parent: the reducer's
+    per-bucket ``last_timings`` — which on a seq row fire inside the final
+    worker's backward — plus the time inside ``finish_buckets``), and for the
     process backend ``broadcast_mean_s`` (the per-step weights memcpy into
     the shared buffer — its only per-step copy). The thread-vs-process
     comparison is the GIL story in numbers: compute-bound methods
@@ -181,18 +183,18 @@ def _bench_worker_modes(
                 workers=mode,
             )
             # Shadow the bound method on the instance to time the
-            # aggregation phase without touching the class.
-            inner_aggregate = trainer.aggregator.aggregate
+            # vector-global tail of the aggregation without touching the
+            # class; the per-bucket part is the reducer's own timings.
+            inner_finish = trainer.aggregator.finish_buckets
             aggregate_times: List[float] = []
 
-            def timed_aggregate(per_worker, _inner=inner_aggregate,
-                                _times=aggregate_times):
+            def timed_finish(_inner=inner_finish, _times=aggregate_times):
                 start = time.perf_counter()
-                out = _inner(per_worker)
+                out = _inner()
                 _times.append(time.perf_counter() - start)
                 return out
 
-            trainer.aggregator.aggregate = timed_aggregate
+            trainer.aggregator.finish_buckets = timed_finish
             try:
                 for _ in range(warmup):
                     trainer.train_step()
@@ -204,6 +206,10 @@ def _bench_worker_modes(
                     start = time.perf_counter()
                     trainer.train_step()
                     times.append(time.perf_counter() - start)
+                    aggregate_times[-1] += sum(
+                        seconds
+                        for _, _, seconds in trainer.reducer.last_timings
+                    )
                     if trainer._procpool is not None:
                         broadcast.append(trainer._procpool.last_broadcast_s)
             finally:
@@ -240,7 +246,7 @@ def _bench_buffer_sweep(
     """S-SGD aggregation time vs fusion buffer size (the Fig. 8 axis).
 
     Each row drives the real bucketed pipeline — arena buckets, segmented
-    ring collectives, the reducer's deferred loop — at one ``buffer_bytes``
+    ring collectives, the reducer's deferred step — at one ``buffer_bytes``
     setting and records the per-bucket mean timings plus the
     :data:`~repro.perf.counters.ALLOC_STATS` deltas, so the report shows
     both ends of the paper's trade-off: many small buckets pay latency per
@@ -259,22 +265,23 @@ def _bench_buffer_sweep(
         reducer = BucketedReducer(model, arena, aggregator)
         reference = _reference_gradients(arena, seed + 1)
 
-        def provider() -> List[ArenaGrads]:
+        def timed_step() -> float:
+            """One deferred reducer step over refilled slabs (refill untimed)."""
             for slot, ref in enumerate(reference):
                 np.copyto(arena.slab(slot), ref)
-            return [arena.grads(slot) for slot in range(world_size)]
+            start = time.perf_counter()
+            reducer.begin_step(world_size, eager=False)
+            reducer.finish_step()
+            return time.perf_counter() - start
 
         for _ in range(warmup):
-            reducer.aggregate(aggregator, provider())
+            timed_step()
         ALLOC_STATS.reset()
         times = []
         bucket_seconds: Dict[int, List[float]] = {}
         bucket_elements: Dict[int, int] = {}
         for _ in range(iters):
-            per_worker = provider()
-            start = time.perf_counter()
-            reducer.aggregate(aggregator, per_worker)
-            times.append(time.perf_counter() - start)
+            times.append(timed_step())
             for index, elements, seconds in reducer.last_timings:
                 bucket_seconds.setdefault(index, []).append(seconds)
                 bucket_elements[index] = elements
@@ -367,20 +374,13 @@ def run_hot_path_bench(
             world_size, base_width, max(3, iters // 2), 1, seed,
             worker_methods, worker_modes,
         )
-    staged = [
-        method for method, aggregator in aggregators.items()
-        if aggregator.supports_bucketed
-    ]
-    if staged:
-        # Worst case over the bucket-capable methods: all of them stage
-        # into preallocated scratch, so the arena path allocates nothing.
-        worst = max(
-            aggregate_step[method]["fused_allocs_per_step"] for method in staged
-        )
-        report["criteria"] = {
-            "arena_fused_allocs_per_step": worst,
-            "arena_zero_fused_allocs": worst == 0,
-        }
+    # Worst case over the benchmarked methods: arena slabs need no packing
+    # and results are views, so the arena path allocates no fused buffer.
+    worst = max(row["fused_allocs_per_step"] for row in aggregate_step.values())
+    report["criteria"] = {
+        "arena_fused_allocs_per_step": worst,
+        "arena_zero_fused_allocs": worst == 0,
+    }
     worker_rows = report.get("worker_modes", {})
     process_vs_thread = {
         method: row["process_vs_thread_speedup"]
@@ -388,7 +388,7 @@ def run_hot_path_bench(
         if "process_vs_thread_speedup" in row
     }
     if process_vs_thread:
-        criteria = report.setdefault("criteria", {})
+        criteria = report["criteria"]
         criteria["process_vs_thread_speedup"] = process_vs_thread
         criteria["process_speedup_target"] = 2.0
         criteria["cpu_count"] = os.cpu_count()

@@ -60,7 +60,6 @@ supervision is testable deterministically.
 
 from __future__ import annotations
 
-import copy
 import os
 import signal
 import time
@@ -83,7 +82,12 @@ from repro.nn.norm import BatchNorm2d
 from repro.perf import shm
 from repro.perf.arena import ArenaLayout, GradientArena
 from repro.perf.counters import ALLOC_STATS
-from repro.perf.replicas import ReplicaSet, iter_modules
+from repro.perf.replicas import (
+    ReplicaSet,
+    detached_copy,
+    iter_modules,
+    worker_pass,
+)
 
 if TYPE_CHECKING:  # import cycle: repro.train imports the trainer,
     # which imports this module — the dataset type is annotation-only.
@@ -131,35 +135,12 @@ class WorkerStepResult:
 
 
 def _scrubbed_template(model: Module) -> Module:
-    """A structural deep copy safe to ship to children.
+    """A structural deep copy safe to ship to children, in training mode.
 
-    The master's parameters may carry gradient-ready hooks (the bucketed
-    reducer's bound methods — which reach the aggregator, the process
-    group, and possibly shared-memory segments) and arena grad slots.
-    Deep-copying those would at best duplicate half the trainer and at
-    worst hit an unpicklable ``memoryview``, so they are detached from
-    the *original* for the duration of the copy and restored afterwards.
-    Hook lists are mutated in place (never reassigned) because issued
-    :class:`~repro.nn.parameter.RemovableHandle` objects alias them.
+    :func:`~repro.perf.replicas.detached_copy` leaves the master's hooks
+    and arena grad slots behind; ``train()`` touches only the copy.
     """
-    saved = []
-    for _, param in model.named_parameters():
-        saved.append(
-            (param, list(param._hooks), param._grad_slot,
-             param._grad, param._slot_written)
-        )
-        param._hooks.clear()
-        param._grad_slot = None
-        param._grad = None
-        param._slot_written = False
-    try:
-        template = copy.deepcopy(model)
-    finally:
-        for param, hooks, slot, grad, written in saved:
-            param._hooks.extend(hooks)
-            param._grad_slot = slot
-            param._grad = grad
-            param._slot_written = written
+    template = detached_copy(model)
     template.train()
     return template
 
@@ -283,16 +264,9 @@ def _worker_main(conn, payload: dict, init_crash: bool = False) -> None:
         for bn in bns:
             bn.stat_recorder = []
         ALLOC_STATS.reset()
-        model.zero_grad()
-        losses = []
-        for _ in range(accumulation_steps):
-            inputs, labels = shard.batch(rng, batch_size)
-            logits = model(inputs)
-            losses.append(loss_fn(logits, labels))
-            model.backward(loss_fn.backward())
-        for name, param in model.named_parameters():
-            if param.grad is None:
-                raise RuntimeError(f"parameter {name!r} received no gradient")
+        loss = worker_pass(
+            model, loss_fn, shard, rng, batch_size, accumulation_steps
+        )
         if accumulation_steps > 1:
             # True division in place, matching GradientArena.divide_.
             slab /= accumulation_steps
@@ -300,7 +274,7 @@ def _worker_main(conn, payload: dict, init_crash: bool = False) -> None:
         for bn in bns:
             bn.stat_recorder = None
         return WorkerStepResult(
-            loss=float(np.mean(losses)),
+            loss=loss,
             batch_stats=batch_stats,
             alloc_stats=ALLOC_STATS.snapshot(),
         )

@@ -33,6 +33,8 @@ from __future__ import annotations
 import copy
 from typing import Iterator, List
 
+import numpy as np
+
 from repro.nn.dropout import Dropout
 from repro.nn.module import Module
 from repro.nn.norm import BatchNorm2d
@@ -52,6 +54,64 @@ def iter_modules(module: Module) -> Iterator[Module]:
             for item in value:
                 if isinstance(item, Module):
                     yield from iter_modules(item)
+
+
+def detached_copy(model: Module) -> Module:
+    """A structural deep copy without the master's hooks and grad slots.
+
+    The master's parameters may carry gradient-ready hooks (the bucketed
+    reducer's bound methods — which reach the aggregator, the process
+    group, and possibly shared-memory segments) and arena grad slots.
+    Deep-copying those would at best duplicate half the trainer and at
+    worst hit an unpicklable ``memoryview``, so they are detached from
+    the *original* for the duration of the copy and restored afterwards.
+    Hook lists are mutated in place (never reassigned) because issued
+    :class:`~repro.nn.parameter.RemovableHandle` objects alias them.
+    The one way a worker backend copies a model: thread replicas and
+    process-worker templates alike.
+    """
+    saved = []
+    for _, param in model.named_parameters():
+        saved.append(
+            (param, list(param._hooks), param._grad_slot,
+             param._grad, param._slot_written)
+        )
+        param._hooks.clear()
+        param._grad_slot = None
+        param._grad = None
+        param._slot_written = False
+    try:
+        return copy.deepcopy(model)
+    finally:
+        for param, hooks, slot, grad, written in saved:
+            param._hooks.extend(hooks)
+            param._grad_slot = slot
+            param._grad = grad
+            param._slot_written = written
+
+
+def worker_pass(
+    model: Module, loss_fn, shard, rng, batch_size: int, accumulation_steps: int
+) -> float:
+    """One worker's backward passes for one step; returns its mean loss.
+
+    The single definition of what a rank computes per step, whichever
+    backend runs it: ``accumulation_steps`` micro-batches drawn from
+    ``shard`` with the rank's ``rng``, gradients summed into whatever
+    storage the model's parameters are bound to. Binding the slab and
+    dividing the sum into a micro-batch mean stay with the caller.
+    """
+    model.zero_grad()
+    losses = []
+    for _ in range(accumulation_steps):
+        inputs, labels = shard.batch(rng, batch_size)
+        logits = model(inputs)
+        losses.append(loss_fn(logits, labels))
+        model.backward(loss_fn.backward())
+    for name, param in model.named_parameters():
+        if param.grad is None:
+            raise RuntimeError(f"parameter {name!r} received no gradient")
+    return float(np.mean(losses))
 
 
 class ReplicaSet:
@@ -77,7 +137,7 @@ class ReplicaSet:
         self.master = model
         self.replicas: List[Module] = [model]
         for _ in range(1, count):
-            self.replicas.append(copy.deepcopy(model))
+            self.replicas.append(detached_copy(model))
         self._share_weights()
         self._bns: List[List[BatchNorm2d]] = [
             [m for m in iter_modules(replica) if isinstance(m, BatchNorm2d)]

@@ -26,7 +26,6 @@ from repro.train.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from repro.train.metrics import StepRecord, TrainingMetrics
 from repro.train.history import TrainingHistory
 from repro.train.reducer import BucketedReducer
 from repro.train.resilience import ResilienceConfig, ResilienceLog
@@ -48,6 +47,4 @@ __all__ = [
     "save_checkpoint",
     "ResilienceConfig",
     "ResilienceLog",
-    "StepRecord",
-    "TrainingMetrics",
 ]

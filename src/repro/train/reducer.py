@@ -4,7 +4,8 @@ The paper's wait-free back-propagation (§II-B) overlaps each layer's
 gradient communication with the back-propagation of the layers below it,
 and its tensor fusion (§IV-B, Fig. 8) merges small tensors into buckets of
 a tunable byte budget to amortize collective latency. This module brings
-both to the actual training loop:
+both to the actual training loop — every step of every method runs
+through this module; ``buffer_bytes=None`` is its one-bucket layout:
 
 - the :class:`~repro.perf.arena.GradientArena` partitions its fused slab
   into contiguous buckets via the shared :func:`repro.fusion
@@ -17,7 +18,13 @@ both to the actual training loop:
 - per-bucket reduction drives the aggregator's staged protocol
   (``begin_buckets`` / ``reduce_bucket`` / ``finish_buckets``) — the same
   three calls ``aggregate`` loops over, so the result is bit-identical
-  for every bucket partition, the monolithic one-bucket layout included.
+  for every bucket partition, the monolithic one-bucket layout included;
+- :meth:`BucketedReducer.begin_step` → workers →
+  :meth:`BucketedReducer.finish_step` is the trainer's only way to
+  aggregate. An eager step opens the aggregator's session before the
+  workers run; a deferred one (parallel workers, resilience, supervision)
+  opens it in ``finish_step``, after the trainer's finite checks and on
+  whichever aggregator its fallback window selected.
 
 Eager (hook-driven) firing needs to know when a bucket's gradients are
 *final*: a parameter may be touched several times per backward (shared
@@ -30,9 +37,9 @@ the same per-bucket protocol, fired after backward completes. Both modes
 are bit-identical to each other and to the one-bucket layout.
 
 Methods whose compression is *vector-global* (top-k selection, sign-SGD's
-L1 scale) still stage per bucket but cannot ship until every bucket is
-staged — the paper's observation that such compressors forfeit most of
-WFBP's overlap.
+L1 scale, the whole-vector Random-k / QSGD / TernGrad / DGC codecs) still
+stage per bucket but cannot ship until every bucket is staged — the
+paper's observation that such compressors forfeit most of WFBP's overlap.
 """
 
 from __future__ import annotations
@@ -56,8 +63,8 @@ class BucketedReducer:
     Args:
         model: the trainer's model; hooks are registered on its parameters.
         arena: the bucketed gradient arena backing the model's gradients.
-        aggregator: the main aggregator; must advertise
-            ``supports_bucketed``.
+        aggregator: the main aggregator (``finish_step`` may be handed
+            another one for a deferred step).
         accumulation_steps: the trainer's micro-batch count. When a bucket
             fires eagerly, the reducer divides the final worker's bucket
             segment in place of the trainer's whole-slab division (see
@@ -71,12 +78,6 @@ class BucketedReducer:
         aggregator: GradientAggregator,
         accumulation_steps: int = 1,
     ):
-        if not aggregator.supports_bucketed:
-            raise ValueError(
-                f"aggregator {aggregator.method!r} does not support bucketed "
-                "reduction; use buffer_bytes=None (monolithic aggregation) "
-                "for this method"
-            )
         self.arena = arena
         self.aggregator = aggregator
         self.accumulation_steps = accumulation_steps
@@ -104,6 +105,8 @@ class BucketedReducer:
         self._fired: List[bool] = []
         self._sealed: set = set()
         self._per_worker: List[ArenaGrads] = []
+        #: The aggregator whose session this step opened (None: not yet).
+        self._open: Optional[GradientAggregator] = None
         #: Timings of the buckets fired in the most recent step.
         self.last_timings: List[BucketTiming] = []
         #: Steps that actually fired buckets from hooks (WFBP engaged).
@@ -122,14 +125,15 @@ class BucketedReducer:
         self._handles = []
 
     # ------------------------------------------------------------------
-    # Trainer-driven step protocol (clean path)
+    # Trainer-driven step protocol
     # ------------------------------------------------------------------
     def begin_step(self, num_slots: int, eager: bool = True) -> None:
         """Open the step over ``num_slots`` live workers.
 
         ``eager`` requests hook-driven firing; the reducer downgrades to
         deferred mode on its own when the accumulation counts are not yet
-        known (first step at world size 1).
+        known (first step at world size 1). A step that is never finished
+        (the trainer skipped it) is simply superseded by the next one.
         """
         self._per_worker = [
             self.arena.grads(slot) for slot in range(num_slots)
@@ -149,9 +153,12 @@ class BucketedReducer:
             self._final_slot > 0 or self._counts_known()
         )
         self._active = True
-        self.aggregator.begin_buckets(self._per_worker)
-        if self._eager and self._final_slot == 0:
-            self._arm_firing()
+        self._open = None
+        if self._eager:
+            # Buckets fire during backward, so the session must exist first.
+            self._open_session(self.aggregator)
+            if self._final_slot == 0:
+                self._arm_firing()
 
     def begin_worker(self, slot: int) -> None:
         """Mark worker ``slot``'s backward pass as the one now running."""
@@ -177,8 +184,26 @@ class BucketedReducer:
             and self.accumulation_steps > 1
         )
 
-    def finish_step(self) -> NamedGrads:
-        """Fire any remaining buckets and return the aggregated gradients."""
+    def finish_step(
+        self, aggregator: Optional[GradientAggregator] = None
+    ) -> NamedGrads:
+        """Fire any remaining buckets and return the aggregated gradients.
+
+        ``aggregator`` (default: the reducer's own) is the one a deferred
+        step runs on — the resilient trainer's fallback window swaps in an
+        uncompressed one. A step whose session is already open (it began
+        eager) cannot change aggregators any more.
+        """
+        if aggregator is None:
+            aggregator = self.aggregator
+        if self._open is None:
+            self._open_session(aggregator)
+        elif aggregator is not self._open:
+            raise RuntimeError(
+                "finish_step was handed a different aggregator than the one "
+                "this step's buckets already fired on (eager steps open "
+                "their session in begin_step)"
+            )
         if self._eager:
             self.eager_steps += 1
         else:
@@ -188,41 +213,18 @@ class BucketedReducer:
                 self._fire(index)
         self._active = False
         self._slot = None
-        if self._learn:
-            # World size 1: the pass just observed seeds the next step.
-            self._expected = dict(self._learn)
-            self._learn = {}
+        self._adopt_learned()  # world size 1: this pass seeds the next step
         self._per_worker = []
-        return self.aggregator.finish_buckets()
-
-    # ------------------------------------------------------------------
-    # Deferred entry (resilient / fallback aggregation)
-    # ------------------------------------------------------------------
-    def aggregate(
-        self, aggregator: GradientAggregator, per_worker: List[ArenaGrads]
-    ) -> NamedGrads:
-        """Run the whole bucketed protocol after backward, with timings.
-
-        Used by the trainer's resilient path, where finite-checks must see
-        the local gradients before any communication happens — so nothing
-        can fire during backward — and where the fallback window may swap
-        in a different (uncompressed) aggregator.
-        """
-        self.last_timings = []
-        self.deferred_steps += 1
-        aggregator.begin_buckets(per_worker)
-        for index in range(self.num_buckets - 1, -1, -1):
-            lo, hi = self.layout.buckets[index]
-            start = time.perf_counter()
-            aggregator.reduce_bucket(index)
-            self.last_timings.append(
-                (index, hi - lo, time.perf_counter() - start)
-            )
+        self._open = None
         return aggregator.finish_buckets()
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+    def _open_session(self, aggregator: GradientAggregator) -> None:
+        aggregator.begin_buckets(self._per_worker)
+        self._open = aggregator
+
     def _counts_known(self) -> bool:
         counts = self._expected
         return bool(counts) and all(
@@ -287,6 +289,6 @@ class BucketedReducer:
             for name in self.layout.bucket_names()[index]:
                 self._sealed.add(name)
         start = time.perf_counter()
-        self.aggregator.reduce_bucket(index)
+        self._open.reduce_bucket(index)
         self.last_timings.append((index, hi - lo, time.perf_counter() - start))
         self._fired[index] = True

@@ -4,9 +4,13 @@ Semantics mirror DDP + the paper's compression prototypes:
 
 - every worker holds the same model weights (enforced by construction: one
   physical replica evaluated per worker shard, like DDP's lockstep);
-- per step, each worker computes local gradients on its own batch;
-- a :class:`~repro.optim.aggregators.GradientAggregator` combines them
-  (through the measured collectives) into the global gradient;
+- per step, each worker computes local gradients on its own batch,
+  written straight into its :class:`~repro.perf.arena.GradientArena` slab;
+- the :class:`~repro.train.reducer.BucketedReducer` drives the
+  :class:`~repro.optim.aggregators.GradientAggregator`'s staged protocol
+  over the arena's buckets (``buffer_bytes=None``: one bucket) and the
+  measured collectives combine them into the global gradient — the one
+  aggregation path, whatever the method, backend or resilience setting;
 - a single SGD update applies the global gradient.
 
 The trainer keeps one physical model and replays it per worker batch; this
@@ -52,7 +56,7 @@ from repro.perf.procpool import (
     WorkerStepResult,
     WorkerStepTask,
 )
-from repro.perf.replicas import ReplicaSet
+from repro.perf.replicas import ReplicaSet, worker_pass
 from repro.train.checkpoint import CheckpointError, CheckpointManager
 from repro.train.datasets import ArrayDataset
 from repro.train.history import TrainingHistory
@@ -194,24 +198,19 @@ class DataParallelTrainer:
             enumerate(spawn_rngs(seed, self.world_size))
         )
         # --- hot-path state: gradient arena + optional parallel workers ---
-        if buffer_bytes is not None and not aggregator.supports_bucketed:
-            raise ValueError(
-                f"aggregator {aggregator.method!r} does not support bucketed "
-                "reduction; use buffer_bytes=None for this method"
-            )
         self.buffer_bytes = buffer_bytes
-        # The arena is the only gradient storage: ``buffer_bytes=None`` is
-        # the one-bucket layout, i.e. monolithic aggregation.
+        # The arena is the only gradient storage and the reducer the only
+        # way out of it: ``buffer_bytes=None`` is the one-bucket layout,
+        # i.e. monolithic aggregation.
         self._arena = GradientArena(
             model,
             self.world_size,
             bucket_bytes=buffer_bytes,
             backing="shared" if workers == "process" else "private",
         )
-        self._reducer: Optional[BucketedReducer] = (
-            BucketedReducer(model, self._arena, aggregator, accumulation_steps)
-            if buffer_bytes is not None
-            else None
+        #: Drives every step's aggregation (timings, eager/deferred counts).
+        self.reducer = BucketedReducer(
+            model, self._arena, aggregator, accumulation_steps
         )
         self._replicas: Optional[ReplicaSet] = None
         self._pool: Optional[ThreadPoolExecutor] = None
@@ -283,28 +282,17 @@ class DataParallelTrainer:
         if loss_fn is None:
             loss_fn = self.loss_fn
         self._arena.bind(model, slot)
-        model.zero_grad()
-        losses = []
-        for _ in range(self.accumulation_steps):
-            inputs, labels = self.train_shards[rank].batch(
-                self._rngs[rank], self.batch_size
-            )
-            logits = model(inputs)
-            losses.append(loss_fn(logits, labels))
-            model.backward(loss_fn.backward())
-        for name, param in model.named_parameters():
-            if param.grad is None:
-                raise RuntimeError(f"parameter {name!r} received no gradient")
-        if self.accumulation_steps > 1 and not (
-            self._reducer is not None and self._reducer.owns_division(slot)
-        ):
+        loss = worker_pass(
+            model, loss_fn, self.train_shards[rank], self._rngs[rank],
+            self.batch_size, self.accumulation_steps,
+        )
+        if self.accumulation_steps > 1 and not self.reducer.owns_division(slot):
             # True division in place (not a reciprocal multiply), so the
             # micro-batch average is ``sum / accumulation_steps`` exactly.
-            # On an eager bucketed step the reducer divides the final
-            # worker's slab bucket by bucket instead, just before each
-            # bucket fires.
+            # On an eager step the reducer divides the final worker's slab
+            # bucket by bucket instead, just before each bucket fires.
             self._arena.divide_(slot, self.accumulation_steps)
-        return float(np.mean(losses)), self._arena.grads(slot)
+        return loss, self._arena.grads(slot)
 
     def _parallel_worker_gradients(
         self, ranks: List[int]
@@ -563,22 +551,21 @@ class DataParallelTrainer:
         # the children; a parent-side pass would consume a stale stream.
         process = self._procpool is not None
         parallel = process or (self._pool is not None and len(ranks) > 1)
-        # The reducer runs the clean path bucket by bucket. Hook-driven
-        # (eager, WFBP) firing needs sequential workers — the final
-        # worker's backward is the firing pass — and no resilience, whose
-        # finite-checks must see the local gradients before any
-        # communication. The resilient path still buckets, deferred, via
-        # ``_aggregate``. Parallel backends (threads and processes alike)
-        # bucket deferred for the same reason.
-        reducer = self._reducer if self.resilience is None else None
-        if reducer is not None:
-            # Supervision also forces deferred buckets: an ejected final
-            # worker never runs the firing backward pass, so hook-driven
-            # buckets could never complete the step.
-            reducer.begin_step(
-                len(ranks),
-                eager=not parallel and self._supervisor is None,
-            )
+        # Every step aggregates through the reducer, bucket by bucket.
+        # Hook-driven (eager, WFBP) firing needs sequential workers — the
+        # final worker's backward is the firing pass — and no resilience,
+        # whose finite-checks must see the local gradients before any
+        # communication; such steps fire every bucket, deferred, in
+        # ``finish_step``. Supervision also forces deferred buckets: an
+        # ejected final worker never runs the firing backward pass, so
+        # hook-driven buckets could never complete the step.
+        reducer = self.reducer
+        reducer.begin_step(
+            len(ranks),
+            eager=not parallel
+            and self.resilience is None
+            and self._supervisor is None,
+        )
         if process:
             losses, per_worker = self._process_worker_gradients(ranks)
         elif parallel:
@@ -588,8 +575,7 @@ class DataParallelTrainer:
             per_worker = []
             seq_failures: List[WorkerError] = []
             for slot, rank in enumerate(ranks):
-                if reducer is not None:
-                    reducer.begin_worker(slot)
+                reducer.begin_worker(slot)
                 failure = self._simulated_worker_failure(rank)
                 if failure is not None and not self._recover_seq(failure):
                     # Ejected: the slot contributes its stale slab —
@@ -606,11 +592,7 @@ class DataParallelTrainer:
         mean_loss = float(np.mean(losses))
         self._step_count += 1
         if self.resilience is None:
-            if reducer is not None:
-                aggregated = reducer.finish_step()
-            else:
-                aggregated = self.aggregator.aggregate(per_worker)
-            self.optimizer.step(aggregated)
+            self.optimizer.step(reducer.finish_step())
             return mean_loss
         return self._resilient_apply(mean_loss, per_worker)
 
@@ -629,8 +611,7 @@ class DataParallelTrainer:
         )
         applied = False
         if not cfg.check_finite or grads_finite:
-            aggregator = self._current_aggregator()
-            aggregated = self._aggregate(aggregator, per_worker)
+            aggregated = self.reducer.finish_step(self._current_aggregator())
             if cfg.check_finite and not all(
                 is_finite(grad) for grad in aggregated.values()
             ):
@@ -669,21 +650,6 @@ class DataParallelTrainer:
         # Keep histories finite: report the running baseline for a skipped
         # non-finite step (0.0 when the very first step blows up).
         return float(self._loss_ema) if self._loss_ema is not None else 0.0
-
-    def _aggregate(
-        self,
-        aggregator: GradientAggregator,
-        per_worker: List[Dict[str, np.ndarray]],
-    ) -> Dict[str, np.ndarray]:
-        """Aggregate through the bucketed pipeline when one is configured.
-
-        The fallback :class:`AllReduceAggregator` supports buckets, so a
-        fallback window on a bucketed trainer stays bucketed (and keeps
-        recording per-bucket timings).
-        """
-        if self._reducer is not None and aggregator.supports_bucketed:
-            return self._reducer.aggregate(aggregator, per_worker)
-        return aggregator.aggregate(per_worker)
 
     def _current_aggregator(self) -> GradientAggregator:
         """The aggregator for this step, honouring the fallback window."""
@@ -763,14 +729,18 @@ class DataParallelTrainer:
             )
 
     def close(self) -> None:
-        """Release worker pools and shared-memory segments (idempotent).
+        """Detach from the model; release pools and shared memory (idempotent).
 
-        Only the process backend owns real OS resources (child processes,
-        ``/dev/shm`` segments), so sequential and thread trainers may skip
-        this — but shared arenas **must** be closed or the test suite's
-        leak detector will flag the run. ``with DataParallelTrainer(...)
-        as trainer:`` does it automatically.
+        The reducer's gradient-ready hooks come off the model's parameters
+        first, so a closed trainer — its aggregator, arena and group — is no
+        longer reachable from the model and a later trainer on the same
+        model runs only its own hooks. Only the process backend owns real
+        OS resources (child processes, ``/dev/shm`` segments): shared
+        arenas **must** be closed or the test suite's leak detector will
+        flag the run. ``with DataParallelTrainer(...) as trainer:`` does it
+        automatically.
         """
+        self.reducer.close()
         if self._procpool is not None:
             self._procpool.close()
             self._procpool = None

@@ -174,16 +174,16 @@ class TestTrainerLadder:
         # per-worker poison detection path by corrupting after aggregation.
         cfg = ResilienceConfig(fallback_steps=0, checkpoint_interval=0)
         trainer, _, model = make_trainer(resilience=cfg)
-        original = trainer.aggregator.aggregate
+        original = trainer.aggregator.finish_buckets
 
-        def bad_aggregate(per_worker):
-            aggregated = original(per_worker)
+        def bad_finish_buckets():
+            aggregated = original()
             name = next(iter(aggregated))
             aggregated[name] = aggregated[name].copy()
             aggregated[name].reshape(-1)[0] = np.inf
             return aggregated
 
-        trainer.aggregator.aggregate = bad_aggregate
+        trainer.aggregator.finish_buckets = bad_finish_buckets
         before = model.state_vector().copy()
         trainer.train_step()
         assert trainer.resilience_log.skipped_steps == 1

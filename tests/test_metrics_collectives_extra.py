@@ -1,11 +1,9 @@
-"""Training metrics and the reduce/gather collectives."""
+"""The reduce/gather collectives."""
 
 import numpy as np
 import pytest
 
-from repro.comm import ProcessGroup
 from repro.comm.collectives import gather, reduce
-from repro.train.metrics import TrainingMetrics
 
 
 class TestReduce:
@@ -52,37 +50,3 @@ class TestGather:
     def test_invalid_root(self, rng):
         with pytest.raises(ValueError, match="root"):
             gather([rng.normal(size=2)] * 2, root=5)
-
-
-class TestTrainingMetrics:
-    def test_step_timer_counts_group_traffic(self, rng):
-        group = ProcessGroup(2)
-        metrics = TrainingMetrics(group=group)
-        metrics.start_step()
-        group.all_reduce([rng.normal(size=100) for _ in range(2)])
-        record = metrics.end_step(samples=64)
-        assert record.samples == 64
-        assert record.bytes_communicated == group.total_bytes()
-        assert record.duration_s >= 0
-
-    def test_aggregates(self):
-        metrics = TrainingMetrics()
-        metrics.record(0.5, 32, 1000)
-        metrics.record(0.5, 32, 3000)
-        assert metrics.steps == 2
-        assert metrics.throughput() == pytest.approx(64.0)
-        assert metrics.bytes_per_step() == pytest.approx(2000)
-        assert metrics.mean_step_seconds() == pytest.approx(0.5)
-        assert "samples/s" in metrics.render()
-
-    def test_empty_metrics(self):
-        metrics = TrainingMetrics()
-        assert metrics.throughput() == 0.0
-        assert metrics.bytes_per_step() == 0.0
-
-    def test_misuse_and_validation(self):
-        metrics = TrainingMetrics()
-        with pytest.raises(RuntimeError, match="start_step"):
-            metrics.end_step(1)
-        with pytest.raises(ValueError):
-            metrics.record(-1, 0)

@@ -31,6 +31,7 @@ def run_training(
     world_size=2,
     seed=7,
     accumulation_steps=1,
+    buffer_bytes=None,
 ):
     """Train a few steps; return (losses, weights, batchnorm buffers)."""
     train_data, test_data = make_cifar_like(
@@ -47,6 +48,7 @@ def run_training(
         seed=seed,
         accumulation_steps=accumulation_steps,
         workers=workers,
+        buffer_bytes=buffer_bytes,
     )
     losses = [trainer.train_step() for _ in range(steps)]
     weights = np.concatenate(
@@ -118,6 +120,15 @@ class TestParallelBitExactness:
             run_training(method, workers="thread"),
         )
 
+    @pytest.mark.parametrize("method", ["ssgd", "acpsgd", "qsgd"])
+    def test_parallel_matches_sequential_bucketed(self, method):
+        assert_identical(
+            run_training(method, workers="seq", world_size=3),
+            run_training(
+                method, workers="thread", world_size=3, buffer_bytes=512
+            ),
+        )
+
     def test_parallel_matches_legacy_world_four(self):
         """The full stack (arena + in-place + threads) vs sequential."""
         assert_identical(
@@ -134,6 +145,27 @@ class TestReplicaSet:
         for replica in replicas.replicas[1:]:
             for name, param in replica.named_parameters():
                 assert param.data is master[name].data
+
+    def test_replicas_carry_no_hooks(self):
+        """Copies are taken with the master's hooks detached: nothing of the
+        trainer (reducer, arena, aggregator, group) hangs off a replica."""
+        train_data, test_data = make_cifar_like(num_train=16, num_test=4, seed=0)
+        model = make_small_vgg(base_width=2, rng=np.random.default_rng(0))
+        trainer = DataParallelTrainer(
+            model, SGD(model, lr=0.05),
+            make_aggregator("ssgd", ProcessGroup(3)),
+            train_data, test_data, batch_size_per_worker=2,
+            workers="thread", buffer_bytes=512,
+        )
+        with trainer:
+            for _, param in model.named_parameters():
+                assert [hook.__self__ for hook in param._hooks] == [
+                    trainer.reducer
+                ]
+            for replica in trainer._replicas.replicas[1:]:
+                for _, param in replica.named_parameters():
+                    assert param._hooks == []
+            trainer.train_step()
 
     def test_begin_round_rebinds_after_optimizer_step(self):
         model = make_small_vgg(base_width=2, rng=np.random.default_rng(0))

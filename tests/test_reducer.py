@@ -10,11 +10,7 @@ from repro.faults.resilient import ResilientProcessGroup
 from repro.models.convnets import make_mlp
 from repro.nn.module import Module
 from repro.nn.parameter import Parameter
-from repro.optim.aggregators import (
-    AllReduceAggregator,
-    RandomKAggregator,
-    make_aggregator,
-)
+from repro.optim.aggregators import AllReduceAggregator, make_aggregator
 from repro.optim.sgd import SGD
 from repro.perf.arena import GradientArena
 from repro.sim import fit_link_from_bucket_timings
@@ -23,7 +19,19 @@ from repro.train.reducer import BucketedReducer
 from repro.train.resilience import ResilienceConfig
 from repro.train.trainer import DataParallelTrainer
 
-BUCKETED_METHODS = ["ssgd", "signsgd", "topk", "powersgd", "acpsgd"]
+#: Every method stages; the last four compress the whole vector at once:
+#: nothing per bucket, the codec in ``_finish``.
+WHOLE_VECTOR_METHODS = ["randomk", "qsgd", "terngrad", "dgc"]
+BUCKETED_METHODS = [
+    "ssgd", "signsgd", "topk", "powersgd", "acpsgd", *WHOLE_VECTOR_METHODS
+]
+
+
+def test_bucketed_methods_are_every_registered_method():
+    with pytest.raises(ValueError) as excinfo:
+        make_aggregator("no-such-method", ProcessGroup(1))
+    available = str(excinfo.value).split("available: ")[1].split(", ")
+    assert sorted(BUCKETED_METHODS) == available
 
 
 def _fill_slabs(arena, num_slots, seed):
@@ -254,13 +262,35 @@ class TestBucketedAggregation:
         with pytest.raises(ValueError, match="arena-backed"):
             agg.begin_buckets(plain)
 
-    def test_unsupported_method_raises(self):
+    @pytest.mark.parametrize("method", WHOLE_VECTOR_METHODS)
+    def test_staged_calls_equal_aggregate_for_whole_vector_methods(self, method):
         model = _mlp()
-        arena = GradientArena(model, 2, bucket_bytes=60 * 8)
-        agg = RandomKAggregator(ProcessGroup(2))
-        assert not agg.supports_bucketed
-        with pytest.raises(NotImplementedError, match="bucketed"):
-            agg.begin_buckets([arena.grads(0), arena.grads(1)])
+        staged_arena = GradientArena(model, 2, bucket_bytes=60 * 8)
+        whole_arena = GradientArena(model, 2)
+        staged = make_aggregator(method, ProcessGroup(2))
+        whole = make_aggregator(method, ProcessGroup(2))
+        for step in range(3):
+            _fill_slabs(staged_arena, 2, 20 + step)
+            _fill_slabs(whole_arena, 2, 20 + step)
+            staged.begin_buckets([staged_arena.grads(s) for s in range(2)])
+            for index in range(len(staged_arena.layout.buckets)):
+                staged.reduce_bucket(index)
+            got = staged.finish_buckets()
+            want = whole.aggregate([whole_arena.grads(s) for s in range(2)])
+            for name in want:
+                np.testing.assert_array_equal(got[name], want[name])
+        assert staged.step == whole.step == 3
+        assert staged.group.total_bytes() == whole.group.total_bytes()
+
+    def test_only_the_base_class_defines_the_public_calls(self):
+        from repro.optim.aggregators import GradientAggregator
+
+        public = ("aggregate", "begin_buckets", "reduce_bucket", "finish_buckets")
+        for method in BUCKETED_METHODS:
+            cls = type(make_aggregator(method, ProcessGroup(1)))
+            for klass in cls.__mro__:
+                if klass not in (GradientAggregator, object):
+                    assert not set(public) & set(vars(klass)), klass
 
 
 def _flat_dataset(num, dim, classes, seed):
@@ -316,7 +346,7 @@ class TestBucketedTrainer:
         trainer = _make_trainer("ssgd", 2, self.BUCKET)
         for _ in range(3):
             trainer.train_step()
-        reducer = trainer._reducer
+        reducer = trainer.reducer
         assert reducer.eager_steps == 3
         assert reducer.deferred_steps == 0
         assert len(reducer.last_timings) == reducer.num_buckets
@@ -327,10 +357,10 @@ class TestBucketedTrainer:
     def test_world_one_first_step_defers_then_fires_eagerly(self):
         trainer = _make_trainer("ssgd", 1, self.BUCKET)
         trainer.train_step()
-        assert trainer._reducer.deferred_steps == 1
+        assert trainer.reducer.deferred_steps == 1
         trainer.train_step()
         trainer.train_step()
-        assert trainer._reducer.eager_steps == 2
+        assert trainer.reducer.eager_steps == 2
 
     def test_gradient_accumulation_matches(self):
         self._assert_same_trajectory(
@@ -342,7 +372,7 @@ class TestBucketedTrainer:
         """buffer_bytes=0 means one bucket per tensor (no fusion)."""
         t_bucket = _make_trainer("powersgd", 2, 0)
         assert (
-            t_bucket._reducer.num_buckets
+            t_bucket.reducer.num_buckets
             == len(t_bucket._arena.layout.names)
         )
         self._assert_same_trajectory(
@@ -352,8 +382,8 @@ class TestBucketedTrainer:
     def test_parallel_workers_defer_but_match(self):
         t_par = _make_trainer("ssgd", 2, self.BUCKET, workers="thread")
         self._assert_same_trajectory(_make_trainer("ssgd", 2, None), t_par)
-        assert t_par._reducer.deferred_steps > 0
-        assert t_par._reducer.eager_steps == 0
+        assert t_par.reducer.deferred_steps > 0
+        assert t_par.reducer.eager_steps == 0
 
     def test_resilient_path_stays_bucketed_and_identical(self):
         t_mono = _make_trainer(
@@ -363,7 +393,7 @@ class TestBucketedTrainer:
             "signsgd", 2, self.BUCKET, resilience=ResilienceConfig()
         )
         self._assert_same_trajectory(t_mono, t_bucket)
-        assert t_bucket._reducer.deferred_steps == 4
+        assert t_bucket.reducer.deferred_steps == 4
 
     def test_fallback_aggregator_goes_through_buckets(self):
         trainer = _make_trainer(
@@ -373,21 +403,139 @@ class TestBucketedTrainer:
         trainer.train_step()
         reference.train_step()
         fallback = AllReduceAggregator(trainer.aggregator.group)
-        per_worker = [trainer._arena.grads(s) for s in range(2)]
         _fill_slabs(trainer._arena, 2, 11)
         mono_arena = reference._arena
         _fill_slabs(mono_arena, 2, 11)
-        got = trainer._aggregate(fallback, per_worker)
+        trainer.reducer.begin_step(2, eager=False)
+        got = trainer.reducer.finish_step(fallback)
         want = AllReduceAggregator(ProcessGroup(2)).aggregate(
             [mono_arena.grads(s) for s in range(2)]
         )
         for name in want:
             np.testing.assert_array_equal(got[name], want[name])
-        assert len(trainer._reducer.last_timings) > 0
+        assert len(trainer.reducer.last_timings) > 0
 
     def test_buffer_bytes_validation(self):
-        with pytest.raises(ValueError, match="does not support bucketed"):
-            _make_trainer("randomk", 2, self.BUCKET)
+        """Any size >= 0 constructs for every method; only < 0 is refused."""
+        for method in BUCKETED_METHODS:
+            for buffer_bytes in (None, 0, self.BUCKET, 10**9):
+                _make_trainer(method, 2, buffer_bytes).close()
+        with pytest.raises(ValueError, match="bucket_bytes must be >= 0"):
+            _make_trainer("randomk", 2, -1)
+
+    @pytest.mark.parametrize("method", WHOLE_VECTOR_METHODS)
+    @pytest.mark.parametrize("world", [1, 2, 3])
+    def test_whole_vector_methods_ignore_the_partition(self, method, world):
+        """Per-tensor, mid-size and one bucket agree, losses and weights."""
+        for buffer_bytes in (0, self.BUCKET):
+            self._assert_same_trajectory(
+                _make_trainer(method, world, None),
+                _make_trainer(method, world, buffer_bytes),
+            )
+
+    def test_second_trainer_on_a_model_runs_only_its_own_hooks(self):
+        first = _make_trainer("ssgd", 2, self.BUCKET)
+        first.train_step()
+        params = [p for _, p in first.model.named_parameters()]
+        assert all(len(p._hooks) == 1 for p in params)
+        first.close()
+        first.close()  # idempotent
+        assert all(len(p._hooks) == 0 for p in params)
+        second = DataParallelTrainer(
+            first.model, first.optimizer,
+            make_aggregator("ssgd", ProcessGroup(2)),
+            first.train_data, first.test_data, batch_size_per_worker=8,
+            seed=3, buffer_bytes=self.BUCKET,
+        )
+        second.train_step()
+        assert all(len(p._hooks) == 1 for p in params)
+        assert first.reducer.eager_steps == 1  # saw nothing of the second
+        second.close()
+        assert all(len(p._hooks) == 0 for p in params)
+
+
+def _count_calls(aggregator):
+    """Count the four public calls where the trainer must find them: on the
+    instance (perfbench wraps them there)."""
+    calls = dict.fromkeys(
+        ("aggregate", "begin_buckets", "reduce_bucket", "finish_buckets"), 0
+    )
+    for name in calls:
+        def counted(*args, _inner=getattr(aggregator, name), _name=name, **kw):
+            calls[_name] += 1
+            return _inner(*args, **kw)
+        setattr(aggregator, name, counted)
+    return calls
+
+
+class TestOneReductionPath:
+    """Every step of every configuration is begin -> reduce x N -> finish."""
+
+    @pytest.mark.parametrize("resilient", [False, True], ids=["plain", "resilient"])
+    @pytest.mark.parametrize("buffer_bytes", [None, 60 * 8], ids=["mono", "bucketed"])
+    @pytest.mark.parametrize("workers", ["seq", "thread", "process"])
+    def test_exact_call_counts_per_step(self, workers, buffer_bytes, resilient):
+        kwargs = {"resilience": ResilienceConfig()} if resilient else {}
+        with _make_trainer(
+            "topk", 2, buffer_bytes, workers=workers, **kwargs
+        ) as trainer:
+            calls = _count_calls(trainer.aggregator)
+            buckets = trainer.reducer.num_buckets
+            assert (buckets == 1) == (buffer_bytes is None)
+            for step in range(1, 4):
+                trainer.train_step()
+                assert calls == {
+                    "aggregate": 0, "begin_buckets": step,
+                    "reduce_bucket": step * buckets, "finish_buckets": step,
+                }
+            eager = workers == "seq" and not resilient
+            assert trainer.reducer.eager_steps == (3 if eager else 0)
+            assert trainer.reducer.deferred_steps == (0 if eager else 3)
+
+    def test_skipped_step_makes_no_aggregator_call(self):
+        trainer = _make_trainer(
+            "topk", 2, None, resilience=ResilienceConfig(fallback_steps=0)
+        )
+        trainer.train_step()
+        calls = _count_calls(trainer.aggregator)
+        original = trainer._worker_gradients
+
+        def poisoned(rank, *args, **kwargs):
+            loss, grads = original(rank, *args, **kwargs)
+            trainer._arena.slab(0)[0] = np.nan  # ``grads`` are slab views
+            return loss, grads
+
+        trainer._worker_gradients = poisoned
+        trainer.train_step()
+        assert trainer.resilience_log.skipped_steps == 1
+        assert not any(calls.values())
+        del trainer._worker_gradients
+        trainer.train_step()  # the abandoned step does not wedge the next
+        assert calls["finish_buckets"] == 1
+
+    def test_finish_step_rejects_another_aggregator_once_eager(self):
+        trainer = _make_trainer("topk", 2, None)
+        trainer.reducer.begin_step(2, eager=True)
+        other = AllReduceAggregator(trainer.aggregator.group)
+        with pytest.raises(RuntimeError, match="different aggregator"):
+            trainer.reducer.finish_step(other)
+
+    def test_one_bucket_fires_inside_the_final_backward(self):
+        trainer = _make_trainer("ssgd", 2, None)
+        assert trainer.reducer.num_buckets == 1
+        fired_in_backward = []
+        inner = trainer.model.backward
+
+        def spying_backward(grad):
+            out = inner(grad)
+            fired_in_backward.append(list(trainer.reducer._fired))
+            return out
+
+        trainer.model.backward = spying_backward
+        trainer.train_step()
+        # Worker 0's pass only observes; the final worker's fires the bucket.
+        assert fired_in_backward == [[False], [True]]
+        assert trainer.reducer.eager_steps == 1
 
 
 class TestReducerHooks:
@@ -404,12 +552,6 @@ class TestReducerHooks:
         aggregator = AllReduceAggregator(ProcessGroup(2))
         reducer = BucketedReducer(model, arena, aggregator)
         return model, arena, reducer
-
-    def test_rejects_unbucketed_aggregator(self):
-        model = self.TwoParam()
-        arena = GradientArena(model, 2, bucket_bytes=8)
-        with pytest.raises(ValueError, match="does not support bucketed"):
-            BucketedReducer(model, arena, RandomKAggregator(ProcessGroup(2)))
 
     def _run_worker(self, model, arena, slot):
         arena.bind(model, slot)
@@ -492,7 +634,7 @@ class TestLinkFitFromTimings:
             trainer.train_step()
         samples = [
             (elements * 8, max(seconds, 1e-9))
-            for _, elements, seconds in trainer._reducer.last_timings
+            for _, elements, seconds in trainer.reducer.last_timings
         ]
         sizes = {nbytes for nbytes, _ in samples}
         if len(sizes) < 2:
