@@ -12,10 +12,19 @@ captured before the simulator's graph builders and entry points were
 collapsed onto one path; ``check`` passing therefore proves every
 simulated timeline is unchanged bit-for-bit.
 
+``plans capture`` / ``plans check`` do the same one level up, for the
+planner's answers: one SHA-256 per query of ``tests/golden_plans.py`` over
+the canonical plan payload, in ``tests/data/golden_plans.json``. The
+committed values were captured before the planner's cold path (event loop,
+graph builders, breakdown sweep) was optimised; ``plans check`` passing
+proves every plan is unchanged byte-for-byte.
+
 Usage::
 
     PYTHONPATH=src:tests python scripts/golden_trace.py capture
     PYTHONPATH=src:tests python scripts/golden_trace.py check
+    PYTHONPATH=src:tests python scripts/golden_trace.py plans capture
+    PYTHONPATH=src:tests python scripts/golden_trace.py plans check
 """
 
 from __future__ import annotations
@@ -29,6 +38,7 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 sys.path.insert(0, os.path.join(REPO_ROOT, "tests"))
 
+import golden_plans  # noqa: E402
 from golden_scenarios import (  # noqa: E402
     FULL_TRACES,
     digest,
@@ -38,6 +48,7 @@ from golden_scenarios import (  # noqa: E402
 )
 
 GOLDEN_FILE = os.path.join(REPO_ROOT, "tests", "data", "golden_traces.json")
+GOLDEN_PLANS_FILE = os.path.join(REPO_ROOT, "tests", "data", "golden_plans.json")
 
 
 def _dump(digests, traces) -> str:
@@ -102,14 +113,52 @@ def check() -> int:
     return 1 if failures else 0
 
 
+def capture_plans() -> None:
+    digests = {
+        name: golden_plans.digest(payload)
+        for name, payload in golden_plans.payloads().items()
+    }
+    with open(GOLDEN_PLANS_FILE, "w") as handle:
+        json.dump(digests, handle, indent=0, sort_keys=True)
+        handle.write("\n")
+    print(f"wrote {len(digests)} plan digests to {GOLDEN_PLANS_FILE}")
+
+
+def check_plans() -> int:
+    with open(GOLDEN_PLANS_FILE) as handle:
+        golden = json.load(handle)
+    actual = golden_plans.payloads()
+    failures = [
+        f"{name}: payload drifted (expected_iteration_ms now "
+        f"{json.loads(actual[name])['expected_iteration_ms']!r})"
+        for name in sorted(set(actual) & set(golden))
+        if golden_plans.digest(actual[name]) != golden[name]
+    ]
+    if set(actual) != set(golden):
+        failures.append(
+            f"query grid changed: {sorted(set(actual) ^ set(golden))} (re-capture?)"
+        )
+    for failure in failures:
+        print(f"FAIL {failure}", file=sys.stderr)
+    if not failures:
+        print(f"ok {len(actual)} plan payloads byte-identical")
+    return 1 if failures else 0
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("target", nargs="?", choices=("plans",),
+                        help="pin plan payloads instead of simulator traces")
     parser.add_argument("mode", choices=("capture", "check"))
     args = parser.parse_args()
+    if args.target == "plans":
+        capture_fn, check_fn = capture_plans, check_plans
+    else:
+        capture_fn, check_fn = capture, check
     if args.mode == "capture":
-        capture()
+        capture_fn()
         return 0
-    return check()
+    return check_fn()
 
 
 if __name__ == "__main__":
