@@ -196,7 +196,7 @@ def plan(
     if tune_buffer:
         tuning = autotune_buffer_size(
             winner.method, spec, cluster=cluster, rank=rank, batch_size=batch,
-            refine_rounds=2,
+            refine_rounds=2, topk_ratio=topk_ratio,
         )
         tuned_mb = tuning.best_buffer_mb
         expected_ms = min(expected_ms, tuning.best_time * 1e3)

@@ -9,19 +9,32 @@ plain task sequence) over any set of named resources, with
 - a :class:`~repro.sched.resources.ResourceModel` supplying pairwise
   contention rates (the legacy two-GPU slowdown is one pair),
 - ``start_after`` time gates consumed from a **sorted queue** as the
-  clock advances: the legacy engine rescanned every task per horizon
-  iteration (O(tasks) per event, quadratic overall); here the pending
-  gates are sorted once and a monotone cursor yields the next gate in
-  O(1). A task can never complete before its own gate, so entries the
-  clock has passed are dead forever and the cursor never backtracks —
-  records are identical, large gated DAGs run measurably faster
-  (``python -m repro bench --sim``).
+  clock advances: the pending gates are sorted once and a monotone cursor
+  yields the next gate in O(1). A task can never complete before its own
+  gate, so entries the clock has passed are dead forever and the cursor
+  never backtracks (``python -m repro bench --sim``).
 
-Semantics are bit-compatible with the original ``repro.sim.engine``
-loop (the golden-trace suite enforces this): zero-work tasks cascade at
-the current instant, completion uses the same ``1e-15`` epsilon, rate
-changes happen only at task completions or gate expirations, and the
-clock jumps over fully-gated regions.
+Every event costs work proportional to the resources, not to the graph:
+
+- *readiness* is an unmet-dependency counter per task — reverse edges are
+  built once per run and decremented when a task completes — so a
+  discipline's ``is_ready`` poll is two comparisons, not a walk of ``deps``;
+- each *idle* resource is polled once per selection pass (a busy one keeps
+  its task); zero-work picks complete at that instant and trigger another
+  pass, and the picks of the pass that completes nothing are the tasks that
+  run — a pick from an earlier pass is never kept, because under
+  ``"priority"`` a task released by that pass's progress may outrank it;
+- ``ResourceModel.rates`` is consulted only while at least two busy
+  resources belong to a contention pair; otherwise every rate is ``1.0``.
+
+What stays bit-exact, and why: the float operations and their order are the
+original ``repro.sim.engine`` loop's (the golden traces, the golden plans
+and the reference loop in ``tests/reference_event_loop.py`` enforce it) —
+per busy resource, in first-use order, ``left -= rate * horizon``; ``now +=
+horizon``; completion at ``left <= 1e-15``; zero-work tasks cascade at the
+current instant; rate changes happen only at completions or gate
+expirations; the clock jumps over fully-gated regions. Skipping the rate
+model changes no bit because ``x / 1.0`` and ``x * 1.0`` are exact.
 """
 
 from __future__ import annotations
@@ -30,7 +43,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.sched.graph import Task, TaskGraph, TaskRecord
 from repro.sched.resources import ResourceModel
-from repro.sched.scheduler import FifoScheduler, resolve_discipline
+from repro.sched.scheduler import resolve_discipline
 
 
 class EventLoop:
@@ -71,107 +84,120 @@ class EventLoop:
         graph = TaskGraph.coerce(graph)
         tasks = graph.tasks
 
+        # One pass over the graph, submission order: per-resource queues,
+        # unmet-dependency counts with their reverse edges, pending gates.
         queues: Dict[str, List[Task]] = {}
-        for task in tasks:  # submission order
+        unmet: Dict[str, int] = {}
+        dependents: Dict[str, List[str]] = {}
+        gated: List[Task] = []
+        for task in tasks:
             queues.setdefault(task.stream, []).append(task)
-        heads: Dict[str, int] = {stream: 0 for stream in queues}
-        current: Dict[str, Optional[Task]] = {stream: None for stream in queues}
-        schedulers = {
-            stream: self.disciplines.get(stream, self._default)
-            for stream in queues
-        }
+            unmet[task.task_id] = len(task.deps)
+            for dep in task.deps:
+                dependents.setdefault(dep, []).append(task.task_id)
+            if task.start_after > 0.0:
+                gated.append(task)
+        # gate_idx only moves forward — a task cannot finish before its own
+        # gate, so any entry with start_after <= now is spent for the run.
+        gated.sort(key=lambda t: t.start_after)
+        gate_idx = 0
 
-        remaining: Dict[str, float] = {t.task_id: t.work for t in tasks}
+        # Per-resource state, indexed in first-use order (the order every
+        # float below is applied in).
+        names = list(queues)
+        lanes = range(len(names))
+        lane_queues = [queues[name] for name in names]
+        schedulers = [self.disciplines.get(name, self._default) for name in names]
+        heads = [0] * len(names)
+        current: List[Optional[Task]] = [None] * len(names)
+        left = [0.0] * len(names)  # work left on each resource's current task
+        paired = {name for pair in self.resources.pairs for name in pair}
+        coupled = [name in paired for name in names]
+        full_speed = [1.0] * len(names)
+
         started: Dict[str, float] = {}
         done: Dict[str, float] = {}
         now = 0.0
 
-        # Satellite: pending start_after gates, sorted once. gate_idx only
-        # moves forward — a task cannot finish before its own gate, so any
-        # entry with start_after <= now is spent for the rest of the run.
-        gated: Tuple[Task, ...] = tuple(sorted(
-            (t for t in tasks if t.start_after > 0.0),
-            key=lambda t: t.start_after,
-        ))
-        gate_idx = 0
-
         def ready(task: Task) -> bool:
-            return (
-                all(dep in done for dep in task.deps)
-                and now >= task.start_after
-            )
+            return not unmet[task.task_id] and now >= task.start_after
 
-        def select(stream: str) -> Optional[Task]:
-            """The task this resource would run now (non-preemptive)."""
-            if current[stream] is not None:
-                return current[stream]
-            task, heads[stream] = schedulers[stream].select(
-                queues[stream], heads[stream], done, ready
-            )
-            return task
+        def finish(task: Task) -> None:
+            done[task.task_id] = now
+            for dependent in dependents.get(task.task_id, ()):
+                unmet[dependent] -= 1
 
         total = len(tasks)
         while len(done) < total:
-            # Complete zero-work selectable tasks immediately (may cascade).
+            # Poll every idle resource (non-preemptive: a busy one keeps its
+            # task). Zero-work picks complete at this instant and may
+            # cascade, so poll again; the picks of the pass that completes
+            # nothing are what runs next. A pick made in a pass that went
+            # on to progress is not kept — under "priority" a task released
+            # by that progress may outrank it.
             progressed = True
             while progressed:
                 progressed = False
-                for stream in queues:
-                    task = select(stream)
-                    if task is not None and remaining[task.task_id] == 0.0:
-                        started.setdefault(task.task_id, now)
-                        done[task.task_id] = now
-                        current[stream] = None
+                picks: List[Tuple[int, Task]] = []
+                for lane in lanes:
+                    if current[lane] is not None:
+                        continue
+                    task, heads[lane] = schedulers[lane].select(
+                        lane_queues[lane], heads[lane], done, ready
+                    )
+                    if task is None:
+                        continue
+                    if task.work == 0.0:
+                        started[task.task_id] = now
+                        finish(task)
                         progressed = True
+                    else:
+                        picks.append((lane, task))
             if len(done) == total:
                 break
-
-            # Determine active tasks.
-            active: Dict[str, Task] = {}
-            for stream in queues:
-                task = select(stream)
-                if task is not None:
-                    active[stream] = task
-                    current[stream] = task
+            for lane, task in picks:
+                current[lane] = task
+                left[lane] = task.work
+                started[task.task_id] = now
 
             while gate_idx < len(gated) and gated[gate_idx].start_after <= now:
                 gate_idx += 1
 
+            active = [lane for lane in lanes if current[lane] is not None]
             if not active:
                 # Everything runnable is time-gated: jump the clock to the
                 # earliest future gate whose dependencies are met.
-                jumped = False
                 for idx in range(gate_idx, len(gated)):
-                    candidate = gated[idx]
-                    if all(dep in done for dep in candidate.deps):
-                        now = candidate.start_after
-                        jumped = True
+                    if not unmet[gated[idx].task_id]:
+                        now = gated[idx].start_after
                         break
-                if jumped:
-                    continue
-                pending = [t.task_id for t in tasks if t.task_id not in done]
-                raise ValueError(f"deadlock: no runnable task among {pending}")
+                else:
+                    pending = [t.task_id for t in tasks if t.task_id not in done]
+                    raise ValueError(f"deadlock: no runnable task among {pending}")
+                continue
 
-            rates = self.resources.rates(active)
+            # Rates differ from 1.0 only while two resources of a contention
+            # pair are both busy; x / 1.0 and x * 1.0 are exact, so every
+            # other event skips the model without changing a bit.
+            speed = full_speed
+            if sum(coupled[lane] for lane in active) > 1:
+                rates = self.resources.rates(
+                    {names[lane]: current[lane] for lane in active}
+                )
+                speed = [rates.get(name, 1.0) for name in names]
 
             # Advance to the earliest completion, but never past a pending
             # task's start_after gate (an idle resource must be able to
             # pick it up the moment it becomes eligible).
-            horizon = min(
-                remaining[task.task_id] / rates[stream]
-                for stream, task in active.items()
-            )
+            horizon = min(left[lane] / speed[lane] for lane in active)
             if gate_idx < len(gated):
                 horizon = min(horizon, gated[gate_idx].start_after - now)
-            for stream, task in active.items():
-                started.setdefault(task.task_id, now)
-                remaining[task.task_id] -= rates[stream] * horizon
             now += horizon
-            for stream, task in list(active.items()):
-                if remaining[task.task_id] <= 1e-15:
-                    remaining[task.task_id] = 0.0
-                    done[task.task_id] = now
-                    current[stream] = None
+            for lane in active:
+                left[lane] -= speed[lane] * horizon
+                if left[lane] <= 1e-15:
+                    finish(current[lane])
+                    current[lane] = None
 
         return {
             task.task_id: TaskRecord(task, started[task.task_id], done[task.task_id])

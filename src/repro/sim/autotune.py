@@ -83,11 +83,13 @@ def autotune_buffer_size(
     batch_size: Optional[int] = None,
     coarse_mb: Sequence[float] = _DEFAULT_COARSE_MB,
     refine_rounds: int = 3,
+    topk_ratio: float = 0.001,
 ) -> TuneResult:
     """Find the buffer size minimizing simulated iteration time.
 
     Coarse log-spaced sweep, then ``refine_rounds`` of bisection between
-    the best point's neighbours.
+    the best point's neighbours. ``topk_ratio`` is the Top-k / DGC /
+    Random-k keep fraction every probe is priced at.
     """
     if not coarse_mb:
         raise ValueError("need at least one coarse candidate")
@@ -102,7 +104,7 @@ def autotune_buffer_size(
             )
             evaluated[buffer_bytes] = simulate_iteration(
                 method, model, cluster=cluster, system=config, sim=sim,
-                rank=rank, batch_size=batch_size,
+                rank=rank, batch_size=batch_size, topk_ratio=topk_ratio,
             ).total
         return evaluated[buffer_bytes]
 

@@ -59,41 +59,42 @@ class IterationBreakdown:
         )
 
 
+#: Sweep category of each task tag: 0 = FF&BP compute, 1 = compression,
+#: 2 = communication (an unknown tag is a ``KeyError``).
+_CATEGORY = {"forward": 0, "backward": 0, "other": 0, "compression": 1, "comm": 2}
+
+
 def breakdown_from_records(records: Dict[str, TaskRecord]) -> IterationBreakdown:
     """Sweep task records into the paper's three-way decomposition."""
-    if not records:
-        return IterationBreakdown(0.0, 0.0, 0.0, 0.0)
-    events: List[Tuple[float, int, str]] = []
+    # (time, -1 start / +1 end, category): plain tuple order puts starts
+    # before ends at equal times; events of one instant commute.
+    events: List[Tuple[float, int, int]] = []
+    total_end = 0.0
     for record in records.values():
+        if record.end > total_end:
+            total_end = record.end
         if record.end <= record.start:
             continue
-        tag = record.task.tag
-        events.append((record.start, +1, tag))
-        events.append((record.end, -1, tag))
+        category = _CATEGORY[record.task.tag]
+        events.append((record.start, -1, category))
+        events.append((record.end, 1, category))
     if not events:
         return IterationBreakdown(0.0, 0.0, 0.0, 0.0)
-    events.sort(key=lambda item: (item[0], -item[1]))
+    events.sort()
 
-    counts = {"forward": 0, "backward": 0, "compression": 0, "comm": 0, "other": 0}
-    total_end = max(record.end for record in records.values())
+    busy = [0, 0, 0]  # running tasks per category
     ffbp = compression = comm = 0.0
     prev_time = 0.0
-    idx = 0
-    while idx < len(events):
-        time = events[idx][0]
+    for time, closing, category in events:
         span = time - prev_time
         if span > 0:
-            compute_busy = counts["forward"] or counts["backward"] or counts["other"]
-            if compute_busy:
+            if busy[0]:
                 ffbp += span
-            elif counts["compression"]:
+            elif busy[1]:
                 compression += span
-            elif counts["comm"]:
+            elif busy[2]:
                 comm += span
-        while idx < len(events) and events[idx][0] == time:
-            _, delta, tag = events[idx]
-            counts[tag] += delta
-            idx += 1
+        busy[category] -= closing
         prev_time = time
     return IterationBreakdown(
         total=total_end, ffbp=ffbp, compression=compression, comm_nonoverlap=comm

@@ -7,6 +7,20 @@ hands it to ``Engine.run``, and the records are swept into the paper's
 breakdown (``simulate_iteration`` is that path end to end). Adding a method
 is one ``(ctx, parity_p) -> tasks`` function plus one ``_BUILDERS`` entry.
 
+Sweeps over buffer size, link and method (the planner, the autotuner, the
+paper's Fig. 9-13) re-price one iteration timeline, so the part of a graph
+that depends on none of them is built once: builders start from
+``_skeleton(ctx)`` — the priced FF + BP chain and its tensors in readiness
+order per (model, batch size, ``SimConfig``), plus per-method prefixes
+(ACP-SGD / Random-k hook timelines, wire sizes, post costs) per (rank,
+parity, ``wfbp``) — and only partition buckets and price collectives per
+scenario. The memo holds a few skeletons of the one model seen last, found
+by model identity and ``SimConfig`` equality, and hands out shared ``Task``
+objects in fresh lists; a graph is the same ``Task`` by ``Task`` whether the
+memo was warm or empty (``tests/test_skeleton_memo.py``). Specs and configs
+are immutable values: derive variants with ``dataclasses.replace``, never by
+editing a field (or ``GPUSpec.efficiency``) in place.
+
 Methods (METHODS):
 
 - ``ssgd`` — S-SGD: raw gradients, ring all-reduce.
@@ -30,6 +44,7 @@ finish; with ``tensor_fusion=False`` every tensor is its own bucket.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -198,37 +213,74 @@ class _ReadyTensor:
 
     tensor: TensorSpec
     bp_task: str
-
-    @property
-    def nbytes(self) -> int:
-        return self.tensor.nbytes
+    nbytes: int
 
 
-def _compute_tasks(ctx: BuildContext) -> Tuple[List[Task], List[_ReadyTensor], str]:
-    """FF + BP task chain; returns (tasks, tensors in readiness order, last bp id)."""
-    batch_size, sim = ctx.batch_size, ctx.sim
-    tasks: List[Task] = []
-    prev = ""
-    for idx, layer in enumerate(ctx.model.layers):
-        task_id = f"ff{idx}"
-        deps = (prev,) if prev else ()
-        tasks.append(
-            Task(task_id, GPU_MAIN, gpu_cost.layer_forward_time(layer, batch_size, sim),
-                 deps, tag="forward")
-        )
-        prev = task_id
-    ready: List[_ReadyTensor] = []
-    for idx, layer in reversed(list(enumerate(ctx.model.layers))):
-        task_id = f"bp{idx}"
-        tasks.append(
-            Task(task_id, GPU_MAIN,
-                 gpu_cost.layer_backward_time(layer, batch_size, sim),
-                 (prev,), tag="backward")
-        )
-        prev = task_id
-        for tensor in layer.params:
-            ready.append(_ReadyTensor(tensor, task_id))
-    return tasks, ready, prev
+class _Skeleton:
+    """The priced, buffer- and link-independent part of one (model, batch
+    size, ``SimConfig``): the FF + BP chain in submission order, its tensors
+    in readiness order, and per-method prefixes built on first use.
+
+    Everything held here is shared between graphs and never mutated —
+    builders copy ``tasks`` before extending it.
+    """
+
+    def __init__(self, model: ModelSpec, batch_size: int, sim: SimConfig) -> None:
+        self.model, self.batch_size, self.sim = model, batch_size, sim
+        self.tasks: List[Task] = []
+        prev = ""
+        for idx, layer in enumerate(model.layers):
+            task_id = f"ff{idx}"
+            deps = (prev,) if prev else ()
+            self.tasks.append(
+                Task(task_id, GPU_MAIN,
+                     gpu_cost.layer_forward_time(layer, batch_size, sim),
+                     deps, tag="forward")
+            )
+            prev = task_id
+        self.ready: List[_ReadyTensor] = []
+        for idx, layer in reversed(list(enumerate(model.layers))):
+            task_id = f"bp{idx}"
+            self.tasks.append(
+                Task(task_id, GPU_MAIN,
+                     gpu_cost.layer_backward_time(layer, batch_size, sim),
+                     (prev,), tag="backward")
+            )
+            prev = task_id
+            for tensor in layer.params:
+                self.ready.append(_ReadyTensor(tensor, task_id, tensor.nbytes))
+        self.last_bp = prev
+        self.sizes = [item.nbytes for item in self.ready]
+        self.raw_bytes = float(sum(self.sizes))
+        self._parts: Dict[tuple, object] = {}
+
+    def part(self, key: tuple, build: Callable[[], object]):
+        """``build()`` once per ``key``, 16 keys at most (racing threads
+        build equal values)."""
+        try:
+            return self._parts[key]
+        except KeyError:
+            if len(self._parts) >= 16:
+                self._parts.clear()
+            return self._parts.setdefault(key, build())
+
+
+_SKELETON_LOCK = threading.Lock()
+_SKELETONS: List[_Skeleton] = []  # of one model at a time, newest last
+
+
+def _skeleton(ctx: BuildContext) -> _Skeleton:
+    """The scenario's shared skeleton: found by model *identity* (a held
+    entry keeps its spec alive) and ``SimConfig`` equality, else built."""
+    with _SKELETON_LOCK:
+        if _SKELETONS and _SKELETONS[0].model is not ctx.model:
+            _SKELETONS.clear()
+        for entry in _SKELETONS:
+            if entry.batch_size == ctx.batch_size and entry.sim == ctx.sim:
+                return entry
+        del _SKELETONS[:-3]  # at most four per model
+        _SKELETONS.append(_Skeleton(ctx.model, ctx.batch_size, ctx.sim))
+        return _SKELETONS[-1]
 
 
 def _lowrank_dims(item: _ReadyTensor, rank: int) -> Tuple[int, int, int]:
@@ -286,58 +338,65 @@ def _chained(stages: Sequence[Tuple[str, str, float, bool]], dep: str) -> List[T
     return tasks
 
 
-def _hooked_tasks(
-    ctx: BuildContext,
-    prefix: str,
-    compute: Tuple[List[Task], List[_ReadyTensor], str],
-    hooked: Sequence[_ReadyTensor],
-    compress_work: Callable[[_ReadyTensor], float],
-    wire_bytes: Callable[[_ReadyTensor], float],
-    post_name: str,
-    post_work: Callable[[Sequence[_ReadyTensor]], float],
-) -> List[Task]:
-    """The inline backward-hook timeline of an additive compressor (Fig. 4(c)).
-
-    Each ``hooked`` tensor is compressed on the main stream right after the
-    BP task that produced it (without WFBP: after the full BP). The payloads
-    are fused, under a buffer scaled by the compression rate (§IV-B), into
-    one non-blocking all-reduce per bucket; it waits for its last member's
-    compression (without WFBP: for all of it) and is followed by the
-    bucket's ``post_name`` task (reconstruct / scatter).
-    """
-    ff_bp_tasks, ready, last_bp = compute
-    system = ctx.system
+def _hook_timeline(
+    skel: _Skeleton, wfbp: bool, prefix: str,
+    hooked: Sequence[_ReadyTensor], compress_work: Sequence[float],
+) -> Tuple[List[Task], List[str]]:
+    """The chain with an additive compressor's inline backward hooks
+    (Fig. 4(c)): each ``hooked`` tensor is compressed on the main stream
+    right after the BP task that produced it (without WFBP: after the full
+    BP). Returns ``(tasks, hook ids)``."""
     hooks = [
-        Task(f"{prefix}_compress{idx}", GPU_MAIN, compress_work(item),
-             (item.bp_task if system.wfbp else last_bp,), tag="compression")
-        for idx, item in enumerate(hooked)
+        Task(f"{prefix}_compress{idx}", GPU_MAIN, work,
+             (item.bp_task if wfbp else skel.last_bp,), tag="compression")
+        for idx, (item, work) in enumerate(zip(hooked, compress_work))
     ]
-    if system.wfbp:
+    if wfbp:
         by_bp: Dict[str, List[Task]] = {}
         for item, hook in zip(hooked, hooks):
             by_bp.setdefault(item.bp_task, []).append(hook)
         tasks: List[Task] = []
-        for task in ff_bp_tasks:
+        for task in skel.tasks:
             tasks.append(task)
             tasks.extend(by_bp.get(task.task_id, ()))
     else:
-        tasks = ff_bp_tasks + hooks
+        tasks = skel.tasks + hooks
+    return tasks, [hook.task_id for hook in hooks]
 
-    sizes = [wire_bytes(item) for item in hooked]
+
+def _hooked_tasks(
+    ctx: BuildContext,
+    skel: _Skeleton,
+    prefix: str,
+    timeline: Tuple[List[Task], List[str]],
+    sizes: Sequence[float],
+    post_name: str,
+    post_work: Callable[[int, int], float],
+) -> List[Task]:
+    """A shared :func:`_hook_timeline` plus this scenario's collectives.
+
+    The hooks' payloads (``sizes``, wire bytes per hooked tensor) are fused,
+    under a buffer scaled by the compression rate (§IV-B), into one
+    non-blocking all-reduce per bucket; it waits for its last member's
+    compression (without WFBP: for all of it) and is followed by the
+    bucket's ``post_name`` task (reconstruct / scatter) costing
+    ``post_work(start, end)``.
+    """
+    system = ctx.system
+    tasks, hook_ids = list(timeline[0]), timeline[1]
     if not system.tensor_fusion:
         buffer = 0.0
     elif system.scale_compressed_buffer:
-        raw_bytes = float(sum(item.nbytes for item in ready))
-        buffer = scaled_buffer_size(system.buffer_bytes, sum(sizes), raw_bytes)
+        buffer = scaled_buffer_size(system.buffer_bytes, sum(sizes), skel.raw_bytes)
     else:
         buffer = system.buffer_bytes
     for b_idx, (start, end) in enumerate(partition_buckets(sizes, buffer)):
         comm_id = f"{prefix}_comm{b_idx}"
         duration = ctx.cluster.allreduce_cost(float(sum(sizes[start:end])))
-        gate = hooks[end - 1 if system.wfbp else -1].task_id
+        gate = hook_ids[end - 1 if system.wfbp else -1]
         tasks.append(Task(comm_id, NIC, duration, (gate,), tag="comm"))
         tasks.append(Task(f"{prefix}_{post_name}{b_idx}", GPU_MAIN,
-                          post_work(hooked[start:end]), (comm_id,), tag="compression"))
+                          post_work(start, end), (comm_id,), tag="compression"))
     return tasks
 
 
@@ -346,8 +405,8 @@ def _hooked_tasks(
 
 
 def _ssgd_tasks(ctx: BuildContext, parity_p: bool) -> List[Task]:
-    tasks, ready, last_bp = _compute_tasks(ctx)
-    return tasks + _bucket_comm_tasks(ctx, ready, last_bp, "grad")
+    skel = _skeleton(ctx)
+    return skel.tasks + _bucket_comm_tasks(ctx, skel.ready, skel.last_bp, "grad")
 
 
 def _allgather_method_tasks(ctx: BuildContext, parity_p: bool) -> List[Task]:
@@ -359,8 +418,8 @@ def _allgather_method_tasks(ctx: BuildContext, parity_p: bool) -> List[Task]:
     not change these graphs.
     """
     method, cluster, sim, topk_ratio = ctx.method, ctx.cluster, ctx.sim, ctx.topk_ratio
-    tasks, ready, last_bp = _compute_tasks(ctx)
-    total_bytes = float(sum(item.nbytes for item in ready))
+    skel = _skeleton(ctx)
+    total_bytes = skel.raw_bytes
     total_elems = total_bytes / FP32
     if method == "signsgd":
         compress = gpu_cost.sign_compress_time(total_bytes, sim)
@@ -391,11 +450,11 @@ def _allgather_method_tasks(ctx: BuildContext, parity_p: bool) -> List[Task]:
     gather = sim.allgather_penalty * allgather_time(
         payload, cluster.world_size, cluster.link
     )
-    return tasks + _chained([
+    return skel.tasks + _chained([
         ("compress", GPU_MAIN, compress, True),
         ("gather", NIC, gather, True),
         ("decompress", GPU_MAIN, decompress, True),
-    ], last_bp)
+    ], skel.last_bp)
 
 
 def _randomk_tasks(ctx: BuildContext, parity_p: bool) -> List[Task]:
@@ -407,17 +466,18 @@ def _randomk_tasks(ctx: BuildContext, parity_p: bool) -> List[Task]:
     tensor-fusion treatment: inline per-tensor gather on the main stream,
     fused ring all-reduce of the selected values, scatter on arrival.
     """
-    sim = ctx.sim
-    compute = _compute_tasks(ctx)
-    _, ready, _ = compute
-    return _hooked_tasks(
-        ctx, "rk", compute, ready,  # every tensor is hooked
+    skel, sim, wfbp = _skeleton(ctx), ctx.sim, ctx.system.wfbp
+    nbytes = skel.sizes  # every tensor is hooked
+    timeline = skel.part(("rk", wfbp), lambda: _hook_timeline(
+        skel, wfbp, "rk", skel.ready,
         # EF add + masked gather: two streaming passes over the tensor.
-        compress_work=lambda item: sim.memory_pass_time(2.0 * item.nbytes),
-        wire_bytes=lambda item: item.nbytes * ctx.topk_ratio,
+        [sim.memory_pass_time(2.0 * size) for size in nbytes],
+    ))
+    return _hooked_tasks(
+        ctx, skel, "rk", timeline, [size * ctx.topk_ratio for size in nbytes],
         post_name="scatter",
-        post_work=lambda items: sim.memory_pass_time(
-            float(sum(item.nbytes for item in items))
+        post_work=lambda start, end: sim.memory_pass_time(
+            float(sum(nbytes[start:end]))
         ),
     )
 
@@ -466,8 +526,9 @@ def _powersgd_tasks(ctx: BuildContext, parity_p: bool) -> List[Task]:
     matrix shape (Vogels' reference implementation batches same-shape
     matrices into one batched GEMM/QR and one collective per shape group
     per factor)."""
-    tasks, ready, last_bp = _compute_tasks(ctx)
-    matrices, plain = _lowrank_split(ready, ctx.rank)
+    skel = _skeleton(ctx)
+    tasks, last_bp = list(skel.tasks), skel.last_bp
+    matrices, plain = _lowrank_split(skel.ready, ctx.rank)
     if not ctx.system.tensor_fusion:
         # Naive variant: per-tensor collectives — same payload split into
         # one P and one Q all-reduce per matrix (and one per plain tensor),
@@ -512,14 +573,13 @@ def _powersgd_star_tasks(ctx: BuildContext, parity_p: bool) -> List[Task]:
     resolves, typically before the next bucket's gradients are ready — so
     per-bucket interleaved FIFO order models the real pipeline.
     """
-    system = ctx.system
-    tasks, ready, last_bp = _compute_tasks(ctx)
+    system, skel = ctx.system, _skeleton(ctx)
+    tasks, ready, last_bp = list(skel.tasks), skel.ready, skel.last_bp
     stream = GPU_SIDE if system.wfbp else GPU_MAIN
-    sizes = [item.nbytes for item in ready]
     # Fine-grained (per-tensor, no TF) hooks launch a storm of tiny kernels
     # that stalls the main stream: their orthogonalizations contend too.
     ortho_contends = ctx.sim.qr_contends if system.tensor_fusion else True
-    buckets = partition_buckets(sizes, system.effective_buffer)
+    buckets = partition_buckets(skel.sizes, system.effective_buffer)
     for b_idx, (start, end) in enumerate(buckets):
         matrices, plain = _lowrank_split(ready[start:end], ctx.rank)
         plain_bytes = float(sum(item.nbytes for item in plain))
@@ -534,35 +594,32 @@ def _powersgd_star_tasks(ctx: BuildContext, parity_p: bool) -> List[Task]:
 
 def _acpsgd_tasks(ctx: BuildContext, parity_p: bool) -> List[Task]:
     """ACP-SGD: inline hook compression, one all-reduce per fused bucket."""
-    sim, rank = ctx.sim, ctx.rank
-    compute = _compute_tasks(ctx)
-    _, ready, last_bp = compute
-    matrices, plain = _lowrank_split(ready, rank)
+    skel, sim, rank, wfbp = _skeleton(ctx), ctx.sim, ctx.rank, ctx.system.wfbp
 
-    def compress_work(item: _ReadyTensor) -> float:
-        n, m, r = _lowrank_dims(item, rank)
-        carried_rows = m if parity_p else n
-        return (
+    def prefix():
+        matrices, plain = _lowrank_split(skel.ready, rank)
+        dims = [_lowrank_dims(item, rank) for item in matrices]
+        timeline = _hook_timeline(skel, wfbp, "acp", matrices, [
             gpu_cost.error_feedback_time(n, m, sim)
-            + gpu_cost.orthogonalize_time(carried_rows, r, sim)
+            + gpu_cost.orthogonalize_time(m if parity_p else n, r, sim)
             + gpu_cost.lowrank_project_time(n, m, r, sim)
-        )
+            for n, m, r in dims
+        ])
+        factor_bytes = [float((n if parity_p else m) * r * FP32) for n, m, r in dims]
+        reconstruct = [gpu_cost.reconstruct_time(n, m, r, sim) for n, m, r in dims]
+        return timeline, factor_bytes, reconstruct, plain
 
-    def factor_bytes(item: _ReadyTensor) -> float:
-        n, m, r = _lowrank_dims(item, rank)
-        return float((n if parity_p else m) * r * FP32)
-
+    timeline, factor_bytes, reconstruct, plain = skel.part(
+        ("acp", rank, parity_p, wfbp), prefix
+    )
     tasks = _hooked_tasks(
-        ctx, "acp", compute, matrices, compress_work, factor_bytes,
+        ctx, skel, "acp", timeline, factor_bytes,
         # Reconstruction (P Q^T) per bucket once its factor is aggregated.
         post_name="reconstruct",
-        post_work=lambda items: sum(
-            gpu_cost.reconstruct_time(*_lowrank_dims(item, rank), sim)
-            for item in items
-        ),
+        post_work=lambda start, end: sum(reconstruct[start:end]),
     )
     # Plain (vector) tensors: fused uncompressed all-reduce.
-    return tasks + _bucket_comm_tasks(ctx, plain, last_bp, "acp_plain")
+    return tasks + _bucket_comm_tasks(ctx, plain, skel.last_bp, "acp_plain")
 
 
 _BUILDERS: Dict[str, Callable[[BuildContext, bool], List[Task]]] = {

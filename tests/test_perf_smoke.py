@@ -204,3 +204,64 @@ class TestLowRankSteadyStateMemory:
                 f"{method} aggregate allocated {peak} bytes at peak; one "
                 f"worker's compressible gradients are {compressible_bytes}"
             )
+
+
+class TestPlannerColdPathCounts:
+    """What a planner cache miss costs, as deterministic counts: the event
+    loop polls each resource about once per event and prices contention only
+    when two paired resources are busy; a plan builds each priced skeleton
+    once — and still runs every simulation it ran before."""
+
+    def test_event_loop_polls_and_rate_lookups_per_task(self):
+        from repro.models import get_model_spec
+        from repro.sched import EventLoop, FifoScheduler, ResourceModel
+        from repro.sim.strategies import build_iteration_graph
+
+        class CountingFifo:
+            calls = 0
+            inner = FifoScheduler()
+
+            def select(self, queue, cursor, done, is_ready):
+                self.calls += 1
+                return self.inner.select(queue, cursor, done, is_ready)
+
+        class CountingModel(ResourceModel):
+            calls = 0
+
+            def rates(self, active):
+                self.calls += 1
+                return super().rates(active)
+
+        graph = build_iteration_graph("acpsgd", get_model_spec("ResNet-50"))
+        fifo, model = CountingFifo(), CountingModel.gpu_contention(0.15)
+        records = EventLoop(model, default_discipline=fifo).run(graph)
+        assert len(records) == len(graph) == 283
+        assert fifo.calls <= 2.2 * len(graph)  # 3.91 per task before
+        assert model.calls == 0  # no gpu_side task: was once per event
+
+    def test_one_plan_builds_each_skeleton_once(self, monkeypatch):
+        import repro.planner
+        import repro.sim.autotune
+        from repro.sched import Task
+        from repro.sim.engine import Engine
+
+        counts = {"tasks": 0, "assess": 0, "probe": 0, "runs": 0}
+
+        def counted(fn, name):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(
+            Task, "__post_init__", counted(Task.__post_init__, "tasks"))
+        monkeypatch.setattr(repro.planner, "simulate_iteration", counted(
+            repro.planner.simulate_iteration, "assess"))
+        monkeypatch.setattr(repro.sim.autotune, "simulate_iteration", counted(
+            repro.sim.autotune.simulate_iteration, "probe"))
+        monkeypatch.setattr(Engine, "run", counted(Engine.run, "runs"))
+
+        result = repro.planner.plan("ResNet-50", gpus=32, tune_buffer=True)
+        assert result.recommended_method == "acpsgd"  # both parities tuned
+        assert (counts["assess"], counts["probe"], counts["runs"]) == (6, 11, 29)
+        assert counts["tasks"] <= 3700  # 9 235 before

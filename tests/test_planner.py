@@ -59,3 +59,19 @@ class TestPlanner:
     def test_unknown_model_rejected(self):
         with pytest.raises(KeyError):
             plan("AlexNet")
+
+    @pytest.mark.parametrize("ratio", [0.001, 0.01, 0.05])
+    def test_tuning_probes_price_topk_at_the_query_ratio(self, ratio):
+        """Top-k's graph ignores the fusion buffer, so tuning can only tie:
+        probes priced at the default 0.001 used to under-report every other
+        ratio (374.8 ms expected for a 1050.6 ms assessment at 0.05)."""
+        tuned, untuned = (
+            plan("ResNet-50", methods=("topk",), topk_ratio=ratio, tune_buffer=tune)
+            for tune in (True, False)
+        )
+        assert tuned.recommended_method == "topk"
+        assert set(tuned.tuning.evaluated.values()) == {
+            tuned.assessments[0].iteration_ms / 1e3
+        }
+        assert tuned.expected_iteration_ms == untuned.expected_iteration_ms
+        assert tuned.speedup_over_ssgd == untuned.speedup_over_ssgd

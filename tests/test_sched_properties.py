@@ -9,15 +9,21 @@ from the legacy-engine properties in ``test_engine_properties.py``:
 - under the priority discipline with all-distinct priorities and no
   dependencies, the schedule is invariant to submission order;
 - on a pure chain, fifo and priority produce identical records (only one
-  task is ever ready, so the discipline cannot matter).
+  task is ever ready, so the discipline cannot matter);
+- the loop is bit-identical (``float.hex()`` start / end per task, same
+  ``deadlock:`` message) to ``tests/reference_event_loop.py`` — the loop
+  that re-walked ``deps`` on every poll — for every discipline.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.sched import EventLoop, ResourceModel, Task, TaskGraph
+from tests.reference_event_loop import ReferenceEventLoop
 
 RESOURCES = ("alpha", "beta", "gamma")
+#: Zero-work tasks (instant cascades) are as common as any other length.
+WORK = st.one_of(st.just(0.0), st.floats(0.0, 3.0))
 
 
 @st.composite
@@ -37,7 +43,7 @@ def random_graph(draw):
         tasks.append(Task(
             task_id=f"t{idx}",
             stream=draw(st.sampled_from(RESOURCES)),
-            work=draw(st.floats(0.0, 3.0)),
+            work=draw(WORK),
             deps=deps,
             contends=draw(st.booleans()),
             priority=draw(st.integers(0, 3)),
@@ -159,3 +165,132 @@ class TestDisciplineProperties:
             task_id: (record.start, record.end)
             for task_id, record in second.items()
         }
+
+
+# -- bit-identity with the reference loop ------------------------------
+
+TWO_PAIRS = {("alpha", "beta"): 0.25, ("beta", "gamma"): 0.5}
+
+
+class LastReady:
+    """A discipline that is no subclass of the built-ins: the *last* ready
+    task of the queue runs (LIFO among ready tasks), cursor untouched."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def select(self, queue, cursor, done, is_ready):
+        self.calls += 1
+        for task in reversed(queue):
+            if task.task_id not in done and is_ready(task):
+                return task, cursor
+        return None, cursor
+
+
+@st.composite
+def tangled_graph(draw):
+    """Dependencies on *any* task (later ones and itself included): cycles
+    and FIFO heads blocked forever are common, so many runs deadlock."""
+    count = draw(st.integers(1, 8))
+    ids = [f"t{idx}" for idx in range(count)]
+    return TaskGraph(
+        Task(
+            task_id=task_id,
+            stream=draw(st.sampled_from(RESOURCES)),
+            work=draw(WORK),
+            deps=tuple(draw(st.lists(st.sampled_from(ids), max_size=2))),
+            priority=draw(st.integers(0, 3)),
+            start_after=draw(st.sampled_from((0.0, 0.5))),
+        )
+        for task_id in ids
+    )
+
+
+def outcome(loop, graph):
+    """Hex records in submission order, or the error the run raised."""
+    try:
+        records = loop.run(graph)
+    except ValueError as error:
+        return str(error)
+    return [
+        (task_id, record.start.hex(), record.end.hex())
+        for task_id, record in records.items()
+    ]
+
+
+def both_loops(**kwargs):
+    return (
+        EventLoop(resources=ResourceModel(TWO_PAIRS), **kwargs),
+        ReferenceEventLoop(resources=ResourceModel(TWO_PAIRS), **kwargs),
+    )
+
+
+DISCIPLINE_ASSIGNMENTS = {
+    "fifo": {},
+    "priority": {"default_discipline": "priority"},
+    "mixed": {"disciplines": {"alpha": "priority", "gamma": "fifo"},
+              "default_discipline": "fifo"},
+}
+
+
+class TestBitIdenticalToReferenceLoop:
+    @settings(max_examples=150, deadline=None)
+    @given(graph=random_graph(),
+           assignment=st.sampled_from(sorted(DISCIPLINE_ASSIGNMENTS)))
+    def test_records_equal_as_hex(self, graph, assignment):
+        new, reference = both_loops(**DISCIPLINE_ASSIGNMENTS[assignment])
+        assert outcome(new, graph) == outcome(reference, graph)
+
+    @settings(max_examples=150, deadline=None)
+    @given(graph=tangled_graph(),
+           assignment=st.sampled_from(sorted(DISCIPLINE_ASSIGNMENTS)))
+    def test_deadlocks_raise_the_same_message(self, graph, assignment):
+        new, reference = both_loops(**DISCIPLINE_ASSIGNMENTS[assignment])
+        expected = outcome(reference, graph)
+        assert outcome(new, graph) == expected
+        if isinstance(expected, str):
+            assert expected.startswith("deadlock: no runnable task among [")
+
+    @settings(max_examples=60, deadline=None)
+    @given(graph=random_graph())
+    def test_custom_discipline_through_the_select_protocol(self, graph):
+        ours, theirs = LastReady(), LastReady()
+        new = EventLoop(ResourceModel(TWO_PAIRS), default_discipline=ours)
+        reference = ReferenceEventLoop(
+            ResourceModel(TWO_PAIRS), default_discipline=theirs
+        )
+        assert outcome(new, graph) == outcome(reference, graph)
+        assert 0 < ours.calls <= theirs.calls
+
+    def test_cycle_and_blocked_fifo_head_messages(self):
+        cycle = [Task("a", "alpha", 1.0, deps=("b",)),
+                 Task("b", "beta", 1.0, deps=("a",)),
+                 Task("c", "gamma", 1.0)]
+        # "late" is submitted ahead of the task it waits for, on one FIFO.
+        blocked = [Task("late", "alpha", 1.0, deps=("early",)),
+                   Task("early", "alpha", 1.0)]
+        for tasks, message in (
+            (cycle, "deadlock: no runnable task among ['a', 'b']"),
+            (blocked, "deadlock: no runnable task among ['late', 'early']"),
+        ):
+            for loop in both_loops():
+                with pytest.raises(ValueError) as raised:
+                    loop.run(tasks)
+                assert str(raised.value) == message
+        # The priority discipline is not head-of-line blocked.
+        for loop in both_loops(default_discipline="priority"):
+            assert set(loop.run(blocked)) == {"late", "early"}
+
+    def test_pick_from_a_progressing_pass_is_not_pinned(self):
+        """``low`` is the only ready task of ``alpha`` when the pass polls
+        it, then ``beta``'s zero-work ``unlock`` completes in the same pass
+        and releases ``high`` at the same instant: ``high`` must run first."""
+        tasks = [
+            Task("low", "alpha", 1.0, priority=0),
+            Task("high", "alpha", 2.0, deps=("unlock",), priority=9),
+            Task("unlock", "beta", 0.0),
+        ]
+        for loop in both_loops(default_discipline="priority"):
+            records = loop.run(tasks)
+            assert (records["high"].start, records["high"].end) == (0.0, 2.0)
+            assert (records["low"].start, records["low"].end) == (2.0, 3.0)

@@ -7,6 +7,7 @@ import pytest
 from repro.models import get_model_spec
 from repro.sim import (
     ClusterSpec,
+    SystemConfig,
     autotune_buffer_size,
     build_iteration_graph,
     simulate_iteration,
@@ -103,6 +104,18 @@ class TestAutotune:
         )
         assert len(refined.evaluated) > len(coarse.evaluated)
         assert refined.best_time <= coarse.best_time
+
+    def test_topk_ratio_reaches_every_probe(self, resnet18):
+        for ratio in (0.001, 0.02):
+            result = autotune_buffer_size(
+                "randomk", resnet18, batch_size=16, coarse_mb=(1, 16),
+                refine_rounds=0, topk_ratio=ratio,
+            )
+            for buffer_bytes, seconds in result.evaluated.items():
+                assert seconds == simulate_iteration(
+                    "randomk", resnet18, batch_size=16, topk_ratio=ratio,
+                    system=SystemConfig(buffer_bytes=buffer_bytes),
+                ).total
 
     def test_validation(self, resnet18):
         with pytest.raises(ValueError, match="candidate"):
