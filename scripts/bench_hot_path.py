@@ -4,15 +4,14 @@
 Thin wrapper over ``python -m repro bench`` (see
 :mod:`repro.perf.bench`): times S-SGD and every compressed aggregator's
 step at world_size 4 on a VGG-style model over zero-copy arena slabs,
-and writes the rows — including the fused-allocation counters, an
-end-to-end sequential-vs-thread ``train_step`` row, the fusion
-buffer-size sweep, and the per-backend worker-mode comparison
-(``--workers seq,thread,process``: where the GIL costs each method) —
-to ``BENCH_hotpath.json``.
+and writes the rows — including the fused-allocation counters, the
+fusion buffer-size sweep, and the per-backend worker-mode comparison
+(``--workers seq,process``: end-to-end ``train_step`` per method) — to
+``BENCH_hotpath.json``.
 
 Usage:
     python scripts/bench_hot_path.py [--world-size 4] [--base-width 32]
-                                     [--workers seq,thread,process]
+                                     [--workers seq,process]
                                      [--output BENCH_hotpath.json]
 Exit code 0 on success.
 """

@@ -1,40 +1,36 @@
 #!/usr/bin/env python
-"""Verify fault-injected, parallel-worker, elastic-churn, bucketed,
-gossip, process-worker, worker-crash-recovery, and topology-aware
-training are bit-deterministic.
+"""Verify fault-injected, elastic-churn, bucketed, gossip,
+process-worker, worker-crash-recovery, and topology-aware training are
+bit-deterministic.
 
-Eight checks, all diffing final weights bit-exactly:
+Seven checks, all diffing final weights bit-exactly:
 
 1. the same fault-injected resilient training job run twice — identical
    FaultPlan, identical seeds — must produce identical weights (hidden
    wall-clock or unseeded randomness in the fault/recovery path shows up
    here);
-2. the same clean training job run with sequential workers and with
-   thread-parallel workers (``workers="thread"``) must produce
-   identical weights (scheduling-order leakage in the parallel backprop
-   path shows up here);
-3. the same elastic-churn job — a rank ejected, readmitted, then a
+2. the same elastic-churn job — a rank ejected, readmitted, then a
    brand-new rank joined mid-run — replayed twice must produce identical
    weights (unseeded state in the admission protocol: warm-start, rng
    allocation, re-sharding, ring re-chunk, shows up here);
-4. the same clean training job run monolithically (``buffer_bytes=None``,
+3. the same clean training job run monolithically (``buffer_bytes=None``,
    the one-bucket case of the staged protocol) and through the N-bucket
    WFBP reducer pipeline must produce identical weights for all nine
    methods (any dependence of the segmented collectives / staged
    compression on the bucket partition or on eager firing shows up
    here);
-5. the same open-membership gossip run — adversarial peers (sign-flip +
+4. the same open-membership gossip run — adversarial peers (sign-flip +
    corrupt-payload) plus churn (departure, return, fresh join via store
    replay) — replayed twice must produce identical honest weights and the
    identical quarantine record (unseeded state in the publish path, the
    peer scorer, or the donor-less admission replay shows up here);
-6. the same clean training job run sequentially and with process workers
+5. the same clean training job run sequentially and with process workers
    (``workers="process"``: child processes writing gradients into
    shared-memory arena slabs) must produce identical weights for all
    nine methods — including a BatchNorm model and an elastic
    eject -> rejoin -> scale-up churn replay (cross-process rng-stream,
    shard, weight-broadcast, or BatchNorm-replay drift shows up here);
-7. a supervised run whose worker child is SIGKILLed mid-step must
+6. a supervised run whose worker child is SIGKILLed mid-step must
    recover bit-identically: under the ``"restart"`` policy the child is
    respawned, its sampling stream replayed, and the step retried — the
    weights must match the fault-free run exactly; under the ``"eject"``
@@ -43,7 +39,7 @@ Eight checks, all diffing final weights bit-exactly:
    WorkerFault schedule, and both must log the same eject -> rejoin
    membership record (respawn-state, retry-replay, or stale-slab drift
    shows up here);
-8. the same clean training job run over the flat ring and over the
+7. the same clean training job run over the flat ring and over the
    topology-aware hierarchical all-reduce
    (``DataParallelTrainer(..., topology=...)``) must produce identical
    weights for all nine methods, monolithic and bucketed, on
@@ -53,7 +49,7 @@ Eight checks, all diffing final weights bit-exactly:
 
 Usage:
     python scripts/check_determinism.py [--steps 6]
-Exit code 0 when all eight PASS, 1 otherwise.
+Exit code 0 when all seven PASS, 1 otherwise.
 """
 
 import argparse
@@ -94,22 +90,6 @@ def run_once(steps: int) -> np.ndarray:
         resilience=ResilienceConfig(),
     )
     trainer.run(epochs=1, steps_per_epoch=steps, method_label="acpsgd")
-    return model.state_vector()
-
-
-def run_clean(steps: int, workers: str) -> np.ndarray:
-    """A clean (no-fault) run, sequential or thread-parallel workers."""
-    from repro.comm import ProcessGroup
-
-    train_data, test_data = make_cifar_like(num_train=256, num_test=64, seed=3)
-    model = make_small_vgg(base_width=4, rng=np.random.default_rng(5))
-    aggregator = make_aggregator("powersgd", ProcessGroup(4), rank=2)
-    trainer = DataParallelTrainer(
-        model, SGD(model, lr=0.05, momentum=0.9), aggregator,
-        train_data, test_data, batch_size_per_worker=8, seed=13,
-        workers=workers,
-    )
-    trainer.run(epochs=1, steps_per_epoch=steps, method_label="powersgd")
     return model.state_vector()
 
 
@@ -255,17 +235,6 @@ def main() -> int:
               f"(max |diff| = {diff:g})")
         failures += 1
 
-    sequential = run_clean(args.steps, workers="seq")
-    parallel = run_clean(args.steps, workers="thread")
-    if np.array_equal(sequential, parallel):
-        print(f"PASS: sequential and parallel-worker runs of {args.steps} "
-              "steps produced bit-identical weights")
-    else:
-        diff = float(np.abs(sequential - parallel).max())
-        print(f"FAIL: parallel-worker weights diverge from sequential "
-              f"(max |diff| = {diff:g})")
-        failures += 1
-
     churn_steps = max(args.steps, 6)  # the schedule needs room to play out
     churn_first = run_churn(churn_steps)
     churn_second = run_churn(churn_steps)
@@ -316,10 +285,10 @@ def main() -> int:
               f"quarantined {quarantine_first} vs {quarantine_second})")
         failures += 1
 
-    # Check 6: process workers (shared-memory slabs) vs the sequential
-    # path — per method (reusing check 4's sequential baselines; the
+    # Check 5: process workers (shared-memory slabs) vs the sequential
+    # path — per method (reusing check 3's sequential baselines; the
     # small-VGG model exercises BatchNorm stat replay across processes)
-    # and through the elastic churn schedule (reusing check 3's
+    # and through the elastic churn schedule (reusing check 2's
     # sequential-churn baseline).
     process_mismatched = []
     for method in bucketed_methods:
@@ -344,7 +313,7 @@ def main() -> int:
               f"{'; '.join(process_mismatched)}")
         failures += 1
 
-    # Check 7: a worker child SIGKILLed mid-step (crash WorkerFault at
+    # Check 6: a worker child SIGKILLed mid-step (crash WorkerFault at
     # rank 1, step 1) must recover bit-identically under both
     # supervision rungs.
     supervision_failed = []
@@ -377,7 +346,7 @@ def main() -> int:
               f"{'; '.join(supervision_failed)}")
         failures += 1
 
-    # Check 8: the topology-aware hierarchical all-reduce must be
+    # Check 7: the topology-aware hierarchical all-reduce must be
     # bit-identical to the flat ring — monolithic and bucketed — for all
     # nine methods, on a single 2-GPU node (degenerate hierarchy)
     # and on 2 nodes x 2 GPUs (real two-level schedule). The canonical-fold

@@ -526,14 +526,14 @@ def cmd_bench(args: argparse.Namespace) -> int:
             if m.strip() and m.strip() != "none"
         ]
         for mode in worker_modes:
-            if mode not in ("seq", "thread", "process"):
+            if mode not in ("seq", "process"):
                 print(f"unknown worker backend {mode!r} "
-                      "(expected seq, thread, process, or none)")
+                      "(expected seq, process, or none)")
                 return 2
-        if "process" in worker_modes and "thread" not in worker_modes:
-            # The acceptance criterion is process-vs-thread: measuring
+        if "process" in worker_modes and "seq" not in worker_modes:
+            # The acceptance criterion is process-vs-seq: measuring
             # process alone would record a speedup over nothing.
-            worker_modes.insert(worker_modes.index("process"), "thread")
+            worker_modes.insert(worker_modes.index("process"), "seq")
     report = run_hot_path_bench(
         world_size=args.world_size,
         base_width=args.base_width,
@@ -541,7 +541,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         warmup=args.warmup,
         seed=args.seed,
         methods=methods,
-        include_train_step=not args.no_train_step,
         buffer_sizes_mb=buffer_sizes_mb,
         worker_modes=worker_modes,
     )
@@ -566,15 +565,15 @@ def cmd_bench(args: argparse.Namespace) -> int:
               f"{'worker ms':>9}  {'aggregate ms':>12}  {'bcast ms':>8}")
         for method, rows in report["worker_modes"].items():
             for mode, row in rows.items():
-                if mode == "process_vs_thread_speedup":
+                if mode == "process_vs_seq_speedup":
                     continue
                 print(f"{method:>10}  {mode:>8}  {row['best_s'] * 1e3:>8.2f}  "
                       f"{row['worker_mean_s'] * 1e3:>9.2f}  "
                       f"{row['aggregate_mean_s'] * 1e3:>12.2f}  "
                       f"{row['broadcast_mean_s'] * 1e3:>8.2f}")
-            speedup = rows.get("process_vs_thread_speedup")
+            speedup = rows.get("process_vs_seq_speedup")
             if speedup is not None:
-                print(f"{method:>10}  process vs thread: {speedup:.2f}x")
+                print(f"{method:>10}  process vs seq: {speedup:.2f}x")
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
             json.dump(report, handle, indent=2)
@@ -774,10 +773,10 @@ def build_parser() -> argparse.ArgumentParser:
                          help="simulated data-parallel worker count")
     p_bench.add_argument("--workers", default="",
                          help="comma-separated backprop backends to compare "
-                              "end-to-end: seq, thread, process (default: "
-                              "all three; 'process' pulls in the thread "
-                              "baseline its speedup is measured against; "
-                              "'none' skips the comparison)")
+                              "end-to-end: seq, process (default: both; "
+                              "'process' pulls in the seq baseline its "
+                              "speedup is measured against; 'none' skips "
+                              "the comparison)")
     p_bench.add_argument("--base-width", type=int, default=32,
                          help="VGG width multiplier (model size knob)")
     p_bench.add_argument("--iters", type=int, default=7,
@@ -792,8 +791,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "0.25,1,4,16)")
     p_bench.add_argument("--no-buffer-sweep", action="store_true",
                          help="skip the fusion buffer-size sweep")
-    p_bench.add_argument("--no-train-step", action="store_true",
-                         help="skip the end-to-end train_step comparison")
     p_bench.add_argument("--output", default="BENCH_hotpath.json",
                          help="JSON report path ('' to skip writing; "
                               "--planner defaults to BENCH_planner.json)")

@@ -13,7 +13,7 @@ flat ring's ``2 (p - 1)``.
 There is no hierarchical *reduction* here: a topology changes what
 :func:`repro.comm.collectives.all_reduce_inplace` charges for a call, never
 the association it sums in, so ``topology=`` on a group or trainer cannot
-change a training trajectory (the eighth ``scripts/check_determinism.py``
+change a training trajectory (the seventh ``scripts/check_determinism.py``
 check).
 """
 

@@ -31,8 +31,8 @@ class BatchNorm2d(Module):
         self.momentum = momentum
         # When set (a list), training forwards append their (mean, var)
         # batch statistics here INSTEAD of updating the running buffers.
-        # Parallel worker replicas record per-batch stats this way and the
-        # trainer replays them onto the master model in rank order, so the
+        # Process workers' model copies record per-batch stats this way and
+        # the pool replays them onto the master model in rank order, so the
         # running buffers end up bit-identical to a sequential pass (the
         # batch statistics depend only on the batch, not on the buffers).
         self.stat_recorder: Optional[list] = None

@@ -1,4 +1,4 @@
-"""Hot-path performance subsystem: gradient arena + parallel backprop.
+"""Hot-path performance subsystem: gradient arena + process workers.
 
 Three pieces make the measured training hot path allocation-free and
 worker-parallel (see ``docs/performance.md``):
@@ -6,8 +6,8 @@ worker-parallel (see ``docs/performance.md``):
 - :class:`~repro.perf.arena.GradientArena` — preallocated per-worker fused
   gradient buffers; every ``Parameter.grad`` is a zero-copy view, so
   tensor fusion stops copying and the collectives can aggregate in place;
-- :class:`~repro.perf.replicas.ReplicaSet` — per-worker model replicas
-  sharing weight storage, enabling thread-parallel backprop with
+- :class:`~repro.perf.procpool.ProcessWorkerPool` — persistent per-rank
+  child processes writing gradients into shared-memory arena slabs, with
   bit-identical trajectories;
 - :data:`~repro.perf.counters.ALLOC_STATS` — fused-allocation counters
   backing the "zero per-step fused allocations" regression check.
@@ -19,7 +19,7 @@ from here).
 
 from repro.perf.arena import ArenaGrads, ArenaLayout, GradientArena
 from repro.perf.counters import ALLOC_STATS, AllocStats
-from repro.perf.replicas import ReplicaSet, iter_modules
+from repro.perf.replicas import iter_modules
 
 __all__ = [
     "ALLOC_STATS",
@@ -28,7 +28,6 @@ __all__ = [
     "ArenaLayout",
     "GradientArena",
     "ProcessWorkerPool",
-    "ReplicaSet",
     "WorkerStepTask",
     "iter_modules",
 ]

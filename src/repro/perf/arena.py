@@ -176,8 +176,9 @@ class GradientArena:
 
     Args:
         model: the model whose parameters define the layout (names, shapes,
-            order). Replicas created by
-            :class:`~repro.perf.replicas.ReplicaSet` share the same layout.
+            order). Process workers' copies
+            (:func:`~repro.perf.replicas.detached_copy`) share the same
+            layout.
         world_size: number of worker slabs to allocate.
         bucket_bytes: optional bucket cap (parameter-order contiguous
             buckets, DDP-style). ``None`` fuses the whole model into one

@@ -6,16 +6,14 @@ model at ``world_size`` workers. Gradients are
 storage the trainer has — so packing is a no-op and S-SGD aggregates in
 place on the slabs with preallocated ring scratch. The JSON report also
 records the :data:`~repro.perf.counters.ALLOC_STATS` deltas — every
-method must show zero fused-buffer allocations — and an
-optional end-to-end ``train_step`` comparison (sequential vs thread
-workers). (The pre-arena concatenating path this file used to time beside
-the arena is gone; its last tracked numbers are frozen in CHANGES.md.)
+method must show zero fused-buffer allocations. (The pre-arena
+concatenating path this file used to time beside the arena is gone; its
+last tracked numbers are frozen in CHANGES.md.)
 
-The ``worker_modes`` section compares the three backprop backends
-(``seq`` / ``thread`` / ``process``) end-to-end per method, with a
-worker/aggregate/broadcast time breakdown — the measurement that shows
-whether compression compute actually escaped the GIL (see
-``repro.perf.procpool``).
+The ``worker_modes`` section compares the two backprop backends (``seq``
+/ ``process``) end-to-end per method, with a worker/aggregate/broadcast
+time breakdown — the measurement that shows whether backprop actually
+spread over the cores (see ``repro.perf.procpool``).
 
 Run it via ``python -m repro bench`` or ``scripts/bench_hot_path.py``.
 """
@@ -38,6 +36,9 @@ from repro.train.datasets import ArrayDataset
 from repro.train.trainer import DataParallelTrainer
 
 NamedGrads = Dict[str, np.ndarray]
+
+#: Environment variables that cap the BLAS thread pool (recorded per run).
+BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 #: method name -> aggregator factory, in report order.
 AGGREGATOR_FACTORIES: Dict[str, Callable[[ProcessGroup], agg.GradientAggregator]] = {
@@ -93,49 +94,6 @@ def _time_aggregation(
     }
 
 
-def _bench_train_step(
-    world_size: int,
-    base_width: int,
-    iters: int,
-    warmup: int,
-    seed: int,
-) -> Dict[str, object]:
-    """End-to-end S-SGD ``train_step``: sequential vs parallel workers.
-
-    On a single-core host the parallel mode mostly measures threading
-    overhead; the row is recorded for tracking, not gated.
-    """
-    results: Dict[str, object] = {}
-    for mode in ("sequential", "parallel"):
-        rng = np.random.default_rng(seed)
-        inputs = rng.standard_normal((world_size * 32, 3, 16, 16))
-        labels = rng.integers(0, 10, size=world_size * 32)
-        data = ArrayDataset(inputs, labels)
-        model = make_small_vgg(base_width=base_width, rng=np.random.default_rng(seed))
-        trainer = DataParallelTrainer(
-            model,
-            SGD(model, lr=0.01),
-            agg.AllReduceAggregator(ProcessGroup(world_size)),
-            data,
-            data,
-            batch_size_per_worker=8,
-            seed=seed,
-            workers="thread" if mode == "parallel" else "seq",
-        )
-        for _ in range(warmup):
-            trainer.train_step()
-        times = []
-        for _ in range(iters):
-            start = time.perf_counter()
-            trainer.train_step()
-            times.append(time.perf_counter() - start)
-        results[mode] = {"best_s": min(times), "mean_s": float(np.mean(times))}
-    results["parallel_speedup"] = (
-        results["sequential"]["best_s"] / results["parallel"]["best_s"]
-    )
-    return results
-
-
 def _bench_worker_modes(
     world_size: int,
     base_width: int,
@@ -154,12 +112,10 @@ def _bench_worker_modes(
     per-bucket ``last_timings`` — which on a seq row fire inside the final
     worker's backward — plus the time inside ``finish_buckets``), and for the
     process backend ``broadcast_mean_s`` (the per-step weights memcpy into
-    the shared buffer — its only per-step copy). The thread-vs-process
-    comparison is the GIL story in numbers: compute-bound methods
-    (signsgd, terngrad) only scale when backprop escapes the GIL.
+    the shared buffer — its only per-step copy).
 
-    Speedups are meaningful only with real cores; the report records
-    ``cpu_count`` so a single-core result is not misread as a regression.
+    Speedups need real cores that the children's BLAS threads do not
+    oversubscribe; the report's ``config`` records both.
     """
     rows: Dict[str, object] = {}
     for method in methods:
@@ -226,9 +182,9 @@ def _bench_worker_modes(
                 "broadcast_mean_s": broadcast_mean,
                 "fused_allocs_per_step": ALLOC_STATS.fused_allocs / iters,
             }
-        if "thread" in method_rows and "process" in method_rows:
-            method_rows["process_vs_thread_speedup"] = (
-                method_rows["thread"]["best_s"]
+        if "seq" in method_rows and "process" in method_rows:
+            method_rows["process_vs_seq_speedup"] = (
+                method_rows["seq"]["best_s"]
                 / method_rows["process"]["best_s"]
             )
         rows[method] = method_rows
@@ -312,7 +268,6 @@ def run_hot_path_bench(
     warmup: int = 2,
     seed: int = 0,
     methods: Optional[List[str]] = None,
-    include_train_step: bool = True,
     buffer_sizes_mb: Optional[List[float]] = None,
     worker_modes: Optional[List[str]] = None,
 ) -> Dict[str, object]:
@@ -346,15 +301,11 @@ def run_hot_path_bench(
             "seed": seed,
             "model_parameters": layout.total_elements,
             "slab_mbytes": arena.nbytes / arena.world_size / 2**20,
-            # Worker-mode speedups only mean something with real cores.
             "cpu_count": os.cpu_count(),
+            **{name: os.environ.get(name) for name in BLAS_THREAD_VARS},
         },
         "aggregate_step": aggregate_step,
     }
-    if include_train_step:
-        report["train_step_ssgd"] = _bench_train_step(
-            world_size, base_width, max(3, iters // 2), 1, seed
-        )
     if buffer_sizes_mb is None:
         # Four sizes spanning the Fig. 8 sweet-spot search by default.
         buffer_sizes_mb = [0.25, 1.0, 4.0, 16.0]
@@ -363,10 +314,10 @@ def run_hot_path_bench(
             world_size, base_width, iters, warmup, seed, buffer_sizes_mb
         )
     if worker_modes is None:
-        worker_modes = ["seq", "thread", "process"]
+        worker_modes = ["seq", "process"]
     if worker_modes:
-        # Compute-bound methods (sign/ternary quantization) are where the
-        # GIL hurts most; ssgd rides along as the bandwidth-bound control.
+        # Compute-bound methods (sign/ternary quantization) have the most
+        # to gain; ssgd rides along as the bandwidth-bound control.
         worker_methods = [
             m for m in ("ssgd", "signsgd", "terngrad") if m in selected
         ] or selected[:1]
@@ -382,14 +333,14 @@ def run_hot_path_bench(
         "arena_zero_fused_allocs": worst == 0,
     }
     worker_rows = report.get("worker_modes", {})
-    process_vs_thread = {
-        method: row["process_vs_thread_speedup"]
+    process_vs_seq = {
+        method: row["process_vs_seq_speedup"]
         for method, row in worker_rows.items()
-        if "process_vs_thread_speedup" in row
+        if "process_vs_seq_speedup" in row
     }
-    if process_vs_thread:
+    if process_vs_seq:
         criteria = report["criteria"]
-        criteria["process_vs_thread_speedup"] = process_vs_thread
+        criteria["process_vs_seq_speedup"] = process_vs_seq
         criteria["process_speedup_target"] = 2.0
         criteria["cpu_count"] = os.cpu_count()
         # The >=2x target needs at least two compute-bound methods over
@@ -398,7 +349,7 @@ def run_hot_path_bench(
         if (os.cpu_count() or 1) >= world_size:
             compute_bound = [
                 method for method in ("signsgd", "terngrad")
-                if process_vs_thread.get(method, 0.0) >= 2.0
+                if process_vs_seq.get(method, 0.0) >= 2.0
             ]
             criteria["process_speedup_ok"] = len(compute_bound) >= 2
         else:

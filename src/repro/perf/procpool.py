@@ -1,9 +1,8 @@
 """Persistent process workers over shared-memory arena slabs.
 
-The thread backend (:class:`~repro.perf.replicas.ReplicaSet`) overlaps
-worker backprop, but the GIL caps it: numpy kernels release the lock,
-the Python layer code between them does not, so compute-heavy steps
-serialize on one core. This module removes the GIL from the picture
+The sequential loop runs worker ``r + 1``'s forward only after worker
+``r``'s backward, on one core. This module runs the passes on every core
+— in processes, because the Python between numpy kernels holds the GIL —
 while keeping the repo's bit-identity contract:
 
 - every worker rank gets a **persistent child process** holding its own
@@ -24,8 +23,9 @@ while keeping the repo's bit-identity contract:
 - the two pieces of *state* a worker pass produces besides gradients —
   BatchNorm batch statistics and the loss scalar — are tiny, and ship
   back over the pipe to be **replayed in rank order** on the master
-  (the same rank-order replay the thread backend uses), so running
-  buffers stay bit-identical to a sequential pass;
+  (the recurrence ``r <- (1-m) r + m s`` consumes batch statistics that
+  do not depend on ``r``), so running buffers stay bit-identical to a
+  sequential pass;
 - per-child :data:`~repro.perf.counters.ALLOC_STATS` deltas ride the
   same reply and are merged into the parent's counters, keeping the
   zero-copy assertions truthful in process mode.
@@ -83,9 +83,9 @@ from repro.perf import shm
 from repro.perf.arena import ArenaLayout, GradientArena
 from repro.perf.counters import ALLOC_STATS
 from repro.perf.replicas import (
-    ReplicaSet,
     detached_copy,
     iter_modules,
+    require_deterministic_forward,
     worker_pass,
 )
 
@@ -361,9 +361,7 @@ class ProcessWorkerPool:
                 "ProcessWorkerPool requires a shared-memory arena "
                 "(GradientArena(..., backing='shared'))"
             )
-        # Same structural screen as the thread backend: Dropout draws one
-        # sequential mask stream that per-worker replicas cannot replay.
-        ReplicaSet(model, 1)
+        require_deterministic_forward(model)
         if start_method is None:
             methods = multiprocessing.get_all_start_methods()
             start_method = "fork" if "fork" in methods else "spawn"
@@ -605,8 +603,7 @@ class ProcessWorkerPool:
         """Apply shipped BatchNorm statistics to the master in rank order.
 
         Per layer, slot 0's batches land first, then slot 1's, … — the
-        exact update sequence the sequential loop would have produced
-        (identical to :meth:`repro.perf.replicas.ReplicaSet.end_round`).
+        exact update sequence the sequential loop would have produced.
         """
         for layer_index, master_bn in enumerate(self._master_bns):
             for result in results:

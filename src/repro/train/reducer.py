@@ -22,7 +22,7 @@ through this module; ``buffer_bytes=None`` is its one-bucket layout:
 - :meth:`BucketedReducer.begin_step` → workers →
   :meth:`BucketedReducer.finish_step` is the trainer's only way to
   aggregate. An eager step opens the aggregator's session before the
-  workers run; a deferred one (parallel workers, resilience, supervision)
+  workers run; a deferred one (process workers, resilience, supervision)
   opens it in ``finish_step``, after the trainer's finite checks and on
   whichever aggregator its fallback window selected.
 

@@ -32,7 +32,6 @@ surviving ranks mid-run.
 from __future__ import annotations
 
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -56,7 +55,7 @@ from repro.perf.procpool import (
     WorkerStepResult,
     WorkerStepTask,
 )
-from repro.perf.replicas import ReplicaSet, worker_pass
+from repro.perf.replicas import require_deterministic_forward, worker_pass
 from repro.train.checkpoint import CheckpointError, CheckpointManager
 from repro.train.datasets import ArrayDataset
 from repro.train.history import TrainingHistory
@@ -102,19 +101,15 @@ class DataParallelTrainer:
             raise ValueError(
                 f"accumulation_steps must be >= 1, got {accumulation_steps}"
             )
-        if workers not in ("seq", "thread", "process"):
+        if workers not in ("seq", "process"):
             raise ValueError(
-                f"workers must be 'seq', 'thread' or 'process', got {workers!r}"
+                f"workers must be 'seq' or 'process', got {workers!r}"
             )
+        if workers == "process":
+            # Screened before anything is allocated: a rejected model must
+            # not cost a shared-memory segment.
+            require_deterministic_forward(model)
         self.workers = workers
-        if membership is not None and workers == "thread":
-            raise ValueError(
-                "membership and thread workers (workers='thread') are "
-                "mutually exclusive: the "
-                "replica set is sized at construction and cannot follow an "
-                "elastic roster (workers='process' spawns joiners on demand "
-                "and composes with membership)"
-            )
         self.model = model
         self.optimizer = optimizer
         self.aggregator = aggregator
@@ -146,12 +141,6 @@ class DataParallelTrainer:
         # --- worker-process supervision (inert when supervision is None) ---
         self._supervisor: Optional[WorkerSupervisor] = None
         if supervision is not None:
-            if workers not in ("seq", "process"):
-                raise ValueError(
-                    "supervision requires workers='process' (real child "
-                    "processes) or workers='seq' (the simulated twin the "
-                    f"determinism checks diff against); got workers={workers!r}"
-                )
             if supervision.on_failure == "eject" and membership is None:
                 raise ValueError(
                     "supervision on_failure='eject' requires a "
@@ -179,16 +168,9 @@ class DataParallelTrainer:
                 plan=plan,
                 stats=getattr(aggregator.group, "stats", None),
             )
-        # Shards and sampling streams are keyed by *rank id*. Without a
-        # membership controller the assignment is fixed at construction
-        # (an ejected rank's shard is simply dropped); with one, the data
-        # is re-sharded disjointly over the live roster at every
-        # membership change (see ``_sync_roster``).
-        self._shard_roster: Tuple[int, ...] = tuple(range(self.world_size))
-        self.train_shards: Dict[int, ArrayDataset] = {
-            rank: train_data.shard(rank, self.world_size)
-            for rank in range(self.world_size)
-        }
+        # Shards and sampling streams are keyed by *rank id*; which slice
+        # of the data a rank draws from is ``_shard_geometry``'s one rule.
+        self._reshard(range(self.world_size))
         self.test_data = test_data
         self.batch_size = batch_size_per_worker
         self.schedule = schedule
@@ -197,7 +179,7 @@ class DataParallelTrainer:
         self._rngs: Dict[int, np.random.Generator] = dict(
             enumerate(spawn_rngs(seed, self.world_size))
         )
-        # --- hot-path state: gradient arena + optional parallel workers ---
+        # --- hot-path state: gradient arena + optional process workers ---
         self.buffer_bytes = buffer_bytes
         # The arena is the only gradient storage and the reducer the only
         # way out of it: ``buffer_bytes=None`` is the one-bucket layout,
@@ -212,35 +194,30 @@ class DataParallelTrainer:
         self.reducer = BucketedReducer(
             model, self._arena, aggregator, accumulation_steps
         )
-        self._replicas: Optional[ReplicaSet] = None
-        self._pool: Optional[ThreadPoolExecutor] = None
+        self._closed = False
         self._procpool: Optional[ProcessWorkerPool] = None
-        self._worker_loss_fns: List[CrossEntropyLoss] = [self.loss_fn]
-        if workers == "thread" and self.world_size > 1:
-            self._replicas = ReplicaSet(model, self.world_size)
-            self._worker_loss_fns = [
-                CrossEntropyLoss() for _ in range(self.world_size)
-            ]
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.world_size,
-                thread_name_prefix="repro-worker",
-            )
-        elif workers == "process":
-            self._procpool = ProcessWorkerPool(
-                model,
-                self._arena,
-                train_data,
-                seed=seed,
-                batch_size=self.batch_size,
-                accumulation_steps=accumulation_steps,
-                start_method=worker_start_method,
-                step_timeout=worker_step_timeout,
-                fault_plan=(
-                    self._supervisor.plan
-                    if self._supervisor is not None
-                    else None
-                ),
-            )
+        if workers == "process":
+            try:
+                self._procpool = ProcessWorkerPool(
+                    model,
+                    self._arena,
+                    train_data,
+                    seed=seed,
+                    batch_size=self.batch_size,
+                    accumulation_steps=accumulation_steps,
+                    start_method=worker_start_method,
+                    step_timeout=worker_step_timeout,
+                    fault_plan=(
+                        self._supervisor.plan
+                        if self._supervisor is not None
+                        else None
+                    ),
+                )
+            except BaseException:
+                # No caller ever gets a handle to close(): release the
+                # shared slabs and the reducer's hooks here.
+                self.close()
+                raise
         # --- resilience state (inert when resilience is None) ---
         self.resilience = resilience
         self.resilience_log = ResilienceLog() if resilience is not None else None
@@ -257,18 +234,12 @@ class DataParallelTrainer:
         return self._supervisor
 
     def _worker_gradients(
-        self,
-        rank: int,
-        slot: Optional[int] = None,
-        model: Optional[Module] = None,
-        loss_fn: Optional[CrossEntropyLoss] = None,
+        self, rank: int, slot: Optional[int] = None
     ) -> tuple:
         """One worker's (loss, named gradients) for a fresh batch.
 
         ``slot`` is the worker's position in this step's live roster (its
         arena slab index); it defaults to ``rank`` for full-roster steps.
-        ``model``/``loss_fn`` default to the trainer's own; the parallel
-        path passes per-worker replicas so the passes are independent.
 
         With ``accumulation_steps > 1`` the worker runs several micro-batch
         passes and averages their gradients locally before communication —
@@ -277,14 +248,10 @@ class DataParallelTrainer:
         """
         if slot is None:
             slot = rank
-        if model is None:
-            model = self.model
-        if loss_fn is None:
-            loss_fn = self.loss_fn
-        self._arena.bind(model, slot)
+        self._arena.bind(self.model, slot)
         loss = worker_pass(
-            model, loss_fn, self.train_shards[rank], self._rngs[rank],
-            self.batch_size, self.accumulation_steps,
+            self.model, self.loss_fn, self.train_shards[rank],
+            self._rngs[rank], self.batch_size, self.accumulation_steps,
         )
         if self.accumulation_steps > 1 and not self.reducer.owns_division(slot):
             # True division in place (not a reciprocal multiply), so the
@@ -293,36 +260,6 @@ class DataParallelTrainer:
             # bucket by bucket instead, just before each bucket fires.
             self._arena.divide_(slot, self.accumulation_steps)
         return loss, self._arena.grads(slot)
-
-    def _parallel_worker_gradients(
-        self, ranks: List[int]
-    ) -> Tuple[List[float], List[Dict[str, np.ndarray]]]:
-        """Run the live workers' passes concurrently on the thread pool.
-
-        Each live rank gets its own replica (shared weights, private
-        activations and arena slab) and its own loss head, so the passes
-        never touch shared state. Results are collected in rank order and
-        BatchNorm statistics are replayed in rank order afterwards, so the
-        aggregation input — and therefore the whole trajectory — is
-        bit-identical to the sequential loop.
-        """
-        assert self._replicas is not None and self._pool is not None
-        self._replicas.begin_round()
-        futures = [
-            self._pool.submit(
-                self._worker_gradients,
-                rank,
-                slot,
-                self._replicas.replicas[slot],
-                self._worker_loss_fns[slot],
-            )
-            for slot, rank in enumerate(ranks)
-        ]
-        results = [future.result() for future in futures]
-        self._replicas.end_round(len(ranks))
-        losses = [loss for loss, _ in results]
-        per_worker = [grads for _, grads in results]
-        return losses, per_worker
 
     def _process_worker_gradients(
         self, ranks: List[int]
@@ -343,27 +280,18 @@ class DataParallelTrainer:
         assert pool is not None
         self._ensure_ranks_supervised(pool, ranks)
         pool.broadcast_weights(self.model)
-        tasks = []
-        for slot, rank in enumerate(ranks):
-            if self.membership is None:
-                # Fixed sharding: each rank keeps its construction-time
-                # shard (ejections just drop a shard), mirroring
-                # ``train_shards``.
-                shard_index, shard_world = rank, self.world_size
-            else:
-                # Elastic re-sharding by roster position, mirroring
-                # ``_sync_roster``.
-                shard_index, shard_world = slot, len(ranks)
-            tasks.append(
-                WorkerStepTask(
-                    rank=rank,
-                    slot=slot,
-                    slab_segment=self._arena.segment_name(slot),
-                    shard_index=shard_index,
-                    shard_world=shard_world,
-                    step=self._step_count,
-                )
+        geometry = self._shard_geometry(ranks)
+        tasks = [
+            WorkerStepTask(
+                rank=rank,
+                slot=slot,
+                slab_segment=self._arena.segment_name(slot),
+                shard_index=geometry[rank][0],
+                shard_world=geometry[rank][1],
+                step=self._step_count,
             )
+            for slot, rank in enumerate(ranks)
+        ]
         results = pool.run_step(
             tasks, capture_errors=self._supervisor is not None
         )
@@ -508,7 +436,7 @@ class DataParallelTrainer:
         """
         if self.membership is not None:
             ranks = self.membership.begin_step()
-            if tuple(ranks) != self._shard_roster:
+            if ranks != list(self.train_shards):
                 self._sync_roster(ranks)
         else:
             group = self.aggregator.group
@@ -519,20 +447,36 @@ class DataParallelTrainer:
         self.aggregator.set_roster(ranks)
         return ranks
 
+    def _shard_geometry(
+        self, ranks: Sequence[int]
+    ) -> Dict[int, Tuple[int, int]]:
+        """``train_data.shard`` arguments per rank for a step over ``ranks``.
+
+        Without a membership controller the assignment is fixed at
+        construction — ``(rank, world_size)``; an ejected rank's shard is
+        simply dropped. With one, shards go by *roster position* over the
+        live world — ``(slot, len(ranks))`` — so they stay pairwise
+        disjoint and jointly exhaustive at every world size: no sample is
+        ever dropped or double-owned after churn.
+        """
+        if self.membership is None:
+            return {rank: (rank, self.world_size) for rank in ranks}
+        return {rank: (slot, len(ranks)) for slot, rank in enumerate(ranks)}
+
+    def _reshard(self, ranks: Sequence[int]) -> None:
+        """Rebuild ``train_shards``, keyed in roster order, for ``ranks``."""
+        self.train_shards: Dict[int, ArrayDataset] = {
+            rank: self.train_data.shard(*geometry)
+            for rank, geometry in self._shard_geometry(ranks).items()
+        }
+
     def _sync_roster(self, ranks: List[int]) -> None:
         """Follow a membership change: re-shard data, extend rngs/arena.
 
-        Shards are assigned by *roster position* over the live world, so
-        they stay pairwise disjoint and jointly exhaustive at every world
-        size — no sample is ever dropped or double-owned after churn. A
-        new rank's sampling stream depends only on ``(seed, rank)``; a
+        A new rank's sampling stream depends only on ``(seed, rank)``; a
         rejoining rank resumes the stream it already owned.
         """
-        self._shard_roster = tuple(ranks)
-        self.train_shards = {
-            rank: self.train_data.shard(slot, len(ranks))
-            for slot, rank in enumerate(ranks)
-        }
+        self._reshard(ranks)
         for rank in ranks:
             if rank not in self._rngs:
                 self._rngs[rank] = joiner_rng(self.seed, rank)
@@ -545,12 +489,13 @@ class DataParallelTrainer:
         aggregated uncompressed (fallback window), or trigger a rollback —
         see :mod:`repro.train.resilience` for the ladder.
         """
+        if self._closed:
+            raise RuntimeError("train_step called on a closed trainer")
         ranks = self._live_ranks()
         # Process mode routes *every* step through the pool — even a
         # single-rank step — because the per-rank sampling streams live in
         # the children; a parent-side pass would consume a stale stream.
         process = self._procpool is not None
-        parallel = process or (self._pool is not None and len(ranks) > 1)
         # Every step aggregates through the reducer, bucket by bucket.
         # Hook-driven (eager, WFBP) firing needs sequential workers — the
         # final worker's backward is the firing pass — and no resilience,
@@ -562,14 +507,12 @@ class DataParallelTrainer:
         reducer = self.reducer
         reducer.begin_step(
             len(ranks),
-            eager=not parallel
+            eager=not process
             and self.resilience is None
             and self._supervisor is None,
         )
         if process:
             losses, per_worker = self._process_worker_gradients(ranks)
-        elif parallel:
-            losses, per_worker = self._parallel_worker_gradients(ranks)
         else:
             losses = []
             per_worker = []
@@ -740,13 +683,10 @@ class DataParallelTrainer:
         flag the run. ``with DataParallelTrainer(...) as trainer:`` does it
         automatically.
         """
+        self._closed = True
         self.reducer.close()
         if self._procpool is not None:
             self._procpool.close()
-            self._procpool = None
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
         if self._arena.is_shared:
             self._arena.unbind(self.model)
             self._arena.close()

@@ -84,7 +84,7 @@ class TestBench:
         report_path = tmp_path / "bench.json"
         code = main(["bench", "--world-size", "2", "--base-width", "2",
                      "--iters", "2", "--warmup", "1",
-                     "--methods", "ssgd,randomk", "--no-train-step",
+                     "--methods", "ssgd,randomk",
                      "--workers", "none",
                      "--output", str(report_path)])
         assert code == 0
@@ -98,34 +98,37 @@ class TestBench:
 
     def test_worker_mode_bench_records_breakdown(self, tmp_path, capsys):
         """`--workers process` compares backends and records the criteria
-        (the thread baseline is pulled in automatically)."""
+        (the seq baseline is pulled in automatically)."""
         report_path = tmp_path / "bench.json"
         code = main(["bench", "--world-size", "2", "--base-width", "2",
                      "--iters", "2", "--warmup", "1",
                      "--methods", "ssgd,signsgd,terngrad",
-                     "--no-train-step", "--no-buffer-sweep",
+                     "--no-buffer-sweep",
                      "--workers", "process",
                      "--output", str(report_path)])
         assert code == 0
         out = capsys.readouterr().out
-        assert "process vs thread" in out
+        assert "process vs seq" in out
         with open(report_path) as handle:
             report = json.load(handle)
         modes = report["worker_modes"]
         assert set(modes) == {"ssgd", "signsgd", "terngrad"}
         for row in modes.values():
-            assert set(row) >= {"thread", "process",
-                                "process_vs_thread_speedup"}
+            assert set(row) == {"seq", "process", "process_vs_seq_speedup"}
             assert row["process"]["broadcast_mean_s"] > 0
         crit = report["criteria"]
-        assert set(crit["process_vs_thread_speedup"]) == {
+        assert set(crit["process_vs_seq_speedup"]) == {
             "ssgd", "signsgd", "terngrad"
         }
         assert crit["cpu_count"] >= 1
 
     def test_rejects_unknown_worker_backend(self, capsys):
-        assert main(["bench", "--workers", "bogus"]) == 2
-        assert "unknown worker backend" in capsys.readouterr().out
+        for backend in ("bogus", "thread"):
+            assert main(["bench", "--workers", backend]) == 2
+            assert (
+                f"unknown worker backend {backend!r} "
+                "(expected seq, process, or none)"
+            ) in capsys.readouterr().out
 
 
 class TestTrain:

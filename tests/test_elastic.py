@@ -184,20 +184,6 @@ class TestChurnTraining:
         assert np.isfinite(history.train_loss).all()
         assert membership.log.of_kind("rejoin")
 
-    def test_membership_rejects_parallel_workers(self):
-        train_data, test_data = make_data()
-        model = make_mlp(6, 10, 3, rng=np.random.default_rng(5))
-        group = ResilientProcessGroup(
-            2, injector=FaultInjector(FaultPlan(seed=0))
-        )
-        membership = MembershipController(group)
-        aggregator = make_aggregator("ssgd", group)
-        with pytest.raises(ValueError, match="workers='thread'"):
-            DataParallelTrainer(
-                model, SGD(model, lr=0.05), aggregator, train_data,
-                test_data, membership=membership, workers="thread",
-            )
-
 
 class TestMembershipController:
     def test_needs_a_plan_or_an_injector(self):

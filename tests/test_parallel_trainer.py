@@ -1,9 +1,10 @@
-"""Bit-exactness of the arena and parallel-worker training paths.
+"""Bit-exactness of the arena path and of what worker copies rely on.
 
 The acceptance property of the whole perf subsystem: feeding the
-aggregators zero-copy arena slabs instead of plain gradient dicts, or
-turning on thread-parallel worker backprop, must not change a single bit
-of the result — for every aggregation method.
+aggregators zero-copy arena slabs instead of plain gradient dicts must
+not change a single bit of the result — for every aggregation method.
+Process workers (``tests/test_procpool.py``) rest on two pieces checked
+here in isolation: the hook-free model copy and the BatchNorm replay.
 """
 
 import numpy as np
@@ -11,65 +12,16 @@ import pytest
 
 from repro.comm.process_group import ProcessGroup
 from repro.models.convnets import make_small_vgg
-from repro.nn.dropout import Dropout
 from repro.nn.norm import BatchNorm2d
 from repro.optim.aggregators import make_aggregator
 from repro.optim.sgd import SGD
 from repro.perf.arena import GradientArena
-from repro.perf.replicas import ReplicaSet, iter_modules
+from repro.perf.replicas import detached_copy
 from repro.train.datasets import make_cifar_like
 from repro.train.trainer import DataParallelTrainer
 
 METHODS = ["ssgd", "signsgd", "topk", "powersgd", "acpsgd"]
 ALL_METHODS = METHODS + ["randomk", "qsgd", "terngrad", "dgc"]
-
-
-def run_training(
-    method,
-    workers,
-    steps=3,
-    world_size=2,
-    seed=7,
-    accumulation_steps=1,
-    buffer_bytes=None,
-):
-    """Train a few steps; return (losses, weights, batchnorm buffers)."""
-    train_data, test_data = make_cifar_like(
-        num_train=64, num_test=8, seed=seed
-    )
-    model = make_small_vgg(base_width=2, rng=np.random.default_rng(seed))
-    trainer = DataParallelTrainer(
-        model,
-        SGD(model, lr=0.05, momentum=0.9),
-        make_aggregator(method, ProcessGroup(world_size)),
-        train_data,
-        test_data,
-        batch_size_per_worker=4,
-        seed=seed,
-        accumulation_steps=accumulation_steps,
-        workers=workers,
-        buffer_bytes=buffer_bytes,
-    )
-    losses = [trainer.train_step() for _ in range(steps)]
-    weights = np.concatenate(
-        [param.data.ravel() for _, param in model.named_parameters()]
-    )
-    buffers = np.concatenate(
-        [
-            np.concatenate([m.running_mean, m.running_var])
-            for m in iter_modules(model)
-            if isinstance(m, BatchNorm2d)
-        ]
-    )
-    return losses, weights, buffers
-
-
-def assert_identical(result_a, result_b):
-    losses_a, weights_a, buffers_a = result_a
-    losses_b, weights_b, buffers_b = result_b
-    assert losses_a == losses_b
-    np.testing.assert_array_equal(weights_a, weights_b)
-    np.testing.assert_array_equal(buffers_a, buffers_b)
 
 
 class TestArenaBitExactness:
@@ -112,81 +64,30 @@ class TestArenaBitExactness:
                     np.testing.assert_array_equal(grads[name], before[name])
 
 
-class TestParallelBitExactness:
-    @pytest.mark.parametrize("method", METHODS)
-    def test_parallel_matches_sequential(self, method):
-        assert_identical(
-            run_training(method, workers="seq"),
-            run_training(method, workers="thread"),
-        )
-
-    @pytest.mark.parametrize("method", ["ssgd", "acpsgd", "qsgd"])
-    def test_parallel_matches_sequential_bucketed(self, method):
-        assert_identical(
-            run_training(method, workers="seq", world_size=3),
-            run_training(
-                method, workers="thread", world_size=3, buffer_bytes=512
-            ),
-        )
-
-    def test_parallel_matches_legacy_world_four(self):
-        """The full stack (arena + in-place + threads) vs sequential."""
-        assert_identical(
-            run_training("ssgd", workers="seq", world_size=4),
-            run_training("ssgd", workers="thread", world_size=4),
-        )
-
-
-class TestReplicaSet:
-    def test_replicas_share_weight_storage(self):
-        model = make_small_vgg(base_width=2, rng=np.random.default_rng(0))
-        replicas = ReplicaSet(model, count=3)
-        master = dict(model.named_parameters())
-        for replica in replicas.replicas[1:]:
-            for name, param in replica.named_parameters():
-                assert param.data is master[name].data
-
-    def test_replicas_carry_no_hooks(self):
-        """Copies are taken with the master's hooks detached: nothing of the
-        trainer (reducer, arena, aggregator, group) hangs off a replica."""
+class TestWorkerModelCopy:
+    def test_detached_copy_carries_no_hooks(self):
+        """The copy is taken with the master's hooks and grad slots
+        detached: nothing of the trainer (reducer, arena, aggregator,
+        group) hangs off it, and the original keeps all of it."""
         train_data, test_data = make_cifar_like(num_train=16, num_test=4, seed=0)
         model = make_small_vgg(base_width=2, rng=np.random.default_rng(0))
         trainer = DataParallelTrainer(
             model, SGD(model, lr=0.05),
             make_aggregator("ssgd", ProcessGroup(3)),
             train_data, test_data, batch_size_per_worker=2,
-            workers="thread", buffer_bytes=512,
+            buffer_bytes=512,
         )
         with trainer:
+            trainer.train_step()  # binds the arena's grad slots
+            copied = detached_copy(model)
             for _, param in model.named_parameters():
                 assert [hook.__self__ for hook in param._hooks] == [
                     trainer.reducer
                 ]
-            for replica in trainer._replicas.replicas[1:]:
-                for _, param in replica.named_parameters():
-                    assert param._hooks == []
-            trainer.train_step()
-
-    def test_begin_round_rebinds_after_optimizer_step(self):
-        model = make_small_vgg(base_width=2, rng=np.random.default_rng(0))
-        replicas = ReplicaSet(model, count=2)
-        # SGD *reassigns* param.data, leaving clones pointing at stale arrays.
-        for _, param in model.named_parameters():
-            param.data = param.data * 0.5
-        replicas.begin_round()
-        master = dict(model.named_parameters())
-        for name, param in replicas.replicas[1].named_parameters():
-            assert param.data is master[name].data
-        replicas.end_round(2)
-
-    def test_dropout_rejected(self):
-        class Dropped(type(make_small_vgg())):
-            pass
-
-        model = make_small_vgg(base_width=2)
-        model.drop = Dropout(0.5)
-        with pytest.raises(ValueError, match="Dropout"):
-            ReplicaSet(model, count=2)
+                assert param._grad_slot is not None
+            for _, param in copied.named_parameters():
+                assert param._hooks == []
+                assert param._grad_slot is None and param.grad is None
 
     def test_batchnorm_replay_matches_direct_updates(self):
         rng = np.random.default_rng(5)

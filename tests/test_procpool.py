@@ -1,11 +1,11 @@
 """Process-worker pool: bit-identity, lifecycle, failure modes.
 
-The acceptance property mirrors the thread backend's: running worker
-backprop in child processes over shared-memory arena slabs must not
-change a single bit of the training trajectory relative to the
-sequential path — for every bucket-capable aggregation method, with
-gradient accumulation, at larger world sizes, under both start methods,
-and through elastic churn. On top of that, the pool owns real OS
+The acceptance property: running worker backprop in child processes
+over shared-memory arena slabs must not change a single bit of the
+training trajectory relative to the sequential path — for every
+bucket-capable aggregation method, with gradient accumulation, at larger
+world sizes, under both start methods, and through elastic churn. On
+top of that, the pool owns real OS
 resources (children, ``/dev/shm`` segments), so lifecycle — explicit
 close, idempotency, crash containment, leak detection — is tested as
 behavior, not left to the GC.
@@ -16,6 +16,7 @@ import pytest
 
 from repro.comm.process_group import ProcessGroup
 from repro.models.convnets import make_small_vgg
+from repro.nn.dropout import Dropout
 from repro.nn.norm import BatchNorm2d
 from repro.optim.aggregators import make_aggregator
 from repro.optim.sgd import SGD
@@ -185,29 +186,6 @@ class TestProcessChurn:
         assert losses_seq == losses_proc
         np.testing.assert_array_equal(weights_seq, weights_proc)
 
-    def test_membership_requires_process_or_seq(self):
-        """Thread workers still cannot follow an elastic roster."""
-        from repro.elastic import MembershipController
-        from repro.faults import FaultInjector, FaultPlan, ResilientProcessGroup
-
-        train_data, test_data = make_cifar_like(
-            num_train=64, num_test=8, seed=3
-        )
-        model = make_small_vgg(base_width=2, rng=np.random.default_rng(5))
-        group = ResilientProcessGroup(
-            2, injector=FaultInjector(FaultPlan(seed=0))
-        )
-        with pytest.raises(ValueError, match="thread workers"):
-            DataParallelTrainer(
-                model,
-                SGD(model, lr=0.05),
-                make_aggregator("ssgd", group),
-                train_data,
-                test_data,
-                membership=MembershipController(group),
-                workers="thread",
-            )
-
 
 class TestSharedArena:
     def test_shared_slabs_have_segment_names(self):
@@ -307,24 +285,63 @@ class TestPoolLifecycle:
             pool.run_step([])
         arena.close()
 
-    def test_trainer_close_is_idempotent(self):
+    @staticmethod
+    def _make_trainer(model, **kwargs):
         train_data, test_data = make_cifar_like(
             num_train=16, num_test=4, seed=0
         )
-        model = make_small_vgg(base_width=2, rng=np.random.default_rng(0))
-        trainer = DataParallelTrainer(
+        return DataParallelTrainer(
             model,
             SGD(model, lr=0.05),
             make_aggregator("ssgd", ProcessGroup(2)),
             train_data,
             test_data,
             batch_size_per_worker=2,
-            workers="process",
+            **kwargs,
         )
+
+    def test_trainer_close_is_idempotent(self):
+        model = make_small_vgg(base_width=2, rng=np.random.default_rng(0))
+        trainer = self._make_trainer(model, workers="process")
         trainer.train_step()
         trainer.close()
         trainer.close()
         assert not shm.live_segment_names()
+
+    @pytest.mark.parametrize(
+        "dropout, start_method, message",
+        [
+            (0.5, None, "deterministic forward pass"),
+            (0.0, "bogus", "cannot find context for 'bogus'"),
+        ],
+        ids=["dropout", "start-method"],
+    )
+    def test_failed_construction_releases_everything(
+        self, dropout, start_method, message
+    ):
+        """A rejected process trainer owns no segment and leaves no hook."""
+        model = make_small_vgg(base_width=2, rng=np.random.default_rng(0))
+        model.drop = Dropout(dropout)
+        before = shm.live_segment_names()
+        with pytest.raises(ValueError, match=message):
+            self._make_trainer(
+                model, workers="process", worker_start_method=start_method
+            )
+        assert shm.live_segment_names() == before
+        for _, param in model.named_parameters():
+            assert param._hooks == [] and param._grad_slot is None
+
+    @pytest.mark.parametrize("workers", ["seq", "process"])
+    def test_train_step_after_close_raises(self, workers):
+        model = make_small_vgg(base_width=2, rng=np.random.default_rng(0))
+        trainer = self._make_trainer(model, workers=workers)
+        trainer.train_step()
+        trainer.close()
+        trainer.close()
+        with pytest.raises(RuntimeError, match="closed trainer"):
+            trainer.train_step()
+        assert trainer.reducer.eager_steps + trainer.reducer.deferred_steps == 1
+        assert 0.0 <= trainer.evaluate() <= 1.0
 
 
 class TestAllocStats:

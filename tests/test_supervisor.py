@@ -334,7 +334,8 @@ class TestEjectPolicy:
 # ----------------------------------------------------------------------
 class TestSupervisionWiring:
     def test_requires_seq_or_process_workers(self):
-        with pytest.raises(ValueError, match="workers"):
+        """The deleted thread backend is a plain unknown ``workers`` value."""
+        with pytest.raises(ValueError, match="'seq' or 'process', got 'thread'"):
             make_trainer(workers="thread", policy=SupervisionPolicy())
 
     def test_hang_plan_requires_step_timeout(self):
