@@ -43,7 +43,7 @@ gradient it is given is only read.
 from __future__ import annotations
 
 import zlib
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -140,12 +140,18 @@ class ACPSGDState:
     # ------------------------------------------------------------------
     # Staged protocol
     # ------------------------------------------------------------------
-    def compress(self, name: str, matrix: np.ndarray, step: int) -> np.ndarray:
+    def compress(
+        self, name: str, matrix: np.ndarray, step: int,
+        peer: Optional["ACPSGDState"] = None,
+    ) -> np.ndarray:
         """Compute this step's local low-rank factor and update the error.
 
         Returns P_local (odd steps) or Q_local (even steps). The EF residual
         is updated *here*, in place, before aggregation, per Algorithm 2
         lines 6/11. ``matrix`` is only read (any float dtype, any strides).
+        ``peer``, another rank's state that has compressed ``name`` this
+        step, lends its orthonormal carried factor: the ranks of one job
+        carry identical factors, so one QR per tensor serves them all.
         """
         if matrix.ndim != 2:
             raise ValueError(f"expected a matrix, got shape {matrix.shape}")
@@ -157,7 +163,10 @@ class ACPSGDState:
             if self.use_error_feedback
             else None
         )
-        carried = orthogonalize(self._carried_factor(name, matrix.shape, step))
+        # Fetched beside a peer too: with ``reuse_query`` off it is a draw,
+        # and every rank's stream advances in lockstep.
+        previous = self._carried_factor(name, matrix.shape, step)
+        carried = orthogonalize(previous) if peer is None else peer._carried[name]
         self._carried[name] = carried
         if self.compresses_p(step):
             # P = (M + E) Q_t;  E <- (M + E) - P Q_t^T
@@ -189,11 +198,16 @@ class ACPSGDState:
         return self._p[name], self._q[name]
 
     def finalize(
-        self, name: str, factor_aggregated: np.ndarray, step: int
+        self, name: str, factor_aggregated: np.ndarray, step: int,
+        out: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """Reconstruct ``M_hat`` from the aggregated factor; store for reuse."""
+        """Reconstruct ``M_hat`` from the aggregated factor; store for reuse.
+
+        ``out`` (``n x m`` float64, C-contiguous) receives the product
+        instead of a new matrix.
+        """
         p, q = self.store_factor(name, factor_aggregated, step)
-        return p @ q.T  # P_t Q_t^T
+        return np.matmul(p, q.T, out=out)  # P_t Q_t^T
 
     def warm_start_from(self, donor: "ACPSGDState") -> None:
         """Adopt a survivor's shared carried state (elastic admission).

@@ -31,7 +31,7 @@ the paper's §III-C identifies as incompatible with WFBP.
 from __future__ import annotations
 
 import zlib
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -146,11 +146,16 @@ class PowerSGDState:
             matrix, residual, query, subtract=False
         )
 
-    def compute_q(self, name: str, p_aggregated: np.ndarray) -> np.ndarray:
+    def compute_q(
+        self, name: str, p_aggregated: np.ndarray,
+        peer: Optional["PowerSGDState"] = None,
+    ) -> np.ndarray:
         """Stage 2: orthogonalize aggregated P, then ``Q = (M + E)^T P_hat``.
 
         Also updates the EF residual with the local Q (before aggregation).
-        Caller must all-reduce the returned Q.
+        Caller must all-reduce the returned Q. ``peer``, another rank's
+        state past this stage for ``name`` on the same aggregated P, lends
+        its ``P_hat`` instead of the QR being repeated.
         """
         work = self._pending.get(name)
         if work is None:
@@ -159,7 +164,7 @@ class PowerSGDState:
             from repro.utils.validation import assert_finite
 
             assert_finite(p_aggregated, f"aggregated P factor for {name!r}")
-        p_hat = orthogonalize(p_aggregated)
+        p_hat = orthogonalize(p_aggregated) if peer is None else peer._pending[name]
         if self.use_error_feedback:
             # ``work`` is the residual holding M + E: corrected in place to
             # E' = (M + E) - P_hat Q_local^T.
@@ -186,9 +191,13 @@ class PowerSGDState:
             self._query[name] = q_aggregated.copy()
         return p_hat
 
-    def reconstruct(self, name: str, q_aggregated: np.ndarray) -> np.ndarray:
-        """Stage 3: ``M_hat = P_hat Q^T``; stores Q for next-step reuse."""
-        return self.store_query(name, q_aggregated) @ q_aggregated.T
+    def reconstruct(
+        self, name: str, q_aggregated: np.ndarray, out: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """Stage 3: ``M_hat = P_hat Q^T`` (into ``out`` when given: ``n x m``
+        float64, C-contiguous); stores Q for next-step reuse."""
+        p_hat = self.store_query(name, q_aggregated)
+        return np.matmul(p_hat, q_aggregated.T, out=out)
 
     def warm_start_from(self, donor: "PowerSGDState") -> None:
         """Adopt a survivor's shared carried state (elastic admission).

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterator, Optional
 
 import numpy as np
 
+from repro.nn.conv import Conv2d
+from repro.nn.linear import Linear
 from repro.nn.module import Module
 
 
@@ -39,7 +41,21 @@ class Sequential(Module):
             x = layer(x)
         return x
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        for layer in reversed(self.layers):
+    def backward(
+        self, grad_output: np.ndarray, need_input_grad: bool = True
+    ) -> Optional[np.ndarray]:
+        """Gradient w.r.t. the chain's input.
+
+        A caller that discards it (a training step) passes
+        ``need_input_grad=False``: a first ``Linear`` / ``Conv2d`` then skips
+        that product and ``None`` comes back. Parameter gradients are
+        computed either way.
+        """
+        if not self.layers:
+            return grad_output
+        for layer in reversed(self.layers[1:]):
             grad_output = layer.backward(grad_output)
-        return grad_output
+        first = self.layers[0]
+        if need_input_grad or not isinstance(first, (Linear, Conv2d)):
+            return first.backward(grad_output)
+        return first.backward(grad_output, need_input_grad=False)

@@ -79,7 +79,10 @@ class Conv2d(Module):
             self._cache = (cols, x.shape)
         return out.reshape(n, -1, out_h, out_w)
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grad_output: np.ndarray, need_input_grad: bool = True
+    ) -> Optional[np.ndarray]:
+        """Gradient w.r.t. the input (``None`` without ``need_input_grad``)."""
         if self._cache is None:
             raise RuntimeError("backward called before forward")
         cols, input_shape = self._cache
@@ -95,6 +98,8 @@ class Conv2d(Module):
         grad_w = sum(np.matmul(g, col.T) for g, col in zip(grad_mat, cols))
         del cols
         self.weight.accumulate_grad(grad_w.reshape(self.weight.data.shape))
+        if not need_input_grad:
+            return None
         grad_cols = np.matmul(w_mat.T, grad_mat)
         return F.col2im(
             grad_cols,

@@ -42,22 +42,29 @@ class Linear(Module):
                 f"input last dim {x.shape[-1]} != in_features "
                 f"{self.weight.data.shape[1]}"
             )
-        self._cache_input = x
+        if self.training:
+            self._cache_input = x
         out = x @ self.weight.data.T
         if self.bias is not None:
             out = out + self.bias.data
         return out
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grad_output: np.ndarray, need_input_grad: bool = True
+    ) -> Optional[np.ndarray]:
+        """Gradient w.r.t. the input (``None`` without ``need_input_grad``)."""
         if self._cache_input is None:
             raise RuntimeError("backward called before forward")
         x = self._cache_input
         # Collapse any leading batch dims for the weight gradient.
         flat_x = x.reshape(-1, x.shape[-1])
         flat_grad = grad_output.reshape(-1, grad_output.shape[-1])
-        grad_input = grad_output @ self.weight.data
+        grad_input = grad_output @ self.weight.data if need_input_grad else None
         if self.bias is not None:
             self.bias.accumulate_grad(flat_grad.sum(axis=0))
-        self.weight.accumulate_grad(flat_grad.T @ flat_x)
+        # Straight into the arena slot when it is attached and unwritten.
+        self.weight.accumulate_grad(
+            np.matmul(flat_grad.T, flat_x, out=self.weight.grad_destination())
+        )
         self._cache_input = None
         return grad_input

@@ -125,6 +125,16 @@ class Parameter:
         self._grad_slot = None
         self._slot_written = False
 
+    def grad_destination(self) -> Optional[np.ndarray]:
+        """The ``out=`` target for this step's first gradient, or ``None``.
+
+        The attached slot (float64, C-contiguous) while it is unwritten
+        since ``zero_grad``; a layer computes into it and passes it to
+        :meth:`accumulate_grad`. ``None`` — legacy storage, or a later
+        micro-batch that must be added — means allocate as before.
+        """
+        return None if self._slot_written else self._grad_slot
+
     def accumulate_grad(self, grad: np.ndarray) -> None:
         """Add ``grad`` into ``self.grad`` and fire ready-hooks.
 
@@ -139,12 +149,14 @@ class Parameter:
             )
         if self._grad_slot is not None:
             # Arena mode: first write overwrites whatever stale data the
-            # slot held (np.copyto casts like astype), later writes add in
-            # place — bit-identical to the legacy copy-then-add.
+            # slot held (np.copyto casts like astype; a gradient computed
+            # into grad_destination() is there already), later writes add
+            # in place — bit-identical to the legacy copy-then-add.
             if self._slot_written:
                 self._grad_slot += grad
             else:
-                np.copyto(self._grad_slot, grad)
+                if grad is not self._grad_slot:
+                    np.copyto(self._grad_slot, grad)
                 self._slot_written = True
         elif self._grad is None:
             # order="C": layer backwards may hand over F-ordered arrays

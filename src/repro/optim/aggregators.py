@@ -33,7 +33,6 @@ from repro.compression.qsgd import QSGDCompressor
 from repro.compression.randomk import RandomKCompressor
 from repro.compression.reshaping import (
     grad_to_matrix,
-    matrix_to_grad,
     matrix_view_shape,
     should_compress,
 )
@@ -41,6 +40,10 @@ from repro.compression.signsgd import SignCompressor
 from repro.compression.topk import SparsePayload, TopkCompressor, sparse_aggregate
 
 NamedGrads = Dict[str, np.ndarray]
+
+# Elements Sign-SGD votes on at a time: a block's unpacked bits, their
+# count and one float scratch stay cache-resident.
+_VOTE_BLOCK = 1 << 16
 
 
 def _check_worker_grads(per_worker: List[NamedGrads], expected: int) -> None:
@@ -445,7 +448,10 @@ class SignSGDAggregator(GradientAggregator):
     Each worker holds its own :class:`SignCompressor` (per-worker EF
     residuals). Gradients are packed into one flat tensor before compression
     ("the gradients are packed together to be compressed and communicated
-    for better performance", §III-A).
+    for better performance", §III-A). Aggregation **consumes the slabs**
+    (see :class:`TopkSGDAggregator`): each ends up holding ``|v|`` of its
+    rank's EF-corrected vector, slot 0's the voted result the returned
+    read-only views point into.
     """
 
     method = "signsgd"
@@ -487,35 +493,55 @@ class SignSGDAggregator(GradientAggregator):
             self.group.all_gather(packed)
 
     def _finish(self, session: _BucketSession) -> NamedGrads:
-        num_slots = len(self.roster)
+        """Vote on integer bit counts, block by block, into slot 0's slab.
+
+        ``2 * count >= world`` (a tie votes ``+1``) picks ``+-mean_scale``
+        out of a two-entry table, as each rank's ``residual -= +-scale``
+        does through one block of scratch: the very products ``scale *
+        sign`` forms, so the bits are :func:`~repro.compression.signsgd
+        .majority_vote_aggregate`'s without a float sign vector.
+        """
         # The scale is the L1 mean of the *whole* EF-corrected vector,
-        # whatever the bucket partition.
+        # whatever the bucket partition; |v| goes through the slot's slab,
+        # dead storage once its bits are packed (EF off: the vector itself).
         scales = np.array([
-            float(np.abs(vector).mean()) if session.total else 0.0
-            for vector in session.vectors
+            float(np.abs(vector, out=slab).mean()) if session.total else 0.0
+            for vector, slab in zip(session.vectors, session.slabs)
         ])
         if self.validate:
             from repro.utils.validation import assert_finite
 
             assert_finite(scales, "signsgd payload scales")
         mean_scale = float(scales.mean())
-        out = np.empty(session.total)
-        for index, (lo, hi) in enumerate(session.buckets):
-            if hi == lo:
-                continue
-            vote = np.zeros(hi - lo)
-            signs_per_slot = []
-            for slot in range(num_slots):
-                bits = np.unpackbits(session.bits[index][slot])[: hi - lo]
-                signs = np.where(bits == 1, 1.0, -1.0)
-                signs_per_slot.append(signs)
-                vote += signs
-            majority = np.where(vote >= 0, 1.0, -1.0)
-            out[lo:hi] = mean_scale * majority
-            if self.use_error_feedback:
-                # What was not sent stays behind, in place.
-                for slot, vector in enumerate(session.vectors):
-                    vector[lo:hi] -= scales[slot] * signs_per_slot[slot]
+        signed = np.array([-1.0, 1.0])  # indexed by a sign bit
+        voted, kept = mean_scale * signed, scales[:, None] * signed
+        num_slots = len(self.roster)
+        majority_at = (num_slots + 1) // 2
+        out = session.slabs[0]
+        scratch = self._staging_rows(
+            "signsgd", 1, max(1, min(_VOTE_BLOCK, session.total))
+        )[0]
+        for (lo, hi), packed in zip(session.buckets, session.bits):
+            for start in range(lo, hi, _VOTE_BLOCK):
+                size = min(_VOTE_BLOCK, hi - start)
+                first = (start - lo) // 8  # _VOTE_BLOCK is a multiple of 8
+                bits = [
+                    np.unpackbits(wire[first : first + (size + 7) // 8], count=size)
+                    for wire in packed
+                ]
+                count = np.add.reduce(
+                    bits, axis=0, dtype=np.min_scalar_type(num_slots)
+                )
+                np.take(
+                    voted, count >= majority_at,
+                    out=out[start : start + size], mode="clip",
+                )
+                if self.use_error_feedback:
+                    # What was not sent stays behind, in place.
+                    sent = scratch[:size]
+                    for table, vector, bit in zip(kept, session.vectors, bits):
+                        np.take(table, bit, out=sent, mode="clip")
+                        vector[start : start + size] -= sent
         return _unpack(out, session.template, session.names)
 
 
@@ -597,14 +623,13 @@ class TopkSGDAggregator(GradientAggregator):
         for b, (lo, hi) in enumerate(buckets):
             # Per-bucket wire format: each rank ships only the (index,
             # value) pairs whose coordinates fall in this bucket.
-            payloads = [
-                SparsePayload(
-                    idx[cuts[b] : cuts[b + 1]] - lo,
-                    values[cuts[b] : cuts[b + 1]],
-                    hi - lo,
+            payloads = []
+            for idx, values, cuts in selections:
+                local = idx[cuts[b] : cuts[b + 1]]
+                local -= lo  # in place: no later bucket reads this slice
+                payloads.append(
+                    SparsePayload(local, values[cuts[b] : cuts[b + 1]], hi - lo)
                 )
-                for idx, values, cuts in selections
-            ]
             self.group.all_gather([
                 np.concatenate([p.indices.astype(np.float64), p.values])
                 for p in payloads
@@ -780,7 +805,9 @@ class _LowRankBase(GradientAggregator):
     A tensor is low-rank compressed only when it is matrix-shaped *and*
     compression actually shrinks it (``n m > (n + m) r``); everything else
     (biases, norm scales, tiny matrices) rides a fused uncompressed ring
-    all-reduce, exactly as in the paper's §IV-C.
+    all-reduce, exactly as in the paper's §IV-C. Aggregation **consumes
+    slot 0's slab** (see :class:`TopkSGDAggregator`): its compressible
+    tensors are overwritten with ``P Q^T``; the other slabs are only read.
     """
 
     #: The per-rank compressor state class (same constructor for both).
@@ -888,6 +915,19 @@ class _LowRankBase(GradientAggregator):
         view.flags.writeable = False
         return view
 
+    def _decode_target(self, session: _BucketSession, name: str) -> np.ndarray:
+        """Slot 0's storage of ``name`` as the matrix ``P Q^T`` is written to.
+
+        Every slot's gradient of ``name`` is in its rank's residual (EF off:
+        in its projection) by the time the factor is reduced, so slot 0's
+        is dead storage; the step's result is a read-only view of it.
+        """
+        target = session.per_worker[0][name]
+        view = target.view()
+        view.flags.writeable = False
+        session.result[name] = view
+        return grad_to_matrix(target)
+
     def _finish(self, session: _BucketSession) -> NamedGrads:
         return {name: session.result[name] for name in session.template}
 
@@ -941,6 +981,7 @@ class PowerSGDAggregator(_LowRankBase):
                 row[off : off + p_pack.sizes[name]] = p_local.reshape(-1)
         self._reduce_pack_segment(session.p_scratch, plo, phi, p_pack.total)
         qlo, qhi = q_pack.segment(comp_b)
+        lead = self._per_rank[self.roster[0]]
         for slot, rank_idx in enumerate(self.roster):
             state = self._per_rank[rank_idx]
             row = session.q_scratch[slot]
@@ -948,7 +989,8 @@ class PowerSGDAggregator(_LowRankBase):
                 p_agg = self._pack_view(
                     session.p_scratch[0], p_pack, name, plan.p_shapes[name]
                 )
-                q_local = state.compute_q(name, p_agg)
+                # One QR of the aggregated P per tensor: slot 0's.
+                q_local = state.compute_q(name, p_agg, lead if slot else None)
                 off = q_pack.offsets[name]
                 row[off : off + q_pack.sizes[name]] = q_local.reshape(-1)
         self._reduce_pack_segment(session.q_scratch, qlo, qhi, q_pack.total)
@@ -958,10 +1000,7 @@ class PowerSGDAggregator(_LowRankBase):
             )
             for rank_idx in self.roster[1:]:
                 self._per_rank[rank_idx].store_query(name, q_agg)
-            m_hat = self._per_rank[self.roster[0]].reconstruct(name, q_agg)
-            session.result[name] = matrix_to_grad(
-                m_hat, session.template[name].shape
-            )
+            lead.reconstruct(name, q_agg, out=self._decode_target(session, name))
 
 
 class ACPSGDAggregator(_LowRankBase):
@@ -1000,13 +1039,16 @@ class ACPSGDAggregator(_LowRankBase):
             return
         pack = session.factor_pack
         lo, hi = pack.segment(comp_b)
+        lead = self._per_rank[self.roster[0]]
         for slot, rank_idx in enumerate(self.roster):
             state = self._per_rank[rank_idx]
             grads = session.per_worker[slot]
             row = session.factor_scratch[slot]
             for name in comp_b:
+                # One QR of the carried factor per tensor: slot 0's.
                 factor = state.compress(
-                    name, grad_to_matrix(grads[name]), self.step
+                    name, grad_to_matrix(grads[name]), self.step,
+                    lead if slot else None,
                 )
                 off = pack.offsets[name]
                 row[off : off + pack.sizes[name]] = factor.reshape(-1)
@@ -1017,9 +1059,8 @@ class ACPSGDAggregator(_LowRankBase):
             )
             for rank_idx in self.roster[1:]:
                 self._per_rank[rank_idx].store_factor(name, agg, self.step)
-            m_hat = self._per_rank[self.roster[0]].finalize(name, agg, self.step)
-            session.result[name] = matrix_to_grad(
-                m_hat, session.template[name].shape
+            lead.finalize(
+                name, agg, self.step, out=self._decode_target(session, name)
             )
 
 

@@ -15,6 +15,7 @@ from typing import Iterator
 
 import numpy as np
 
+from repro.nn.container import Sequential
 from repro.nn.dropout import Dropout
 from repro.nn.module import Module
 
@@ -92,12 +93,14 @@ def worker_pass(
     dividing the sum into a micro-batch mean stay with the caller.
     """
     model.zero_grad()
+    # Nothing reads the gradient w.r.t. the batch.
+    skip = {"need_input_grad": False} if isinstance(model, Sequential) else {}
     losses = []
     for _ in range(accumulation_steps):
         inputs, labels = shard.batch(rng, batch_size)
         logits = model(inputs)
         losses.append(loss_fn(logits, labels))
-        model.backward(loss_fn.backward())
+        model.backward(loss_fn.backward(), **skip)
     for name, param in model.named_parameters():
         if param.grad is None:
             raise RuntimeError(f"parameter {name!r} received no gradient")

@@ -379,3 +379,120 @@ class TestAggregatorsAgainstOracle:
         for grads in stream:
             aggregator.aggregate([{"w": g} for g in grads])
             assert_ranks_agree(aggregator, method, world)
+
+
+def rng_positions(state):
+    return {
+        name: rng.bit_generator.state["state"]
+        for name, rng in state._fresh_rng.items()
+    }
+
+
+class TestSharedOrthogonalisation:
+    """(f) one QR per tensor per step: a rank that adopts a peer's
+    orthonormal factor holds the bits it would have computed itself."""
+
+    @pytest.mark.parametrize("reuse_query", [True, False])
+    def test_acpsgd_peer_factor_is_bitwise_the_recomputed_one(self, reuse_query, rng):
+        world = 3
+        alone = [ACPSGDState(2, seed=3, reuse_query=reuse_query) for _ in range(world)]
+        shared = [ACPSGDState(2, seed=3, reuse_query=reuse_query) for _ in range(world)]
+        for step in range(1, 6):
+            grads = [rng.normal(size=(12, 20)) for _ in range(world)]
+            want = [s.compress("w", g, step) for s, g in zip(alone, grads)]
+            got = [
+                s.compress("w", g, step, shared[0] if slot else None)
+                for slot, (s, g) in enumerate(zip(shared, grads))
+            ]
+            mean = np.mean(want, axis=0)
+            for a, b, f_a, f_b in zip(alone, shared, want, got):
+                assert np.array_equal(f_a, f_b)
+                assert np.array_equal(a._carried["w"], b._carried["w"])
+                assert np.array_equal(a.finalize("w", mean, step), b.finalize("w", mean, step))
+                assert np.array_equal(a._error["w"], b._error["w"])
+                # reuse off: a peer's factor does not stall the own stream.
+                assert rng_positions(a) == rng_positions(b)
+
+    @pytest.mark.parametrize("reuse_query", [True, False])
+    def test_powersgd_peer_p_hat_is_bitwise_the_recomputed_one(self, reuse_query, rng):
+        world = 3
+        alone = [PowerSGDState(2, seed=3, reuse_query=reuse_query) for _ in range(world)]
+        shared = [PowerSGDState(2, seed=3, reuse_query=reuse_query) for _ in range(world)]
+        for _ in range(4):
+            grads = [rng.normal(size=(12, 20)) for _ in range(world)]
+            p_mean = np.mean(
+                [s.compute_p("w", g) for s, g in zip(alone, grads)], axis=0
+            )
+            for s, g in zip(shared, grads):
+                s.compute_p("w", g)
+            want = [s.compute_q("w", p_mean) for s in alone]
+            got = [
+                s.compute_q("w", p_mean, shared[0] if slot else None)
+                for slot, s in enumerate(shared)
+            ]
+            q_mean = np.mean(want, axis=0)
+            for a, b, q_a, q_b in zip(alone, shared, want, got):
+                assert np.array_equal(q_a, q_b)
+                assert np.array_equal(a.reconstruct("w", q_mean), b.reconstruct("w", q_mean))
+                assert np.array_equal(a._error["w"], b._error["w"])
+                assert rng_positions(a) == rng_positions(b)
+
+    @pytest.mark.parametrize("method", ["acpsgd", "powersgd"])
+    @pytest.mark.parametrize("reuse_query", [True, False])
+    def test_ranks_agree_through_admission_and_a_resilient_group(
+        self, method, reuse_query, rng
+    ):
+        from repro.faults.resilient import ResilientProcessGroup
+
+        group = ResilientProcessGroup(2)
+        aggregator = make_aggregator(
+            method, group, rank=2, seed=7, reuse_query=reuse_query
+        )
+
+        def step(world):
+            _, per_worker = arena_grads(rng, world, 1200)
+            aggregator.aggregate(per_worker)
+            assert_ranks_agree(aggregator, method, world)
+            positions = [
+                rng_positions(aggregator.state_for(r)) for r in range(world)
+            ]
+            assert all(p == positions[0] for p in positions)
+
+        for _ in range(3):
+            step(2)
+        group.admit(group.allocate_rank(), rejoin=False)
+        aggregator.admit_rank(2, donor_rank=0)
+        aggregator.set_roster([0, 1, 2])
+        for _ in range(3):
+            step(3)
+
+    @pytest.mark.parametrize("method", ["acpsgd", "powersgd"])
+    @pytest.mark.parametrize("use_ef", [True, False])
+    def test_reconstruction_lands_in_slot_zero_storage(self, method, use_ef, rng):
+        """The result of a compressible tensor is a read-only view of slot
+        0's slab (its gradient is consumed); the other slabs are only read."""
+        world = 3
+        aggregator = make_aggregator(
+            method, ProcessGroup(world), rank=2, use_error_feedback=use_ef
+        )
+        twin = make_aggregator(
+            method, ProcessGroup(world), rank=2, use_error_feedback=use_ef
+        )
+        for _ in range(3):
+            plain, per_worker = arena_grads(rng, world, 1200)
+            before = [grads.slab.copy() for grads in per_worker]
+            out = aggregator.aggregate(per_worker)
+            for name, shape in SHAPES:
+                if len(shape) == 2:
+                    assert np.shares_memory(out[name], per_worker[0][name])
+                assert not out[name].flags.writeable
+            for grads, slab in zip(per_worker[1:], before[1:]):
+                assert np.array_equal(grads.slab, slab)
+            # Plain dicts are adopted into private slabs: never modified,
+            # and the same bits come back.
+            copies = [{n: g.copy() for n, g in grads.items()} for grads in plain]
+            again = twin.aggregate(plain)
+            for name, _ in SHAPES:
+                assert np.array_equal(again[name], out[name])
+                for grads, copy in zip(plain, copies):
+                    assert np.array_equal(grads[name], copy[name])

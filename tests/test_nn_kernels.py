@@ -16,6 +16,7 @@ import pytest
 from repro import nn
 from repro.models.convnets import make_small_resnet
 from repro.nn import functional as F
+from repro.perf.arena import GradientArena
 from tests.gradcheck import check_layer_gradients
 
 
@@ -337,6 +338,128 @@ def test_small_resnet_end_to_end_gradcheck(rng):
     check_layer_gradients(
         model, rng.normal(size=(2, 3, 8, 8)), rtol=1e-4, atol=1e-6
     )
+
+
+def _two_linears(seed):
+    rng = np.random.default_rng(seed)
+    # No first bias: the second weight starts at an odd slab offset (8- but
+    # not 16-byte aligned), like most tensors of a real fused layout.
+    return nn.Sequential(
+        nn.Linear(5, 3, bias=False, rng=rng), nn.ReLU(), nn.Linear(3, 7, rng=rng)
+    )
+
+
+class TestWeightGradientLandsInTheSlot:
+    """``np.matmul(..., out=slot)`` == ``accumulate_grad(a @ b)``, bit for bit."""
+
+    @pytest.mark.parametrize("backing", ["private", "shared"])
+    @pytest.mark.parametrize(
+        "x_dtype,grad_dtype,x_shape",
+        [
+            (np.float64, np.float64, (4, 5)),
+            (np.float32, np.float64, (4, 5)),  # a dataset's float32 batch
+            (np.float32, np.float32, (4, 5)),
+            (np.float64, np.float64, (2, 3, 5)),  # leading dims collapse
+        ],
+    )
+    def test_slot_gradient_equals_legacy_gradient(
+        self, rng, backing, x_dtype, grad_dtype, x_shape
+    ):
+        legacy, bound = _two_linears(1), _two_linears(1)
+        arena = GradientArena(bound, 1, backing=backing)
+        try:
+            arena.bind(bound, 0)
+            arena.slab(0)[:] = np.nan  # stale storage must be overwritten
+            for micro_batch in range(2):  # the second must add, not overwrite
+                x = rng.normal(size=x_shape).astype(x_dtype)
+                grad = rng.normal(size=x_shape[:-1] + (7,)).astype(grad_dtype)
+                for model in (legacy, bound):
+                    model(x)
+                    model.backward(grad)
+                for (name, want), got in zip(
+                    legacy.named_parameters(), bound.parameters()
+                ):
+                    assert got.grad.dtype == np.float64
+                    assert got.grad.tobytes() == want.grad.tobytes(), (
+                        name, micro_batch,
+                    )
+                    assert np.shares_memory(got.grad, arena.slab(0))
+        finally:
+            arena.close()
+
+    def test_layer_is_handed_the_slot_once_per_step(self, rng):
+        model = _two_linears(2)
+        weight = model[2].weight
+        assert weight.grad_destination() is None  # legacy storage
+        arena = GradientArena(model, 1)
+        arena.bind(model, 0)
+        slot = weight.grad_destination()
+        assert slot is not None and slot.flags.c_contiguous
+        assert np.shares_memory(slot, arena.slab(0))
+        model(rng.normal(size=(2, 5)))
+        model.backward(rng.normal(size=(2, 7)))
+        assert weight.grad_destination() is None  # written: later passes add
+        model.zero_grad()
+        assert weight.grad_destination() is slot
+
+
+class TestFirstLayerSkipsItsInputGradient:
+    def _models(self, rng):
+        conv = nn.Sequential(
+            nn.Conv2d(3, 4, 3, padding=1, rng=rng), nn.ReLU(), nn.MaxPool2d(2),
+            nn.Flatten(), nn.Linear(4 * 4 * 4, 5, rng=rng),
+        )
+        return [
+            (_two_linears(3), rng.normal(size=(4, 5)), rng.normal(size=(4, 7))),
+            (conv, rng.normal(size=(2, 3, 8, 8)), rng.normal(size=(2, 5))),
+        ]
+
+    def test_parameter_gradients_are_bit_equal_without_it(self, rng):
+        for model, x, grad in self._models(rng):
+            model(x)
+            grad_input = model.backward(grad)
+            assert grad_input.shape == x.shape  # the default contract
+            want = [param.grad.copy() for param in model.parameters()]
+            model.zero_grad()
+            model(x)
+            assert model.backward(grad, need_input_grad=False) is None
+            for param, expected in zip(model.parameters(), want):
+                assert param.grad.tobytes() == expected.tobytes(), param.name
+
+    def test_a_first_layer_that_cannot_skip_still_runs(self, rng):
+        model = nn.Sequential(nn.ReLU(), nn.Linear(5, 3, rng=rng))
+        x = rng.normal(size=(2, 5))
+        model(x)
+        out = model.backward(rng.normal(size=(2, 3)), need_input_grad=False)
+        assert out.shape == x.shape
+        assert model[1].weight.grad is not None
+        assert nn.Sequential().backward(x, need_input_grad=False) is x
+
+    def test_worker_pass_skips_it_and_keeps_the_gradients(self, rng):
+        from repro.nn.loss import CrossEntropyLoss
+        from repro.perf.replicas import worker_pass
+        from repro.train.datasets import ArrayDataset
+
+        shard = ArrayDataset(rng.normal(size=(16, 5)), rng.integers(0, 7, size=16))
+        model, seen = _two_linears(4), []
+        first_backward = model[0].backward
+
+        def spy(grad, **kwargs):
+            seen.append(kwargs)
+            return first_backward(grad, **kwargs)
+
+        model[0].backward = spy
+        worker_pass(model, CrossEntropyLoss(), shard, np.random.default_rng(0), 4, 1)
+        assert seen == [{"need_input_grad": False}]
+        got = [param.grad.copy() for param in model.parameters()]
+        del model[0].backward
+        inputs, labels = shard.batch(np.random.default_rng(0), 4)
+        loss_fn = CrossEntropyLoss()
+        model.zero_grad()
+        loss_fn(model(inputs), labels)
+        model.backward(loss_fn.backward())
+        for param, expected in zip(model.parameters(), got):
+            assert param.grad.tobytes() == expected.tobytes(), param.name
 
 
 def _peak_bytes(layer, x):

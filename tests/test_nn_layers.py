@@ -38,6 +38,23 @@ class TestLinear:
         with pytest.raises(RuntimeError, match="before forward"):
             layer.backward(rng.normal(size=(2, 3)))
 
+    def test_eval_forward_keeps_no_input_alive(self, rng):
+        """Like Conv2d / pooling / BatchNorm2d: the input is cached for
+        backward in training mode only, so an evaluation pass leaves no
+        batch pinned until the next backward."""
+        layer = nn.Linear(4, 3, rng=rng)
+        x = rng.normal(size=(2, 4))
+        layer.eval()
+        np.testing.assert_array_equal(
+            layer(x), x @ layer.weight.data.T + layer.bias.data
+        )
+        assert layer._cache_input is None
+        with pytest.raises(RuntimeError, match="before forward"):
+            layer.backward(rng.normal(size=(2, 3)))
+        layer.train()
+        layer(x)
+        assert layer._cache_input is x
+
 
 class TestConv2d:
     def test_forward_shape(self, rng):

@@ -530,8 +530,8 @@ class TestOneReductionPath:
         fired_in_backward = []
         inner = trainer.model.backward
 
-        def spying_backward(grad):
-            out = inner(grad)
+        def spying_backward(grad, **kwargs):
+            out = inner(grad, **kwargs)
             fired_in_backward.append(list(trainer.reducer._fired))
             return out
 

@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.comm.process_group import ProcessGroup
 from repro.compression.signsgd import (
     SignCompressor,
     SignPayload,
     majority_vote_aggregate,
 )
+from repro.optim.aggregators import SignSGDAggregator
+from repro.perf.arena import ArenaGrads, ArenaLayout
 
 
 class TestCompression:
@@ -119,3 +122,74 @@ class TestMajorityVote:
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
             majority_vote_aggregate([], (1,))
+
+
+# Longer than one vote block (65 536), tensor and bucket edges off the byte
+# grid: every block slices the packed bits at its own offset.
+VOTE_SHAPES = [("a", (70001,)), ("b", (13,)), ("c", (257, 300))]
+
+
+class TestAggregatorVotesOnBitCounts:
+    """The slab-consuming integer vote against float arithmetic on +-1."""
+
+    @staticmethod
+    def _filled(layout, world, rng):
+        grads = [rng.standard_normal(layout.total_elements) for _ in range(world)]
+        per_worker = []
+        for grad in grads:
+            slab = grad.copy()
+            per_worker.append(ArenaGrads(layout.carve(slab), slab, layout))
+        return grads, per_worker
+
+    @pytest.mark.parametrize("world", [2, 3, 4])  # even worlds hit the tie rule
+    @pytest.mark.parametrize("bucket_bytes", [None, 70001 * 8])
+    def test_error_feedback_conservation_bitwise(self, world, bucket_bytes):
+        """``residual_t == (residual_{t-1} + grad_t) - scale_t * sign_t`` per
+        rank, bit for bit — nothing but what was sent leaves the residual —
+        and the output is ``mean(scale) * sign(sum of signs)``, ties ``+1``.
+
+        (The textbook form ``residual_t + scale_t * sign_t == residual_{t-1}
+        + grad_t`` holds only up to the rounding of that last sum; this is
+        the identity the arithmetic keeps exactly.)
+        """
+        layout = ArenaLayout(VOTE_SHAPES, bucket_bytes=bucket_bytes)
+        aggregator = SignSGDAggregator(ProcessGroup(world))
+        oracle = [SignCompressor() for _ in range(world)]
+        rng = np.random.default_rng(world)
+        residuals = [np.full(layout.total_elements, -0.0) for _ in range(world)]
+        ties = 0
+        for _ in range(3):
+            grads, per_worker = self._filled(layout, world, rng)
+            out = aggregator.aggregate(per_worker)
+            got = np.concatenate([out[name].reshape(-1) for name, _ in VOTE_SHAPES])
+            corrected = [r + g for r, g in zip(residuals, grads)]
+            signs = [np.where(w >= 0, 1.0, -1.0) for w in corrected]
+            scales = [float(np.abs(w).mean()) for w in corrected]
+            vote = np.sum(signs, axis=0)
+            ties += int(np.count_nonzero(vote == 0))
+            want = float(np.mean(scales)) * np.where(vote >= 0, 1.0, -1.0)
+            assert got.tobytes() == want.tobytes()
+            assert np.shares_memory(out["a"], per_worker[0].slab)
+            payloads = [c.compress("g", g) for c, g in zip(oracle, grads)]
+            voted = majority_vote_aggregate(payloads, got.shape)
+            assert got.tobytes() == voted.tobytes()
+            for rank in range(world):
+                kept = aggregator.state_for(rank)._error["fused"]
+                want_kept = corrected[rank] - scales[rank] * signs[rank]
+                assert kept.tobytes() == want_kept.tobytes()
+                assert kept.tobytes() == oracle[rank]._error["g"].tobytes()
+                residuals[rank] = kept.copy()
+        assert (ties > 0) == (world % 2 == 0)
+
+    def test_without_error_feedback_only_slot_zero_is_decoded_into(self):
+        layout = ArenaLayout(VOTE_SHAPES, bucket_bytes=70001 * 8)
+        aggregator = SignSGDAggregator(ProcessGroup(3), use_error_feedback=False)
+        grads, per_worker = self._filled(layout, 3, np.random.default_rng(0))
+        out = aggregator.aggregate(per_worker)
+        got = np.concatenate([out[name].reshape(-1) for name, _ in VOTE_SHAPES])
+        payloads = [SignCompressor(False).compress("g", g) for g in grads]
+        want = majority_vote_aggregate(payloads, got.shape)
+        assert got.tobytes() == want.tobytes()
+        # EF off the slab *is* the vector: |v| is taken in place.
+        for grad, worker in zip(grads[1:], per_worker[1:]):
+            assert np.array_equal(worker.slab, np.abs(grad))
