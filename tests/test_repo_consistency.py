@@ -2,12 +2,14 @@
 
 import ast
 import builtins
+import importlib
 import re
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 
 class TestDocsReferenceRealFiles:
@@ -44,8 +46,6 @@ def _assert_module_paths_exist(doc):
 
 def _is_attribute(parts):
     """Dotted path may name an attribute of a module (e.g. planner.plan)."""
-    import importlib
-
     for split in range(len(parts), 0, -1):
         module_name = "repro." + ".".join(parts[:split])
         try:
@@ -106,16 +106,14 @@ class TestEveryPaperArtifactHasABench:
 
 class TestPublicApiImportable:
     def test_star_exports_resolve(self):
-        import repro.comm
-        import repro.compression
-        import repro.models
-        import repro.nn
-        import repro.optim
-        import repro.sim
-        import repro.train
-
-        for package in (repro.comm, repro.compression, repro.models,
-                        repro.nn, repro.optim, repro.sim, repro.train):
+        """Every package under ``src/repro`` exports only names it has
+        (``repro.__all__`` names sub-packages, bound once imported)."""
+        packages = [
+            importlib.import_module(".".join(init.parent.relative_to(SRC).parts))
+            for init in sorted((SRC / "repro").rglob("__init__.py"))
+        ]
+        assert packages
+        for package in packages:
             for name in package.__all__:
                 assert hasattr(package, name), (package.__name__, name)
 
