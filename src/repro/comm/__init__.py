@@ -35,17 +35,9 @@ from repro.comm.cost_model import (
     ETHERNET_1G,
     ETHERNET_10G,
     INFINIBAND_100G,
-    LINK_PRESETS,
     allgather_time,
     allreduce_time,
     point_to_point_time,
-)
-from repro.comm.algorithms import (
-    all_reduce_recursive_halving,
-    all_reduce_tree,
-    best_allreduce_algorithm,
-    rabenseifner_allreduce_time,
-    tree_allreduce_time,
 )
 from repro.comm.topology import (
     ClusterTopology,
@@ -74,15 +66,9 @@ __all__ = [
     "ETHERNET_1G",
     "ETHERNET_10G",
     "INFINIBAND_100G",
-    "LINK_PRESETS",
     "allgather_time",
     "allreduce_time",
     "point_to_point_time",
-    "all_reduce_recursive_halving",
-    "all_reduce_tree",
-    "best_allreduce_algorithm",
-    "rabenseifner_allreduce_time",
-    "tree_allreduce_time",
     "ClusterTopology",
     "NVLINK2",
     "PCIE3_X16",

@@ -102,7 +102,8 @@ def allgather_time(nbytes_per_rank: float, world_size: int, link: LinkSpec) -> f
 
 
 # ---------------------------------------------------------------------------
-# Presets (single source of truth; `repro.sim.calibration` re-exports them).
+# Presets (single source of truth; `repro.sim.calibration` re-exports them
+# and keys them by name in `SIM_LINKS`).
 #
 # 10GbE calibration compromise, over-determined by the paper's anchors:
 # beta = 1.15 GB/s (92% of line rate) reproduces the fused ResNet-50
@@ -121,7 +122,3 @@ ETHERNET_1G = LinkSpec(name="1GbE", alpha=40e-6, beta=0.115e9, nominal_gbps=1.0)
 INFINIBAND_100G = LinkSpec(
     name="100GbIB", alpha=5e-6, beta=4.5e9, nominal_gbps=100.0
 )
-
-LINK_PRESETS = {
-    spec.name: spec for spec in (ETHERNET_1G, ETHERNET_10G, INFINIBAND_100G)
-}

@@ -70,12 +70,6 @@ from repro.compression.complexity import (
     communicate_elements,
     compress_flops,
 )
-from repro.compression.adaptive import (
-    per_tensor_ranks,
-    rank_for_energy,
-    rank_for_target_ratio,
-)
-from repro.compression.atomo import SVDLowRankState, best_rank_r_error
 from repro.compression.terngrad import TernGradCompressor, TernPayload
 from repro.compression.payload import (
     PAYLOAD_MAGIC,
@@ -115,11 +109,6 @@ __all__ = [
     "total_elements",
     "communicate_elements",
     "compress_flops",
-    "per_tensor_ranks",
-    "rank_for_energy",
-    "rank_for_target_ratio",
-    "SVDLowRankState",
-    "best_rank_r_error",
     "TernGradCompressor",
     "TernPayload",
     "PAYLOAD_MAGIC",

@@ -11,6 +11,7 @@ Table I   model stats & compression ratios                       table1
 Table II  compress/communicate complexity (analytic + measured)  table2
 Fig. 2    iteration time of 4 methods x 4 models                 fig2
 Fig. 3    time breakdowns (ResNet-50, BERT-Base)                 fig3
+Fig. 4    WFBP schedules as simulated Gantt charts (and Fig. 1)  fig4
 Fig. 5    CDF of tensor sizes (M vs P,Q)                         fig5
 Fig. 6    convergence S-SGD / Power-SGD / ACP-SGD                fig6
 Fig. 7    ablation: no error-feedback / no reuse                 fig7
@@ -43,7 +44,6 @@ from repro.experiments.fig13 import run_fig13
 from repro.experiments.microbench import run_contention_microbench, run_fusion_microbench
 from repro.experiments.sensitivity import run_sensitivity
 from repro.experiments.extended_convergence import run_extended_convergence
-from repro.experiments.time_to_accuracy import run_time_to_accuracy
 
 __all__ = [
     "run_table1",
@@ -66,5 +66,4 @@ __all__ = [
     "run_fusion_microbench",
     "run_sensitivity",
     "run_extended_convergence",
-    "run_time_to_accuracy",
 ]

@@ -12,7 +12,6 @@
   alternating factor).
 """
 
-from repro.optim.adam import Adam
 from repro.optim.sgd import SGD
 from repro.optim.lr_scheduler import WarmupMultiStepSchedule
 from repro.optim.aggregators import (
@@ -30,7 +29,6 @@ from repro.optim.aggregators import (
 from repro.optim.dgc import DGCTopkAggregator
 
 __all__ = [
-    "Adam",
     "SGD",
     "WarmupMultiStepSchedule",
     "GradientAggregator",

@@ -51,6 +51,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tupl
 import numpy as np
 
 from repro.comm.cost_model import LinkSpec, allgather_time, allreduce_time
+from repro.comm.topology import ClusterTopology, best_allreduce_time
 from repro.compression.reshaping import matrix_view_shape, should_compress
 from repro.models.spec import ModelSpec, TensorSpec
 from repro.sched import TaskGraph
@@ -61,7 +62,6 @@ from repro.fusion import DEFAULT_BUFFER_BYTES, partition_buckets, scaled_buffer_
 from repro.sim.results import IterationBreakdown, breakdown_from_records
 
 if TYPE_CHECKING:
-    from repro.comm.topology import ClusterTopology
     from repro.sim.faults import FaultModel
 
 FP32 = 4
@@ -87,16 +87,11 @@ class ClusterSpec:
         topology: optional explicit two-level topology; when set, all-reduce
             durations use the best of the flat and hierarchical schedules
             (see :mod:`repro.comm.topology`) instead of the flat link model.
-        algorithm_selection: when True (and no topology is given), pick the
-            fastest of ring / tree / Rabenseifner per message like NCCL
-            (see :mod:`repro.comm.algorithms`); default False keeps the
-            paper-calibrated ring model.
     """
 
     world_size: int = 32
     link: LinkSpec = LINK_10GBE
-    topology: Optional["ClusterTopology"] = None
-    algorithm_selection: bool = False
+    topology: Optional[ClusterTopology] = None
 
     def __post_init__(self) -> None:
         if self.world_size < 1:
@@ -110,13 +105,7 @@ class ClusterSpec:
     def allreduce_cost(self, nbytes: float) -> float:
         """All-reduce wall time under this cluster's communication model."""
         if self.topology is not None:
-            from repro.comm.topology import best_allreduce_time
-
             return best_allreduce_time(nbytes, self.topology)
-        if self.algorithm_selection:
-            from repro.comm.algorithms import best_allreduce_algorithm
-
-            return best_allreduce_algorithm(nbytes, self.world_size, self.link)[1]
         return allreduce_time(nbytes, self.world_size, self.link)
 
 

@@ -69,8 +69,7 @@ class DataParallelTrainer:
     """Train one model with data parallelism across simulated workers.
 
     ``optimizer`` is duck-typed: anything exposing ``step(grads)`` and an
-    ``lr`` attribute works (:class:`~repro.optim.sgd.SGD`,
-    :class:`~repro.optim.adam.Adam`).
+    ``lr`` attribute works, as :class:`~repro.optim.sgd.SGD` does.
     """
 
     def __init__(

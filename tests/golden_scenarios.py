@@ -125,7 +125,6 @@ def iter_scenarios() -> Iterator[Scenario]:
     topo_cluster = ClusterSpec(
         world_size=32,
         topology=ClusterTopology(num_nodes=8, gpus_per_node=4),
-        algorithm_selection=True,
     )
     yield _iteration("iter/ssgd/topology", "ssgd", cluster=topo_cluster)
     yield _iteration("iter/acpsgd/topology", "acpsgd", cluster=topo_cluster)

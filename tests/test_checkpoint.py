@@ -1,68 +1,11 @@
-"""SVD compressor (ATOMO-style) and checkpointing."""
+"""Checkpoint round-trips: parameters, momentum and bitwise resume."""
 
 import numpy as np
 import pytest
 
-from repro.compression.atomo import SVDLowRankState, best_rank_r_error
 from repro.models.convnets import make_mlp
 from repro.optim.sgd import SGD
 from repro.train.checkpoint import load_checkpoint, save_checkpoint
-
-
-class TestSVDCompressor:
-    def test_optimal_in_one_step(self, rng):
-        """SVD reaches the Eckart-Young floor immediately (no EF)."""
-        matrix = rng.normal(size=(20, 30))
-        state = SVDLowRankState(rank=3, use_error_feedback=False)
-        p, q = state.compress("w", matrix)
-        m_hat = SVDLowRankState.reconstruct(p, q)
-        err = np.linalg.norm(matrix - m_hat) / np.linalg.norm(matrix)
-        assert err == pytest.approx(best_rank_r_error(matrix, 3), rel=1e-10)
-
-    def test_beats_one_step_powersgd(self, rng):
-        """The quality gap that made ATOMO expensive but optimal."""
-        from repro.compression.powersgd import PowerSGDState
-
-        matrix = rng.normal(size=(24, 24))
-        svd = SVDLowRankState(rank=2, use_error_feedback=False)
-        p, q = svd.compress("w", matrix)
-        svd_err = np.linalg.norm(matrix - p @ q.T)
-
-        power = PowerSGDState(rank=2, seed=0, use_error_feedback=False)
-        p1 = power.compute_p("w", matrix)
-        q1 = power.compute_q("w", p1)
-        power_err = np.linalg.norm(matrix - power.reconstruct("w", q1))
-        assert svd_err <= power_err + 1e-12
-
-    def test_error_feedback_invariant(self, rng):
-        state = SVDLowRankState(rank=2, use_error_feedback=True)
-        base = rng.normal(size=(10, 12))
-        total_in = np.zeros_like(base)
-        total_out = np.zeros_like(base)
-        for _ in range(100):
-            grad = base + 0.1 * rng.normal(size=base.shape)
-            p, q = state.compress("w", grad)
-            total_out += p @ q.T
-            total_in += grad
-        gap = np.linalg.norm(total_out - total_in) / np.linalg.norm(total_in)
-        assert gap < 0.15
-
-    def test_factor_shapes(self, rng):
-        state = SVDLowRankState(rank=4)
-        p, q = state.compress("w", rng.normal(size=(6, 50)))
-        assert p.shape == (6, 4)
-        assert q.shape == (50, 4)
-
-    def test_validation(self, rng):
-        with pytest.raises(ValueError, match="rank"):
-            SVDLowRankState(rank=0)
-        with pytest.raises(ValueError, match="matrix"):
-            SVDLowRankState(rank=2).compress("w", rng.normal(size=5))
-        with pytest.raises(ValueError, match="matrix"):
-            best_rank_r_error(rng.normal(size=5), 2)
-
-    def test_best_rank_r_error_zero_matrix(self):
-        assert best_rank_r_error(np.zeros((4, 4)), 2) == 0.0
 
 
 class TestCheckpoint:

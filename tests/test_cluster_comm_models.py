@@ -1,4 +1,4 @@
-"""ClusterSpec communication models: flat, topology-aware, algorithm-select."""
+"""ClusterSpec communication models: flat and topology-aware."""
 
 import pytest
 
@@ -28,12 +28,6 @@ class TestAllreduceCost:
         for nbytes in (1e4, 1e6, 1e8):
             assert topo.allreduce_cost(nbytes) <= flat.allreduce_cost(nbytes) + 1e-12
 
-    def test_algorithm_selection_never_worse(self):
-        auto = ClusterSpec(32, algorithm_selection=True)
-        flat = ClusterSpec(32)
-        for nbytes in (1e3, 1e5, 1e7, 1e9):
-            assert auto.allreduce_cost(nbytes) <= flat.allreduce_cost(nbytes) + 1e-12
-
     def test_topology_world_size_must_match(self):
         with pytest.raises(ValueError, match="topology world size"):
             ClusterSpec(16, topology=ClusterTopology(8, 4))
@@ -59,9 +53,3 @@ class TestSimulationWithCommModels:
             bd = simulate_iteration(method, resnet18, cluster=cluster,
                                     batch_size=16, rank=4)
             assert bd.total > 0
-
-    def test_algorithm_selection_runs(self, resnet18):
-        cluster = ClusterSpec(16, algorithm_selection=True)
-        bd = simulate_iteration("acpsgd", resnet18, cluster=cluster,
-                                batch_size=16, rank=4)
-        assert bd.total > 0

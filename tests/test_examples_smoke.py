@@ -39,11 +39,6 @@ class TestFastExamples:
         assert "MATCH bit-exactly" in out
         assert "monolithic" in out  # the fallback point is in the table
 
-    def test_adaptive_compression(self):
-        out = _run("adaptive_compression.py")
-        assert "rank @90% energy" in out
-        assert "rank 32" in out  # the paper's BERT choice, recovered
-
     def test_hierarchical_allreduce(self):
         out = _run("hierarchical_allreduce.py")
         assert "MATCH bit-exactly" in out

@@ -109,13 +109,114 @@ class TestPublicApiImportable:
         """Every package under ``src/repro`` exports only names it has
         (``repro.__all__`` names sub-packages, bound once imported)."""
         packages = [
-            importlib.import_module(".".join(init.parent.relative_to(SRC).parts))
+            importlib.import_module(_dotted(init))
             for init in sorted((SRC / "repro").rglob("__init__.py"))
         ]
         assert packages
         for package in packages:
             for name in package.__all__:
                 assert hasattr(package, name), (package.__name__, name)
+
+
+class TestEveryModuleIsUsed:
+    """Use or lose (ROADMAP 5(e)): a module under ``src/repro`` is imported
+    by a non-``__init__`` ``src`` module (``cli.py`` included), ``scripts/``
+    or ``perfbench/`` — by its path, or through a name its package
+    ``__init__`` re-exports. Tests, examples, benchmarks and the ``__init__``
+    re-export itself do not count. A module only those reach is deleted, or
+    listed in ``KEPT`` with the documented claim it backs."""
+
+    KEPT = {
+        "repro.experiments.sensitivity":
+            "EXPERIMENTS.md 'Calibration sensitivity' (DESIGN.md row SENS): "
+            "Table III's orderings hold at every +/-25% perturbation",
+        "repro.experiments.extended_convergence":
+            "EXPERIMENTS.md 'Extended convergence comparison' (DESIGN.md row "
+            "CONV+): nine aggregators, one task, measured wire traffic",
+        "repro.sim.pipeline":
+            "EXPERIMENTS.md 'Steady-state pipelining + priority comm "
+            "scheduling' (DESIGN.md row PIPE); three golden-trace scenarios",
+        "repro.sched.builders":
+            "DESIGN.md 'Hierarchical topology': the task-DAG model of "
+            "examples/hierarchical_allreduce.py that sits on "
+            "comm.topology's analytic curves (rel err 0)",
+        "repro.nn.reshape":
+            "DESIGN.md 'Autodiff / layers framework' row lists Flatten; the "
+            "conv -> Linear models of tier-1's trainer, reducer and "
+            "nn-kernel tests are built on it",
+    }
+
+    def test_every_module_has_a_caller_outside_tests(self):
+        files = {_dotted(path): path for path in (SRC / "repro").rglob("*.py")}
+        packages = {name for name, path in files.items()
+                    if path.name == "__init__.py"}
+        reexported = {
+            (package, ref.rpartition(".")[2]): ref
+            for package in packages
+            for ref in _repro_references(files[package])
+        }
+
+        def defining_module(ref):
+            """The module file a dotted reference lands in, following package
+            re-exports; ``None`` for a bare package or an unknown name."""
+            while ref is not None:
+                parts = ref.split(".")
+                cut = max(n for n in range(1, len(parts) + 1)
+                          if ".".join(parts[:n]) in files)
+                head = ".".join(parts[:cut])
+                if head not in packages:
+                    return head
+                ref = reexported.get((head, parts[cut])) if cut < len(parts) else None
+            return None
+
+        callers = [path for name, path in files.items() if name not in packages]
+        for top in ("scripts", "perfbench"):
+            callers.extend((ROOT / top).rglob("*.py"))
+        used = set()
+        for path in callers:
+            used.update(
+                target for target in map(defining_module, _repro_references(path))
+                if target is not None and files[target] != path
+            )
+        entry_points = {"repro.__main__"}
+        unused = set(files) - packages - entry_points - used
+        assert unused == set(self.KEPT), (
+            f"only tests/examples/benchmarks reach {sorted(unused - set(self.KEPT))}; "
+            f"KEPT entries that now have a caller {sorted(set(self.KEPT) - unused)}"
+        )
+
+
+def _dotted(path):
+    """``src/repro/a/b.py`` -> ``repro.a.b``; a package's ``__init__`` -> the package."""
+    parts = path.relative_to(SRC).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def _repro_references(path):
+    """Every ``repro...`` dotted path a file imports, or reaches as an
+    attribute of an imported module (``E.run_fig2`` after ``import
+    repro.experiments as E``)."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    bound, references = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                references.add(alias.name)
+                # ``import a.b`` binds ``a``; ``import a.b as c`` binds ``a.b``.
+                target = alias.name if alias.asname else alias.name.split(".")[0]
+                bound[alias.asname or target] = target
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                references.add(f"{node.module}.{alias.name}")
+                bound[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+    for node in ast.walk(tree):
+        attrs = []
+        while isinstance(node, ast.Attribute):
+            attrs.append(node.attr)
+            node = node.value
+        if attrs and isinstance(node, ast.Name) and node.id in bound:
+            references.add(".".join([bound[node.id], *reversed(attrs)]))
+    return {ref for ref in references if ref.split(".")[0] == "repro"}
 
 
 class TestQuotedAnnotationsResolve:
