@@ -807,15 +807,15 @@ def build_parser() -> argparse.ArgumentParser:
                          help="[--sim] tasks in the benchmark DAG")
     p_bench.add_argument("--sim-streams", type=int, default=8,
                          help="[--sim] parallel resource streams")
-    p_bench.add_argument("--queries", type=int, default=12,
+    p_bench.add_argument("--queries", type=int, default=48,
                          help="[--planner] unique queries in the grid")
     p_bench.add_argument("--max-workers", type=int, default=4,
                          help="[--planner] service thread-pool size")
     p_bench.add_argument("--warm-lookups", type=int, default=5000,
                          help="[--planner] warm-cache lookups to time")
-    p_bench.add_argument("--tune-buffer", action="store_true",
-                         help="[--planner] include buffer autotuning in "
-                              "each cold query")
+    p_bench.add_argument("--tune-buffer", action="store_true", default=None,
+                         help="[--planner] autotune the buffer in every "
+                              "cold query (default: in every other one)")
     p_bench.set_defaults(func=cmd_bench)
     return parser
 

@@ -144,6 +144,8 @@ def plan(
                 f"unknown link {link!r}; available: {', '.join(sorted(SIM_LINKS))}"
             )
         link_spec = SIM_LINKS[link]
+    if not 0.0 < topk_ratio <= 1.0:
+        raise ValueError(f"topk_ratio must be in (0, 1], got {topk_ratio}")
     candidates = tuple(methods) if methods is not None else _CANDIDATES
     if not candidates:
         raise ValueError("need at least one candidate method")

@@ -20,10 +20,12 @@ Every event costs work proportional to the resources, not to the graph:
   built once per run and decremented when a task completes — so a
   discipline's ``is_ready`` poll is two comparisons, not a walk of ``deps``;
 - each *idle* resource is polled once per selection pass (a busy one keeps
-  its task); zero-work picks complete at that instant and trigger another
-  pass, and the picks of the pass that completes nothing are the tasks that
-  run — a pick from an earlier pass is never kept, because under
-  ``"priority"`` a task released by that pass's progress may outrank it;
+  its task; while all are busy the pass is skipped — busy, paired-busy and
+  completed counts are kept as tasks start and finish, never recounted);
+  zero-work picks complete at that instant and trigger another pass, and
+  the picks of the pass that completes nothing are the tasks that run — a
+  pick from an earlier pass is never kept, because under ``"priority"`` a
+  task released by that pass's progress may outrank it;
 - ``ResourceModel.rates`` is consulted only while at least two busy
   resources belong to a contention pair; otherwise every rate is ``1.0``.
 
@@ -127,15 +129,16 @@ class EventLoop:
             for dependent in dependents.get(task.task_id, ()):
                 unmet[dependent] -= 1
 
-        total = len(tasks)
-        while len(done) < total:
+        total, finished = len(tasks), 0  # finished == len(done)
+        busy = busy_coupled = 0  # resources running a task; those of them paired
+        while finished < total:
             # Poll every idle resource (non-preemptive: a busy one keeps its
-            # task). Zero-work picks complete at this instant and may
-            # cascade, so poll again; the picks of the pass that completes
-            # nothing are what runs next. A pick made in a pass that went
-            # on to progress is not kept — under "priority" a task released
-            # by that progress may outrank it.
-            progressed = True
+            # task; all busy, nobody to poll). Zero-work picks complete at
+            # this instant and may cascade, so poll again; the picks of the
+            # pass that completes nothing are what runs next. A pick made in
+            # a pass that went on to progress is not kept — under "priority"
+            # a task released by that progress may outrank it.
+            progressed = busy < len(names)
             while progressed:
                 progressed = False
                 picks: List[Tuple[int, Task]] = []
@@ -150,21 +153,24 @@ class EventLoop:
                     if task.work == 0.0:
                         started[task.task_id] = now
                         finish(task)
+                        finished += 1
                         progressed = True
                     else:
                         picks.append((lane, task))
-            if len(done) == total:
+                if not progressed:
+                    for lane, task in picks:
+                        current[lane] = task
+                        left[lane] = task.work
+                        started[task.task_id] = now
+                        busy += 1
+                        busy_coupled += coupled[lane]
+            if finished == total:
                 break
-            for lane, task in picks:
-                current[lane] = task
-                left[lane] = task.work
-                started[task.task_id] = now
 
             while gate_idx < len(gated) and gated[gate_idx].start_after <= now:
                 gate_idx += 1
 
-            active = [lane for lane in lanes if current[lane] is not None]
-            if not active:
+            if not busy:
                 # Everything runnable is time-gated: jump the clock to the
                 # earliest future gate whose dependencies are met.
                 for idx in range(gate_idx, len(gated)):
@@ -180,24 +186,34 @@ class EventLoop:
             # pair are both busy; x / 1.0 and x * 1.0 are exact, so every
             # other event skips the model without changing a bit.
             speed = full_speed
-            if sum(coupled[lane] for lane in active) > 1:
-                rates = self.resources.rates(
-                    {names[lane]: current[lane] for lane in active}
-                )
+            if busy_coupled > 1:
+                rates = self.resources.rates({
+                    names[lane]: current[lane]
+                    for lane in lanes if current[lane] is not None
+                })
                 speed = [rates.get(name, 1.0) for name in names]
 
             # Advance to the earliest completion, but never past a pending
             # task's start_after gate (an idle resource must be able to
             # pick it up the moment it becomes eligible).
-            horizon = min(left[lane] / speed[lane] for lane in active)
+            horizon = None
+            for lane in lanes:
+                if current[lane] is not None:
+                    ends_in = left[lane] / speed[lane]
+                    if horizon is None or ends_in < horizon:
+                        horizon = ends_in
             if gate_idx < len(gated):
                 horizon = min(horizon, gated[gate_idx].start_after - now)
             now += horizon
-            for lane in active:
-                left[lane] -= speed[lane] * horizon
-                if left[lane] <= 1e-15:
-                    finish(current[lane])
-                    current[lane] = None
+            for lane in lanes:
+                if current[lane] is not None:
+                    left[lane] -= speed[lane] * horizon
+                    if left[lane] <= 1e-15:
+                        finish(current[lane])
+                        finished += 1
+                        current[lane] = None
+                        busy -= 1
+                        busy_coupled -= coupled[lane]
 
         return {
             task.task_id: TaskRecord(task, started[task.task_id], done[task.task_id])

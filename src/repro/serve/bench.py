@@ -6,7 +6,7 @@ dies on how many "which method for my cluster?" questions it can absorb.
 The benchmark measures
 
 - **cold** throughput/latency: unique queries, empty cache — each one
-  pays a full simulator sweep;
+  pays a full simulator sweep, every other one the buffer autotuner too;
 - **warm** throughput/latency: a deterministic query stream drawn from
   the same population — answered from the sharded cache;
 - the cache hit rate of the warm pass, and
@@ -19,6 +19,8 @@ both write the report, which CI tracks next to ``BENCH_hotpath.json``.
 
 from __future__ import annotations
 
+import os
+import platform
 import time
 from typing import Dict, List, Optional, Sequence
 
@@ -41,12 +43,13 @@ WARM_QPS_TARGET = 1000.0
 
 def default_query_grid(
     unique_queries: int,
-    tune_buffer: bool = False,
+    tune_buffer: Optional[bool] = None,
     models: Sequence[str] = _GRID_MODELS,
     gpus: Sequence[int] = _GRID_GPUS,
     links: Sequence[str] = _GRID_LINKS,
 ) -> List[PlanQuery]:
-    """A deterministic grid of ``unique_queries`` distinct queries."""
+    """A deterministic grid of ``unique_queries`` distinct queries;
+    ``tune_buffer=None`` tunes every other one (a planner's mixed traffic)."""
     if unique_queries < 1:
         raise ValueError(
             f"unique_queries must be >= 1, got {unique_queries}"
@@ -65,7 +68,7 @@ def default_query_grid(
             )
         query = PlanQuery(
             model=model, gpus=world, link=SIM_LINKS[link],
-            tune_buffer=tune_buffer,
+            tune_buffer=len(grid) % 2 == 1 if tune_buffer is None else tune_buffer,
         )
         if query not in grid:
             grid.append(query)
@@ -83,12 +86,12 @@ def _latency_stats(latencies_s: Sequence[float]) -> Dict[str, float]:
 
 
 def run_planner_bench(
-    unique_queries: int = 12,
+    unique_queries: int = 48,
     warm_lookups: int = 5000,
     max_workers: int = 4,
     shards: int = 8,
     capacity_per_shard: int = 4096,
-    tune_buffer: bool = False,
+    tune_buffer: Optional[bool] = None,
     seed: int = 0,
     service: Optional[PlannerService] = None,
 ) -> Dict[str, object]:
@@ -150,8 +153,12 @@ def run_planner_bench(
                 "max_workers": max_workers,
                 "shards": service.cache.num_shards,
                 "capacity_per_shard": capacity_per_shard,
-                "tune_buffer": tune_buffer,
+                "tune_buffer": "alternate" if tune_buffer is None else tune_buffer,
                 "seed": seed,
+                "host": f"{platform.platform()}, python {platform.python_version()}, "
+                        f"{os.cpu_count()} cpus",
+                "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
+                "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
             },
             "cold": {
                 "queries": len(grid),

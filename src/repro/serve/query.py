@@ -60,6 +60,14 @@ def canonical_float(value: float, name: str = "value") -> float:
     return out
 
 
+def _number(value, name: str, kind: type = float):
+    """Wire check: a JSON number (``kind=int``: a whole one), never a bool."""
+    if type(value) not in (int, float) or (kind is int and value != value // 1):
+        expected = "an integer" if kind is int else "a number"
+        raise ValueError(f"{name} must be {expected}, got {value!r}")
+    return kind(value)
+
+
 def canonical_link(link: LinkSpec) -> LinkSpec:
     """Return ``link`` with every numeric field canonicalized."""
     return LinkSpec(
@@ -83,12 +91,19 @@ def link_to_dict(link: LinkSpec) -> Dict[str, object]:
 
 def link_from_dict(doc: Dict[str, object]) -> LinkSpec:
     """Inverse of :func:`link_to_dict`."""
-    return canonical_link(LinkSpec(
-        name=str(doc["name"]),
-        alpha=float(doc["alpha"]),  # type: ignore[arg-type]
-        beta=float(doc["beta"]),  # type: ignore[arg-type]
-        nominal_gbps=float(doc["nominal_gbps"]),  # type: ignore[arg-type]
-    ))
+    if not isinstance(doc, dict):
+        raise ValueError(f"link must be a JSON object, got {type(doc).__name__}")
+    try:
+        return LinkSpec(  # built canonical: what canonical_link would return
+            name=str(doc["name"]),
+            alpha=canonical_float(doc["alpha"], "alpha"),  # type: ignore[arg-type]
+            beta=canonical_float(doc["beta"], "beta"),  # type: ignore[arg-type]
+            nominal_gbps=canonical_float(doc["nominal_gbps"], "nominal_gbps"),  # type: ignore[arg-type]
+        )
+    except KeyError as exc:
+        raise ValueError(f"missing field 'link.{exc.args[0]}'") from None
+    except TypeError:  # a bool, a null, a list or an object
+        raise ValueError(f"link fields must be numbers, got {doc!r}") from None
 
 
 def canonical_topology(topology: ClusterTopology) -> ClusterTopology:
@@ -114,12 +129,17 @@ def topology_to_dict(topology: ClusterTopology) -> Dict[str, object]:
 
 def topology_from_dict(doc: Dict[str, object]) -> ClusterTopology:
     """Inverse of :func:`topology_to_dict`."""
-    return canonical_topology(ClusterTopology(
-        num_nodes=int(doc["num_nodes"]),  # type: ignore[arg-type]
-        gpus_per_node=int(doc["gpus_per_node"]),  # type: ignore[arg-type]
-        intra_link=link_from_dict(doc["intra_link"]),  # type: ignore[arg-type]
-        inter_link=link_from_dict(doc["inter_link"]),  # type: ignore[arg-type]
-    ))
+    if not isinstance(doc, dict):
+        raise ValueError(f"topology must be a JSON object, got {type(doc).__name__}")
+    try:
+        return canonical_topology(ClusterTopology(
+            num_nodes=_number(doc["num_nodes"], "topology.num_nodes", int),
+            gpus_per_node=_number(doc["gpus_per_node"], "topology.gpus_per_node", int),
+            intra_link=link_from_dict(doc["intra_link"]),  # type: ignore[arg-type]
+            inter_link=link_from_dict(doc["inter_link"]),  # type: ignore[arg-type]
+        ))
+    except KeyError as exc:
+        raise ValueError(f"missing field 'topology.{exc.args[0]}'") from None
 
 
 def dumps_canonical(doc: object) -> str:
@@ -174,6 +194,8 @@ class PlanQuery:
             raise ValueError(
                 f"batch_size must be >= 1, got {self.batch_size}"
             )
+        if not 0.0 < self.topk_ratio <= 1.0:
+            raise ValueError(f"topk_ratio must be in (0, 1], got {self.topk_ratio}")
         methods = tuple(str(m) for m in self.methods)
         if not methods:
             raise ValueError("need at least one candidate method")
@@ -227,26 +249,40 @@ class PlanQuery:
 
     @classmethod
     def from_dict(cls, doc: Dict[str, object]) -> "PlanQuery":
-        """Inverse of :meth:`to_dict`; rejects foreign schema versions."""
+        """Inverse of :meth:`to_dict` and the wire boundary: a malformed document
+        is a one-line ``ValueError``, never a silently different query."""
+        if not isinstance(doc, dict):
+            raise ValueError(f"query must be a JSON object, got {type(doc).__name__}")
+        if not doc.keys() <= _QUERY_FIELDS:
+            raise ValueError(f"unknown field {min(doc.keys() - _QUERY_FIELDS)!r}")
         schema = doc.get("schema", SCHEMA_VERSION)
         if schema != SCHEMA_VERSION:
             raise ValueError(
                 f"unsupported schema {schema!r}; this build reads "
                 f"{SCHEMA_VERSION!r}"
             )
-        return cls(
-            model=str(doc["model"]),
-            gpus=int(doc["gpus"]),  # type: ignore[arg-type]
-            link=link_from_dict(doc["link"]),  # type: ignore[arg-type]
-            rank=None if doc.get("rank") is None else int(doc["rank"]),  # type: ignore[arg-type]
-            batch_size=(None if doc.get("batch_size") is None
-                        else int(doc["batch_size"])),  # type: ignore[arg-type]
-            methods=tuple(doc.get("methods", QUERY_METHODS)),  # type: ignore[arg-type]
-            topk_ratio=float(doc.get("topk_ratio", 0.001)),  # type: ignore[arg-type]
-            tune_buffer=bool(doc.get("tune_buffer", True)),
-            topology=(None if doc.get("topology") is None
-                      else topology_from_dict(doc["topology"])),  # type: ignore[arg-type]
-        )
+        methods = doc.get("methods", QUERY_METHODS)
+        if not isinstance(methods, (list, tuple)):
+            raise ValueError(f"methods must be a list, got {methods!r}")
+        try:
+            gpus, ratio = doc["gpus"], doc.get("topk_ratio", 0.001)
+            return cls(
+                model=str(doc["model"]),
+                gpus=gpus if type(gpus) is int else _number(gpus, "gpus", int),
+                link=link_from_dict(doc["link"]),  # type: ignore[arg-type]
+                rank=(None if doc.get("rank") is None
+                      else _number(doc["rank"], "rank", int)),
+                batch_size=(None if doc.get("batch_size") is None
+                            else _number(doc["batch_size"], "batch_size", int)),
+                methods=tuple(methods),
+                topk_ratio=(ratio if type(ratio) is float
+                            else _number(ratio, "topk_ratio")),
+                tune_buffer=bool(doc.get("tune_buffer", True)),
+                topology=(None if doc.get("topology") is None
+                          else topology_from_dict(doc["topology"])),  # type: ignore[arg-type]
+            )
+        except KeyError as exc:
+            raise ValueError(f"missing field {exc.args[0]!r}") from None
 
     def cache_key(self) -> str:
         """SHA-256 over the canonical JSON form.
@@ -260,3 +296,6 @@ class PlanQuery:
             dumps_canonical(self.to_dict()).encode("ascii")
         )
         return digest.hexdigest()
+
+
+_QUERY_FIELDS = frozenset(PlanQuery.__dataclass_fields__) | {"schema"}

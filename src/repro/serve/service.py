@@ -29,7 +29,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.comm.cost_model import LinkSpec
 from repro.serve.cache import ResultCache
-from repro.serve.query import PlanQuery, canonical_link
+from repro.serve.query import PlanQuery, canonical_link, dumps_canonical, link_to_dict
 from repro.serve.schema import plan_from_dict, plan_payload
 from repro.sim.calibration import (
     CALIBRATION_GENERATION,
@@ -187,7 +187,7 @@ class PlannerService:
         with self._lock:
             link = self.links.get(name)
         if link is None:
-            raise KeyError(
+            raise ValueError(
                 f"unknown link {name!r}; known: "
                 f"{', '.join(sorted(self.links))}"
             )
@@ -352,8 +352,6 @@ def serve_jsonl(
     """
     import json
 
-    from repro.serve.query import dumps_canonical
-
     batch: List[PlanQuery] = []
     errors: Dict[int, str] = {}  # position in the current window -> message
     position = 0
@@ -386,26 +384,12 @@ def serve_jsonl(
             continue
         try:
             doc = json.loads(raw)
-
-            def named_link(value):
-                # A bare-string link resolves against the service's
-                # registry (presets + recalibrated fits).
-                if not isinstance(value, str):
-                    return value
-                link = service.resolve_link(value)
-                return {"name": value, "alpha": link.alpha,
-                        "beta": link.beta,
-                        "nominal_gbps": link.nominal_gbps}
-
-            if isinstance(doc.get("link"), str):
-                doc = dict(doc)
-                doc["link"] = named_link(doc["link"])
-            if isinstance(doc.get("topology"), dict):
-                doc = dict(doc)
-                topo = dict(doc["topology"])
-                topo["intra_link"] = named_link(topo.get("intra_link"))
-                topo["inter_link"] = named_link(topo.get("inter_link"))
-                doc["topology"] = topo
+            # A bare-string link resolves against the registry (presets + fits).
+            topology = doc.get("topology") if isinstance(doc, dict) else None
+            for holder, field in ((doc, "link"), (topology, "intra_link"),
+                                  (topology, "inter_link")):
+                if isinstance(holder, dict) and isinstance(holder.get(field), str):
+                    holder[field] = link_to_dict(service.resolve_link(holder[field]))
             batch.append(PlanQuery.from_dict(doc))
         except Exception as exc:  # noqa: BLE001 — reported per line
             errors[position] = f"{type(exc).__name__}: {exc}"

@@ -6,7 +6,9 @@ scaled 25MB default. This module implements that extension with a
 deterministic coarse-to-fine search over the simulator: a log-spaced sweep
 followed by local refinement around the best coarse candidate. On the
 simulator the objective is noiseless, so this matches what a BO loop would
-converge to at a fraction of the complexity.
+converge to at a fraction of the complexity — and it reads the buffer only
+through :func:`~repro.sim.strategies.fusion_plan`, so it is priced once per
+distinct plan, not once per probed size.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.models.spec import ModelSpec
 from repro.sim.calibration import SimConfig
-from repro.sim.strategies import ClusterSpec, SystemConfig, simulate_iteration
+from repro.sim.strategies import BuildContext, ClusterSpec, SystemConfig
+from repro.sim.strategies import fusion_plan, simulate_iteration
 
 MB = 1024.0 * 1024.0
 _DEFAULT_COARSE_MB = (0.25, 1.0, 4.0, 16.0, 64.0, 256.0, 1024.0)
@@ -89,12 +92,14 @@ def autotune_buffer_size(
 
     Coarse log-spaced sweep, then ``refine_rounds`` of bisection between
     the best point's neighbours. ``topk_ratio`` is the Top-k / DGC /
-    Random-k keep fraction every probe is priced at.
+    Random-k keep fraction every probe is priced at. Probes with equal fusion
+    plans share one simulation (for this call only); ``evaluated`` lists all.
     """
     if not coarse_mb:
         raise ValueError("need at least one coarse candidate")
     candidates = sorted(float(c) * MB for c in coarse_mb)
     evaluated: Dict[float, float] = {}
+    priced: Dict[tuple, float] = {}  # fusion plans -> seconds, this call only
 
     def probe(buffer_bytes: float) -> float:
         buffer_bytes = max(buffer_bytes, 1.0)
@@ -102,10 +107,16 @@ def autotune_buffer_size(
             config = SystemConfig(
                 wfbp=True, tensor_fusion=True, buffer_bytes=buffer_bytes
             )
-            evaluated[buffer_bytes] = simulate_iteration(
-                method, model, cluster=cluster, system=config, sim=sim,
-                rank=rank, batch_size=batch_size, topk_ratio=topk_ratio,
-            ).total
+            ctx = BuildContext.resolve(
+                method, model, cluster, config, sim, batch_size, rank, topk_ratio
+            )
+            plans = tuple(fusion_plan(ctx, parity_p) for parity_p in ctx.parities)
+            if plans not in priced:
+                priced[plans] = simulate_iteration(
+                    method, model, cluster=cluster, system=config, sim=sim,
+                    rank=rank, batch_size=batch_size, topk_ratio=topk_ratio,
+                ).total
+            evaluated[buffer_bytes] = priced[plans]
         return evaluated[buffer_bytes]
 
     for candidate in candidates:

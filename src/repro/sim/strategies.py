@@ -5,7 +5,8 @@ defaults and validates the scenario once, :meth:`BuildContext.graph` builds
 one iteration's :class:`~repro.sched.TaskGraph`, :meth:`BuildContext.run`
 hands it to ``Engine.run``, and the records are swept into the paper's
 breakdown (``simulate_iteration`` is that path end to end). Adding a method
-is one ``(ctx, parity_p) -> tasks`` function plus one ``_BUILDERS`` entry.
+is a ``(ctx, parity_p, *plan)`` builder in ``_BUILDERS`` plus its fused groups
+in ``fusion_plan``.
 
 Sweeps over buffer size, link and method (the planner, the autotuner, the
 paper's Fig. 9-13) re-price one iteration timeline, so the part of a graph
@@ -13,9 +14,9 @@ that depends on none of them is built once: builders start from
 ``_skeleton(ctx)`` — the priced FF + BP chain and its tensors in readiness
 order per (model, batch size, ``SimConfig``), plus per-method prefixes
 (ACP-SGD / Random-k hook timelines, wire sizes, post costs) per (rank,
-parity, ``wfbp``) — and only partition buckets and price collectives per
-scenario. The memo holds a few skeletons of the one model seen last, found
-by model identity and ``SimConfig`` equality, and hands out shared ``Task``
+parity, ``wfbp``) — and only price the collectives of the scenario's
+``fusion_plan``. The memo holds a few skeletons of the one model seen last
+(model identity, ``SimConfig`` equality) and hands out shared ``Task``
 objects in fresh lists; a graph is the same ``Task`` by ``Task`` whether the
 memo was warm or empty (``tests/test_skeleton_memo.py``). Specs and configs
 are immutable values: derive variants with ``dataclasses.replace``, never by
@@ -65,6 +66,8 @@ if TYPE_CHECKING:
     from repro.sim.faults import FaultModel
 
 FP32 = 4
+
+Buckets = Sequence[Tuple[int, int]]  # one ``partition_buckets`` result
 
 METHODS = ("ssgd", "signsgd", "topk", "powersgd", "powersgd_star", "acpsgd")
 
@@ -128,11 +131,6 @@ class SystemConfig:
         if self.buffer_bytes < 0:
             raise ValueError(f"buffer_bytes must be >= 0, got {self.buffer_bytes}")
 
-    @property
-    def effective_buffer(self) -> float:
-        """Bucket capacity honouring the tensor_fusion switch."""
-        return self.buffer_bytes if self.tensor_fusion else 0.0
-
 
 @dataclass(frozen=True)
 class BuildContext:
@@ -187,7 +185,8 @@ class BuildContext:
 
     def graph(self, parity_p: bool = True) -> TaskGraph:
         """One iteration's task graph (ACP-SGD: the P- or Q-step)."""
-        return TaskGraph(_BUILDERS[self.method](self, parity_p))
+        plan = fusion_plan(self, parity_p)
+        return TaskGraph(_BUILDERS[self.method](self, parity_p, *plan))
 
     def run(
         self, graph: TaskGraph, disciplines: Optional[Dict[str, str]] = None
@@ -295,18 +294,17 @@ def _lowrank_split(
 
 
 def _bucket_comm_tasks(
-    ctx: BuildContext, ready: Sequence[_ReadyTensor], last_bp: str, prefix: str
+    ctx: BuildContext, buckets: Buckets, ready: Sequence[_ReadyTensor], prefix: str
 ) -> List[Task]:
-    """Fusion buckets of raw gradients -> all-reduce tasks.
+    """Fusion ``buckets`` of raw gradients -> all-reduce tasks.
 
     Each bucket becomes one NIC collective, dependent on the producing
     BP task of its *last* tensor (WFBP) or on the end of BP.
     The flat-buffer copy is folded into the collective duration (it is a
     ~0.1ms GPU memcpy per 25MB bucket, negligible against alpha).
     """
-    sizes = [item.nbytes for item in ready]
+    sizes, last_bp = [item.nbytes for item in ready], _skeleton(ctx).last_bp
     tasks: List[Task] = []
-    buckets = partition_buckets(sizes, ctx.system.effective_buffer)
     for b_idx, (start, end) in enumerate(buckets):
         bucket_bytes = float(sum(sizes[start:end]))
         dep = ready[end - 1].bp_task if ctx.system.wfbp else last_bp
@@ -355,7 +353,7 @@ def _hook_timeline(
 
 def _hooked_tasks(
     ctx: BuildContext,
-    skel: _Skeleton,
+    buckets: Buckets,
     prefix: str,
     timeline: Tuple[List[Task], List[str]],
     sizes: Sequence[float],
@@ -364,22 +362,15 @@ def _hooked_tasks(
 ) -> List[Task]:
     """A shared :func:`_hook_timeline` plus this scenario's collectives.
 
-    The hooks' payloads (``sizes``, wire bytes per hooked tensor) are fused,
-    under a buffer scaled by the compression rate (§IV-B), into one
-    non-blocking all-reduce per bucket; it waits for its last member's
-    compression (without WFBP: for all of it) and is followed by the
+    The hooks' payloads (``sizes``, wire bytes per hooked tensor) are fused
+    by ``buckets`` into one non-blocking all-reduce each; it waits for its
+    last member's compression (without WFBP: for all of it) and is followed by the
     bucket's ``post_name`` task (reconstruct / scatter) costing
     ``post_work(start, end)``.
     """
     system = ctx.system
     tasks, hook_ids = list(timeline[0]), timeline[1]
-    if not system.tensor_fusion:
-        buffer = 0.0
-    elif system.scale_compressed_buffer:
-        buffer = scaled_buffer_size(system.buffer_bytes, sum(sizes), skel.raw_bytes)
-    else:
-        buffer = system.buffer_bytes
-    for b_idx, (start, end) in enumerate(partition_buckets(sizes, buffer)):
+    for b_idx, (start, end) in enumerate(buckets):
         comm_id = f"{prefix}_comm{b_idx}"
         duration = ctx.cluster.allreduce_cost(float(sum(sizes[start:end])))
         gate = hook_ids[end - 1 if system.wfbp else -1]
@@ -389,13 +380,14 @@ def _hooked_tasks(
     return tasks
 
 
-# Method builders: ``(ctx, parity_p) -> tasks`` in submission order. Only
-# ACP-SGD's graph depends on the step parity.
+# Method builders: ``(ctx, parity_p, *plan) -> tasks`` in submission order,
+# ``plan`` being the method's :func:`fusion_plan`, one ``Buckets`` per tensor
+# group it fuses. Only ACP-SGD's graph depends on the step parity.
 
 
-def _ssgd_tasks(ctx: BuildContext, parity_p: bool) -> List[Task]:
+def _ssgd_tasks(ctx: BuildContext, parity_p: bool, buckets: Buckets) -> List[Task]:
     skel = _skeleton(ctx)
-    return skel.tasks + _bucket_comm_tasks(ctx, skel.ready, skel.last_bp, "grad")
+    return skel.tasks + _bucket_comm_tasks(ctx, buckets, skel.ready, "grad")
 
 
 def _allgather_method_tasks(ctx: BuildContext, parity_p: bool) -> List[Task]:
@@ -446,7 +438,12 @@ def _allgather_method_tasks(ctx: BuildContext, parity_p: bool) -> List[Task]:
     ], skel.last_bp)
 
 
-def _randomk_tasks(ctx: BuildContext, parity_p: bool) -> List[Task]:
+def _randomk_wire(ctx: BuildContext, skel: _Skeleton) -> List[float]:
+    """Wire bytes per tensor: every tensor is hooked, ``topk_ratio`` kept."""
+    return [size * ctx.topk_ratio for size in skel.sizes]
+
+
+def _randomk_tasks(ctx: BuildContext, parity_p: bool, buckets: Buckets) -> List[Task]:
     """Random-k with a shared selection seed (extension).
 
     Because all workers select identical coordinates, the sparse values are
@@ -463,7 +460,7 @@ def _randomk_tasks(ctx: BuildContext, parity_p: bool) -> List[Task]:
         [sim.memory_pass_time(2.0 * size) for size in nbytes],
     ))
     return _hooked_tasks(
-        ctx, skel, "rk", timeline, [size * ctx.topk_ratio for size in nbytes],
+        ctx, buckets, "rk", timeline, _randomk_wire(ctx, skel),
         post_name="scatter",
         post_work=lambda start, end: sim.memory_pass_time(
             float(sum(nbytes[start:end]))
@@ -554,7 +551,9 @@ def _powersgd_tasks(ctx: BuildContext, parity_p: bool) -> List[Task]:
     return tasks
 
 
-def _powersgd_star_tasks(ctx: BuildContext, parity_p: bool) -> List[Task]:
+def _powersgd_star_tasks(
+    ctx: BuildContext, parity_p: bool, buckets: Buckets
+) -> List[Task]:
     """Power-SGD* (DDP hook): buckets of raw gradient bytes in readiness order.
 
     The hook's stages queue on the side stream in completion order — a
@@ -568,7 +567,6 @@ def _powersgd_star_tasks(ctx: BuildContext, parity_p: bool) -> List[Task]:
     # Fine-grained (per-tensor, no TF) hooks launch a storm of tiny kernels
     # that stalls the main stream: their orthogonalizations contend too.
     ortho_contends = ctx.sim.qr_contends if system.tensor_fusion else True
-    buckets = partition_buckets(skel.sizes, system.effective_buffer)
     for b_idx, (start, end) in enumerate(buckets):
         matrices, plain = _lowrank_split(ready[start:end], ctx.rank)
         plain_bytes = float(sum(item.nbytes for item in plain))
@@ -581,9 +579,10 @@ def _powersgd_star_tasks(ctx: BuildContext, parity_p: bool) -> List[Task]:
     return tasks
 
 
-def _acpsgd_tasks(ctx: BuildContext, parity_p: bool) -> List[Task]:
-    """ACP-SGD: inline hook compression, one all-reduce per fused bucket."""
-    skel, sim, rank, wfbp = _skeleton(ctx), ctx.sim, ctx.rank, ctx.system.wfbp
+def _acpsgd_prefix(ctx: BuildContext, skel: _Skeleton, parity_p: bool):
+    """ACP-SGD's buffer-independent part: ``(hook timeline, factor wire
+    bytes, reconstruct seconds, plain tensors)``."""
+    sim, rank, wfbp = ctx.sim, ctx.rank, ctx.system.wfbp
 
     def prefix():
         matrices, plain = _lowrank_split(skel.ready, rank)
@@ -598,20 +597,26 @@ def _acpsgd_tasks(ctx: BuildContext, parity_p: bool) -> List[Task]:
         reconstruct = [gpu_cost.reconstruct_time(n, m, r, sim) for n, m, r in dims]
         return timeline, factor_bytes, reconstruct, plain
 
-    timeline, factor_bytes, reconstruct, plain = skel.part(
-        ("acp", rank, parity_p, wfbp), prefix
-    )
+    return skel.part(("acp", rank, parity_p, wfbp), prefix)
+
+
+def _acpsgd_tasks(
+    ctx: BuildContext, parity_p: bool, buckets: Buckets, plain_buckets: Buckets
+) -> List[Task]:
+    """ACP-SGD: inline hook compression, one all-reduce per fused bucket."""
+    skel = _skeleton(ctx)
+    timeline, factor_bytes, reconstruct, plain = _acpsgd_prefix(ctx, skel, parity_p)
     tasks = _hooked_tasks(
-        ctx, skel, "acp", timeline, factor_bytes,
+        ctx, buckets, "acp", timeline, factor_bytes,
         # Reconstruction (P Q^T) per bucket once its factor is aggregated.
         post_name="reconstruct",
         post_work=lambda start, end: sum(reconstruct[start:end]),
     )
     # Plain (vector) tensors: fused uncompressed all-reduce.
-    return tasks + _bucket_comm_tasks(ctx, plain, skel.last_bp, "acp_plain")
+    return tasks + _bucket_comm_tasks(ctx, plain_buckets, plain, "acp_plain")
 
 
-_BUILDERS: Dict[str, Callable[[BuildContext, bool], List[Task]]] = {
+_BUILDERS: Dict[str, Callable[..., List[Task]]] = {
     "ssgd": _ssgd_tasks,
     "powersgd": _powersgd_tasks,
     "powersgd_star": _powersgd_star_tasks,
@@ -621,6 +626,31 @@ _BUILDERS: Dict[str, Callable[[BuildContext, bool], List[Task]]] = {
         ("signsgd", "topk", "terngrad", "qsgd", "dgc"), _allgather_method_tasks
     ),
 }
+
+
+def fusion_plan(ctx: BuildContext, parity_p: bool = True) -> Tuple[Buckets, ...]:
+    """What ``ctx.graph(parity_p)`` takes from the fusion buffer: a bucket
+    partition per tensor group the method fuses (none for the all-gather
+    methods and packed Power-SGD). Nothing else reads the buffer size, so
+    scenarios differing in ``buffer_bytes`` alone with equal plans build
+    equal task lists — the autotuner prices each plan once."""
+    system, skel = ctx.system, _skeleton(ctx)
+    fused: list = []  # (wire bytes per tensor, compressed?) of each group
+    if ctx.method in ("ssgd", "powersgd_star"):
+        fused = [(skel.sizes, False)]
+    elif ctx.method == "randomk":
+        fused = [(_randomk_wire(ctx, skel), True)]
+    elif ctx.method == "acpsgd":
+        _, factor_bytes, _, plain = _acpsgd_prefix(ctx, skel, parity_p)
+        fused = [(factor_bytes, True), ([item.nbytes for item in plain], False)]
+    plan = []
+    for sizes, compressed in fused:
+        buffer = system.buffer_bytes if system.tensor_fusion else 0.0
+        if compressed and system.tensor_fusion and system.scale_compressed_buffer:
+            # §IV-B: compressed payloads fuse under the buffer x their rate.
+            buffer = scaled_buffer_size(buffer, sum(sizes), skel.raw_bytes)
+        plan.append(tuple(partition_buckets(sizes, buffer)))
+    return tuple(plan)
 
 
 def build_iteration_graph(

@@ -327,7 +327,8 @@ class TestPlannerColdPathCounts:
     """What a planner cache miss costs, as deterministic counts: the event
     loop polls each resource about once per event and prices contention only
     when two paired resources are busy; a plan builds each priced skeleton
-    once — and still runs every simulation it ran before."""
+    once — and still runs every distinct simulation it ran before (the tuner
+    prices each fusion plan once: ``tests/test_autotune_dedupe.py``)."""
 
     def test_event_loop_polls_and_rate_lookups_per_task(self):
         from repro.models import get_model_spec
@@ -354,6 +355,7 @@ class TestPlannerColdPathCounts:
         records = EventLoop(model, default_discipline=fifo).run(graph)
         assert len(records) == len(graph) == 283
         assert fifo.calls <= 2.2 * len(graph)  # 3.91 per task before
+        assert fifo.calls <= 553  # the counting loop's figure: 1.954 per task
         assert model.calls == 0  # no gpu_side task: was once per event
 
     def test_one_plan_builds_each_skeleton_once(self, monkeypatch):
@@ -380,5 +382,7 @@ class TestPlannerColdPathCounts:
 
         result = repro.planner.plan("ResNet-50", gpus=32, tune_buffer=True)
         assert result.recommended_method == "acpsgd"  # both parities tuned
-        assert (counts["assess"], counts["probe"], counts["runs"]) == (6, 11, 29)
+        # 11 buffer sizes probed, 9 distinct pairs of fusion plans among them.
+        assert len(result.tuning.evaluated) == 11
+        assert (counts["assess"], counts["probe"], counts["runs"]) == (6, 9, 25)
         assert counts["tasks"] <= 3700  # 9 235 before

@@ -126,7 +126,8 @@ def test_mutating_a_result_leaves_the_next_build_untouched(models):
     for method in ALL_METHODS:
         ctx = BuildContext.resolve(method, models[1])
         expected = build(ctx, cold=True)
-        tasks = strategies._BUILDERS[method](ctx, True)
+        tasks = strategies._BUILDERS[method](
+            ctx, True, *strategies.fusion_plan(ctx, True))
         tasks.append(Task("intruder", "nic", 1.0))
         del tasks[:5]
         graph = ctx.graph()
