@@ -184,6 +184,31 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["simulate", "--link", "5GbE"])
 
+    def test_every_flag_is_read_by_its_command(self):
+        """A deleted command body cannot leave its flags behind: every
+        ``dest`` is read as ``args.<dest>`` by the sub-command's function or
+        by one of the module's shared ``_helpers``."""
+        import argparse
+        import inspect
+        import re
+
+        import repro.cli as cli
+
+        shared = "".join(
+            inspect.getsource(fn) for name, fn in vars(cli).items()
+            if name.startswith("_") and inspect.isfunction(fn)
+        )
+        commands = next(
+            action for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ).choices
+        assert len(commands) == 11
+        for name, parser in commands.items():
+            body = inspect.getsource(parser.get_default("func"))
+            read = set(re.findall(r"\bargs\.(\w+)", body + shared))
+            flags = {a.dest for a in parser._actions if a.dest != "help"}
+            assert flags <= read, (name, sorted(flags - read))
+
 
 @pytest.mark.serve
 class TestPlanJson:
