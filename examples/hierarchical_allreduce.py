@@ -3,10 +3,11 @@
 Three demonstrations on one 2-node x 2-GPU cluster:
 
 1. **Training bit-identity** — the same ACP-SGD job trained with the flat
-   ring and with ``topology=`` (two-level hierarchical all-reduce) must
-   produce byte-identical weights: the hierarchical collective replays
-   the canonical flat-ring fold and only *accounts* the two-level
-   schedule, so the wire layout can never fork a trajectory.
+   ring and with ``ProcessGroup(world, topology=...)`` (two-level
+   hierarchical all-reduce) must produce byte-identical weights: the
+   hierarchical collective replays the canonical flat-ring fold and only
+   *accounts* the two-level schedule, so the wire layout can never fork
+   a trajectory.
 2. **Analytic crossover** — where the alpha-beta cost model says each
    schedule wins, via ``crossover_bytes``.
 3. **Task-DAG replay** — the same two schedules rebuilt as task graphs
@@ -53,12 +54,12 @@ def train(topology):
     """Train a few steps; returns (final weights, wire bytes, steps)."""
     train_data, test_data = make_cifar_like(num_train=64, num_test=8, seed=3)
     model = make_small_vgg(base_width=2, rng=np.random.default_rng(7))
-    group = ProcessGroup(TOPOLOGY.world_size)
+    group = ProcessGroup(TOPOLOGY.world_size, topology=topology)
     trainer = DataParallelTrainer(
         model, SGD(model, lr=0.05, momentum=0.9),
         make_aggregator("acpsgd", group, rank=4),
         train_data, test_data,
-        batch_size_per_worker=4, seed=11, topology=topology,
+        batch_size_per_worker=4, seed=11,
     )
     losses = [trainer.train_step() for _ in range(STEPS)]
     weights = np.concatenate(

@@ -41,7 +41,7 @@ Seven checks, all diffing final weights bit-exactly:
    shows up here);
 7. the same clean training job run over the flat ring and over the
    topology-aware hierarchical all-reduce
-   (``DataParallelTrainer(..., topology=...)``) must produce identical
+   (``ProcessGroup(world, topology=...)``) must produce identical
    weights for all nine methods, monolithic and bucketed, on
    a degenerate single-node topology and a 2-node x 2-GPU one (any
    re-association of the reduction in the two-level schedule shows up
@@ -136,11 +136,13 @@ def run_bucketed(
     train_data, test_data = make_cifar_like(num_train=256, num_test=64, seed=3)
     model = make_small_vgg(base_width=4, rng=np.random.default_rng(5))
     kwargs = {"rank": 2} if method in ("powersgd", "acpsgd") else {}
-    aggregator = make_aggregator(method, ProcessGroup(world), **kwargs)
+    aggregator = make_aggregator(
+        method, ProcessGroup(world, topology=topology), **kwargs
+    )
     trainer = DataParallelTrainer(
         model, SGD(model, lr=0.05, momentum=0.9), aggregator,
         train_data, test_data, batch_size_per_worker=8, seed=13,
-        buffer_bytes=buffer_bytes, workers=workers, topology=topology,
+        buffer_bytes=buffer_bytes, workers=workers,
     )
     with trainer:
         trainer.run(epochs=1, steps_per_epoch=steps, method_label=method)

@@ -28,9 +28,7 @@ Subcommands:
 - ``evaluate`` — regenerate the paper's tables/figures (wraps the
   experiment drivers; ``--fast`` skips the convergence figures);
 - ``bench`` — hot-path micro-benchmark: per-aggregator step time and
-  fused-allocation counts on the zero-copy arena, written to JSON;
-  ``--planner`` benchmarks the planning service instead (cold/warm
-  queries-per-second, hit rate, p50/p99 latency → BENCH_planner.json).
+  fused-allocation counts on the zero-copy arena, written to JSON.
 """
 
 from __future__ import annotations
@@ -74,7 +72,7 @@ def _topology_from(args: argparse.Namespace):
     from repro.comm.topology import NVLINK2, PCIE3_X16, ClusterTopology
 
     if args.gpus % args.nodes != 0:
-        raise SystemExit(
+        raise ValueError(
             f"--gpus {args.gpus} is not divisible by --nodes {args.nodes}"
         )
     intra = NVLINK2 if args.intra_link == "NVLink2" else PCIE3_X16
@@ -173,7 +171,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     aggregator = make_aggregator(args.method, group, **kwargs)
     trainer = DataParallelTrainer(
         model, SGD(model, lr=args.lr, momentum=0.9), aggregator,
-        train_data, test_data, batch_size_per_worker=args.batch_size or 32,
+        train_data, test_data, batch_size_per_worker=args.batch_size,
         seed=args.seed + 2, resilience=resilience,
     )
     history = trainer.run(args.epochs, args.steps_per_epoch,
@@ -224,7 +222,7 @@ def cmd_elastic(args: argparse.Namespace) -> int:
     aggregator = make_aggregator(args.method, group, **kwargs)
     trainer = DataParallelTrainer(
         model, SGD(model, lr=args.lr, momentum=0.9), aggregator,
-        train_data, test_data, batch_size_per_worker=args.batch_size or 32,
+        train_data, test_data, batch_size_per_worker=args.batch_size,
         seed=args.seed + 2, resilience=ResilienceConfig(),
         membership=membership,
     )
@@ -253,7 +251,7 @@ def cmd_gossip(args: argparse.Namespace) -> int:
     from repro.train import ArrayDataset, make_cifar_like
 
     if args.adversaries >= args.peers / 2:
-        raise SystemExit(
+        raise ValueError(
             f"--adversaries {args.adversaries} is not an honest-majority "
             f"roster at --peers {args.peers}"
         )
@@ -333,7 +331,7 @@ def cmd_faults(args: argparse.Namespace) -> int:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     for method in methods:
         if method not in ALL_METHODS:
-            raise SystemExit(
+            raise ValueError(
                 f"unknown method {method!r}; available: {', '.join(ALL_METHODS)}"
             )
     traces = compare_methods_under_faults(
@@ -466,45 +464,6 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 def cmd_bench(args: argparse.Namespace) -> int:
     import json
 
-    if args.sim:
-        from repro.sched.bench import render_sim_report, run_sim_bench
-
-        report = run_sim_bench(
-            num_tasks=args.sim_tasks, streams=args.sim_streams,
-            seed=args.seed,
-        )
-        print(render_sim_report(report))
-        output = args.output
-        if output == "BENCH_hotpath.json":  # hot-path default; retarget
-            output = "BENCH_sim.json"
-        if output:
-            with open(output, "w", encoding="utf-8") as handle:
-                json.dump(report, handle, indent=2)
-                handle.write("\n")
-            print(f"wrote report to {output}")
-        return 0
-
-    if args.planner:
-        from repro.serve.bench import render_report, run_planner_bench
-
-        report = run_planner_bench(
-            unique_queries=args.queries,
-            warm_lookups=args.warm_lookups,
-            max_workers=args.max_workers,
-            tune_buffer=args.tune_buffer,
-            seed=args.seed,
-        )
-        print(render_report(report))
-        output = args.output
-        if output == "BENCH_hotpath.json":  # hot-path default; retarget
-            output = "BENCH_planner.json"
-        if output:
-            with open(output, "w", encoding="utf-8") as handle:
-                json.dump(report, handle, indent=2)
-                handle.write("\n")
-            print(f"wrote report to {output}")
-        return 0
-
     # Imported lazily: bench pulls in the aggregators, which import the
     # perf counters — keeping this out of module scope avoids the cycle.
     from repro.perf.bench import run_hot_path_bench
@@ -527,9 +486,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
         ]
         for mode in worker_modes:
             if mode not in ("seq", "process"):
-                print(f"unknown worker backend {mode!r} "
-                      "(expected seq, process, or none)")
-                return 2
+                raise ValueError(f"unknown worker backend {mode!r} "
+                                 "(expected seq, process, or none)")
         if "process" in worker_modes and "seq" not in worker_modes:
             # The acceptance criterion is process-vs-seq: measuring
             # process alone would record a speedup over nothing.
@@ -792,30 +750,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--no-buffer-sweep", action="store_true",
                          help="skip the fusion buffer-size sweep")
     p_bench.add_argument("--output", default="BENCH_hotpath.json",
-                         help="JSON report path ('' to skip writing; "
-                              "--planner defaults to BENCH_planner.json)")
-    p_bench.add_argument("--planner", action="store_true",
-                         help="benchmark the planning service instead of "
-                              "the training hot path (cold/warm q/s, hit "
-                              "rate, p50/p99 latency)")
-    p_bench.add_argument("--sim", action="store_true",
-                         help="benchmark the scheduler-core event loop on "
-                              "a large gated task DAG instead (asserts "
-                              "determinism and near-linear gate-queue "
-                              "scaling -> BENCH_sim.json)")
-    p_bench.add_argument("--sim-tasks", type=int, default=20000,
-                         help="[--sim] tasks in the benchmark DAG")
-    p_bench.add_argument("--sim-streams", type=int, default=8,
-                         help="[--sim] parallel resource streams")
-    p_bench.add_argument("--queries", type=int, default=48,
-                         help="[--planner] unique queries in the grid")
-    p_bench.add_argument("--max-workers", type=int, default=4,
-                         help="[--planner] service thread-pool size")
-    p_bench.add_argument("--warm-lookups", type=int, default=5000,
-                         help="[--planner] warm-cache lookups to time")
-    p_bench.add_argument("--tune-buffer", action="store_true", default=None,
-                         help="[--planner] autotune the buffer in every "
-                              "cold query (default: in every other one)")
+                         help="JSON report path ('' to skip writing)")
     p_bench.set_defaults(func=cmd_bench)
     return parser
 

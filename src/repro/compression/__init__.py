@@ -37,7 +37,6 @@ Shared infrastructure:
 from repro.compression.orthogonalize import orthogonalize
 from repro.compression.reshaping import (
     grad_to_matrix,
-    matrix_to_grad,
     matrix_view_shape,
     should_compress,
 )
@@ -62,27 +61,21 @@ from repro.compression.ratios import (
     acpsgd_compressed_elements,
     compression_ratio,
     powersgd_compressed_elements,
-    signsgd_compressed_bits,
     topk_compressed_elements,
     total_elements,
 )
-from repro.compression.complexity import (
-    communicate_elements,
-    compress_flops,
-)
+from repro.compression.complexity import communicate_elements
 from repro.compression.terngrad import TernGradCompressor, TernPayload
 from repro.compression.payload import (
     PAYLOAD_MAGIC,
     PayloadFormatError,
     pack_payload,
-    payload_meta,
     unpack_payload,
 )
 
 __all__ = [
     "orthogonalize",
     "grad_to_matrix",
-    "matrix_to_grad",
     "matrix_view_shape",
     "should_compress",
     "SignCompressor",
@@ -104,16 +97,13 @@ __all__ = [
     "compression_ratio",
     "powersgd_compressed_elements",
     "acpsgd_compressed_elements",
-    "signsgd_compressed_bits",
     "topk_compressed_elements",
     "total_elements",
     "communicate_elements",
-    "compress_flops",
     "TernGradCompressor",
     "TernPayload",
     "PAYLOAD_MAGIC",
     "PayloadFormatError",
     "pack_payload",
-    "payload_meta",
     "unpack_payload",
 ]

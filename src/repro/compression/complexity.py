@@ -16,8 +16,6 @@ the traffic the real collectives measured.
 
 from __future__ import annotations
 
-import math
-
 
 def _check(p: int, n: float) -> None:
     if p < 1:
@@ -46,37 +44,4 @@ def communicate_elements(method: str, p: int, n: float, **kwargs) -> float:
         # Per-step single factor of average size n_c / 2, ring all-reduced.
         n_c = kwargs["n_c"]
         return 2.0 * (p - 1) / p * (n_c / 2.0)
-    raise ValueError(f"unknown method {method!r}")
-
-
-def compress_flops(method: str, n: float, **kwargs) -> float:
-    """Approximate compression work per worker per step ('Compress' row).
-
-    For the low-rank methods this counts the GEMM + orthogonalization
-    FLOPs: Power-SGD does two ``n x m @ m x r`` products plus one QR of an
-    ``n x r`` matrix (~2 n r^2); ACP-SGD does one product and one QR (half).
-    """
-    if n < 0:
-        raise ValueError(f"element count must be >= 0, got {n}")
-    if method == "ssgd":
-        return 0.0
-    if method == "signsgd":
-        return float(n)
-    if method == "topk":
-        k = kwargs["k"]
-        return float(k) * math.log2(max(2.0, n))
-    if method in ("powersgd", "acpsgd"):
-        rank = kwargs["rank"]
-        # Matrix dims: model the gradient as one n_rows x m_cols matrix when
-        # provided, else as a square sqrt(N) x sqrt(N) aggregate.
-        rows = kwargs.get("rows")
-        cols = kwargs.get("cols")
-        if rows is None or cols is None:
-            rows = cols = math.sqrt(n)
-        gemm = 2.0 * rows * cols * rank  # one M @ Q (or M^T @ P) product
-        ortho = 2.0 * ((rows + cols) / 2.0) * rank * rank
-        per_factor = gemm + ortho
-        if method == "acpsgd":
-            return per_factor  # one factor per step
-        return 2.0 * per_factor + 2.0 * rows * cols * rank  # P, Q + reconstruct share
     raise ValueError(f"unknown method {method!r}")

@@ -178,11 +178,5 @@ def unpack_payload(blob: bytes) -> Tuple[Dict[str, np.ndarray], Dict]:
     return arrays, meta
 
 
-def payload_meta(blob: bytes) -> Dict:
-    """Decode only the metadata of a blob (cheap peek, still verified)."""
-    _, meta = unpack_payload(blob)
-    return meta
-
-
 def _crc_bytes(raw: bytes) -> int:
     return payload_checksum(np.frombuffer(raw, dtype=np.uint8))

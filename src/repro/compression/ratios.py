@@ -76,11 +76,6 @@ def acpsgd_compressed_elements(shapes: ShapeList, rank: int) -> float:
     return compressed + uncompressed
 
 
-def signsgd_compressed_bits(shapes: ShapeList) -> int:
-    """Bits Sign-SGD sends per worker: 1 per element."""
-    return total_elements(shapes)
-
-
 def topk_compressed_elements(shapes: ShapeList, ratio: float) -> int:
     """Selected elements ``k`` for Top-k at the given keep-ratio."""
     if not 0.0 < ratio <= 1.0:

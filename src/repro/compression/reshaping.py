@@ -51,14 +51,3 @@ def grad_to_matrix(grad: np.ndarray) -> np.ndarray:
     """Reshape a compressible gradient into its 2-D matrix view."""
     n, m = matrix_view_shape(grad.shape)
     return grad.reshape(n, m)
-
-
-def matrix_to_grad(matrix: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
-    """Inverse of :func:`grad_to_matrix`."""
-    expected = matrix_view_shape(shape)
-    if matrix.shape != expected:
-        raise ValueError(
-            f"matrix shape {matrix.shape} does not match matrix view "
-            f"{expected} of parameter shape {shape}"
-        )
-    return matrix.reshape(shape)

@@ -93,8 +93,6 @@ class MembershipController:
         plan: the fault plan holding the Recovery/Join schedule; defaults
             to the plan of the group's own injector (the common case where
             failures and rejoins come from one schedule).
-        rescale_lr: multiply the bound optimizer's learning rate by
-            ``new_world / old_world`` at every commit (linear scaling).
 
     The controller is inert until a trainer is :meth:`bind`-ed: without
     one it still manages the roster (useful for unit tests) but skips the
@@ -105,7 +103,6 @@ class MembershipController:
         self,
         group: ResilientProcessGroup,
         plan: Optional[FaultPlan] = None,
-        rescale_lr: bool = False,
     ):
         if plan is None:
             if group.injector is None:
@@ -116,7 +113,6 @@ class MembershipController:
             plan = group.injector.plan
         self.group = group
         self.plan = plan
-        self.rescale_lr = rescale_lr
         self.log = MembershipLog()
         self._events = list(plan.membership_events())
         self._cursor = 0
@@ -206,15 +202,12 @@ class MembershipController:
     # ------------------------------------------------------------------
     def _admit(self, rank: int, rejoin: bool) -> None:
         group = self.group
-        old_world = group.world_size
         donor = min(group.live_ranks)
         group.admit(rank, rejoin=rejoin)
         trainer = self._trainer
         if trainer is not None:
             self._broadcast_state(trainer, donor)
             trainer.aggregator.admit_rank(rank, donor_rank=donor)
-            if self.rescale_lr:
-                trainer.optimizer.lr *= group.world_size / old_world
         self.log.changes.append(
             MembershipChange(
                 "rejoin" if rejoin else "join",

@@ -15,7 +15,7 @@ Two kinds of models, matching the two kinds of experiments:
 """
 
 from repro.models.spec import LayerSpec, ModelSpec, TensorSpec
-from repro.models.registry import MODEL_SPECS, get_model_spec, paper_batch_size
+from repro.models.registry import MODEL_SPECS, get_model_spec
 from repro.models.resnet_specs import resnet18_spec, resnet50_spec, resnet152_spec
 from repro.models.vgg_specs import vgg16_spec
 from repro.models.bert_specs import bert_base_spec, bert_large_spec
@@ -36,7 +36,6 @@ __all__ = [
     "TensorSpec",
     "MODEL_SPECS",
     "get_model_spec",
-    "paper_batch_size",
     "resnet18_spec",
     "resnet50_spec",
     "resnet152_spec",

@@ -23,15 +23,6 @@ _BUILDERS: Dict[str, Callable[[], ModelSpec]] = {
     "BERT-Large": bert_large_spec,
 }
 
-_PAPER_BATCH_SIZES: Dict[str, int] = {
-    "ResNet-50": 64,
-    "ResNet-152": 32,
-    "BERT-Base": 32,
-    "BERT-Large": 8,
-    "ResNet-18": 128,
-    "VGG-16": 32,
-}
-
 # The paper's Power-SGD rank choices: r=4 for ResNets, r=32 for BERTs.
 PAPER_RANKS: Dict[str, int] = {
     "ResNet-18": 4,
@@ -57,10 +48,3 @@ def get_model_spec(name: str) -> ModelSpec:
             f"unknown model {name!r}; available: {', '.join(sorted(_BUILDERS))}"
         )
     return builder()
-
-
-def paper_batch_size(name: str) -> int:
-    """The per-GPU batch size the paper uses for this model (§III-A)."""
-    if name not in _PAPER_BATCH_SIZES:
-        raise KeyError(f"no paper batch size recorded for {name!r}")
-    return _PAPER_BATCH_SIZES[name]

@@ -24,12 +24,12 @@ from repro.nn.container import Sequential
 from repro.nn.linear import Linear
 from repro.nn.conv import Conv2d
 from repro.nn.norm import BatchNorm2d, LayerNorm
-from repro.nn.activation import GELU, ReLU, Tanh
+from repro.nn.activation import GELU, ReLU
 from repro.nn.pooling import AvgPool2d, GlobalAvgPool2d, MaxPool2d
 from repro.nn.dropout import Dropout
 from repro.nn.embedding import Embedding
 from repro.nn.reshape import Flatten
-from repro.nn.loss import CrossEntropyLoss, MSELoss
+from repro.nn.loss import CrossEntropyLoss
 from repro.nn.attention import MultiHeadSelfAttention, TransformerEncoderLayer
 from repro.nn import init
 
@@ -43,7 +43,6 @@ __all__ = [
     "LayerNorm",
     "ReLU",
     "GELU",
-    "Tanh",
     "MaxPool2d",
     "AvgPool2d",
     "GlobalAvgPool2d",
@@ -51,7 +50,6 @@ __all__ = [
     "Embedding",
     "Flatten",
     "CrossEntropyLoss",
-    "MSELoss",
     "MultiHeadSelfAttention",
     "TransformerEncoderLayer",
     "init",

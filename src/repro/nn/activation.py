@@ -37,25 +37,6 @@ class ReLU(Module):
         return grad_input
 
 
-class Tanh(Module):
-    """Hyperbolic tangent."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._out: Optional[np.ndarray] = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._out = np.tanh(x)
-        return self._out
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._out is None:
-            raise RuntimeError("backward called before forward")
-        grad_input = grad_output * (1.0 - self._out**2)
-        self._out = None
-        return grad_input
-
-
 class GELU(Module):
     """Gaussian error linear unit (tanh approximation, as in BERT)."""
 

@@ -1,4 +1,4 @@
-"""Weight initialization schemes (Kaiming / Xavier)."""
+"""Weight initialization schemes (Kaiming)."""
 
 from __future__ import annotations
 
@@ -35,18 +35,4 @@ def kaiming_uniform(
     """He-uniform init: bound = gain * sqrt(3 / fan_in)."""
     fan_in, _ = _fan_in_out(shape)
     bound = gain * math.sqrt(3.0 / fan_in)
-    return rng.uniform(-bound, bound, size=shape)
-
-
-def xavier_normal(shape: Tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-    """Glorot-normal init: std = sqrt(2 / (fan_in + fan_out))."""
-    fan_in, fan_out = _fan_in_out(shape)
-    std = math.sqrt(2.0 / (fan_in + fan_out))
-    return rng.normal(0.0, std, size=shape)
-
-
-def xavier_uniform(shape: Tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-    """Glorot-uniform init: bound = sqrt(6 / (fan_in + fan_out))."""
-    fan_in, fan_out = _fan_in_out(shape)
-    bound = math.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-bound, bound, size=shape)

@@ -42,29 +42,3 @@ class CrossEntropyLoss:
 
     def __call__(self, logits: np.ndarray, labels: np.ndarray) -> float:
         return self.forward(logits, labels)
-
-
-class MSELoss:
-    """Mean squared error (mean over all elements)."""
-
-    def __init__(self) -> None:
-        self._cache: Optional[tuple] = None
-
-    def forward(self, prediction: np.ndarray, target: np.ndarray) -> float:
-        if prediction.shape != target.shape:
-            raise ValueError(
-                f"prediction shape {prediction.shape} != target shape {target.shape}"
-            )
-        diff = prediction - target
-        self._cache = (diff, prediction.size)
-        return float((diff**2).mean())
-
-    def backward(self) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError("backward called before forward")
-        diff, count = self._cache
-        self._cache = None
-        return 2.0 * diff / count
-
-    def __call__(self, prediction: np.ndarray, target: np.ndarray) -> float:
-        return self.forward(prediction, target)

@@ -131,7 +131,7 @@ class Parameter:
         The attached slot (float64, C-contiguous) while it is unwritten
         since ``zero_grad``; a layer computes into it and passes it to
         :meth:`accumulate_grad`. ``None`` — legacy storage, or a later
-        micro-batch that must be added — means allocate as before.
+        backward that must be added — means allocate as before.
         """
         return None if self._slot_written else self._grad_slot
 

@@ -335,15 +335,6 @@ class GradientArena:
         for _, param in model.named_parameters():
             param.detach_grad_slot()
 
-    def divide_(self, slot: int, divisor: float) -> None:
-        """In-place divide of worker ``slot``'s slab.
-
-        Used for micro-batch averaging. True division (not multiplication
-        by a reciprocal) so the values stay bit-identical to the legacy
-        ``param.grad / accumulation_steps`` path.
-        """
-        self._slabs[slot] /= divisor
-
     @property
     def nbytes(self) -> int:
         """Total arena footprint in bytes."""

@@ -15,7 +15,7 @@ The ``worker_modes`` section compares the two backprop backends (``seq``
 time breakdown — the measurement that shows whether backprop actually
 spread over the cores (see ``repro.perf.procpool``).
 
-Run it via ``python -m repro bench`` or ``scripts/bench_hot_path.py``.
+Run it via ``python -m repro bench``.
 """
 
 from __future__ import annotations

@@ -168,7 +168,6 @@ def _worker_main(conn, payload: dict, init_crash: bool = False) -> None:
     train_data: ArrayDataset = payload["train_data"]
     seed: int = payload["seed"]
     batch_size: int = payload["batch_size"]
-    accumulation_steps: int = payload["accumulation_steps"]
     fault_plan: Optional[FaultPlan] = payload.get("fault_plan")
     layout = ArenaLayout(
         [(name, param.shape) for name, param in model.named_parameters()]
@@ -237,8 +236,7 @@ def _worker_main(conn, payload: dict, init_crash: bool = False) -> None:
             shard = shards.get(shard_key)
             if shard is None:
                 shard = shards[shard_key] = train_data.shard(*shard_key)
-            for _ in range(accumulation_steps):
-                shard.batch(rng, batch_size)
+            shard.batch(rng, batch_size)
 
     def run_task(task: WorkerStepTask) -> WorkerStepResult:
         apply_worker_fault(task)
@@ -258,18 +256,13 @@ def _worker_main(conn, payload: dict, init_crash: bool = False) -> None:
             cached = slabs[task.slab_segment] = (
                 segment, slab, layout.carve(slab)
             )
-        _, slab, views = cached
+        _, _, views = cached
         for name, param in model.named_parameters():
             param.attach_grad_slot(views[name])
         for bn in bns:
             bn.stat_recorder = []
         ALLOC_STATS.reset()
-        loss = worker_pass(
-            model, loss_fn, shard, rng, batch_size, accumulation_steps
-        )
-        if accumulation_steps > 1:
-            # True division in place, matching GradientArena.divide_.
-            slab /= accumulation_steps
+        loss = worker_pass(model, loss_fn, shard, rng, batch_size)
         batch_stats = [list(bn.stat_recorder or []) for bn in bns]
         for bn in bns:
             bn.stat_recorder = None
@@ -322,8 +315,8 @@ class ProcessWorkerPool:
             locally (deterministic strided slicing), so elastic
             re-sharding costs one tuple per task, not a data transfer.
         seed: the trainer's sampling seed.
-        batch_size / accumulation_steps: the trainer's per-worker batch
-            settings (fixed for the pool's lifetime, like the trainer's).
+        batch_size: the trainer's per-worker batch size (fixed for the
+            pool's lifetime, like the trainer's).
         start_method: ``"fork"``, ``"spawn"``, or ``None`` to pick fork
             when the platform offers it. Spawn is slower to start but
             works everywhere; trajectories are bit-identical either way.
@@ -346,7 +339,6 @@ class ProcessWorkerPool:
         *,
         seed: int,
         batch_size: int,
-        accumulation_steps: int = 1,
         start_method: Optional[str] = None,
         step_timeout: Optional[float] = None,
         fault_plan: Optional[FaultPlan] = None,
@@ -390,7 +382,6 @@ class ProcessWorkerPool:
                 "train_data": train_data,
                 "seed": seed,
                 "batch_size": batch_size,
-                "accumulation_steps": accumulation_steps,
                 "weights_segment": self._weights_segment.name,
                 "fault_plan": fault_plan,
             }

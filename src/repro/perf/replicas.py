@@ -13,8 +13,6 @@ from __future__ import annotations
 import copy
 from typing import Iterator
 
-import numpy as np
-
 from repro.nn.container import Sequential
 from repro.nn.dropout import Dropout
 from repro.nn.module import Module
@@ -81,27 +79,21 @@ def detached_copy(model: Module) -> Module:
             param._slot_written = written
 
 
-def worker_pass(
-    model: Module, loss_fn, shard, rng, batch_size: int, accumulation_steps: int
-) -> float:
-    """One worker's backward passes for one step; returns its mean loss.
+def worker_pass(model: Module, loss_fn, shard, rng, batch_size: int) -> float:
+    """One worker's forward and backward pass for one step; returns its loss.
 
     The single definition of what a rank computes per step, whichever
-    backend runs it: ``accumulation_steps`` micro-batches drawn from
-    ``shard`` with the rank's ``rng``, gradients summed into whatever
-    storage the model's parameters are bound to. Binding the slab and
-    dividing the sum into a micro-batch mean stay with the caller.
+    backend runs it: one batch drawn from ``shard`` with the rank's
+    ``rng``, gradients written into whatever storage the model's
+    parameters are bound to. Binding the slab stays with the caller.
     """
     model.zero_grad()
     # Nothing reads the gradient w.r.t. the batch.
     skip = {"need_input_grad": False} if isinstance(model, Sequential) else {}
-    losses = []
-    for _ in range(accumulation_steps):
-        inputs, labels = shard.batch(rng, batch_size)
-        logits = model(inputs)
-        losses.append(loss_fn(logits, labels))
-        model.backward(loss_fn.backward(), **skip)
+    inputs, labels = shard.batch(rng, batch_size)
+    loss = loss_fn(model(inputs), labels)
+    model.backward(loss_fn.backward(), **skip)
     for name, param in model.named_parameters():
         if param.grad is None:
             raise RuntimeError(f"parameter {name!r} received no gradient")
-    return float(np.mean(losses))
+    return float(loss)

@@ -24,7 +24,7 @@ from repro.models import get_model_spec
 from repro.models.registry import PAPER_RANKS
 from repro.sim.autotune import TuneResult, autotune_buffer_size
 from repro.sim.calibration import SIM_LINKS
-from repro.sim.memory import RTX2080TI_MEMORY_BYTES, estimate_memory
+from repro.sim.memory import estimate_memory
 from repro.sim.strategies import ClusterSpec, simulate_iteration
 
 MB = 1024.0 * 1024.0
@@ -102,7 +102,6 @@ def plan(
     link: Union[str, LinkSpec] = "10GbE",
     rank: Optional[int] = None,
     batch_size: Optional[int] = None,
-    memory_capacity_bytes: float = RTX2080TI_MEMORY_BYTES,
     tune_buffer: bool = True,
     methods: Optional[Sequence[str]] = None,
     topk_ratio: float = 0.001,
@@ -124,7 +123,6 @@ def plan(
             :func:`repro.sim.calibration.fit_link_from_bucket_timings`.
         rank: low-rank compression rank (default: the paper's choice).
         batch_size: per-GPU batch (default: the paper's).
-        memory_capacity_bytes: per-GPU memory for the feasibility check.
         tune_buffer: run the fusion-buffer autotuner for the winner.
         methods: candidate subset to assess (default: all of
             :data:`_CANDIDATES`). S-SGD is always simulated as the
@@ -172,7 +170,7 @@ def plan(
             method=method,
             iteration_ms=breakdown.total * 1e3,
             memory_gib=memory.total / (1024.0**3),
-            fits_memory=memory.fits(memory_capacity_bytes),
+            fits_memory=memory.fits(),
             quality_note=_QUALITY_NOTES[method],
         )
 

@@ -158,35 +158,6 @@ class TaskGraph:
             seen.setdefault(task.stream, None)
         return tuple(seen)
 
-    def critical_path_work(self) -> float:
-        """Longest dependency chain by summed ``work`` (a makespan floor)."""
-        self.validate()
-        finish: Dict[str, float] = {}
-        for task in self._topological():
-            upstream = max((finish[dep] for dep in task.deps), default=0.0)
-            finish[task.task_id] = upstream + task.work
-        return max(finish.values(), default=0.0)
-
-    def _topological(self) -> List[Task]:
-        indegree = {t.task_id: len(t.deps) for t in self._tasks}
-        children: Dict[str, List[str]] = {t.task_id: [] for t in self._tasks}
-        for task in self._tasks:
-            for dep in task.deps:
-                children[dep].append(task.task_id)
-        frontier = [t.task_id for t in self._tasks if indegree[t.task_id] == 0]
-        order: List[Task] = []
-        while frontier:
-            task_id = frontier.pop()
-            order.append(self._by_id[task_id])
-            for child in children[task_id]:
-                indegree[child] -= 1
-                if indegree[child] == 0:
-                    frontier.append(child)
-        if len(order) != len(self._tasks):
-            cyclic = sorted(tid for tid, deg in indegree.items() if deg > 0)
-            raise ValueError(f"dependency cycle through {cyclic}")
-        return order
-
     # -- transforms (all preserve submission order) -------------------
     def prefixed(self, prefix: str) -> "TaskGraph":
         """Clone with every id (and dependency edge) prefixed."""

@@ -5,9 +5,8 @@ performance simulator becomes the *backend* of a planning service, and
 this package is its front — canonical hashable queries
 (:mod:`repro.serve.query`), one versioned plan schema shared by the CLI
 and the service (:mod:`repro.serve.schema`), a sharded memoized result
-cache (:mod:`repro.serve.cache`), the single-flighted batched service
-itself (:mod:`repro.serve.service`), and the throughput benchmark
-(:mod:`repro.serve.bench`).
+cache (:mod:`repro.serve.cache`), and the single-flighted batched service
+itself (:mod:`repro.serve.service`).
 
     >>> from repro.serve import PlannerService, PlanQuery
     >>> from repro.sim.calibration import SIM_LINKS
@@ -18,7 +17,7 @@ itself (:mod:`repro.serve.service`), and the throughput benchmark
     ...     assert first.payload == again.payload
 
 See ``docs/planner_service.md`` for the architecture, the cache-key
-contract, the invalidation rules, and the benchmark methodology.
+contract and the invalidation rules.
 """
 
 from repro.serve.cache import ResultCache, ShardStats

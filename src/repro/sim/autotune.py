@@ -43,11 +43,6 @@ class TuneResult:
     def best_buffer_mb(self) -> float:
         return self.best_buffer_bytes / MB
 
-    def improvement_over(self, buffer_bytes: float) -> float:
-        """Speedup of the tuned buffer vs a reference size (probing it if
-        needed is the caller's job — KeyError otherwise)."""
-        return self.evaluated[buffer_bytes] / self.best_time
-
     def to_dict(self) -> Dict[str, object]:
         """JSON-safe form (float dict keys become ``repr`` strings).
 

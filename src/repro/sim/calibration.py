@@ -32,7 +32,6 @@ from repro.comm.cost_model import (
     INFINIBAND_100G as LINK_100GBIB,
     LinkSpec,
 )
-from repro.comm.topology import ClusterTopology
 
 
 @dataclass(frozen=True)
@@ -249,44 +248,3 @@ def fit_link_from_bucket_timings(
     # every memoized simulator result (see CALIBRATION_GENERATION).
     CALIBRATION_GENERATION.bump()
     return spec
-
-
-def fit_topology_from_bucket_timings(
-    intra_samples: Sequence[Tuple[float, float]],
-    inter_samples: Sequence[Tuple[float, float]],
-    topology: ClusterTopology,
-    name: str = "calibrated",
-) -> ClusterTopology:
-    """Re-anchor *both* link levels of a two-level topology from timings.
-
-    The hierarchical all-reduce exposes each level separately: intra-node
-    ring phases run over ``gpus_per_node`` ranks on the fast link, the
-    inter-node ring over ``num_nodes`` leaders on the NIC. Timing each in
-    isolation (e.g. single-node bucket timings for intra, leader-only
-    all-reduce timings for inter) gives two independent alpha-beta fits,
-    each via :func:`fit_link_from_bucket_timings` at its own ring size.
-
-    Args:
-        intra_samples: ``(nbytes, seconds)`` pairs measured over one
-            node's ``gpus_per_node`` GPUs (needs ``gpus_per_node >= 2``).
-        inter_samples: pairs measured over the ``num_nodes`` node leaders
-            (needs ``num_nodes >= 2``).
-        topology: the shape to calibrate; link specs are replaced, the
-            node arrangement is kept.
-        name: stem for the fitted specs (``{name}-intra`` /
-            ``{name}-inter``).
-
-    Returns:
-        A new :class:`~repro.comm.topology.ClusterTopology` with both
-        links re-anchored. Bumps :data:`CALIBRATION_GENERATION` (via the
-        per-level fits), invalidating memoized simulator results.
-    """
-    from dataclasses import replace as _replace
-
-    intra = fit_link_from_bucket_timings(
-        intra_samples, topology.gpus_per_node, name=f"{name}-intra"
-    )
-    inter = fit_link_from_bucket_timings(
-        inter_samples, topology.num_nodes, name=f"{name}-inter"
-    )
-    return _replace(topology, intra_link=intra, inter_link=inter)

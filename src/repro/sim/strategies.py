@@ -47,9 +47,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.comm.cost_model import LinkSpec, allgather_time, allreduce_time
 from repro.comm.topology import ClusterTopology, best_allreduce_time
@@ -61,9 +59,6 @@ from repro.sim.calibration import LINK_10GBE, SimConfig
 from repro.sim.engine import GPU_MAIN, GPU_SIDE, NIC, Engine, Task, TaskRecord
 from repro.fusion import DEFAULT_BUFFER_BYTES, partition_buckets, scaled_buffer_size
 from repro.sim.results import IterationBreakdown, breakdown_from_records
-
-if TYPE_CHECKING:
-    from repro.sim.faults import FaultModel
 
 FP32 = 4
 
@@ -706,8 +701,6 @@ def simulate_iteration(
     batch_size: Optional[int] = None,
     rank: int = 4,
     topk_ratio: float = 0.001,
-    fault_model: Optional["FaultModel"] = None,
-    fault_seed: int = 0,
 ) -> IterationBreakdown:
     """Simulate one training iteration and return its timing breakdown.
 
@@ -720,12 +713,6 @@ def simulate_iteration(
         batch_size: per-GPU batch (default: the spec's paper batch size).
         rank: Power-SGD / ACP-SGD rank.
         topk_ratio: Top-k keep fraction (paper: 0.001).
-        fault_model: optional :class:`~repro.sim.faults.FaultModel`; the
-            iteration's tasks are perturbed (stragglers, retransmits, rank
-            downtime) before simulation, deterministically per
-            ``fault_seed``. Multi-sample fault studies should use
-            :func:`repro.sim.faults.simulate_fault_trace` instead.
-        fault_seed: seed for the fault draws (ignored without a model).
 
     For ACP-SGD the result averages the P-step and Q-step parities (their
     factor sizes differ slightly).
@@ -733,11 +720,7 @@ def simulate_iteration(
     ctx = BuildContext.resolve(
         method, model, cluster, system, sim, batch_size, rank, topk_ratio
     )
-    breakdowns = []
-    for idx, parity_p in enumerate(ctx.parities):
-        graph = ctx.graph(parity_p)
-        if fault_model is not None:
-            rng = np.random.default_rng((fault_seed, idx))
-            graph = fault_model.perturb_graph(graph, ctx.cluster.world_size, rng)
-        breakdowns.append(breakdown_from_records(ctx.run(graph)))
-    return IterationBreakdown.mean(breakdowns)
+    return IterationBreakdown.mean([
+        breakdown_from_records(ctx.run(ctx.graph(parity_p)))
+        for parity_p in ctx.parities
+    ])

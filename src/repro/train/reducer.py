@@ -28,13 +28,13 @@ through this module; ``buffer_bytes=None`` is its one-bucket layout:
 
 Eager (hook-driven) firing needs to know when a bucket's gradients are
 *final*: a parameter may be touched several times per backward (shared
-weights) and several times per step (gradient accumulation). The reducer
-learns the per-parameter accumulation count by observing worker 0's pass
-each step, then counts the final worker's hook firings against it. When
-the counts cannot be known yet — the very first step at world size 1 has
-no earlier worker or step to observe — the step runs in deferred mode:
-the same per-bucket protocol, fired after backward completes. Both modes
-are bit-identical to each other and to the one-bucket layout.
+weights). The reducer learns the per-parameter hook count by observing
+worker 0's pass each step, then counts the final worker's hook firings
+against it. When the counts cannot be known yet — the very first step at
+world size 1 has no earlier worker or step to observe — the step runs in
+deferred mode: the same per-bucket protocol, fired after backward
+completes. Both modes are bit-identical to each other and to the
+one-bucket layout.
 
 Methods whose compression is *vector-global* (top-k selection, sign-SGD's
 L1 scale, the whole-vector Random-k / QSGD / TernGrad / DGC codecs) still
@@ -65,10 +65,6 @@ class BucketedReducer:
         arena: the bucketed gradient arena backing the model's gradients.
         aggregator: the main aggregator (``finish_step`` may be handed
             another one for a deferred step).
-        accumulation_steps: the trainer's micro-batch count. When a bucket
-            fires eagerly, the reducer divides the final worker's bucket
-            segment in place of the trainer's whole-slab division (see
-            :meth:`owns_division`).
     """
 
     def __init__(
@@ -76,11 +72,9 @@ class BucketedReducer:
         model: Module,
         arena: GradientArena,
         aggregator: GradientAggregator,
-        accumulation_steps: int = 1,
     ):
         self.arena = arena
         self.aggregator = aggregator
-        self.accumulation_steps = accumulation_steps
         self.layout = arena.layout
         self._bucket_of: Dict[str, int] = {}
         for index, names in enumerate(self.layout.bucket_names()):
@@ -131,9 +125,10 @@ class BucketedReducer:
         """Open the step over ``num_slots`` live workers.
 
         ``eager`` requests hook-driven firing; the reducer downgrades to
-        deferred mode on its own when the accumulation counts are not yet
-        known (first step at world size 1). A step that is never finished
-        (the trainer skipped it) is simply superseded by the next one.
+        deferred mode on its own when the per-parameter hook counts are not
+        yet known (first step at world size 1). A step that is never
+        finished (the trainer skipped it) is simply superseded by the next
+        one.
         """
         self._per_worker = [
             self.arena.grads(slot) for slot in range(num_slots)
@@ -169,20 +164,6 @@ class BucketedReducer:
                 self._arm_firing()
             else:
                 self._eager = False
-
-    def owns_division(self, slot: int) -> bool:
-        """Whether the reducer divides ``slot``'s micro-batch average.
-
-        True only for the final worker of an eager step with gradient
-        accumulation: each bucket segment is divided just before it fires,
-        so the trainer must skip its whole-slab division for that slot.
-        """
-        return (
-            self._active
-            and self._eager
-            and slot == self._final_slot
-            and self.accumulation_steps > 1
-        )
 
     def finish_step(
         self, aggregator: Optional[GradientAggregator] = None
@@ -275,16 +256,8 @@ class BucketedReducer:
             self._fire(bucket)
 
     def _fire(self, index: int) -> None:
-        """Reduce one bucket now (divides micro-batch sums first)."""
+        """Reduce one bucket now."""
         lo, hi = self.layout.buckets[index]
-        if self._eager and self.accumulation_steps > 1:
-            # The earlier workers' slabs were divided by the trainer at the
-            # end of their passes; the final worker's division is per
-            # bucket, here, so eager firing never waits for it. True
-            # division, like GradientArena.divide_, so the values stay
-            # bit-identical to the monolithic path.
-            slab = self._per_worker[self._final_slot].slab
-            slab[lo:hi] /= self.accumulation_steps
         if self._eager:
             for name in self.layout.bucket_names()[index]:
                 self._sealed.add(name)

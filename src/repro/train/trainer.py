@@ -37,7 +37,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.comm.topology import ClusterTopology
 from repro.elastic.membership import MembershipController, joiner_rng
 from repro.faults.supervisor import (
     SupervisionPolicy,
@@ -82,7 +81,6 @@ class DataParallelTrainer:
         batch_size_per_worker: int = 32,
         schedule: Optional[WarmupMultiStepSchedule] = None,
         seed: int = 0,
-        accumulation_steps: int = 1,
         resilience: Optional[ResilienceConfig] = None,
         membership: Optional["MembershipController"] = None,
         buffer_bytes: Optional[int] = None,
@@ -90,15 +88,10 @@ class DataParallelTrainer:
         worker_start_method: Optional[str] = None,
         worker_step_timeout: Optional[float] = None,
         supervision: Optional[SupervisionPolicy] = None,
-        topology: Optional[ClusterTopology] = None,
     ):
         if batch_size_per_worker < 1:
             raise ValueError(
                 f"batch_size_per_worker must be >= 1, got {batch_size_per_worker}"
-            )
-        if accumulation_steps < 1:
-            raise ValueError(
-                f"accumulation_steps must be >= 1, got {accumulation_steps}"
             )
         if workers not in ("seq", "process"):
             raise ValueError(
@@ -113,25 +106,15 @@ class DataParallelTrainer:
         self.optimizer = optimizer
         self.aggregator = aggregator
         self.world_size = aggregator.group.world_size
-        # Topology-aware collectives: route the group's all-reduces over
-        # the two-level hierarchical schedule. Values are bit-identical to
-        # the flat ring (see repro.comm.hierarchical), so trajectories do
-        # not depend on the wire schedule — only traffic accounting does.
-        self.topology = topology
-        if topology is not None:
-            set_topology = getattr(aggregator.group, "set_topology", None)
-            if set_topology is None:
-                raise ValueError(
-                    f"group {type(aggregator.group).__name__} does not "
-                    "support topology-aware collectives"
-                )
-            if membership is not None:
-                raise ValueError(
-                    "topology and membership are mutually exclusive: the "
-                    "node topology fixes the world size, an elastic roster "
-                    "changes it"
-                )
-            set_topology(topology)
+        # A node topology is a property of the group (``ProcessGroup(world,
+        # topology=...)``): it changes which wire schedule is accounted,
+        # never a value (see repro.comm.hierarchical).
+        if aggregator.group.topology is not None and membership is not None:
+            raise ValueError(
+                "topology and membership are mutually exclusive: the "
+                "node topology fixes the world size, an elastic roster "
+                "changes it"
+            )
         self.seed = seed
         self.train_data = train_data
         self.membership = membership
@@ -173,7 +156,6 @@ class DataParallelTrainer:
         self.test_data = test_data
         self.batch_size = batch_size_per_worker
         self.schedule = schedule
-        self.accumulation_steps = accumulation_steps
         self.loss_fn = CrossEntropyLoss()
         self._rngs: Dict[int, np.random.Generator] = dict(
             enumerate(spawn_rngs(seed, self.world_size))
@@ -190,9 +172,7 @@ class DataParallelTrainer:
             backing="shared" if workers == "process" else "private",
         )
         #: Drives every step's aggregation (timings, eager/deferred counts).
-        self.reducer = BucketedReducer(
-            model, self._arena, aggregator, accumulation_steps
-        )
+        self.reducer = BucketedReducer(model, self._arena, aggregator)
         self._closed = False
         self._procpool: Optional[ProcessWorkerPool] = None
         if workers == "process":
@@ -203,7 +183,6 @@ class DataParallelTrainer:
                     train_data,
                     seed=seed,
                     batch_size=self.batch_size,
-                    accumulation_steps=accumulation_steps,
                     start_method=worker_start_method,
                     step_timeout=worker_step_timeout,
                     fault_plan=(
@@ -239,25 +218,14 @@ class DataParallelTrainer:
 
         ``slot`` is the worker's position in this step's live roster (its
         arena slab index); it defaults to ``rank`` for full-roster steps.
-
-        With ``accumulation_steps > 1`` the worker runs several micro-batch
-        passes and averages their gradients locally before communication —
-        the standard trick for fitting large effective batches, which also
-        amortizes each communication round over more computation.
         """
         if slot is None:
             slot = rank
         self._arena.bind(self.model, slot)
         loss = worker_pass(
             self.model, self.loss_fn, self.train_shards[rank],
-            self._rngs[rank], self.batch_size, self.accumulation_steps,
+            self._rngs[rank], self.batch_size,
         )
-        if self.accumulation_steps > 1 and not self.reducer.owns_division(slot):
-            # True division in place (not a reciprocal multiply), so the
-            # micro-batch average is ``sum / accumulation_steps`` exactly.
-            # On an eager step the reducer divides the final worker's slab
-            # bucket by bucket instead, just before each bucket fires.
-            self._arena.divide_(slot, self.accumulation_steps)
         return loss, self._arena.grads(slot)
 
     def _process_worker_gradients(

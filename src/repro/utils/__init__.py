@@ -1,20 +1,12 @@
 """Shared utilities: deterministic seeding, formatting, and small helpers."""
 
-from repro.utils.seeding import seeded_rng, spawn_rngs
-from repro.utils.formatting import (
-    format_bytes,
-    format_count,
-    format_seconds,
-    render_table,
-)
+from repro.utils.seeding import spawn_rngs
+from repro.utils.formatting import format_bytes, render_table
 from repro.utils.validation import assert_finite, is_finite, payload_checksum
 
 __all__ = [
-    "seeded_rng",
     "spawn_rngs",
     "format_bytes",
-    "format_count",
-    "format_seconds",
     "render_table",
     "assert_finite",
     "is_finite",

@@ -22,27 +22,6 @@ def format_bytes(num_bytes: float) -> str:
     raise AssertionError("unreachable")
 
 
-def format_count(count: float) -> str:
-    """Format a large count compactly, e.g. ``25.6M`` parameters."""
-    value = float(count)
-    for unit in ("", "K", "M", "B"):
-        if abs(value) < 1000.0 or unit == "B":
-            if unit == "":
-                return f"{value:.0f}"
-            return f"{value:.1f}{unit}"
-        value /= 1000.0
-    raise AssertionError("unreachable")
-
-
-def format_seconds(seconds: float) -> str:
-    """Format a duration, switching between us / ms / s as appropriate."""
-    if seconds < 1e-3:
-        return f"{seconds * 1e6:.1f}us"
-    if seconds < 1.0:
-        return f"{seconds * 1e3:.1f}ms"
-    return f"{seconds:.2f}s"
-
-
 def render_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
     """Render an aligned plain-text table.
 

@@ -13,18 +13,6 @@ from typing import List
 import numpy as np
 
 
-def seeded_rng(seed: int) -> np.random.Generator:
-    """Return a PCG64 generator seeded with ``seed``.
-
-    Args:
-        seed: any non-negative integer. The same seed always yields the same
-            stream.
-    """
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
-    return np.random.default_rng(seed)
-
-
 def spawn_rngs(seed: int, count: int) -> List[np.random.Generator]:
     """Return ``count`` statistically independent generators.
 

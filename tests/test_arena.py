@@ -80,15 +80,6 @@ class TestGradientArena:
         with pytest.raises(ValueError, match="layout"):
             arena.bind(other, 0)
 
-    def test_divide_matches_legacy_division(self):
-        model = small_model()
-        arena = GradientArena(model, world_size=1)
-        rng = np.random.default_rng(2)
-        values = rng.standard_normal(arena.layout.total_elements)
-        np.copyto(arena.slab(0), values)
-        arena.divide_(0, 3)
-        np.testing.assert_array_equal(arena.slab(0), values / 3)
-
     def test_owns_identifies_slabs(self):
         arena = GradientArena(small_model(), world_size=2)
         assert arena.owns([arena.slab(0), arena.slab(1)])

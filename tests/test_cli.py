@@ -69,6 +69,30 @@ class TestErrorsAreMessages:
         assert "Traceback" not in result.stderr
         assert result.stdout == ""
 
+    @pytest.mark.parametrize("argv, message", [
+        (["simulate", "--gpus", "6", "--nodes", "4"],
+         "repro simulate: error: --gpus 6 is not divisible by --nodes 4"),
+        (["gossip", "--peers", "4", "--adversaries", "2"],
+         "repro gossip: error: --adversaries 2 is not an honest-majority "
+         "roster at --peers 4"),
+        (["faults", "--methods", "magic"],
+         "repro faults: error: unknown method 'magic'; available: ssgd"),
+        (["train", "--batch-size", "0", "--samples", "200"],
+         "repro train: error: batch_size_per_worker must be >= 1, got 0"),
+    ], ids=["nodes", "gossip-majority", "faults-method", "train-batch-size"])
+    def test_commands_build_no_error_text_of_their_own(
+        self, argv, message, capsys
+    ):
+        """One road: the command raises ``ValueError``, ``main`` formats it
+        (these used to be ``SystemExit`` with exit 1 and a silent
+        ``--batch-size 0`` -> 32; ``bench``'s hand-printed line is
+        ``TestBench.test_rejects_unknown_worker_backend``)."""
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(message)
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
 
 class TestAutotune:
     def test_reports_best_buffer(self, capsys):
@@ -126,9 +150,18 @@ class TestBench:
         for backend in ("bogus", "thread"):
             assert main(["bench", "--workers", backend]) == 2
             assert (
-                f"unknown worker backend {backend!r} "
+                f"repro bench: error: unknown worker backend {backend!r} "
                 "(expected seq, process, or none)"
-            ) in capsys.readouterr().out
+            ) in capsys.readouterr().err
+
+    def test_planner_and_sim_benches_are_gone(self, capsys):
+        """perfbench's ``plan_mixed`` measures the planner; argparse answers
+        the old flags with its unrecognised-argument exit 2."""
+        for flag in ("--planner", "--sim"):
+            with pytest.raises(SystemExit) as exit_info:
+                main(["bench", flag])
+            assert exit_info.value.code == 2
+            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 class TestTrain:
@@ -277,24 +310,3 @@ class TestServeCommand:
         assert "error" in lines[0]
         assert "plan" in lines[1]
 
-
-@pytest.mark.serve
-class TestPlannerBench:
-    def test_bench_planner_writes_report(self, tmp_path, capsys):
-        report_path = tmp_path / "BENCH_planner.json"
-        code = main(["bench", "--planner", "--queries", "4",
-                     "--warm-lookups", "2000",
-                     "--output", str(report_path)])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "planner bench" in out and "hit rate" in out
-        with open(report_path) as handle:
-            report = json.load(handle)
-        assert report["schema"] == "repro.bench.planner/1"
-        # Acceptance criteria: warm hit rate nonzero, >= 1000 q/s warm,
-        # cached plans byte-identical to uncached.
-        assert report["warm"]["hit_rate"] > 0.0
-        assert report["criteria"]["warm_qps"] >= 1000.0
-        assert report["criteria"]["payload_bit_identical"] is True
-        assert report["cold"]["qps"] > 0.0
-        assert report["warm"]["p99_ms"] >= report["warm"]["p50_ms"]

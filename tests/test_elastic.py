@@ -61,18 +61,18 @@ ROUND_TRIP_PLAN = FaultPlan(
 
 
 def make_elastic_trainer(world_size=3, method="acpsgd", plan=CHURN_PLAN,
-                         lr=0.05, rescale_lr=False, resilience=None):
+                         resilience=None):
     train_data, test_data = make_data()
     model = make_mlp(6, 10, 3, rng=np.random.default_rng(5))
     group = ResilientProcessGroup(
         world_size, injector=FaultInjector(plan),
         policy=BackoffPolicy(max_retries=1),
     )
-    membership = MembershipController(group, rescale_lr=rescale_lr)
+    membership = MembershipController(group)
     kwargs = {"rank": 2} if method in ("acpsgd", "powersgd") else {}
     aggregator = make_aggregator(method, group, **kwargs)
     trainer = DataParallelTrainer(
-        model, SGD(model, lr=lr, momentum=0.9), aggregator,
+        model, SGD(model, lr=0.05, momentum=0.9), aggregator,
         train_data, test_data, batch_size_per_worker=8, seed=11,
         resilience=resilience, membership=membership,
     )
@@ -166,15 +166,6 @@ class TestChurnTraining:
             assert sizes == [3, 2, 3]
         for step, (a, b) in enumerate(zip(*runs)):
             assert np.array_equal(a, b), f"step {step} diverged between replays"
-
-    def test_rescale_lr_follows_world_size(self):
-        trainer, group, _, _ = make_elastic_trainer(
-            method="ssgd", plan=ROUND_TRIP_PLAN, lr=0.06, rescale_lr=True
-        )
-        for _ in range(15):
-            trainer.train_step()
-        # 3 -> 2 is an ejection (no rescale), 2 -> 3 a rejoin (x 3/2).
-        assert trainer.optimizer.lr == pytest.approx(0.06 * 1.5)
 
     def test_elastic_works_with_resilience_ladder(self):
         trainer, group, membership, _ = make_elastic_trainer(

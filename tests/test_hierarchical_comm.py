@@ -147,7 +147,7 @@ class TestProcessGroupDispatch:
                                                gpus_per_node=2))
 
     @staticmethod
-    def _trainer_parts(world=4, seed=7):
+    def _trainer_parts(group, seed=7):
         from repro.models.convnets import make_small_vgg
         from repro.optim.aggregators import make_aggregator
         from repro.optim.sgd import SGD
@@ -160,37 +160,37 @@ class TestProcessGroupDispatch:
                                rng=np.random.default_rng(seed))
         return (
             model, SGD(model, lr=0.05),
-            make_aggregator("ssgd", ProcessGroup(world)),
+            make_aggregator("ssgd", group),
             train_data, test_data,
         )
 
     def test_trainer_wires_topology_onto_group(self):
+        """The group is the one entrance: a trainer over a group built with
+        a topology accounts the two-level schedule."""
         from repro.train.trainer import DataParallelTrainer
 
-        parts = self._trainer_parts()
+        group = ProcessGroup(4, topology=TOPO_2x2)
         trainer = DataParallelTrainer(
-            *parts, batch_size_per_worker=2, topology=TOPO_2x2
+            *self._trainer_parts(group), batch_size_per_worker=2
         )
-        assert trainer.aggregator.group.topology is TOPO_2x2
-
-    def test_trainer_rejects_group_without_topology_support(self):
-        from repro.train.trainer import DataParallelTrainer
-
-        class Groupish:
-            world_size = 4
-
-        parts = list(self._trainer_parts())
-        parts[2].group = Groupish()
-        with pytest.raises(ValueError, match="does not support topology"):
-            DataParallelTrainer(
-                *parts, batch_size_per_worker=2, topology=TOPO_2x2
-            )
+        trainer.train_step()
+        assert group.history[-1].algorithm == "allreduce_hierarchical"
 
     def test_trainer_rejects_topology_world_mismatch(self):
+        with pytest.raises(ValueError, match="world size"):
+            ProcessGroup(3, topology=TOPO_2x2)
+
+    def test_trainer_rejects_group_topology_with_membership(self):
+        """``group.set_topology`` used to slip past the check the trainer
+        made only on its own ``topology=`` argument."""
+        from repro.elastic import MembershipController
+        from repro.faults import FaultInjector, FaultPlan, ResilientProcessGroup
         from repro.train.trainer import DataParallelTrainer
 
-        parts = self._trainer_parts(world=3)
-        with pytest.raises(ValueError, match="world size"):
+        group = ResilientProcessGroup(4, injector=FaultInjector(FaultPlan()))
+        group.set_topology(TOPO_2x2)
+        with pytest.raises(ValueError, match="mutually exclusive"):
             DataParallelTrainer(
-                *parts, batch_size_per_worker=2, topology=TOPO_2x2
+                *self._trainer_parts(group), batch_size_per_worker=2,
+                membership=MembershipController(group),
             )

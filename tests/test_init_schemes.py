@@ -43,18 +43,6 @@ class TestDistributions:
         assert np.abs(values).max() <= bound
         assert np.abs(values).max() > 0.8 * bound
 
-    def test_xavier_normal_std(self):
-        shape = (40, 60)
-        std, _ = self._std(init.xavier_normal, shape)
-        expected = math.sqrt(2.0 / (40 + 60))
-        assert std == pytest.approx(expected, rel=0.05)
-
-    def test_xavier_uniform_bound(self):
-        rng = np.random.default_rng(2)
-        values = init.xavier_uniform((40, 60), rng)
-        bound = math.sqrt(6.0 / 100)
-        assert np.abs(values).max() <= bound
-
     def test_deterministic_under_seed(self):
         a = init.kaiming_normal((4, 4), np.random.default_rng(9))
         b = init.kaiming_normal((4, 4), np.random.default_rng(9))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn.loss import CrossEntropyLoss, MSELoss
+from repro.nn.loss import CrossEntropyLoss
 from tests.gradcheck import numeric_grad
 
 
@@ -55,21 +55,3 @@ class TestCrossEntropy:
         with pytest.raises(RuntimeError, match="before forward"):
             CrossEntropyLoss().backward()
 
-
-class TestMSE:
-    def test_value(self):
-        loss = MSELoss()
-        assert loss(np.array([1.0, 2.0]), np.array([0.0, 0.0])) == pytest.approx(2.5)
-
-    def test_gradient_matches_numeric(self, rng):
-        loss = MSELoss()
-        pred = rng.normal(size=(3, 2))
-        target = rng.normal(size=(3, 2))
-        loss(pred, target)
-        analytic = loss.backward()
-        numeric = numeric_grad(lambda: loss.forward(pred, target), pred)
-        np.testing.assert_allclose(analytic, numeric, rtol=1e-5, atol=1e-8)
-
-    def test_shape_validation(self, rng):
-        with pytest.raises(ValueError, match="shape"):
-            MSELoss()(rng.normal(size=(2, 2)), rng.normal(size=(2, 3)))

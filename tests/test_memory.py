@@ -3,7 +3,7 @@
 import pytest
 
 from repro.models import get_model_spec
-from repro.models.registry import PAPER_RANKS, paper_batch_size
+from repro.models.registry import PAPER_RANKS
 from repro.sim.memory import (
     GiB,
     RTX2080TI_MEMORY_BYTES,
@@ -15,7 +15,7 @@ from repro.sim.memory import (
 def _estimate(method, model_name, world=32):
     spec = get_model_spec(model_name)
     return estimate_memory(
-        method, spec, paper_batch_size(model_name), world,
+        method, spec, spec.default_batch_size, world,
         rank=PAPER_RANKS[model_name],
     )
 

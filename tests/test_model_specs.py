@@ -4,7 +4,7 @@ import pytest
 
 from repro.compression.ratios import compression_ratio
 from repro.models import get_model_spec
-from repro.models.registry import PAPER_RANKS, paper_batch_size
+from repro.models.registry import PAPER_RANKS
 from repro.models.spec import LayerSpec, ModelSpec, TensorSpec, conv_layer
 
 
@@ -97,16 +97,13 @@ class TestStructure:
         assert 9 < gflops < 13
 
     def test_paper_batch_sizes(self):
-        assert paper_batch_size("ResNet-50") == 64
-        assert paper_batch_size("ResNet-152") == 32
-        assert paper_batch_size("BERT-Base") == 32
-        assert paper_batch_size("BERT-Large") == 8
+        for name, batch in [("ResNet-50", 64), ("ResNet-152", 32),
+                            ("BERT-Base", 32), ("BERT-Large", 8)]:
+            assert get_model_spec(name).default_batch_size == batch
 
     def test_unknown_model_rejected(self):
         with pytest.raises(KeyError, match="unknown model"):
             get_model_spec("AlexNet")
-        with pytest.raises(KeyError):
-            paper_batch_size("AlexNet")
 
 
 class TestSpecPrimitives:

@@ -449,7 +449,7 @@ class TestFirstLayerSkipsItsInputGradient:
             return first_backward(grad, **kwargs)
 
         model[0].backward = spy
-        worker_pass(model, CrossEntropyLoss(), shard, np.random.default_rng(0), 4, 1)
+        worker_pass(model, CrossEntropyLoss(), shard, np.random.default_rng(0), 4)
         assert seen == [{"need_input_grad": False}]
         got = [param.grad.copy() for param in model.parameters()]
         del model[0].backward

@@ -287,23 +287,32 @@ class TestStepAllocatesNothingModelSized:
             assert step_peak(trainer, warmup=1, measured=1) < self.quarter(trainer)
 
     def test_second_micro_batch_still_adds(self):
-        """Only a step's first gradient may be formed in the slot; the next
-        micro-batch allocates its weight gradient and adds it (one layer at
-        a time: the largest tensor, not the model)."""
+        """Only a step's first gradient may be formed in the slot; a second
+        backward before ``zero_grad`` allocates its weight gradient and adds
+        it (one layer at a time: the largest tensor, not the model)."""
         from repro.perf.replicas import worker_pass
 
-        with mlp_trainer("ssgd", accumulation_steps=2) as trainer:
-            largest = max(p.data.nbytes for p in trainer.model.parameters())
-            assert step_peak(trainer) < largest + self.quarter(trainer)
+        with mlp_trainer("ssgd") as trainer:
             model, loss_fn = trainer.model, trainer.loss_fn
             shard, slab = trainer.train_shards[0], trainer._arena.slab(0)
+            largest = max(p.data.nbytes for p in model.parameters())
             trainer._arena.bind(model, 0)
-            worker_pass(model, loss_fn, shard, np.random.default_rng(5), 4, 2)
+            rng = np.random.default_rng(5)
+            worker_pass(model, loss_fn, shard, rng, 4)
+
+            def second_backward():
+                inputs, labels = shard.batch(rng, 4)
+                loss_fn(model(inputs), labels)
+                model.backward(loss_fn.backward())
+
+            assert peak_allocation(second_backward) < (
+                largest + self.quarter(trainer)
+            )
             summed = slab.copy()
             rng = np.random.default_rng(5)  # the same two batches, one a pass
-            worker_pass(model, loss_fn, shard, rng, 4, 1)
+            worker_pass(model, loss_fn, shard, rng, 4)
             want = slab.copy()
-            worker_pass(model, loss_fn, shard, rng, 4, 1)
+            worker_pass(model, loss_fn, shard, rng, 4)
             want += slab
             assert summed.tobytes() == want.tobytes()
 

@@ -39,7 +39,6 @@ def run_training(
     steps=3,
     world_size=2,
     seed=7,
-    accumulation_steps=1,
     start_method=None,
     buffer_bytes=None,
 ):
@@ -56,7 +55,6 @@ def run_training(
         test_data,
         batch_size_per_worker=4,
         seed=seed,
-        accumulation_steps=accumulation_steps,
         workers=workers,
         worker_start_method=start_method,
         buffer_bytes=buffer_bytes,
@@ -90,16 +88,6 @@ class TestProcessBitExactness:
         assert_identical(
             run_training(method, workers="seq"),
             run_training(method, workers="process"),
-        )
-
-    def test_process_matches_sequential_with_accumulation(self):
-        assert_identical(
-            run_training(
-                "ssgd", workers="seq", accumulation_steps=3, steps=2
-            ),
-            run_training(
-                "ssgd", workers="process", accumulation_steps=3, steps=2
-            ),
         )
 
     def test_process_matches_sequential_world_four(self):

@@ -2,12 +2,11 @@
 
 import pytest
 
-from repro.compression.complexity import communicate_elements, compress_flops
+from repro.compression.complexity import communicate_elements
 from repro.compression.ratios import (
     acpsgd_compressed_elements,
     compression_ratio,
     powersgd_compressed_elements,
-    signsgd_compressed_bits,
     topk_compressed_elements,
     total_elements,
 )
@@ -32,9 +31,6 @@ class TestRatios:
     def test_rank_capped_by_matrix_dims(self):
         # A 2 x 100 matrix caps rank at 2.
         assert powersgd_compressed_elements([(2, 100)], rank=32) == (2 + 100) * 2
-
-    def test_signsgd_bits(self):
-        assert signsgd_compressed_bits(self.SHAPES) == 3264
 
     def test_topk_elements(self):
         assert topk_compressed_elements(self.SHAPES, 0.01) == 33
@@ -73,18 +69,6 @@ class TestComplexity:
         acp = communicate_elements("acpsgd", 8, 1000, n_c=100)
         assert acp == pytest.approx(power / 2)
 
-    def test_compress_flops_orderings(self):
-        n = 1_000_000
-        assert compress_flops("ssgd", n) == 0.0
-        sign = compress_flops("signsgd", n)
-        topk = compress_flops("topk", n, k=1000)
-        power = compress_flops("powersgd", n, rank=4, rows=1000, cols=1000)
-        acp = compress_flops("acpsgd", n, rank=4, rows=1000, cols=1000)
-        assert sign > 0 and topk > 0
-        assert acp < power  # the halving claim
-
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             communicate_elements("magic", 4, 10)
-        with pytest.raises(ValueError):
-            compress_flops("magic", 10)

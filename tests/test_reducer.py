@@ -301,7 +301,7 @@ def _flat_dataset(num, dim, classes, seed):
     return SyntheticImageDataset(images.reshape(num, dim, 1, 1), labels)
 
 
-def _make_trainer(method, world, buffer_bytes, accum=1, **kwargs):
+def _make_trainer(method, world, buffer_bytes, **kwargs):
     rng = np.random.default_rng(0)
     dim, classes = 12, 5
     model = nn.Sequential(
@@ -316,7 +316,6 @@ def _make_trainer(method, world, buffer_bytes, accum=1, **kwargs):
         _flat_dataset(64, dim, classes, 2),
         batch_size_per_worker=8,
         seed=3,
-        accumulation_steps=accum,
         buffer_bytes=buffer_bytes,
         **kwargs,
     )
@@ -361,12 +360,6 @@ class TestBucketedTrainer:
         trainer.train_step()
         trainer.train_step()
         assert trainer.reducer.eager_steps == 2
-
-    def test_gradient_accumulation_matches(self):
-        self._assert_same_trajectory(
-            _make_trainer("ssgd", 2, None, accum=3),
-            _make_trainer("ssgd", 2, self.BUCKET, accum=3),
-        )
 
     def test_per_tensor_buckets_match(self):
         """buffer_bytes=0 means one bucket per tensor (no fusion)."""

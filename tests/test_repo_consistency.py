@@ -124,7 +124,12 @@ class TestEveryModuleIsUsed:
     or ``perfbench/`` — by its path, or through a name its package
     ``__init__`` re-exports. Tests, examples, benchmarks and the ``__init__``
     re-export itself do not count. A module only those reach is deleted, or
-    listed in ``KEPT`` with the documented claim it backs."""
+    listed in ``KEPT`` with the documented claim it backs.
+
+    The same rule one level down: a public top-level function or class is
+    mentioned by some file outside ``tests/`` other than a package
+    ``__init__`` — ``src``, ``scripts/``, ``perfbench/``, ``examples/`` or
+    ``benchmarks/`` — or is deleted, or is in ``KEPT``."""
 
     KEPT = {
         "repro.experiments.sensitivity":
@@ -144,6 +149,19 @@ class TestEveryModuleIsUsed:
             "DESIGN.md 'Autodiff / layers framework' row lists Flatten; the "
             "conv -> Linear models of tier-1's trainer, reducer and "
             "nn-kernel tests are built on it",
+        "repro.comm.collectives.all_reduce_ring":
+            "reference implementation: the step-wise ring whose association "
+            "all_reduce_inplace must reproduce bit for bit "
+            "(tests/test_allreduce_kernel.py, test_hierarchical_comm.py)",
+        "repro.compression.signsgd.majority_vote_aggregate":
+            "reference implementation: the float vote the Sign-SGD "
+            "aggregator's integer bit count is pinned to "
+            "(tests/test_aggregators.py, tests/test_signsgd.py)",
+        "repro.nn.pooling.AvgPool2d":
+            "DESIGN.md 'Autodiff / layers framework' row lists MaxPool/AvgPool",
+        "repro.sim.strategies.build_iteration_graph":
+            "docs/simulator.md 'build without running': the graphs the golden "
+            "scenarios digest and the event-loop count pin polls",
     }
 
     def test_every_module_has_a_caller_outside_tests(self):
@@ -180,9 +198,33 @@ class TestEveryModuleIsUsed:
             )
         entry_points = {"repro.__main__"}
         unused = set(files) - packages - entry_points - used
-        assert unused == set(self.KEPT), (
-            f"only tests/examples/benchmarks reach {sorted(unused - set(self.KEPT))}; "
-            f"KEPT entries that now have a caller {sorted(set(self.KEPT) - unused)}"
+        kept = set(self.KEPT) & set(files)
+        assert unused == kept, (
+            f"only tests/examples/benchmarks reach {sorted(unused - kept)}; "
+            f"KEPT entries that now have a caller {sorted(kept - unused)}"
+        )
+
+    def test_every_public_name_has_a_caller_outside_tests(self):
+        modules = {
+            _dotted(path): path for path in (SRC / "repro").rglob("*.py")
+            if path.name != "__init__.py"
+        }
+        callers = list(modules.values())
+        for top in ("scripts", "perfbench", "examples", "benchmarks"):
+            callers.extend((ROOT / top).rglob("*.py"))
+        mentioned = set().union(*map(_identifiers, callers))
+        unused = {
+            f"{module}.{node.name}"
+            for module, path in modules.items() if module not in self.KEPT
+            for node in ast.parse(path.read_text(), filename=str(path)).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_") and node.name not in mentioned
+        }
+        kept = set(self.KEPT) - set(modules)
+        assert unused == kept, (
+            f"only their definition, an __init__ and tests mention "
+            f"{sorted(unused - kept)}; KEPT names that now have a caller "
+            f"{sorted(kept - unused)}"
         )
 
 
@@ -190,6 +232,25 @@ def _dotted(path):
     """``src/repro/a/b.py`` -> ``repro.a.b``; a package's ``__init__`` -> the package."""
     parts = path.relative_to(SRC).with_suffix("").parts
     return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def _identifiers(path):
+    """Every name a file mentions in code: variables, attributes, imported
+    names, and identifier-shaped strings (``getattr(module, "name")``,
+    perfbench's wrap tables). A definition does not mention itself."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            found.update(alias.name.rpartition(".")[2] for alias in node.names)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            tail = node.value.rpartition(".")[2]
+            if tail.isidentifier():
+                found.add(tail)
+    return found
 
 
 def _repro_references(path):

@@ -76,20 +76,13 @@ class TestTaskGraph:
         assert merged.resources() == ("x", "y")
 
     def test_cycle_detected(self):
+        """A dependency cycle is the event loop's deadlock."""
         graph = TaskGraph([
             Task("a", "s", 1.0, deps=("b",)),
             Task("b", "s", 1.0, deps=("a",)),
         ])
-        with pytest.raises(ValueError, match="cycle"):
-            graph.critical_path_work()
-
-    def test_critical_path_work(self):
-        graph = TaskGraph([
-            Task("a", "s", 2.0),
-            Task("b", "t", 5.0),
-            Task("c", "s", 3.0, deps=("a",)),
-        ])
-        assert graph.critical_path_work() == 5.0
+        with pytest.raises(ValueError, match="deadlock"):
+            EventLoop().run(graph)
 
 
 class TestResourceModel:
@@ -241,20 +234,3 @@ class TestHierarchicalGantt:
             assert row in chart
         assert "=" in chart  # comm tasks render as '='
 
-
-class TestSimBench:
-    def test_bench_smoke(self):
-        from repro.sched.bench import render_sim_report, run_sim_bench
-
-        report = run_sim_bench(num_tasks=1200, streams=4, seed=1)
-        assert report["deterministic"] is True
-        assert report["per_task_cost_growth"] <= 4.0
-        assert report["tasks_per_s"] > 0
-        text = render_sim_report(report)
-        assert "bit-identical" in text
-
-    def test_bench_rejects_tiny_graphs(self):
-        from repro.sched.bench import run_sim_bench
-
-        with pytest.raises(ValueError):
-            run_sim_bench(num_tasks=10)

@@ -247,31 +247,6 @@ class TestRestartPolicy:
             with pytest.raises(WorkerDeadError):
                 trainer.train_step()
 
-    def test_accumulation_steps_replay_exactly(self):
-        plan = FaultPlan(seed=11, worker_faults=(
-            WorkerFault("crash", rank=0, step=1),
-        ))
-        policy = SupervisionPolicy(on_failure="restart")
-
-        def build(**kwargs):
-            train_data, test_data = make_task(11)
-            model = make_mlp(6, 10, 3, rng=np.random.default_rng(5))
-            group = ResilientProcessGroup(
-                2, injector=FaultInjector(kwargs.pop("plan"))
-            )
-            trainer = DataParallelTrainer(
-                model, SGD(model, lr=0.05, momentum=0.9),
-                make_aggregator("ssgd", group), train_data, test_data,
-                batch_size_per_worker=4, seed=11, accumulation_steps=2,
-                workers="process", worker_step_timeout=30.0, **kwargs,
-            )
-            return trainer, model
-
-        clean = run_steps(*build(plan=FaultPlan(seed=11)), steps=3)
-        faulty = run_steps(*build(plan=plan, supervision=policy), steps=3)
-        assert faulty[0] == clean[0]
-        assert np.array_equal(faulty[1], clean[1])
-
 
 # ----------------------------------------------------------------------
 # Eject rung: degraded step, boundary ejection, scheduled rejoin

@@ -128,5 +128,3 @@ class TestAutotune:
         assert result.best_buffer_mb == pytest.approx(
             result.best_buffer_bytes / (1024 * 1024)
         )
-        ref = max(result.evaluated)
-        assert result.improvement_over(ref) >= 1.0 or True

@@ -164,72 +164,6 @@ class TestTrainer:
                 batch_size_per_worker=0,
             )
 
-    def test_gradient_accumulation_reduces_comm_rounds(self):
-        """Accumulation runs more compute per collective round."""
-        rng = np.random.default_rng(0)
-        dim, classes = 8, 4
-        train = _FlatDataset.build(200, dim, classes, 1)
-        test = _FlatDataset.build(80, dim, classes, 2)
-
-        import repro.nn as nn
-
-        model = nn.Sequential(nn.Flatten(),
-                              *make_mlp(dim, 16, classes, rng=rng).layers)
-        group = ProcessGroup(2)
-        trainer = DataParallelTrainer(
-            model, SGD(model, lr=0.05, momentum=0.9),
-            make_aggregator("ssgd", group), train, test,
-            batch_size_per_worker=8, seed=3, accumulation_steps=4,
-        )
-        for _ in range(10):
-            trainer.train_step()
-        # 10 steps -> 10 collectives regardless of micro-batches.
-        assert len(group.history) == 10
-        assert trainer.evaluate() > 0.4
-
-    def test_accumulated_gradients_are_microbatch_means(self):
-        """The aggregated gradient is the mean over micro-batches (scale
-        invariance vs accumulation_steps)."""
-        rng = np.random.default_rng(0)
-        train = _FlatDataset.build(64, 8, 4, 1)
-        test = _FlatDataset.build(16, 8, 4, 2)
-
-        import repro.nn as nn
-
-        model = nn.Sequential(nn.Flatten(),
-                              *make_mlp(8, 16, 4, rng=rng).layers)
-        trainer = DataParallelTrainer(
-            model, SGD(model, lr=0.05), make_aggregator("ssgd", ProcessGroup(1)),
-            train, test, batch_size_per_worker=8, seed=3, accumulation_steps=3,
-        )
-        _, grads = trainer._worker_gradients(0)
-        # Magnitude comparable to a single batch gradient, not 3x.
-        trainer2 = DataParallelTrainer(
-            model, SGD(model, lr=0.05), make_aggregator("ssgd", ProcessGroup(1)),
-            train, test, batch_size_per_worker=8, seed=3, accumulation_steps=1,
-        )
-        _, grads1 = trainer2._worker_gradients(0)
-        for name in grads:
-            ratio = np.linalg.norm(grads[name]) / max(
-                1e-12, np.linalg.norm(grads1[name])
-            )
-            assert ratio < 2.5
-
-    def test_accumulation_validation(self):
-        rng = np.random.default_rng(0)
-        train = _FlatDataset.build(20, 8, 4, 1)
-
-        import repro.nn as nn
-
-        model = nn.Sequential(nn.Flatten(),
-                              *make_mlp(8, 8, 4, rng=rng).layers)
-        with pytest.raises(ValueError, match="accumulation_steps"):
-            DataParallelTrainer(
-                model, SGD(model, lr=0.05),
-                make_aggregator("ssgd", ProcessGroup(1)), train, train,
-                batch_size_per_worker=8, accumulation_steps=0,
-            )
-
     def test_ssgd_equals_singleworker_mean_gradient(self):
         """One aggregated S-SGD step == SGD on the mean of worker gradients."""
         trainer = self._make_trainer(world=3)
