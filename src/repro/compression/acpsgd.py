@@ -47,7 +47,11 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.compression.lowrank_kernels import BlockedProjector, residual_for
+from repro.compression.lowrank_kernels import (
+    BlockedProjector,
+    blocked_matmul,
+    residual_for,
+)
 from repro.compression.orthogonalize import orthogonalize
 from repro.compression.powersgd import init_low_rank
 
@@ -207,7 +211,7 @@ class ACPSGDState:
         instead of a new matrix.
         """
         p, q = self.store_factor(name, factor_aggregated, step)
-        return np.matmul(p, q.T, out=out)  # P_t Q_t^T
+        return blocked_matmul(p, q.T, out=out)  # P_t Q_t^T
 
     def warm_start_from(self, donor: "ACPSGDState") -> None:
         """Adopt a survivor's shared carried state (elastic admission).

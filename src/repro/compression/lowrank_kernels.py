@@ -18,6 +18,10 @@ The block height is a pure function of the matrix width
 (:func:`block_rows`), never of how the tensors are bucketed or which backend
 runs the workers, so the summation order of the left projection — the one
 place blocking changes floating-point results — is fixed per tensor shape.
+
+The reconstruction ``P Q^T`` and ``repro.nn.Linear``'s weight gradient
+share :func:`blocked_matmul`, the product of a thin inner dimension written
+one ~256 KiB row block at a time.
 """
 
 from __future__ import annotations
@@ -28,11 +32,43 @@ import numpy as np
 
 # 65536 float64 = 512 KiB: a residual block plus its scratch fit in L2.
 _BLOCK_ELEMENTS = 65536
+# 32768 float64 = 256 KiB of product per GEMM call: the fastest of the
+# block sizes swept in docs/performance.md "repro.nn kernels".
+_PRODUCT_ELEMENTS = 32768
 
 
 def block_rows(m: int) -> int:
     """Rows per block for matrices with ``m`` columns."""
     return max(1, _BLOCK_ELEMENTS // m)
+
+
+def blocked_matmul(
+    a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """``a @ b`` for 2-D operands, computed one row block at a time.
+
+    Meant for a small inner dimension (a batch, a rank), where the product
+    is nearly all output: BLAS first zeroes ``C`` and then accumulates into
+    it, so a product larger than the cache goes to DRAM three times (zero,
+    read, write). A block of about 256 KiB stays cache-resident between
+    the two, and each output byte is written to DRAM once.
+
+    The blocks depend only on the shapes, so a product has the same bits in
+    ``out`` (an arena slot, say) and in a fresh array — but not always those
+    of one unblocked ``a @ b``: BLAS may pick a different kernel for the
+    blocks. A trailing one-row block is merged into the one before it,
+    since a one-row product goes to a gemv whose bits differ as well.
+    """
+    n, m = a.shape[0], b.shape[1]
+    if out is None:
+        out = np.empty((n, m), dtype=np.result_type(a, b))
+    rows = max(2, _PRODUCT_ELEMENTS // m)
+    lo = 0
+    while lo < n:
+        hi = n if n - lo <= rows + 1 else lo + rows
+        np.matmul(a[lo:hi], b, out=out[lo:hi])
+        lo = hi
+    return out
 
 
 def residual_for(

@@ -35,7 +35,11 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.compression.lowrank_kernels import BlockedProjector, residual_for
+from repro.compression.lowrank_kernels import (
+    BlockedProjector,
+    blocked_matmul,
+    residual_for,
+)
 from repro.compression.orthogonalize import orthogonalize
 
 
@@ -197,7 +201,7 @@ class PowerSGDState:
         """Stage 3: ``M_hat = P_hat Q^T`` (into ``out`` when given: ``n x m``
         float64, C-contiguous); stores Q for next-step reuse."""
         p_hat = self.store_query(name, q_aggregated)
-        return np.matmul(p_hat, q_aggregated.T, out=out)
+        return blocked_matmul(p_hat, q_aggregated.T, out=out)
 
     def warm_start_from(self, donor: "PowerSGDState") -> None:
         """Adopt a survivor's shared carried state (elastic admission).

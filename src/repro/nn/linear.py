@@ -6,6 +6,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.compression.lowrank_kernels import blocked_matmul
 from repro.nn import init
 from repro.nn.module import Module
 from repro.nn.parameter import Parameter
@@ -46,7 +47,7 @@ class Linear(Module):
             self._cache_input = x
         out = x @ self.weight.data.T
         if self.bias is not None:
-            out = out + self.bias.data
+            out += self.bias.data  # matmul's own output: in place, same bits
         return out
 
     def backward(
@@ -64,7 +65,7 @@ class Linear(Module):
             self.bias.accumulate_grad(flat_grad.sum(axis=0))
         # Straight into the arena slot when it is attached and unwritten.
         self.weight.accumulate_grad(
-            np.matmul(flat_grad.T, flat_x, out=self.weight.grad_destination())
+            blocked_matmul(flat_grad.T, flat_x, out=self.weight.grad_destination())
         )
         self._cache_input = None
         return grad_input

@@ -8,17 +8,27 @@ import numpy as np
 
 from repro.nn.module import Module
 
+# 32768 float64 = 256 KiB: a block of w, g, v and the scratch fit in L2.
+_BLOCK_ELEMENTS = 32768
+
+
+def _block_rows(data: np.ndarray) -> int:
+    """Leading-axis rows per update block of ``data`` (at least one)."""
+    return max(1, _BLOCK_ELEMENTS * len(data) // max(data.size, 1))
+
 
 class SGD:
-    """Heavy-ball SGD: ``v <- mu v + g``, ``w <- w - lr (v + wd * w)``.
+    """Heavy-ball SGD: ``v <- mu v + (g + wd * w)``, ``w <- w - lr v``.
 
     Matches the paper's training recipe (momentum 0.9). The gradient comes
     either from the parameters' own ``.grad`` fields (single-worker use) or
     from an explicit aggregated-gradient dict (distributed use).
 
-    The update runs in place (``v *= mu; v += g; w -= lr * v`` through one
-    scratch sized for the largest parameter, bit for bit the out-of-place
-    arithmetic), so a steady-state step allocates nothing.
+    The update runs in place, one block of about 32 768 elements at a time
+    (``v *= mu; v += g; s = lr * v; w -= s`` while the block is in cache,
+    through one block of scratch): bit for bit the out-of-place arithmetic,
+    with nothing allocated in a steady-state step. Blocks are slices along
+    the leading axis, so they are views for any strides of ``param.data``.
     """
 
     def __init__(
@@ -41,9 +51,11 @@ class SGD:
         self._velocity: Dict[str, np.ndarray] = {}
         # Materialize names once so step() can look gradients up by name.
         self._named = dict(model.named_parameters())
-        self._scratch = np.empty(
-            max((p.data.size for p in self._named.values()), default=0)
-        )
+        # One update block of the parameter with the largest blocks.
+        self._scratch = np.empty(max(
+            (p.data[: _block_rows(p.data)].size for p in self._named.values()),
+            default=0,
+        ))
 
     def step(self, grads: Optional[Dict[str, np.ndarray]] = None) -> None:
         """Apply one update.
@@ -64,21 +76,26 @@ class SGD:
                     f"gradient shape {grad.shape} != parameter shape "
                     f"{param.data.shape} for {name!r}"
                 )
-            scratch = self._scratch[: param.data.size].reshape(param.data.shape)
-            if self.weight_decay:
-                np.multiply(param.data, self.weight_decay, out=scratch)
-                scratch += grad
-                grad = scratch
+            data = param.data
             velocity = self._velocity.get(name)
-            if velocity is None:
-                velocity = self._velocity[name] = grad.astype(np.float64, copy=True)
-            elif self.momentum:
-                velocity *= self.momentum
-                velocity += grad
-            else:
-                np.copyto(velocity, grad)
-            np.multiply(velocity, self.lr, out=scratch)
-            param.data -= scratch
+            first = velocity is None
+            if first:
+                velocity = self._velocity[name] = np.empty(data.shape)
+            rows = _block_rows(data)
+            for lo in range(0, len(data), rows):
+                w, g, v = data[lo : lo + rows], grad[lo : lo + rows], velocity[lo : lo + rows]
+                scratch = self._scratch[: w.size].reshape(w.shape)
+                if self.weight_decay:
+                    np.multiply(w, self.weight_decay, out=scratch)
+                    scratch += g
+                    g = scratch
+                if first or not self.momentum:
+                    np.copyto(v, g)
+                else:
+                    v *= self.momentum
+                    v += g
+                np.multiply(v, self.lr, out=scratch)
+                w -= scratch
 
     def zero_grad(self) -> None:
         """Clear gradients on the wrapped model."""

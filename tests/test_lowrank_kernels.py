@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.comm.process_group import ProcessGroup
+from repro.compression import lowrank_kernels
 from repro.compression.acpsgd import ACPSGDState
 from repro.compression.lowrank_kernels import (
     BlockedProjector,
@@ -147,6 +148,82 @@ class TestBlockedKernelMatchesDense:
         np.testing.assert_array_equal(
             projector.project_left(grad, None, left), grad.T @ left
         )
+
+
+WIDTHS = [5, 767, 768, 1023, 4097]
+
+
+def product_heights(m):
+    """Row counts around the block height of :func:`blocked_matmul` at width ``m``."""
+    h = max(2, lowrank_kernels._PRODUCT_ELEMENTS // m)
+    return h, sorted({1, 2, h - 1, h, h + 1, 2 * h + 1})
+
+
+def slot_storage(shape, offset):
+    """A NaN-filled ``shape`` view at ``offset`` float64s into its buffer."""
+    storage = np.full(int(np.prod(shape)) + offset, np.nan)
+    return storage, storage[offset:].reshape(shape)
+
+
+class TestBlockedProduct:
+    """The one product kernel of ``P Q^T`` and of the Linear weight gradient."""
+
+    @pytest.mark.parametrize("m", WIDTHS + [20000])
+    def test_blocks_are_a_function_of_width_and_never_one_row(self, m, monkeypatch):
+        real_matmul, heights = np.matmul, []
+
+        def spy(a, b, **kwargs):
+            heights.append(a.shape[0])
+            return real_matmul(a, b, **kwargs)
+
+        rng = np.random.default_rng(m)
+        h, counts = product_heights(m)
+        for n in counts + [2 * h, 2 * h + 2, 3 * h + 1]:
+            a, b = rng.normal(size=(4, n)).T, rng.normal(size=(4, m))
+            heights.clear()
+            monkeypatch.setattr(np, "matmul", spy)
+            product = lowrank_kernels.blocked_matmul(a, b)
+            monkeypatch.undo()
+            assert sum(heights) == n
+            assert heights[:-1] == [h] * (len(heights) - 1), n
+            assert heights[-1] <= h + 1 and (n == 1 or heights[-1] >= 2), n
+            np.testing.assert_allclose(product, a @ b, rtol=1e-13, atol=1e-12)
+
+    @pytest.mark.parametrize("m", WIDTHS)
+    def test_acpsgd_finalize_is_one_kernel_with_and_without_out(self, m):
+        rng = np.random.default_rng(m)
+        for n in product_heights(m)[1]:
+            fresh, into = ACPSGDState(rank=4, seed=1), ACPSGDState(rank=4, seed=1)
+            for step in (1, 2):  # P and Q side of the alternation
+                matrix = rng.normal(size=(n, m))
+                factor = fresh.compress("w", matrix, step)
+                into.compress("w", matrix, step)
+                hat = fresh.finalize("w", factor, step)
+                storage, slot = slot_storage((n, m), offset=step - 1)
+                assert into.finalize("w", factor, step, out=slot) is slot
+                assert np.shares_memory(slot, storage)
+                assert slot.tobytes() == hat.tobytes(), (n, step)
+                np.testing.assert_allclose(
+                    hat, fresh._p["w"] @ fresh._q["w"].T, rtol=1e-13, atol=1e-12
+                )
+
+    @pytest.mark.parametrize("m", WIDTHS)
+    def test_powersgd_reconstruct_is_one_kernel_with_and_without_out(self, m):
+        rng = np.random.default_rng(m)
+        for n in product_heights(m)[1]:
+            fresh, into = PowerSGDState(rank=4, seed=1), PowerSGDState(rank=4, seed=1)
+            for offset in (0, 1):
+                matrix = rng.normal(size=(n, m))
+                p = fresh.compute_p("w", matrix)
+                into.compute_p("w", matrix)
+                q = fresh.compute_q("w", p)
+                into.compute_q("w", p)
+                p_hat = fresh._pending["w"]
+                hat = fresh.reconstruct("w", q)
+                storage, slot = slot_storage((n, m), offset)
+                assert into.reconstruct("w", q, out=slot) is slot
+                assert slot.tobytes() == hat.tobytes(), (n, offset)
+                np.testing.assert_allclose(hat, p_hat @ q.T, rtol=1e-13, atol=1e-12)
 
 
 def _input_variants(rng):

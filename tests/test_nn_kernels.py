@@ -18,6 +18,7 @@ from repro.models.convnets import make_small_resnet
 from repro.nn import functional as F
 from repro.perf.arena import GradientArena
 from tests.gradcheck import check_layer_gradients
+from tests.test_lowrank_kernels import WIDTHS, product_heights, slot_storage
 
 
 def naive_conv(x, weight, bias, stride, padding):
@@ -350,7 +351,7 @@ def _two_linears(seed):
 
 
 class TestWeightGradientLandsInTheSlot:
-    """``np.matmul(..., out=slot)`` == ``accumulate_grad(a @ b)``, bit for bit."""
+    """The weight gradient computed into the slot == legacy storage, bit for bit."""
 
     @pytest.mark.parametrize("backing", ["private", "shared"])
     @pytest.mark.parametrize(
@@ -386,6 +387,52 @@ class TestWeightGradientLandsInTheSlot:
                     assert np.shares_memory(got.grad, arena.slab(0))
         finally:
             arena.close()
+
+    @pytest.mark.parametrize("in_features", WIDTHS)
+    @pytest.mark.parametrize("batch", [1, 4, 33])
+    def test_blocked_gradient_sweep(self, in_features, batch):
+        """Every block regime of the row-blocked product, in every storage.
+
+        Output rows 1, 2, h − 1, h, h + 1 and 2h + 1 for block height h at
+        this width; 2h + 1 ends in a one-row remainder, which must merge
+        into the block before it. The slot (8- and 16-byte aligned), legacy
+        storage and the second micro-batch's fresh product agree bit for
+        bit; a plain ``@`` only to rounding, since BLAS may pick another
+        kernel for the whole.
+        """
+        lead = {1: (1, 1), 4: (2, 2), 33: (3, 11)}[batch]
+        variants = [  # (x dtype, grad dtype, leading dims of x)
+            (np.float64, np.float64, (batch,)),
+            (np.float32, np.float64, lead),
+            (np.float32, np.float32, lead),
+        ]
+        rng = np.random.default_rng(batch * in_features)
+        for out_features in product_heights(in_features)[1]:
+            for x_dtype, grad_dtype, dims in variants:
+                legacy = nn.Linear(in_features, out_features, rng=np.random.default_rng(0))
+                bound = []
+                for offset in (0, 1):
+                    layer = nn.Linear(in_features, out_features, rng=np.random.default_rng(0))
+                    storage, slot = slot_storage((out_features, in_features), offset)
+                    layer.weight.attach_grad_slot(slot)
+                    bound.append((layer, storage))
+                expected = 0.0
+                for micro_batch in range(2):
+                    x = rng.normal(size=dims + (in_features,)).astype(x_dtype)
+                    grad = rng.normal(size=dims + (out_features,)).astype(grad_dtype)
+                    for layer in [legacy] + [layer for layer, _ in bound]:
+                        layer(x)
+                        layer.backward(grad)
+                    flat_grad = grad.reshape(-1, out_features)
+                    expected = expected + flat_grad.T @ x.reshape(-1, in_features)
+                    want = legacy.weight.grad
+                    case = (out_features, x_dtype.__name__, grad_dtype.__name__, micro_batch)
+                    for layer, storage in bound:
+                        got = layer.weight.grad
+                        assert np.shares_memory(got, storage)
+                        assert got.tobytes() == want.tobytes(), case
+                    rtol = 1e-13 if flat_grad.dtype == np.float64 else 1e-6
+                    np.testing.assert_allclose(want, expected, rtol=rtol, atol=1e-12)
 
     def test_layer_is_handed_the_slot_once_per_step(self, rng):
         model = _two_linears(2)

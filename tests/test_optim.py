@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from repro import nn
+from repro.models.convnets import make_mlp
+from repro.nn.parameter import Parameter
+from repro.optim import sgd
 from repro.optim.lr_scheduler import WarmupMultiStepSchedule
 from repro.optim.sgd import SGD
 
@@ -68,6 +71,83 @@ class TestSGD:
             SGD(model, lr=0.1, momentum=1.0)
         with pytest.raises(ValueError):
             SGD(model, lr=0.1, weight_decay=-1)
+
+
+def _holding(**params):
+    """A bare module whose parameters are ``params`` (arrays kept as given)."""
+    module = nn.Module()
+    for name, data in params.items():
+        setattr(module, name, Parameter(data))
+    return module
+
+
+def _reference_update(weight, grads, lr, momentum, weight_decay):
+    """The textbook out-of-place update over a gradient stream."""
+    velocity = None
+    for grad in grads:
+        if weight_decay:
+            grad = grad + weight_decay * weight
+        if velocity is None or not momentum:
+            velocity = grad.astype(np.float64, copy=True)
+        else:
+            velocity = momentum * velocity + grad
+        weight = weight - lr * velocity
+    return weight, velocity
+
+
+class TestBlockedStep:
+    """``SGD.step`` runs one block at a time and is bitwise the textbook update."""
+
+    @pytest.mark.parametrize("momentum", [0.9, 0.0])
+    @pytest.mark.parametrize("weight_decay", [0.0, 5e-4])
+    @pytest.mark.parametrize("size", [1, 32_767, 32_768, 32_769, 100_003])
+    def test_vector_update_is_the_out_of_place_reference(
+        self, size, momentum, weight_decay
+    ):
+        rng = np.random.default_rng(size)
+        start = rng.standard_normal(size)
+        model = _holding(w=start.copy())
+        optimizer = SGD(model, lr=0.05, momentum=momentum, weight_decay=weight_decay)
+        grads = [rng.standard_normal(size) for _ in range(3)]
+        for steps in range(1, len(grads) + 1):  # the first step, then two more
+            optimizer.step({"w": grads[steps - 1]})
+            weight, velocity = _reference_update(
+                start, grads[:steps], 0.05, momentum, weight_decay
+            )
+            assert model.w.data.tobytes() == weight.tobytes(), steps
+            assert optimizer._velocity["w"].tobytes() == velocity.tobytes(), steps
+
+    @pytest.mark.parametrize("momentum", [0.9, 0.0])
+    @pytest.mark.parametrize("weight_decay", [0.0, 5e-4])
+    def test_transposed_views_are_updated_in_place(self, momentum, weight_decay):
+        """A non-contiguous ``param.data`` has no flat view: the blocks must
+        still be views of it, or the update lands in a copy and is lost."""
+        rng = np.random.default_rng(3)
+        base = rng.standard_normal((300, 257))
+        start = base.T.copy()
+        model = _holding(w=base.T)
+        assert not model.w.data.flags.c_contiguous
+        optimizer = SGD(model, lr=0.05, momentum=momentum, weight_decay=weight_decay)
+        grads = [rng.standard_normal((300, 257)).T for _ in range(3)]
+        for steps in range(1, len(grads) + 1):
+            optimizer.step({"w": grads[steps - 1]})
+            weight, velocity = _reference_update(
+                start, grads[:steps], 0.05, momentum, weight_decay
+            )
+            assert np.shares_memory(model.w.data, base)
+            np.testing.assert_array_equal(base.T, weight)
+            np.testing.assert_array_equal(optimizer._velocity["w"], velocity)
+
+    def test_scratch_is_one_block(self):
+        rng = np.random.default_rng(0)
+        for model in (
+            make_mlp(768, 1024, 10, depth=3, rng=rng),
+            _holding(w=np.zeros(100_003), b=np.zeros((4, 5))),
+        ):
+            optimizer = SGD(model, lr=0.1, weight_decay=1e-4)
+            assert 0 < optimizer._scratch.size <= sgd._BLOCK_ELEMENTS
+            largest = max(p.size for p in model.parameters())
+            assert optimizer._scratch.size < largest
 
 
 class TestSchedule:

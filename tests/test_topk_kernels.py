@@ -274,6 +274,36 @@ class TestAggregatorConservation:
             residual = new_residual.copy()
         arena.close()
 
+    @pytest.mark.parametrize("bucket_bytes", [None, 4096])
+    def test_dgc_error_feedback_conservation_bitwise(self, bucket_bytes):
+        """DGC: ``sent + v' == v + (mu * u + g)`` for every coordinate, bit for bit.
+
+        The velocity Top-k selects from is the carried one plus this step's
+        corrected momentum; a sent coordinate is zeroed in ``v'`` (and in
+        ``u'``), a kept one is absent from the payload, so the sum has one
+        non-zero operand per coordinate and is exact.
+        """
+        world, momentum = 1, 0.9
+        _, arena = mlp_arena(world, bucket_bytes=bucket_bytes)
+        aggregator = DGCTopkAggregator(
+            ProcessGroup(world), ratio=0.05, momentum=momentum
+        )
+        state = aggregator.state_for(0)
+        rng = np.random.default_rng(13)
+        u = v = None
+        for _ in range(4):
+            (grad,), grads = fill(arena, world, rng)
+            out = aggregator.aggregate(grads)
+            sent = np.concatenate([out[n].reshape(-1) for n in arena.layout.names])
+            momentum_now = grad if u is None else momentum * u + grad
+            velocity = momentum_now if v is None else v + momentum_now
+            u, v = state.u["fused"].copy(), state.v["fused"].copy()
+            assert np.count_nonzero(sent) > 0
+            assert not np.any((sent != 0) & (v != 0))
+            np.testing.assert_array_equal(sent + v, velocity)
+            np.testing.assert_array_equal(u, np.where(sent != 0, 0.0, momentum_now))
+        arena.close()
+
     @pytest.mark.parametrize("use_ef", [True, False])
     @pytest.mark.parametrize("bucket_bytes", [None, 4096])
     def test_aggregate_matches_per_rank_oracle(self, use_ef, bucket_bytes):
