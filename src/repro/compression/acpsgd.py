@@ -32,12 +32,13 @@ volume: one orthogonalization + one GEMM + one all-reduce of
 ``P_0`` and ``Q_0`` are initialized i.i.d. standard normal with a seed
 shared across workers; ``E_0 = 0``.
 
-Memory cost: one persistent ``n x m`` float64 residual per compressible
-tensor (none with error feedback off) plus the two rank-``r`` factors.
-``compress`` updates the residual in place through the row-blocked kernel
-in :mod:`repro.compression.lowrank_kernels` — one pass over the matrix on
-odd steps, two on even steps — and allocates no full-size temporary; the
-gradient it is given is only read.
+Memory cost: the two rank-``r`` factors per compressible tensor, nothing
+full-size. With error feedback the caller owns the ``n x m`` accumulator
+(the trainer: the rank's arena slot, into which backward adds ``M_t`` on
+top of ``E_{t-1}``); ``compress`` projects it and leaves ``E_t`` in it
+through the row-blocked kernel in :mod:`repro.compression.lowrank_kernels`
+— one pass over the matrix on odd steps, two on even steps — allocating no
+full-size temporary. Without error feedback the matrix is only read.
 """
 
 from __future__ import annotations
@@ -47,11 +48,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.compression.lowrank_kernels import (
-    BlockedProjector,
-    blocked_matmul,
-    residual_for,
-)
+from repro.compression.lowrank_kernels import BlockedProjector, blocked_matmul
 from repro.compression.orthogonalize import orthogonalize
 from repro.compression.powersgd import init_low_rank
 
@@ -99,8 +96,6 @@ class ACPSGDState:
         self.validate = validate
         self._p: Dict[str, np.ndarray] = {}
         self._q: Dict[str, np.ndarray] = {}
-        # Persistent EF residuals, updated in place by ``compress``.
-        self._error: Dict[str, np.ndarray] = {}
         self._projector = BlockedProjector()
         self._fresh_rng: Dict[str, np.random.Generator] = {}
         # Scratch between compress() and finalize(): the orthonormal carried
@@ -150,35 +145,33 @@ class ACPSGDState:
     ) -> np.ndarray:
         """Compute this step's local low-rank factor and update the error.
 
-        Returns P_local (odd steps) or Q_local (even steps). The EF residual
-        is updated *here*, in place, before aggregation, per Algorithm 2
-        lines 6/11. ``matrix`` is only read (any float dtype, any strides).
-        ``peer``, another rank's state that has compressed ``name`` this
-        step, lends its orthonormal carried factor: the ranks of one job
-        carry identical factors, so one QR per tensor serves them all.
+        Returns P_local (odd steps) or Q_local (even steps). With error
+        feedback ``matrix`` is the rank's accumulator ``M + E`` (float64,
+        C-contiguous, writable) and holds the new residual afterwards, per
+        Algorithm 2 lines 6/11; without it ``matrix`` is only read (any
+        float dtype, any strides). ``peer``, another rank's state that has
+        compressed ``name`` this step, lends its orthonormal carried factor:
+        the ranks of one job carry identical factors, so one QR per tensor
+        serves them all.
         """
         if matrix.ndim != 2:
             raise ValueError(f"expected a matrix, got shape {matrix.shape}")
         if step < 1:
             raise ValueError(f"step counter is 1-based, got {step}")
         self._ensure_factors(name, matrix.shape)
-        residual = (
-            residual_for(self._error, name, matrix.shape)
-            if self.use_error_feedback
-            else None
-        )
         # Fetched beside a peer too: with ``reuse_query`` off it is a draw,
         # and every rank's stream advances in lockstep.
         previous = self._carried_factor(name, matrix.shape, step)
         carried = orthogonalize(previous) if peer is None else peer._carried[name]
         self._carried[name] = carried
+        if not self.use_error_feedback:
+            matrix = np.asarray(matrix, dtype=np.float64)
+            return matrix @ carried if self.compresses_p(step) else matrix.T @ carried
         if self.compresses_p(step):
             # P = (M + E) Q_t;  E <- (M + E) - P Q_t^T
-            return self._projector.project_right(
-                matrix, residual, carried, subtract=True
-            )
+            return self._projector.project_right(matrix, carried, subtract=True)
         # Q = (M + E)^T P_t;  E <- (M + E) - P_t Q^T
-        return self._projector.project_left(matrix, residual, carried)
+        return self._projector.project_left(matrix, carried)
 
     def store_factor(
         self, name: str, factor_aggregated: np.ndarray, step: int
@@ -222,15 +215,15 @@ class ACPSGDState:
         — so copying the donor's ``P``/``Q`` puts the joiner in the same
         alternation phase as the survivors: at the next step all ranks
         orthogonalize the same carried factor and compress the same side of
-        the factorization. The EF residual is per-worker and starts at
-        zero; the no-reuse fresh streams are cloned at the donor's position
-        so the shared random carried factors stay in lockstep.
+        the factorization. The EF residual is per-worker and not state of
+        this class (the joiner's accumulator starts empty); the no-reuse
+        fresh streams are cloned at the donor's position so the shared
+        random carried factors stay in lockstep.
         """
         from repro.compression.powersgd import clone_rng
 
         self._p = {name: p.copy() for name, p in donor._p.items()}
         self._q = {name: q.copy() for name, q in donor._q.items()}
-        self._error.clear()
         self._carried.clear()
         self._fresh_rng = {
             name: clone_rng(rng) for name, rng in donor._fresh_rng.items()
@@ -240,6 +233,5 @@ class ACPSGDState:
         """Drop all per-tensor state."""
         self._p.clear()
         self._q.clear()
-        self._error.clear()
         self._carried.clear()
         self._fresh_rng.clear()

@@ -8,11 +8,11 @@ operations over an ``n x m`` gradient matrix ``M`` and its residual ``E``::
     E' = W - F B^T  (or  W - B F^T)
 
 Done densely that is five passes over ``n m`` elements and four full-size
-temporaries. Here the residual is a persistent per-tensor buffer updated in
-place, and the passes run over **row blocks** of about 512 KiB so that a
-block is added to, projected and corrected while it is cache-resident; the
-only scratch is one block-sized buffer per :class:`BlockedProjector`. The
-gradient is only ever read.
+temporaries. Here ``W`` is the rank's accumulator — its arena slot, into
+which backward already added ``M`` — and projection and correction run over
+**row blocks** of about 512 KiB, each while it is cache-resident, leaving
+``E'`` where ``W`` was. The only scratch is one block-sized buffer per
+:class:`BlockedProjector`.
 
 The block height is a pure function of the matrix width
 (:func:`block_rows`), never of how the tensors are bucketed or which backend
@@ -26,7 +26,7 @@ one ~256 KiB row block at a time.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -43,7 +43,10 @@ def block_rows(m: int) -> int:
 
 
 def blocked_matmul(
-    a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray] = None
+    a: np.ndarray,
+    b: np.ndarray,
+    out: Optional[np.ndarray] = None,
+    add: bool = False,
 ) -> np.ndarray:
     """``a @ b`` for 2-D operands, computed one row block at a time.
 
@@ -53,48 +56,44 @@ def blocked_matmul(
     read, write). A block of about 256 KiB stays cache-resident between
     the two, and each output byte is written to DRAM once.
 
+    With ``add`` the product is added into ``out`` instead: each block is
+    formed in one block of scratch and added to its rows of ``out`` while
+    it is still in cache — ``out`` is read and written once, and nothing
+    the size of the product is allocated.
+
     The blocks depend only on the shapes, so a product has the same bits in
-    ``out`` (an arena slot, say) and in a fresh array — but not always those
-    of one unblocked ``a @ b``: BLAS may pick a different kernel for the
-    blocks. A trailing one-row block is merged into the one before it,
-    since a one-row product goes to a gemv whose bits differ as well.
+    ``out`` (an arena slot, say), in a fresh array and in the scratch — but
+    not always those of one unblocked ``a @ b``: BLAS may pick a different
+    kernel for the blocks. A trailing one-row block is merged into the one
+    before it, since a one-row product goes to a gemv whose bits differ as
+    well.
     """
     n, m = a.shape[0], b.shape[1]
     if out is None:
         out = np.empty((n, m), dtype=np.result_type(a, b))
     rows = max(2, _PRODUCT_ELEMENTS // m)
+    scratch = np.empty((min(rows + 1, n), m), np.result_type(a, b)) if add else None
     lo = 0
     while lo < n:
         hi = n if n - lo <= rows + 1 else lo + rows
-        np.matmul(a[lo:hi], b, out=out[lo:hi])
+        if add:
+            out[lo:hi] += np.matmul(a[lo:hi], b, out=scratch[: hi - lo])
+        else:
+            np.matmul(a[lo:hi], b, out=out[lo:hi])
         lo = hi
     return out
 
 
-def residual_for(
-    residuals: Dict[str, np.ndarray], name: str, shape: Tuple[int, int]
-) -> np.ndarray:
-    """The persistent residual of ``name``, created empty on first use.
-
-    Empty is ``-0.0``, the additive identity for every float: ``-0.0 + g``
-    is ``g`` bit for bit (``+0.0 + -0.0`` would flip a sign), so the first
-    ``residual += grad`` equals the gradient exactly.
-    """
-    residual = residuals.get(name)
-    if residual is None:
-        residual = residuals[name] = np.full(shape, -0.0)
-    return residual
-
-
 class BlockedProjector:
-    """Row-blocked ``residual += grad`` / project / correct, in place.
+    """Row-blocked project / correct of an error-feedback accumulator, in place.
 
     One instance per compressor state; it owns the block-sized scratch the
     correction ``F_b B^T`` is formed in (grow-only, at most
     ``max(65536, m)`` elements).
 
-    In both methods ``residual=None`` means error feedback is off: the
-    gradient is projected directly and nothing is written.
+    ``work`` is a rank's ``M + E`` (float64, C-contiguous, writable): the
+    slot backward added the gradient into. Without error feedback the
+    states use one plain product instead.
     """
 
     def __init__(self) -> None:
@@ -107,35 +106,26 @@ class BlockedProjector:
         return self._scratch[: rows * m].reshape(rows, m)
 
     def project_right(
-        self,
-        grad: np.ndarray,
-        residual: Optional[np.ndarray],
-        basis: np.ndarray,
-        subtract: bool,
+        self, work: np.ndarray, basis: np.ndarray, subtract: bool
     ) -> np.ndarray:
-        """``residual += grad``; ``F = residual @ basis``; one pass.
+        """``F = work @ basis`` block by block; one pass.
 
-        With ``subtract`` the same pass also applies
-        ``residual -= F @ basis.T`` (ACP-SGD odd steps); without it the
-        residual is left holding ``M + E`` (Power-SGD's stage 1, whose
-        correction waits for the orthogonalized aggregate).
+        With ``subtract`` the same pass also applies ``work -= F @ basis.T``
+        (ACP-SGD odd steps); without it ``work`` keeps ``M + E`` (Power-SGD's
+        stage 1, whose correction waits for the orthogonalized aggregate).
 
         Args:
-            grad: ``(n, m)`` gradient, any float dtype or strides; read only.
-            residual: ``(n, m)`` float64 C-contiguous buffer, or ``None``.
+            work: ``(n, m)`` accumulator ``M + E``.
             basis: ``(m, r)`` right basis.
         """
-        if residual is None:
-            return np.asarray(grad, dtype=np.float64) @ basis
-        n, m = residual.shape
+        n, m = work.shape
         factor = np.empty((n, basis.shape[1]))
         rows = min(block_rows(m), n)
         scratch = self._block_scratch(rows, m)
         basis_t = basis.T
         for lo in range(0, n, rows):
             hi = min(lo + rows, n)
-            block = residual[lo:hi]
-            block += grad[lo:hi]
+            block = work[lo:hi]
             np.matmul(block, basis, out=factor[lo:hi])
             if subtract:
                 correction = scratch[: hi - lo]
@@ -143,36 +133,23 @@ class BlockedProjector:
                 block -= correction
         return factor
 
-    def project_left(
-        self,
-        grad: Optional[np.ndarray],
-        residual: Optional[np.ndarray],
-        basis: np.ndarray,
-    ) -> np.ndarray:
-        """``residual += grad``; ``F = residual.T @ basis``; ``residual -= basis @ F.T``.
+    def project_left(self, work: np.ndarray, basis: np.ndarray) -> np.ndarray:
+        """``F = work.T @ basis``; ``work -= basis @ F.T``.
 
         Two passes: the left factor is a sum over row blocks, so the
         correction can only start once every block has been projected.
-        ``grad=None`` skips the accumulation (Power-SGD's stage 2, where
-        the residual already holds ``M + E``).
 
         Args:
-            grad: ``(n, m)`` gradient or ``None``; read only.
-            residual: ``(n, m)`` float64 C-contiguous buffer, or ``None``.
+            work: ``(n, m)`` accumulator ``M + E``.
             basis: ``(n, r)`` left basis.
         """
-        if residual is None:
-            return np.asarray(grad, dtype=np.float64).T @ basis
-        n, m = residual.shape
+        n, m = work.shape
         factor = np.zeros((m, basis.shape[1]))
         partial = np.empty_like(factor)
         rows = min(block_rows(m), n)
         for lo in range(0, n, rows):
             hi = min(lo + rows, n)
-            block = residual[lo:hi]
-            if grad is not None:
-                block += grad[lo:hi]
-            np.matmul(block.T, basis[lo:hi], out=partial)
+            np.matmul(work[lo:hi].T, basis[lo:hi], out=partial)
             factor += partial
         scratch = self._block_scratch(rows, m)
         factor_t = factor.T
@@ -180,5 +157,5 @@ class BlockedProjector:
             hi = min(lo + rows, n)
             correction = scratch[: hi - lo]
             np.matmul(basis[lo:hi], factor_t, out=correction)
-            residual[lo:hi] -= correction
+            work[lo:hi] -= correction
         return factor

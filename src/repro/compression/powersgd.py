@@ -14,13 +14,14 @@ Error feedback: the residual ``M - P Q_local^T`` (computed with the *local*
 Q before aggregation, following Vogels' reference implementation) is added
 to the next step's gradient.
 
-Memory cost: one persistent ``n x m`` float64 residual per compressible
-tensor (none with error feedback off) plus the rank-``r`` query. The
-residual doubles as the work matrix ``M + E`` between the two stages and is
-updated in place through the row-blocked kernel in
-:mod:`repro.compression.lowrank_kernels` (one pass in ``compute_p``, two in
-``compute_q``); no full-size temporary is allocated and the gradient is only
-read.
+Memory cost: the rank-``r`` query per compressible tensor, nothing
+full-size. With error feedback the caller owns the ``n x m`` accumulator
+``M + E`` (the trainer: the rank's arena slot, into which backward adds the
+gradient on top of the residual); it is the work matrix between the two
+stages and ``compute_q`` leaves the new residual in it, through the
+row-blocked kernel in :mod:`repro.compression.lowrank_kernels` (one pass in
+``compute_p``, two in ``compute_q``). No full-size temporary is allocated;
+without error feedback the matrix is only read.
 
 The class below holds one worker's state. Communication is done by the
 caller between the staged methods — the blocking structure
@@ -35,11 +36,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.compression.lowrank_kernels import (
-    BlockedProjector,
-    blocked_matmul,
-    residual_for,
-)
+from repro.compression.lowrank_kernels import BlockedProjector, blocked_matmul
 from repro.compression.orthogonalize import orthogonalize
 
 
@@ -92,13 +89,11 @@ class PowerSGDState:
         self.reuse_query = reuse_query
         self.validate = validate
         self._query: Dict[str, np.ndarray] = {}
-        # Persistent EF residuals, updated in place by compute_p / compute_q.
-        self._error: Dict[str, np.ndarray] = {}
         self._projector = BlockedProjector()
         self._fresh_rng: Dict[str, np.random.Generator] = {}
-        # Between compute_p and compute_q: the work matrix M + E (the
-        # residual itself with EF on); between compute_q and reconstruct:
-        # P_hat.
+        # Between compute_p and compute_q: the work matrix (the caller's
+        # accumulator M + E with EF on, the gradient without); between
+        # compute_q and reconstruct: P_hat.
         self._pending: Dict[str, np.ndarray] = {}
 
     def _ensure_query(self, name: str, matrix_shape: Tuple[int, int]) -> np.ndarray:
@@ -130,25 +125,21 @@ class PowerSGDState:
     def compute_p(self, name: str, matrix: np.ndarray) -> np.ndarray:
         """Stage 1: ``P = (M + E) Q_{t-1}``; caller must all-reduce the result.
 
-        With error feedback the residual is advanced to ``M + E`` in place
-        and serves as the work matrix until :meth:`compute_q` corrects it;
-        without it the work matrix is ``matrix`` itself (a float64 view when
-        it already is float64), which must stay unchanged until then.
+        With error feedback ``matrix`` is the rank's accumulator ``M + E``
+        (float64, C-contiguous, writable), the work matrix until
+        :meth:`compute_q` corrects it in place; without it the work matrix
+        is ``matrix`` itself (a float64 view when it already is float64),
+        only read. Either way it must stay unchanged until then.
         """
         if matrix.ndim != 2:
             raise ValueError(f"expected a matrix, got shape {matrix.shape}")
-        residual = (
-            residual_for(self._error, name, matrix.shape)
-            if self.use_error_feedback
-            else None
-        )
-        if residual is None:
-            matrix = np.asarray(matrix, dtype=np.float64)
-        self._pending[name] = matrix if residual is None else residual
         query = self._ensure_query(name, matrix.shape)
-        return self._projector.project_right(
-            matrix, residual, query, subtract=False
-        )
+        if not self.use_error_feedback:
+            matrix = np.asarray(matrix, dtype=np.float64)
+            self._pending[name] = matrix
+            return matrix @ query
+        self._pending[name] = matrix
+        return self._projector.project_right(matrix, query, subtract=False)
 
     def compute_q(
         self, name: str, p_aggregated: np.ndarray,
@@ -170,11 +161,11 @@ class PowerSGDState:
             assert_finite(p_aggregated, f"aggregated P factor for {name!r}")
         p_hat = orthogonalize(p_aggregated) if peer is None else peer._pending[name]
         if self.use_error_feedback:
-            # ``work`` is the residual holding M + E: corrected in place to
+            # ``work`` holds M + E: corrected in place to
             # E' = (M + E) - P_hat Q_local^T.
-            q_local = self._projector.project_left(None, work, p_hat)
+            q_local = self._projector.project_left(work, p_hat)
         else:
-            q_local = self._projector.project_left(work, None, p_hat)
+            q_local = work.T @ p_hat
         self._pending[name] = p_hat  # stash for reconstruct
         return q_local
 
@@ -209,12 +200,12 @@ class PowerSGDState:
         The reused query ``Q`` is an *aggregated* factor, identical on every
         survivor, so copying the donor's queries is exactly the broadcast a
         real elastic runtime would perform. The error-feedback residual is
-        per-worker and starts at zero for a joiner (its unsent history is
-        empty). The no-reuse fresh-query streams are cloned at the donor's
-        position so every worker keeps drawing the same query sequence.
+        per-worker and not state of this class (a joiner's accumulator
+        starts empty: its unsent history is). The no-reuse fresh-query
+        streams are cloned at the donor's position so every worker keeps
+        drawing the same query sequence.
         """
         self._query = {name: q.copy() for name, q in donor._query.items()}
-        self._error.clear()
         self._pending.clear()
         self._fresh_rng = {
             name: clone_rng(rng) for name, rng in donor._fresh_rng.items()
@@ -223,7 +214,6 @@ class PowerSGDState:
     def reset(self) -> None:
         """Drop all per-tensor state."""
         self._query.clear()
-        self._error.clear()
         self._pending.clear()
         self._fresh_rng.clear()
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -36,7 +36,9 @@ class RandomKCompressor:
     """Per-worker Random-k compressor with error feedback.
 
     All workers must construct with the same ``seed`` so that
-    ``indices_for_step`` agrees everywhere.
+    ``indices_for_step`` agrees everywhere. With error feedback the residual
+    lives in the vector handed to :meth:`compress` (in the trainer, the
+    rank's arena slab).
     """
 
     def __init__(
@@ -47,7 +49,6 @@ class RandomKCompressor:
         self.ratio = ratio
         self.seed = seed
         self.use_error_feedback = use_error_feedback
-        self._error: Dict[str, np.ndarray] = {}
 
     def indices_for_step(self, name: str, num_elements: int, step: int) -> np.ndarray:
         """Deterministic shared coordinate set for (tensor, step)."""
@@ -59,19 +60,19 @@ class RandomKCompressor:
         rng = np.random.default_rng(mix)
         return rng.choice(num_elements, size=min(k, num_elements), replace=False)
 
-    def compress(self, name: str, grad: np.ndarray, step: int) -> RandomKPayload:
-        """Select the shared coordinates for ``step`` (plus EF residual)."""
-        flat = grad.reshape(-1).astype(np.float64)
-        if self.use_error_feedback:
-            residual = self._error.get(name)
-            if residual is not None:
-                flat = flat + residual
+    def compress(self, name: str, vector: np.ndarray, step: int) -> RandomKPayload:
+        """Take the values at the shared coordinates for ``step``.
+
+        With error feedback ``vector`` is the caller's accumulator (the
+        residual plus this step's gradient; writable, C-contiguous float64):
+        the sent entries are zeroed in it, leaving the next residual.
+        Without error feedback it is only read.
+        """
+        flat = vector.reshape(-1)
         idx = self.indices_for_step(name, flat.size, step)
-        values = flat[idx]
+        values = flat[idx].astype(np.float64, copy=False)
         if self.use_error_feedback:
-            residual = flat.copy()
-            residual[idx] = 0.0
-            self._error[name] = residual
+            flat[idx] = 0.0
         return RandomKPayload(values=values, indices=idx, num_elements=flat.size)
 
     @staticmethod
@@ -80,7 +81,3 @@ class RandomKCompressor:
         dense = np.zeros(payload.num_elements)
         dense[payload.indices] = payload.values
         return dense.reshape(shape)
-
-    def reset(self) -> None:
-        """Drop accumulated error state."""
-        self._error.clear()

@@ -14,7 +14,7 @@ makes the method convergent in practice: the compressed representative of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -40,27 +40,32 @@ class SignPayload:
 
 
 class SignCompressor:
-    """Per-worker Sign-SGD compressor with error feedback.
+    """Sign-SGD compressor with error feedback (the per-vector reference).
 
-    One instance per (worker, tensor); holds the EF residual between steps.
+    Stateless: with error feedback the residual lives in the vector handed
+    to :meth:`compress`, as it does in the trainer's arena slab, where
+    :class:`~repro.optim.aggregators.SignSGDAggregator` runs the same
+    arithmetic bucket by bucket.
     """
 
     def __init__(self, use_error_feedback: bool = True):
         self.use_error_feedback = use_error_feedback
-        self._error: Dict[str, np.ndarray] = {}
 
-    def compress(self, name: str, grad: np.ndarray) -> SignPayload:
-        """Compress ``grad`` (with the stored residual added) to sign bits."""
-        flat = grad.reshape(-1).astype(np.float64)
-        if self.use_error_feedback:
-            residual = self._error.get(name)
-            if residual is not None:
-                flat = flat + residual
+    def compress(self, vector: np.ndarray) -> SignPayload:
+        """Compress ``vector`` to sign bits and one L1-mean scale.
+
+        With error feedback ``vector`` is the caller's accumulator (the
+        residual plus this step's gradient; writable, C-contiguous float64)
+        and ``scale * sign`` is subtracted from it, leaving the next
+        residual. Without error feedback it is only read.
+        """
+        flat = vector.reshape(-1)
+        if not self.use_error_feedback:
+            flat = flat.astype(np.float64)
         scale = float(np.abs(flat).mean()) if flat.size else 0.0
         bits = (flat >= 0).astype(np.uint8)
         if self.use_error_feedback:
-            representative = scale * np.where(bits == 1, 1.0, -1.0)
-            self._error[name] = flat - representative
+            flat -= scale * np.where(bits == 1, 1.0, -1.0)
         return SignPayload(
             packed_bits=np.packbits(bits), scale=scale, num_elements=flat.size
         )
@@ -70,27 +75,6 @@ class SignCompressor:
         """Recover the +/-1 sign vector from a payload."""
         bits = np.unpackbits(payload.packed_bits)[: payload.num_elements]
         return np.where(bits == 1, 1.0, -1.0)
-
-    def residual(self, name: str, size: int) -> Optional[np.ndarray]:
-        """The EF residual of ``name`` as one writable ``size``-vector.
-
-        Same contract as :meth:`repro.compression.topk.TopkCompressor
-        .residual` (``None`` with EF off; fresh = ``-0.0``): the aggregator
-        adds the gradient bucket by bucket, shipping each bucket's sign
-        bits as it lands, and subtracts ``scale * sign`` in place once the
-        whole-vector scale is known — :meth:`compress`'s arithmetic without
-        a second full-size copy beside the residual.
-        """
-        if not self.use_error_feedback:
-            return None
-        residual = self._error.get(name)
-        if residual is None or residual.size != size:
-            residual = self._error[name] = np.full(size, -0.0)
-        return residual
-
-    def reset(self) -> None:
-        """Drop accumulated error state."""
-        self._error.clear()
 
 
 def majority_vote_aggregate(

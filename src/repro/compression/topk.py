@@ -16,15 +16,17 @@ Two selection strategies, matching §III-A of the paper:
   "multiple sampling uses binary search to find a close top-k threshold"
   approach attributed to [21].
 
-Error feedback stores the unsent residual and adds it back next step
-(Stich et al., "Sparsified SGD with memory").
+Error feedback keeps the unsent residual and adds the next gradient to it
+(Stich et al., "Sparsified SGD with memory"): the compressor selects on the
+caller's accumulator and zeroes what it sent, so the residual stays where
+the gradient was added (in the trainer, the rank's arena slab).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -121,8 +123,8 @@ def topk_select(
     +-inf included (only *which* of several equal magnitudes at the k-th
     place is taken may differ, as between two ``argpartition`` calls).
     ``flat`` is only read; ``scratch`` is float64 storage of ``flat.size``
-    the call may overwrite — the aggregators pass their consumed slabs, so
-    that no path allocates O(size).
+    the call may overwrite — the aggregators pass their result buffer (DGC
+    its consumed slab), so that no path allocates O(size).
     """
     size = flat.size
     trivial = _trivial_selection(size, k)
@@ -194,7 +196,8 @@ class TopkCompressor:
         ratio: fraction of elements to keep (the paper uses 0.001, i.e.
             1000x compression).
         selection: ``"exact"`` or ``"sampled"`` (multi-sampling threshold).
-        use_error_feedback: keep and re-add the unsent residual.
+        use_error_feedback: leave the unsent residual in the compressed
+            vector (see :meth:`compress`).
         rng: sampling stream for the threshold estimator.
         min_k: lower bound on k so tiny tensors still send something.
     """
@@ -216,16 +219,15 @@ class TopkCompressor:
         self.use_error_feedback = use_error_feedback
         self.rng = rng if rng is not None else np.random.default_rng(0)
         self.min_k = min_k
-        self._error: Dict[str, np.ndarray] = {}
 
     def select(
         self, flat: np.ndarray, scratch: Optional[np.ndarray] = None
     ) -> np.ndarray:
         """Top-k coordinate selection over an (EF-corrected) flat vector.
 
-        One call consumes at most one draw from the sampling stream, so
-        callers that stage the vector themselves (see :meth:`residual`)
-        select bit-identically to :meth:`compress`. ``scratch`` is
+        One call consumes at most one draw from the sampling stream, so a
+        caller that selects and zeroes itself (the aggregator) does it
+        bit-identically to :meth:`compress`. ``scratch`` is
         :func:`topk_select`'s: full-size storage the call may overwrite.
         """
         k = max(self.min_k, int(round(self.ratio * flat.size)))
@@ -233,44 +235,22 @@ class TopkCompressor:
             return topk_select(flat, k, scratch)
         return sampled_threshold_topk_mask(flat, k, self.rng, scratch=scratch)
 
-    def compress(self, name: str, grad: np.ndarray) -> SparsePayload:
-        """Sparsify ``grad`` (plus stored residual) to ~ratio*size elements.
+    def compress(self, vector: np.ndarray) -> SparsePayload:
+        """Sparsify ``vector`` to ~ratio*size elements.
 
-        ``grad`` is only read: with error feedback it is added into the
-        persistent :meth:`residual`, which is selected on in place.
+        With error feedback ``vector`` is the caller's accumulator (the
+        residual plus this step's gradient; writable, C-contiguous float64):
+        the sent entries are zeroed in it, leaving the next residual.
+        Without error feedback it is only read.
         """
-        flat = np.asarray(grad, dtype=np.float64).reshape(-1)
-        residual = self.residual(name, flat.size)
-        if residual is not None:
-            residual += flat
-            flat = residual
+        flat = vector.reshape(-1)
+        if not self.use_error_feedback:
+            flat = np.asarray(flat, dtype=np.float64)
         idx = self.select(flat)
         values = flat[idx]
-        if residual is not None:
-            residual[idx] = 0.0  # sent; the rest stays behind, in place
+        if self.use_error_feedback:
+            flat[idx] = 0.0  # sent; the rest stays behind, in place
         return SparsePayload(indices=idx, values=values, num_elements=flat.size)
-
-    def residual(self, name: str, size: int) -> Optional[np.ndarray]:
-        """The EF residual of ``name`` as one writable ``size``-vector.
-
-        ``None`` with error feedback off. Callers that stage the gradient
-        themselves (the aggregator adds it bucket by bucket) accumulate
-        into this vector in place, :meth:`select` on it, and zero what they
-        sent — the same arithmetic as :meth:`compress` without a second
-        full-size copy beside the residual. A fresh residual is filled with
-        ``-0.0``, IEEE-754's additive identity, so the first ``+=``
-        reproduces the gradient bit for bit, signed zeros included.
-        """
-        if not self.use_error_feedback:
-            return None
-        residual = self._error.get(name)
-        if residual is None or residual.size != size:
-            residual = self._error[name] = np.full(size, -0.0)
-        return residual
-
-    def reset(self) -> None:
-        """Drop accumulated error state."""
-        self._error.clear()
 
 
 def sparse_aggregate(

@@ -6,7 +6,6 @@ from typing import Optional
 
 import numpy as np
 
-from repro.compression.lowrank_kernels import blocked_matmul
 from repro.nn import init
 from repro.nn.module import Module
 from repro.nn.parameter import Parameter
@@ -63,9 +62,6 @@ class Linear(Module):
         grad_input = grad_output @ self.weight.data if need_input_grad else None
         if self.bias is not None:
             self.bias.accumulate_grad(flat_grad.sum(axis=0))
-        # Straight into the arena slot when it is attached and unwritten.
-        self.weight.accumulate_grad(
-            blocked_matmul(flat_grad.T, flat_x, out=self.weight.grad_destination())
-        )
+        self.weight.accumulate_product(flat_grad.T, flat_x)
         self._cache_input = None
         return grad_input

@@ -6,6 +6,8 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
+from repro.compression.lowrank_kernels import blocked_matmul
+
 # A hook receives the parameter whose gradient just became available.
 GradHook = Callable[["Parameter"], None]
 
@@ -50,7 +52,9 @@ class Parameter:
       (see :class:`repro.perf.arena.GradientArena`); accumulation then
       writes into the fused buffer in place and ``zero_grad`` merely marks
       the slot stale — no per-step allocation at all. Both modes produce
-      bit-identical gradient values.
+      bit-identical gradient values. A slot attached with ``carry`` is an
+      accumulator that is never stale: an error-feedback method keeps the
+      rank's residual in it, and every backward adds onto it.
     """
 
     def __init__(self, data: np.ndarray, name: str = ""):
@@ -59,6 +63,7 @@ class Parameter:
         self._grad: Optional[np.ndarray] = None
         self._grad_slot: Optional[np.ndarray] = None
         self._slot_written = False
+        self._carry = False
         self._hooks: List[GradHook] = []
 
     @property
@@ -66,17 +71,6 @@ class Parameter:
         if self._grad_slot is not None:
             return self._grad_slot if self._slot_written else None
         return self._grad
-
-    @grad.setter
-    def grad(self, value: Optional[np.ndarray]) -> None:
-        if self._grad_slot is not None:
-            if value is None:
-                self._slot_written = False
-            else:
-                np.copyto(self._grad_slot, value)
-                self._slot_written = True
-        else:
-            self._grad = value
 
     @property
     def shape(self) -> tuple:
@@ -103,12 +97,13 @@ class Parameter:
         """Remove all registered hooks."""
         self._hooks.clear()
 
-    def attach_grad_slot(self, slot: np.ndarray) -> None:
+    def attach_grad_slot(self, slot: np.ndarray, carry: bool = False) -> None:
         """Route gradient accumulation into a preallocated buffer view.
 
         ``slot`` must match the parameter's shape; it is typically a view
         into a worker's fused arena slab. Attaching marks the slot stale
-        (as after ``zero_grad``); any legacy gradient is dropped.
+        (as after ``zero_grad``) unless ``carry``: an error-feedback residual
+        every backward adds onto. Any legacy gradient is dropped.
         """
         if slot.shape != self.data.shape:
             raise ValueError(
@@ -117,30 +112,39 @@ class Parameter:
                 + (f" for {self.name!r}" if self.name else "")
             )
         self._grad_slot = slot
-        self._slot_written = False
+        self._carry = carry
+        self._slot_written = carry
         self._grad = None
 
     def detach_grad_slot(self) -> None:
         """Return to legacy per-step gradient allocation."""
         self._grad_slot = None
-        self._slot_written = False
+        self._carry = self._slot_written = False
 
-    def grad_destination(self) -> Optional[np.ndarray]:
-        """The ``out=`` target for this step's first gradient, or ``None``.
+    def accumulate_product(self, a: np.ndarray, b: np.ndarray) -> None:
+        """Add the 2-D product ``a @ b`` into ``self.grad``; fire ready-hooks.
 
-        The attached slot (float64, C-contiguous) while it is unwritten
-        since ``zero_grad``; a layer computes into it and passes it to
-        :meth:`accumulate_grad`. ``None`` — legacy storage, or a later
-        backward that must be added — means allocate as before.
+        For a thin inner dimension (``Linear``'s batch): one row block at a
+        time (:func:`~repro.compression.lowrank_kernels.blocked_matmul`),
+        straight into a stale slot, added block by block onto one that holds
+        data (a second backward before ``zero_grad``, a carried residual) —
+        never through a product-sized temporary.
         """
-        return None if self._slot_written else self._grad_slot
+        if self._grad_slot is None:
+            self.accumulate_grad(blocked_matmul(a, b))
+            return
+        blocked_matmul(a, b, out=self._grad_slot, add=self._slot_written)
+        self._slot_written = True
+        for hook in self._hooks:
+            hook(self)
 
     def accumulate_grad(self, grad: np.ndarray) -> None:
         """Add ``grad`` into ``self.grad`` and fire ready-hooks.
 
-        Layers call this exactly once per backward pass per parameter, so the
-        hook-firing point is "this parameter's gradient for the step is
-        complete" — the WFBP readiness event.
+        Layers call this (or :meth:`accumulate_product`) exactly once per
+        backward pass per parameter, so the hook-firing point is "this
+        parameter's gradient for the step is complete" — the WFBP
+        readiness event.
         """
         if grad.shape != self.data.shape:
             raise ValueError(
@@ -149,14 +153,12 @@ class Parameter:
             )
         if self._grad_slot is not None:
             # Arena mode: first write overwrites whatever stale data the
-            # slot held (np.copyto casts like astype; a gradient computed
-            # into grad_destination() is there already), later writes add
-            # in place — bit-identical to the legacy copy-then-add.
+            # slot held (np.copyto casts like astype), later writes add in
+            # place — bit-identical to the legacy copy-then-add.
             if self._slot_written:
                 self._grad_slot += grad
             else:
-                if grad is not self._grad_slot:
-                    np.copyto(self._grad_slot, grad)
+                np.copyto(self._grad_slot, grad)
                 self._slot_written = True
         elif self._grad is None:
             # order="C": layer backwards may hand over F-ordered arrays
@@ -174,10 +176,10 @@ class Parameter:
         """Reset the gradient before the next backward pass.
 
         In arena mode this is allocation-free: the slot is marked stale and
-        the next ``accumulate_grad`` overwrites it.
+        the next ``accumulate_grad`` overwrites it (a carried one is kept).
         """
         self._grad = None
-        self._slot_written = False
+        self._slot_written = self._carry
 
     def __repr__(self) -> str:
         label = self.name or "unnamed"

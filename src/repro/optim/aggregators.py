@@ -16,16 +16,21 @@ Every method is *staged*: the three public calls ``begin_buckets`` /
 whole fused vector at once (Random-k, QSGD, TernGrad, DGC) leave
 ``_reduce`` empty and do all their work in ``_finish`` over the staged
 slabs, so every method runs under any bucket partition of the arena.
+
+Error feedback lives in the slabs (every tensor of Top-k, Sign-SGD and
+Random-k, the compressible ones of Power-SGD / ACP-SGD): backward adds the
+gradient onto each rank's residual there, the method compresses in place
+and leaves the new residual, and decodes into one result buffer.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.comm.process_group import ProcessGroup
-from repro.perf.arena import ArenaGrads, ArenaLayout
+from repro.perf.arena import ArenaGrads, ArenaLayout, GradientArena
 from repro.perf.counters import ALLOC_STATS
 from repro.compression.acpsgd import ACPSGDState
 from repro.compression.powersgd import PowerSGDState
@@ -36,7 +41,6 @@ from repro.compression.reshaping import (
     matrix_view_shape,
     should_compress,
 )
-from repro.compression.signsgd import SignCompressor
 from repro.compression.topk import SparsePayload, TopkCompressor, sparse_aggregate
 
 NamedGrads = Dict[str, np.ndarray]
@@ -56,30 +60,6 @@ def _check_worker_grads(per_worker: List[NamedGrads], expected: int) -> None:
     for rank, grads in enumerate(per_worker[1:], start=1):
         if list(grads) != names:
             raise ValueError(f"worker {rank} gradient names differ from worker 0")
-
-
-def _adopt(per_worker: List[NamedGrads], expected: int) -> List[ArenaGrads]:
-    """One step's gradients as arena-backed slabs (``aggregate``'s entry).
-
-    :class:`~repro.perf.arena.ArenaGrads` sharing one layout — what the
-    trainer hands over — pass through untouched: tensor fusion is a no-op.
-    Anything else (plain ``{name: array}`` dicts) is copied once into a
-    transient one-bucket layout built from worker 0's names and shapes:
-    one counted ``pack_copies`` per worker. The copies are private to the
-    call, so the caller's arrays are never modified and the returned
-    tensors (views into the transient slabs) stay valid for as long as the
-    caller holds them.
-    """
-    _check_worker_grads(per_worker, expected)
-    layout = getattr(per_worker[0], "layout", None)
-    if layout is not None and all(
-        getattr(grads, "layout", None) is layout for grads in per_worker
-    ):
-        return per_worker
-    layout = ArenaLayout(
-        [(name, np.shape(grad)) for name, grad in per_worker[0].items()]
-    )
-    return [ArenaGrads.adopt(grads, layout) for grads in per_worker]
 
 
 def _unpack(
@@ -156,11 +136,13 @@ class _BucketSession:
 class GradientAggregator:
     """Base class: process group, live roster, and per-rank compressor state.
 
-    Per-worker state (EF residuals, carried low-rank factors, momentum
+    Per-worker state (carried low-rank factors, sampling streams, momentum
     accumulators) is keyed by *rank id*, not by slot position, so a rank
     keeps its own state across roster changes — ejecting rank 0 must not
-    silently hand its residual to rank 1, and a rank that rejoins later is
+    silently hand its state to rank 1, and a rank that rejoins later is
     readmitted with fresh (warm-started) state via :meth:`admit_rank`.
+    Error-feedback residuals live in the :meth:`attach`-ed arena's slabs,
+    which :meth:`set_roster` moves with their ranks.
 
     Staged protocol: :meth:`begin_buckets` / :meth:`reduce_bucket` /
     :meth:`finish_buckets` own the session bookkeeping (roster and layout
@@ -180,6 +162,7 @@ class GradientAggregator:
     """
 
     method = "base"
+    use_error_feedback = False  # methods with error feedback set it per instance
 
     def __init__(self, group: ProcessGroup):
         self.group = group
@@ -192,6 +175,8 @@ class GradientAggregator:
         self._per_rank: Dict[int, object] = {}
         self._bucket_session: Optional[_BucketSession] = None
         self._staging_blocks: Dict[str, np.ndarray] = {}
+        self._arena: Optional[GradientArena] = None  # see attach()
+        self._admitted: Set[int] = set()  # since the last set_roster
 
     # ------------------------------------------------------------------
     # Per-rank state lifecycle (elastic membership hooks)
@@ -212,25 +197,43 @@ class GradientAggregator:
         return self._per_rank.get(rank)
 
     def set_roster(self, ranks: Sequence[int]) -> None:
-        """Follow the group's live roster; create missing state lazily."""
+        """Follow the group's live roster; create missing state lazily.
+
+        At a change each surviving rank's residual moves with it to its new
+        slot (:meth:`GradientArena.reorder`); a rank new to the roster, or
+        readmitted through :meth:`admit_rank`, starts from an empty one.
+        """
+        ranks = list(ranks)
         for rank in ranks:
             if rank not in self._per_rank:
                 state = self._make_state(rank)
                 if state is not None:
                     self._per_rank[rank] = state
-        self.roster = list(ranks)
+        arena = self._arena
+        if arena is not None and arena.carried and (
+            ranks != self.roster or self._admitted
+        ):
+            arena.reorder([
+                None if rank in self._admitted or rank not in self.roster
+                else self.roster.index(rank)
+                for rank in ranks
+            ])
+        self._admitted.clear()
+        self.roster = ranks
 
     def admit_rank(self, rank: int, donor_rank: Optional[int] = None) -> None:
         """Fresh per-rank state for an admission, warm-started from a donor.
 
         The elastic admission protocol's compressor half: the joiner's
-        error-feedback residual starts at zero (its unsent history is
-        empty), while state that is *shared* across workers — Power-SGD's
-        reused query, ACP-SGD's alternating factors — is copied from the
-        donor survivor, the in-process equivalent of broadcasting it. A
-        rejoining rank's stale pre-ejection state is replaced, not resumed:
-        its residual describes gradients that no longer exist.
+        error-feedback residual starts empty at the next :meth:`set_roster`
+        (its unsent history is), while state that is *shared* across
+        workers — Power-SGD's reused query, ACP-SGD's alternating factors —
+        is copied from the donor survivor, the in-process equivalent of
+        broadcasting it. A rejoining rank's stale pre-ejection state is
+        replaced, not resumed: its residual describes gradients that no
+        longer exist.
         """
+        self._admitted.add(rank)
         state = self._make_state(rank)
         if state is None:
             return
@@ -248,17 +251,63 @@ class GradientAggregator:
         """Aggregate one step's gradients; returns the shared global gradient.
 
         Runs the whole staged protocol at once over every bucket of the
-        gradients' layout (plain dicts are adopted into a one-bucket layout
-        first, see :func:`_adopt`). ``order`` defaults to reverse layout
+        gradients' layout (plain dicts are written into a one-bucket arena
+        first, see :meth:`_adopt`). ``order`` defaults to reverse layout
         order — the order backward would have produced the buckets — but
         any permutation yields bit-identical results.
         """
-        self.begin_buckets(_adopt(per_worker_grads, len(self.roster)))
+        self.begin_buckets(self._adopt(per_worker_grads))
         if order is None:
             order = range(len(self._bucket_state().buckets) - 1, -1, -1)
         for index in order:
             self.reduce_bucket(index)
         return self.finish_buckets()
+
+    def _adopt(self, per_worker: List[NamedGrads]) -> List[ArenaGrads]:
+        """One step's gradients as arena-backed slabs (``aggregate``'s entry).
+
+        :class:`~repro.perf.arena.ArenaGrads` sharing one layout — what the
+        trainer hands over — pass through untouched: tensor fusion is a
+        no-op. Plain ``{name: array}`` dicts are :meth:`~GradientArena.load`-ed
+        into the attached arena — a private one-bucket one made from worker
+        0's names and shapes on first use — so error feedback carries over
+        between calls. The caller's arrays are never modified.
+        """
+        _check_worker_grads(per_worker, len(self.roster))
+        layout = getattr(per_worker[0], "layout", None)
+        if layout is not None and all(
+            getattr(grads, "layout", None) is layout for grads in per_worker
+        ):
+            return per_worker
+        shapes = [(name, np.shape(grad)) for name, grad in per_worker[0].items()]
+        arena = self._arena
+        if arena is None or list(arena.layout.shapes.items()) != shapes:
+            arena = GradientArena(shapes, len(per_worker))
+            self.attach(arena)
+        arena.ensure_slots(len(per_worker))
+        return [arena.load(slot, grads) for slot, grads in enumerate(per_worker)]
+
+    # ------------------------------------------------------------------
+    # Error-feedback residuals: the arena slabs
+    # ------------------------------------------------------------------
+    def _residual_names(self, layout: ArenaLayout) -> List[str]:
+        """Tensors whose slot is the rank's error-feedback accumulator."""
+        return list(layout.names) if self.use_error_feedback else []
+
+    def attach(self, arena: GradientArena) -> None:
+        """Keep this aggregator's error-feedback residuals in ``arena``.
+
+        Marks the method's carried tensors (:meth:`GradientArena.carry`):
+        backward adds the gradient onto the residual in each rank's slab,
+        the method compresses it there and leaves the new residual. The
+        trainer's reducer attaches the trainer's arena.
+        """
+        arena.carry(self._residual_names(arena.layout))
+        self._arena = arena
+
+    def _result(self, session: _BucketSession) -> np.ndarray:
+        """The one full-size result buffer (scratch first for Top-k / Sign-SGD)."""
+        return self._staging_rows("result", 1, max(1, session.total))[0]
 
     # ------------------------------------------------------------------
     # Bucketed (WFBP) protocol
@@ -331,30 +380,6 @@ class GradientAggregator:
         """The aggregated gradients, once every bucket has been reduced."""
         raise NotImplementedError
 
-    def _ef_vectors(self, session: _BucketSession) -> List[np.ndarray]:
-        """Per-slot vectors a vector-global compressor selects / votes on.
-
-        With error feedback that is the rank's whole-vector residual, into
-        which :meth:`_accumulate_bucket` adds the gradients bucket by
-        bucket (DGC's local gradient accumulation: no second staging copy
-        beside the residual). With EF off it is the slab itself, read-only.
-        """
-        vectors = []
-        for rank, slab in zip(self.roster, session.slabs):
-            residual = self._per_rank[rank].residual("fused", session.total)
-            vectors.append(slab if residual is None else residual)
-        return vectors
-
-    def _accumulate_bucket(self, session: _BucketSession, index: int) -> None:
-        """``residual[lo:hi] += slab[lo:hi]`` for every slot (EF on).
-
-        IEEE addition commutes, so the bits equal ``grad + residual``.
-        """
-        lo, hi = session.buckets[index]
-        for vector, slab in zip(session.vectors, session.slabs):
-            if vector is not slab:
-                vector[lo:hi] += slab[lo:hi]
-
     def _staging_rows(self, key: str, rows: int, cols: int) -> List[np.ndarray]:
         """Per-slot 1-D staging buffers, allocated once and reused.
 
@@ -390,15 +415,18 @@ class GradientAggregator:
 
         The trainer's resilience ladder calls this after a skipped step or a
         checkpoint rollback — a residual contaminated by a non-finite
-        gradient would otherwise re-poison every subsequent step. Stateless
-        aggregators (uncompressed all-reduce) are a no-op; compressors
-        without a ``reset`` (unbiased quantizers carry no state between
-        steps) are skipped.
+        gradient would otherwise re-poison every subsequent step; the
+        residuals are emptied in the attached arena. Stateless aggregators
+        (uncompressed all-reduce) are a no-op; compressors without a
+        ``reset`` (unbiased quantizers carry no state between steps) are
+        skipped.
         """
         for state in self._per_rank.values():
             reset = getattr(state, "reset", None)
             if reset is not None:
                 reset()
+        if self._arena is not None:
+            self._arena.clear_residuals()
 
 
 class AllReduceAggregator(GradientAggregator):
@@ -445,13 +473,12 @@ class AllReduceAggregator(GradientAggregator):
 class SignSGDAggregator(GradientAggregator):
     """Sign-SGD with majority vote: all-gather 1-bit signs, vote, rescale.
 
-    Each worker holds its own :class:`SignCompressor` (per-worker EF
-    residuals). Gradients are packed into one flat tensor before compression
-    ("the gradients are packed together to be compressed and communicated
-    for better performance", §III-A). Aggregation **consumes the slabs**
-    (see :class:`TopkSGDAggregator`): each ends up holding ``|v|`` of its
-    rank's EF-corrected vector, slot 0's the voted result the returned
-    read-only views point into.
+    Gradients are packed into one flat tensor before compression ("the
+    gradients are packed together to be compressed and communicated for
+    better performance", §III-A): each rank's slab, with error feedback its
+    accumulator ``E + G``, from which ``scale * sign`` is subtracted in
+    place (:class:`~repro.compression.signsgd.SignCompressor`'s arithmetic,
+    bucket by bucket). ``|v|`` and the vote go through the result buffer.
     """
 
     method = "signsgd"
@@ -465,17 +492,12 @@ class SignSGDAggregator(GradientAggregator):
         super().__init__(group)
         self.validate = validate
         self.use_error_feedback = use_error_feedback
-        self._init_states()
-
-    def _make_state(self, rank: int) -> SignCompressor:
-        return SignCompressor(self.use_error_feedback)
 
     def _begin(self, session: _BucketSession) -> None:
-        session.vectors = self._ef_vectors(session)
         session.bits = [None] * len(session.buckets)
 
     def _reduce(self, session: _BucketSession, index: int) -> None:
-        """Stage the bucket's EF-corrected segment and ship its sign bits.
+        """Ship the bucket's sign bits.
 
         Sign bits are *per-element* (``flat >= 0`` does not depend on the
         global scale), so each bucket's 1-bit payload all-gathers as soon
@@ -486,14 +508,13 @@ class SignSGDAggregator(GradientAggregator):
         """
         lo, hi = session.buckets[index]
         ALLOC_STATS.bucket_reduces += 1
-        self._accumulate_bucket(session, index)
-        packed = [np.packbits(vector[lo:hi] >= 0) for vector in session.vectors]
+        packed = [np.packbits(slab[lo:hi] >= 0) for slab in session.slabs]
         session.bits[index] = packed
         if hi > lo:
             self.group.all_gather(packed)
 
     def _finish(self, session: _BucketSession) -> NamedGrads:
-        """Vote on integer bit counts, block by block, into slot 0's slab.
+        """Vote on integer bit counts, block by block, into the result buffer.
 
         ``2 * count >= world`` (a tie votes ``+1``) picks ``+-mean_scale``
         out of a two-entry table, as each rank's ``residual -= +-scale``
@@ -502,11 +523,12 @@ class SignSGDAggregator(GradientAggregator):
         .majority_vote_aggregate`'s without a float sign vector.
         """
         # The scale is the L1 mean of the *whole* EF-corrected vector,
-        # whatever the bucket partition; |v| goes through the slot's slab,
-        # dead storage once its bits are packed (EF off: the vector itself).
+        # whatever the bucket partition; |v| goes through the result buffer
+        # before the vote overwrites it.
+        out = self._result(session)
         scales = np.array([
-            float(np.abs(vector, out=slab).mean()) if session.total else 0.0
-            for vector, slab in zip(session.vectors, session.slabs)
+            float(np.abs(slab, out=out).mean()) if session.total else 0.0
+            for slab in session.slabs
         ])
         if self.validate:
             from repro.utils.validation import assert_finite
@@ -517,7 +539,6 @@ class SignSGDAggregator(GradientAggregator):
         voted, kept = mean_scale * signed, scales[:, None] * signed
         num_slots = len(self.roster)
         majority_at = (num_slots + 1) // 2
-        out = session.slabs[0]
         scratch = self._staging_rows(
             "signsgd", 1, max(1, min(_VOTE_BLOCK, session.total))
         )[0]
@@ -539,25 +560,24 @@ class SignSGDAggregator(GradientAggregator):
                 if self.use_error_feedback:
                     # What was not sent stays behind, in place.
                     sent = scratch[:size]
-                    for table, vector, bit in zip(kept, session.vectors, bits):
+                    for table, slab, bit in zip(kept, session.slabs, bits):
                         np.take(table, bit, out=sent, mode="clip")
-                        vector[start : start + size] -= sent
+                        slab[start : start + size] -= sent
         return _unpack(out, session.template, session.names)
 
 
 class TopkSGDAggregator(GradientAggregator):
     """Top-k SGD: all-gather (values, indices), sum sparse, average.
 
-    Like :class:`AllReduceAggregator`, aggregation **consumes the slabs**:
-    with error feedback each is accumulated into its rank's residual, so
-    by :meth:`finish_buckets` it is dead storage — selection scratch, and
-    slot 0's then receives the decoded average the returned read-only
-    views point into. A steady-state step allocates O(k * world), never
-    O(model). With error feedback off the slab still holds the values, so
-    the scratch is one staging row and only slot 0's slab is overwritten.
-    A slot that skips backward (an ejected worker's stale slab) contributes
-    what the last step left there — that scratch, or on slot 0 the last
-    average: deterministic, and the same on every worker backend.
+    With error feedback each rank's slab is its accumulator ``E + G``:
+    selection reads it and zeroes what was sent, which leaves the residual
+    in place. The one result buffer is the selection scratch and then
+    receives the decoded average the returned read-only views point into.
+    A steady-state step allocates O(k * world), never O(model). With error
+    feedback off the slabs are only read. A slot that skips backward (an
+    ejected worker's stale slab) contributes what it holds — its residual,
+    or without error feedback its last gradient: deterministic, and the
+    same on every worker backend.
     """
 
     method = "topk"
@@ -587,39 +607,32 @@ class TopkSGDAggregator(GradientAggregator):
             rng=np.random.default_rng(self.seed + rank),
         )
 
-    def _begin(self, session: _BucketSession) -> None:
-        session.vectors = self._ef_vectors(session)
-
     def _reduce(self, session: _BucketSession, index: int) -> None:
-        """Stage the bucket's EF-corrected segment (no communication yet).
+        """Nothing to stage: the bucket's ``E + G`` is already in the slabs.
 
         Top-k selection is *vector-global* — one ``k`` and one threshold
-        over the whole fused gradient — so nothing can ship until every
-        bucket is staged: exactly the §IV observation that top-k
-        compression forfeits WFBP overlap.
+        over the whole fused gradient — so nothing ships before every bucket
+        is in: the §IV observation that top-k forfeits WFBP overlap.
         """
         ALLOC_STATS.bucket_reduces += 1
-        self._accumulate_bucket(session, index)
 
     def _finish(self, session: _BucketSession) -> NamedGrads:
         # The buckets partition the slab in order: sorted indices split
         # into per-bucket wires at the bucket edges (one bucket: no sort).
         buckets = [(lo, hi) for lo, hi in session.buckets if hi > lo]
         edges = [lo for lo, _ in buckets] + [session.total]
+        out = self._result(session)
         selections = []
-        for rank, vector, slab in zip(self.roster, session.vectors, session.slabs):
-            if vector is slab:  # EF off: the slab holds the values to send
-                slab = self._staging_rows("topk", 1, session.total)[0]
-            idx = self._per_rank[rank].select(vector, slab)
+        for rank, slab in zip(self.roster, session.slabs):
+            idx = self._per_rank[rank].select(slab, out)
             if len(buckets) > 1:
                 idx.sort()
                 cuts = np.searchsorted(idx, edges)
             else:
                 cuts = (0, idx.size)
-            selections.append((idx, vector[idx], cuts))
+            selections.append((idx, slab[idx], cuts))
             if self.use_error_feedback:
-                vector[idx] = 0.0  # sent; the rest stays behind, in place
-        out = session.slabs[0]
+                slab[idx] = 0.0  # sent; the rest stays behind, in place
         for b, (lo, hi) in enumerate(buckets):
             # Per-bucket wire format: each rank ships only the (index,
             # value) pairs whose coordinates fall in this bucket.
@@ -669,13 +682,16 @@ class RandomKAggregator(GradientAggregator):
         )
 
     def _finish(self, session: _BucketSession) -> NamedGrads:
+        # With error feedback each slab is its rank's accumulator: compress
+        # takes the shared coordinates' values and zeroes them in place.
         payloads = []
         for rank, slab in zip(self.roster, session.slabs):
             payloads.append(self._per_rank[rank].compress("fused", slab, self.step))
         reduced = self.group.all_reduce([p.values for p in payloads], average=True)
-        dense = np.zeros(payloads[0].num_elements)
-        dense[payloads[0].indices] = reduced[0]
-        return _unpack(dense, session.template, session.names)
+        out = self._result(session)
+        out.fill(0.0)
+        out[payloads[0].indices] = reduced[0]
+        return _unpack(out, session.template, session.names)
 
 
 class QSGDAggregator(GradientAggregator):
@@ -805,9 +821,10 @@ class _LowRankBase(GradientAggregator):
     A tensor is low-rank compressed only when it is matrix-shaped *and*
     compression actually shrinks it (``n m > (n + m) r``); everything else
     (biases, norm scales, tiny matrices) rides a fused uncompressed ring
-    all-reduce, exactly as in the paper's §IV-C. Aggregation **consumes
-    slot 0's slab** (see :class:`TopkSGDAggregator`): its compressible
-    tensors are overwritten with ``P Q^T``; the other slabs are only read.
+    all-reduce, exactly as in the paper's §IV-C. With error feedback a
+    rank's compressible tensors are its accumulators ``M + E``, projected
+    and corrected in place; ``P Q^T`` is written into the one result
+    buffer. Everything else in the slabs is only read.
     """
 
     #: The per-rank compressor state class (same constructor for both).
@@ -857,6 +874,10 @@ class _LowRankBase(GradientAggregator):
         plain = [n for n in grads if n not in comp_set]
         return compressible, plain
 
+    def _residual_names(self, layout: ArenaLayout) -> List[str]:
+        names = super()._residual_names(layout)
+        return [n for n in names if self._is_compressible(layout.shapes[n])]
+
     def _layout_plan(self, template: NamedGrads) -> _LowRankPlan:
         """The step-invariant plan for ``template``'s layout, built once.
 
@@ -876,6 +897,7 @@ class _LowRankBase(GradientAggregator):
         session.plain_scratch = self._staging_rows(
             "plain", len(self.roster), max(1, session.plan.plain_pack.total)
         )
+        session.decoded = session.layout.carve(self._result(session))
         session.result = {}
 
     def _reduce_plain_bucket(
@@ -916,13 +938,9 @@ class _LowRankBase(GradientAggregator):
         return view
 
     def _decode_target(self, session: _BucketSession, name: str) -> np.ndarray:
-        """Slot 0's storage of ``name`` as the matrix ``P Q^T`` is written to.
-
-        Every slot's gradient of ``name`` is in its rank's residual (EF off:
-        in its projection) by the time the factor is reduced, so slot 0's
-        is dead storage; the step's result is a read-only view of it.
-        """
-        target = session.per_worker[0][name]
+        """The result buffer's storage of ``name`` as the matrix ``P Q^T``
+        is written to; the step's result is a read-only view of it."""
+        target = session.decoded[name]
         view = target.view()
         view.flags.writeable = False
         session.result[name] = view

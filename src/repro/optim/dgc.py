@@ -8,7 +8,9 @@ stale momentum does not double-count. Aggregation stays all-gather + sparse
 sum like Top-k SGD.
 
 With momentum correction, the *global* optimizer should not apply momentum
-again — pair this aggregator with SGD(momentum=0).
+again — pair this aggregator with SGD(momentum=0). The accumulators stay
+beside the arena: a rank's slab can be one error-feedback accumulator (as
+for Top-k), not the two momentum correction chains (``u`` feeds ``v``).
 """
 
 from __future__ import annotations

@@ -11,8 +11,9 @@ allocated **per worker**, laid out in parameter order, and every
   the attached slot in place);
 - the aggregators in :mod:`repro.optim.aggregators` read the slab itself —
   tensor fusion becomes a no-op instead of a full-model copy per worker
-  per step (plain ``{name: array}`` dicts are adopted into a transient
-  slab by :meth:`ArenaGrads.adopt`, the only remaining packing copy);
+  per step (plain ``{name: array}`` dicts are written into the
+  aggregator's arena by :meth:`GradientArena.load`, the only remaining
+  packing copy);
 - the all-reduce kernel
   (:func:`repro.comm.collectives.all_reduce_inplace`) aggregates the
   slabs where they live, reusing a preallocated scratch block instead of
@@ -23,8 +24,14 @@ Ownership contract (see ``docs/performance.md``):
 
 - A worker's slab is valid gradient data from the end of its backward pass
   until the aggregator consumes it. **In-place aggregation destroys the
-  per-worker gradients** — after ``aggregate`` returns, every slab holds
-  the reduced result, exactly like an NCCL in-place all-reduce.
+  per-worker gradients** — after an S-SGD ``aggregate`` returns, every slab
+  holds the reduced result, exactly like an NCCL in-place all-reduce.
+- For an error-feedback method the slab *is* the rank's accumulator: its
+  :attr:`GradientArena.carried` views start at ``-0.0``, backward adds the
+  gradient onto the residual left there, the compressor leaves the new one.
+  Callers add into them (:meth:`load`), never refill them; only
+  :meth:`clear_residuals` starts them over, and :meth:`reorder` moves a
+  rank's slab with it when the roster changes.
 - Views returned by the arena or by ``_unpack`` are invalidated by the
   next backward pass. Callers that need to retain a gradient across steps
   must copy it explicitly.
@@ -43,7 +50,7 @@ bucket views without any re-packing.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -152,33 +159,15 @@ class ArenaGrads(Dict[str, np.ndarray]):
         self.slab = slab
         self.layout = layout
 
-    @classmethod
-    def adopt(
-        cls, grads: Dict[str, np.ndarray], layout: ArenaLayout
-    ) -> "ArenaGrads":
-        """Copy plain named gradients into a fresh private slab.
-
-        The one packing copy left in the repo (counted in
-        :data:`~repro.perf.counters.ALLOC_STATS` ``pack_copies``): inputs
-        that did not come from a :class:`GradientArena` pay it once per
-        worker at the aggregator's entry. ``grads`` is left untouched.
-        """
-        slab = np.empty(layout.total_elements)
-        views = layout.carve(slab)
-        for name, view in views.items():
-            np.copyto(view, np.reshape(grads[name], view.shape))
-        ALLOC_STATS.pack_copies += 1
-        return cls(views, slab, layout)
-
 
 class GradientArena:
     """Per-worker fused gradient buffers with zero-copy parameter views.
 
     Args:
         model: the model whose parameters define the layout (names, shapes,
-            order). Process workers' copies
-            (:func:`~repro.perf.replicas.detached_copy`) share the same
-            layout.
+            order) — or those ``(name, shape)`` pairs themselves. Process
+            workers' copies (:func:`~repro.perf.replicas.detached_copy`)
+            share the same layout.
         world_size: number of worker slabs to allocate.
         bucket_bytes: optional bucket cap (parameter-order contiguous
             buckets, DDP-style). ``None`` fuses the whole model into one
@@ -196,7 +185,7 @@ class GradientArena:
 
     def __init__(
         self,
-        model: Module,
+        model: Union[Module, Sequence[Tuple[str, Tuple[int, ...]]]],
         world_size: int,
         bucket_bytes: Optional[int] = None,
         backing: str = "private",
@@ -207,12 +196,17 @@ class GradientArena:
             raise ValueError(
                 f"backing must be 'private' or 'shared', got {backing!r}"
             )
-        named = [(name, param.shape) for name, param in model.named_parameters()]
+        named = (
+            [(name, param.shape) for name, param in model.named_parameters()]
+            if isinstance(model, Module) else list(model)
+        )
         self.layout = ArenaLayout(
             named, bucket_bytes=bucket_bytes, itemsize=np.dtype(self.dtype).itemsize
         )
         self.backing = backing
         self.world_size = world_size
+        #: Names whose views are error-feedback accumulators (see :meth:`carry`).
+        self.carried: FrozenSet[str] = frozenset()
         self._closed = False
         # One contiguous slab per worker; slabs are distinct allocations
         # (or distinct shared segments) so the ring collective's per-rank
@@ -245,15 +239,67 @@ class GradientArena:
 
         Elastic scale-up admits ranks past the initial world size; the new
         slabs are allocated once at the admission boundary (never on the
-        hot path) and zeroed like the originals. Shrinking never frees
-        slabs — an ejected slot's slab is simply left idle so a later
-        rejoin reuses it without reallocating.
+        hot path) and zeroed like the originals, carried views empty.
+        Shrinking never frees slabs — an ejected slot's slab is simply left
+        idle so a later rejoin reuses it without reallocating.
         """
+        first = len(self._slabs)
         while len(self._slabs) < count:
             slab = self._alloc_slab()
             self._slabs.append(slab)
             self._views.append(self.layout.carve(slab))
+        self.clear_residuals(range(first, len(self._slabs)))
         self.world_size = max(self.world_size, count)
+
+    # ------------------------------------------------------------------
+    # Error-feedback residuals
+    # ------------------------------------------------------------------
+    def carry(self, names: Iterable[str]) -> None:
+        """Make ``names``' views error-feedback accumulators, all empty."""
+        self.carried = frozenset(names)
+        self.clear_residuals()
+
+    def clear_residuals(self, slots: Optional[Iterable[int]] = None) -> None:
+        """Empty the carried views of ``slots`` (default: every slab).
+
+        Empty is ``-0.0``, the additive identity for every float: ``-0.0 +
+        g`` is ``g`` bit for bit (``+0.0 + -0.0`` would flip a sign), so the
+        first backward after a clear leaves exactly the gradient.
+        """
+        for slot in range(len(self._slabs)) if slots is None else slots:
+            views = self._views[slot]
+            for name in self.carried:
+                views[name].fill(-0.0)
+
+    def reorder(self, sources: Sequence[Optional[int]]) -> None:
+        """Give slot ``i`` the slab slot ``sources[i]`` held.
+
+        A surviving rank's slab follows it to its new slot — a permutation,
+        no data copied (process workers attach by the segment name each task
+        carries). ``None``, a rank that (re)joins, gets an idle slab with its
+        carried views cleared; slabs no slot takes stay idle at the end.
+        """
+        self.ensure_slots(len(sources))
+        taken = {source for source in sources if source is not None}
+        idle = [slot for slot in range(len(self._slabs)) if slot not in taken]
+        order = [idle.pop(0) if s is None else s for s in sources] + idle
+        self._slabs = [self._slabs[i] for i in order]
+        self._views = [self._views[i] for i in order]
+        self._segments = [self._segments[i] for i in order]
+        self.clear_residuals(i for i, s in enumerate(sources) if s is None)
+
+    def load(self, slot: int, grads: Dict[str, np.ndarray]) -> ArenaGrads:
+        """Write named gradients into slab ``slot`` as a backward pass would:
+        added onto carried views, copied over the others. The one packing
+        copy left in the repo (counted in ``ALLOC_STATS.pack_copies``)."""
+        for name, view in self._views[slot].items():
+            grad = np.reshape(grads[name], view.shape)
+            if name in self.carried:
+                view += grad
+            else:
+                np.copyto(view, grad)
+        ALLOC_STATS.pack_copies += 1
+        return self.grads(slot)
 
     # ------------------------------------------------------------------
     # Shared-memory lifecycle
@@ -318,8 +364,9 @@ class GradientArena:
         """Point every ``Parameter.grad`` of ``model`` into slab ``slot``.
 
         After binding, ``zero_grad``/backward on the model reads and writes
-        the arena storage directly. The model must match the arena layout
-        (same names, shapes, order).
+        the arena storage directly — adding onto the residual in carried
+        views. The model must match the arena layout (same names, shapes,
+        order).
         """
         views = self._views[slot]
         for name, param in model.named_parameters():
@@ -328,7 +375,7 @@ class GradientArena:
                 raise ValueError(
                     f"model does not match arena layout at parameter {name!r}"
                 )
-            param.attach_grad_slot(view)
+            param.attach_grad_slot(view, carry=name in self.carried)
 
     def unbind(self, model: Module) -> None:
         """Detach every parameter from the arena (back to legacy grads)."""

@@ -72,9 +72,9 @@ def _time_aggregation(
 ) -> Dict[str, float]:
     """Best-of-``iters`` wall time of ``aggregate`` (provider untimed).
 
-    The provider refills the gradient buffers before every call because
-    in-place aggregation consumes them; the refill is excluded from the
-    timed region. Alloc counters cover only the timed iterations.
+    The provider overwrites the slabs before every call (untimed), so an
+    error-feedback method runs without a carried residual and every call
+    does the same work. Alloc counters cover only the timed iterations.
     """
     for _ in range(warmup):
         aggregator.aggregate(provider())

@@ -14,8 +14,9 @@ while keeping the repo's bit-identity contract:
   ``Parameter.grad`` slots into the worker's
   :class:`~repro.perf.arena.GradientArena` slab, which lives in a
   ``multiprocessing.shared_memory`` segment — backprop writes the
-  fused buffer in place, and the parent runs the existing in-place
-  ring schedule over views of the very same pages;
+  fused buffer in place (adding onto the rank's residual in an
+  error-feedback method's carried views), and the parent runs the
+  existing in-place ring schedule over views of the very same pages;
 - weights travel the other way through one shared **broadcast buffer**:
   the parent copies the master parameters in before dispatching a step
   (one memcpy — the in-process analogue of the parameter broadcast),
@@ -168,6 +169,7 @@ def _worker_main(conn, payload: dict, init_crash: bool = False) -> None:
     train_data: ArrayDataset = payload["train_data"]
     seed: int = payload["seed"]
     batch_size: int = payload["batch_size"]
+    carried = payload["carried"]
     fault_plan: Optional[FaultPlan] = payload.get("fault_plan")
     layout = ArenaLayout(
         [(name, param.shape) for name, param in model.named_parameters()]
@@ -258,7 +260,7 @@ def _worker_main(conn, payload: dict, init_crash: bool = False) -> None:
             )
         _, _, views = cached
         for name, param in model.named_parameters():
-            param.attach_grad_slot(views[name])
+            param.attach_grad_slot(views[name], carry=name in carried)
         for bn in bns:
             bn.stat_recorder = []
         ALLOC_STATS.reset()
@@ -382,6 +384,7 @@ class ProcessWorkerPool:
                 "train_data": train_data,
                 "seed": seed,
                 "batch_size": batch_size,
+                "carried": arena.carried,  # bound as the parent binds them
                 "weights_segment": self._weights_segment.name,
                 "fault_plan": fault_plan,
             }

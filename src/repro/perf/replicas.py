@@ -63,20 +63,20 @@ def detached_copy(model: Module) -> Module:
     for _, param in model.named_parameters():
         saved.append(
             (param, list(param._hooks), param._grad_slot,
-             param._grad, param._slot_written)
+             param._grad, param._slot_written, param._carry)
         )
         param._hooks.clear()
-        param._grad_slot = None
+        param.detach_grad_slot()
         param._grad = None
-        param._slot_written = False
     try:
         return copy.deepcopy(model)
     finally:
-        for param, hooks, slot, grad, written in saved:
+        for param, hooks, slot, grad, written, carry in saved:
             param._hooks.extend(hooks)
             param._grad_slot = slot
             param._grad = grad
             param._slot_written = written
+            param._carry = carry
 
 
 def worker_pass(model: Module, loss_fn, shard, rng, batch_size: int) -> float:

@@ -62,7 +62,9 @@ class BucketedReducer:
 
     Args:
         model: the trainer's model; hooks are registered on its parameters.
-        arena: the bucketed gradient arena backing the model's gradients.
+        arena: the bucketed gradient arena backing the model's gradients;
+            the main aggregator keeps its error-feedback residuals in it
+            (:meth:`~repro.optim.aggregators.GradientAggregator.attach`).
         aggregator: the main aggregator (``finish_step`` may be handed
             another one for a deferred step).
     """
@@ -75,6 +77,8 @@ class BucketedReducer:
     ):
         self.arena = arena
         self.aggregator = aggregator
+        # The slabs are the aggregator's error-feedback accumulators.
+        aggregator.attach(arena)
         self.layout = arena.layout
         self._bucket_of: Dict[str, int] = {}
         for index, names in enumerate(self.layout.bucket_names()):

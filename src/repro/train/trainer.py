@@ -15,8 +15,9 @@ Semantics mirror DDP + the paper's compression prototypes:
 
 The trainer keeps one physical model and replays it per worker batch; this
 is numerically identical to per-worker replicas under synchronous updates,
-while per-worker *compressor* state (EF residuals) lives inside the
-aggregator, preserving each method's true distributed behaviour.
+while per-worker *compressor* state — error-feedback residuals in each
+rank's own arena slab, carried factors in the aggregator — preserves each
+method's true distributed behaviour.
 
 Resilience (optional): pass a
 :class:`~repro.train.resilience.ResilienceConfig` to arm the trainer-level
@@ -521,7 +522,8 @@ class DataParallelTrainer:
         )
         applied = False
         if not cfg.check_finite or grads_finite:
-            aggregated = self.reducer.finish_step(self._current_aggregator())
+            aggregator = self._current_aggregator()
+            aggregated = self.reducer.finish_step(aggregator)
             if cfg.check_finite and not all(
                 is_finite(grad) for grad in aggregated.values()
             ):
@@ -529,6 +531,9 @@ class DataParallelTrainer:
             else:
                 self.optimizer.step(aggregated)
                 applied = True
+            if aggregator is not self.aggregator:
+                # The fallback reduced E + G = G (the skip emptied E) in place.
+                self._arena.clear_residuals()
         else:
             self._skip_step("non-finite local loss or gradient")
 

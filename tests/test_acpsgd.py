@@ -84,11 +84,13 @@ class TestErrorFeedback:
     def test_cumulative_transmission_tracks_gradients(self, rng):
         state = ACPSGDState(rank=2, seed=3, use_error_feedback=True)
         base = rng.normal(size=(12, 16))
+        accumulator = np.full(base.shape, -0.0)  # the rank's M + E
         total_in = np.zeros_like(base)
         total_out = np.zeros_like(base)
         for t in range(1, 200):
             grad = base + 0.1 * rng.normal(size=base.shape)
-            factor = state.compress("w", grad, t)
+            accumulator += grad
+            factor = state.compress("w", accumulator, t)
             m_hat = state.finalize("w", factor, t)
             total_in += grad
             total_out += m_hat
@@ -99,10 +101,11 @@ class TestErrorFeedback:
         """E_t = (M_t + E_{t-1}) - P_t Q_t^T with the LOCAL factor."""
         state = ACPSGDState(rank=2, seed=0, use_error_feedback=True)
         matrix = rng.normal(size=(6, 8))
-        factor = state.compress("w", matrix, 1)
+        accumulator = matrix.copy()  # M_1 + E_0, E_0 = 0
+        factor = state.compress("w", accumulator, 1)
         carried = state._carried["w"]  # orthonormal Q_t
         expected_error = matrix - factor @ carried.T
-        np.testing.assert_allclose(state._error["w"], expected_error, atol=1e-12)
+        np.testing.assert_allclose(accumulator, expected_error, atol=1e-12)
 
     def test_no_ef_loses_mass(self, rng):
         state = ACPSGDState(rank=1, seed=3, use_error_feedback=False)
@@ -163,11 +166,16 @@ class TestDistributedEquivalence:
         world = 4
         states = [ACPSGDState(rank=4, seed=9) for _ in range(world)]
         base = rng.normal(size=(10, 12))
+        accumulators = [np.full(base.shape, -0.0) for _ in range(world)]
         total_mean = np.zeros_like(base)
         total_out = np.zeros_like(base)
         for t in range(1, 120):
             grads = [base + 0.2 * rng.normal(size=base.shape) for _ in range(world)]
-            factors = [s.compress("w", g, t) for s, g in zip(states, grads)]
+            for accumulator, grad in zip(accumulators, grads):
+                accumulator += grad
+            factors = [
+                s.compress("w", acc, t) for s, acc in zip(states, accumulators)
+            ]
             agg = sum(factors) / world
             outs = [s.finalize("w", agg, t) for s in states]
             for out in outs[1:]:

@@ -183,29 +183,41 @@ class TestCompressionAggregators:
 
 
 class TestPaperPrimitiveOracle:
-    """The staged Top-k / Sign-SGD bodies accumulate into the EF residual
-    in place; the paper-level primitives in ``repro.compression`` (fresh
-    arrays, whole vector at once) are the independent reference they must
+    """The staged Top-k / Sign-SGD bodies compress each rank's slab in
+    place, where backward added the gradient onto the residual; the
+    paper-level primitives in ``repro.compression`` (whole vector at once,
+    on an accumulator of their own) are the independent reference they must
     match bit for bit — across EF steps, for one bucket and for many."""
 
     STEPS = 3
 
-    def _slabs(self, bucket_bytes):
+    def _slabs(self, bucket_bytes, aggregator):
         model = make_mlp(17, 9, 4, rng=np.random.default_rng(7))
         arena = GradientArena(model, WORLD, bucket_bytes=bucket_bytes)
+        aggregator.attach(arena)
         rng = np.random.default_rng(3)
         for _ in range(self.STEPS):
             flats = [
                 rng.normal(size=arena.layout.total_elements)
                 for _ in range(WORLD)
             ]
-            for slot, flat in enumerate(flats):
-                arena.slab(slot)[:] = flat
-            yield flats, [arena.grads(slot) for slot in range(WORLD)]
+            yield flats, [
+                arena.load(slot, arena.layout.carve(flat))
+                for slot, flat in enumerate(flats)
+            ]
 
     @staticmethod
     def _flatten(named):
         return np.concatenate([grad.ravel() for grad in named.values()])
+
+    @staticmethod
+    def _compress_all(oracle, accumulators, flats, use_ef):
+        """Each rank's oracle payload (with EF: of its own accumulator)."""
+        if not use_ef:
+            return [comp.compress(flat) for comp, flat in zip(oracle, flats)]
+        for accumulator, flat in zip(accumulators, flats):
+            accumulator += flat
+        return [comp.compress(acc) for comp, acc in zip(oracle, accumulators)]
 
     @pytest.mark.parametrize("bucket_bytes", [None, 40 * 8])
     @pytest.mark.parametrize("use_ef", [True, False])
@@ -224,10 +236,11 @@ class TestPaperPrimitiveOracle:
             )
             for rank in range(WORLD)
         ]
-        for flats, per_worker in self._slabs(bucket_bytes):
-            payloads = [
-                comp.compress("g", flat) for comp, flat in zip(oracle, flats)
-            ]
+        accumulators = None
+        for flats, per_worker in self._slabs(bucket_bytes, agg):
+            if accumulators is None:
+                accumulators = [np.full(flat.size, -0.0) for flat in flats]
+            payloads = self._compress_all(oracle, accumulators, flats, use_ef)
             want = sparse_aggregate(payloads, flats[0].shape, average=True)
             got = self._flatten(agg.aggregate(per_worker))
             np.testing.assert_array_equal(got, want)
@@ -241,10 +254,11 @@ class TestPaperPrimitiveOracle:
             "signsgd", ProcessGroup(WORLD), use_error_feedback=use_ef
         )
         oracle = [SignCompressor(use_ef) for _ in range(WORLD)]
-        for flats, per_worker in self._slabs(bucket_bytes):
-            payloads = [
-                comp.compress("g", flat) for comp, flat in zip(oracle, flats)
-            ]
+        accumulators = None
+        for flats, per_worker in self._slabs(bucket_bytes, agg):
+            if accumulators is None:
+                accumulators = [np.full(flat.size, -0.0) for flat in flats]
+            payloads = self._compress_all(oracle, accumulators, flats, use_ef)
             want = majority_vote_aggregate(payloads, flats[0].shape)
             got = self._flatten(agg.aggregate(per_worker))
             np.testing.assert_array_equal(got, want)

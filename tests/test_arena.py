@@ -8,11 +8,7 @@ from repro.comm.process_group import ProcessGroup
 from repro.faults.resilient import ResilientProcessGroup
 from repro.models.convnets import make_mlp
 from repro.nn.parameter import Parameter
-from repro.optim.aggregators import (
-    AllReduceAggregator,
-    _adopt,
-    _unpack,
-)
+from repro.optim.aggregators import AllReduceAggregator, _unpack
 from repro.perf.arena import ArenaLayout, GradientArena
 from repro.perf.counters import ALLOC_STATS
 
@@ -126,6 +122,87 @@ class TestParameterSlots:
         param.accumulate_grad(np.ones(3))
         assert param.grad is not None and param.grad.base is None
 
+    def test_carried_slot_is_never_stale(self):
+        """An error-feedback slot: ``zero_grad`` keeps the residual and every
+        backward adds onto it — ``(E + g1) + g2``, then ``+ g3``."""
+        rng = np.random.default_rng(4)
+        residual, g1, g2, g3 = rng.standard_normal((4, 2, 3))
+        param = Parameter(np.zeros((2, 3)))
+        slot = residual.copy()
+        param.attach_grad_slot(slot, carry=True)
+        assert param.grad is slot
+        param.accumulate_grad(g1)
+        param.accumulate_grad(g2)
+        param.zero_grad()
+        assert param.grad is slot
+        param.accumulate_grad(g3)
+        assert slot.tobytes() == (((residual + g1) + g2) + g3).tobytes()
+        param.attach_grad_slot(slot)  # re-bound without carry: stale again
+        assert param.grad is None
+
+
+class TestResiduals:
+    """An error-feedback method's views are carried: empty at ``-0.0``,
+    added into, moved with their rank, cleared on demand."""
+
+    @staticmethod
+    def arena(world=3):
+        arena = GradientArena([("w", (2, 3)), ("b", (2,))], world)
+        for slot in range(world):
+            arena.slab(slot)[:] = slot + 1.0
+        arena.carry(["w"])
+        return arena
+
+    def test_carry_starts_every_slab_at_negative_zero(self):
+        arena = self.arena()
+        for slot in range(3):
+            views = arena.grads(slot)
+            assert views["w"].tobytes() == np.full((2, 3), -0.0).tobytes()
+            assert np.array_equal(views["b"], np.full(2, slot + 1.0))
+
+    def test_bind_attaches_carried_slots(self):
+        model = small_model()
+        arena = GradientArena(model, 1)
+        carried = [name for name in arena.layout.names if name.endswith("weight")]
+        arena.carry(carried)
+        arena.bind(model, 0)
+        for name, param in model.named_parameters():
+            assert (param.grad is not None) == (name in carried)
+
+    def test_load_adds_into_carried_and_overwrites_the_rest(self):
+        arena = self.arena(1)
+        grads = {"w": np.arange(6.0).reshape(2, 3), "b": np.array([7.0, 8.0])}
+        arena.load(0, grads)
+        arena.load(0, grads)
+        views = arena.grads(0)
+        assert np.array_equal(views["w"], 2 * grads["w"])
+        assert np.array_equal(views["b"], grads["b"])
+
+    def test_reorder_moves_slabs_with_their_ranks(self):
+        arena = self.arena()
+        for slot in range(3):
+            arena.grads(slot)["w"][:] = slot
+        before = [arena.slab(slot) for slot in range(3)]
+        # Rank order [0, 1, 2] -> rank 1 ejected, rank 2 to slot 1, a joiner
+        # at slot 2 and another at slot 3 (the arena grows).
+        arena.reorder([0, 2, None, None])
+        assert arena.slab(0) is before[0] and arena.slab(1) is before[2]
+        assert arena.slab(2) is before[1]  # the idle slab, reused
+        for slot, want in ((0, 0.0), (1, 2.0)):
+            assert np.array_equal(arena.grads(slot)["w"], np.full((2, 3), want))
+        for slot in (2, 3):
+            assert arena.grads(slot)["w"].tobytes() == np.full((2, 3), -0.0).tobytes()
+        assert arena.world_size == 4
+
+    def test_clear_residuals_leaves_the_rest(self):
+        arena = self.arena()
+        for slot in range(3):
+            arena.grads(slot)["w"][:] = 5.0
+        arena.clear_residuals([1])
+        assert np.array_equal(arena.grads(0)["w"], np.full((2, 3), 5.0))
+        assert arena.grads(1)["w"].tobytes() == np.full((2, 3), -0.0).tobytes()
+        assert np.array_equal(arena.grads(1)["b"], np.full(2, 2.0))
+
 
 class TestPackUnpack:
     def test_pack_arena_grads_is_zero_copy(self):
@@ -133,7 +210,7 @@ class TestPackUnpack:
         arena = GradientArena(model, world_size=1)
         grads = arena.grads(0)
         ALLOC_STATS.reset()
-        (adopted,) = _adopt([grads], 1)
+        (adopted,) = AllReduceAggregator(ProcessGroup(1))._adopt([grads])
         assert adopted is grads and adopted.slab is arena.slab(0)
         assert ALLOC_STATS.pack_copies == 0
 
@@ -142,7 +219,7 @@ class TestPackUnpack:
         grads = random_grads(model)
         names = list(grads)
         ALLOC_STATS.reset()
-        (adopted,) = _adopt([grads], 1)
+        (adopted,) = AllReduceAggregator(ProcessGroup(1))._adopt([grads])
         assert ALLOC_STATS.pack_copies == 1
         assert adopted.layout.names == names
         assert adopted.layout.buckets == [(0, adopted.slab.size)]

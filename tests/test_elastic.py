@@ -18,7 +18,6 @@ import numpy as np
 import pytest
 
 from repro.compression.acpsgd import ACPSGDState
-from repro.compression.powersgd import PowerSGDState
 from repro.elastic import MembershipController
 from repro.faults import (
     FaultInjector,
@@ -286,13 +285,20 @@ class TestCompressorWarmStart:
 
     def test_powersgd_warm_start_copies_query_zeroes_error(self):
         rng = np.random.default_rng(0)
-        donor = PowerSGDState(rank=2, seed=7)
-        self._run_powersgd_steps(donor, rng)
-        assert donor._error  # the donor accumulated a residual
+        group = ResilientProcessGroup(2)
+        aggregator = make_aggregator("powersgd", group, rank=2, seed=7)
+        for _ in range(3):
+            aggregator.aggregate([{"w": rng.normal(size=(6, 4))} for _ in range(2)])
+        arena = aggregator._arena
+        assert arena.slab(0).any()  # the donor accumulated a residual
 
-        joiner = PowerSGDState(rank=2, seed=7)
-        joiner.warm_start_from(donor)
-        assert not joiner._error
+        group.admit(group.allocate_rank(), rejoin=False)
+        aggregator.admit_rank(2, donor_rank=0)
+        aggregator.set_roster([0, 1, 2])
+        # The joiner's residual starts empty; the survivors keep theirs.
+        assert arena.slab(2).tobytes() == np.full(24, -0.0).tobytes()
+        assert arena.slab(0).any()
+        donor, joiner = aggregator.state_for(0), aggregator.state_for(2)
         assert set(joiner._query) == set(donor._query)
         assert np.array_equal(joiner._query["w"], donor._query["w"])
         # A deep copy: mutating the joiner's never touches the donor's.
@@ -311,7 +317,7 @@ class TestCompressorWarmStart:
         joiner.warm_start_from(donor)
         assert np.array_equal(joiner._p["w"], donor._p["w"])
         assert np.array_equal(joiner._q["w"], donor._q["w"])
-        assert not joiner._error and not joiner._carried
+        assert not joiner._carried
 
     def test_acpsgd_warm_started_peer_is_in_phase(self):
         """With the per-worker residual out of the picture, a warm-started
@@ -358,7 +364,103 @@ class TestCompressorWarmStart:
                  for r in range(3)]
         aggregator.aggregate(grads)
         rank1_state = aggregator.state_for(1)
+        arena = aggregator._arena
+        residuals = [arena.slab(slot).copy() for slot in range(3)]
 
         aggregator.set_roster([1, 2])  # rank 0 ejected
         assert aggregator.state_for(1) is rank1_state
         assert aggregator.state_for(0) is not rank1_state
+        # Slots are roster positions: each residual moved with its rank.
+        for slot, rank in enumerate([1, 2]):
+            assert arena.slab(slot).tobytes() == residuals[rank].tobytes()
+
+
+MIDDLE_CHURN_PLAN = FaultPlan(
+    seed=3,
+    permanent=(PermanentFailure(rank=1, call_index=4),),
+    recoveries=(Recovery(rank=1, call_index=10),),
+    joins=(Join(call_index=16),),
+)
+
+
+class TestResidualsFollowRanks:
+    """Slots are roster positions, error-feedback residuals belong to ranks:
+    at every membership boundary each surviving rank finds the residual it
+    left in its new slot, and a rejoiner or joiner an empty one (``-0.0``).
+    Tracked rank by rank against the slabs, on both worker backends."""
+
+    @staticmethod
+    def carried_bytes(arena, slot):
+        views = arena.grads(slot)
+        return b"".join(views[name].tobytes() for name in sorted(arena.carried))
+
+    @pytest.mark.parametrize("method", ["topk", "acpsgd"])
+    def test_each_rank_finds_its_residual_in_its_new_slot(self, method):
+        weights = {}
+        for workers in ("seq", "process"):
+            train_data, test_data = make_data()
+            model = make_mlp(6, 10, 3, rng=np.random.default_rng(5))
+            group = ResilientProcessGroup(
+                3, injector=FaultInjector(MIDDLE_CHURN_PLAN),
+                policy=BackoffPolicy(max_retries=1),
+            )
+            membership = MembershipController(group)
+            kwargs = {"rank": 2} if method == "acpsgd" else {}
+            trainer = DataParallelTrainer(
+                model, SGD(model, lr=0.05, momentum=0.9),
+                make_aggregator(method, group, **kwargs),
+                train_data, test_data, batch_size_per_worker=8, seed=11,
+                membership=membership, workers=workers,
+            )
+            arena = trainer._arena
+            assert arena.carried
+            empty = self.carried_bytes(arena, 0)
+            assert empty == np.full(len(empty) // 8, -0.0).tobytes()
+            residual = {rank: empty for rank in range(3)}  # rank -> its bytes
+            roster, moves, seen = [0, 1, 2], 0, 0
+            live, finish = trainer._live_ranks, trainer.reducer.finish_step
+
+            def checked_live_ranks():
+                nonlocal roster, moves, seen
+                ranks = live()
+                changes = membership.log.changes[seen:]
+                seen = len(membership.log.changes)
+                fresh = {c.rank for c in changes if c.kind in ("rejoin", "join")}
+                for slot, rank in enumerate(ranks):
+                    want = empty if rank in fresh else residual[rank]
+                    assert self.carried_bytes(arena, slot) == want, (rank, slot)
+                    moves += rank in roster and roster.index(rank) != slot
+                roster = ranks
+                return ranks
+
+            def recording_finish(aggregator=None):
+                out = finish(aggregator)
+                for slot, rank in enumerate(trainer.aggregator.roster):
+                    residual[rank] = self.carried_bytes(arena, slot)
+                return out
+
+            trainer._live_ranks = checked_live_ranks
+            trainer.reducer.finish_step = recording_finish
+            with trainer:
+                for _ in range(20):
+                    trainer.train_step()
+            kinds = [change.kind for change in membership.log.changes]
+            assert kinds == ["eject", "rejoin", "join"]
+            assert roster == [0, 1, 2, 3] and moves == 2  # rank 2: 2 -> 1 -> 2
+            weights[workers] = model.state_vector()
+        assert weights["seq"].tobytes() == weights["process"].tobytes()
+
+    def test_readmission_at_an_unchanged_roster_empties_the_slot(self):
+        """Eject-then-readmit within one boundary: the roster looks the
+        same, but the rank's residual is stale and starts over."""
+        aggregator = make_aggregator("topk", ResilientProcessGroup(3), ratio=0.5)
+        aggregator.aggregate(
+            [{"w": np.random.default_rng(r).normal(size=8)} for r in range(3)]
+        )
+        arena = aggregator._arena
+        kept = [arena.slab(slot).copy() for slot in range(3)]
+        aggregator.admit_rank(1, donor_rank=0)
+        aggregator.set_roster([0, 1, 2])
+        assert arena.slab(1).tobytes() == np.full(8, -0.0).tobytes()
+        for slot in (0, 2):
+            assert arena.slab(slot).tobytes() == kept[slot].tobytes()

@@ -242,3 +242,97 @@ class TestTrainerLadder:
         rendered = trainer.resilience_log.render()
         assert "skipped steps         1" in rendered
         assert "events:" in rendered
+
+
+def all_residuals_empty(trainer):
+    """Every live slot's carried (error-feedback) views hold ``-0.0``."""
+    arena = trainer._arena
+    assert arena.carried
+    return all(
+        view.tobytes() == np.full(view.shape, -0.0).tobytes()
+        for slot in range(len(trainer.aggregator.roster))
+        for name, view in arena.grads(slot).items()
+        if name in arena.carried
+    )
+
+
+class TestErrorFeedbackSlotsThroughTheLadder:
+    """An error-feedback method keeps each rank's residual in its arena
+    slab; every rung of the ladder must leave those slots consistent."""
+
+    def test_skip_refills_the_slots_with_negative_zero(self):
+        cfg = ResilienceConfig(fallback_steps=0, checkpoint_interval=0)
+        trainer, _, _ = make_trainer(method="topk", resilience=cfg)
+        for _ in range(2):
+            trainer.train_step()
+        assert not all_residuals_empty(trainer)
+        TestTrainerLadder._poison_gradients(trainer)
+        trainer.train_step()
+        assert trainer.resilience_log.skipped_steps == 1
+        assert all_residuals_empty(trainer)
+
+    def test_rollback_refills_the_slots_with_negative_zero(self, tmp_path):
+        cfg = ResilienceConfig(
+            checkpoint_interval=1, checkpoint_dir=str(tmp_path),
+            divergence_patience=1, fallback_steps=0, max_rollbacks=3,
+        )
+        trainer, _, _ = make_trainer(method="acpsgd", resilience=cfg)
+        for _ in range(3):
+            trainer.train_step()
+        assert not all_residuals_empty(trainer)
+        TestTrainerLadder._inflate_losses(trainer)
+        trainer.train_step()
+        assert trainer.resilience_log.rollbacks == 1
+        assert all_residuals_empty(trainer)
+
+    def test_fallback_reduces_the_gradient_and_leaves_the_slots_empty(self):
+        """After the skip the residual is ``-0.0``, so the uncompressed
+        window reduces ``E + G`` = ``G`` bit for bit — the gradient a
+        slot-free copy of the model computes from the same batch — and
+        empties the slots again once it has."""
+        from copy import deepcopy
+
+        from repro.perf.replicas import detached_copy, worker_pass
+
+        cfg = ResilienceConfig(fallback_steps=1, checkpoint_interval=0)
+        trainer, _, model = make_trainer(method="topk", resilience=cfg)
+        trainer.train_step()
+        TestTrainerLadder._poison_gradients(trainer)
+        trainer.train_step()  # skipped: the window opens
+        del trainer._worker_gradients
+        assert all_residuals_empty(trainer)
+        twin, want = detached_copy(model), []
+        for rank, shard in trainer.train_shards.items():
+            rng = deepcopy(trainer._rngs[rank])
+            worker_pass(twin, trainer.loss_fn, shard, rng, trainer.batch_size)
+            want.append({n: p.grad.copy() for n, p in twin.named_parameters()})
+        apply = trainer._resilient_apply
+
+        def check(mean_loss, per_worker):
+            for grads, expected in zip(per_worker, want):
+                for name in expected:
+                    assert grads[name].tobytes() == expected[name].tobytes()
+            return apply(mean_loss, per_worker)
+
+        trainer._resilient_apply = check
+        trainer.train_step()
+        del trainer._resilient_apply
+        assert trainer.resilience_log.fallback_steps_run == 1
+        assert all_residuals_empty(trainer)
+        trainer.train_step()  # compressed again, from empty residuals
+        assert not all_residuals_empty(trainer)
+
+    def test_without_error_feedback_the_slots_stay_stale_marked(self):
+        train_data, test_data = make_data()
+        model = make_mlp(6, 10, 3, rng=np.random.default_rng(5))
+        aggregator = make_aggregator(
+            "topk", ResilientProcessGroup(2), use_error_feedback=False
+        )
+        trainer = DataParallelTrainer(
+            model, SGD(model, lr=0.05), aggregator, train_data, test_data,
+            batch_size_per_worker=8, seed=11,
+        )
+        trainer.train_step()
+        assert trainer._arena.carried == frozenset()
+        model.zero_grad()
+        assert all(param.grad is None for param in model.parameters())

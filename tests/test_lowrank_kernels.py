@@ -15,14 +15,10 @@ from hypothesis import given, settings, strategies as st
 from repro.comm.process_group import ProcessGroup
 from repro.compression import lowrank_kernels
 from repro.compression.acpsgd import ACPSGDState
-from repro.compression.lowrank_kernels import (
-    BlockedProjector,
-    block_rows,
-    residual_for,
-)
+from repro.compression.lowrank_kernels import BlockedProjector, block_rows
 from repro.compression.powersgd import PowerSGDState
 from repro.optim.aggregators import make_aggregator
-from repro.perf.arena import ArenaGrads, ArenaLayout
+from repro.perf.arena import GradientArena
 
 
 def rel_err(actual, expected, scale=None):
@@ -52,35 +48,32 @@ def check_right_projection(shape, rank, seed, subtract):
     grad = rng.normal(size=(n, m))
     error = rng.normal(size=(n, m))
     basis = rng.normal(size=(m, rank)) / np.sqrt(m)
-    residual = error.copy()
-    grad_before = grad.copy()
-    factor = BlockedProjector().project_right(grad, residual, basis, subtract)
+    accumulator = error + grad  # what backward leaves in the slot
+    factor = BlockedProjector().project_right(accumulator, basis, subtract)
     # The dense reference: work = g + e; f = work @ B; e' = work - f @ B.T
     work = grad + error
     expected = work @ basis
     assert rel_err(factor, expected) <= 1e-12
     after = work - expected @ basis.T if subtract else work
-    assert rel_err(residual, after, np.linalg.norm(work)) <= 1e-12
-    np.testing.assert_array_equal(grad, grad_before)
+    assert rel_err(accumulator, after, np.linalg.norm(work)) <= 1e-12
 
 
 def check_left_projection(shape, rank, seed, add):
+    """``add``: the accumulator holds a gradient on top of the residual
+    (ACP-SGD's even step); otherwise only what is left of one (Power-SGD's
+    stage 2, after stage 1 read it)."""
     n, m = shape
     rng = np.random.default_rng(seed)
     grad = rng.normal(size=(n, m))
     error = rng.normal(size=(n, m))
     basis = rng.normal(size=(n, rank)) / np.sqrt(n)
-    residual = error.copy()
-    grad_before = grad.copy()
-    factor = BlockedProjector().project_left(
-        grad if add else None, residual, basis
-    )
     work = grad + error if add else error
+    accumulator = work.copy()
+    factor = BlockedProjector().project_left(accumulator, basis)
     expected = work.T @ basis
     assert rel_err(factor, expected) <= 1e-12
     after = work - basis @ expected.T
-    assert rel_err(residual, after, np.linalg.norm(work)) <= 1e-12
-    np.testing.assert_array_equal(grad, grad_before)
+    assert rel_err(accumulator, after, np.linalg.norm(work)) <= 1e-12
 
 
 class TestBlockedKernelMatchesDense:
@@ -103,11 +96,11 @@ class TestBlockedKernelMatchesDense:
         for n, m in [(5, 7), (150, 1024), (3, 2), (37, 4096)]:
             grad = rng.normal(size=(n, m))
             basis = rng.normal(size=(m, 2)) / np.sqrt(m)
-            residual = residual_for({}, "w", (n, m))
-            factor = projector.project_right(grad, residual, basis, subtract=True)
+            accumulator = grad.copy()
+            factor = projector.project_right(accumulator, basis, subtract=True)
             assert rel_err(factor, grad @ basis) <= 1e-12
             expected = grad - (grad @ basis) @ basis.T
-            assert rel_err(residual, expected, np.linalg.norm(grad)) <= 1e-12
+            assert rel_err(accumulator, expected, np.linalg.norm(grad)) <= 1e-12
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -130,24 +123,30 @@ class TestBlockedKernelMatchesDense:
         check_left_projection(shape, rank, seed, add)
 
     def test_fresh_residual_is_the_bitwise_additive_identity(self):
+        """An empty carried view (``-0.0``) plus a gradient is the gradient,
+        signed zeros included."""
         grad = np.array([[0.0, -0.0, 1.5], [-2.0, np.pi, 1e-300]])
-        residual = residual_for({}, "w", grad.shape)
-        residual += grad
-        assert residual.tobytes() == grad.tobytes()
+        arena = GradientArena([("w", grad.shape)], 1)
+        arena.carry(["w"])
+        arena.load(0, {"w": grad})
+        assert arena.grads(0)["w"].tobytes() == grad.tobytes()
 
     def test_without_residual_projects_the_gradient_and_writes_nothing(self):
+        """Error feedback off: one plain product of a read-only gradient."""
         rng = np.random.default_rng(0)
         grad = rng.normal(size=(6, 8))
         grad.flags.writeable = False
-        projector = BlockedProjector()
-        right = rng.normal(size=(8, 2))
-        left = rng.normal(size=(6, 2))
-        np.testing.assert_array_equal(
-            projector.project_right(grad, None, right, subtract=True), grad @ right
-        )
-        np.testing.assert_array_equal(
-            projector.project_left(grad, None, left), grad.T @ left
-        )
+        acp = ACPSGDState(rank=2, seed=0, use_error_feedback=False)
+        factor = acp.compress("w", grad, 1)
+        np.testing.assert_array_equal(factor, grad @ acp._carried["w"])
+        acp.finalize("w", factor, 1)
+        factor = acp.compress("w", grad, 2)
+        np.testing.assert_array_equal(factor, grad.T @ acp._carried["w"])
+        power = PowerSGDState(rank=2, seed=0, use_error_feedback=False)
+        p = power.compute_p("w", grad)
+        np.testing.assert_array_equal(p, grad @ power._query["w"])
+        q = power.compute_q("w", p)
+        np.testing.assert_array_equal(q, grad.T @ power._pending["w"])
 
 
 WIDTHS = [5, 767, 768, 1023, 4097]
@@ -196,8 +195,8 @@ class TestBlockedProduct:
             fresh, into = ACPSGDState(rank=4, seed=1), ACPSGDState(rank=4, seed=1)
             for step in (1, 2):  # P and Q side of the alternation
                 matrix = rng.normal(size=(n, m))
-                factor = fresh.compress("w", matrix, step)
-                into.compress("w", matrix, step)
+                factor = fresh.compress("w", matrix.copy(), step)
+                into.compress("w", matrix.copy(), step)
                 hat = fresh.finalize("w", factor, step)
                 storage, slot = slot_storage((n, m), offset=step - 1)
                 assert into.finalize("w", factor, step, out=slot) is slot
@@ -214,8 +213,8 @@ class TestBlockedProduct:
             fresh, into = PowerSGDState(rank=4, seed=1), PowerSGDState(rank=4, seed=1)
             for offset in (0, 1):
                 matrix = rng.normal(size=(n, m))
-                p = fresh.compute_p("w", matrix)
-                into.compute_p("w", matrix)
+                p = fresh.compute_p("w", matrix.copy())
+                into.compute_p("w", matrix.copy())
                 q = fresh.compute_q("w", p)
                 into.compute_q("w", p)
                 p_hat = fresh._pending["w"]
@@ -239,10 +238,20 @@ def _input_variants(rng):
     ]
 
 
+def _feed(matrix, accumulator):
+    """What the states compress: the gradient itself without error
+    feedback, else the float64 accumulator it is added into (the slot)."""
+    if accumulator is None:
+        return matrix
+    accumulator += matrix
+    return accumulator
+
+
 class TestInputsAreOnlyRead:
     """float32, non-contiguous and read-only gradients are accepted, give
     the factors of their float64 C-contiguous copies, and are never written
-    — with error feedback on and off."""
+    — without error feedback compressed as they are, with it added into
+    the accumulator the states project and correct in place."""
 
     @pytest.mark.parametrize("use_ef", [True, False])
     def test_acpsgd_compress(self, use_ef, rng):
@@ -251,9 +260,13 @@ class TestInputsAreOnlyRead:
             before = matrix.copy()
             state = ACPSGDState(rank=3, seed=5, use_error_feedback=use_ef)
             oracle = ACPSGDState(rank=3, seed=5, use_error_feedback=use_ef)
+            acc, ref_acc = (
+                (np.full(matrix.shape, -0.0), np.full(matrix.shape, -0.0))
+                if use_ef else (None, None)
+            )
             for step in (1, 2, 3):
-                factor = state.compress("w", matrix, step)
-                expected = oracle.compress("w", reference, step)
+                factor = state.compress("w", _feed(matrix, acc), step)
+                expected = oracle.compress("w", _feed(reference, ref_acc), step)
                 assert factor.dtype == np.float64
                 assert rel_err(factor, expected) <= 1e-12, (label, step)
                 state.finalize("w", factor, step)
@@ -268,9 +281,13 @@ class TestInputsAreOnlyRead:
             before = matrix.copy()
             state = PowerSGDState(rank=3, seed=5, use_error_feedback=use_ef)
             oracle = PowerSGDState(rank=3, seed=5, use_error_feedback=use_ef)
+            acc, ref_acc = (
+                (np.full(matrix.shape, -0.0), np.full(matrix.shape, -0.0))
+                if use_ef else (None, None)
+            )
             for _ in range(2):
-                p = state.compute_p("w", matrix)
-                p_ref = oracle.compute_p("w", reference)
+                p = state.compute_p("w", _feed(matrix, acc))
+                p_ref = oracle.compute_p("w", _feed(reference, ref_acc))
                 assert rel_err(p, p_ref) <= 1e-12, label
                 q = state.compute_q("w", p)
                 q_ref = oracle.compute_q("w", p_ref)
@@ -325,12 +342,14 @@ class TestErrorFeedbackInvariants:
         (Algorithm 2 lines 6/11), and the carried factor stays orthonormal."""
         world, rank, stream = data
         states = [ACPSGDState(rank=rank, seed=3) for _ in range(world)]
+        accumulators = [np.full(stream[0][0].shape, -0.0) for _ in range(world)]
         total_in = [0.0] * world
         total_sent = [0.0] * world
         for step, grads in enumerate(stream, start=1):
             factors = []
             for w, state in enumerate(states):
-                factor = state.compress("w", grads[w], step)
+                accumulators[w] += grads[w]
+                factor = state.compress("w", accumulators[w], step)
                 carried = state._carried["w"]
                 assert_orthonormal(carried)
                 sent = (
@@ -346,7 +365,7 @@ class TestErrorFeedbackInvariants:
                 state.finalize("w", mean, step)
         for w, state in enumerate(states):
             scale = max(np.linalg.norm(total_in[w]), 1.0)
-            gap = total_sent[w] + state._error["w"] - total_in[w]
+            gap = total_sent[w] + accumulators[w] - total_in[w]
             assert np.linalg.norm(gap) / scale <= 1e-10
 
     @settings(max_examples=25, deadline=None)
@@ -355,11 +374,14 @@ class TestErrorFeedbackInvariants:
         """Same identity with Vogels' local-Q residual; P_hat orthonormal."""
         world, rank, stream = data
         states = [PowerSGDState(rank=rank, seed=3) for _ in range(world)]
+        accumulators = [np.full(stream[0][0].shape, -0.0) for _ in range(world)]
         total_in = [0.0] * world
         total_sent = [0.0] * world
         for grads in stream:
+            for accumulator, grad in zip(accumulators, grads):
+                accumulator += grad
             p_mean = np.mean(
-                [s.compute_p("w", g) for s, g in zip(states, grads)], axis=0
+                [s.compute_p("w", a) for s, a in zip(states, accumulators)], axis=0
             )
             q_locals = []
             for w, state in enumerate(states):
@@ -374,31 +396,36 @@ class TestErrorFeedbackInvariants:
                 state.reconstruct("w", q_mean)
         for w, state in enumerate(states):
             scale = max(np.linalg.norm(total_in[w]), 1.0)
-            gap = total_sent[w] + state._error["w"] - total_in[w]
+            gap = total_sent[w] + accumulators[w] - total_in[w]
             assert np.linalg.norm(gap) / scale <= 1e-10
 
 
 SHAPES = [("fc1.w", (12, 20)), ("fc1.b", (12,)), ("fc2.w", (9, 12)), ("fc2.b", (9,))]
 
 
-def arena_grads(rng, world, bucket_bytes):
-    """Per-worker arena-backed gradients under one (bucketed) layout."""
-    layout = ArenaLayout(SHAPES, bucket_bytes=bucket_bytes)
+def arena_grads(rng, arena):
+    """One step's gradients, written into the slabs as backward writes them
+    (added onto the residual in an attached aggregator's carried views)."""
     plain = [
         {name: rng.normal(size=shape) for name, shape in SHAPES}
-        for _ in range(world)
+        for _ in range(arena.world_size)
     ]
-    return plain, [ArenaGrads.adopt(grads, layout) for grads in plain]
+    return plain, [arena.load(slot, grads) for slot, grads in enumerate(plain)]
 
 
-def oracle_step(method, states, plain, step):
-    """Per-rank compress -> mean -> finalize, no aggregator involved."""
+def oracle_step(method, states, accumulators, plain, step):
+    """Per-rank compress -> mean -> finalize, no aggregator involved; each
+    rank's compressible gradients go into its own accumulators."""
     out = {}
     for name, shape in SHAPES:
         if len(shape) < 2:
             out[name] = np.mean([grads[name] for grads in plain], axis=0)
             continue
-        mats = [grads[name] for grads in plain]
+        mats = []
+        for acc, grads in zip(accumulators, plain):
+            acc.setdefault(name, np.full(shape, -0.0))
+            acc[name] += grads[name]
+            mats.append(acc[name])
         if method == "acpsgd":
             mean = np.mean(
                 [s.compress(name, g, step) for s, g in zip(states, mats)], axis=0
@@ -438,12 +465,15 @@ class TestAggregatorsAgainstOracle:
     def test_aggregate_matches_per_rank_oracle(self, method, bucket_bytes, rng):
         world, rank = 3, 2
         aggregator = make_aggregator(method, ProcessGroup(world), rank=rank, seed=7)
+        arena = GradientArena(SHAPES, world, bucket_bytes=bucket_bytes)
+        aggregator.attach(arena)
         state_cls = ACPSGDState if method == "acpsgd" else PowerSGDState
         oracle_states = [state_cls(rank=rank, seed=7) for _ in range(world)]
+        accumulators = [{} for _ in range(world)]
         for step in range(1, 7):  # odd and even steps
-            plain, per_worker = arena_grads(rng, world, bucket_bytes)
+            plain, per_worker = arena_grads(rng, arena)
             out = aggregator.aggregate(per_worker)
-            expected = oracle_step(method, oracle_states, plain, step)
+            expected = oracle_step(method, oracle_states, accumulators, plain, step)
             for name, _ in SHAPES:
                 assert rel_err(out[name], expected[name]) <= 1e-12, (name, step)
             assert_ranks_agree(aggregator, method, world)
@@ -474,19 +504,26 @@ class TestSharedOrthogonalisation:
         world = 3
         alone = [ACPSGDState(2, seed=3, reuse_query=reuse_query) for _ in range(world)]
         shared = [ACPSGDState(2, seed=3, reuse_query=reuse_query) for _ in range(world)]
+        acc_alone = [np.full((12, 20), -0.0) for _ in range(world)]
+        acc_shared = [np.full((12, 20), -0.0) for _ in range(world)]
         for step in range(1, 6):
             grads = [rng.normal(size=(12, 20)) for _ in range(world)]
-            want = [s.compress("w", g, step) for s, g in zip(alone, grads)]
+            for a, b, g in zip(acc_alone, acc_shared, grads):
+                a += g
+                b += g
+            want = [s.compress("w", a, step) for s, a in zip(alone, acc_alone)]
             got = [
-                s.compress("w", g, step, shared[0] if slot else None)
-                for slot, (s, g) in enumerate(zip(shared, grads))
+                s.compress("w", a, step, shared[0] if slot else None)
+                for slot, (s, a) in enumerate(zip(shared, acc_shared))
             ]
             mean = np.mean(want, axis=0)
-            for a, b, f_a, f_b in zip(alone, shared, want, got):
+            for a, b, f_a, f_b, e_a, e_b in zip(
+                alone, shared, want, got, acc_alone, acc_shared
+            ):
                 assert np.array_equal(f_a, f_b)
                 assert np.array_equal(a._carried["w"], b._carried["w"])
                 assert np.array_equal(a.finalize("w", mean, step), b.finalize("w", mean, step))
-                assert np.array_equal(a._error["w"], b._error["w"])
+                assert np.array_equal(e_a, e_b)
                 # reuse off: a peer's factor does not stall the own stream.
                 assert rng_positions(a) == rng_positions(b)
 
@@ -495,23 +532,30 @@ class TestSharedOrthogonalisation:
         world = 3
         alone = [PowerSGDState(2, seed=3, reuse_query=reuse_query) for _ in range(world)]
         shared = [PowerSGDState(2, seed=3, reuse_query=reuse_query) for _ in range(world)]
+        acc_alone = [np.full((12, 20), -0.0) for _ in range(world)]
+        acc_shared = [np.full((12, 20), -0.0) for _ in range(world)]
         for _ in range(4):
             grads = [rng.normal(size=(12, 20)) for _ in range(world)]
+            for a, b, g in zip(acc_alone, acc_shared, grads):
+                a += g
+                b += g
             p_mean = np.mean(
-                [s.compute_p("w", g) for s, g in zip(alone, grads)], axis=0
+                [s.compute_p("w", a) for s, a in zip(alone, acc_alone)], axis=0
             )
-            for s, g in zip(shared, grads):
-                s.compute_p("w", g)
+            for s, b in zip(shared, acc_shared):
+                s.compute_p("w", b)
             want = [s.compute_q("w", p_mean) for s in alone]
             got = [
                 s.compute_q("w", p_mean, shared[0] if slot else None)
                 for slot, s in enumerate(shared)
             ]
             q_mean = np.mean(want, axis=0)
-            for a, b, q_a, q_b in zip(alone, shared, want, got):
+            for a, b, q_a, q_b, e_a, e_b in zip(
+                alone, shared, want, got, acc_alone, acc_shared
+            ):
                 assert np.array_equal(q_a, q_b)
                 assert np.array_equal(a.reconstruct("w", q_mean), b.reconstruct("w", q_mean))
-                assert np.array_equal(a._error["w"], b._error["w"])
+                assert np.array_equal(e_a, e_b)
                 assert rng_positions(a) == rng_positions(b)
 
     @pytest.mark.parametrize("method", ["acpsgd", "powersgd"])
@@ -527,8 +571,11 @@ class TestSharedOrthogonalisation:
         )
 
         def step(world):
-            _, per_worker = arena_grads(rng, world, 1200)
-            aggregator.aggregate(per_worker)
+            plain = [
+                {name: rng.normal(size=shape) for name, shape in SHAPES}
+                for _ in range(world)
+            ]
+            aggregator.aggregate(plain)
             assert_ranks_agree(aggregator, method, world)
             positions = [
                 rng_positions(aggregator.state_for(r)) for r in range(world)
@@ -545,28 +592,35 @@ class TestSharedOrthogonalisation:
 
     @pytest.mark.parametrize("method", ["acpsgd", "powersgd"])
     @pytest.mark.parametrize("use_ef", [True, False])
-    def test_reconstruction_lands_in_slot_zero_storage(self, method, use_ef, rng):
-        """The result of a compressible tensor is a read-only view of slot
-        0's slab (its gradient is consumed); the other slabs are only read."""
+    def test_reconstruction_lands_in_the_result_buffer(self, method, use_ef, rng):
+        """The result of a compressible tensor is a read-only view of the
+        aggregator's one result buffer; a slab's compressible tensors are
+        its rank's residual with error feedback, only read without, and its
+        plain tensors are only read."""
         world = 3
         aggregator = make_aggregator(
             method, ProcessGroup(world), rank=2, use_error_feedback=use_ef
         )
+        arena = GradientArena(SHAPES, world, bucket_bytes=1200)
+        aggregator.attach(arena)
         twin = make_aggregator(
             method, ProcessGroup(world), rank=2, use_error_feedback=use_ef
         )
         for _ in range(3):
-            plain, per_worker = arena_grads(rng, world, 1200)
+            plain, per_worker = arena_grads(rng, arena)
             before = [grads.slab.copy() for grads in per_worker]
             out = aggregator.aggregate(per_worker)
             for name, shape in SHAPES:
-                if len(shape) == 2:
-                    assert np.shares_memory(out[name], per_worker[0][name])
+                compressible = len(shape) == 2
                 assert not out[name].flags.writeable
-            for grads, slab in zip(per_worker[1:], before[1:]):
-                assert np.array_equal(grads.slab, slab)
-            # Plain dicts are adopted into private slabs: never modified,
-            # and the same bits come back.
+                for grads, slab in zip(per_worker, before):
+                    assert not np.shares_memory(out[name], grads.slab)
+                    unchanged = np.array_equal(
+                        grads[name], arena.layout.carve(slab)[name]
+                    )
+                    assert unchanged == (not (compressible and use_ef)), name
+            # Plain dicts go into a private arena the same way: never
+            # modified, and the same bits come back.
             copies = [{n: g.copy() for n, g in grads.items()} for grads in plain]
             again = twin.aggregate(plain)
             for name, _ in SHAPES:

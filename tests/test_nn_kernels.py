@@ -434,20 +434,36 @@ class TestWeightGradientLandsInTheSlot:
                     rtol = 1e-13 if flat_grad.dtype == np.float64 else 1e-6
                     np.testing.assert_allclose(want, expected, rtol=rtol, atol=1e-12)
 
-    def test_layer_is_handed_the_slot_once_per_step(self, rng):
+    def test_layer_is_handed_the_slot_once_per_step(self, rng, monkeypatch):
+        """A step's first weight-gradient product is formed in the slot; a
+        later one (a second backward before ``zero_grad``, or any into a
+        carried error-feedback slot) in block scratch added onto it."""
         model = _two_linears(2)
-        weight = model[2].weight
-        assert weight.grad_destination() is None  # legacy storage
         arena = GradientArena(model, 1)
         arena.bind(model, 0)
-        slot = weight.grad_destination()
-        assert slot is not None and slot.flags.c_contiguous
-        assert np.shares_memory(slot, arena.slab(0))
-        model(rng.normal(size=(2, 5)))
-        model.backward(rng.normal(size=(2, 7)))
-        assert weight.grad_destination() is None  # written: later passes add
+        real_matmul, outs = np.matmul, []
+
+        def spy(a, b, out=None, **kwargs):
+            outs.append(out)
+            return real_matmul(a, b, out=out, **kwargs)
+
+        def into_slots():
+            """Per blocked product of one backward: was it formed in the slab?"""
+            outs.clear()
+            model(rng.normal(size=(2, 5)))
+            model.backward(rng.normal(size=(2, 7)))
+            return {np.shares_memory(out, arena.slab(0)) for out in outs}
+
+        monkeypatch.setattr(np, "matmul", spy)
+        assert into_slots() == {True}
+        assert into_slots() == {False}  # written: later passes add
         model.zero_grad()
-        assert weight.grad_destination() is slot
+        assert into_slots() == {True}
+        arena.carry(name for name, _ in model.named_parameters())
+        arena.bind(model, 0)
+        assert into_slots() == {False}  # a residual is never overwritten
+        model.zero_grad()
+        assert into_slots() == {False}
 
 
 class TestFirstLayerSkipsItsInputGradient:

@@ -37,17 +37,17 @@ class TestArenaBitExactness:
         arena = GradientArena(model, world)
         on_dicts = make_aggregator(method, ProcessGroup(world))
         on_arena = make_aggregator(method, ProcessGroup(world))
+        on_arena.attach(arena)
         rng = np.random.default_rng(1)
         for _ in range(3):
             plain = []
             for slot in range(world):
-                arena.slab(slot)[:] = rng.standard_normal(
-                    arena.layout.total_elements
-                )
+                fresh = rng.standard_normal(arena.layout.total_elements)
                 plain.append({
                     name: view.copy()
-                    for name, view in arena.grads(slot).items()
+                    for name, view in arena.layout.carve(fresh).items()
                 })
+                arena.load(slot, plain[slot])  # as backward writes the slab
             untouched = [
                 {name: grad.copy() for name, grad in grads.items()}
                 for grads in plain

@@ -63,11 +63,13 @@ class TestErrorFeedback:
     def test_cumulative_transmission_tracks_gradients(self, rng):
         state = PowerSGDState(rank=2, seed=3, use_error_feedback=True)
         base = rng.normal(size=(12, 16))
+        accumulator = np.full(base.shape, -0.0)  # the rank's M + E
         total_in = np.zeros_like(base)
         total_out = np.zeros_like(base)
         for _ in range(150):
             grad = base + 0.1 * rng.normal(size=base.shape)
-            p = state.compute_p("w", grad)
+            accumulator += grad
+            p = state.compute_p("w", accumulator)
             q = state.compute_q("w", p)
             m_hat = state.reconstruct("w", q)
             total_in += grad

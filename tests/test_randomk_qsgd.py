@@ -40,12 +40,14 @@ class TestRandomK:
     def test_error_feedback_conservation(self, rng):
         comp = RandomKCompressor(ratio=0.25, seed=0, use_error_feedback=True)
         grad = rng.normal(size=40)
+        accumulator = np.full(40, -0.0)  # the rank's residual + gradient
         total_sent = np.zeros(40)
         for step in range(1, 9):
-            payload = comp.compress("w", grad, step)
+            accumulator += grad
+            payload = comp.compress("w", accumulator, step)
+            assert not accumulator[payload.indices].any()
             total_sent[payload.indices] += payload.values
-        residual = comp._error["w"]
-        np.testing.assert_allclose(total_sent + residual, 8 * grad, atol=1e-9)
+        np.testing.assert_allclose(total_sent + accumulator, 8 * grad, atol=1e-9)
 
     def test_invalid_ratio(self):
         with pytest.raises(ValueError, match="ratio"):

@@ -153,9 +153,10 @@ class TestEveryModuleIsUsed:
             "reference implementation: the step-wise ring whose association "
             "all_reduce_inplace must reproduce bit for bit "
             "(tests/test_allreduce_kernel.py, test_hierarchical_comm.py)",
-        "repro.compression.signsgd.majority_vote_aggregate":
-            "reference implementation: the float vote the Sign-SGD "
-            "aggregator's integer bit count is pinned to "
+        "repro.compression.signsgd":
+            "reference implementation: the per-vector compressor and float "
+            "vote the Sign-SGD aggregator's bucket-wise, in-slab error "
+            "feedback and integer bit count are pinned to "
             "(tests/test_aggregators.py, tests/test_signsgd.py)",
         "repro.nn.pooling.AvgPool2d":
             "DESIGN.md 'Autodiff / layers framework' row lists MaxPool/AvgPool",

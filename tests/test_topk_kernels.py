@@ -203,14 +203,20 @@ class TestCompressorRoutesThroughKernel:
     @pytest.mark.parametrize("use_ef", [True, False])
     @pytest.mark.parametrize("size", [5000, 150_000])
     def test_compress_equals_oracle_recurrence(self, use_ef, size):
-        """``compress`` == select-on-(grad + residual) with the oracle."""
+        """``compress`` == select-on-(grad + residual) with the oracle; with
+        error feedback the residual is what it leaves in the accumulator."""
         rng = np.random.default_rng(size)
         comp = TopkCompressor(ratio=0.01, use_error_feedback=use_ef)
-        residual = np.zeros(size)
+        residual = np.full(size, -0.0)
+        accumulator = residual.copy()
         for _ in range(4):
             grad = heavy_tailed(rng, size)
             before = grad.copy()
-            payload = comp.compress("g", grad)
+            if use_ef:
+                accumulator += grad
+                payload = comp.compress(accumulator)
+            else:
+                payload = comp.compress(grad)
             np.testing.assert_array_equal(grad, before)
             work = grad + residual if use_ef else grad
             oracle = exact_topk_mask(work, payload.k)
@@ -219,16 +225,19 @@ class TestCompressorRoutesThroughKernel:
             if use_ef:
                 residual = work.copy()
                 residual[oracle] = 0.0
-                np.testing.assert_array_equal(comp._error["g"], residual)
-            else:
-                assert not comp._error
+                assert accumulator.tobytes() == residual.tobytes()
 
     def test_compress_accepts_float32_and_nd(self):
         rng = np.random.default_rng(0)
         grad = rng.standard_normal((40, 50)).astype(np.float32)
-        payload = TopkCompressor(ratio=0.1).compress("w", grad)
+        payload = TopkCompressor(ratio=0.1, use_error_feedback=False).compress(grad)
         assert payload.num_elements == 2000 and payload.k == 200
         assert payload.values.dtype == np.float64
+        # An N-d float64 accumulator is zeroed in place where it was sent.
+        accumulator = grad.astype(np.float64)
+        payload = TopkCompressor(ratio=0.1).compress(accumulator)
+        assert payload.k == 200
+        assert not accumulator.reshape(-1)[payload.indices].any()
 
 
 def mlp_arena(world_size, hidden=64, bucket_bytes=None, seed=0):
@@ -237,10 +246,12 @@ def mlp_arena(world_size, hidden=64, bucket_bytes=None, seed=0):
 
 
 def fill(arena, world_size, rng, scale=1.0):
+    """Fresh gradients, written as backward writes them: added onto the
+    residual in an attached error-feedback aggregator's carried views."""
     reference = []
     for slot in range(world_size):
         ref = heavy_tailed(rng, arena.layout.total_elements) * scale
-        np.copyto(arena.slab(slot), ref)
+        arena.load(slot, arena.layout.carve(ref))
         reference.append(ref)
     return reference, [arena.grads(slot) for slot in range(world_size)]
 
@@ -261,13 +272,14 @@ class TestAggregatorConservation:
         aggregator = TopkSGDAggregator(
             ProcessGroup(world), ratio=0.05, selection=selection
         )
+        aggregator.attach(arena)
         rng = np.random.default_rng(7)
         residual = np.full(arena.layout.total_elements, -0.0)
         for _ in range(4):
             (grad,), grads = fill(arena, world, rng)
             out = aggregator.aggregate(grads)
             sent = np.concatenate([out[n].reshape(-1) for n in arena.layout.names])
-            new_residual = aggregator.state_for(0)._error["fused"]
+            new_residual = arena.slab(0)
             assert np.count_nonzero(sent) > 0
             assert not np.any((sent != 0) & (new_residual != 0))
             np.testing.assert_array_equal(sent + new_residual, grad + residual)
@@ -307,13 +319,14 @@ class TestAggregatorConservation:
     @pytest.mark.parametrize("use_ef", [True, False])
     @pytest.mark.parametrize("bucket_bytes", [None, 4096])
     def test_aggregate_matches_per_rank_oracle(self, use_ef, bucket_bytes):
-        """The slab-consuming path == compress-per-rank + dense mean."""
+        """The in-slab path == compress-per-rank + dense mean."""
         world = 3
         _, arena = mlp_arena(world, bucket_bytes=bucket_bytes)
         total = arena.layout.total_elements
         aggregator = TopkSGDAggregator(
             ProcessGroup(world), ratio=0.02, use_error_feedback=use_ef
         )
+        aggregator.attach(arena)
         rng = np.random.default_rng(11)
         residuals = [np.zeros(total) for _ in range(world)]
         for _ in range(3):
@@ -331,9 +344,11 @@ class TestAggregatorConservation:
             dense /= world
             got = np.concatenate([out[n].reshape(-1) for n in arena.layout.names])
             np.testing.assert_array_equal(got, dense)
-            # The result lives in slot 0's slab, handed back read-only.
+            # The result lives in the result buffer, handed back read-only.
             first = out[arena.layout.names[0]]
-            assert np.shares_memory(first, arena.slab(0))
+            assert not any(
+                np.shares_memory(first, arena.slab(slot)) for slot in range(world)
+            )
             assert not first.flags.writeable
         arena.close()
 
@@ -341,6 +356,7 @@ class TestAggregatorConservation:
         world = 2
         _, arena = mlp_arena(world)
         aggregator = TopkSGDAggregator(ProcessGroup(world), validate=True)
+        aggregator.attach(arena)
         _, grads = fill(arena, world, np.random.default_rng(0))
         arena.slab(1)[17] = np.nan
         with pytest.raises(ValueError, match="worker 1"):
@@ -380,6 +396,7 @@ class TestSteadyStateAllocations:
         reference = [heavy_tailed(rng, total) for _ in range(world)]
 
         def step():
+            # Refilled, not added onto: measured without a carried residual.
             for slot, ref in enumerate(reference):
                 np.copyto(arena.slab(slot), ref)
             grads = [arena.grads(slot) for slot in range(world)]
