@@ -34,11 +34,16 @@ shared across workers; ``E_0 = 0``.
 
 Memory cost: the two rank-``r`` factors per compressible tensor, nothing
 full-size. With error feedback the caller owns the ``n x m`` accumulator
-(the trainer: the rank's arena slot, into which backward adds ``M_t`` on
-top of ``E_{t-1}``); ``compress`` projects it and leaves ``E_t`` in it
-through the row-blocked kernel in :mod:`repro.compression.lowrank_kernels`
-— one pass over the matrix on odd steps, two on even steps — allocating no
-full-size temporary. Without error feedback the matrix is only read.
+(the trainer: the rank's arena slot); ``compress`` projects it and leaves
+``E_t`` in it through the row-blocked kernel in
+:mod:`repro.compression.lowrank_kernels`, allocating no full-size
+temporary. Either the accumulator already holds ``M_t + E_{t-1}`` — one
+pass over the matrix on odd steps, two on even steps, after the pass that
+added ``M_t`` — or it holds ``E_{t-1}`` and ``M_t = a b`` comes as its
+factors (a ``Linear`` weight gradient ``g^T x``): then ``M_t`` is never
+formed, and ``E_t = E_{t-1} + [a | -P_t] [b ; Q_t^T]`` is one
+rank-``(K + r)`` update — one pass on odd steps, two on even steps, in all.
+Without error feedback the matrix is only read.
 """
 
 from __future__ import annotations
@@ -142,6 +147,7 @@ class ACPSGDState:
     def compress(
         self, name: str, matrix: np.ndarray, step: int,
         peer: Optional["ACPSGDState"] = None,
+        factors: Optional[Tuple[np.ndarray, np.ndarray]] = None,
     ) -> np.ndarray:
         """Compute this step's local low-rank factor and update the error.
 
@@ -149,15 +155,19 @@ class ACPSGDState:
         feedback ``matrix`` is the rank's accumulator ``M + E`` (float64,
         C-contiguous, writable) and holds the new residual afterwards, per
         Algorithm 2 lines 6/11; without it ``matrix`` is only read (any
-        float dtype, any strides). ``peer``, another rank's state that has
-        compressed ``name`` this step, lends its orthonormal carried factor:
-        the ranks of one job carry identical factors, so one QR per tensor
-        serves them all.
+        float dtype, any strides). ``factors`` ``(a, b)`` (``n x K``,
+        ``K x m``; error feedback only) hand over ``M = a @ b`` instead: the
+        accumulator then holds ``E`` alone and ``M`` is never formed.
+        ``peer``, another rank's state that has compressed ``name`` this
+        step, lends its orthonormal carried factor: the ranks of one job
+        carry identical factors, so one QR per tensor serves them all.
         """
         if matrix.ndim != 2:
             raise ValueError(f"expected a matrix, got shape {matrix.shape}")
         if step < 1:
             raise ValueError(f"step counter is 1-based, got {step}")
+        if factors is not None and not self.use_error_feedback:
+            raise ValueError("factors= needs error feedback (an accumulator)")
         self._ensure_factors(name, matrix.shape)
         # Fetched beside a peer too: with ``reuse_query`` off it is a draw,
         # and every rank's stream advances in lockstep.
@@ -167,11 +177,16 @@ class ACPSGDState:
         if not self.use_error_feedback:
             matrix = np.asarray(matrix, dtype=np.float64)
             return matrix @ carried if self.compresses_p(step) else matrix.T @ carried
+        projector = self._projector
         if self.compresses_p(step):
             # P = (M + E) Q_t;  E <- (M + E) - P Q_t^T
-            return self._projector.project_right(matrix, carried, subtract=True)
+            if factors is None:
+                return projector.project_right(matrix, carried, subtract=True)
+            return projector.project_right_factored(matrix, *factors, carried)
         # Q = (M + E)^T P_t;  E <- (M + E) - P_t Q^T
-        return self._projector.project_left(matrix, carried)
+        if factors is None:
+            return projector.project_left(matrix, carried)
+        return projector.project_left_factored(matrix, *factors, carried)
 
     def store_factor(
         self, name: str, factor_aggregated: np.ndarray, step: int

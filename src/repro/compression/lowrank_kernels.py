@@ -11,22 +11,31 @@ Done densely that is five passes over ``n m`` elements and four full-size
 temporaries. Here ``W`` is the rank's accumulator — its arena slot, into
 which backward already added ``M`` — and projection and correction run over
 **row blocks** of about 512 KiB, each while it is cache-resident, leaving
-``E'`` where ``W`` was. The only scratch is one block-sized buffer per
-:class:`BlockedProjector`.
+``E'`` where ``W`` was: one pass for a right projection with its
+correction, two for a left one. The only scratch is one block-sized buffer
+per :class:`BlockedProjector`.
+
+When the gradient is a thin product ``M = a b`` (a ``Linear`` weight
+gradient ``g^T x``, ``K`` batch rows) and the slot holds only ``E``, the
+``*_factored`` methods never form ``M``: the factor is ``E B`` plus the
+thin ``a (b B)``, and the new residual ``E + a b - F B^T`` is one
+rank-``(K + r)`` product ``[a | -F] [b ; B^T]`` added onto ``E``. That is
+one pass over ``E`` for a right projection and two for a left one (read,
+then update), where adding ``M`` first and projecting costs two and three.
 
 The block height is a pure function of the matrix width
 (:func:`block_rows`), never of how the tensors are bucketed or which backend
 runs the workers, so the summation order of the left projection — the one
 place blocking changes floating-point results — is fixed per tensor shape.
 
-The reconstruction ``P Q^T`` and ``repro.nn.Linear``'s weight gradient
-share :func:`blocked_matmul`, the product of a thin inner dimension written
-one ~256 KiB row block at a time.
+The reconstruction ``P Q^T``, ``repro.nn.Linear``'s weight gradient and the
+factored residual update share :func:`blocked_matmul`, the product of a
+thin inner dimension written one ~256 KiB row block at a time.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -40,6 +49,16 @@ _PRODUCT_ELEMENTS = 32768
 def block_rows(m: int) -> int:
     """Rows per block for matrices with ``m`` columns."""
     return max(1, _BLOCK_ELEMENTS // m)
+
+
+def _product_blocks(n: int, m: int) -> Iterator[Tuple[int, int]]:
+    """Row ranges of :func:`blocked_matmul`'s blocks for an ``n x m`` product."""
+    rows = max(2, _PRODUCT_ELEMENTS // m)
+    lo = 0
+    while lo < n:
+        hi = n if n - lo <= rows + 1 else lo + rows
+        yield lo, hi
+        lo = hi
 
 
 def blocked_matmul(
@@ -59,7 +78,7 @@ def blocked_matmul(
     With ``add`` the product is added into ``out`` instead: each block is
     formed in one block of scratch and added to its rows of ``out`` while
     it is still in cache — ``out`` is read and written once, and nothing
-    the size of the product is allocated.
+    the size of the product is allocated. ``add`` needs an ``out``.
 
     The blocks depend only on the shapes, so a product has the same bits in
     ``out`` (an arena slot, say), in a fresh array and in the scratch — but
@@ -70,18 +89,30 @@ def blocked_matmul(
     """
     n, m = a.shape[0], b.shape[1]
     if out is None:
+        if add:
+            raise ValueError("blocked_matmul(add=True) needs out= to add into")
         out = np.empty((n, m), dtype=np.result_type(a, b))
     rows = max(2, _PRODUCT_ELEMENTS // m)
     scratch = np.empty((min(rows + 1, n), m), np.result_type(a, b)) if add else None
-    lo = 0
-    while lo < n:
-        hi = n if n - lo <= rows + 1 else lo + rows
+    for lo, hi in _product_blocks(n, m):
         if add:
             out[lo:hi] += np.matmul(a[lo:hi], b, out=scratch[: hi - lo])
         else:
             np.matmul(a[lo:hi], b, out=out[lo:hi])
-        lo = hi
     return out
+
+
+def _stacked(
+    a: np.ndarray, b: np.ndarray, r: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``[a | ·]`` (``n x (K + r)``) and ``[b ; ·]`` (``(K + r) x m``), the
+    last ``r`` columns / rows left for the caller to fill."""
+    k = a.shape[1]
+    left = np.empty((a.shape[0], k + r))
+    left[:, :k] = a
+    right = np.empty((k + r, b.shape[1]))
+    right[:k] = b
+    return left, right
 
 
 class BlockedProjector:
@@ -89,11 +120,12 @@ class BlockedProjector:
 
     One instance per compressor state; it owns the block-sized scratch the
     correction ``F_b B^T`` is formed in (grow-only, at most
-    ``max(65536, m)`` elements).
+    ``max(65536, 3 m)`` elements).
 
     ``work`` is a rank's ``M + E`` (float64, C-contiguous, writable): the
-    slot backward added the gradient into. Without error feedback the
-    states use one plain product instead.
+    slot backward added the gradient into — or, for the ``*_factored``
+    methods, ``E`` alone with ``M`` handed over as its factors. Without
+    error feedback the states use one plain product instead.
     """
 
     def __init__(self) -> None:
@@ -144,13 +176,8 @@ class BlockedProjector:
             basis: ``(n, r)`` left basis.
         """
         n, m = work.shape
-        factor = np.zeros((m, basis.shape[1]))
-        partial = np.empty_like(factor)
+        factor = _add_left_projection(work, basis, np.zeros((m, basis.shape[1])))
         rows = min(block_rows(m), n)
-        for lo in range(0, n, rows):
-            hi = min(lo + rows, n)
-            np.matmul(work[lo:hi].T, basis[lo:hi], out=partial)
-            factor += partial
         scratch = self._block_scratch(rows, m)
         factor_t = factor.T
         for lo in range(0, n, rows):
@@ -159,3 +186,71 @@ class BlockedProjector:
             np.matmul(basis[lo:hi], factor_t, out=correction)
             work[lo:hi] -= correction
         return factor
+
+    def project_right_factored(
+        self, work: np.ndarray, a: np.ndarray, b: np.ndarray, basis: np.ndarray
+    ) -> np.ndarray:
+        """``F = (work + a @ b) @ basis``; ``work += [a | -F] @ [b ; basis.T]``.
+
+        One pass, ``a @ b`` never formed: rows are independent, so each of
+        :func:`blocked_matmul`'s row blocks of ``work`` is projected
+        (``F_b = work_b @ basis`` plus the thin ``a_b @ (b @ basis)``) and
+        then updated by its rank-``(K + r)`` product while it is in cache.
+
+        Args:
+            work: ``(n, m)`` residual ``E`` (float64, C-contiguous, writable);
+                it holds ``E + a b - F basis^T`` afterwards.
+            a, b: ``(n, K)`` and ``(K, m)`` factors of the gradient.
+            basis: ``(m, r)`` right basis.
+        """
+        n, m = work.shape
+        k, r = a.shape[1], basis.shape[1]
+        left, right = _stacked(a, b, r)
+        right[k:] = basis.T
+        factor = a @ (b @ basis)  # the gradient's share; E's is added per block
+        height = min(max(2, _PRODUCT_ELEMENTS // m) + 1, n)
+        scratch = self._block_scratch(height, m)
+        part = np.empty((height, r))
+        for lo, hi in _product_blocks(n, m):
+            block = work[lo:hi]
+            factor[lo:hi] += np.matmul(block, basis, out=part[: hi - lo])
+            np.negative(factor[lo:hi], out=left[lo:hi, k:])
+            block += np.matmul(left[lo:hi], right, out=scratch[: hi - lo])
+        return factor
+
+    def project_left_factored(
+        self, work: np.ndarray, a: np.ndarray, b: np.ndarray, basis: np.ndarray
+    ) -> np.ndarray:
+        """``F = (work + a @ b).T @ basis``; ``work += [a | -basis] @ [b ; F.T]``.
+
+        Two passes, ``a @ b`` never formed: ``F`` is the thin
+        ``b.T @ (a.T @ basis)`` plus a read sweep of ``work.T @ basis`` (a
+        sum over row blocks, so the update waits for all of it), then
+        :func:`blocked_matmul` adds the rank-``(K + r)`` update onto ``work``.
+
+        Args:
+            work: ``(n, m)`` residual ``E``, updated in place.
+            a, b: ``(n, K)`` and ``(K, m)`` factors of the gradient.
+            basis: ``(n, r)`` left basis.
+        """
+        k, r = a.shape[1], basis.shape[1]
+        factor = _add_left_projection(work, basis, b.T @ (a.T @ basis))
+        left, right = _stacked(a, b, r)
+        np.negative(basis, out=left[:, k:])
+        right[k:] = factor.T
+        blocked_matmul(left, right, out=work, add=True)
+        return factor
+
+
+def _add_left_projection(
+    work: np.ndarray, basis: np.ndarray, factor: np.ndarray
+) -> np.ndarray:
+    """``factor += work.T @ basis``, summed over ``block_rows`` row blocks."""
+    n, m = work.shape
+    partial = np.empty_like(factor)
+    rows = min(block_rows(m), n)
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        np.matmul(work[lo:hi].T, basis[lo:hi], out=partial)
+        factor += partial
+    return factor

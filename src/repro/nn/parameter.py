@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -10,6 +10,21 @@ from repro.compression.lowrank_kernels import blocked_matmul
 
 # A hook receives the parameter whose gradient just became available.
 GradHook = Callable[["Parameter"], None]
+#: A carried slot's recorded gradient products ``[(a, b), ...]``: the slot's
+#: gradient is ``sum(a @ b)`` on top of what the slot holds.
+Pending = List[Tuple[np.ndarray, np.ndarray]]
+
+
+def add_pending(slot: np.ndarray, pending: Pending) -> None:
+    """Add a slot's recorded products onto it, in order, and forget them.
+
+    Each goes through the ``blocked_matmul(add=True)`` it would have gone
+    through when it was recorded, so the slot gets the bits it would hold
+    had the products never been kept as factors.
+    """
+    for a, b in pending:
+        blocked_matmul(a, b, out=slot, add=True)
+    pending.clear()
 
 
 class RemovableHandle:
@@ -54,7 +69,9 @@ class Parameter:
       the slot stale — no per-step allocation at all. Both modes produce
       bit-identical gradient values. A slot attached with ``carry`` is an
       accumulator that is never stale: an error-feedback method keeps the
-      rank's residual in it, and every backward adds onto it.
+      rank's residual in it, and every backward adds onto it. One attached
+      with a ``pending`` list as well keeps thin products there as their
+      factors (:meth:`accumulate_product`); reading :attr:`grad` adds them.
     """
 
     def __init__(self, data: np.ndarray, name: str = ""):
@@ -64,13 +81,24 @@ class Parameter:
         self._grad_slot: Optional[np.ndarray] = None
         self._slot_written = False
         self._carry = False
+        self._pending: Optional[Pending] = None
         self._hooks: List[GradHook] = []
 
     @property
     def grad(self) -> Optional[np.ndarray]:
         if self._grad_slot is not None:
-            return self._grad_slot if self._slot_written else None
+            if not self._slot_written:
+                return None
+            self._add_pending()
+            return self._grad_slot
         return self._grad
+
+    @property
+    def has_grad(self) -> bool:
+        """``grad is not None``, without adding pending products."""
+        if self._grad_slot is not None:
+            return self._slot_written
+        return self._grad is not None
 
     @property
     def shape(self) -> tuple:
@@ -97,13 +125,20 @@ class Parameter:
         """Remove all registered hooks."""
         self._hooks.clear()
 
-    def attach_grad_slot(self, slot: np.ndarray, carry: bool = False) -> None:
+    def attach_grad_slot(
+        self,
+        slot: np.ndarray,
+        carry: bool = False,
+        pending: Optional[Pending] = None,
+    ) -> None:
         """Route gradient accumulation into a preallocated buffer view.
 
         ``slot`` must match the parameter's shape; it is typically a view
         into a worker's fused arena slab. Attaching marks the slot stale
         (as after ``zero_grad``) unless ``carry``: an error-feedback residual
-        every backward adds onto. Any legacy gradient is dropped.
+        every backward adds onto. ``pending`` (a carried slot's, owned by
+        the arena) receives thin products as factors instead
+        (:meth:`accumulate_product`). Any legacy gradient is dropped.
         """
         if slot.shape != self.data.shape:
             raise ValueError(
@@ -111,15 +146,34 @@ class Parameter:
                 f"{self.data.shape}"
                 + (f" for {self.name!r}" if self.name else "")
             )
+        if pending is not None and not carry:
+            raise ValueError("pending products need a carried slot")
         self._grad_slot = slot
         self._carry = carry
         self._slot_written = carry
+        self._pending = pending
         self._grad = None
 
     def detach_grad_slot(self) -> None:
         """Return to legacy per-step gradient allocation."""
         self._grad_slot = None
+        self._pending = None
         self._carry = self._slot_written = False
+
+    def _add_pending(self) -> None:
+        if self._pending:
+            add_pending(self._grad_slot, self._pending)
+
+    def _keeps_factors(self, k: int) -> bool:
+        """Whether a product of inner dimension ``k`` is recorded, not added:
+        the slot takes factors and all of them stay smaller than the product
+        (``K (n + m) < n m`` over the recorded ``K``)."""
+        pending = self._pending
+        if pending is None:
+            return False
+        n, m = self._grad_slot.shape
+        k += sum(a.shape[1] for a, _ in pending)
+        return k * (n + m) < n * m
 
     def accumulate_product(self, a: np.ndarray, b: np.ndarray) -> None:
         """Add the 2-D product ``a @ b`` into ``self.grad``; fire ready-hooks.
@@ -128,13 +182,21 @@ class Parameter:
         time (:func:`~repro.compression.lowrank_kernels.blocked_matmul`),
         straight into a stale slot, added block by block onto one that holds
         data (a second backward before ``zero_grad``, a carried residual) —
-        never through a product-sized temporary.
+        never through a product-sized temporary. A slot attached with
+        ``pending`` records copies of ``(a, b)`` there instead, while the
+        factors are smaller than the product: ACP-SGD's compressor consumes
+        them without ever forming it (a larger product adds them first).
         """
         if self._grad_slot is None:
             self.accumulate_grad(blocked_matmul(a, b))
             return
-        blocked_matmul(a, b, out=self._grad_slot, add=self._slot_written)
-        self._slot_written = True
+        if self._keeps_factors(a.shape[1]):
+            # order="K": the strides the product would have been formed with.
+            self._pending.append((a.copy(order="K"), b.copy(order="K")))
+        else:
+            self._add_pending()
+            blocked_matmul(a, b, out=self._grad_slot, add=self._slot_written)
+            self._slot_written = True
         for hook in self._hooks:
             hook(self)
 
@@ -156,6 +218,7 @@ class Parameter:
             # slot held (np.copyto casts like astype), later writes add in
             # place — bit-identical to the legacy copy-then-add.
             if self._slot_written:
+                self._add_pending()
                 self._grad_slot += grad
             else:
                 np.copyto(self._grad_slot, grad)

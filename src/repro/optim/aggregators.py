@@ -20,7 +20,9 @@ slabs, so every method runs under any bucket partition of the arena.
 Error feedback lives in the slabs (every tensor of Top-k, Sign-SGD and
 Random-k, the compressible ones of Power-SGD / ACP-SGD): backward adds the
 gradient onto each rank's residual there, the method compresses in place
-and leaves the new residual, and decodes into one result buffer.
+and leaves the new residual, and decodes into one result buffer. ACP-SGD
+alone takes a ``Linear`` weight gradient as its factors (``takes_factors``);
+every other aggregator adds pending factors onto the slab first.
 """
 
 from __future__ import annotations
@@ -163,6 +165,10 @@ class GradientAggregator:
 
     method = "base"
     use_error_feedback = False  # methods with error feedback set it per instance
+    #: Whether the method consumes a carried tensor's pending gradient
+    #: factors itself (``ArenaGrads.pop_factors``) instead of having them
+    #: added onto the slab before it reads a bucket.
+    takes_factors = False
 
     def __init__(self, group: ProcessGroup):
         self.group = group
@@ -299,10 +305,12 @@ class GradientAggregator:
 
         Marks the method's carried tensors (:meth:`GradientArena.carry`):
         backward adds the gradient onto the residual in each rank's slab,
-        the method compresses it there and leaves the new residual. The
-        trainer's reducer attaches the trainer's arena.
+        the method compresses it there and leaves the new residual. A
+        method that ``takes_factors`` has them factored too. The trainer's
+        reducer attaches the trainer's arena.
         """
-        arena.carry(self._residual_names(arena.layout))
+        names = self._residual_names(arena.layout)
+        arena.carry(names, factored=names if self.takes_factors else ())
         self._arena = arena
 
     def _result(self, session: _BucketSession) -> np.ndarray:
@@ -342,6 +350,10 @@ class GradientAggregator:
         if session.done[index]:
             raise RuntimeError(f"bucket {index} reduced twice in one step")
         session.done[index] = True
+        if not self.takes_factors:
+            names = session.bucket_names[index]
+            for grads in session.per_worker:
+                grads.materialize(names)
         self._reduce(session, index)
 
     def finish_buckets(self) -> NamedGrads:
@@ -1027,6 +1039,13 @@ class ACPSGDAggregator(_LowRankBase):
     method = "acpsgd"
     state_cls = ACPSGDState
 
+    @property
+    def takes_factors(self) -> bool:
+        """With error feedback a ``Linear`` weight gradient reaches
+        ``compress`` as its factors: ``E + g^T x - P Q^T`` is one
+        rank-(batch + r) update of the residual, the gradient never formed."""
+        return self.use_error_feedback
+
     def _begin(self, session: _BucketSession) -> None:
         super()._begin(session)
         # The factor alternates with step parity: P=(n, r) on odd steps,
@@ -1066,7 +1085,7 @@ class ACPSGDAggregator(_LowRankBase):
                 # One QR of the carried factor per tensor: slot 0's.
                 factor = state.compress(
                     name, grad_to_matrix(grads[name]), self.step,
-                    lead if slot else None,
+                    lead if slot else None, grads.pop_factors(name),
                 )
                 off = pack.offsets[name]
                 row[off : off + pack.sizes[name]] = factor.reshape(-1)

@@ -32,6 +32,15 @@ Ownership contract (see ``docs/performance.md``):
   Callers add into them (:meth:`load`), never refill them; only
   :meth:`clear_residuals` starts them over, and :meth:`reorder` moves a
   rank's slab with it when the roster changes.
+- A :attr:`GradientArena.factored` view (ACP-SGD with error feedback) may
+  hold its gradient as factors instead: ``Linear``'s thin weight-gradient
+  products are recorded in the slot's *pending* entry
+  (:attr:`ArenaGrads.pending`) and the view keeps the residual alone. The
+  compressor consumes them (:meth:`ArenaGrads.pop_factors`); every other
+  reader adds them first (:meth:`ArenaGrads.materialize`, ``Parameter
+  .grad``, :meth:`load`) and sees the bits of a gradient that was added
+  when it was produced. No factor outlives the step: the compressor or
+  :meth:`clear_residuals` drops them.
 - Views returned by the arena or by ``_unpack`` are invalidated by the
   next backward pass. Callers that need to retain a gradient across steps
   must copy it explicitly.
@@ -50,13 +59,15 @@ bucket views without any re-packing.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple, Union,
+)
 
 import numpy as np
 
 from repro.fusion import partition_buckets
 from repro.nn.module import Module
-from repro.nn.parameter import Parameter
+from repro.nn.parameter import Parameter, Pending, add_pending
 from repro.perf import shm
 from repro.perf.counters import ALLOC_STATS
 
@@ -154,10 +165,44 @@ class ArenaGrads(Dict[str, np.ndarray]):
         views: Dict[str, np.ndarray],
         slab: np.ndarray,
         layout: ArenaLayout,
+        pending: Optional[Dict[str, Pending]] = None,
     ):
         super().__init__(views)
         self.slab = slab
         self.layout = layout
+        #: Per factored name, the products recorded for it and not yet added
+        #: into its view: the arena's entry for this slot, not a copy.
+        self.pending: Dict[str, Pending] = {} if pending is None else pending
+
+    def materialize(self, names: Optional[Iterable[str]] = None) -> None:
+        """Add the pending products of ``names`` (default: all) onto their
+        views — what every reader but the compressor sees."""
+        for name in self.pending if names is None else names:
+            if self.pending.get(name):
+                add_pending(self[name], self.pending[name])
+
+    def pop_factors(self, name: str) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """``(a, b)`` with ``a @ b`` the pending gradient of ``name`` (the
+        recorded products side by side), or ``None``; forgets them."""
+        pairs = self.pending.get(name)
+        if not pairs:
+            return None
+        if len(pairs) == 1:
+            factors = pairs[0]
+        else:
+            factors = (
+                np.concatenate([a for a, _ in pairs], axis=1),
+                np.concatenate([b for _, b in pairs], axis=0),
+            )
+        pairs.clear()
+        return factors
+
+    def arrays(self) -> Iterator[np.ndarray]:
+        """Every array holding part of the gradients: views, pending factors."""
+        yield from self.values()
+        for pairs in self.pending.values():
+            for pair in pairs:
+                yield from pair
 
 
 class GradientArena:
@@ -207,6 +252,8 @@ class GradientArena:
         self.world_size = world_size
         #: Names whose views are error-feedback accumulators (see :meth:`carry`).
         self.carried: FrozenSet[str] = frozenset()
+        #: Carried names whose thin products are kept as factors.
+        self.factored: FrozenSet[str] = frozenset()
         self._closed = False
         # One contiguous slab per worker; slabs are distinct allocations
         # (or distinct shared segments) so the ring collective's per-rank
@@ -220,6 +267,7 @@ class GradientArena:
         self._views: List[Dict[str, np.ndarray]] = [
             self.layout.carve(slab) for slab in self._slabs
         ]
+        self._pending: List[Dict[str, Pending]] = [{} for _ in self._slabs]
 
     def _alloc_slab(self) -> np.ndarray:
         if self.backing == "shared":
@@ -248,19 +296,28 @@ class GradientArena:
             slab = self._alloc_slab()
             self._slabs.append(slab)
             self._views.append(self.layout.carve(slab))
+            self._pending.append({name: [] for name in self.factored})
         self.clear_residuals(range(first, len(self._slabs)))
         self.world_size = max(self.world_size, count)
 
     # ------------------------------------------------------------------
     # Error-feedback residuals
     # ------------------------------------------------------------------
-    def carry(self, names: Iterable[str]) -> None:
-        """Make ``names``' views error-feedback accumulators, all empty."""
+    def carry(self, names: Iterable[str], factored: Iterable[str] = ()) -> None:
+        """Make ``names``' views error-feedback accumulators, all empty;
+        ``factored`` ones among them take a thin product as its factors."""
         self.carried = frozenset(names)
+        self.factored = frozenset(factored)
+        if not self.factored <= self.carried:
+            raise ValueError("factored names must be carried")
+        self._pending = [
+            {name: [] for name in self.factored} for _ in self._slabs
+        ]
         self.clear_residuals()
 
     def clear_residuals(self, slots: Optional[Iterable[int]] = None) -> None:
-        """Empty the carried views of ``slots`` (default: every slab).
+        """Empty the carried views of ``slots`` (default: every slab) and
+        drop their pending products.
 
         Empty is ``-0.0``, the additive identity for every float: ``-0.0 +
         g`` is ``g`` bit for bit (``+0.0 + -0.0`` would flip a sign), so the
@@ -270,6 +327,8 @@ class GradientArena:
             views = self._views[slot]
             for name in self.carried:
                 views[name].fill(-0.0)
+            for pairs in self._pending[slot].values():
+                pairs.clear()
 
     def reorder(self, sources: Sequence[Optional[int]]) -> None:
         """Give slot ``i`` the slab slot ``sources[i]`` held.
@@ -286,12 +345,15 @@ class GradientArena:
         self._slabs = [self._slabs[i] for i in order]
         self._views = [self._views[i] for i in order]
         self._segments = [self._segments[i] for i in order]
+        self._pending = [self._pending[i] for i in order]
         self.clear_residuals(i for i, s in enumerate(sources) if s is None)
 
     def load(self, slot: int, grads: Dict[str, np.ndarray]) -> ArenaGrads:
         """Write named gradients into slab ``slot`` as a backward pass would:
-        added onto carried views, copied over the others. The one packing
-        copy left in the repo (counted in ``ALLOC_STATS.pack_copies``)."""
+        added onto carried views (pending products first), copied over the
+        others. The one packing copy left in the repo (counted in
+        ``ALLOC_STATS.pack_copies``)."""
+        self.grads(slot).materialize()
         for name, view in self._views[slot].items():
             grad = np.reshape(grads[name], view.shape)
             if name in self.carried:
@@ -340,6 +402,7 @@ class GradientArena:
             return
         self._slabs = []
         self._views = []
+        self._pending = []
         for segment in self._segments:
             if segment is not None:
                 shm.release_segment(segment, unlink=True)
@@ -357,25 +420,30 @@ class GradientArena:
         return [self._slabs[slot][lo:hi] for lo, hi in self.layout.buckets]
 
     def grads(self, slot: int) -> ArenaGrads:
-        """Worker ``slot``'s named gradients as zero-copy slab views."""
-        return ArenaGrads(self._views[slot], self._slabs[slot], self.layout)
+        """Worker ``slot``'s named gradients as zero-copy slab views (with
+        the slot's pending products)."""
+        return ArenaGrads(
+            self._views[slot], self._slabs[slot], self.layout, self._pending[slot]
+        )
 
     def bind(self, model: Module, slot: int) -> None:
         """Point every ``Parameter.grad`` of ``model`` into slab ``slot``.
 
         After binding, ``zero_grad``/backward on the model reads and writes
         the arena storage directly — adding onto the residual in carried
-        views. The model must match the arena layout (same names, shapes,
-        order).
+        views, recording thin products in factored ones' pending entries.
+        The model must match the arena layout (same names, shapes, order).
         """
-        views = self._views[slot]
+        views, pending = self._views[slot], self._pending[slot]
         for name, param in model.named_parameters():
             view = views.get(name)
             if view is None or view.shape != param.shape:
                 raise ValueError(
                     f"model does not match arena layout at parameter {name!r}"
                 )
-            param.attach_grad_slot(view, carry=name in self.carried)
+            param.attach_grad_slot(
+                view, carry=name in self.carried, pending=pending.get(name)
+            )
 
     def unbind(self, model: Module) -> None:
         """Detach every parameter from the arena (back to legacy grads)."""

@@ -16,7 +16,10 @@ while keeping the repo's bit-identity contract:
   ``multiprocessing.shared_memory`` segment — backprop writes the
   fused buffer in place (adding onto the rank's residual in an
   error-feedback method's carried views), and the parent runs the
-  existing in-place ring schedule over views of the very same pages;
+  existing in-place ring schedule over views of the very same pages —
+  only a factored view's thin ``Linear`` products come back as their
+  factors (:class:`WorkerStepResult`), to be consumed by the parent's
+  compressor like a sequential pass's;
 - weights travel the other way through one shared **broadcast buffer**:
   the parent copies the master parameters in before dispatching a step
   (one memcpy — the in-process analogue of the parameter broadcast),
@@ -128,10 +131,17 @@ class WorkerStepTask:
 
 @dataclass
 class WorkerStepResult:
-    """What comes back over the pipe: everything except the gradients."""
+    """What comes back over the pipe: everything the slab does not hold.
+
+    ``factors`` are the thin gradient products a factored slot recorded
+    instead of adding (:attr:`GradientArena.factored`), per name in
+    backward order — what the slot's pending entry would hold after a
+    sequential pass.
+    """
 
     loss: float
     batch_stats: List[List[Tuple[np.ndarray, np.ndarray]]]
+    factors: Dict[str, List[Tuple[np.ndarray, np.ndarray]]]
     alloc_stats: Dict[str, int]
 
 
@@ -170,6 +180,9 @@ def _worker_main(conn, payload: dict, init_crash: bool = False) -> None:
     seed: int = payload["seed"]
     batch_size: int = payload["batch_size"]
     carried = payload["carried"]
+    # Shipped back and emptied after every task: a factor never outlives
+    # the step that recorded it.
+    pending = {name: [] for name in payload["factored"]}
     fault_plan: Optional[FaultPlan] = payload.get("fault_plan")
     layout = ArenaLayout(
         [(name, param.shape) for name, param in model.named_parameters()]
@@ -260,7 +273,9 @@ def _worker_main(conn, payload: dict, init_crash: bool = False) -> None:
             )
         _, _, views = cached
         for name, param in model.named_parameters():
-            param.attach_grad_slot(views[name], carry=name in carried)
+            param.attach_grad_slot(
+                views[name], carry=name in carried, pending=pending.get(name)
+            )
         for bn in bns:
             bn.stat_recorder = []
         ALLOC_STATS.reset()
@@ -268,9 +283,13 @@ def _worker_main(conn, payload: dict, init_crash: bool = False) -> None:
         batch_stats = [list(bn.stat_recorder or []) for bn in bns]
         for bn in bns:
             bn.stat_recorder = None
+        factors = {name: list(pairs) for name, pairs in pending.items() if pairs}
+        for pairs in pending.values():
+            pairs.clear()
         return WorkerStepResult(
             loss=loss,
             batch_stats=batch_stats,
+            factors=factors,
             alloc_stats=ALLOC_STATS.snapshot(),
         )
 
@@ -384,7 +403,9 @@ class ProcessWorkerPool:
                 "train_data": train_data,
                 "seed": seed,
                 "batch_size": batch_size,
-                "carried": arena.carried,  # bound as the parent binds them
+                # Bound as the parent binds them.
+                "carried": arena.carried,
+                "factored": arena.factored,
                 "weights_segment": self._weights_segment.name,
                 "fault_plan": fault_plan,
             }

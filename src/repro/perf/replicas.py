@@ -63,7 +63,7 @@ def detached_copy(model: Module) -> Module:
     for _, param in model.named_parameters():
         saved.append(
             (param, list(param._hooks), param._grad_slot,
-             param._grad, param._slot_written, param._carry)
+             param._grad, param._slot_written, param._carry, param._pending)
         )
         param._hooks.clear()
         param.detach_grad_slot()
@@ -71,12 +71,13 @@ def detached_copy(model: Module) -> Module:
     try:
         return copy.deepcopy(model)
     finally:
-        for param, hooks, slot, grad, written, carry in saved:
+        for param, hooks, slot, grad, written, carry, pending in saved:
             param._hooks.extend(hooks)
             param._grad_slot = slot
             param._grad = grad
             param._slot_written = written
             param._carry = carry
+            param._pending = pending
 
 
 def worker_pass(model: Module, loss_fn, shard, rng, batch_size: int) -> float:
@@ -94,6 +95,6 @@ def worker_pass(model: Module, loss_fn, shard, rng, batch_size: int) -> float:
     loss = loss_fn(model(inputs), labels)
     model.backward(loss_fn.backward(), **skip)
     for name, param in model.named_parameters():
-        if param.grad is None:
+        if not param.has_grad:
             raise RuntimeError(f"parameter {name!r} received no gradient")
     return float(loss)

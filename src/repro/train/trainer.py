@@ -49,7 +49,7 @@ from repro.nn.module import Module
 from repro.optim.aggregators import AllReduceAggregator, GradientAggregator
 from repro.optim.lr_scheduler import WarmupMultiStepSchedule
 from repro.optim.sgd import SGD
-from repro.perf.arena import GradientArena
+from repro.perf.arena import ArenaGrads, GradientArena
 from repro.perf.procpool import (
     ProcessWorkerPool,
     WorkerStepResult,
@@ -231,7 +231,7 @@ class DataParallelTrainer:
 
     def _process_worker_gradients(
         self, ranks: List[int]
-    ) -> Tuple[List[float], List[Dict[str, np.ndarray]]]:
+    ) -> Tuple[List[float], List[ArenaGrads]]:
         """Run the live workers' passes in persistent child processes.
 
         The parent copies the master weights into the shared broadcast
@@ -239,10 +239,11 @@ class DataParallelTrainer:
         admitted ranks are spawned first — an admission-boundary cost,
         never a steady-state one), and the children write their gradients
         straight into the shared arena slabs. Only the loss scalars,
-        BatchNorm batch statistics, and allocation-counter deltas travel
-        back over the pipes; the statistics are replayed onto the master
-        in rank order, so the trajectory stays bit-identical to the
-        sequential loop while backprop uses every core.
+        BatchNorm batch statistics, allocation-counter deltas and the
+        gradient factors a factored slot keeps travel back over the pipes;
+        the statistics are replayed onto the master in rank order and the
+        factors land in the slots' pending entries, so the trajectory stays
+        bit-identical to the sequential loop while backprop uses every core.
         """
         pool = self._procpool
         assert pool is not None
@@ -272,14 +273,18 @@ class DataParallelTrainer:
             results = self._recover_process(pool, tasks, results, failures)
         pool.replay_batch_stats(results)
         pool.merge_alloc_stats(results)
-        losses = [
-            result.loss
-            for result in results
-            if isinstance(result, WorkerStepResult)
-        ]
         per_worker = [
             self._arena.grads(slot) for slot in range(len(ranks))
         ]
+        losses = []
+        for task, result in zip(tasks, results):
+            if isinstance(result, WorkerStepResult):
+                losses.append(result.loss)
+                # The factors the child's backward recorded, into the
+                # slot's pending entry as a sequential pass records them.
+                pending = per_worker[task.slot].pending
+                for name, pairs in result.factors.items():
+                    pending[name].extend(pairs)
         return losses, per_worker
 
     # ------------------------------------------------------------------
@@ -511,14 +516,16 @@ class DataParallelTrainer:
     # Resilience ladder
     # ------------------------------------------------------------------
     def _resilient_apply(
-        self, mean_loss: float, per_worker: List[Dict[str, np.ndarray]]
+        self, mean_loss: float, per_worker: List[ArenaGrads]
     ) -> float:
         cfg = self.resilience
         log = self.resilience_log
         assert cfg is not None and log is not None
         loss_finite = bool(np.isfinite(mean_loss))
+        # Each slab's residual and what backward left beside it: the
+        # pending factors of a gradient kept as a product.
         grads_finite = loss_finite and all(
-            is_finite(grad) for grads in per_worker for grad in grads.values()
+            is_finite(array) for grads in per_worker for array in grads.arrays()
         )
         applied = False
         if not cfg.check_finite or grads_finite:

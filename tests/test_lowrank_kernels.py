@@ -10,7 +10,7 @@ aggregators against a per-rank ``compress -> mean -> finalize`` oracle.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.comm.process_group import ProcessGroup
 from repro.compression import lowrank_kernels
@@ -223,6 +223,106 @@ class TestBlockedProduct:
                 assert into.reconstruct("w", q, out=slot) is slot
                 assert slot.tobytes() == hat.tobytes(), (n, offset)
                 np.testing.assert_allclose(hat, p_hat @ q.T, rtol=1e-13, atol=1e-12)
+
+    def test_add_needs_an_out(self):
+        """There is nothing to add a product into without ``out``: it used
+        to be added onto uninitialised memory."""
+        a, b = np.ones((3, 2)), np.ones((2, 4))
+        with pytest.raises(ValueError, match="out="):
+            lowrank_kernels.blocked_matmul(a, b, add=True)
+        out = np.ones((3, 4))
+        assert lowrank_kernels.blocked_matmul(a, b, out=out, add=True) is out
+        np.testing.assert_array_equal(out, np.full((3, 4), 3.0))
+
+
+# Around every product-block regime, the perfbench widths among them.
+FACTORED_WIDTHS = [5, 10, 255, 767, 768, 1023, 1024, 4097]
+
+
+def thin_product(rng, n, m, k):
+    """``(a, b)`` as ``Linear`` hands them over: ``a`` a transposed view."""
+    return rng.normal(size=(k, n)).T, rng.normal(size=(k, m))
+
+
+class TestFactoredOperand:
+    """``compress(E, factors=(a, b))`` == ``compress(E + a @ b)``: the
+    gradient handed over as its factors, never formed."""
+
+    @pytest.mark.parametrize("m", FACTORED_WIDTHS)
+    @pytest.mark.parametrize("k", [1, 4, 33])
+    def test_factored_sweep_matches_dense(self, m, k):
+        """Rows 1, 2, h − 1, h, h + 1, 2h + 1 around the product block height
+        h (2h + 1 merges a one-row tail); a P step then a Q step on a
+        shared basis; factors and residuals to 1e-12 of the dense path."""
+        rng = np.random.default_rng(m * k)
+        for n in product_heights(m)[1]:
+            dense, factored = ACPSGDState(rank=4, seed=1), ACPSGDState(rank=4, seed=1)
+            acc_dense = rng.normal(size=(n, m))
+            acc_factored = acc_dense.copy()
+            for step in (1, 2):
+                a, b = thin_product(rng, n, m, k)
+                # Today's producer: the product added onto the residual.
+                lowrank_kernels.blocked_matmul(a, b, out=acc_dense, add=True)
+                scale = np.linalg.norm(acc_dense)
+                want = dense.compress("w", acc_dense, step)
+                got = factored.compress("w", acc_factored, step, factors=(a, b))
+                case = (n, step)
+                assert got.shape == want.shape, case
+                assert rel_err(got, want) <= 1e-12, case
+                assert rel_err(acc_factored, acc_dense, scale) <= 1e-12, case
+                dense.finalize("w", want, step)
+                factored.finalize("w", want, step)
+
+    def test_factors_need_error_feedback(self):
+        state = ACPSGDState(rank=2, use_error_feedback=False)
+        with pytest.raises(ValueError, match="error feedback"):
+            state.compress("w", np.zeros((4, 5)), 1, factors=(np.ones((4, 1)), np.ones((1, 5))))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 24), st.integers(1, 24)),
+        k=st.integers(1, 8),
+        rank=st.integers(1, 5),
+        world=st.integers(2, 4),
+        factored=st.booleans(),
+        seed=st.integers(0, 10_000),
+    )
+    @example(shape=(10, 1024), k=4, rank=4, world=4, factored=True, seed=0)
+    @example(shape=(10, 1024), k=4, rank=4, world=4, factored=False, seed=0)
+    @example(shape=(3, 20), k=5, rank=5, world=2, factored=True, seed=1)
+    def test_property_additive_under_a_shared_basis(
+        self, shape, k, rank, world, factored, seed
+    ):
+        """Mean of the ranks' factors == factor of the mean accumulator,
+        and likewise the residuals: what lets ACP-SGD's one factor ride a
+        summing all-reduce (§IV-A). Both operand forms; ``K`` may exceed
+        ``min(n, m)`` and ``r`` the effective rank."""
+        n, m = shape
+        rng = np.random.default_rng(seed)
+        states = [ACPSGDState(rank, seed=3) for _ in range(world)]
+        oracle = ACPSGDState(rank, seed=3)
+        residuals = [rng.normal(size=shape) for _ in range(world)]
+        for step in (1, 2):
+            grads = [thin_product(rng, n, m, k) for _ in range(world)]
+            mean_acc = np.mean(
+                [e + a @ b for e, (a, b) in zip(residuals, grads)], axis=0
+            )
+            scale = np.linalg.norm(mean_acc)
+            if factored:
+                factors = [
+                    s.compress("w", e, step, factors=g)
+                    for s, e, g in zip(states, residuals, grads)
+                ]
+            else:
+                for e, (a, b) in zip(residuals, grads):
+                    e += a @ b
+                factors = [s.compress("w", e, step) for s, e in zip(states, residuals)]
+            mean = np.mean(factors, axis=0)
+            want = oracle.compress("w", mean_acc, step)
+            assert rel_err(mean, want) <= 1e-12, step
+            assert rel_err(np.mean(residuals, axis=0), mean_acc, scale) <= 1e-12
+            for state in states + [oracle]:
+                state.finalize("w", mean, step)
 
 
 def _input_variants(rng):

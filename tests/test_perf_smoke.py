@@ -267,9 +267,11 @@ class TestStepAllocatesNothingModelSized:
     vote go to the aggregator's one result buffer, so a steady-state step of
     a paper method allocates O(batch) activations, O(k * world) payloads and
     block scratch — under a quarter of the model (5.5 MiB). Recorded at
-    world 4, monolithic, in MiB: ssgd 0.2, acpsgd 0.7, powersgd 0.6, signsgd
-    4.2 (the bool mask ``packbits`` reads, plus the gathered bits), topk 5.3
-    (selection, wire and gathered copy of ``2k * world`` numbers).
+    world 4, monolithic, in MiB: ssgd 0.2, acpsgd 1.3 (every rank's ``Linear``
+    weight gradients as their factors ``(g^T, x)`` until its compress
+    consumes them; 0.7 when they were added into the slot), powersgd 0.6,
+    signsgd 4.2 (the bool mask ``packbits`` reads, plus the gathered bits),
+    topk 5.3 (selection, wire and gathered copy of ``2k * world`` numbers).
     """
 
     @staticmethod
