@@ -179,17 +179,17 @@ PINNED = {
     "signsgd/no-ef/bucketed/resilient":
         "bc6a08052e2576981763883c94097afebcc89c9a81f42e5f24fc5023796c34d7",
     "acpsgd/ef/monolithic/static":
-        "8f2f561de5b2d5a628511e0e38445d0d4da15307075e9987ff77714434591025",
+        "6a26129b72501f77d554594e30ab4171ced88b478be661da85b209df6f8503cf",
     "acpsgd/ef/monolithic/elastic":
-        "2313f22cd6c02ab4a83bfe2cae96240ec11496f71e619aeecf45899cb7df3060",
+        "90d9d890b424c4832bde0aea48daa3893033e92128a4b90ee9a69a5380a3c980",
     "acpsgd/ef/monolithic/resilient":
-        "f5eedd2311ac4640e866f6d5dae70853cb2fa2d47dd817b5fad507f7aab2eaf2",
+        "f3ce47592fb5325f7c26fdff2e2bdb15677dd611871d1a513309ddda4b3f5deb",
     "acpsgd/ef/bucketed/static":
-        "8f2f561de5b2d5a628511e0e38445d0d4da15307075e9987ff77714434591025",
+        "6a26129b72501f77d554594e30ab4171ced88b478be661da85b209df6f8503cf",
     "acpsgd/ef/bucketed/elastic":
-        "1cc9cba4ed62976ff28907cc0fea6e43489033c2b7680d138c0df1a32e87ca11",
+        "d7d590c3b3944751ddb40f23d4338fc0bd17a560a3b530e892ec69f3490cd56e",
     "acpsgd/ef/bucketed/resilient":
-        "f5eedd2311ac4640e866f6d5dae70853cb2fa2d47dd817b5fad507f7aab2eaf2",
+        "f3ce47592fb5325f7c26fdff2e2bdb15677dd611871d1a513309ddda4b3f5deb",
     "acpsgd/no-ef/monolithic/static":
         "ba7e8200475aa804bb425e99e8084afb4c4e1be147a0f0effa014fdfe0723e16",
     "acpsgd/no-ef/monolithic/elastic":
