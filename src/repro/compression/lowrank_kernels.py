@@ -61,6 +61,11 @@ def _product_blocks(n: int, m: int) -> Iterator[Tuple[int, int]]:
         lo = hi
 
 
+def _tallest_product_block(n: int, m: int) -> int:
+    """Rows of the tallest of those blocks (a merged one-row tail included)."""
+    return min(max(2, _PRODUCT_ELEMENTS // m) + 1, n)
+
+
 def blocked_matmul(
     a: np.ndarray,
     b: np.ndarray,
@@ -92,8 +97,10 @@ def blocked_matmul(
         if add:
             raise ValueError("blocked_matmul(add=True) needs out= to add into")
         out = np.empty((n, m), dtype=np.result_type(a, b))
-    rows = max(2, _PRODUCT_ELEMENTS // m)
-    scratch = np.empty((min(rows + 1, n), m), np.result_type(a, b)) if add else None
+    scratch = (
+        np.empty((_tallest_product_block(n, m), m), np.result_type(a, b))
+        if add else None
+    )
     for lo, hi in _product_blocks(n, m):
         if add:
             out[lo:hi] += np.matmul(a[lo:hi], b, out=scratch[: hi - lo])
@@ -208,7 +215,7 @@ class BlockedProjector:
         left, right = _stacked(a, b, r)
         right[k:] = basis.T
         factor = a @ (b @ basis)  # the gradient's share; E's is added per block
-        height = min(max(2, _PRODUCT_ELEMENTS // m) + 1, n)
+        height = _tallest_product_block(n, m)
         scratch = self._block_scratch(height, m)
         part = np.empty((height, r))
         for lo, hi in _product_blocks(n, m):
