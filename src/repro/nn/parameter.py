@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -10,21 +10,89 @@ from repro.compression.lowrank_kernels import blocked_matmul
 
 # A hook receives the parameter whose gradient just became available.
 GradHook = Callable[["Parameter"], None]
-#: A carried slot's recorded gradient products ``[(a, b), ...]``: the slot's
-#: gradient is ``sum(a @ b)`` on top of what the slot holds.
-Pending = List[Tuple[np.ndarray, np.ndarray]]
 
 
-def add_pending(slot: np.ndarray, pending: Pending) -> None:
-    """Add a slot's recorded products onto it, in order, and forget them.
+class PendingProducts:
+    """A factored slot's gradient products ``a @ b``, kept as their factors.
 
-    Each goes through the ``blocked_matmul(add=True)`` it would have gone
-    through when it was recorded, so the slot gets the bits it would hold
-    had the products never been kept as factors.
+    A ``Linear`` weight gradient is the thin product ``g^T x`` (``n x K``
+    by ``K x m``, ``K`` the batch). ACP-SGD with error feedback folds it
+    into its residual update without forming it
+    (``ACPSGDState.compress(..., factors=)``); until then the factors wait
+    here, in the slot's arena entry, and the slot holds the residual alone.
+    The slot's gradient is the sum of the recorded products on top of it.
     """
-    for a, b in pending:
-        blocked_matmul(a, b, out=slot, add=True)
-    pending.clear()
+
+    #: Factors are recorded only while all of them together are at most
+    #: ``1 / MAX_SHARE`` of the product: ``MAX_SHARE K (n + m) <= n m``.
+    #: Every rank holds its factors until its compress, and beyond about a
+    #: fifth of the product the factored update is no faster than adding
+    #: the product (measured in ``docs/performance.md``).
+    MAX_SHARE = 16
+
+    def __init__(self, shape: Tuple[int, int]):
+        self.shape = shape
+        self._pairs: List[Tuple[np.ndarray, np.ndarray]] = []
+
+    def __len__(self) -> int:
+        """How many products are recorded."""
+        return len(self._pairs)
+
+    def record(self, a: np.ndarray, b: np.ndarray) -> bool:
+        """Keep copies of ``a`` and ``b`` if the factors stay small enough.
+
+        Returns ``False``, recording nothing, when this product would take
+        the factors past ``1 / MAX_SHARE`` of the product: the caller then
+        adds the recorded products and this one onto the slot instead.
+        """
+        n, m = self.shape
+        k = a.shape[1] + sum(left.shape[1] for left, _ in self._pairs)
+        if self.MAX_SHARE * k * (n + m) > n * m:
+            return False
+        # order="K": the strides the product would have been formed with.
+        self._pairs.append((a.copy(order="K"), b.copy(order="K")))
+        return True
+
+    def add_onto(self, slot: np.ndarray) -> None:
+        """Add the recorded products onto ``slot``, in order, and forget them.
+
+        Each goes through the ``blocked_matmul(add=True)`` it would have
+        gone through when it was recorded, so the slot gets the bits it
+        would hold had the products never been kept as factors.
+        """
+        for a, b in self._pairs:
+            blocked_matmul(a, b, out=slot, add=True)
+        self._pairs.clear()
+
+    def pop(self) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """``(a, b)`` with ``a @ b`` the sum of the recorded products (their
+        factors side by side), or ``None`` when there is none; forgets them."""
+        pairs = self._pairs
+        if not pairs:
+            return None
+        if len(pairs) == 1:
+            factors = pairs[0]
+        else:
+            factors = (
+                np.concatenate([a for a, _ in pairs], axis=1),
+                np.concatenate([b for _, b in pairs], axis=0),
+            )
+        pairs.clear()
+        return factors
+
+    def arrays(self) -> Iterator[np.ndarray]:
+        """Every recorded factor."""
+        for pair in self._pairs:
+            yield from pair
+
+    def extend(self, other: "PendingProducts") -> None:
+        """Record ``other``'s products after this one's (a process worker's,
+        shipped back to the parent)."""
+        self._pairs.extend(other._pairs)
+
+    def clear(self) -> None:
+        """Forget the recorded products."""
+        self._pairs.clear()
 
 
 class RemovableHandle:
@@ -70,8 +138,9 @@ class Parameter:
       bit-identical gradient values. A slot attached with ``carry`` is an
       accumulator that is never stale: an error-feedback method keeps the
       rank's residual in it, and every backward adds onto it. One attached
-      with a ``pending`` list as well keeps thin products there as their
-      factors (:meth:`accumulate_product`); reading :attr:`grad` adds them.
+      with a :class:`PendingProducts` entry as well keeps thin products
+      there as their factors (:meth:`accumulate_product`); reading
+      :attr:`grad` adds them.
     """
 
     def __init__(self, data: np.ndarray, name: str = ""):
@@ -81,7 +150,7 @@ class Parameter:
         self._grad_slot: Optional[np.ndarray] = None
         self._slot_written = False
         self._carry = False
-        self._pending: Optional[Pending] = None
+        self._pending: Optional[PendingProducts] = None
         self._hooks: List[GradHook] = []
 
     @property
@@ -129,15 +198,15 @@ class Parameter:
         self,
         slot: np.ndarray,
         carry: bool = False,
-        pending: Optional[Pending] = None,
+        pending: Optional[PendingProducts] = None,
     ) -> None:
         """Route gradient accumulation into a preallocated buffer view.
 
         ``slot`` must match the parameter's shape; it is typically a view
         into a worker's fused arena slab. Attaching marks the slot stale
         (as after ``zero_grad``) unless ``carry``: an error-feedback residual
-        every backward adds onto. ``pending`` (a carried slot's, owned by
-        the arena) receives thin products as factors instead
+        every backward adds onto. ``pending`` (a carried slot's entry, owned
+        by the arena) receives thin products as factors instead
         (:meth:`accumulate_product`). Any legacy gradient is dropped.
         """
         if slot.shape != self.data.shape:
@@ -161,19 +230,8 @@ class Parameter:
         self._carry = self._slot_written = False
 
     def _add_pending(self) -> None:
-        if self._pending:
-            add_pending(self._grad_slot, self._pending)
-
-    def _keeps_factors(self, k: int) -> bool:
-        """Whether a product of inner dimension ``k`` is recorded, not added:
-        the slot takes factors and all of them stay smaller than the product
-        (``K (n + m) < n m`` over the recorded ``K``)."""
-        pending = self._pending
-        if pending is None:
-            return False
-        n, m = self._grad_slot.shape
-        k += sum(a.shape[1] for a, _ in pending)
-        return k * (n + m) < n * m
+        if self._pending is not None:
+            self._pending.add_onto(self._grad_slot)
 
     def accumulate_product(self, a: np.ndarray, b: np.ndarray) -> None:
         """Add the 2-D product ``a @ b`` into ``self.grad``; fire ready-hooks.
@@ -183,17 +241,15 @@ class Parameter:
         straight into a stale slot, added block by block onto one that holds
         data (a second backward before ``zero_grad``, a carried residual) —
         never through a product-sized temporary. A slot attached with
-        ``pending`` records copies of ``(a, b)`` there instead, while the
-        factors are smaller than the product: ACP-SGD's compressor consumes
-        them without ever forming it (a larger product adds them first).
+        ``pending`` records ``(a, b)`` there instead while the factors stay
+        small (:meth:`PendingProducts.record`): ACP-SGD's compressor
+        consumes them without ever forming the product. A product too large
+        for that adds the recorded ones first, then itself.
         """
         if self._grad_slot is None:
             self.accumulate_grad(blocked_matmul(a, b))
             return
-        if self._keeps_factors(a.shape[1]):
-            # order="K": the strides the product would have been formed with.
-            self._pending.append((a.copy(order="K"), b.copy(order="K")))
-        else:
+        if self._pending is None or not self._pending.record(a, b):
             self._add_pending()
             blocked_matmul(a, b, out=self._grad_slot, add=self._slot_written)
             self._slot_written = True

@@ -309,8 +309,9 @@ class GradientAggregator:
         method that ``takes_factors`` has them factored too. The trainer's
         reducer attaches the trainer's arena.
         """
-        names = self._residual_names(arena.layout)
-        arena.carry(names, factored=names if self.takes_factors else ())
+        arena.carry(
+            self._residual_names(arena.layout), factored=self.takes_factors
+        )
         self._arena = arena
 
     def _result(self, session: _BucketSession) -> np.ndarray:

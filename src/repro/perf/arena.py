@@ -35,12 +35,14 @@ Ownership contract (see ``docs/performance.md``):
 - A :attr:`GradientArena.factored` view (ACP-SGD with error feedback) may
   hold its gradient as factors instead: ``Linear``'s thin weight-gradient
   products are recorded in the slot's *pending* entry
-  (:attr:`ArenaGrads.pending`) and the view keeps the residual alone. The
-  compressor consumes them (:meth:`ArenaGrads.pop_factors`); every other
-  reader adds them first (:meth:`ArenaGrads.materialize`, ``Parameter
-  .grad``, :meth:`load`) and sees the bits of a gradient that was added
-  when it was produced. No factor outlives the step: the compressor or
-  :meth:`clear_residuals` drops them.
+  (:attr:`ArenaGrads.pending`, a :class:`~repro.nn.parameter.PendingProducts`
+  per name) while they are small, and the view keeps the residual alone.
+  The compressor consumes them (:meth:`ArenaGrads.pop_factors`); every
+  other reader adds them first (:meth:`ArenaGrads.materialize`,
+  ``Parameter.grad``, :meth:`load`) and sees the bits of a gradient that
+  was added when it was produced. No factor outlives the step: the
+  compressor, :meth:`clear_residuals` or, for a step that raised, the
+  next step's :meth:`drop_factors` drops them.
 - Views returned by the arena or by ``_unpack`` are invalidated by the
   next backward pass. Callers that need to retain a gradient across steps
   must copy it explicitly.
@@ -67,7 +69,7 @@ import numpy as np
 
 from repro.fusion import partition_buckets
 from repro.nn.module import Module
-from repro.nn.parameter import Parameter, Pending, add_pending
+from repro.nn.parameter import Parameter, PendingProducts
 from repro.perf import shm
 from repro.perf.counters import ALLOC_STATS
 
@@ -165,44 +167,35 @@ class ArenaGrads(Dict[str, np.ndarray]):
         views: Dict[str, np.ndarray],
         slab: np.ndarray,
         layout: ArenaLayout,
-        pending: Optional[Dict[str, Pending]] = None,
+        pending: Optional[Dict[str, PendingProducts]] = None,
     ):
         super().__init__(views)
         self.slab = slab
         self.layout = layout
         #: Per factored name, the products recorded for it and not yet added
         #: into its view: the arena's entry for this slot, not a copy.
-        self.pending: Dict[str, Pending] = {} if pending is None else pending
+        self.pending: Dict[str, PendingProducts] = (
+            {} if pending is None else pending
+        )
 
     def materialize(self, names: Optional[Iterable[str]] = None) -> None:
         """Add the pending products of ``names`` (default: all) onto their
         views — what every reader but the compressor sees."""
         for name in self.pending if names is None else names:
-            if self.pending.get(name):
-                add_pending(self[name], self.pending[name])
+            if name in self.pending:
+                self.pending[name].add_onto(self[name])
 
     def pop_factors(self, name: str) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-        """``(a, b)`` with ``a @ b`` the pending gradient of ``name`` (the
-        recorded products side by side), or ``None``; forgets them."""
-        pairs = self.pending.get(name)
-        if not pairs:
-            return None
-        if len(pairs) == 1:
-            factors = pairs[0]
-        else:
-            factors = (
-                np.concatenate([a for a, _ in pairs], axis=1),
-                np.concatenate([b for _, b in pairs], axis=0),
-            )
-        pairs.clear()
-        return factors
+        """The pending gradient of ``name`` as one pair of factors, or
+        ``None`` (:meth:`PendingProducts.pop`); forgets it."""
+        products = self.pending.get(name)
+        return None if products is None else products.pop()
 
     def arrays(self) -> Iterator[np.ndarray]:
         """Every array holding part of the gradients: views, pending factors."""
         yield from self.values()
-        for pairs in self.pending.values():
-            for pair in pairs:
-                yield from pair
+        for products in self.pending.values():
+            yield from products.arrays()
 
 
 class GradientArena:
@@ -267,7 +260,9 @@ class GradientArena:
         self._views: List[Dict[str, np.ndarray]] = [
             self.layout.carve(slab) for slab in self._slabs
         ]
-        self._pending: List[Dict[str, Pending]] = [{} for _ in self._slabs]
+        self._pending: List[Dict[str, PendingProducts]] = [
+            {} for _ in self._slabs
+        ]
 
     def _alloc_slab(self) -> np.ndarray:
         if self.backing == "shared":
@@ -296,24 +291,26 @@ class GradientArena:
             slab = self._alloc_slab()
             self._slabs.append(slab)
             self._views.append(self.layout.carve(slab))
-            self._pending.append({name: [] for name in self.factored})
+            self._pending.append(self._new_pending())
         self.clear_residuals(range(first, len(self._slabs)))
         self.world_size = max(self.world_size, count)
 
     # ------------------------------------------------------------------
     # Error-feedback residuals
     # ------------------------------------------------------------------
-    def carry(self, names: Iterable[str], factored: Iterable[str] = ()) -> None:
+    def carry(self, names: Iterable[str], factored: bool = False) -> None:
         """Make ``names``' views error-feedback accumulators, all empty;
-        ``factored`` ones among them take a thin product as its factors."""
+        ``factored``: every one of them takes a thin product as its factors."""
         self.carried = frozenset(names)
-        self.factored = frozenset(factored)
-        if not self.factored <= self.carried:
-            raise ValueError("factored names must be carried")
-        self._pending = [
-            {name: [] for name in self.factored} for _ in self._slabs
-        ]
+        self.factored = self.carried if factored else frozenset()
+        self._pending = [self._new_pending() for _ in self._slabs]
         self.clear_residuals()
+
+    def _new_pending(self) -> Dict[str, PendingProducts]:
+        return {
+            name: PendingProducts(self.layout.shapes[name])
+            for name in self.factored
+        }
 
     def clear_residuals(self, slots: Optional[Iterable[int]] = None) -> None:
         """Empty the carried views of ``slots`` (default: every slab) and
@@ -323,12 +320,19 @@ class GradientArena:
         g`` is ``g`` bit for bit (``+0.0 + -0.0`` would flip a sign), so the
         first backward after a clear leaves exactly the gradient.
         """
-        for slot in range(len(self._slabs)) if slots is None else slots:
+        slots = range(len(self._slabs)) if slots is None else list(slots)
+        for slot in slots:
             views = self._views[slot]
             for name in self.carried:
                 views[name].fill(-0.0)
-            for pairs in self._pending[slot].values():
-                pairs.clear()
+        self.drop_factors(slots)
+
+    def drop_factors(self, slots: Optional[Iterable[int]] = None) -> None:
+        """Forget the pending products of ``slots`` (default: every slab)
+        without adding them: the gradient they were part of is abandoned."""
+        for slot in range(len(self._slabs)) if slots is None else slots:
+            for products in self._pending[slot].values():
+                products.clear()
 
     def reorder(self, sources: Sequence[Optional[int]]) -> None:
         """Give slot ``i`` the slab slot ``sources[i]`` held.

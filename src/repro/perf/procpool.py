@@ -83,6 +83,7 @@ from repro.faults.supervisor import (
 from repro.nn.loss import CrossEntropyLoss
 from repro.nn.module import Module
 from repro.nn.norm import BatchNorm2d
+from repro.nn.parameter import PendingProducts
 from repro.perf import shm
 from repro.perf.arena import ArenaLayout, GradientArena
 from repro.perf.counters import ALLOC_STATS
@@ -141,7 +142,7 @@ class WorkerStepResult:
 
     loss: float
     batch_stats: List[List[Tuple[np.ndarray, np.ndarray]]]
-    factors: Dict[str, List[Tuple[np.ndarray, np.ndarray]]]
+    factors: Dict[str, PendingProducts]
     alloc_stats: Dict[str, int]
 
 
@@ -180,9 +181,7 @@ def _worker_main(conn, payload: dict, init_crash: bool = False) -> None:
     seed: int = payload["seed"]
     batch_size: int = payload["batch_size"]
     carried = payload["carried"]
-    # Shipped back and emptied after every task: a factor never outlives
-    # the step that recorded it.
-    pending = {name: [] for name in payload["factored"]}
+    factored = carried if payload["factored"] else ()
     fault_plan: Optional[FaultPlan] = payload.get("fault_plan")
     layout = ArenaLayout(
         [(name, param.shape) for name, param in model.named_parameters()]
@@ -272,6 +271,8 @@ def _worker_main(conn, payload: dict, init_crash: bool = False) -> None:
                 segment, slab, layout.carve(slab)
             )
         _, _, views = cached
+        # Fresh per task: what a failed pass recorded is never shipped.
+        pending = {name: PendingProducts(views[name].shape) for name in factored}
         for name, param in model.named_parameters():
             param.attach_grad_slot(
                 views[name], carry=name in carried, pending=pending.get(name)
@@ -283,13 +284,10 @@ def _worker_main(conn, payload: dict, init_crash: bool = False) -> None:
         batch_stats = [list(bn.stat_recorder or []) for bn in bns]
         for bn in bns:
             bn.stat_recorder = None
-        factors = {name: list(pairs) for name, pairs in pending.items() if pairs}
-        for pairs in pending.values():
-            pairs.clear()
         return WorkerStepResult(
             loss=loss,
             batch_stats=batch_stats,
-            factors=factors,
+            factors={name: p for name, p in pending.items() if p},
             alloc_stats=ALLOC_STATS.snapshot(),
         )
 
@@ -405,7 +403,7 @@ class ProcessWorkerPool:
                 "batch_size": batch_size,
                 # Bound as the parent binds them.
                 "carried": arena.carried,
-                "factored": arena.factored,
+                "factored": bool(arena.factored),
                 "weights_segment": self._weights_segment.name,
                 "fault_plan": fault_plan,
             }

@@ -283,8 +283,8 @@ class DataParallelTrainer:
                 # The factors the child's backward recorded, into the
                 # slot's pending entry as a sequential pass records them.
                 pending = per_worker[task.slot].pending
-                for name, pairs in result.factors.items():
-                    pending[name].extend(pairs)
+                for name, products in result.factors.items():
+                    pending[name].extend(products)
         return losses, per_worker
 
     # ------------------------------------------------------------------
@@ -478,6 +478,9 @@ class DataParallelTrainer:
         # ejected final worker never runs the firing backward pass, so
         # hook-driven buckets could never complete the step.
         reducer = self.reducer
+        # A step that raised mid-pass left its factors behind; they belong
+        # to no step, so they never reach a compressor.
+        self._arena.drop_factors()
         reducer.begin_step(
             len(ranks),
             eager=not process
