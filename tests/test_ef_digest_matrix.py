@@ -179,17 +179,17 @@ PINNED = {
     "signsgd/no-ef/bucketed/resilient":
         "bc6a08052e2576981763883c94097afebcc89c9a81f42e5f24fc5023796c34d7",
     "acpsgd/ef/monolithic/static":
-        "6a26129b72501f77d554594e30ab4171ced88b478be661da85b209df6f8503cf",
+        "49e406b16a2ecc645a3bc656c3f8cec7fd435abb5f86682233739ff843c298d4",
     "acpsgd/ef/monolithic/elastic":
-        "90d9d890b424c4832bde0aea48daa3893033e92128a4b90ee9a69a5380a3c980",
+        "f1b5c315bfce83c011e57d2e6568f7ff7d074b242600ef6f6974529fc9bcc44d",
     "acpsgd/ef/monolithic/resilient":
-        "f3ce47592fb5325f7c26fdff2e2bdb15677dd611871d1a513309ddda4b3f5deb",
+        "444b9f65be023d7980f9e168a112ece195542a52d7b8244ab2ebc83a4d753042",
     "acpsgd/ef/bucketed/static":
-        "6a26129b72501f77d554594e30ab4171ced88b478be661da85b209df6f8503cf",
+        "49e406b16a2ecc645a3bc656c3f8cec7fd435abb5f86682233739ff843c298d4",
     "acpsgd/ef/bucketed/elastic":
-        "d7d590c3b3944751ddb40f23d4338fc0bd17a560a3b530e892ec69f3490cd56e",
+        "ce389eb1e61c3b42427f38a32cff12c6231d44ab423c3b04045cd06bc6d26c2a",
     "acpsgd/ef/bucketed/resilient":
-        "f3ce47592fb5325f7c26fdff2e2bdb15677dd611871d1a513309ddda4b3f5deb",
+        "444b9f65be023d7980f9e168a112ece195542a52d7b8244ab2ebc83a4d753042",
     "acpsgd/no-ef/monolithic/static":
         "ba7e8200475aa804bb425e99e8084afb4c4e1be147a0f0effa014fdfe0723e16",
     "acpsgd/no-ef/monolithic/elastic":
