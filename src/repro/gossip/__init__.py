@@ -39,13 +39,11 @@ from repro.gossip.faulty import (
 )
 from repro.gossip.store import FilesystemStore, InMemoryStore, UpdateStore
 from repro.gossip.trainer import (
-    FlatLayout,
     GossipCluster,
     GossipConfig,
     GossipPeer,
     GossipReport,
     decode_update,
-    evaluate,
 )
 
 __all__ = [
@@ -62,11 +60,9 @@ __all__ = [
     "FilesystemStore",
     "InMemoryStore",
     "UpdateStore",
-    "FlatLayout",
     "GossipCluster",
     "GossipConfig",
     "GossipPeer",
     "GossipReport",
     "decode_update",
-    "evaluate",
 ]

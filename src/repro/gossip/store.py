@@ -147,12 +147,16 @@ class FilesystemStore(UpdateStore):
         directory = self._window_dir(window)
         if not os.path.isdir(directory):
             return {}
+        # Sort the ids, not the file names: "a.bin" sorts after "a-b.bin".
+        # Anything else is a temp file mid-write or a foreign dropping.
+        peer_ids = sorted(
+            name[: -len(".bin")]
+            for name in os.listdir(directory) if name.endswith(".bin")
+        )
         out: Dict[str, bytes] = {}
-        for name in sorted(os.listdir(directory)):
-            if not name.endswith(".bin"):
-                continue  # temp files mid-write, foreign droppings
-            with open(os.path.join(directory, name), "rb") as handle:
-                out[name[: -len(".bin")]] = handle.read()
+        for peer_id in peer_ids:
+            with open(os.path.join(directory, f"{peer_id}.bin"), "rb") as handle:
+                out[peer_id] = handle.read()
         return out
 
     def windows(self) -> List[int]:

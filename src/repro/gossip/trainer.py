@@ -32,7 +32,7 @@ the retained store windows instead of receiving a state broadcast.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -41,7 +41,7 @@ from repro.compression.payload import (
     pack_payload,
     unpack_payload,
 )
-from repro.compression.topk import exact_topk_mask
+from repro.compression.topk import SparsePayload, sparse_aggregate, topk_select
 from repro.elastic.membership import joiner_rng
 from repro.elastic.open_admission import allocate_peer_index, catch_up_plan
 from repro.faults.plan import FaultPlan, Join
@@ -50,7 +50,10 @@ from repro.gossip.scorer import Contribution, PeerScorer, ScorerConfig
 from repro.gossip.store import InMemoryStore, UpdateStore
 from repro.nn.loss import CrossEntropyLoss
 from repro.nn.module import Module
+from repro.perf.arena import GradientArena
+from repro.perf.replicas import worker_pass
 from repro.train.datasets import ArrayDataset
+from repro.train.trainer import evaluate
 
 #: Seed-tuple sentinel for publish-time adversarial draws (bit flips).
 _PEER_FAULT_STREAM = 2**31 - 5
@@ -105,43 +108,6 @@ class GossipConfig:
             )
 
 
-@dataclass(frozen=True)
-class FlatLayout:
-    """Flattened parameter geometry shared by every peer of a run."""
-
-    names: Tuple[str, ...]
-    shapes: Tuple[Tuple[int, ...], ...]
-    offsets: Tuple[int, ...]
-    total: int
-
-    @classmethod
-    def from_model(cls, model: Module) -> "FlatLayout":
-        names: List[str] = []
-        shapes: List[Tuple[int, ...]] = []
-        offsets: List[int] = []
-        cursor = 0
-        for name, param in model.named_parameters():
-            names.append(name)
-            shapes.append(tuple(param.data.shape))
-            offsets.append(cursor)
-            cursor += int(np.prod(param.data.shape))
-        return cls(tuple(names), tuple(shapes), tuple(offsets), cursor)
-
-    def flatten(self, tensors: Dict[str, np.ndarray]) -> np.ndarray:
-        flat = np.zeros(self.total, dtype=np.float64)
-        for name, shape, offset in zip(self.names, self.shapes, self.offsets):
-            size = int(np.prod(shape))
-            flat[offset : offset + size] = tensors[name].reshape(-1)
-        return flat
-
-    def unflatten(self, flat: np.ndarray) -> Dict[str, np.ndarray]:
-        out: Dict[str, np.ndarray] = {}
-        for name, shape, offset in zip(self.names, self.shapes, self.offsets):
-            size = int(np.prod(shape))
-            out[name] = flat[offset : offset + size].reshape(shape)
-        return out
-
-
 def decode_update(
     peer_id: str, blob: bytes, num_elements: int
 ) -> Contribution:
@@ -188,20 +154,29 @@ def decode_update(
         return Contribution(
             peer_id, decode_error="metadata: indices out of range"
         )
-    dense = np.zeros(num_elements, dtype=np.float64)
-    np.add.at(dense, indices.astype(np.int64), values.astype(np.float64))
+    payload = SparsePayload(
+        indices.astype(np.int64, copy=False),
+        values.astype(np.float64, copy=False),
+        num_elements,
+    )
+    dense = sparse_aggregate([payload], (num_elements,), average=False)
     return Contribution(peer_id, update=dense, stamped_window=window)
 
 
 class GossipPeer:
-    """One participant: model replica, momentum buffer, trust state."""
+    """One participant: model replica, momentum buffer, trust state.
+
+    The model's gradients live in a one-slot
+    :class:`~repro.perf.arena.GradientArena`: backward writes them into
+    its slab, the momentum update reads them there, and the slab is
+    free again until the next backward.
+    """
 
     def __init__(
         self,
         peer_id: str,
         index: int,
         model: Module,
-        layout: FlatLayout,
         config: GossipConfig,
         data: ArrayDataset,
         seed: int,
@@ -209,7 +184,9 @@ class GossipPeer:
         self.peer_id = peer_id
         self.index = index
         self.model = model
-        self.layout = layout
+        self.arena = GradientArena(model, 1)
+        self.arena.bind(model, 0)
+        self.layout = self.arena.layout
         self.config = config
         self.data = data
         # Same seed tree as the closed-world trainer's joiners: the
@@ -218,7 +195,7 @@ class GossipPeer:
         self.rng = joiner_rng(seed, index)
         self.loss_fn = CrossEntropyLoss()
         self.scorer = PeerScorer(config.scorer)
-        self.momentum = np.zeros(layout.total, dtype=np.float64)
+        self.momentum = np.zeros(self.layout.total_elements, dtype=np.float64)
         self.joined_window = 0
         #: Next window this peer still needs to score & apply. Advanced by
         #: the live loop and by store replay; never rewound, so every
@@ -231,20 +208,14 @@ class GossipPeer:
     def local_window(self) -> float:
         """Run the window's local passes; returns the mean local loss."""
         cfg = self.config
+        gradients = self.arena.slab(0)
         losses = []
         for _ in range(cfg.local_steps):
-            inputs, labels = self.data.batch(self.rng, cfg.batch_size)
-            self.model.zero_grad()
-            logits = self.model(inputs)
-            losses.append(self.loss_fn(logits, labels))
-            self.model.backward(self.loss_fn.backward())
-            grads: Dict[str, np.ndarray] = {}
-            for name, param in self.model.named_parameters():
-                if param.grad is None:
-                    raise RuntimeError(f"parameter {name!r} got no gradient")
-                grads[name] = param.grad
+            losses.append(worker_pass(
+                self.model, self.loss_fn, self.data, self.rng, cfg.batch_size
+            ))
             self.momentum *= cfg.momentum_decay
-            self.momentum += cfg.lr * self.layout.flatten(grads)
+            self.momentum += cfg.lr * gradients
         loss = float(np.mean(losses))
         self.losses.append(loss)
         return loss
@@ -257,26 +228,46 @@ class GossipPeer:
         earn a slot — templar's ``prepare_gradient_dict`` scheme on a
         flat buffer.
         """
-        cfg = self.config
-        k = max(1, int(round(cfg.compression_ratio * self.layout.total)))
-        indices = np.sort(exact_topk_mask(self.momentum, k))
+        total = self.layout.total_elements
+        k = max(1, int(round(self.config.compression_ratio * total)))
+        # The slab's gradients are in the momentum already: it is scratch.
+        indices = np.sort(topk_select(self.momentum, k, self.arena.slab(0)))
         values = self.momentum[indices]
         self.momentum[indices] = 0.0
+        return self.payload(window, indices, values)
+
+    def payload(
+        self, window: int, indices: np.ndarray, values: np.ndarray
+    ) -> bytes:
+        """This peer's sparse update for ``window`` as it is published."""
         meta = {
             "peer": self.peer_id,
             "window": int(window),
-            "num_elements": int(self.layout.total),
+            "num_elements": int(self.layout.total_elements),
             "norm": float(np.linalg.norm(values)),
         }
         return pack_payload(
             {"indices": indices.astype(np.int64), "values": values}, meta
         )
 
+    def absorb_window(
+        self, window: int, contributions: List[Contribution]
+    ) -> None:
+        """Screen ``window``'s contributions, descend along the weighted
+        mean of the survivors, and mark the window done."""
+        weights = self.scorer.weigh_window(window, contributions)
+        aggregated = _weighted_mean(
+            contributions, weights, self.layout.total_elements
+        )
+        if aggregated is not None:
+            self.apply(aggregated)
+        self.next_window = window + 1
+
     def apply(self, aggregated: np.ndarray) -> None:
         """Descend along the aggregated (already lr-scaled) update."""
-        for name, chunk in self.layout.unflatten(aggregated).items():
-            param = dict(self.model.named_parameters())[name]
-            param.data = param.data - chunk
+        steps = self.layout.carve(aggregated)
+        for name, param in self.model.named_parameters():
+            param.data -= steps[name]
 
     def state_vector(self) -> np.ndarray:
         return self.model.state_vector()
@@ -366,8 +357,8 @@ class GossipCluster:
         self.plan = plan if plan is not None else FaultPlan()
         self.store = store if store is not None else InMemoryStore()
         self.seed = seed
-        probe = model_factory()
-        self.layout = FlatLayout.from_model(probe)
+        #: Length of the flat update every peer publishes and decodes.
+        self.num_elements = model_factory().num_parameters()
         self.peers: Dict[str, GossipPeer] = {}
         self._active: Dict[str, bool] = {}
         self._membership_events: List[str] = []
@@ -395,7 +386,6 @@ class GossipCluster:
             self._peer_id(index),
             index,
             self.model_factory(),
-            self.layout,
             self.config,
             self.train_data,
             self.seed,
@@ -421,14 +411,7 @@ class GossipCluster:
         ]
         complete = missing == list(range(peer.next_window, upto_window))
         for window in missing:
-            contributions = self._decode_window(window)
-            weights = peer.scorer.weigh_window(window, contributions)
-            aggregated = _weighted_mean(
-                contributions, weights, self.layout.total
-            )
-            if aggregated is not None:
-                peer.apply(aggregated)
-            peer.next_window = window + 1
+            peer.absorb_window(window, self._decode_window(window))
         peer.next_window = max(peer.next_window, upto_window)
         return complete
 
@@ -486,17 +469,8 @@ class GossipCluster:
         }
         if "free-rider" in faults:
             # Skips its local compute entirely and uploads a zero update.
-            blob = pack_payload(
-                {
-                    "indices": np.zeros(0, dtype=np.int64),
-                    "values": np.zeros(0, dtype=np.float64),
-                },
-                {
-                    "peer": peer.peer_id,
-                    "window": int(window),
-                    "num_elements": int(self.layout.total),
-                    "norm": 0.0,
-                },
+            blob = peer.payload(
+                window, np.zeros(0, dtype=np.int64), np.zeros(0)
             )
             self.store.publish(window, peer.peer_id, blob)
             return
@@ -542,7 +516,7 @@ class GossipCluster:
             except StoreUnavailableError:
                 fetched = {}
             self._decoded[window] = [
-                decode_update(peer_id, blob, self.layout.total)
+                decode_update(peer_id, blob, self.num_elements)
                 for peer_id, blob in fetched.items()
             ]
         return self._decoded[window]
@@ -568,13 +542,7 @@ class GossipCluster:
                 continue
         contributions = self._decode_window(window)
         for peer in active:
-            weights = peer.scorer.weigh_window(window, contributions)
-            aggregated = _weighted_mean(
-                contributions, weights, self.layout.total
-            )
-            if aggregated is not None:
-                peer.apply(aggregated)
-            peer.next_window = window + 1
+            peer.absorb_window(window, contributions)
         if self.config.store_retention is not None:
             horizon = window + 1 - self.config.store_retention
             self.store.gc(horizon)
@@ -633,20 +601,3 @@ def _weighted_mean(
     if total_weight <= 0.0:
         return None
     return accumulator / total_weight
-
-
-def evaluate(
-    model: Module, data: ArrayDataset, batch_size: int = 256
-) -> float:
-    """Test-set accuracy of one peer's model."""
-    model.eval()
-    correct = 0
-    total = 0
-    for start in range(0, len(data), batch_size):
-        inputs = data.inputs[start : start + batch_size]
-        labels = data.labels[start : start + batch_size]
-        logits = model(inputs)
-        correct += int((logits.argmax(axis=1) == labels).sum())
-        total += len(labels)
-    model.train()
-    return correct / max(1, total)

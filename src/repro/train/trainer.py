@@ -65,6 +65,27 @@ from repro.utils.seeding import spawn_rngs
 from repro.utils.validation import is_finite
 
 
+def evaluate(
+    model: Module, data: ArrayDataset, batch_size: int = 256,
+    max_batches: int = 0,
+) -> float:
+    """Accuracy of ``model`` on ``data`` (all of it unless ``max_batches``
+    limits the batches), in eval mode; leaves the model in train mode."""
+    model.eval()
+    correct = 0
+    total = 0
+    for start in range(0, len(data), batch_size):
+        inputs = data.inputs[start : start + batch_size]
+        labels = data.labels[start : start + batch_size]
+        logits = model(inputs)
+        correct += int((logits.argmax(axis=1) == labels).sum())
+        total += len(labels)
+        if max_batches and start // batch_size + 1 >= max_batches:
+            break
+    model.train()
+    return correct / max(1, total)
+
+
 class DataParallelTrainer:
     """Train one model with data parallelism across simulated workers.
 
@@ -592,13 +613,20 @@ class DataParallelTrainer:
 
     def _skip_step(self, reason: str) -> None:
         """Apply no update; reset EF residuals; open the fallback window."""
-        cfg = self.resilience
         log = self.resilience_log
-        assert cfg is not None and log is not None
+        assert log is not None
         log.skipped_steps += 1
         log.note(f"step {self._step_count}: skipped ({reason})")
         self.aggregator.reset()
         log.residual_resets += 1
+        self._open_fallback_window()
+
+    def _open_fallback_window(self) -> None:
+        """Run the next ``fallback_steps`` steps uncompressed (a compressing
+        aggregator only); counts an activation unless one is running."""
+        cfg = self.resilience
+        log = self.resilience_log
+        assert cfg is not None and log is not None
         if cfg.fallback_steps > 0 and not isinstance(
             self.aggregator, AllReduceAggregator
         ):
@@ -641,12 +669,7 @@ class DataParallelTrainer:
         self.aggregator.reset()
         log.residual_resets += 1
         self._loss_ema = None
-        if cfg.fallback_steps > 0 and not isinstance(
-            self.aggregator, AllReduceAggregator
-        ):
-            if self._fallback_remaining <= 0:
-                log.fallback_activations += 1
-            self._fallback_remaining = cfg.fallback_steps
+        self._open_fallback_window()
         if log.rollbacks > cfg.max_rollbacks:
             raise RuntimeError(
                 f"training diverged: exceeded max_rollbacks="
@@ -681,20 +704,7 @@ class DataParallelTrainer:
 
     def evaluate(self, max_batches: int = 0, batch_size: int = 256) -> float:
         """Test-set accuracy (full set unless ``max_batches`` limits it)."""
-        self.model.eval()
-        correct = 0
-        total = 0
-        count = len(self.test_data)
-        for start in range(0, count, batch_size):
-            inputs = self.test_data.inputs[start : start + batch_size]
-            labels = self.test_data.labels[start : start + batch_size]
-            logits = self.model(inputs)
-            correct += int((logits.argmax(axis=1) == labels).sum())
-            total += len(labels)
-            if max_batches and start // batch_size + 1 >= max_batches:
-                break
-        self.model.train()
-        return correct / max(1, total)
+        return evaluate(self.model, self.test_data, batch_size, max_batches)
 
     def run(
         self,

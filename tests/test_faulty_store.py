@@ -188,6 +188,23 @@ class TestClusterUnderFaults:
         assert first_stats.delivered_late <= first_stats.delayed_publishes
 
 
+class TestFetchOrder:
+    @pytest.mark.parametrize("backend", ["memory", "filesystem", "faulty"])
+    def test_prefix_related_ids_come_back_in_id_order(self, backend, tmp_path):
+        # "a.bin" sorts after "a-b.bin" and "a.b.bin": a store that sorted
+        # file names would hand the weighted mean another summation order.
+        store = {
+            "memory": InMemoryStore,
+            "filesystem": lambda: FilesystemStore(str(tmp_path)),
+            "faulty": lambda: faulty(FilesystemStore(str(tmp_path))),
+        }[backend]()
+        for peer_id in ("a_b", "a.b", "a", "a-b"):
+            store.publish(0, peer_id, peer_id.encode())
+        fetched = store.fetch(0)
+        assert list(fetched) == ["a", "a-b", "a.b", "a_b"]
+        assert all(blob == peer_id.encode() for peer_id, blob in fetched.items())
+
+
 class TestFilesystemTornWrites:
     def _window_dir(self, store, window):
         return os.path.join(store.root, f"window-{window:08d}")

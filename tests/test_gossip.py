@@ -34,7 +34,7 @@ from repro.gossip import (
     PeerScorer,
     ScorerConfig,
 )
-from repro.gossip.trainer import FlatLayout, decode_update
+from repro.gossip.trainer import decode_update
 from repro.models.convnets import make_mlp
 from repro.sim.calibration import SIM_LINKS
 from repro.sim.gossip import (
@@ -503,17 +503,6 @@ class TestClusterMembership:
 
 
 class TestFlatLayoutAndDecode:
-    def test_flatten_unflatten_round_trip(self):
-        model = make_mlp(6, 16, 3, rng=np.random.default_rng(0))
-        layout = FlatLayout.from_model(model)
-        tensors = {name: param.data.copy()
-                   for name, param in model.named_parameters()}
-        flat = layout.flatten(tensors)
-        assert flat.size == layout.total
-        rebuilt = layout.unflatten(flat)
-        for name in tensors:
-            assert np.array_equal(tensors[name], rebuilt[name])
-
     def test_decode_classifies_geometry_lie_as_metadata(self):
         blob = pack_payload(
             {"indices": np.arange(3, dtype=np.int64),

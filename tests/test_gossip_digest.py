@@ -83,19 +83,18 @@ def _task(seed, samples, features, classes):
 def run_cli(monkeypatch, capsys):
     from repro.cli import main
 
-    clusters = []
+    captured = []
     run = GossipCluster.run
 
     def capturing_run(self, windows):
-        clusters.append(self)
         report = run(self, windows)
-        clusters.append(report)
+        captured.append((self, report))
         return report
 
     monkeypatch.setattr(GossipCluster, "run", capturing_run)
     assert main(["gossip"]) == 0
     printout = capsys.readouterr().out
-    cluster, report = clusters
+    [(cluster, report)] = captured
     return _outcome(cluster, report), _sha(printout.encode())
 
 

@@ -153,6 +153,10 @@ class TestEveryModuleIsUsed:
             "reference implementation: the step-wise ring whose association "
             "all_reduce_inplace must reproduce bit for bit "
             "(tests/test_allreduce_kernel.py, test_hierarchical_comm.py)",
+        "repro.compression.topk.exact_topk_mask":
+            "reference implementation: the one-argpartition oracle whose set "
+            "topk_select must select on every input "
+            "(tests/test_topk_kernels.py, tests/test_topk.py)",
         "repro.compression.signsgd":
             "reference implementation: the per-vector compressor and float "
             "vote the Sign-SGD aggregator's bucket-wise, in-slab error "
