@@ -35,7 +35,7 @@ Seven checks, all diffing final weights bit-exactly:
    respawned, its sampling stream replayed, and the step retried — the
    weights must match the fault-free run exactly; under the ``"eject"``
    policy the rank is ejected at the boundary and later readmitted — the
-   process-worker run must match a sequential twin simulating the same
+   process-worker run must match a sequential run of the same
    WorkerFault schedule, and both must log the same eject -> rejoin
    membership record (respawn-state, retry-replay, or stale-slab drift
    shows up here);

@@ -193,7 +193,8 @@ class WorkerFault:
     injects the failure into itself at the top of the task, *before any
     batch draw*, so a respawned child replaying the rank's rng history
     lands exactly where the dead one would have been. The sequential
-    backend simulates the same failure at the same point, which is what
+    backend runs the same task in-process and answers the fault with the
+    error the child would have died with, at the same point, which is what
     makes ``workers="process"`` recovery comparable bit-for-bit against a
     sequential baseline.
 

@@ -41,9 +41,12 @@ Two recovery rungs, mirroring the communication layer's ladder:
     run handling the same :class:`~repro.faults.plan.WorkerFault`
     schedule, which is what ``scripts/check_determinism.py`` gates.
 
-The sequential backend *simulates* the same failures at the same point in
-the step (:meth:`WorkerSupervisor.simulated_failure`), so every recovery
-path has a process-free twin to diff against bit-for-bit.
+Both backends run one step protocol: the trainer hands each live rank a
+task, and the sequential backend runs the tasks in-process, answering a
+scheduled fault with the error its child would have died with
+(:meth:`WorkerSupervisor.simulated_failure`) at the point the child would
+apply it. Recovery is then the same code on either backend, and a
+sequential run is the process-free reference to diff against bit for bit.
 """
 
 from __future__ import annotations
@@ -190,30 +193,21 @@ class WorkerSupervisor:
         self.restarts_used += 1
         self.stats.worker_restarts += 1
 
-    # ------------------------------------------------------------------
-    # Sequential-backend simulation
-    # ------------------------------------------------------------------
-    def scheduled_fault(self, rank: int, step: int) -> Optional[WorkerFault]:
-        """The plan's worker fault for ``(rank, step)``, if any."""
-        if self.plan is None:
-            return None
-        return self.plan.worker_fault_at(rank, step)
-
     @staticmethod
     def simulated_failure(fault: WorkerFault) -> Optional[WorkerError]:
         """The error the process backend would raise for ``fault``.
 
-        The sequential backend calls this at the exact point a child would
-        self-apply the fault (before any batch draw), so both backends
-        enter the recovery path in the same state. ``"slow"`` returns
-        ``None``: a slow child under the timeout completes normally and
-        must not trip supervision in either backend.
+        The sequential backend returns it for the task at the exact point
+        a child would self-apply the fault (before any batch draw), so
+        both backends enter the one recovery path in the same state.
+        ``"slow"`` returns ``None``: a slow child under the timeout
+        completes normally and must not trip supervision in either backend.
         """
         if fault.kind == "crash":
             return WorkerDeadError(fault.rank, exitcode=SIGKILL_EXITCODE)
         if fault.kind == "hang":
             # A hang is only observable through the step timeout; the
-            # sequential twin assumes one is armed (the process run must
+            # sequential backend assumes one is armed (the process run must
             # set ``worker_step_timeout`` for hang faults to terminate).
             return WorkerTimeoutError(fault.rank, timeout_s=0.0)
         return None

@@ -395,7 +395,7 @@ class GradientArena:
 
         Drops this arena's own slab views first so the owner-side mappings
         close cleanly, then unlinks every segment. Views handed out
-        earlier (``grads``/``bucket_views``) keep their mapping alive
+        earlier (``grads``/``slab``) keep their mapping alive
         until they die with the process — the unlink only removes the
         name, exactly like unlinking an open POSIX file.
         """
@@ -418,10 +418,6 @@ class GradientArena:
     def slab(self, slot: int) -> np.ndarray:
         """Worker ``slot``'s whole fused buffer (1-D, writable)."""
         return self._slabs[slot]
-
-    def bucket_views(self, slot: int) -> List[np.ndarray]:
-        """Worker ``slot``'s slab as per-bucket contiguous views."""
-        return [self._slabs[slot][lo:hi] for lo, hi in self.layout.buckets]
 
     def grads(self, slot: int) -> ArenaGrads:
         """Worker ``slot``'s named gradients as zero-copy slab views (with

@@ -166,8 +166,8 @@ def _bench_worker_modes(
                         seconds
                         for _, _, seconds in trainer.reducer.last_timings
                     )
-                    if trainer._procpool is not None:
-                        broadcast.append(trainer._procpool.last_broadcast_s)
+                    if mode == "process":
+                        broadcast.append(trainer._workers.last_broadcast_s)
             finally:
                 trainer.close()
             aggregate_mean = float(np.mean(aggregate_times))

@@ -1,9 +1,11 @@
 """Persistent process workers over shared-memory arena slabs.
 
-The sequential loop runs worker ``r + 1``'s forward only after worker
-``r``'s backward, on one core. This module runs the passes on every core
-— in processes, because the Python between numpy kernels holds the GIL —
-while keeping the repo's bit-identity contract:
+A training step is one list of :class:`WorkerStepTask` s, one per live
+rank. The sequential backend runs them in turn on the trainer's one model
+(worker ``r + 1``'s forward after worker ``r``'s backward, on one core);
+this module runs the same tasks on every core — in processes, because the
+Python between numpy kernels holds the GIL — and returns the same
+:class:`WorkerStepResult` s, keeping the repo's bit-identity contract:
 
 - every worker rank gets a **persistent child process** holding its own
   model replica, loss head, data shard cache, and per-rank sampling
@@ -26,20 +28,21 @@ while keeping the repo's bit-identity contract:
   and every child's replica parameters are bound views into it;
 - the two pieces of *state* a worker pass produces besides gradients —
   BatchNorm batch statistics and the loss scalar — are tiny, and ship
-  back over the pipe to be **replayed in rank order** on the master
-  (the recurrence ``r <- (1-m) r + m s`` consumes batch statistics that
-  do not depend on ``r``), so running buffers stay bit-identical to a
-  sequential pass;
+  back over the pipe; both backends record the statistics instead of
+  applying them (:func:`~repro.perf.replicas.recorded_pass`) and the
+  trainer **replays them in slot order** on the master (the recurrence
+  ``r <- (1-m) r + m s`` consumes batch statistics that do not depend on
+  ``r``), so running buffers are the same bits on either backend;
 - per-child :data:`~repro.perf.counters.ALLOC_STATS` deltas ride the
-  same reply and are merged into the parent's counters, keeping the
-  zero-copy assertions truthful in process mode.
+  same reply for the trainer to merge into the parent's counters,
+  keeping the zero-copy assertions truthful in process mode.
 
 Elastic membership composes: a join spawns a fresh child pinned to the
 new rank at the admission boundary (never on the hot path), an ejected
 rank's child simply idles — its rng stream freezes exactly like the
 parent-side ``_rngs`` entry does — and a rejoin resumes it. Slabs
-created by ``ensure_slots`` growth are discovered lazily: every task
-message names the slot's segment, so children attach on first use.
+created by ``ensure_slots`` growth are discovered lazily: the pool names
+the slot's segment in every task message, so children attach on first use.
 
 Spawn-vs-fork: ``fork`` (default where available) inherits the initial
 payload for free; ``spawn`` pickles it once at pool construction —
@@ -52,11 +55,12 @@ dead ``exitcode`` raises :class:`~repro.faults.WorkerDeadError`, a
 blown ``step_timeout`` with the child still alive raises
 :class:`~repro.faults.WorkerTimeoutError` — and offers the recovery
 verbs (:meth:`ProcessWorkerPool.discard`, automatic rng-stream replay
-on respawn); *policy* lives in :mod:`repro.faults.supervisor` and the
-trainer. The pool records every completed task's ``(shard_index,
-shard_world)`` per rank, so a respawned child fast-forwards the rank's
-sampling stream through exactly the draws the dead child consumed —
-the invariant that keeps crash recovery bit-identical. Scheduled
+when ``ensure_ranks`` spawns the rank again); *policy* lives in
+:mod:`repro.faults.supervisor` and the trainer. The pool records every
+completed task's ``(shard_index, shard_world)`` per rank, so a respawned
+child fast-forwards the rank's sampling stream through exactly the draws
+the dead child consumed — the invariant that keeps crash recovery
+bit-identical. Scheduled
 :class:`~repro.faults.WorkerFault` injections are *self-applied* by
 children (before any batch draw) from the pool's ``fault_plan``, so
 supervision is testable deterministically.
@@ -82,16 +86,15 @@ from repro.faults.supervisor import (
 )
 from repro.nn.loss import CrossEntropyLoss
 from repro.nn.module import Module
-from repro.nn.norm import BatchNorm2d
 from repro.nn.parameter import PendingProducts
 from repro.perf import shm
 from repro.perf.arena import ArenaLayout, GradientArena
 from repro.perf.counters import ALLOC_STATS
 from repro.perf.replicas import (
+    batch_norms,
     detached_copy,
-    iter_modules,
+    recorded_pass,
     require_deterministic_forward,
-    worker_pass,
 )
 
 if TYPE_CHECKING:  # import cycle: repro.train imports the trainer,
@@ -109,7 +112,6 @@ class WorkerStepTask:
             data shard).
         slot: the worker's position in this step's live roster; selects
             the arena slab the gradients land in.
-        slab_segment: OS name of slot's shared-memory slab segment.
         shard_index/shard_world: arguments of ``train_data.shard`` for
             this rank this step. The parent computes them with the same
             rules the sequential path uses, so shards stay pairwise
@@ -123,7 +125,6 @@ class WorkerStepTask:
 
     rank: int
     slot: int
-    slab_segment: str
     shard_index: int
     shard_world: int
     step: int = 0
@@ -199,7 +200,7 @@ def _worker_main(conn, payload: dict, init_crash: bool = False) -> None:
         param.data = weights[lo:hi].reshape(layout.shapes[name])
 
     loss_fn = CrossEntropyLoss()
-    bns = [m for m in iter_modules(model) if isinstance(m, BatchNorm2d)]
+    bns = batch_norms(model)
     # joiner_rng(seed, rank) equals spawn_rngs(seed, world)[rank] for any
     # world that contains rank, so one rule covers initial ranks and
     # late joiners alike. Imported here: elastic pulls in the trainer
@@ -252,7 +253,7 @@ def _worker_main(conn, payload: dict, init_crash: bool = False) -> None:
                 shard = shards[shard_key] = train_data.shard(*shard_key)
             shard.batch(rng, batch_size)
 
-    def run_task(task: WorkerStepTask) -> WorkerStepResult:
+    def run_task(task: WorkerStepTask, segment_name: str) -> WorkerStepResult:
         apply_worker_fault(task)
         rng = rngs.get(task.rank)
         if rng is None:
@@ -261,13 +262,13 @@ def _worker_main(conn, payload: dict, init_crash: bool = False) -> None:
         shard = shards.get(shard_key)
         if shard is None:
             shard = shards[shard_key] = train_data.shard(*shard_key)
-        cached = slabs.get(task.slab_segment)
+        cached = slabs.get(segment_name)
         if cached is None:
-            segment = shm.attach_segment(task.slab_segment)
+            segment = shm.attach_segment(segment_name)
             slab = np.ndarray(
                 (layout.total_elements,), dtype=np.float64, buffer=segment.buf
             )
-            cached = slabs[task.slab_segment] = (
+            cached = slabs[segment_name] = (
                 segment, slab, layout.carve(slab)
             )
         _, _, views = cached
@@ -277,13 +278,10 @@ def _worker_main(conn, payload: dict, init_crash: bool = False) -> None:
             param.attach_grad_slot(
                 views[name], carry=name in carried, pending=pending.get(name)
             )
-        for bn in bns:
-            bn.stat_recorder = []
         ALLOC_STATS.reset()
-        loss = worker_pass(model, loss_fn, shard, rng, batch_size)
-        batch_stats = [list(bn.stat_recorder or []) for bn in bns]
-        for bn in bns:
-            bn.stat_recorder = None
+        loss, batch_stats = recorded_pass(
+            model, bns, loss_fn, shard, rng, batch_size
+        )
         return WorkerStepResult(
             loss=loss,
             batch_stats=batch_stats,
@@ -297,7 +295,7 @@ def _worker_main(conn, payload: dict, init_crash: bool = False) -> None:
         kind = message[0]
         if kind == "step":
             try:
-                result = run_task(message[1])
+                result = run_task(message[1], message[2])
                 conn.send(("ok", result))
             except BaseException as exc:  # ship the failure, keep serving
                 conn.send(("error", repr(exc), traceback.format_exc()))
@@ -379,11 +377,7 @@ class ProcessWorkerPool:
         self._ctx = multiprocessing.get_context(start_method)
         self.start_method = start_method
         self.step_timeout = step_timeout
-        self._model = model
         self._arena = arena
-        self._master_bns = [
-            m for m in iter_modules(model) if isinstance(m, BatchNorm2d)
-        ]
         layout = arena.layout
         self._layout = layout
         self._weights_segment = shm.create_segment(
@@ -420,10 +414,9 @@ class ProcessWorkerPool:
         #: Ranks whose next ``_spawn`` should die mid-seed (test/chaos
         #: seam for child-crash-during-admission coverage).
         self._spawn_crashes: Dict[int, int] = {}
-        #: Wall-clock seconds of the most recent weights broadcast and of
-        #: the most recent dispatch->collect window (benchmark probes).
+        #: Wall-clock seconds of the most recent weights broadcast (a
+        #: benchmark probe).
         self.last_broadcast_s = 0.0
-        self.last_workers_s = 0.0
 
     # ------------------------------------------------------------------
     # Child lifecycle
@@ -521,11 +514,6 @@ class ProcessWorkerPool:
             process.kill()  # SIGKILL: a *hung* child won't honor terminate
         process.join(timeout)
 
-    def respawn(self, rank: int) -> None:
-        """Replace ``rank``'s child with a fresh one, stream fast-forwarded."""
-        self.discard(rank)
-        self._spawn(rank)
-
     def inject_spawn_crash(self, rank: int, times: int = 1) -> None:
         """Arm ``times`` mid-seed deaths for ``rank``'s next spawn(s).
 
@@ -565,77 +553,53 @@ class ProcessWorkerPool:
         """Dispatch one step's tasks and collect replies in slot order.
 
         All tasks are sent before any reply is read, so children execute
-        concurrently. A worker failure (death, hang past the step
-        timeout) raises the typed :class:`~repro.faults.WorkerError` it
-        classified to — or, with ``capture_errors=True`` (the supervised
-        path), lands *as that error object* in the result list so every
-        worker's outcome is collected before any recovery decision.
+        concurrently, and every reply is read before anything is raised, so
+        no child's reply is left for the next step to read. A worker
+        failure (death, hang past the step timeout) raises the typed
+        :class:`~repro.faults.WorkerError` it classified to — or, with
+        ``capture_errors=True`` (the supervised path), lands *as that error
+        object* in the result list for the caller's recovery decision.
         Task-level exceptions inside a healthy child always raise, with
         the child's traceback: they are bugs, not process faults.
         """
         if self._closed:
             raise RuntimeError("run_step called on a closed pool")
-        start = time.perf_counter()
-        send_failures: Dict[int, WorkerError] = {}
+        sent: Dict[int, Optional[WorkerError]] = {}
         for task in tasks:
             conn, process = self._children[task.rank]
             try:
-                conn.send(("step", task))
+                conn.send(("step", task, self._arena.segment_name(task.slot)))
+                sent[task.rank] = None
             except (BrokenPipeError, OSError):
                 process.join(1.0)
-                error = WorkerDeadError(task.rank, process.exitcode)
-                if not capture_errors:
-                    raise error from None
-                send_failures[task.rank] = error
-        results: List[Union[WorkerStepResult, WorkerError]] = []
+                sent[task.rank] = WorkerDeadError(task.rank, process.exitcode)
+        results: List[Union[WorkerStepResult, Exception]] = []
         for task in tasks:
-            if task.rank in send_failures:
-                results.append(send_failures[task.rank])
-                continue
-            conn, _ = self._children[task.rank]
-            try:
-                reply = self._recv(conn, task.rank)
-            except WorkerError as error:
-                if not capture_errors:
-                    raise
+            error = sent[task.rank]
+            if error is not None:
                 results.append(error)
                 continue
+            try:
+                reply = self._recv(self._children[task.rank][0], task.rank)
+            except WorkerError as dead:
+                results.append(dead)
+                continue
             if reply[0] == "error":
-                raise RuntimeError(
+                results.append(RuntimeError(
                     f"worker process for rank {task.rank} failed: "
                     f"{reply[1]}\n{reply[2]}"
-                )
+                ))
+                continue
             results.append(reply[1])
             self._history.setdefault(task.rank, []).append(
                 (task.shard_index, task.shard_world)
             )
-        self.last_workers_s = time.perf_counter() - start
-        return results
-
-    def replay_batch_stats(self, results: List[WorkerStepResult]) -> None:
-        """Apply shipped BatchNorm statistics to the master in rank order.
-
-        Per layer, slot 0's batches land first, then slot 1's, … — the
-        exact update sequence the sequential loop would have produced.
-        """
-        for layer_index, master_bn in enumerate(self._master_bns):
-            for result in results:
-                if not isinstance(result, WorkerStepResult):
-                    continue  # supervised step: a failed worker computed nothing
-                for mean, var in result.batch_stats[layer_index]:
-                    master_bn.apply_batch_stats(mean, var)
-
-    def merge_alloc_stats(self, results: List[WorkerStepResult]) -> None:
-        """Fold per-child allocation counters into the parent's.
-
-        Children reset their process-local :data:`ALLOC_STATS` per task
-        and ship the delta, so the parent's counters — the ones the perf
-        assertions and the benchmark read — stay truthful about the
-        whole step no matter which process did the allocating.
-        """
         for result in results:
-            if isinstance(result, WorkerStepResult):
-                ALLOC_STATS.merge(result.alloc_stats)
+            if isinstance(result, Exception) and not (
+                capture_errors and isinstance(result, WorkerError)
+            ):
+                raise result
+        return results
 
     # ------------------------------------------------------------------
     # Teardown

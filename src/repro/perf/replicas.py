@@ -1,8 +1,8 @@
 """What a worker backend shares: the model copy, the pass, the screen.
 
-The sequential loop evaluates ONE physical model once per worker shard;
-process workers (:mod:`repro.perf.procpool`) evaluate a copy per child.
-Both run the same :func:`worker_pass`, the pool ships children a
+The sequential backend evaluates ONE physical model once per worker
+shard; process workers (:mod:`repro.perf.procpool`) evaluate a copy per
+child. Both run the same :func:`recorded_pass`, the pool ships children a
 :func:`detached_copy`, and :func:`require_deterministic_forward` rejects
 the models a copy cannot reproduce: a sequential model draws one Dropout
 mask stream across workers, which per-worker generators cannot replay.
@@ -11,11 +11,14 @@ mask stream across workers, which per-worker generators cannot replay.
 from __future__ import annotations
 
 import copy
-from typing import Iterator
+from typing import Iterator, List, Tuple
+
+import numpy as np
 
 from repro.nn.container import Sequential
 from repro.nn.dropout import Dropout
 from repro.nn.module import Module
+from repro.nn.norm import BatchNorm2d
 
 
 def iter_modules(module: Module) -> Iterator[Module]:
@@ -32,6 +35,11 @@ def iter_modules(module: Module) -> Iterator[Module]:
             for item in value:
                 if isinstance(item, Module):
                     yield from iter_modules(item)
+
+
+def batch_norms(model: Module) -> List[BatchNorm2d]:
+    """The model's BatchNorm layers in :func:`iter_modules` order."""
+    return [sub for sub in iter_modules(model) if isinstance(sub, BatchNorm2d)]
 
 
 def require_deterministic_forward(model: Module) -> None:
@@ -98,3 +106,19 @@ def worker_pass(model: Module, loss_fn, shard, rng, batch_size: int) -> float:
         if not param.has_grad:
             raise RuntimeError(f"parameter {name!r} received no gradient")
     return float(loss)
+
+
+def recorded_pass(
+    model: Module, bns: List[BatchNorm2d], loss_fn, shard, rng, batch_size: int
+) -> Tuple[float, List[List[Tuple[np.ndarray, np.ndarray]]]]:
+    """:func:`worker_pass` with ``bns``' batch statistics recorded, not
+    applied: the loss and, per layer, the ``(mean, var)`` of each batch,
+    for the caller to replay onto the master model in slot order."""
+    for bn in bns:
+        bn.stat_recorder = []
+    try:
+        loss = worker_pass(model, loss_fn, shard, rng, batch_size)
+        return loss, [bn.stat_recorder for bn in bns]
+    finally:
+        for bn in bns:
+            bn.stat_recorder = None

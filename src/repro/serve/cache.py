@@ -118,10 +118,6 @@ class ResultCache:
         ]
 
     @property
-    def num_shards(self) -> int:
-        return len(self._shards)
-
-    @property
     def capacity(self) -> int:
         return sum(s.capacity for s in self._shards)
 

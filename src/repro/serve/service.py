@@ -193,10 +193,6 @@ class PlannerService:
             )
         return link
 
-    def invalidate(self) -> int:
-        """Explicitly drop every cached plan; returns the count dropped."""
-        return self.cache.invalidate_all()
-
     # -- queries -----------------------------------------------------------
 
     def lookup(self, query: PlanQuery) -> Optional[PlanResult]:

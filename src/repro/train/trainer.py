@@ -5,7 +5,11 @@ Semantics mirror DDP + the paper's compression prototypes:
 - every worker holds the same model weights (enforced by construction: one
   physical replica evaluated per worker shard, like DDP's lockstep);
 - per step, each worker computes local gradients on its own batch,
-  written straight into its :class:`~repro.perf.arena.GradientArena` slab;
+  written straight into its :class:`~repro.perf.arena.GradientArena` slab:
+  one :class:`~repro.perf.procpool.WorkerStepTask` per live rank, run in
+  turn on the trainer's model (``workers="seq"``) or by the
+  :class:`~repro.perf.procpool.ProcessWorkerPool`'s children
+  (``workers="process"``), both answering with the same results;
 - the :class:`~repro.train.reducer.BucketedReducer` drives the
   :class:`~repro.optim.aggregators.GradientAggregator`'s staged protocol
   over the arena's buckets (``buffer_bytes=None``: one bucket) and the
@@ -34,7 +38,7 @@ from __future__ import annotations
 
 import tempfile
 from dataclasses import replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -50,12 +54,17 @@ from repro.optim.aggregators import AllReduceAggregator, GradientAggregator
 from repro.optim.lr_scheduler import WarmupMultiStepSchedule
 from repro.optim.sgd import SGD
 from repro.perf.arena import ArenaGrads, GradientArena
+from repro.perf.counters import ALLOC_STATS
 from repro.perf.procpool import (
     ProcessWorkerPool,
     WorkerStepResult,
     WorkerStepTask,
 )
-from repro.perf.replicas import require_deterministic_forward, worker_pass
+from repro.perf.replicas import (
+    batch_norms,
+    recorded_pass,
+    require_deterministic_forward,
+)
 from repro.train.checkpoint import CheckpointError, CheckpointManager
 from repro.train.datasets import ArrayDataset
 from repro.train.history import TrainingHistory
@@ -86,6 +95,63 @@ def evaluate(
     return correct / max(1, total)
 
 
+class _InProcessWorkers:
+    """The sequential backend: the process pool's step protocol, in-process.
+
+    Each task runs in turn on the trainer's one model, bound to the task's
+    slab, drawing from ``trainer.train_shards[rank]`` with
+    ``trainer._rngs[rank]``. A scheduled :class:`~repro.faults.WorkerFault`
+    becomes the error its child would have died with, at the point the
+    child applies it (before any batch draw); the gradient factors stay in
+    the arena's pending entries and the allocation counters in this
+    process, so the results carry neither.
+    """
+
+    def __init__(self, trainer: "DataParallelTrainer"):
+        self._trainer = trainer
+
+    def ensure_ranks(self, ranks: List[int]) -> None:
+        """Nothing to spawn: every rank runs here."""
+
+    def broadcast_weights(self, model: Module) -> None:
+        """Nothing to copy: every pass reads the master weights."""
+
+    def discard(self, rank: int) -> None:
+        """Nothing to reap: a failed rank lost no process."""
+
+    def close(self) -> None:
+        """Nothing to release."""
+
+    def run_step(
+        self, tasks: List[WorkerStepTask], capture_errors: bool = False
+    ) -> List[Union[WorkerStepResult, WorkerError]]:
+        trainer = self._trainer
+        supervisor = trainer._supervisor
+        results: List[Union[WorkerStepResult, WorkerError]] = []
+        for task in tasks:
+            trainer.reducer.begin_worker(task.slot)
+            fault = None
+            if supervisor is not None and supervisor.plan is not None:
+                fault = supervisor.plan.worker_fault_at(task.rank, task.step)
+            error = (
+                None if fault is None or task.suppress_fault
+                else WorkerSupervisor.simulated_failure(fault)
+            )
+            if error is not None:
+                if not capture_errors:
+                    raise error
+                results.append(error)
+                continue
+            trainer._arena.bind(trainer.model, task.slot)
+            loss, batch_stats = recorded_pass(
+                trainer.model, trainer._bns, trainer.loss_fn,
+                trainer.train_shards[task.rank], trainer._rngs[task.rank],
+                trainer.batch_size,
+            )
+            results.append(WorkerStepResult(loss, batch_stats, {}, {}))
+        return results
+
+
 class DataParallelTrainer:
     """Train one model with data parallelism across simulated workers.
 
@@ -107,7 +173,6 @@ class DataParallelTrainer:
         membership: Optional["MembershipController"] = None,
         buffer_bytes: Optional[int] = None,
         workers: str = "seq",
-        worker_start_method: Optional[str] = None,
         worker_step_timeout: Optional[float] = None,
         supervision: Optional[SupervisionPolicy] = None,
     ):
@@ -179,6 +244,7 @@ class DataParallelTrainer:
         self.batch_size = batch_size_per_worker
         self.schedule = schedule
         self.loss_fn = CrossEntropyLoss()
+        self._bns = batch_norms(model)
         self._rngs: Dict[int, np.random.Generator] = dict(
             enumerate(spawn_rngs(seed, self.world_size))
         )
@@ -196,16 +262,16 @@ class DataParallelTrainer:
         #: Drives every step's aggregation (timings, eager/deferred counts).
         self.reducer = BucketedReducer(model, self._arena, aggregator)
         self._closed = False
-        self._procpool: Optional[ProcessWorkerPool] = None
+        #: Runs each step's tasks; the process pool replaces it below.
+        self._workers = _InProcessWorkers(self)
         if workers == "process":
             try:
-                self._procpool = ProcessWorkerPool(
+                self._workers = ProcessWorkerPool(
                     model,
                     self._arena,
                     train_data,
                     seed=seed,
                     batch_size=self.batch_size,
-                    start_method=worker_start_method,
                     step_timeout=worker_step_timeout,
                     fault_plan=(
                         self._supervisor.plan
@@ -233,56 +299,34 @@ class DataParallelTrainer:
         """The armed worker supervisor, or ``None`` (stats live on it)."""
         return self._supervisor
 
-    def _worker_gradients(
-        self, rank: int, slot: Optional[int] = None
-    ) -> tuple:
-        """One worker's (loss, named gradients) for a fresh batch.
+    def _run_workers(self, ranks: List[int]) -> List[float]:
+        """Run the live workers' passes; return their losses in slot order.
 
-        ``slot`` is the worker's position in this step's live roster (its
-        arena slab index); it defaults to ``rank`` for full-roster steps.
+        One task per live rank goes to the worker backend (children for
+        newly admitted ranks are spawned first — an admission-boundary
+        cost, never a steady-state one); the gradients land in the arena
+        slabs. Failed workers go through :meth:`_recover`, then one loop
+        consumes what came back besides the slabs: BatchNorm batch
+        statistics replayed onto the master in slot order, allocation
+        deltas merged, and the gradient factors a process child's factored
+        slot kept extended into the slot's pending entry — so the
+        trajectory is the same bits on either backend.
         """
-        if slot is None:
-            slot = rank
-        self._arena.bind(self.model, slot)
-        loss = worker_pass(
-            self.model, self.loss_fn, self.train_shards[rank],
-            self._rngs[rank], self.batch_size,
-        )
-        return loss, self._arena.grads(slot)
-
-    def _process_worker_gradients(
-        self, ranks: List[int]
-    ) -> Tuple[List[float], List[ArenaGrads]]:
-        """Run the live workers' passes in persistent child processes.
-
-        The parent copies the master weights into the shared broadcast
-        buffer, dispatches one task per live rank (children for newly
-        admitted ranks are spawned first — an admission-boundary cost,
-        never a steady-state one), and the children write their gradients
-        straight into the shared arena slabs. Only the loss scalars,
-        BatchNorm batch statistics, allocation-counter deltas and the
-        gradient factors a factored slot keeps travel back over the pipes;
-        the statistics are replayed onto the master in rank order and the
-        factors land in the slots' pending entries, so the trajectory stays
-        bit-identical to the sequential loop while backprop uses every core.
-        """
-        pool = self._procpool
-        assert pool is not None
-        self._ensure_ranks_supervised(pool, ranks)
-        pool.broadcast_weights(self.model)
+        workers = self._workers
+        self._ensure_ranks_supervised(ranks)
+        workers.broadcast_weights(self.model)
         geometry = self._shard_geometry(ranks)
         tasks = [
             WorkerStepTask(
                 rank=rank,
                 slot=slot,
-                slab_segment=self._arena.segment_name(slot),
                 shard_index=geometry[rank][0],
                 shard_world=geometry[rank][1],
                 step=self._step_count,
             )
             for slot, rank in enumerate(ranks)
         ]
-        results = pool.run_step(
+        results = workers.run_step(
             tasks, capture_errors=self._supervisor is not None
         )
         failures = [
@@ -291,29 +335,25 @@ class DataParallelTrainer:
             if isinstance(result, WorkerError)
         ]
         if failures:
-            results = self._recover_process(pool, tasks, results, failures)
-        pool.replay_batch_stats(results)
-        pool.merge_alloc_stats(results)
-        per_worker = [
-            self._arena.grads(slot) for slot in range(len(ranks))
-        ]
+            results = self._recover(tasks, results, failures)
         losses = []
         for task, result in zip(tasks, results):
-            if isinstance(result, WorkerStepResult):
-                losses.append(result.loss)
-                # The factors the child's backward recorded, into the
-                # slot's pending entry as a sequential pass records them.
-                pending = per_worker[task.slot].pending
-                for name, products in result.factors.items():
-                    pending[name].extend(products)
-        return losses, per_worker
+            if not isinstance(result, WorkerStepResult):
+                continue  # ejected: its slot aggregates the stale slab
+            losses.append(result.loss)
+            for bn, stats in zip(self._bns, result.batch_stats):
+                for mean, var in stats:
+                    bn.apply_batch_stats(mean, var)
+            ALLOC_STATS.merge(result.alloc_stats)
+            pending = self._arena.grads(task.slot).pending
+            for name, products in result.factors.items():
+                pending[name].extend(products)
+        return losses
 
     # ------------------------------------------------------------------
-    # Worker-process supervision
+    # Worker supervision
     # ------------------------------------------------------------------
-    def _ensure_ranks_supervised(
-        self, pool: ProcessWorkerPool, ranks: List[int]
-    ) -> None:
+    def _ensure_ranks_supervised(self, ranks: List[int]) -> None:
         """Spawn missing children, paying for admission-time crashes.
 
         A child that dies while seeding (before reporting ready) raises a
@@ -324,45 +364,13 @@ class DataParallelTrainer:
         """
         while True:
             try:
-                pool.ensure_ranks(ranks)
+                self._workers.ensure_ranks(ranks)
                 return
             except WorkerError as error:
                 if self._supervisor is None:
                     raise
                 self._supervisor.record_failure(error)
                 self._supervisor.consume_restart(error)
-
-    def _simulated_worker_failure(self, rank: int) -> Optional[WorkerError]:
-        """The failure a child would have suffered — the seq twin's view.
-
-        Only the sequential backend simulates: the process backend's
-        children self-apply the same plan, so simulating there would
-        double-fire every fault.
-        """
-        if self._supervisor is None or self.workers != "seq":
-            return None
-        fault = self._supervisor.scheduled_fault(rank, self._step_count)
-        if fault is None:
-            return None
-        return WorkerSupervisor.simulated_failure(fault)
-
-    def _recover_seq(self, error: WorkerError) -> bool:
-        """Handle a simulated failure; ``True`` = compute the pass anyway.
-
-        ``"restart"`` pays one respawn and computes in place — exactly
-        what the process backend's respawn-and-retry converges to, since
-        a crashed task consumes no batch draws. ``"eject"`` marks the
-        rank failed and skips its pass, degrading the step the way a
-        dead child does.
-        """
-        supervisor = self._supervisor
-        assert supervisor is not None
-        supervisor.record_failure(error)
-        if supervisor.policy.on_failure == "restart":
-            supervisor.consume_restart(error)
-            return True
-        self._eject_worker(error.rank)
-        return False
 
     def _eject_worker(self, rank: int) -> None:
         """Mark ``rank`` for boundary ejection; maybe schedule its rejoin."""
@@ -372,23 +380,22 @@ class DataParallelTrainer:
         if delay is not None and self.membership is not None:
             self.membership.schedule_rejoin(rank, delay)
 
-    def _recover_process(
+    def _recover(
         self,
-        pool: ProcessWorkerPool,
         tasks: List[WorkerStepTask],
         results: list,
         failures: List[Tuple[int, WorkerError]],
     ) -> list:
-        """Recover from real child failures after the step collected.
+        """Recover from worker failures after the step collected.
 
-        ``"restart"``: discard the dead/hung child, respawn it (sampling
+        ``"restart"``: discard the dead/hung worker, respawn it (sampling
         stream fast-forwarded through the rank's completed-task history)
         and re-run the failed task *within this step* with the fault
         suppressed — the retried pass consumes exactly the draws the
         fault-free run would have, so the trajectory stays bit-identical
         to fault-free. A repeat failure of the same task raises.
 
-        ``"eject"``: discard the child and mark the rank failed; its
+        ``"eject"``: discard the worker and mark the rank failed; its
         slot's stale slab feeds the (survivor-rescaled) aggregation and
         the ejection commits at the next boundary.
         """
@@ -397,7 +404,7 @@ class DataParallelTrainer:
         retry_indices: List[int] = []
         for index, error in failures:
             supervisor.record_failure(error)
-            pool.discard(error.rank)
+            self._workers.discard(error.rank)
             if supervisor.policy.on_failure == "restart":
                 supervisor.consume_restart(error)
                 retry_indices.append(index)
@@ -408,10 +415,9 @@ class DataParallelTrainer:
                 replace(tasks[index], suppress_fault=True)
                 for index in retry_indices
             ]
-            self._ensure_ranks_supervised(
-                pool, [task.rank for task in retry_tasks]
-            )
-            retried = pool.run_step(retry_tasks)  # a repeat failure raises
+            self._ensure_ranks_supervised([task.rank for task in retry_tasks])
+            # A repeat failure raises.
+            retried = self._workers.run_step(retry_tasks)
             for index, result in zip(retry_indices, retried):
                 results[index] = result
         if not any(isinstance(r, WorkerStepResult) for r in results):
@@ -486,10 +492,6 @@ class DataParallelTrainer:
         if self._closed:
             raise RuntimeError("train_step called on a closed trainer")
         ranks = self._live_ranks()
-        # Process mode routes *every* step through the pool — even a
-        # single-rank step — because the per-rank sampling streams live in
-        # the children; a parent-side pass would consume a stale stream.
-        process = self._procpool is not None
         # Every step aggregates through the reducer, bucket by bucket.
         # Hook-driven (eager, WFBP) firing needs sequential workers — the
         # final worker's backward is the firing pass — and no resilience,
@@ -504,36 +506,17 @@ class DataParallelTrainer:
         self._arena.drop_factors()
         reducer.begin_step(
             len(ranks),
-            eager=not process
+            eager=self.workers == "seq"
             and self.resilience is None
             and self._supervisor is None,
         )
-        if process:
-            losses, per_worker = self._process_worker_gradients(ranks)
-        else:
-            losses = []
-            per_worker = []
-            seq_failures: List[WorkerError] = []
-            for slot, rank in enumerate(ranks):
-                reducer.begin_worker(slot)
-                failure = self._simulated_worker_failure(rank)
-                if failure is not None and not self._recover_seq(failure):
-                    # Ejected: the slot contributes its stale slab —
-                    # exactly what the process backend aggregates when
-                    # the dead child never wrote this step.
-                    seq_failures.append(failure)
-                    per_worker.append(self._arena.grads(slot))
-                    continue
-                loss, grads = self._worker_gradients(rank, slot)
-                losses.append(loss)
-                per_worker.append(grads)
-            if not losses:
-                raise seq_failures[0]
+        losses = self._run_workers(ranks)
         mean_loss = float(np.mean(losses))
         self._step_count += 1
         if self.resilience is None:
             self.optimizer.step(reducer.finish_step())
             return mean_loss
+        per_worker = [self._arena.grads(slot) for slot in range(len(ranks))]
         return self._resilient_apply(mean_loss, per_worker)
 
     # ------------------------------------------------------------------
@@ -690,8 +673,7 @@ class DataParallelTrainer:
         """
         self._closed = True
         self.reducer.close()
-        if self._procpool is not None:
-            self._procpool.close()
+        self._workers.close()
         if self._arena.is_shared:
             self._arena.unbind(self.model)
             self._arena.close()

@@ -321,7 +321,7 @@ class TestThroughTheTrainer:
         sequential step does."""
         with mlp_trainer(buffer_bytes=4096) as seq, \
                 mlp_trainer("process", buffer_bytes=4096) as proc:
-            pool = proc._procpool
+            pool = proc._workers
             run_step, shipped = pool.run_step, []
 
             def spy(tasks, capture_errors=False):
@@ -441,3 +441,28 @@ def test_a_failed_pass_leaves_no_factor_to_the_next_step(workers):
             key=str,
         )
         assert not pending_left(arena, range(2))
+
+
+def test_a_task_error_leaves_no_reply_unread():
+    """Rank 0's child raises in backward once; the caller catches it and
+    steps again. The failed step read every child's reply, so the next
+    step reads its own and leaves none behind (no loss, BatchNorm
+    statistic or factor lands a step late)."""
+    rng = np.random.default_rng(0)
+    marked = Marked()
+    model = Sequential(
+        marked, Linear(128, 256, rng=rng), FailsAfterMarked(marked), ReLU(),
+        Linear(256, 10, rng=rng),
+    )
+    data = dataset(np.random.default_rng(1))
+    data.inputs[:, 0] = 0.0
+    data.inputs[0::3, 0] = MARK  # rank 0's shard at world 3
+    with mlp_trainer("process", world=3, model=model, data=data) as trainer:
+        with pytest.raises(RuntimeError, match="backward failed mid-pass"):
+            trainer.train_step()
+        trainer.train_step()
+        unread = {
+            rank: conn.poll(0.5)
+            for rank, (conn, _) in trainer._workers._children.items()
+        }
+        assert unread == {0: False, 1: False, 2: False}

@@ -115,31 +115,38 @@ class TestPermanentLossDuringTraining:
         assert all(np.isfinite(loss) for loss in history.train_loss)
 
 
+def after_every_pass(trainer, change):
+    """Call ``change(task, result)`` on every worker result from now on;
+    ``del trainer._workers.run_step`` stops it."""
+    run_step = trainer._workers.run_step
+
+    def patched(tasks, capture_errors=False):
+        results = run_step(tasks, capture_errors)
+        for task, result in zip(tasks, results):
+            change(task, result)
+        return results
+
+    trainer._workers.run_step = patched
+
+
 class TestTrainerLadder:
     @staticmethod
     def _poison_gradients(trainer):
         """Make every subsequent worker gradient carry a NaN."""
-        original = trainer._worker_gradients
 
-        def poisoned(rank, *args, **kwargs):
-            loss, grads = original(rank, *args, **kwargs)
-            name = next(iter(grads))
-            grads[name] = grads[name].copy()
-            grads[name].reshape(-1)[0] = np.nan
-            return loss, grads
+        def poison(task, result):
+            trainer._arena.slab(task.slot)[0] = np.nan
 
-        trainer._worker_gradients = poisoned
+        after_every_pass(trainer, poison)
 
     @staticmethod
     def _inflate_losses(trainer, factor=1e9):
         """Keep gradients sane but report an exploding loss."""
-        original = trainer._worker_gradients
 
-        def inflated(rank, *args, **kwargs):
-            loss, grads = original(rank, *args, **kwargs)
-            return loss * factor, grads
+        def inflate(task, result):
+            result.loss *= factor
 
-        trainer._worker_gradients = inflated
+        after_every_pass(trainer, inflate)
 
     def test_nan_step_is_skipped_then_fallback_runs_uncompressed(self):
         cfg = ResilienceConfig(fallback_steps=2, checkpoint_interval=0)
@@ -150,7 +157,7 @@ class TestTrainerLadder:
 
         self._poison_gradients(trainer)
         reported = trainer.train_step()
-        del trainer._worker_gradients  # restore the clean method
+        del trainer._workers.run_step  # restore the clean method
 
         log = trainer.resilience_log
         assert log.skipped_steps == 1
@@ -299,7 +306,7 @@ class TestErrorFeedbackSlotsThroughTheLadder:
         trainer.train_step()
         TestTrainerLadder._poison_gradients(trainer)
         trainer.train_step()  # skipped: the window opens
-        del trainer._worker_gradients
+        del trainer._workers.run_step
         assert all_residuals_empty(trainer)
         twin, want = detached_copy(model), []
         for rank, shard in trainer.train_shards.items():

@@ -11,6 +11,8 @@ close, idempotency, crash containment, leak detection — is tested as
 behavior, not left to the GC.
 """
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -39,7 +41,6 @@ def run_training(
     steps=3,
     world_size=2,
     seed=7,
-    start_method=None,
     buffer_bytes=None,
 ):
     """Train a few steps; return (losses, weights, batchnorm buffers)."""
@@ -56,7 +57,6 @@ def run_training(
         batch_size_per_worker=4,
         seed=seed,
         workers=workers,
-        worker_start_method=start_method,
         buffer_bytes=buffer_bytes,
     )
     with trainer:
@@ -96,14 +96,14 @@ class TestProcessBitExactness:
             run_training("ssgd", workers="process", world_size=4, steps=2),
         )
 
-    def test_spawn_start_method_matches_fork(self):
-        """Both start methods are supported and bit-identical."""
-        assert_identical(
-            run_training("ssgd", workers="seq", steps=2),
-            run_training(
-                "ssgd", workers="process", steps=2, start_method="spawn"
-            ),
+    def test_spawn_start_method_matches_fork(self, monkeypatch):
+        """Both start methods are supported and bit-identical: on a
+        platform without fork the pool spawns."""
+        seq = run_training("ssgd", workers="seq", steps=2)
+        monkeypatch.setattr(
+            multiprocessing, "get_all_start_methods", lambda: ["spawn"]
         )
+        assert_identical(seq, run_training("ssgd", workers="process", steps=2))
 
     def test_process_matches_sequential_bucketed(self):
         """Process workers + the WFBP reducer (deferred mode) compose."""
@@ -241,23 +241,11 @@ class TestPoolLifecycle:
         try:
             pool.ensure_ranks([0])
             pool.broadcast_weights(model)
-            bogus = WorkerStepTask(
-                rank=0,
-                slot=0,
-                slab_segment="repro-no-such-segment",
-                shard_index=0,
-                shard_world=1,
-            )
+            bogus = WorkerStepTask(rank=0, slot=0, shard_index=0, shard_world=0)
             with pytest.raises(RuntimeError, match="rank 0 failed"):
                 pool.run_step([bogus])
             # The child survives a failed task and serves the next one.
-            good = WorkerStepTask(
-                rank=0,
-                slot=0,
-                slab_segment=arena.segment_name(0),
-                shard_index=0,
-                shard_world=1,
-            )
+            good = WorkerStepTask(rank=0, slot=0, shard_index=0, shard_world=1)
             (result,) = pool.run_step([good])
             assert np.isfinite(result.loss)
         finally:
@@ -305,16 +293,21 @@ class TestPoolLifecycle:
         ids=["dropout", "start-method"],
     )
     def test_failed_construction_releases_everything(
-        self, dropout, start_method, message
+        self, dropout, start_method, message, monkeypatch
     ):
-        """A rejected process trainer owns no segment and leaves no hook."""
+        """A rejected process trainer owns no segment and leaves no hook —
+        whether the model is refused or the platform's start method is."""
         model = make_small_vgg(base_width=2, rng=np.random.default_rng(0))
         model.drop = Dropout(dropout)
+        if start_method is not None:
+            get_context = multiprocessing.get_context
+            monkeypatch.setattr(
+                multiprocessing, "get_context",
+                lambda method=None: get_context(start_method),
+            )
         before = shm.live_segment_names()
         with pytest.raises(ValueError, match=message):
-            self._make_trainer(
-                model, workers="process", worker_start_method=start_method
-            )
+            self._make_trainer(model, workers="process")
         assert shm.live_segment_names() == before
         for _, param in model.named_parameters():
             assert param._hooks == [] and param._grad_slot is None

@@ -495,18 +495,18 @@ class TestOneReductionPath:
         )
         trainer.train_step()
         calls = _count_calls(trainer.aggregator)
-        original = trainer._worker_gradients
+        run_step = trainer._workers.run_step
 
-        def poisoned(rank, *args, **kwargs):
-            loss, grads = original(rank, *args, **kwargs)
-            trainer._arena.slab(0)[0] = np.nan  # ``grads`` are slab views
-            return loss, grads
+        def poisoned(tasks, capture_errors=False):
+            results = run_step(tasks, capture_errors)
+            trainer._arena.slab(0)[0] = np.nan
+            return results
 
-        trainer._worker_gradients = poisoned
+        trainer._workers.run_step = poisoned
         trainer.train_step()
         assert trainer.resilience_log.skipped_steps == 1
         assert not any(calls.values())
-        del trainer._worker_gradients
+        del trainer._workers.run_step
         trainer.train_step()  # the abandoned step does not wedge the next
         assert calls["finish_buckets"] == 1
 

@@ -232,6 +232,30 @@ class TestEveryModuleIsUsed:
             f"{sorted(kept - unused)}"
         )
 
+    def test_every_public_method_is_mentioned(self):
+        """And one level further: a public method of a public ``src`` class
+        is mentioned in code besides its own ``def`` — by ``src``,
+        ``scripts/``, ``perfbench/``, ``examples/``, ``benchmarks/`` or
+        ``tests/`` — or is deleted. Names are matched, not receivers, so
+        an override is used wherever its base method is."""
+        files = [
+            path
+            for top in ("src", "scripts", "perfbench", "examples",
+                        "benchmarks", "tests")
+            for path in (ROOT / top).rglob("*.py")
+        ]
+        mentioned = set().union(*map(_identifiers, files))
+        unused = sorted(
+            f"{_dotted(path)}.{cls.name}.{node.name}"
+            for path in (SRC / "repro").rglob("*.py")
+            for cls in ast.parse(path.read_text(), filename=str(path)).body
+            if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+            for node in cls.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not node.name.startswith("_") and node.name not in mentioned
+        )
+        assert not unused, f"nothing mentions {unused}"
+
 
 def _dotted(path):
     """``src/repro/a/b.py`` -> ``repro.a.b``; a package's ``__init__`` -> the package."""

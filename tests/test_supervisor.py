@@ -40,13 +40,14 @@ from repro.faults import (
 )
 from repro.faults.resilient import ResilientProcessGroup
 from repro.faults.supervisor import SIGKILL_EXITCODE
-from repro.models.convnets import make_mlp
+from repro.models.convnets import make_mlp, make_small_vgg
 from repro.optim.aggregators import make_aggregator
 from repro.optim.sgd import SGD
 from repro.perf import shm
 from repro.perf.arena import GradientArena
 from repro.perf.procpool import ProcessWorkerPool, WorkerStepTask
-from repro.train.datasets import ArrayDataset
+from repro.perf.replicas import batch_norms
+from repro.train.datasets import ArrayDataset, make_cifar_like
 from repro.train.trainer import DataParallelTrainer
 
 pytestmark = pytest.mark.faults
@@ -75,7 +76,6 @@ def make_trainer(
     method="ssgd",
     seed=11,
     step_timeout=30.0,
-    start_method=None,
 ):
     train_data, test_data = make_task(seed)
     model = make_mlp(6, 10, 3, rng=np.random.default_rng(5))
@@ -100,7 +100,6 @@ def make_trainer(
         membership=membership,
         supervision=policy,
         worker_step_timeout=step_timeout,
-        worker_start_method=start_method,
     )
     return trainer, model
 
@@ -236,6 +235,52 @@ class TestRestartPolicy:
         assert trainer.supervisor.stats.worker_timeouts == 1
         assert trainer.supervisor.stats.worker_restarts == 1
 
+    @pytest.mark.parametrize("workers", ["seq", "process"])
+    def test_restart_keeps_batchnorm_bits_for_a_non_final_rank(self, workers):
+        """Rank 0 of three crashes; its retried pass runs after the other
+        two, and the slot-order replay still puts its batch statistics
+        first: weights and running buffers equal the fault-free run's."""
+        plan = FaultPlan(seed=11, worker_faults=(
+            WorkerFault("crash", rank=0, step=1),
+        ))
+
+        def run(workers, policy=None):
+            train_data, test_data = make_cifar_like(
+                num_train=48, num_test=8, seed=3
+            )
+            model = make_small_vgg(base_width=2, rng=np.random.default_rng(5))
+            group = (
+                ProcessGroup(3) if policy is None
+                else ResilientProcessGroup(3, injector=FaultInjector(plan))
+            )
+            trainer = DataParallelTrainer(
+                model,
+                SGD(model, lr=0.05, momentum=0.9),
+                make_aggregator("ssgd", group),
+                train_data,
+                test_data,
+                batch_size_per_worker=4,
+                seed=11,
+                workers=workers,
+                supervision=policy,
+                worker_step_timeout=30.0,
+            )
+            losses, _ = run_steps(trainer, model, steps=3)
+            buffers = [
+                np.concatenate([bn.running_mean, bn.running_var])
+                for bn in batch_norms(model)
+            ]
+            assert buffers
+            return (losses, model.state_vector(), np.concatenate(buffers),
+                    trainer.supervisor)
+
+        clean = run("seq")
+        faulty = run(workers, SupervisionPolicy(on_failure="restart"))
+        assert faulty[0] == clean[0]
+        assert faulty[1].tobytes() == clean[1].tobytes()
+        assert faulty[2].tobytes() == clean[2].tobytes()
+        assert faulty[3].stats.worker_restarts == 1
+
     @pytest.mark.parametrize("workers", ["process", "seq"])
     def test_exhausted_budget_reraises(self, workers):
         plan = FaultPlan(seed=11, worker_faults=(
@@ -325,7 +370,7 @@ class TestSupervisionWiring:
         trainer, _ = make_trainer(step_timeout=10.0)
         with trainer:
             trainer.train_step()
-            victim = trainer._procpool._children[1][1]
+            victim = trainer._workers._children[1][1]
             os.kill(victim.pid, signal.SIGKILL)
             victim.join(5.0)
             with pytest.raises(WorkerDeadError) as excinfo:
@@ -351,8 +396,7 @@ class TestPoolCrashSafety:
     def _task(self, arena, rank=0, slot=None):
         slot = rank if slot is None else slot
         return WorkerStepTask(
-            rank=rank, slot=slot, slab_segment=arena.segment_name(slot),
-            shard_index=rank, shard_world=arena.world_size,
+            rank=rank, slot=slot, shard_index=rank, shard_world=arena.world_size,
         )
 
     def test_run_step_raises_typed_dead_error(self):
@@ -455,16 +499,18 @@ class TestPoolCrashSafety:
         assert not shm.live_segment_names()
 
     @pytest.mark.parametrize("start_method", START_METHODS)
-    def test_supervised_trainer_rides_out_admission_crash(self, start_method):
+    def test_supervised_trainer_rides_out_admission_crash(
+        self, start_method, monkeypatch
+    ):
+        monkeypatch.setattr(
+            multiprocessing, "get_all_start_methods", lambda: [start_method]
+        )
         policy = SupervisionPolicy(on_failure="restart")
-        clean = run_steps(
-            *make_trainer(start_method=start_method), steps=2
-        )
-        trainer, model = make_trainer(
-            policy=policy, start_method=start_method
-        )
+        clean = run_steps(*make_trainer(), steps=2)
+        trainer, model = make_trainer(policy=policy)
         with trainer:
-            trainer._procpool.inject_spawn_crash(1)
+            assert trainer._workers.start_method == start_method
+            trainer._workers.inject_spawn_crash(1)
             losses = [trainer.train_step() for _ in range(2)]
         weights = np.concatenate(
             [param.data.ravel() for _, param in model.named_parameters()]

@@ -8,6 +8,7 @@ from repro.models.convnets import make_mlp
 from repro.nn.loss import CrossEntropyLoss
 from repro.optim.aggregators import make_aggregator
 from repro.optim.sgd import SGD
+from repro.perf.procpool import WorkerStepTask
 from repro.train.datasets import SyntheticImageDataset, make_cifar_like
 from repro.train.history import TrainingHistory
 from repro.train.trainer import DataParallelTrainer
@@ -167,12 +168,11 @@ class TestTrainer:
     def test_ssgd_equals_singleworker_mean_gradient(self):
         """One aggregated S-SGD step == SGD on the mean of worker gradients."""
         trainer = self._make_trainer(world=3)
-        per_worker = []
-        losses = []
-        for rank in range(3):
-            loss, grads = trainer._worker_gradients(rank)
-            per_worker.append(grads)
-            losses.append(loss)
+        trainer._workers.run_step([
+            WorkerStepTask(rank=rank, slot=rank, shard_index=rank, shard_world=3)
+            for rank in range(3)
+        ])
+        per_worker = [trainer._arena.grads(slot) for slot in range(3)]
         aggregated = trainer.aggregator.aggregate(per_worker)
         for name in aggregated:
             manual = np.mean([g[name] for g in per_worker], axis=0)

@@ -62,7 +62,6 @@ class TestTransformerDistributed:
         """The aggregator must treat H x H attention weights as compressible."""
         trainer, _ = _make_trainer("acpsgd", rank=2)
         agg = trainer.aggregator
-        _, grads = trainer._worker_gradients(0)
-        compressible, plain = agg._split_names(grads)
+        compressible, plain = agg._split_names(trainer._arena.grads(0))
         assert any("attention" in name for name in compressible)
         assert any("bias" in name for name in plain)
