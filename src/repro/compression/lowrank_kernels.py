@@ -51,7 +51,7 @@ def block_rows(m: int) -> int:
     return max(1, _BLOCK_ELEMENTS // m)
 
 
-def _product_blocks(n: int, m: int) -> Iterator[Tuple[int, int]]:
+def product_blocks(n: int, m: int) -> Iterator[Tuple[int, int]]:
     """Row ranges of :func:`blocked_matmul`'s blocks for an ``n x m`` product."""
     rows = max(2, _PRODUCT_ELEMENTS // m)
     lo = 0
@@ -101,7 +101,7 @@ def blocked_matmul(
         np.empty((_tallest_product_block(n, m), m), np.result_type(a, b))
         if add else None
     )
-    for lo, hi in _product_blocks(n, m):
+    for lo, hi in product_blocks(n, m):
         if add:
             out[lo:hi] += np.matmul(a[lo:hi], b, out=scratch[: hi - lo])
         else:
@@ -218,7 +218,7 @@ class BlockedProjector:
         height = _tallest_product_block(n, m)
         scratch = self._block_scratch(height, m)
         part = np.empty((height, r))
-        for lo, hi in _product_blocks(n, m):
+        for lo, hi in product_blocks(n, m):
             block = work[lo:hi]
             factor[lo:hi] += np.matmul(block, basis, out=part[: hi - lo])
             np.negative(factor[lo:hi], out=left[lo:hi, k:])

@@ -72,7 +72,7 @@ def exact_topk_mask(flat: np.ndarray, k: int) -> np.ndarray:
     return trivial if trivial is not None else _largest(np.abs(flat), k)
 
 
-_BLOCK = 1 << 16  # confirming-pass block: 512 KiB of magnitudes stay in cache
+SELECT_BLOCK = 1 << 16  # confirming-pass block: 512 KiB of magnitudes stay in cache
 _SAMPLE = 1 << 15  # strided magnitudes the candidate bound is read from
 _KERNEL_MIN_SIZE = 1 << 16  # below it one argpartition is as cheap
 
@@ -122,21 +122,31 @@ def topk_select(
     Exact on the kernel's path and on its fall-back to the oracle, NaN and
     +-inf included (only *which* of several equal magnitudes at the k-th
     place is taken may differ, as between two ``argpartition`` calls).
-    ``flat`` is only read; ``scratch`` is float64 storage of ``flat.size``
-    the call may overwrite — the aggregators pass their result buffer (DGC
-    its consumed slab), so that no path allocates O(size).
+    ``flat`` is only read; ``scratch`` is float64 storage the call may
+    overwrite. The kernel's confirming pass uses its first
+    :data:`SELECT_BLOCK` elements; the fall-back's ``|flat|`` uses it when
+    it holds ``flat.size`` and allocates otherwise. The Top-k aggregator
+    passes one block, so its steady state allocates nothing O(size); DGC
+    passes its consumed slab, so neither path does.
     """
     size = flat.size
     trivial = _trivial_selection(size, k)
     if trivial is not None:
         return trivial
     if scratch is None:
-        scratch = np.empty(size)
+        scratch = np.empty(min(size, SELECT_BLOCK))
     if size >= _KERNEL_MIN_SIZE and 8 * k <= size:
-        selected = _select_above_sampled_bound(flat, k, scratch[:_BLOCK])
+        selected = _select_above_sampled_bound(flat, k, scratch[:SELECT_BLOCK])
         if selected is not None:
             return selected
-    return _largest(np.abs(flat, out=scratch), k)
+    return _largest(_magnitudes(flat, scratch), k)
+
+
+def _magnitudes(flat: np.ndarray, scratch: Optional[np.ndarray]) -> np.ndarray:
+    """``|flat|``, in ``scratch`` when it is large enough."""
+    if scratch is not None and scratch.size >= flat.size:
+        return np.abs(flat, out=scratch[: flat.size])
+    return np.abs(flat)
 
 
 def sampled_threshold_topk_mask(
@@ -155,13 +165,14 @@ def sampled_threshold_topk_mask(
     the true exceed count each round. Returns the indices above the final
     threshold — between ``(1-tolerance)k`` and ``(1+tolerance)k`` of them in
     the common case, mirroring the inexactness of the paper's multi-sampling
-    selection. ``scratch`` is :func:`topk_select`'s: it receives ``|flat|``.
+    selection. ``scratch`` is :func:`topk_select`'s: it receives ``|flat|``
+    when it holds ``flat.size`` elements.
     """
     size = flat.size
     trivial = _trivial_selection(size, k)
     if trivial is not None:
         return trivial
-    magnitudes = np.abs(flat, out=scratch)
+    magnitudes = _magnitudes(flat, scratch)
     sample = magnitudes
     if size > sample_size:
         sample = magnitudes[rng.integers(0, size, size=sample_size)]
@@ -228,7 +239,7 @@ class TopkCompressor:
         One call consumes at most one draw from the sampling stream, so a
         caller that selects and zeroes itself (the aggregator) does it
         bit-identically to :meth:`compress`. ``scratch`` is
-        :func:`topk_select`'s: full-size storage the call may overwrite.
+        :func:`topk_select`'s: storage the call may overwrite.
         """
         k = max(self.min_k, int(round(self.ratio * flat.size)))
         if self.selection == "exact":

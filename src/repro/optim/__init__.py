@@ -10,6 +10,8 @@
   coordinates), QSGD (all-gather), Power-SGD (two all-reduces with an
   interleaved orthogonalization), and ACP-SGD (one all-reduce of the
   alternating factor).
+- :mod:`repro.optim.decoded` — what a compressing method returns: the
+  reduced payload, which ``SGD.step`` decodes one block of rows at a time.
 """
 
 from repro.optim.sgd import SGD

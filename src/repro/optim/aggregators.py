@@ -19,14 +19,22 @@ slabs, so every method runs under any bucket partition of the arena.
 
 Error feedback lives in the slabs (every tensor of Top-k, Sign-SGD and
 Random-k, the compressible ones of Power-SGD / ACP-SGD): backward adds the
-gradient onto each rank's residual there, the method compresses in place
-and leaves the new residual, and decodes into one result buffer. ACP-SGD
-alone takes a ``Linear`` weight gradient as its factors (``takes_factors``);
-every other aggregator adds pending factors onto the slab first.
+gradient onto each rank's residual there, and the method compresses in
+place and leaves the new residual. ACP-SGD alone takes a ``Linear`` weight
+gradient as its factors (``takes_factors``); every other aggregator adds
+pending factors onto the slab first.
+
+Those five methods return the reduced payload as a
+:class:`~repro.optim.decoded.DecodedAggregate` — the selections, the vote, the low-rank
+factors — and decode nothing themselves: ``SGD.step`` decodes each block
+of rows into a block of scratch just before it applies it, so no
+aggregate the size of the model is ever formed. The others (S-SGD, QSGD,
+TernGrad, DGC) return plain ``{name: array}`` views.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -35,6 +43,7 @@ from repro.comm.process_group import ProcessGroup
 from repro.perf.arena import ArenaGrads, ArenaLayout, GradientArena
 from repro.perf.counters import ALLOC_STATS
 from repro.compression.acpsgd import ACPSGDState
+from repro.compression.lowrank_kernels import product_blocks
 from repro.compression.powersgd import PowerSGDState
 from repro.compression.qsgd import QSGDCompressor
 from repro.compression.randomk import RandomKCompressor
@@ -43,13 +52,38 @@ from repro.compression.reshaping import (
     matrix_view_shape,
     should_compress,
 )
-from repro.compression.topk import SparsePayload, TopkCompressor, sparse_aggregate
+from repro.compression.topk import (
+    SELECT_BLOCK,
+    SparsePayload,
+    TopkCompressor,
+    sparse_aggregate,
+)
+from repro.optim.decoded import DecodedAggregate, row_size
+from repro.utils.validation import assert_finite
 
 NamedGrads = Dict[str, np.ndarray]
 
 # Elements Sign-SGD votes on at a time: a block's unpacked bits, their
 # count and one float scratch stay cache-resident.
 _VOTE_BLOCK = 1 << 16
+# numpy's pairwise summation sums at most this many elements per leaf here.
+_SUM_LEAF = 1 << 16
+
+
+def _abs_sum(flat: np.ndarray) -> float:
+    """``np.abs(flat).sum()`` to the bit, with no ``|flat|`` the size of ``flat``.
+
+    numpy sums a contiguous vector pairwise, splitting ``n`` elements at
+    ``n // 2`` rounded down to a multiple of 8; following the same splits
+    down to leaves of at most 65 536 elements and letting numpy sum each
+    leaf adds the same numbers in the same order.
+    """
+    size = flat.size
+    if size <= _SUM_LEAF:
+        return np.add.reduce(np.abs(flat))
+    half = size // 2
+    half -= half % 8
+    return _abs_sum(flat[:half]) + _abs_sum(flat[half:])
 
 
 def _check_worker_grads(per_worker: List[NamedGrads], expected: int) -> None:
@@ -133,6 +167,135 @@ class _BucketSession:
         self.slabs = [grads.slab for grads in per_worker]
         self.template = per_worker[0]
         self.done = [False] * len(self.buckets)
+
+
+class _FlatAggregate(DecodedAggregate):
+    """A method decoding ranges of the fused vector (Top-k, Random-k, Sign-SGD)."""
+
+    def block(self, name: str, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
+        shape = self.layout.shapes[name]
+        row = row_size(shape)
+        start = self.layout.offsets[name] + lo * row
+        dest = out[: (hi - lo) * row]
+        self._fill(start, start + dest.size, dest)
+        return dest.reshape((hi - lo,) + shape[1:])
+
+    def _fill(self, start: int, stop: int, out: np.ndarray) -> None:
+        """Decode elements ``start:stop`` of the fused vector into ``out``."""
+        raise NotImplementedError
+
+
+class _SparseAggregate(_FlatAggregate):
+    """Top-k: every rank's selection, indices sorted, values alongside."""
+
+    def __init__(
+        self, layout: ArenaLayout, selections: List[Tuple[np.ndarray, np.ndarray]]
+    ):
+        super().__init__(layout)
+        self.selections = selections
+
+    def _fill(self, start: int, stop: int, out: np.ndarray) -> None:
+        # Each rank's entries in the range, in slot order: the block of
+        # what one sparse_aggregate over the whole vector adds up.
+        payloads = []
+        for idx, values in self.selections:
+            lo, hi = np.searchsorted(idx, (start, stop))
+            payloads.append(
+                SparsePayload(idx[lo:hi] - start, values[lo:hi], stop - start)
+            )
+        sparse_aggregate(payloads, (stop - start,), average=True, out=out)
+
+    def is_finite(self) -> bool:
+        # A coordinate sums at most one value per rank.
+        peak = max(
+            (np.abs(values).max(initial=0.0) for _, values in self.selections),
+            default=0.0,
+        )
+        with np.errstate(over="ignore"):
+            return bool(np.isfinite(len(self.selections) * peak))
+
+
+class _ScatterAggregate(_FlatAggregate):
+    """Random-k: the shared coordinates, sorted, and their averaged values."""
+
+    def __init__(
+        self, layout: ArenaLayout, indices: np.ndarray, values: np.ndarray
+    ):
+        super().__init__(layout)
+        self.indices, self.values = indices, values
+
+    def _fill(self, start: int, stop: int, out: np.ndarray) -> None:
+        lo, hi = np.searchsorted(self.indices, (start, stop))
+        out.fill(0.0)
+        out[self.indices[lo:hi] - start] = self.values[lo:hi]
+
+    def is_finite(self) -> bool:
+        return bool(np.isfinite(self.values).all())
+
+
+class _VoteAggregate(_FlatAggregate):
+    """Sign-SGD: the majority per element and the two values it picks from."""
+
+    def __init__(self, layout: ArenaLayout, vote: np.ndarray, table: np.ndarray):
+        super().__init__(layout)
+        self.vote, self.table = vote, table
+
+    def _fill(self, start: int, stop: int, out: np.ndarray) -> None:
+        np.take(self.table, self.vote[start:stop], out=out, mode="clip")
+
+    def is_finite(self) -> bool:
+        return bool(np.isfinite(self.table).all())
+
+
+class _LowRankAggregate(DecodedAggregate):
+    """Power-SGD / ACP-SGD: ``P Q^T`` per compressible tensor, the rest
+    read from the reduced plain pack.
+
+    A compressible tensor decodes over :func:`~repro.compression
+    .lowrank_kernels.blocked_matmul`'s row blocks — another split would
+    change the product's bits — so this aggregate chooses them.
+    """
+
+    def __init__(
+        self,
+        layout: ArenaLayout,
+        factors: Dict[str, Tuple[np.ndarray, np.ndarray]],
+        plain: np.ndarray,
+        plain_pack: _PackLayout,
+    ):
+        super().__init__(layout)
+        self.factors = factors
+        self.plain, self.plain_pack = plain, plain_pack
+
+    def blocks(self, name: str) -> List[Tuple[int, int]]:
+        factors = self.factors.get(name)
+        if factors is None:
+            return super().blocks(name)
+        p, q = factors
+        return list(product_blocks(p.shape[0], q.shape[0]))
+
+    def block(self, name: str, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
+        shape = self.layout.shapes[name]
+        row = row_size(shape)
+        factors = self.factors.get(name)
+        if factors is None:
+            start = self.plain_pack.offsets[name] + lo * row
+            view = self.plain[start : start + (hi - lo) * row]
+            return view.reshape((hi - lo,) + shape[1:])
+        p, q = factors
+        dest = out[: (hi - lo) * row].reshape(hi - lo, row)
+        np.matmul(p[lo:hi], q.T, out=dest)
+        return dest.reshape((hi - lo,) + shape[1:])
+
+    def is_finite(self) -> bool:
+        if not np.isfinite(self.plain[: self.plain_pack.total]).all():
+            return False
+        # |(P Q^T)_ij| <= r max|P| max|Q|.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return all(
+                np.isfinite(p.shape[1] * np.abs(p).max() * np.abs(q).max())
+                for p, q in self.factors.values()
+            )
 
 
 class GradientAggregator:
@@ -253,7 +416,7 @@ class GradientAggregator:
         self,
         per_worker_grads: List[NamedGrads],
         order: Optional[Sequence[int]] = None,
-    ) -> NamedGrads:
+    ) -> Mapping[str, np.ndarray]:
         """Aggregate one step's gradients; returns the shared global gradient.
 
         Runs the whole staged protocol at once over every bucket of the
@@ -314,10 +477,6 @@ class GradientAggregator:
         )
         self._arena = arena
 
-    def _result(self, session: _BucketSession) -> np.ndarray:
-        """The one full-size result buffer (scratch first for Top-k / Sign-SGD)."""
-        return self._staging_rows("result", 1, max(1, session.total))[0]
-
     # ------------------------------------------------------------------
     # Bucketed (WFBP) protocol
     # ------------------------------------------------------------------
@@ -357,11 +516,13 @@ class GradientAggregator:
                 grads.materialize(names)
         self._reduce(session, index)
 
-    def finish_buckets(self) -> NamedGrads:
+    def finish_buckets(self) -> Mapping[str, np.ndarray]:
         """Complete the step; every bucket must have been reduced.
 
-        Returned tensors are read-only views, valid until the next
-        aggregation begins (S-SGD's point into worker 0's reduced slab).
+        Returns read-only views (S-SGD's point into worker 0's reduced
+        slab) or, for a method that decodes a payload, a
+        :class:`DecodedAggregate`; either is valid until the next
+        aggregation begins.
         """
         session = self._bucket_state()
         missing = [i for i, done in enumerate(session.done) if not done]
@@ -389,7 +550,7 @@ class GradientAggregator:
     def _reduce(self, session: _BucketSession, index: int) -> None:
         """Reduce or stage bucket ``index``, whose gradients are final."""
 
-    def _finish(self, session: _BucketSession) -> NamedGrads:
+    def _finish(self, session: _BucketSession) -> Mapping[str, np.ndarray]:
         """The aggregated gradients, once every bucket has been reduced."""
         raise NotImplementedError
 
@@ -491,7 +652,8 @@ class SignSGDAggregator(GradientAggregator):
     better performance", §III-A): each rank's slab, with error feedback its
     accumulator ``E + G``, from which ``scale * sign`` is subtracted in
     place (:class:`~repro.compression.signsgd.SignCompressor`'s arithmetic,
-    bucket by bucket). ``|v|`` and the vote go through the result buffer.
+    bucket by bucket). The result is the vote, one bool per element, and
+    the two values it picks from, decoded block by block by the optimizer.
     """
 
     method = "signsgd"
@@ -505,6 +667,7 @@ class SignSGDAggregator(GradientAggregator):
         super().__init__(group)
         self.validate = validate
         self.use_error_feedback = use_error_feedback
+        self._vote = np.empty(0, dtype=bool)  # grow-only, one bool per element
 
     def _begin(self, session: _BucketSession) -> None:
         session.bits = [None] * len(session.buckets)
@@ -526,8 +689,8 @@ class SignSGDAggregator(GradientAggregator):
         if hi > lo:
             self.group.all_gather(packed)
 
-    def _finish(self, session: _BucketSession) -> NamedGrads:
-        """Vote on integer bit counts, block by block, into the result buffer.
+    def _finish(self, session: _BucketSession) -> DecodedAggregate:
+        """Vote on integer bit counts, block by block.
 
         ``2 * count >= world`` (a tie votes ``+1``) picks ``+-mean_scale``
         out of a two-entry table, as each rank's ``residual -= +-scale``
@@ -536,22 +699,20 @@ class SignSGDAggregator(GradientAggregator):
         .majority_vote_aggregate`'s without a float sign vector.
         """
         # The scale is the L1 mean of the *whole* EF-corrected vector,
-        # whatever the bucket partition; |v| goes through the result buffer
-        # before the vote overwrites it.
-        out = self._result(session)
+        # whatever the bucket partition.
         scales = np.array([
-            float(np.abs(slab, out=out).mean()) if session.total else 0.0
+            float(_abs_sum(slab) / session.total) if session.total else 0.0
             for slab in session.slabs
         ])
         if self.validate:
-            from repro.utils.validation import assert_finite
-
             assert_finite(scales, "signsgd payload scales")
         mean_scale = float(scales.mean())
         signed = np.array([-1.0, 1.0])  # indexed by a sign bit
         voted, kept = mean_scale * signed, scales[:, None] * signed
         num_slots = len(self.roster)
         majority_at = (num_slots + 1) // 2
+        if self._vote.size < session.total:
+            self._vote = np.empty(session.total, dtype=bool)
         scratch = self._staging_rows(
             "signsgd", 1, max(1, min(_VOTE_BLOCK, session.total))
         )[0]
@@ -566,9 +727,8 @@ class SignSGDAggregator(GradientAggregator):
                 count = np.add.reduce(
                     bits, axis=0, dtype=np.min_scalar_type(num_slots)
                 )
-                np.take(
-                    voted, count >= majority_at,
-                    out=out[start : start + size], mode="clip",
+                np.greater_equal(
+                    count, majority_at, out=self._vote[start : start + size]
                 )
                 if self.use_error_feedback:
                     # What was not sent stays behind, in place.
@@ -576,7 +736,7 @@ class SignSGDAggregator(GradientAggregator):
                     for table, slab, bit in zip(kept, session.slabs, bits):
                         np.take(table, bit, out=sent, mode="clip")
                         slab[start : start + size] -= sent
-        return _unpack(out, session.template, session.names)
+        return _VoteAggregate(session.layout, self._vote, voted)
 
 
 class TopkSGDAggregator(GradientAggregator):
@@ -584,9 +744,9 @@ class TopkSGDAggregator(GradientAggregator):
 
     With error feedback each rank's slab is its accumulator ``E + G``:
     selection reads it and zeroes what was sent, which leaves the residual
-    in place. The one result buffer is the selection scratch and then
-    receives the decoded average the returned read-only views point into.
-    A steady-state step allocates O(k * world), never O(model). With error
+    in place. The result is every rank's selection, indices sorted, which
+    the optimizer scatters into one block of scratch at a time. A
+    steady-state step allocates O(k * world), never O(model). With error
     feedback off the slabs are only read. A slot that skips backward (an
     ejected worker's stale slab) contributes what it holds — its residual,
     or without error feedback its last gradient: deterministic, and the
@@ -629,42 +789,37 @@ class TopkSGDAggregator(GradientAggregator):
         """
         ALLOC_STATS.bucket_reduces += 1
 
-    def _finish(self, session: _BucketSession) -> NamedGrads:
+    def _finish(self, session: _BucketSession) -> DecodedAggregate:
         # The buckets partition the slab in order: sorted indices split
-        # into per-bucket wires at the bucket edges (one bucket: no sort).
+        # into per-bucket wires at the bucket edges.
         buckets = [(lo, hi) for lo, hi in session.buckets if hi > lo]
         edges = [lo for lo, _ in buckets] + [session.total]
-        out = self._result(session)
+        # Selection only needs a block of scratch; a fall-back to a
+        # whole-vector selection allocates its own.
+        scratch = self._staging_rows(
+            "topk", 1, max(1, min(SELECT_BLOCK, session.total))
+        )[0]
         selections = []
         for rank, slab in zip(self.roster, session.slabs):
-            idx = self._per_rank[rank].select(slab, out)
-            if len(buckets) > 1:
-                idx.sort()
-                cuts = np.searchsorted(idx, edges)
-            else:
-                cuts = (0, idx.size)
-            selections.append((idx, slab[idx], cuts))
+            idx = self._per_rank[rank].select(slab, scratch)
+            idx.sort()
+            selections.append((idx, slab[idx]))
             if self.use_error_feedback:
                 slab[idx] = 0.0  # sent; the rest stays behind, in place
+        cuts = [np.searchsorted(idx, edges) for idx, _ in selections]
         for b, (lo, hi) in enumerate(buckets):
             # Per-bucket wire format: each rank ships only the (index,
             # value) pairs whose coordinates fall in this bucket.
-            payloads = []
-            for idx, values, cuts in selections:
-                local = idx[cuts[b] : cuts[b + 1]]
-                local -= lo  # in place: no later bucket reads this slice
-                payloads.append(
-                    SparsePayload(local, values[cuts[b] : cuts[b + 1]], hi - lo)
-                )
             self.group.all_gather([
-                np.concatenate([p.indices.astype(np.float64), p.values])
-                for p in payloads
+                np.concatenate([
+                    idx[cut[b] : cut[b + 1]] - lo, values[cut[b] : cut[b + 1]]
+                ])
+                for (idx, values), cut in zip(selections, cuts)
             ])
-            sparse_aggregate(
-                payloads, (hi - lo,), average=True, validate=self.validate,
-                out=out[lo:hi],
-            )
-        return _unpack(out, session.template, session.names)
+        if self.validate:
+            for worker, (_, values) in enumerate(selections):
+                assert_finite(values, f"topk payload values (worker {worker})")
+        return _SparseAggregate(session.layout, selections)
 
 
 class RandomKAggregator(GradientAggregator):
@@ -694,17 +849,17 @@ class RandomKAggregator(GradientAggregator):
             use_error_feedback=self.use_error_feedback,
         )
 
-    def _finish(self, session: _BucketSession) -> NamedGrads:
+    def _finish(self, session: _BucketSession) -> DecodedAggregate:
         # With error feedback each slab is its rank's accumulator: compress
         # takes the shared coordinates' values and zeroes them in place.
         payloads = []
         for rank, slab in zip(self.roster, session.slabs):
             payloads.append(self._per_rank[rank].compress("fused", slab, self.step))
         reduced = self.group.all_reduce([p.values for p in payloads], average=True)
-        out = self._result(session)
-        out.fill(0.0)
-        out[payloads[0].indices] = reduced[0]
-        return _unpack(out, session.template, session.names)
+        order = np.argsort(payloads[0].indices)
+        return _ScatterAggregate(
+            session.layout, payloads[0].indices[order], reduced[0][order]
+        )
 
 
 class QSGDAggregator(GradientAggregator):
@@ -836,8 +991,9 @@ class _LowRankBase(GradientAggregator):
     (biases, norm scales, tiny matrices) rides a fused uncompressed ring
     all-reduce, exactly as in the paper's §IV-C. With error feedback a
     rank's compressible tensors are its accumulators ``M + E``, projected
-    and corrected in place; ``P Q^T`` is written into the one result
-    buffer. Everything else in the slabs is only read.
+    and corrected in place. Everything else in the slabs is only read. The
+    result keeps each tensor's factors ``P`` and ``Q``; ``P Q^T`` is formed
+    one row block at a time as the optimizer applies it.
     """
 
     #: The per-rank compressor state class (same constructor for both).
@@ -910,8 +1066,7 @@ class _LowRankBase(GradientAggregator):
         session.plain_scratch = self._staging_rows(
             "plain", len(self.roster), max(1, session.plan.plain_pack.total)
         )
-        session.decoded = session.layout.carve(self._result(session))
-        session.result = {}
+        session.factors = {}
 
     def _reduce_plain_bucket(
         self, session: _BucketSession, plain_b: List[str]
@@ -928,14 +1083,6 @@ class _LowRankBase(GradientAggregator):
                 off = pack.offsets[name]
                 row[off : off + pack.sizes[name]] = grads[name].reshape(-1)
         self._reduce_pack_segment(session.plain_scratch, lo, hi, pack.total)
-        agg = session.plain_scratch[0]
-        for name in plain_b:
-            off = pack.offsets[name]
-            view = agg[off : off + pack.sizes[name]].reshape(
-                session.template[name].shape
-            )
-            view.flags.writeable = False
-            session.result[name] = view
 
     def _pack_view(
         self,
@@ -950,17 +1097,11 @@ class _LowRankBase(GradientAggregator):
         view.flags.writeable = False
         return view
 
-    def _decode_target(self, session: _BucketSession, name: str) -> np.ndarray:
-        """The result buffer's storage of ``name`` as the matrix ``P Q^T``
-        is written to; the step's result is a read-only view of it."""
-        target = session.decoded[name]
-        view = target.view()
-        view.flags.writeable = False
-        session.result[name] = view
-        return grad_to_matrix(target)
-
-    def _finish(self, session: _BucketSession) -> NamedGrads:
-        return {name: session.result[name] for name in session.template}
+    def _finish(self, session: _BucketSession) -> DecodedAggregate:
+        return _LowRankAggregate(
+            session.layout, session.factors, session.plain_scratch[0],
+            session.plan.plain_pack,
+        )
 
 
 class PowerSGDAggregator(_LowRankBase):
@@ -993,7 +1134,8 @@ class PowerSGDAggregator(_LowRankBase):
         still blocks the Q computation *within* the bucket (the §III-C
         structure), but bucketing lets later buckets start as soon as their
         gradients exist. Every rank adopts the aggregated Q (query reuse);
-        ``P_hat Q^T`` is identical on all of them, so only slot 0 forms it.
+        ``P_hat Q^T`` is identical on all of them, so the result keeps
+        slot 0's ``P_hat``.
         """
         comp_b, plain_b = session.plan.bucket_split[index]
         self._reduce_plain_bucket(session, plain_b)
@@ -1031,7 +1173,17 @@ class PowerSGDAggregator(_LowRankBase):
             )
             for rank_idx in self.roster[1:]:
                 self._per_rank[rank_idx].store_query(name, q_agg)
-            lead.reconstruct(name, q_agg, out=self._decode_target(session, name))
+            # P_hat takes the reduced P's place in the pack, which nothing
+            # reads any more, so the result holds no factor of its own. Its
+            # memory order is kept: the product's bits depend on it.
+            p_hat = lead.store_query(name, q_agg)
+            off = p_pack.offsets[name]
+            kept = session.p_scratch[0][off : off + p_pack.sizes[name]].reshape(
+                p_hat.shape, order="F" if np.isfortran(p_hat) else "C"
+            )
+            np.copyto(kept, p_hat)
+            del p_hat  # freed now, not when the next tensor rebinds it
+            session.factors[name] = (kept, q_agg)
 
 
 class ACPSGDAggregator(_LowRankBase):
@@ -1067,9 +1219,9 @@ class ACPSGDAggregator(_LowRankBase):
         ACP-SGD's single alternating-factor all-reduce is the cheapest of
         the low-rank schedules (§IV-C), and it buckets cleanly: each bucket
         compresses, reduces its contiguous segment of the factor pack, and
-        reconstructs immediately. Every rank adopts the aggregated factor
-        (the next step orthogonalizes it); ``P_t Q_t^T`` is identical on
-        all of them, so only slot 0 forms it.
+        is ready to decode. Every rank adopts the aggregated factor (the
+        next step orthogonalizes it); ``P_t Q_t^T`` is identical on all of
+        them, so the result keeps slot 0's pair.
         """
         comp_b, plain_b = session.plan.bucket_split[index]
         self._reduce_plain_bucket(session, plain_b)
@@ -1095,11 +1247,9 @@ class ACPSGDAggregator(_LowRankBase):
             agg = self._pack_view(
                 session.factor_scratch[0], pack, name, session.f_shapes[name]
             )
+            session.factors[name] = lead.store_factor(name, agg, self.step)
             for rank_idx in self.roster[1:]:
                 self._per_rank[rank_idx].store_factor(name, agg, self.step)
-            lead.finalize(
-                name, agg, self.step, out=self._decode_target(session, name)
-            )
 
 
 def make_aggregator(

@@ -2,19 +2,13 @@
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from collections.abc import Mapping
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.nn.module import Module
-
-# 32768 float64 = 256 KiB: a block of w, g, v and the scratch fit in L2.
-_BLOCK_ELEMENTS = 32768
-
-
-def _block_rows(data: np.ndarray) -> int:
-    """Leading-axis rows per update block of ``data`` (at least one)."""
-    return max(1, _BLOCK_ELEMENTS * len(data) // max(data.size, 1))
+from repro.optim.decoded import DecodedAggregate, leading_rows, row_blocks
 
 
 class SGD:
@@ -22,13 +16,18 @@ class SGD:
 
     Matches the paper's training recipe (momentum 0.9). The gradient comes
     either from the parameters' own ``.grad`` fields (single-worker use) or
-    from an explicit aggregated-gradient dict (distributed use).
+    from an explicit aggregated gradient (distributed use): a plain
+    ``{name: array}`` dict, or a
+    :class:`~repro.optim.decoded.DecodedAggregate` whose blocks are
+    decoded here, one at a time, into a block of scratch just before they
+    are applied — the aggregate is never formed whole.
 
     The update runs in place, one block of about 32 768 elements at a time
     (``v *= mu; v += g; s = lr * v; w -= s`` while the block is in cache,
     through one block of scratch): bit for bit the out-of-place arithmetic,
     with nothing allocated in a steady-state step. Blocks are slices along
-    the leading axis, so they are views for any strides of ``param.data``.
+    the leading axis (a 0-d tensor is one block), so they are views for any
+    strides of ``param.data``; a decoded aggregate chooses its own blocks.
     """
 
     def __init__(
@@ -51,40 +50,60 @@ class SGD:
         self._velocity: Dict[str, np.ndarray] = {}
         # Materialize names once so step() can look gradients up by name.
         self._named = dict(model.named_parameters())
-        # One update block of the parameter with the largest blocks.
+        # One update block of the parameter with the largest blocks; a
+        # decoded aggregate's blocks also get one block to be decoded into.
         self._scratch = np.empty(max(
-            (p.data[: _block_rows(p.data)].size for p in self._named.values()),
+            (
+                leading_rows(p.data)[lo:hi].size
+                for p in self._named.values()
+                for lo, hi in row_blocks(p.data.shape)[:1]
+            ),
             default=0,
         ))
+        self._decoded = np.empty(0)
 
-    def step(self, grads: Optional[Dict[str, np.ndarray]] = None) -> None:
+    def _blocks_of_scratch(self, size: int) -> Tuple[np.ndarray, np.ndarray]:
+        """The update scratch and the decode scratch, ``size`` each."""
+        if self._scratch.size < size:
+            self._scratch = np.empty(size)
+        if self._decoded.size < size:
+            self._decoded = np.empty(size)
+        return self._scratch[:size], self._decoded
+
+    def step(self, grads: Optional[Mapping[str, np.ndarray]] = None) -> None:
         """Apply one update.
 
         Args:
             grads: aggregated gradients by parameter name; when omitted, the
                 parameters' own ``.grad`` fields are used.
         """
+        decoded = isinstance(grads, DecodedAggregate)
         for name, param in self._named.items():
-            if grads is not None:
-                grad = grads.get(name)
+            if decoded:
+                if name not in grads:
+                    continue
+                shape, blocks = grads.layout.shapes[name], grads.blocks(name)
             else:
-                grad = param.grad
-            if grad is None:
-                continue
-            if grad.shape != param.data.shape:
+                grad = param.grad if grads is None else grads.get(name)
+                if grad is None:
+                    continue
+                shape, blocks = grad.shape, row_blocks(grad.shape)
+                grad = leading_rows(grad)
+            if shape != param.data.shape:
                 raise ValueError(
-                    f"gradient shape {grad.shape} != parameter shape "
+                    f"gradient shape {shape} != parameter shape "
                     f"{param.data.shape} for {name!r}"
                 )
-            data = param.data
             velocity = self._velocity.get(name)
             first = velocity is None
             if first:
-                velocity = self._velocity[name] = np.empty(data.shape)
-            rows = _block_rows(data)
-            for lo in range(0, len(data), rows):
-                w, g, v = data[lo : lo + rows], grad[lo : lo + rows], velocity[lo : lo + rows]
-                scratch = self._scratch[: w.size].reshape(w.shape)
+                velocity = self._velocity[name] = np.empty(shape)
+            data, velocity = leading_rows(param.data), leading_rows(velocity)
+            for lo, hi in blocks:
+                w, v = data[lo:hi], velocity[lo:hi]
+                scratch, into = self._blocks_of_scratch(w.size)
+                scratch = scratch.reshape(w.shape)
+                g = grads.block(name, lo, hi, into) if decoded else grad[lo:hi]
                 if self.weight_decay:
                     np.multiply(w, self.weight_decay, out=scratch)
                     scratch += g

@@ -29,6 +29,7 @@ import numpy as np
 from repro.comm.process_group import ProcessGroup
 from repro.models.convnets import make_small_vgg
 from repro.optim import aggregators as agg
+from repro.optim.decoded import DecodedAggregate
 from repro.optim.sgd import SGD
 from repro.perf.arena import ArenaGrads, GradientArena
 from repro.perf.counters import ALLOC_STATS
@@ -70,20 +71,33 @@ def _time_aggregation(
     iters: int,
     warmup: int,
 ) -> Dict[str, float]:
-    """Best-of-``iters`` wall time of ``aggregate`` (provider untimed).
+    """Best-of-``iters`` wall time of ``aggregate`` and its decode.
 
-    The provider overwrites the slabs before every call (untimed), so an
+    A compressing method's aggregate is decoded by the optimizer, one block
+    at a time; every block is decoded here into one block of scratch, as
+    ``SGD.step`` would, so a row is encode + communication + decode. The
+    provider overwrites the slabs before every call (untimed), so an
     error-feedback method runs without a carried residual and every call
     does the same work. Alloc counters cover only the timed iterations.
     """
+    per_worker = provider()
+    scratch = np.empty(max(grad.size for grad in per_worker[0].values()))
+
+    def aggregate_and_decode(per_worker: List[NamedGrads]) -> None:
+        aggregated = aggregator.aggregate(per_worker)
+        if isinstance(aggregated, DecodedAggregate):
+            for name in aggregated:
+                for lo, hi in aggregated.blocks(name):
+                    aggregated.block(name, lo, hi, scratch)
+
     for _ in range(warmup):
-        aggregator.aggregate(provider())
+        aggregate_and_decode(provider())
     times = []
     ALLOC_STATS.reset()
     for _ in range(iters):
         per_worker = provider()
         start = time.perf_counter()
-        aggregator.aggregate(per_worker)
+        aggregate_and_decode(per_worker)
         times.append(time.perf_counter() - start)
     return {
         "best_s": min(times),
@@ -110,7 +124,9 @@ def _bench_worker_modes(
     production — the part the backend parallelizes), ``aggregate_mean_s``
     (compression kernels + collective, always in the parent: the reducer's
     per-bucket ``last_timings`` — which on a seq row fire inside the final
-    worker's backward — plus the time inside ``finish_buckets``), and for the
+    worker's backward — plus the time inside ``finish_buckets``; the
+    optimizer's step, where a compressing method's aggregate is decoded,
+    stays in ``worker_mean_s``), and for the
     process backend ``broadcast_mean_s`` (the per-step weights memcpy into
     the shared buffer — its only per-step copy).
 

@@ -45,11 +45,14 @@ paper's observation that such compressors forfeit most of WFBP's overlap.
 from __future__ import annotations
 
 import time
+from collections.abc import Mapping
 from typing import Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro.nn.module import Module
 from repro.nn.parameter import Parameter, RemovableHandle
-from repro.optim.aggregators import GradientAggregator, NamedGrads
+from repro.optim.aggregators import GradientAggregator
 from repro.perf.arena import ArenaGrads, GradientArena
 
 #: One fired bucket: (bucket index, element count, seconds spent in
@@ -171,7 +174,7 @@ class BucketedReducer:
 
     def finish_step(
         self, aggregator: Optional[GradientAggregator] = None
-    ) -> NamedGrads:
+    ) -> Mapping[str, np.ndarray]:
         """Fire any remaining buckets and return the aggregated gradients.
 
         ``aggregator`` (default: the reducer's own) is the one a deferred

@@ -51,6 +51,7 @@ from repro.faults.supervisor import (
 from repro.nn.loss import CrossEntropyLoss
 from repro.nn.module import Module
 from repro.optim.aggregators import AllReduceAggregator, GradientAggregator
+from repro.optim.decoded import aggregate_is_finite
 from repro.optim.lr_scheduler import WarmupMultiStepSchedule
 from repro.optim.sgd import SGD
 from repro.perf.arena import ArenaGrads, GradientArena
@@ -538,9 +539,7 @@ class DataParallelTrainer:
         if not cfg.check_finite or grads_finite:
             aggregator = self._current_aggregator()
             aggregated = self.reducer.finish_step(aggregator)
-            if cfg.check_finite and not all(
-                is_finite(grad) for grad in aggregated.values()
-            ):
+            if cfg.check_finite and not aggregate_is_finite(aggregated):
                 self._skip_step("non-finite aggregated gradient")
             else:
                 self.optimizer.step(aggregated)

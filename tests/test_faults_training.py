@@ -178,16 +178,16 @@ class TestTrainerLadder:
 
     def test_nan_aggregated_gradient_also_skips(self):
         # check_finite guards the *aggregated* gradient too; disable the
-        # per-worker poison detection path by corrupting after aggregation.
+        # per-worker poison detection path by corrupting after aggregation:
+        # the reduced factor the update would be decoded from.
         cfg = ResilienceConfig(fallback_steps=0, checkpoint_interval=0)
         trainer, _, model = make_trainer(resilience=cfg)
         original = trainer.aggregator.finish_buckets
 
         def bad_finish_buckets():
             aggregated = original()
-            name = next(iter(aggregated))
-            aggregated[name] = aggregated[name].copy()
-            aggregated[name].reshape(-1)[0] = np.inf
+            p, _ = next(iter(aggregated.factors.values()))
+            p.reshape(-1)[0] = np.inf
             return aggregated
 
         trainer.aggregator.finish_buckets = bad_finish_buckets
@@ -261,6 +261,73 @@ def all_residuals_empty(trainer):
         for name, view in arena.grads(slot).items()
         if name in arena.carried
     )
+
+
+def _overflow_after_the_local_check(trainer, method):
+    """Make the step's aggregate non-finite although every local gradient
+    is finite: a finite payload whose decode overflows (Power-SGD, ACP-SGD:
+    the factors; Top-k: ``world`` values near 1e308 on one coordinate), or
+    a NaN Sign-SGD scale planted in a slab after the local check."""
+    aggregator = trainer.aggregator
+    lead = aggregator.state_for(aggregator.roster[0])
+    if method == "acpsgd":
+        store_factor = lead.store_factor
+
+        def huge_factors(name, factor, step):
+            p, q = store_factor(name, factor, step)
+            return p * 1e200, q * 1e200
+
+        lead.store_factor = huge_factors
+    elif method == "powersgd":
+        for rank in aggregator.roster:
+            state = aggregator.state_for(rank)
+            state.compute_q = (
+                lambda *args, _compute_q=state.compute_q: _compute_q(*args) * 1e200
+            )
+        store_query = lead.store_query
+        lead.store_query = lambda name, q: store_query(name, q) * 1e200
+    else:
+        finish_step = trainer.reducer.finish_step
+
+        def planted(aggregator=None):
+            for slot in range(len(trainer.aggregator.roster)):
+                slab = trainer._arena.slab(slot)
+                if method == "topk":
+                    slab[0] = 1e308
+                elif slot == 0:
+                    slab[0] = np.nan
+            return finish_step(aggregator)
+
+        trainer.reducer.finish_step = planted
+
+
+class TestPayloadFiniteCheck:
+    """``check_finite`` judges the reduced payload the update is decoded
+    from; a payload whose decode could overflow is skipped like a
+    non-finite one, leaving weights and velocities as they were and the
+    residuals emptied."""
+
+    @pytest.mark.parametrize("method", ["acpsgd", "powersgd", "topk", "signsgd"])
+    def test_overflowing_decode_skips_the_step(self, method):
+        cfg = ResilienceConfig(fallback_steps=0, checkpoint_interval=0)
+        trainer, _, model = make_trainer(method=method, resilience=cfg)
+        for _ in range(2):
+            trainer.train_step()
+        weights = model.state_vector().copy()
+        velocity = {
+            name: v.copy() for name, v in trainer.optimizer._velocity.items()
+        }
+        _overflow_after_the_local_check(trainer, method)
+        trainer.train_step()
+        log = trainer.resilience_log
+        assert log.skipped_steps == 1
+        assert [note for note in log.notes if "skipped" in note] == [
+            "step 3: skipped (non-finite aggregated gradient)"
+        ]
+        assert model.state_vector().tobytes() == weights.tobytes()
+        for name, v in velocity.items():
+            assert trainer.optimizer._velocity[name].tobytes() == v.tobytes()
+        assert all_residuals_empty(trainer)
 
 
 class TestErrorFeedbackSlotsThroughTheLadder:

@@ -6,7 +6,7 @@ import pytest
 from repro import nn
 from repro.models.convnets import make_mlp
 from repro.nn.parameter import Parameter
-from repro.optim import sgd
+from repro.optim import decoded
 from repro.optim.lr_scheduler import WarmupMultiStepSchedule
 from repro.optim.sgd import SGD
 
@@ -138,6 +138,29 @@ class TestBlockedStep:
             np.testing.assert_array_equal(base.T, weight)
             np.testing.assert_array_equal(optimizer._velocity["w"], velocity)
 
+    @pytest.mark.parametrize("weight_decay", [0.0, 5e-4])
+    @pytest.mark.parametrize("source", ["dict", "grad"])
+    def test_zero_dim_parameter_is_one_block(self, source, weight_decay):
+        """A scalar parameter is updated like a one-element vector, from an
+        aggregated dict and from its own ``.grad``."""
+        model = _holding(s=np.array(1.5), w=np.zeros(3))
+        optimizer = SGD(model, lr=0.05, momentum=0.9, weight_decay=weight_decay)
+        grads = [np.array(0.25), np.array(-2.0), np.array(0.5)]
+        for steps in range(1, len(grads) + 1):
+            grad = grads[steps - 1]
+            if source == "dict":
+                optimizer.step({"s": grad})
+            else:
+                model.s.zero_grad()
+                model.s.accumulate_grad(grad)
+                optimizer.step()
+            weight, velocity = _reference_update(
+                np.array(1.5), grads[:steps], 0.05, 0.9, weight_decay
+            )
+            assert model.s.data.shape == ()
+            assert model.s.data.tobytes() == weight.tobytes(), steps
+            assert optimizer._velocity["s"].tobytes() == velocity.tobytes()
+
     def test_scratch_is_one_block(self):
         rng = np.random.default_rng(0)
         for model in (
@@ -145,7 +168,7 @@ class TestBlockedStep:
             _holding(w=np.zeros(100_003), b=np.zeros((4, 5))),
         ):
             optimizer = SGD(model, lr=0.1, weight_decay=1e-4)
-            assert 0 < optimizer._scratch.size <= sgd._BLOCK_ELEMENTS
+            assert 0 < optimizer._scratch.size <= decoded._BLOCK_ELEMENTS
             largest = max(p.size for p in model.parameters())
             assert optimizer._scratch.size < largest
 

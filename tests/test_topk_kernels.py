@@ -29,7 +29,7 @@ from tests.test_perf_smoke import peak_allocation
 
 # Both sides of the kernel's size cut-off, block-ragged and block-exact.
 SIZES = [1, 7, 1000, topk._KERNEL_MIN_SIZE - 1, topk._KERNEL_MIN_SIZE,
-         3 * topk._BLOCK, 200_003]
+         3 * topk.SELECT_BLOCK, 200_003]
 RATIOS = [0.001, 0.01, 0.1, 0.125, 0.3, 0.5]
 
 
@@ -62,7 +62,7 @@ def fast_path_taken(flat, k):
     return (
         flat.size >= topk._KERNEL_MIN_SIZE
         and 8 * k <= flat.size
-        and topk._select_above_sampled_bound(flat, k, np.empty(topk._BLOCK))
+        and topk._select_above_sampled_bound(flat, k, np.empty(topk.SELECT_BLOCK))
         is not None
     )
 
@@ -344,12 +344,11 @@ class TestAggregatorConservation:
             dense /= world
             got = np.concatenate([out[n].reshape(-1) for n in arena.layout.names])
             np.testing.assert_array_equal(got, dense)
-            # The result lives in the result buffer, handed back read-only.
+            # Decoded from the selections, never a view of a slab.
             first = out[arena.layout.names[0]]
             assert not any(
                 np.shares_memory(first, arena.slab(slot)) for slot in range(world)
             )
-            assert not first.flags.writeable
         arena.close()
 
     def test_validate_fires_on_non_finite_gradient(self):
