@@ -13,6 +13,11 @@ buckets), under three scenarios:
   later one for a non-finite aggregate; each skip resets the compressor
   state and opens a two-step uncompressed fallback window.
 
+ACP-SGD and Power-SGD with error feedback are also pinned with query reuse
+off (``no-reuse`` cells: the Fig. 7 "w/o reuse" ablation), where every
+step's carried factor is a fresh draw from a per-tensor stream that an
+admitted rank clones from its donor.
+
 The digest of a cell does not depend on the worker backend: sequential and
 process workers must both reproduce it. Re-capture (only when the bits are
 *meant* to move) with ``PYTHONPATH=src python tests/test_ef_digest_matrix.py``.
@@ -41,6 +46,7 @@ from repro.train.resilience import ResilienceConfig
 from repro.train.trainer import DataParallelTrainer
 
 METHODS = ("topk", "signsgd", "acpsgd", "powersgd", "randomk")
+NO_REUSE_METHODS = ("acpsgd", "powersgd")
 BUCKETING = {"monolithic": None, "bucketed": 1 << 20}
 SCENARIOS = ("static", "elastic", "resilient")
 STEPS = 10
@@ -50,11 +56,12 @@ WORLD = 3
 LOCAL_NAN_STEP, AGGREGATE_INF_STEP = 3, 6
 
 
-def cell_key(method, ef, bucketing, scenario):
-    return f"{method}/{'ef' if ef else 'no-ef'}/{bucketing}/{scenario}"
+def cell_key(method, ef, bucketing, scenario, reuse_query=True):
+    mode = ("ef" if ef else "no-ef") + ("" if reuse_query else "-no-reuse")
+    return f"{method}/{mode}/{bucketing}/{scenario}"
 
 
-def _trainer(method, ef, bucketing, scenario, workers):
+def _trainer(method, ef, bucketing, scenario, workers, reuse_query=True):
     rng = np.random.default_rng(0)
     data = ArrayDataset(
         rng.standard_normal((96, 128)), rng.integers(0, 10, size=96)
@@ -75,6 +82,8 @@ def _trainer(method, ef, bucketing, scenario, workers):
     if scenario == "resilient":
         resilience = ResilienceConfig(fallback_steps=2, checkpoint_interval=0)
     kwargs = {"rank": 2} if method in ("acpsgd", "powersgd") else {}
+    if not reuse_query:
+        kwargs["reuse_query"] = False
     aggregator = make_aggregator(
         method, group, use_error_feedback=ef, **kwargs
     )
@@ -113,9 +122,11 @@ def _force_skips(trainer):
     trainer.reducer.finish_step = poisoned_finish
 
 
-def run_cell(method, ef, bucketing, scenario, workers="seq"):
+def run_cell(method, ef, bucketing, scenario, workers="seq", reuse_query=True):
     """Digest of one cell's trajectory (asserting the scenario played out)."""
-    trainer, membership = _trainer(method, ef, bucketing, scenario, workers)
+    trainer, membership = _trainer(
+        method, ef, bucketing, scenario, workers, reuse_query
+    )
     with trainer:
         losses = [trainer.train_step() for _ in range(STEPS)]
     if membership is not None:
@@ -250,6 +261,30 @@ PINNED = {
         "8cb06cebd8f2aab6754290ed17ec6d18dcb92a9fe882098d39b489ba515e34a0",
     "randomk/no-ef/bucketed/resilient":
         "3d1f61a4b2738f5f9006f2abfad49f5c0c7ccade019b3d4adab5db5fb0334ae1",
+    "acpsgd/ef-no-reuse/monolithic/static":
+        "8a2c13dbf2b6618843e271da70ba01079b1045340248c09cadd804150c0a8802",
+    "acpsgd/ef-no-reuse/monolithic/elastic":
+        "508b6a87adc98e0d50c5b36aa773363e42884020271e4011a3170bf87b04ab00",
+    "acpsgd/ef-no-reuse/monolithic/resilient":
+        "b01f112d648be3db5f1fc8ec95f19c7844655ec3ebf6cd3c42da0ca0b49b130b",
+    "acpsgd/ef-no-reuse/bucketed/static":
+        "8a2c13dbf2b6618843e271da70ba01079b1045340248c09cadd804150c0a8802",
+    "acpsgd/ef-no-reuse/bucketed/elastic":
+        "6e648880d864255b99ec84876519059a5f0d2edda02b5433c773f88128960c1b",
+    "acpsgd/ef-no-reuse/bucketed/resilient":
+        "b01f112d648be3db5f1fc8ec95f19c7844655ec3ebf6cd3c42da0ca0b49b130b",
+    "powersgd/ef-no-reuse/monolithic/static":
+        "280df8be4584d47d1a41b7eda5a89aa5d298a448bab267498bdc12395103c660",
+    "powersgd/ef-no-reuse/monolithic/elastic":
+        "8b938c3421a232272a96a553755b1306505941475d78d6fa67efad9dd54a0092",
+    "powersgd/ef-no-reuse/monolithic/resilient":
+        "e3a979016e554d00e3de7444e32c8ad324ea79b9bf0f211e3f54c231d2f9419e",
+    "powersgd/ef-no-reuse/bucketed/static":
+        "280df8be4584d47d1a41b7eda5a89aa5d298a448bab267498bdc12395103c660",
+    "powersgd/ef-no-reuse/bucketed/elastic":
+        "381e24a22402661728b373e92215c5861a9224ff967dc9c5f24159ca32b22ff6",
+    "powersgd/ef-no-reuse/bucketed/resilient":
+        "e3a979016e554d00e3de7444e32c8ad324ea79b9bf0f211e3f54c231d2f9419e",
 }
 
 
@@ -263,16 +298,37 @@ def test_cell_reproduces_its_pinned_digest(method, ef, bucketing, scenario, work
     assert run_cell(method, ef, bucketing, scenario, workers) == PINNED[key]
 
 
-if __name__ == "__main__":
-    print("PINNED = {")
+@pytest.mark.parametrize("workers", ["seq", "process"])
+@pytest.mark.parametrize("scenario", SCENARIOS)
+@pytest.mark.parametrize("bucketing", list(BUCKETING))
+@pytest.mark.parametrize("method", NO_REUSE_METHODS)
+def test_no_reuse_cell_reproduces_its_pinned_digest(
+    method, bucketing, scenario, workers
+):
+    key = cell_key(method, True, bucketing, scenario, reuse_query=False)
+    digest = run_cell(method, True, bucketing, scenario, workers, reuse_query=False)
+    assert digest == PINNED[key]
+
+
+def _cells():
     for method in METHODS:
         for ef in (True, False):
             for bucketing in BUCKETING:
                 for scenario in SCENARIOS:
-                    key = cell_key(method, ef, bucketing, scenario)
-                    digest = run_cell(method, ef, bucketing, scenario)
-                    assert run_cell(
-                        method, ef, bucketing, scenario, "process"
-                    ) == digest, key
-                    print(f'    "{key}":\n        "{digest}",')
+                    yield method, ef, bucketing, scenario, True
+    for method in NO_REUSE_METHODS:
+        for bucketing in BUCKETING:
+            for scenario in SCENARIOS:
+                yield method, True, bucketing, scenario, False
+
+
+if __name__ == "__main__":
+    print("PINNED = {")
+    for method, ef, bucketing, scenario, reuse_query in _cells():
+        key = cell_key(method, ef, bucketing, scenario, reuse_query)
+        digest = run_cell(method, ef, bucketing, scenario, "seq", reuse_query)
+        assert run_cell(
+            method, ef, bucketing, scenario, "process", reuse_query
+        ) == digest, key
+        print(f'    "{key}":\n        "{digest}",')
     print("}")
