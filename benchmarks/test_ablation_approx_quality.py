@@ -10,8 +10,7 @@ the paper's §IV-A quality argument quantified.
 import numpy as np
 
 from benchmarks.conftest import run_once
-from repro.compression.acpsgd import ACPSGDState
-from repro.compression.powersgd import PowerSGDState
+from repro.compression.lowrank import LowRankState
 from repro.utils import render_table
 
 RANK = 4
@@ -26,20 +25,24 @@ def _drifting_gradients(steps, shape=(32, 48), seed=0):
             for t in range(steps)]
 
 
+def _reconstruct(state, grad, step):
+    """One single-worker step, every half of it; returns ``P Q^T``."""
+    for half in state.halves(step):
+        p, q = state.adopt("w", state.compress("w", grad, half), half)
+    return p @ q.T
+
+
 def _sweep():
     grads = _drifting_gradients(STEPS)
-    power = PowerSGDState(RANK, seed=1, use_error_feedback=False)
-    acp = ACPSGDState(RANK, seed=1, use_error_feedback=False)
+    power = LowRankState(RANK, seed=1, use_error_feedback=False, halves_per_step=2)
+    acp = LowRankState(RANK, seed=1, use_error_feedback=False)
     rows = []
     for t, grad in enumerate(grads, start=1):
         norm = np.linalg.norm(grad)
         tail = np.linalg.svd(grad, compute_uv=False)[RANK:]
         svd_err = np.linalg.norm(tail) / norm
-        pp = power.compute_p("w", grad)
-        qq = power.compute_q("w", pp)
-        power_err = np.linalg.norm(grad - power.reconstruct("w", qq)) / norm
-        factor = acp.compress("w", grad, t)
-        acp_err = np.linalg.norm(grad - acp.finalize("w", factor, t)) / norm
+        power_err = np.linalg.norm(grad - _reconstruct(power, grad, t)) / norm
+        acp_err = np.linalg.norm(grad - _reconstruct(acp, grad, t)) / norm
         rows.append((t, svd_err, power_err, acp_err))
     return rows
 

@@ -11,14 +11,13 @@ The methods evaluated and proposed by the paper:
   selection seed, which (unlike Top-k) *is* additive and all-reducible.
 - :mod:`repro.compression.qsgd` — QSGD stochastic quantization [16]
   (background method, implemented as an extension).
-- :mod:`repro.compression.powersgd` — Power-SGD [24]: rank-r power-iteration
-  low-rank compression with query reuse and error feedback (Algorithm 1,
-  left function).
-- :mod:`repro.compression.acpsgd` — **ACP-SGD**, the paper's contribution:
-  alternate compressed Power-SGD with error feedback (Algorithms 1-2),
-  which compresses into only P (odd steps) or only Q (even steps) so the
-  per-iteration communication is a single, additive, non-blocking
-  all-reduce.
+- :mod:`repro.compression.lowrank` — Power-SGD [24] and **ACP-SGD**, the
+  paper's contribution, as one state: rank-r power-iteration low-rank
+  compression with query reuse and error feedback (Algorithms 1-2). A
+  step runs one *half* — project on the carried factor, aggregate the
+  local factor, adopt it — or two: Power-SGD computes P then Q, ACP-SGD
+  only P (odd steps) or only Q (even steps), so its per-iteration
+  communication is a single, additive, non-blocking all-reduce.
 
 Shared infrastructure:
 
@@ -55,8 +54,7 @@ from repro.compression.topk import (
 )
 from repro.compression.randomk import RandomKCompressor, RandomKPayload
 from repro.compression.qsgd import QSGDCompressor, QSGDPayload
-from repro.compression.powersgd import PowerSGDState, init_low_rank
-from repro.compression.acpsgd import ACPSGDState
+from repro.compression.lowrank import LowRankState, init_low_rank
 from repro.compression.ratios import (
     acpsgd_compressed_elements,
     compression_ratio,
@@ -91,9 +89,8 @@ __all__ = [
     "RandomKPayload",
     "QSGDCompressor",
     "QSGDPayload",
-    "PowerSGDState",
+    "LowRankState",
     "init_low_rank",
-    "ACPSGDState",
     "compression_ratio",
     "powersgd_compressed_elements",
     "acpsgd_compressed_elements",

@@ -18,7 +18,7 @@ class PendingProducts:
     A ``Linear`` weight gradient is the thin product ``g^T x`` (``n x K``
     by ``K x m``, ``K`` the batch). ACP-SGD with error feedback folds it
     into its residual update without forming it
-    (``ACPSGDState.compress(..., factors=)``); until then the factors wait
+    (``LowRankState.compress(..., factors=)``); until then the factors wait
     here, in the slot's arena entry, and the slot holds the residual alone.
     The slot's gradient is the sum of the recorded products on top of it.
     """
@@ -150,7 +150,7 @@ class Parameter:
         self._grad_slot: Optional[np.ndarray] = None
         self._slot_written = False
         self._carry = False
-        self._pending: Optional[PendingProducts] = None
+        self._products: Optional[PendingProducts] = None
         self._hooks: List[GradHook] = []
 
     @property
@@ -158,7 +158,7 @@ class Parameter:
         if self._grad_slot is not None:
             if not self._slot_written:
                 return None
-            self._add_pending()
+            self._add_products()
             return self._grad_slot
         return self._grad
 
@@ -220,18 +220,18 @@ class Parameter:
         self._grad_slot = slot
         self._carry = carry
         self._slot_written = carry
-        self._pending = pending
+        self._products = pending
         self._grad = None
 
     def detach_grad_slot(self) -> None:
         """Return to legacy per-step gradient allocation."""
         self._grad_slot = None
-        self._pending = None
+        self._products = None
         self._carry = self._slot_written = False
 
-    def _add_pending(self) -> None:
-        if self._pending is not None:
-            self._pending.add_onto(self._grad_slot)
+    def _add_products(self) -> None:
+        if self._products is not None:
+            self._products.add_onto(self._grad_slot)
 
     def accumulate_product(self, a: np.ndarray, b: np.ndarray) -> None:
         """Add the 2-D product ``a @ b`` into ``self.grad``; fire ready-hooks.
@@ -249,8 +249,8 @@ class Parameter:
         if self._grad_slot is None:
             self.accumulate_grad(blocked_matmul(a, b))
             return
-        if self._pending is None or not self._pending.record(a, b):
-            self._add_pending()
+        if self._products is None or not self._products.record(a, b):
+            self._add_products()
             blocked_matmul(a, b, out=self._grad_slot, add=self._slot_written)
             self._slot_written = True
         for hook in self._hooks:
@@ -274,7 +274,7 @@ class Parameter:
             # slot held (np.copyto casts like astype), later writes add in
             # place — bit-identical to the legacy copy-then-add.
             if self._slot_written:
-                self._add_pending()
+                self._add_products()
                 self._grad_slot += grad
             else:
                 np.copyto(self._grad_slot, grad)

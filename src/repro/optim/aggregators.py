@@ -42,9 +42,8 @@ import numpy as np
 from repro.comm.process_group import ProcessGroup
 from repro.perf.arena import ArenaGrads, ArenaLayout, GradientArena
 from repro.perf.counters import ALLOC_STATS
-from repro.compression.acpsgd import ACPSGDState
+from repro.compression.lowrank import LowRankState, factor_rank
 from repro.compression.lowrank_kernels import product_blocks
-from repro.compression.powersgd import PowerSGDState
 from repro.compression.qsgd import QSGDCompressor
 from repro.compression.randomk import RandomKCompressor
 from repro.compression.reshaping import (
@@ -396,7 +395,7 @@ class GradientAggregator:
         The elastic admission protocol's compressor half: the joiner's
         error-feedback residual starts empty at the next :meth:`set_roster`
         (its unsent history is), while state that is *shared* across
-        workers — Power-SGD's reused query, ACP-SGD's alternating factors —
+        workers — the low-rank methods' carried factors —
         is copied from the donor survivor, the in-process equivalent of
         broadcasting it. A rejoining rank's stale pre-ejection state is
         replaced, not resumed: its residual describes gradients that no
@@ -658,14 +657,8 @@ class SignSGDAggregator(GradientAggregator):
 
     method = "signsgd"
 
-    def __init__(
-        self,
-        group: ProcessGroup,
-        use_error_feedback: bool = True,
-        validate: bool = False,
-    ):
+    def __init__(self, group: ProcessGroup, use_error_feedback: bool = True):
         super().__init__(group)
-        self.validate = validate
         self.use_error_feedback = use_error_feedback
         self._vote = np.empty(0, dtype=bool)  # grow-only, one bool per element
 
@@ -704,8 +697,6 @@ class SignSGDAggregator(GradientAggregator):
             float(_abs_sum(slab) / session.total) if session.total else 0.0
             for slab in session.slabs
         ])
-        if self.validate:
-            assert_finite(scales, "signsgd payload scales")
         mean_scale = float(scales.mean())
         signed = np.array([-1.0, 1.0])  # indexed by a sign bit
         voted, kept = mean_scale * signed, scales[:, None] * signed
@@ -972,7 +963,7 @@ class _LowRankPlan:
         self.q_shapes: Dict[str, Tuple[int, int]] = {}
         for name in compressible:
             n, m = matrix_view_shape(template[name].shape)
-            r_eff = min(rank, n, m)
+            r_eff = factor_rank(rank, n, m)
             self.p_shapes[name] = (n, r_eff)
             self.q_shapes[name] = (m, r_eff)
         self.p_pack = _PackLayout(
@@ -982,9 +973,16 @@ class _LowRankPlan:
             {name: m * r for name, (m, r) in self.q_shapes.items()}, compressible
         )
 
+    def factor_pack(self, half: int) -> Tuple[_PackLayout, Dict[str, Tuple[int, int]]]:
+        """The pack and factor shapes ``half`` aggregates (P or Q)."""
+        if LowRankState.compresses_p(half):
+            return self.p_pack, self.p_shapes
+        return self.q_pack, self.q_shapes
+
 
 class _LowRankBase(GradientAggregator):
-    """Shared plumbing for Power-SGD / ACP-SGD: compressibility and fallbacks.
+    """Power-SGD / ACP-SGD: one :class:`~repro.compression.lowrank
+    .LowRankState` per rank, running one or two halves per step.
 
     A tensor is low-rank compressed only when it is matrix-shaped *and*
     compression actually shrinks it (``n m > (n + m) r``); everything else
@@ -996,8 +994,8 @@ class _LowRankBase(GradientAggregator):
     one row block at a time as the optimizer applies it.
     """
 
-    #: The per-rank compressor state class (same constructor for both).
-    state_cls: type
+    #: Halves one step runs: Power-SGD computes P then Q, ACP-SGD one of them.
+    halves_per_step: int
 
     def __init__(
         self,
@@ -1006,7 +1004,6 @@ class _LowRankBase(GradientAggregator):
         seed: int = 0,
         use_error_feedback: bool = True,
         reuse_query: bool = True,
-        validate: bool = False,
     ):
         super().__init__(group)
         if rank < 1:
@@ -1016,26 +1013,29 @@ class _LowRankBase(GradientAggregator):
         self.seed = seed
         self.use_error_feedback = use_error_feedback
         self.reuse_query = reuse_query
-        self.validate = validate
         self._init_states()
 
+    @property
+    def takes_factors(self) -> bool:
+        """With error feedback a one-half step takes a ``Linear`` weight
+        gradient as its factors: ``E + g^T x - P Q^T`` is one rank-(batch +
+        r) update of the residual, the gradient never formed. (The first
+        half of a two-half step only reads the accumulator, so it needs the
+        gradient added.)"""
+        return self.use_error_feedback and self.halves_per_step == 1
+
     def _make_state(self, rank: int):
-        # Same seed everywhere: the initial query matrices (Power-SGD) /
-        # P0, Q0 factors (ACP-SGD) must agree across ranks.
-        return self.state_cls(
+        # Same seed everywhere: the initial factors must agree across ranks.
+        return LowRankState(
             self.rank, self.seed, self.use_error_feedback,
-            self.reuse_query, self.validate,
+            self.reuse_query, self.halves_per_step,
         )
 
     def _is_compressible(self, shape: Tuple[int, ...]) -> bool:
         if not should_compress(shape):
             return False
-        n = shape[0]
-        m = 1
-        for dim in shape[1:]:
-            m *= dim
-        r = min(self.rank, n, m)
-        return n * m > (n + m) * r
+        n, m = matrix_view_shape(shape)
+        return n * m > (n + m) * factor_rank(self.rank, n, m)
 
     def _split_names(self, grads: NamedGrads) -> Tuple[List[str], List[str]]:
         compressible = [n for n, g in grads.items() if self._is_compressible(g.shape)]
@@ -1061,12 +1061,64 @@ class _LowRankBase(GradientAggregator):
         return plan
 
     def _begin(self, session: _BucketSession) -> None:
-        """Stage the shared plain (uncompressed) pack."""
-        session.plan = self._layout_plan(session.template)
+        """Stage the plain pack and the step's halves (P and/or Q packs)."""
+        plan = session.plan = self._layout_plan(session.template)
+        num_slots = len(self.roster)
         session.plain_scratch = self._staging_rows(
-            "plain", len(self.roster), max(1, session.plan.plain_pack.total)
+            "plain", num_slots, max(1, plan.plain_pack.total)
+        )
+        lead = self._per_rank[self.roster[0]]
+        session.halves = [
+            (half, *plan.factor_pack(half)) for half in lead.halves(self.step)
+        ]
+        # A bucket's factor rows are dead once every rank adopted them, so
+        # a step's halves share one staging block.
+        width = max(pack.total for _, pack, _ in session.halves)
+        session.factor_scratch = self._staging_rows(
+            "factors", num_slots, max(1, width)
         )
         session.factors = {}
+
+    def _reduce(self, session: _BucketSession, index: int) -> None:
+        """Plain tensors, then one factor round per half, as the bucket's
+        gradients land.
+
+        A round: every rank compresses the bucket's tensors into its row of
+        the half's pack (slot 0 first: the others borrow its orthonormal
+        carried factor, one QR per tensor), the bucket's segment is
+        averaged, and every rank adopts the aggregate. Power-SGD's P round
+        blocks its Q round *within* the bucket (the §III-C structure), but
+        bucketing lets later buckets start as soon as their gradients
+        exist; ACP-SGD's single alternating-factor round is the cheapest of
+        the low-rank schedules (§IV-C) and buckets cleanly. ``P Q^T`` is
+        identical on every rank, so the result keeps slot 0's pair.
+        """
+        comp_b, plain_b = session.plan.bucket_split[index]
+        self._reduce_plain_bucket(session, plain_b)
+        if not comp_b:
+            return
+        rows = session.factor_scratch
+        lead = self._per_rank[self.roster[0]]
+        for half, pack, shapes in session.halves:
+            for slot, rank_idx in enumerate(self.roster):
+                state = self._per_rank[rank_idx]
+                grads = session.per_worker[slot]
+                row = rows[slot]
+                for name in comp_b:
+                    factor = state.compress(
+                        name, grad_to_matrix(grads[name]), half,
+                        lead if slot else None, grads.pop_factors(name),
+                    )
+                    off = pack.offsets[name]
+                    row[off : off + pack.sizes[name]] = factor.reshape(-1)
+            self._reduce_pack_segment(rows, *pack.segment(comp_b), pack.total)
+            for name in comp_b:
+                # One copy out of the staging row, kept by every rank.
+                off = pack.offsets[name]
+                agg = rows[0][off : off + pack.sizes[name]].reshape(shapes[name]).copy()
+                session.factors[name] = lead.adopt(name, agg, half)
+                for rank_idx in self.roster[1:]:
+                    self._per_rank[rank_idx].adopt(name, agg, half)
 
     def _reduce_plain_bucket(
         self, session: _BucketSession, plain_b: List[str]
@@ -1084,19 +1136,6 @@ class _LowRankBase(GradientAggregator):
                 row[off : off + pack.sizes[name]] = grads[name].reshape(-1)
         self._reduce_pack_segment(session.plain_scratch, lo, hi, pack.total)
 
-    def _pack_view(
-        self,
-        row: np.ndarray,
-        pack: _PackLayout,
-        name: str,
-        shape: Tuple[int, int],
-    ) -> np.ndarray:
-        """Read-only matrix view of one named block inside a pack row."""
-        off = pack.offsets[name]
-        view = row[off : off + pack.sizes[name]].reshape(shape)
-        view.flags.writeable = False
-        return view
-
     def _finish(self, session: _BucketSession) -> DecodedAggregate:
         return _LowRankAggregate(
             session.layout, session.factors, session.plain_scratch[0],
@@ -1105,151 +1144,26 @@ class _LowRankBase(GradientAggregator):
 
 
 class PowerSGDAggregator(_LowRankBase):
-    """Power-SGD: all-reduce P, orthogonalize, all-reduce Q, reconstruct.
+    """Power-SGD: all-reduce P, orthogonalize, all-reduce Q.
 
-    P-factors of all compressible tensors are batched into one fused
-    all-reduce, then Q-factors into another — two blocking collectives per
-    step (the structure Fig. 4(a) shows).
+    Two halves per step: the P factors of a bucket's compressible tensors
+    are batched into one fused all-reduce, then the Q factors into another
+    — two blocking collectives (the structure Fig. 4(a) shows).
     """
 
     method = "powersgd"
-    state_cls = PowerSGDState
-
-    def _begin(self, session: _BucketSession) -> None:
-        super()._begin(session)
-        num_slots = len(self.roster)
-        session.p_scratch = self._staging_rows(
-            "powersgd_p", num_slots, max(1, session.plan.p_pack.total)
-        )
-        session.q_scratch = self._staging_rows(
-            "powersgd_q", num_slots, max(1, session.plan.q_pack.total)
-        )
-
-    def _reduce(self, session: _BucketSession, index: int) -> None:
-        """Full Power-SGD round for one bucket as its gradients land.
-
-        Per bucket: plain tensors reduce uncompressed, then the blocking
-        ``P-reduce -> orthogonalize -> Q-reduce -> reconstruct`` chain runs
-        on the bucket's segment of the global P/Q packs. The P collective
-        still blocks the Q computation *within* the bucket (the §III-C
-        structure), but bucketing lets later buckets start as soon as their
-        gradients exist. Every rank adopts the aggregated Q (query reuse);
-        ``P_hat Q^T`` is identical on all of them, so the result keeps
-        slot 0's ``P_hat``.
-        """
-        comp_b, plain_b = session.plan.bucket_split[index]
-        self._reduce_plain_bucket(session, plain_b)
-        if not comp_b:
-            return
-        plan = session.plan
-        p_pack, q_pack = plan.p_pack, plan.q_pack
-        plo, phi = p_pack.segment(comp_b)
-        for slot, rank_idx in enumerate(self.roster):
-            state = self._per_rank[rank_idx]
-            grads = session.per_worker[slot]
-            row = session.p_scratch[slot]
-            for name in comp_b:
-                p_local = state.compute_p(name, grad_to_matrix(grads[name]))
-                off = p_pack.offsets[name]
-                row[off : off + p_pack.sizes[name]] = p_local.reshape(-1)
-        self._reduce_pack_segment(session.p_scratch, plo, phi, p_pack.total)
-        qlo, qhi = q_pack.segment(comp_b)
-        lead = self._per_rank[self.roster[0]]
-        for slot, rank_idx in enumerate(self.roster):
-            state = self._per_rank[rank_idx]
-            row = session.q_scratch[slot]
-            for name in comp_b:
-                p_agg = self._pack_view(
-                    session.p_scratch[0], p_pack, name, plan.p_shapes[name]
-                )
-                # One QR of the aggregated P per tensor: slot 0's.
-                q_local = state.compute_q(name, p_agg, lead if slot else None)
-                off = q_pack.offsets[name]
-                row[off : off + q_pack.sizes[name]] = q_local.reshape(-1)
-        self._reduce_pack_segment(session.q_scratch, qlo, qhi, q_pack.total)
-        for name in comp_b:
-            q_agg = self._pack_view(
-                session.q_scratch[0], q_pack, name, plan.q_shapes[name]
-            )
-            for rank_idx in self.roster[1:]:
-                self._per_rank[rank_idx].store_query(name, q_agg)
-            # P_hat takes the reduced P's place in the pack, which nothing
-            # reads any more, so the result holds no factor of its own. Its
-            # memory order is kept: the product's bits depend on it.
-            p_hat = lead.store_query(name, q_agg)
-            off = p_pack.offsets[name]
-            kept = session.p_scratch[0][off : off + p_pack.sizes[name]].reshape(
-                p_hat.shape, order="F" if np.isfortran(p_hat) else "C"
-            )
-            np.copyto(kept, p_hat)
-            del p_hat  # freed now, not when the next tensor rebinds it
-            session.factors[name] = (kept, q_agg)
+    halves_per_step = 2
 
 
 class ACPSGDAggregator(_LowRankBase):
-    """ACP-SGD: a single fused all-reduce of the alternating factor."""
+    """ACP-SGD: a single fused all-reduce of the alternating factor.
+
+    One half per step: P on odd steps, Q on even ones — fixed for the whole
+    session, because every bucket shares the step's parity.
+    """
 
     method = "acpsgd"
-    state_cls = ACPSGDState
-
-    @property
-    def takes_factors(self) -> bool:
-        """With error feedback a ``Linear`` weight gradient reaches
-        ``compress`` as its factors: ``E + g^T x - P Q^T`` is one
-        rank-(batch + r) update of the residual, the gradient never formed."""
-        return self.use_error_feedback
-
-    def _begin(self, session: _BucketSession) -> None:
-        super()._begin(session)
-        # The factor alternates with step parity: P=(n, r) on odd steps,
-        # Q=(m, r) on even steps — fixed for the whole session because every
-        # bucket shares this step's parity.
-        plan = session.plan
-        if ACPSGDState.compresses_p(self.step):
-            session.factor_pack, session.f_shapes = plan.p_pack, plan.p_shapes
-        else:
-            session.factor_pack, session.f_shapes = plan.q_pack, plan.q_shapes
-        session.factor_scratch = self._staging_rows(
-            "acpsgd_f", len(self.roster), max(1, session.factor_pack.total)
-        )
-
-    def _reduce(self, session: _BucketSession, index: int) -> None:
-        """One fused-factor round for the bucket as its gradients land.
-
-        ACP-SGD's single alternating-factor all-reduce is the cheapest of
-        the low-rank schedules (§IV-C), and it buckets cleanly: each bucket
-        compresses, reduces its contiguous segment of the factor pack, and
-        is ready to decode. Every rank adopts the aggregated factor (the
-        next step orthogonalizes it); ``P_t Q_t^T`` is identical on all of
-        them, so the result keeps slot 0's pair.
-        """
-        comp_b, plain_b = session.plan.bucket_split[index]
-        self._reduce_plain_bucket(session, plain_b)
-        if not comp_b:
-            return
-        pack = session.factor_pack
-        lo, hi = pack.segment(comp_b)
-        lead = self._per_rank[self.roster[0]]
-        for slot, rank_idx in enumerate(self.roster):
-            state = self._per_rank[rank_idx]
-            grads = session.per_worker[slot]
-            row = session.factor_scratch[slot]
-            for name in comp_b:
-                # One QR of the carried factor per tensor: slot 0's.
-                factor = state.compress(
-                    name, grad_to_matrix(grads[name]), self.step,
-                    lead if slot else None, grads.pop_factors(name),
-                )
-                off = pack.offsets[name]
-                row[off : off + pack.sizes[name]] = factor.reshape(-1)
-        self._reduce_pack_segment(session.factor_scratch, lo, hi, pack.total)
-        for name in comp_b:
-            agg = self._pack_view(
-                session.factor_scratch[0], pack, name, session.f_shapes[name]
-            )
-            session.factors[name] = lead.store_factor(name, agg, self.step)
-            for rank_idx in self.roster[1:]:
-                self._per_rank[rank_idx].store_factor(name, agg, self.step)
+    halves_per_step = 1
 
 
 def make_aggregator(

@@ -260,7 +260,7 @@ class GradientArena:
         self._views: List[Dict[str, np.ndarray]] = [
             self.layout.carve(slab) for slab in self._slabs
         ]
-        self._pending: List[Dict[str, PendingProducts]] = [
+        self._products: List[Dict[str, PendingProducts]] = [
             {} for _ in self._slabs
         ]
 
@@ -291,7 +291,7 @@ class GradientArena:
             slab = self._alloc_slab()
             self._slabs.append(slab)
             self._views.append(self.layout.carve(slab))
-            self._pending.append(self._new_pending())
+            self._products.append(self._new_products())
         self.clear_residuals(range(first, len(self._slabs)))
         self.world_size = max(self.world_size, count)
 
@@ -303,10 +303,10 @@ class GradientArena:
         ``factored``: every one of them takes a thin product as its factors."""
         self.carried = frozenset(names)
         self.factored = self.carried if factored else frozenset()
-        self._pending = [self._new_pending() for _ in self._slabs]
+        self._products = [self._new_products() for _ in self._slabs]
         self.clear_residuals()
 
-    def _new_pending(self) -> Dict[str, PendingProducts]:
+    def _new_products(self) -> Dict[str, PendingProducts]:
         return {
             name: PendingProducts(self.layout.shapes[name])
             for name in self.factored
@@ -331,7 +331,7 @@ class GradientArena:
         """Forget the pending products of ``slots`` (default: every slab)
         without adding them: the gradient they were part of is abandoned."""
         for slot in range(len(self._slabs)) if slots is None else slots:
-            for products in self._pending[slot].values():
+            for products in self._products[slot].values():
                 products.clear()
 
     def reorder(self, sources: Sequence[Optional[int]]) -> None:
@@ -349,7 +349,7 @@ class GradientArena:
         self._slabs = [self._slabs[i] for i in order]
         self._views = [self._views[i] for i in order]
         self._segments = [self._segments[i] for i in order]
-        self._pending = [self._pending[i] for i in order]
+        self._products = [self._products[i] for i in order]
         self.clear_residuals(i for i, s in enumerate(sources) if s is None)
 
     def load(self, slot: int, grads: Dict[str, np.ndarray]) -> ArenaGrads:
@@ -406,7 +406,7 @@ class GradientArena:
             return
         self._slabs = []
         self._views = []
-        self._pending = []
+        self._products = []
         for segment in self._segments:
             if segment is not None:
                 shm.release_segment(segment, unlink=True)
@@ -423,7 +423,7 @@ class GradientArena:
         """Worker ``slot``'s named gradients as zero-copy slab views (with
         the slot's pending products)."""
         return ArenaGrads(
-            self._views[slot], self._slabs[slot], self.layout, self._pending[slot]
+            self._views[slot], self._slabs[slot], self.layout, self._products[slot]
         )
 
     def bind(self, model: Module, slot: int) -> None:
@@ -434,7 +434,7 @@ class GradientArena:
         views, recording thin products in factored ones' pending entries.
         The model must match the arena layout (same names, shapes, order).
         """
-        views, pending = self._views[slot], self._pending[slot]
+        views, pending = self._views[slot], self._products[slot]
         for name, param in model.named_parameters():
             view = views.get(name)
             if view is None or view.shape != param.shape:

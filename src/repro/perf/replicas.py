@@ -71,7 +71,7 @@ def detached_copy(model: Module) -> Module:
     for _, param in model.named_parameters():
         saved.append(
             (param, list(param._hooks), param._grad_slot,
-             param._grad, param._slot_written, param._carry, param._pending)
+             param._grad, param._slot_written, param._carry, param._products)
         )
         param._hooks.clear()
         param.detach_grad_slot()
@@ -85,7 +85,7 @@ def detached_copy(model: Module) -> Module:
             param._grad = grad
             param._slot_written = written
             param._carry = carry
-            param._pending = pending
+            param._products = pending
 
 
 def worker_pass(model: Module, loss_fn, shard, rng, batch_size: int) -> float:

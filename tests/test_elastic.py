@@ -17,7 +17,7 @@ The ISSUE acceptance scenarios:
 import numpy as np
 import pytest
 
-from repro.compression.acpsgd import ACPSGDState
+from repro.compression.lowrank import LowRankState
 from repro.elastic import MembershipController
 from repro.faults import (
     FaultInjector,
@@ -276,13 +276,6 @@ class TestPlanMembershipSemantics:
 
 
 class TestCompressorWarmStart:
-    def _run_powersgd_steps(self, state, rng, steps=3):
-        for _ in range(steps):
-            m = rng.normal(size=(6, 4))
-            p = state.compute_p("w", m)
-            q = state.compute_q("w", p)
-            state.reconstruct("w", q)
-
     def test_powersgd_warm_start_copies_query_zeroes_error(self):
         rng = np.random.default_rng(0)
         group = ResilientProcessGroup(2)
@@ -299,21 +292,22 @@ class TestCompressorWarmStart:
         assert arena.slab(2).tobytes() == np.full(24, -0.0).tobytes()
         assert arena.slab(0).any()
         donor, joiner = aggregator.state_for(0), aggregator.state_for(2)
-        assert set(joiner._query) == set(donor._query)
-        assert np.array_equal(joiner._query["w"], donor._query["w"])
+        assert set(joiner._q) == set(donor._q)
+        assert np.array_equal(joiner._q["w"], donor._q["w"])
+        assert np.array_equal(joiner._p["w"], donor._p["w"])
         # A deep copy: mutating the joiner's never touches the donor's.
-        joiner._query["w"][0, 0] += 1.0
-        assert not np.array_equal(joiner._query["w"], donor._query["w"])
+        joiner._q["w"][0, 0] += 1.0
+        assert not np.array_equal(joiner._q["w"], donor._q["w"])
 
     def test_acpsgd_warm_start_syncs_alternation_phase(self):
         rng = np.random.default_rng(1)
-        donor = ACPSGDState(rank=2, seed=7)
+        donor = LowRankState(rank=2, seed=7)
         for step in (1, 2, 3):
             m = rng.normal(size=(6, 4))
             factor = donor.compress("w", m, step)
-            donor.finalize("w", factor, step)
+            donor.adopt("w", factor, step)
 
-        joiner = ACPSGDState(rank=2, seed=7)
+        joiner = LowRankState(rank=2, seed=7)
         joiner.warm_start_from(donor)
         assert np.array_equal(joiner._p["w"], donor._p["w"])
         assert np.array_equal(joiner._q["w"], donor._q["w"])
@@ -325,12 +319,12 @@ class TestCompressorWarmStart:
         it orthogonalizes the same carried factor and compresses the same
         side of the factorization as the survivors."""
         rng = np.random.default_rng(1)
-        donor = ACPSGDState(rank=2, seed=7, use_error_feedback=False)
+        donor = LowRankState(rank=2, seed=7, use_error_feedback=False)
         for step in (1, 2, 3):
             m = rng.normal(size=(6, 4))
-            donor.finalize("w", donor.compress("w", m, step), step)
+            donor.adopt("w", donor.compress("w", m, step), step)
 
-        joiner = ACPSGDState(rank=2, seed=7, use_error_feedback=False)
+        joiner = LowRankState(rank=2, seed=7, use_error_feedback=False)
         joiner.warm_start_from(donor)
         m = rng.normal(size=(6, 4))
         assert np.array_equal(

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.comm.process_group import ProcessGroup
-from repro.compression.acpsgd import ACPSGDState
+from repro.compression.lowrank import LowRankState
 from repro.compression.lowrank_kernels import blocked_matmul
 from repro.models.convnets import make_mlp
 from repro.nn import Linear, Module, ReLU, Sequential
@@ -276,7 +276,7 @@ def spy_on_compress(state, totals, arrivals):
         left[name] = matrix.copy()
         basis = state._carried[name]
         sent = (
-            factor @ basis.T if ACPSGDState.compresses_p(step) else basis @ factor.T
+            factor @ basis.T if LowRankState.compresses_p(step) else basis @ factor.T
         )
         totals[name] = (totals[name][0] + grad, totals[name][1] + sent)
         return factor

@@ -269,23 +269,16 @@ def _overflow_after_the_local_check(trainer, method):
     the factors; Top-k: ``world`` values near 1e308 on one coordinate), or
     a NaN Sign-SGD scale planted in a slab after the local check."""
     aggregator = trainer.aggregator
-    lead = aggregator.state_for(aggregator.roster[0])
-    if method == "acpsgd":
-        store_factor = lead.store_factor
+    if method in ("acpsgd", "powersgd"):
+        # The aggregate keeps the pair slot 0's state adopts.
+        lead = aggregator.state_for(aggregator.roster[0])
+        adopt = lead.adopt
 
-        def huge_factors(name, factor, step):
-            p, q = store_factor(name, factor, step)
+        def huge_factors(name, factor, half):
+            p, q = adopt(name, factor, half)
             return p * 1e200, q * 1e200
 
-        lead.store_factor = huge_factors
-    elif method == "powersgd":
-        for rank in aggregator.roster:
-            state = aggregator.state_for(rank)
-            state.compute_q = (
-                lambda *args, _compute_q=state.compute_q: _compute_q(*args) * 1e200
-            )
-        store_query = lead.store_query
-        lead.store_query = lambda name, q: store_query(name, q) * 1e200
+        lead.adopt = huge_factors
     else:
         finish_step = trainer.reducer.finish_step
 
@@ -328,6 +321,47 @@ class TestPayloadFiniteCheck:
         for name, v in velocity.items():
             assert trainer.optimizer._velocity[name].tobytes() == v.tobytes()
         assert all_residuals_empty(trainer)
+
+    @pytest.mark.parametrize("method", ["acpsgd", "powersgd"])
+    def test_a_poisoned_carried_factor_is_dropped_with_the_step(self, method):
+        """Every rank adopts a NaN factor as the step's last half, and an
+        adopted factor is carried into the next step. The payload check
+        skips the step and the skip resets the states, so the next step
+        trains: its loss is finite and every live rank carries the same
+        finite factors (orthogonalizing the NaN would raise)."""
+        cfg = ResilienceConfig(fallback_steps=0, checkpoint_interval=0)
+        trainer, _, model = make_trainer(method=method, resilience=cfg)
+        for _ in range(2):
+            trainer.train_step()
+        aggregator = trainer.aggregator
+        states = [aggregator.state_for(rank) for rank in aggregator.roster]
+        for state in states:
+
+            def poisoned(name, factor, half, adopt=state.adopt, state=state):
+                if half % state.halves_per_step == 0:
+                    factor = np.full_like(factor, np.nan)
+                return adopt(name, factor, half)
+
+            state.adopt = poisoned
+        trainer.train_step()
+        log = trainer.resilience_log
+        assert [note for note in log.notes if "skipped" in note] == [
+            "step 3: skipped (non-finite aggregated gradient)"
+        ]
+        for state in states:
+            del state.adopt
+        assert np.isfinite(trainer.train_step())
+        assert log.skipped_steps == 1
+        assert np.isfinite(model.state_vector()).all()
+        for factors in ("_p", "_q"):
+            lead = getattr(states[0], factors)
+            assert lead  # this step's pair, one per compressed tensor
+            for state in states[1:]:
+                theirs = getattr(state, factors)
+                assert theirs.keys() == lead.keys()
+                for name, value in lead.items():
+                    assert np.isfinite(value).all()
+                    assert theirs[name].tobytes() == value.tobytes()
 
 
 class TestErrorFeedbackSlotsThroughTheLadder:

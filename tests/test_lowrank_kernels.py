@@ -5,7 +5,7 @@ Power-SGD and ACP-SGD touch a full-size matrix, so the dense three-line
 reference lives here and everything is checked against it: the kernel
 itself over awkward shapes, error-feedback conservation, orthonormality of
 the carried factor, cross-rank agreement of the shared factors, and the
-aggregators against a per-rank ``compress -> mean -> finalize`` oracle.
+aggregators against a per-rank ``compress -> mean -> adopt`` oracle.
 """
 
 import numpy as np
@@ -14,11 +14,19 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.comm.process_group import ProcessGroup
 from repro.compression import lowrank_kernels
-from repro.compression.acpsgd import ACPSGDState
-from repro.compression.lowrank_kernels import BlockedProjector, block_rows
-from repro.compression.powersgd import PowerSGDState
+from repro.compression.lowrank import LowRankState
+from repro.compression.lowrank_kernels import (
+    BlockedProjector,
+    block_rows,
+    blocked_matmul,
+)
 from repro.optim.aggregators import make_aggregator
 from repro.perf.arena import GradientArena
+
+
+def power_sgd(rank, **kwargs):
+    """Power-SGD: the low-rank state running two halves per step."""
+    return LowRankState(rank, halves_per_step=2, **kwargs)
 
 
 def rel_err(actual, expected, scale=None):
@@ -136,17 +144,19 @@ class TestBlockedKernelMatchesDense:
         rng = np.random.default_rng(0)
         grad = rng.normal(size=(6, 8))
         grad.flags.writeable = False
-        acp = ACPSGDState(rank=2, seed=0, use_error_feedback=False)
+        acp = LowRankState(rank=2, seed=0, use_error_feedback=False)
         factor = acp.compress("w", grad, 1)
         np.testing.assert_array_equal(factor, grad @ acp._carried["w"])
-        acp.finalize("w", factor, 1)
+        acp.adopt("w", factor, 1)
         factor = acp.compress("w", grad, 2)
         np.testing.assert_array_equal(factor, grad.T @ acp._carried["w"])
-        power = PowerSGDState(rank=2, seed=0, use_error_feedback=False)
-        p = power.compute_p("w", grad)
-        np.testing.assert_array_equal(p, grad @ power._query["w"])
-        q = power.compute_q("w", p)
-        np.testing.assert_array_equal(q, grad.T @ power._pending["w"])
+        power = power_sgd(rank=2, seed=0, use_error_feedback=False)
+        p = power.compress("w", grad, 1)
+        assert power._carried["w"] is power._q["w"]  # the query as it is
+        np.testing.assert_array_equal(p, grad @ power._q["w"])
+        power.adopt("w", p, 1)
+        q = power.compress("w", grad, 2)
+        np.testing.assert_array_equal(q, grad.T @ power._carried["w"])
 
 
 WIDTHS = [5, 767, 768, 1023, 4097]
@@ -188,41 +198,32 @@ class TestBlockedProduct:
             assert heights[-1] <= h + 1 and (n == 1 or heights[-1] >= 2), n
             np.testing.assert_allclose(product, a @ b, rtol=1e-13, atol=1e-12)
 
+    @staticmethod
+    def check_adopted_product(state, rng, n, m):
+        """Two steps; after each, ``P Q^T`` of the adopted pair is one
+        kernel into a fresh array and into a slot view, P and Q side."""
+        for step in (1, 2):
+            matrix = rng.normal(size=(n, m))
+            for half in state.halves(step):
+                p, q = state.adopt("w", state.compress("w", matrix, half), half)
+            hat = blocked_matmul(p, q.T)
+            storage, slot = slot_storage((n, m), offset=step - 1)
+            assert blocked_matmul(p, q.T, out=slot) is slot
+            assert np.shares_memory(slot, storage)
+            assert slot.tobytes() == hat.tobytes(), (n, step)
+            np.testing.assert_allclose(hat, p @ q.T, rtol=1e-13, atol=1e-12)
+
     @pytest.mark.parametrize("m", WIDTHS)
     def test_acpsgd_finalize_is_one_kernel_with_and_without_out(self, m):
         rng = np.random.default_rng(m)
         for n in product_heights(m)[1]:
-            fresh, into = ACPSGDState(rank=4, seed=1), ACPSGDState(rank=4, seed=1)
-            for step in (1, 2):  # P and Q side of the alternation
-                matrix = rng.normal(size=(n, m))
-                factor = fresh.compress("w", matrix.copy(), step)
-                into.compress("w", matrix.copy(), step)
-                hat = fresh.finalize("w", factor, step)
-                storage, slot = slot_storage((n, m), offset=step - 1)
-                assert into.finalize("w", factor, step, out=slot) is slot
-                assert np.shares_memory(slot, storage)
-                assert slot.tobytes() == hat.tobytes(), (n, step)
-                np.testing.assert_allclose(
-                    hat, fresh._p["w"] @ fresh._q["w"].T, rtol=1e-13, atol=1e-12
-                )
+            self.check_adopted_product(LowRankState(rank=4, seed=1), rng, n, m)
 
     @pytest.mark.parametrize("m", WIDTHS)
     def test_powersgd_reconstruct_is_one_kernel_with_and_without_out(self, m):
         rng = np.random.default_rng(m)
         for n in product_heights(m)[1]:
-            fresh, into = PowerSGDState(rank=4, seed=1), PowerSGDState(rank=4, seed=1)
-            for offset in (0, 1):
-                matrix = rng.normal(size=(n, m))
-                p = fresh.compute_p("w", matrix.copy())
-                into.compute_p("w", matrix.copy())
-                q = fresh.compute_q("w", p)
-                into.compute_q("w", p)
-                p_hat = fresh._pending["w"]
-                hat = fresh.reconstruct("w", q)
-                storage, slot = slot_storage((n, m), offset)
-                assert into.reconstruct("w", q, out=slot) is slot
-                assert slot.tobytes() == hat.tobytes(), (n, offset)
-                np.testing.assert_allclose(hat, p_hat @ q.T, rtol=1e-13, atol=1e-12)
+            self.check_adopted_product(power_sgd(rank=4, seed=1), rng, n, m)
 
     def test_add_needs_an_out(self):
         """There is nothing to add a product into without ``out``: it used
@@ -256,7 +257,7 @@ class TestFactoredOperand:
         shared basis; factors and residuals to 1e-12 of the dense path."""
         rng = np.random.default_rng(m * k)
         for n in product_heights(m)[1]:
-            dense, factored = ACPSGDState(rank=4, seed=1), ACPSGDState(rank=4, seed=1)
+            dense, factored = LowRankState(rank=4, seed=1), LowRankState(rank=4, seed=1)
             acc_dense = rng.normal(size=(n, m))
             acc_factored = acc_dense.copy()
             for step in (1, 2):
@@ -270,13 +271,17 @@ class TestFactoredOperand:
                 assert got.shape == want.shape, case
                 assert rel_err(got, want) <= 1e-12, case
                 assert rel_err(acc_factored, acc_dense, scale) <= 1e-12, case
-                dense.finalize("w", want, step)
-                factored.finalize("w", want, step)
+                dense.adopt("w", want, step)
+                factored.adopt("w", want, step)
 
     def test_factors_need_error_feedback(self):
-        state = ACPSGDState(rank=2, use_error_feedback=False)
+        factors = (np.ones((4, 1)), np.ones((1, 5)))
+        state = LowRankState(rank=2, use_error_feedback=False)
         with pytest.raises(ValueError, match="error feedback"):
-            state.compress("w", np.zeros((4, 5)), 1, factors=(np.ones((4, 1)), np.ones((1, 5))))
+            state.compress("w", np.zeros((4, 5)), 1, factors=factors)
+        # Power-SGD's P half only reads the accumulator: no factors there.
+        with pytest.raises(ValueError, match="one-half step"):
+            power_sgd(rank=2).compress("w", np.zeros((4, 5)), 1, factors=factors)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -286,21 +291,33 @@ class TestFactoredOperand:
         world=st.integers(2, 4),
         factored=st.booleans(),
         seed=st.integers(0, 10_000),
+        halves_per_step=st.sampled_from([1, 2]),
     )
-    @example(shape=(10, 1024), k=4, rank=4, world=4, factored=True, seed=0)
-    @example(shape=(10, 1024), k=4, rank=4, world=4, factored=False, seed=0)
-    @example(shape=(3, 20), k=5, rank=5, world=2, factored=True, seed=1)
+    @example(shape=(10, 1024), k=4, rank=4, world=4, factored=True, seed=0,
+             halves_per_step=1)
+    @example(shape=(10, 1024), k=4, rank=4, world=4, factored=False, seed=0,
+             halves_per_step=1)
+    @example(shape=(3, 20), k=5, rank=5, world=2, factored=True, seed=1,
+             halves_per_step=1)
+    @example(shape=(10, 1024), k=4, rank=4, world=4, factored=False, seed=0,
+             halves_per_step=2)
     def test_property_additive_under_a_shared_basis(
-        self, shape, k, rank, world, factored, seed
+        self, shape, k, rank, world, factored, seed, halves_per_step
     ):
         """Mean of the ranks' factors == factor of the mean accumulator,
         and likewise the residuals: what lets ACP-SGD's one factor ride a
         summing all-reduce (§IV-A). Both operand forms; ``K`` may exceed
-        ``min(n, m)`` and ``r`` the effective rank."""
+        ``min(n, m)`` and ``r`` the effective rank. Power-SGD's halves too
+        (its gradient added, as it takes no factors): the P half projects
+        on the query every rank shares, so its P sums under ring reduction
+        like ACP-SGD's, and it leaves the accumulators as they were."""
         n, m = shape
+        factored = factored and halves_per_step == 1
         rng = np.random.default_rng(seed)
-        states = [ACPSGDState(rank, seed=3) for _ in range(world)]
-        oracle = ACPSGDState(rank, seed=3)
+        *states, oracle = [
+            LowRankState(rank, seed=3, halves_per_step=halves_per_step)
+            for _ in range(world + 1)
+        ]
         residuals = [rng.normal(size=shape) for _ in range(world)]
         for step in (1, 2):
             grads = [thin_product(rng, n, m, k) for _ in range(world)]
@@ -308,21 +325,20 @@ class TestFactoredOperand:
                 [e + a @ b for e, (a, b) in zip(residuals, grads)], axis=0
             )
             scale = np.linalg.norm(mean_acc)
-            if factored:
-                factors = [
-                    s.compress("w", e, step, factors=g)
-                    for s, e, g in zip(states, residuals, grads)
-                ]
-            else:
+            if not factored:
                 for e, (a, b) in zip(residuals, grads):
                     e += a @ b
-                factors = [s.compress("w", e, step) for s, e in zip(states, residuals)]
-            mean = np.mean(factors, axis=0)
-            want = oracle.compress("w", mean_acc, step)
-            assert rel_err(mean, want) <= 1e-12, step
-            assert rel_err(np.mean(residuals, axis=0), mean_acc, scale) <= 1e-12
-            for state in states + [oracle]:
-                state.finalize("w", mean, step)
+            for half in oracle.halves(step):
+                factors = [
+                    s.compress("w", e, half, factors=g if factored else None)
+                    for s, e, g in zip(states, residuals, grads)
+                ]
+                mean = np.mean(factors, axis=0)
+                want = oracle.compress("w", mean_acc, half)
+                assert rel_err(mean, want) <= 1e-12, half
+                assert rel_err(np.mean(residuals, axis=0), mean_acc, scale) <= 1e-12
+                for state in states + [oracle]:
+                    state.adopt("w", mean, half)
 
 
 def _input_variants(rng):
@@ -358,8 +374,8 @@ class TestInputsAreOnlyRead:
         for label, matrix in _input_variants(rng):
             reference = np.ascontiguousarray(matrix, dtype=np.float64)
             before = matrix.copy()
-            state = ACPSGDState(rank=3, seed=5, use_error_feedback=use_ef)
-            oracle = ACPSGDState(rank=3, seed=5, use_error_feedback=use_ef)
+            state = LowRankState(rank=3, seed=5, use_error_feedback=use_ef)
+            oracle = LowRankState(rank=3, seed=5, use_error_feedback=use_ef)
             acc, ref_acc = (
                 (np.full(matrix.shape, -0.0), np.full(matrix.shape, -0.0))
                 if use_ef else (None, None)
@@ -369,8 +385,8 @@ class TestInputsAreOnlyRead:
                 expected = oracle.compress("w", _feed(reference, ref_acc), step)
                 assert factor.dtype == np.float64
                 assert rel_err(factor, expected) <= 1e-12, (label, step)
-                state.finalize("w", factor, step)
-                oracle.finalize("w", expected, step)
+                state.adopt("w", factor, step)
+                oracle.adopt("w", expected, step)
             np.testing.assert_array_equal(matrix, before, err_msg=label)
             assert matrix.dtype == before.dtype
 
@@ -379,21 +395,20 @@ class TestInputsAreOnlyRead:
         for label, matrix in _input_variants(rng):
             reference = np.ascontiguousarray(matrix, dtype=np.float64)
             before = matrix.copy()
-            state = PowerSGDState(rank=3, seed=5, use_error_feedback=use_ef)
-            oracle = PowerSGDState(rank=3, seed=5, use_error_feedback=use_ef)
+            state = power_sgd(rank=3, seed=5, use_error_feedback=use_ef)
+            oracle = power_sgd(rank=3, seed=5, use_error_feedback=use_ef)
             acc, ref_acc = (
                 (np.full(matrix.shape, -0.0), np.full(matrix.shape, -0.0))
                 if use_ef else (None, None)
             )
-            for _ in range(2):
-                p = state.compute_p("w", _feed(matrix, acc))
-                p_ref = oracle.compute_p("w", _feed(reference, ref_acc))
-                assert rel_err(p, p_ref) <= 1e-12, label
-                q = state.compute_q("w", p)
-                q_ref = oracle.compute_q("w", p_ref)
-                assert rel_err(q, q_ref) <= 1e-12, label
-                state.reconstruct("w", q)
-                oracle.reconstruct("w", q_ref)
+            for step in (1, 2):
+                work, ref_work = _feed(matrix, acc), _feed(reference, ref_acc)
+                for half in state.halves(step):  # P, then Q
+                    factor = state.compress("w", work, half)
+                    expected = oracle.compress("w", ref_work, half)
+                    assert rel_err(factor, expected) <= 1e-12, (label, half)
+                    state.adopt("w", factor, half)
+                    oracle.adopt("w", expected, half)
             np.testing.assert_array_equal(matrix, before, err_msg=label)
             assert matrix.dtype == before.dtype
 
@@ -441,7 +456,7 @@ class TestErrorFeedbackInvariants:
         """Sum of gradients == sum of locally transmitted P Q^T + residual
         (Algorithm 2 lines 6/11), and the carried factor stays orthonormal."""
         world, rank, stream = data
-        states = [ACPSGDState(rank=rank, seed=3) for _ in range(world)]
+        states = [LowRankState(rank=rank, seed=3) for _ in range(world)]
         accumulators = [np.full(stream[0][0].shape, -0.0) for _ in range(world)]
         total_in = [0.0] * world
         total_sent = [0.0] * world
@@ -454,7 +469,7 @@ class TestErrorFeedbackInvariants:
                 assert_orthonormal(carried)
                 sent = (
                     factor @ carried.T
-                    if ACPSGDState.compresses_p(step)
+                    if LowRankState.compresses_p(step)
                     else carried @ factor.T
                 )
                 total_in[w] = total_in[w] + grads[w]
@@ -462,7 +477,7 @@ class TestErrorFeedbackInvariants:
                 factors.append(factor)
             mean = np.mean(factors, axis=0)
             for state in states:
-                state.finalize("w", mean, step)
+                state.adopt("w", mean, step)
         for w, state in enumerate(states):
             scale = max(np.linalg.norm(total_in[w]), 1.0)
             gap = total_sent[w] + accumulators[w] - total_in[w]
@@ -473,27 +488,31 @@ class TestErrorFeedbackInvariants:
     def test_property_powersgd_conserves_gradient_mass(self, data):
         """Same identity with Vogels' local-Q residual; P_hat orthonormal."""
         world, rank, stream = data
-        states = [PowerSGDState(rank=rank, seed=3) for _ in range(world)]
+        states = [power_sgd(rank=rank, seed=3) for _ in range(world)]
         accumulators = [np.full(stream[0][0].shape, -0.0) for _ in range(world)]
         total_in = [0.0] * world
         total_sent = [0.0] * world
-        for grads in stream:
+        for step, grads in enumerate(stream, start=1):
             for accumulator, grad in zip(accumulators, grads):
                 accumulator += grad
+            p_half, q_half = states[0].halves(step)
             p_mean = np.mean(
-                [s.compute_p("w", a) for s, a in zip(states, accumulators)], axis=0
+                [s.compress("w", a, p_half) for s, a in zip(states, accumulators)],
+                axis=0,
             )
+            for state in states:
+                state.adopt("w", p_mean, p_half)
             q_locals = []
             for w, state in enumerate(states):
-                q_local = state.compute_q("w", p_mean)
-                p_hat = state._pending["w"]
+                q_local = state.compress("w", accumulators[w], q_half)
+                p_hat = state._carried["w"]
                 assert_orthonormal(p_hat)
                 total_in[w] = total_in[w] + grads[w]
                 total_sent[w] = total_sent[w] + p_hat @ q_local.T
                 q_locals.append(q_local)
             q_mean = np.mean(q_locals, axis=0)
             for state in states:
-                state.reconstruct("w", q_mean)
+                state.adopt("w", q_mean, q_half)
         for w, state in enumerate(states):
             scale = max(np.linalg.norm(total_in[w]), 1.0)
             gap = total_sent[w] + accumulators[w] - total_in[w]
@@ -513,9 +532,10 @@ def arena_grads(rng, arena):
     return plain, [arena.load(slot, grads) for slot, grads in enumerate(plain)]
 
 
-def oracle_step(method, states, accumulators, plain, step):
-    """Per-rank compress -> mean -> finalize, no aggregator involved; each
-    rank's compressible gradients go into its own accumulators."""
+def oracle_step(states, accumulators, plain, step):
+    """Per-rank compress -> mean -> adopt for every half of the step, no
+    aggregator involved; each rank's compressible gradients go into its own
+    accumulators."""
     out = {}
     for name, shape in SHAPES:
         if len(shape) < 2:
@@ -526,34 +546,26 @@ def oracle_step(method, states, accumulators, plain, step):
             acc.setdefault(name, np.full(shape, -0.0))
             acc[name] += grads[name]
             mats.append(acc[name])
-        if method == "acpsgd":
+        for half in states[0].halves(step):
             mean = np.mean(
-                [s.compress(name, g, step) for s, g in zip(states, mats)], axis=0
+                [s.compress(name, g, half) for s, g in zip(states, mats)], axis=0
             )
-            hats = [s.finalize(name, mean, step) for s in states]
-        else:
-            p_mean = np.mean(
-                [s.compute_p(name, g) for s, g in zip(states, mats)], axis=0
-            )
-            q_mean = np.mean([s.compute_q(name, p_mean) for s in states], axis=0)
-            hats = [s.reconstruct(name, q_mean) for s in states]
-        out[name] = hats[0]
+            pairs = [s.adopt(name, mean, half) for s in states]
+        p, q = pairs[0]
+        out[name] = p @ q.T
     return out
 
 
-def assert_ranks_agree(aggregator, method, world):
+def assert_ranks_agree(aggregator, world):
     """Every rank holds bit-identical shared factors and no stale scratch —
     what ``warm_start_from`` and reconstruct-once both rest on."""
-    shared = ("_p", "_q") if method == "acpsgd" else ("_query",)
-    scratch = "_carried" if method == "acpsgd" else "_pending"
     first = aggregator.state_for(0)
     for other in map(aggregator.state_for, range(1, world)):
-        for attr in shared:
-            mine, theirs = getattr(first, attr), getattr(other, attr)
+        for mine, theirs in ((first._p, other._p), (first._q, other._q)):
             assert mine.keys() == theirs.keys()
             for name in mine:
                 np.testing.assert_array_equal(mine[name], theirs[name])
-        assert not getattr(other, scratch)
+        assert not other._carried
 
 
 class TestAggregatorsAgainstOracle:
@@ -567,16 +579,18 @@ class TestAggregatorsAgainstOracle:
         aggregator = make_aggregator(method, ProcessGroup(world), rank=rank, seed=7)
         arena = GradientArena(SHAPES, world, bucket_bytes=bucket_bytes)
         aggregator.attach(arena)
-        state_cls = ACPSGDState if method == "acpsgd" else PowerSGDState
-        oracle_states = [state_cls(rank=rank, seed=7) for _ in range(world)]
+        oracle_states = [
+            LowRankState(rank, 7, halves_per_step=aggregator.halves_per_step)
+            for _ in range(world)
+        ]
         accumulators = [{} for _ in range(world)]
         for step in range(1, 7):  # odd and even steps
             plain, per_worker = arena_grads(rng, arena)
             out = aggregator.aggregate(per_worker)
-            expected = oracle_step(method, oracle_states, accumulators, plain, step)
+            expected = oracle_step(oracle_states, accumulators, plain, step)
             for name, _ in SHAPES:
                 assert rel_err(out[name], expected[name]) <= 1e-12, (name, step)
-            assert_ranks_agree(aggregator, method, world)
+            assert_ranks_agree(aggregator, world)
 
     @settings(max_examples=15, deadline=None)
     @given(data=gradient_streams(steps=4), method=st.sampled_from(["acpsgd", "powersgd"]))
@@ -585,7 +599,7 @@ class TestAggregatorsAgainstOracle:
         aggregator = make_aggregator(method, ProcessGroup(world), rank=rank)
         for grads in stream:
             aggregator.aggregate([{"w": g} for g in grads])
-            assert_ranks_agree(aggregator, method, world)
+            assert_ranks_agree(aggregator, world)
 
 
 def rng_positions(state):
@@ -602,8 +616,8 @@ class TestSharedOrthogonalisation:
     @pytest.mark.parametrize("reuse_query", [True, False])
     def test_acpsgd_peer_factor_is_bitwise_the_recomputed_one(self, reuse_query, rng):
         world = 3
-        alone = [ACPSGDState(2, seed=3, reuse_query=reuse_query) for _ in range(world)]
-        shared = [ACPSGDState(2, seed=3, reuse_query=reuse_query) for _ in range(world)]
+        alone = [LowRankState(2, seed=3, reuse_query=reuse_query) for _ in range(world)]
+        shared = [LowRankState(2, seed=3, reuse_query=reuse_query) for _ in range(world)]
         acc_alone = [np.full((12, 20), -0.0) for _ in range(world)]
         acc_shared = [np.full((12, 20), -0.0) for _ in range(world)]
         for step in range(1, 6):
@@ -622,7 +636,8 @@ class TestSharedOrthogonalisation:
             ):
                 assert np.array_equal(f_a, f_b)
                 assert np.array_equal(a._carried["w"], b._carried["w"])
-                assert np.array_equal(a.finalize("w", mean, step), b.finalize("w", mean, step))
+                for mine, theirs in zip(a.adopt("w", mean, step), b.adopt("w", mean, step)):
+                    assert np.array_equal(mine, theirs)
                 assert np.array_equal(e_a, e_b)
                 # reuse off: a peer's factor does not stall the own stream.
                 assert rng_positions(a) == rng_positions(b)
@@ -630,31 +645,39 @@ class TestSharedOrthogonalisation:
     @pytest.mark.parametrize("reuse_query", [True, False])
     def test_powersgd_peer_p_hat_is_bitwise_the_recomputed_one(self, reuse_query, rng):
         world = 3
-        alone = [PowerSGDState(2, seed=3, reuse_query=reuse_query) for _ in range(world)]
-        shared = [PowerSGDState(2, seed=3, reuse_query=reuse_query) for _ in range(world)]
+        alone = [power_sgd(2, seed=3, reuse_query=reuse_query) for _ in range(world)]
+        shared = [power_sgd(2, seed=3, reuse_query=reuse_query) for _ in range(world)]
         acc_alone = [np.full((12, 20), -0.0) for _ in range(world)]
         acc_shared = [np.full((12, 20), -0.0) for _ in range(world)]
-        for _ in range(4):
+        for step in range(1, 5):
             grads = [rng.normal(size=(12, 20)) for _ in range(world)]
             for a, b, g in zip(acc_alone, acc_shared, grads):
                 a += g
                 b += g
+            p_half, q_half = alone[0].halves(step)
             p_mean = np.mean(
-                [s.compute_p("w", a) for s, a in zip(alone, acc_alone)], axis=0
+                [s.compress("w", a, p_half) for s, a in zip(alone, acc_alone)],
+                axis=0,
             )
-            for s, b in zip(shared, acc_shared):
-                s.compute_p("w", b)
-            want = [s.compute_q("w", p_mean) for s in alone]
+            for slot, (s, b) in enumerate(zip(shared, acc_shared)):
+                s.compress("w", b, p_half, shared[0] if slot else None)
+            for s in alone + shared:
+                s.adopt("w", p_mean, p_half)
+            want = [s.compress("w", a, q_half) for s, a in zip(alone, acc_alone)]
             got = [
-                s.compute_q("w", p_mean, shared[0] if slot else None)
-                for slot, s in enumerate(shared)
+                s.compress("w", b, q_half, shared[0] if slot else None)
+                for slot, (s, b) in enumerate(zip(shared, acc_shared))
             ]
             q_mean = np.mean(want, axis=0)
             for a, b, q_a, q_b, e_a, e_b in zip(
                 alone, shared, want, got, acc_alone, acc_shared
             ):
                 assert np.array_equal(q_a, q_b)
-                assert np.array_equal(a.reconstruct("w", q_mean), b.reconstruct("w", q_mean))
+                assert np.array_equal(a._carried["w"], b._carried["w"])
+                for mine, theirs in zip(
+                    a.adopt("w", q_mean, q_half), b.adopt("w", q_mean, q_half)
+                ):
+                    assert np.array_equal(mine, theirs)
                 assert np.array_equal(e_a, e_b)
                 assert rng_positions(a) == rng_positions(b)
 
@@ -676,7 +699,7 @@ class TestSharedOrthogonalisation:
                 for _ in range(world)
             ]
             aggregator.aggregate(plain)
-            assert_ranks_agree(aggregator, method, world)
+            assert_ranks_agree(aggregator, world)
             positions = [
                 rng_positions(aggregator.state_for(r)) for r in range(world)
             ]

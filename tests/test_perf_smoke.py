@@ -179,19 +179,19 @@ class TestLowRankSteadyStateMemory:
     ``work - P Q^T`` temporaries, and one reconstruction per tensor."""
 
     def test_acpsgd_compress_allocates_no_full_size_temporary(self):
-        from repro.compression.acpsgd import ACPSGDState
+        from repro.compression.lowrank import LowRankState
 
         rng = np.random.default_rng(0)
         grad = rng.standard_normal((1024, 1024))
-        state = ACPSGDState(rank=4)
+        state = LowRankState(rank=4)
         factor = state.compress("w", grad, 1)  # grad is the accumulator
-        state.finalize("w", factor, 1)
+        state.adopt("w", factor, 1)
         for step in (2, 3):  # one left (two-pass) and one right projection
             factors = []
             peak = peak_allocation(
                 lambda: factors.append(state.compress("w", grad, step))
             )
-            state.finalize("w", factors[0], step)
+            state.adopt("w", factors[0], step)
             assert peak < 1 << 20, (
                 f"compress allocated {peak} bytes at step {step}; "
                 f"the gradient is {grad.nbytes} — a full-size temporary is back"
@@ -272,7 +272,8 @@ class TestStepAllocatesNothingModelSized:
     (5.5 MiB). Recorded at world 4, monolithic, in MiB: ssgd 0.2, acpsgd 1.2
     (every rank's ``Linear`` weight gradients as their factors ``(g^T, x)``
     until its compress consumes them; 0.7 when they were added into the
-    slot), powersgd 0.6, signsgd 4.2 (the bool mask ``packbits`` reads,
+    slot), powersgd 0.4 (0.6 when every rank copied each aggregated
+    factor), signsgd 4.2 (the bool mask ``packbits`` reads,
     plus the gathered bits), topk 5.3 (selection, wire and gathered copy of
     ``2k * world`` numbers).
     """
