@@ -26,8 +26,9 @@ Shared infrastructure:
   sent uncompressed).
 - :mod:`repro.compression.orthogonalize` — reduced-QR orthogonalization with
   a Gram-Schmidt fallback for degenerate inputs.
-- :mod:`repro.compression.ratios` / :mod:`repro.compression.complexity` —
-  the analytical accounting behind Tables I and II.
+- :mod:`repro.compression.wire` — each method's wire, declared once: the
+  §IV-C factoring rule, the sparsifiers' ``k`` and the collectives one step
+  issues, read by the aggregators, the simulator and Tables I and II.
 - :mod:`repro.compression.payload` — self-describing, CRC-stamped
   pack/unpack of compressed updates for store-mediated exchange between
   untrusted peers (:mod:`repro.gossip`).
@@ -55,14 +56,13 @@ from repro.compression.topk import (
 from repro.compression.randomk import RandomKCompressor, RandomKPayload
 from repro.compression.qsgd import QSGDCompressor, QSGDPayload
 from repro.compression.lowrank import LowRankState, init_low_rank
-from repro.compression.ratios import (
-    acpsgd_compressed_elements,
+from repro.compression.wire import (
+    communicate_elements,
     compression_ratio,
-    powersgd_compressed_elements,
-    topk_compressed_elements,
-    total_elements,
+    low_rank_split,
+    select_count,
+    step_wire,
 )
-from repro.compression.complexity import communicate_elements
 from repro.compression.terngrad import TernGradCompressor, TernPayload
 from repro.compression.payload import (
     PAYLOAD_MAGIC,
@@ -91,12 +91,11 @@ __all__ = [
     "QSGDPayload",
     "LowRankState",
     "init_low_rank",
-    "compression_ratio",
-    "powersgd_compressed_elements",
-    "acpsgd_compressed_elements",
-    "topk_compressed_elements",
-    "total_elements",
     "communicate_elements",
+    "compression_ratio",
+    "low_rank_split",
+    "select_count",
+    "step_wire",
     "TernGradCompressor",
     "TernPayload",
     "PAYLOAD_MAGIC",

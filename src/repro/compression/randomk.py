@@ -17,6 +17,8 @@ from typing import Tuple
 
 import numpy as np
 
+from repro.compression.wire import select_count
+
 
 @dataclass
 class RandomKPayload:
@@ -52,7 +54,7 @@ class RandomKCompressor:
 
     def indices_for_step(self, name: str, num_elements: int, step: int) -> np.ndarray:
         """Deterministic shared coordinate set for (tensor, step)."""
-        k = max(1, int(round(self.ratio * num_elements)))
+        k = select_count(self.ratio, num_elements)
         # Seed mixes the tensor name so different tensors decorrelate. Use a
         # stable hash (crc32), not Python's salted hash(), so every worker —
         # and every process run — derives identical coordinates.

@@ -19,21 +19,11 @@ from typing import Tuple
 import numpy as np
 
 
-def should_compress(shape: Tuple[int, ...], min_elements: int = 0) -> bool:
-    """Whether a parameter of this shape participates in low-rank compression.
-
-    Args:
-        shape: parameter shape.
-        min_elements: optional floor — tensors smaller than this travel
-            uncompressed even if matrix-shaped (compressing a 10x10 tensor
-            to rank 4 saves nothing).
-    """
-    if len(shape) < 2:
-        return False
-    total = 1
-    for dim in shape:
-        total *= dim
-    return total >= min_elements
+def should_compress(shape: Tuple[int, ...]) -> bool:
+    """Whether a parameter of this shape is matrix-shaped: the first of the
+    two tests :func:`repro.compression.wire.low_rank_split` applies, the
+    second being that factoring shrinks it."""
+    return len(shape) >= 2
 
 
 def matrix_view_shape(shape: Tuple[int, ...]) -> Tuple[int, int]:

@@ -30,6 +30,8 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from repro.compression.wire import select_count
+
 
 @dataclass
 class SparsePayload:
@@ -210,7 +212,6 @@ class TopkCompressor:
         use_error_feedback: leave the unsent residual in the compressed
             vector (see :meth:`compress`).
         rng: sampling stream for the threshold estimator.
-        min_k: lower bound on k so tiny tensors still send something.
     """
 
     def __init__(
@@ -219,7 +220,6 @@ class TopkCompressor:
         selection: str = "exact",
         use_error_feedback: bool = True,
         rng: Optional[np.random.Generator] = None,
-        min_k: int = 1,
     ):
         if not 0.0 < ratio <= 1.0:
             raise ValueError(f"ratio must be in (0, 1], got {ratio}")
@@ -229,7 +229,6 @@ class TopkCompressor:
         self.selection = selection
         self.use_error_feedback = use_error_feedback
         self.rng = rng if rng is not None else np.random.default_rng(0)
-        self.min_k = min_k
 
     def select(
         self, flat: np.ndarray, scratch: Optional[np.ndarray] = None
@@ -241,7 +240,7 @@ class TopkCompressor:
         bit-identically to :meth:`compress`. ``scratch`` is
         :func:`topk_select`'s: storage the call may overwrite.
         """
-        k = max(self.min_k, int(round(self.ratio * flat.size)))
+        k = select_count(self.ratio, flat.size)
         if self.selection == "exact":
             return topk_select(flat, k, scratch)
         return sampled_threshold_topk_mask(flat, k, self.rng, scratch=scratch)

@@ -13,7 +13,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from repro.compression.reshaping import matrix_view_shape, should_compress
+from repro.compression.wire import step_wire
 from repro.experiments.common import format_rows, paper_rank
 from repro.models import get_model_spec
 
@@ -42,18 +42,10 @@ def run_fig5(models: Tuple[str, ...] = ("ResNet-50", "BERT-Base")) -> List[Fig5D
     for name in models:
         spec = get_model_spec(name)
         rank = paper_rank(name)
-        uncompressed: List[int] = []
-        compressed: List[int] = []
-        for tensor in spec.tensors():
-            uncompressed.append(tensor.size)
-            if should_compress(tensor.shape):
-                n, m = matrix_view_shape(tensor.shape)
-                r = min(rank, n, m)
-                if n * m > (n + m) * r:
-                    compressed.append(n * r)  # P
-                    compressed.append(m * r)  # Q
-                    continue
-            compressed.append(tensor.size)  # travels as-is
+        uncompressed = [tensor.size for tensor in spec.tensors()]
+        # Power-SGD's step sends every tensor once: plain, or as P and Q.
+        wire = step_wire("powersgd", spec.parameter_shapes(), rank=rank, elem_bytes=1)
+        compressed = [size for collective in wire for size in collective.sizes]
         out.append(
             Fig5Data(name, rank, tuple(sorted(uncompressed)), tuple(sorted(compressed)))
         )

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Dict
 
 from repro.comm.cost_model import allreduce_time
-from repro.compression.reshaping import matrix_view_shape, should_compress
+from repro.compression.wire import step_wire
 from repro.models import get_model_spec
 from repro.sim.calibration import LINK_10GBE
 from repro.sim.strategies import ClusterSpec, SystemConfig, simulate_iteration
@@ -71,13 +71,8 @@ def run_fusion_microbench(world_size: int = 32) -> Dict[str, FusionResult]:
     raw_separate = sum(allreduce_time(s, world_size, link) for s in raw_sizes)
     raw_fused = allreduce_time(sum(raw_sizes), world_size, link)
 
-    p_sizes = []
-    for tensor in spec.tensors():
-        if should_compress(tensor.shape):
-            n, m = matrix_view_shape(tensor.shape)
-            r = min(4, n, m)
-            if n * m > (n + m) * r:
-                p_sizes.append(n * r * 4)
+    wire = step_wire("acpsgd", spec.parameter_shapes(), rank=4, half=1)
+    p_sizes = next(c.sizes for c in wire if c.group == "P")
     p_separate = sum(allreduce_time(s, world_size, link) for s in p_sizes)
     p_fused = allreduce_time(sum(p_sizes), world_size, link)
     return {

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-from repro.compression.ratios import compression_ratio
+from repro.compression.wire import compression_ratio
 from repro.experiments.common import TIMING_MODELS, format_rows, paper_rank, timing_specs
 
 # Paper's Table I for comparison in EXPERIMENTS.md.

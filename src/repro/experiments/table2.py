@@ -1,9 +1,10 @@
 """Table II: compress/communicate complexity — analytic vs *measured*.
 
-The analytic column is the paper's formulas
-(:mod:`repro.compression.complexity`); the measured column runs the real
-collectives through a :class:`~repro.comm.process_group.ProcessGroup` on a
-synthetic gradient and counts the bytes each rank actually sent.
+The analytic column sums each method's declared wire
+(:func:`repro.compression.wire.communicate_elements`); the measured column
+runs the real collectives through a
+:class:`~repro.comm.process_group.ProcessGroup` on a synthetic gradient and
+counts the bytes each rank actually sent.
 """
 
 from __future__ import annotations
@@ -14,10 +15,8 @@ from typing import List
 import numpy as np
 
 from repro.comm.process_group import ProcessGroup
-from repro.compression.complexity import communicate_elements
+from repro.compression.wire import FP32, communicate_elements, step_wire
 from repro.optim.aggregators import make_aggregator
-
-FP32 = 4
 
 
 @dataclass(frozen=True)
@@ -44,38 +43,35 @@ def run_table2(
 ) -> List[Table2Row]:
     """Measure per-worker traffic of one aggregation step per method."""
     rng = np.random.default_rng(seed)
-    n, m = matrix_shape
-    num_elements = n * m
+    shapes = [matrix_shape]
     grads = [
         {"weight": rng.normal(size=matrix_shape)} for _ in range(world_size)
     ]
+    elem_bytes = grads[0]["weight"].itemsize  # the trainer's float wire
+    wire = dict(rank=rank, ratio=topk_ratio)
     rows: List[Table2Row] = []
-
-    configs = [
-        ("ssgd", {}, dict(n=num_elements)),
-        ("signsgd", {}, dict(n=num_elements)),
-        ("topk", {"ratio": topk_ratio},
-         dict(n=num_elements, k=int(round(topk_ratio * num_elements)))),
-        ("powersgd", {"rank": rank},
-         dict(n=num_elements, n_c=(n + m) * min(rank, n, m))),
-        ("acpsgd", {"rank": rank},
-         dict(n=num_elements, n_c=(n + m) * min(rank, n, m))),
-    ]
-    for method, kwargs, analytic_kwargs in configs:
+    for method, kwargs in [
+        ("ssgd", {}), ("signsgd", {}), ("topk", {"ratio": topk_ratio}),
+        ("powersgd", {"rank": rank}), ("acpsgd", {"rank": rank}),
+    ]:
         group = ProcessGroup(world_size)
         aggregator = make_aggregator(method, group, **kwargs)
-        # Two steps, so ACP-SGD's P-step / Q-step parities average out.
-        for _ in range(2):
+        sent = 0.0
+        for step in (1, 2):  # ACP-SGD's P-step and Q-step
+            group.reset_stats()
             aggregator.aggregate(
                 [{k: v.copy() for k, v in g.items()} for g in grads]
             )
-        # The in-process wires carry float64 (8B/element); Sign-SGD's wire is
-        # packed uint8 bits, which Table II expresses in fp32-equivalent
-        # elements (divide bytes by 4).
-        divisor = 4.0 if method == "signsgd" else 8.0
-        measured = group.bytes_per_rank()[0] / divisor / 2.0
-        analytic = communicate_elements(method, world_size, **analytic_kwargs)
-        rows.append(Table2Row(method, analytic, measured))
+            # Rank 0's bytes, each collective's scaled to the paper's float32
+            # wire as its declaration scales (floats halve, packed bits not).
+            ours = step_wire(method, shapes, half=step, elem_bytes=elem_bytes, **wire)
+            paper = step_wire(method, shapes, half=step, **wire)
+            sent += sum(
+                stats.bytes_sent_per_rank[0] * p.nbytes / o.nbytes
+                for stats, o, p in zip(group.history, ours, paper)
+            )
+        analytic = communicate_elements(method, world_size, shapes, **wire)
+        rows.append(Table2Row(method, analytic, sent / 2 / FP32))
     return rows
 
 

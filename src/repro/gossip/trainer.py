@@ -42,6 +42,7 @@ from repro.compression.payload import (
     unpack_payload,
 )
 from repro.compression.topk import SparsePayload, sparse_aggregate, topk_select
+from repro.compression.wire import select_count
 from repro.elastic.membership import joiner_rng
 from repro.elastic.open_admission import allocate_peer_index, catch_up_plan
 from repro.faults.plan import FaultPlan, Join
@@ -229,7 +230,7 @@ class GossipPeer:
         flat buffer.
         """
         total = self.layout.total_elements
-        k = max(1, int(round(self.config.compression_ratio * total)))
+        k = select_count(self.config.compression_ratio, total)
         # The slab's gradients are in the momentum already: it is scratch.
         indices = np.sort(topk_select(self.momentum, k, self.arena.slab(0)))
         values = self.momentum[indices]

@@ -35,6 +35,7 @@ TernGrad, DGC) return plain ``{name: array}`` views.
 from __future__ import annotations
 
 from collections.abc import Mapping
+from math import prod
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -42,21 +43,18 @@ import numpy as np
 from repro.comm.process_group import ProcessGroup
 from repro.perf.arena import ArenaGrads, ArenaLayout, GradientArena
 from repro.perf.counters import ALLOC_STATS
-from repro.compression.lowrank import LowRankState, factor_rank
+from repro.compression.lowrank import LowRankState
 from repro.compression.lowrank_kernels import product_blocks
 from repro.compression.qsgd import QSGDCompressor
 from repro.compression.randomk import RandomKCompressor
-from repro.compression.reshaping import (
-    grad_to_matrix,
-    matrix_view_shape,
-    should_compress,
-)
+from repro.compression.reshaping import grad_to_matrix
 from repro.compression.topk import (
     SELECT_BLOCK,
     SparsePayload,
     TopkCompressor,
     sparse_aggregate,
 )
+from repro.compression.wire import low_rank_split
 from repro.optim.decoded import DecodedAggregate, row_size
 from repro.utils.validation import assert_finite
 
@@ -939,33 +937,24 @@ class _LowRankPlan:
     monolithic pack's chunk schedule.
     """
 
-    def __init__(
-        self,
-        template: ArenaGrads,
-        rank: int,
-        compressible: List[str],
-        plain: List[str],
-    ):
-        self.layout = template.layout
-        comp_set = set(compressible)
+    def __init__(self, layout: ArenaLayout, rank: int):
+        self.layout, names = layout, layout.names
+        split, plain = low_rank_split([layout.shapes[n] for n in names], rank)
+        factored = {names[i]: dims for i, dims in split.items()}
+        compressible, plain = list(factored), [names[i] for i in plain]
         #: Per bucket: its (compressible, plain) names, in layout order.
         self.bucket_split = [
             (
-                [n for n in names if n in comp_set],
-                [n for n in names if n not in comp_set],
+                [n for n in bucket if n in factored],
+                [n for n in bucket if n not in factored],
             )
-            for names in self.layout.bucket_names()
+            for bucket in layout.bucket_names()
         ]
         self.plain_pack = _PackLayout(
-            {name: int(template[name].size) for name in plain}, plain
+            {name: prod(layout.shapes[name]) for name in plain}, plain
         )
-        self.p_shapes: Dict[str, Tuple[int, int]] = {}
-        self.q_shapes: Dict[str, Tuple[int, int]] = {}
-        for name in compressible:
-            n, m = matrix_view_shape(template[name].shape)
-            r_eff = factor_rank(rank, n, m)
-            self.p_shapes[name] = (n, r_eff)
-            self.q_shapes[name] = (m, r_eff)
+        self.p_shapes = {name: (n, r) for name, (n, _, r) in factored.items()}
+        self.q_shapes = {name: (m, r) for name, (_, m, r) in factored.items()}
         self.p_pack = _PackLayout(
             {name: n * r for name, (n, r) in self.p_shapes.items()}, compressible
         )
@@ -985,9 +974,10 @@ class _LowRankBase(GradientAggregator):
     .LowRankState` per rank, running one or two halves per step.
 
     A tensor is low-rank compressed only when it is matrix-shaped *and*
-    compression actually shrinks it (``n m > (n + m) r``); everything else
-    (biases, norm scales, tiny matrices) rides a fused uncompressed ring
-    all-reduce, exactly as in the paper's §IV-C. With error feedback a
+    compression actually shrinks it (:func:`~repro.compression.wire
+    .low_rank_split`); everything else (biases, norm scales, tiny
+    matrices) rides a fused uncompressed ring all-reduce, exactly as in
+    the paper's §IV-C. With error feedback a
     rank's compressible tensors are its accumulators ``M + E``, projected
     and corrected in place. Everything else in the slabs is only read. The
     result keeps each tensor's factors ``P`` and ``Q``; ``P Q^T`` is formed
@@ -1031,38 +1021,24 @@ class _LowRankBase(GradientAggregator):
             self.reuse_query, self.halves_per_step,
         )
 
-    def _is_compressible(self, shape: Tuple[int, ...]) -> bool:
-        if not should_compress(shape):
-            return False
-        n, m = matrix_view_shape(shape)
-        return n * m > (n + m) * factor_rank(self.rank, n, m)
-
-    def _split_names(self, grads: NamedGrads) -> Tuple[List[str], List[str]]:
-        compressible = [n for n, g in grads.items() if self._is_compressible(g.shape)]
-        comp_set = set(compressible)
-        plain = [n for n in grads if n not in comp_set]
-        return compressible, plain
-
     def _residual_names(self, layout: ArenaLayout) -> List[str]:
-        names = super()._residual_names(layout)
-        return [n for n in names if self._is_compressible(layout.shapes[n])]
+        factored = self._layout_plan(layout).p_shapes
+        return [n for n in super()._residual_names(layout) if n in factored]
 
-    def _layout_plan(self, template: NamedGrads) -> _LowRankPlan:
-        """The step-invariant plan for ``template``'s layout, built once.
+    def _layout_plan(self, layout: ArenaLayout) -> _LowRankPlan:
+        """The step-invariant plan for ``layout``, built once.
 
         A trainer's arena hands in the same layout object every step;
         adopted plain dicts arrive under a fresh layout and rebuild.
         """
         plan = self._plan
-        if plan is None or plan.layout is not template.layout:
-            plan = self._plan = _LowRankPlan(
-                template, self.rank, *self._split_names(template)
-            )
+        if plan is None or plan.layout is not layout:
+            plan = self._plan = _LowRankPlan(layout, self.rank)
         return plan
 
     def _begin(self, session: _BucketSession) -> None:
         """Stage the plain pack and the step's halves (P and/or Q packs)."""
-        plan = session.plan = self._layout_plan(session.template)
+        plan = session.plan = self._layout_plan(session.layout)
         num_slots = len(self.roster)
         session.plain_scratch = self._staging_rows(
             "plain", num_slots, max(1, plan.plain_pack.total)

@@ -21,6 +21,7 @@ import numpy as np
 
 from repro.comm.process_group import ProcessGroup
 from repro.compression.topk import SparsePayload, sparse_aggregate, topk_select
+from repro.compression.wire import select_count
 from repro.optim.aggregators import (
     GradientAggregator,
     NamedGrads,
@@ -67,7 +68,6 @@ class DGCTopkAggregator(GradientAggregator):
         group: process group.
         ratio: keep-fraction per step.
         momentum: local momentum factor (DGC default 0.9).
-        min_k: floor on selected elements.
     """
 
     method = "dgc"
@@ -77,7 +77,6 @@ class DGCTopkAggregator(GradientAggregator):
         group: ProcessGroup,
         ratio: float = 0.01,
         momentum: float = 0.9,
-        min_k: int = 1,
     ):
         super().__init__(group)
         if not 0.0 < ratio <= 1.0:
@@ -86,7 +85,6 @@ class DGCTopkAggregator(GradientAggregator):
             raise ValueError(f"momentum must be in [0, 1), got {momentum}")
         self.ratio = ratio
         self.momentum = momentum
-        self.min_k = min_k
         self._init_states()
 
     def _make_state(self, rank: int) -> _WorkerDGCState:
@@ -97,7 +95,7 @@ class DGCTopkAggregator(GradientAggregator):
         for rank, slab in zip(self.roster, session.slabs):
             state = self._per_rank[rank]
             velocity = state.accumulate("fused", slab)
-            k = max(self.min_k, int(round(self.ratio * velocity.size)))
+            k = select_count(self.ratio, velocity.size)
             # Accumulated, the slab is dead: selection scratch, and slot
             # 0's the decode target (consumed, as in TopkSGDAggregator).
             idx = topk_select(velocity, k, slab)

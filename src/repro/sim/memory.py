@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
-from repro.compression.reshaping import matrix_view_shape, should_compress
+from repro.compression.wire import step_wire
 from repro.models.spec import FP32_BYTES, ModelSpec
 
 GiB = 1024.0**3
@@ -88,18 +88,14 @@ def estimate_memory(
         int8_signs = n_elems
         communication = int8_signs + world_size * int8_signs + n_bytes
     elif method == "topk":
-        k = max(1.0, round(n_elems * topk_ratio))
         compression = n_bytes  # error feedback
-        communication = world_size * 2.0 * k * FP32_BYTES
+        # Every worker's selection, all-gathered.
+        (selection,) = step_wire(method, model.parameter_shapes(), ratio=topk_ratio)
+        communication = float(world_size * selection.nbytes)
     elif method in ("powersgd", "powersgd_star", "acpsgd"):
         compression = n_bytes  # error feedback
-        factors = 0.0
-        for tensor in model.tensors():
-            if should_compress(tensor.shape):
-                n, m = matrix_view_shape(tensor.shape)
-                r = min(rank, n, m)
-                if n * m > (n + m) * r:
-                    factors += (n + m) * r * FP32_BYTES
+        wire = step_wire("powersgd", model.parameter_shapes(), rank=rank)
+        factors = float(sum(c.nbytes for c in wire if c.group in ("P", "Q")))
         if method == "acpsgd":
             # One factor at a time travels, but P, Q and E are all held.
             communication = factors / 2.0

@@ -4,17 +4,19 @@ Every :mod:`repro.sim` entry point takes one path: :meth:`BuildContext.resolve`
 defaults and validates the scenario once, :meth:`BuildContext.graph` builds
 one iteration's :class:`~repro.sched.TaskGraph`, :meth:`BuildContext.run`
 hands it to ``Engine.run``, and the records are swept into the paper's
-breakdown (``simulate_iteration`` is that path end to end). Adding a method
-is a ``(ctx, parity_p, *plan)`` builder in ``_BUILDERS`` plus its fused groups
-in ``fusion_plan``.
+breakdown (``simulate_iteration`` is that path end to end). What a method
+sends is its wire in :func:`repro.compression.wire.step_wire`, declared once
+for the trainer and the simulator alike; adding a method here is a ``(ctx,
+parity_p, *plan)`` builder in ``_BUILDERS`` — its compute costs and its
+schedule — plus, if it fuses, its groups in ``fusion_plan``.
 
 Sweeps over buffer size, link and method (the planner, the autotuner, the
 paper's Fig. 9-13) re-price one iteration timeline, so the part of a graph
 that depends on none of them is built once: builders start from
 ``_skeleton(ctx)`` — the priced FF + BP chain and its tensors in readiness
 order per (model, batch size, ``SimConfig``), plus per-method prefixes
-(ACP-SGD / Random-k hook timelines, wire sizes, post costs) per (rank,
-parity, ``wfbp``) — and only price the collectives of the scenario's
+(ACP-SGD / Random-k hook timelines, declared wire sizes, post costs) per
+(rank, parity, ``wfbp``) — and only price the collectives of the scenario's
 ``fusion_plan``. The memo holds a few skeletons of the one model seen last
 (model identity, ``SimConfig`` equality) and hands out shared ``Task``
 objects in fresh lists; a graph is the same ``Task`` by ``Task`` whether the
@@ -51,7 +53,13 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.comm.cost_model import LinkSpec, allgather_time, allreduce_time
 from repro.comm.topology import ClusterTopology, best_allreduce_time
-from repro.compression.reshaping import matrix_view_shape, should_compress
+from repro.compression.wire import (
+    FP32,
+    Collective,
+    low_rank_split,
+    select_count,
+    step_wire,
+)
 from repro.models.spec import ModelSpec, TensorSpec
 from repro.sched import TaskGraph
 from repro.sim import gpu as gpu_cost
@@ -59,8 +67,6 @@ from repro.sim.calibration import LINK_10GBE, SimConfig
 from repro.sim.engine import GPU_MAIN, GPU_SIDE, NIC, Engine, Task, TaskRecord
 from repro.fusion import DEFAULT_BUFFER_BYTES, partition_buckets, scaled_buffer_size
 from repro.sim.results import IterationBreakdown, breakdown_from_records
-
-FP32 = 4
 
 Buckets = Sequence[Tuple[int, int]]  # one ``partition_buckets`` result
 
@@ -266,26 +272,43 @@ def _skeleton(ctx: BuildContext) -> _Skeleton:
         return _SKELETONS[-1]
 
 
-def _lowrank_dims(item: _ReadyTensor, rank: int) -> Tuple[int, int, int]:
-    """``(n, m, r)``: the tensor's matrix view and its effective rank."""
-    n, m = matrix_view_shape(item.tensor.shape)
-    return n, m, min(rank, n, m)
+def _step_wire(ctx: BuildContext, skel: _Skeleton, half: int = 1):
+    """The scenario's declared step (:func:`~repro.compression.wire
+    .step_wire`, float32) over the skeleton's tensors in readiness order.
+    Power-SGD* sends what Power-SGD does; only its schedule differs."""
+    return step_wire(
+        "powersgd" if ctx.method == "powersgd_star" else ctx.method,
+        [item.tensor.shape for item in skel.ready],
+        rank=ctx.rank, ratio=ctx.topk_ratio, half=half,
+    )
 
 
-def _lowrank_split(
-    ready: Sequence[_ReadyTensor], rank: int
-) -> Tuple[List[_ReadyTensor], List[_ReadyTensor]]:
-    """(compressible matrices, plain tensors) under the §IV-C rules."""
-    matrices: List[_ReadyTensor] = []
-    plain: List[_ReadyTensor] = []
-    for item in ready:
-        if should_compress(item.tensor.shape):
-            n, m, r = _lowrank_dims(item, rank)
-            if n * m > (n + m) * r:
-                matrices.append(item)
-                continue
-        plain.append(item)
-    return matrices, plain
+def _flat_wire(ctx: BuildContext, skel: _Skeleton) -> Collective:
+    """The one collective of a method compressing the fused vector
+    (the all-gather methods, Random-k), once per (method, ratio)."""
+    return skel.part(
+        ("wire", ctx.method, ctx.topk_ratio), lambda: _step_wire(ctx, skel)[0]
+    )
+
+
+_LowRank = Tuple[
+    Dict[int, Tuple[int, int, int]], List[int], Dict[str, Dict[int, float]]
+]
+
+
+def _lowrank(ctx: BuildContext, skel: _Skeleton, half: int = 1) -> _LowRank:
+    """``(dims, plain, wire)``: the §IV-C split of the skeleton's tensors
+    (readiness index -> ``(n, m, r)``; plain indices) and the step's
+    declared bytes, by group (``plain`` / ``P`` / ``Q``) and tensor index."""
+    dims, plain = low_rank_split(
+        [item.tensor.shape for item in skel.ready], ctx.rank
+    )
+    owners = {"plain": plain, "P": list(dims), "Q": list(dims)}
+    wire = {
+        collective.group: dict(zip(owners[collective.group], collective.sizes))
+        for collective in _step_wire(ctx, skel, half)
+    }
+    return dims, plain, wire
 
 
 def _bucket_comm_tasks(
@@ -390,52 +413,42 @@ def _allgather_method_tasks(ctx: BuildContext, parity_p: bool) -> List[Task]:
 
     Sign-SGD and Top-k follow the paper's §III-A characterization (packed
     after BP); TernGrad, QSGD and DGC (extensions) ride the same template
-    with their own payload sizes and compression costs. WFBP/TF switches do
-    not change these graphs.
+    with their own declared payloads and compression costs. WFBP/TF
+    switches do not change these graphs.
     """
-    method, cluster, sim, topk_ratio = ctx.method, ctx.cluster, ctx.sim, ctx.topk_ratio
+    method, cluster, sim = ctx.method, ctx.cluster, ctx.sim
     skel = _skeleton(ctx)
     total_bytes = skel.raw_bytes
-    total_elems = total_bytes / FP32
     if method == "signsgd":
         compress = gpu_cost.sign_compress_time(total_bytes, sim)
-        payload = total_bytes / 32.0  # 1 bit per element
         decompress = gpu_cost.sign_decompress_time(total_bytes, cluster.world_size, sim)
     elif method == "terngrad":
-        # 2 bits/element; packing cost ~1.5x sign's (clip + round + pack).
+        # Packing cost ~1.5x sign's (clip + round + pack).
         compress = 1.5 * gpu_cost.sign_compress_time(total_bytes, sim)
-        payload = total_bytes / 16.0
         decompress = 2.0 * gpu_cost.sign_decompress_time(
             total_bytes, cluster.world_size, sim
         )
     elif method == "qsgd":
-        # 8-bit levels + sign bit; norm pass + stochastic rounding ~2x sign.
+        # Norm pass + stochastic rounding ~2x sign.
         compress = 2.0 * gpu_cost.sign_compress_time(total_bytes, sim)
-        payload = total_bytes * 9.0 / 32.0
         decompress = 4.0 * gpu_cost.sign_decompress_time(
             total_bytes, cluster.world_size, sim
         )
     else:  # topk / dgc
-        k = max(1, int(round(total_elems * topk_ratio)))
+        k = select_count(ctx.topk_ratio, total_bytes / FP32)
         compress = gpu_cost.topk_compress_time(total_bytes, sim)
         if method == "dgc":
             # Selection runs on the velocity: two accumulator update passes.
             compress += sim.memory_pass_time(4.0 * total_bytes)
-        payload = 2.0 * k * FP32  # values + indices
         decompress = gpu_cost.topk_decompress_time(k, cluster.world_size, sim)
     gather = sim.allgather_penalty * allgather_time(
-        payload, cluster.world_size, cluster.link
+        _flat_wire(ctx, skel).nbytes, cluster.world_size, cluster.link
     )
     return skel.tasks + _chained([
         ("compress", GPU_MAIN, compress, True),
         ("gather", NIC, gather, True),
         ("decompress", GPU_MAIN, decompress, True),
     ], skel.last_bp)
-
-
-def _randomk_wire(ctx: BuildContext, skel: _Skeleton) -> List[float]:
-    """Wire bytes per tensor: every tensor is hooked, ``topk_ratio`` kept."""
-    return [size * ctx.topk_ratio for size in skel.sizes]
 
 
 def _randomk_tasks(ctx: BuildContext, parity_p: bool, buckets: Buckets) -> List[Task]:
@@ -455,7 +468,7 @@ def _randomk_tasks(ctx: BuildContext, parity_p: bool, buckets: Buckets) -> List[
         [sim.memory_pass_time(2.0 * size) for size in nbytes],
     ))
     return _hooked_tasks(
-        ctx, buckets, "rk", timeline, _randomk_wire(ctx, skel),
+        ctx, buckets, "rk", timeline, _flat_wire(ctx, skel).sizes,
         post_name="scatter",
         post_work=lambda start, end: sim.memory_pass_time(
             float(sum(nbytes[start:end]))
@@ -463,23 +476,26 @@ def _randomk_tasks(ctx: BuildContext, parity_p: bool, buckets: Buckets) -> List[
     )
 
 
-def _powersgd_costs(ctx: BuildContext, matrices: Sequence[_ReadyTensor]):
-    """Kernel seconds ``(ef, project, ortho, reconstruct)`` and factor bytes
-    ``(P, Q)`` summed over a group of matrices."""
+def _powersgd_costs(
+    ctx: BuildContext, lowrank: _LowRank, matrices: Sequence[int]
+):
+    """Kernel seconds ``(ef, project, ortho, reconstruct)`` and declared
+    factor bytes ``(P, Q)`` summed over a group of factored tensors."""
     sim = ctx.sim
-    dims = [_lowrank_dims(item, ctx.rank) for item in matrices]
+    all_dims, _, wire = lowrank
+    dims = [all_dims[index] for index in matrices]
     return (
         sum(gpu_cost.error_feedback_time(n, m, sim) for n, m, _ in dims),
         sum(gpu_cost.lowrank_project_time(n, m, r, sim) for n, m, r in dims),
         sum(gpu_cost.orthogonalize_time(n, r, sim) for n, _, r in dims),
         sum(gpu_cost.reconstruct_time(n, m, r, sim) for n, m, r in dims),
-        sum(n * r * FP32 for n, _, r in dims),
-        sum(m * r * FP32 for _, m, r in dims),
+        sum(wire["P"][index] for index in matrices),
+        sum(wire["Q"][index] for index in matrices),
     )
 
 
 def _powersgd_bucket_tasks(
-    ctx: BuildContext, bucket_idx: int, matrices: Sequence[_ReadyTensor],
+    ctx: BuildContext, bucket_idx: int, lowrank: _LowRank, matrices: Sequence[int],
     plain_bytes: float, dep: str, stream: str, ortho_contends: bool,
 ) -> List[Task]:
     """One Power-SGD bucket: compress P -> AR -> ortho -> Q -> AR -> reconstruct.
@@ -487,7 +503,9 @@ def _powersgd_bucket_tasks(
     ``plain_bytes`` (uncompressed tensors of the bucket) ride the P
     all-reduce, as in the PowerSGD DDP hook.
     """
-    ef, project, ortho, reconstruct, p_bytes, q_bytes = _powersgd_costs(ctx, matrices)
+    ef, project, ortho, reconstruct, p_bytes, q_bytes = _powersgd_costs(
+        ctx, lowrank, matrices
+    )
     allreduce = ctx.cluster.allreduce_cost
     prefix = f"psgd{bucket_idx}"
     # QR is launch-latency bound and does not contend for SMs; the EF pass,
@@ -509,15 +527,16 @@ def _powersgd_tasks(ctx: BuildContext, parity_p: bool) -> List[Task]:
     per factor)."""
     skel = _skeleton(ctx)
     tasks, last_bp = list(skel.tasks), skel.last_bp
-    matrices, plain = _lowrank_split(skel.ready, ctx.rank)
+    lowrank = skel.part(("psgd", ctx.rank), lambda: _lowrank(ctx, skel))
+    dims, plain, wire = lowrank
     if not ctx.system.tensor_fusion:
         # Naive variant: per-tensor collectives — same payload split into
         # one P and one Q all-reduce per matrix (and one per plain tensor),
         # charging the startup cost each time.
         allreduce = ctx.cluster.allreduce_cost
-        for idx, item in enumerate(matrices):
+        for idx, index in enumerate(dims):
             ef, project, ortho, reconstruct, p_bytes, q_bytes = _powersgd_costs(
-                ctx, [item]
+                ctx, lowrank, [index]
             )
             tasks.extend(_chained([
                 (f"psgdn_compress_p{idx}", GPU_MAIN, ef + project, True),
@@ -527,19 +546,19 @@ def _powersgd_tasks(ctx: BuildContext, parity_p: bool) -> List[Task]:
                 (f"psgdn_reconstruct{idx}", GPU_MAIN, reconstruct, True),
             ], last_bp))
         tasks.extend(
-            Task(f"psgdn_plain_comm{idx}", NIC, allreduce(item.nbytes),
+            Task(f"psgdn_plain_comm{idx}", NIC, allreduce(wire["plain"][index]),
                  (last_bp,), tag="comm")
-            for idx, item in enumerate(plain)
+            for idx, index in enumerate(plain)
         )
         return tasks
-    plain_bytes = float(sum(item.nbytes for item in plain))
-    groups: Dict[Tuple[int, int], List[_ReadyTensor]] = {}
-    for item in matrices:
-        groups.setdefault(matrix_view_shape(item.tensor.shape), []).append(item)
+    plain_bytes = float(sum(wire.get("plain", {}).values()))
+    groups: Dict[Tuple[int, int], List[int]] = {}
+    for index, (n, m, _) in dims.items():
+        groups.setdefault((n, m), []).append(index)
     for g_idx, group in enumerate(groups.values()):
         tasks.extend(
             _powersgd_bucket_tasks(
-                ctx, g_idx, group, plain_bytes if g_idx == 0 else 0.0,
+                ctx, g_idx, lowrank, group, plain_bytes if g_idx == 0 else 0.0,
                 last_bp, GPU_MAIN, ctx.sim.qr_contends,
             )
         )
@@ -562,13 +581,17 @@ def _powersgd_star_tasks(
     # Fine-grained (per-tensor, no TF) hooks launch a storm of tiny kernels
     # that stalls the main stream: their orthogonalizations contend too.
     ortho_contends = ctx.sim.qr_contends if system.tensor_fusion else True
+    lowrank = skel.part(("psgd", ctx.rank), lambda: _lowrank(ctx, skel))
+    dims, plain_sizes = lowrank[0], lowrank[2].get("plain", {})
     for b_idx, (start, end) in enumerate(buckets):
-        matrices, plain = _lowrank_split(ready[start:end], ctx.rank)
-        plain_bytes = float(sum(item.nbytes for item in plain))
+        members = range(start, end)
+        matrices = [index for index in members if index in dims]
+        plain_bytes = float(sum(plain_sizes.get(index, 0) for index in members))
         dep = ready[end - 1].bp_task if system.wfbp else last_bp
         tasks.extend(
             _powersgd_bucket_tasks(
-                ctx, b_idx, matrices, plain_bytes, dep, stream, ortho_contends
+                ctx, b_idx, lowrank, matrices, plain_bytes, dep, stream,
+                ortho_contends,
             )
         )
     return tasks
@@ -580,17 +603,19 @@ def _acpsgd_prefix(ctx: BuildContext, skel: _Skeleton, parity_p: bool):
     sim, rank, wfbp = ctx.sim, ctx.rank, ctx.system.wfbp
 
     def prefix():
-        matrices, plain = _lowrank_split(skel.ready, rank)
-        dims = [_lowrank_dims(item, rank) for item in matrices]
+        dims, plain, wire = _lowrank(ctx, skel, 1 if parity_p else 2)
+        matrices = [skel.ready[index] for index in dims]
         timeline = _hook_timeline(skel, wfbp, "acp", matrices, [
             gpu_cost.error_feedback_time(n, m, sim)
             + gpu_cost.orthogonalize_time(m if parity_p else n, r, sim)
             + gpu_cost.lowrank_project_time(n, m, r, sim)
-            for n, m, r in dims
+            for n, m, r in dims.values()
         ])
-        factor_bytes = [float((n if parity_p else m) * r * FP32) for n, m, r in dims]
-        reconstruct = [gpu_cost.reconstruct_time(n, m, r, sim) for n, m, r in dims]
-        return timeline, factor_bytes, reconstruct, plain
+        factor_bytes = list(wire.get("P" if parity_p else "Q", {}).values())
+        reconstruct = [
+            gpu_cost.reconstruct_time(n, m, r, sim) for n, m, r in dims.values()
+        ]
+        return timeline, factor_bytes, reconstruct, [skel.ready[i] for i in plain]
 
     return skel.part(("acp", rank, parity_p, wfbp), prefix)
 
@@ -634,7 +659,7 @@ def fusion_plan(ctx: BuildContext, parity_p: bool = True) -> Tuple[Buckets, ...]
     if ctx.method in ("ssgd", "powersgd_star"):
         fused = [(skel.sizes, False)]
     elif ctx.method == "randomk":
-        fused = [(_randomk_wire(ctx, skel), True)]
+        fused = [(_flat_wire(ctx, skel).sizes, True)]
     elif ctx.method == "acpsgd":
         _, factor_bytes, _, plain = _acpsgd_prefix(ctx, skel, parity_p)
         fused = [(factor_bytes, True), ([item.nbytes for item in plain], False)]
@@ -705,7 +730,8 @@ def simulate_iteration(
     """Simulate one training iteration and return its timing breakdown.
 
     Args:
-        method: one of :data:`METHODS`.
+        method: one of :data:`ALL_METHODS` (the paper's :data:`METHODS`
+            and the :data:`EXTENSION_METHODS`).
         model: shape-level model spec.
         cluster: worker count + link (default 32 x 10GbE, the paper's).
         system: WFBP / TF switches (default both on, 25MB buffer).

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.compression.ratios import compression_ratio
+from repro.compression.wire import compression_ratio
 from repro.models import get_model_spec
 from repro.models.registry import PAPER_RANKS
 from repro.models.spec import LayerSpec, ModelSpec, TensorSpec, conv_layer

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.comm.process_group import ProcessGroup
+from repro.compression.wire import low_rank_split
 from repro.models.convnets import make_mlp, make_small_vgg
 from repro.optim.aggregators import AllReduceAggregator, make_aggregator
 from repro.optim.sgd import SGD
@@ -214,8 +215,9 @@ class TestLowRankSteadyStateMemory:
             )
         per_worker = [arena.grads(slot) for slot in range(world_size)]
         aggregator = make_aggregator(method, ProcessGroup(world_size), rank=4)
-        compressible, _ = aggregator._split_names(per_worker[0])
-        compressible_bytes = sum(per_worker[0][n].nbytes for n in compressible)
+        grads = list(per_worker[0].values())
+        factored, _ = low_rank_split([g.shape for g in grads], 4)
+        compressible_bytes = sum(grads[i].nbytes for i in factored)
         for _ in range(2):  # staging rows and scratch settle
             aggregator.aggregate(per_worker)
         for _ in range(2):  # an even and an odd step

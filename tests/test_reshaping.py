@@ -9,6 +9,7 @@ from repro.compression.reshaping import (
     matrix_view_shape,
     should_compress,
 )
+from repro.compression.wire import low_rank_split
 
 
 class TestShouldCompress:
@@ -20,9 +21,12 @@ class TestShouldCompress:
         assert should_compress((64, 64))
         assert should_compress((64, 3, 7, 7))
 
-    def test_min_elements_floor(self):
-        assert not should_compress((4, 4), min_elements=100)
-        assert should_compress((100, 100), min_elements=100)
+    def test_factored_only_where_it_shrinks(self):
+        # 4 x 4 at rank 4 would send 32 factor elements for 16: it stays
+        # plain, while 100 x 100 sends 800 for 10 000.
+        factored, plain = low_rank_split([(4, 4), (100, 100)], rank=4)
+        assert factored == {1: (100, 100, 4)}
+        assert plain == [0]
 
 
 class TestMatrixView:

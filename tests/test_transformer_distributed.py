@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.comm.process_group import ProcessGroup
+from repro.compression.wire import low_rank_split
 from repro.models.transformer import make_tiny_bert
 from repro.optim.aggregators import make_aggregator
 from repro.optim.sgd import SGD
@@ -61,7 +62,11 @@ class TestTransformerDistributed:
     def test_attention_matrices_are_compressed(self):
         """The aggregator must treat H x H attention weights as compressible."""
         trainer, _ = _make_trainer("acpsgd", rank=2)
-        agg = trainer.aggregator
-        compressible, plain = agg._split_names(trainer._arena.grads(0))
+        layout = trainer._arena.layout
+        factored, plain = low_rank_split(
+            [layout.shapes[n] for n in layout.names], trainer.aggregator.rank
+        )
+        compressible = [layout.names[i] for i in factored]
+        plain = [layout.names[i] for i in plain]
         assert any("attention" in name for name in compressible)
         assert any("bias" in name for name in plain)

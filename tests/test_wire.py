@@ -1,0 +1,92 @@
+"""The trainer's wire equals its declaration, collective by collective.
+
+Every method aggregates one monolithic step on a
+:class:`~repro.comm.process_group.ProcessGroup`; the collectives the group
+recorded must be :func:`~repro.compression.wire.step_wire`'s at the
+trainer's float64 width, in order, with the same kind and traffic.
+"""
+
+import numpy as np
+import pytest
+
+from repro.comm.process_group import ProcessGroup
+from repro.compression.wire import ALL_GATHER, ALL_REDUCE, step_wire
+from repro.optim.aggregators import make_aggregator
+
+# A bias, a factored matrix, a conv kernel and a matrix that rank 4 would
+# not shrink (2 x 100 -> 204 factor elements), which travels plain; 2 933
+# elements, so packed bits and 2-bit codes end in a partial byte.
+SHAPES = {"bias": (45,), "fc": (48, 32), "conv": (16, 8, 3, 3), "thin": (2, 100)}
+RANK, RATIO = 4, 0.01
+METHOD_KWARGS = {
+    "ssgd": {},
+    "signsgd": {},
+    "topk": {"ratio": RATIO},
+    "dgc": {"ratio": RATIO},
+    "randomk": {"ratio": RATIO},
+    "qsgd": {},
+    "terngrad": {},
+    "powersgd": {"rank": RANK},
+    "acpsgd": {"rank": RANK},
+}
+KINDS = {"allreduce_ring": ALL_REDUCE, "all_gather": ALL_GATHER}
+
+# Total bytes of each step's collectives at world 4, measured on the
+# trainer before the declaration existed.
+MEASURED_AT_4 = {
+    "ssgd": [140784],
+    "signsgd": [4404],
+    "topk": [5568],
+    "dgc": [5568],
+    "randomk": [1392],
+    "qsgd": [39600],
+    "terngrad": [8808],
+    "powersgd": [11760, 12288, 19968],
+    "acpsgd": [11760, 12288],  # step 2 sends Q: 11 760, 19 968
+}
+
+
+def _measured_steps(method, world):
+    """``(kind, total_bytes)`` of every collective of two steps."""
+    rng = np.random.default_rng(0)
+    group = ProcessGroup(world)
+    aggregator = make_aggregator(method, group, **METHOD_KWARGS[method])
+    steps = []
+    for _ in range(2):
+        group.reset_stats()
+        aggregator.aggregate([
+            {name: rng.normal(size=shape) for name, shape in SHAPES.items()}
+            for _ in range(world)
+        ])
+        steps.append([(KINDS[s.algorithm], s.total_bytes) for s in group.history])
+    return steps
+
+
+def _declared_total(collective, world):
+    """Every rank's traffic: a ring all-reduce sends ``2 (p-1) B`` in all,
+    an all-gather each rank's ``B`` to ``p - 1`` others."""
+    if collective.kind == ALL_REDUCE:
+        return 2 * (world - 1) * collective.nbytes
+    return (world - 1) * world * collective.nbytes
+
+
+@pytest.mark.parametrize("world", [2, 3, 4])
+@pytest.mark.parametrize("method", sorted(METHOD_KWARGS))
+def test_trainer_wire_is_declared(method, world):
+    for step, measured in enumerate(_measured_steps(method, world), start=1):
+        declared = step_wire(
+            method, SHAPES.values(), rank=RANK, ratio=RATIO, half=step,
+            elem_bytes=8,
+        )
+        assert measured == [
+            (c.kind, _declared_total(c, world)) for c in declared
+        ], f"{method} step {step}"
+
+
+@pytest.mark.parametrize("method", sorted(METHOD_KWARGS))
+def test_declaration_reproduces_the_measured_figures(method):
+    declared = step_wire(
+        method, SHAPES.values(), rank=RANK, ratio=RATIO, elem_bytes=8
+    )
+    assert [_declared_total(c, 4) for c in declared] == MEASURED_AT_4[method]
+
