@@ -3,10 +3,11 @@
 Part 1 trains a small convnet on three simulated workers with ACP-SGD
 while the cluster churns: one rank dies permanently mid-run, is later
 readmitted, and then a brand-new fourth rank joins. The
-:class:`MembershipController` commits each change at a step boundary,
-re-chunks the ring for the new world size, broadcasts model + optimizer
-state from a surviving donor, warm-starts the joiner's compressor state,
-and re-shards the dataset — so training just keeps going. Replaying the
+:class:`ResilientProcessGroup` commits each change of its fault plan at a
+step boundary and re-chunks the ring for the new world size; the trainer
+broadcasts model + optimizer state from a surviving donor, warm-starts the
+joiner's compressor state, and re-shards the dataset — so training just
+keeps going. Replaying the
 identical schedule produces bit-identical weights, which Part 1 asserts.
 
 Part 2 asks the performance question on the simulator: what does the same
@@ -21,7 +22,6 @@ import argparse
 
 import numpy as np
 
-from repro.elastic import MembershipController
 from repro.faults import (
     FaultInjector,
     FaultPlan,
@@ -40,7 +40,7 @@ WORLD_SIZE = 3
 
 
 def train(epochs: int, steps: int):
-    """One elastic run; returns (history, group, membership, model)."""
+    """One elastic run; returns (history, group, model)."""
     plan = FaultPlan(
         seed=2,
         permanent=(PermanentFailure(rank=2, call_index=4),),
@@ -50,15 +50,14 @@ def train(epochs: int, steps: int):
     train_data, test_data = make_cifar_like(num_train=512, num_test=200, seed=3)
     model = make_small_vgg(base_width=8, rng=np.random.default_rng(7))
     group = ResilientProcessGroup(WORLD_SIZE, injector=FaultInjector(plan))
-    membership = MembershipController(group)
     aggregator = make_aggregator("acpsgd", group, rank=4)
     trainer = DataParallelTrainer(
         model, SGD(model, lr=0.06, momentum=0.9), aggregator,
         train_data, test_data, batch_size_per_worker=16, seed=11,
-        resilience=ResilienceConfig(), membership=membership,
+        resilience=ResilienceConfig(),
     )
     history = trainer.run(epochs, steps, method_label="acpsgd")
-    return history, group, membership, model
+    return history, group, model
 
 
 def main() -> None:
@@ -68,14 +67,12 @@ def main() -> None:
     args = parser.parse_args()
 
     print("=== Part 1: training through membership churn ===")
-    history, group, membership, model = train(args.epochs, args.steps)
+    history, group, model = train(args.epochs, args.steps)
     print(history.render())
-    print("\n--- membership log ---")
-    print(membership.log.render())
-    print("\n--- resilience report ---")
+    print("\n--- membership and resilience report ---")
     print(group.resilience_report())
 
-    _, _, _, replay = train(args.epochs, args.steps)
+    _, _, replay = train(args.epochs, args.steps)
     max_diff = float(np.abs(
         model.state_vector() - replay.state_vector()
     ).max())

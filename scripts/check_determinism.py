@@ -95,7 +95,6 @@ def run_once(steps: int) -> np.ndarray:
 
 def run_churn(steps: int, workers: str = "seq") -> np.ndarray:
     """An elastic run: eject -> rejoin -> scale-up, all within ``steps``."""
-    from repro.elastic import MembershipController
     from repro.faults import Join, PermanentFailure, Recovery
 
     plan = FaultPlan(
@@ -107,17 +106,15 @@ def run_churn(steps: int, workers: str = "seq") -> np.ndarray:
     train_data, test_data = make_cifar_like(num_train=256, num_test=64, seed=3)
     model = make_small_vgg(base_width=4, rng=np.random.default_rng(5))
     group = ResilientProcessGroup(3, injector=FaultInjector(plan))
-    membership = MembershipController(group)
     aggregator = make_aggregator("acpsgd", group, rank=2)
     trainer = DataParallelTrainer(
         model, SGD(model, lr=0.05, momentum=0.9), aggregator,
         train_data, test_data, batch_size_per_worker=8, seed=13,
-        resilience=ResilienceConfig(), membership=membership,
-        workers=workers,
+        resilience=ResilienceConfig(), workers=workers,
     )
     with trainer:
         trainer.run(epochs=1, steps_per_epoch=steps, method_label="acpsgd")
-    changes = [change.kind for change in membership.log.changes]
+    changes = [change.kind for change in group.changes]
     if changes != ["eject", "rejoin", "join"]:
         raise RuntimeError(
             f"churn schedule did not play out as planned: {changes}"
@@ -186,10 +183,9 @@ def run_gossip(windows: int):
     return cluster.honest_peers()[0].state_vector(), dict(report.quarantined)
 
 
-def run_supervised(steps: int, workers: str, on_failure, membership_on: bool):
+def run_supervised(steps: int, workers: str, on_failure):
     """A supervised run with a worker child SIGKILLed mid-step (rank 1,
-    step 1). Returns (weights, membership log kinds or None)."""
-    from repro.elastic import MembershipController
+    step 1). Returns (weights, kinds of the group's roster changes)."""
     from repro.faults import SupervisionPolicy, WorkerFault
 
     plan = (
@@ -199,7 +195,6 @@ def run_supervised(steps: int, workers: str, on_failure, membership_on: bool):
     train_data, test_data = make_cifar_like(num_train=256, num_test=64, seed=3)
     model = make_small_vgg(base_width=4, rng=np.random.default_rng(5))
     group = ResilientProcessGroup(2, injector=FaultInjector(plan))
-    membership = MembershipController(group) if membership_on else None
     policy = (
         SupervisionPolicy(on_failure=on_failure, respawn_delay_steps=2)
         if on_failure is not None else None
@@ -208,16 +203,11 @@ def run_supervised(steps: int, workers: str, on_failure, membership_on: bool):
         model, SGD(model, lr=0.05, momentum=0.9),
         make_aggregator("ssgd", group),
         train_data, test_data, batch_size_per_worker=8, seed=13,
-        workers=workers, membership=membership, supervision=policy,
-        worker_step_timeout=30.0,
+        workers=workers, supervision=policy, worker_step_timeout=30.0,
     )
     with trainer:
         trainer.run(epochs=1, steps_per_epoch=steps, method_label="ssgd")
-    kinds = (
-        [change.kind for change in membership.log.changes]
-        if membership_on else None
-    )
-    return model.state_vector(), kinds
+    return model.state_vector(), [change.kind for change in group.changes]
 
 
 def main() -> int:
@@ -319,16 +309,16 @@ def main() -> int:
     # rank 1, step 1) must recover bit-identically under both
     # supervision rungs.
     supervision_failed = []
-    clean, _ = run_supervised(args.steps, "process", None, False)
-    restarted, _ = run_supervised(args.steps, "process", "restart", False)
+    clean, _ = run_supervised(args.steps, "process", None)
+    restarted, _ = run_supervised(args.steps, "process", "restart")
     if not np.array_equal(clean, restarted):
         diff = float(np.abs(clean - restarted).max())
         supervision_failed.append(
             f"restart diverged from fault-free (max |diff| = {diff:g})"
         )
     eject_steps = max(args.steps, 5)  # eject + scheduled rejoin need room
-    ejected, eject_log = run_supervised(eject_steps, "process", "eject", True)
-    twin, twin_log = run_supervised(eject_steps, "seq", "eject", True)
+    ejected, eject_log = run_supervised(eject_steps, "process", "eject")
+    twin, twin_log = run_supervised(eject_steps, "seq", "eject")
     if not np.array_equal(ejected, twin):
         diff = float(np.abs(ejected - twin).max())
         supervision_failed.append(

@@ -24,7 +24,7 @@ subsystems promise *jointly*, not one mock at a time:
 
 Scenarios (``--scenarios``): ``workers`` (process-backend training under
 crash/hang/slow worker faults, restart policy), ``elastic``
-(eject-and-rejoin through the membership controller, process vs
+(eject-and-rejoin committed by the resilient group, process vs
 sequential twin), ``gossip`` (FaultyStore drops/lag/tears/outages).
 Campaign ``k`` of seed ``s`` derives every draw from ``(s, k)``, so any
 red campaign is rerunnable in isolation with ``--seed``/``--campaigns``.
@@ -145,11 +145,9 @@ def _run_supervised(
     method: str,
     plan: Optional[FaultPlan],
     policy: Optional[SupervisionPolicy],
-    membership_on: bool,
 ):
     """One short supervised training run; returns (losses, weights, trainer)."""
     from repro.comm.process_group import ProcessGroup
-    from repro.elastic import MembershipController
     from repro.faults.plan import FaultInjector
     from repro.faults.resilient import ResilientProcessGroup
     from repro.models.convnets import make_mlp
@@ -159,13 +157,7 @@ def _run_supervised(
 
     train_data, test_data = _make_task(seed)
     model = make_mlp(6, 10, 3, rng=np.random.default_rng((seed, 1)))
-    membership = None
-    if membership_on:
-        group = ResilientProcessGroup(
-            world, injector=FaultInjector(plan or FaultPlan(seed=seed))
-        )
-        membership = MembershipController(group)
-    elif policy is not None:
+    if policy is not None:
         group = ResilientProcessGroup(
             world, injector=FaultInjector(plan or FaultPlan(seed=seed))
         )
@@ -180,7 +172,6 @@ def _run_supervised(
         batch_size_per_worker=4,
         seed=seed,
         workers=workers,
-        membership=membership,
         supervision=policy,
         # Short on purpose: a scheduled hang costs one full timeout to
         # detect, and these models step in milliseconds — 10s is still a
@@ -214,17 +205,17 @@ def _campaign_workers(seed: int, rng: np.random.Generator) -> Tuple[str, List[st
     failures: List[str] = []
 
     clean_losses, clean_weights, _ = _run_supervised(
-        seed, "process", world, steps, method, None, None, False
+        seed, "process", world, steps, method, None, None
     )
     losses, weights, trainer = _run_supervised(
-        seed, "process", world, steps, method, plan, policy, False
+        seed, "process", world, steps, method, plan, policy
     )
     if losses != clean_losses or not np.array_equal(weights, clean_weights):
         failures.append(
             "restart-supervised run is not bit-identical to fault-free"
         )
     seq_losses, seq_weights, seq_trainer = _run_supervised(
-        seed, "seq", world, steps, method, plan, policy, False
+        seed, "seq", world, steps, method, plan, policy
     )
     if losses != seq_losses or not np.array_equal(weights, seq_weights):
         failures.append("process run diverged from its sequential twin")
@@ -247,7 +238,7 @@ def _campaign_workers(seed: int, rng: np.random.Generator) -> Tuple[str, List[st
 
 
 def _campaign_elastic(seed: int, rng: np.random.Generator) -> Tuple[str, List[str]]:
-    """Eject-and-rejoin through the membership controller, twin-checked."""
+    """Eject-and-rejoin through the resilient group, twin-checked."""
     world = int(rng.integers(2, 4))
     steps = int(rng.integers(5, 8))
     method = str(rng.choice(["ssgd", "acpsgd"]))
@@ -271,23 +262,24 @@ def _campaign_elastic(seed: int, rng: np.random.Generator) -> Tuple[str, List[st
     failures: List[str] = []
 
     p_losses, p_weights, p_trainer = _run_supervised(
-        seed, "process", world, steps, method, plan, policy, True
+        seed, "process", world, steps, method, plan, policy
     )
     s_losses, s_weights, s_trainer = _run_supervised(
-        seed, "seq", world, steps, method, plan, policy, True
+        seed, "seq", world, steps, method, plan, policy
     )
     if p_losses != s_losses or not np.array_equal(p_weights, s_weights):
         failures.append(
             "eject-supervised process run diverged from its sequential twin"
         )
     for label, trainer in (("process", p_trainer), ("seq", s_trainer)):
-        log = trainer.membership.log
-        if [c.rank for c in log.of_kind("eject")] != [fault.rank]:
+        group = trainer.aggregator.group
+        changes = [change.render() for change in group.changes]
+        if group.ranks_of("eject") != [fault.rank]:
             failures.append(f"{label}: ejection of rank {fault.rank} "
-                            f"not committed ({log.render()})")
-        if [c.rank for c in log.of_kind("rejoin")] != [fault.rank]:
+                            f"not committed ({changes})")
+        if group.ranks_of("rejoin") != [fault.rank]:
             failures.append(f"{label}: rejoin of rank {fault.rank} "
-                            f"not committed ({log.render()})")
+                            f"not committed ({changes})")
         stats = trainer.supervisor.stats
         if stats.worker_crashes + stats.worker_timeouts != 1:
             failures.append(f"{label}: stats do not reconcile")

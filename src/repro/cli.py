@@ -192,7 +192,6 @@ def cmd_elastic(args: argparse.Namespace) -> int:
     """Elastic-membership demo: a rank dies, rejoins, and a new one joins."""
     import numpy as np
 
-    from repro.elastic import MembershipController
     from repro.faults import (
         FaultInjector, FaultPlan, Join, PermanentFailure, Recovery,
         ResilientProcessGroup,
@@ -201,6 +200,11 @@ def cmd_elastic(args: argparse.Namespace) -> int:
     from repro.optim import SGD, make_aggregator
     from repro.train import DataParallelTrainer, ResilienceConfig, make_cifar_like
 
+    if args.workers < 2:
+        raise ValueError(
+            f"--workers must be >= 2, got {args.workers}: the demo ejects "
+            f"rank {args.workers - 1} and needs a survivor"
+        )
     train_data, test_data = make_cifar_like(
         num_train=args.samples, num_test=max(100, args.samples // 4),
         seed=args.seed,
@@ -215,7 +219,6 @@ def cmd_elastic(args: argparse.Namespace) -> int:
         joins=(Join(call_index=args.join_call),),
     )
     group = ResilientProcessGroup(args.workers, injector=FaultInjector(plan))
-    membership = MembershipController(group)
     kwargs = {}
     if args.method in ("powersgd", "acpsgd"):
         kwargs["rank"] = args.rank
@@ -224,16 +227,13 @@ def cmd_elastic(args: argparse.Namespace) -> int:
         model, SGD(model, lr=args.lr, momentum=0.9), aggregator,
         train_data, test_data, batch_size_per_worker=args.batch_size,
         seed=args.seed + 2, resilience=ResilienceConfig(),
-        membership=membership,
     )
     history = trainer.run(args.epochs, args.steps_per_epoch,
                           method_label=args.method)
     print(history.render())
     print(f"final accuracy {history.final_accuracy:.1%}; "
           f"wire traffic {group.total_bytes() / MB:.1f}MB")
-    print("--- membership ---")
-    print(membership.log.render())
-    print("--- communication resilience ---")
+    print("--- membership and communication resilience ---")
     print(group.resilience_report())
     return 0
 

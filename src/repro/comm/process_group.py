@@ -8,7 +8,7 @@ how the test suite validates the complexity column of Table II.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -60,6 +60,15 @@ class ProcessGroup:
                 f"group world size {self.world_size}"
             )
         self.topology = topology
+
+    def begin_step(self, sync: Optional[Callable] = None) -> List[int]:
+        """The roster of the next step: a fixed world runs on every rank.
+
+        :class:`~repro.faults.resilient.ResilientProcessGroup` commits its
+        roster changes here and calls ``sync`` per admission; a fixed world
+        never admits, so ``sync`` never fires.
+        """
+        return list(range(self.world_size))
 
     def _check_world(self, buffers: Sequence[np.ndarray]) -> None:
         if len(buffers) != self.world_size:

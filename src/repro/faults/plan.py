@@ -95,8 +95,8 @@ class Recovery:
 
     A recovery revises the most recent :class:`PermanentFailure` of the
     same rank: from ``call_index`` on the rank answers the wire again, and
-    the elastic membership controller readmits it (state warm-start, ring
-    rebuild, re-shard) at the next step boundary. Failure and recovery
+    the :class:`~repro.faults.resilient.ResilientProcessGroup` readmits it
+    (state warm-start, ring rebuild, re-shard) at the next step boundary. Failure and recovery
     events interleave by call index, so a rank can fail, rejoin, and fail
     again within one plan.
     """
@@ -115,9 +115,10 @@ class Recovery:
 class Join:
     """A brand-new rank asks to join the group at call ``call_index``.
 
-    The joiner has no history and no rank id yet — the membership
-    controller allocates the next never-used id and admits it at the first
-    step boundary after ``call_index``.
+    The joiner has no history and no rank id yet — the
+    :class:`~repro.faults.resilient.ResilientProcessGroup` allocates the
+    next never-used id and admits it at the first step boundary after
+    ``call_index``.
     """
 
     call_index: int

@@ -23,6 +23,10 @@ condensed into one in-process object):
    actually contributed. A rank the plan marks permanently dead is ejected:
    at the next :meth:`begin_step` the world shrinks to ``p - 1``, the ring
    re-chunks, and training continues.
+5. **Readmit / scale up** — the same boundary commits the plan's
+   :class:`~repro.faults.plan.Recovery` and :class:`~repro.faults.plan.Join`
+   events and the worker supervisor's rejoins, so one object owns every
+   roster change (:attr:`ResilientProcessGroup.changes`).
 
 All waiting is *simulated* (accumulated into ``CollectiveStats.delay_s``
 and the resilience stats), so recovery behaviour is deterministic and can
@@ -32,14 +36,14 @@ with the same seed yields bit-identical training.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Callable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.comm import collectives
 from repro.comm.process_group import ProcessGroup
-from repro.faults.plan import AttemptFaults, FaultInjector
+from repro.faults.plan import AttemptFaults, FaultInjector, Join
 from repro.perf.counters import ALLOC_STATS
 from repro.utils.validation import is_finite, payload_checksum
 
@@ -131,31 +135,10 @@ class ResilienceStats:
     worker_crashes: int = 0
     worker_timeouts: int = 0
     worker_restarts: int = 0
-    ejected_ranks: List[int] = field(default_factory=list)
-    rejoined_ranks: List[int] = field(default_factory=list)
-    joined_ranks: List[int] = field(default_factory=list)
-    #: (call_index, world_size) at construction and after every membership
-    #: change — the world-size timeline of the run.
-    world_size_timeline: List[Tuple[int, int]] = field(default_factory=list)
-
-    @property
-    def ejections(self) -> int:
-        """Ranks removed from the roster (permanent-failure commits)."""
-        return len(self.ejected_ranks)
-
-    @property
-    def rejoins(self) -> int:
-        """Previously ejected ranks readmitted by a Recovery event."""
-        return len(self.rejoined_ranks)
-
-    @property
-    def joins(self) -> int:
-        """Brand-new ranks admitted by a Join event."""
-        return len(self.joined_ranks)
 
     def render(self) -> str:
-        """Human-readable one-call-per-line summary."""
-        lines = [
+        """Human-readable one-counter-per-line summary."""
+        return "\n".join([
             f"collective calls      {self.calls}",
             f"retries               {self.retries}",
             f"backoff waited        {self.backoff_s * 1e3:.1f} ms",
@@ -168,16 +151,36 @@ class ResilienceStats:
             f"worker crashes        {self.worker_crashes}",
             f"worker timeouts       {self.worker_timeouts}",
             f"worker restarts       {self.worker_restarts}",
-            f"ejections             {self.ejections} {self.ejected_ranks or '[]'}",
-            f"rejoins               {self.rejoins} {self.rejoined_ranks or '[]'}",
-            f"joins                 {self.joins} {self.joined_ranks or '[]'}",
-        ]
-        if self.world_size_timeline:
-            timeline = " -> ".join(
-                f"{size}@call{call}" for call, size in self.world_size_timeline
-            )
-            lines.append(f"world-size timeline   {timeline}")
-        return "\n".join(lines)
+        ])
+
+
+@dataclass(frozen=True)
+class RosterChange:
+    """One committed change of a resilient group's live roster.
+
+    Attributes:
+        kind: ``"eject"``, ``"rejoin"`` (an ejected rank readmitted under
+            its old id) or ``"join"`` (a brand-new rank id).
+        rank: the rank that left or was admitted.
+        call_index: group call index at which the change committed.
+        world_size: live world size *after* the change.
+        donor: for an admission, the survivor whose state the admitted
+            rank starts from (the lowest live rank id before it); ``None``
+            for an ejection.
+    """
+
+    kind: str
+    rank: int
+    call_index: int
+    world_size: int
+    donor: Optional[int] = None
+
+    def render(self) -> str:
+        donor = f" (state from rank {self.donor})" if self.donor is not None else ""
+        return (
+            f"call {self.call_index:>4}: {self.kind:<6} rank "
+            f"{self.rank}{donor} -> world {self.world_size}"
+        )
 
 
 @dataclass
@@ -198,12 +201,16 @@ class ResilientProcessGroup(ProcessGroup):
         world_size: initial rank count.
         injector: fault source; ``None`` gives a fault-free group that still
             exercises the detection path (useful as a like-for-like control
-            in experiments).
+            in experiments). Its plan's :class:`~repro.faults.plan.Recovery`
+            and :class:`~repro.faults.plan.Join` events are the scheduled
+            admissions :meth:`begin_step` commits.
         policy: retry/backoff/fallback budgets.
 
-    ``world_size`` always reflects the *live* world: after a permanent rank
-    loss is committed by :meth:`begin_step`, callers must supply one buffer
-    per surviving rank and averages divide by the survivor count.
+    ``world_size`` always reflects the *live* world: after a roster change
+    is committed by :meth:`begin_step`, callers must supply one buffer per
+    live rank and averages divide by the live count. The group is the only
+    owner of the roster: every ejection, rejoin and join is one
+    :class:`RosterChange` in :attr:`changes`.
     """
 
     def __init__(
@@ -218,6 +225,8 @@ class ResilientProcessGroup(ProcessGroup):
         self.policy = policy if policy is not None else BackoffPolicy()
         self.stats = ResilienceStats()
         self.live_ranks: List[int] = list(range(world_size))
+        #: Every committed roster change, in commit order.
+        self.changes: List[RosterChange] = []
         self._dead: Set[int] = set()
         self._call_index = 0
         self._consecutive_ring_failures = 0
@@ -225,61 +234,129 @@ class ResilientProcessGroup(ProcessGroup):
         # Highest rank id ever used: Join admissions allocate past it so a
         # new rank can never collide with a live or ejected one.
         self._max_rank = world_size - 1
-        self.stats.world_size_timeline.append((0, world_size))
+        # The plan's Recovery/Join events not yet committed, in commit
+        # order, and the supervisor's rejoins: (boundaries left, rank).
+        self._events = list(
+            injector.plan.membership_events() if injector is not None else ()
+        )
+        self._rejoins: List[Tuple[int, int]] = []
 
     # ------------------------------------------------------------------
     # World management
     # ------------------------------------------------------------------
-    def begin_step(self) -> List[int]:
-        """Commit pending rank ejections; returns the live roster.
+    def begin_step(
+        self, sync: Optional[Callable[[RosterChange], None]] = None
+    ) -> List[int]:
+        """Commit every roster change that is due; returns the live roster.
 
         Callers driving multi-collective steps (the trainer) call this once
-        per step so the world size never changes *within* a step — detected
-        deaths only shrink the roster at the next step boundary, mirroring
-        how elastic runtimes restart the job between iterations.
+        per step so the world size never changes *within* a step, mirroring
+        how elastic runtimes restart the job between iterations. In order:
+        ejections of ranks found dead, the plan's Recovery/Join events
+        whose call index has been reached (plan commit order; a recovery
+        of a rank that is live is a no-op), then the rejoins
+        :meth:`schedule_rejoin` made due. An admission that races its own
+        ejection within one boundary resolves to eject-then-readmit.
+
+        ``sync`` is called with each admission right after it commits,
+        while the roster is the one that admission produced: the trainer
+        broadcasts its state from the donor and warm-starts the admitted
+        rank's compressor there. Without it only the roster changes.
         """
-        newly_dead = [rank for rank in self.live_ranks if rank in self._dead]
-        for rank in newly_dead:
+        for rank in [rank for rank in self.live_ranks if rank in self._dead]:
             self.live_ranks.remove(rank)
-            self.stats.ejected_ranks.append(rank)
-        if newly_dead:
             self.world_size = len(self.live_ranks)
             if self.world_size == 0:
                 raise RuntimeError("all ranks have failed permanently")
-            self.stats.world_size_timeline.append(
-                (self._call_index, self.world_size)
+            self.changes.append(
+                RosterChange("eject", rank, self._call_index, self.world_size)
             )
+        # Due admissions in commit order: a rank id to readmit, or None for
+        # a Join (its id is allocated when it commits).
+        due: List[Optional[int]] = []
+        while self._events and self._events[0].call_index <= self._call_index:
+            event = self._events.pop(0)
+            due.append(None if isinstance(event, Join) else event.rank)
+        due += sorted(rank for boundaries, rank in self._rejoins if boundaries <= 1)
+        self._rejoins = [
+            (boundaries - 1, rank)
+            for boundaries, rank in self._rejoins if boundaries > 1
+        ]
+        for rank in due:
+            if rank in self.live_ranks:
+                continue  # recovered before its ejection ever committed
+            change = self.admit(
+                self.allocate_rank() if rank is None else rank,
+                rejoin=rank is not None,
+            )
+            if sync is not None:
+                sync(change)
         return list(self.live_ranks)
 
-    def admit(self, rank: int, rejoin: bool) -> None:
+    def admit(self, rank: int, rejoin: bool) -> RosterChange:
         """Add ``rank`` to the live roster (a step-boundary operation).
 
-        Called by the elastic :class:`~repro.elastic.MembershipController`
-        after the admission protocol's state synchronization; the ring
+        :meth:`begin_step` calls it for every due admission; the ring
         re-chunks automatically on the next collective because chunking is
         derived from the roster length. ``rejoin`` distinguishes a
-        previously ejected rank returning from a brand-new rank for the
-        stats.
+        previously ejected rank returning from a brand-new rank. Returns
+        the committed change, whose donor is the lowest live rank id
+        before the admission.
         """
         if rank in self.live_ranks:
             raise ValueError(f"rank {rank} is already live")
         if rank < 0:
             raise ValueError(f"rank must be >= 0, got {rank}")
+        donor = min(self.live_ranks)
         self._dead.discard(rank)
         self.live_ranks.append(rank)
         self.live_ranks.sort()
         self.world_size = len(self.live_ranks)
         self._max_rank = max(self._max_rank, rank)
-        if rejoin:
-            self.stats.rejoined_ranks.append(rank)
-        else:
-            self.stats.joined_ranks.append(rank)
-        self.stats.world_size_timeline.append((self._call_index, self.world_size))
+        change = RosterChange(
+            "rejoin" if rejoin else "join", rank, self._call_index,
+            self.world_size, donor,
+        )
+        self.changes.append(change)
+        return change
 
     def allocate_rank(self) -> int:
         """Next never-used rank id for a :class:`~repro.faults.plan.Join`."""
         self._max_rank += 1
         return self._max_rank
+
+    def schedule_rejoin(self, rank: int, after_boundaries: int) -> None:
+        """Readmit ``rank`` at the ``after_boundaries``-th :meth:`begin_step`
+        from now (the worker supervisor's respawn-and-rejoin request).
+
+        Plan events are known up front; a worker crash is not — the
+        supervisor discovers it mid-step and asks for the rank back here.
+        The rejoin commits through the same admission as a plan
+        :class:`~repro.faults.plan.Recovery`. With ``after_boundaries=1``
+        it commits at the very boundary the ejection does (the roster never
+        visibly shrinks); larger values leave the world smaller for
+        ``after_boundaries - 1`` steps. Counting boundaries — not wall
+        clock — keeps the schedule bit-reproducible across backends.
+        """
+        if after_boundaries < 1:
+            raise ValueError(
+                f"after_boundaries must be >= 1, got {after_boundaries}"
+            )
+        if rank < 0:
+            raise ValueError(f"rank must be >= 0, got {rank}")
+        self._rejoins.append((after_boundaries, rank))
+
+    def ranks_of(self, kind: str) -> List[int]:
+        """Ranks of the committed changes of ``kind``, in commit order."""
+        return [change.rank for change in self.changes if change.kind == kind]
+
+    @property
+    def world_size_timeline(self) -> List[Tuple[int, int]]:
+        """``(call_index, world_size)`` at construction and after every
+        committed roster change."""
+        return [(0, self.initial_world_size)] + [
+            (change.call_index, change.world_size) for change in self.changes
+        ]
 
     def mark_worker_failed(self, rank: int) -> None:
         """Treat ``rank`` as dead from *outside* evidence (a crashed child).
@@ -504,9 +581,17 @@ class ResilientProcessGroup(ProcessGroup):
         return [[payload.copy() for payload in payloads] for _ in buffers]
 
     def resilience_report(self) -> str:
-        """Render the recovery stats (and the live world) for humans."""
-        header = (
-            f"world {len(self.live_ranks)}/{self.initial_world_size} live; "
-            f"ring {'disabled (naive fallback)' if self._ring_disabled else 'active'}"
+        """Render the live world, the recovery stats and every roster
+        change (one line each) for humans."""
+        ring = "disabled (naive fallback)" if self._ring_disabled else "active"
+        timeline = " -> ".join(
+            f"{size}@call{call}" for call, size in self.world_size_timeline
         )
-        return header + "\n" + self.stats.render()
+        return "\n".join([
+            f"live world {self.world_size} (started at "
+            f"{self.initial_world_size}); ring {ring}",
+            self.stats.render(),
+            f"membership changes    {len(self.changes)}",
+            *(f"  {change.render()}" for change in self.changes),
+            f"world-size timeline   {timeline}",
+        ])

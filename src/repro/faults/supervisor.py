@@ -32,12 +32,13 @@ Two recovery rungs, mirroring the communication layer's ladder:
 ``"eject"``
     The step completes degraded — the dead rank contributes nothing and
     the average rescales to the survivors, exactly like a permanent
-    communication failure — and the rank is ejected at the next step
-    boundary through the :class:`~repro.elastic.MembershipController`.
-    After ``respawn_delay_steps`` boundaries the supervisor readmits it
-    through the standard admission protocol (donor state broadcast,
-    compressor warm-start, re-shard, fresh child spawned against the
-    replayed stream). The trajectory is bit-identical to a *sequential*
+    communication failure — and the
+    :class:`~repro.faults.resilient.ResilientProcessGroup` ejects the rank
+    at the next step boundary. After ``respawn_delay_steps`` boundaries
+    the group readmits it (its ``schedule_rejoin``) through the same
+    admission as a plan :class:`~repro.faults.plan.Recovery` (donor state
+    broadcast, compressor warm-start, re-shard, fresh child spawned
+    against the replayed stream). The trajectory is bit-identical to a *sequential*
     run handling the same :class:`~repro.faults.plan.WorkerFault`
     schedule, which is what ``scripts/check_determinism.py`` gates.
 
@@ -121,7 +122,7 @@ class SupervisionPolicy:
             within the step; trajectory bit-identical to fault-free) or
             ``"eject"`` (finish the step degraded, eject the rank at the
             next boundary, optionally readmit it later; requires a
-            :class:`~repro.elastic.MembershipController`).
+            :class:`~repro.faults.resilient.ResilientProcessGroup`).
         max_restarts: total child respawns the supervisor will pay for
             over the run — both retry-in-place respawns and
             crashed-during-admission re-seeds draw from this budget; one

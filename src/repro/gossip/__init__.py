@@ -1,8 +1,8 @@
 """Open-membership gossip training: windowed, store-mediated exchange.
 
-The closed-world stack (:mod:`repro.train`, :mod:`repro.faults`,
-:mod:`repro.elastic`) assumes a roster: everyone knows who is in the
-group, collectives run in lockstep, and a joiner is hand-held by a donor.
+The closed-world stack (:mod:`repro.train`, :mod:`repro.faults`) assumes
+a roster: everyone knows who is in the group, collectives run in lockstep,
+and a joiner is hand-held by a donor.
 This package drops all three assumptions. Peers publish compressed,
 CRC-stamped momentum updates to a shared :class:`UpdateStore` once per
 *window*, aggregate whatever their untrusted neighbours published, and

@@ -1,10 +1,12 @@
 """Donor-less admission for open-membership (store-mediated) training.
 
-The closed-world admission protocol (:mod:`repro.elastic.membership`)
-synchronizes a joiner by broadcasting model + optimizer state from a
-surviving *donor* rank — fine inside a process group, impossible in the
-gossip mode where peers never talk to each other directly and nobody is
-obliged to serve a multi-megabyte state transfer to a stranger.
+The closed-world admission (committed by a
+:class:`~repro.faults.resilient.ResilientProcessGroup`, synced by the
+trainer) brings a joiner up to date by broadcasting model + optimizer
+state from a surviving *donor* rank — fine inside a process group,
+impossible in the gossip mode where peers never talk to each other
+directly and nobody is obliged to serve a multi-megabyte state transfer
+to a stranger.
 
 The open-membership path needs no donor because **the store is the
 broadcast**: every window's aggregated update is reconstructible from the

@@ -25,7 +25,7 @@ behaviour is injected at publish time from the run's seeded
 :class:`~repro.faults.plan.FaultPlan` (``peer_faults``), and churn
 (``permanent`` / ``recoveries`` / ``joins`` with ``call_index`` read as a
 window index) flows through the donor-less admission path
-(:mod:`repro.elastic.open_admission`): joiners and returning peers replay
+(:mod:`repro.gossip.open_admission`): joiners and returning peers replay
 the retained store windows instead of receiving a state broadcast.
 """
 
@@ -43,10 +43,9 @@ from repro.compression.payload import (
 )
 from repro.compression.topk import SparsePayload, sparse_aggregate, topk_select
 from repro.compression.wire import select_count
-from repro.elastic.membership import joiner_rng
-from repro.elastic.open_admission import allocate_peer_index, catch_up_plan
 from repro.faults.plan import FaultPlan, Join
 from repro.gossip.faulty import StoreUnavailableError
+from repro.gossip.open_admission import allocate_peer_index, catch_up_plan
 from repro.gossip.scorer import Contribution, PeerScorer, ScorerConfig
 from repro.gossip.store import InMemoryStore, UpdateStore
 from repro.nn.loss import CrossEntropyLoss
@@ -55,6 +54,7 @@ from repro.perf.arena import GradientArena
 from repro.perf.replicas import worker_pass
 from repro.train.datasets import ArrayDataset
 from repro.train.trainer import evaluate
+from repro.utils.seeding import rank_rng
 
 #: Seed-tuple sentinel for publish-time adversarial draws (bit flips).
 _PEER_FAULT_STREAM = 2**31 - 5
@@ -190,10 +190,9 @@ class GossipPeer:
         self.layout = self.arena.layout
         self.config = config
         self.data = data
-        # Same seed tree as the closed-world trainer's joiners: the
-        # stream is a pure function of (seed, index), independent of when
-        # the peer joined.
-        self.rng = joiner_rng(seed, index)
+        # The closed-world trainer's per-rank stream: a pure function of
+        # (seed, index), independent of when the peer joined.
+        self.rng = rank_rng(seed, index)
         self.loss_fn = CrossEntropyLoss()
         self.scorer = PeerScorer(config.scorer)
         self.momentum = np.zeros(self.layout.total_elements, dtype=np.float64)

@@ -335,8 +335,8 @@ class GradientAggregator:
         self.step = 0
         #: Ranks whose gradients ``aggregate`` receives, in slot order. The
         #: trainer re-syncs it from the group's live roster every step; it
-        #: only ever changes under a resilient group (ejection) or an
-        #: elastic membership controller (rejoin / scale-up).
+        #: only ever changes under a resilient group (ejection, rejoin,
+        #: scale-up).
         self.roster: List[int] = list(range(group.world_size))
         self._per_rank: Dict[int, object] = {}
         self._bucket_session: Optional[_BucketSession] = None

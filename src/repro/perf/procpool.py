@@ -37,12 +37,14 @@ Python between numpy kernels holds the GIL — and returns the same
   same reply for the trainer to merge into the parent's counters,
   keeping the zero-copy assertions truthful in process mode.
 
-Elastic membership composes: a join spawns a fresh child pinned to the
-new rank at the admission boundary (never on the hot path), an ejected
+Roster changes compose: a join spawns a fresh child pinned to the new
+rank at the admission boundary (never on the hot path), an ejected
 rank's child simply idles — its rng stream freezes exactly like the
-parent-side ``_rngs`` entry does — and a rejoin resumes it. Slabs
-created by ``ensure_slots`` growth are discovered lazily: the pool names
-the slot's segment in every task message, so children attach on first use.
+parent-side ``_rngs`` entry does — and a rejoin resumes it. Every child
+draws from :func:`~repro.utils.seeding.rank_rng`, the stream the
+sequential backend gives the same rank. Slabs created by ``ensure_slots``
+growth are discovered lazily: the pool names the slot's segment in every
+task message, so children attach on first use.
 
 Spawn-vs-fork: ``fork`` (default where available) inherits the initial
 payload for free; ``spawn`` pickles it once at pool construction —
@@ -96,6 +98,7 @@ from repro.perf.replicas import (
     recorded_pass,
     require_deterministic_forward,
 )
+from repro.utils.seeding import rank_rng
 
 if TYPE_CHECKING:  # import cycle: repro.train imports the trainer,
     # which imports this module — the dataset type is annotation-only.
@@ -107,15 +110,14 @@ class WorkerStepTask:
     """One worker's assignment for one step.
 
     Attributes:
-        rank: the rank id whose pass this is (selects the child, the
-            sampling stream, and — without elastic re-sharding — the
-            data shard).
+        rank: the rank id whose pass this is (selects the child and the
+            sampling stream).
         slot: the worker's position in this step's live roster; selects
             the arena slab the gradients land in.
         shard_index/shard_world: arguments of ``train_data.shard`` for
-            this rank this step. The parent computes them with the same
-            rules the sequential path uses, so shards stay pairwise
-            disjoint and jointly exhaustive under churn.
+            this rank this step: its slot and the live world size, the
+            trainer's one shard rule, so shards stay pairwise disjoint and
+            jointly exhaustive at every world size.
         step: 0-based trainer step index — the key scheduled
             :class:`~repro.faults.WorkerFault` injections fire on.
         suppress_fault: set on a supervised retry so the respawned child
@@ -201,12 +203,6 @@ def _worker_main(conn, payload: dict, init_crash: bool = False) -> None:
 
     loss_fn = CrossEntropyLoss()
     bns = batch_norms(model)
-    # joiner_rng(seed, rank) equals spawn_rngs(seed, world)[rank] for any
-    # world that contains rank, so one rule covers initial ranks and
-    # late joiners alike. Imported here: elastic pulls in the trainer
-    # stack, which children otherwise never need.
-    from repro.elastic.membership import joiner_rng
-
     rngs: Dict[int, np.random.Generator] = {}
     shards: Dict[Tuple[int, int], ArrayDataset] = {}
     slabs: Dict[str, Tuple[object, np.ndarray, Dict[str, np.ndarray]]] = {}
@@ -245,7 +241,7 @@ def _worker_main(conn, payload: dict, init_crash: bool = False) -> None:
         """
         rng = rngs.get(rank)
         if rng is None:
-            rng = rngs[rank] = joiner_rng(seed, rank)
+            rng = rngs[rank] = rank_rng(seed, rank)
         for shard_index, shard_world in history:
             shard_key = (shard_index, shard_world)
             shard = shards.get(shard_key)
@@ -257,7 +253,7 @@ def _worker_main(conn, payload: dict, init_crash: bool = False) -> None:
         apply_worker_fault(task)
         rng = rngs.get(task.rank)
         if rng is None:
-            rng = rngs[task.rank] = joiner_rng(seed, task.rank)
+            rng = rngs[task.rank] = rank_rng(seed, task.rank)
         shard_key = (task.shard_index, task.shard_world)
         shard = shards.get(shard_key)
         if shard is None:

@@ -348,7 +348,8 @@ def admission_sync_cost(model: ModelSpec, cluster: ClusterSpec) -> float:
     The joiner receives the full model plus the optimizer's momentum state
     (another full-model-sized buffer) from the donor survivor — two
     point-to-point model transfers over the bottleneck link, matching what
-    :class:`~repro.elastic.MembershipController` broadcasts on admission.
+    the trainer broadcasts when a
+    :class:`~repro.faults.resilient.ResilientProcessGroup` admits a rank.
     """
     from repro.comm.cost_model import point_to_point_time
 

@@ -30,19 +30,21 @@ fallback to uncompressed aggregation, and divergence rollback to the last
 good checkpoint. Pair it with a
 :class:`~repro.faults.resilient.ResilientProcessGroup` to also survive
 injected communication faults; the trainer then follows the group's live
-roster, so a permanent rank loss shrinks the data-parallel world to the
-surviving ranks mid-run.
+roster: at every step boundary the group commits the ejections of dead
+ranks and the admissions its fault plan (or the worker supervisor)
+schedules, the trainer syncs each admitted rank from a donor, and the data
+is re-sharded over the new roster.
 """
 
 from __future__ import annotations
 
 import tempfile
 from dataclasses import replace
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.elastic.membership import MembershipController, joiner_rng
+from repro.faults.resilient import ResilientProcessGroup, RosterChange
 from repro.faults.supervisor import (
     SupervisionPolicy,
     WorkerError,
@@ -71,7 +73,7 @@ from repro.train.datasets import ArrayDataset
 from repro.train.history import TrainingHistory
 from repro.train.reducer import BucketedReducer
 from repro.train.resilience import ResilienceConfig, ResilienceLog
-from repro.utils.seeding import spawn_rngs
+from repro.utils.seeding import rank_rng
 from repro.utils.validation import is_finite
 
 
@@ -171,7 +173,6 @@ class DataParallelTrainer:
         schedule: Optional[WarmupMultiStepSchedule] = None,
         seed: int = 0,
         resilience: Optional[ResilienceConfig] = None,
-        membership: Optional["MembershipController"] = None,
         buffer_bytes: Optional[int] = None,
         workers: str = "seq",
         worker_step_timeout: Optional[float] = None,
@@ -193,11 +194,19 @@ class DataParallelTrainer:
         self.model = model
         self.optimizer = optimizer
         self.aggregator = aggregator
-        self.world_size = aggregator.group.world_size
+        group = aggregator.group
+        self.world_size = group.world_size
+        injector = getattr(group, "injector", None)
+        plan = injector.plan if injector is not None else None
+        grows = (plan is not None and bool(plan.membership_events())) or (
+            supervision is not None
+            and supervision.on_failure == "eject"
+            and supervision.respawn_delay_steps is not None
+        )
         # A node topology is a property of the group (``ProcessGroup(world,
         # topology=...)``): it changes which wire schedule is accounted,
         # never a value (see repro.comm.hierarchical).
-        if aggregator.group.topology is not None and membership is not None:
+        if group.topology is not None and grows:
             raise ValueError(
                 "topology and membership are mutually exclusive: the "
                 "node topology fixes the world size, an elastic roster "
@@ -205,25 +214,16 @@ class DataParallelTrainer:
             )
         self.seed = seed
         self.train_data = train_data
-        self.membership = membership
-        if membership is not None:
-            membership.bind(self)
         # --- worker-process supervision (inert when supervision is None) ---
         self._supervisor: Optional[WorkerSupervisor] = None
         if supervision is not None:
-            if supervision.on_failure == "eject" and membership is None:
+            if (supervision.on_failure == "eject"
+                    and not isinstance(group, ResilientProcessGroup)):
                 raise ValueError(
                     "supervision on_failure='eject' requires a "
-                    "MembershipController: ejections and scheduled rejoins "
-                    "commit through its admission protocol"
+                    "ResilientProcessGroup: it commits the ejection and any "
+                    "rejoin at step boundaries"
                 )
-            plan = None
-            if membership is not None:
-                plan = membership.plan
-            else:
-                injector = getattr(aggregator.group, "injector", None)
-                if injector is not None:
-                    plan = injector.plan
             if (workers == "process" and worker_step_timeout is None
                     and plan is not None
                     and any(f.kind == "hang" for f in plan.worker_faults)):
@@ -234,21 +234,19 @@ class DataParallelTrainer:
                     "stall forever"
                 )
             self._supervisor = WorkerSupervisor(
-                supervision,
-                plan=plan,
-                stats=getattr(aggregator.group, "stats", None),
+                supervision, plan=plan, stats=getattr(group, "stats", None)
             )
-        # Shards and sampling streams are keyed by *rank id*; which slice
-        # of the data a rank draws from is ``_shard_geometry``'s one rule.
-        self._reshard(range(self.world_size))
+        # Shards and sampling streams are keyed by *rank id*; a rank draws
+        # from slice ``slot`` of ``len(roster)`` (``_reshard``).
+        self._reshard(list(range(self.world_size)))
         self.test_data = test_data
         self.batch_size = batch_size_per_worker
         self.schedule = schedule
         self.loss_fn = CrossEntropyLoss()
         self._bns = batch_norms(model)
-        self._rngs: Dict[int, np.random.Generator] = dict(
-            enumerate(spawn_rngs(seed, self.world_size))
-        )
+        self._rngs: Dict[int, np.random.Generator] = {
+            rank: rank_rng(seed, rank) for rank in range(self.world_size)
+        }
         # --- hot-path state: gradient arena + optional process workers ---
         self.buffer_bytes = buffer_bytes
         # The arena is the only gradient storage and the reducer the only
@@ -316,13 +314,12 @@ class DataParallelTrainer:
         workers = self._workers
         self._ensure_ranks_supervised(ranks)
         workers.broadcast_weights(self.model)
-        geometry = self._shard_geometry(ranks)
         tasks = [
             WorkerStepTask(
                 rank=rank,
                 slot=slot,
-                shard_index=geometry[rank][0],
-                shard_world=geometry[rank][1],
+                shard_index=slot,
+                shard_world=len(ranks),
                 step=self._step_count,
             )
             for slot, rank in enumerate(ranks)
@@ -375,11 +372,12 @@ class DataParallelTrainer:
 
     def _eject_worker(self, rank: int) -> None:
         """Mark ``rank`` for boundary ejection; maybe schedule its rejoin."""
-        self.aggregator.group.mark_worker_failed(rank)
+        group = self.aggregator.group
+        group.mark_worker_failed(rank)
         assert self._supervisor is not None
         delay = self._supervisor.policy.respawn_delay_steps
-        if delay is not None and self.membership is not None:
-            self.membership.schedule_rejoin(rank, delay)
+        if delay is not None:
+            group.schedule_rejoin(rank, delay)
 
     def _recover(
         self,
@@ -428,60 +426,68 @@ class DataParallelTrainer:
     def _live_ranks(self) -> List[int]:
         """The ranks participating in this step.
 
-        A :class:`~repro.faults.resilient.ResilientProcessGroup` commits
-        pending rank ejections at this boundary — and, when a
-        :class:`~repro.elastic.MembershipController` is attached, pending
-        rejoins and scale-up joins too. Plain groups always return the
-        full roster. The aggregator's roster is re-synced every step so
-        per-rank compressor state follows rank ids, never slot positions.
+        The group commits the roster changes due at this boundary (a plain
+        group's roster is fixed), syncing each admission as it commits
+        (:meth:`_sync_admission`). After a change the data is re-sharded
+        and each new rank gets its sampling stream and slab; the
+        aggregator's roster is re-synced every step so per-rank compressor
+        state follows rank ids, never slot positions.
         """
-        if self.membership is not None:
-            ranks = self.membership.begin_step()
-            if ranks != list(self.train_shards):
-                self._sync_roster(ranks)
-        else:
-            group = self.aggregator.group
-            begin_step = getattr(group, "begin_step", None)
-            ranks = begin_step() if begin_step is not None else list(
-                range(group.world_size)
-            )
+        ranks = self.aggregator.group.begin_step(self._sync_admission)
+        if ranks != list(self.train_shards):
+            self._reshard(ranks)
+            for rank in ranks:
+                if rank not in self._rngs:
+                    self._rngs[rank] = rank_rng(self.seed, rank)
+            self._arena.ensure_slots(len(ranks))
         self.aggregator.set_roster(ranks)
         return ranks
 
-    def _shard_geometry(
-        self, ranks: Sequence[int]
-    ) -> Dict[int, Tuple[int, int]]:
-        """``train_data.shard`` arguments per rank for a step over ``ranks``.
+    def _reshard(self, ranks: List[int]) -> None:
+        """Rebuild ``train_shards``, keyed in roster order, for ``ranks``.
 
-        Without a membership controller the assignment is fixed at
-        construction — ``(rank, world_size)``; an ejected rank's shard is
-        simply dropped. With one, shards go by *roster position* over the
-        live world — ``(slot, len(ranks))`` — so they stay pairwise
-        disjoint and jointly exhaustive at every world size: no sample is
-        ever dropped or double-owned after churn.
+        Shards go by *roster position* over the live world — slice ``slot``
+        of ``len(ranks)`` — so they stay pairwise disjoint and jointly
+        exhaustive at every world size: no sample is ever dropped or
+        double-owned after a roster change.
         """
-        if self.membership is None:
-            return {rank: (rank, self.world_size) for rank in ranks}
-        return {rank: (slot, len(ranks)) for slot, rank in enumerate(ranks)}
-
-    def _reshard(self, ranks: Sequence[int]) -> None:
-        """Rebuild ``train_shards``, keyed in roster order, for ``ranks``."""
         self.train_shards: Dict[int, ArrayDataset] = {
-            rank: self.train_data.shard(*geometry)
-            for rank, geometry in self._shard_geometry(ranks).items()
+            rank: self.train_data.shard(slot, len(ranks))
+            for slot, rank in enumerate(ranks)
         }
 
-    def _sync_roster(self, ranks: List[int]) -> None:
-        """Follow a membership change: re-shard data, extend rngs/arena.
+    def _sync_admission(self, change: RosterChange) -> None:
+        """Bring a rank admitted by ``change`` up to date with its donor.
 
-        A new rank's sampling stream depends only on ``(seed, rank)``; a
-        rejoining rank resumes the stream it already owned.
+        The model weights and optimizer state are broadcast from the donor
+        through the group, over the roster the admission produced. Every
+        worker already shares the one physical model, so the broadcast's
+        numerics are a no-op, but the sync traffic is measured on the wire
+        like any other collective. Then the aggregator warm-starts the
+        rank's compressor state from the donor's
+        (:meth:`~repro.optim.aggregators.GradientAggregator.admit_rank`).
         """
-        self._reshard(ranks)
-        for rank in ranks:
-            if rank not in self._rngs:
-                self._rngs[rank] = joiner_rng(self.seed, rank)
-        self._arena.ensure_slots(len(ranks))
+        group = self.aggregator.group
+        chunks = [
+            param.data.reshape(-1).astype(np.float64)
+            for _, param in self.model.named_parameters()
+        ]
+        velocity = getattr(self.optimizer, "_velocity", None) or {}
+        chunks.extend(
+            velocity[name].reshape(-1).astype(np.float64)
+            for name in sorted(velocity)
+        )
+        payload = np.concatenate(chunks) if chunks else np.zeros(0)
+        if payload.size:
+            root = group.live_ranks.index(change.donor)
+            group.broadcast(
+                [
+                    payload if slot == root else np.zeros_like(payload)
+                    for slot in range(group.world_size)
+                ],
+                root=root,
+            )
+        self.aggregator.admit_rank(change.rank, donor_rank=change.donor)
 
     def train_step(self) -> float:
         """One synchronous step across the live workers; returns mean loss.

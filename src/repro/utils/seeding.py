@@ -8,19 +8,20 @@ are reproducible bit-for-bit and workers can be given decorrelated streams.
 
 from __future__ import annotations
 
-from typing import List
-
 import numpy as np
 
 
-def spawn_rngs(seed: int, count: int) -> List[np.random.Generator]:
-    """Return ``count`` statistically independent generators.
+def rank_rng(seed: int, rank: int) -> np.random.Generator:
+    """Data-sampling stream of rank ``rank`` in a run seeded ``seed``.
 
-    Uses ``SeedSequence.spawn`` so that the child streams are decorrelated
-    regardless of the numeric relationship between their indices. Used to give
-    each simulated worker its own data-shard sampling stream.
+    Child ``rank`` of the run's root :class:`numpy.random.SeedSequence`
+    (``SeedSequence(seed).spawn(world)[rank]`` for any world that contains
+    the rank), so the stream depends only on ``(seed, rank)``: a rank
+    present from the start, a joiner and a respawned worker process all
+    draw the same numbers, and children are decorrelated regardless of the
+    numeric relationship between their ids.
     """
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+    if rank < 0:
+        raise ValueError(f"rank must be >= 0, got {rank}")
     root = np.random.SeedSequence(seed)
-    return [np.random.default_rng(child) for child in root.spawn(count)]
+    return np.random.default_rng(root.spawn(rank + 1)[rank])

@@ -57,7 +57,10 @@ class TestErrorsAreMessages:
          "repro faults: error: drop_rate must be in [0, 1), got 1.0"),
         (["simulate", "--method", "magic"],
          "repro simulate: error: argument --method: invalid choice: 'magic'"),
-    ], ids=["unknown-model", "faults-drop-rate", "unknown-method"])
+        (["elastic", "--workers", "1"],
+         "repro elastic: error: --workers must be >= 2, got 1"),
+    ], ids=["unknown-model", "faults-drop-rate", "unknown-method",
+            "elastic-one-worker"])
     def test_no_traceback(self, argv, message):
         result = subprocess.run(
             [sys.executable, "-m", "repro", *argv],
@@ -172,6 +175,24 @@ class TestTrain:
         assert code == 0
         out = capsys.readouterr().out
         assert "final accuracy" in out
+
+
+class TestElastic:
+    def test_each_roster_change_is_printed_once(self, capsys):
+        code = main(["elastic", "--method", "ssgd", "--workers", "2",
+                     "--epochs", "1", "--steps-per-epoch", "6",
+                     "--samples", "100", "--batch-size", "4",
+                     "--fail-call", "1", "--rejoin-call", "3",
+                     "--join-call", "4"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "live world 3 (started at 2)" in out
+        for line in ("eject  rank 1 -> world 1",
+                     "rejoin rank 1 (state from rank 0) -> world 2",
+                     "join   rank 2 (state from rank 0) -> world 3"):
+            assert out.count(line) == 1, line
+        assert out.count("eject") == out.count("rejoin") == 1
+        assert "world-size timeline   2@call0 -> 1@call" in out
 
 
 class TestEvaluateJson:

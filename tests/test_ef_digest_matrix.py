@@ -29,7 +29,6 @@ import numpy as np
 import pytest
 
 from repro.comm.process_group import ProcessGroup
-from repro.elastic import MembershipController
 from repro.faults import (
     FaultInjector,
     FaultPlan,
@@ -67,7 +66,7 @@ def _trainer(method, ef, bucketing, scenario, workers, reuse_query=True):
         rng.standard_normal((96, 128)), rng.integers(0, 10, size=96)
     )
     model = make_mlp(128, 256, 10, depth=3, rng=rng)
-    membership = resilience = None
+    resilience = None
     if scenario == "elastic":
         plan = FaultPlan(
             seed=7,
@@ -76,7 +75,6 @@ def _trainer(method, ef, bucketing, scenario, workers, reuse_query=True):
             joins=(Join(call_index=5),),
         )
         group = ResilientProcessGroup(WORLD, injector=FaultInjector(plan))
-        membership = MembershipController(group)
     else:
         group = ProcessGroup(WORLD)
     if scenario == "resilient":
@@ -90,11 +88,11 @@ def _trainer(method, ef, bucketing, scenario, workers, reuse_query=True):
     trainer = DataParallelTrainer(
         model, SGD(model, lr=0.05, momentum=0.9), aggregator, data, data,
         batch_size_per_worker=4, seed=1, buffer_bytes=BUCKETING[bucketing],
-        workers=workers, membership=membership, resilience=resilience,
+        workers=workers, resilience=resilience,
     )
     if scenario == "resilient":
         _force_skips(trainer)
-    return trainer, membership
+    return trainer
 
 
 def _force_skips(trainer):
@@ -124,13 +122,11 @@ def _force_skips(trainer):
 
 def run_cell(method, ef, bucketing, scenario, workers="seq", reuse_query=True):
     """Digest of one cell's trajectory (asserting the scenario played out)."""
-    trainer, membership = _trainer(
-        method, ef, bucketing, scenario, workers, reuse_query
-    )
+    trainer = _trainer(method, ef, bucketing, scenario, workers, reuse_query)
     with trainer:
         losses = [trainer.train_step() for _ in range(STEPS)]
-    if membership is not None:
-        kinds = [change.kind for change in membership.log.changes]
+    if scenario == "elastic":
+        kinds = [change.kind for change in trainer.aggregator.group.changes]
         assert kinds == ["eject", "rejoin", "join"], kinds
     if trainer.resilience_log is not None:
         log = trainer.resilience_log

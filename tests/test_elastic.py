@@ -18,7 +18,6 @@ import numpy as np
 import pytest
 
 from repro.compression.lowrank import LowRankState
-from repro.elastic import MembershipController
 from repro.faults import (
     FaultInjector,
     FaultPlan,
@@ -58,6 +57,10 @@ ROUND_TRIP_PLAN = FaultPlan(
     recoveries=(Recovery(rank=1, call_index=9),),
 )
 
+EJECT_ONLY_PLAN = FaultPlan(
+    seed=3, permanent=(PermanentFailure(rank=1, call_index=4),)
+)
+
 
 def make_elastic_trainer(world_size=3, method="acpsgd", plan=CHURN_PLAN,
                          resilience=None):
@@ -67,15 +70,18 @@ def make_elastic_trainer(world_size=3, method="acpsgd", plan=CHURN_PLAN,
         world_size, injector=FaultInjector(plan),
         policy=BackoffPolicy(max_retries=1),
     )
-    membership = MembershipController(group)
     kwargs = {"rank": 2} if method in ("acpsgd", "powersgd") else {}
     aggregator = make_aggregator(method, group, **kwargs)
     trainer = DataParallelTrainer(
         model, SGD(model, lr=0.05, momentum=0.9), aggregator,
         train_data, test_data, batch_size_per_worker=8, seed=11,
-        resilience=resilience, membership=membership,
+        resilience=resilience,
     )
-    return trainer, group, membership, model
+    return trainer, group, model
+
+
+def kinds(group):
+    return [change.kind for change in group.changes]
 
 
 def shard_ids(trainer):
@@ -91,21 +97,18 @@ class TestChurnTraining:
 
     @pytest.mark.parametrize("method", ["ssgd", "acpsgd"])
     def test_churn_run_converges_close_to_fault_free(self, method):
-        elastic, group, membership, elastic_model = make_elastic_trainer(
-            method=method
-        )
+        elastic, group, elastic_model = make_elastic_trainer(method=method)
         history = elastic.run(3, 12, method_label=method)
 
         # The schedule really played out: eject, rejoin, then scale-up.
-        kinds = [change.kind for change in membership.log.changes]
-        assert kinds == ["eject", "rejoin", "join"]
+        assert kinds(group) == ["eject", "rejoin", "join"]
         assert group.live_ranks == [0, 1, 2, 3]
-        assert group.stats.ejections == 1
-        assert group.stats.rejoins == 1
-        assert group.stats.joins == 1
+        assert [group.ranks_of(kind) for kind in ("eject", "rejoin", "join")] == [
+            [2], [2], [3]
+        ]
 
         # Fault-free control: same model/data/seed, no churn.
-        clean, _, _, clean_model = make_elastic_trainer(
+        clean, _, clean_model = make_elastic_trainer(
             method=method, plan=FaultPlan(seed=3)
         )
         clean_history = clean.run(3, 12, method_label=method)
@@ -119,9 +122,15 @@ class TestChurnTraining:
         assert history.train_loss[-1] < history.train_loss[0]
         assert final < clean_final + 0.5
 
-    @pytest.mark.parametrize("method", ["ssgd", "acpsgd"])
-    def test_shards_partition_data_at_every_world_size(self, method):
-        trainer, group, membership, _ = make_elastic_trainer(method=method)
+    @pytest.mark.parametrize("method, plan, worlds", [
+        pytest.param("ssgd", CHURN_PLAN, {2, 3, 4}, id="ssgd"),
+        pytest.param("acpsgd", CHURN_PLAN, {2, 3, 4}, id="acpsgd"),
+        # A permanent failure alone: the survivors take over the ejected
+        # rank's samples instead of the run never drawing them again.
+        pytest.param("ssgd", EJECT_ONLY_PLAN, {2, 3}, id="ssgd-eject-only"),
+    ])
+    def test_shards_partition_data_at_every_world_size(self, method, plan, worlds):
+        trainer, group, _ = make_elastic_trainer(method=method, plan=plan)
         all_ids = sorted(trainer.train_data.inputs[:, 0].tolist())
         seen_worlds = set()
         for _ in range(30):
@@ -133,14 +142,14 @@ class TestChurnTraining:
             flat = [s for ids in owned.values() for s in ids]
             assert len(flat) == len(set(flat)), "shards overlap"
             assert sorted(flat) == all_ids, "samples lost after re-shard"
-        # The run actually visited shrink, recovery, and scale-up.
-        assert {2, 3, 4} <= seen_worlds
+        # The run actually visited every world size of its plan.
+        assert seen_worlds == worlds
 
     def test_churn_replay_is_bit_identical(self):
-        first, _, _, first_model = make_elastic_trainer()
+        first, _, first_model = make_elastic_trainer()
         first.run(2, 12, method_label="acpsgd")
 
-        second, _, _, second_model = make_elastic_trainer()
+        second, _, second_model = make_elastic_trainer()
         second.run(2, 12, method_label="acpsgd")
 
         assert np.array_equal(
@@ -152,7 +161,7 @@ class TestChurnTraining:
         the whole trajectory replays step-for-step."""
         runs = []
         for _ in range(2):
-            trainer, group, membership, model = make_elastic_trainer(
+            trainer, group, model = make_elastic_trainer(
                 world_size=3, plan=ROUND_TRIP_PLAN
             )
             per_step_weights = []
@@ -161,39 +170,64 @@ class TestChurnTraining:
                 per_step_weights.append(model.state_vector().copy())
             runs.append(per_step_weights)
             assert group.live_ranks == [0, 1, 2]
-            sizes = [size for _, size in group.stats.world_size_timeline]
+            sizes = [size for _, size in group.world_size_timeline]
             assert sizes == [3, 2, 3]
         for step, (a, b) in enumerate(zip(*runs)):
             assert np.array_equal(a, b), f"step {step} diverged between replays"
 
     def test_elastic_works_with_resilience_ladder(self):
-        trainer, group, membership, _ = make_elastic_trainer(
+        trainer, group, _ = make_elastic_trainer(
             resilience=ResilienceConfig(checkpoint_interval=0)
         )
         history = trainer.run(2, 12, method_label="acpsgd")
         assert np.isfinite(history.train_loss).all()
-        assert membership.log.of_kind("rejoin")
+        assert group.ranks_of("rejoin") == [2]
+
+    def test_the_group_alone_admits_its_plans_rejoin_and_join(self):
+        """No object besides the group and its plan: the trainer syncs each
+        admission from its donor, over the roster that admission made."""
+        trainer, group, _ = make_elastic_trainer(plan=FaultPlan(
+            seed=3,
+            permanent=(PermanentFailure(rank=2, call_index=1),),
+            recoveries=(Recovery(rank=2, call_index=4),),
+            joins=(Join(call_index=4),),
+        ))
+        for _ in range(6):
+            trainer.train_step()
+        assert group.live_ranks == [0, 1, 2, 3] and group.world_size == 4
+        assert [(c.kind, c.rank, c.donor, c.world_size) for c in group.changes] == [
+            ("eject", 2, None, 2), ("rejoin", 2, 0, 3), ("join", 3, 0, 4)
+        ]
+        # Both admissions commit at one boundary; each broadcast runs over
+        # the roster its own admission produced.
+        broadcasts = [s for s in group.history if s.algorithm == "broadcast"]
+        assert [s.world_size for s in broadcasts] == [3, 4]
+        assert list(trainer.train_shards) == [0, 1, 2, 3]
 
 
 class TestMembershipController:
+    """What ``ResilientProcessGroup.begin_step`` commits, on the group alone."""
+
     def test_needs_a_plan_or_an_injector(self):
+        # The schedule is the injector's plan; without one nothing is due.
         group = ResilientProcessGroup(2)
-        with pytest.raises(ValueError, match="no plan"):
-            MembershipController(group)
-        MembershipController(group, plan=FaultPlan(seed=0))  # explicit plan OK
+        assert group.begin_step() == [0, 1]
+        assert group.changes == []
+        plan = FaultPlan(seed=0, joins=(Join(call_index=0),))
+        group = ResilientProcessGroup(2, injector=FaultInjector(plan))
+        assert group.begin_step() == [0, 1, 2]
 
     def test_events_commit_only_once_their_call_index_passes(self):
         plan = FaultPlan(seed=0, joins=(Join(call_index=2),))
         group = ResilientProcessGroup(2, injector=FaultInjector(plan))
-        controller = MembershipController(group)
-        assert controller.begin_step() == [0, 1]  # call index still 0
-        assert controller.pending_events == 1
+        assert group.begin_step() == [0, 1]  # call index still 0
+        assert group.changes == []
         group.all_reduce([np.ones(4), np.ones(4)])
         group.all_reduce([np.ones(4), np.ones(4)])
-        assert controller.begin_step() == [0, 1, 2]
-        assert controller.pending_events == 0
-        assert controller.log.changes[-1].kind == "join"
-        assert controller.log.changes[-1].donor == 0
+        assert group.begin_step() == [0, 1, 2]
+        assert group.begin_step() == [0, 1, 2]  # committed exactly once
+        assert [c.kind for c in group.changes] == ["join"]
+        assert group.changes[-1].donor == 0
 
     def test_recovery_for_never_ejected_rank_is_a_noop(self):
         # The recovery's call index precedes the failure's: latest event
@@ -204,10 +238,9 @@ class TestMembershipController:
             recoveries=(Recovery(rank=1, call_index=1),),
         )
         group = ResilientProcessGroup(2, injector=FaultInjector(plan))
-        controller = MembershipController(group)
         group.all_reduce([np.ones(4), np.ones(4)])
-        assert controller.begin_step() == [0, 1]
-        assert controller.log.changes == []
+        assert group.begin_step() == [0, 1]
+        assert group.changes == []
 
     def test_ejection_recorded_in_log(self):
         plan = FaultPlan(
@@ -217,20 +250,32 @@ class TestMembershipController:
             2, injector=FaultInjector(plan),
             policy=BackoffPolicy(max_retries=0),
         )
-        controller = MembershipController(group)
         group.all_reduce([np.ones(4), np.ones(4)])
-        assert controller.begin_step() == [1]
-        ejections = controller.log.of_kind("eject")
-        assert [change.rank for change in ejections] == [0]
-        assert ejections[0].donor is None
-        assert "eject" in controller.log.render()
+        assert group.begin_step() == [1]
+        assert group.ranks_of("eject") == [0]
+        assert group.changes[0].donor is None
+        assert "call    1: eject  rank 0 -> world 1" in group.resilience_report()
 
     def test_unbound_controller_manages_roster_only(self):
+        # Without a sync callback the group changes its roster and nothing
+        # else: no state broadcast is issued.
         plan = FaultPlan(seed=0, joins=(Join(call_index=0),))
         group = ResilientProcessGroup(2, injector=FaultInjector(plan))
-        controller = MembershipController(group)  # never bound to a trainer
-        assert controller.begin_step() == [0, 1, 2]
-        assert group.stats.joins == 1
+        assert group.begin_step() == [0, 1, 2]
+        assert group.ranks_of("join") == [2]
+        assert group.history == []
+
+    def test_scheduled_rejoin_commits_after_its_boundaries(self):
+        group = ResilientProcessGroup(3)
+        group.mark_worker_failed(1)
+        group.schedule_rejoin(1, after_boundaries=2)
+        assert group.begin_step() == [0, 2]
+        assert group.begin_step() == [0, 1, 2]
+        assert [(c.kind, c.rank) for c in group.changes] == [
+            ("eject", 1), ("rejoin", 1)
+        ]
+        with pytest.raises(ValueError, match="after_boundaries"):
+            group.schedule_rejoin(1, after_boundaries=0)
 
 
 class TestPlanMembershipSemantics:
@@ -398,13 +443,12 @@ class TestResidualsFollowRanks:
                 3, injector=FaultInjector(MIDDLE_CHURN_PLAN),
                 policy=BackoffPolicy(max_retries=1),
             )
-            membership = MembershipController(group)
             kwargs = {"rank": 2} if method == "acpsgd" else {}
             trainer = DataParallelTrainer(
                 model, SGD(model, lr=0.05, momentum=0.9),
                 make_aggregator(method, group, **kwargs),
                 train_data, test_data, batch_size_per_worker=8, seed=11,
-                membership=membership, workers=workers,
+                workers=workers,
             )
             arena = trainer._arena
             assert arena.carried
@@ -417,8 +461,8 @@ class TestResidualsFollowRanks:
             def checked_live_ranks():
                 nonlocal roster, moves, seen
                 ranks = live()
-                changes = membership.log.changes[seen:]
-                seen = len(membership.log.changes)
+                changes = group.changes[seen:]
+                seen = len(group.changes)
                 fresh = {c.rank for c in changes if c.kind in ("rejoin", "join")}
                 for slot, rank in enumerate(ranks):
                     want = empty if rank in fresh else residual[rank]
@@ -438,8 +482,7 @@ class TestResidualsFollowRanks:
             with trainer:
                 for _ in range(20):
                     trainer.train_step()
-            kinds = [change.kind for change in membership.log.changes]
-            assert kinds == ["eject", "rejoin", "join"]
+            assert kinds(group) == ["eject", "rejoin", "join"]
             assert roster == [0, 1, 2, 3] and moves == 2  # rank 2: 2 -> 1 -> 2
             weights[workers] = model.state_vector()
         assert weights["seq"].tobytes() == weights["process"].tobytes()

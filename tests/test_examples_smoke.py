@@ -64,7 +64,7 @@ class TestFastExamples:
     def test_elastic_training(self):
         out = _run("elastic_training.py", "--epochs", "1", "--steps", "10")
         assert "MATCH bit-exactly" in out
-        assert "rejoin" in out and "join" in out  # membership log printed
+        assert "rejoin" in out and "join" in out  # roster changes printed
         assert "admission" in out  # the sim churn trace printed
 
     @pytest.mark.gossip

@@ -233,8 +233,8 @@ class TestPermanentLoss:
 
         assert group.begin_step() == [0, 1]
         assert group.world_size == 2
-        assert group.stats.ejected_ranks == [2]
-        assert "world 2/3 live" in group.resilience_report()
+        assert group.ranks_of("eject") == [2]
+        assert "live world 2 (started at 3)" in group.resilience_report()
 
         # Post-ejection the caller supplies one buffer per survivor and the
         # ring re-chunks to the shrunken world.
@@ -260,10 +260,8 @@ class TestPermanentLoss:
 class TestMembershipStats:
     def test_initial_timeline_entry(self):
         group = ResilientProcessGroup(4)
-        assert group.stats.world_size_timeline == [(0, 4)]
-        assert group.stats.ejections == 0
-        assert group.stats.rejoins == 0
-        assert group.stats.joins == 0
+        assert group.world_size_timeline == [(0, 4)]
+        assert group.changes == []
 
     def test_ejection_then_rejoin_counts_and_timeline(self):
         plan = FaultPlan(seed=0, permanent=(
@@ -273,15 +271,15 @@ class TestMembershipStats:
                                       policy=BackoffPolicy(max_retries=0))
         group.all_reduce(buffers_for(3))
         assert group.begin_step() == [0, 2]
-        assert group.stats.ejections == 1
-        assert group.stats.ejected_ranks == [1]
+        assert group.ranks_of("eject") == [1]
 
-        group.admit(1, rejoin=True)
+        change = group.admit(1, rejoin=True)
         assert group.live_ranks == [0, 1, 2]
         assert group.world_size == 3
-        assert group.stats.rejoins == 1
-        assert group.stats.rejoined_ranks == [1]
-        sizes = [size for _, size in group.stats.world_size_timeline]
+        assert group.ranks_of("rejoin") == [1]
+        assert (change.kind, change.donor, change.world_size) == ("rejoin", 0, 3)
+        assert group.changes[-1] is change
+        sizes = [size for _, size in group.world_size_timeline]
         assert sizes == [3, 2, 3]
 
     def test_join_allocates_fresh_rank_id(self):
@@ -290,8 +288,7 @@ class TestMembershipStats:
         assert rank == 3  # never collides with 0..2
         group.admit(rank, rejoin=False)
         assert group.live_ranks == [0, 1, 2, 3]
-        assert group.stats.joins == 1
-        assert group.stats.joined_ranks == [3]
+        assert group.ranks_of("join") == [3]
         # Ids are never recycled, even past an ejection.
         assert group.allocate_rank() == 4
 
@@ -304,10 +301,10 @@ class TestMembershipStats:
         group = ResilientProcessGroup(2)
         group.admit(group.allocate_rank(), rejoin=False)
         report = group.resilience_report()
-        assert "rejoins" in report
-        assert "joins" in report
-        assert "world-size timeline" in report
-        assert "2@call0 -> 3@call0" in report
+        assert "live world 3 (started at 2)" in report
+        assert "membership changes    1" in report
+        assert "call    0: join   rank 2 (state from rank 0) -> world 3" in report
+        assert "world-size timeline   2@call0 -> 3@call0" in report
 
     def test_averaging_rescales_after_scale_up(self):
         group = ResilientProcessGroup(2)

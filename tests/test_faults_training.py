@@ -110,7 +110,7 @@ class TestPermanentLossDuringTraining:
         history = trainer.run(1, 6, method_label="ssgd")
         assert group.live_ranks == [0, 1]
         assert group.world_size == 2
-        assert group.stats.ejected_ranks == [2]
+        assert group.ranks_of("eject") == [2]
         assert group.stats.degraded_calls >= 1
         assert all(np.isfinite(loss) for loss in history.train_loss)
 

@@ -181,16 +181,33 @@ class TestProcessGroupDispatch:
             ProcessGroup(3, topology=TOPO_2x2)
 
     def test_trainer_rejects_group_topology_with_membership(self):
-        """``group.set_topology`` used to slip past the check the trainer
-        made only on its own ``topology=`` argument."""
-        from repro.elastic import MembershipController
-        from repro.faults import FaultInjector, FaultPlan, ResilientProcessGroup
+        """A plan that grows the roster cannot run over a node topology,
+        whichever way the topology reached the group."""
+        from repro.faults import (
+            FaultInjector, FaultPlan, Join, ResilientProcessGroup,
+            SupervisionPolicy,
+        )
         from repro.train.trainer import DataParallelTrainer
 
+        plan = FaultPlan(joins=(Join(call_index=4),))
+        group = ResilientProcessGroup(4, injector=FaultInjector(plan))
+        group.set_topology(TOPO_2x2)
+        with pytest.raises(ValueError, match="mutually exclusive"):
+            DataParallelTrainer(
+                *self._trainer_parts(group), batch_size_per_worker=2,
+            )
+        # A supervisor that readmits ejected workers grows it too ...
         group = ResilientProcessGroup(4, injector=FaultInjector(FaultPlan()))
         group.set_topology(TOPO_2x2)
         with pytest.raises(ValueError, match="mutually exclusive"):
             DataParallelTrainer(
                 *self._trainer_parts(group), batch_size_per_worker=2,
-                membership=MembershipController(group),
+                supervision=SupervisionPolicy(on_failure="eject"),
             )
+        # ... while a roster that can only shrink is accepted.
+        DataParallelTrainer(
+            *self._trainer_parts(group), batch_size_per_worker=2,
+            supervision=SupervisionPolicy(
+                on_failure="eject", respawn_delay_steps=None
+            ),
+        ).close()

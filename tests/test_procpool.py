@@ -124,7 +124,6 @@ class TestProcessChurn:
         boundary, an ejected child idling (freezing its rng stream), and
         the rejoin resuming it.
         """
-        from repro.elastic import MembershipController
         from repro.faults import (
             FaultInjector,
             FaultPlan,
@@ -147,7 +146,6 @@ class TestProcessChurn:
             )
             model = make_small_vgg(base_width=2, rng=np.random.default_rng(5))
             group = ResilientProcessGroup(3, injector=FaultInjector(plan))
-            membership = MembershipController(group)
             trainer = DataParallelTrainer(
                 model,
                 SGD(model, lr=0.05, momentum=0.9),
@@ -157,12 +155,11 @@ class TestProcessChurn:
                 batch_size_per_worker=4,
                 seed=13,
                 resilience=ResilienceConfig(),
-                membership=membership,
                 workers=workers,
             )
             with trainer:
                 losses = [trainer.train_step() for _ in range(6)]
-            changes = [change.kind for change in membership.log.changes]
+            changes = [change.kind for change in group.changes]
             assert changes == ["eject", "rejoin", "join"], changes
             weights = np.concatenate(
                 [p.data.ravel() for _, p in model.named_parameters()]

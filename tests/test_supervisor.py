@@ -8,9 +8,8 @@ The contract under test, per ``docs/fault_tolerance.md``:
 - under the ``"restart"`` policy a crashed/hung child is respawned, its
   sampling stream replayed, and the failed task re-run within the step —
   the recovered trajectory is **bit-identical to the fault-free run**;
-- under the ``"eject"`` policy the step degrades, the rank is ejected at
-  the next boundary through the membership controller, and later
-  readmitted — bit-identical to the *sequential* twin simulating the
+- under the ``"eject"`` policy the step degrades, the resilient group
+  ejects the rank at the next boundary and later readmits it — bit-identical to the *sequential* twin simulating the
   same :class:`WorkerFault` schedule;
 - every recovery path leaves zero leaked shm segments (the suite-wide
   conftest guard enforces this for every test here).
@@ -27,7 +26,6 @@ import numpy as np
 import pytest
 
 from repro.comm.process_group import ProcessGroup
-from repro.elastic import MembershipController
 from repro.faults import (
     FaultInjector,
     FaultPlan,
@@ -71,7 +69,7 @@ def make_trainer(
     workers="process",
     plan=None,
     policy=None,
-    membership_on=False,
+    resilient=None,
     world=2,
     method="ssgd",
     seed=11,
@@ -79,13 +77,10 @@ def make_trainer(
 ):
     train_data, test_data = make_task(seed)
     model = make_mlp(6, 10, 3, rng=np.random.default_rng(5))
-    membership = None
-    if membership_on or policy is not None:
+    if resilient if resilient is not None else policy is not None:
         group = ResilientProcessGroup(
             world, injector=FaultInjector(plan or FaultPlan(seed=seed))
         )
-        if membership_on:
-            membership = MembershipController(group)
     else:
         group = ProcessGroup(world)
     trainer = DataParallelTrainer(
@@ -97,7 +92,6 @@ def make_trainer(
         batch_size_per_worker=4,
         seed=seed,
         workers=workers,
-        membership=membership,
         supervision=policy,
         worker_step_timeout=step_timeout,
     )
@@ -309,7 +303,7 @@ class TestEjectPolicy:
         for workers in ("process", "seq"):
             trainer, model = make_trainer(
                 workers=workers, plan=plan, policy=policy,
-                membership_on=True, step_timeout=step_timeout,
+                step_timeout=step_timeout,
             )
             results[workers] = (
                 run_steps(trainer, model, steps=5), trainer
@@ -320,10 +314,10 @@ class TestEjectPolicy:
         assert p_run[0] == s_run[0]
         assert np.array_equal(p_run[1], s_run[1])
         for trainer in (p_trainer, s_trainer):
-            log = trainer.membership.log
-            assert [c.rank for c in log.of_kind("eject")] == [1]
-            assert [c.rank for c in log.of_kind("rejoin")] == [1]
-            assert trainer.aggregator.group.live_ranks == [0, 1]
+            group = trainer.aggregator.group
+            assert group.ranks_of("eject") == [1]
+            assert group.ranks_of("rejoin") == [1]
+            assert group.live_ranks == [0, 1]
 
     def test_no_rejoin_when_delay_is_none(self):
         plan = FaultPlan(seed=11, worker_faults=(
@@ -332,20 +326,19 @@ class TestEjectPolicy:
         policy = SupervisionPolicy(
             on_failure="eject", respawn_delay_steps=None
         )
-        trainer, model = make_trainer(
-            plan=plan, policy=policy, membership_on=True, world=3
-        )
+        trainer, model = make_trainer(plan=plan, policy=policy, world=3)
         run_steps(trainer, model, steps=4)
-        log = trainer.membership.log
-        assert [c.rank for c in log.of_kind("eject")] == [2]
-        assert log.of_kind("rejoin") == []
-        assert trainer.aggregator.group.live_ranks == [0, 1]
+        group = trainer.aggregator.group
+        assert group.ranks_of("eject") == [2]
+        assert group.ranks_of("rejoin") == []
+        assert group.live_ranks == [0, 1]
 
     def test_eject_requires_membership(self):
-        with pytest.raises(ValueError, match="MembershipController"):
+        """Only a resilient group can commit the ejection and the rejoin."""
+        with pytest.raises(ValueError, match="requires a ResilientProcessGroup"):
             make_trainer(
                 policy=SupervisionPolicy(on_failure="eject"),
-                membership_on=False,
+                resilient=False,
             )
 
 

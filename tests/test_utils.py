@@ -4,24 +4,36 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.utils import format_bytes, render_table, spawn_rngs
+from repro.utils import format_bytes, rank_rng, render_table
 
 
 class TestSeeding:
     def test_spawn_decorrelated_and_deterministic(self):
-        rngs1 = spawn_rngs(7, 4)
-        rngs2 = spawn_rngs(7, 4)
-        for r1, r2 in zip(rngs1, rngs2):
-            np.testing.assert_array_equal(r1.normal(size=5), r2.normal(size=5))
-        draws = [r.normal(size=100) for r in spawn_rngs(7, 4)]
+        for rank in range(4):
+            np.testing.assert_array_equal(
+                rank_rng(7, rank).normal(size=5),
+                rank_rng(7, rank).normal(size=5),
+            )
+        draws = [rank_rng(7, rank).normal(size=100) for rank in range(4)]
         for i in range(4):
             for j in range(i + 1, 4):
                 corr = np.corrcoef(draws[i], draws[j])[0, 1]
                 assert abs(corr) < 0.35
 
     def test_spawn_validation(self):
-        with pytest.raises(ValueError):
-            spawn_rngs(0, 0)
+        with pytest.raises(ValueError, match="rank"):
+            rank_rng(0, -1)
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**40])
+    def test_rank_stream_is_the_seed_sequence_child(self, seed):
+        """The process pool seeds every child from ``rank_rng`` and the
+        trainer its in-process ranks; both equal the root's spawned child."""
+        children = np.random.SeedSequence(seed).spawn(4)
+        for rank in range(4):
+            np.testing.assert_array_equal(
+                rank_rng(seed, rank).random(16),
+                np.random.default_rng(children[rank]).random(16),
+            )
 
 
 class TestFormatting:
