@@ -13,6 +13,10 @@ buckets), under three scenarios:
   later one for a non-finite aggregate; each skip resets the compressor
   state and opens a two-step uncompressed fallback window.
 
+DGC (Top-k with momentum correction, whose velocity the Top-k selection
+reads) is pinned in the six error-feedback cells under ``SGD(momentum=0)``:
+its momentum lives in the aggregator, so the optimizer applies none.
+
 ACP-SGD and Power-SGD with error feedback are also pinned with query reuse
 off (``no-reuse`` cells: the Fig. 7 "w/o reuse" ablation), where every
 step's carried factor is a fresh draw from a per-tensor stream that an
@@ -46,6 +50,8 @@ from repro.train.trainer import DataParallelTrainer
 
 METHODS = ("topk", "signsgd", "acpsgd", "powersgd", "randomk")
 NO_REUSE_METHODS = ("acpsgd", "powersgd")
+#: Methods pinned with error feedback on only (their default).
+EF_ONLY_METHODS = ("dgc",)
 BUCKETING = {"monolithic": None, "bucketed": 1 << 20}
 SCENARIOS = ("static", "elastic", "resilient")
 STEPS = 10
@@ -82,11 +88,12 @@ def _trainer(method, ef, bucketing, scenario, workers, reuse_query=True):
     kwargs = {"rank": 2} if method in ("acpsgd", "powersgd") else {}
     if not reuse_query:
         kwargs["reuse_query"] = False
-    aggregator = make_aggregator(
-        method, group, use_error_feedback=ef, **kwargs
-    )
+    if method not in EF_ONLY_METHODS:
+        kwargs["use_error_feedback"] = ef
+    aggregator = make_aggregator(method, group, **kwargs)
+    momentum = 0.0 if method == "dgc" else 0.9
     trainer = DataParallelTrainer(
-        model, SGD(model, lr=0.05, momentum=0.9), aggregator, data, data,
+        model, SGD(model, lr=0.05, momentum=momentum), aggregator, data, data,
         batch_size_per_worker=4, seed=1, buffer_bytes=BUCKETING[bucketing],
         workers=workers, resilience=resilience,
     )
@@ -257,6 +264,18 @@ PINNED = {
         "8cb06cebd8f2aab6754290ed17ec6d18dcb92a9fe882098d39b489ba515e34a0",
     "randomk/no-ef/bucketed/resilient":
         "3d1f61a4b2738f5f9006f2abfad49f5c0c7ccade019b3d4adab5db5fb0334ae1",
+    "dgc/ef/monolithic/static":
+        "17224e97b34c33b218a42f5df8604600fc02399660575591c1eb063bb032c9cc",
+    "dgc/ef/monolithic/elastic":
+        "6b86ad9924a9621277d1a60e8e1b0349d48e31d17c1f6a33e99c7bdd376df51d",
+    "dgc/ef/monolithic/resilient":
+        "e98349cd36b353ea9a79694ca97139e4b29b3a9fca59f3ac8e2898aa989e3546",
+    "dgc/ef/bucketed/static":
+        "17224e97b34c33b218a42f5df8604600fc02399660575591c1eb063bb032c9cc",
+    "dgc/ef/bucketed/elastic":
+        "6b86ad9924a9621277d1a60e8e1b0349d48e31d17c1f6a33e99c7bdd376df51d",
+    "dgc/ef/bucketed/resilient":
+        "e98349cd36b353ea9a79694ca97139e4b29b3a9fca59f3ac8e2898aa989e3546",
     "acpsgd/ef-no-reuse/monolithic/static":
         "8a2c13dbf2b6618843e271da70ba01079b1045340248c09cadd804150c0a8802",
     "acpsgd/ef-no-reuse/monolithic/elastic":
@@ -306,12 +325,27 @@ def test_no_reuse_cell_reproduces_its_pinned_digest(
     assert digest == PINNED[key]
 
 
+@pytest.mark.parametrize("workers", ["seq", "process"])
+@pytest.mark.parametrize("scenario", SCENARIOS)
+@pytest.mark.parametrize("bucketing", list(BUCKETING))
+@pytest.mark.parametrize("method", EF_ONLY_METHODS)
+def test_ef_only_cell_reproduces_its_pinned_digest(
+    method, bucketing, scenario, workers
+):
+    key = cell_key(method, True, bucketing, scenario)
+    assert run_cell(method, True, bucketing, scenario, workers) == PINNED[key]
+
+
 def _cells():
     for method in METHODS:
         for ef in (True, False):
             for bucketing in BUCKETING:
                 for scenario in SCENARIOS:
                     yield method, ef, bucketing, scenario, True
+    for method in EF_ONLY_METHODS:
+        for bucketing in BUCKETING:
+            for scenario in SCENARIOS:
+                yield method, True, bucketing, scenario, True
     for method in NO_REUSE_METHODS:
         for bucketing in BUCKETING:
             for scenario in SCENARIOS:
