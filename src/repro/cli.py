@@ -132,13 +132,29 @@ def cmd_autotune(args: argparse.Namespace) -> int:
     return 0
 
 
+def _method_trainer(args, model, group, train_data, test_data, resilience):
+    """The trainer ``train`` and ``elastic`` run: ``args.method``'s
+    aggregator under SGD with momentum 0.9, or none for DGC, whose
+    momentum correction is the method's own."""
+    from repro.optim import SGD, make_aggregator
+    from repro.train import DataParallelTrainer
+
+    kwargs = {"rank": args.rank} if args.method in ("powersgd", "acpsgd") else {}
+    momentum = 0.0 if args.method == "dgc" else 0.9
+    return DataParallelTrainer(
+        model, SGD(model, lr=args.lr, momentum=momentum),
+        make_aggregator(args.method, group, **kwargs),
+        train_data, test_data, batch_size_per_worker=args.batch_size,
+        seed=args.seed + 2, resilience=resilience,
+    )
+
+
 def cmd_train(args: argparse.Namespace) -> int:
     import numpy as np
 
     from repro.comm import ProcessGroup
     from repro.models import make_small_resnet, make_small_vgg
-    from repro.optim import SGD, make_aggregator
-    from repro.train import DataParallelTrainer, ResilienceConfig, make_cifar_like
+    from repro.train import ResilienceConfig, make_cifar_like
 
     train_data, test_data = make_cifar_like(
         num_train=args.samples, num_test=max(100, args.samples // 4),
@@ -165,14 +181,8 @@ def cmd_train(args: argparse.Namespace) -> int:
         resilience = ResilienceConfig()
     else:
         group = ProcessGroup(args.workers)
-    kwargs = {}
-    if args.method in ("powersgd", "acpsgd"):
-        kwargs["rank"] = args.rank
-    aggregator = make_aggregator(args.method, group, **kwargs)
-    trainer = DataParallelTrainer(
-        model, SGD(model, lr=args.lr, momentum=0.9), aggregator,
-        train_data, test_data, batch_size_per_worker=args.batch_size,
-        seed=args.seed + 2, resilience=resilience,
+    trainer = _method_trainer(
+        args, model, group, train_data, test_data, resilience
     )
     history = trainer.run(args.epochs, args.steps_per_epoch,
                           method_label=args.method)
@@ -197,8 +207,7 @@ def cmd_elastic(args: argparse.Namespace) -> int:
         ResilientProcessGroup,
     )
     from repro.models import make_small_resnet
-    from repro.optim import SGD, make_aggregator
-    from repro.train import DataParallelTrainer, ResilienceConfig, make_cifar_like
+    from repro.train import ResilienceConfig, make_cifar_like
 
     if args.workers < 2:
         raise ValueError(
@@ -219,14 +228,8 @@ def cmd_elastic(args: argparse.Namespace) -> int:
         joins=(Join(call_index=args.join_call),),
     )
     group = ResilientProcessGroup(args.workers, injector=FaultInjector(plan))
-    kwargs = {}
-    if args.method in ("powersgd", "acpsgd"):
-        kwargs["rank"] = args.rank
-    aggregator = make_aggregator(args.method, group, **kwargs)
-    trainer = DataParallelTrainer(
-        model, SGD(model, lr=args.lr, momentum=0.9), aggregator,
-        train_data, test_data, batch_size_per_worker=args.batch_size,
-        seed=args.seed + 2, resilience=ResilienceConfig(),
+    trainer = _method_trainer(
+        args, model, group, train_data, test_data, ResilienceConfig()
     )
     history = trainer.run(args.epochs, args.steps_per_epoch,
                           method_label=args.method)

@@ -128,8 +128,8 @@ def topk_select(
     overwrite. The kernel's confirming pass uses its first
     :data:`SELECT_BLOCK` elements; the fall-back's ``|flat|`` uses it when
     it holds ``flat.size`` and allocates otherwise. The Top-k aggregator
-    passes one block, so its steady state allocates nothing O(size); DGC
-    passes its consumed slab, so neither path does.
+    (DGC included) passes one block, so its steady state allocates nothing
+    O(size).
     """
     size = flat.size
     trivial = _trivial_selection(size, k)
@@ -212,6 +212,10 @@ class TopkCompressor:
         use_error_feedback: leave the unsent residual in the compressed
             vector (see :meth:`compress`).
         rng: sampling stream for the threshold estimator.
+
+    ``velocity`` is DGC's per-worker velocity ``v``, which a Top-k
+    aggregator with momentum correction accumulates and selects on
+    (``None`` until its first step, and after :meth:`reset`).
     """
 
     def __init__(
@@ -229,6 +233,11 @@ class TopkCompressor:
         self.selection = selection
         self.use_error_feedback = use_error_feedback
         self.rng = rng if rng is not None else np.random.default_rng(0)
+        self.velocity: Optional[np.ndarray] = None
+
+    def reset(self) -> None:
+        """Drop the velocity (rollback / contaminated-state recovery)."""
+        self.velocity = None
 
     def select(
         self, flat: np.ndarray, scratch: Optional[np.ndarray] = None
@@ -267,26 +276,15 @@ def sparse_aggregate(
     payloads: List[SparsePayload],
     shape: Tuple[int, ...],
     average: bool = True,
-    validate: bool = False,
     out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Sum gathered sparse payloads into a dense tensor (optionally mean).
 
     ``out``, a flat float64 buffer of the dense size, is cleared and
     scatter-added into instead of a new tensor (the result is a view of it).
-
-    With ``validate`` each payload's values are checked finite before the
-    scatter-add (cost: one pass over the ~k received values per worker), so
-    a corrupted payload fails loudly instead of silently poisoning the
-    dense gradient.
     """
     if not payloads:
         raise ValueError("need at least one payload")
-    if validate:
-        from repro.utils.validation import assert_finite
-
-        for worker, payload in enumerate(payloads):
-            assert_finite(payload.values, f"topk payload values (worker {worker})")
     num_elements = payloads[0].num_elements
     dense = np.empty(num_elements) if out is None else out
     if dense.shape != (num_elements,) or dense.dtype != np.float64:

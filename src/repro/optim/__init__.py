@@ -6,7 +6,8 @@
   paper's Fig. 6 schedule.
 - :mod:`repro.optim.aggregators` — one gradient aggregation strategy per
   method: S-SGD (ring all-reduce), Sign-SGD (all-gather + majority vote),
-  Top-k SGD (all-gather + sparse sum), Random-k (all-reduce over shared
+  Top-k SGD (all-gather + sparse sum; with momentum correction, DGC),
+  Random-k (all-reduce over shared
   coordinates), QSGD (all-gather), Power-SGD (two all-reduces with an
   interleaved orthogonalization), and ACP-SGD (one all-reduce of the
   alternating factor).
@@ -28,7 +29,6 @@ from repro.optim.aggregators import (
     TopkSGDAggregator,
     make_aggregator,
 )
-from repro.optim.dgc import DGCTopkAggregator
 
 __all__ = [
     "SGD",
@@ -42,6 +42,5 @@ __all__ = [
     "TernGradAggregator",
     "PowerSGDAggregator",
     "ACPSGDAggregator",
-    "DGCTopkAggregator",
     "make_aggregator",
 ]

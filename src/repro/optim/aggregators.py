@@ -13,28 +13,30 @@ Every method is *staged*: the three public calls ``begin_buckets`` /
 ``reduce_bucket`` / ``finish_buckets`` live once, in
 :class:`GradientAggregator`, and a method supplies the ``_begin`` /
 ``_reduce`` / ``_finish`` bodies behind them. Methods that compress the
-whole fused vector at once (Random-k, QSGD, TernGrad, DGC) leave
-``_reduce`` empty and do all their work in ``_finish`` over the staged
-slabs, so every method runs under any bucket partition of the arena.
+whole fused vector at once (Random-k, QSGD, TernGrad) leave ``_reduce``
+empty and do all their work in ``_finish`` over the staged slabs, so every
+method runs under any bucket partition of the arena.
 
 Error feedback lives in the slabs (every tensor of Top-k, Sign-SGD and
 Random-k, the compressible ones of Power-SGD / ACP-SGD): backward adds the
 gradient onto each rank's residual there, and the method compresses in
-place and leaves the new residual. ACP-SGD alone takes a ``Linear`` weight
-gradient as its factors (``takes_factors``); every other aggregator adds
-pending factors onto the slab first.
+place and leaves the new residual. DGC is Top-k with momentum correction:
+its slab carries the local momentum instead. ACP-SGD alone takes a
+``Linear`` weight gradient as its factors (``takes_factors``); every other
+aggregator adds pending factors onto the slab first.
 
 Those five methods return the reduced payload as a
 :class:`~repro.optim.decoded.DecodedAggregate` — the selections, the vote, the low-rank
 factors — and decode nothing themselves: ``SGD.step`` decodes each block
 of rows into a block of scratch just before it applies it, so no
 aggregate the size of the model is ever formed. The others (S-SGD, QSGD,
-TernGrad, DGC) return plain ``{name: array}`` views.
+TernGrad) return plain ``{name: array}`` views.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
+from functools import partial
 from math import prod
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -56,7 +58,6 @@ from repro.compression.topk import (
 )
 from repro.compression.wire import low_rank_split
 from repro.optim.decoded import DecodedAggregate, row_size
-from repro.utils.validation import assert_finite
 
 NamedGrads = Dict[str, np.ndarray]
 
@@ -740,6 +741,14 @@ class TopkSGDAggregator(GradientAggregator):
     ejected worker's stale slab) contributes what it holds — its residual,
     or without error feedback its last gradient: deterministic, and the
     same on every worker backend.
+
+    ``momentum_correction=μ > 0`` is DGC (Lin et al. 2018, the paper's
+    [19], ``make_aggregator("dgc")``): the slab carries ``μ·u``, so
+    backward's add forms the local momentum ``u = μu + g``; the rank's
+    persistent velocity (its compressor's ``velocity``) accumulates
+    ``v += u`` and is what the selection reads; a sent coordinate is
+    zeroed in both ``v`` and ``u``, and ``u`` shrinks by ``μ`` for the next
+    step. The momentum lives here, so pair it with ``SGD(momentum=0)``.
     """
 
     method = "topk"
@@ -751,14 +760,25 @@ class TopkSGDAggregator(GradientAggregator):
         selection: str = "exact",
         use_error_feedback: bool = True,
         seed: int = 0,
-        validate: bool = False,
+        momentum_correction: float = 0.0,
     ):
         super().__init__(group)
-        self.validate = validate
+        if not 0.0 <= momentum_correction < 1.0:
+            raise ValueError(
+                f"momentum_correction must be in [0, 1), got {momentum_correction}"
+            )
+        if momentum_correction and not use_error_feedback:
+            raise ValueError(
+                "momentum_correction needs use_error_feedback=True: the "
+                "local momentum is carried in the error-feedback slab"
+            )
+        if momentum_correction:
+            self.method = "dgc"
         self.ratio = ratio
         self.selection = selection
         self.use_error_feedback = use_error_feedback
         self.seed = seed
+        self.momentum_correction = momentum_correction
         self._init_states()
 
     def _make_state(self, rank: int) -> TopkCompressor:
@@ -788,13 +808,25 @@ class TopkSGDAggregator(GradientAggregator):
         scratch = self._staging_rows(
             "topk", 1, max(1, min(SELECT_BLOCK, session.total))
         )[0]
+        mu = self.momentum_correction
         selections = []
         for rank, slab in zip(self.roster, session.slabs):
-            idx = self._per_rank[rank].select(slab, scratch)
+            state = self._per_rank[rank]
+            accumulator = slab
+            if mu:
+                if state.velocity is None or state.velocity.size != session.total:
+                    # -0.0 + u is u, bit for bit, signed zeros included.
+                    state.velocity = np.full(session.total, -0.0)
+                accumulator = state.velocity
+                accumulator += slab
+            idx = state.select(accumulator, scratch)
             idx.sort()
-            selections.append((idx, slab[idx]))
+            selections.append((idx, accumulator[idx]))
             if self.use_error_feedback:
-                slab[idx] = 0.0  # sent; the rest stays behind, in place
+                accumulator[idx] = 0.0  # sent; the rest stays behind, in place
+            if mu:
+                slab[idx] = 0.0
+                slab *= mu
         cuts = [np.searchsorted(idx, edges) for idx, _ in selections]
         for b, (lo, hi) in enumerate(buckets):
             # Per-bucket wire format: each rank ships only the (index,
@@ -805,9 +837,6 @@ class TopkSGDAggregator(GradientAggregator):
                 ])
                 for (idx, values), cut in zip(selections, cuts)
             ])
-        if self.validate:
-            for worker, (_, values) in enumerate(selections):
-                assert_finite(values, f"topk payload values (worker {worker})")
         return _SparseAggregate(session.layout, selections)
 
 
@@ -1145,9 +1174,8 @@ class ACPSGDAggregator(_LowRankBase):
 def make_aggregator(
     method: str, group: ProcessGroup, **kwargs
 ) -> GradientAggregator:
-    """Factory by method name: ssgd/signsgd/topk/randomk/qsgd/powersgd/acpsgd."""
-    from repro.optim.dgc import DGCTopkAggregator
-
+    """Factory by method name: ssgd/signsgd/topk/randomk/qsgd/powersgd/acpsgd,
+    terngrad, and dgc (Top-k with momentum correction 0.9)."""
     registry = {
         "ssgd": AllReduceAggregator,
         "signsgd": SignSGDAggregator,
@@ -1157,7 +1185,7 @@ def make_aggregator(
         "terngrad": TernGradAggregator,
         "powersgd": PowerSGDAggregator,
         "acpsgd": ACPSGDAggregator,
-        "dgc": DGCTopkAggregator,
+        "dgc": partial(TopkSGDAggregator, momentum_correction=0.9),
     }
     cls = registry.get(method)
     if cls is None:

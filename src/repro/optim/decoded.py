@@ -6,7 +6,7 @@ as a :class:`DecodedAggregate` instead of decoding the average into a
 model-sized buffer. :class:`~repro.optim.sgd.SGD` decodes one block of a
 tensor's leading-axis rows at a time, into a block of scratch, just before
 it applies it. A plain ``{name: array}`` dict is the dense case (S-SGD,
-QSGD, TernGrad, DGC, ``.grad``).
+QSGD, TernGrad, ``.grad``).
 """
 
 from __future__ import annotations

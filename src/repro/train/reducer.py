@@ -36,10 +36,11 @@ deferred mode: the same per-bucket protocol, fired after backward
 completes. Both modes are bit-identical to each other and to the
 one-bucket layout.
 
-Methods whose compression is *vector-global* (top-k selection, sign-SGD's
-L1 scale, the whole-vector Random-k / QSGD / TernGrad / DGC codecs) still
-stage per bucket but cannot ship until every bucket is staged — the
-paper's observation that such compressors forfeit most of WFBP's overlap.
+Methods whose compression is *vector-global* (top-k selection, DGC's
+included, sign-SGD's L1 scale, the whole-vector Random-k / QSGD / TernGrad
+codecs) still stage per bucket but cannot ship until every bucket is
+staged — the paper's observation that such compressors forfeit most of
+WFBP's overlap.
 """
 
 from __future__ import annotations

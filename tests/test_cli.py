@@ -177,6 +177,32 @@ class TestTrain:
         assert "final accuracy" in out
 
 
+class TestDGCMomentum:
+    @pytest.mark.parametrize("command", [
+        ["train", "--workers", "2", "--samples", "100"],
+        ["elastic", "--workers", "2", "--samples", "100", "--fail-call", "1",
+         "--rejoin-call", "3", "--join-call", "4"],
+    ], ids=["train", "elastic"])
+    def test_dgc_trains_under_momentum_free_sgd(self, command, capsys,
+                                                 monkeypatch):
+        """DGC's momentum correction is its momentum: the optimizer adds none."""
+        import repro.optim
+
+        momenta = []
+
+        class RecordingSGD(repro.optim.SGD):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                momenta.append(self.momentum)
+
+        monkeypatch.setattr(repro.optim, "SGD", RecordingSGD)
+        code = main(command + ["--method", "dgc", "--epochs", "1",
+                               "--steps-per-epoch", "2", "--batch-size", "4"])
+        assert code == 0
+        assert "final accuracy" in capsys.readouterr().out
+        assert momenta == [0.0]
+
+
 class TestElastic:
     def test_each_roster_change_is_printed_once(self, capsys):
         code = main(["elastic", "--method", "ssgd", "--workers", "2",

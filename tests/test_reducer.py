@@ -19,11 +19,12 @@ from repro.train.reducer import BucketedReducer
 from repro.train.resilience import ResilienceConfig
 from repro.train.trainer import DataParallelTrainer
 
-#: Every method stages; the last four compress the whole vector at once:
+#: Every method stages; the last three compress the whole vector at once:
 #: nothing per bucket, the codec in ``_finish``.
-WHOLE_VECTOR_METHODS = ["randomk", "qsgd", "terngrad", "dgc"]
+WHOLE_VECTOR_METHODS = ["randomk", "qsgd", "terngrad"]
 BUCKETED_METHODS = [
-    "ssgd", "signsgd", "topk", "powersgd", "acpsgd", *WHOLE_VECTOR_METHODS
+    "ssgd", "signsgd", "topk", "dgc", "powersgd", "acpsgd",
+    *WHOLE_VECTOR_METHODS,
 ]
 
 
