@@ -59,6 +59,9 @@ WORLD = 3
 #: Steps (1-based, as counted by the trainer) whose local gradients /
 #: aggregate are made non-finite in the ``resilient`` scenario.
 LOCAL_NAN_STEP, AGGREGATE_INF_STEP = 3, 6
+#: Collective call indices of the ``elastic`` scenario's eject, rejoin and
+#: join (a fault plan counts collectives, not steps).
+ELASTIC_CALLS = (1, 3, 5)
 
 
 def cell_key(method, ef, bucketing, scenario, reuse_query=True):
@@ -66,7 +69,8 @@ def cell_key(method, ef, bucketing, scenario, reuse_query=True):
     return f"{method}/{mode}/{bucketing}/{scenario}"
 
 
-def _trainer(method, ef, bucketing, scenario, workers, reuse_query=True):
+def _trainer(method, ef, bucketing, scenario, workers, reuse_query=True,
+             elastic_calls=ELASTIC_CALLS):
     rng = np.random.default_rng(0)
     data = ArrayDataset(
         rng.standard_normal((96, 128)), rng.integers(0, 10, size=96)
@@ -74,11 +78,12 @@ def _trainer(method, ef, bucketing, scenario, workers, reuse_query=True):
     model = make_mlp(128, 256, 10, depth=3, rng=rng)
     resilience = None
     if scenario == "elastic":
+        eject, rejoin, join = elastic_calls
         plan = FaultPlan(
             seed=7,
-            permanent=(PermanentFailure(rank=1, call_index=1),),
-            recoveries=(Recovery(rank=1, call_index=3),),
-            joins=(Join(call_index=5),),
+            permanent=(PermanentFailure(rank=1, call_index=eject),),
+            recoveries=(Recovery(rank=1, call_index=rejoin),),
+            joins=(Join(call_index=join),),
         )
         group = ResilientProcessGroup(WORLD, injector=FaultInjector(plan))
     else:
@@ -127,9 +132,12 @@ def _force_skips(trainer):
     trainer.reducer.finish_step = poisoned_finish
 
 
-def run_cell(method, ef, bucketing, scenario, workers="seq", reuse_query=True):
+def run_cell(method, ef, bucketing, scenario, workers="seq", reuse_query=True,
+             elastic_calls=ELASTIC_CALLS):
     """Digest of one cell's trajectory (asserting the scenario played out)."""
-    trainer = _trainer(method, ef, bucketing, scenario, workers, reuse_query)
+    trainer = _trainer(
+        method, ef, bucketing, scenario, workers, reuse_query, elastic_calls
+    )
     with trainer:
         losses = [trainer.train_step() for _ in range(STEPS)]
     if scenario == "elastic":
@@ -273,7 +281,7 @@ PINNED = {
     "dgc/ef/bucketed/static":
         "17224e97b34c33b218a42f5df8604600fc02399660575591c1eb063bb032c9cc",
     "dgc/ef/bucketed/elastic":
-        "6b86ad9924a9621277d1a60e8e1b0349d48e31d17c1f6a33e99c7bdd376df51d",
+        "cc8e8dd1f8d21095f0bc0a9e684a491eb3017cc94df25c0680697ba30e8bb0cd",
     "dgc/ef/bucketed/resilient":
         "e98349cd36b353ea9a79694ca97139e4b29b3a9fca59f3ac8e2898aa989e3546",
     "acpsgd/ef-no-reuse/monolithic/static":
@@ -334,6 +342,19 @@ def test_ef_only_cell_reproduces_its_pinned_digest(
 ):
     key = cell_key(method, True, bucketing, scenario)
     assert run_cell(method, True, bucketing, scenario, workers) == PINNED[key]
+
+
+def test_bucketed_dgc_churn_at_the_monolithic_steps_is_the_monolithic_cell():
+    """The two elastic DGC cells differ only in when the roster changes.
+
+    A fault plan counts collective calls. Monolithic DGC issues one
+    all-gather a step, bucketed DGC one per bucket (two here), so the same
+    call indices commit the eject, rejoin and join at earlier steps of the
+    bucketed run. Keyed to the calls that land on the monolithic run's
+    steps, the bucketed run reproduces the monolithic digest.
+    """
+    digest = run_cell("dgc", True, "bucketed", "elastic", elastic_calls=(2, 5, 9))
+    assert digest == PINNED[cell_key("dgc", True, "monolithic", "elastic")]
 
 
 def _cells():
