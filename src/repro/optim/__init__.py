@@ -7,10 +7,9 @@
 - :mod:`repro.optim.aggregators` — one gradient aggregation strategy per
   method: S-SGD (ring all-reduce), Sign-SGD (all-gather + majority vote),
   Top-k SGD (all-gather + sparse sum; with momentum correction, DGC),
-  Random-k (all-reduce over shared
-  coordinates), QSGD (all-gather), Power-SGD (two all-reduces with an
-  interleaved orthogonalization), and ACP-SGD (one all-reduce of the
-  alternating factor).
+  Random-k (all-reduce over shared coordinates), QSGD (all-gather),
+  Power-SGD (two all-reduces with an interleaved orthogonalization), and
+  ACP-SGD (one all-reduce of the alternating factor).
 - :mod:`repro.optim.decoded` — what a compressing method returns: the
   reduced payload, which ``SGD.step`` decodes one block of rows at a time.
 """

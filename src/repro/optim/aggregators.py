@@ -814,8 +814,7 @@ class TopkSGDAggregator(GradientAggregator):
             state = self._per_rank[rank]
             accumulator = slab
             if mu:
-                if state.velocity is None or state.velocity.size != session.total:
-                    # -0.0 + u is u, bit for bit, signed zeros included.
+                if state.velocity is None:  # -0.0 + u is u, signed zeros too
                     state.velocity = np.full(session.total, -0.0)
                 accumulator = state.velocity
                 accumulator += slab
@@ -826,7 +825,7 @@ class TopkSGDAggregator(GradientAggregator):
                 accumulator[idx] = 0.0  # sent; the rest stays behind, in place
             if mu:
                 slab[idx] = 0.0
-                slab *= mu
+                slab *= mu  # the next backward adds g onto mu * u
         cuts = [np.searchsorted(idx, edges) for idx, _ in selections]
         for b, (lo, hi) in enumerate(buckets):
             # Per-bucket wire format: each rank ships only the (index,

@@ -93,9 +93,9 @@ def _trainer(method, ef, bucketing, scenario, workers, reuse_query=True,
     kwargs = {"rank": 2} if method in ("acpsgd", "powersgd") else {}
     if not reuse_query:
         kwargs["reuse_query"] = False
-    if method not in EF_ONLY_METHODS:
-        kwargs["use_error_feedback"] = ef
-    aggregator = make_aggregator(method, group, **kwargs)
+    aggregator = make_aggregator(
+        method, group, use_error_feedback=ef, **kwargs
+    )
     momentum = 0.0 if method == "dgc" else 0.9
     trainer = DataParallelTrainer(
         model, SGD(model, lr=0.05, momentum=momentum), aggregator, data, data,

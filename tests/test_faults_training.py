@@ -266,7 +266,7 @@ def all_residuals_empty(trainer):
 def _overflow_after_the_local_check(trainer, method):
     """Make the step's aggregate non-finite although every local gradient
     is finite: a finite payload whose decode overflows (Power-SGD, ACP-SGD:
-    the factors; Top-k: ``world`` values near 1e308 on one coordinate), or
+    the factors; Top-k, DGC: ``world`` values near 1e308 on one coordinate), or
     a NaN Sign-SGD scale planted in a slab after the local check."""
     aggregator = trainer.aggregator
     if method in ("acpsgd", "powersgd"):
@@ -285,7 +285,7 @@ def _overflow_after_the_local_check(trainer, method):
         def planted(aggregator=None):
             for slot in range(len(trainer.aggregator.roster)):
                 slab = trainer._arena.slab(slot)
-                if method == "topk":
+                if method in ("topk", "dgc"):
                     slab[0] = 1e308
                 elif slot == 0:
                     slab[0] = np.nan
@@ -300,7 +300,9 @@ class TestPayloadFiniteCheck:
     non-finite one, leaving weights and velocities as they were and the
     residuals emptied."""
 
-    @pytest.mark.parametrize("method", ["acpsgd", "powersgd", "topk", "signsgd"])
+    @pytest.mark.parametrize(
+        "method", ["acpsgd", "powersgd", "topk", "dgc", "signsgd"]
+    )
     def test_overflowing_decode_skips_the_step(self, method):
         cfg = ResilienceConfig(fallback_steps=0, checkpoint_interval=0)
         trainer, _, model = make_trainer(method=method, resilience=cfg)
