@@ -115,6 +115,14 @@ def _chunk_bounds(length: int, num_chunks: int) -> List[Tuple[int, int]]:
     return bounds
 
 
+def work_dtype(dtype) -> np.dtype:
+    """The dtype the copying collectives sum ``dtype`` buffers in: their
+    own when floating (so a copying sum has the bits of the in-place
+    kernel on the same data), float64 otherwise."""
+    dtype = np.dtype(dtype)
+    return dtype if dtype.kind == "f" else np.dtype(np.float64)
+
+
 def all_reduce_naive(
     buffers: Sequence[np.ndarray],
 ) -> Tuple[List[np.ndarray], CollectiveStats]:
@@ -125,9 +133,10 @@ def all_reduce_naive(
     the resilient group's fallback once the ring is abandoned.
     """
     world_size, _ = _check_inputs(buffers)
-    total = buffers[0].astype(np.float64, copy=True)
+    dtype = work_dtype(buffers[0].dtype)
+    total = buffers[0].astype(dtype, copy=True)
     for buf in buffers[1:]:
-        total = total + buf.astype(np.float64)
+        total = total + buf.astype(dtype)
     result = total.astype(buffers[0].dtype)
     nbytes = result.nbytes
     stats = CollectiveStats(
@@ -162,7 +171,8 @@ def all_reduce_ring(
         out = [buffers[0].copy()]
         return out, CollectiveStats("allreduce_ring", 1, [0], 0)
 
-    flat = [buf.reshape(-1).astype(np.float64, copy=True) for buf in buffers]
+    dtype = work_dtype(buffers[0].dtype)
+    flat = [buf.reshape(-1).astype(dtype, copy=True) for buf in buffers]
     length = flat[0].shape[0]
     bounds = _chunk_bounds(length, world_size)
     elem_bytes = buffers[0].dtype.itemsize
@@ -218,18 +228,21 @@ class RingScratch:
     reusable block instead, so a steady-state training loop performs zero
     per-step allocations on the collective path. The block grows
     monotonically to the largest ``(rows, chunk)`` ever requested and is
-    then reused for every later call.
+    then reused for every later call (a call in another dtype starts it
+    over in that one).
     """
 
     def __init__(self) -> None:
-        self._block: np.ndarray = np.zeros((0, 0), dtype=np.float64)
+        self._block: np.ndarray = np.zeros((0, 0), dtype=np.float32)
 
-    def get(self, rows: int, chunk: int) -> np.ndarray:
-        """A ``(rows, chunk)`` float64 view, reallocating only to grow."""
+    def get(self, rows: int, chunk: int, dtype) -> np.ndarray:
+        """A ``(rows, chunk)`` view in ``dtype``, reallocating only to grow."""
         have_rows, have_cols = self._block.shape
+        if self._block.dtype != dtype:
+            have_rows = have_cols = 0
         if have_rows < rows or have_cols < chunk:
             self._block = np.zeros(
-                (max(have_rows, rows), max(have_cols, chunk)), dtype=np.float64
+                (max(have_rows, rows), max(have_cols, chunk)), dtype=dtype
             )
         return self._block[:rows, :chunk]
 
@@ -278,7 +291,7 @@ def _fold_segment_(
     """
     world_size = len(buffers)
     seg_len = buffers[0].shape[0]
-    acc_row = scratch.get(1, max(1, seg_len))[0]
+    acc_row = scratch.get(1, max(1, seg_len), buffers[0].dtype)[0]
     for chunk, (lo, hi) in enumerate(_chunk_bounds(total_length, world_size)):
         olo = max(lo, seg_start)
         ohi = min(hi, seg_start + seg_len)
@@ -299,7 +312,7 @@ def all_reduce_inplace(
     total_length: Optional[int] = None,
     topology: Optional[ClusterTopology] = None,
     scratch: Optional[RingScratch] = None,
-    elem_bytes: int = 8,
+    elem_bytes: Optional[int] = None,
 ) -> CollectiveStats:
     """The all-reduce (sum) kernel: reduces **into** ``buffers``.
 
@@ -327,11 +340,12 @@ def all_reduce_inplace(
     sum exactly to the monolithic ring's). With one: the two-level
     schedule of :mod:`repro.comm.hierarchical` scaled to the segment
     (``allreduce_hierarchical``). ``elem_bytes`` is the wire size of one
-    element — callers reducing float64 copies of narrower payloads pass the
-    payload's itemsize.
+    element, by default the buffers' itemsize — callers reducing float64
+    copies of integer payloads pass the payload's.
 
-    Requirements: 1-D float64 C-contiguous writable buffers of equal
-    length, no two of which alias; ``len(buffers) == topology.world_size``.
+    Requirements: 1-D C-contiguous writable buffers of one floating dtype
+    and equal length, no two of which alias (the sum runs in their dtype);
+    ``len(buffers) == topology.world_size``.
     """
     world_size = len(buffers)
     if world_size == 0:
@@ -347,10 +361,10 @@ def all_reduce_inplace(
             raise ValueError(
                 f"rank {rank} buffer shape {buf.shape} != 1-D length {seg_len}"
             )
-        if buf.dtype != np.float64:
+        if buf.dtype.kind != "f" or buf.dtype != buffers[0].dtype:
             raise ValueError(
-                f"in-place all-reduce requires float64 buffers, "
-                f"rank {rank} has {buf.dtype}"
+                f"in-place all-reduce requires buffers of one floating dtype, "
+                f"rank {rank} has {buf.dtype} (rank 0 {buffers[0].dtype})"
             )
         if not buf.flags.writeable or not buf.flags.c_contiguous:
             raise ValueError(
@@ -358,6 +372,8 @@ def all_reduce_inplace(
             )
     if total_length is None:
         total_length = seg_len
+    if elem_bytes is None:
+        elem_bytes = buffers[0].dtype.itemsize
     if not 0 <= seg_start <= seg_start + seg_len <= total_length:
         raise ValueError(
             f"segment [{seg_start}, {seg_start + seg_len}) out of range for "
@@ -391,7 +407,8 @@ def reduce_scatter(
     Returns one 1-D chunk per rank (chunks partition the flattened input).
     """
     world_size, _ = _check_inputs(buffers)
-    flat = [buf.reshape(-1).astype(np.float64, copy=True) for buf in buffers]
+    dtype = work_dtype(buffers[0].dtype)
+    flat = [buf.reshape(-1).astype(dtype, copy=True) for buf in buffers]
     length = flat[0].shape[0]
     bounds = _chunk_bounds(length, world_size)
     elem_bytes = buffers[0].dtype.itemsize
@@ -482,7 +499,7 @@ def reduce(
         raise ValueError(f"root {root} out of range for world size {world_size}")
     # Rotate so the tree reduces to index 0, then map back.
     order = [(root + offset) % world_size for offset in range(world_size)]
-    work = [buffers[rank].astype(np.float64, copy=True) for rank in order]
+    work = [buffers[rank].astype(work_dtype(buffers[0].dtype)) for rank in order]
     nbytes = buffers[0].nbytes
     sent = [0] * world_size
     steps = 0

@@ -88,14 +88,16 @@ class ProcessGroup:
 
         Runs :func:`repro.comm.collectives.all_reduce_inplace` over the
         group's topology — on ``buffers`` themselves when ``inplace``, else
-        on flat float64 copies that are reshaped and cast back to the input
-        dtype (whose itemsize is what the traffic stats charge).
+        on flat copies in :func:`~repro.comm.collectives.work_dtype` that
+        are reshaped and cast back to the input dtype (whose itemsize is
+        what the traffic stats charge).
         """
         self._check_world(buffers)
         work = buffers
         if not inplace:
             collectives._check_inputs(buffers)
-            work = [buf.reshape(-1).astype(np.float64) for buf in buffers]
+            dtype = collectives.work_dtype(buffers[0].dtype)
+            work = [buf.reshape(-1).astype(dtype) for buf in buffers]
         stats = collectives.all_reduce_inplace(
             work, seg_start, total_length, self.topology, self._ring_scratch,
             elem_bytes=buffers[0].dtype.itemsize,
@@ -136,8 +138,9 @@ class ProcessGroup:
         buffer holds the reduced result; the original payloads are
         destroyed.
 
-        Buffers must be distinct 1-D float64 contiguous arrays — the fused
-        arena slabs of :class:`repro.perf.arena.GradientArena`.
+        Buffers must be distinct 1-D contiguous arrays of one floating
+        dtype — the fused arena slabs of
+        :class:`repro.perf.arena.GradientArena`.
         """
         return self._all_reduce(buffers, 0, None, average, inplace=True)
 

@@ -170,12 +170,13 @@ class LowRankState:
     def _seed(self, name: str) -> int:
         return (self.seed * 1000003 + zlib.crc32(name.encode())) & 0x7FFFFFFF
 
-    def _previous(self, name: str, shape: Tuple[int, int], half: int) -> np.ndarray:
-        """The factor this half projects on, before any orthogonalization."""
+    def _previous(self, name: str, matrix: np.ndarray, half: int) -> np.ndarray:
+        """The factor this half projects on, before any orthogonalization,
+        in ``matrix``'s dtype (a mixed-dtype product would upcast the pass)."""
+        shape, dtype = matrix.shape, matrix.dtype
         if name not in self._p:
-            self._p[name], self._q[name] = init_low_rank(
-                shape, self.rank, self._seed(name)
-            )
+            p, q = init_low_rank(shape, self.rank, self._seed(name))
+            self._p[name], self._q[name] = p.astype(dtype), q.astype(dtype)
         opens_step = (half - 1) % self.halves_per_step == 0
         if self.reuse_query or not opens_step:
             return self._q[name] if self.compresses_p(half) else self._p[name]
@@ -185,7 +186,7 @@ class LowRankState:
             self._fresh_rng[name] = rng
         n, m = shape
         rows = m if self.compresses_p(half) else n
-        return rng.normal(size=(rows, factor_rank(self.rank, n, m)))
+        return rng.normal(size=(rows, factor_rank(self.rank, n, m))).astype(dtype)
 
     def compress(
         self, name: str, matrix: np.ndarray, half: int,
@@ -194,13 +195,14 @@ class LowRankState:
     ) -> np.ndarray:
         """Run one half: project on the carried factor; returns the local factor.
 
-        Returns P_local (odd halves) or Q_local (even halves). With error
-        feedback ``matrix`` is the rank's accumulator ``M + E`` (float64,
-        C-contiguous, writable); the step's last half leaves the new
+        Returns P_local (odd halves) or Q_local (even halves), in
+        ``matrix``'s dtype, the one the factors are kept in. With error
+        feedback ``matrix`` is the rank's accumulator ``M + E``
+        (C-contiguous, writable); the step's last half leaves the new
         residual in it (Algorithm 2 lines 6/11), the first half of a
         two-half step only reads it and it must stay unchanged until the
-        second. Without error feedback ``matrix`` is only read (any float
-        dtype, any strides). ``factors`` ``(a, b)`` (``n x K``, ``K x m``;
+        second. Without error feedback ``matrix`` is only read (any
+        strides). ``factors`` ``(a, b)`` (``n x K``, ``K x m``;
         error feedback and one-half steps only) hand over ``M = a @ b``
         instead: the accumulator then holds ``E`` alone and ``M`` is never
         formed. ``peer``, another rank's state that has run this half for
@@ -218,7 +220,7 @@ class LowRankState:
                 raise ValueError("factors= needs a one-half step")
         # Fetched beside a peer too: with ``reuse_query`` off it is a draw,
         # and every rank's stream advances in lockstep.
-        previous = self._previous(name, matrix.shape, half)
+        previous = self._previous(name, matrix, half)
         last = half % self.halves_per_step == 0
         if not last:
             carried = previous  # Power-SGD's P half: the query as it is
@@ -229,7 +231,6 @@ class LowRankState:
         self._carried[name] = carried
         p_half = self.compresses_p(half)
         if not self.use_error_feedback:
-            matrix = np.asarray(matrix, dtype=np.float64)
             return matrix @ carried if p_half else matrix.T @ carried
         projector = self._projector
         if p_half:

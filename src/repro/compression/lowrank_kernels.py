@@ -39,10 +39,11 @@ from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
-# 65536 float64 = 512 KiB: a residual block plus its scratch fit in L2.
+# 65536 elements (256 KiB in float32): a residual block plus its scratch
+# fit in L2.
 _BLOCK_ELEMENTS = 65536
-# 32768 float64 = 256 KiB of product per GEMM call: the fastest of the
-# block sizes swept in docs/performance.md "repro.nn kernels".
+# 32768 elements of product per GEMM call: the fastest of the block sizes
+# swept (in float64) in docs/performance.md "repro.nn kernels".
 _PRODUCT_ELEMENTS = 32768
 
 
@@ -115,9 +116,9 @@ def _stacked(
     """``[a | ·]`` (``n x (K + r)``) and ``[b ; ·]`` (``(K + r) x m``), the
     last ``r`` columns / rows left for the caller to fill."""
     k = a.shape[1]
-    left = np.empty((a.shape[0], k + r))
+    left = np.empty((a.shape[0], k + r), a.dtype)
     left[:, :k] = a
-    right = np.empty((k + r, b.shape[1]))
+    right = np.empty((k + r, b.shape[1]), b.dtype)
     right[:k] = b
     return left, right
 
@@ -129,19 +130,22 @@ class BlockedProjector:
     correction ``F_b B^T`` is formed in (grow-only, at most
     ``max(65536, 3 m)`` elements).
 
-    ``work`` is a rank's ``M + E`` (float64, C-contiguous, writable): the
-    slot backward added the gradient into — or, for the ``*_factored``
-    methods, ``E`` alone with ``M`` handed over as its factors. Without
-    error feedback the states use one plain product instead.
+    ``work`` is a rank's ``M + E`` (C-contiguous, writable): the slot
+    backward added the gradient into — or, for the ``*_factored`` methods,
+    ``E`` alone with ``M`` handed over as its factors. Without error
+    feedback the states use one plain product instead. Scratch, factors
+    and the basis are in ``work``'s dtype: one operand of another dtype
+    would run a model-sized pass in the wider one.
     """
 
     def __init__(self) -> None:
-        self._scratch = np.empty(0)
+        self._scratch = np.empty(0, np.float32)
 
-    def _block_scratch(self, rows: int, m: int) -> np.ndarray:
-        """A ``(rows, m)`` view of the scratch, grown if it is too small."""
-        if self._scratch.size < rows * m:
-            self._scratch = np.empty(rows * m)
+    def _block_scratch(self, rows: int, m: int, dtype: np.dtype) -> np.ndarray:
+        """A ``(rows, m)`` view of the scratch in ``dtype``, grown if it is
+        too small."""
+        if self._scratch.size < rows * m or self._scratch.dtype != dtype:
+            self._scratch = np.empty(rows * m, dtype)
         return self._scratch[: rows * m].reshape(rows, m)
 
     def project_right(
@@ -158,9 +162,9 @@ class BlockedProjector:
             basis: ``(m, r)`` right basis.
         """
         n, m = work.shape
-        factor = np.empty((n, basis.shape[1]))
+        factor = np.empty((n, basis.shape[1]), work.dtype)
         rows = min(block_rows(m), n)
-        scratch = self._block_scratch(rows, m)
+        scratch = self._block_scratch(rows, m, work.dtype)
         basis_t = basis.T
         for lo in range(0, n, rows):
             hi = min(lo + rows, n)
@@ -183,9 +187,11 @@ class BlockedProjector:
             basis: ``(n, r)`` left basis.
         """
         n, m = work.shape
-        factor = _add_left_projection(work, basis, np.zeros((m, basis.shape[1])))
+        factor = _add_left_projection(
+            work, basis, np.zeros((m, basis.shape[1]), work.dtype)
+        )
         rows = min(block_rows(m), n)
-        scratch = self._block_scratch(rows, m)
+        scratch = self._block_scratch(rows, m, work.dtype)
         factor_t = factor.T
         for lo in range(0, n, rows):
             hi = min(lo + rows, n)
@@ -205,8 +211,8 @@ class BlockedProjector:
         then updated by its rank-``(K + r)`` product while it is in cache.
 
         Args:
-            work: ``(n, m)`` residual ``E`` (float64, C-contiguous, writable);
-                it holds ``E + a b - F basis^T`` afterwards.
+            work: ``(n, m)`` residual ``E`` (C-contiguous, writable); it
+                holds ``E + a b - F basis^T`` afterwards.
             a, b: ``(n, K)`` and ``(K, m)`` factors of the gradient.
             basis: ``(m, r)`` right basis.
         """
@@ -216,8 +222,8 @@ class BlockedProjector:
         right[k:] = basis.T
         factor = a @ (b @ basis)  # the gradient's share; E's is added per block
         height = _tallest_product_block(n, m)
-        scratch = self._block_scratch(height, m)
-        part = np.empty((height, r))
+        scratch = self._block_scratch(height, m, work.dtype)
+        part = np.empty((height, r), work.dtype)
         for lo, hi in product_blocks(n, m):
             block = work[lo:hi]
             factor[lo:hi] += np.matmul(block, basis, out=part[: hi - lo])

@@ -14,7 +14,8 @@ _EPS = 1e-12
 
 
 def _gram_schmidt(matrix: np.ndarray) -> np.ndarray:
-    """Modified Gram-Schmidt with re-randomization of degenerate columns."""
+    """Modified Gram-Schmidt with re-randomization of degenerate columns
+    (in float64; the result in ``matrix``'s float dtype)."""
     out = matrix.astype(np.float64, copy=True)
     rng = np.random.default_rng(0)
     rows, cols = out.shape
@@ -34,7 +35,7 @@ def _gram_schmidt(matrix: np.ndarray) -> np.ndarray:
                 out[:, j] = 0.0
                 continue
         out[:, j] = col / norm
-    return out
+    return out.astype(np.result_type(matrix, np.float32), copy=False)
 
 
 def orthogonalize(matrix: np.ndarray) -> np.ndarray:
@@ -42,7 +43,7 @@ def orthogonalize(matrix: np.ndarray) -> np.ndarray:
 
     Uses reduced QR (the paper's choice); falls back to modified
     Gram-Schmidt when the input is non-finite-free or QR fails to converge.
-    The result has the same shape as the input (rank columns).
+    The result has the same shape and dtype as the input (rank columns).
     """
     if matrix.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got shape {matrix.shape}")
@@ -55,7 +56,8 @@ def orthogonalize(matrix: np.ndarray) -> np.ndarray:
             # QR of a rank-deficient matrix can produce zero columns in
             # degenerate cases; verify orthonormality and fall back if needed.
             gram = q.T @ q
-            if np.allclose(gram, np.eye(cols), atol=1e-8):
+            atol = max(1e-8, 10 * np.finfo(q.dtype).resolution)
+            if np.allclose(gram, np.eye(cols), atol=atol):
                 return q
         except np.linalg.LinAlgError:
             pass

@@ -24,6 +24,7 @@ class QSGDPayload:
     levels: np.ndarray  # uint integers in [0, s]
     num_levels: int
     num_elements: int
+    dtype: np.dtype  # of the quantized tensor, which decompress rebuilds
 
     @property
     def nbytes(self) -> int:
@@ -49,8 +50,9 @@ class QSGDCompressor:
         self.rng = rng if rng is not None else np.random.default_rng(0)
 
     def compress(self, grad: np.ndarray) -> QSGDPayload:
-        """Quantize ``grad`` to ``num_levels`` stochastic levels of its norm."""
-        flat = grad.reshape(-1).astype(np.float64)
+        """Quantize ``grad`` to ``num_levels`` stochastic levels of its norm
+        (arithmetic and rounding draws in ``grad``'s dtype)."""
+        flat = grad.reshape(-1)
         norm = float(np.linalg.norm(flat))
         if norm == 0.0:
             return QSGDPayload(
@@ -59,28 +61,28 @@ class QSGDCompressor:
                 levels=np.zeros(flat.size, dtype=np.uint32),
                 num_levels=self.num_levels,
                 num_elements=flat.size,
+                dtype=flat.dtype,
             )
         scaled = np.abs(flat) / norm * self.num_levels
         floor = np.floor(scaled)
         prob_up = scaled - floor
-        levels = floor + (self.rng.random(flat.size) < prob_up)
+        levels = floor + (self.rng.random(flat.size, dtype=flat.dtype) < prob_up)
         return QSGDPayload(
             norm=norm,
             signs=np.sign(flat).astype(np.int8),
             levels=levels.astype(np.uint32),
             num_levels=self.num_levels,
             num_elements=flat.size,
+            dtype=flat.dtype,
         )
 
     @staticmethod
     def decompress(payload: QSGDPayload, shape: Tuple[int, ...]) -> np.ndarray:
-        """Reconstruct the dense (dequantized) tensor."""
+        """Reconstruct the dense (dequantized) tensor, in the payload's dtype."""
         if payload.norm == 0.0:
-            return np.zeros(shape)
-        dense = (
-            payload.norm
-            * payload.signs.astype(np.float64)
-            * payload.levels.astype(np.float64)
-            / payload.num_levels
-        )
+            return np.zeros(shape, payload.dtype)
+        dense = payload.signs.astype(payload.dtype)
+        dense *= payload.norm
+        dense *= payload.levels
+        dense /= payload.num_levels
         return dense.reshape(shape)

@@ -66,13 +66,13 @@ class RandomKCompressor:
         """Take the values at the shared coordinates for ``step``.
 
         With error feedback ``vector`` is the caller's accumulator (the
-        residual plus this step's gradient; writable, C-contiguous float64):
-        the sent entries are zeroed in it, leaving the next residual.
-        Without error feedback it is only read.
+        residual plus this step's gradient; writable, C-contiguous): the
+        sent entries are zeroed in it, leaving the next residual. Without
+        error feedback it is only read. The values keep its dtype.
         """
         flat = vector.reshape(-1)
         idx = self.indices_for_step(name, flat.size, step)
-        values = flat[idx].astype(np.float64, copy=False)
+        values = flat[idx]
         if self.use_error_feedback:
             flat[idx] = 0.0
         return RandomKPayload(values=values, indices=idx, num_elements=flat.size)
@@ -80,6 +80,6 @@ class RandomKCompressor:
     @staticmethod
     def decompress(payload: RandomKPayload, shape: Tuple[int, ...]) -> np.ndarray:
         """Scatter a payload back to a dense tensor."""
-        dense = np.zeros(payload.num_elements)
+        dense = np.zeros(payload.num_elements, payload.values.dtype)
         dense[payload.indices] = payload.values
         return dense.reshape(shape)

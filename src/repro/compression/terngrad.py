@@ -25,6 +25,7 @@ class TernPayload:
     packed: np.ndarray  # uint8, 4 ternary values per byte (2 bits each)
     scale: float
     num_elements: int
+    dtype: np.dtype  # of the quantized tensor, which decompress rebuilds
 
     @property
     def nbytes(self) -> int:
@@ -43,14 +44,18 @@ def _pack_ternary(values: np.ndarray) -> np.ndarray:
     ).astype(np.uint8)
 
 
-def _unpack_ternary(packed: np.ndarray, num_elements: int) -> np.ndarray:
-    """Inverse of :func:`_pack_ternary`; returns float {-1, 0, +1}."""
+def _unpack_ternary(
+    packed: np.ndarray, num_elements: int, dtype: np.dtype
+) -> np.ndarray:
+    """Inverse of :func:`_pack_ternary`; returns {-1, 0, +1} in ``dtype``."""
     quads = np.empty((packed.size, 4), dtype=np.uint8)
     quads[:, 0] = packed & 0x3
     quads[:, 1] = (packed >> 2) & 0x3
     quads[:, 2] = (packed >> 4) & 0x3
     quads[:, 3] = (packed >> 6) & 0x3
-    return quads.reshape(-1)[:num_elements].astype(np.float64) - 1.0
+    ternary = quads.reshape(-1)[:num_elements].astype(dtype)
+    ternary -= 1.0
+    return ternary
 
 
 class TernGradCompressor:
@@ -73,10 +78,11 @@ class TernGradCompressor:
         self.clip_sigma = clip_sigma
 
     def compress(self, grad: np.ndarray) -> TernPayload:
-        """Quantize to ternary with stochastic rounding."""
-        flat = grad.reshape(-1).astype(np.float64)
+        """Quantize to ternary with stochastic rounding (arithmetic and
+        draws in ``grad``'s dtype)."""
+        flat = grad.reshape(-1)
         if self.clip_sigma > 0 and flat.size > 1:
-            bound = self.clip_sigma * flat.std()
+            bound = self.clip_sigma * float(flat.std())
             if bound > 0:
                 flat = np.clip(flat, -bound, bound)
         scale = float(np.abs(flat).max()) if flat.size else 0.0
@@ -84,14 +90,18 @@ class TernGradCompressor:
             ternary = np.zeros(flat.size, dtype=np.int8)
         else:
             prob = np.abs(flat) / scale
-            keep = self.rng.random(flat.size) < prob
+            keep = self.rng.random(flat.size, dtype=flat.dtype) < prob
             ternary = (np.sign(flat) * keep).astype(np.int8)
         return TernPayload(
-            packed=_pack_ternary(ternary), scale=scale, num_elements=flat.size
+            packed=_pack_ternary(ternary), scale=scale, num_elements=flat.size,
+            dtype=flat.dtype,
         )
 
     @staticmethod
     def decompress(payload: TernPayload, shape: Tuple[int, ...]) -> np.ndarray:
-        """Reconstruct the dense {-s, 0, +s} tensor."""
-        ternary = _unpack_ternary(payload.packed, payload.num_elements)
-        return (payload.scale * ternary).reshape(shape)
+        """Reconstruct the dense {-s, 0, +s} tensor, in the payload's dtype."""
+        ternary = _unpack_ternary(
+            payload.packed, payload.num_elements, payload.dtype
+        )
+        ternary *= payload.scale
+        return ternary.reshape(shape)

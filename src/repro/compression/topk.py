@@ -33,6 +33,21 @@ import numpy as np
 from repro.compression.wire import select_count
 
 
+def sparse_wire(indices: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """One rank's ``(index, value)`` pairs as one array in the values' dtype.
+
+    The indices come first, bit-cast into value lanes: each is stored as
+    the signed integer of the values' width (``int32`` under ``float32``)
+    and its bits are viewed as a value. That is exact for every index the
+    integer holds, where a numeric cast to float32 would round indices of
+    2**24 and above. ``wire[:k].view(f"i{itemsize}")`` reads them back.
+    """
+    lane = np.dtype(f"i{values.dtype.itemsize}")
+    if indices.size and not 0 <= indices.min() <= indices.max() <= np.iinfo(lane).max:
+        raise ValueError(f"indices do not fit the wire's {lane} lanes")
+    return np.concatenate([indices.astype(lane).view(values.dtype), values])
+
+
 @dataclass
 class SparsePayload:
     """Wire format of one worker's sparsified tensor."""
@@ -124,8 +139,8 @@ def topk_select(
     Exact on the kernel's path and on its fall-back to the oracle, NaN and
     +-inf included (only *which* of several equal magnitudes at the k-th
     place is taken may differ, as between two ``argpartition`` calls).
-    ``flat`` is only read; ``scratch`` is float64 storage the call may
-    overwrite. The kernel's confirming pass uses its first
+    ``flat`` is only read; ``scratch`` is storage in ``flat``'s dtype the
+    call may overwrite. The kernel's confirming pass uses its first
     :data:`SELECT_BLOCK` elements; the fall-back's ``|flat|`` uses it when
     it holds ``flat.size`` and allocates otherwise. The Top-k aggregator
     (DGC included) passes one block, so its steady state allocates nothing
@@ -136,7 +151,7 @@ def topk_select(
     if trivial is not None:
         return trivial
     if scratch is None:
-        scratch = np.empty(min(size, SELECT_BLOCK))
+        scratch = np.empty(min(size, SELECT_BLOCK), flat.dtype)
     if size >= _KERNEL_MIN_SIZE and 8 * k <= size:
         selected = _select_above_sampled_bound(flat, k, scratch[:SELECT_BLOCK])
         if selected is not None:
@@ -258,13 +273,11 @@ class TopkCompressor:
         """Sparsify ``vector`` to ~ratio*size elements.
 
         With error feedback ``vector`` is the caller's accumulator (the
-        residual plus this step's gradient; writable, C-contiguous float64):
-        the sent entries are zeroed in it, leaving the next residual.
-        Without error feedback it is only read.
+        residual plus this step's gradient; writable, C-contiguous): the
+        sent entries are zeroed in it, leaving the next residual. Without
+        error feedback it is only read.
         """
         flat = vector.reshape(-1)
-        if not self.use_error_feedback:
-            flat = np.asarray(flat, dtype=np.float64)
         idx = self.select(flat)
         values = flat[idx]
         if self.use_error_feedback:
@@ -280,16 +293,18 @@ def sparse_aggregate(
 ) -> np.ndarray:
     """Sum gathered sparse payloads into a dense tensor (optionally mean).
 
-    ``out``, a flat float64 buffer of the dense size, is cleared and
-    scatter-added into instead of a new tensor (the result is a view of it).
+    The sum is in the values' dtype. ``out``, a flat buffer of the dense
+    size in that dtype, is cleared and scatter-added into instead of a new
+    tensor (the result is a view of it).
     """
     if not payloads:
         raise ValueError("need at least one payload")
     num_elements = payloads[0].num_elements
-    dense = np.empty(num_elements) if out is None else out
-    if dense.shape != (num_elements,) or dense.dtype != np.float64:
+    dtype = payloads[0].values.dtype
+    dense = np.empty(num_elements, dtype) if out is None else out
+    if dense.shape != (num_elements,) or dense.dtype != dtype:
         raise ValueError(
-            f"out must be flat float64[{num_elements}], got {out.dtype} {out.shape}"
+            f"out must be flat {dtype}[{num_elements}], got {out.dtype} {out.shape}"
         )
     dense.fill(0.0)
     for payload in payloads:

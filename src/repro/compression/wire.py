@@ -7,8 +7,9 @@ matrix-shaped and factoring shrinks it), :func:`select_count` (the
 sparsifiers' ``k``) and :func:`step_wire` (the collectives one monolithic
 step issues). The aggregators, the simulator, its memory model and Tables
 I/II read them and keep no copy. Bytes are per rank: a float costs
-``elem_bytes`` (8 on the trainer's float64 wire, :data:`FP32` in the
-simulator and the tables); sign bits, QSGD levels and TernGrad codes are
+``elem_bytes`` (:data:`FP32` by default — the trainer's wire with
+``repro.nn``'s float32 parameters, the simulator's and the tables'; 8 for
+a model cast to float64); sign bits, QSGD levels and TernGrad codes are
 packed bytes whatever it is.
 """
 

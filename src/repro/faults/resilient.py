@@ -537,7 +537,8 @@ class ResilientProcessGroup(ProcessGroup):
             self.stats.ring_fallback_calls += 1
             result = reduced[0]
         else:
-            work = [buf.reshape(-1).astype(np.float64) for buf in subset]
+            dtype = collectives.work_dtype(subset[0].dtype)
+            work = [buf.reshape(-1).astype(dtype) for buf in subset]
             whole = (
                 self.topology is not None
                 and len(subset) == self.topology.world_size

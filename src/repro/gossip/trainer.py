@@ -50,7 +50,7 @@ from repro.gossip.scorer import Contribution, PeerScorer, ScorerConfig
 from repro.gossip.store import InMemoryStore, UpdateStore
 from repro.nn.loss import CrossEntropyLoss
 from repro.nn.module import Module
-from repro.perf.arena import GradientArena
+from repro.perf.arena import ArenaLayout, GradientArena
 from repro.perf.replicas import worker_pass
 from repro.train.datasets import ArrayDataset
 from repro.train.trainer import evaluate
@@ -156,9 +156,7 @@ def decode_update(
             peer_id, decode_error="metadata: indices out of range"
         )
     payload = SparsePayload(
-        indices.astype(np.int64, copy=False),
-        values.astype(np.float64, copy=False),
-        num_elements,
+        indices.astype(np.int64, copy=False), values, num_elements
     )
     dense = sparse_aggregate([payload], (num_elements,), average=False)
     return Contribution(peer_id, update=dense, stamped_window=window)
@@ -195,7 +193,7 @@ class GossipPeer:
         self.rng = rank_rng(seed, index)
         self.loss_fn = CrossEntropyLoss()
         self.scorer = PeerScorer(config.scorer)
-        self.momentum = np.zeros(self.layout.total_elements, dtype=np.float64)
+        self.momentum = np.zeros(self.layout.total_elements, self.layout.dtype)
         self.joined_window = 0
         #: Next window this peer still needs to score & apply. Advanced by
         #: the live loop and by store replay; never rewound, so every
@@ -256,9 +254,7 @@ class GossipPeer:
         """Screen ``window``'s contributions, descend along the weighted
         mean of the survivors, and mark the window done."""
         weights = self.scorer.weigh_window(window, contributions)
-        aggregated = _weighted_mean(
-            contributions, weights, self.layout.total_elements
-        )
+        aggregated = _weighted_mean(contributions, weights, self.layout)
         if aggregated is not None:
             self.apply(aggregated)
         self.next_window = window + 1
@@ -587,13 +583,14 @@ class GossipCluster:
 def _weighted_mean(
     contributions: List[Contribution],
     weights: Dict[str, float],
-    num_elements: int,
+    layout: ArenaLayout,
 ) -> Optional[np.ndarray]:
-    """Staleness/trust-weighted mean of the surviving dense updates."""
+    """Staleness/trust-weighted mean of the surviving dense updates, in the
+    receiving model's dtype."""
     total_weight = 0.0
-    accumulator = np.zeros(num_elements, dtype=np.float64)
+    accumulator = np.zeros(layout.total_elements, layout.dtype)
     for contribution in contributions:
-        weight = weights.get(contribution.peer_id, 0.0)
+        weight = float(weights.get(contribution.peer_id, 0.0))
         if weight <= 0.0 or contribution.update is None:
             continue
         accumulator += weight * contribution.update

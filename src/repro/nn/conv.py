@@ -49,7 +49,9 @@ class Conv2d(Module):
         rng = rng if rng is not None else np.random.default_rng(0)
         shape = (out_channels, in_channels, kernel_size, kernel_size)
         self.weight = Parameter(init.kaiming_normal(shape, rng))
-        self.bias = Parameter(np.zeros(out_channels)) if bias else None
+        self.bias = (
+            Parameter(np.zeros(out_channels, dtype=np.float32)) if bias else None
+        )
         self.stride = stride
         self.padding = padding
         self.kernel_size = kernel_size

@@ -25,7 +25,8 @@ class Dropout(Module):
             self._mask = None
             return x
         keep = 1.0 - self.p
-        self._mask = (self.rng.random(x.shape) < keep) / keep
+        self._mask = (self.rng.random(x.shape) < keep).astype(x.dtype)
+        self._mask /= keep
         return x * self._mask
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:

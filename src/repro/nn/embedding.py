@@ -30,7 +30,10 @@ class Embedding(Module):
                 f"sizes must be >= 1, got vocab={num_embeddings}, dim={embedding_dim}"
             )
         rng = rng if rng is not None else np.random.default_rng(0)
-        self.weight = Parameter(rng.normal(0.0, 0.02, size=(num_embeddings, embedding_dim)))
+        self.weight = Parameter(
+            rng.normal(0.0, 0.02, size=(num_embeddings, embedding_dim))
+            .astype(np.float32)
+        )
         self._ids: Optional[np.ndarray] = None
 
     def forward(self, ids: np.ndarray) -> np.ndarray:

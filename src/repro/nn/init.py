@@ -1,4 +1,9 @@
-"""Weight initialization schemes (Kaiming)."""
+"""Weight initialization schemes (Kaiming).
+
+Both return float32, the training path's precision (the paper's FP32):
+the draws are float64 samples of ``rng`` rounded once, so a model cast to
+float64 holds the same values it would with float32 storage.
+"""
 
 from __future__ import annotations
 
@@ -26,7 +31,7 @@ def kaiming_normal(
     """He-normal init: std = gain / sqrt(fan_in). Default gain is for ReLU."""
     fan_in, _ = _fan_in_out(shape)
     std = gain / math.sqrt(fan_in)
-    return rng.normal(0.0, std, size=shape)
+    return rng.normal(0.0, std, size=shape).astype(np.float32)
 
 
 def kaiming_uniform(
@@ -35,4 +40,4 @@ def kaiming_uniform(
     """He-uniform init: bound = gain * sqrt(3 / fan_in)."""
     fan_in, _ = _fan_in_out(shape)
     bound = gain * math.sqrt(3.0 / fan_in)
-    return rng.uniform(-bound, bound, size=shape)
+    return rng.uniform(-bound, bound, size=shape).astype(np.float32)

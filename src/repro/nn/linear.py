@@ -33,7 +33,9 @@ class Linear(Module):
             )
         rng = rng if rng is not None else np.random.default_rng(0)
         self.weight = Parameter(init.kaiming_uniform((out_features, in_features), rng, gain=1.0))
-        self.bias = Parameter(np.zeros(out_features)) if bias else None
+        self.bias = (
+            Parameter(np.zeros(out_features, dtype=np.float32)) if bias else None
+        )
         self._cache_input: Optional[np.ndarray] = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:

@@ -50,6 +50,51 @@ class Module:
         """All parameters in deterministic (attribute/definition) order."""
         return [param for _, param in self.named_parameters()]
 
+    @property
+    def dtype(self) -> np.dtype:
+        """The one floating dtype of the parameters: the training path's.
+
+        Gradients, the arena slabs, the optimizer's velocity, compressor
+        state and the wire all follow it (float32 unless the model was
+        cast). A model whose parameters disagree is rejected.
+        """
+        dtypes = {param.data.dtype for param in self.parameters()}
+        if len(dtypes) != 1:
+            raise ValueError(
+                f"a model's parameters must share one dtype, got "
+                f"{sorted(map(str, dtypes)) or 'no parameters'}"
+            )
+        return dtypes.pop()
+
+    def astype(self, dtype) -> "Module":
+        """Cast every parameter and floating buffer to ``dtype``, in place;
+        returns ``self``.
+
+        The one cast from ``repro.nn``'s float32 to another precision (the
+        gradient checks and exact references build float64 models this
+        way). Cast before anything binds the parameters' gradients.
+        """
+        for param in self.parameters():
+            param.data = param.data.astype(dtype)
+        modules = [self]
+        while modules:
+            module = modules.pop()
+            modules.extend(module.submodules())
+            for attr, value in list(vars(module).items()):
+                if isinstance(value, np.ndarray) and value.dtype.kind == "f":
+                    setattr(module, attr, value.astype(dtype))
+        return self
+
+    def as_input(self, x: np.ndarray) -> np.ndarray:
+        """A floating batch in this model's dtype (integer ids pass through).
+
+        The worker pass casts every batch once here, so a float64 data set
+        cannot promote a float32 model's activations and gradients.
+        """
+        if x.dtype.kind != "f":
+            return x
+        return x.astype(self.dtype, copy=False)
+
     def num_parameters(self) -> int:
         """Total element count across all parameters."""
         return sum(param.size for param in self.parameters())
@@ -105,11 +150,12 @@ class Module:
         """Flatten all parameters into one vector (deterministic order)."""
         params = self.parameters()
         if not params:
-            return np.zeros(0, dtype=np.float64)
+            return np.zeros(0, dtype=np.float32)
         return np.concatenate([param.data.reshape(-1) for param in params])
 
     def load_state_vector(self, vector: np.ndarray) -> None:
-        """Inverse of :meth:`state_vector`."""
+        """Inverse of :meth:`state_vector`; values are cast to each
+        parameter's dtype."""
         expected = self.num_parameters()
         if vector.size != expected:
             raise ValueError(
@@ -118,5 +164,7 @@ class Module:
         offset = 0
         for param in self.parameters():
             count = param.size
-            param.data = vector[offset : offset + count].reshape(param.shape).copy()
+            param.data = vector[offset : offset + count].reshape(param.shape).astype(
+                param.data.dtype
+            )
             offset += count

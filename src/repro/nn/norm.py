@@ -23,10 +23,10 @@ class BatchNorm2d(Module):
         super().__init__()
         if num_features < 1:
             raise ValueError(f"num_features must be >= 1, got {num_features}")
-        self.weight = Parameter(np.ones(num_features))
-        self.bias = Parameter(np.zeros(num_features))
-        self.running_mean = np.zeros(num_features)
-        self.running_var = np.ones(num_features)
+        self.weight = Parameter(np.ones(num_features, dtype=np.float32))
+        self.bias = Parameter(np.zeros(num_features, dtype=np.float32))
+        self.running_mean = np.zeros(num_features, dtype=np.float32)
+        self.running_var = np.ones(num_features, dtype=np.float32)
         self.eps = eps
         self.momentum = momentum
         # When set (a list), training forwards append their (mean, var)
@@ -104,8 +104,8 @@ class LayerNorm(Module):
         super().__init__()
         if normalized_dim < 1:
             raise ValueError(f"normalized_dim must be >= 1, got {normalized_dim}")
-        self.weight = Parameter(np.ones(normalized_dim))
-        self.bias = Parameter(np.zeros(normalized_dim))
+        self.weight = Parameter(np.ones(normalized_dim, dtype=np.float32))
+        self.bias = Parameter(np.zeros(normalized_dim, dtype=np.float32))
         self.eps = eps
         self._cache: Optional[Tuple[np.ndarray, np.ndarray]] = None
 

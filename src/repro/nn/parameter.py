@@ -120,7 +120,10 @@ class Parameter:
     """A learnable tensor: value, gradient, and gradient-ready hooks.
 
     Attributes:
-        data: the parameter value (float64 numpy array).
+        data: the parameter value, a floating numpy array whose dtype it
+            keeps (``repro.nn`` layers build float32; a float64 model is
+            one :meth:`~repro.nn.module.Module.astype` away). Gradients
+            are stored in the same dtype.
         grad: accumulated gradient for the current step, or ``None`` before
             the first backward touches it.
         name: dotted path assigned by the owning model (e.g.
@@ -144,7 +147,11 @@ class Parameter:
     """
 
     def __init__(self, data: np.ndarray, name: str = ""):
-        self.data = np.asarray(data, dtype=np.float64)
+        self.data = np.asarray(data)
+        if self.data.dtype.kind != "f":
+            raise ValueError(
+                f"parameter data must be floating, got {self.data.dtype}"
+            )
         self.name = name
         self._grad: Optional[np.ndarray] = None
         self._grad_slot: Optional[np.ndarray] = None
@@ -285,7 +292,7 @@ class Parameter:
             # canonical layout so BLAS-backed consumers (Power-SGD/ACP-SGD
             # matmuls) round identically whether the gradient lives here
             # or in a C-contiguous arena slot.
-            self._grad = grad.astype(np.float64, order="C", copy=True)
+            self._grad = grad.astype(self.data.dtype, order="C", copy=True)
         else:
             self._grad = self._grad + grad
         for hook in self._hooks:

@@ -74,7 +74,7 @@ class MaxPool2d(Module):
         n, c, h, w = input_shape
         k = self.kernel_size
         if self._tiles(h, w):
-            grad_input = np.empty(input_shape)
+            grad_input = np.empty(input_shape, dtype=grad_output.dtype)
             for tap in range(k * k):
                 np.multiply(
                     grad_output,

@@ -31,10 +31,16 @@ factors — and decode nothing themselves: ``SGD.step`` decodes each block
 of rows into a block of scratch just before it applies it, so no
 aggregate the size of the model is ever formed. The others (S-SGD, QSGD,
 TernGrad) return plain ``{name: array}`` views.
+
+Every array a method keeps or ships is in the arena's dtype — the model's
+parameter dtype — so a float32 model's residuals, scratch, factors and
+wire are float32 (the paper's FP32), and a float64 model runs the same
+code in float64.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Mapping
 from functools import partial
 from math import prod
@@ -55,6 +61,7 @@ from repro.compression.topk import (
     SparsePayload,
     TopkCompressor,
     sparse_aggregate,
+    sparse_wire,
 )
 from repro.compression.wire import low_rank_split
 from repro.optim.decoded import DecodedAggregate, row_size
@@ -210,7 +217,9 @@ class _SparseAggregate(_FlatAggregate):
             default=0.0,
         )
         with np.errstate(over="ignore"):
-            return bool(np.isfinite(len(self.selections) * peak))
+            return bool(np.isfinite(np.multiply(
+                len(self.selections), peak, dtype=self.layout.dtype
+            )))
 
 
 class _ScatterAggregate(_FlatAggregate):
@@ -232,14 +241,27 @@ class _ScatterAggregate(_FlatAggregate):
 
 
 class _VoteAggregate(_FlatAggregate):
-    """Sign-SGD: the majority per element and the two values it picks from."""
+    """Sign-SGD: the majority per element, one bit each, packed per bucket,
+    and the two values it picks from."""
 
-    def __init__(self, layout: ArenaLayout, vote: np.ndarray, table: np.ndarray):
+    def __init__(
+        self,
+        layout: ArenaLayout,
+        votes: List[Tuple[int, np.ndarray]],
+        table: np.ndarray,
+    ):
         super().__init__(layout)
-        self.vote, self.table = vote, table
+        #: Per bucket, in order: its first element and its packed vote.
+        self.votes, self.table = votes, table
+        self._starts = [lo for lo, _ in votes]
 
     def _fill(self, start: int, stop: int, out: np.ndarray) -> None:
-        np.take(self.table, self.vote[start:stop], out=out, mode="clip")
+        # A decoded range lies in one tensor, hence in one bucket.
+        lo, vote = self.votes[bisect_right(self._starts, start) - 1]
+        skip, first = (start - lo) % 8, (start - lo) // 8
+        count = skip + stop - start
+        bits = np.unpackbits(vote[first : first + (count + 7) // 8], count=count)
+        np.take(self.table, bits[skip:], out=out, mode="clip")
 
     def is_finite(self) -> bool:
         return bool(np.isfinite(self.table).all())
@@ -288,10 +310,12 @@ class _LowRankAggregate(DecodedAggregate):
     def is_finite(self) -> bool:
         if not np.isfinite(self.plain[: self.plain_pack.total]).all():
             return False
-        # |(P Q^T)_ij| <= r max|P| max|Q|.
+        # |(P Q^T)_ij| <= r max|P| max|Q|, in the factors' precision.
         with np.errstate(over="ignore", invalid="ignore"):
             return all(
-                np.isfinite(p.shape[1] * np.abs(p).max() * np.abs(q).max())
+                np.isfinite(np.multiply(
+                    p.shape[1], np.abs(p).max() * np.abs(q).max(), dtype=p.dtype
+                ))
                 for p, q in self.factors.values()
             )
 
@@ -437,8 +461,8 @@ class GradientAggregator:
         trainer hands over — pass through untouched: tensor fusion is a
         no-op. Plain ``{name: array}`` dicts are :meth:`~GradientArena.load`-ed
         into the attached arena — a private one-bucket one made from worker
-        0's names and shapes on first use — so error feedback carries over
-        between calls. The caller's arrays are never modified.
+        0's names, shapes and dtype on first use — so error feedback carries
+        over between calls. The caller's arrays are never modified.
         """
         _check_worker_grads(per_worker, len(self.roster))
         layout = getattr(per_worker[0], "layout", None)
@@ -446,10 +470,15 @@ class GradientAggregator:
             getattr(grads, "layout", None) is layout for grads in per_worker
         ):
             return per_worker
-        shapes = [(name, np.shape(grad)) for name, grad in per_worker[0].items()]
+        templates = [(name, np.asarray(grad)) for name, grad in per_worker[0].items()]
         arena = self._arena
-        if arena is None or list(arena.layout.shapes.items()) != shapes:
-            arena = GradientArena(shapes, len(per_worker))
+        if arena is None or [
+            (name, grad.shape, grad.dtype) for name, grad in templates
+        ] != [
+            (name, shape, arena.layout.dtype)
+            for name, shape in arena.layout.shapes.items()
+        ]:
+            arena = GradientArena(templates, len(per_worker))
             self.attach(arena)
         arena.ensure_slots(len(per_worker))
         return [arena.load(slot, grads) for slot, grads in enumerate(per_worker)]
@@ -552,17 +581,21 @@ class GradientAggregator:
         """The aggregated gradients, once every bucket has been reduced."""
         raise NotImplementedError
 
-    def _staging_rows(self, key: str, rows: int, cols: int) -> List[np.ndarray]:
-        """Per-slot 1-D staging buffers, allocated once and reused.
+    def _staging_rows(
+        self, key: str, rows: int, cols: int, dtype: np.dtype
+    ) -> List[np.ndarray]:
+        """Per-slot 1-D staging buffers in ``dtype``, allocated once and reused.
 
         Backed by one grow-only 2-D block per purpose (``key``), so the
         steady-state bucketed hot path stages with zero allocations; the
         block only grows at roster-expansion boundaries.
         """
         block = self._staging_blocks.get(key)
-        if block is None or block.shape[0] < rows or block.shape[1] < cols:
-            old_rows, old_cols = block.shape if block is not None else (0, 0)
-            block = np.zeros((max(rows, old_rows), max(cols, old_cols)))
+        if block is None or block.dtype != dtype:
+            block = np.zeros((0, 0), dtype)
+        if block.shape[0] < rows or block.shape[1] < cols:
+            old_rows, old_cols = block.shape
+            block = np.zeros((max(rows, old_rows), max(cols, old_cols)), dtype)
             self._staging_blocks[key] = block
         return [block[slot, :cols] for slot in range(rows)]
 
@@ -650,7 +683,7 @@ class SignSGDAggregator(GradientAggregator):
     better performance", §III-A): each rank's slab, with error feedback its
     accumulator ``E + G``, from which ``scale * sign`` is subtracted in
     place (:class:`~repro.compression.signsgd.SignCompressor`'s arithmetic,
-    bucket by bucket). The result is the vote, one bool per element, and
+    bucket by bucket). The result is the vote, one bit per element, and
     the two values it picks from, decoded block by block by the optimizer.
     """
 
@@ -659,7 +692,7 @@ class SignSGDAggregator(GradientAggregator):
     def __init__(self, group: ProcessGroup, use_error_feedback: bool = True):
         super().__init__(group)
         self.use_error_feedback = use_error_feedback
-        self._vote = np.empty(0, dtype=bool)  # grow-only, one bool per element
+        self._vote = np.empty(0, dtype=np.uint8)  # grow-only, one bit per element
 
     def _begin(self, session: _BucketSession) -> None:
         session.bits = [None] * len(session.buckets)
@@ -691,22 +724,32 @@ class SignSGDAggregator(GradientAggregator):
         .majority_vote_aggregate`'s without a float sign vector.
         """
         # The scale is the L1 mean of the *whole* EF-corrected vector,
-        # whatever the bucket partition.
+        # whatever the bucket partition. Python floats from here: the tables
+        # are rounded once into the slab's dtype, under any numpy's casting.
+        dtype = session.layout.dtype
         scales = np.array([
-            float(_abs_sum(slab) / session.total) if session.total else 0.0
+            float(_abs_sum(slab)) / session.total if session.total else 0.0
             for slab in session.slabs
         ])
         mean_scale = float(scales.mean())
         signed = np.array([-1.0, 1.0])  # indexed by a sign bit
-        voted, kept = mean_scale * signed, scales[:, None] * signed
+        voted = (mean_scale * signed).astype(dtype)
+        kept = (scales[:, None] * signed).astype(dtype)
         num_slots = len(self.roster)
         majority_at = (num_slots + 1) // 2
-        if self._vote.size < session.total:
-            self._vote = np.empty(session.total, dtype=bool)
+        packed_sizes = [(hi - lo + 7) // 8 for lo, hi in session.buckets]
+        if self._vote.size < sum(packed_sizes):
+            self._vote = np.empty(sum(packed_sizes), dtype=np.uint8)
         scratch = self._staging_rows(
-            "signsgd", 1, max(1, min(_VOTE_BLOCK, session.total))
+            "signsgd", 1, max(1, min(_VOTE_BLOCK, session.total)), dtype
         )[0]
-        for (lo, hi), packed in zip(session.buckets, session.bits):
+        votes, at = [], 0
+        for (lo, hi), packed, nbytes in zip(
+            session.buckets, session.bits, packed_sizes
+        ):
+            vote = self._vote[at : at + nbytes]
+            votes.append((lo, vote))
+            at += nbytes
             for start in range(lo, hi, _VOTE_BLOCK):
                 size = min(_VOTE_BLOCK, hi - start)
                 first = (start - lo) // 8  # _VOTE_BLOCK is a multiple of 8
@@ -717,8 +760,8 @@ class SignSGDAggregator(GradientAggregator):
                 count = np.add.reduce(
                     bits, axis=0, dtype=np.min_scalar_type(num_slots)
                 )
-                np.greater_equal(
-                    count, majority_at, out=self._vote[start : start + size]
+                vote[first : first + (size + 7) // 8] = np.packbits(
+                    count >= majority_at
                 )
                 if self.use_error_feedback:
                     # What was not sent stays behind, in place.
@@ -726,7 +769,7 @@ class SignSGDAggregator(GradientAggregator):
                     for table, slab, bit in zip(kept, session.slabs, bits):
                         np.take(table, bit, out=sent, mode="clip")
                         slab[start : start + size] -= sent
-        return _VoteAggregate(session.layout, self._vote, voted)
+        return _VoteAggregate(session.layout, votes, voted)
 
 
 class TopkSGDAggregator(GradientAggregator):
@@ -805,8 +848,9 @@ class TopkSGDAggregator(GradientAggregator):
         edges = [lo for lo, _ in buckets] + [session.total]
         # Selection only needs a block of scratch; a fall-back to a
         # whole-vector selection allocates its own.
+        dtype = session.layout.dtype
         scratch = self._staging_rows(
-            "topk", 1, max(1, min(SELECT_BLOCK, session.total))
+            "topk", 1, max(1, min(SELECT_BLOCK, session.total)), dtype
         )[0]
         mu = self.momentum_correction
         selections = []
@@ -815,7 +859,7 @@ class TopkSGDAggregator(GradientAggregator):
             accumulator = slab
             if mu:
                 if state.velocity is None:  # -0.0 + u is u, signed zeros too
-                    state.velocity = np.full(session.total, -0.0)
+                    state.velocity = np.full(session.total, -0.0, dtype)
                 accumulator = state.velocity
                 accumulator += slab
             idx = state.select(accumulator, scratch)
@@ -829,11 +873,12 @@ class TopkSGDAggregator(GradientAggregator):
         cuts = [np.searchsorted(idx, edges) for idx, _ in selections]
         for b, (lo, hi) in enumerate(buckets):
             # Per-bucket wire format: each rank ships only the (index,
-            # value) pairs whose coordinates fall in this bucket.
+            # value) pairs whose coordinates fall in this bucket, the
+            # bucket-relative indices bit-cast into value lanes.
             self.group.all_gather([
-                np.concatenate([
+                sparse_wire(
                     idx[cut[b] : cut[b + 1]] - lo, values[cut[b] : cut[b + 1]]
-                ])
+                )
                 for (idx, values), cut in zip(selections, cuts)
             ])
         return _SparseAggregate(session.layout, selections)
@@ -910,7 +955,7 @@ class QSGDAggregator(GradientAggregator):
             wires.append(np.concatenate([level_bytes, sign_bits]))
         self.group.all_gather(wires)
         size = payloads[0].num_elements
-        dense = np.zeros(size)
+        dense = np.zeros(size, session.layout.dtype)
         for payload in payloads:
             dense += QSGDCompressor.decompress(payload, (size,))
         dense /= len(payloads)
@@ -947,7 +992,7 @@ class TernGradAggregator(GradientAggregator):
             payloads.append(self._per_rank[rank].compress(slab))
         self.group.all_gather([p.packed for p in payloads])
         size = payloads[0].num_elements
-        dense = np.zeros(size)
+        dense = np.zeros(size, session.layout.dtype)
         for payload in payloads:
             dense += TernGradCompressor.decompress(payload, (size,))
         dense /= len(payloads)
@@ -1068,8 +1113,9 @@ class _LowRankBase(GradientAggregator):
         """Stage the plain pack and the step's halves (P and/or Q packs)."""
         plan = session.plan = self._layout_plan(session.layout)
         num_slots = len(self.roster)
+        dtype = session.layout.dtype
         session.plain_scratch = self._staging_rows(
-            "plain", num_slots, max(1, plan.plain_pack.total)
+            "plain", num_slots, max(1, plan.plain_pack.total), dtype
         )
         lead = self._per_rank[self.roster[0]]
         session.halves = [
@@ -1079,7 +1125,7 @@ class _LowRankBase(GradientAggregator):
         # a step's halves share one staging block.
         width = max(pack.total for _, pack, _ in session.halves)
         session.factor_scratch = self._staging_rows(
-            "factors", num_slots, max(1, width)
+            "factors", num_slots, max(1, width), dtype
         )
         session.factors = {}
 

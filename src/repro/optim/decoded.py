@@ -19,7 +19,7 @@ import numpy as np
 from repro.perf.arena import ArenaLayout
 from repro.utils.validation import is_finite
 
-# 32768 float64 = 256 KiB: a block of w, g, v and the scratch fit in L2.
+# 32768 float32 = 128 KiB: a block of w, g, v and the scratch fit in L2.
 _BLOCK_ELEMENTS = 32768
 
 
@@ -67,7 +67,7 @@ class DecodedAggregate(Mapping):
 
     def __getitem__(self, name: str) -> np.ndarray:
         shape = self.layout.shapes[name]
-        full = np.empty(shape)
+        full = np.empty(shape, self.layout.dtype)
         rows, flat, row = leading_rows(full), full.reshape(-1), row_size(shape)
         for lo, hi in self.blocks(name):
             rows[lo:hi] = self.block(name, lo, hi, flat[lo * row : hi * row])
@@ -78,9 +78,9 @@ class DecodedAggregate(Mapping):
         return row_blocks(self.layout.shapes[name])
 
     def block(self, name: str, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
-        """Rows ``lo:hi`` of ``name``, decoded into the flat float64 ``out``
-        (room for those rows at least), or a view of the payload where
-        nothing needs decoding."""
+        """Rows ``lo:hi`` of ``name``, decoded into the flat ``out`` (the
+        layout's dtype, room for those rows at least), or a view of the
+        payload where nothing needs decoding."""
         raise NotImplementedError
 
     def is_finite(self) -> bool:

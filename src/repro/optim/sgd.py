@@ -28,6 +28,7 @@ class SGD:
     with nothing allocated in a steady-state step. Blocks are slices along
     the leading axis (a 0-d tensor is one block), so they are views for any
     strides of ``param.data``; a decoded aggregate chooses its own blocks.
+    Velocity and scratch are in the model's dtype.
     """
 
     def __init__(
@@ -50,6 +51,7 @@ class SGD:
         self._velocity: Dict[str, np.ndarray] = {}
         # Materialize names once so step() can look gradients up by name.
         self._named = dict(model.named_parameters())
+        self._dtype = model.dtype
         # One update block of the parameter with the largest blocks; a
         # decoded aggregate's blocks also get one block to be decoded into.
         self._scratch = np.empty(max(
@@ -59,15 +61,15 @@ class SGD:
                 for lo, hi in row_blocks(p.data.shape)[:1]
             ),
             default=0,
-        ))
-        self._decoded = np.empty(0)
+        ), self._dtype)
+        self._decoded = np.empty(0, self._dtype)
 
     def _blocks_of_scratch(self, size: int) -> Tuple[np.ndarray, np.ndarray]:
         """The update scratch and the decode scratch, ``size`` each."""
         if self._scratch.size < size:
-            self._scratch = np.empty(size)
+            self._scratch = np.empty(size, self._dtype)
         if self._decoded.size < size:
-            self._decoded = np.empty(size)
+            self._decoded = np.empty(size, self._dtype)
         return self._scratch[:size], self._decoded
 
     def step(self, grads: Optional[Mapping[str, np.ndarray]] = None) -> None:
@@ -97,7 +99,7 @@ class SGD:
             velocity = self._velocity.get(name)
             first = velocity is None
             if first:
-                velocity = self._velocity[name] = np.empty(shape)
+                velocity = self._velocity[name] = np.empty(shape, self._dtype)
             data, velocity = leading_rows(param.data), leading_rows(velocity)
             for lo, hi in blocks:
                 w, v = data[lo:hi], velocity[lo:hi]

@@ -2,8 +2,9 @@
 
 The paper's tensor-fusion optimization exists in this repo twice: as a
 simulator cost model and as this arena, the only gradient storage the
-aggregators read. At trainer construction one contiguous float64 slab is
-allocated **per worker**, laid out in parameter order, and every
+aggregators read. At trainer construction one contiguous slab, in the
+model's parameter dtype (float32 unless the model was cast), is allocated
+**per worker**, laid out in parameter order, and every
 ``Parameter.grad`` becomes a zero-copy view into it. From then on:
 
 - back-propagation writes gradients straight into the fused buffer
@@ -78,6 +79,8 @@ class ArenaLayout:
     """Element layout of one fused slab: parameter order, offsets, buckets.
 
     Attributes:
+        dtype: element type of the slab (the parameters' dtype); buckets
+            are cut at ``bucket_bytes`` of it.
         names: parameter names in model (definition) order.
         shapes: per-name tensor shapes.
         offsets: per-name start offset into the slab, in elements.
@@ -88,8 +91,8 @@ class ArenaLayout:
     def __init__(
         self,
         named_shapes: Sequence[Tuple[str, Tuple[int, ...]]],
+        dtype,
         bucket_bytes: Optional[int] = None,
-        itemsize: int = 8,
     ):
         if not named_shapes:
             raise ValueError("arena layout requires at least one parameter")
@@ -97,6 +100,7 @@ class ArenaLayout:
             raise ValueError(
                 f"bucket_bytes must be >= 0, got {bucket_bytes}"
             )
+        self.dtype = np.dtype(dtype)
         self.names: List[str] = []
         self.shapes: Dict[str, Tuple[int, ...]] = {}
         self.offsets: Dict[str, int] = {}
@@ -110,11 +114,9 @@ class ArenaLayout:
             self.offsets[name] = offset
             offset += size
         self.total_elements = offset
-        self.buckets = self._build_buckets(bucket_bytes, itemsize)
+        self.buckets = self._build_buckets(bucket_bytes)
 
-    def _build_buckets(
-        self, bucket_bytes: Optional[int], itemsize: int
-    ) -> List[Tuple[int, int]]:
+    def _build_buckets(self, bucket_bytes: Optional[int]) -> List[Tuple[int, int]]:
         """Element ranges of the slab's buckets.
 
         Delegates to the shared :func:`repro.fusion.partition_buckets`
@@ -125,7 +127,7 @@ class ArenaLayout:
         if bucket_bytes is None:
             self._bucket_ranges = [(0, len(self.names))]
             return [(0, self.total_elements)]
-        sizes = [self.size_of(name) * itemsize for name in self.names]
+        sizes = [self.size_of(name) * self.dtype.itemsize for name in self.names]
         self._bucket_ranges = partition_buckets(sizes, bucket_bytes)
         spans: List[Tuple[int, int]] = []
         for first, last in self._bucket_ranges:
@@ -203,9 +205,10 @@ class GradientArena:
 
     Args:
         model: the model whose parameters define the layout (names, shapes,
-            order) — or those ``(name, shape)`` pairs themselves. Process
-            workers' copies (:func:`~repro.perf.replicas.detached_copy`)
-            share the same layout.
+            order) and the slabs' dtype — or ``(name, array)`` pairs whose
+            arrays do (one floating dtype). Process workers' copies
+            (:func:`~repro.perf.replicas.detached_copy`) share the same
+            layout.
         world_size: number of worker slabs to allocate.
         bucket_bytes: optional bucket cap (parameter-order contiguous
             buckets, DDP-style). ``None`` fuses the whole model into one
@@ -219,11 +222,9 @@ class GradientArena:
             the test suite fails any test that leaks a segment.
     """
 
-    dtype = np.float64
-
     def __init__(
         self,
-        model: Union[Module, Sequence[Tuple[str, Tuple[int, ...]]]],
+        model: Union[Module, Sequence[Tuple[str, np.ndarray]]],
         world_size: int,
         bucket_bytes: Optional[int] = None,
         backing: str = "private",
@@ -234,12 +235,20 @@ class GradientArena:
             raise ValueError(
                 f"backing must be 'private' or 'shared', got {backing!r}"
             )
-        named = (
-            [(name, param.shape) for name, param in model.named_parameters()]
-            if isinstance(model, Module) else list(model)
-        )
+        if isinstance(model, Module):
+            named = [(name, p.data) for name, p in model.named_parameters()]
+        else:
+            named = [(name, np.asarray(array)) for name, array in model]
+        dtypes = {array.dtype for _, array in named}
+        if len(dtypes) > 1 or any(dtype.kind != "f" for dtype in dtypes):
+            raise ValueError(
+                f"arena arrays must share one floating dtype, got "
+                f"{sorted(map(str, dtypes))}"
+            )
         self.layout = ArenaLayout(
-            named, bucket_bytes=bucket_bytes, itemsize=np.dtype(self.dtype).itemsize
+            [(name, array.shape) for name, array in named],
+            dtypes.pop() if dtypes else np.float32,
+            bucket_bytes=bucket_bytes,
         )
         self.backing = backing
         self.world_size = world_size
@@ -266,16 +275,17 @@ class GradientArena:
 
     def _alloc_slab(self) -> np.ndarray:
         if self.backing == "shared":
-            nbytes = max(1, self.layout.total_elements) * np.dtype(self.dtype).itemsize
+            nbytes = max(1, self.layout.total_elements) * self.layout.dtype.itemsize
             segment = shm.create_segment(nbytes)
             slab = np.ndarray(
-                (self.layout.total_elements,), dtype=self.dtype, buffer=segment.buf
+                (self.layout.total_elements,), dtype=self.layout.dtype,
+                buffer=segment.buf,
             )
             slab[:] = 0.0
             self._segments.append(segment)
             return slab
         self._segments.append(None)
-        return np.zeros(self.layout.total_elements, dtype=self.dtype)
+        return np.zeros(self.layout.total_elements, dtype=self.layout.dtype)
 
     def ensure_slots(self, count: int) -> None:
         """Grow the arena to at least ``count`` worker slabs.

@@ -81,7 +81,10 @@ def _time_aggregation(
     does the same work. Alloc counters cover only the timed iterations.
     """
     per_worker = provider()
-    scratch = np.empty(max(grad.size for grad in per_worker[0].values()))
+    grads = per_worker[0].values()
+    scratch = np.empty(
+        max(grad.size for grad in grads), next(iter(grads)).dtype
+    )
 
     def aggregate_and_decode(per_worker: List[NamedGrads]) -> None:
         aggregated = aggregator.aggregate(per_worker)

@@ -186,15 +186,13 @@ def _worker_main(conn, payload: dict, init_crash: bool = False) -> None:
     carried = payload["carried"]
     factored = carried if payload["factored"] else ()
     fault_plan: Optional[FaultPlan] = payload.get("fault_plan")
-    layout = ArenaLayout(
-        [(name, param.shape) for name, param in model.named_parameters()]
-    )
+    layout: ArenaLayout = payload["layout"]
 
     weights_segment = shm.attach_segment(payload["weights_segment"])
     if init_crash:
         _self_destruct()
     weights = np.ndarray(
-        (layout.total_elements,), dtype=np.float64, buffer=weights_segment.buf
+        (layout.total_elements,), dtype=layout.dtype, buffer=weights_segment.buf
     )
     for name, param in model.named_parameters():
         lo = layout.offsets[name]
@@ -262,7 +260,7 @@ def _worker_main(conn, payload: dict, init_crash: bool = False) -> None:
         if cached is None:
             segment = shm.attach_segment(segment_name)
             slab = np.ndarray(
-                (layout.total_elements,), dtype=np.float64, buffer=segment.buf
+                (layout.total_elements,), dtype=layout.dtype, buffer=segment.buf
             )
             cached = slabs[segment_name] = (
                 segment, slab, layout.carve(slab)
@@ -377,17 +375,18 @@ class ProcessWorkerPool:
         layout = arena.layout
         self._layout = layout
         self._weights_segment = shm.create_segment(
-            max(1, layout.total_elements) * 8
+            max(1, layout.total_elements) * layout.dtype.itemsize
         )
         try:
             self._weights = np.ndarray(
                 (layout.total_elements,),
-                dtype=np.float64,
+                dtype=layout.dtype,
                 buffer=self._weights_segment.buf,
             )
             self._weight_views = layout.carve(self._weights)
             self._payload = {
                 "model": _scrubbed_template(model),
+                "layout": layout,
                 "train_data": train_data,
                 "seed": seed,
                 "batch_size": batch_size,

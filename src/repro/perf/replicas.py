@@ -93,14 +93,15 @@ def worker_pass(model: Module, loss_fn, shard, rng, batch_size: int) -> float:
 
     The single definition of what a rank computes per step, whichever
     backend runs it: one batch drawn from ``shard`` with the rank's
-    ``rng``, gradients written into whatever storage the model's
-    parameters are bound to. Binding the slab stays with the caller.
+    ``rng`` and cast to the model's dtype, gradients written into
+    whatever storage the model's parameters are bound to. Binding the slab
+    stays with the caller.
     """
     model.zero_grad()
     # Nothing reads the gradient w.r.t. the batch.
     skip = {"need_input_grad": False} if isinstance(model, Sequential) else {}
     inputs, labels = shard.batch(rng, batch_size)
-    loss = loss_fn(model(inputs), labels)
+    loss = loss_fn(model(model.as_input(inputs)), labels)
     model.backward(loss_fn.backward(), **skip)
     for name, param in model.named_parameters():
         if not param.has_grad:

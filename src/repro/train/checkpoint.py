@@ -74,6 +74,8 @@ def save_checkpoint(path: str, model: Module, optimizer: SGD,
 def load_checkpoint(path: str, model: Module, optimizer: SGD) -> Dict:
     """Restore ``model`` and ``optimizer`` from ``path``; returns metadata.
 
+    Values arrive in the model's dtype, whatever dtype they were saved in.
+
     Raises:
         CheckpointError: unreadable/truncated file, corrupt payload
             (checksum mismatch), incompatible format version, or parameter
@@ -106,7 +108,7 @@ def load_checkpoint(path: str, model: Module, optimizer: SGD) -> Dict:
         try:
             params = archive["__params__"]
             velocities = {
-                key[len("velocity::"):]: archive[key].copy()
+                key[len("velocity::"):]: archive[key].astype(model.dtype)
                 for key in archive.files if key.startswith("velocity::")
             }
         except Exception as exc:

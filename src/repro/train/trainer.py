@@ -87,7 +87,7 @@ def evaluate(
     correct = 0
     total = 0
     for start in range(0, len(data), batch_size):
-        inputs = data.inputs[start : start + batch_size]
+        inputs = model.as_input(data.inputs[start : start + batch_size])
         labels = data.labels[start : start + batch_size]
         logits = model(inputs)
         correct += int((logits.argmax(axis=1) == labels).sum())
@@ -469,15 +469,11 @@ class DataParallelTrainer:
         """
         group = self.aggregator.group
         chunks = [
-            param.data.reshape(-1).astype(np.float64)
-            for _, param in self.model.named_parameters()
+            param.data.reshape(-1) for _, param in self.model.named_parameters()
         ]
         velocity = getattr(self.optimizer, "_velocity", None) or {}
-        chunks.extend(
-            velocity[name].reshape(-1).astype(np.float64)
-            for name in sorted(velocity)
-        )
-        payload = np.concatenate(chunks) if chunks else np.zeros(0)
+        chunks.extend(velocity[name].reshape(-1) for name in sorted(velocity))
+        payload = np.concatenate(chunks)
         if payload.size:
             root = group.live_ranks.index(change.donor)
             group.broadcast(

@@ -34,8 +34,10 @@ def check_layer_gradients(
     """Verify a layer's analytic input and parameter gradients.
 
     Uses the scalar objective ``sum(w * layer(x))`` for a fixed random
-    weighting ``w`` so the output gradient is non-trivial.
+    weighting ``w`` so the output gradient is non-trivial. Central
+    differences need float64, so the layer is cast to it first.
     """
+    layer.astype(np.float64)
     rng = np.random.default_rng(0)
     out = layer(x)
     weights = rng.normal(size=out.shape)

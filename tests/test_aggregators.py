@@ -192,7 +192,7 @@ class TestPaperPrimitiveOracle:
     STEPS = 3
 
     def _slabs(self, bucket_bytes, aggregator):
-        model = make_mlp(17, 9, 4, rng=np.random.default_rng(7))
+        model = make_mlp(17, 9, 4, rng=np.random.default_rng(7)).astype(np.float64)
         arena = GradientArena(model, WORLD, bucket_bytes=bucket_bytes)
         aggregator.attach(arena)
         rng = np.random.default_rng(3)

@@ -27,21 +27,21 @@ def random_grads(model, seed=0):
 
 class TestArenaLayout:
     def test_offsets_are_contiguous_in_order(self):
-        layout = ArenaLayout([("a", (2, 3)), ("b", (4,)), ("c", ())])
+        layout = ArenaLayout([("a", (2, 3)), ("b", (4,)), ("c", ())], np.float64)
         assert layout.names == ["a", "b", "c"]
         assert layout.offsets == {"a": 0, "b": 6, "c": 10}
         assert layout.total_elements == 11
 
     def test_duplicate_name_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
-            ArenaLayout([("a", (2,)), ("a", (3,))])
+            ArenaLayout([("a", (2,)), ("a", (3,))], np.float64)
 
     def test_buckets_partition_slab(self):
         layout = ArenaLayout(
-            [("a", (4,)), ("b", (4,)), ("c", (4,))], bucket_bytes=32
+            [("a", (4,)), ("b", (4,)), ("c", (4,))], np.float64, bucket_bytes=32
         )
         assert layout.buckets == [(0, 4), (4, 8), (8, 12)]
-        assert ArenaLayout([("a", (4,))]).buckets == [(0, 4)]
+        assert ArenaLayout([("a", (4,))], np.float64).buckets == [(0, 4)]
 
 
 class TestGradientArena:
@@ -147,7 +147,7 @@ class TestResiduals:
 
     @staticmethod
     def arena(world=3):
-        arena = GradientArena([("w", (2, 3)), ("b", (2,))], world)
+        arena = GradientArena([("w", np.zeros((2, 3))), ("b", np.zeros(2))], world)
         for slot in range(world):
             arena.slab(slot)[:] = slot + 1.0
         arena.carry(["w"])
@@ -317,7 +317,7 @@ class TestAggregatorFastPath:
         arena = GradientArena(model, world_size)
         rng = np.random.default_rng(11)
         reference = [
-            rng.standard_normal(arena.layout.total_elements)
+            rng.standard_normal(arena.layout.total_elements).astype(arena.layout.dtype)
             for _ in range(world_size)
         ]
         legacy_grads = []

@@ -94,7 +94,7 @@ class TestSparseBlocks:
                 "fused", total, step
             )
             assert np.array_equal(aggregated.indices, np.sort(shared))
-            want = np.zeros(total)
+            want = np.zeros(total, arena.layout.dtype)
             want[aggregated.indices] = aggregated.values
             assert fused(aggregated, arena.layout.names).tobytes() == want.tobytes()
         arena.close()
@@ -113,7 +113,10 @@ class TestLowRankBlocks:
     def test_blocks_are_blocked_matmuls(self, method):
         world = 2
         shapes = [(f"w{i}", shape) for i, shape in enumerate(LOW_RANK_SHAPES)]
-        arena = GradientArena(shapes + [("bias", (7,))], world)
+        arena = GradientArena(
+            [(name, np.zeros(shape)) for name, shape in shapes + [("bias", (7,))]],
+            world,
+        )
         aggregator = make_aggregator(method, ProcessGroup(world), rank=4)
         aggregator.attach(arena)
         rng = np.random.default_rng(3)

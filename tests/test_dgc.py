@@ -18,7 +18,7 @@ def _grads(rng, world=WORLD):
 
 
 def _attached_arena(agg, world):
-    arena = GradientArena([("w", (4, 4))], world)
+    arena = GradientArena([("w", np.zeros((4, 4)))], world)
     agg.attach(arena)
     return arena
 

@@ -2,8 +2,8 @@
 
 One SHA-256 per cell over every step's loss and the final weights, for
 Top-k, Sign-SGD, ACP-SGD, Power-SGD and Random-k, each with error feedback
-on and off, monolithic and in 1 MiB buckets (the model is 1.3 MB: two
-buckets), under three scenarios:
+on and off, monolithic and in 512 KiB buckets (the float32 model is
+0.67 MB: two buckets), under three scenarios:
 
 - ``static``: a plain group of three ranks (sequential steps fire their
   buckets eagerly from the gradient hooks);
@@ -52,7 +52,7 @@ METHODS = ("topk", "signsgd", "acpsgd", "powersgd", "randomk")
 NO_REUSE_METHODS = ("acpsgd", "powersgd")
 #: Methods pinned with error feedback on only (their default).
 EF_ONLY_METHODS = ("dgc",)
-BUCKETING = {"monolithic": None, "bucketed": 1 << 20}
+BUCKETING = {"monolithic": None, "bucketed": 1 << 19}
 SCENARIOS = ("static", "elastic", "resilient")
 STEPS = 10
 WORLD = 3

@@ -453,7 +453,8 @@ class TestResidualsFollowRanks:
             arena = trainer._arena
             assert arena.carried
             empty = self.carried_bytes(arena, 0)
-            assert empty == np.full(len(empty) // 8, -0.0).tobytes()
+            dtype = arena.layout.dtype
+            assert empty == np.full(len(empty) // dtype.itemsize, -0.0, dtype).tobytes()
             residual = {rank: empty for rank in range(3)}  # rank -> its bytes
             roster, moves, seen = [0, 1, 2], 0, 0
             live, finish = trainer._live_ranks, trainer.reducer.finish_step

@@ -129,7 +129,7 @@ class TestParameterEntry:
     def test_two_products_concatenate_their_factors(self, rng):
         """Tied weights: two products on one slot are one product of
         ``[a1 | a2]`` and ``[b1 ; b2]``."""
-        arena = GradientArena([("w", (512, 256))], 1)
+        arena = GradientArena([("w", np.zeros((512, 256)))], 1)
         arena.carry(["w"], factored=True)
         grads = arena.grads(0)
         param = Parameter(np.zeros((512, 256)))
@@ -187,7 +187,7 @@ def test_only_acpsgd_with_error_feedback_takes_factors(method, kwargs, factored)
 
 class TestOtherReaders:
     def test_arena_load_adds_pending_first(self, rng):
-        arena = GradientArena([("w", (256, 192))], 1)
+        arena = GradientArena([("w", np.zeros((256, 192)))], 1)
         arena.carry(["w"], factored=True)
         grads = arena.grads(0)
         param = Parameter(np.zeros((256, 192)))
@@ -291,7 +291,10 @@ class TestThroughTheTrainer:
         residual (Algorithm 2), through eager WFBP buckets and whole-model
         aggregation alike, for the factored weights and the added head."""
         world = 2
-        with mlp_trainer(world=world, buffer_bytes=buffer_bytes) as trainer:
+        model = small_mlp().astype(np.float64)  # a float64 tolerance below
+        with mlp_trainer(
+            world=world, model=model, buffer_bytes=buffer_bytes
+        ) as trainer:
             arena, aggregator = trainer._arena, trainer.aggregator
             names = sorted(arena.factored)
             totals = {rank: {n: (0.0, 0.0) for n in names} for rank in range(world)}

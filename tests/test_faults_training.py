@@ -256,7 +256,7 @@ def all_residuals_empty(trainer):
     arena = trainer._arena
     assert arena.carried
     return all(
-        view.tobytes() == np.full(view.shape, -0.0).tobytes()
+        view.tobytes() == np.full(view.shape, -0.0, view.dtype).tobytes()
         for slot in range(len(trainer.aggregator.roster))
         for name, view in arena.grads(slot).items()
         if name in arena.carried
@@ -266,7 +266,8 @@ def all_residuals_empty(trainer):
 def _overflow_after_the_local_check(trainer, method):
     """Make the step's aggregate non-finite although every local gradient
     is finite: a finite payload whose decode overflows (Power-SGD, ACP-SGD:
-    the factors; Top-k, DGC: ``world`` values near 1e308 on one coordinate), or
+    the factors; Top-k, DGC: ``world`` values of 0.6 times the largest float
+    on one coordinate), or
     a NaN Sign-SGD scale planted in a slab after the local check."""
     aggregator = trainer.aggregator
     if method in ("acpsgd", "powersgd"):
@@ -286,7 +287,7 @@ def _overflow_after_the_local_check(trainer, method):
             for slot in range(len(trainer.aggregator.roster)):
                 slab = trainer._arena.slab(slot)
                 if method in ("topk", "dgc"):
-                    slab[0] = 1e308
+                    slab[0] = 0.6 * np.finfo(slab.dtype).max
                 elif slot == 0:
                     slab[0] = np.nan
             return finish_step(aggregator)

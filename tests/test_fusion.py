@@ -73,7 +73,7 @@ class TestSharedPolicy:
         for size in elems:
             starts.append(starts[-1] + size)
         index_spans = partition_buckets(
-            [8 * size for size in elems], buffer_bytes
+            [layout.dtype.itemsize * size for size in elems], buffer_bytes
         )
         expected = [(starts[s], starts[e]) for s, e in index_spans]
         assert list(layout.buckets) == expected

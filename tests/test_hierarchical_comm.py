@@ -120,8 +120,9 @@ class TestValidation:
             )
 
     def test_non_float64_rejected(self):
-        buffers = [np.zeros(4, dtype=np.float32) for _ in range(4)]
-        with pytest.raises(ValueError, match="float64"):
+        """Any one floating dtype sums in place; integers do not."""
+        buffers = [np.zeros(4, dtype=np.int64) for _ in range(4)]
+        with pytest.raises(ValueError, match="floating"):
             all_reduce_inplace(buffers, topology=TOPO_2x2)
 
     def test_segment_out_of_range(self, rng):

@@ -134,7 +134,7 @@ class TestBlockedKernelMatchesDense:
         """An empty carried view (``-0.0``) plus a gradient is the gradient,
         signed zeros included."""
         grad = np.array([[0.0, -0.0, 1.5], [-2.0, np.pi, 1e-300]])
-        arena = GradientArena([("w", grad.shape)], 1)
+        arena = GradientArena([("w", grad)], 1)
         arena.carry(["w"])
         arena.load(0, {"w": grad})
         assert arena.grads(0)["w"].tobytes() == grad.tobytes()
@@ -365,14 +365,14 @@ def _feed(matrix, accumulator):
 
 class TestInputsAreOnlyRead:
     """float32, non-contiguous and read-only gradients are accepted, give
-    the factors of their float64 C-contiguous copies, and are never written
-    — without error feedback compressed as they are, with it added into
-    the accumulator the states project and correct in place."""
+    the factors of their C-contiguous copies (in their own dtype), and are
+    never written — without error feedback compressed as they are, with it
+    added into the accumulator the states project and correct in place."""
 
     @pytest.mark.parametrize("use_ef", [True, False])
     def test_acpsgd_compress(self, use_ef, rng):
         for label, matrix in _input_variants(rng):
-            reference = np.ascontiguousarray(matrix, dtype=np.float64)
+            reference = np.ascontiguousarray(matrix)
             before = matrix.copy()
             state = LowRankState(rank=3, seed=5, use_error_feedback=use_ef)
             oracle = LowRankState(rank=3, seed=5, use_error_feedback=use_ef)
@@ -383,7 +383,7 @@ class TestInputsAreOnlyRead:
             for step in (1, 2, 3):
                 factor = state.compress("w", _feed(matrix, acc), step)
                 expected = oracle.compress("w", _feed(reference, ref_acc), step)
-                assert factor.dtype == np.float64
+                assert factor.dtype == (np.float64 if use_ef else matrix.dtype)
                 assert rel_err(factor, expected) <= 1e-12, (label, step)
                 state.adopt("w", factor, step)
                 oracle.adopt("w", expected, step)
@@ -393,7 +393,7 @@ class TestInputsAreOnlyRead:
     @pytest.mark.parametrize("use_ef", [True, False])
     def test_powersgd_stages(self, use_ef, rng):
         for label, matrix in _input_variants(rng):
-            reference = np.ascontiguousarray(matrix, dtype=np.float64)
+            reference = np.ascontiguousarray(matrix)
             before = matrix.copy()
             state = power_sgd(rank=3, seed=5, use_error_feedback=use_ef)
             oracle = power_sgd(rank=3, seed=5, use_error_feedback=use_ef)
@@ -577,7 +577,10 @@ class TestAggregatorsAgainstOracle:
     def test_aggregate_matches_per_rank_oracle(self, method, bucket_bytes, rng):
         world, rank = 3, 2
         aggregator = make_aggregator(method, ProcessGroup(world), rank=rank, seed=7)
-        arena = GradientArena(SHAPES, world, bucket_bytes=bucket_bytes)
+        arena = GradientArena(
+            [(name, np.zeros(shape)) for name, shape in SHAPES],
+            world, bucket_bytes=bucket_bytes,
+        )
         aggregator.attach(arena)
         oracle_states = [
             LowRankState(rank, 7, halves_per_step=aggregator.halves_per_step)
@@ -723,7 +726,10 @@ class TestSharedOrthogonalisation:
         aggregator = make_aggregator(
             method, ProcessGroup(world), rank=2, use_error_feedback=use_ef
         )
-        arena = GradientArena(SHAPES, world, bucket_bytes=1200)
+        arena = GradientArena(
+            [(name, np.zeros(shape)) for name, shape in SHAPES],
+            world, bucket_bytes=1200,
+        )
         aggregator.attach(arena)
         twin = make_aggregator(
             method, ProcessGroup(world), rank=2, use_error_feedback=use_ef

@@ -112,7 +112,9 @@ class TestConv2dGeometries:
 
     @pytest.mark.parametrize("kernel,stride,padding", CONV_GEOMETRIES)
     def test_matches_loop_convolution(self, rng, kernel, stride, padding):
-        layer = nn.Conv2d(3, 4, kernel, stride=stride, padding=padding, rng=rng)
+        layer = nn.Conv2d(
+            3, 4, kernel, stride=stride, padding=padding, rng=rng
+        ).astype(np.float64)
         layer.bias.data = rng.normal(size=4)
         x = rng.normal(size=(2, 3, 7, 6))
         out = layer(x)
@@ -301,7 +303,7 @@ class TestBatchNorm2dStatistics:
     def test_large_mean_still_normalises(self, rng):
         """mean 1e6, unit variance: E[x^2] - E[x]^2 would lose every digit of
         the variance; the centred two-pass form does not."""
-        layer = nn.BatchNorm2d(3, eps=0.0)
+        layer = nn.BatchNorm2d(3, eps=0.0).astype(np.float64)
         x = rng.normal(loc=1e6, scale=1.0, size=(16, 3, 8, 8))
         out = layer(x)
         assert np.all(np.abs(out.mean(axis=(0, 2, 3))) < 1e-6)
@@ -347,7 +349,7 @@ def _two_linears(seed):
     # not 16-byte aligned), like most tensors of a real fused layout.
     return nn.Sequential(
         nn.Linear(5, 3, bias=False, rng=rng), nn.ReLU(), nn.Linear(3, 7, rng=rng)
-    )
+    ).astype(np.float64)
 
 
 class TestWeightGradientLandsInTheSlot:
@@ -409,10 +411,14 @@ class TestWeightGradientLandsInTheSlot:
         rng = np.random.default_rng(batch * in_features)
         for out_features in product_heights(in_features)[1]:
             for x_dtype, grad_dtype, dims in variants:
-                legacy = nn.Linear(in_features, out_features, rng=np.random.default_rng(0))
+                legacy = nn.Linear(
+                    in_features, out_features, rng=np.random.default_rng(0)
+                ).astype(np.float64)
                 bound = []
                 for offset in (0, 1):
-                    layer = nn.Linear(in_features, out_features, rng=np.random.default_rng(0))
+                    layer = nn.Linear(
+                        in_features, out_features, rng=np.random.default_rng(0)
+                    ).astype(np.float64)
                     storage, slot = slot_storage((out_features, in_features), offset)
                     layer.weight.attach_grad_slot(slot)
                     bound.append((layer, storage))

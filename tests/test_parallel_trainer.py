@@ -42,7 +42,9 @@ class TestArenaBitExactness:
         for _ in range(3):
             plain = []
             for slot in range(world):
-                fresh = rng.standard_normal(arena.layout.total_elements)
+                fresh = rng.standard_normal(arena.layout.total_elements).astype(
+                    arena.layout.dtype
+                )
                 plain.append({
                     name: view.copy()
                     for name, view in arena.layout.carve(fresh).items()

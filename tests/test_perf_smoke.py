@@ -232,7 +232,7 @@ MLP_WORLD = 4
 
 
 def mlp_trainer(method, buffer_bytes=None, world=MLP_WORLD, **trainer_kwargs):
-    """The perfbench MLP (2.9M parameters, 22.1 MiB of float64 gradient)."""
+    """The perfbench MLP (2.9M parameters, 11.1 MiB of float32 gradient)."""
     rng = np.random.default_rng(0)
     data = ArrayDataset(
         rng.standard_normal((64, 768)).astype(np.float32),
@@ -270,18 +270,19 @@ class TestStepAllocatesNothingModelSized:
     residual is the slot itself, and the optimizer decodes low-rank
     products, the Sign-SGD vote and the sparse sums one block at a time, so
     a steady-state step of a paper method allocates O(batch) activations,
-    O(k * world) payloads and block scratch — under a quarter of the model
-    (5.5 MiB). Recorded at world 4, monolithic, in MiB: ssgd 0.2, acpsgd 1.2
-    (every rank's ``Linear`` weight gradients as their factors ``(g^T, x)``
-    until its compress consumes them; 0.7 when they were added into the
-    slot), powersgd 0.4 (0.6 when every rank copied each aggregated
-    factor), signsgd 4.2 (the bool mask ``packbits`` reads,
-    plus the gathered bits), topk 5.3 (selection, wire and gathered copy of
-    ``2k * world`` numbers).
+    O(k * world) payloads and block scratch — under 5.5 MiB, a quarter of
+    the model in float64 (half of its float32 gradient). Recorded at world
+    4, monolithic, in MiB, in float32 (float64 in parentheses): ssgd 0.1
+    (0.2), acpsgd 0.6 (1.2; every rank's ``Linear`` weight gradients as
+    their factors ``(g^T, x)`` until its compress consumes them), powersgd
+    0.2 (0.4), signsgd 4.2 (4.2: the bool mask ``packbits`` reads, plus the
+    gathered bits, a byte or a bit per element in any precision), topk 3.1
+    (5.3: selection, wire and gathered copy of ``2k * world`` numbers).
     """
 
     @staticmethod
     def quarter(trainer):
+        """A quarter of the model's parameters at 8 bytes each."""
         return trainer.model.num_parameters() * 8 // 4
 
     @pytest.mark.parametrize("buffer_bytes", [None, 1 << 20])
@@ -297,16 +298,17 @@ class TestStepAllocatesNothingModelSized:
             )
 
     # Random-k selects and zeroes in its slab and is decoded block by block
-    # (3.6 MiB; 113.2 MiB with a residual beside the slab); DGC is Top-k's
-    # path with a velocity beside the slab (5.3 MiB; 182.1 MiB on a path of
-    # its own). QSGD and TernGrad still
-    # decode through full-size float temporaries (MiB today); strict, so
-    # closing a gap moves its row up.
+    # (2.3 MiB in float32, 3.6 in float64; 113.2 MiB with a residual beside
+    # the slab); DGC is Top-k's path with a velocity beside the slab (3.1;
+    # 5.3; 182.1 MiB on a path of its own). QSGD and TernGrad still
+    # quantize and decode through full-size float temporaries (MiB today,
+    # float32; 176.8 / 73.9 in float64); strict, so closing a gap moves its
+    # row up.
     @pytest.mark.parametrize(
         "method",
         ["randomk", "dgc"] + [
             pytest.param(m, marks=pytest.mark.xfail(strict=True, reason=why))
-            for m, why in [("qsgd", "176.8 MiB"), ("terngrad", "73.9 MiB")]
+            for m, why in [("qsgd", "99.5 MiB"), ("terngrad", "40.8 MiB")]
         ],
     )
     def test_extension_methods(self, method):

@@ -147,7 +147,10 @@ class TestAggregatorVotesOnBitCounts:
     @staticmethod
     def _arena(world, bucket_bytes, aggregator):
         """The slabs the aggregator keeps its residuals in, as a trainer's."""
-        arena = GradientArena(VOTE_SHAPES, world, bucket_bytes=bucket_bytes)
+        arena = GradientArena(
+            [(name, np.zeros(shape)) for name, shape in VOTE_SHAPES],
+            world, bucket_bytes=bucket_bytes,
+        )
         aggregator.attach(arena)
         return arena
 

@@ -17,12 +17,12 @@ class TestTernaryPacking:
         values = rng.integers(-1, 2, size=37).astype(np.int8)
         packed = _pack_ternary(values)
         assert packed.nbytes == 10  # ceil(37/4)
-        recovered = _unpack_ternary(packed, 37)
+        recovered = _unpack_ternary(packed, 37, np.float64)
         np.testing.assert_array_equal(recovered, values.astype(np.float64))
 
     def test_exact_multiple_of_four(self, rng):
         values = rng.integers(-1, 2, size=16).astype(np.int8)
-        recovered = _unpack_ternary(_pack_ternary(values), 16)
+        recovered = _unpack_ternary(_pack_ternary(values), 16, np.float64)
         np.testing.assert_array_equal(recovered, values)
 
 

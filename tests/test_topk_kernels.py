@@ -18,6 +18,7 @@ from repro.compression.topk import (
     TopkCompressor,
     exact_topk_mask,
     sparse_aggregate,
+    sparse_wire,
     topk_select,
 )
 from repro.models.convnets import make_mlp
@@ -231,7 +232,7 @@ class TestCompressorRoutesThroughKernel:
         grad = rng.standard_normal((40, 50)).astype(np.float32)
         payload = TopkCompressor(ratio=0.1, use_error_feedback=False).compress(grad)
         assert payload.num_elements == 2000 and payload.k == 200
-        assert payload.values.dtype == np.float64
+        assert payload.values.dtype == np.float32  # the input's own
         # An N-d float64 accumulator is zeroed in place where it was sent.
         accumulator = grad.astype(np.float64)
         payload = TopkCompressor(ratio=0.1).compress(accumulator)
@@ -240,7 +241,9 @@ class TestCompressorRoutesThroughKernel:
 
 
 def mlp_arena(world_size, hidden=64, bucket_bytes=None, seed=0):
-    model = make_mlp(96, hidden, 10, depth=3, rng=np.random.default_rng(seed))
+    model = make_mlp(
+        96, hidden, 10, depth=3, rng=np.random.default_rng(seed)
+    ).astype(np.float64)
     return model, GradientArena(model, world_size, bucket_bytes=bucket_bytes)
 
 
@@ -253,6 +256,31 @@ def fill(arena, world_size, rng, scale=1.0):
         arena.load(slot, arena.layout.carve(ref))
         reference.append(ref)
     return reference, [arena.grads(slot) for slot in range(world_size)]
+
+
+class TestSparseWire:
+    """One rank's (index, value) pairs travel as one array in the values'
+    dtype, the indices bit-cast into value lanes."""
+
+    def test_float32_wire_keeps_indices_past_2_24_exact(self):
+        indices = np.array([0, 5, 2**24 + 1, 2**31 - 1], dtype=np.int64)
+        values = np.array([1.5, -0.0, np.inf, -3.25], dtype=np.float32)
+        wire = sparse_wire(indices, values)
+        assert wire.dtype == np.float32 and wire.nbytes == 8 * indices.size
+        assert np.array_equal(wire[:4].view(np.int32), indices)
+        assert wire[4:].tobytes() == values.tobytes()
+        # What a numeric cast into the value lanes would have shipped:
+        assert int(np.float32(2**24 + 1)) == 2**24
+
+    def test_float64_wire_uses_int64_lanes(self):
+        indices = np.array([3, 2**40], dtype=np.int64)
+        wire = sparse_wire(indices, np.array([0.5, 2.0]))
+        assert wire.dtype == np.float64
+        assert np.array_equal(wire[:2].view(np.int64), indices)
+
+    def test_an_index_past_the_lane_is_rejected(self):
+        with pytest.raises(ValueError, match="lanes"):
+            sparse_wire(np.array([2**31]), np.ones(1, dtype=np.float32))
 
 
 class TestAggregatorConservation:
@@ -413,7 +441,7 @@ class TestSGDStepOracle:
         self, momentum, weight_decay
     ):
         rng = np.random.default_rng(5)
-        model = make_mlp(12, 9, 4, depth=3, rng=rng)
+        model = make_mlp(12, 9, 4, depth=3, rng=rng).astype(np.float64)
         optimizer = SGD(model, lr=0.05, momentum=momentum,
                         weight_decay=weight_decay)
         named = dict(model.named_parameters())
@@ -449,7 +477,9 @@ class TestSGDStepOracle:
                 np.testing.assert_array_equal(grads[name], grad)
 
     def test_steady_state_step_allocates_nothing_full_size(self):
-        model = make_mlp(768, 512, 10, depth=2, rng=np.random.default_rng(0))
+        model = make_mlp(
+            768, 512, 10, depth=2, rng=np.random.default_rng(0)
+        ).astype(np.float64)
         optimizer = SGD(model, lr=0.01, momentum=0.9, weight_decay=1e-4)
         rng = np.random.default_rng(1)
         grads = {

@@ -2,8 +2,10 @@
 
 Every method aggregates one monolithic step on a
 :class:`~repro.comm.process_group.ProcessGroup`; the collectives the group
-recorded must be :func:`~repro.compression.wire.step_wire`'s at the
-trainer's float64 width, in order, with the same kind and traffic.
+recorded must be :func:`~repro.compression.wire.step_wire`'s at its
+default width — FP32, the trainer's with ``repro.nn``'s float32
+parameters and the simulator's — in order, with the same kind and
+traffic.
 """
 
 import numpy as np
@@ -32,17 +34,19 @@ METHOD_KWARGS = {
 KINDS = {"allreduce_ring": ALL_REDUCE, "all_gather": ALL_GATHER}
 
 # Total bytes of each step's collectives at world 4, measured on the
-# trainer before the declaration existed.
+# trainer: first in float64, before the declaration existed; the float
+# figures halved when the trainer moved to float32, the packed sign bits,
+# QSGD levels and TernGrad codes did not.
 MEASURED_AT_4 = {
-    "ssgd": [140784],
+    "ssgd": [70392],
     "signsgd": [4404],
-    "topk": [5568],
-    "dgc": [5568],
-    "randomk": [1392],
+    "topk": [2784],
+    "dgc": [2784],
+    "randomk": [696],
     "qsgd": [39600],
     "terngrad": [8808],
-    "powersgd": [11760, 12288, 19968],
-    "acpsgd": [11760, 12288],  # step 2 sends Q: 11 760, 19 968
+    "powersgd": [5880, 6144, 9984],
+    "acpsgd": [5880, 6144],  # step 2 sends Q: 5 880, 9 984
 }
 
 
@@ -55,7 +59,10 @@ def _measured_steps(method, world):
     for _ in range(2):
         group.reset_stats()
         aggregator.aggregate([
-            {name: rng.normal(size=shape) for name, shape in SHAPES.items()}
+            {
+                name: rng.normal(size=shape).astype(np.float32)
+                for name, shape in SHAPES.items()
+            }
             for _ in range(world)
         ])
         steps.append([(KINDS[s.algorithm], s.total_bytes) for s in group.history])
@@ -75,8 +82,7 @@ def _declared_total(collective, world):
 def test_trainer_wire_is_declared(method, world):
     for step, measured in enumerate(_measured_steps(method, world), start=1):
         declared = step_wire(
-            method, SHAPES.values(), rank=RANK, ratio=RATIO, half=step,
-            elem_bytes=8,
+            method, SHAPES.values(), rank=RANK, ratio=RATIO, half=step
         )
         assert measured == [
             (c.kind, _declared_total(c, world)) for c in declared
@@ -85,8 +91,6 @@ def test_trainer_wire_is_declared(method, world):
 
 @pytest.mark.parametrize("method", sorted(METHOD_KWARGS))
 def test_declaration_reproduces_the_measured_figures(method):
-    declared = step_wire(
-        method, SHAPES.values(), rank=RANK, ratio=RATIO, elem_bytes=8
-    )
+    declared = step_wire(method, SHAPES.values(), rank=RANK, ratio=RATIO)
     assert [_declared_total(c, 4) for c in declared] == MEASURED_AT_4[method]
 
