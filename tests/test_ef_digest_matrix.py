@@ -153,161 +153,161 @@ def run_cell(method, ef, bucketing, scenario, workers="seq", reuse_query=True,
 
 PINNED = {
     "topk/ef/monolithic/static":
-        "879f9f3c556d076e1b29de6db155d16d45cfe7d708b2da98f7b3c76df0a1521d",
+        "16adca699be8fd38b0f07b0fb41d86196a75b2f33fb0c54c935b30eba17b0e8f",
     "topk/ef/monolithic/elastic":
-        "f3d0c5d98468b396f1a860feafea070a0e13da8defb024235a33f550bba638c6",
+        "4c8800ac4b2c301cec7646f7dd5c2a0ff993e5b3ca509314d93130b0dc1b51d3",
     "topk/ef/monolithic/resilient":
-        "afae1b44ee3ebb0b30e0513575a7f4e26072e79ae59dedbd397a3f144f0aba8e",
+        "356a2261d095ec1b65a16259717955de8b18d87da34d77ddffc6d7e11054311e",
     "topk/ef/bucketed/static":
-        "879f9f3c556d076e1b29de6db155d16d45cfe7d708b2da98f7b3c76df0a1521d",
+        "16adca699be8fd38b0f07b0fb41d86196a75b2f33fb0c54c935b30eba17b0e8f",
     "topk/ef/bucketed/elastic":
-        "752666bdedeacaf10712d27d99c14b54f100746f5fa5bf37e2c5101579b00ed3",
+        "ccf5eda6aa1ed1fd1ddc58afe8944ebb4bd0278e5eed112513d49ea7bcf717cc",
     "topk/ef/bucketed/resilient":
-        "afae1b44ee3ebb0b30e0513575a7f4e26072e79ae59dedbd397a3f144f0aba8e",
+        "356a2261d095ec1b65a16259717955de8b18d87da34d77ddffc6d7e11054311e",
     "topk/no-ef/monolithic/static":
-        "a209862dba215694ffc2e0214f1df348b0770bf4ae3945ba992c6bed5bc3322f",
+        "6d2d74cc960a9931e8ebf9442436c8f9dd08abca16638907dd86a38bc5fc4c8a",
     "topk/no-ef/monolithic/elastic":
-        "deeb844befcae52d944ff19c0d1c83a25208a95a1dd3f7d91fe525590d0e096a",
+        "82795f285555576c97c2b6b1cee9335d12fa280c55b746d230b95051a3ff99a3",
     "topk/no-ef/monolithic/resilient":
-        "ee7ec693e59168239c73255d665f536baffa11be43ddca6054dd2a6f674f4ea7",
+        "4cb5eee553a72127285cdf1eeb620cffdd18457be1751144744ca6327fbe6ca2",
     "topk/no-ef/bucketed/static":
-        "a209862dba215694ffc2e0214f1df348b0770bf4ae3945ba992c6bed5bc3322f",
+        "6d2d74cc960a9931e8ebf9442436c8f9dd08abca16638907dd86a38bc5fc4c8a",
     "topk/no-ef/bucketed/elastic":
-        "a7f542694009b2b3548142ba412096880ce74227e29bb469622a46eb38e9e64e",
+        "e5824cc098878fdab4fe8a3c58fc0b9b7da9d32b1b2e207eafe805a0abc28667",
     "topk/no-ef/bucketed/resilient":
-        "ee7ec693e59168239c73255d665f536baffa11be43ddca6054dd2a6f674f4ea7",
+        "4cb5eee553a72127285cdf1eeb620cffdd18457be1751144744ca6327fbe6ca2",
     "signsgd/ef/monolithic/static":
-        "1572d600abb4c0630e8e67d7f98c3532982b2001ac0a865cf82c6b0da4669ffb",
+        "0804e8de7b3d3c123aa575b103a3666265856b2dd9a8a46ef87f981908f1db1f",
     "signsgd/ef/monolithic/elastic":
-        "97c266d5f9023ffa2409702427f67f1213566075d5a7b7e36f1a17914680c4f3",
+        "e686517de4f096e6961b3d923c1367c0510d8a4fd4c27d6b239309e02ffe3bb7",
     "signsgd/ef/monolithic/resilient":
-        "e8de56a3ef79c23a33a7f55102f7bf8704f3473b74f5e21edcd0912b3b549cf2",
+        "e193c00860612406d2a83c1b831fcf9bf169946335f62598ec599af71386a435",
     "signsgd/ef/bucketed/static":
-        "1572d600abb4c0630e8e67d7f98c3532982b2001ac0a865cf82c6b0da4669ffb",
+        "0804e8de7b3d3c123aa575b103a3666265856b2dd9a8a46ef87f981908f1db1f",
     "signsgd/ef/bucketed/elastic":
-        "cba2195fe364fda0a8a09cda2f1198b41225bea96ba48c1e45e966f6b22cf2b2",
+        "7e964c1a1d2f095a2c3416b536349d7410938f1e1b686fc1d3cd0adbbecc8e2c",
     "signsgd/ef/bucketed/resilient":
-        "e8de56a3ef79c23a33a7f55102f7bf8704f3473b74f5e21edcd0912b3b549cf2",
+        "e193c00860612406d2a83c1b831fcf9bf169946335f62598ec599af71386a435",
     "signsgd/no-ef/monolithic/static":
-        "ce8be8359fee6e98695fcdff7530c79e5ef3e30cce8b7b9d833e760ce534914b",
+        "45986786861b85473b82d51ab3ce75e2eb9cf0a6f5eadf3880cda8d67ec98972",
     "signsgd/no-ef/monolithic/elastic":
-        "ac47597ac98e8452dd3e3a684be0213c5c133b7e075a5e5364b6d142d21db8f7",
+        "5f8ed2683ac4888f6a1fb3d5c66287a23eef2305ebe67d0b6a8c37bc2331998d",
     "signsgd/no-ef/monolithic/resilient":
-        "bc6a08052e2576981763883c94097afebcc89c9a81f42e5f24fc5023796c34d7",
+        "2d798b040461b7c48879e3b752ed7ee9876f160d05c5a6a9f6ec719c75616a3c",
     "signsgd/no-ef/bucketed/static":
-        "ce8be8359fee6e98695fcdff7530c79e5ef3e30cce8b7b9d833e760ce534914b",
+        "45986786861b85473b82d51ab3ce75e2eb9cf0a6f5eadf3880cda8d67ec98972",
     "signsgd/no-ef/bucketed/elastic":
-        "c0cdea4784c63f168a9b42ec51e5be6afa5cf578bbc4a29170b46a2164497406",
+        "74e361f38f08e531214479b489cca816f2adcde0c9aac7da73f456da814ce2cc",
     "signsgd/no-ef/bucketed/resilient":
-        "bc6a08052e2576981763883c94097afebcc89c9a81f42e5f24fc5023796c34d7",
+        "2d798b040461b7c48879e3b752ed7ee9876f160d05c5a6a9f6ec719c75616a3c",
     "acpsgd/ef/monolithic/static":
-        "49e406b16a2ecc645a3bc656c3f8cec7fd435abb5f86682233739ff843c298d4",
+        "c38d1923f128ded7b9a88f9ba85cbbb61c6d0162494744b280ef46cab6e1f836",
     "acpsgd/ef/monolithic/elastic":
-        "f1b5c315bfce83c011e57d2e6568f7ff7d074b242600ef6f6974529fc9bcc44d",
+        "27484ea68d58166f9beeb86b22e08c9f124a050014d0318dac86ff8c7526836b",
     "acpsgd/ef/monolithic/resilient":
-        "444b9f65be023d7980f9e168a112ece195542a52d7b8244ab2ebc83a4d753042",
+        "a29c84721357a2e4da4386fe960f2997ef8e155d1bb301d04ba48488a34692c7",
     "acpsgd/ef/bucketed/static":
-        "49e406b16a2ecc645a3bc656c3f8cec7fd435abb5f86682233739ff843c298d4",
+        "c38d1923f128ded7b9a88f9ba85cbbb61c6d0162494744b280ef46cab6e1f836",
     "acpsgd/ef/bucketed/elastic":
-        "ce389eb1e61c3b42427f38a32cff12c6231d44ab423c3b04045cd06bc6d26c2a",
+        "94d3dda17fa34dac5974b1b559e932e06ba1cb2076f11b16850ebc6e06317852",
     "acpsgd/ef/bucketed/resilient":
-        "444b9f65be023d7980f9e168a112ece195542a52d7b8244ab2ebc83a4d753042",
+        "a29c84721357a2e4da4386fe960f2997ef8e155d1bb301d04ba48488a34692c7",
     "acpsgd/no-ef/monolithic/static":
-        "ba7e8200475aa804bb425e99e8084afb4c4e1be147a0f0effa014fdfe0723e16",
+        "46eda83e5123ecb0a6a3316bab0c2e8456ad3970a9ab6c614e54ce7c6d596432",
     "acpsgd/no-ef/monolithic/elastic":
-        "fa2418eb936a1bd182c16a5e6b041646fcab164e0359eb93287a45bd194a1cbd",
+        "82adab3f21547a9c024eea0835f89d7f48174f8ad1ababeab4ca340c59501203",
     "acpsgd/no-ef/monolithic/resilient":
-        "e4659b380badab693b361b233d1f64c5c28b52c602c67ed7e7a6720fc741e861",
+        "1f41ed74738ef1f7880292252600cf9d5ee16454c9ce713ba8f0112a0645948a",
     "acpsgd/no-ef/bucketed/static":
-        "ba7e8200475aa804bb425e99e8084afb4c4e1be147a0f0effa014fdfe0723e16",
+        "46eda83e5123ecb0a6a3316bab0c2e8456ad3970a9ab6c614e54ce7c6d596432",
     "acpsgd/no-ef/bucketed/elastic":
-        "b4828da4549d17f4581b765f08fb08fdcae8f1d1f056672ee0ffc25c3b8dc5df",
+        "590b5333e434ab77a638d325cd9d0414d26968a596b6aaf5b8c681262ea02696",
     "acpsgd/no-ef/bucketed/resilient":
-        "e4659b380badab693b361b233d1f64c5c28b52c602c67ed7e7a6720fc741e861",
+        "1f41ed74738ef1f7880292252600cf9d5ee16454c9ce713ba8f0112a0645948a",
     "powersgd/ef/monolithic/static":
-        "a1451ac8df634734b1030e671ef06cb3039de01be2fd32fa43b8cabafdf18fbb",
+        "e89c7a54cba79fddc18f2f540dae9780c0f88962aeebc3923b235f5c53172b84",
     "powersgd/ef/monolithic/elastic":
-        "0518e4c82555b2f830d1ec9736d72558bc6b60ef4af4748886f93de4f45fbc2f",
+        "52783c878ae13181e1765911df6a2071fbffed253ffb0060f2837b91fe62b1a0",
     "powersgd/ef/monolithic/resilient":
-        "7c20c08d2788533f18a50dbfe5d6c08b7de61b6fed06fb5429f3bb3711f94167",
+        "185b121cefbfaa5c07e60570c39955d67678796ac978ab6f8af2b18638035cbd",
     "powersgd/ef/bucketed/static":
-        "a1451ac8df634734b1030e671ef06cb3039de01be2fd32fa43b8cabafdf18fbb",
+        "e89c7a54cba79fddc18f2f540dae9780c0f88962aeebc3923b235f5c53172b84",
     "powersgd/ef/bucketed/elastic":
-        "bf5c31efeaf14ee65f77b4979e40df4a25942be00db904eaf0ed2e70b4ca6283",
+        "3560fb5994866367f49274a8f009093679354a75204fd7688da1fd44335617bc",
     "powersgd/ef/bucketed/resilient":
-        "7c20c08d2788533f18a50dbfe5d6c08b7de61b6fed06fb5429f3bb3711f94167",
+        "185b121cefbfaa5c07e60570c39955d67678796ac978ab6f8af2b18638035cbd",
     "powersgd/no-ef/monolithic/static":
-        "a862f6d2e6c3fed70358cf88dc1c6d852835a4c3ab90adf0795e125b4346d559",
+        "0d762b4c603b5268a5789ea153ca84fe14c80d78d8160f2784b1a1ca12fa7dd7",
     "powersgd/no-ef/monolithic/elastic":
-        "2a29e2b72cf3e4180b18fda4abcdbe5144115b1f1053271fada5e6618b16cc2d",
+        "c1145c53a7d4a90f71825cd0cb2514111289c22cec1eee7e656067f33a64537d",
     "powersgd/no-ef/monolithic/resilient":
-        "654abf0369f7bde65e1affafc0c9bda44a64d35715692bd24c79d2acd5dfa668",
+        "6163a3369150dbfafef33a50ea395d98cd5cd66bab60f2808714d1f4f27c7221",
     "powersgd/no-ef/bucketed/static":
-        "a862f6d2e6c3fed70358cf88dc1c6d852835a4c3ab90adf0795e125b4346d559",
+        "0d762b4c603b5268a5789ea153ca84fe14c80d78d8160f2784b1a1ca12fa7dd7",
     "powersgd/no-ef/bucketed/elastic":
-        "67c8a6637f2592a82439b51d4e394f74b5f700b8c88d864151583c0f23ab2fdf",
+        "6184f59e2ad471659982973ed79bceaca3f94bd5548957ba259e7540a6b34986",
     "powersgd/no-ef/bucketed/resilient":
-        "654abf0369f7bde65e1affafc0c9bda44a64d35715692bd24c79d2acd5dfa668",
+        "6163a3369150dbfafef33a50ea395d98cd5cd66bab60f2808714d1f4f27c7221",
     "randomk/ef/monolithic/static":
-        "d8f952c552ee0af718d711eb26df072f0975f87dbf6034d9bd213a0ecf41c754",
+        "faa3e9702922ceb887b809e3a726e68ecd9823eefcd6ce538434a0daa0db79e2",
     "randomk/ef/monolithic/elastic":
-        "be0ed90047a3b8d3fae023c3811d6d42db703de275c189f1e0e411a92e432d14",
+        "8cd9b6dddc653e7e82c498d76ae3c2c8dd7fa642cd290c39922b01a81915b71f",
     "randomk/ef/monolithic/resilient":
-        "1d1ad04b8ce21852caa012bae331ad58df0eec533b700a8b1ec3108fc9684246",
+        "a02c56f6a4b6f6628a471fd1bd6f20fa67752113564605a3d0d14a483bd6c20b",
     "randomk/ef/bucketed/static":
-        "d8f952c552ee0af718d711eb26df072f0975f87dbf6034d9bd213a0ecf41c754",
+        "faa3e9702922ceb887b809e3a726e68ecd9823eefcd6ce538434a0daa0db79e2",
     "randomk/ef/bucketed/elastic":
-        "be0ed90047a3b8d3fae023c3811d6d42db703de275c189f1e0e411a92e432d14",
+        "8cd9b6dddc653e7e82c498d76ae3c2c8dd7fa642cd290c39922b01a81915b71f",
     "randomk/ef/bucketed/resilient":
-        "1d1ad04b8ce21852caa012bae331ad58df0eec533b700a8b1ec3108fc9684246",
+        "a02c56f6a4b6f6628a471fd1bd6f20fa67752113564605a3d0d14a483bd6c20b",
     "randomk/no-ef/monolithic/static":
-        "328ae3129a9dec22859621541981c960a819c77d047af5d2946781052e63af21",
+        "977317b5d9a1d9d906f4ff152ef4fd07bb09b755288f4273cd78e6832bb829ec",
     "randomk/no-ef/monolithic/elastic":
-        "8cb06cebd8f2aab6754290ed17ec6d18dcb92a9fe882098d39b489ba515e34a0",
+        "8ccd5c08db00f230fee6130d39136822425b6fc2403b265c8021b10046a32d12",
     "randomk/no-ef/monolithic/resilient":
-        "3d1f61a4b2738f5f9006f2abfad49f5c0c7ccade019b3d4adab5db5fb0334ae1",
+        "38f61137e2a358068d50614a0767498875738e651b6be3e249831e20027b8888",
     "randomk/no-ef/bucketed/static":
-        "328ae3129a9dec22859621541981c960a819c77d047af5d2946781052e63af21",
+        "977317b5d9a1d9d906f4ff152ef4fd07bb09b755288f4273cd78e6832bb829ec",
     "randomk/no-ef/bucketed/elastic":
-        "8cb06cebd8f2aab6754290ed17ec6d18dcb92a9fe882098d39b489ba515e34a0",
+        "8ccd5c08db00f230fee6130d39136822425b6fc2403b265c8021b10046a32d12",
     "randomk/no-ef/bucketed/resilient":
-        "3d1f61a4b2738f5f9006f2abfad49f5c0c7ccade019b3d4adab5db5fb0334ae1",
+        "38f61137e2a358068d50614a0767498875738e651b6be3e249831e20027b8888",
     "dgc/ef/monolithic/static":
-        "17224e97b34c33b218a42f5df8604600fc02399660575591c1eb063bb032c9cc",
+        "b02006ea038b387d6fc19d88c57cdc293caf80933d9df1e59ac422d799c741dd",
     "dgc/ef/monolithic/elastic":
-        "6b86ad9924a9621277d1a60e8e1b0349d48e31d17c1f6a33e99c7bdd376df51d",
+        "d0d363519e241b59fdc84aa4ca4701420445656f9a9e48f2be95af38b9e559c1",
     "dgc/ef/monolithic/resilient":
-        "e98349cd36b353ea9a79694ca97139e4b29b3a9fca59f3ac8e2898aa989e3546",
+        "5e0183e3fcadd130c925e11ef8aea8d4a58c4537ef53ce525dcc6d51138ac4e4",
     "dgc/ef/bucketed/static":
-        "17224e97b34c33b218a42f5df8604600fc02399660575591c1eb063bb032c9cc",
+        "b02006ea038b387d6fc19d88c57cdc293caf80933d9df1e59ac422d799c741dd",
     "dgc/ef/bucketed/elastic":
-        "cc8e8dd1f8d21095f0bc0a9e684a491eb3017cc94df25c0680697ba30e8bb0cd",
+        "576a167f2893d51488393b08c153159feecc83b519a3efcd6a2fcd2be8414dc5",
     "dgc/ef/bucketed/resilient":
-        "e98349cd36b353ea9a79694ca97139e4b29b3a9fca59f3ac8e2898aa989e3546",
+        "5e0183e3fcadd130c925e11ef8aea8d4a58c4537ef53ce525dcc6d51138ac4e4",
     "acpsgd/ef-no-reuse/monolithic/static":
-        "8a2c13dbf2b6618843e271da70ba01079b1045340248c09cadd804150c0a8802",
+        "97f989abb87e761d573a472989daf0dab6f83372f17bc4c3fbfd0b56b8d52937",
     "acpsgd/ef-no-reuse/monolithic/elastic":
-        "508b6a87adc98e0d50c5b36aa773363e42884020271e4011a3170bf87b04ab00",
+        "80d28e6fab0eb3ae3b806ed89e1481dd7c415609ce8e877ae22bf3b666722cc2",
     "acpsgd/ef-no-reuse/monolithic/resilient":
-        "b01f112d648be3db5f1fc8ec95f19c7844655ec3ebf6cd3c42da0ca0b49b130b",
+        "2559da7624d9e2bdc6498f188f03c849c911ab66e10d7bbbe4c5bcd5a7e5607f",
     "acpsgd/ef-no-reuse/bucketed/static":
-        "8a2c13dbf2b6618843e271da70ba01079b1045340248c09cadd804150c0a8802",
+        "97f989abb87e761d573a472989daf0dab6f83372f17bc4c3fbfd0b56b8d52937",
     "acpsgd/ef-no-reuse/bucketed/elastic":
-        "6e648880d864255b99ec84876519059a5f0d2edda02b5433c773f88128960c1b",
+        "a8776b64773530660fe231a5a1788bb5a9991fc17e134fce424ddba74a11b004",
     "acpsgd/ef-no-reuse/bucketed/resilient":
-        "b01f112d648be3db5f1fc8ec95f19c7844655ec3ebf6cd3c42da0ca0b49b130b",
+        "2559da7624d9e2bdc6498f188f03c849c911ab66e10d7bbbe4c5bcd5a7e5607f",
     "powersgd/ef-no-reuse/monolithic/static":
-        "280df8be4584d47d1a41b7eda5a89aa5d298a448bab267498bdc12395103c660",
+        "de535e484e2c1e76bb1cf077429ceaa3aa41be218dcc23c19de689c276a34cfe",
     "powersgd/ef-no-reuse/monolithic/elastic":
-        "8b938c3421a232272a96a553755b1306505941475d78d6fa67efad9dd54a0092",
+        "ff56e4fdcef371f3150469dc0289afa45b4350dc20d98a8df1eb76a25321d3ac",
     "powersgd/ef-no-reuse/monolithic/resilient":
-        "e3a979016e554d00e3de7444e32c8ad324ea79b9bf0f211e3f54c231d2f9419e",
+        "1ed505477b0c45068f32a1c40885fcf0f296ea61fa5603b07e177ae4f0701635",
     "powersgd/ef-no-reuse/bucketed/static":
-        "280df8be4584d47d1a41b7eda5a89aa5d298a448bab267498bdc12395103c660",
+        "de535e484e2c1e76bb1cf077429ceaa3aa41be218dcc23c19de689c276a34cfe",
     "powersgd/ef-no-reuse/bucketed/elastic":
-        "381e24a22402661728b373e92215c5861a9224ff967dc9c5f24159ca32b22ff6",
+        "cbb1e29210b066ecad5b58e97293b9e1b586ba824c5605d93044ed01ac1433b3",
     "powersgd/ef-no-reuse/bucketed/resilient":
-        "e3a979016e554d00e3de7444e32c8ad324ea79b9bf0f211e3f54c231d2f9419e",
+        "1ed505477b0c45068f32a1c40885fcf0f296ea61fa5603b07e177ae4f0701635",
 }
 
 

@@ -182,15 +182,15 @@ def _peers(count):
 PINNED = {
     "cli": (
         _peers(5),
-        "4a6bf7d4984dbb6fb7e53449152bb467371d5e231d8e0729de3691bbbd9f370d",
-        "8e40fa564f19a2bad85f0a63cae59d65f2d303714436c11d7f535ae44f814ffb",
+        "103d684273f2f29582094336f60552687c714954551208a961101a70571081e8",
+        "b4cac6973ecd7ea74101870a3aa2d4e2fb6ef572a29afa8046bac622fcb7e6fe",
         ["quarantined           peer-003@w2, peer-004@w2",
          "offences              corrupt-payload:3, sign-flip:3"],
     ),
     "churn": (
         _peers(6),
-        "5430e6dd716288cc579c16af5206c97ed74d93b207e37cf32f3c039e1d931e01",
-        "860c792983764cde089113403e0d7ea2b28853ba38a88c51098a2be8fdffd4c8",
+        "78673ba743b9057f1acfbc729f4bda3bf3890cfa9a64d03be79b49f2d718ebe2",
+        "81f0cca47301ea8535595e54029576bf603169b4fb75af99863ca0d1435857cb",
         ["quarantined           peer-003@w3, peer-004@w2",
          "offences              corrupt-payload:3, sign-flip:3",
          "membership            window 3: peer-001 departed",
@@ -199,16 +199,16 @@ PINNED = {
     ),
     "faulty": (
         _peers(7),
-        "8bbdcda61785e9b7cca60092a183e4ac5591ff99f950b22f4a1f2dac00177c89",
-        "19d9e21c5698212540866e07a36458632e043a4079c690f4690cf00b14e023d7",
+        "4461de3c767d004ce49b1e019be71357313ec149a14826201df88d87f91c4122",
+        "d8bbfab3833e10a0a51449ce16727854e9cbca1226a0b7d56dd73c663a0cbcda",
         ["quarantined           peer-005@w5",
          "offences              corrupt-payload:6, free-rider:2",
          "membership            window 3: peer-006 joined (complete store replay)"],
     ),
     "wide": (
         _peers(3),
-        "a97419c20011593c2329594e8aad6464c3e25f92d772a5ac5371c53ec6af3cf5",
-        "2b2f75128effa6f507268fbdefa774e585e33f37b5aad2adf2f1eb48437506f7",
+        "558125482f0bceb58c3741fa5803365c20f17d8658c94c84b8f6949d3dfd1f50",
+        "06b4e99428075316bafc052e52a3c6ee65bb83b3565bb4a3ecd1d7fd0f527dab",
         ["quarantined           none",
          "offences              sign-flip:2"],
     ),
