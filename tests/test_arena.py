@@ -141,6 +141,23 @@ class TestParameterSlots:
         assert param.grad is None
 
 
+class TestArenaDtype:
+    def test_slabs_take_the_parameters_dtype(self):
+        model = small_model()
+        assert GradientArena(model, 1).slab(0).dtype == np.float32
+        model.astype(np.float64)
+        arena = GradientArena(model, 1)
+        assert arena.slab(0).dtype == arena.layout.dtype == np.float64
+
+    def test_templates_must_share_one_floating_dtype(self):
+        with pytest.raises(ValueError, match="one floating dtype"):
+            GradientArena(
+                [("a", np.zeros(2, np.float32)), ("b", np.zeros(2))], 1
+            )
+        with pytest.raises(ValueError, match="one floating dtype"):
+            GradientArena([("a", (2, 3))], 1)  # a shape is not a template
+
+
 class TestResiduals:
     """An error-feedback method's views are carried: empty at ``-0.0``,
     added into, moved with their rank, cleared on demand."""

@@ -277,7 +277,10 @@ def _overflow_after_the_local_check(trainer, method):
 
         def huge_factors(name, factor, half):
             p, q = adopt(name, factor, half)
-            return p * 1e200, q * 1e200
+            # Finite factors whose product overflows, in their precision
+            # (1e246 in float64, 1.7e30 in float32).
+            huge = float(np.finfo(p.dtype).max) ** 0.8
+            return p * huge, q * huge
 
         lead.adopt = huge_factors
     else:

@@ -168,9 +168,9 @@ def product_heights(m):
     return h, sorted({1, 2, h - 1, h, h + 1, 2 * h + 1})
 
 
-def slot_storage(shape, offset):
-    """A NaN-filled ``shape`` view at ``offset`` float64s into its buffer."""
-    storage = np.full(int(np.prod(shape)) + offset, np.nan)
+def slot_storage(shape, offset, dtype=np.float64):
+    """A NaN-filled ``shape`` view at ``offset`` elements into its buffer."""
+    storage = np.full(int(np.prod(shape)) + offset, np.nan, dtype)
     return storage, storage[offset:].reshape(shape)
 
 

@@ -403,23 +403,26 @@ class TestWeightGradientLandsInTheSlot:
         kernel for the whole.
         """
         lead = {1: (1, 1), 4: (2, 2), 33: (3, 11)}[batch]
-        variants = [  # (x dtype, grad dtype, leading dims of x)
-            (np.float64, np.float64, (batch,)),
-            (np.float32, np.float64, lead),
-            (np.float32, np.float32, lead),
+        variants = [  # (x dtype, grad dtype, leading dims of x, weight dtype)
+            (np.float64, np.float64, (batch,), np.float64),
+            (np.float32, np.float64, lead, np.float64),
+            (np.float32, np.float32, lead, np.float64),
+            (np.float32, np.float32, lead, np.float32),  # the trainer's
         ]
         rng = np.random.default_rng(batch * in_features)
         for out_features in product_heights(in_features)[1]:
-            for x_dtype, grad_dtype, dims in variants:
+            for x_dtype, grad_dtype, dims, w_dtype in variants:
                 legacy = nn.Linear(
                     in_features, out_features, rng=np.random.default_rng(0)
-                ).astype(np.float64)
+                ).astype(w_dtype)
                 bound = []
                 for offset in (0, 1):
                     layer = nn.Linear(
                         in_features, out_features, rng=np.random.default_rng(0)
-                    ).astype(np.float64)
-                    storage, slot = slot_storage((out_features, in_features), offset)
+                    ).astype(w_dtype)
+                    storage, slot = slot_storage(
+                        (out_features, in_features), offset, w_dtype
+                    )
                     layer.weight.attach_grad_slot(slot)
                     bound.append((layer, storage))
                 expected = 0.0

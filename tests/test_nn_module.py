@@ -107,3 +107,42 @@ class TestGradientHooks:
         param.accumulate_grad(np.ones(3))
         param.accumulate_grad(np.ones(3))
         np.testing.assert_array_equal(param.grad, 2 * np.ones(3))
+
+
+class TestDtype:
+    """Layers build float32; one cast moves a whole model, buffers too."""
+
+    def test_layers_build_float32_and_astype_casts_everything(self, rng):
+        model = nn.Sequential(
+            nn.Conv2d(3, 4, 3, rng=rng), nn.BatchNorm2d(4), nn.ReLU(),
+            nn.Flatten(), nn.Linear(4 * 4 * 4, 2, rng=rng),
+        )
+        assert model.dtype == np.float32
+        assert model.astype(np.float64) is model
+        assert model.dtype == np.float64
+        bn = model[1]
+        assert bn.running_mean.dtype == bn.running_var.dtype == np.float64
+        out = model(rng.normal(size=(2, 3, 6, 6)))
+        assert out.dtype == np.float64
+
+    def test_mixed_parameters_are_rejected(self, rng):
+        layer = nn.Linear(3, 2, rng=rng)
+        layer.bias.data = layer.bias.data.astype(np.float64)
+        with pytest.raises(ValueError, match="one dtype"):
+            layer.dtype
+
+    def test_as_input_casts_floats_and_passes_ids(self, rng):
+        layer = nn.Linear(3, 2, rng=rng)
+        assert layer.as_input(rng.normal(size=(2, 3))).dtype == np.float32
+        ids = np.arange(4)
+        assert layer.as_input(ids) is ids
+
+    def test_state_vector_loads_in_the_parameters_dtype(self, rng):
+        model = nn.Linear(3, 2, rng=rng)
+        model.load_state_vector(np.arange(8, dtype=np.float64))
+        assert model.dtype == np.float32
+        assert np.array_equal(model.state_vector(), np.arange(8))
+
+    def test_parameter_rejects_integer_data(self):
+        with pytest.raises(ValueError, match="floating"):
+            Parameter(np.arange(3))
