@@ -10,8 +10,8 @@ operations over an ``n x m`` gradient matrix ``M`` and its residual ``E``::
 Done densely that is five passes over ``n m`` elements and four full-size
 temporaries. Here ``W`` is the rank's accumulator — its arena slot, into
 which backward already added ``M`` — and projection and correction run over
-**row blocks** of about 512 KiB, each while it is cache-resident, leaving
-``E'`` where ``W`` was: one pass for a right projection with its
+**row blocks** of about 256 KiB (float32), each while it is cache-resident,
+leaving ``E'`` where ``W`` was: one pass for a right projection with its
 correction, two for a left one. The only scratch is one block-sized buffer
 per :class:`BlockedProjector`.
 
@@ -30,7 +30,7 @@ place blocking changes floating-point results — is fixed per tensor shape.
 
 The reconstruction ``P Q^T``, ``repro.nn.Linear``'s weight gradient and the
 factored residual update share :func:`blocked_matmul`, the product of a
-thin inner dimension written one ~256 KiB row block at a time.
+thin inner dimension written one ~128 KiB (float32) row block at a time.
 """
 
 from __future__ import annotations
@@ -42,8 +42,9 @@ import numpy as np
 # 65536 elements (256 KiB in float32): a residual block plus its scratch
 # fit in L2.
 _BLOCK_ELEMENTS = 65536
-# 32768 elements of product per GEMM call: the fastest of the block sizes
-# swept (in float64) in docs/performance.md "repro.nn kernels".
+# 32768 elements of product per GEMM call (128 KiB in float32): the fastest
+# of the block sizes swept, in float64 and again in float32, in
+# docs/performance.md "repro.nn kernels".
 _PRODUCT_ELEMENTS = 32768
 
 
@@ -78,8 +79,8 @@ def blocked_matmul(
     Meant for a small inner dimension (a batch, a rank), where the product
     is nearly all output: BLAS first zeroes ``C`` and then accumulates into
     it, so a product larger than the cache goes to DRAM three times (zero,
-    read, write). A block of about 256 KiB stays cache-resident between
-    the two, and each output byte is written to DRAM once.
+    read, write). A block of about 128 KiB (float32) stays cache-resident
+    between the two, and each output byte is written to DRAM once.
 
     With ``add`` the product is added into ``out`` instead: each block is
     formed in one block of scratch and added to its rows of ``out`` while

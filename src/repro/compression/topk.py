@@ -89,9 +89,46 @@ def exact_topk_mask(flat: np.ndarray, k: int) -> np.ndarray:
     return trivial if trivial is not None else _largest(np.abs(flat), k)
 
 
-SELECT_BLOCK = 1 << 16  # confirming-pass block: 512 KiB of magnitudes stay in cache
+SELECT_BLOCK = 1 << 16  # confirming-pass block: 256 KiB of float32 |x| stays in cache
 _SAMPLE = 1 << 15  # strided magnitudes the candidate bound is read from
 _KERNEL_MIN_SIZE = 1 << 16  # below it one argpartition is as cheap
+_BOUND_PASSES = 3  # confirming passes a sampled bound gets before the pool
+
+
+def _candidates(
+    flat: np.ndarray, k: int, block: np.ndarray, bound, prune: bool
+) -> Tuple[Optional[np.ndarray], int]:
+    """The top-``k`` of the entries whose magnitude is not below ``bound``,
+    and how many candidates the pass found.
+
+    One pass, ``|x|`` block by block into ``block``; ``not (|x| < bound)``
+    keeps NaN a candidate, as the oracle orders it. Past ``4k`` candidates
+    it either gives up (``None``) or, with ``prune``, cuts them back to
+    their ``k`` largest and raises ``bound`` to the ``k``-th of them, so it
+    holds at most ``4k`` plus one block. ``None`` too when fewer than ``k``
+    entries reach ``bound``; the count then tells which way it failed.
+    """
+    size = flat.size
+    below = np.empty(block.size, dtype=bool)
+    found, magnitudes, count = [], [], 0
+    for lo in range(0, size, block.size):
+        mags = np.abs(flat[lo : lo + block.size], out=block[: size - lo])
+        mask = np.less(mags, bound, out=below[: mags.size])
+        hits = np.logical_not(mask, out=mask).nonzero()[0]
+        magnitudes.append(mags[hits])
+        hits += lo
+        found.append(hits)
+        count += hits.size
+        if count > 4 * k:
+            if not prune:
+                return None, count
+            pool = np.concatenate(magnitudes)
+            keep = _largest(pool, k)  # keep[0] holds the k-th largest
+            found, magnitudes = [np.concatenate(found)[keep]], [pool[keep]]
+            bound, count = magnitudes[0][0], k
+    if count < k:
+        return None, count
+    return np.concatenate(found)[_largest(np.concatenate(magnitudes), k)], count
 
 
 def _select_above_sampled_bound(
@@ -102,11 +139,12 @@ def _select_above_sampled_bound(
     The bound is an order statistic of a deterministic strided sample of
     ``|flat|`` (no rng draw), four standard deviations of sampling noise
     below the sample's estimate of the k-th magnitude, so one confirming
-    pass — ``|x|`` block by block into ``block`` — leaves a little over
-    ``k`` candidates for the ``argpartition``. ``not (|x| < bound)`` keeps
-    NaN a candidate, as the oracle orders it. ``None`` when the bound was
-    wrong (fewer than ``k`` candidates: ties, mostly zeros) or useless
-    (more than ``4k``: a NaN or zero bound).
+    pass leaves a little over ``k`` candidates for the ``argpartition``.
+    A pass that leaves fewer than ``k`` (the sample missed part of the
+    tail) is re-run with a lower order statistic of the sample, one that
+    leaves more than ``4k`` (a zero or NaN bound, ties) with a higher one,
+    bisecting between the two, for :data:`_BOUND_PASSES` passes at most.
+    ``None`` when the sample offers no bound in between.
     """
     size = flat.size
     sample = np.abs(flat[:: (size // _SAMPLE) | 1])
@@ -114,21 +152,29 @@ def _select_above_sampled_bound(
     rank = int(expected + 4.0 * math.sqrt(expected)) + 1
     if rank >= sample.size:
         return None
-    bound = np.partition(sample, sample.size - rank)[sample.size - rank]
-    below = np.empty(block.size, dtype=bool)
-    found, magnitudes, count = [], [], 0
-    for lo in range(0, size, block.size):
-        mags = np.abs(flat[lo : lo + block.size], out=block[: size - lo])
-        mask = np.less(mags, bound, out=below[: mags.size])
-        hits = np.logical_not(mask, out=mask).nonzero()[0]
-        magnitudes.append(mags[hits])
-        found.append(hits + lo)
-        count += hits.size
-        if count > 4 * k:
+    bound = _sample_bound(sample, rank)
+    few, many = 0, sample.size  # ranks known to leave < k / > 4k candidates
+    for _ in range(_BOUND_PASSES):
+        selected, count = _candidates(flat, k, block, bound, prune=False)
+        if selected is not None:
+            return selected
+        if count < k:  # a higher rank lowers the bound
+            few, rank = rank, min(2 * rank, (rank + many) // 2)
+        else:
+            many, rank = rank, (few + rank) // 2
+        if not few < rank < many:
             return None
-    if count < k:
-        return None
-    return np.concatenate(found)[_largest(np.concatenate(magnitudes), k)]
+        moved = _sample_bound(sample, rank)
+        if not (moved < bound if count < k else moved > bound):
+            return None  # ties: the sample holds no value in between
+        bound = moved
+    return None
+
+
+def _sample_bound(sample: np.ndarray, rank: int):
+    """The ``rank``-th largest of the sampled magnitudes (NaN the largest)."""
+    cut = sample.size - rank
+    return np.partition(sample, cut)[cut]
 
 
 def topk_select(
@@ -136,15 +182,17 @@ def topk_select(
 ) -> np.ndarray:
     """The set :func:`exact_topk_mask` selects, without sorting the vector.
 
-    Exact on the kernel's path and on its fall-back to the oracle, NaN and
-    +-inf included (only *which* of several equal magnitudes at the k-th
-    place is taken may differ, as between two ``argpartition`` calls).
-    ``flat`` is only read; ``scratch`` is storage in ``flat``'s dtype the
-    call may overwrite. The kernel's confirming pass uses its first
-    :data:`SELECT_BLOCK` elements; the fall-back's ``|flat|`` uses it when
-    it holds ``flat.size`` and allocates otherwise. The Top-k aggregator
-    (DGC included) passes one block, so its steady state allocates nothing
-    O(size).
+    Exact on the kernel's path and on its fall-backs, NaN and +-inf
+    included (only *which* of several equal magnitudes at the k-th place is
+    taken may differ, as between two ``argpartition`` calls). ``flat`` is
+    only read; ``scratch`` is storage in ``flat``'s dtype the call may
+    overwrite. The kernel's passes use its first :data:`SELECT_BLOCK`
+    elements, and where the sample offers no bound it keeps a pool of
+    candidates pruned back to ``k`` in one more pass, so it allocates
+    nothing O(size): the Top-k aggregator (DGC included) passes one block.
+    Below the kernel's size, or for ``k`` above an eighth of it, the
+    selection is the oracle's one ``argpartition``, whose ``|flat|`` goes
+    into ``scratch`` when it holds ``flat.size``.
     """
     size = flat.size
     trivial = _trivial_selection(size, k)
@@ -153,9 +201,11 @@ def topk_select(
     if scratch is None:
         scratch = np.empty(min(size, SELECT_BLOCK), flat.dtype)
     if size >= _KERNEL_MIN_SIZE and 8 * k <= size:
-        selected = _select_above_sampled_bound(flat, k, scratch[:SELECT_BLOCK])
-        if selected is not None:
-            return selected
+        block = scratch[:SELECT_BLOCK]
+        selected = _select_above_sampled_bound(flat, k, block)
+        if selected is None:
+            selected, _ = _candidates(flat, k, block, -np.inf, prune=True)
+        return selected
     return _largest(_magnitudes(flat, scratch), k)
 
 

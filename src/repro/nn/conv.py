@@ -4,8 +4,9 @@ Forward unfolds the input once (:func:`repro.nn.functional.im2col`, kept
 for backward in training mode only) and multiplies every sample's columns
 by the flattened weight with one broadcast ``np.matmul``. Backward is two
 more plain GEMM families on the same operands as they lie in memory — the
-weight gradient from a transposed view of the columns, the column gradient
-from a transposed view of the weight — and a ``col2im`` fold. Nothing is
+weight gradient with the columns on the left and a transposed view of the
+output gradient on the right, the column gradient from a transposed view of
+the weight — and a ``col2im`` fold. Nothing larger than the weight is
 padded, transposed-and-copied or routed through ``einsum``.
 """
 
@@ -95,9 +96,11 @@ class Conv2d(Module):
 
         if self.bias is not None:
             self.bias.accumulate_grad(grad_mat.sum(axis=(0, 2)))
-        # One (out_c, L) @ (L, F) GEMM per sample on a transposed *view* of
-        # its columns, summed as they come: no (n, out_c, F) intermediate.
-        grad_w = sum(np.matmul(g, col.T) for g, col in zip(grad_mat, cols))
+        # One (F, L) @ (L, out_c) GEMM per sample, the columns as they lie on
+        # the left (faster than a transposed view of them on the right; the
+        # same dot products, the bits of g @ col.T), summed as they come and
+        # transposed once: no (n, F, out_c) intermediate.
+        grad_w = sum(np.matmul(col, g.T) for g, col in zip(grad_mat, cols)).T
         del cols
         self.weight.accumulate_grad(grad_w.reshape(self.weight.data.shape))
         if not need_input_grad:

@@ -46,10 +46,17 @@ class Linear(Module):
             )
         if self.training:
             self._cache_input = x
-        out = x @ self.weight.data.T
+        # The weight is BLAS's row-major left operand, which it streams at
+        # twice the speed of a transposed right one for a thin batch. Each
+        # output element is the same dot product: in float32 the bits are
+        # those of ``x @ W^T`` (tests/test_nn_kernels.py pins them; float64
+        # may round the last bit differently from 12 rows on). The result
+        # is handed on C-contiguous, as ``x @ W^T`` was.
+        rows = x.reshape(-1, x.shape[-1])
+        out = self.weight.data @ rows.T
         if self.bias is not None:
-            out += self.bias.data  # matmul's own output: in place, same bits
-        return out
+            out += self.bias.data[:, None]  # matmul's own output: in place
+        return np.ascontiguousarray(out.T).reshape(x.shape[:-1] + (out.shape[0],))
 
     def backward(
         self, grad_output: np.ndarray, need_input_grad: bool = True

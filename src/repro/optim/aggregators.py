@@ -846,8 +846,7 @@ class TopkSGDAggregator(GradientAggregator):
         # into per-bucket wires at the bucket edges.
         buckets = [(lo, hi) for lo, hi in session.buckets if hi > lo]
         edges = [lo for lo, _ in buckets] + [session.total]
-        # Selection only needs a block of scratch; a fall-back to a
-        # whole-vector selection allocates its own.
+        # Selection needs one block of scratch on every path.
         dtype = session.layout.dtype
         scratch = self._staging_rows(
             "topk", 1, max(1, min(SELECT_BLOCK, session.total)), dtype

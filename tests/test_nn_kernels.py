@@ -475,6 +475,58 @@ class TestWeightGradientLandsInTheSlot:
         assert into_slots() == {False}
 
 
+class TestWeightIsTheLeftOperand:
+    """``Linear`` forms ``W x^T`` and ``Conv2d``'s weight gradient ``col g^T``.
+
+    Those are the orientations BLAS streams fastest for a thin batch, and
+    each output element is the dot product the textbook ``x W^T`` /
+    ``g col^T`` forms, so the bits are theirs. Pinned here so a BLAS that
+    rounds the two orientations differently fails in this file (which the
+    oldest-numpy CI job runs too) instead of moving the float32 digests of
+    the trainer silently. OpenBLAS 0.3.31's float64 kernels (AVX-512) do
+    round them differently from 12 batch rows on, at output widths of 193
+    or more that are not a multiple of 8: float64 at 16 rows, a gradcheck
+    and exact-reference dtype only, is compared to rounding.
+    """
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("lead", [(1,), (2,), (4,), (2, 8)])
+    def test_linear_forward_is_the_textbook_product(self, dtype, lead):
+        rng = np.random.default_rng(len(lead) * 10 + lead[-1])
+        rows = int(np.prod(lead))
+        for in_features in (3, 255, 767, 1023, 1024):
+            for out_features in (1, 10, 255, 767, 1023, 1024):
+                layer = nn.Linear(in_features, out_features, rng=rng).astype(dtype)
+                layer.bias.data[:] = rng.normal(size=out_features)
+                x = rng.normal(size=lead + (in_features,)).astype(dtype)
+                out = layer(x)
+                want = x @ layer.weight.data.T + layer.bias.data
+                case = (dtype.__name__, lead, in_features, out_features)
+                assert out.shape == want.shape and out.dtype == dtype, case
+                assert out.flags.c_contiguous, case
+                if dtype == np.float32 or rows <= 4:
+                    assert out.tobytes() == want.tobytes(), case
+                else:
+                    np.testing.assert_allclose(out, want, rtol=1e-13, atol=1e-13)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_conv_weight_gradient_is_the_per_sample_sum(self, dtype):
+        """The five conv layers of the benchmark's VGG at base width 32."""
+        rng = np.random.default_rng(7)
+        for cin, cout, hw in [(3, 32, 16), (32, 32, 16), (32, 64, 8),
+                              (64, 64, 8), (64, 128, 4)]:
+            layer = nn.Conv2d(cin, cout, 3, padding=1, bias=False, rng=rng)
+            layer = layer.astype(dtype)
+            x = rng.normal(size=(8, cin, hw, hw)).astype(dtype)
+            grad = rng.normal(size=(8, cout, hw, hw)).astype(dtype)
+            layer(x)
+            layer.backward(grad, need_input_grad=False)
+            cols = F.im2col(x, (3, 3), 1, 1)
+            want = sum(g @ col.T for g, col in zip(grad.reshape(8, cout, -1), cols))
+            got = layer.weight.grad
+            assert got.tobytes() == want.reshape(got.shape).tobytes(), (cin, cout)
+
+
 class TestFirstLayerSkipsItsInputGradient:
     def _models(self, rng):
         conv = nn.Sequential(

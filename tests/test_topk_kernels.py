@@ -199,6 +199,64 @@ class TestKernelMatchesOracle:
         assert np.abs(flat[with_scratch]).min() >= kept.max()
 
 
+def misleading(kind, dtype, size=1 << 21):
+    """A vector whose strided sample misjudges its k-th magnitude (k = 0.1%).
+
+    ``"short"``: the sampled positions run 15% larger and 1% of the entries
+    are exact zeros (the last step's sent coordinates), so the first bound
+    leaves fewer than k candidates, like a real Top-k slab now and then.
+    ``"tail"``: the sampled positions hold the whole tail. ``"ties"``: five
+    times k entries tie at the k-th magnitude, more than the 4k any bound
+    may leave.
+    """
+    rng = np.random.default_rng(size)
+    k = size // 1000
+    stride = (size // topk._SAMPLE) | 1
+    if kind == "ties":
+        flat = rng.uniform(-0.5, 0.5, size)
+        flat[rng.choice(size, 5 * k, replace=False)] = 1.0
+        flat[:10] = -3.0
+    else:
+        flat = rng.standard_normal(size)
+        flat[rng.choice(size, size // 100, replace=False)] = 0.0
+        flat[::stride] *= {"short": 1.15, "tail": 100.0}[kind]
+    return flat.astype(dtype), k
+
+
+@pytest.mark.perf
+class TestSelectionMemoryWhenTheSampleMisleads:
+    """A wrong sampled bound is retried, then replaced by a pruned pool.
+
+    Either way the selection is the oracle's and its traced peak is a few
+    :data:`SELECT_BLOCK` blocks of scratch: a ``"tail"`` or ``"ties"`` pool
+    peaked at 8.3 blocks (float32) and 5.2 (float64) on 2**21 elements, the
+    oracle's ``|x|`` plus ``argpartition`` indices take 96 and 64.
+    """
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind", ["short", "tail", "ties"])
+    def test_exact_in_a_few_blocks(self, kind, dtype, monkeypatch):
+        flat, k = misleading(kind, dtype)
+        bounds, candidates = [], topk._candidates
+
+        def spy(flat, k, block, bound, prune):
+            bounds.append((bound, prune))
+            return candidates(flat, k, block, bound, prune)
+
+        monkeypatch.setattr(topk, "_candidates", spy)
+        scratch = np.empty(topk.SELECT_BLOCK, dtype)
+        selected = []
+        peak = peak_allocation(lambda: selected.append(topk_select(flat, k, scratch)))
+        assert_selects_like_oracle(flat, k, selected[0])
+        assert peak < 12 * scratch.nbytes, (kind, peak / scratch.nbytes)
+        pooled = [bound for bound, prune in bounds if prune]
+        if kind == "short":  # a lower order statistic of the sample suffices
+            assert len(bounds) > 1 and not pooled
+            assert bounds[-1][0] < bounds[0][0]
+        else:
+            assert pooled == [-np.inf]
+
+
 class TestCompressorRoutesThroughKernel:
     @pytest.mark.parametrize("use_ef", [True, False])
     @pytest.mark.parametrize("size", [5000, 150_000])
