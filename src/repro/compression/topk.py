@@ -92,43 +92,19 @@ def exact_topk_mask(flat: np.ndarray, k: int) -> np.ndarray:
 SELECT_BLOCK = 1 << 16  # confirming-pass block: 256 KiB of float32 |x| stays in cache
 _SAMPLE = 1 << 15  # strided magnitudes the candidate bound is read from
 _KERNEL_MIN_SIZE = 1 << 16  # below it one argpartition is as cheap
-_BOUND_PASSES = 3  # confirming passes a sampled bound gets before the pool
 
 
-def _candidates(
-    flat: np.ndarray, k: int, block: np.ndarray, bound, prune: bool
-) -> Tuple[Optional[np.ndarray], int]:
-    """The top-``k`` of the entries whose magnitude is not below ``bound``,
-    and how many candidates the pass found.
+def _not_below(flat, lo, block, below, bound) -> Tuple[np.ndarray, np.ndarray]:
+    """The positions in ``flat``'s block at ``lo`` whose magnitude is not
+    below ``bound``, and those magnitudes.
 
-    One pass, ``|x|`` block by block into ``block``; ``not (|x| < bound)``
-    keeps NaN a candidate, as the oracle orders it. Past ``4k`` candidates
-    it either gives up (``None``) or, with ``prune``, cuts them back to
-    their ``k`` largest and raises ``bound`` to the ``k``-th of them, so it
-    holds at most ``4k`` plus one block. ``None`` too when fewer than ``k``
-    entries reach ``bound``; the count then tells which way it failed.
+    ``|x|`` goes into ``block`` and the comparison into ``below``;
+    ``not (|x| < bound)`` keeps NaN a candidate, as the oracle orders it.
     """
-    size = flat.size
-    below = np.empty(block.size, dtype=bool)
-    found, magnitudes, count = [], [], 0
-    for lo in range(0, size, block.size):
-        mags = np.abs(flat[lo : lo + block.size], out=block[: size - lo])
-        mask = np.less(mags, bound, out=below[: mags.size])
-        hits = np.logical_not(mask, out=mask).nonzero()[0]
-        magnitudes.append(mags[hits])
-        hits += lo
-        found.append(hits)
-        count += hits.size
-        if count > 4 * k:
-            if not prune:
-                return None, count
-            pool = np.concatenate(magnitudes)
-            keep = _largest(pool, k)  # keep[0] holds the k-th largest
-            found, magnitudes = [np.concatenate(found)[keep]], [pool[keep]]
-            bound, count = magnitudes[0][0], k
-    if count < k:
-        return None, count
-    return np.concatenate(found)[_largest(np.concatenate(magnitudes), k)], count
+    mags = np.abs(flat[lo : lo + block.size], out=block[: flat.size - lo])
+    mask = np.less(mags, bound, out=below[: mags.size])
+    hits = np.logical_not(mask, out=mask).nonzero()[0]
+    return hits + lo, mags[hits]
 
 
 def _select_above_sampled_bound(
@@ -139,12 +115,10 @@ def _select_above_sampled_bound(
     The bound is an order statistic of a deterministic strided sample of
     ``|flat|`` (no rng draw), four standard deviations of sampling noise
     below the sample's estimate of the k-th magnitude, so one confirming
-    pass leaves a little over ``k`` candidates for the ``argpartition``.
-    A pass that leaves fewer than ``k`` (the sample missed part of the
-    tail) is re-run with a lower order statistic of the sample, one that
-    leaves more than ``4k`` (a zero or NaN bound, ties) with a higher one,
-    bisecting between the two, for :data:`_BOUND_PASSES` passes at most.
-    ``None`` when the sample offers no bound in between.
+    pass — ``|x|`` block by block into ``block`` — leaves a little over
+    ``k`` candidates for the ``argpartition``. ``None`` when the bound was
+    wrong (fewer than ``k`` candidates: ties, mostly zeros) or useless
+    (more than ``4k``: a NaN or zero bound).
     """
     size = flat.size
     sample = np.abs(flat[:: (size // _SAMPLE) | 1])
@@ -152,29 +126,43 @@ def _select_above_sampled_bound(
     rank = int(expected + 4.0 * math.sqrt(expected)) + 1
     if rank >= sample.size:
         return None
-    bound = _sample_bound(sample, rank)
-    few, many = 0, sample.size  # ranks known to leave < k / > 4k candidates
-    for _ in range(_BOUND_PASSES):
-        selected, count = _candidates(flat, k, block, bound, prune=False)
-        if selected is not None:
-            return selected
-        if count < k:  # a higher rank lowers the bound
-            few, rank = rank, min(2 * rank, (rank + many) // 2)
-        else:
-            many, rank = rank, (few + rank) // 2
-        if not few < rank < many:
+    bound = np.partition(sample, sample.size - rank)[sample.size - rank]
+    below = np.empty(block.size, dtype=bool)
+    found, magnitudes, count = [], [], 0
+    for lo in range(0, size, block.size):
+        hits, mags = _not_below(flat, lo, block, below, bound)
+        found.append(hits)
+        magnitudes.append(mags)
+        count += hits.size
+        if count > 4 * k:
             return None
-        moved = _sample_bound(sample, rank)
-        if not (moved < bound if count < k else moved > bound):
-            return None  # ties: the sample holds no value in between
-        bound = moved
-    return None
+    if count < k:
+        return None
+    return np.concatenate(found)[_largest(np.concatenate(magnitudes), k)]
 
 
-def _sample_bound(sample: np.ndarray, rank: int):
-    """The ``rank``-th largest of the sampled magnitudes (NaN the largest)."""
-    cut = sample.size - rank
-    return np.partition(sample, cut)[cut]
+def _select_from_pool(flat: np.ndarray, k: int, block: np.ndarray) -> np.ndarray:
+    """Exact top-k in one pass that holds at most ``4k`` candidates plus a block.
+
+    ``|x|`` block by block into ``block``; past ``4k`` candidates the pool
+    is cut back to its ``k`` largest and the bar for entering it raised to
+    the k-th of them. The fall-back for a sampled bound that was wrong.
+    """
+    size = flat.size
+    bound = -np.inf
+    below = np.empty(block.size, dtype=bool)
+    found, magnitudes, count = [], [], 0
+    for lo in range(0, size, block.size):
+        hits, mags = _not_below(flat, lo, block, below, bound)
+        found.append(hits)
+        magnitudes.append(mags)
+        count += hits.size
+        if count > 4 * k:
+            pool = np.concatenate(magnitudes)
+            keep = _largest(pool, k)  # keep[0] holds the k-th largest
+            found, magnitudes = [np.concatenate(found)[keep]], [pool[keep]]
+            bound, count = magnitudes[0][0], k
+    return np.concatenate(found)[_largest(np.concatenate(magnitudes), k)]
 
 
 def topk_select(
@@ -187,7 +175,7 @@ def topk_select(
     taken may differ, as between two ``argpartition`` calls). ``flat`` is
     only read; ``scratch`` is storage in ``flat``'s dtype the call may
     overwrite. The kernel's passes use its first :data:`SELECT_BLOCK`
-    elements, and where the sample offers no bound it keeps a pool of
+    elements, and where the sampled bound was wrong it keeps a pool of
     candidates pruned back to ``k`` in one more pass, so it allocates
     nothing O(size): the Top-k aggregator (DGC included) passes one block.
     Below the kernel's size, or for ``k`` above an eighth of it, the
@@ -204,7 +192,7 @@ def topk_select(
         block = scratch[:SELECT_BLOCK]
         selected = _select_above_sampled_bound(flat, k, block)
         if selected is None:
-            selected, _ = _candidates(flat, k, block, -np.inf, prune=True)
+            selected = _select_from_pool(flat, k, block)
         return selected
     return _largest(_magnitudes(flat, scratch), k)
 

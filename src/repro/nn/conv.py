@@ -97,8 +97,7 @@ class Conv2d(Module):
         if self.bias is not None:
             self.bias.accumulate_grad(grad_mat.sum(axis=(0, 2)))
         # One (F, L) @ (L, out_c) GEMM per sample, the columns as they lie on
-        # the left (faster than a transposed view of them on the right; the
-        # same dot products, the bits of g @ col.T), summed as they come and
+        # the left (the bits of g @ col.T), summed as they come and
         # transposed once: no (n, F, out_c) intermediate.
         grad_w = sum(np.matmul(col, g.T) for g, col in zip(grad_mat, cols)).T
         del cols

@@ -46,12 +46,10 @@ class Linear(Module):
             )
         if self.training:
             self._cache_input = x
-        # The weight is BLAS's row-major left operand, which it streams at
-        # twice the speed of a transposed right one for a thin batch. Each
-        # output element is the same dot product: in float32 the bits are
-        # those of ``x @ W^T`` (tests/test_nn_kernels.py pins them; float64
-        # may round the last bit differently from 12 rows on). The result
-        # is handed on C-contiguous, as ``x @ W^T`` was.
+        # The weight is BLAS's row-major left operand: faster for a thin
+        # batch, the same float32 bits (TestWeightIsTheLeftOperand pins
+        # them). The output is C-contiguous because the next layer's cached
+        # input and ``blocked_matmul`` rely on those strides.
         rows = x.reshape(-1, x.shape[-1])
         out = self.weight.data @ rows.T
         if self.bias is not None:

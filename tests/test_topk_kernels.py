@@ -225,36 +225,24 @@ def misleading(kind, dtype, size=1 << 21):
 
 @pytest.mark.perf
 class TestSelectionMemoryWhenTheSampleMisleads:
-    """A wrong sampled bound is retried, then replaced by a pruned pool.
+    """A wrong sampled bound is replaced by a pool pruned back to k.
 
-    Either way the selection is the oracle's and its traced peak is a few
-    :data:`SELECT_BLOCK` blocks of scratch: a ``"tail"`` or ``"ties"`` pool
-    peaked at 8.3 blocks (float32) and 5.2 (float64) on 2**21 elements, the
-    oracle's ``|x|`` plus ``argpartition`` indices take 96 and 64.
+    The selection is still the oracle's and its traced peak is a few
+    :data:`SELECT_BLOCK` blocks of scratch, where the oracle's ``|x|`` plus
+    ``argpartition`` indices take 96 (float32) and 64 (float64) on 2**21
+    elements.
     """
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("kind", ["short", "tail", "ties"])
-    def test_exact_in_a_few_blocks(self, kind, dtype, monkeypatch):
+    def test_exact_in_a_few_blocks(self, kind, dtype):
         flat, k = misleading(kind, dtype)
-        bounds, candidates = [], topk._candidates
-
-        def spy(flat, k, block, bound, prune):
-            bounds.append((bound, prune))
-            return candidates(flat, k, block, bound, prune)
-
-        monkeypatch.setattr(topk, "_candidates", spy)
         scratch = np.empty(topk.SELECT_BLOCK, dtype)
+        assert topk._select_above_sampled_bound(flat, k, scratch) is None
         selected = []
         peak = peak_allocation(lambda: selected.append(topk_select(flat, k, scratch)))
         assert_selects_like_oracle(flat, k, selected[0])
         assert peak < 12 * scratch.nbytes, (kind, peak / scratch.nbytes)
-        pooled = [bound for bound, prune in bounds if prune]
-        if kind == "short":  # a lower order statistic of the sample suffices
-            assert len(bounds) > 1 and not pooled
-            assert bounds[-1][0] < bounds[0][0]
-        else:
-            assert pooled == [-np.inf]
 
 
 class TestCompressorRoutesThroughKernel:
