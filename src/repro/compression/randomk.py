@@ -28,11 +28,6 @@ class RandomKPayload:
     indices: np.ndarray
     num_elements: int
 
-    @property
-    def nbytes(self) -> int:
-        """Only values travel (indices are derivable from the shared seed)."""
-        return int(self.values.nbytes)
-
 
 class RandomKCompressor:
     """Per-worker Random-k compressor with error feedback.

@@ -1,10 +1,11 @@
 """Sign-SGD compression with majority vote [Bernstein et al., 2018].
 
 Each worker transmits only the signs of its (error-corrected) gradient,
-packed to 1 bit per element (32x ratio), plus one float scale. Signs are not
-additive — the sum of two +1s overflows the 1-bit alphabet — so aggregation
-uses all-gather followed by an element-wise **majority vote**: the aggregated
-update direction is ``sign(sum_w sign(g_w))``.
+packed to 1 bit per element (32x ratio); its float scale, which decoding
+needs, is not on the trainer's wire (see :mod:`repro.compression.wire`).
+Signs are not additive — the sum of two +1s overflows the 1-bit alphabet —
+so aggregation uses all-gather followed by an element-wise **majority
+vote**: the aggregated update direction is ``sign(sum_w sign(g_w))``.
 
 Error feedback (EF-SignSGD, Karimireddy et al. [30/42]) with an L1-mean scale
 makes the method convergent in practice: the compressed representative of
@@ -32,11 +33,6 @@ class SignPayload:
     packed_bits: np.ndarray
     scale: float
     num_elements: int
-
-    @property
-    def nbytes(self) -> int:
-        """Bytes on the wire: packed bits + one float32 scale."""
-        return int(self.packed_bits.nbytes) + 4
 
 
 class SignCompressor:
@@ -78,26 +74,20 @@ class SignCompressor:
 
 
 def majority_vote_aggregate(
-    payloads: List[SignPayload], shape: Tuple[int, ...], validate: bool = False
+    payloads: List[SignPayload], shape: Tuple[int, ...]
 ) -> np.ndarray:
     """Aggregate gathered sign payloads by element-wise majority vote.
 
     Returns the dense aggregated gradient estimate: the majority sign scaled
     by the mean of the workers' scales (ties, possible with an even worker
     count, resolve to +1 via ``sign(0) -> +1`` like the compressor's own
-    non-negative convention). With ``validate`` the per-worker scales are
-    checked finite before they enter the mean — the only float a corrupted
-    sign payload can poison.
+    non-negative convention).
     """
     if not payloads:
         raise ValueError("need at least one payload")
     num_elements = payloads[0].num_elements
     vote = np.zeros(num_elements)
     scales = np.array([payload.scale for payload in payloads])
-    if validate:
-        from repro.utils.validation import assert_finite
-
-        assert_finite(scales, "signsgd payload scales")
     for payload in payloads:
         if payload.num_elements != num_elements:
             raise ValueError("payload sizes disagree across workers")

@@ -27,10 +27,6 @@ class TernPayload:
     num_elements: int
     dtype: np.dtype  # of the quantized tensor, which decompress rebuilds
 
-    @property
-    def nbytes(self) -> int:
-        return int(self.packed.nbytes) + 4
-
 
 def _pack_ternary(values: np.ndarray) -> np.ndarray:
     """Pack {-1, 0, +1} (as {0, 1, 2} after +1) into 2 bits per element."""

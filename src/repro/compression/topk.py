@@ -57,11 +57,6 @@ class SparsePayload:
     num_elements: int  # original dense size
 
     @property
-    def nbytes(self) -> int:
-        """Bytes on the wire: 4-byte index + 4-byte value per element."""
-        return int(self.indices.size) * 8
-
-    @property
     def k(self) -> int:
         return int(self.indices.size)
 

@@ -86,12 +86,6 @@ class TestQSGD:
         out = QSGDCompressor.decompress(payload, (128,))
         assert np.linalg.norm(out - x) / np.linalg.norm(x) < 1e-3
 
-    def test_payload_bytes_shrink_with_levels(self, rng):
-        x = rng.normal(size=1024)
-        small = QSGDCompressor(num_levels=3, rng=rng).compress(x)
-        large = QSGDCompressor(num_levels=255, rng=rng).compress(x)
-        assert small.nbytes < large.nbytes < x.nbytes
-
     def test_invalid_levels(self):
         with pytest.raises(ValueError, match="num_levels"):
             QSGDCompressor(num_levels=0)

@@ -70,7 +70,6 @@ class TestCompressor:
         comp = TopkCompressor(ratio=0.01, use_error_feedback=False)
         payload = comp.compress(rng.normal(size=10_000))
         assert payload.k == 100
-        assert payload.nbytes == 100 * 8
 
     def test_error_feedback_keeps_unsent_mass(self, rng):
         comp = TopkCompressor(ratio=0.1, use_error_feedback=True)
