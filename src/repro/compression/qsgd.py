@@ -8,30 +8,33 @@ randomized rounding, which makes the compressor *unbiased*
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
 
 
+def _level_dtype(num_levels: int) -> np.dtype:
+    """A byte per level up to 255 levels, else four."""
+    return np.dtype(np.uint8 if num_levels <= 255 else np.uint32)
+
+
 @dataclass
 class QSGDPayload:
-    """Wire format: tensor norm, signs, and integer levels."""
+    """Wire format: the levels (:func:`_level_dtype`), then one packed
+    sign bit per element (1 = non-negative); the tensor norm beside them."""
 
     norm: float
-    signs: np.ndarray  # int8 in {-1, 0, +1}
-    levels: np.ndarray  # uint integers in [0, s]
+    packed: np.ndarray  # uint8
     num_levels: int
     num_elements: int
     dtype: np.dtype  # of the quantized tensor, which decompress rebuilds
 
     @property
-    def nbytes(self) -> int:
-        """Bytes on the wire with bit-packing: sign bit + ceil(log2(s+1)) bits."""
-        bits_per_level = max(1, math.ceil(math.log2(self.num_levels + 1)))
-        payload_bits = self.num_elements * (1 + bits_per_level)
-        return payload_bits // 8 + 4  # + float32 norm
+    def levels(self) -> np.ndarray:
+        """The integer levels in ``[0, s]``, a view of the wire."""
+        dtype = _level_dtype(self.num_levels)
+        return self.packed[: self.num_elements * dtype.itemsize].view(dtype)
 
 
 class QSGDCompressor:
@@ -54,23 +57,15 @@ class QSGDCompressor:
         (arithmetic and rounding draws in ``grad``'s dtype)."""
         flat = grad.reshape(-1)
         norm = float(np.linalg.norm(flat))
-        if norm == 0.0:
-            return QSGDPayload(
-                norm=0.0,
-                signs=np.zeros(flat.size, dtype=np.int8),
-                levels=np.zeros(flat.size, dtype=np.uint32),
-                num_levels=self.num_levels,
-                num_elements=flat.size,
-                dtype=flat.dtype,
-            )
-        scaled = np.abs(flat) / norm * self.num_levels
-        floor = np.floor(scaled)
-        prob_up = scaled - floor
-        levels = floor + (self.rng.random(flat.size, dtype=flat.dtype) < prob_up)
+        levels = np.zeros(flat.size, _level_dtype(self.num_levels))
+        if norm != 0.0:
+            scaled = np.abs(flat) / norm * self.num_levels
+            floor = np.floor(scaled)
+            prob_up = scaled - floor
+            levels[:] = floor + (self.rng.random(flat.size, dtype=flat.dtype) < prob_up)
         return QSGDPayload(
             norm=norm,
-            signs=np.sign(flat).astype(np.int8),
-            levels=levels.astype(np.uint32),
+            packed=np.concatenate([levels.view(np.uint8), np.packbits(flat >= 0)]),
             num_levels=self.num_levels,
             num_elements=flat.size,
             dtype=flat.dtype,
@@ -81,8 +76,12 @@ class QSGDCompressor:
         """Reconstruct the dense (dequantized) tensor, in the payload's dtype."""
         if payload.norm == 0.0:
             return np.zeros(shape, payload.dtype)
-        dense = payload.signs.astype(payload.dtype)
+        levels = payload.levels
+        signs = np.unpackbits(payload.packed[levels.nbytes :], count=payload.num_elements)
+        dense = signs.astype(payload.dtype)
+        dense *= 2.0
+        dense -= 1.0
         dense *= payload.norm
-        dense *= payload.levels
+        dense *= levels
         dense /= payload.num_levels
         return dense.reshape(shape)

@@ -1,7 +1,8 @@
 """Each method's wire, declared once (the paper's Tables I and II).
 
 Table II is a per-method schedule: what one step sends. This module is that
-schedule as data and owns the three rules every reader of a wire needs —
+schedule as data and owns the rules every reader of a wire needs —
+:data:`WIRE_GROUPS` (what a method ships, by which collective, when),
 :func:`low_rank_split` (§IV-C: a tensor is factored only if it is
 matrix-shaped and factoring shrinks it), :func:`select_count` (the
 sparsifiers' ``k``) and :func:`step_wire` (the collectives one monolithic
@@ -11,6 +12,11 @@ I/II read them and keep no copy. Bytes are per rank: a float costs
 ``repro.nn``'s float32 parameters, the simulator's and the tables'; 8 for
 a model cast to float64); sign bits, QSGD levels and TernGrad codes are
 packed bytes whatever it is.
+
+Known gap: the per-rank scalar a decoder needs beside a packed payload —
+Sign-SGD's scale, QSGD's norm, TernGrad's scale — is off the wire; the
+trainer's decoder reads the rank's own. Shipping it would move the golden
+plans, so neither the declaration nor the trainer does.
 """
 
 from __future__ import annotations
@@ -26,7 +32,30 @@ FP32 = 4
 ALL_REDUCE = "all_reduce"
 ALL_GATHER = "all_gather"
 
+# When a group ships: as each bucket's gradients land; per bucket, once
+# the method's step-wide encode ran; or once per step.
+AS_LANDED = "as_landed"
+PER_BUCKET = "per_bucket"
+PER_STEP = "per_step"
+
 Shapes = Iterable[Tuple[int, ...]]
+
+_LOW_RANK = tuple((group, ALL_REDUCE, AS_LANDED) for group in ("plain", "P", "Q"))
+#: Per method, the ``(group, kind, when)`` of every tensor group a step
+#: ships, in order (§IV-A: additive payloads ride the all-reduce, the rest
+#: an all-gather). Top-k's per-bucket gathers wait for its vector-global
+#: select; Random-k and the quantizers ship the whole vector once.
+WIRE_GROUPS: Dict[str, Tuple[Tuple[str, str, str], ...]] = {
+    "ssgd": (("raw", ALL_REDUCE, AS_LANDED),),
+    "signsgd": (("signs", ALL_GATHER, AS_LANDED),),
+    "topk": (("selection", ALL_GATHER, PER_BUCKET),),
+    "dgc": (("selection", ALL_GATHER, PER_BUCKET),),
+    "randomk": (("selection", ALL_REDUCE, PER_STEP),),
+    "qsgd": (("levels", ALL_GATHER, PER_STEP),),
+    "terngrad": (("levels", ALL_GATHER, PER_STEP),),
+    "powersgd": _LOW_RANK,
+    "acpsgd": _LOW_RANK,
+}
 
 
 @dataclass(frozen=True)
@@ -103,41 +132,37 @@ def step_wire(
     the simulator fuses Random-k tensor by tensor (its golden traces pin
     that expectation).
     """
+    if method not in WIRE_GROUPS:
+        raise ValueError(f"unknown method {method!r}")
     shapes = list(shapes)
     numels = [prod(shape) for shape in shapes]
     total = sum(numels)
     if method in ("topk", "dgc", "randomk") and not 0.0 < ratio <= 1.0:
         raise ValueError(f"ratio must be in (0, 1], got {ratio}")
-    if method == "ssgd":
-        wire = [_fused(ALL_REDUCE, "raw", [n * elem_bytes for n in numels])]
-    elif method == "signsgd":
-        wire = [_fused(ALL_GATHER, "signs", [(total + 7) // 8])]
-    elif method in ("topk", "dgc"):
-        k = select_count(ratio, total)
-        wire = [_fused(ALL_GATHER, "selection", [2 * k * elem_bytes])]
-    elif method == "randomk":
-        k = select_count(ratio, total)
-        wire = [Collective(ALL_REDUCE, "selection",
-                           tuple(n * elem_bytes * ratio for n in numels), k * elem_bytes)]
-    elif method == "qsgd":
-        wire = [_fused(ALL_GATHER, "levels", [total + (total + 7) // 8])]
-    elif method == "terngrad":
-        wire = [_fused(ALL_GATHER, "levels", [(total + 3) // 4])]
-    elif method in ("powersgd", "acpsgd"):
+    factored, plain = {}, []
+    if method in ("powersgd", "acpsgd"):
         if rank < 1:
             raise ValueError(f"rank must be >= 1, got {rank}")
         factored, plain = low_rank_split(shapes, rank)
-        wire = [_fused(ALL_REDUCE, "plain", [numels[i] * elem_bytes for i in plain])]
-        if method == "powersgd" or LowRankState.compresses_p(half):
-            wire.append(_fused(ALL_REDUCE, "P", [
-                n * r * elem_bytes for n, _, r in factored.values()
-            ]))
-        if method == "powersgd" or not LowRankState.compresses_p(half):
-            wire.append(_fused(ALL_REDUCE, "Q", [
-                m * r * elem_bytes for _, m, r in factored.values()
-            ]))
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    k = select_count(ratio, total)
+    sizes = {
+        "raw": [n * elem_bytes for n in numels],
+        "signs": [(total + 7) // 8],
+        "selection": [2 * k * elem_bytes],
+        "levels": [total + (total + 7) // 8 if method == "qsgd" else (total + 3) // 4],
+        "plain": [numels[i] * elem_bytes for i in plain],
+        "P": [n * r * elem_bytes for n, _, r in factored.values()],
+        "Q": [m * r * elem_bytes for _, m, r in factored.values()],
+    }
+    skipped = "Q" if LowRankState.compresses_p(half) else "P"
+    wire = []
+    for group, kind, _ in WIRE_GROUPS[method]:
+        if method == "randomk":
+            wire.append(Collective(kind, group, tuple(
+                n * elem_bytes * ratio for n in numels
+            ), k * elem_bytes))
+        elif not (method == "acpsgd" and group == skipped):
+            wire.append(_fused(kind, group, sizes[group]))
     return tuple(collective for collective in wire if collective.nbytes)
 
 

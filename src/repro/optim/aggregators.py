@@ -10,12 +10,13 @@ Aggregation semantics are gradient *averaging* across workers (the S-SGD
 convention the paper's convergence experiments use).
 
 Every method is *staged*: the three public calls ``begin_buckets`` /
-``reduce_bucket`` / ``finish_buckets`` live once, in
-:class:`GradientAggregator`, and a method supplies the ``_begin`` /
-``_reduce`` / ``_finish`` bodies behind them. Methods that compress the
-whole fused vector at once (Random-k, QSGD, TernGrad) leave ``_reduce``
-empty and do all their work in ``_finish`` over the staged slabs, so every
-method runs under any bucket partition of the arena.
+``reduce_bucket`` / ``finish_buckets`` and the one call of the group live
+in :class:`GradientAggregator`, which issues each tensor group's
+collective at the cadence :data:`repro.compression.wire.WIRE_GROUPS`
+declares. A method supplies an encoder (the rows its ranks send), a
+decoder (what it keeps of the rows the collective delivered, averaged
+over the slots it delivered) and its per-rank state, so every method runs
+under any bucket partition of the arena.
 
 Error feedback lives in the slabs (every tensor of Top-k, Sign-SGD and
 Random-k, the compressible ones of Power-SGD / ACP-SGD): backward adds the
@@ -56,6 +57,7 @@ from repro.compression.lowrank_kernels import product_blocks
 from repro.compression.qsgd import QSGDCompressor
 from repro.compression.randomk import RandomKCompressor
 from repro.compression.reshaping import grad_to_matrix
+from repro.compression.terngrad import TernGradCompressor
 from repro.compression.topk import (
     SELECT_BLOCK,
     SparsePayload,
@@ -63,7 +65,14 @@ from repro.compression.topk import (
     sparse_aggregate,
     sparse_wire,
 )
-from repro.compression.wire import low_rank_split
+from repro.compression.wire import (
+    ALL_REDUCE,
+    AS_LANDED,
+    PER_BUCKET,
+    PER_STEP,
+    WIRE_GROUPS,
+    low_rank_split,
+)
 from repro.optim.decoded import DecodedAggregate, row_size
 
 NamedGrads = Dict[str, np.ndarray]
@@ -152,11 +161,12 @@ class _PackLayout:
             offset += sizes[name]
         self.total = offset
 
-    def segment(self, names: Sequence[str]) -> Tuple[int, int]:
-        """Element range covered by ``names`` (must be pack-contiguous)."""
+    def segment(self, names: Sequence[str]) -> Tuple[int, int, int]:
+        """``(lo, hi, total)``: the element range ``names`` cover (they must
+        be pack-contiguous) and the pack's length."""
         lo = self.offsets[names[0]]
         last = names[-1]
-        return lo, self.offsets[last] + self.sizes[last]
+        return lo, self.offsets[last] + self.sizes[last], self.total
 
 
 class _BucketSession:
@@ -172,38 +182,51 @@ class _BucketSession:
         self.slabs = [grads.slab for grads in per_worker]
         self.template = per_worker[0]
         self.done = [False] * len(self.buckets)
+        #: Per shipped ``(group, bucket)``: the rows sent, and the slots
+        #: whose rows the collective delivered.
+        self.sent, self.slots = {}, {}
 
 
 class _FlatAggregate(DecodedAggregate):
-    """A method decoding ranges of the fused vector (Top-k, Random-k, Sign-SGD)."""
+    """A method decoding ranges of the fused vector (Top-k, Random-k,
+    Sign-SGD) from ``parts``: per non-empty bucket, in order, its first
+    element and what decodes it."""
+
+    def __init__(self, layout: ArenaLayout, parts: List[Tuple[int, object]]):
+        super().__init__(layout)
+        self.parts = parts
+        self._starts = [lo for lo, _ in parts]
 
     def block(self, name: str, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
         shape = self.layout.shapes[name]
         row = row_size(shape)
         start = self.layout.offsets[name] + lo * row
         dest = out[: (hi - lo) * row]
-        self._fill(start, start + dest.size, dest)
+        # A decoded range lies in one tensor, hence in one bucket.
+        first, part = self.parts[bisect_right(self._starts, start) - 1]
+        self._fill(part, start - first, start, start + dest.size, dest)
         return dest.reshape((hi - lo,) + shape[1:])
 
-    def _fill(self, start: int, stop: int, out: np.ndarray) -> None:
-        """Decode elements ``start:stop`` of the fused vector into ``out``."""
+    def _fill(self, part, skip: int, start: int, stop: int, out: np.ndarray) -> None:
+        """Decode elements ``start:stop`` of the fused vector, ``skip`` past
+        the first of their bucket's ``part``, into ``out``."""
         raise NotImplementedError
 
 
 class _SparseAggregate(_FlatAggregate):
-    """Top-k: every rank's selection, indices sorted, values alongside."""
+    """Top-k: every rank's selection, indices sorted, values alongside; a
+    bucket's part is the slots its gather delivered."""
 
-    def __init__(
-        self, layout: ArenaLayout, selections: List[Tuple[np.ndarray, np.ndarray]]
-    ):
-        super().__init__(layout)
+    def __init__(self, layout: ArenaLayout, selections, parts):
+        super().__init__(layout, parts)
         self.selections = selections
 
-    def _fill(self, start: int, stop: int, out: np.ndarray) -> None:
-        # Each rank's entries in the range, in slot order: the block of
-        # what one sparse_aggregate over the whole vector adds up.
+    def _fill(self, slots, skip, start, stop, out):
+        # Each delivered rank's entries in the range, in slot order: the
+        # block of what one sparse_aggregate over the whole vector adds up.
         payloads = []
-        for idx, values in self.selections:
+        for slot in slots:
+            idx, values = self.selections[slot]
             lo, hi = np.searchsorted(idx, (start, stop))
             payloads.append(
                 SparsePayload(idx[lo:hi] - start, values[lo:hi], stop - start)
@@ -228,10 +251,10 @@ class _ScatterAggregate(_FlatAggregate):
     def __init__(
         self, layout: ArenaLayout, indices: np.ndarray, values: np.ndarray
     ):
-        super().__init__(layout)
+        super().__init__(layout, [(0, None)])
         self.indices, self.values = indices, values
 
-    def _fill(self, start: int, stop: int, out: np.ndarray) -> None:
+    def _fill(self, part, skip, start, stop, out):
         lo, hi = np.searchsorted(self.indices, (start, stop))
         out.fill(0.0)
         out[self.indices[lo:hi] - start] = self.values[lo:hi]
@@ -241,30 +264,18 @@ class _ScatterAggregate(_FlatAggregate):
 
 
 class _VoteAggregate(_FlatAggregate):
-    """Sign-SGD: the majority per element, one bit each, packed per bucket,
-    and the two values it picks from."""
+    """Sign-SGD: a bucket's part is its majority per element, one bit each,
+    packed, and the two values it picks from."""
 
-    def __init__(
-        self,
-        layout: ArenaLayout,
-        votes: List[Tuple[int, np.ndarray]],
-        table: np.ndarray,
-    ):
-        super().__init__(layout)
-        #: Per bucket, in order: its first element and its packed vote.
-        self.votes, self.table = votes, table
-        self._starts = [lo for lo, _ in votes]
-
-    def _fill(self, start: int, stop: int, out: np.ndarray) -> None:
-        # A decoded range lies in one tensor, hence in one bucket.
-        lo, vote = self.votes[bisect_right(self._starts, start) - 1]
-        skip, first = (start - lo) % 8, (start - lo) // 8
+    def _fill(self, part, skip, start, stop, out):
+        vote, table = part
+        first, skip = skip // 8, skip % 8
         count = skip + stop - start
         bits = np.unpackbits(vote[first : first + (count + 7) // 8], count=count)
-        np.take(self.table, bits[skip:], out=out, mode="clip")
+        np.take(table, bits[skip:], out=out, mode="clip")
 
     def is_finite(self) -> bool:
-        return bool(np.isfinite(self.table).all())
+        return all(np.isfinite(table).all() for _, (_, table) in self.parts)
 
 
 class _LowRankAggregate(DecodedAggregate):
@@ -334,8 +345,8 @@ class GradientAggregator:
     Staged protocol: :meth:`begin_buckets` / :meth:`reduce_bucket` /
     :meth:`finish_buckets` own the session bookkeeping (roster and layout
     validation, the step counter, reduced-twice and unreduced-bucket
-    errors); a method implements :meth:`_begin`, :meth:`_reduce` and
-    :meth:`_finish` and nothing else. :meth:`aggregate` is the loop over
+    errors) and the wire (:meth:`_exchange`, :meth:`_ship`); a method
+    encodes and decodes. :meth:`aggregate` is the loop over
     every bucket of the gradients' layout, so monolithic aggregation is
     literally the one-bucket case (``bucket_bytes=None``, the Fig. 8 end
     point "buffer >= model"). The
@@ -362,12 +373,14 @@ class GradientAggregator:
         #: trainer re-syncs it from the group's live roster every step; it
         #: only ever changes under a resilient group (ejection, rejoin,
         #: scale-up).
-        self.roster: List[int] = list(range(group.world_size))
+        self.roster: List[int] = []
         self._per_rank: Dict[int, object] = {}
         self._bucket_session: Optional[_BucketSession] = None
         self._staging_blocks: Dict[str, np.ndarray] = {}
         self._arena: Optional[GradientArena] = None  # see attach()
         self._admitted: Set[int] = set()  # since the last set_roster
+        # A method sets what its _make_state reads before calling this.
+        self.set_roster(range(group.world_size))
 
     # ------------------------------------------------------------------
     # Per-rank state lifecycle (elastic membership hooks)
@@ -375,13 +388,6 @@ class GradientAggregator:
     def _make_state(self, rank: int):
         """Fresh compressor state for one rank (None: stateless method)."""
         return None
-
-    def _init_states(self) -> None:
-        """Populate per-rank state for the initial roster (subclass init)."""
-        for rank in self.roster:
-            state = self._make_state(rank)
-            if state is not None:
-                self._per_rank[rank] = state
 
     def state_for(self, rank: int):
         """The per-rank compressor state (None for stateless methods)."""
@@ -541,13 +547,13 @@ class GradientAggregator:
             names = session.bucket_names[index]
             for grads in session.per_worker:
                 grads.materialize(names)
-        self._reduce(session, index)
+        self._exchange(session, AS_LANDED, index)
 
     def finish_buckets(self) -> Mapping[str, np.ndarray]:
         """Complete the step; every bucket must have been reduced.
 
-        Returns read-only views (S-SGD's point into worker 0's reduced
-        slab) or, for a method that decodes a payload, a
+        Returns read-only views (S-SGD's point into worker 0's
+        reduced slab) or, for a method that decodes a payload, a
         :class:`DecodedAggregate`; either is valid until the next
         aggregation begins.
         """
@@ -558,7 +564,11 @@ class GradientAggregator:
                 f"finish_buckets called with unreduced buckets {missing}"
             )
         self._bucket_session = None
-        return self._finish(session)
+        self._encode_step(session)
+        for index in range(len(session.buckets)):
+            self._exchange(session, PER_BUCKET, index)
+        self._exchange(session, PER_STEP, None)
+        return self._result(session)
 
     def _bucket_state(self) -> _BucketSession:
         session = self._bucket_session
@@ -568,18 +578,56 @@ class GradientAggregator:
             )
         return session
 
-    # What a method supplies. ``session.slabs`` hold the gradients; a
-    # method that compresses the whole vector at once leaves ``_begin`` and
-    # ``_reduce`` empty and works in ``_finish``, when every bucket is in.
-    def _begin(self, session: _BucketSession) -> None:
-        """Attach the method's per-step scratch to a freshly opened session."""
+    def _exchange(self, session: _BucketSession, when: str, index) -> None:
+        """Encode, ship and decode the groups of cadence ``when`` for
+        bucket ``index`` (``None``: the whole step)."""
+        for group, _, cadence in WIRE_GROUPS[self.method]:
+            payload = cadence == when and self._encode(session, group, index)
+            delivered = payload and self._ship(group, *payload)
+            if delivered:
+                session.sent[group, index] = payload[0]
+                session.slots[group, index] = [
+                    slot for slot, row in enumerate(delivered) if row is not None
+                ]
+                self._decode(session, group, index, delivered)
 
-    def _reduce(self, session: _BucketSession, index: int) -> None:
-        """Reduce or stage bucket ``index``, whose gradients are final."""
+    def _ship(
+        self, group: str, rows: List[np.ndarray], segment: Tuple[int, int, int]
+    ) -> Optional[List[np.ndarray]]:
+        """Issue ``group``'s declared collective over every slot's row and
+        return the rows delivered (``None``: an empty segment, not shipped).
+        An all-reduce averages in place with the chunk schedule of the
+        group's whole vector, ``segment[2]`` elements long, so every bucket
+        partition has the monolithic call's bits."""
+        lo, hi, total = segment
+        if hi == lo:
+            return None
+        ALLOC_STATS.bucket_reduces += 1
+        kind = next(k for g, k, _ in WIRE_GROUPS[self.method] if g == group)
+        if kind == ALL_REDUCE:
+            return self.group.all_reduce_segment_(rows, lo, total, average=True)
+        self.group.all_gather(rows)
+        return rows
 
-    def _finish(self, session: _BucketSession) -> Mapping[str, np.ndarray]:
-        """The aggregated gradients, once every bucket has been reduced."""
+    # What a method supplies: ``_encode`` (every slot's row of ``group``
+    # for bucket ``index``, ``None``: the step, and their ``(lo, hi,
+    # total)`` segment; ``None`` if nothing ships), ``_result`` (the
+    # aggregate, over the delivered ``session.slots``) and, where needed,
+    # ``_begin``, ``_decode`` and ``_encode_step``.
+    def _encode(self, session: _BucketSession, group: str, index: Optional[int]):
         raise NotImplementedError
+
+    def _result(self, session: _BucketSession) -> Mapping[str, np.ndarray]:
+        raise NotImplementedError
+
+    def _begin(self, session: _BucketSession) -> None:
+        pass
+
+    def _decode(self, session: _BucketSession, group, index, delivered) -> None:
+        pass
+
+    def _encode_step(self, session: _BucketSession) -> None:
+        pass
 
     def _staging_rows(
         self, key: str, rows: int, cols: int, dtype: np.dtype
@@ -598,22 +646,6 @@ class GradientAggregator:
             block = np.zeros((max(rows, old_rows), max(cols, old_cols)), dtype)
             self._staging_blocks[key] = block
         return [block[slot, :cols] for slot in range(rows)]
-
-    def _reduce_pack_segment(
-        self, rows: List[np.ndarray], lo: int, hi: int, total: int
-    ) -> None:
-        """Average-reduce ``rows[lo:hi]`` with the monolithic chunk schedule.
-
-        The aggregated values land in every row's segment. Staging rows are
-        private to this aggregator; whether the group sums them where they
-        live or on fault-checked copies is the group's business.
-        """
-        if hi == lo:
-            return
-        ALLOC_STATS.bucket_reduces += 1
-        self.group.all_reduce_segment_(
-            [row[lo:hi] for row in rows], lo, total, average=True
-        )
 
     def reset(self) -> None:
         """Drop accumulated compressor state (EF residuals, cached factors).
@@ -658,20 +690,13 @@ class AllReduceAggregator(GradientAggregator):
                 ALLOC_STATS.bucket_copies += 1
                 slabs[slot] = slabs[slot].copy()
 
-    def _reduce(self, session: _BucketSession, index: int) -> None:
+    def _encode(self, session, group, index):
+        # Zero-copy: the arena bucket views are reduced where they live
+        # (destroys the local payloads).
         lo, hi = session.buckets[index]
-        if hi == lo:
-            return
-        ALLOC_STATS.bucket_reduces += 1
-        # Zero-copy: reduce the arena bucket views where they live, with
-        # the whole slab's chunk schedule (bit-identical for any bucket
-        # partition; destroys the local payloads).
-        self.group.all_reduce_segment_(
-            [slab[lo:hi] for slab in session.slabs], lo, session.total,
-            average=True,
-        )
+        return [slab[lo:hi] for slab in session.slabs], (lo, hi, session.total)
 
-    def _finish(self, session: _BucketSession) -> NamedGrads:
+    def _result(self, session: _BucketSession) -> NamedGrads:
         return _unpack(session.slabs[0], session.template, session.names)
 
 
@@ -690,38 +715,28 @@ class SignSGDAggregator(GradientAggregator):
     method = "signsgd"
 
     def __init__(self, group: ProcessGroup, use_error_feedback: bool = True):
-        super().__init__(group)
         self.use_error_feedback = use_error_feedback
         self._vote = np.empty(0, dtype=np.uint8)  # grow-only, one bit per element
+        super().__init__(group)
 
-    def _begin(self, session: _BucketSession) -> None:
-        session.bits = [None] * len(session.buckets)
-
-    def _reduce(self, session: _BucketSession, index: int) -> None:
-        """Ship the bucket's sign bits.
-
-        Sign bits are *per-element* (``flat >= 0`` does not depend on the
-        global scale), so each bucket's 1-bit payload all-gathers as soon
-        as the bucket's gradients are ready — Sign-SGD keeps WFBP overlap
-        for the bulk of its traffic (scales ride along; they are 4 bytes).
-        Only the scalar L1-mean scale is vector-global and waits for
-        :meth:`finish_buckets`.
-        """
+    def _encode(self, session, group, index):
+        """The bucket's sign bits: per element, so they all-gather as the
+        bucket lands and Sign-SGD keeps WFBP overlap. The vector-global
+        scale waits for :meth:`finish_buckets` and does not travel (a known
+        gap, see :mod:`repro.compression.wire`)."""
         lo, hi = session.buckets[index]
-        ALLOC_STATS.bucket_reduces += 1
         packed = [np.packbits(slab[lo:hi] >= 0) for slab in session.slabs]
-        session.bits[index] = packed
-        if hi > lo:
-            self.group.all_gather(packed)
+        return packed, (lo, hi, session.total)
 
-    def _finish(self, session: _BucketSession) -> DecodedAggregate:
+    def _result(self, session: _BucketSession) -> DecodedAggregate:
         """Vote on integer bit counts, block by block.
 
-        ``2 * count >= world`` (a tie votes ``+1``) picks ``+-mean_scale``
-        out of a two-entry table, as each rank's ``residual -= +-scale``
-        does through one block of scratch: the very products ``scale *
-        sign`` forms, so the bits are :func:`~repro.compression.signsgd
-        .majority_vote_aggregate`'s without a float sign vector.
+        Per bucket, ``2 * count >= slots`` over the slots its gather
+        delivered (a tie votes ``+1``) picks ``+-mean_scale`` of those
+        slots out of a two-entry table, as each rank's ``residual -=
+        +-scale`` does through one block of scratch: the very products
+        ``scale * sign`` forms, so the bits are :func:`~repro.compression
+        .signsgd.majority_vote_aggregate`'s without a float sign vector.
         """
         # The scale is the L1 mean of the *whole* EF-corrected vector,
         # whatever the bucket partition. Python floats from here: the tables
@@ -731,12 +746,8 @@ class SignSGDAggregator(GradientAggregator):
             float(_abs_sum(slab)) / session.total if session.total else 0.0
             for slab in session.slabs
         ])
-        mean_scale = float(scales.mean())
         signed = np.array([-1.0, 1.0])  # indexed by a sign bit
-        voted = (mean_scale * signed).astype(dtype)
         kept = (scales[:, None] * signed).astype(dtype)
-        num_slots = len(self.roster)
-        majority_at = (num_slots + 1) // 2
         packed_sizes = [(hi - lo + 7) // 8 for lo, hi in session.buckets]
         if self._vote.size < sum(packed_sizes):
             self._vote = np.empty(sum(packed_sizes), dtype=np.uint8)
@@ -744,12 +755,15 @@ class SignSGDAggregator(GradientAggregator):
             "signsgd", 1, max(1, min(_VOTE_BLOCK, session.total)), dtype
         )[0]
         votes, at = [], 0
-        for (lo, hi), packed, nbytes in zip(
-            session.buckets, session.bits, packed_sizes
-        ):
+        for index, ((lo, hi), nbytes) in enumerate(zip(session.buckets, packed_sizes)):
             vote = self._vote[at : at + nbytes]
-            votes.append((lo, vote))
             at += nbytes
+            if hi == lo:
+                continue
+            packed, slots = session.sent["signs", index], session.slots["signs", index]
+            voted = (float(scales[slots].mean()) * signed).astype(dtype)
+            votes.append((lo, (vote, voted)))
+            majority_at = (len(slots) + 1) // 2
             for start in range(lo, hi, _VOTE_BLOCK):
                 size = min(_VOTE_BLOCK, hi - start)
                 first = (start - lo) // 8  # _VOTE_BLOCK is a multiple of 8
@@ -758,7 +772,8 @@ class SignSGDAggregator(GradientAggregator):
                     for wire in packed
                 ]
                 count = np.add.reduce(
-                    bits, axis=0, dtype=np.min_scalar_type(num_slots)
+                    [bits[slot] for slot in slots], axis=0,
+                    dtype=np.min_scalar_type(len(slots)),
                 )
                 vote[first : first + (size + 7) // 8] = np.packbits(
                     count >= majority_at
@@ -769,7 +784,7 @@ class SignSGDAggregator(GradientAggregator):
                     for table, slab, bit in zip(kept, session.slabs, bits):
                         np.take(table, bit, out=sent, mode="clip")
                         slab[start : start + size] -= sent
-        return _VoteAggregate(session.layout, votes, voted)
+        return _VoteAggregate(session.layout, votes)
 
 
 class TopkSGDAggregator(GradientAggregator):
@@ -805,7 +820,6 @@ class TopkSGDAggregator(GradientAggregator):
         seed: int = 0,
         momentum_correction: float = 0.0,
     ):
-        super().__init__(group)
         if not 0.0 <= momentum_correction < 1.0:
             raise ValueError(
                 f"momentum_correction must be in [0, 1), got {momentum_correction}"
@@ -822,7 +836,7 @@ class TopkSGDAggregator(GradientAggregator):
         self.use_error_feedback = use_error_feedback
         self.seed = seed
         self.momentum_correction = momentum_correction
-        self._init_states()
+        super().__init__(group)
 
     def _make_state(self, rank: int) -> TopkCompressor:
         return TopkCompressor(
@@ -832,20 +846,13 @@ class TopkSGDAggregator(GradientAggregator):
             rng=np.random.default_rng(self.seed + rank),
         )
 
-    def _reduce(self, session: _BucketSession, index: int) -> None:
-        """Nothing to stage: the bucket's ``E + G`` is already in the slabs.
+    def _encode_step(self, session: _BucketSession) -> None:
+        """Select on every rank's whole accumulator.
 
         Top-k selection is *vector-global* — one ``k`` and one threshold
         over the whole fused gradient — so nothing ships before every bucket
         is in: the §IV observation that top-k forfeits WFBP overlap.
         """
-        ALLOC_STATS.bucket_reduces += 1
-
-    def _finish(self, session: _BucketSession) -> DecodedAggregate:
-        # The buckets partition the slab in order: sorted indices split
-        # into per-bucket wires at the bucket edges.
-        buckets = [(lo, hi) for lo, hi in session.buckets if hi > lo]
-        edges = [lo for lo, _ in buckets] + [session.total]
         # Selection needs one block of scratch on every path.
         dtype = session.layout.dtype
         scratch = self._staging_rows(
@@ -869,18 +876,25 @@ class TopkSGDAggregator(GradientAggregator):
             if mu:
                 slab[idx] = 0.0
                 slab *= mu  # the next backward adds g onto mu * u
-        cuts = [np.searchsorted(idx, edges) for idx, _ in selections]
-        for b, (lo, hi) in enumerate(buckets):
-            # Per-bucket wire format: each rank ships only the (index,
-            # value) pairs whose coordinates fall in this bucket, the
-            # bucket-relative indices bit-cast into value lanes.
-            self.group.all_gather([
-                sparse_wire(
-                    idx[cut[b] : cut[b + 1]] - lo, values[cut[b] : cut[b + 1]]
-                )
-                for (idx, values), cut in zip(selections, cuts)
-            ])
-        return _SparseAggregate(session.layout, selections)
+        session.selections = selections
+
+    def _encode(self, session, group, index):
+        # Each rank ships the (index, value) pairs whose coordinates fall
+        # in this bucket, the bucket-relative indices bit-cast into value
+        # lanes.
+        lo, hi = session.buckets[index]
+        rows = []
+        for idx, values in session.selections:
+            a, b = np.searchsorted(idx, (lo, hi))
+            rows.append(sparse_wire(idx[a:b] - lo, values[a:b]))
+        return rows, (lo, hi, session.total)
+
+    def _result(self, session: _BucketSession) -> DecodedAggregate:
+        delivered = [
+            (lo, session.slots["selection", index])
+            for index, (lo, hi) in enumerate(session.buckets) if hi > lo
+        ]
+        return _SparseAggregate(session.layout, session.selections, delivered)
 
 
 class RandomKAggregator(GradientAggregator):
@@ -895,11 +909,10 @@ class RandomKAggregator(GradientAggregator):
         seed: int = 0,
         use_error_feedback: bool = True,
     ):
-        super().__init__(group)
         self.ratio = ratio
         self.seed = seed
         self.use_error_feedback = use_error_feedback
-        self._init_states()
+        super().__init__(group)
 
     def _make_state(self, rank: int) -> RandomKCompressor:
         # Same seed across workers: coordinates agree, payloads align —
@@ -910,59 +923,67 @@ class RandomKAggregator(GradientAggregator):
             use_error_feedback=self.use_error_feedback,
         )
 
-    def _finish(self, session: _BucketSession) -> DecodedAggregate:
+    def _encode(self, session, group, index):
         # With error feedback each slab is its rank's accumulator: compress
         # takes the shared coordinates' values and zeroes them in place.
-        payloads = []
-        for rank, slab in zip(self.roster, session.slabs):
-            payloads.append(self._per_rank[rank].compress("fused", slab, self.step))
-        reduced = self.group.all_reduce([p.values for p in payloads], average=True)
-        order = np.argsort(payloads[0].indices)
-        return _ScatterAggregate(
-            session.layout, payloads[0].indices[order], reduced[0][order]
-        )
+        session.payloads = [
+            self._per_rank[rank].compress("fused", slab, self.step)
+            for rank, slab in zip(self.roster, session.slabs)
+        ]
+        k = session.payloads[0].values.size
+        return [payload.values for payload in session.payloads], (0, k, k)
+
+    def _result(self, session: _BucketSession) -> DecodedAggregate:
+        indices = session.payloads[0].indices
+        order = np.argsort(indices)
+        reduced = session.sent["selection", None][0]  # in place
+        return _ScatterAggregate(session.layout, indices[order], reduced[order])
 
 
-class QSGDAggregator(GradientAggregator):
-    """QSGD (extension): all-gather quantized payloads, dequantize, average."""
+class _QuantizedAggregator(GradientAggregator):
+    """QSGD / TernGrad: each rank quantizes to its own scale, so the codec's
+    ``packed`` payloads are all-gathered, and the delivered ones are
+    dequantized and averaged. The scale does not travel (a known gap, see
+    :mod:`repro.compression.wire`)."""
+
+    def _encode(self, session, group, index):
+        session.payloads = [
+            self._per_rank[rank].compress(slab)
+            for rank, slab in zip(self.roster, session.slabs)
+        ]
+        rows = [payload.packed for payload in session.payloads]
+        return rows, (0, session.total, session.total)
+
+    def _result(self, session: _BucketSession) -> NamedGrads:
+        size = session.total
+        dense = np.zeros(size, session.layout.dtype)
+        slots = session.slots["levels", None]
+        for slot in slots:
+            state = self._per_rank[self.roster[slot]]
+            dense += state.decompress(session.payloads[slot], (size,))
+        dense /= len(slots)
+        return _unpack(dense, session.template, session.names)
+
+
+class QSGDAggregator(_QuantizedAggregator):
+    """QSGD (extension): ``s``-level stochastic quantization to each rank's
+    norm; a byte per level and a sign bit per element on the wire."""
 
     method = "qsgd"
 
     def __init__(self, group: ProcessGroup, num_levels: int = 255, seed: int = 0):
-        super().__init__(group)
         self.num_levels = num_levels
         self.seed = seed
-        self._init_states()
+        super().__init__(group)
 
     def _make_state(self, rank: int) -> QSGDCompressor:
         return QSGDCompressor(
             self.num_levels, rng=np.random.default_rng(self.seed + rank)
         )
 
-    def _finish(self, session: _BucketSession) -> NamedGrads:
-        payloads = []
-        for rank, slab in zip(self.roster, session.slabs):
-            payloads.append(self._per_rank[rank].compress(slab))
-        # Wire format: uint8 levels (for s <= 255) + 1 packed sign bit per
-        # element, so the measured traffic reflects QSGD's ~9 bits/element.
-        wires = []
-        for payload in payloads:
-            level_bytes = payload.levels.astype(
-                np.uint8 if payload.num_levels <= 255 else np.uint32
-            ).view(np.uint8)
-            sign_bits = np.packbits((payload.signs >= 0).astype(np.uint8))
-            wires.append(np.concatenate([level_bytes, sign_bits]))
-        self.group.all_gather(wires)
-        size = payloads[0].num_elements
-        dense = np.zeros(size, session.layout.dtype)
-        for payload in payloads:
-            dense += QSGDCompressor.decompress(payload, (size,))
-        dense /= len(payloads)
-        return _unpack(dense, session.template, session.names)
 
-
-class TernGradAggregator(GradientAggregator):
-    """TernGrad (extension): all-gather ternary payloads, dequantize, average.
+class TernGradAggregator(_QuantizedAggregator):
+    """TernGrad (extension): ternary quantization to each rank's scale.
 
     Unbiased, so no error feedback; variance is the convergence cost.
     """
@@ -971,31 +992,14 @@ class TernGradAggregator(GradientAggregator):
 
     def __init__(self, group: ProcessGroup, seed: int = 0,
                  clip_sigma: float = 2.5):
-        super().__init__(group)
         self.seed = seed
         self.clip_sigma = clip_sigma
-        self._init_states()
+        super().__init__(group)
 
-    def _make_state(self, rank: int):
-        from repro.compression.terngrad import TernGradCompressor
-
+    def _make_state(self, rank: int) -> TernGradCompressor:
         return TernGradCompressor(
             np.random.default_rng(self.seed + rank), self.clip_sigma
         )
-
-    def _finish(self, session: _BucketSession) -> NamedGrads:
-        from repro.compression.terngrad import TernGradCompressor
-
-        payloads = []
-        for rank, slab in zip(self.roster, session.slabs):
-            payloads.append(self._per_rank[rank].compress(slab))
-        self.group.all_gather([p.packed for p in payloads])
-        size = payloads[0].num_elements
-        dense = np.zeros(size, session.layout.dtype)
-        for payload in payloads:
-            dense += TernGradCompressor.decompress(payload, (size,))
-        dense /= len(payloads)
-        return _unpack(dense, session.template, session.names)
 
 
 class _LowRankPlan:
@@ -1025,20 +1029,17 @@ class _LowRankPlan:
         self.plain_pack = _PackLayout(
             {name: prod(layout.shapes[name]) for name in plain}, plain
         )
-        self.p_shapes = {name: (n, r) for name, (n, _, r) in factored.items()}
-        self.q_shapes = {name: (m, r) for name, (_, m, r) in factored.items()}
-        self.p_pack = _PackLayout(
-            {name: n * r for name, (n, r) in self.p_shapes.items()}, compressible
-        )
-        self.q_pack = _PackLayout(
-            {name: m * r for name, (m, r) in self.q_shapes.items()}, compressible
-        )
-
-    def factor_pack(self, half: int) -> Tuple[_PackLayout, Dict[str, Tuple[int, int]]]:
-        """The pack and factor shapes ``half`` aggregates (P or Q)."""
-        if LowRankState.compresses_p(half):
-            return self.p_pack, self.p_shapes
-        return self.q_pack, self.q_shapes
+        #: Per factor group: each compressible tensor's factor shape.
+        self.shapes = {
+            "P": {name: (n, r) for name, (n, _, r) in factored.items()},
+            "Q": {name: (m, r) for name, (_, m, r) in factored.items()},
+        }
+        #: Per group: its pack.
+        self.packs = {"plain": self.plain_pack}
+        for group, shapes in self.shapes.items():
+            self.packs[group] = _PackLayout(
+                {name: a * b for name, (a, b) in shapes.items()}, compressible
+            )
 
 
 class _LowRankBase(GradientAggregator):
@@ -1067,7 +1068,6 @@ class _LowRankBase(GradientAggregator):
         use_error_feedback: bool = True,
         reuse_query: bool = True,
     ):
-        super().__init__(group)
         if rank < 1:
             raise ValueError(f"rank must be >= 1, got {rank}")
         self.rank = rank
@@ -1075,7 +1075,7 @@ class _LowRankBase(GradientAggregator):
         self.seed = seed
         self.use_error_feedback = use_error_feedback
         self.reuse_query = reuse_query
-        self._init_states()
+        super().__init__(group)
 
     @property
     def takes_factors(self) -> bool:
@@ -1094,7 +1094,7 @@ class _LowRankBase(GradientAggregator):
         )
 
     def _residual_names(self, layout: ArenaLayout) -> List[str]:
-        factored = self._layout_plan(layout).p_shapes
+        factored = self._layout_plan(layout).shapes["P"]
         return [n for n in super()._residual_names(layout) if n in factored]
 
     def _layout_plan(self, layout: ArenaLayout) -> _LowRankPlan:
@@ -1117,75 +1117,71 @@ class _LowRankBase(GradientAggregator):
             "plain", num_slots, max(1, plan.plain_pack.total), dtype
         )
         lead = self._per_rank[self.roster[0]]
-        session.halves = [
-            (half, *plan.factor_pack(half)) for half in lead.halves(self.step)
-        ]
+        session.halves = {
+            "P" if LowRankState.compresses_p(half) else "Q": half
+            for half in lead.halves(self.step)
+        }
         # A bucket's factor rows are dead once every rank adopted them, so
         # a step's halves share one staging block.
-        width = max(pack.total for _, pack, _ in session.halves)
+        width = max(plan.packs[group].total for group in session.halves)
         session.factor_scratch = self._staging_rows(
             "factors", num_slots, max(1, width), dtype
         )
         session.factors = {}
 
-    def _reduce(self, session: _BucketSession, index: int) -> None:
-        """Plain tensors, then one factor round per half, as the bucket's
-        gradients land.
+    def _encode(self, session, group, index):
+        """The bucket's plain tensors, or every rank's factor of one half:
+        compressed into its row of the half's pack, slot 0 first (the others
+        borrow its orthonormal carried factor, one QR per tensor).
 
-        A round: every rank compresses the bucket's tensors into its row of
-        the half's pack (slot 0 first: the others borrow its orthonormal
-        carried factor, one QR per tensor), the bucket's segment is
-        averaged, and every rank adopts the aggregate. Power-SGD's P round
-        blocks its Q round *within* the bucket (the §III-C structure), but
-        bucketing lets later buckets start as soon as their gradients
-        exist; ACP-SGD's single alternating-factor round is the cheapest of
-        the low-rank schedules (§IV-C) and buckets cleanly. ``P Q^T`` is
-        identical on every rank, so the result keeps slot 0's pair.
+        Power-SGD's P round blocks its Q round *within* the bucket (the
+        §III-C structure), but later buckets start as soon as their
+        gradients exist; ACP-SGD's one alternating-factor round a step is
+        the cheapest of the low-rank schedules (§IV-C).
         """
         comp_b, plain_b = session.plan.bucket_split[index]
-        self._reduce_plain_bucket(session, plain_b)
-        if not comp_b:
-            return
-        rows = session.factor_scratch
+        half = session.halves.get(group)
+        names = plain_b if group == "plain" else comp_b if half is not None else []
+        if not names:
+            return None
+        pack = session.plan.packs[group]
+        rows = session.plain_scratch if group == "plain" else session.factor_scratch
         lead = self._per_rank[self.roster[0]]
-        for half, pack, shapes in session.halves:
-            for slot, rank_idx in enumerate(self.roster):
-                state = self._per_rank[rank_idx]
-                grads = session.per_worker[slot]
-                row = rows[slot]
-                for name in comp_b:
-                    factor = state.compress(
+        for slot, rank in enumerate(self.roster):
+            grads, row = session.per_worker[slot], rows[slot]
+            for name in names:
+                if half is None:
+                    block = grads[name]
+                else:
+                    block = self._per_rank[rank].compress(
                         name, grad_to_matrix(grads[name]), half,
                         lead if slot else None, grads.pop_factors(name),
                     )
-                    off = pack.offsets[name]
-                    row[off : off + pack.sizes[name]] = factor.reshape(-1)
-            self._reduce_pack_segment(rows, *pack.segment(comp_b), pack.total)
-            for name in comp_b:
-                # One copy out of the staging row, kept by every rank.
                 off = pack.offsets[name]
-                agg = rows[0][off : off + pack.sizes[name]].reshape(shapes[name]).copy()
-                session.factors[name] = lead.adopt(name, agg, half)
-                for rank_idx in self.roster[1:]:
-                    self._per_rank[rank_idx].adopt(name, agg, half)
+                row[off : off + pack.sizes[name]] = block.reshape(-1)
+        lo, hi, total = pack.segment(names)
+        return [row[lo:hi] for row in rows], (lo, hi, total)
 
-    def _reduce_plain_bucket(
-        self, session: _BucketSession, plain_b: List[str]
-    ) -> None:
-        """Stage and average-reduce a bucket's uncompressed tensors."""
-        if not plain_b:
+    def _decode(self, session, group, index, delivered):
+        """Every rank adopts a half's aggregated factors (the plain pack
+        decodes where it was reduced). ``P Q^T`` is then identical on every
+        rank, so the result keeps slot 0's pair."""
+        half = session.halves.get(group)
+        if half is None:
             return
-        pack = session.plan.plain_pack
-        lo, hi = pack.segment(plain_b)
-        for slot in range(len(self.roster)):
-            grads = session.per_worker[slot]
-            row = session.plain_scratch[slot]
-            for name in plain_b:
-                off = pack.offsets[name]
-                row[off : off + pack.sizes[name]] = grads[name].reshape(-1)
-        self._reduce_pack_segment(session.plain_scratch, lo, hi, pack.total)
+        names = session.plan.bucket_split[index][0]
+        pack, shapes = session.plan.packs[group], session.plan.shapes[group]
+        row, lo = delivered[0], pack.offsets[names[0]]
+        lead = self._per_rank[self.roster[0]]
+        for name in names:
+            # One copy out of the staging row, kept by every rank.
+            off = pack.offsets[name] - lo
+            agg = row[off : off + pack.sizes[name]].reshape(shapes[name]).copy()
+            session.factors[name] = lead.adopt(name, agg, half)
+            for rank in self.roster[1:]:
+                self._per_rank[rank].adopt(name, agg, half)
 
-    def _finish(self, session: _BucketSession) -> DecodedAggregate:
+    def _result(self, session: _BucketSession) -> DecodedAggregate:
         return _LowRankAggregate(
             session.layout, session.factors, session.plain_scratch[0],
             session.plan.plain_pack,
