@@ -183,7 +183,9 @@ class ProcessGroup:
         )
 
     def all_gather(self, buffers: Sequence[np.ndarray]) -> List[List[np.ndarray]]:
-        """Ring all-gather; per-rank payloads may differ in shape."""
+        """Ring all-gather: per rank, every rank's payload in rank order
+        (shapes may differ). A degraded call of a resilient group leaves
+        ``None`` where a payload was not delivered."""
         self._check_world(buffers)
         results, stats = collectives.all_gather(buffers)
         self.history.append(stats)

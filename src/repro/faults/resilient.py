@@ -561,8 +561,11 @@ class ResilientProcessGroup(ProcessGroup):
             np.copyto(buf, result)
         return buffers
 
-    def all_gather(self, buffers: Sequence[np.ndarray]) -> List[List[np.ndarray]]:
-        """Resilient all-gather; degraded calls omit the failed payloads."""
+    def all_gather(
+        self, buffers: Sequence[np.ndarray]
+    ) -> List[List[Optional[np.ndarray]]]:
+        """Resilient all-gather; a degraded call delivers ``None`` in the
+        position of every payload it failed to deliver."""
         self._check_world(buffers)
         ranks = list(self.live_ranks)
         outcome = self._negotiate(buffers, ranks)
@@ -574,12 +577,18 @@ class ResilientProcessGroup(ProcessGroup):
             raise RuntimeError(
                 f"all-gather call {outcome.call_index}: no healthy rank left"
             )
-        subset = [buffers[position] for position in contributing]
-        gathered, stats = collectives.all_gather(subset)
+        gathered, stats = collectives.all_gather(
+            [buffers[position] for position in contributing]
+        )
         stats.delay_s = outcome.delay_s
         self.history.append(stats)
-        payloads = gathered[0]
-        return [[payload.copy() for payload in payloads] for _ in buffers]
+        delivered: List[Optional[np.ndarray]] = [None] * len(buffers)
+        for position, payload in zip(contributing, gathered[0]):
+            delivered[position] = payload
+        return [
+            [None if payload is None else payload.copy() for payload in delivered]
+            for _ in buffers
+        ]
 
     def resilience_report(self) -> str:
         """Render the live world, the recovery stats and every roster

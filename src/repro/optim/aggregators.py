@@ -606,8 +606,7 @@ class GradientAggregator:
         kind = next(k for g, k, _ in WIRE_GROUPS[self.method] if g == group)
         if kind == ALL_REDUCE:
             return self.group.all_reduce_segment_(rows, lo, total, average=True)
-        self.group.all_gather(rows)
-        return rows
+        return self.group.all_gather(rows)[0]
 
     # What a method supplies: ``_encode`` (every slot's row of ``group``
     # for bucket ``index``, ``None``: the step, and their ``(lo, hi,

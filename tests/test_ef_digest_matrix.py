@@ -155,49 +155,49 @@ PINNED = {
     "topk/ef/monolithic/static":
         "16adca699be8fd38b0f07b0fb41d86196a75b2f33fb0c54c935b30eba17b0e8f",
     "topk/ef/monolithic/elastic":
-        "4c8800ac4b2c301cec7646f7dd5c2a0ff993e5b3ca509314d93130b0dc1b51d3",
+        "ab8c06fbf9b7ae19346edc60deb94c4b0dd20db0435b2408f527907b66b49997",
     "topk/ef/monolithic/resilient":
         "356a2261d095ec1b65a16259717955de8b18d87da34d77ddffc6d7e11054311e",
     "topk/ef/bucketed/static":
         "16adca699be8fd38b0f07b0fb41d86196a75b2f33fb0c54c935b30eba17b0e8f",
     "topk/ef/bucketed/elastic":
-        "ccf5eda6aa1ed1fd1ddc58afe8944ebb4bd0278e5eed112513d49ea7bcf717cc",
+        "943bc358a816bd4b765ed05f0377bb3ec7ad95219f684b8a37aea9cf9d65682d",
     "topk/ef/bucketed/resilient":
         "356a2261d095ec1b65a16259717955de8b18d87da34d77ddffc6d7e11054311e",
     "topk/no-ef/monolithic/static":
         "6d2d74cc960a9931e8ebf9442436c8f9dd08abca16638907dd86a38bc5fc4c8a",
     "topk/no-ef/monolithic/elastic":
-        "82795f285555576c97c2b6b1cee9335d12fa280c55b746d230b95051a3ff99a3",
+        "dee4e0bd920f2f78a70bc79ed87a6d8a57ba17bfeaa4d0228ead7755268f8aaa",
     "topk/no-ef/monolithic/resilient":
         "4cb5eee553a72127285cdf1eeb620cffdd18457be1751144744ca6327fbe6ca2",
     "topk/no-ef/bucketed/static":
         "6d2d74cc960a9931e8ebf9442436c8f9dd08abca16638907dd86a38bc5fc4c8a",
     "topk/no-ef/bucketed/elastic":
-        "e5824cc098878fdab4fe8a3c58fc0b9b7da9d32b1b2e207eafe805a0abc28667",
+        "e4b4114039c90e739631743281eeae88290e2289e0984ae0b35cf9c71cfde9b8",
     "topk/no-ef/bucketed/resilient":
         "4cb5eee553a72127285cdf1eeb620cffdd18457be1751144744ca6327fbe6ca2",
     "signsgd/ef/monolithic/static":
         "0804e8de7b3d3c123aa575b103a3666265856b2dd9a8a46ef87f981908f1db1f",
     "signsgd/ef/monolithic/elastic":
-        "e686517de4f096e6961b3d923c1367c0510d8a4fd4c27d6b239309e02ffe3bb7",
+        "485a8a538782359b90e0771dce05cb05c40ece76bedfba955f826e60371ab8a0",
     "signsgd/ef/monolithic/resilient":
         "e193c00860612406d2a83c1b831fcf9bf169946335f62598ec599af71386a435",
     "signsgd/ef/bucketed/static":
         "0804e8de7b3d3c123aa575b103a3666265856b2dd9a8a46ef87f981908f1db1f",
     "signsgd/ef/bucketed/elastic":
-        "7e964c1a1d2f095a2c3416b536349d7410938f1e1b686fc1d3cd0adbbecc8e2c",
+        "84c12b65c02a80241fe5610d63896137743b5f2f7ec497d7adad843c3db5585b",
     "signsgd/ef/bucketed/resilient":
         "e193c00860612406d2a83c1b831fcf9bf169946335f62598ec599af71386a435",
     "signsgd/no-ef/monolithic/static":
         "45986786861b85473b82d51ab3ce75e2eb9cf0a6f5eadf3880cda8d67ec98972",
     "signsgd/no-ef/monolithic/elastic":
-        "5f8ed2683ac4888f6a1fb3d5c66287a23eef2305ebe67d0b6a8c37bc2331998d",
+        "268d196ac58d0d109e4542a4fec0450789f552963c3f1fde671aac53f5eb5177",
     "signsgd/no-ef/monolithic/resilient":
         "2d798b040461b7c48879e3b752ed7ee9876f160d05c5a6a9f6ec719c75616a3c",
     "signsgd/no-ef/bucketed/static":
         "45986786861b85473b82d51ab3ce75e2eb9cf0a6f5eadf3880cda8d67ec98972",
     "signsgd/no-ef/bucketed/elastic":
-        "74e361f38f08e531214479b489cca816f2adcde0c9aac7da73f456da814ce2cc",
+        "8417cd0d36a9522cbc679a1baa898605660bb10320ba79fe8443605e92c9f1a8",
     "signsgd/no-ef/bucketed/resilient":
         "2d798b040461b7c48879e3b752ed7ee9876f160d05c5a6a9f6ec719c75616a3c",
     "acpsgd/ef/monolithic/static":
@@ -275,13 +275,13 @@ PINNED = {
     "dgc/ef/monolithic/static":
         "b02006ea038b387d6fc19d88c57cdc293caf80933d9df1e59ac422d799c741dd",
     "dgc/ef/monolithic/elastic":
-        "d0d363519e241b59fdc84aa4ca4701420445656f9a9e48f2be95af38b9e559c1",
+        "cb762bca203ea6e28f64ee989a9b5ea3ec166b3a0a1a1de368045071cc500985",
     "dgc/ef/monolithic/resilient":
         "5e0183e3fcadd130c925e11ef8aea8d4a58c4537ef53ce525dcc6d51138ac4e4",
     "dgc/ef/bucketed/static":
         "b02006ea038b387d6fc19d88c57cdc293caf80933d9df1e59ac422d799c741dd",
     "dgc/ef/bucketed/elastic":
-        "576a167f2893d51488393b08c153159feecc83b519a3efcd6a2fcd2be8414dc5",
+        "87b12a012e1c3982d1f3d0b7c4b8f3c66955570745c43d884740af0e406c76f9",
     "dgc/ef/bucketed/resilient":
         "5e0183e3fcadd130c925e11ef8aea8d4a58c4537ef53ce525dcc6d51138ac4e4",
     "acpsgd/ef-no-reuse/monolithic/static":

@@ -160,7 +160,8 @@ class TestTimeoutAndDegrade:
                                       policy=policy)
         gathered = group.all_gather([np.ones(3), np.full(5, 2.0)])
         assert len(gathered) == 2  # one view per caller rank
-        assert [p.size for p in gathered[0]] == [3]  # rank 1's payload omitted
+        # Rank 1's payload omitted, its position kept.
+        assert [None if p is None else p.size for p in gathered[0]] == [3, None]
 
     def test_no_healthy_rank_raises(self):
         policy = BackoffPolicy(max_retries=1)
