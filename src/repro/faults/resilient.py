@@ -561,9 +561,7 @@ class ResilientProcessGroup(ProcessGroup):
             np.copyto(buf, result)
         return buffers
 
-    def all_gather(
-        self, buffers: Sequence[np.ndarray]
-    ) -> List[List[Optional[np.ndarray]]]:
+    def all_gather(self, buffers: Sequence[np.ndarray]) -> List[List[Optional[np.ndarray]]]:
         """Resilient all-gather; a degraded call delivers ``None`` in the
         position of every payload it failed to deliver."""
         self._check_world(buffers)
@@ -582,11 +580,9 @@ class ResilientProcessGroup(ProcessGroup):
         )
         stats.delay_s = outcome.delay_s
         self.history.append(stats)
-        delivered: List[Optional[np.ndarray]] = [None] * len(buffers)
-        for position, payload in zip(contributing, gathered[0]):
-            delivered[position] = payload
+        delivered = dict(zip(contributing, gathered[0]))
         return [
-            [None if payload is None else payload.copy() for payload in delivered]
+            [delivered[p].copy() if p in delivered else None for p in range(len(buffers))]
             for _ in buffers
         ]
 

@@ -228,9 +228,7 @@ class _SparseAggregate(_FlatAggregate):
         for slot in slots:
             idx, values = self.selections[slot]
             lo, hi = np.searchsorted(idx, (start, stop))
-            payloads.append(
-                SparsePayload(idx[lo:hi] - start, values[lo:hi], stop - start)
-            )
+            payloads.append(SparsePayload(idx[lo:hi] - start, values[lo:hi], stop - start))
         sparse_aggregate(payloads, (stop - start,), average=True, out=out)
 
     def is_finite(self) -> bool:
@@ -248,9 +246,7 @@ class _SparseAggregate(_FlatAggregate):
 class _ScatterAggregate(_FlatAggregate):
     """Random-k: the shared coordinates, sorted, and their averaged values."""
 
-    def __init__(
-        self, layout: ArenaLayout, indices: np.ndarray, values: np.ndarray
-    ):
+    def __init__(self, layout: ArenaLayout, indices: np.ndarray, values: np.ndarray):
         super().__init__(layout, [(0, None)])
         self.indices, self.values = indices, values
 
@@ -933,10 +929,12 @@ class RandomKAggregator(GradientAggregator):
         return [payload.values for payload in session.payloads], (0, k, k)
 
     def _result(self, session: _BucketSession) -> DecodedAggregate:
-        indices = session.payloads[0].indices
-        order = np.argsort(indices)
-        reduced = session.sent["selection", None][0]  # in place
-        return _ScatterAggregate(session.layout, indices[order], reduced[order])
+        # Every rank's values were averaged in place.
+        payload = session.payloads[0]
+        order = np.argsort(payload.indices)
+        return _ScatterAggregate(
+            session.layout, payload.indices[order], payload.values[order]
+        )
 
 
 class _QuantizedAggregator(GradientAggregator):
@@ -971,8 +969,7 @@ class QSGDAggregator(_QuantizedAggregator):
     method = "qsgd"
 
     def __init__(self, group: ProcessGroup, num_levels: int = 255, seed: int = 0):
-        self.num_levels = num_levels
-        self.seed = seed
+        self.num_levels, self.seed = num_levels, seed
         super().__init__(group)
 
     def _make_state(self, rank: int) -> QSGDCompressor:
@@ -991,8 +988,7 @@ class TernGradAggregator(_QuantizedAggregator):
 
     def __init__(self, group: ProcessGroup, seed: int = 0,
                  clip_sigma: float = 2.5):
-        self.seed = seed
-        self.clip_sigma = clip_sigma
+        self.seed, self.clip_sigma = seed, clip_sigma
         super().__init__(group)
 
     def _make_state(self, rank: int) -> TernGradCompressor:
