@@ -74,20 +74,26 @@ class SignCompressor:
 
 
 def majority_vote_aggregate(
-    payloads: List[SignPayload], shape: Tuple[int, ...]
+    payloads: List[SignPayload], shape: Tuple[int, ...], validate: bool = False
 ) -> np.ndarray:
     """Aggregate gathered sign payloads by element-wise majority vote.
 
     Returns the dense aggregated gradient estimate: the majority sign scaled
     by the mean of the workers' scales (ties, possible with an even worker
     count, resolve to +1 via ``sign(0) -> +1`` like the compressor's own
-    non-negative convention).
+    non-negative convention). With ``validate`` the per-worker scales are
+    checked finite before they enter the mean — the only float a corrupted
+    sign payload can poison.
     """
     if not payloads:
         raise ValueError("need at least one payload")
     num_elements = payloads[0].num_elements
     vote = np.zeros(num_elements)
     scales = np.array([payload.scale for payload in payloads])
+    if validate:
+        from repro.utils.validation import assert_finite
+
+        assert_finite(scales, "signsgd payload scales")
     for payload in payloads:
         if payload.num_elements != num_elements:
             raise ValueError("payload sizes disagree across workers")

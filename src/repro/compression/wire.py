@@ -76,10 +76,6 @@ class Collective:
     nbytes: float
 
 
-def _fused(kind: str, group: str, sizes: List[float]) -> Collective:
-    return Collective(kind, group, tuple(sizes), sum(sizes))
-
-
 def low_rank_split(
     shapes: Shapes, rank: int
 ) -> Tuple[Dict[int, Tuple[int, int, int]], List[int]]:
@@ -162,7 +158,7 @@ def step_wire(
                 n * elem_bytes * ratio for n in numels
             ), k * elem_bytes))
         elif not (method == "acpsgd" and group == skipped):
-            wire.append(_fused(kind, group, sizes[group]))
+            wire.append(Collective(kind, group, tuple(sizes[group]), sum(sizes[group])))
     return tuple(collective for collective in wire if collective.nbytes)
 
 

@@ -580,11 +580,10 @@ class ResilientProcessGroup(ProcessGroup):
         )
         stats.delay_s = outcome.delay_s
         self.history.append(stats)
+        # The payloads are the gather's own copies, shared by every caller
+        # rank as a clean group's are.
         delivered = dict(zip(contributing, gathered[0]))
-        return [
-            [delivered[p].copy() if p in delivered else None for p in range(len(buffers))]
-            for _ in buffers
-        ]
+        return [[delivered.get(p) for p in range(len(buffers))] for _ in buffers]
 
     def resilience_report(self) -> str:
         """Render the live world, the recovery stats and every roster

@@ -161,13 +161,6 @@ class _PackLayout:
             offset += sizes[name]
         self.total = offset
 
-    def segment(self, names: Sequence[str]) -> Tuple[int, int, int]:
-        """``(lo, hi, total)``: the element range ``names`` cover (they must
-        be pack-contiguous) and the pack's length."""
-        lo = self.offsets[names[0]]
-        last = names[-1]
-        return lo, self.offsets[last] + self.sizes[last], self.total
-
 
 class _BucketSession:
     """Per-step scratch of one bucketed aggregation pass."""
@@ -1154,8 +1147,9 @@ class _LowRankBase(GradientAggregator):
                     )
                 off = pack.offsets[name]
                 row[off : off + pack.sizes[name]] = block.reshape(-1)
-        lo, hi, total = pack.segment(names)
-        return [row[lo:hi] for row in rows], (lo, hi, total)
+        # A bucket's names are contiguous in every pack.
+        lo, hi = pack.offsets[names[0]], pack.offsets[names[-1]] + pack.sizes[names[-1]]
+        return [row[lo:hi] for row in rows], (lo, hi, pack.total)
 
     def _decode(self, session, group, index, delivered):
         """Every rank adopts a half's aggregated factors (the plain pack
