@@ -597,25 +597,25 @@ class GradientAggregator:
             return self.group.all_reduce_segment_(rows, lo, total, average=True)
         return self.group.all_gather(rows)[0]
 
-    # What a method supplies: ``_encode`` (every slot's row of ``group``
-    # for bucket ``index``, ``None``: the step, and their ``(lo, hi,
-    # total)`` segment; ``None`` if nothing ships), ``_result`` (the
-    # aggregate, over the delivered ``session.slots``) and, where needed,
-    # ``_begin``, ``_decode`` and ``_encode_step``.
+    # What a method supplies; ``session.slabs`` hold the gradients.
     def _encode(self, session: _BucketSession, group: str, index: Optional[int]):
+        """Every slot's row of ``group`` for bucket ``index`` (``None``: the
+        whole step) and their ``(lo, hi, total)`` segment; ``None`` when
+        the method sends nothing of the group there."""
         raise NotImplementedError
 
     def _result(self, session: _BucketSession) -> Mapping[str, np.ndarray]:
+        """The aggregate, over the slots each collective delivered."""
         raise NotImplementedError
 
     def _begin(self, session: _BucketSession) -> None:
-        pass
+        """Per-step scratch, as the step opens."""
 
     def _decode(self, session: _BucketSession, group, index, delivered) -> None:
-        pass
+        """Use a group's delivered rows before the bucket's next group."""
 
     def _encode_step(self, session: _BucketSession) -> None:
-        pass
+        """The step-wide encode, once every bucket is in."""
 
     def _staging_rows(
         self, key: str, rows: int, cols: int, dtype: np.dtype
