@@ -201,8 +201,9 @@ class _FlatAggregate(DecodedAggregate):
         return dest.reshape((hi - lo,) + shape[1:])
 
     def _fill(self, part, skip: int, start: int, stop: int, out: np.ndarray) -> None:
-        """Decode elements ``start:stop`` of the fused vector, ``skip`` past
-        the first of their bucket's ``part``, into ``out``."""
+        """Decode elements ``start:stop`` of the fused vector into ``out``;
+        ``part`` decodes their bucket, which begins ``skip`` elements
+        before ``start``."""
         raise NotImplementedError
 
 
@@ -221,7 +222,9 @@ class _SparseAggregate(_FlatAggregate):
         for slot in slots:
             idx, values = self.selections[slot]
             lo, hi = np.searchsorted(idx, (start, stop))
-            payloads.append(SparsePayload(idx[lo:hi] - start, values[lo:hi], stop - start))
+            payloads.append(
+                SparsePayload(idx[lo:hi] - start, values[lo:hi], stop - start)
+            )
         sparse_aggregate(payloads, (stop - start,), average=True, out=out)
 
     def is_finite(self) -> bool:
@@ -239,7 +242,9 @@ class _SparseAggregate(_FlatAggregate):
 class _ScatterAggregate(_FlatAggregate):
     """Random-k: the shared coordinates, sorted, and their averaged values."""
 
-    def __init__(self, layout: ArenaLayout, indices: np.ndarray, values: np.ndarray):
+    def __init__(
+        self, layout: ArenaLayout, indices: np.ndarray, values: np.ndarray
+    ):
         super().__init__(layout, [(0, None)])
         self.indices, self.values = indices, values
 
@@ -541,8 +546,8 @@ class GradientAggregator:
     def finish_buckets(self) -> Mapping[str, np.ndarray]:
         """Complete the step; every bucket must have been reduced.
 
-        Returns read-only views (S-SGD's point into worker 0's
-        reduced slab) or, for a method that decodes a payload, a
+        Returns read-only views (S-SGD's point into worker 0's reduced
+        slab) or, for a method that decodes a payload, a
         :class:`DecodedAggregate`; either is valid until the next
         aggregation begins.
         """
@@ -962,7 +967,8 @@ class QSGDAggregator(_QuantizedAggregator):
     method = "qsgd"
 
     def __init__(self, group: ProcessGroup, num_levels: int = 255, seed: int = 0):
-        self.num_levels, self.seed = num_levels, seed
+        self.num_levels = num_levels
+        self.seed = seed
         super().__init__(group)
 
     def _make_state(self, rank: int) -> QSGDCompressor:
@@ -981,7 +987,8 @@ class TernGradAggregator(_QuantizedAggregator):
 
     def __init__(self, group: ProcessGroup, seed: int = 0,
                  clip_sigma: float = 2.5):
-        self.seed, self.clip_sigma = seed, clip_sigma
+        self.seed = seed
+        self.clip_sigma = clip_sigma
         super().__init__(group)
 
     def _make_state(self, rank: int) -> TernGradCompressor:

@@ -24,8 +24,8 @@ class AllocStats:
         pack_copies: fused buffers materialized by copying (``_pack`` could
             not return a zero-copy arena view).
         unpack_copies: per-tensor copies made on unpack (``copy=True``).
-        bucket_reduces: per-bucket collective reductions fired by the
-            bucketed reducer (in-place and copying alike).
+        bucket_reduces: collectives an aggregator fired, one per
+            all-reduce or all-gather ``GradientAggregator._ship`` issued.
         bucket_copies: all-reduce payloads summed on an allocating copy
             instead of where they live (every resilient-group all-reduce;
             an S-SGD worker handing in a slab another worker also holds).
