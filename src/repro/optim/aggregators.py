@@ -152,11 +152,12 @@ class _PackLayout:
     per-bucket collective use the monolithic pack's chunk schedule.
     """
 
-    def __init__(self, sizes: Dict[str, int], order: List[str]):
+    def __init__(self, sizes: Dict[str, int]):
+        """``sizes`` in pack order."""
         self.sizes = sizes
         self.offsets: Dict[str, int] = {}
         offset = 0
-        for name in order:
+        for name in sizes:
             self.offsets[name] = offset
             offset += sizes[name]
         self.total = offset
@@ -1012,7 +1013,7 @@ class _LowRankPlan:
         self.layout, names = layout, layout.names
         split, plain = low_rank_split([layout.shapes[n] for n in names], rank)
         factored = {names[i]: dims for i, dims in split.items()}
-        compressible, plain = list(factored), [names[i] for i in plain]
+        plain = {names[i]: layout.shapes[names[i]] for i in plain}
         #: Per bucket: its (compressible, plain) names, in layout order.
         self.bucket_split = [
             (
@@ -1021,20 +1022,16 @@ class _LowRankPlan:
             )
             for bucket in layout.bucket_names()
         ]
-        self.plain_pack = _PackLayout(
-            {name: prod(layout.shapes[name]) for name in plain}, plain
-        )
         #: Per factor group: each compressible tensor's factor shape.
         self.shapes = {
             "P": {name: (n, r) for name, (n, _, r) in factored.items()},
             "Q": {name: (m, r) for name, (_, m, r) in factored.items()},
         }
-        #: Per group: its pack.
-        self.packs = {"plain": self.plain_pack}
-        for group, shapes in self.shapes.items():
-            self.packs[group] = _PackLayout(
-                {name: a * b for name, (a, b) in shapes.items()}, compressible
-            )
+        #: Per group: its pack of the tensors' (or factors') elements.
+        self.packs = {
+            group: _PackLayout({name: prod(shape) for name, shape in shapes.items()})
+            for group, shapes in [("plain", plain), *self.shapes.items()]
+        }
 
 
 class _LowRankBase(GradientAggregator):
@@ -1109,7 +1106,7 @@ class _LowRankBase(GradientAggregator):
         num_slots = len(self.roster)
         dtype = session.layout.dtype
         session.plain_scratch = self._staging_rows(
-            "plain", num_slots, max(1, plan.plain_pack.total), dtype
+            "plain", num_slots, max(1, plan.packs["plain"].total), dtype
         )
         lead = self._per_rank[self.roster[0]]
         session.halves = {
@@ -1180,7 +1177,7 @@ class _LowRankBase(GradientAggregator):
     def _result(self, session: _BucketSession) -> DecodedAggregate:
         return _LowRankAggregate(
             session.layout, session.factors, session.plain_scratch[0],
-            session.plan.plain_pack,
+            session.plan.packs["plain"],
         )
 
 
