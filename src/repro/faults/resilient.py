@@ -575,9 +575,8 @@ class ResilientProcessGroup(ProcessGroup):
             raise RuntimeError(
                 f"all-gather call {outcome.call_index}: no healthy rank left"
             )
-        gathered, stats = collectives.all_gather(
-            [buffers[position] for position in contributing]
-        )
+        subset = [buffers[position] for position in contributing]
+        gathered, stats = collectives.all_gather(subset)
         stats.delay_s = outcome.delay_s
         self.history.append(stats)
         # The payloads are the gather's own copies, shared by every caller

@@ -577,7 +577,9 @@ class GradientAggregator:
         """Encode, ship and decode the groups of cadence ``when`` for
         bucket ``index`` (``None``: the whole step)."""
         for group, _, cadence in WIRE_GROUPS[self.method]:
-            payload = cadence == when and self._encode(session, group, index)
+            if cadence != when:
+                continue
+            payload = self._encode(session, group, index)
             delivered = payload and self._ship(group, *payload)
             if delivered:
                 session.sent[group, index] = payload[0]
