@@ -5,7 +5,7 @@ This package plays the role NCCL/Gloo play in the paper's testbed:
 - :mod:`repro.comm.collectives` implements the collective algorithms
   themselves (chunked ring all-reduce as reduce-scatter + all-gather and
   the one in-place kernel every group all-reduce runs, ring all-gather,
-  broadcast, reduce) operating on one buffer per rank.
+  broadcast) operating on one buffer per rank.
   They are *numerically real*: data actually moves chunk by chunk between
   per-rank buffers, and every call records how many bytes each rank sent,
   so Table II's communication complexity can be verified by measurement.
@@ -24,9 +24,6 @@ from repro.comm.collectives import (
     all_reduce_naive,
     all_reduce_ring,
     broadcast,
-    gather,
-    reduce,
-    reduce_scatter,
 )
 from repro.comm.hierarchical import hierarchical_steps, hierarchical_traffic
 from repro.comm.process_group import ProcessGroup
@@ -56,9 +53,6 @@ __all__ = [
     "all_reduce_naive",
     "all_reduce_ring",
     "broadcast",
-    "gather",
-    "reduce",
-    "reduce_scatter",
     "hierarchical_steps",
     "hierarchical_traffic",
     "ProcessGroup",

@@ -16,11 +16,14 @@ group's fallback) — and :func:`all_reduce_inplace` is the one kernel every
 :class:`~repro.comm.process_group.ProcessGroup` all-reduce runs: flat or
 hierarchical, monolithic or one bucket of a fused buffer.
 
+Training issues the in-place all-reduce and :func:`all_gather` per step
+and a :func:`broadcast` per admitted rank.
+
 Traffic accounting: each collective returns a :class:`CollectiveStats`
 recording bytes sent per rank and the step count, which the test suite uses to
 verify the communication-complexity column of the paper's Table II
-(``2(p-1)/p * N`` elements per rank for ring all-reduce, ``(p-1)/p * N`` for
-reduce-scatter/all-gather phases, ``(p-1) * N`` aggregate for all-gather).
+(``2(p-1)/p * N`` elements per rank for ring all-reduce, ``(p-1) * N`` per
+rank for all-gather).
 """
 
 from __future__ import annotations
@@ -39,10 +42,13 @@ class CollectiveStats:
     """Measured traffic of one collective call.
 
     Attributes:
-        algorithm: name of the collective algorithm.
+        algorithm: name of the collective algorithm (``allreduce_ring``,
+            ``allreduce_hierarchical``, ``allreduce_naive``, ``all_gather``
+            or ``broadcast``).
         world_size: number of participating ranks.
-        bytes_sent_per_rank: bytes each rank pushed onto the wire. For the
-            symmetric ring algorithms every rank sends the same amount.
+        bytes_sent_per_rank: bytes each rank pushed onto the wire. The ring
+            all-reduce charges every rank about the same; a broadcast's
+            last hop, the rank before the root, sends nothing.
         steps: number of communication rounds (each round is one send/recv
             per rank, all rings progressing in parallel).
         delay_s: simulated extra wall time attributed to this call by the
@@ -82,9 +88,9 @@ def _check_inputs(buffers: Sequence[np.ndarray]) -> Tuple[int, Tuple[int, ...]]:
 def _check_dtypes(buffers: Sequence[np.ndarray]) -> int:
     """Validate per-rank buffers whose *shapes* may legitimately differ.
 
-    Used by :func:`all_gather` and :func:`gather`, whose payload sizes vary
-    across ranks (Top-k threshold sampling); dtypes must still agree or the
-    receiver would silently misinterpret the bytes. Returns the world size.
+    Used by :func:`all_gather`, whose payload sizes vary across ranks
+    (Top-k threshold sampling); dtypes must still agree or the receiver
+    would silently misinterpret the bytes. Returns the world size.
     """
     if len(buffers) == 0:
         raise ValueError("collective requires at least one rank buffer")
@@ -399,48 +405,6 @@ def all_reduce_inplace(
     )
 
 
-def reduce_scatter(
-    buffers: Sequence[np.ndarray],
-) -> Tuple[List[np.ndarray], CollectiveStats]:
-    """Ring reduce-scatter: rank ``r`` ends up with reduced chunk ``r``.
-
-    Returns one 1-D chunk per rank (chunks partition the flattened input).
-    """
-    world_size, _ = _check_inputs(buffers)
-    dtype = work_dtype(buffers[0].dtype)
-    flat = [buf.reshape(-1).astype(dtype, copy=True) for buf in buffers]
-    length = flat[0].shape[0]
-    bounds = _chunk_bounds(length, world_size)
-    elem_bytes = buffers[0].dtype.itemsize
-    sent = [0] * world_size
-
-    if world_size > 1:
-        for step in range(world_size - 1):
-            outgoing = []
-            for rank in range(world_size):
-                chunk_idx = (rank - 1 - step) % world_size
-                lo, hi = bounds[chunk_idx]
-                outgoing.append((chunk_idx, flat[rank][lo:hi].copy()))
-                sent[rank] += (hi - lo) * elem_bytes
-            for rank in range(world_size):
-                dst = (rank + 1) % world_size
-                chunk_idx, payload = outgoing[rank]
-                lo, hi = bounds[chunk_idx]
-                flat[dst][lo:hi] += payload
-
-    results = []
-    for rank in range(world_size):
-        lo, hi = bounds[rank]
-        results.append(flat[rank][lo:hi].astype(buffers[0].dtype))
-    stats = CollectiveStats(
-        algorithm="reduce_scatter",
-        world_size=world_size,
-        bytes_sent_per_rank=sent,
-        steps=max(0, world_size - 1),
-    )
-    return results, stats
-
-
 def all_gather(
     buffers: Sequence[np.ndarray],
 ) -> Tuple[List[List[np.ndarray]], CollectiveStats]:
@@ -485,53 +449,6 @@ def all_gather(
         steps=max(0, world_size - 1),
     )
     return holdings, stats
-
-
-def reduce(
-    buffers: Sequence[np.ndarray], root: int = 0
-) -> Tuple[np.ndarray, CollectiveStats]:
-    """Binomial-tree reduce (sum) to rank ``root``.
-
-    Used by parameter-server-style baselines; ``ceil(log2 p)`` rounds.
-    """
-    world_size, shape = _check_inputs(buffers)
-    if not 0 <= root < world_size:
-        raise ValueError(f"root {root} out of range for world size {world_size}")
-    # Rotate so the tree reduces to index 0, then map back.
-    order = [(root + offset) % world_size for offset in range(world_size)]
-    work = [buffers[rank].astype(work_dtype(buffers[0].dtype)) for rank in order]
-    nbytes = buffers[0].nbytes
-    sent = [0] * world_size
-    steps = 0
-    distance = 1
-    while distance < world_size:
-        for idx in range(0, world_size, 2 * distance):
-            src = idx + distance
-            if src < world_size:
-                work[idx] = work[idx] + work[src]
-                sent[order[src]] += nbytes
-        distance *= 2
-        steps += 1
-    result = work[0].astype(buffers[0].dtype).reshape(shape)
-    stats = CollectiveStats("reduce", world_size, sent, steps)
-    return result, stats
-
-
-def gather(
-    buffers: Sequence[np.ndarray], root: int = 0
-) -> Tuple[List[np.ndarray], CollectiveStats]:
-    """Gather every rank's buffer to ``root`` (per-rank direct sends).
-
-    Per-rank payloads may differ in shape (like :func:`all_gather`).
-    Returns the buffers in rank order as received at the root.
-    """
-    world_size = _check_dtypes(buffers)
-    if not 0 <= root < world_size:
-        raise ValueError(f"root {root} out of range for world size {world_size}")
-    sent = [buf.nbytes if rank != root else 0
-            for rank, buf in enumerate(buffers)]
-    stats = CollectiveStats("gather", world_size, sent, 1)
-    return [buf.copy() for buf in buffers], stats
 
 
 def broadcast(

@@ -191,13 +191,6 @@ class ProcessGroup:
         self.history.append(stats)
         return results
 
-    def reduce_scatter(self, buffers: Sequence[np.ndarray]) -> List[np.ndarray]:
-        """Ring reduce-scatter of the flattened buffers."""
-        self._check_world(buffers)
-        results, stats = collectives.reduce_scatter(buffers)
-        self.history.append(stats)
-        return results
-
     def broadcast(
         self, buffers: Sequence[np.ndarray], root: int = 0
     ) -> List[np.ndarray]:
@@ -213,14 +206,6 @@ class ProcessGroup:
     def total_bytes(self) -> int:
         """Total bytes sent by all ranks since construction / last reset."""
         return sum(stats.total_bytes for stats in self.history)
-
-    def bytes_per_rank(self) -> List[int]:
-        """Cumulative bytes sent per rank."""
-        totals = [0] * self.world_size
-        for stats in self.history:
-            for rank, nbytes in enumerate(stats.bytes_sent_per_rank):
-                totals[rank] += nbytes
-        return totals
 
     def reset_stats(self) -> None:
         """Clear the collective history (e.g. between measured iterations)."""

@@ -25,11 +25,11 @@ four-layer screen:
 
 Per-peer trust evolves as an exponential moving average of clean/offence
 outcomes: offences drag the score down geometrically, clean windows let
-it recover, and a score below ``quarantine_threshold`` quarantines the
-peer permanently — its updates are dropped unread from then on. Starting
-from a clean score of 1.0, a persistent attacker is quarantined within
-``ceil(log(threshold) / log(1 - score_alpha))`` windows (3 windows at
-the defaults), which is the bound the acceptance tests assert.
+it recover, and a score below :data:`QUARANTINE_THRESHOLD` quarantines
+the peer permanently — its updates are dropped unread from then on.
+Starting from a clean score of 1.0, a persistent attacker is quarantined
+within ``ceil(log(threshold) / log(1 - SCORE_ALPHA))`` windows (3), which
+is the bound the acceptance tests assert.
 
 Everything is deterministic: no wall clocks, no unseeded draws, and all
 iteration in sorted-peer order — two honest peers screening the same
@@ -58,48 +58,36 @@ OFFENCE_KINDS = (
     "sign-flip",
 )
 
+#: EMA step toward each window's outcome (1 = offence-free, 0 = offence).
+SCORE_ALPHA = 0.5
+#: A score below this quarantines the peer permanently.
+QUARANTINE_THRESHOLD = 0.2
+#: Contributions with norm below ``FREE_RIDER_FLOOR * median`` are
+#: excluded as free-riders, above ``NORM_CEILING * median`` as blow-ups.
+FREE_RIDER_FLOOR = 0.01
+NORM_CEILING = 100.0
+#: Contributions whose cosine against the mean of the other survivors
+#: falls below this are excluded as sign-flips. Negative: honest peers on
+#: different data shards decorrelate, so only active opposition is punished.
+COSINE_FLOOR = -0.1
+
 
 @dataclass(frozen=True)
 class ScorerConfig:
-    """Thresholds for the validation screens and the trust dynamics.
+    """The staleness screen's settings (the other thresholds are the
+    module constants above).
 
     Attributes:
-        score_alpha: EMA step toward each window's outcome (1 = offence-
-            free, 0 = offence); larger reacts faster both ways.
-        quarantine_threshold: score below this quarantines the peer
-            permanently.
         staleness_half_life: lag in windows at which a stale update's
             weight halves.
         max_lag: updates stamped more than this many windows ago are
             excluded (and count as a ``"lagging"`` offence).
-        free_rider_floor: contributions with norm below ``floor *
-            median`` are excluded as free-riders.
-        norm_ceiling: contributions with norm above ``ceiling * median``
-            are excluded as blow-ups.
-        cosine_floor: contributions whose cosine against the mean of the
-            other survivors falls below this are excluded as sign-flips.
-            Must be negative: honest peers on different data shards
-            decorrelate, so only active opposition is punished.
     """
 
-    score_alpha: float = 0.5
-    quarantine_threshold: float = 0.2
     staleness_half_life: float = 2.0
     max_lag: int = 3
-    free_rider_floor: float = 0.01
-    norm_ceiling: float = 100.0
-    cosine_floor: float = -0.1
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.score_alpha <= 1.0:
-            raise ValueError(
-                f"score_alpha must be in (0, 1], got {self.score_alpha}"
-            )
-        if not 0.0 < self.quarantine_threshold < 1.0:
-            raise ValueError(
-                f"quarantine_threshold must be in (0, 1), "
-                f"got {self.quarantine_threshold}"
-            )
         if self.staleness_half_life <= 0:
             raise ValueError(
                 f"staleness_half_life must be > 0, "
@@ -107,25 +95,11 @@ class ScorerConfig:
             )
         if self.max_lag < 0:
             raise ValueError(f"max_lag must be >= 0, got {self.max_lag}")
-        if self.free_rider_floor < 0:
-            raise ValueError(
-                f"free_rider_floor must be >= 0, got {self.free_rider_floor}"
-            )
-        if self.norm_ceiling <= 1.0:
-            raise ValueError(
-                f"norm_ceiling must be > 1, got {self.norm_ceiling}"
-            )
-        if self.cosine_floor >= 0:
-            raise ValueError(
-                f"cosine_floor must be negative, got {self.cosine_floor}"
-            )
 
     @property
     def quarantine_windows_bound(self) -> int:
         """Max offending windows before a clean-history peer is quarantined."""
-        return math.ceil(
-            math.log(self.quarantine_threshold) / math.log(1.0 - self.score_alpha)
-        ) if self.score_alpha < 1.0 else 1
+        return math.ceil(math.log(QUARANTINE_THRESHOLD) / math.log(1.0 - SCORE_ALPHA))
 
 
 @dataclass
@@ -252,15 +226,13 @@ class PeerScorer:
                     Offence(window, peer, offenders[peer])
                 )
                 record.offence_windows += 1
-                record.score = (1.0 - cfg.score_alpha) * record.score
+                record.score = (1.0 - SCORE_ALPHA) * record.score
                 weights[peer] = 0.0
-                if record.score < cfg.quarantine_threshold:
+                if record.score < QUARANTINE_THRESHOLD:
                     record.quarantined_window = window
             else:
                 record.clean_windows += 1
-                record.score = (
-                    (1.0 - cfg.score_alpha) * record.score + cfg.score_alpha
-                )
+                record.score = (1.0 - SCORE_ALPHA) * record.score + SCORE_ALPHA
                 decay = 0.5 ** (lags[peer] / cfg.staleness_half_life)
                 weights[peer] = record.score * decay
         return weights
@@ -290,13 +262,12 @@ class PeerScorer:
         median = float(np.median(sorted(norms.values())))
         if median <= 0.0:
             return  # everyone published zeros; direction screen is moot too
-        cfg = self.config
         for peer in sorted(norms):
             ratio = norms[peer] / median
-            if ratio < cfg.free_rider_floor:
+            if ratio < FREE_RIDER_FLOOR:
                 offenders[peer] = "free-rider"
                 del survivors[peer]
-            elif ratio > cfg.norm_ceiling:
+            elif ratio > NORM_CEILING:
                 offenders[peer] = "norm-blowup"
                 del survivors[peer]
 
@@ -319,7 +290,7 @@ class PeerScorer:
             if denom <= 0.0:
                 continue
             cosine = float(np.dot(own, rest)) / denom
-            if cosine < self.config.cosine_floor:
+            if cosine < COSINE_FLOOR:
                 flagged.append(peer)
         if len(flagged) * 2 >= len(peers):
             # The "dissenters" are not a minority — the crowd itself is

@@ -58,6 +58,8 @@ from repro.utils.seeding import rank_rng
 
 #: Seed-tuple sentinel for publish-time adversarial draws (bit flips).
 _PEER_FAULT_STREAM = 2**31 - 5
+#: Per-step momentum decay (templar's ``momentum_decay``).
+MOMENTUM_DECAY = 0.9
 
 
 @dataclass(frozen=True)
@@ -68,8 +70,6 @@ class GossipConfig:
         local_steps: SGD passes a peer runs per window before publishing.
         batch_size: samples per local pass.
         lr: learning rate folded into the momentum buffer.
-        momentum_decay: per-step momentum decay (templar's
-            ``momentum_decay``).
         compression_ratio: fraction of momentum coordinates published
             (top-k over the flat buffer).
         store_retention: windows kept in the store (``None`` = keep all,
@@ -81,7 +81,6 @@ class GossipConfig:
     local_steps: int = 2
     batch_size: int = 16
     lr: float = 0.05
-    momentum_decay: float = 0.9
     compression_ratio: float = 0.05
     store_retention: Optional[int] = None
     scorer: ScorerConfig = field(default_factory=ScorerConfig)
@@ -93,10 +92,6 @@ class GossipConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.lr <= 0:
             raise ValueError(f"lr must be > 0, got {self.lr}")
-        if not 0.0 <= self.momentum_decay < 1.0:
-            raise ValueError(
-                f"momentum_decay must be in [0, 1), got {self.momentum_decay}"
-            )
         if not 0.0 < self.compression_ratio <= 1.0:
             raise ValueError(
                 f"compression_ratio must be in (0, 1], "
@@ -212,7 +207,7 @@ class GossipPeer:
             losses.append(worker_pass(
                 self.model, self.loss_fn, self.data, self.rng, cfg.batch_size
             ))
-            self.momentum *= cfg.momentum_decay
+            self.momentum *= MOMENTUM_DECAY
             self.momentum += cfg.lr * gradients
         loss = float(np.mean(losses))
         self.losses.append(loss)

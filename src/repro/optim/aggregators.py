@@ -112,32 +112,21 @@ def _check_worker_grads(per_worker: List[NamedGrads], expected: int) -> None:
             raise ValueError(f"worker {rank} gradient names differ from worker 0")
 
 
-def _unpack(
-    buffer: np.ndarray,
-    template: NamedGrads,
-    names: List[str],
-    copy: bool = False,
-) -> NamedGrads:
+def _unpack(buffer: np.ndarray, template: NamedGrads, names: List[str]) -> NamedGrads:
     """Split a fused buffer back into named tensors.
 
-    Ownership contract: by default the returned arrays are **read-only
-    views** into ``buffer`` — they are valid until the buffer's owner
-    reuses it (for arena slabs: the next backward pass) and attempting to
-    write through them raises. Callers that need private, mutable tensors
-    must pass ``copy=True`` (one allocation per tensor, counted in
-    :data:`repro.perf.counters.ALLOC_STATS`).
+    Ownership contract: the returned arrays are **read-only views** into
+    ``buffer`` — they are valid until the buffer's owner reuses it (for
+    arena slabs: the next backward pass) and attempting to write through
+    them raises.
     """
     out: NamedGrads = {}
     offset = 0
     for name in names:
         size = template[name].size
         view = buffer[offset : offset + size].reshape(template[name].shape)
-        if copy:
-            ALLOC_STATS.unpack_copies += 1
-            out[name] = view.copy()
-        else:
-            view.flags.writeable = False
-            out[name] = view
+        view.flags.writeable = False
+        out[name] = view
         offset += size
     return out
 
@@ -599,7 +588,6 @@ class GradientAggregator:
         lo, hi, total = segment
         if hi == lo:
             return None
-        ALLOC_STATS.bucket_reduces += 1
         kind = next(k for g, k, _ in WIRE_GROUPS[self.method] if g == group)
         if kind == ALL_REDUCE:
             return self.group.all_reduce_segment_(rows, lo, total, average=True)

@@ -106,7 +106,6 @@ def _time_aggregation(
         "best_s": min(times),
         "mean_s": float(np.mean(times)),
         "pack_copies_per_step": ALLOC_STATS.pack_copies / iters,
-        "unpack_copies_per_step": ALLOC_STATS.unpack_copies / iters,
         "fused_allocs_per_step": ALLOC_STATS.fused_allocs / iters,
     }
 

@@ -5,10 +5,11 @@ allocated once, at trainer construction, and never again. That invariant is
 cheap to state and easy to regress silently — one stray ``np.concatenate``
 in an aggregator and every step quietly pays a full-model copy per worker.
 
-:data:`ALLOC_STATS` counts, per process, every time the fused pack/unpack
-helpers fall back to an allocating copy. The ``perf``-marked smoke test and
-the benchmark harness reset the counters, drive the hot path, and assert
-the arena path performed **zero** fused-buffer allocations.
+:data:`ALLOC_STATS` counts, per process, every time the fused pack helper
+or an all-reduce falls back to an allocating copy. The ``perf``-marked
+smoke test and the benchmark harness reset the counters, drive the hot
+path, and assert the arena path performed **zero** fused-buffer
+allocations.
 """
 
 from __future__ import annotations
@@ -23,29 +24,23 @@ class AllocStats:
     Attributes:
         pack_copies: fused buffers materialized by copying (``_pack`` could
             not return a zero-copy arena view).
-        unpack_copies: per-tensor copies made on unpack (``copy=True``).
-        bucket_reduces: collectives an aggregator fired, one per
-            all-reduce or all-gather ``GradientAggregator._ship`` issued.
         bucket_copies: all-reduce payloads summed on an allocating copy
             instead of where they live (every resilient-group all-reduce;
             an S-SGD worker handing in a slab another worker also holds).
     """
 
     pack_copies: int = 0
-    unpack_copies: int = 0
-    bucket_reduces: int = 0
     bucket_copies: int = 0
 
     @property
     def fused_allocs(self) -> int:
-        """Total allocating events on the fused path since the last reset."""
-        return self.pack_copies + self.unpack_copies
+        """Allocating events on the fused path since the last reset (the
+        fused packs; perfbench reads the total under this name)."""
+        return self.pack_copies
 
     def reset(self) -> None:
         """Zero all counters (call before a measured region)."""
         self.pack_copies = 0
-        self.unpack_copies = 0
-        self.bucket_reduces = 0
         self.bucket_copies = 0
 
     def merge(self, delta: dict) -> None:
@@ -58,16 +53,12 @@ class AllocStats:
         without a counter field are ignored.
         """
         self.pack_copies += delta.get("pack_copies", 0)
-        self.unpack_copies += delta.get("unpack_copies", 0)
-        self.bucket_reduces += delta.get("bucket_reduces", 0)
         self.bucket_copies += delta.get("bucket_copies", 0)
 
     def snapshot(self) -> dict:
         """Plain-dict copy of all counters (for benchmark reports)."""
         return {
             "pack_copies": self.pack_copies,
-            "unpack_copies": self.unpack_copies,
-            "bucket_reduces": self.bucket_reduces,
             "bucket_copies": self.bucket_copies,
             "fused_allocs": self.fused_allocs,
         }

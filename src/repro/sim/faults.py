@@ -42,6 +42,9 @@ from repro.sim.strategies import BuildContext, ClusterSpec, SystemConfig
 
 _COMPUTE_TAGS = ("forward", "backward", "compression")
 _MAX_RETRANSMITS = 10
+#: Cost of one child respawn (process start + sampling-stream replay),
+#: paid per crash before collectives may begin.
+WORKER_RESPAWN_S = 0.05
 
 
 @dataclass(frozen=True)
@@ -63,10 +66,7 @@ class FaultModel:
           place (the supervisor's ``"restart"`` rung): the crashed pass
           re-runs after the respawn, so — under lockstep synchrony —
           the iteration's compute doubles and every collective waits
-          out the respawn.
-        worker_respawn_s: cost of one child respawn (process start +
-          sampling-stream replay), paid per crash before collectives
-          may begin.
+          out the respawn (:data:`WORKER_RESPAWN_S`).
     """
 
     straggler_prob: float = 0.0
@@ -75,7 +75,6 @@ class FaultModel:
     retry_timeout_s: float = 0.01
     rank_down_s: float = 0.0
     worker_crash_prob: float = 0.0
-    worker_respawn_s: float = 0.05
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.straggler_prob <= 1.0:
@@ -98,10 +97,6 @@ class FaultModel:
             raise ValueError(
                 f"worker_crash_prob must be in [0, 1], "
                 f"got {self.worker_crash_prob}"
-            )
-        if self.worker_respawn_s < 0:
-            raise ValueError(
-                f"worker_respawn_s must be >= 0, got {self.worker_respawn_s}"
             )
 
     def sample_compute_slowdown(
@@ -148,7 +143,7 @@ class FaultModel:
             # The supervised restart rung: the dead rank's pass re-runs
             # after the respawn, and synchrony gates everyone on it.
             slowdown *= 2.0
-        respawn_delay = crashes * self.worker_respawn_s
+        respawn_delay = crashes * WORKER_RESPAWN_S
 
         def perturb_one(task: Task) -> Task:
             work = task.work

@@ -28,6 +28,10 @@ from typing import List
 
 from repro.comm.cost_model import LinkSpec, point_to_point_time
 
+#: Steps of staleness at which an update's marginal value halves (mirror
+#: of the scorer's window-denominated ``staleness_half_life``).
+STALENESS_HALF_LIFE_STEPS = 8.0
+
 
 @dataclass(frozen=True)
 class GossipWindowSpec:
@@ -40,16 +44,12 @@ class GossipWindowSpec:
         step_time_s: wall-clock cost of one local training step.
         churn_per_step: probability a given peer departs during any one
             local step (0 = closed world).
-        staleness_half_life_steps: steps of staleness at which an
-            update's marginal value halves (mirror of the scorer's
-            window-denominated ``staleness_half_life``).
     """
 
     peers: int
     update_bytes: int
     step_time_s: float
     churn_per_step: float = 0.0
-    staleness_half_life_steps: float = 8.0
 
     def __post_init__(self) -> None:
         if self.peers < 2:
@@ -65,11 +65,6 @@ class GossipWindowSpec:
         if not 0.0 <= self.churn_per_step < 1.0:
             raise ValueError(
                 f"churn_per_step must be in [0, 1), got {self.churn_per_step}"
-            )
-        if self.staleness_half_life_steps <= 0:
-            raise ValueError(
-                f"staleness_half_life_steps must be > 0, "
-                f"got {self.staleness_half_life_steps}"
             )
 
 
@@ -101,9 +96,7 @@ def window_utility_rate(
     if local_steps < 1:
         raise ValueError(f"local_steps must be >= 1, got {local_steps}")
     survival = window_survival_probability(spec, local_steps)
-    freshness = 0.5 ** (
-        (local_steps / 2.0) / spec.staleness_half_life_steps
-    )
+    freshness = 0.5 ** ((local_steps / 2.0) / STALENESS_HALF_LIFE_STEPS)
     useful = survival * freshness * local_steps
     wall = local_steps * spec.step_time_s + window_exchange_time(spec, link)
     return useful / wall

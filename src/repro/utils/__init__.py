@@ -2,13 +2,12 @@
 
 from repro.utils.seeding import rank_rng
 from repro.utils.formatting import format_bytes, render_table
-from repro.utils.validation import assert_finite, is_finite, payload_checksum
+from repro.utils.validation import is_finite, payload_checksum
 
 __all__ = [
     "rank_rng",
     "format_bytes",
     "render_table",
-    "assert_finite",
     "is_finite",
     "payload_checksum",
 ]

@@ -2,8 +2,8 @@
 
 Two primitives, both cheap enough to run on every collective payload:
 
-- :func:`assert_finite` — raise with a useful message when an array carries
-  NaN/Inf (the symptom of payload corruption or an EF residual blow-up);
+- :func:`is_finite` — whether an array is free of NaN/Inf (the symptom of
+  payload corruption or an EF residual blow-up);
 - :func:`payload_checksum` — CRC-32 of an array's raw bytes. CRC-32 detects
   every single-bit error, so a bit-flipped payload never passes, which is
   what :class:`~repro.faults.resilient.ResilientProcessGroup` relies on to
@@ -15,25 +15,6 @@ from __future__ import annotations
 import zlib
 
 import numpy as np
-
-
-def assert_finite(array: np.ndarray, name: str = "array") -> np.ndarray:
-    """Raise ``ValueError`` unless every element of ``array`` is finite.
-
-    Returns the array unchanged so the call can be inlined into a pipeline::
-
-        dense = assert_finite(decompress(payload), "qsgd payload")
-    """
-    array = np.asarray(array)
-    if array.dtype.kind not in "fc":
-        return array  # integer/bool payloads cannot carry NaN/Inf
-    finite = np.isfinite(array)
-    if not finite.all():
-        bad = int(array.size - finite.sum())
-        raise ValueError(
-            f"{name} contains {bad} non-finite value(s) out of {array.size}"
-        )
-    return array
 
 
 def payload_checksum(array: np.ndarray) -> int:

@@ -259,21 +259,6 @@ class TestPackUnpack:
         with pytest.raises(ValueError):
             out[first][...] = 0.0
 
-    def test_unpack_copy_gives_private_writable_tensors(self):
-        model = small_model()
-        grads = random_grads(model)
-        names = list(grads)
-        buffer = np.concatenate([grads[n].ravel() for n in names])
-        ALLOC_STATS.reset()
-        out = _unpack(buffer, grads, names, copy=True)
-        assert ALLOC_STATS.unpack_copies == len(names)
-        for name in names:
-            assert not np.shares_memory(out[name], buffer)
-            out[name][...] = 0.0  # must not raise
-        np.testing.assert_array_equal(
-            buffer, np.concatenate([grads[n].ravel() for n in names])
-        )
-
 
 class TestInplaceAllReduce:
     @pytest.mark.parametrize("world_size", [2, 3, 4, 5])

@@ -77,29 +77,6 @@ class TestRingAllReduce:
             C.all_reduce_ring([])
 
 
-class TestReduceScatter:
-    def test_chunks_hold_reduced_values(self, rng):
-        world = 4
-        bufs = _random_buffers(rng, world, (16,))
-        chunks, _ = C.reduce_scatter(bufs)
-        total = np.sum([b for b in bufs], axis=0)
-        reassembled = np.concatenate(chunks)
-        np.testing.assert_allclose(reassembled, total, rtol=1e-10)
-
-    def test_chunk_ownership_partition(self, rng):
-        world = 3
-        bufs = _random_buffers(rng, world, (10,))
-        chunks, _ = C.reduce_scatter(bufs)
-        assert sum(c.size for c in chunks) == 10
-
-    def test_traffic_is_half_of_allreduce(self, rng):
-        world, n = 4, 1024
-        bufs = _random_buffers(rng, world, (n,))
-        _, rs_stats = C.reduce_scatter(bufs)
-        _, ar_stats = C.all_reduce_ring(bufs)
-        assert rs_stats.total_bytes == pytest.approx(ar_stats.total_bytes / 2, rel=0.02)
-
-
 class TestAllGather:
     def test_every_rank_sees_every_buffer(self, rng):
         world = 4
@@ -135,9 +112,14 @@ class TestAllGather:
 class TestBroadcast:
     def test_all_ranks_receive_root(self, rng):
         bufs = _random_buffers(rng, 5, (4, 4))
-        out, _ = C.broadcast(bufs, root=2)
+        out, stats = C.broadcast(bufs, root=2)
         for result in out:
             np.testing.assert_array_equal(result, bufs[2])
+        # Ring pipeline: the root and the p - 2 ranks after it forward the
+        # payload once; rank 1, the one before the root, sends nothing.
+        nbytes = bufs[2].nbytes
+        assert stats.bytes_sent_per_rank == [nbytes, 0, nbytes, nbytes, nbytes]
+        assert stats.steps == 4
 
     def test_invalid_root_rejected(self, rng):
         with pytest.raises(ValueError, match="root"):

@@ -11,7 +11,7 @@ from repro.faults.plan import (
     TransientFailure,
     corrupt_payload,
 )
-from repro.utils.validation import assert_finite, is_finite, payload_checksum
+from repro.utils.validation import is_finite, payload_checksum
 
 pytestmark = pytest.mark.faults
 
@@ -124,19 +124,6 @@ class TestCorruptPayload:
 
 
 class TestValidationUtils:
-    def test_assert_finite_passes_through(self):
-        arr = np.ones(5)
-        assert assert_finite(arr, "grad") is arr
-        ints = np.arange(4)
-        assert assert_finite(ints) is ints  # integers cannot carry NaN
-
-    def test_assert_finite_names_offender_and_counts(self):
-        bad = np.ones(10)
-        bad[2] = np.nan
-        bad[7] = np.inf
-        with pytest.raises(ValueError, match=r"qsgd payload contains 2 non-finite"):
-            assert_finite(bad, "qsgd payload")
-
     def test_is_finite(self):
         assert is_finite(np.zeros(3))
         assert is_finite(np.arange(3))
@@ -158,20 +145,11 @@ class TestCollectiveDtypeValidation:
         with pytest.raises(ValueError, match="rank 1 buffer dtype float32"):
             collectives.all_gather(buffers)
 
-    def test_gather_rejects_mixed_dtypes_naming_rank(self):
-        buffers = [np.ones(4, dtype=np.float32),
-                   np.ones(4, dtype=np.float32),
-                   np.ones(2, dtype=np.int64)]
-        with pytest.raises(ValueError, match="rank 2 buffer dtype int64"):
-            collectives.gather(buffers)
-
     def test_shapes_may_still_differ(self):
         # Top-k payload sizes legitimately differ across ranks.
         buffers = [np.ones(4), np.ones(6)]
         gathered, _ = collectives.all_gather(buffers)
         assert [p.size for p in gathered[0]] == [4, 6]
-        root, _ = collectives.gather(buffers)
-        assert [p.size for p in root] == [4, 6]
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError, match="at least one rank"):
