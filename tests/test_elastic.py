@@ -186,7 +186,7 @@ class TestChurnTraining:
     def test_the_group_alone_admits_its_plans_rejoin_and_join(self):
         """No object besides the group and its plan: the trainer syncs each
         admission from its donor, over the roster that admission made."""
-        trainer, group, _ = make_elastic_trainer(plan=FaultPlan(
+        trainer, group, model = make_elastic_trainer(plan=FaultPlan(
             seed=3,
             permanent=(PermanentFailure(rank=2, call_index=1),),
             recoveries=(Recovery(rank=2, call_index=4),),
@@ -202,6 +202,12 @@ class TestChurnTraining:
         # the roster its own admission produced.
         broadcasts = [s for s in group.history if s.algorithm == "broadcast"]
         assert [s.world_size for s in broadcasts] == [3, 4]
+        # Each ships the donor's float32 weights and momentum velocity (one
+        # per parameter by then) once per hop of a ring of that world.
+        elements = 2 * sum(p.data.size for _, p in model.named_parameters())
+        assert [s.total_bytes for s in broadcasts] == [
+            (world - 1) * elements * 4 for world in (3, 4)
+        ]
         assert list(trainer.train_shards) == [0, 1, 2, 3]
 
 
