@@ -17,7 +17,12 @@ planner's answers: one SHA-256 per query of ``tests/golden_plans.py`` over
 the canonical plan payload, in ``tests/data/golden_plans.json``. The
 committed values were captured before the planner's cold path (event loop,
 graph builders, breakdown sweep) was optimised; ``plans check`` passing
-proves every plan is unchanged byte-for-byte.
+proves every plan is unchanged byte-for-byte. ``plans check`` then answers
+all rows a second time in the same process, last row first, at the
+generation the first pass ended on: the preset-link rows of both
+generations are the same queries, so every one of them is served from
+``simulate_iteration``'s memo, and the warm payloads must match the same
+digests.
 
 Usage::
 
@@ -39,6 +44,7 @@ sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 sys.path.insert(0, os.path.join(REPO_ROOT, "tests"))
 
 import golden_plans  # noqa: E402
+from repro.serve.service import compute_plan_payload  # noqa: E402
 from golden_scenarios import (  # noqa: E402
     FULL_TRACES,
     digest,
@@ -127,12 +133,18 @@ def capture_plans() -> None:
 def check_plans() -> int:
     with open(GOLDEN_PLANS_FILE) as handle:
         golden = json.load(handle)
-    actual = golden_plans.payloads()
+    answers = golden_plans.answers()
+    actual = {name: payload for name, (_, payload) in answers.items()}
+    warm = {
+        name: compute_plan_payload(query)
+        for name, (query, _) in reversed(list(answers.items()))
+    }
     failures = [
-        f"{name}: payload drifted (expected_iteration_ms now "
-        f"{json.loads(actual[name])['expected_iteration_ms']!r})"
-        for name in sorted(set(actual) & set(golden))
-        if golden_plans.digest(actual[name]) != golden[name]
+        f"{name}: {label} payload drifted (expected_iteration_ms now "
+        f"{json.loads(payloads[name])['expected_iteration_ms']!r})"
+        for label, payloads in (("cold", actual), ("warm", warm))
+        for name in sorted(set(payloads) & set(golden))
+        if golden_plans.digest(payloads[name]) != golden[name]
     ]
     if set(actual) != set(golden):
         failures.append(
@@ -141,7 +153,7 @@ def check_plans() -> int:
     for failure in failures:
         print(f"FAIL {failure}", file=sys.stderr)
     if not failures:
-        print(f"ok {len(actual)} plan payloads byte-identical")
+        print(f"ok {len(actual)} plan payloads byte-identical, cold and warm")
     return 1 if failures else 0
 
 

@@ -34,6 +34,7 @@ PAPER_RANKS: Dict[str, int] = {
 }
 
 MODEL_SPECS = tuple(_BUILDERS)
+_SPECS: Dict[str, ModelSpec] = {}  # built on first use, one per name
 
 
 class UnknownModelError(KeyError):
@@ -41,10 +42,14 @@ class UnknownModelError(KeyError):
 
 
 def get_model_spec(name: str) -> ModelSpec:
-    """Build the spec for a model by its paper name (e.g. ``"ResNet-50"``)."""
-    builder = _BUILDERS.get(name)
-    if builder is None:
-        raise UnknownModelError(
-            f"unknown model {name!r}; available: {', '.join(sorted(_BUILDERS))}"
-        )
-    return builder()
+    """The one spec of a model by its paper name (e.g. ``"ResNet-50"``):
+    every caller shares it, and with it the simulator's memo."""
+    spec = _SPECS.get(name)
+    if spec is None:
+        builder = _BUILDERS.get(name)
+        if builder is None:
+            raise UnknownModelError(
+                f"unknown model {name!r}; available: {', '.join(sorted(_BUILDERS))}"
+            )
+        spec = _SPECS.setdefault(name, builder())  # racing threads keep one
+    return spec

@@ -10,6 +10,7 @@ ready — the event stream WFBP and tensor fusion schedule around.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, List, Tuple
 
 FP32_BYTES = 4
@@ -79,14 +80,14 @@ class LayerSpec:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """A full model skeleton in forward order."""
+    """A full model skeleton in forward order (totals computed once)."""
 
     name: str
     layers: Tuple[LayerSpec, ...]
     default_batch_size: int
     description: str = ""
 
-    @property
+    @cached_property
     def num_parameters(self) -> int:
         """Total learnable elements."""
         return sum(layer.num_parameters for layer in self.layers)
@@ -96,7 +97,7 @@ class ModelSpec:
         """Number of learnable tensors (each is one all-reduce without TF)."""
         return sum(len(layer.params) for layer in self.layers)
 
-    @property
+    @cached_property
     def parameter_bytes(self) -> int:
         """fp32 model size in bytes."""
         return self.num_parameters * FP32_BYTES
@@ -115,7 +116,11 @@ class ModelSpec:
 
     def parameter_shapes(self) -> List[Tuple[int, ...]]:
         """All tensor shapes, forward order (input for Table I analytics)."""
-        return [t.shape for layer in self.layers for t in layer.params]
+        return list(self._shapes)
+
+    @cached_property
+    def _shapes(self) -> Tuple[Tuple[int, ...], ...]:
+        return tuple(t.shape for layer in self.layers for t in layer.params)
 
     def tensors(self) -> Iterator[TensorSpec]:
         """All tensors in forward order."""

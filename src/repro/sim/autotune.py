@@ -88,7 +88,9 @@ def autotune_buffer_size(
     Coarse log-spaced sweep, then ``refine_rounds`` of bisection between
     the best point's neighbours. ``topk_ratio`` is the Top-k / DGC /
     Random-k keep fraction every probe is priced at. Probes with equal fusion
-    plans share one simulation (for this call only); ``evaluated`` lists all.
+    plans share one simulation (a dedupe for this call only; a later call's
+    repeats are served by ``simulate_iteration``'s memo); ``evaluated``
+    lists all.
     """
     if not coarse_mb:
         raise ValueError("need at least one coarse candidate")

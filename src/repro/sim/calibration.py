@@ -156,8 +156,9 @@ class CalibrationGeneration:
     """Monotone counter stamped on every re-anchoring of the link model.
 
     Anything that memoizes simulator output (the :mod:`repro.serve` result
-    cache) records the generation current at compute time and must treat an
-    entry whose generation predates the latest
+    cache, ``simulate_iteration``'s priced iterations) records the
+    generation current at compute time and must treat an entry whose
+    generation predates the latest
     :func:`fit_link_from_bucket_timings` as stale: a re-anchored
     ``LinkSpec`` changes every simulated duration, so results priced under
     the old calibration can never be served again.
@@ -203,8 +204,9 @@ def fit_link_from_bucket_timings(
     timings instead of the testbed constants above.
 
     Every successful fit bumps :data:`CALIBRATION_GENERATION`, which
-    invalidates memoized simulator results (the planning service's cache)
-    computed under the previous calibration.
+    invalidates memoized simulator results (the planning service's cache
+    and ``simulate_iteration``'s priced iterations) computed under the
+    previous calibration.
 
     Args:
         samples: ``(nbytes, seconds)`` pairs, e.g. one per fired bucket

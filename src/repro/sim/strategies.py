@@ -17,12 +17,14 @@ that depends on none of them is built once: builders start from
 order per (model, batch size, ``SimConfig``), plus per-method prefixes
 (ACP-SGD / Random-k hook timelines, declared wire sizes, post costs) per
 (rank, parity, ``wfbp``) — and only price the collectives of the scenario's
-``fusion_plan``. The memo holds a few skeletons of the one model seen last
-(model identity, ``SimConfig`` equality) and hands out shared ``Task``
-objects in fresh lists; a graph is the same ``Task`` by ``Task`` whether the
-memo was warm or empty (``tests/test_skeleton_memo.py``). Specs and configs
-are immutable values: derive variants with ``dataclasses.replace``, never by
-editing a field (or ``GPUSpec.efficiency``) in place.
+``fusion_plan``. The memo holds the eight skeletons used last, of any
+models (model identity, ``SimConfig`` equality), each with what
+``simulate_iteration`` priced on it in the current calibration generation,
+and hands out shared ``Task`` objects in fresh lists; a graph or breakdown
+is the same whether the memo was warm or empty
+(``tests/test_skeleton_memo.py``). Specs and configs are immutable values:
+derive variants with ``dataclasses.replace``, never by editing a field (or
+``GPUSpec.efficiency``) in place.
 
 Methods (METHODS):
 
@@ -63,7 +65,7 @@ from repro.compression.wire import (
 from repro.models.spec import ModelSpec, TensorSpec
 from repro.sched import TaskGraph
 from repro.sim import gpu as gpu_cost
-from repro.sim.calibration import LINK_10GBE, SimConfig
+from repro.sim.calibration import CALIBRATION_GENERATION, LINK_10GBE, SimConfig
 from repro.sim.engine import GPU_MAIN, GPU_SIDE, NIC, Engine, Task, TaskRecord
 from repro.fusion import DEFAULT_BUFFER_BYTES, partition_buckets, scaled_buffer_size
 from repro.sim.results import IterationBreakdown, breakdown_from_records
@@ -211,7 +213,8 @@ class _Skeleton:
     in readiness order, and per-method prefixes built on first use.
 
     Everything held here is shared between graphs and never mutated —
-    builders copy ``tasks`` before extending it.
+    builders copy ``tasks`` before extending it — except the table of
+    priced iterations, emptied when the calibration generation moves.
     """
 
     def __init__(self, model: ModelSpec, batch_size: int, sim: SimConfig) -> None:
@@ -242,6 +245,7 @@ class _Skeleton:
         self.sizes = [item.nbytes for item in self.ready]
         self.raw_bytes = float(sum(self.sizes))
         self._parts: Dict[tuple, object] = {}
+        self._priced: Tuple[int, Dict[tuple, IterationBreakdown]] = (-1, {})
 
     def part(self, key: tuple, build: Callable[[], object]):
         """``build()`` once per ``key``, 16 keys at most (racing threads
@@ -253,21 +257,41 @@ class _Skeleton:
                 self._parts.clear()
             return self._parts.setdefault(key, build())
 
+    def priced(self, key: tuple, price: Callable[[], IterationBreakdown]):
+        """``price()`` once per ``key`` and calibration generation, 1 024
+        keys at most, kept only if the generation did not move while it was
+        priced (racing threads store equal values)."""
+        generation = CALIBRATION_GENERATION.value
+        stamp, results = self._priced
+        if stamp != generation:  # a lost race drops entries, never mixes stamps
+            results = {}
+            self._priced = (generation, results)
+        try:
+            return results[key]
+        except KeyError:
+            result = price()
+            if CALIBRATION_GENERATION.value == generation:
+                if len(results) >= 1024:
+                    results.clear()
+                results.setdefault(key, result)
+            return result
+
 
 _SKELETON_LOCK = threading.Lock()
-_SKELETONS: List[_Skeleton] = []  # of one model at a time, newest last
+_SKELETONS: List[_Skeleton] = []  # eight at most, most recently used last
 
 
 def _skeleton(ctx: BuildContext) -> _Skeleton:
     """The scenario's shared skeleton: found by model *identity* (a held
-    entry keeps its spec alive) and ``SimConfig`` equality, else built."""
+    entry keeps its spec alive), batch size and ``SimConfig`` equality,
+    else built in place of the least recently used of eight."""
     with _SKELETON_LOCK:
-        if _SKELETONS and _SKELETONS[0].model is not ctx.model:
-            _SKELETONS.clear()
-        for entry in _SKELETONS:
-            if entry.batch_size == ctx.batch_size and entry.sim == ctx.sim:
+        for index, entry in enumerate(_SKELETONS):
+            if (entry.model is ctx.model and entry.batch_size == ctx.batch_size
+                    and entry.sim == ctx.sim):
+                _SKELETONS.append(_SKELETONS.pop(index))
                 return entry
-        del _SKELETONS[:-3]  # at most four per model
+        del _SKELETONS[:-7]
         _SKELETONS.append(_Skeleton(ctx.model, ctx.batch_size, ctx.sim))
         return _SKELETONS[-1]
 
@@ -741,12 +765,15 @@ def simulate_iteration(
         topk_ratio: Top-k keep fraction (paper: 0.001).
 
     For ACP-SGD the result averages the P-step and Q-step parities (their
-    factor sizes differ slightly).
+    factor sizes differ slightly), priced once per calibration generation.
     """
     ctx = BuildContext.resolve(
         method, model, cluster, system, sim, batch_size, rank, topk_ratio
     )
-    return IterationBreakdown.mean([
-        breakdown_from_records(ctx.run(ctx.graph(parity_p)))
-        for parity_p in ctx.parities
-    ])
+    return _skeleton(ctx).priced(
+        (ctx.method, ctx.cluster, ctx.system, ctx.rank, ctx.topk_ratio),
+        lambda: IterationBreakdown.mean([
+            breakdown_from_records(ctx.run(ctx.graph(parity_p)))
+            for parity_p in ctx.parities
+        ]),
+    )

@@ -62,18 +62,24 @@ def iter_queries(links: Iterable[LinkSpec]) -> Iterator[Tuple[str, PlanQuery]]:
         )
 
 
-def payloads() -> Dict[str, str]:
-    """Every row's canonical payload, keyed ``gen0/<name>`` / ``gen1/<name>``."""
+def answers() -> Dict[str, Tuple[PlanQuery, str]]:
+    """Every row's query and canonical payload, keyed ``gen0/<name>`` /
+    ``gen1/<name>``."""
     presets = tuple(SIM_LINKS.values())
     out = {
-        f"gen0/{name}": compute_plan_payload(query)
+        f"gen0/{name}": (query, compute_plan_payload(query))
         for name, query in iter_queries(presets)
     }
     with PlannerService() as service:
         calibrated = service.recalibrate(CALIBRATION_SAMPLES, world_size=8)
     for name, query in iter_queries(presets + (calibrated,)):
-        out[f"gen1/{name}"] = compute_plan_payload(query)
+        out[f"gen1/{name}"] = (query, compute_plan_payload(query))
     return out
+
+
+def payloads() -> Dict[str, str]:
+    """Every row's canonical payload, keyed ``gen0/<name>`` / ``gen1/<name>``."""
+    return {name: payload for name, (_, payload) in answers().items()}
 
 
 def digest(payload: str) -> str:

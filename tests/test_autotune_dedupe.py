@@ -5,7 +5,9 @@ so (a) two scenarios that differ in ``buffer_bytes`` alone and have equal
 plans build equal task lists; ``autotune_buffer_size`` relies on that to call
 ``simulate_iteration`` once per distinct plan, which must be (b) invisible in
 ``TuneResult.evaluated`` and (c) visible in the call counts — with a memo
-that lives for one call only.
+that lives for one call only. A second call simulates the same plans again,
+and ``simulate_iteration`` serves them from the skeleton memo without
+running a graph.
 """
 
 from dataclasses import fields
@@ -17,8 +19,10 @@ from hypothesis import strategies as st
 import repro.sim.autotune
 from repro.models import get_model_spec
 from repro.sched import Task
+from repro.sim import strategies
 from repro.sim.autotune import autotune_buffer_size
 from repro.sim.calibration import SIM_LINKS
+from repro.sim.engine import Engine
 from repro.sim.strategies import (
     ALL_METHODS,
     BuildContext,
@@ -168,10 +172,16 @@ class TestOneSimulationPerDistinctPlan:
         assert len(calls) == len(set(calls)) == len(plans)
         assert len(plans) < len(tuned.evaluated) == 11
 
-    def test_second_call_shares_nothing_with_the_first(self, calls):
+    def test_second_call_runs_no_graph(self, calls, monkeypatch):
+        runs = []
+        run = Engine.run
+        monkeypatch.setattr(
+            Engine, "run", lambda self, graph: runs.append(1) or run(self, graph))
+        strategies._SKELETONS.clear()
         model = get_model_spec("ResNet-18")
         first = autotune_buffer_size("ssgd", model, refine_rounds=1)
-        priced_by_first = list(calls)
+        priced_by_first, runs_of_first = list(calls), len(runs)
         second = autotune_buffer_size("ssgd", model, refine_rounds=1)
-        assert calls == priced_by_first * 2  # the memo died with the call
+        assert calls == priced_by_first * 2  # the plan dedupe died with the call
+        assert len(runs) == runs_of_first == len(priced_by_first)  # ssgd: one graph
         assert second.evaluated == first.evaluated

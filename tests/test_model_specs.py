@@ -1,5 +1,7 @@
 """Shape-level model specs validated against the paper's Table I."""
 
+import dataclasses
+
 import pytest
 
 from repro.compression.wire import compression_ratio
@@ -105,6 +107,10 @@ class TestStructure:
         with pytest.raises(KeyError, match="unknown model"):
             get_model_spec("AlexNet")
 
+    def test_one_spec_per_name(self):
+        """The simulator's memo is keyed by spec identity."""
+        assert get_model_spec("BERT-Base") is get_model_spec("BERT-Base")
+
 
 class TestSpecPrimitives:
     def test_tensor_spec_size(self):
@@ -123,3 +129,10 @@ class TestSpecPrimitives:
         assert spec.num_parameters == 4
         assert spec.num_tensors == 1
         assert spec.parameter_bytes == 16
+        # Cached totals stay out of equality and hashing, and a variant
+        # computes its own.
+        wider = dataclasses.replace(spec, layers=(layer, layer))
+        assert (wider.num_parameters, wider.parameter_bytes) == (8, 32)
+        assert wider.parameter_shapes() == [(2, 2), (2, 2)]
+        fresh = ModelSpec("tiny", (layer,), 1)
+        assert fresh == spec and hash(fresh) == hash(spec)

@@ -398,8 +398,10 @@ class TestPlannerColdPathCounts:
         import repro.planner
         import repro.sim.autotune
         from repro.sched import Task
+        from repro.sim import strategies
         from repro.sim.engine import Engine
 
+        strategies._SKELETONS.clear()  # the counts are a cold plan's
         counts = {"tasks": 0, "assess": 0, "probe": 0, "runs": 0}
 
         def counted(fn, name):

@@ -2,10 +2,13 @@
 
 ``repro.sim.strategies`` builds the priced, buffer- and link-independent
 part of a scenario (FF + BP chain, inline-hook timelines, wire sizes) once
-per (model, batch size, ``SimConfig``) and shares it between graphs. These
-tests pin what that sharing must never change: a graph built from a warm
-memo — whatever was built before it, on whichever thread — is ``Task`` by
-``Task`` the graph built from an empty one.
+per (model, batch size, ``SimConfig``) and shares it between graphs, and
+keeps what ``simulate_iteration`` priced on it for the current calibration
+generation. These tests pin what that sharing must never change: a graph
+built from a warm memo — whatever was built before it, on whichever thread
+— is ``Task`` by ``Task`` the graph built from an empty one, a memoized
+breakdown is bit for bit the one an empty memo prices, and nothing priced
+crosses a ``CALIBRATION_GENERATION`` bump.
 """
 
 import random
@@ -14,13 +17,27 @@ from dataclasses import fields, replace
 
 import pytest
 
+import repro.planner
 from repro.models import get_model_spec
 from repro.sched import Task
 from repro.serve import PlannerService, PlanQuery
 from repro.serve.service import compute_plan_payload
 from repro.sim import strategies
-from repro.sim.calibration import SIM_LINKS, SimConfig
-from repro.sim.strategies import ALL_METHODS, BuildContext, ClusterSpec, SystemConfig
+from repro.sim.calibration import (
+    CALIBRATION_GENERATION,
+    SIM_LINKS,
+    SimConfig,
+    fit_link_from_bucket_timings,
+)
+from repro.sim.engine import Engine
+from repro.sim.results import IterationBreakdown
+from repro.sim.strategies import (
+    ALL_METHODS,
+    BuildContext,
+    ClusterSpec,
+    SystemConfig,
+    simulate_iteration,
+)
 
 MB = 1024.0 * 1024.0
 SYSTEMS = [
@@ -44,9 +61,29 @@ def build(ctx, parity_p=True, *, cold=False):
     return canonical(ctx.graph(parity_p))
 
 
-def one_model_at_most():
-    held = strategies._SKELETONS
-    return len(held) <= 4 and len({id(entry.model) for entry in held}) <= 1
+def bounded():
+    """Eight skeletons at most, across models, none held twice."""
+    keys = [(id(entry.model), entry.batch_size, entry.sim)
+            for entry in strategies._SKELETONS]
+    return len(keys) <= 8 and all(keys.count(key) == 1 for key in keys)
+
+
+def hexed(breakdown):
+    return tuple(getattr(breakdown, f.name).hex() for f in fields(breakdown))
+
+
+@pytest.fixture
+def runs(monkeypatch):
+    """``Engine.run`` calls so far (a one-element list)."""
+    count = [0]
+    run = Engine.run
+
+    def counted(self, graph):
+        count[0] += 1
+        return run(self, graph)
+
+    monkeypatch.setattr(Engine, "run", counted)
+    return count
 
 
 @pytest.fixture(scope="module")
@@ -72,7 +109,7 @@ def test_warm_graphs_equal_cold_graphs_in_any_order(models):
     for index in order:
         ctx, parity_p = scenarios[index]
         assert build(ctx, parity_p) == cold[index], (ctx.method, ctx.system, parity_p)
-        assert one_model_at_most()
+        assert bounded()
 
 
 def sim_variants():
@@ -140,8 +177,91 @@ def test_mutating_a_result_leaves_the_next_build_untouched(models):
 def test_parts_of_one_skeleton_stay_bounded(models):
     for rank in range(1, 40):
         BuildContext.resolve("acpsgd", models[0], rank=rank).graph()
-    (skeleton,) = strategies._SKELETONS
+    (skeleton,) = [s for s in strategies._SKELETONS if s.model is models[0]]
     assert len(skeleton._parts) <= 16
+    zero = IterationBreakdown(0.0, 0.0, 0.0, 0.0)
+    for key in range(1100):
+        skeleton.priced(("bound", key), lambda: zero)
+    assert len(skeleton._priced[1]) <= 1024
+    assert bounded()
+
+
+def test_skeletons_of_several_models_stay_held(models):
+    strategies._SKELETONS.clear()
+    for model in models * 2:
+        BuildContext.resolve("ssgd", model).graph()
+    assert [s.model for s in strategies._SKELETONS] == models
+    for batch in range(1, 12):
+        BuildContext.resolve("ssgd", models[0], batch_size=batch).graph()
+    assert bounded() and len(strategies._SKELETONS) == 8
+
+
+def test_warm_breakdowns_equal_cold_ones_in_any_order(models, runs):
+    scenarios = [
+        dict(method=method, model=model, system=system, rank=8,
+             cluster=ClusterSpec(world, SIM_LINKS[link]))
+        for method in ALL_METHODS
+        for system in SYSTEMS
+        for link in ("10GbE", "1GbE")
+        for world in (4, 16)
+        for model in models  # interleaved
+    ]
+    cold = []
+    for scenario in scenarios:
+        strategies._SKELETONS.clear()
+        cold.append(hexed(simulate_iteration(**scenario)))
+    strategies._SKELETONS.clear()
+    for seed in (3, 4):  # the first pass prices, the second is served
+        order = list(range(len(scenarios)))
+        random.Random(seed).shuffle(order)
+        before = runs[0]
+        for index in order:
+            assert hexed(simulate_iteration(**scenarios[index])) == cold[index], (
+                scenarios[index])
+        assert bounded()
+    assert runs[0] == before
+
+
+def test_untuned_twin_runs_nothing_until_the_link_is_refitted(runs):
+    def planned(tune):
+        before = runs[0]
+        result = repro.planner.plan("ResNet-18", gpus=8, tune_buffer=tune)
+        return result.assessments, runs[0] - before
+
+    strategies._SKELETONS.clear()
+    cold, cold_runs = planned(False)
+    strategies._SKELETONS.clear()
+    planned(True)
+    assert planned(False) == (cold, 0)
+    fit_link_from_bucket_timings([(1e5, 1e-3), (1e6, 4e-3)], world_size=4)
+    assert planned(False) == (cold, cold_runs)
+    assert cold_runs == 7  # five single-graph methods + ACP-SGD's two parities
+
+
+def test_a_result_priced_across_a_generation_bump_is_not_served(models, runs):
+    run = Engine.run
+    scenario = dict(method="ssgd", model=models[0], cluster=ClusterSpec(4))
+    strategies._SKELETONS.clear()
+    expected = hexed(simulate_iteration(**scenario))
+
+    def bumping(self, graph):
+        CALIBRATION_GENERATION.bump()
+        return run(self, graph)
+
+    strategies._SKELETONS.clear()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Engine, "run", bumping)
+        assert hexed(simulate_iteration(**scenario)) == expected
+    (skeleton,) = strategies._SKELETONS
+    assert skeleton._priced[1] == {}  # not kept, not even under the old stamp
+    before = runs[0]
+    assert hexed(simulate_iteration(**scenario)) == expected
+    assert runs[0] == before + 1  # priced again: the bumped result was dropped
+    assert hexed(simulate_iteration(**scenario)) == expected
+    assert runs[0] == before + 1  # ... and this one kept
+    CALIBRATION_GENERATION.bump()
+    assert hexed(simulate_iteration(**scenario)) == expected
+    assert runs[0] == before + 2  # a bump empties what was kept
 
 
 @pytest.mark.serve
@@ -152,6 +272,7 @@ def test_concurrent_planning_of_different_models_matches_sequential():
         for gpus, tune in ((8, False), (16, True))
     ]
     sequential = [compute_plan_payload(query) for query in queries]
+    strategies._SKELETONS.clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -161,4 +282,4 @@ def test_concurrent_planning_of_different_models_matches_sequential():
         sys.setswitchinterval(interval)
     assert [result.payload for result in results] == sequential
     assert all(result.source == "computed" for result in results)
-    assert one_model_at_most()
+    assert bounded()

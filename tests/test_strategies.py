@@ -5,6 +5,7 @@ import dataclasses
 import pytest
 
 from repro.models import get_model_spec
+from repro.sim import strategies
 from repro.sim.autotune import autotune_buffer_size
 from repro.sim.calibration import SimConfig
 from repro.sim.engine import Engine
@@ -224,6 +225,7 @@ class TestOnePath:
     @pytest.mark.parametrize("method", sorted(ELASTIC_PHASE_HEX))
     def test_elastic_trace_runs_one_graph_per_parity(
             self, method, resnet18, monkeypatch):
+        strategies._SKELETONS.clear()  # counts must not depend on test order
         sizes = []
         run = Engine.run
         monkeypatch.setattr(
