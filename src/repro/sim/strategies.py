@@ -1,62 +1,53 @@
-"""Per-method iteration task graphs for the performance simulator.
+"""Per-method iteration schedules for the performance simulator.
 
 Every :mod:`repro.sim` entry point takes one path: :meth:`BuildContext.resolve`
 defaults and validates the scenario once, :meth:`BuildContext.graph` builds
 one iteration's :class:`~repro.sched.TaskGraph`, :meth:`BuildContext.run`
 hands it to ``Engine.run``, and the records are swept into the paper's
-breakdown (``simulate_iteration`` is that path end to end). What a method
-sends is its wire in :func:`repro.compression.wire.step_wire`, declared once
-for the trainer and the simulator alike; adding a method here is a ``(ctx,
-parity_p, *plan)`` builder in ``_BUILDERS`` — its compute costs and its
-schedule — plus, if it fuses, its groups in ``fusion_plan``.
+breakdown (``simulate_iteration`` is that path end to end).
 
-Sweeps over buffer size, link and method (the planner, the autotuner, the
-paper's Fig. 9-13) re-price one iteration timeline, so the part of a graph
-that depends on none of them is built once: builders start from
-``_skeleton(ctx)`` — the priced FF + BP chain and its tensors in readiness
-order per (model, batch size, ``SimConfig``), plus per-method prefixes
-(ACP-SGD / Random-k hook timelines, declared wire sizes, post costs) per
-(rank, parity, ``wfbp``) — and only price the collectives of the scenario's
-``fusion_plan``. The memo holds the eight skeletons used last, of any
-models (model identity, ``SimConfig`` equality), each with what
-``simulate_iteration`` priced on it in the current calibration generation,
-and hands out shared ``Task`` objects in fresh lists; a graph or breakdown
-is the same whether the memo was warm or empty
-(``tests/test_skeleton_memo.py``). Specs and configs are immutable values:
-derive variants with ``dataclasses.replace``, never by editing a field (or
+A method is one schedule in ``_SCHEDULES`` (Fig. 4, Table II): its FF + BP
+chain with any inline backward hooks, the tensor groups it fuses and its
+stage chains over their bucket partition. :func:`fusion_plan` and
+``ctx.graph`` read that one declaration; every stage becomes a task in
+``_chained``, and ``_collective`` prices every collective as the kind
+:data:`~repro.compression.wire.WIRE_GROUPS` declares for its group, over the
+bytes :func:`~repro.compression.wire.step_wire` declares. Adding a method is
+a schedule function and its ``_SCHEDULES`` entry.
+
+Sweeps over buffer size, link and method (the planner, the autotuner, Fig.
+9-13) re-price one timeline, so schedules start from ``_skeleton(ctx)``: the
+priced FF + BP chain and its tensors in readiness order per (model, batch
+size, ``SimConfig``) — the eight used last, found by model identity — which
+also keeps per-method prefixes (hook timelines, wire sizes, post costs) and
+what ``simulate_iteration`` priced in the current calibration generation.
+Shared ``Task`` objects go out in fresh lists: a graph or breakdown is the
+same from a warm memo or an empty one (``tests/test_skeleton_memo.py``).
+Specs and configs are immutable values: derive variants with
+``dataclasses.replace``, never by editing a field (or
 ``GPUSpec.efficiency``) in place.
 
-Methods (METHODS):
-
-- ``ssgd`` — S-SGD: raw gradients, ring all-reduce.
-- ``signsgd`` — Sign-SGD w/ majority vote: post-BP packed compression +
-  all-gather (the paper's §III characterization setup).
-- ``topk`` — Top-k SGD w/ multi-sampling: post-BP packed compression +
-  all-gather.
-- ``powersgd`` — original Power-SGD: post-BP packed compress P -> all-reduce
-  -> orthogonalize/compute Q -> all-reduce -> reconstruct (Fig. 4(a)).
-- ``powersgd_star`` — Power-SGD on the DDP communication hook: per-bucket
-  compression on a side stream overlapping BP (contending for the GPU,
-  Fig. 4(b)).
-- ``acpsgd`` — ACP-SGD: inline per-tensor compression in the backward hook
-  (serialized with BP on the main stream), single non-blocking all-reduce
-  per bucket, compressed-buffer tensor fusion (Fig. 4(c)).
-
-System variants (Fig. 9): ``SystemConfig(wfbp=..., tensor_fusion=...)``.
-With ``wfbp=False`` communication (and hook compression) waits for BP to
-finish; with ``tensor_fusion=False`` every tensor is its own bucket.
+Methods (:data:`METHODS`): S-SGD all-reduces fused raw gradients; Sign-SGD
+and Top-k compress the packed vector after BP and all-gather it (§III);
+Power-SGD runs its blocking P/Q pipeline after BP (Fig. 4(a)), Power-SGD*
+per bucket on the DDP hook's side stream, contending with BP (Fig. 4(b));
+ACP-SGD compresses in the backward hook and all-reduces fused factors (Fig.
+4(c)). Fig. 9's ``SystemConfig(wfbp=False)`` holds communication and hook
+compression until BP ends; ``tensor_fusion=False`` buckets each tensor alone.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.comm.cost_model import LinkSpec, allgather_time, allreduce_time
 from repro.comm.topology import ClusterTopology, best_allreduce_time
 from repro.compression.wire import (
+    ALL_REDUCE,
     FP32,
+    WIRE_GROUPS,
     Collective,
     low_rank_split,
     select_count,
@@ -170,7 +161,7 @@ class BuildContext:
         batch = batch_size if batch_size is not None else model.default_batch_size
         if batch < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch}")
-        if method not in _BUILDERS:
+        if method not in _SCHEDULES:
             raise ValueError(f"unknown method {method!r}; available: {ALL_METHODS}")
         return cls(
             method=method, model=model, batch_size=batch,
@@ -187,9 +178,11 @@ class BuildContext:
         return (True, False) if self.method == "acpsgd" else (True,)
 
     def graph(self, parity_p: bool = True) -> TaskGraph:
-        """One iteration's task graph (ACP-SGD: the P- or Q-step)."""
-        plan = fusion_plan(self, parity_p)
-        return TaskGraph(_BUILDERS[self.method](self, parity_p, *plan))
+        """One iteration's task graph (ACP-SGD: the P- or Q-step): the
+        method's schedule built once, its stage chains over its fusion plan."""
+        schedule, plan = _planned(self, parity_p)
+        chained = (_chained(stages, dep) for stages, dep in schedule.chains(plan))
+        return TaskGraph(schedule.tasks + [task for chain in chained for task in chain])
 
     def run(
         self, graph: TaskGraph, disciplines: Optional[Dict[str, str]] = None
@@ -213,7 +206,7 @@ class _Skeleton:
     in readiness order, and per-method prefixes built on first use.
 
     Everything held here is shared between graphs and never mutated —
-    builders copy ``tasks`` before extending it — except the table of
+    ``ctx.graph`` copies ``tasks`` before extending it — except the table of
     priced iterations, emptied when the calibration generation moves.
     """
 
@@ -296,13 +289,16 @@ def _skeleton(ctx: BuildContext) -> _Skeleton:
         return _SKELETONS[-1]
 
 
+def _wire_method(ctx: BuildContext) -> str:
+    """Power-SGD* sends what Power-SGD does; only its schedule differs."""
+    return "powersgd" if ctx.method == "powersgd_star" else ctx.method
+
+
 def _step_wire(ctx: BuildContext, skel: _Skeleton, half: int = 1):
     """The scenario's declared step (:func:`~repro.compression.wire
-    .step_wire`, float32) over the skeleton's tensors in readiness order.
-    Power-SGD* sends what Power-SGD does; only its schedule differs."""
+    .step_wire`, float32) over the skeleton's tensors in readiness order."""
     return step_wire(
-        "powersgd" if ctx.method == "powersgd_star" else ctx.method,
-        [item.tensor.shape for item in skel.ready],
+        _wire_method(ctx), [item.tensor.shape for item in skel.ready],
         rank=ctx.rank, ratio=ctx.topk_ratio, half=half,
     )
 
@@ -335,28 +331,33 @@ def _lowrank(ctx: BuildContext, skel: _Skeleton, half: int = 1) -> _LowRank:
     return dims, plain, wire
 
 
-def _bucket_comm_tasks(
-    ctx: BuildContext, buckets: Buckets, ready: Sequence[_ReadyTensor], prefix: str
-) -> List[Task]:
-    """Fusion ``buckets`` of raw gradients -> all-reduce tasks.
-
-    Each bucket becomes one NIC collective, dependent on the producing
-    BP task of its *last* tensor (WFBP) or on the end of BP.
-    The flat-buffer copy is folded into the collective duration (it is a
-    ~0.1ms GPU memcpy per 25MB bucket, negligible against alpha).
-    """
-    sizes, last_bp = [item.nbytes for item in ready], _skeleton(ctx).last_bp
-    tasks: List[Task] = []
-    for b_idx, (start, end) in enumerate(buckets):
-        bucket_bytes = float(sum(sizes[start:end]))
-        dep = ready[end - 1].bp_task if ctx.system.wfbp else last_bp
-        duration = ctx.cluster.allreduce_cost(bucket_bytes)
-        duration += gpu_cost.pack_copy_time(bucket_bytes, ctx.sim)
-        tasks.append(Task(f"{prefix}_comm{b_idx}", NIC, duration, (dep,), tag="comm"))
-    return tasks
+Stages = List[Tuple[str, str, float, bool]]  # (task id, resource, work, contends)
 
 
-def _chained(stages: Sequence[Tuple[str, str, float, bool]], dep: str) -> List[Task]:
+class _Schedule(NamedTuple):
+    """A method's iteration: ``tasks``, its FF + BP chain with any inline hooks
+    (shared, never mutated); ``fused``, each tensor group it fuses as ``(wire
+    bytes per tensor, compressed?)``; and ``chains(plan)``, the ``(stages,
+    dep)`` after them given a bucket partition per fused group."""
+
+    tasks: List[Task]
+    fused: Tuple[Tuple[Sequence[float], bool], ...]
+    chains: Callable[[Tuple[Buckets, ...]], Iterable[Tuple[Stages, str]]]
+
+
+def _collective(ctx: BuildContext, group: str, nbytes: float) -> float:
+    """Seconds of one collective of the wire's ``group`` carrying ``nbytes``
+    per rank, as the kind ``WIRE_GROUPS`` declares: a ring all-reduce under
+    the cluster's model, or an all-gather on its link times the penalty."""
+    cluster = ctx.cluster
+    kinds = {name: kind for name, kind, _ in WIRE_GROUPS[_wire_method(ctx)]}
+    if kinds[group] == ALL_REDUCE:
+        return cluster.allreduce_cost(nbytes)
+    world, link = cluster.world_size, cluster.link
+    return ctx.sim.allgather_penalty * allgather_time(nbytes, world, link)
+
+
+def _chained(stages: Stages, dep: str) -> List[Task]:
     """``(task_id, resource, work, contends)`` stages as a linear chain
     hanging off ``dep``; NIC stages are communication, the rest compression."""
     tasks: List[Task] = []
@@ -365,6 +366,34 @@ def _chained(stages: Sequence[Tuple[str, str, float, bool]], dep: str) -> List[T
         tasks.append(Task(task_id, resource, work, (dep,), tag=tag, contends=contends))
         dep = task_id
     return tasks
+
+
+def _bucketed(
+    ctx: BuildContext, buckets: Buckets, gates: Sequence[str],
+    stages: Callable[[int, int, int], Stages], final: Optional[str] = None,
+) -> List[Tuple[Stages, str]]:
+    """A chain ``stages(b_idx, start, end)`` per bucket, hanging off the gate
+    of its last tensor (WFBP) or else off ``final`` (default: the last gate)."""
+    wfbp = ctx.system.wfbp
+    return [
+        (stages(b_idx, start, end), gates[end - 1] if wfbp else final or gates[-1])
+        for b_idx, (start, end) in enumerate(buckets)
+    ]
+
+
+def _raw_buckets(
+    ctx: BuildContext, skel: _Skeleton, prefix: str, group: str,
+    ready: Sequence[_ReadyTensor], buckets: Buckets,
+) -> List[Tuple[Stages, str]]:
+    """Buckets of uncompressed tensors ``ready``: one all-reduce each, the
+    flat-buffer copy folded in (~0.1ms GPU memcpy per 25MB, negligible
+    against alpha), after its last tensor's BP task or, without WFBP, BP."""
+    def stages(b_idx: int, start: int, end: int) -> Stages:
+        nbytes = float(sum(item.nbytes for item in ready[start:end]))
+        work = _collective(ctx, group, nbytes) + gpu_cost.pack_copy_time(nbytes, ctx.sim)
+        return [(f"{prefix}_comm{b_idx}", NIC, work, True)]
+    gates = [item.bp_task for item in ready]
+    return _bucketed(ctx, buckets, gates, stages, skel.last_bp)
 
 
 def _hook_timeline(
@@ -393,111 +422,70 @@ def _hook_timeline(
     return tasks, [hook.task_id for hook in hooks]
 
 
-def _hooked_tasks(
-    ctx: BuildContext,
-    buckets: Buckets,
-    prefix: str,
-    timeline: Tuple[List[Task], List[str]],
-    sizes: Sequence[float],
-    post_name: str,
-    post_work: Callable[[int, int], float],
-) -> List[Task]:
-    """A shared :func:`_hook_timeline` plus this scenario's collectives.
-
-    The hooks' payloads (``sizes``, wire bytes per hooked tensor) are fused
-    by ``buckets`` into one non-blocking all-reduce each; it waits for its
-    last member's compression (without WFBP: for all of it) and is followed by the
-    bucket's ``post_name`` task (reconstruct / scatter) costing
-    ``post_work(start, end)``.
-    """
-    system = ctx.system
-    tasks, hook_ids = list(timeline[0]), timeline[1]
-    for b_idx, (start, end) in enumerate(buckets):
-        comm_id = f"{prefix}_comm{b_idx}"
-        duration = ctx.cluster.allreduce_cost(float(sum(sizes[start:end])))
-        gate = hook_ids[end - 1 if system.wfbp else -1]
-        tasks.append(Task(comm_id, NIC, duration, (gate,), tag="comm"))
-        tasks.append(Task(f"{prefix}_{post_name}{b_idx}", GPU_MAIN,
-                          post_work(start, end), (comm_id,), tag="compression"))
-    return tasks
+# Method schedules, in ``_SCHEDULES``: ``(ctx, skel, parity_p) -> _Schedule``.
+# Only ACP-SGD's depends on the step parity.
 
 
-# Method builders: ``(ctx, parity_p, *plan) -> tasks`` in submission order,
-# ``plan`` being the method's :func:`fusion_plan`, one ``Buckets`` per tensor
-# group it fuses. Only ACP-SGD's graph depends on the step parity.
+def _ssgd(ctx: BuildContext, skel: _Skeleton, parity_p: bool) -> _Schedule:
+    """S-SGD: one all-reduce per fused bucket of raw gradients."""
+    return _Schedule(skel.tasks, ((skel.sizes, False),), lambda plan: _raw_buckets(
+        ctx, skel, "grad", "raw", skel.ready, plan[0]
+    ))
 
 
-def _ssgd_tasks(ctx: BuildContext, parity_p: bool, buckets: Buckets) -> List[Task]:
-    skel = _skeleton(ctx)
-    return skel.tasks + _bucket_comm_tasks(ctx, buckets, skel.ready, "grad")
+# (compress, decompress) in multiples of Sign-SGD's seconds: TernGrad clips,
+# rounds and packs (~1.5x); QSGD adds a norm pass and stochastic rounding (~2x).
+_SIGN_FAMILY = {"signsgd": (1.0, 1.0), "terngrad": (1.5, 2.0), "qsgd": (2.0, 4.0)}
 
 
-def _allgather_method_tasks(ctx: BuildContext, parity_p: bool) -> List[Task]:
-    """All-gather methods: post-BP packed compress -> all-gather -> decode.
-
-    Sign-SGD and Top-k follow the paper's §III-A characterization (packed
-    after BP); TernGrad, QSGD and DGC (extensions) ride the same template
-    with their own declared payloads and compression costs. WFBP/TF
-    switches do not change these graphs.
-    """
-    method, cluster, sim = ctx.method, ctx.cluster, ctx.sim
-    skel = _skeleton(ctx)
+def _allgather(ctx: BuildContext, skel: _Skeleton, parity_p: bool) -> _Schedule:
+    """All-gather methods: post-BP packed compress -> all-gather -> decode,
+    the paper's §III-A setup for Sign-SGD and Top-k, which TernGrad, QSGD and
+    DGC (extensions) ride with their own payloads and compression costs.
+    WFBP/TF switches do not change these graphs."""
+    method, world, sim = ctx.method, ctx.cluster.world_size, ctx.sim
     total_bytes = skel.raw_bytes
-    if method == "signsgd":
-        compress = gpu_cost.sign_compress_time(total_bytes, sim)
-        decompress = gpu_cost.sign_decompress_time(total_bytes, cluster.world_size, sim)
-    elif method == "terngrad":
-        # Packing cost ~1.5x sign's (clip + round + pack).
-        compress = 1.5 * gpu_cost.sign_compress_time(total_bytes, sim)
-        decompress = 2.0 * gpu_cost.sign_decompress_time(
-            total_bytes, cluster.world_size, sim
-        )
-    elif method == "qsgd":
-        # Norm pass + stochastic rounding ~2x sign.
-        compress = 2.0 * gpu_cost.sign_compress_time(total_bytes, sim)
-        decompress = 4.0 * gpu_cost.sign_decompress_time(
-            total_bytes, cluster.world_size, sim
-        )
+    if method in _SIGN_FAMILY:
+        compress, decompress = _SIGN_FAMILY[method]
+        compress *= gpu_cost.sign_compress_time(total_bytes, sim)
+        decompress *= gpu_cost.sign_decompress_time(total_bytes, world, sim)
     else:  # topk / dgc
         k = select_count(ctx.topk_ratio, total_bytes / FP32)
         compress = gpu_cost.topk_compress_time(total_bytes, sim)
         if method == "dgc":
             # Selection runs on the velocity: two accumulator update passes.
             compress += sim.memory_pass_time(4.0 * total_bytes)
-        decompress = gpu_cost.topk_decompress_time(k, cluster.world_size, sim)
-    gather = sim.allgather_penalty * allgather_time(
-        _flat_wire(ctx, skel).nbytes, cluster.world_size, cluster.link
-    )
-    return skel.tasks + _chained([
+        decompress = gpu_cost.topk_decompress_time(k, world, sim)
+    wire = _flat_wire(ctx, skel)
+    return _Schedule(skel.tasks, (), lambda plan: [([
         ("compress", GPU_MAIN, compress, True),
-        ("gather", NIC, gather, True),
+        ("gather", NIC, _collective(ctx, wire.group, wire.nbytes), True),
         ("decompress", GPU_MAIN, decompress, True),
-    ], skel.last_bp)
+    ], skel.last_bp)])
 
 
-def _randomk_tasks(ctx: BuildContext, parity_p: bool, buckets: Buckets) -> List[Task]:
-    """Random-k with a shared selection seed (extension).
-
-    Because all workers select identical coordinates, the sparse values are
-    *additive* and non-blocking — Random-k enjoys exactly the two §III-C
-    properties ACP-SGD is built around, so it gets the full WFBP + scaled
-    tensor-fusion treatment: inline per-tensor gather on the main stream,
-    fused ring all-reduce of the selected values, scatter on arrival.
-    """
-    skel, sim, wfbp = _skeleton(ctx), ctx.sim, ctx.system.wfbp
+def _randomk(ctx: BuildContext, skel: _Skeleton, parity_p: bool) -> _Schedule:
+    """Random-k with a shared selection seed (extension): its sparse values
+    are *additive* and non-blocking, the two §III-C properties ACP-SGD is
+    built around, so it gets the full WFBP + scaled tensor-fusion treatment:
+    inline per-tensor gather on the main stream, fused ring all-reduce of the
+    selected values, scatter on arrival."""
+    sim, wfbp = ctx.sim, ctx.system.wfbp
     nbytes = skel.sizes  # every tensor is hooked
-    timeline = skel.part(("rk", wfbp), lambda: _hook_timeline(
+    tasks, hook_ids = skel.part(("rk", wfbp), lambda: _hook_timeline(
         skel, wfbp, "rk", skel.ready,
         # EF add + masked gather: two streaming passes over the tensor.
         [sim.memory_pass_time(2.0 * size) for size in nbytes],
     ))
-    return _hooked_tasks(
-        ctx, buckets, "rk", timeline, _flat_wire(ctx, skel).sizes,
-        post_name="scatter",
-        post_work=lambda start, end: sim.memory_pass_time(
-            float(sum(nbytes[start:end]))
-        ),
-    )
+    sizes = _flat_wire(ctx, skel).sizes
+    return _Schedule(tasks, ((sizes, True),), lambda plan: _bucketed(
+        ctx, plan[0], hook_ids, lambda b_idx, start, end: [
+            (f"rk_comm{b_idx}", NIC,
+             _collective(ctx, "selection", float(sum(sizes[start:end]))), True),
+            (f"rk_scatter{b_idx}", GPU_MAIN,
+             sim.memory_pass_time(float(sum(nbytes[start:end]))), True),
+        ],
+    ))
 
 
 def _powersgd_costs(
@@ -518,113 +506,94 @@ def _powersgd_costs(
     )
 
 
-def _powersgd_bucket_tasks(
-    ctx: BuildContext, bucket_idx: int, lowrank: _LowRank, matrices: Sequence[int],
-    plain_bytes: float, dep: str, stream: str, ortho_contends: bool,
-) -> List[Task]:
-    """One Power-SGD bucket: compress P -> AR -> ortho -> Q -> AR -> reconstruct.
-
-    ``plain_bytes`` (uncompressed tensors of the bucket) ride the P
-    all-reduce, as in the PowerSGD DDP hook.
-    """
+def _powersgd_stages(
+    ctx: BuildContext, prefix: str, lowrank: _LowRank, matrices: Sequence[int],
+    plain_bytes: float, stream: str,
+) -> Stages:
+    """One Power-SGD group: compress P -> AR -> ortho -> Q -> AR -> reconstruct,
+    its ``plain_bytes`` riding the P all-reduce as in the PowerSGD DDP hook."""
     ef, project, ortho, reconstruct, p_bytes, q_bytes = _powersgd_costs(
         ctx, lowrank, matrices
     )
-    allreduce = ctx.cluster.allreduce_cost
-    prefix = f"psgd{bucket_idx}"
     # QR is launch-latency bound and does not contend for SMs; the EF pass,
-    # the projections and the reconstruction are FLOP-heavy and do.
-    return _chained([
+    # the projections and the reconstruction are FLOP-heavy and do. Without
+    # TF, Power-SGD*'s per-tensor hooks launch a storm of tiny kernels that
+    # stalls the main stream: their orthogonalizations contend too.
+    ortho_contends = ctx.sim.qr_contends if ctx.system.tensor_fusion else True
+    return [
         (f"{prefix}_compress_p", stream, ef + project, True),
-        (f"{prefix}_comm_p", NIC, allreduce(p_bytes + plain_bytes), True),
+        (f"{prefix}_comm_p", NIC, _collective(ctx, "P", p_bytes + plain_bytes), True),
         (f"{prefix}_ortho", stream, ortho, ortho_contends),
         (f"{prefix}_project_q", stream, project, True),
-        (f"{prefix}_comm_q", NIC, allreduce(q_bytes), True),
+        (f"{prefix}_comm_q", NIC, _collective(ctx, "Q", q_bytes), True),
         (f"{prefix}_reconstruct", stream, reconstruct, True),
-    ], dep)
+    ]
 
 
-def _powersgd_tasks(ctx: BuildContext, parity_p: bool) -> List[Task]:
+def _powersgd(ctx: BuildContext, skel: _Skeleton, parity_p: bool) -> _Schedule:
     """Original Power-SGD: packed after BP on the main stream, batched by
-    matrix shape (Vogels' reference implementation batches same-shape
-    matrices into one batched GEMM/QR and one collective per shape group
-    per factor)."""
-    skel = _skeleton(ctx)
-    tasks, last_bp = list(skel.tasks), skel.last_bp
+    matrix shape (Vogels' reference implementation: one batched GEMM/QR and
+    one collective per shape group per factor)."""
     lowrank = skel.part(("psgd", ctx.rank), lambda: _lowrank(ctx, skel))
     dims, plain, wire = lowrank
-    if not ctx.system.tensor_fusion:
-        # Naive variant: per-tensor collectives — same payload split into
-        # one P and one Q all-reduce per matrix (and one per plain tensor),
-        # charging the startup cost each time.
-        allreduce = ctx.cluster.allreduce_cost
-        for idx, index in enumerate(dims):
-            ef, project, ortho, reconstruct, p_bytes, q_bytes = _powersgd_costs(
-                ctx, lowrank, [index]
-            )
-            tasks.extend(_chained([
-                (f"psgdn_compress_p{idx}", GPU_MAIN, ef + project, True),
-                (f"psgdn_comm_p{idx}", NIC, allreduce(p_bytes), True),
-                (f"psgdn_ortho_q{idx}", GPU_MAIN, ortho + project, True),
-                (f"psgdn_comm_q{idx}", NIC, allreduce(q_bytes), True),
-                (f"psgdn_reconstruct{idx}", GPU_MAIN, reconstruct, True),
-            ], last_bp))
-        tasks.extend(
-            Task(f"psgdn_plain_comm{idx}", NIC, allreduce(wire["plain"][index]),
-                 (last_bp,), tag="comm")
-            for idx, index in enumerate(plain)
-        )
-        return tasks
-    plain_bytes = float(sum(wire.get("plain", {}).values()))
-    groups: Dict[Tuple[int, int], List[int]] = {}
-    for index, (n, m, _) in dims.items():
-        groups.setdefault((n, m), []).append(index)
-    for g_idx, group in enumerate(groups.values()):
-        tasks.extend(
-            _powersgd_bucket_tasks(
-                ctx, g_idx, lowrank, group, plain_bytes if g_idx == 0 else 0.0,
-                last_bp, GPU_MAIN, ctx.sim.qr_contends,
-            )
-        )
-    return tasks
+
+    def chains(plan):
+        if not ctx.system.tensor_fusion:
+            # Naive variant: per-tensor collectives — same payload split into
+            # one P and one Q all-reduce per matrix (and one per plain tensor),
+            # charging the startup cost each time.
+            for idx, index in enumerate(dims):
+                costs = _powersgd_costs(ctx, lowrank, [index])
+                ef, project, ortho, reconstruct, p_bytes, q_bytes = costs
+                yield [
+                    (f"psgdn_compress_p{idx}", GPU_MAIN, ef + project, True),
+                    (f"psgdn_comm_p{idx}", NIC, _collective(ctx, "P", p_bytes), True),
+                    (f"psgdn_ortho_q{idx}", GPU_MAIN, ortho + project, True),
+                    (f"psgdn_comm_q{idx}", NIC, _collective(ctx, "Q", q_bytes), True),
+                    (f"psgdn_reconstruct{idx}", GPU_MAIN, reconstruct, True),
+                ], skel.last_bp
+            for idx, index in enumerate(plain):
+                work = _collective(ctx, "plain", wire["plain"][index])
+                yield [(f"psgdn_plain_comm{idx}", NIC, work, True)], skel.last_bp
+            return
+        plain_bytes = float(sum(wire.get("plain", {}).values()))
+        groups: Dict[Tuple[int, int], List[int]] = {}
+        for index, (n, m, _) in dims.items():
+            groups.setdefault((n, m), []).append(index)
+        for g_idx, group in enumerate(groups.values()):
+            yield _powersgd_stages(
+                ctx, f"psgd{g_idx}", lowrank, group,
+                plain_bytes if g_idx == 0 else 0.0, GPU_MAIN,
+            ), skel.last_bp
+
+    return _Schedule(skel.tasks, (), chains)
 
 
-def _powersgd_star_tasks(
-    ctx: BuildContext, parity_p: bool, buckets: Buckets
-) -> List[Task]:
-    """Power-SGD* (DDP hook): buckets of raw gradient bytes in readiness order.
-
-    The hook's stages queue on the side stream in completion order — a
-    bucket's orthogonalize/Q callback runs when its P all-reduce future
-    resolves, typically before the next bucket's gradients are ready — so
-    per-bucket interleaved FIFO order models the real pipeline.
-    """
-    system, skel = ctx.system, _skeleton(ctx)
-    tasks, ready, last_bp = list(skel.tasks), skel.ready, skel.last_bp
-    stream = GPU_SIDE if system.wfbp else GPU_MAIN
-    # Fine-grained (per-tensor, no TF) hooks launch a storm of tiny kernels
-    # that stalls the main stream: their orthogonalizations contend too.
-    ortho_contends = ctx.sim.qr_contends if system.tensor_fusion else True
+def _powersgd_star(ctx: BuildContext, skel: _Skeleton, parity_p: bool) -> _Schedule:
+    """Power-SGD* (DDP hook) over buckets of raw gradient bytes: the hook's
+    stages queue on the side stream in completion order — a bucket's ortho/Q
+    callback runs when its P all-reduce resolves, typically before the next
+    bucket is ready — so per-bucket interleaved FIFO models the pipeline."""
+    stream = GPU_SIDE if ctx.system.wfbp else GPU_MAIN
     lowrank = skel.part(("psgd", ctx.rank), lambda: _lowrank(ctx, skel))
     dims, plain_sizes = lowrank[0], lowrank[2].get("plain", {})
-    for b_idx, (start, end) in enumerate(buckets):
+
+    def stages(b_idx: int, start: int, end: int) -> Stages:
         members = range(start, end)
-        matrices = [index for index in members if index in dims]
-        plain_bytes = float(sum(plain_sizes.get(index, 0) for index in members))
-        dep = ready[end - 1].bp_task if system.wfbp else last_bp
-        tasks.extend(
-            _powersgd_bucket_tasks(
-                ctx, b_idx, lowrank, matrices, plain_bytes, dep, stream,
-                ortho_contends,
-            )
+        return _powersgd_stages(
+            ctx, f"psgd{b_idx}", lowrank, [i for i in members if i in dims],
+            float(sum(plain_sizes.get(i, 0) for i in members)), stream,
         )
-    return tasks
+
+    return _Schedule(skel.tasks, ((skel.sizes, False),), lambda plan: _bucketed(
+        ctx, plan[0], [item.bp_task for item in skel.ready], stages, skel.last_bp
+    ))
 
 
-def _acpsgd_prefix(ctx: BuildContext, skel: _Skeleton, parity_p: bool):
-    """ACP-SGD's buffer-independent part: ``(hook timeline, factor wire
-    bytes, reconstruct seconds, plain tensors)``."""
-    sim, rank, wfbp = ctx.sim, ctx.rank, ctx.system.wfbp
+def _acpsgd(ctx: BuildContext, skel: _Skeleton, parity_p: bool) -> _Schedule:
+    """ACP-SGD: inline hook compression, one all-reduce per fused bucket of
+    factors, then its reconstruction (P Q^T); plain tensors fuse uncompressed."""
+    sim, wfbp = ctx.sim, ctx.system.wfbp
 
     def prefix():
         dims, plain, wire = _lowrank(ctx, skel, 1 if parity_p else 2)
@@ -641,60 +610,51 @@ def _acpsgd_prefix(ctx: BuildContext, skel: _Skeleton, parity_p: bool):
         ]
         return timeline, factor_bytes, reconstruct, [skel.ready[i] for i in plain]
 
-    return skel.part(("acp", rank, parity_p, wfbp), prefix)
-
-
-def _acpsgd_tasks(
-    ctx: BuildContext, parity_p: bool, buckets: Buckets, plain_buckets: Buckets
-) -> List[Task]:
-    """ACP-SGD: inline hook compression, one all-reduce per fused bucket."""
-    skel = _skeleton(ctx)
-    timeline, factor_bytes, reconstruct, plain = _acpsgd_prefix(ctx, skel, parity_p)
-    tasks = _hooked_tasks(
-        ctx, buckets, "acp", timeline, factor_bytes,
-        # Reconstruction (P Q^T) per bucket once its factor is aggregated.
-        post_name="reconstruct",
-        post_work=lambda start, end: sum(reconstruct[start:end]),
+    (tasks, hook_ids), factor_bytes, reconstruct, plain = skel.part(
+        ("acp", ctx.rank, parity_p, wfbp), prefix
     )
-    # Plain (vector) tensors: fused uncompressed all-reduce.
-    return tasks + _bucket_comm_tasks(ctx, plain_buckets, plain, "acp_plain")
+    group, plain_bytes = "P" if parity_p else "Q", [item.nbytes for item in plain]
+
+    def chains(plan):
+        factors, plain_buckets = plan
+        return _bucketed(ctx, factors, hook_ids, lambda b_idx, start, end: [
+            (f"acp_comm{b_idx}", NIC,
+             _collective(ctx, group, float(sum(factor_bytes[start:end]))), True),
+            (f"acp_reconstruct{b_idx}", GPU_MAIN, sum(reconstruct[start:end]), True),
+        ]) + _raw_buckets(ctx, skel, "acp_plain", "plain", plain, plain_buckets)
+
+    return _Schedule(tasks, ((factor_bytes, True), (plain_bytes, False)), chains)
 
 
-_BUILDERS: Dict[str, Callable[..., List[Task]]] = {
-    "ssgd": _ssgd_tasks,
-    "powersgd": _powersgd_tasks,
-    "powersgd_star": _powersgd_star_tasks,
-    "acpsgd": _acpsgd_tasks,
-    "randomk": _randomk_tasks,
-    **dict.fromkeys(
-        ("signsgd", "topk", "terngrad", "qsgd", "dgc"), _allgather_method_tasks
-    ),
+_SCHEDULES: Dict[str, Callable[[BuildContext, _Skeleton, bool], _Schedule]] = {
+    "ssgd": _ssgd, "powersgd": _powersgd, "powersgd_star": _powersgd_star,
+    "acpsgd": _acpsgd, "randomk": _randomk,
+    **dict.fromkeys(("signsgd", "topk", "terngrad", "qsgd", "dgc"), _allgather),
 }
 
 
-def fusion_plan(ctx: BuildContext, parity_p: bool = True) -> Tuple[Buckets, ...]:
-    """What ``ctx.graph(parity_p)`` takes from the fusion buffer: a bucket
-    partition per tensor group the method fuses (none for the all-gather
-    methods and packed Power-SGD). Nothing else reads the buffer size, so
-    scenarios differing in ``buffer_bytes`` alone with equal plans build
-    equal task lists — the autotuner prices each plan once."""
+def _planned(ctx: BuildContext, parity_p: bool):
+    """``(schedule, fusion_plan)`` of the scenario: the one reader of
+    ``buffer_bytes`` and of the §IV-B scaling."""
     system, skel = ctx.system, _skeleton(ctx)
-    fused: list = []  # (wire bytes per tensor, compressed?) of each group
-    if ctx.method in ("ssgd", "powersgd_star"):
-        fused = [(skel.sizes, False)]
-    elif ctx.method == "randomk":
-        fused = [(_flat_wire(ctx, skel).sizes, True)]
-    elif ctx.method == "acpsgd":
-        _, factor_bytes, _, plain = _acpsgd_prefix(ctx, skel, parity_p)
-        fused = [(factor_bytes, True), ([item.nbytes for item in plain], False)]
+    schedule = _SCHEDULES[ctx.method](ctx, skel, parity_p)
     plan = []
-    for sizes, compressed in fused:
+    for sizes, compressed in schedule.fused:
         buffer = system.buffer_bytes if system.tensor_fusion else 0.0
         if compressed and system.tensor_fusion and system.scale_compressed_buffer:
             # §IV-B: compressed payloads fuse under the buffer x their rate.
             buffer = scaled_buffer_size(buffer, sum(sizes), skel.raw_bytes)
         plan.append(tuple(partition_buckets(sizes, buffer)))
-    return tuple(plan)
+    return schedule, tuple(plan)
+
+
+def fusion_plan(ctx: BuildContext, parity_p: bool = True) -> Tuple[Buckets, ...]:
+    """What ``ctx.graph(parity_p)`` takes from the fusion buffer: a bucket
+    partition per tensor group the method's schedule fuses (none for the
+    all-gather methods and packed Power-SGD). Nothing else reads the buffer
+    size, so scenarios differing in ``buffer_bytes`` alone with equal plans
+    build equal task lists — the autotuner prices each plan once."""
+    return _planned(ctx, parity_p)[1]
 
 
 def build_iteration_graph(
@@ -710,7 +670,7 @@ def build_iteration_graph(
 ) -> TaskGraph:
     """Build (without running) one iteration's task graph for a method.
 
-    Dispatches to the method's builder through
+    Builds the method's schedule through
     :meth:`BuildContext.graph`. For ACP-SGD, ``acp_parity_p`` picks
     the P-step (odd) or Q-step (even) graph.
     """

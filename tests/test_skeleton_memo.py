@@ -160,13 +160,16 @@ def test_every_sim_field_is_part_of_the_key(models):
 
 
 def test_mutating_a_result_leaves_the_next_build_untouched(models):
+    intruder = ("intruder", "nic", 1.0, True)
     for method in ALL_METHODS:
         ctx = BuildContext.resolve(method, models[1])
         expected = build(ctx, cold=True)
-        tasks = strategies._BUILDERS[method](
-            ctx, True, *strategies.fusion_plan(ctx, True))
-        tasks.append(Task("intruder", "nic", 1.0))
-        del tasks[:5]
+        schedule, plan = strategies._planned(ctx, True)
+        chains = list(schedule.chains(plan))
+        for stages, _ in chains:
+            stages.append(intruder)
+        chains.append(([intruder], "ff0"))
+        del chains[:5]
         graph = ctx.graph()
         graph.add(Task("intruder", "nic", 1.0))
         graph.with_deps({"ff1": ()})
