@@ -174,6 +174,58 @@ class TestTopologyBuilders:
             f"node{i}:intra" for i in range(4)
         )
 
+    @pytest.mark.parametrize("nodes, scheme, expected", [
+        (2, "flat", [
+            ("flat_rs[n0]", "node0:nic", 0.005509831304347826, ()),
+            ("flat_rs[n1]", "node1:nic", 0.005509831304347826, ()),
+            ("flat_ag[n0]", "node0:nic", 0.005509831304347826,
+             ("flat_rs[n0]", "flat_rs[n1]")),
+            ("flat_ag[n1]", "node1:nic", 0.005509831304347826,
+             ("flat_rs[n0]", "flat_rs[n1]")),
+        ]),
+        (2, "hierarchical", [
+            ("hier_rs[n0]", "node0:intra", 0.00010785760000000001, ()),
+            ("hier_rs[n1]", "node1:intra", 0.00010785760000000001, ()),
+            ("hier_inter[n0]", "node0:nic", 0.007320441739130434,
+             ("hier_rs[n0]", "hier_rs[n1]")),
+            ("hier_inter[n1]", "node1:nic", 0.007320441739130434,
+             ("hier_rs[n0]", "hier_rs[n1]")),
+            ("hier_ag[n0]", "node0:intra", 0.00010785760000000001,
+             ("hier_inter[n0]",)),
+            ("hier_ag[n1]", "node1:intra", 0.00010785760000000001,
+             ("hier_inter[n1]",)),
+        ]),
+        (4, "flat",
+         [(f"flat_rs[n{i}]", f"node{i}:nic", 0.007033539130434783, ())
+          for i in range(4)]
+         + [(f"flat_ag[n{i}]", f"node{i}:nic", 0.007033539130434783,
+             tuple(f"flat_rs[n{j}]" for j in range(4)))
+            for i in range(4)]),
+        (4, "hierarchical",
+         [(f"hier_rs[n{i}]", f"node{i}:intra", 0.0001662864, ())
+          for i in range(4)]
+         + [(f"hier_inter[n{i}]", f"node{i}:nic", 0.011019662608695652,
+             tuple(f"hier_rs[n{j}]" for j in range(4)))
+            for i in range(4)]
+         + [(f"hier_ag[n{i}]", f"node{i}:intra", 0.0001662864,
+             (f"hier_inter[n{i}]",))
+            for i in range(4)]),
+    ])
+    def test_graph_pins_every_task_to_its_node(self, nodes, scheme, expected):
+        """Each phase runs on its own node's link, in submission order:
+        ``(task_id, stream, work, deps, tag, contends)`` of every task of
+        one 8 MiB all-reduce on an ``nodes`` x ``nodes`` NVLink / 10GbE
+        cluster."""
+        topology = ClusterTopology(
+            num_nodes=nodes, gpus_per_node=nodes,
+            intra_link=NVLINK2, inter_link=ETHERNET_10G,
+        )
+        graph = build_allreduce_graph(8 * 1024 * 1024, topology, scheme)
+        assert [
+            (t.task_id, t.stream, t.work, t.deps, t.tag, t.contends)
+            for t in graph.tasks
+        ] == [(*row, "comm", False) for row in expected]
+
     def test_flat_graph_matches_analytic(self):
         nbytes = 8 * 1024 * 1024
         makespan = simulate_allreduce_makespan(nbytes, TOPOLOGY, "flat")
