@@ -1,4 +1,4 @@
-"""Layered scheduling core: task graphs, resources, schedulers, one loop.
+"""Scheduling core: task graphs, resources, disciplines, one loop.
 
 Layering (each importable and testable on its own):
 
@@ -6,53 +6,35 @@ Layering (each importable and testable on its own):
   :class:`TaskRecord`: typed tasks with resources and dependencies, plus
   the structural transforms builders need.
 - :mod:`repro.sched.resources` — :class:`ResourceModel` (named
-  resources, per-pair contention rates) and :class:`ResourcePool`
-  (groups for placement).
-- :mod:`repro.sched.scheduler` — pluggable disciplines (``fifo``,
-  ``priority``) and placement schedulers (least-loaded,
-  topology-aware); extend :data:`DISCIPLINES` to add one.
+  resources, per-pair contention rates).
+- :mod:`repro.sched.scheduler` — the per-resource disciplines
+  ``"fifo"`` and ``"priority"``.
 - :mod:`repro.sched.engine` — :class:`EventLoop`, the single
   processor-sharing event loop driving any combination of the above.
 - :mod:`repro.sched.builders` — graph builders for collectives over a
   :class:`~repro.comm.topology.ClusterTopology` (flat vs hierarchical
-  all-reduce as task DAGs over per-node resources).
+  all-reduce as task DAGs over per-node links).
 
 ``repro.sim.engine.Engine`` is this package's :class:`EventLoop` with the
 two-GPU contention pair; strategy/pipeline/fault timelines in
 :mod:`repro.sim` are builders producing :class:`TaskGraph` instances.
 """
 
-from repro.sched.builders import (
-    build_allreduce_graph,
-    node_pools,
-    simulate_allreduce_makespan,
-)
+from repro.sched.builders import build_allreduce_graph, simulate_allreduce_makespan
 from repro.sched.engine import EventLoop
 from repro.sched.graph import Task, TaskGraph, TaskRecord
-from repro.sched.resources import ResourceModel, ResourcePool
-from repro.sched.scheduler import (
-    DISCIPLINES,
-    FifoScheduler,
-    LeastLoadedPlacement,
-    PriorityScheduler,
-    TopologyPlacement,
-    resolve_discipline,
-)
+from repro.sched.resources import ResourceModel
+from repro.sched.scheduler import DISCIPLINES, FifoScheduler, PriorityScheduler
 
 __all__ = [
     "DISCIPLINES",
     "EventLoop",
     "FifoScheduler",
-    "LeastLoadedPlacement",
     "PriorityScheduler",
     "ResourceModel",
-    "ResourcePool",
     "Task",
     "TaskGraph",
     "TaskRecord",
-    "TopologyPlacement",
     "build_allreduce_graph",
-    "node_pools",
-    "resolve_discipline",
     "simulate_allreduce_makespan",
 ]

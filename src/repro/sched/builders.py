@@ -1,55 +1,37 @@
 """Collective task-graph builders over a two-level cluster topology.
 
 These builders express the flat and hierarchical all-reduce schedules of
-:mod:`repro.comm.topology` as task DAGs over per-node resources, placed
-by the topology-aware scheduler. Running them through
-:class:`~repro.sched.engine.EventLoop` reproduces the analytic
-``flat_allreduce_time`` / ``hierarchical_allreduce_time`` makespans (and
-hence the flat-vs-hierarchical crossover) from first principles — per
-phase, per node, per link — instead of from one closed-form expression,
-which is what lets the same machinery answer questions the formula
-cannot (stragglers on one node, pools wider than one NIC, overlapping
+:mod:`repro.comm.topology` as task DAGs over per-node resources. Running
+them through :class:`~repro.sched.engine.EventLoop` reproduces the
+analytic ``flat_allreduce_time`` / ``hierarchical_allreduce_time``
+makespans (and hence the flat-vs-hierarchical crossover) from first
+principles — per phase, per node, per link — instead of from one
+closed-form expression, which is what lets the same machinery answer
+questions the formula cannot (stragglers on one node, overlapping
 several collectives).
 
-Resource naming convention (one member per node, index = node):
-``node{i}:intra`` for the node's GPU-to-GPU link, ``node{i}:nic`` for
-its NIC. :func:`node_pools` builds the matching pools.
+Resource naming convention (index = node): ``node{i}:intra`` for the
+node's GPU-to-GPU link, ``node{i}:nic`` for its NIC.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Callable, List, Tuple
 
 from repro.comm.cost_model import allreduce_time
 from repro.comm.topology import ClusterTopology, _ring_phase_time
 from repro.sched.engine import EventLoop
 from repro.sched.graph import Task, TaskGraph
-from repro.sched.resources import ResourcePool
-from repro.sched.scheduler import TopologyPlacement
-
-#: Pool names used by the collective builders.
-INTRA_POOL = "intra"
-NIC_POOL = "nic"
 
 SCHEMES = ("flat", "hierarchical")
-
-
-def node_pools(topology: ClusterTopology) -> Tuple[ResourcePool, ResourcePool]:
-    """The per-node intra-link and NIC pools for a topology."""
-    nodes = range(topology.num_nodes)
-    return (
-        ResourcePool(INTRA_POOL, tuple(f"node{i}:intra" for i in nodes)),
-        ResourcePool(NIC_POOL, tuple(f"node{i}:nic" for i in nodes)),
-    )
 
 
 def build_allreduce_graph(
     nbytes: float,
     topology: ClusterTopology,
     scheme: str = "hierarchical",
-    prefix: str = "",
 ) -> TaskGraph:
-    """One all-reduce of ``nbytes`` as a placed task DAG.
+    """One all-reduce of ``nbytes`` as a task DAG over per-node links.
 
     ``"flat"``: a single ring over all GPUs — reduce-scatter then
     all-gather, every step crossing the inter-node link, each node's NIC
@@ -62,57 +44,43 @@ def build_allreduce_graph(
     is a collective: it starts only once *every* node's reduce-scatter
     is done.
 
-    Tasks carry node hints and pool-level streams; the returned graph is
-    already placed onto ``node{i}:intra`` / ``node{i}:nic`` by
-    :class:`~repro.sched.scheduler.TopologyPlacement`.
+    Each phase is one task per node, on that node's ``node{i}:intra`` or
+    ``node{i}:nic``.
     """
     if nbytes < 0:
         raise ValueError(f"nbytes must be >= 0, got {nbytes}")
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; available: {SCHEMES}")
 
-    nodes = topology.num_nodes
-    graph = TaskGraph()
-    hints: Dict[str, int] = {}
+    def phase(name: str, link: str, work: float,
+              deps: Callable[[int], Tuple[str, ...]]) -> List[Task]:
+        return [
+            Task(f"{name}[n{i}]", f"node{i}:{link}", work, deps(i),
+                 tag="comm", contends=False)
+            for i in range(topology.num_nodes)
+        ]
 
-    def comm(task_id: str, work: float, deps: Tuple[str, ...],
-             pool: str, node: int) -> str:
-        task_id = prefix + task_id
-        graph.add(Task(task_id, pool, work,
-                       tuple(prefix + dep for dep in deps),
-                       tag="comm", contends=False))
-        hints[task_id] = node
-        return task_id
+    def after_all(tasks: List[Task]) -> Callable[[int], Tuple[str, ...]]:
+        ids = tuple(task.task_id for task in tasks)
+        return lambda i: ids
 
     if scheme == "flat":
-        phase = _ring_phase_time(
+        work = _ring_phase_time(
             nbytes, topology.world_size, topology.inter_link
         )
-        rs_ids = tuple(
-            comm(f"flat_rs[n{i}]", phase, (), NIC_POOL, i)
-            for i in range(nodes)
-        )
-        bare_rs = tuple(tid[len(prefix):] for tid in rs_ids)
-        for i in range(nodes):
-            comm(f"flat_ag[n{i}]", phase, bare_rs, NIC_POOL, i)
-    else:
-        intra_phase = _ring_phase_time(
-            nbytes, topology.gpus_per_node, topology.intra_link
-        )
-        inter = allreduce_time(nbytes, nodes, topology.inter_link)
-        rs_ids = tuple(
-            comm(f"hier_rs[n{i}]", intra_phase, (), INTRA_POOL, i)
-            for i in range(nodes)
-        )
-        bare_rs = tuple(tid[len(prefix):] for tid in rs_ids)
-        for i in range(nodes):
-            comm(f"hier_inter[n{i}]", inter, bare_rs, NIC_POOL, i)
-        for i in range(nodes):
-            comm(f"hier_ag[n{i}]", intra_phase, (f"hier_inter[n{i}]",),
-                 INTRA_POOL, i)
-
-    placement = TopologyPlacement(topology, hints)
-    return placement.assign(graph, node_pools(topology))
+        rs = phase("flat_rs", "nic", work, lambda i: ())
+        return TaskGraph(rs + phase("flat_ag", "nic", work, after_all(rs)))
+    intra = _ring_phase_time(
+        nbytes, topology.gpus_per_node, topology.intra_link
+    )
+    rs = phase("hier_rs", "intra", intra, lambda i: ())
+    inter = phase(
+        "hier_inter", "nic",
+        allreduce_time(nbytes, topology.num_nodes, topology.inter_link),
+        after_all(rs),
+    )
+    ag = phase("hier_ag", "intra", intra, lambda i: (inter[i].task_id,))
+    return TaskGraph(rs + inter + ag)
 
 
 def simulate_allreduce_makespan(

@@ -3,9 +3,9 @@
 :class:`EventLoop` runs a :class:`~repro.sched.graph.TaskGraph` (or a
 plain task sequence) over any set of named resources, with
 
-- per-resource scheduling *disciplines* resolved through
-  :mod:`repro.sched.scheduler` (``"fifo"`` default, ``"priority"``, or
-  any object exposing ``select``),
+- per-resource scheduling *disciplines* named in
+  :data:`repro.sched.scheduler.DISCIPLINES` (``"fifo"`` default,
+  ``"priority"``),
 - a :class:`~repro.sched.resources.ResourceModel` supplying pairwise
   contention rates (the legacy two-GPU slowdown is one pair),
 - ``start_after`` time gates consumed from a **sorted queue** as the
@@ -45,7 +45,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.sched.graph import Task, TaskGraph, TaskRecord
 from repro.sched.resources import ResourceModel
-from repro.sched.scheduler import resolve_discipline
+from repro.sched.scheduler import DISCIPLINES, FifoScheduler
 
 
 class EventLoop:
@@ -54,24 +54,24 @@ class EventLoop:
     Args:
         resources: pairwise contention model (default: no contention —
             every resource always runs at full speed).
-        disciplines: per-resource discipline, as a registry name
-            (``"fifo"``/``"priority"``) or a scheduler object. Resources
-            not listed use ``default_discipline``.
-        default_discipline: discipline for unlisted resources.
+        disciplines: per-resource discipline name (``"fifo"`` or
+            ``"priority"``). Resources not listed are FIFO.
     """
 
     def __init__(
         self,
         resources: Optional[ResourceModel] = None,
-        disciplines: Optional[Mapping[str, Union[str, object]]] = None,
-        default_discipline: Union[str, object] = "fifo",
+        disciplines: Optional[Mapping[str, str]] = None,
     ) -> None:
         self.resources = resources if resources is not None else ResourceModel()
-        self.disciplines = {
-            stream: resolve_discipline(spec, stream)
-            for stream, spec in (disciplines or {}).items()
-        }
-        self._default = resolve_discipline(default_discipline, "<default>")
+        self.disciplines = {}
+        for stream, name in (disciplines or {}).items():
+            if name not in DISCIPLINES:
+                raise ValueError(
+                    f"unknown discipline {name!r} for stream {stream!r}"
+                )
+            self.disciplines[stream] = DISCIPLINES[name]()
+        self._default = FifoScheduler()
 
     def run(
         self, graph: Union[TaskGraph, Sequence[Task]]

@@ -1,13 +1,14 @@
 """Typed task graphs: the unit of work the scheduling core runs.
 
 A :class:`Task` names a unit of simulated work on a *resource* (a GPU
-stream, a NIC, one node's PCIe complex — any string); a
-:class:`TaskGraph` is an ordered, validated collection of tasks with
+stream, a NIC, one node's intra-node link — any string); a
+:class:`TaskGraph` is an immutable, ordered collection of tasks with
 dependency edges. Graphs are what the strategy/pipeline/fault *builders*
 produce and what :class:`repro.sched.engine.EventLoop` consumes; they
 also support the structural transforms those builders need (prefixing
-for iteration chaining, dependency rewrites, per-task mapping) so no
-caller has to reconstruct ``Task`` tuples by hand.
+for iteration chaining, dependency rewrites, per-task mapping), each
+returning a new graph, so no caller has to reconstruct ``Task`` tuples
+by hand.
 
 Submission order is semantically significant — FIFO disciplines replay
 it and priority disciplines use it to break ties — so every transform
@@ -22,7 +23,6 @@ from typing import (
     Dict,
     Iterable,
     Iterator,
-    List,
     Mapping,
     Optional,
     Sequence,
@@ -37,11 +37,9 @@ class Task:
 
     Attributes:
         task_id: unique name.
-        stream: resource this task runs on. The legacy engine used the
-            fixed trio ``gpu_main``/``gpu_side``/``nic``; the scheduling
-            core accepts any name (including a :class:`~repro.sched
-            .resources.ResourcePool` name to be resolved by a placement
-            scheduler).
+        stream: resource this task runs on — any name. The simulator's
+            iterations use ``gpu_main``/``gpu_side``/``nic``; the
+            all-reduce builders use ``node{i}:intra``/``node{i}:nic``.
         work: seconds of work at full rate (>= 0).
         deps: task_ids that must complete before this task may start.
         tag: breakdown category — ``"forward"``, ``"backward"``,
@@ -94,28 +92,23 @@ class TaskRecord:
 
 
 class TaskGraph:
-    """An ordered collection of :class:`Task` with dependency edges.
+    """An immutable, ordered collection of :class:`Task` with dependency
+    edges.
 
-    Duplicate ids are rejected at insertion; dangling dependency edges
-    are rejected by :meth:`validate` (run automatically by the event
-    loop), matching the legacy engine's two-pass validation order.
+    Duplicate ids are rejected at construction (the first repeated id is
+    named); dangling dependency edges are rejected by :meth:`validate`
+    (run automatically by the event loop).
     """
 
     def __init__(self, tasks: Iterable[Task] = ()) -> None:
-        self._tasks: List[Task] = []
-        self._by_id: Dict[str, Task] = {}
-        self.extend(tasks)
-
-    # -- construction -------------------------------------------------
-    def add(self, task: Task) -> None:
-        if task.task_id in self._by_id:
-            raise ValueError(f"duplicate task id {task.task_id!r}")
-        self._by_id[task.task_id] = task
-        self._tasks.append(task)
-
-    def extend(self, tasks: Iterable[Task]) -> None:
-        for task in tasks:
-            self.add(task)
+        self._tasks = tuple(tasks)
+        self._by_id: Dict[str, Task] = {task.task_id: task for task in self._tasks}
+        if len(self._by_id) != len(self._tasks):
+            seen = set()
+            for task in self._tasks:
+                if task.task_id in seen:
+                    raise ValueError(f"duplicate task id {task.task_id!r}")
+                seen.add(task.task_id)
 
     def validate(self) -> None:
         """Reject dependency edges that point at no task in the graph."""
@@ -137,7 +130,7 @@ class TaskGraph:
     @property
     def tasks(self) -> Tuple[Task, ...]:
         """All tasks in submission order."""
-        return tuple(self._tasks)
+        return self._tasks
 
     def __len__(self) -> int:
         return len(self._tasks)
@@ -150,13 +143,6 @@ class TaskGraph:
 
     def get(self, task_id: str) -> Optional[Task]:
         return self._by_id.get(task_id)
-
-    def resources(self) -> Tuple[str, ...]:
-        """Distinct resource names, in first-use order."""
-        seen: Dict[str, None] = {}
-        for task in self._tasks:
-            seen.setdefault(task.stream, None)
-        return tuple(seen)
 
     # -- transforms (all preserve submission order) -------------------
     def prefixed(self, prefix: str) -> "TaskGraph":
@@ -184,10 +170,3 @@ class TaskGraph:
     def map_tasks(self, fn: Callable[[Task], Task]) -> "TaskGraph":
         """Clone with ``fn`` applied to every task (fault perturbation)."""
         return TaskGraph(fn(task) for task in self._tasks)
-
-    def merged(self, *others: "TaskGraph") -> "TaskGraph":
-        """Concatenate graphs (duplicate ids across parts are rejected)."""
-        graph = TaskGraph(self._tasks)
-        for other in others:
-            graph.extend(other.tasks)
-        return graph

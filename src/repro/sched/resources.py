@@ -1,44 +1,20 @@
-"""Named resources, resource pools, and per-pair contention.
+"""Named resources with per-pair contention.
 
-The legacy engine special-cased exactly one interaction: while both GPU
+The simulator's one interaction between resources: while both GPU
 streams run FLOP-heavy work, each progresses at ``contention_rate``.
-:class:`ResourceModel` generalizes that to any set of named resources
-with a rate per *pair*: while resources ``a`` and ``b`` both run tasks
-that declare ``contends=True``, each runs at the pair's rate (a resource
+:class:`ResourceModel` states it for any set of named resources with a
+rate per *pair*: while resources ``a`` and ``b`` both run tasks that
+declare ``contends=True``, each runs at the pair's rate (a resource
 contending with several busy partners takes the most pessimistic rate).
 Resources never named in a pair — the NIC, per-node links — always run
 at full speed.
-
-:class:`ResourcePool` names a *group* of interchangeable resources
-(e.g. every node's NIC); placement schedulers
-(:mod:`repro.sched.scheduler`) resolve pool-addressed tasks onto
-concrete members before the event loop runs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, Mapping, Optional
 
 from repro.sched.graph import Task
-
-
-@dataclass(frozen=True)
-class ResourcePool:
-    """A named group of interchangeable concrete resources."""
-
-    name: str
-    members: Tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if not self.members:
-            raise ValueError(f"pool {self.name!r} has no members")
-        if len(set(self.members)) != len(self.members):
-            raise ValueError(f"pool {self.name!r} has duplicate members")
-        if self.name in self.members:
-            raise ValueError(
-                f"pool {self.name!r} may not contain a member named after itself"
-            )
 
 
 class ResourceModel:
@@ -69,7 +45,7 @@ class ResourceModel:
 
     @classmethod
     def gpu_contention(cls, contention_rate: float) -> "ResourceModel":
-        """The legacy model: ``gpu_main`` and ``gpu_side`` interfere."""
+        """The simulator's model: ``gpu_main`` and ``gpu_side`` interfere."""
         return cls({("gpu_main", "gpu_side"): contention_rate})
 
     @property

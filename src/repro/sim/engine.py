@@ -2,7 +2,7 @@
 worker's three streams.
 
 The discrete-event loop lives in :class:`repro.sched.engine.EventLoop`
-over arbitrary named resources and pluggable schedulers; this module
+over arbitrary named resources and per-stream disciplines; this module
 fixes the resources the iteration timelines use — ``Task``,
 ``TaskRecord``, ``Engine``, and the three canonical stream names — and
 is the one ``run`` every :mod:`repro.sim` path goes through

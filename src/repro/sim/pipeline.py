@@ -67,7 +67,7 @@ def _chain_graphs(
     task, which preserves the "shallow buckets gate early forwards, deep
     buckets can lag" structure.
     """
-    chained = TaskGraph()
+    chained: List[Task] = []
     prev_comm_ids: List[str] = []
     prev_last_compute: Optional[str] = None
     for iteration, graph in enumerate(per_iteration):
@@ -101,7 +101,7 @@ def _chain_graphs(
         prev_comm_ids = [t.task_id for t in tasks if t.tag == "comm"]
         compute = [t for t in tasks if t.stream != "nic"]
         prev_last_compute = compute[-1].task_id if compute else None
-    return chained
+    return TaskGraph(chained)
 
 
 def _prioritize_comm(graph: TaskGraph) -> TaskGraph:

@@ -362,25 +362,23 @@ class TestPlannerColdPathCounts:
     once — and still runs every distinct simulation it ran before (the tuner
     prices each fusion plan once: ``tests/test_autotune_dedupe.py``)."""
 
-    def test_event_loop_polls_and_rate_lookups_per_task(self):
+    def test_event_loop_polls_and_rate_lookups_per_task(self, monkeypatch):
         from repro.models import get_model_spec
         from repro.sched import EventLoop, FifoScheduler, ResourceModel
         from repro.sim.strategies import build_iteration_graph
 
-        class CountingFifo:
-            calls = 0
-            inner = FifoScheduler()
+        calls = {"select": 0, "rates": 0}
 
-            def select(self, queue, cursor, done, is_ready):
-                self.calls += 1
-                return self.inner.select(queue, cursor, done, is_ready)
+        def counted(fn, name):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
 
-        class CountingModel(ResourceModel):
-            calls = 0
-
-            def rates(self, active):
-                self.calls += 1
-                return super().rates(active)
+        monkeypatch.setattr(FifoScheduler, "select",
+                            counted(FifoScheduler.select, "select"))
+        monkeypatch.setattr(ResourceModel, "rates",
+                            counted(ResourceModel.rates, "rates"))
 
         # The second graph is 2.8x the first: polls per task must not grow
         # with the graph (1.954 and 1.964 per task; 3.91 before the counting
@@ -388,11 +386,12 @@ class TestPlannerColdPathCounts:
         for name, tasks, polls in [("ResNet-50", 283, 553),
                                    ("ResNet-152", 803, 1577)]:
             graph = build_iteration_graph("acpsgd", get_model_spec(name))
-            fifo, model = CountingFifo(), CountingModel.gpu_contention(0.15)
-            records = EventLoop(model, default_discipline=fifo).run(graph)
+            calls.update(select=0, rates=0)
+            model = ResourceModel.gpu_contention(0.15)
+            records = EventLoop(model).run(graph)
             assert len(records) == len(graph) == tasks
-            assert fifo.calls <= polls <= 2 * tasks
-            assert model.calls == 0  # no gpu_side task: was once per event
+            assert calls["select"] <= polls <= 2 * tasks
+            assert calls["rates"] == 0  # no gpu_side task: was once per event
 
     def test_one_plan_builds_each_skeleton_once(self, monkeypatch):
         import repro.planner

@@ -1,5 +1,5 @@
 """Unit tests of the repro.sched core: graph transforms, resource model,
-placement schedulers, topology builders, Gantt rows, and the bench.
+disciplines, topology builders and Gantt rows.
 
 The crossover-reproduction test is the tentpole acceptance criterion: the
 task-DAG model over the scheduler core must reproduce the analytic
@@ -20,15 +20,10 @@ from repro.comm.topology import (
 )
 from repro.sched import (
     EventLoop,
-    LeastLoadedPlacement,
     ResourceModel,
-    ResourcePool,
     Task,
     TaskGraph,
-    TopologyPlacement,
     build_allreduce_graph,
-    node_pools,
-    resolve_discipline,
     simulate_allreduce_makespan,
 )
 
@@ -40,9 +35,9 @@ TOPOLOGY = ClusterTopology(
 
 class TestTaskGraph:
     def test_duplicate_id_rejected(self):
-        graph = TaskGraph([Task("a", "s", 1.0)])
-        with pytest.raises(ValueError, match="duplicate task id"):
-            graph.add(Task("a", "s", 1.0))
+        tasks = [Task("a", "s", 1.0), Task("b", "s", 1.0), Task("a", "s", 1.0)]
+        with pytest.raises(ValueError, match="duplicate task id 'a'"):
+            TaskGraph(tasks)
 
     def test_unknown_dep_rejected_by_validate(self):
         graph = TaskGraph([Task("a", "s", 1.0, deps=("ghost",))])
@@ -67,13 +62,6 @@ class TestTaskGraph:
         assert rewired.get("b").deps == ()
         with pytest.raises(ValueError, match="unknown task ids"):
             graph.with_deps({"ghost": ()})
-
-    def test_merged_and_resources_order(self):
-        left = TaskGraph([Task("a", "x", 1.0)])
-        right = TaskGraph([Task("b", "y", 1.0), Task("c", "x", 1.0)])
-        merged = left.merged(right)
-        assert len(merged) == 3
-        assert merged.resources() == ("x", "y")
 
     def test_cycle_detected(self):
         """A dependency cycle is the event loop's deadlock."""
@@ -118,62 +106,14 @@ class TestResourceModel:
         with pytest.raises(ValueError, match="contention_rate"):
             ResourceModel({("a", "b"): 0.0})
 
-    def test_pool_validation(self):
-        with pytest.raises(ValueError):
-            ResourcePool("p", ())
-        with pytest.raises(ValueError):
-            ResourcePool("p", ("m", "m"))
-
     def test_unknown_discipline(self):
-        with pytest.raises(ValueError, match="unknown discipline"):
-            resolve_discipline("round-robin", "nic")
-
-
-class TestPlacement:
-    def test_least_loaded_balances_work(self):
-        pool = ResourcePool("intra", ("m0", "m1"))
-        graph = TaskGraph([
-            Task("a", "intra", 3.0),
-            Task("b", "intra", 1.0),
-            Task("c", "intra", 1.0),
-        ])
-        placed = LeastLoadedPlacement().assign(graph, (pool,))
-        streams = [t.stream for t in placed.tasks]
-        assert set(streams) == {"m0", "m1"}
-        # a -> m0 (3.0), b -> m1 (1.0), c -> m1 (still least loaded)
-        assert streams == ["m0", "m1", "m1"]
-
-    def test_topology_placement_honours_hints(self):
-        topology = ClusterTopology(num_nodes=2, gpus_per_node=2)
-        pools = node_pools(topology)
-        graph = TaskGraph([
-            Task("a", "intra", 1.0),
-            Task("b", "intra", 1.0),
-        ])
-        placed = TopologyPlacement(topology, {"a": 1, "b": 0}).assign(
-            graph, pools
-        )
-        assert placed.get("a").stream == "node1:intra"
-        assert placed.get("b").stream == "node0:intra"
-
-    def test_topology_placement_rejects_bad_hint(self):
-        topology = ClusterTopology(num_nodes=2, gpus_per_node=2)
-        graph = TaskGraph([Task("a", "intra", 1.0)])
-        with pytest.raises(ValueError):
-            TopologyPlacement(topology, {"a": 9}).assign(
-                graph, node_pools(topology)
-            )
+        with pytest.raises(
+            ValueError, match="unknown discipline 'round-robin' for stream 'nic'"
+        ):
+            EventLoop(disciplines={"nic": "round-robin"})
 
 
 class TestTopologyBuilders:
-    def test_node_pools_shape(self):
-        pools = node_pools(TOPOLOGY)
-        by_name = {pool.name: pool for pool in pools}
-        assert set(by_name) == {"intra", "nic"}
-        assert by_name["intra"].members == tuple(
-            f"node{i}:intra" for i in range(4)
-        )
-
     @pytest.mark.parametrize("nodes, scheme, expected", [
         (2, "flat", [
             ("flat_rs[n0]", "node0:nic", 0.005509831304347826, ()),

@@ -1,7 +1,7 @@
 """Property-based tests of the repro.sched scheduler core.
 
 The invariants here are discipline-level guarantees of the generalized
-event loop (arbitrary named resources, pluggable schedulers), distinct
+event loop (arbitrary named resources, per-resource disciplines), distinct
 from the legacy-engine properties in ``test_engine_properties.py``:
 
 - a resource executes one task at a time (no same-resource overlap);
@@ -22,6 +22,12 @@ from repro.sched import EventLoop, ResourceModel, Task, TaskGraph
 from tests.reference_event_loop import ReferenceEventLoop
 
 RESOURCES = ("alpha", "beta", "gamma")
+
+
+def on_every(discipline, resources=RESOURCES):
+    """``disciplines=`` naming ``discipline`` for every resource."""
+    return {resource: discipline for resource in resources}
+
 #: Zero-work tasks (instant cascades) are as common as any other length.
 WORK = st.one_of(st.just(0.0), st.floats(0.0, 3.0))
 
@@ -70,7 +76,7 @@ class TestCoreInvariants:
     @given(graph=random_graph(),
            discipline=st.sampled_from(("fifo", "priority")))
     def test_no_same_resource_overlap(self, graph, discipline):
-        loop = EventLoop(default_discipline=discipline)
+        loop = EventLoop(disciplines=on_every(discipline))
         records = loop.run(graph)
         by_resource = {}
         for record in records.values():
@@ -88,7 +94,7 @@ class TestCoreInvariants:
     @given(graph=random_graph(),
            discipline=st.sampled_from(("fifo", "priority")))
     def test_deps_and_gates_precede_starts(self, graph, discipline):
-        records = EventLoop(default_discipline=discipline).run(graph)
+        records = EventLoop(disciplines=on_every(discipline)).run(graph)
         assert len(records) == len(graph)
         for task in graph:
             record = records[task.task_id]
@@ -118,12 +124,12 @@ class TestDisciplineProperties:
     ):
         """Distinct priorities + no deps: execution order is the priority
         order, so any submission permutation yields identical records."""
-        baseline = EventLoop(default_discipline="priority").run(
+        baseline = EventLoop(disciplines={"only": "priority"}).run(
             TaskGraph(batch)
         )
         shuffled = list(batch)
         shuffle.shuffle(shuffled)
-        permuted = EventLoop(default_discipline="priority").run(
+        permuted = EventLoop(disciplines={"only": "priority"}).run(
             TaskGraph(shuffled)
         )
         assert {
@@ -146,8 +152,8 @@ class TestDisciplineProperties:
                  priority=priorities[idx])
             for idx, work in enumerate(works)
         ]
-        fifo = EventLoop(default_discipline="fifo").run(TaskGraph(tasks))
-        prio = EventLoop(default_discipline="priority").run(TaskGraph(tasks))
+        fifo = EventLoop(disciplines={"only": "fifo"}).run(TaskGraph(tasks))
+        prio = EventLoop(disciplines={"only": "priority"}).run(TaskGraph(tasks))
         for task in tasks:
             assert fifo[task.task_id].start == prio[task.task_id].start
             assert fifo[task.task_id].end == prio[task.task_id].end
@@ -156,8 +162,8 @@ class TestDisciplineProperties:
     @given(graph=random_graph(),
            discipline=st.sampled_from(("fifo", "priority")))
     def test_determinism(self, graph, discipline):
-        first = EventLoop(default_discipline=discipline).run(graph)
-        second = EventLoop(default_discipline=discipline).run(graph)
+        first = EventLoop(disciplines=on_every(discipline)).run(graph)
+        second = EventLoop(disciplines=on_every(discipline)).run(graph)
         assert {
             task_id: (record.start, record.end)
             for task_id, record in first.items()
@@ -170,21 +176,6 @@ class TestDisciplineProperties:
 # -- bit-identity with the reference loop ------------------------------
 
 TWO_PAIRS = {("alpha", "beta"): 0.25, ("beta", "gamma"): 0.5}
-
-
-class LastReady:
-    """A discipline that is no subclass of the built-ins: the *last* ready
-    task of the queue runs (LIFO among ready tasks), cursor untouched."""
-
-    def __init__(self):
-        self.calls = 0
-
-    def select(self, queue, cursor, done, is_ready):
-        self.calls += 1
-        for task in reversed(queue):
-            if task.task_id not in done and is_ready(task):
-                return task, cursor
-        return None, cursor
 
 
 @st.composite
@@ -227,9 +218,8 @@ def both_loops(**kwargs):
 
 DISCIPLINE_ASSIGNMENTS = {
     "fifo": {},
-    "priority": {"default_discipline": "priority"},
-    "mixed": {"disciplines": {"alpha": "priority", "gamma": "fifo"},
-              "default_discipline": "fifo"},
+    "priority": {"disciplines": on_every("priority")},
+    "mixed": {"disciplines": {"alpha": "priority", "gamma": "fifo"}},
 }
 
 
@@ -251,17 +241,6 @@ class TestBitIdenticalToReferenceLoop:
         if isinstance(expected, str):
             assert expected.startswith("deadlock: no runnable task among [")
 
-    @settings(max_examples=60, deadline=None)
-    @given(graph=random_graph())
-    def test_custom_discipline_through_the_select_protocol(self, graph):
-        ours, theirs = LastReady(), LastReady()
-        new = EventLoop(ResourceModel(TWO_PAIRS), default_discipline=ours)
-        reference = ReferenceEventLoop(
-            ResourceModel(TWO_PAIRS), default_discipline=theirs
-        )
-        assert outcome(new, graph) == outcome(reference, graph)
-        assert 0 < ours.calls <= theirs.calls
-
     def test_cycle_and_blocked_fifo_head_messages(self):
         cycle = [Task("a", "alpha", 1.0, deps=("b",)),
                  Task("b", "beta", 1.0, deps=("a",)),
@@ -278,7 +257,7 @@ class TestBitIdenticalToReferenceLoop:
                     loop.run(tasks)
                 assert str(raised.value) == message
         # The priority discipline is not head-of-line blocked.
-        for loop in both_loops(default_discipline="priority"):
+        for loop in both_loops(disciplines=on_every("priority")):
             assert set(loop.run(blocked)) == {"late", "early"}
 
     def test_pick_from_a_progressing_pass_is_not_pinned(self):
@@ -290,7 +269,7 @@ class TestBitIdenticalToReferenceLoop:
             Task("high", "alpha", 2.0, deps=("unlock",), priority=9),
             Task("unlock", "beta", 0.0),
         ]
-        for loop in both_loops(default_discipline="priority"):
+        for loop in both_loops(disciplines=on_every("priority")):
             records = loop.run(tasks)
             assert (records["high"].start, records["high"].end) == (0.0, 2.0)
             assert (records["low"].start, records["low"].end) == (2.0, 3.0)

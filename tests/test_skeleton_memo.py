@@ -19,7 +19,6 @@ import pytest
 
 import repro.planner
 from repro.models import get_model_spec
-from repro.sched import Task
 from repro.serve import PlannerService, PlanQuery
 from repro.serve.service import compute_plan_payload
 from repro.sim import strategies
@@ -171,7 +170,6 @@ def test_mutating_a_result_leaves_the_next_build_untouched(models):
         chains.append(([intruder], "ff0"))
         del chains[:5]
         graph = ctx.graph()
-        graph.add(Task("intruder", "nic", 1.0))
         graph.with_deps({"ff1": ()})
         graph.map_tasks(lambda task: replace(task, work=task.work * 2.0))
         assert build(ctx) == expected, method
