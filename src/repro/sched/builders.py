@@ -16,7 +16,7 @@ node's GPU-to-GPU link, ``node{i}:nic`` for its NIC.
 
 from __future__ import annotations
 
-from typing import Callable, List, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.comm.cost_model import allreduce_time
 from repro.comm.topology import ClusterTopology, _ring_phase_time
@@ -52,34 +52,35 @@ def build_allreduce_graph(
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; available: {SCHEMES}")
 
+    nodes = topology.num_nodes
+
     def phase(name: str, link: str, work: float,
-              deps: Callable[[int], Tuple[str, ...]]) -> List[Task]:
+              deps: Sequence[Tuple[str, ...]]) -> List[Task]:
+        """One task per node; ``deps[i]`` is node ``i``'s dependencies."""
         return [
-            Task(f"{name}[n{i}]", f"node{i}:{link}", work, deps(i),
+            Task(f"{name}[n{i}]", f"node{i}:{link}", work, deps[i],
                  tag="comm", contends=False)
-            for i in range(topology.num_nodes)
+            for i in range(nodes)
         ]
 
-    def after_all(tasks: List[Task]) -> Callable[[int], Tuple[str, ...]]:
-        ids = tuple(task.task_id for task in tasks)
-        return lambda i: ids
+    def after_all(tasks: List[Task]) -> List[Tuple[str, ...]]:
+        return [tuple(task.task_id for task in tasks)] * nodes
 
     if scheme == "flat":
         work = _ring_phase_time(
             nbytes, topology.world_size, topology.inter_link
         )
-        rs = phase("flat_rs", "nic", work, lambda i: ())
+        rs = phase("flat_rs", "nic", work, [()] * nodes)
         return TaskGraph(rs + phase("flat_ag", "nic", work, after_all(rs)))
     intra = _ring_phase_time(
         nbytes, topology.gpus_per_node, topology.intra_link
     )
-    rs = phase("hier_rs", "intra", intra, lambda i: ())
+    rs = phase("hier_rs", "intra", intra, [()] * nodes)
     inter = phase(
-        "hier_inter", "nic",
-        allreduce_time(nbytes, topology.num_nodes, topology.inter_link),
+        "hier_inter", "nic", allreduce_time(nbytes, nodes, topology.inter_link),
         after_all(rs),
     )
-    ag = phase("hier_ag", "intra", intra, lambda i: (inter[i].task_id,))
+    ag = phase("hier_ag", "intra", intra, [(task.task_id,) for task in inter])
     return TaskGraph(rs + inter + ag)
 
 
