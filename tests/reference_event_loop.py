@@ -8,18 +8,87 @@ event. It lives under ``tests/`` only (nothing in ``src/`` may import it);
 ``tests/test_sched_properties.py`` requires the production loop to return
 the same ``float.hex()`` start / end for every task of every generated
 graph, and the same ``deadlock:`` message.
+
+Its disciplines and its graph validation are its own too: ``_fifo_select``
+and ``_priority_select`` are the ``FifoScheduler.select`` /
+``PriorityScheduler.select`` bodies of the ``(queue, cursor, done,
+is_ready)`` API, verbatim, chosen per stream by the discipline *name*
+(``EventLoop`` construction only validates the names), and ``_validated``
+is ``TaskGraph.coerce`` / ``validate`` as the loop called them. So the
+oracle does not move when the production loop's inputs do.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.sched.engine import EventLoop
 from repro.sched.graph import Task, TaskGraph, TaskRecord
+from repro.sched.resources import ResourceModel
+
+ReadyFn = Callable[[Task], bool]
+
+
+def _fifo_select(
+    queue: Sequence[Task],
+    cursor: int,
+    done: Mapping[str, float],
+    is_ready: ReadyFn,
+) -> Tuple[Optional[Task], int]:
+    idx = cursor
+    while idx < len(queue) and queue[idx].task_id in done:
+        idx += 1
+    if idx < len(queue) and is_ready(queue[idx]):
+        return queue[idx], idx
+    return None, idx
+
+
+def _priority_select(
+    queue: Sequence[Task],
+    cursor: int,
+    done: Mapping[str, float],
+    is_ready: ReadyFn,
+) -> Tuple[Optional[Task], int]:
+    best: Optional[Task] = None
+    for candidate in queue:
+        if candidate.task_id in done:
+            continue
+        if not is_ready(candidate):
+            continue
+        if best is None or candidate.priority > best.priority:
+            best = candidate
+    return best, cursor
+
+
+_SELECT = {"fifo": _fifo_select, "priority": _priority_select}
+
+
+def _validated(graph: Union[TaskGraph, Sequence[Task]]) -> TaskGraph:
+    """The parent commit's ``TaskGraph.coerce``: build (a repeated id is
+    rejected), then reject dependency edges that point at no task."""
+    graph = graph if isinstance(graph, TaskGraph) else TaskGraph(graph)
+    for task in graph.tasks:
+        for dep in task.deps:
+            if dep not in graph:
+                raise ValueError(
+                    f"task {task.task_id!r} depends on unknown {dep!r}"
+                )
+    return graph
 
 
 class ReferenceEventLoop(EventLoop):
-    """``EventLoop`` construction and validation, the old ``run`` body."""
+    """``EventLoop`` construction, the old validation, ``select`` bodies
+    and ``run`` body."""
+
+    def __init__(
+        self,
+        resources: Optional[ResourceModel] = None,
+        disciplines: Optional[Mapping[str, str]] = None,
+    ) -> None:
+        super().__init__(resources, disciplines)
+        self._selects = {
+            stream: _SELECT[name] for stream, name in (disciplines or {}).items()
+        }
 
     def run(
         self, graph: Union[TaskGraph, Sequence[Task]]
@@ -31,7 +100,7 @@ class ReferenceEventLoop(EventLoop):
                 deadlock (circular dependencies / FIFO head blocked
                 forever).
         """
-        graph = TaskGraph.coerce(graph)
+        graph = _validated(graph)
         tasks = graph.tasks
 
         queues: Dict[str, List[Task]] = {}
@@ -40,8 +109,7 @@ class ReferenceEventLoop(EventLoop):
         heads: Dict[str, int] = {stream: 0 for stream in queues}
         current: Dict[str, Optional[Task]] = {stream: None for stream in queues}
         schedulers = {
-            stream: self.disciplines.get(stream, self._default)
-            for stream in queues
+            stream: self._selects.get(stream, _fifo_select) for stream in queues
         }
 
         remaining: Dict[str, float] = {t.task_id: t.work for t in tasks}
@@ -68,7 +136,7 @@ class ReferenceEventLoop(EventLoop):
             """The task this resource would run now (non-preemptive)."""
             if current[stream] is not None:
                 return current[stream]
-            task, heads[stream] = schedulers[stream].select(
+            task, heads[stream] = schedulers[stream](
                 queues[stream], heads[stream], done, ready
             )
             return task

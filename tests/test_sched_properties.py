@@ -248,9 +248,18 @@ class TestBitIdenticalToReferenceLoop:
         # "late" is submitted ahead of the task it waits for, on one FIFO.
         blocked = [Task("late", "alpha", 1.0, deps=("early",)),
                    Task("early", "alpha", 1.0)]
+        # Rejected before the loop runs: validation is part of compiling.
+        unknown = [Task("a", "alpha", 1.0),
+                   Task("b", "beta", 1.0, deps=("a", "ghost", "phantom")),
+                   Task("c", "gamma", 1.0, deps=("nowhere",))]
+        repeated = [Task("a", "alpha", 1.0), Task("b", "beta", 1.0),
+                    Task("a", "gamma", 0.0)]
         for tasks, message in (
             (cycle, "deadlock: no runnable task among ['a', 'b']"),
             (blocked, "deadlock: no runnable task among ['late', 'early']"),
+            (unknown, "task 'b' depends on unknown 'ghost'"),
+            (TaskGraph(unknown), "task 'b' depends on unknown 'ghost'"),
+            (repeated, "duplicate task id 'a'"),
         ):
             for loop in both_loops():
                 with pytest.raises(ValueError) as raised:
