@@ -73,7 +73,7 @@ from repro.compression.wire import (
     WIRE_GROUPS,
     low_rank_split,
 )
-from repro.optim.decoded import DecodedAggregate, row_size
+from repro.optim.decoded import DecodedAggregate
 
 NamedGrads = Dict[str, np.ndarray]
 
@@ -182,7 +182,7 @@ class _FlatAggregate(DecodedAggregate):
 
     def block(self, name: str, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
         shape = self.layout.shapes[name]
-        row = row_size(shape)
+        row = self._rows[name]
         start = self.layout.offsets[name] + lo * row
         dest = out[: (hi - lo) * row]
         # A decoded range lies in one tensor, hence in one bucket.
@@ -291,7 +291,7 @@ class _LowRankAggregate(DecodedAggregate):
 
     def block(self, name: str, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
         shape = self.layout.shapes[name]
-        row = row_size(shape)
+        row = self._rows[name]
         factors = self.factors.get(name)
         if factors is None:
             start = self.plain_pack.offsets[name] + lo * row

@@ -12,7 +12,8 @@ QSGD, TernGrad, ``.grad``).
 from __future__ import annotations
 
 from collections.abc import Iterator, Mapping
-from typing import List, Tuple
+from typing import Dict, List, Tuple
+from weakref import WeakKeyDictionary
 
 import numpy as np
 
@@ -40,6 +41,11 @@ def row_blocks(shape: Tuple[int, ...]) -> List[Tuple[int, int]]:
     return [(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
 
 
+#: Per layout, each tensor's :func:`row_size` — a layout outlives the
+#: aggregates of many steps, and every decoded block reads its row size.
+_ROWS: "WeakKeyDictionary[ArenaLayout, Dict[str, int]]" = WeakKeyDictionary()
+
+
 class DecodedAggregate(Mapping):
     """One step's aggregated gradients, decoded a block of rows at a time.
 
@@ -55,6 +61,12 @@ class DecodedAggregate(Mapping):
 
     def __init__(self, layout: ArenaLayout):
         self.layout = layout
+        rows = _ROWS.get(layout)
+        if rows is None:
+            rows = _ROWS[layout] = {
+                name: row_size(shape) for name, shape in layout.shapes.items()
+            }
+        self._rows = rows
 
     def __iter__(self) -> Iterator[str]:
         return iter(self.layout.names)
@@ -68,7 +80,7 @@ class DecodedAggregate(Mapping):
     def __getitem__(self, name: str) -> np.ndarray:
         shape = self.layout.shapes[name]
         full = np.empty(shape, self.layout.dtype)
-        rows, flat, row = leading_rows(full), full.reshape(-1), row_size(shape)
+        rows, flat, row = leading_rows(full), full.reshape(-1), self._rows[name]
         for lo, hi in self.blocks(name):
             rows[lo:hi] = self.block(name, lo, hi, flat[lo * row : hi * row])
         return full

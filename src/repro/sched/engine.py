@@ -12,13 +12,23 @@ plain task sequence) over any set of named resources, with
   clock advances: the pending gates are sorted once and a monotone cursor
   yields the next gate in O(1). A task can never complete before its own
   gate, so entries the clock has passed are dead forever and the cursor
-  never backtracks (``python -m repro bench --sim``).
+  never backtracks.
+
+Each run starts with one *compile pass* over the graph, in submission
+order: a task becomes its position, a resource becomes a *lane* (first-use
+order) holding its positions, and all per-task state — unmet-dependency
+counts, reverse edges, ``work``, ``start_after``, start / end times, done
+flags — is a list indexed by position. The same pass is the graph's one walk
+of ``deps``: an edge to no task is rejected there (``task 'b' depends on
+unknown 'x'``); a repeated id is rejected when a plain sequence is built
+into a :class:`~repro.sched.graph.TaskGraph`. Nothing in the loop looks a
+task id up.
 
 Every event costs work proportional to the resources, not to the graph:
 
-- *readiness* is an unmet-dependency counter per task — reverse edges are
-  built once per run and decremented when a task completes — so a
-  discipline's ``is_ready`` poll is two comparisons, not a walk of ``deps``;
+- *readiness* is an unmet-dependency counter per task — decremented along
+  the reverse edges when a task completes — so a discipline's ``select``
+  tests two list entries per candidate, not a walk of ``deps``;
 - each *idle* resource is polled once per selection pass (a busy one keeps
   its task; while all are busy the pass is skipped — busy, paired-busy and
   completed counts are kept as tasks start and finish, never recounted);
@@ -83,53 +93,61 @@ class EventLoop:
                 deadlock (circular dependencies / FIFO head blocked
                 forever).
         """
-        graph = TaskGraph.coerce(graph)
+        if not isinstance(graph, TaskGraph):
+            graph = TaskGraph(graph)  # rejects a repeated id
         tasks = graph.tasks
+        total = len(tasks)
 
-        # One pass over the graph, submission order: per-resource queues,
-        # unmet-dependency counts with their reverse edges, pending gates.
-        queues: Dict[str, List[Task]] = {}
-        unmet: Dict[str, int] = {}
-        dependents: Dict[str, List[str]] = {}
-        gated: List[Task] = []
-        for task in tasks:
-            queues.setdefault(task.stream, []).append(task)
-            unmet[task.task_id] = len(task.deps)
+        # The compile pass (module docstring): positions, lanes in first-use
+        # order (the order every float below is applied in), unmet counts
+        # and reverse edges, pending gates.
+        position = {task.task_id: pos for pos, task in enumerate(tasks)}
+        queues: Dict[str, List[int]] = {}
+        unmet = [len(task.deps) for task in tasks]
+        dependents: List[List[int]] = [[] for _ in tasks]
+        gated: List[int] = []
+        for pos, task in enumerate(tasks):
+            queue = queues.get(task.stream)
+            if queue is None:
+                queue = queues[task.stream] = []
+            queue.append(pos)
             for dep in task.deps:
-                dependents.setdefault(dep, []).append(task.task_id)
+                upstream = position.get(dep)
+                if upstream is None:
+                    raise ValueError(
+                        f"task {task.task_id!r} depends on unknown {dep!r}"
+                    )
+                dependents[upstream].append(pos)
             if task.start_after > 0.0:
-                gated.append(task)
+                gated.append(pos)
+        work = [task.work for task in tasks]
+        start_after = [task.start_after for task in tasks]
         # gate_idx only moves forward — a task cannot finish before its own
         # gate, so any entry with start_after <= now is spent for the run.
-        gated.sort(key=lambda t: t.start_after)
-        gate_idx = 0
+        gated.sort(key=start_after.__getitem__)
+        gate_idx, gates = 0, len(gated)
 
-        # Per-resource state, indexed in first-use order (the order every
-        # float below is applied in).
+        # Per-lane state, indexed in first-use order.
         names = list(queues)
-        lanes = range(len(names))
-        lane_queues = [queues[name] for name in names]
-        schedulers = [self.disciplines.get(name, self._default) for name in names]
-        heads = [0] * len(names)
-        current: List[Optional[Task]] = [None] * len(names)
-        left = [0.0] * len(names)  # work left on each resource's current task
+        lane_queues = list(queues.values())
+        width = len(names)
+        lanes = range(width)
+        selects = [
+            self.disciplines.get(name, self._default).select for name in names
+        ]
+        heads = [0] * width
+        current: List[Optional[int]] = [None] * width  # the running position
+        left = [0.0] * width  # work left on each resource's current task
         paired = {name for pair in self.resources.pairs for name in pair}
         coupled = [name in paired for name in names]
-        full_speed = [1.0] * len(names)
+        full_speed = [1.0] * width
 
-        started: Dict[str, float] = {}
-        done: Dict[str, float] = {}
+        started = [0.0] * total
+        ended = [0.0] * total
+        done = [False] * total
         now = 0.0
 
-        def ready(task: Task) -> bool:
-            return not unmet[task.task_id] and now >= task.start_after
-
-        def finish(task: Task) -> None:
-            done[task.task_id] = now
-            for dependent in dependents.get(task.task_id, ()):
-                unmet[dependent] -= 1
-
-        total, finished = len(tasks), 0  # finished == len(done)
+        finished = 0  # == sum(done)
         busy = busy_coupled = 0  # resources running a task; those of them paired
         while finished < total:
             # Poll every idle resource (non-preemptive: a busy one keeps its
@@ -138,47 +156,52 @@ class EventLoop:
             # pass that completes nothing are what runs next. A pick made in
             # a pass that went on to progress is not kept — under "priority"
             # a task released by that progress may outrank it.
-            progressed = busy < len(names)
+            progressed = busy < width
             while progressed:
                 progressed = False
-                picks: List[Tuple[int, Task]] = []
+                picks: List[Tuple[int, int]] = []
                 for lane in lanes:
                     if current[lane] is not None:
                         continue
-                    task, heads[lane] = schedulers[lane].select(
-                        lane_queues[lane], heads[lane], done, ready
+                    pos, heads[lane] = selects[lane](
+                        lane_queues[lane], heads[lane], tasks, done, unmet,
+                        start_after, now,
                     )
-                    if task is None:
+                    if pos is None:
                         continue
-                    if task.work == 0.0:
-                        started[task.task_id] = now
-                        finish(task)
+                    if work[pos] == 0.0:
+                        started[pos] = ended[pos] = now
+                        done[pos] = True
+                        for dependent in dependents[pos]:
+                            unmet[dependent] -= 1
                         finished += 1
                         progressed = True
                     else:
-                        picks.append((lane, task))
+                        picks.append((lane, pos))
                 if not progressed:
-                    for lane, task in picks:
-                        current[lane] = task
-                        left[lane] = task.work
-                        started[task.task_id] = now
+                    for lane, pos in picks:
+                        current[lane] = pos
+                        left[lane] = work[pos]
+                        started[pos] = now
                         busy += 1
                         busy_coupled += coupled[lane]
             if finished == total:
                 break
 
-            while gate_idx < len(gated) and gated[gate_idx].start_after <= now:
+            while gate_idx < gates and start_after[gated[gate_idx]] <= now:
                 gate_idx += 1
 
             if not busy:
                 # Everything runnable is time-gated: jump the clock to the
                 # earliest future gate whose dependencies are met.
-                for idx in range(gate_idx, len(gated)):
-                    if not unmet[gated[idx].task_id]:
-                        now = gated[idx].start_after
+                for idx in range(gate_idx, gates):
+                    if not unmet[gated[idx]]:
+                        now = start_after[gated[idx]]
                         break
                 else:
-                    pending = [t.task_id for t in tasks if t.task_id not in done]
+                    pending = [
+                        task.task_id for task, flag in zip(tasks, done) if not flag
+                    ]
                     raise ValueError(f"deadlock: no runnable task among {pending}")
                 continue
 
@@ -188,7 +211,7 @@ class EventLoop:
             speed = full_speed
             if busy_coupled > 1:
                 rates = self.resources.rates({
-                    names[lane]: current[lane]
+                    names[lane]: tasks[current[lane]]
                     for lane in lanes if current[lane] is not None
                 })
                 speed = [rates.get(name, 1.0) for name in names]
@@ -202,20 +225,22 @@ class EventLoop:
                     ends_in = left[lane] / speed[lane]
                     if horizon is None or ends_in < horizon:
                         horizon = ends_in
-            if gate_idx < len(gated):
-                horizon = min(horizon, gated[gate_idx].start_after - now)
+            if gate_idx < gates:
+                horizon = min(horizon, start_after[gated[gate_idx]] - now)
             now += horizon
             for lane in lanes:
-                if current[lane] is not None:
+                pos = current[lane]
+                if pos is not None:
                     left[lane] -= speed[lane] * horizon
                     if left[lane] <= 1e-15:
-                        finish(current[lane])
+                        ended[pos] = now
+                        done[pos] = True
+                        for dependent in dependents[pos]:
+                            unmet[dependent] -= 1
                         finished += 1
                         current[lane] = None
                         busy -= 1
                         busy_coupled -= coupled[lane]
 
-        return {
-            task.task_id: TaskRecord(task, started[task.task_id], done[task.task_id])
-            for task in tasks
-        }
+        # ``position`` lists every id once, in submission order.
+        return dict(zip(position, map(TaskRecord, tasks, started, ended)))

@@ -18,17 +18,7 @@ preserves it.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import (
-    Callable,
-    Dict,
-    Iterable,
-    Iterator,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import Callable, Dict, Iterable, Iterator, Mapping, Optional, Tuple
 
 
 @dataclass
@@ -96,8 +86,8 @@ class TaskGraph:
     edges.
 
     Duplicate ids are rejected at construction (the first repeated id is
-    named); dangling dependency edges are rejected by :meth:`validate`
-    (run automatically by the event loop).
+    named); dangling dependency edges are rejected by the event loop, in
+    the pass that compiles the graph.
     """
 
     def __init__(self, tasks: Iterable[Task] = ()) -> None:
@@ -109,22 +99,6 @@ class TaskGraph:
                 if task.task_id in seen:
                     raise ValueError(f"duplicate task id {task.task_id!r}")
                 seen.add(task.task_id)
-
-    def validate(self) -> None:
-        """Reject dependency edges that point at no task in the graph."""
-        for task in self._tasks:
-            for dep in task.deps:
-                if dep not in self._by_id:
-                    raise ValueError(
-                        f"task {task.task_id!r} depends on unknown {dep!r}"
-                    )
-
-    @classmethod
-    def coerce(cls, obj: Union["TaskGraph", Sequence[Task]]) -> "TaskGraph":
-        """Accept a graph or a plain task sequence."""
-        graph = obj if isinstance(obj, cls) else cls(obj)
-        graph.validate()
-        return graph
 
     # -- inspection ---------------------------------------------------
     @property

@@ -5,20 +5,27 @@ submission order with head-of-line blocking (CUDA stream / NCCL queue
 semantics); :class:`PriorityScheduler` runs the highest ``Task.priority``
 among dependency-ready tasks (a ByteScheduler-style communication
 scheduler). The event loop calls ``select`` once per decision point; a
-discipline never mutates the queue. :data:`DISCIPLINES` maps each name
+discipline never mutates its inputs. :data:`DISCIPLINES` maps each name
 to its scheduler class.
+
+``select`` works on task *positions* (submission indices) — the event
+loop's compiled form of a graph:
+
+- ``lane``: the positions queued on this resource, in submission order;
+- ``cursor``: the FIFO head, an index into ``lane``;
+- ``tasks``: the graph's tasks, indexed by position;
+- ``done`` / ``unmet`` / ``start_after``: per position, whether the task
+  completed, its count of unfinished dependencies and its time gate — a
+  task is ready when ``unmet`` is 0 and ``now >= start_after``.
+
+It returns the chosen position (or None) plus the advanced cursor.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.sched.graph import Task
-
-#: ``select`` inputs: the queue, the FIFO cursor, completed ids, and a
-#: readiness predicate (deps done and ``start_after`` passed). Returns
-#: the chosen task (or None) plus the advanced cursor.
-ReadyFn = Callable[[Task], bool]
 
 
 class FifoScheduler:
@@ -26,16 +33,21 @@ class FifoScheduler:
 
     def select(
         self,
-        queue: Sequence[Task],
+        lane: Sequence[int],
         cursor: int,
-        done: Mapping[str, float],
-        is_ready: ReadyFn,
-    ) -> Tuple[Optional[Task], int]:
-        idx = cursor
-        while idx < len(queue) and queue[idx].task_id in done:
+        tasks: Sequence[Task],
+        done: Sequence[bool],
+        unmet: Sequence[int],
+        start_after: Sequence[float],
+        now: float,
+    ) -> Tuple[Optional[int], int]:
+        idx, end = cursor, len(lane)
+        while idx < end and done[lane[idx]]:
             idx += 1
-        if idx < len(queue) and is_ready(queue[idx]):
-            return queue[idx], idx
+        if idx < end:
+            pos = lane[idx]
+            if not unmet[pos] and now >= start_after[pos]:
+                return pos, idx
         return None, idx
 
 
@@ -45,19 +57,20 @@ class PriorityScheduler:
 
     def select(
         self,
-        queue: Sequence[Task],
+        lane: Sequence[int],
         cursor: int,
-        done: Mapping[str, float],
-        is_ready: ReadyFn,
-    ) -> Tuple[Optional[Task], int]:
-        best: Optional[Task] = None
-        for candidate in queue:
-            if candidate.task_id in done:
+        tasks: Sequence[Task],
+        done: Sequence[bool],
+        unmet: Sequence[int],
+        start_after: Sequence[float],
+        now: float,
+    ) -> Tuple[Optional[int], int]:
+        best: Optional[int] = None
+        for pos in lane:
+            if done[pos] or unmet[pos] or not now >= start_after[pos]:
                 continue
-            if not is_ready(candidate):
-                continue
-            if best is None or candidate.priority > best.priority:
-                best = candidate
+            if best is None or tasks[pos].priority > tasks[best].priority:
+                best = pos
         return best, cursor
 
 
@@ -66,4 +79,3 @@ DISCIPLINES: Dict[str, type] = {
     "fifo": FifoScheduler,
     "priority": PriorityScheduler,
 }
-

@@ -15,7 +15,7 @@ the OOM cliff.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Tuple
 
 from repro.compression.wire import step_wire
 from repro.models.spec import FP32_BYTES, ModelSpec
@@ -57,6 +57,32 @@ def _activation_bytes(model: ModelSpec, batch_size: int) -> float:
     return 1.3 * model.activation_elements(batch_size) * FP32_BYTES
 
 
+#: Wire bytes per (model identity, method, rank, topk_ratio): one Top-k
+#: selection, or the P and Q factors of a low-rank step. An entry holds its
+#: model, so the id in its key cannot be reused while it is cached.
+_WIRE_BYTES: Dict[Tuple[int, str, int, float], Tuple[ModelSpec, float]] = {}
+
+
+def _wire_bytes(method: str, model: ModelSpec, rank: int, topk_ratio: float) -> float:
+    """What ``estimate_memory`` reads from ``step_wire``, built once per key
+    (a planner miss asks for it once per method, and its ``tune_buffer``
+    twin asks again)."""
+    key = (id(model), method, rank, topk_ratio)
+    entry = _WIRE_BYTES.get(key)
+    if entry is None:
+        shapes = model.parameter_shapes()
+        if method == "topk":
+            (selection,) = step_wire(method, shapes, ratio=topk_ratio)
+            nbytes = selection.nbytes
+        else:
+            wire = step_wire("powersgd", shapes, rank=rank)
+            nbytes = sum(c.nbytes for c in wire if c.group in ("P", "Q"))
+        if len(_WIRE_BYTES) >= 64:
+            _WIRE_BYTES.clear()
+        entry = _WIRE_BYTES[key] = (model, nbytes)
+    return entry[1]
+
+
 def estimate_memory(
     method: str,
     model: ModelSpec,
@@ -90,12 +116,11 @@ def estimate_memory(
     elif method == "topk":
         compression = n_bytes  # error feedback
         # Every worker's selection, all-gathered.
-        (selection,) = step_wire(method, model.parameter_shapes(), ratio=topk_ratio)
-        communication = float(world_size * selection.nbytes)
+        selection = _wire_bytes(method, model, rank, topk_ratio)
+        communication = float(world_size * selection)
     elif method in ("powersgd", "powersgd_star", "acpsgd"):
         compression = n_bytes  # error feedback
-        wire = step_wire("powersgd", model.parameter_shapes(), rank=rank)
-        factors = float(sum(c.nbytes for c in wire if c.group in ("P", "Q")))
+        factors = float(_wire_bytes(method, model, rank, topk_ratio))
         if method == "acpsgd":
             # One factor at a time travels, but P, Q and E are all held.
             communication = factors / 2.0

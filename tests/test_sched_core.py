@@ -39,10 +39,10 @@ class TestTaskGraph:
         with pytest.raises(ValueError, match="duplicate task id 'a'"):
             TaskGraph(tasks)
 
-    def test_unknown_dep_rejected_by_validate(self):
+    def test_unknown_dep_rejected_by_the_event_loop(self):
         graph = TaskGraph([Task("a", "s", 1.0, deps=("ghost",))])
-        with pytest.raises(ValueError, match="unknown"):
-            graph.validate()
+        with pytest.raises(ValueError, match="task 'a' depends on unknown 'ghost'"):
+            EventLoop().run(graph)
 
     def test_prefixed_rewrites_ids_and_deps(self):
         graph = TaskGraph([
