@@ -15,14 +15,15 @@ plain task sequence) over any set of named resources, with
   never backtracks.
 
 Each run starts with one *compile pass* over the graph, in submission
-order: a task becomes its position, a resource becomes a *lane* (first-use
-order) holding its positions, and all per-task state — unmet-dependency
-counts, reverse edges, ``work``, ``start_after``, start / end times, done
-flags — is a list indexed by position. The same pass is the graph's one walk
-of ``deps``: an edge to no task is rejected there (``task 'b' depends on
-unknown 'x'``); a repeated id is rejected when a plain sequence is built
-into a :class:`~repro.sched.graph.TaskGraph`. Nothing in the loop looks a
-task id up.
+order, reading the graph's ``position`` map (id -> submission index, built
+once with the :class:`~repro.sched.graph.TaskGraph`): a resource becomes a
+*lane* (first-use order) holding its positions, and all per-task state —
+unmet-dependency counts, reverse edges, ``work``, ``start_after``, start /
+end times, done flags — is a list indexed by position. The same pass is the
+graph's one walk of ``deps``: an edge to no task is rejected there (``task
+'b' depends on unknown 'x'``); a repeated id is rejected when a plain
+sequence is built into a :class:`~repro.sched.graph.TaskGraph`. Nothing in
+the loop looks a task id up.
 
 Every event costs work proportional to the resources, not to the graph:
 
@@ -37,7 +38,15 @@ Every event costs work proportional to the resources, not to the graph:
   pick from an earlier pass is never kept, because under ``"priority"`` a
   task released by that pass's progress may outrank it;
 - ``ResourceModel.rates`` is consulted only while at least two busy
-  resources belong to a contention pair; otherwise every rate is ``1.0``.
+  resources belong to a contention pair; otherwise every rate is ``1.0``;
+- while exactly one resource is busy, it is FIFO and no ``start_after``
+  gate is pending, the loop runs that lane's queue in a *solo stretch*: no
+  other lane is polled and no horizon is taken, each task just adds its
+  work to the clock. Every other lane's last poll found nothing and, with
+  no gate pending, only a completion can change that, so the stretch ends
+  (back to the general loop) when a completion readies a task on another
+  lane, or the lane's next head is not ready or has zero work. A simulated
+  iteration runs most of its FF/BP chain this way.
 
 What stays bit-exact, and why: the float operations and their order are the
 original ``repro.sim.engine`` loop's (the golden traces, the golden plans
@@ -46,7 +55,9 @@ per busy resource, in first-use order, ``left -= rate * horizon``; ``now +=
 horizon``; completion at ``left <= 1e-15``; zero-work tasks cascade at the
 current instant; rate changes happen only at completions or gate
 expirations; the clock jumps over fully-gated regions. Skipping the rate
-model changes no bit because ``x / 1.0`` and ``x * 1.0`` are exact.
+model changes no bit because ``x / 1.0`` and ``x * 1.0`` are exact, and the
+solo stretch's ``now += left`` is the general step with one busy resource:
+``horizon = left / 1.0`` and ``left - 1.0 * horizon == 0.0``.
 """
 
 from __future__ import annotations
@@ -98,10 +109,10 @@ class EventLoop:
         tasks = graph.tasks
         total = len(tasks)
 
-        # The compile pass (module docstring): positions, lanes in first-use
-        # order (the order every float below is applied in), unmet counts
-        # and reverse edges, pending gates.
-        position = {task.task_id: pos for pos, task in enumerate(tasks)}
+        # The compile pass (module docstring): lanes in first-use order (the
+        # order every float below is applied in), unmet counts and reverse
+        # edges over the graph's positions, pending gates.
+        position = graph.position
         queues: Dict[str, List[int]] = {}
         unmet = [len(task.deps) for task in tasks]
         dependents: List[List[int]] = [[] for _ in tasks]
@@ -132,9 +143,9 @@ class EventLoop:
         lane_queues = list(queues.values())
         width = len(names)
         lanes = range(width)
-        selects = [
-            self.disciplines.get(name, self._default).select for name in names
-        ]
+        disciplines = [self.disciplines.get(name, self._default) for name in names]
+        selects = [discipline.select for discipline in disciplines]
+        fifo = [type(discipline) is FifoScheduler for discipline in disciplines]
         heads = [0] * width
         current: List[Optional[int]] = [None] * width  # the running position
         left = [0.0] * width  # work left on each resource's current task
@@ -190,6 +201,39 @@ class EventLoop:
 
             while gate_idx < gates and start_after[gated[gate_idx]] <= now:
                 gate_idx += 1
+
+            if busy == 1 and gate_idx == gates:
+                lane = 0
+                while current[lane] is None:
+                    lane += 1
+                if fifo[lane]:
+                    # The solo stretch (module docstring): the one busy FIFO
+                    # lane runs its chain while no other lane can start.
+                    queue, head, stream = lane_queues[lane], heads[lane], names[lane]
+                    pos, span = current[lane], left[lane]
+                    while True:
+                        now += span
+                        ended[pos] = now
+                        done[pos] = True
+                        finished += 1
+                        released = False
+                        for dependent in dependents[pos]:
+                            unmet[dependent] -= 1
+                            if not unmet[dependent] and tasks[dependent].stream != stream:
+                                released = True
+                        head += 1
+                        if released or head == len(queue):
+                            break
+                        pos = queue[head]
+                        span = work[pos]
+                        if unmet[pos] or not span:
+                            break
+                        started[pos] = now
+                    heads[lane] = head
+                    current[lane] = None
+                    busy = 0
+                    busy_coupled -= coupled[lane]
+                    continue
 
             if not busy:
                 # Everything runnable is time-gated: jump the clock to the

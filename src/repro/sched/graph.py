@@ -20,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, Iterable, Iterator, Mapping, Optional, Tuple
 
+_INF = float("inf")
+
 
 @dataclass
 class Task:
@@ -30,7 +32,7 @@ class Task:
         stream: resource this task runs on — any name. The simulator's
             iterations use ``gpu_main``/``gpu_side``/``nic``; the
             all-reduce builders use ``node{i}:intra``/``node{i}:nic``.
-        work: seconds of work at full rate (>= 0).
+        work: seconds of work at full rate (finite, >= 0).
         deps: task_ids that must complete before this task may start.
         tag: breakdown category — ``"forward"``, ``"backward"``,
             ``"compression"``, ``"comm"`` or ``"other"``.
@@ -44,10 +46,11 @@ class Task:
             with the ``"priority"`` discipline (higher runs first among
             ready tasks). Models tensor-priority communication schedulers
             (ByteScheduler / the paper's reference [3]).
-        start_after: wall-clock time before which this task may not
-            start, even if its dependencies are done. Models externally
-            imposed delays — a rank that is down until recovery, a
-            retransmit timeout — without inflating the task's own work.
+        start_after: wall-clock time (finite, >= 0) before which this
+            task may not start, even if its dependencies are done. Models
+            externally imposed delays — a rank that is down until
+            recovery, a retransmit timeout — without inflating the task's
+            own work.
     """
 
     task_id: str
@@ -60,11 +63,15 @@ class Task:
     start_after: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.work < 0:
-            raise ValueError(f"task {self.task_id!r} has negative work {self.work}")
-        if self.start_after < 0:
+        # One chained comparison per field on the path every task takes; NaN
+        # fails it too (an infinite or NaN work never completes in the loop).
+        if not 0 <= self.work < _INF:
+            kind = "negative" if self.work < 0 else "non-finite"
+            raise ValueError(f"task {self.task_id!r} has {kind} work {self.work}")
+        if not 0 <= self.start_after < _INF:
+            kind = "negative" if self.start_after < 0 else "non-finite"
             raise ValueError(
-                f"task {self.task_id!r} has negative start_after {self.start_after}"
+                f"task {self.task_id!r} has {kind} start_after {self.start_after}"
             )
 
 
@@ -85,15 +92,18 @@ class TaskGraph:
     """An immutable, ordered collection of :class:`Task` with dependency
     edges.
 
-    Duplicate ids are rejected at construction (the first repeated id is
-    named); dangling dependency edges are rejected by the event loop, in
-    the pass that compiles the graph.
+    ``position`` maps each id to its submission index (the event loop's
+    name for a task). Duplicate ids are rejected at construction (the first
+    repeated id is named); dangling dependency edges are rejected by the
+    event loop, in the pass that compiles the graph.
     """
 
     def __init__(self, tasks: Iterable[Task] = ()) -> None:
         self._tasks = tuple(tasks)
-        self._by_id: Dict[str, Task] = {task.task_id: task for task in self._tasks}
-        if len(self._by_id) != len(self._tasks):
+        self.position: Dict[str, int] = {
+            task.task_id: pos for pos, task in enumerate(self._tasks)
+        }
+        if len(self.position) != len(self._tasks):
             seen = set()
             for task in self._tasks:
                 if task.task_id in seen:
@@ -113,10 +123,11 @@ class TaskGraph:
         return iter(self._tasks)
 
     def __contains__(self, task_id: str) -> bool:
-        return task_id in self._by_id
+        return task_id in self.position
 
     def get(self, task_id: str) -> Optional[Task]:
-        return self._by_id.get(task_id)
+        pos = self.position.get(task_id)
+        return None if pos is None else self._tasks[pos]
 
     # -- transforms (all preserve submission order) -------------------
     def prefixed(self, prefix: str) -> "TaskGraph":
@@ -132,7 +143,7 @@ class TaskGraph:
 
     def with_deps(self, deps: Mapping[str, Tuple[str, ...]]) -> "TaskGraph":
         """Clone with the listed tasks' dependency tuples *replaced*."""
-        unknown = [task_id for task_id in deps if task_id not in self._by_id]
+        unknown = [task_id for task_id in deps if task_id not in self.position]
         if unknown:
             raise ValueError(f"with_deps: unknown task ids {unknown}")
         return TaskGraph(
@@ -144,3 +155,4 @@ class TaskGraph:
     def map_tasks(self, fn: Callable[[Task], Task]) -> "TaskGraph":
         """Clone with ``fn`` applied to every task (fault perturbation)."""
         return TaskGraph(fn(task) for task in self._tasks)
+

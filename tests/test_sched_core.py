@@ -39,6 +39,31 @@ class TestTaskGraph:
         with pytest.raises(ValueError, match="duplicate task id 'a'"):
             TaskGraph(tasks)
 
+    @pytest.mark.parametrize("field", ["work", "start_after"])
+    @pytest.mark.parametrize("value, kind", [
+        (float("nan"), "non-finite"),
+        (float("inf"), "non-finite"),
+        (-1.0, "negative"),
+        (float("-inf"), "negative"),
+    ])
+    def test_non_finite_or_negative_time_rejected(self, field, value, kind):
+        """A NaN or infinite ``work`` never completes and a NaN gate never
+        opens: two-task graphs with either spun ``Engine().run`` forever."""
+        with pytest.raises(
+            ValueError, match=f"^task 'b' has {kind} {field} {value}$"
+        ):
+            EventLoop().run([
+                Task("a", "s", 1.0),
+                Task("b", "t", **{"work": 1.0, field: value}, deps=("a",)),
+            ])
+
+    def test_get_and_contains_read_positions(self):
+        tasks = [Task("a", "s", 1.0), Task("b", "t", 2.0, deps=("a",))]
+        graph = TaskGraph(tasks)
+        assert graph.position == {"a": 0, "b": 1}
+        assert graph.get("b") is tasks[1] and graph.get("ghost") is None
+        assert "a" in graph and "ghost" not in graph
+
     def test_unknown_dep_rejected_by_the_event_loop(self):
         graph = TaskGraph([Task("a", "s", 1.0, deps=("ghost",))])
         with pytest.raises(ValueError, match="task 'a' depends on unknown 'ghost'"):

@@ -12,8 +12,11 @@ from the legacy-engine properties in ``test_engine_properties.py``:
   task is ever ready, so the discipline cannot matter);
 - the loop is bit-identical (``float.hex()`` start / end per task, same
   ``deadlock:`` message) to ``tests/reference_event_loop.py`` — the loop
-  that re-walked ``deps`` on every poll — for every discipline.
+  that re-walked ``deps`` on every poll — for every discipline, on random
+  graphs and on simulator-shaped ones (where the loop's solo stretch runs).
 """
+
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -197,6 +200,41 @@ def tangled_graph(draw):
     )
 
 
+@st.composite
+def simulator_graph(draw):
+    """The shape of a simulated iteration: a long chain on ``alpha`` (FF and
+    BP on ``gpu_main``) with zero-work tasks in it, side tasks on ``beta`` /
+    ``gamma`` fed by chain tasks and now and then feeding one back, and a
+    few gates. One lane runs alone for most of the run, so the loop's solo
+    stretch starts, is cut short and resumes many times per graph."""
+    tasks = []
+    side_ids = []
+    previous = ()
+    for idx in range(draw(st.integers(10, 60))):
+        deps = previous
+        if side_ids and draw(st.integers(0, 9)) == 0:
+            deps += (draw(st.sampled_from(side_ids)),)
+        zero = draw(st.integers(0, 7)) == 0
+        chain_id = f"c{idx}"
+        tasks.append(Task(
+            chain_id, "alpha", 0.0 if zero else draw(st.floats(0.01, 2.0)),
+            deps=deps, contends=draw(st.booleans()),
+            priority=draw(st.integers(0, 3)),
+        ))
+        previous = (chain_id,)
+        if draw(st.integers(0, 3)) == 0:
+            side_id = f"s{len(side_ids)}"
+            tasks.append(Task(
+                side_id, draw(st.sampled_from(("beta", "gamma"))), draw(WORK),
+                deps=(chain_id,), contends=draw(st.booleans()),
+                priority=draw(st.integers(0, 3)),
+            ))
+            side_ids.append(side_id)
+    for pos in draw(st.lists(st.integers(0, len(tasks) - 1), max_size=3)):
+        tasks[pos] = replace(tasks[pos], start_after=draw(st.floats(0.5, 30.0)))
+    return TaskGraph(tasks)
+
+
 def outcome(loop, graph):
     """Hex records in submission order, or the error the run raised."""
     try:
@@ -228,6 +266,13 @@ class TestBitIdenticalToReferenceLoop:
     @given(graph=random_graph(),
            assignment=st.sampled_from(sorted(DISCIPLINE_ASSIGNMENTS)))
     def test_records_equal_as_hex(self, graph, assignment):
+        new, reference = both_loops(**DISCIPLINE_ASSIGNMENTS[assignment])
+        assert outcome(new, graph) == outcome(reference, graph)
+
+    @settings(max_examples=150, deadline=None)
+    @given(graph=simulator_graph(),
+           assignment=st.sampled_from(sorted(DISCIPLINE_ASSIGNMENTS)))
+    def test_simulator_shaped_records_equal_as_hex(self, graph, assignment):
         new, reference = both_loops(**DISCIPLINE_ASSIGNMENTS[assignment])
         assert outcome(new, graph) == outcome(reference, graph)
 
