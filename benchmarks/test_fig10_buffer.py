@@ -9,8 +9,3 @@ def test_fig10(benchmark):
     rows = run_once(benchmark, run_fig10)
     print("\n=== Fig. 10: effect of buffer size (BERT-Large) ===")
     print(fig10.render(rows))
-    acp = [r for r in rows if r.method == "acpsgd"]
-    power = [r for r in rows if r.method == "powersgd_star"]
-    # ACP-SGD's sweep is flatter (more robust) than Power-SGD*'s at rank 256.
-    acp256 = next(r for r in acp if r.rank == 256)
-    assert acp256.times_ms[25] <= min(acp256.times_ms.values()) * 1.1

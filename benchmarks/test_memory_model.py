@@ -39,6 +39,3 @@ def test_memory_estimates(benchmark):
         ["Model", "Method", "total", "activations", "comm buffers", "11GB"],
         rows,
     ))
-    by_key = {(m, meth): est for m, rep in results for meth, est in rep.items()}
-    assert not by_key[("BERT-Large", "signsgd")].fits()
-    assert by_key[("BERT-Large", "acpsgd")].fits()

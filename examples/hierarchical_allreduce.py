@@ -1,6 +1,6 @@
 """Topology-aware hierarchical all-reduce: identical math, cheaper wire.
 
-Three demonstrations on one 2-node x 2-GPU cluster:
+Two demonstrations on one 2-node x 2-GPU cluster:
 
 1. **Training bit-identity** — the same ACP-SGD job trained with the flat
    ring and with ``ProcessGroup(world, topology=...)`` (two-level
@@ -10,10 +10,6 @@ Three demonstrations on one 2-node x 2-GPU cluster:
    a trajectory.
 2. **Analytic crossover** — where the alpha-beta cost model says each
    schedule wins, via ``crossover_bytes``.
-3. **Task-DAG replay** — the same two schedules rebuilt as task graphs
-   over the ``repro.sched`` scheduler core, reproducing the analytic
-   times exactly, plus an ASCII Gantt of the hierarchical trace with one
-   row per intra-node link and NIC.
 
 Run:
     python examples/hierarchical_allreduce.py
@@ -32,8 +28,6 @@ from repro.comm.topology import (
 )
 from repro.models import make_small_vgg
 from repro.optim import SGD, make_aggregator
-from repro.sched import EventLoop, build_allreduce_graph, simulate_allreduce_makespan
-from repro.sim.gantt import render_gantt
 from repro.train import DataParallelTrainer, make_cifar_like
 from repro.utils import format_bytes
 
@@ -41,7 +35,7 @@ TOPOLOGY = ClusterTopology(
     num_nodes=2, gpus_per_node=2,
     intra_link=PCIE3_X16, inter_link=INFINIBAND_100G,
 )
-# A bigger modeled cluster for the analytic sections: at 4x4 the two
+# A bigger modeled cluster for the analytic section: at 4x4 the two
 # schedules genuinely cross (at 2x2 hierarchical wins the whole range).
 MODEL_TOPOLOGY = ClusterTopology(
     num_nodes=4, gpus_per_node=4,
@@ -101,22 +95,6 @@ def main() -> None:
         winner = "hierarchical" if hier_t < flat_t else "flat"
         print(f"    {format_bytes(nbytes):>10}: flat {flat_t * 1e3:7.3f}ms  "
               f"hier {hier_t * 1e3:7.3f}ms  -> {winner}")
-
-    # 3. The same schedules as task DAGs over the scheduler core.
-    nbytes = 8 * 1024 * 1024
-    print(f"\n[3] task-DAG replay at {format_bytes(nbytes)}:")
-    for scheme, analytic in (
-        ("flat", flat_allreduce_time(nbytes, MODEL_TOPOLOGY)),
-        ("hierarchical", hierarchical_allreduce_time(nbytes, MODEL_TOPOLOGY)),
-    ):
-        makespan = simulate_allreduce_makespan(nbytes, MODEL_TOPOLOGY, scheme)
-        rel = abs(makespan - analytic) / analytic
-        print(f"    {scheme:>12}: DAG {makespan * 1e3:7.3f}ms vs analytic "
-              f"{analytic * 1e3:7.3f}ms (rel err {rel:.2e})")
-
-    records = EventLoop().run(build_allreduce_graph(nbytes, TOPOLOGY))  # 2x2: 4 link rows
-    print("\n    hierarchical trace (one row per link):")
-    print(render_gantt(records, width=64))
 
 
 if __name__ == "__main__":

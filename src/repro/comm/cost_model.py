@@ -17,11 +17,11 @@ paper's clusters the cross-node Ethernet/InfiniBand, since 4 GPUs share each
 node's NIC.
 
 Calibration: the 10GbE preset is pinned to the micro-measurements the paper
-reports for its own testbed (§II-A.3: two 32KB all-reduces take ~2.0ms while
-one 64KB all-reduce takes ~1.2ms on 32 ranks; §IV-B: ResNet-50's 97.5MB of
-gradients take ~243ms all-reduced tensor-by-tensor and ~169ms fused). The
-calibration test in ``tests/test_cost_model.py`` asserts these stay within
-tolerance.
+reports for its own testbed (§II-A.3: one 64KB against two 32KB all-reduces
+on 32 ranks; §IV-B: ResNet-50's 97.49 MiB of gradients all-reduced
+tensor-by-tensor and fused). They are the ``"calibration"`` rows of
+``repro.experiments.claims``, which ``tests/test_paper_reproduction.py``
+checks.
 """
 
 from __future__ import annotations
@@ -107,15 +107,15 @@ def allgather_time(nbytes_per_rank: float, world_size: int, link: LinkSpec) -> f
 #
 # 10GbE calibration compromise, over-determined by the paper's anchors:
 # beta = 1.15 GB/s (92% of line rate) reproduces the fused ResNet-50
-# all-reduce of §IV-B (~169ms for 97.5MB at 32 ranks); alpha = 13us splits
-# the difference between the 64KB-all-reduce anchor (~1.2ms, implying
-# ~19us) and the per-tensor-vs-fused gap (243ms vs 169ms over 161 tensors,
-# implying ~8us). See docs/simulator.md and tests/test_cost_model.py.
+# all-reduce of §IV-B (ResNet-50's 97.49 MiB at 32 ranks); alpha = 13us splits
+# the difference between what the §II-A.3 64KB all-reduce implies (~19us)
+# and what §IV-B's per-tensor-vs-fused gap over 161 tensors implies (~8us).
+# The anchors are the "calibration" rows of repro.experiments.claims.
 #
 # 1GbE keeps similar software overhead with 10x less bandwidth. 100Gb IB:
 # low RDMA latency, but 4 GPUs share each node's HCA in a flat ring, so
 # achievable per-rank bandwidth sits well below line rate (reproduces the
-# paper's Fig. 13 finding that ACP-SGD still wins ~40% on IB).
+# paper's Fig. 13 finding that ACP-SGD still wins on IB).
 # ---------------------------------------------------------------------------
 ETHERNET_10G = LinkSpec(name="10GbE", alpha=13e-6, beta=1.15e9, nominal_gbps=10.0)
 ETHERNET_1G = LinkSpec(name="1GbE", alpha=40e-6, beta=0.115e9, nominal_gbps=1.0)

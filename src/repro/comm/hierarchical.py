@@ -1,12 +1,11 @@
 """Wire accounting of the two-level (hierarchical) all-reduce.
 
 The schedule is the one :func:`repro.comm.topology
-.hierarchical_allreduce_time` prices and the task-DAG builders in
-:mod:`repro.sched.builders` model: an intra-node ring reduce-scatter
-over each node's GPUs (fast link), an inter-node ring all-reduce over
-the node leaders — all local shards crossing in parallel but sharing
-each node's NIC — and an intra-node all-gather broadcasting the result
-back down. Traffic and step accounting follow that two-level route:
+.hierarchical_allreduce_time` prices in closed form (the simulator's
+``best_allreduce_time``): an intra-node ring reduce-scatter over each
+node's GPUs (fast link), an inter-node ring all-reduce over the node
+leaders — all local shards crossing in parallel but sharing each node's
+NIC — and an intra-node all-gather broadcasting the result back down. Traffic and step accounting follow that two-level route:
 ``2 (g - 1)`` intra steps plus ``2 (nodes - 1)`` inter steps versus the
 flat ring's ``2 (p - 1)``.
 

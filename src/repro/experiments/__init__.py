@@ -23,6 +23,7 @@ Fig. 11   batch-size and rank sweeps                             fig11
 Fig. 12   scaling 8 -> 64 GPUs                                   fig12
 Fig. 13   1GbE / 10GbE / 100Gb IB                                fig13
 (extra)   single-GPU WFBP contention microbenchmark              microbench
+(all)     every paper claim reproduced: value, bounds, role      claims
 ========  =====================================================  ==========
 """
 

@@ -1,8 +1,8 @@
 """Fig. 13: effect of network bandwidth (1GbE / 10GbE / 100Gb IB), 32 GPUs.
 
-Paper anchors: on 1GbE, Power-SGD/ACP-SGD reach 5.7x/7.1x over S-SGD on
-ResNet-50 and 11.2x/23.9x on BERT-Base; on 100Gb IB ACP-SGD still gives
-~40% on BERT-Base.
+Paper anchors (the Fig. 13 rows of :mod:`repro.experiments.claims`): on
+1GbE Power-SGD and ACP-SGD run several times faster than S-SGD on ResNet-50
+and BERT-Base; on 100Gb IB ACP-SGD still beats S-SGD on BERT-Base.
 """
 
 from __future__ import annotations

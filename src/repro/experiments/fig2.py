@@ -20,13 +20,6 @@ from repro.sim.strategies import ClusterSpec, simulate_iteration
 
 FIG2_METHODS = ("ssgd", "signsgd", "topk", "powersgd")
 
-# Qualitative anchors from the paper's text (§III-B).
-PAPER_ANCHORS = {
-    ("ResNet-50", "signsgd"): 1.70,  # x S-SGD
-    ("ResNet-50", "topk"): 1.66,  # x S-SGD
-}
-
-
 @dataclass(frozen=True)
 class Fig2Row:
     """One model's iteration times (ms) for the four methods.

@@ -3,7 +3,8 @@
 Three variants per method on ResNet-152 and BERT-Large: Naive (no WFBP,
 no TF), +WFBP, +WFBP+TF. The paper's findings: WFBP gives S-SGD/ACP-SGD
 ~12%, hurts Power-SGD (GPU contention); TF then gives 1.28x / 2.16x /
-1.56x over WFBP-only; ACP-SGD reaches up to 2.14x over its naive variant.
+1.56x over WFBP-only; ACP-SGD's full speed-up over its naive variant is a
+Fig. 9 row of :mod:`repro.experiments.claims`.
 """
 
 from __future__ import annotations

@@ -19,8 +19,8 @@ def render_full_report(fast: bool = False, emit: Callable[[str], None] = print) 
     """
     import repro.experiments as E
     from repro.experiments import (
-        fig2, fig3, fig4, fig5, fig6, fig7, fig8, fig9, fig10, fig11, fig12,
-        fig13, table1, table2, table3,
+        claims, fig2, fig3, fig4, fig5, fig6, fig7, fig8, fig9, fig10, fig11,
+        fig12, fig13, table1, table2, table3,
     )
 
     def section(title: str) -> None:
@@ -74,12 +74,7 @@ def render_full_report(fast: bool = False, emit: Callable[[str], None] = print) 
     section("Fig. 13 — effect of network bandwidth")
     emit(fig13.render(E.run_fig13()))
 
-    section("Microbenchmarks — in-text anchors")
-    contention = E.run_contention_microbench()
-    emit(f"1-GPU Power-SGD WFBP slowdown: {contention.slowdown:.2f}x "
-         f"(paper: ~1.13x)")
-    for result in E.run_fusion_microbench().values():
-        emit(f"fusion [{result.label}]: separate {result.separate_ms:.1f}ms "
-             f"-> fused {result.fused_ms:.1f}ms ({result.speedup:.1f}x)")
+    section("Paper claims — every anchor, reproduced and bounded")
+    emit(claims.render())
 
     emit(f"\nDone in {time.time() - started:.0f}s.")

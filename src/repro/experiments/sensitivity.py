@@ -19,13 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, List, Tuple
 
-from repro.experiments.common import paper_rank, timing_specs
-from repro.sim.calibration import GPUSpec, SimConfig
-from repro.sim.strategies import ClusterSpec, simulate_iteration
 from repro.comm.cost_model import LinkSpec
-from repro.sim.calibration import LINK_10GBE
-
-TABLE3_METHODS = ("ssgd", "powersgd", "powersgd_star", "acpsgd")
+from repro.experiments.common import format_rows, paper_rank, timing_specs
+from repro.experiments.table3 import TABLE3_METHODS
+from repro.sim.calibration import LINK_10GBE, GPUSpec, SimConfig
+from repro.sim.strategies import ClusterSpec, simulate_iteration
 
 
 @dataclass(frozen=True)
@@ -124,8 +122,6 @@ def run_sensitivity(
 
 
 def render(points: List[SensitivityPoint]) -> str:
-    from repro.experiments.common import format_rows
-
     headers = ["parameter", "factor", "ACP fastest", "S-SGD slowest (BERTs)",
                "contention flip", "all"]
     body = []

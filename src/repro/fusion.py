@@ -72,7 +72,7 @@ def scaled_buffer_size(
 ) -> float:
     """The paper's compressed buffer size: default x compression rate.
 
-    E.g. 25MB x (0.63MB / 97.5MB) = 0.16MB for ResNet-50's P factors at
+    E.g. 25MB x (0.63MB / 97.49MB) = 0.16MB for ResNet-50's P factors at
     rank 4, which batches the P tensors into ~4 buffers just like the
     uncompressed gradients.
     """

@@ -11,16 +11,12 @@ Layering (each importable and testable on its own):
   ``"fifo"`` and ``"priority"``.
 - :mod:`repro.sched.engine` — :class:`EventLoop`, the single
   processor-sharing event loop driving any combination of the above.
-- :mod:`repro.sched.builders` — graph builders for collectives over a
-  :class:`~repro.comm.topology.ClusterTopology` (flat vs hierarchical
-  all-reduce as task DAGs over per-node links).
 
 ``repro.sim.engine.Engine`` is this package's :class:`EventLoop` with the
 two-GPU contention pair; strategy/pipeline/fault timelines in
 :mod:`repro.sim` are builders producing :class:`TaskGraph` instances.
 """
 
-from repro.sched.builders import build_allreduce_graph, simulate_allreduce_makespan
 from repro.sched.engine import EventLoop
 from repro.sched.graph import Task, TaskGraph, TaskRecord
 from repro.sched.resources import ResourceModel
@@ -35,6 +31,4 @@ __all__ = [
     "Task",
     "TaskGraph",
     "TaskRecord",
-    "build_allreduce_graph",
-    "simulate_allreduce_makespan",
 ]

@@ -30,8 +30,7 @@ class Task:
     Attributes:
         task_id: unique name.
         stream: resource this task runs on — any name. The simulator's
-            iterations use ``gpu_main``/``gpu_side``/``nic``; the
-            all-reduce builders use ``node{i}:intra``/``node{i}:nic``.
+            iterations use ``gpu_main``/``gpu_side``/``nic``.
         work: seconds of work at full rate (finite, >= 0).
         deps: task_ids that must complete before this task may start.
         tag: breakdown category — ``"forward"``, ``"backward"``,

@@ -10,8 +10,8 @@ iteration timeline is simulated over three resources:
   which runs bucket compression concurrently with back-propagation.
   ``gpu_main``/``gpu_side`` **contend**: when both are busy each progresses
   at :data:`~repro.sim.calibration.SimConfig.contention_rate` of full speed,
-  reproducing the paper's observed ~13% one-GPU slowdown of Power-SGD with
-  WFBP (§III-C);
+  reproducing the paper's observed one-GPU slowdown of Power-SGD with WFBP
+  (§III-C);
 - ``nic`` — collectives priced by the alpha-beta model of
   :mod:`repro.comm.cost_model`.
 

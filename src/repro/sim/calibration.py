@@ -2,19 +2,19 @@
 
 Every constant is pinned, where possible, to a number the paper itself
 reports about its testbed (8 nodes x 4 RTX 2080 Ti, PCIe3 x16, 10GbE,
-PyTorch 1.12 + NCCL 2.10). The calibration test suite
-(``tests/test_calibration.py``) asserts the anchors below stay within
-tolerance:
+PyTorch 1.12 + NCCL 2.10). Those numbers and their bounds are the rows of
+:mod:`repro.experiments.claims` whose role is ``"calibration"``, checked
+with every other claim by ``tests/test_paper_reproduction.py``:
 
-- S-SGD fused all-reduce of ResNet-50's 97.5MB of gradients ~ 169ms on
-  10GbE/32 ranks (§IV-B) — fixes ``beta`` near 1.15GB/s;
-- one 64KB all-reduce ~ 1.2ms, two 32KB all-reduces ~ 2.0ms (§II-A.3) and
-  ResNet-50's 161 tensor-by-tensor all-reduces ~ 243ms — jointly fix
-  ``alpha`` near 13us (they over-determine it; we take the compromise);
+- §IV-B's fused all-reduce of ResNet-50's 97.49 MiB of gradients on
+  10GbE/32 ranks fixes ``beta`` near 1.15GB/s;
+- §II-A.3's one 64KB vs two 32KB all-reduces and §IV-B's 161
+  tensor-by-tensor all-reduces of the same gradients jointly fix ``alpha``
+  near 13us (they over-determine it; we take the compromise);
 - FF&BP wall times inferred from Table III / Fig. 3 (ResNet-50 bs64
-  ~ 235ms, BERT-Base bs32 ~ 180ms) — fix the per-kind GPU efficiency
+  ~ 235ms, BERT-Base bs32 ~ 180ms) fix the per-kind GPU efficiency
   factors;
-- Power-SGD* being ~13% slower than Power-SGD on one GPU (§III-C) — fixes
+- §III-C's single-GPU slowdown of Power-SGD* against Power-SGD fixes
   ``contention_rate``.
 """
 
@@ -109,10 +109,10 @@ class SimConfig:
         sign_rate: elements/s for sign extraction + 1-bit packing in the
             paper's PyTorch implementation (not a fused CUDA kernel).
         topk_rate: elements/s for multi-sampling top-k selection. The paper
-            reports Top-k compression ~4x Sign-SGD's (Fig. 3) and Top-k SGD
-            1.66x slower than S-SGD end-to-end on ResNet-50 (Fig. 2); a
-            ~0.22G elem/s selection rate (~4.5ns/element, dominated by the
-            masked-gather of selected values) reproduces both.
+            reports Top-k's compression time against Sign-SGD's (Fig. 3) and
+            its slowdown against S-SGD on ResNet-50 (Fig. 2); a ~0.22G elem/s
+            selection rate (~4.5ns/element, dominated by the masked-gather of
+            selected values) reproduces both.
         allgather_penalty: multiplier on all-gather wall time vs the ideal
             ring model. NCCL's all-gather of per-rank compressed payloads on
             Ethernet reaches far lower efficiency than ring all-reduce of

@@ -43,8 +43,6 @@ class TestFastExamples:
         out = _run("hierarchical_allreduce.py")
         assert "MATCH bit-exactly" in out
         assert "analytic crossover" in out
-        assert "rel err 0.00e+00" in out  # DAG model sits on the curves
-        assert "node0:nic" in out  # per-link gantt rows rendered
 
     @pytest.mark.serve
     def test_capacity_planning(self):

@@ -6,7 +6,6 @@ import repro.experiments as E
 from repro.experiments import fig2, fig3, fig5, fig8, fig10, fig11, table1, table2
 from repro.experiments.fig10 import run_fig10
 from repro.experiments.fig11 import run_fig11a, run_fig11b
-from repro.sim.strategies import ClusterSpec
 
 
 class TestTable1:
@@ -37,32 +36,9 @@ class TestFig2:
     def rows(self):
         return E.run_fig2()
 
-    def test_sign_and_topk_lose_on_resnet50(self, rows):
-        """Paper: 1.70x / 1.66x slower than S-SGD on ResNet-50."""
-        rn50 = next(r for r in rows if r.model == "ResNet-50")
-        assert rn50.ratio_to_ssgd("signsgd") == pytest.approx(1.70, rel=0.25)
-        assert rn50.ratio_to_ssgd("topk") == pytest.approx(1.66, rel=0.35)
-
-    def test_topk_beats_ssgd_on_bert_large(self, rows):
-        """Paper: Top-k runs faster than S-SGD on the largest model."""
-        large = next(r for r in rows if r.model == "BERT-Large")
-        assert large.times_ms["topk"] < large.times_ms["ssgd"]
-
-    def test_signsgd_oom_flag_only_on_bert_large(self, rows):
-        """Paper: Sign-SGD runs out of memory (only) on BERT-Large."""
-        for row in rows:
-            assert row.oom["signsgd"] == (row.model == "BERT-Large")
-            for method in ("ssgd", "topk", "powersgd"):
-                assert not row.oom[method], (row.model, method)
-
-    def test_powersgd_best_compression_method(self, rows):
-        """Paper: Power-SGD achieved the best performance over all models."""
-        for row in rows:
-            assert row.times_ms["powersgd"] <= row.times_ms["signsgd"]
-            assert row.times_ms["powersgd"] <= row.times_ms["topk"]
-
     def test_render(self, rows):
-        assert "Sign-SGD" in fig2.render(rows)
+        text = fig2.render(rows)
+        assert "Sign-SGD" in text and "(OOM)" in text
 
 
 class TestFig3:
@@ -79,47 +55,32 @@ class TestFig3:
                 assert row.breakdown.compression == 0.0
         assert "Top-k SGD" in fig3.render(rows)
 
-    def test_signsgd_comm_exceeds_ssgd_on_bert(self):
-        """Paper: Sign-SGD's all-gather comm is 24% HIGHER than S-SGD's
-        despite 32x compression."""
-        rows = E.run_fig3()
-        bert = {r.method: r.breakdown for r in rows if r.model == "BERT-Base"}
-        ratio = bert["signsgd"].comm_nonoverlap / bert["ssgd"].comm_nonoverlap
-        assert 0.9 < ratio < 1.7
-
-    def test_topk_compression_about_4x_signsgd(self):
-        rows = E.run_fig3()
-        bert = {r.method: r.breakdown for r in rows if r.model == "BERT-Base"}
-        ratio = bert["topk"].compression / bert["signsgd"].compression
-        assert 2.5 < ratio < 6.5  # paper: ~4x
-
 
 class TestFig5:
     def test_compressed_cdf_shift(self):
+        """The shift renders at each model's threshold (its size is a claim
+        row)."""
         data = E.run_fig5()
+        text = fig5.render(data)
+        assert "CDF" in text
         for item in data:
-            threshold = 1e4 if "ResNet" in item.model else 1e5
-            shift = item.cdf_at(threshold, True) - item.cdf_at(threshold, False)
-            assert shift >= 0.25  # paper: ~30% increase
-        assert "CDF" in fig5.render(data)
+            assert f"+{item.increase:.0%}" in text
 
     def test_sizes_sorted_and_counted(self):
         data = E.run_fig5(models=("ResNet-50",))[0]
         assert list(data.uncompressed_sizes) == sorted(data.uncompressed_sizes)
-        assert sum(data.uncompressed_sizes) == pytest.approx(25.6e6, rel=0.01)
+        paper_millions = table1.PAPER_TABLE1["ResNet-50"][0]
+        assert sum(data.uncompressed_sizes) == pytest.approx(
+            paper_millions * 1e6, rel=0.01
+        )
 
 
 class TestFig8:
     def test_acpsgd_lowest_comm(self):
+        """The breakdown renders (ACP-SGD's exposed communication against
+        Power-SGD's is a claim row)."""
         rows = E.run_fig8()
-        for model in ("ResNet-50", "BERT-Base"):
-            by_method = {
-                r.method: r.breakdown for r in rows if r.model == model
-            }
-            assert (
-                by_method["acpsgd"].comm_nonoverlap
-                <= by_method["powersgd"].comm_nonoverlap + 1e-9
-            )
+        assert len(rows) == 8
         assert "Power-SGD*" in fig8.render(rows)
 
 
@@ -128,53 +89,19 @@ class TestFig10:
     def rows(self):
         return run_fig10(buffers_mb=(0, 1, 25, 500, 1500))
 
-    def test_acpsgd_more_robust_than_powersgd(self, rows):
-        """Compressed-buffer scaling flattens ACP-SGD's curve."""
-        by_key = {(r.method, r.rank): r for r in rows}
-        for rank in (32, 256):
-            acp = by_key[("acpsgd", rank)]
-            # 25MB default within 10% of ACP's best.
-            best = min(acp.times_ms.values())
-            assert acp.times_ms[25] < 1.1 * best
-
-    def test_acpsgd_beats_powersgd_everywhere(self, rows):
-        by_key = {(r.method, r.rank): r for r in rows}
-        for rank in (32, 256):
-            acp = by_key[("acpsgd", rank)]
-            power = by_key[("powersgd_star", rank)]
-            for buf in acp.times_ms:
-                assert acp.times_ms[buf] < power.times_ms[buf]
-
-    def test_rank256_default_beats_extremes(self, rows):
-        """Paper: ~50% improvement of 25MB over 0MB and 1500MB at rank 256."""
-        acp = next(r for r in rows if r.method == "acpsgd" and r.rank == 256)
-        assert acp.times_ms[25] < 0.9 * acp.times_ms[0]
-        assert acp.times_ms[25] < 0.8 * acp.times_ms[1500]
-
     def test_render(self, rows):
         assert "ACP-SGD" in fig10.render(rows)
 
 
 class TestFig11:
+    """Both sweeps render; what they show is in the Fig. 11 claim rows."""
+
     def test_batch_size_effect(self):
         rows = run_fig11a()
-        by_batch = {r.batch_size: r for r in rows}
-        # ACP wins at both batch sizes; speedup over S-SGD shrinks with batch.
-        for row in rows:
-            assert row.speedup("ssgd") > 1.0
-            assert row.speedup("powersgd") > 1.0
-        assert by_batch[16].speedup("ssgd") > by_batch[32].speedup("ssgd")
+        assert [r.batch_size for r in rows] == [16, 32]
         assert "ACP" in fig11.render_a(rows)
 
     def test_rank_effect(self):
         rows = run_fig11b(ranks=(32, 256))
-        by_rank = {r.rank: r for r in rows}
-        # Larger rank -> more time for both; ACP's advantage grows.
-        assert by_rank[256].times_ms["acpsgd"] > by_rank[32].times_ms["acpsgd"]
-        assert by_rank[256].acp_speedup > by_rank[32].acp_speedup
-        # Paper: Power-SGD 3.4x and ACP-SGD 2.4x higher time at 256 vs 32.
-        power_scale = by_rank[256].times_ms["powersgd"] / by_rank[32].times_ms["powersgd"]
-        acp_scale = by_rank[256].times_ms["acpsgd"] / by_rank[32].times_ms["acpsgd"]
-        assert power_scale > acp_scale
-        assert acp_scale == pytest.approx(2.4, rel=0.25)
+        assert [r.rank for r in rows] == [32, 256]
         assert "rank" in fig11.render_b(rows)

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from repro.experiments import claims
+
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 
@@ -104,6 +106,42 @@ class TestEveryPaperArtifactHasABench:
             assert heading in text, heading
 
 
+class TestClaimTable:
+    """The paper's claims are declared once, in ``repro.experiments.claims``:
+    every simulator artifact has a row, every row cites an artifact or a
+    section, and EXPERIMENTS.md quotes the table as rendered."""
+
+    SIMULATED = ["table3", "fig2", "fig3", "fig5", "fig8", "fig9", "fig10",
+                 "fig11", "fig12", "fig13"]
+
+    def test_every_simulator_artifact_has_a_claim(self):
+        sources = {claim.source for claim in claims.CLAIMS}
+        for artifact in self.SIMULATED:
+            assert _label(artifact) in sources, artifact
+
+    def test_every_source_is_an_artifact_or_a_section(self):
+        labels = set(map(_label, TestEveryPaperArtifactHasABench.ARTIFACTS))
+        for claim in claims.CLAIMS:
+            assert (claim.source in labels
+                    or re.fullmatch(r"§[IVX]+-[A-Z](\.\d+)?", claim.source)
+                    ), claim.source
+
+    def test_experiments_md_quotes_the_rendered_table(self):
+        text = (ROOT / "EXPERIMENTS.md").read_text()
+        block = re.search(
+            r"<!-- claims:begin -->\n(.*?)\n<!-- claims:end -->", text, re.S
+        )
+        assert block is not None, "EXPERIMENTS.md has no claims block"
+        assert block.group(1) == claims.render()
+
+
+def _label(artifact):
+    """An experiment module's artifact as the paper names it: ``fig12`` ->
+    ``Fig. 12``, ``table3`` -> ``Table III`` (the paper has Tables I-III)."""
+    kind, number = re.fullmatch(r"(table|fig)(\d+)", artifact).groups()
+    return "Table " + "I" * int(number) if kind == "table" else f"Fig. {number}"
+
+
 class TestPublicApiImportable:
     def test_star_exports_resolve(self):
         """Every package under ``src/repro`` exports only names it has
@@ -141,10 +179,6 @@ class TestEveryModuleIsUsed:
         "repro.sim.pipeline":
             "EXPERIMENTS.md 'Steady-state pipelining + priority comm "
             "scheduling' (DESIGN.md row PIPE); three golden-trace scenarios",
-        "repro.sched.builders":
-            "DESIGN.md 'Hierarchical topology': the task-DAG model of "
-            "examples/hierarchical_allreduce.py that sits on "
-            "comm.topology's analytic curves (rel err 0)",
         "repro.nn.reshape":
             "DESIGN.md 'Autodiff / layers framework' row lists Flatten; the "
             "conv -> Linear models of tier-1's trainer, reducer and "

@@ -1,5 +1,6 @@
 """Full-report renderer (fast path)."""
 
+from repro.experiments import claims
 from repro.experiments.report import render_full_report
 
 
@@ -11,11 +12,12 @@ class TestReport:
         for artifact in ("Table I", "Table II", "Table III", "Fig. 2",
                          "Fig. 3", "Fig. 4", "Fig. 5", "Fig. 8", "Fig. 9",
                          "Fig. 10", "Fig. 11", "Fig. 12", "Fig. 13",
-                         "Microbenchmarks"):
+                         "Paper claims"):
             assert artifact in text, artifact
         # Fast mode skips the convergence figures.
         assert "Fig. 6" not in text
         assert "ACP-SGD mean speedups" in text
+        assert claims.render() in text  # one line per claim row
 
     def test_emit_receives_only_strings(self):
         seen = []

@@ -1,36 +1,9 @@
 """Unit tests of the repro.sched core: graph transforms, resource model,
-disciplines, topology builders and Gantt rows.
-
-The crossover-reproduction test is the tentpole acceptance criterion: the
-task-DAG model over the scheduler core must reproduce the analytic
-flat/hierarchical all-reduce times — and hence the crossover point — that
-:mod:`repro.comm.topology` prices.
-"""
+disciplines and Gantt rows."""
 
 import pytest
 
-from repro.comm.cost_model import ETHERNET_10G, INFINIBAND_100G
-from repro.comm.topology import (
-    NVLINK2,
-    PCIE3_X16,
-    ClusterTopology,
-    crossover_bytes,
-    flat_allreduce_time,
-    hierarchical_allreduce_time,
-)
-from repro.sched import (
-    EventLoop,
-    ResourceModel,
-    Task,
-    TaskGraph,
-    build_allreduce_graph,
-    simulate_allreduce_makespan,
-)
-
-TOPOLOGY = ClusterTopology(
-    num_nodes=4, gpus_per_node=4,
-    intra_link=NVLINK2, inter_link=ETHERNET_10G,
-)
+from repro.sched import EventLoop, ResourceModel, Task, TaskGraph
 
 
 class TestTaskGraph:
@@ -138,116 +111,25 @@ class TestResourceModel:
             EventLoop(disciplines={"nic": "round-robin"})
 
 
-class TestTopologyBuilders:
-    @pytest.mark.parametrize("nodes, scheme, expected", [
-        (2, "flat", [
-            ("flat_rs[n0]", "node0:nic", 0.005509831304347826, ()),
-            ("flat_rs[n1]", "node1:nic", 0.005509831304347826, ()),
-            ("flat_ag[n0]", "node0:nic", 0.005509831304347826,
-             ("flat_rs[n0]", "flat_rs[n1]")),
-            ("flat_ag[n1]", "node1:nic", 0.005509831304347826,
-             ("flat_rs[n0]", "flat_rs[n1]")),
-        ]),
-        (2, "hierarchical", [
-            ("hier_rs[n0]", "node0:intra", 0.00010785760000000001, ()),
-            ("hier_rs[n1]", "node1:intra", 0.00010785760000000001, ()),
-            ("hier_inter[n0]", "node0:nic", 0.007320441739130434,
-             ("hier_rs[n0]", "hier_rs[n1]")),
-            ("hier_inter[n1]", "node1:nic", 0.007320441739130434,
-             ("hier_rs[n0]", "hier_rs[n1]")),
-            ("hier_ag[n0]", "node0:intra", 0.00010785760000000001,
-             ("hier_inter[n0]",)),
-            ("hier_ag[n1]", "node1:intra", 0.00010785760000000001,
-             ("hier_inter[n1]",)),
-        ]),
-        (4, "flat",
-         [(f"flat_rs[n{i}]", f"node{i}:nic", 0.007033539130434783, ())
-          for i in range(4)]
-         + [(f"flat_ag[n{i}]", f"node{i}:nic", 0.007033539130434783,
-             tuple(f"flat_rs[n{j}]" for j in range(4)))
-            for i in range(4)]),
-        (4, "hierarchical",
-         [(f"hier_rs[n{i}]", f"node{i}:intra", 0.0001662864, ())
-          for i in range(4)]
-         + [(f"hier_inter[n{i}]", f"node{i}:nic", 0.011019662608695652,
-             tuple(f"hier_rs[n{j}]" for j in range(4)))
-            for i in range(4)]
-         + [(f"hier_ag[n{i}]", f"node{i}:intra", 0.0001662864,
-             (f"hier_inter[n{i}]",))
-            for i in range(4)]),
-    ])
-    def test_graph_pins_every_task_to_its_node(self, nodes, scheme, expected):
-        """Each phase runs on its own node's link, in submission order:
-        ``(task_id, stream, work, deps, tag, contends)`` of every task of
-        one 8 MiB all-reduce on an ``nodes`` x ``nodes`` NVLink / 10GbE
-        cluster."""
-        topology = ClusterTopology(
-            num_nodes=nodes, gpus_per_node=nodes,
-            intra_link=NVLINK2, inter_link=ETHERNET_10G,
-        )
-        graph = build_allreduce_graph(8 * 1024 * 1024, topology, scheme)
-        assert [
-            (t.task_id, t.stream, t.work, t.deps, t.tag, t.contends)
-            for t in graph.tasks
-        ] == [(*row, "comm", False) for row in expected]
-
-    def test_flat_graph_matches_analytic(self):
-        nbytes = 8 * 1024 * 1024
-        makespan = simulate_allreduce_makespan(nbytes, TOPOLOGY, "flat")
-        expected = flat_allreduce_time(nbytes, TOPOLOGY)
-        assert makespan == pytest.approx(expected, rel=1e-9)
-
-    def test_hierarchical_graph_matches_analytic(self):
-        nbytes = 8 * 1024 * 1024
-        makespan = simulate_allreduce_makespan(
-            nbytes, TOPOLOGY, "hierarchical"
-        )
-        expected = hierarchical_allreduce_time(nbytes, TOPOLOGY)
-        assert makespan == pytest.approx(expected, rel=1e-9)
-
-    def test_unknown_scheme_rejected(self):
-        with pytest.raises(ValueError):
-            build_allreduce_graph(1024, TOPOLOGY, scheme="mesh")
-
-    def test_crossover_reproduced_by_task_dag(self):
-        """Acceptance: the scheduler-core DAG model reproduces the
-        analytic crossover point between flat and hierarchical
-        (hierarchical wins below it — start-up bound — flat above)."""
-        topology = ClusterTopology(
-            num_nodes=4, gpus_per_node=4,
-            intra_link=PCIE3_X16, inter_link=INFINIBAND_100G,
-        )
-        analytic = crossover_bytes(topology)
-        assert 1024 < analytic < 1e9  # a real interior crossover
-        for factor, faster in ((0.25, "hierarchical"), (4.0, "flat")):
-            nbytes = analytic * factor
-            flat = simulate_allreduce_makespan(nbytes, topology, "flat")
-            hier = simulate_allreduce_makespan(
-                nbytes, topology, "hierarchical"
-            )
-            winner = "hierarchical" if hier < flat else "flat"
-            assert winner == faster, (
-                f"at {factor}x crossover the DAG model says {winner}, "
-                f"the analytic model says {faster}"
-            )
-        # And near the crossover the two schemes price within a few
-        # percent of each other — the DAG model sits on the same curves.
-        flat = simulate_allreduce_makespan(analytic, topology, "flat")
-        hier = simulate_allreduce_makespan(analytic, topology,
-                                           "hierarchical")
-        assert hier == pytest.approx(flat, rel=0.05)
-
-
 class TestHierarchicalGantt:
     def test_trace_renders_per_node_rows(self):
-        """Satellite: gantt rows generalize beyond the legacy trio."""
+        """Gantt rows follow the resources a graph names, beyond the
+        simulator's ``gpu_main`` / ``gpu_side`` / ``nic``: a hand-built
+        two-node hierarchical all-reduce (intra-node reduce-scatter, an
+        inter-node ring over the NICs, intra-node all-gather) draws one row
+        per node link and per NIC."""
         from repro.sim.gantt import render_gantt
 
-        topology = ClusterTopology(num_nodes=2, gpus_per_node=2)
-        graph = build_allreduce_graph(32 * 1024 * 1024, topology)
-        records = EventLoop().run(graph)
+        def phase(name, link, deps):
+            return [Task(f"{name}[n{i}]", f"node{i}:{link}", 1e-3, deps[i],
+                         tag="comm", contends=False)
+                    for i in range(2)]
+
+        rs = phase("rs", "intra", [(), ()])
+        inter = phase("inter", "nic", [tuple(t.task_id for t in rs)] * 2)
+        ag = phase("ag", "intra", [(t.task_id,) for t in inter])
+        records = EventLoop().run(TaskGraph(rs + inter + ag))
         chart = render_gantt(records, width=60)
         for row in ("node0:intra", "node1:intra", "node0:nic", "node1:nic"):
             assert row in chart
         assert "=" in chart  # comm tasks render as '='
-
