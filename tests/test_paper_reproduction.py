@@ -11,6 +11,7 @@ from collections import Counter
 import pytest
 
 from repro.experiments.claims import CLAIMS
+from repro.experiments.microbench import run_fusion_microbench
 
 
 def _ids():
@@ -29,3 +30,18 @@ def test_claim_holds(claim):
         f"{claim.source} {claim.statement}: reproduced {value:.4g}, "
         f"outside {claim.bounds} (paper {claim.paper})"
     )
+
+
+class TestMicrobenchmarks:
+    def test_fusion_anchors(self):
+        """One fusion microbenchmark run meets all four §IV-B rows at once:
+        raw fused and separate, compressed separate, compressed speed-up."""
+        results = run_fusion_microbench()
+        values = [results["raw"].fused_ms, results["raw"].separate_ms,
+                  results["compressed"].separate_ms,
+                  results["compressed"].speedup]
+        rows = [c for c in CLAIMS if c.source == "§IV-B"]
+        assert len(rows) == len(values)
+        for row, value in zip(rows, values):
+            assert row.holds(value), (
+                f"{row.statement}: {value:.4g} outside {row.bounds}")
