@@ -392,16 +392,29 @@ CLAIMS = (
 )
 
 
+def evaluate() -> List[Dict[str, object]]:
+    """Every claim with its reproduced value and verdict, one plain dict each."""
+    rows: List[Dict[str, object]] = []
+    for claim in CLAIMS:
+        value = float(claim.value())
+        rows.append({
+            "source": claim.source, "statement": claim.statement,
+            "paper": claim.paper, "low": claim.low, "high": claim.high,
+            "closed": claim.closed, "value": value, "role": claim.role,
+            "holds": claim.holds(value),
+        })
+    return rows
+
+
 def render() -> str:
     """Every claim, one line each, as a markdown table."""
     lines = ["| source | claim | paper | reproduced | bounds | role | holds |",
              "|---|---|---|---|---|---|---|"]
-    for claim in CLAIMS:
-        value = claim.value()
+    for claim, row in zip(CLAIMS, evaluate()):
         paper = "—" if claim.paper is None else f"{claim.paper:g}"
         lines.append(
-            f"| {claim.source} | {claim.statement} | {paper} | {value:.4g} "
+            f"| {claim.source} | {claim.statement} | {paper} | {row['value']:.4g} "
             f"| {claim.bounds} | {claim.role} | "
-            f"{'yes' if claim.holds(value) else 'NO'} |"
+            f"{'yes' if row['holds'] else 'NO'} |"
         )
     return "\n".join(lines)

@@ -2,7 +2,10 @@
 
 ``collect_all`` gathers every experiment's structured results into one
 JSON-serializable dict, so downstream users can plot the figures with
-their own tooling instead of parsing the text renderings.
+their own tooling instead of parsing the text renderings. Its ``claims``
+list holds one row per :data:`repro.experiments.claims.CLAIMS` entry: the
+paper's number, the bounds, the reproduced value, the role and whether it
+holds, the same verdicts the report's claim table prints.
 Exposed via ``python -m repro evaluate --json out.json``.
 """
 
@@ -36,8 +39,10 @@ def collect_all(fast: bool = True) -> Dict[str, Any]:
         fast: skip the convergence figures (minutes of numpy training).
     """
     import repro.experiments as E
+    from repro.experiments import claims
 
     out: Dict[str, Any] = {
+        "claims": claims.evaluate(),
         "table1": _plain(E.run_table1()),
         "table2": _plain(E.run_table2()),
         "fig2": _plain(E.run_fig2()),

@@ -1,13 +1,17 @@
 """2-D convolution layer (im2col + GEMM).
 
-Forward unfolds the input once (:func:`repro.nn.functional.im2col`, kept
-for backward in training mode only) and multiplies every sample's columns
-by the flattened weight with one broadcast ``np.matmul``. Backward is two
-more plain GEMM families on the same operands as they lie in memory — the
-weight gradient with the columns on the left and a transposed view of the
-output gradient on the right, the column gradient from a transposed view of
-the weight — and a ``col2im`` fold. Nothing larger than the weight is
-padded, transposed-and-copied or routed through ``einsum``.
+Forward unfolds the input once into batch-major columns
+(:func:`repro.nn.functional.im2col`, kept for backward in training mode
+only) and multiplies them by the flattened weight in one GEMM over the
+whole batch; one transposed copy turns the ``(out_c, N, H, W)`` product
+into NCHW. Backward takes the weight gradient as the per-sample sum of
+``cols_i @ g_i^T`` over strided slices of the same column buffer, and the
+input gradient as kh*kw per-tap GEMMs of the output gradient (laid out
+``(H, W, N, out_c)``) by that tap's weight slice, each added into a
+channels-last ``(H, W, N, C)`` image through the tap's slices and
+transposed into NCHW once at the end: no column-gradient buffer and no
+``col2im``. Nothing larger than the weight is padded or routed through
+``einsum``.
 """
 
 from __future__ import annotations
@@ -71,16 +75,15 @@ class Conv2d(Module):
         cols = F.im2col(x, (kh, kw), self.stride, self.padding)
         out_h = F.conv_output_size(x.shape[2], kh, self.stride, self.padding)
         out_w = F.conv_output_size(x.shape[3], kw, self.stride, self.padding)
-        w_mat = self.weight.data.reshape(self.weight.data.shape[0], -1)
-        # One (out_c, F) @ (F, L) GEMM per sample, straight off the column
-        # buffer: matmul broadcasts w_mat over the batch without copying.
-        out = np.matmul(w_mat, cols)
+        out_c = self.weight.data.shape[0]
+        # One (out_c, F) @ (F, N*L) GEMM for the whole batch.
+        out = self.weight.data.reshape(out_c, -1) @ cols
         if self.bias is not None:
             # In place: ``out`` is matmul's private output buffer.
-            out += self.bias.data[None, :, None]
+            out += self.bias.data[:, None]
         if self.training:
             self._cache = (cols, x.shape)
-        return out.reshape(n, -1, out_h, out_w)
+        return out.reshape(out_c, n, out_h, out_w).transpose(1, 0, 2, 3).copy()
 
     def backward(
         self, grad_output: np.ndarray, need_input_grad: bool = True
@@ -90,25 +93,35 @@ class Conv2d(Module):
             raise RuntimeError("backward called before forward")
         cols, input_shape = self._cache
         self._cache = None
-        n, out_c = grad_output.shape[:2]
+        n, out_c, out_h, out_w = grad_output.shape
         grad_mat = grad_output.reshape(n, out_c, -1)
-        w_mat = self.weight.data.reshape(out_c, -1)
 
         if self.bias is not None:
             self.bias.accumulate_grad(grad_mat.sum(axis=(0, 2)))
-        # One (F, L) @ (L, out_c) GEMM per sample, the columns as they lie on
-        # the left (the bits of g @ col.T), summed as they come and
-        # transposed once: no (n, F, out_c) intermediate.
-        grad_w = sum(np.matmul(col, g.T) for g, col in zip(grad_mat, cols)).T
-        del cols
+        # One (F, L) @ (L, out_c) GEMM per sample, its columns a strided
+        # slice of the batch-major buffer on the left (the bits of
+        # g @ col.T), summed as they come and transposed once: no
+        # (n, F, out_c) intermediate.
+        samples = cols.reshape(cols.shape[0], n, -1)
+        grad_w = sum(np.matmul(samples[:, i], g.T) for i, g in enumerate(grad_mat)).T
+        del cols, samples
         self.weight.accumulate_grad(grad_w.reshape(self.weight.data.shape))
         if not need_input_grad:
             return None
-        grad_cols = np.matmul(w_mat.T, grad_mat)
-        return F.col2im(
-            grad_cols,
-            input_shape,
-            (self.kernel_size, self.kernel_size),
-            self.stride,
-            self.padding,
-        )
+        # Per tap: (H*W*N, out_c) @ (out_c, C) into one scratch, added into
+        # the channels-last image where the tap reads the input.
+        _, c, h, w = input_shape
+        kh = kw = self.kernel_size
+        _, row_taps = F._axis_taps(h, kh, self.stride, self.padding)
+        _, col_taps = F._axis_taps(w, kw, self.stride, self.padding)
+        rows = grad_output.transpose(2, 3, 0, 1).reshape(-1, out_c)
+        taps = self.weight.data.transpose(2, 3, 0, 1).copy()
+        dtype = np.result_type(rows, taps)
+        image = np.zeros((h, w, n, c), dtype=dtype)
+        tap = np.empty((out_h, out_w, n, c), dtype=dtype)
+        flat_tap = tap.reshape(-1, c)
+        for ki, (out_rows, in_rows) in enumerate(row_taps):
+            for kj, (out_cols, in_cols) in enumerate(col_taps):
+                np.matmul(rows, taps[ki, kj], out=flat_tap)
+                image[in_rows, in_cols] += tap[out_rows, out_cols]
+        return image.transpose(2, 3, 0, 1).copy()

@@ -1,9 +1,10 @@
 """Low-level array ops shared by layers: im2col/col2im, softmax, einsum paths.
 
 ``im2col`` / ``col2im`` move data once per kernel tap between the NCHW
-array and the ``(N, C*kh*kw, L)`` column buffer (one strided-slice copy,
-respectively one strided-slice add, per tap; zero padding is implicit).
-The conv and pooling layers do their arithmetic on that buffer directly.
+array and the batch-major ``(C*kh*kw, N*L)`` column buffer (one
+strided-slice copy, respectively one strided-slice add, per tap; zero
+padding is implicit). The conv and pooling layers do their arithmetic on
+that buffer directly; ``col2im`` serves pooling only.
 """
 
 from __future__ import annotations
@@ -64,24 +65,28 @@ def _axis_taps(
 def im2col(
     x: np.ndarray, kernel: Tuple[int, int], stride: int, padding: int
 ) -> np.ndarray:
-    """Unfold NCHW input into (N, C*kh*kw, out_h*out_w) patch columns.
+    """Unfold NCHW input into batch-major ``(C*kh*kw, N*out_h*out_w)`` columns.
 
-    Convolution then becomes one GEMM per sample — the same lowering cuDNN
-    uses, which keeps the numpy convnets fast enough to actually train. The
-    columns are written once: each of the kh*kw kernel taps is one strided
-    slice of ``x`` copied into its plane of the column buffer, and padding
-    is the part of a plane no slice reaches (the input is never padded).
+    Convolution then becomes one GEMM over the whole batch — the same
+    lowering cuDNN uses, which keeps the numpy convnets fast enough to
+    actually train. Column ``i*L + p`` holds sample ``i``'s patch at output
+    position ``p`` (``L = out_h*out_w``), so ``cols.reshape(F, N, L)[:, i]``
+    is sample ``i``'s ``(F, L)`` columns as a strided slice. The columns are
+    written once: each of the kh*kw kernel taps is one strided slice of
+    ``x`` copied into its plane of the column buffer, and padding is the
+    part of a plane no slice reaches (the input is never padded).
     """
     n, c, h, w = x.shape
     kh, kw = kernel
     out_h, row_taps = _axis_taps(h, kh, stride, padding)
     out_w, col_taps = _axis_taps(w, kw, stride, padding)
     alloc = np.zeros if padding > 0 else np.empty
-    cols = alloc((n, c, kh, kw, out_h, out_w), dtype=x.dtype)
+    cols = alloc((c, kh, kw, n, out_h, out_w), dtype=x.dtype)
+    channels_first = x.transpose(1, 0, 2, 3)
     for ki, (out_rows, in_rows) in enumerate(row_taps):
         for kj, (out_cols, in_cols) in enumerate(col_taps):
-            cols[:, :, ki, kj, out_rows, out_cols] = x[:, :, in_rows, in_cols]
-    return cols.reshape(n, c * kh * kw, out_h * out_w)
+            cols[:, ki, kj, :, out_rows, out_cols] = channels_first[:, :, in_rows, in_cols]
+    return cols.reshape(c * kh * kw, n * out_h * out_w)
 
 
 def col2im(
@@ -91,21 +96,23 @@ def col2im(
     stride: int,
     padding: int,
 ) -> np.ndarray:
-    """Fold patch columns back to NCHW, summing overlapping contributions.
+    """Fold batch-major patch columns back to NCHW, summing overlapping windows.
 
     Adjoint of :func:`im2col`, tap for tap: what a tap read from padding is
     dropped, so the fold accumulates straight into the (unpadded) result.
-    Used for the conv and pooling input gradients.
+    Used for the pooling input gradients (``Conv2d`` folds its own,
+    channels-last, without a column-gradient buffer).
     """
     n, c, h, w = input_shape
     kh, kw = kernel
     out_h, row_taps = _axis_taps(h, kh, stride, padding)
     out_w, col_taps = _axis_taps(w, kw, stride, padding)
-    cols6 = cols.reshape(n, c, kh, kw, out_h, out_w)
+    cols6 = cols.reshape(c, kh, kw, n, out_h, out_w)
     image = np.zeros(input_shape, dtype=cols.dtype)
+    channels_first = image.transpose(1, 0, 2, 3)
     for ki, (out_rows, in_rows) in enumerate(row_taps):
         for kj, (out_cols, in_cols) in enumerate(col_taps):
-            image[:, :, in_rows, in_cols] += cols6[:, :, ki, kj, out_rows, out_cols]
+            channels_first[:, :, in_rows, in_cols] += cols6[:, ki, kj, :, out_rows, out_cols]
     return image
 
 

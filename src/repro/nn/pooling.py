@@ -54,8 +54,10 @@ class MaxPool2d(Module):
             )
         else:
             cols = F.im2col(x, (k, k), self.stride, self.padding)
-            windows = np.moveaxis(cols.reshape(n, c, k * k, out_h, out_w), 2, 0)
-        out = windows.max(axis=0)
+            windows = cols.reshape(c, k * k, n, out_h, out_w).transpose(1, 2, 0, 3, 4)
+        # Into a C-contiguous result: the general path's windows are a
+        # transposed view, whose reduction numpy would lay out like it.
+        out = windows.max(axis=0, out=np.empty((n, c, out_h, out_w), dtype=x.dtype))
         if self.training:
             # first[t] marks the windows whose first maximum is position t.
             first = windows == out
@@ -82,9 +84,9 @@ class MaxPool2d(Module):
                     out=grad_input[:, :, tap // k :: k, tap % k :: k],
                 )
             return grad_input
-        grad_cols = np.moveaxis(first * grad_output, 0, 2)
+        grad_cols = (first * grad_output).transpose(2, 0, 1, 3, 4)
         return F.col2im(
-            grad_cols.reshape(n, c * k * k, -1),
+            grad_cols.reshape(c * k * k, -1),
             input_shape,
             (k, k),
             self.stride,
@@ -110,22 +112,18 @@ class AvgPool2d(Module):
         cols = F.im2col(x, (k, k), self.stride, self.padding)
         out_h = F.conv_output_size(h, k, self.stride, self.padding)
         out_w = F.conv_output_size(w, k, self.stride, self.padding)
-        out = cols.reshape(n, c, k * k, -1).mean(axis=2)
+        out = cols.reshape(c, k * k, n, out_h, out_w).mean(axis=1)
         if self.training:
             self._input_shape = x.shape
-        return out.reshape(n, c, out_h, out_w)
+        return out.transpose(1, 0, 2, 3).copy()
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._input_shape is None:
             raise RuntimeError("backward called before forward")
-        n, c, h, w = self._input_shape
+        c = self._input_shape[1]
         k = self.kernel_size
-        out_h = F.conv_output_size(h, k, self.stride, self.padding)
-        out_w = F.conv_output_size(w, k, self.stride, self.padding)
-        flat_grad = grad_output.reshape(n, c, 1, out_h * out_w) / (k * k)
-        grad_cols = np.broadcast_to(
-            flat_grad, (n, c, k * k, out_h * out_w)
-        ).reshape(n, c * k * k, -1)
+        flat_grad = grad_output.transpose(1, 0, 2, 3).reshape(c, 1, -1) / (k * k)
+        grad_cols = np.broadcast_to(flat_grad, (c, k * k, flat_grad.shape[2]))
         grad_input = F.col2im(
             np.ascontiguousarray(grad_cols),
             self._input_shape,

@@ -1,10 +1,13 @@
 """The hot ``repro.nn`` kernels against loop references and finite differences.
 
-Conv2d (slice-copy im2col + per-sample GEMMs), MaxPool2d (tiled and general
-geometry), AvgPool2d, BatchNorm2d and ReLU are checked here against naive
-loop implementations and central differences over the geometries the bundled
-models never exercise (odd strides, over-padding, inputs the stride does not
-divide), plus the allocation guard that keeps a reintroduced transpose-copy
+Conv2d (slice-copy batch-major im2col, one forward GEMM per batch, the
+input gradient as per-tap GEMMs folded channels-last), MaxPool2d (tiled and
+general geometry), AvgPool2d, BatchNorm2d and ReLU are checked here against
+naive loop implementations and central differences over the geometries the
+bundled models never exercise (odd strides, over-padding, inputs the stride
+does not divide), Conv2d also against the sample-major formulation it
+replaced (``tests/reference_conv.py``, byte for byte on the benchmark's VGG
+layers), plus the allocation guard that keeps a reintroduced transpose-copy
 from passing unnoticed.
 """
 
@@ -17,6 +20,7 @@ from repro import nn
 from repro.models.convnets import make_small_resnet
 from repro.nn import functional as F
 from repro.perf.arena import GradientArena
+from tests import reference_conv
 from tests.gradcheck import check_layer_gradients
 from tests.test_lowrank_kernels import WIDTHS, product_heights, slot_storage
 
@@ -153,6 +157,64 @@ class TestConv2dGeometries:
             np.testing.assert_allclose((cols * y).sum(), (x * folded).sum(), rtol=1e-12)
 
 
+def vgg_conv_layers(base_width):
+    """``(in, out, side)`` of ``make_small_vgg``'s five 3x3, pad-1 convs on
+    the 16x16 CIFAR-like images."""
+    w = base_width
+    return [(3, w, 16), (w, w, 16), (w, 2 * w, 8), (2 * w, 2 * w, 8),
+            (2 * w, 4 * w, 4)]
+
+
+class TestBatchMajorConvolution:
+    """``Conv2d`` against the sample-major formulation it replaced.
+
+    ``tests/reference_conv.py`` keeps the per-sample forward GEMMs, the
+    ``w_mat^T @ g`` column gradient and ``col2im`` on sample-major columns.
+    On the VGG layers of the benchmark (base width 32) and of
+    ``scripts/check_determinism.py`` (base width 4), float32, batch 8, the
+    batch-wide forward GEMM, the strided per-sample weight-gradient slices
+    and the channels-last per-tap fold reproduce its bytes — except the
+    3-channel first layer's input gradient at width 32, which training
+    never forms (``worker_pass`` skips it): its per-tap GEMM is 3 columns
+    wide and OpenBLAS rounds that tail differently from the old 27-row
+    column gradient, so it is compared to rounding. Other geometries round
+    differently in the last bits in places ("Bits" in docs/performance.md);
+    the float64 loop reference in :class:`TestConv2dGeometries` is their
+    correctness check.
+    """
+
+    @pytest.mark.parametrize("bias", [False, True])
+    @pytest.mark.parametrize("base_width", [32, 4])
+    def test_vgg_layers_keep_the_old_bits(self, base_width, bias):
+        rng = np.random.default_rng(base_width)
+        for index, (cin, cout, hw) in enumerate(vgg_conv_layers(base_width)):
+            layer = nn.Conv2d(cin, cout, 3, padding=1, bias=bias, rng=rng)
+            b = None
+            if bias:
+                layer.bias.data[:] = rng.normal(size=cout)
+                b = layer.bias.data
+            x = rng.normal(size=(8, cin, hw, hw)).astype(np.float32)
+            out = layer(x)
+            grad = rng.normal(size=out.shape).astype(np.float32)
+            grad_input = layer.backward(grad)
+            want_out, cols = reference_conv.conv_forward(x, layer.weight.data, b, 1, 1)
+            want_gi, want_gw, want_gb = reference_conv.conv_backward(
+                cols, layer.weight.data, grad, x.shape, 1, 1
+            )
+            case = (base_width, cin, cout, hw)
+            assert out.dtype == np.float32 and out.flags.c_contiguous, case
+            assert grad_input.dtype == np.float32, case
+            assert grad_input.flags.c_contiguous, case
+            assert out.tobytes() == want_out.tobytes(), case
+            assert layer.weight.grad.tobytes() == want_gw.tobytes(), case
+            if bias:
+                assert layer.bias.grad.tobytes() == want_gb.tobytes(), case
+            if index == 0 and base_width == 32:
+                np.testing.assert_allclose(grad_input, want_gi, rtol=1e-5, atol=1e-5)
+            else:
+                assert grad_input.tobytes() == want_gi.tobytes(), case
+
+
 class TestMaxPool2dPaths:
     def _tiled_and_general(self, x, k, grad_output):
         """Pool ``x`` on the tiled path, and on the general path by appending
@@ -167,6 +229,8 @@ class TestMaxPool2dPaths:
         assert not general._tiles(*wider.shape[2:])
         out_g = general(wider)
         grad_g = general.backward(grad_output)
+        for array in (out_t, grad_t, out_g, grad_g):
+            assert array.flags.c_contiguous
         return out_t, grad_t, out_g, grad_g
 
     @pytest.mark.parametrize("k", [2, 3])
@@ -212,7 +276,7 @@ class TestMaxPool2dPaths:
         x = rng.uniform(1.0, 2.0, size=shape)
         out = layer(x)
         ref_out, ref_backward = naive_pool(x, k, stride, padding, "max")
-        assert np.array_equal(out, ref_out)
+        assert np.array_equal(out, ref_out) and out.flags.c_contiguous
         grad_output = rng.normal(size=out.shape)
         # Overlapping windows add into one input element in a different order.
         np.testing.assert_allclose(
@@ -233,6 +297,7 @@ class TestAvgPool2d:
         layer = nn.AvgPool2d(k, stride=stride, padding=padding)
         x = rng.normal(size=shape)
         out = layer(x)
+        assert out.flags.c_contiguous
         ref_out, ref_backward = naive_pool(x, k, stride, padding, "avg")
         np.testing.assert_allclose(out, ref_out, rtol=0, atol=1e-14)
         grad_output = rng.normal(size=out.shape)
@@ -521,8 +586,12 @@ class TestWeightIsTheLeftOperand:
             grad = rng.normal(size=(8, cout, hw, hw)).astype(dtype)
             layer(x)
             layer.backward(grad, need_input_grad=False)
-            cols = F.im2col(x, (3, 3), 1, 1)
-            want = sum(g @ col.T for g, col in zip(grad.reshape(8, cout, -1), cols))
+            # Sample i's columns, copied out of the batch-major buffer.
+            cols = F.im2col(x, (3, 3), 1, 1).reshape(cin * 9, 8, -1)
+            want = sum(
+                g @ np.ascontiguousarray(cols[:, i]).T
+                for i, g in enumerate(grad.reshape(8, cout, -1))
+            )
             got = layer.weight.grad
             assert got.tobytes() == want.reshape(got.shape).tobytes(), (cin, cout)
 
@@ -605,17 +674,23 @@ class TestKernelAllocationGuard:
 
     Recorded on (8, 32, 16, 16) float64 input (python 3.11, numpy 2.4):
 
-    ==========================  ==============  ==============  =========
-    layer                       parent 204f552  this change     bound
-    ==========================  ==============  ==============  =========
-    Conv2d(32, 32, 3, pad=1)    2.31 x columns  1.30 x columns  1.6 x
-    MaxPool2d(2)                2.88 x input    1.63 x input    2.0 x
-    ==========================  ==============  ==============  =========
+    ========================  =============  =============  =============  =====
+    layer                     with copies    sample-major   batch-major    bound
+    ========================  =============  =============  =============  =====
+    Conv2d(32, 32, 3, pad=1)  2.31 x cols    1.185 x cols   1.222 x cols   1.6 x
+    MaxPool2d(2)              2.88 x input   1.44 x input   1.44 x input   2.0 x
+    ========================  =============  =============  =============  =====
 
-    "columns" is the im2col buffer (8 x 288 x 256 float64 = 4.7 MB), which
-    the forward must keep for the backward. One more copy of it — a padded
-    input plus a transposed operand, a reshape of a strided view, columns
-    and column gradients alive together — lands at 2 x or more.
+    "cols" is the im2col buffer (8 x 288 x 256 float64 = 4.7 MB), which
+    the forward must keep for the backward. "with copies" is the kernels
+    before the transpose-copies went; "sample-major" the ``(N, F, L)``
+    columns with per-sample forward GEMMs and a ``col2im`` input gradient;
+    "batch-major" the ``(F, N*L)`` columns of today, whose forward holds the
+    columns, the ``(out_c, N*L)`` product and its NCHW copy at once
+    (1 + 2/9 cols), while its input gradient needs no column-sized buffer.
+    One more copy of the columns — a padded input plus a transposed
+    operand, a reshape of a strided view, columns and column gradients
+    alive together — lands at 2 x or more.
     """
 
     def test_conv_peak_is_one_column_buffer(self, rng):

@@ -50,7 +50,7 @@ class TestExport:
         return collect_all(fast=True)
 
     def test_structure_complete(self, data):
-        expected = {"table1", "table2", "table3", "fig2", "fig3", "fig5",
+        expected = {"claims", "table1", "table2", "table3", "fig2", "fig3", "fig5",
                     "fig8", "fig9", "fig10", "fig11a", "fig11b", "fig12",
                     "fig13", "microbench"}
         assert expected <= set(data)
@@ -77,3 +77,20 @@ class TestExport:
         for row in data["table3"]:
             for method, value in row["times_ms"].items():
                 assert value == pytest.approx(fresh[row["model"]][method])
+
+    def test_claim_rows_match_the_text_report(self, data):
+        """One row per claim, in table order, with the report's verdict."""
+        from repro.experiments.claims import CLAIMS, render
+
+        rows = data["claims"]
+        assert len(rows) == len(CLAIMS)
+        verdicts = [line.rsplit("|", 2)[1].strip()
+                    for line in render().splitlines()[2:]]
+        assert len(verdicts) == len(CLAIMS)
+        for claim, row, verdict in zip(CLAIMS, rows, verdicts):
+            assert (row["source"], row["statement"], row["paper"], row["low"],
+                    row["high"], row["closed"], row["role"]) == (
+                claim.source, claim.statement, claim.paper, claim.low,
+                claim.high, claim.closed, claim.role)
+            assert row["holds"] == (verdict == "yes"), claim.statement
+            assert row["holds"] == claim.holds(row["value"])

@@ -5,6 +5,7 @@ import dataclasses
 import pytest
 
 from repro.compression.wire import low_rank_split, step_wire
+from repro.experiments.claims import CLAIMS
 from repro.models import MODEL_SPECS, get_model_spec
 from repro.sim import strategies
 from repro.sim.autotune import autotune_buffer_size
@@ -130,7 +131,8 @@ class TestMethodStructure:
             system=SystemConfig(True, False), rank=4,
         )
         slowdown = overlap.total / no_overlap.total
-        assert 1.02 < slowdown < 1.6  # the paper's number: the §III-C claim row
+        row = next(c for c in CLAIMS if c.source == "§III-C")
+        assert row.holds(slowdown), f"{slowdown:.4g} outside {row.bounds}"
 
     def test_more_workers_cost_more_for_allgather_methods(self, resnet18):
         t8 = simulate_iteration("signsgd", resnet18, cluster=ClusterSpec(8))
