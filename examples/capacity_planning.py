@@ -39,8 +39,7 @@ def main() -> int:
     stream = [population[i % len(population)]
               for i in range(args.queries)]
 
-    with PlannerService(cache=ResultCache(shards=4,
-                                          capacity_per_shard=256),
+    with PlannerService(cache=ResultCache(capacity=1024),
                         max_workers=4) as service:
         start = time.perf_counter()
         results = service.submit_batch(stream)
@@ -51,8 +50,8 @@ def main() -> int:
               f"({len(results) / elapsed:.0f} q/s) with "
               f"{stats['computes']} simulator runs")
         print(f"cache: hit rate {stats['cache']['hit_rate']:.0%}, "
-              f"{stats['cache']['entries']} entries across "
-              f"{stats['cache']['shards']} shards")
+              f"{stats['cache']['entries']} of "
+              f"{stats['cache']['capacity']} entries")
 
         # Byte-identity: a cached answer equals a fresh cache-less run.
         probe = population[0]

@@ -32,8 +32,9 @@ Seven checks, all diffing final weights bit-exactly:
    shard, weight-broadcast, or BatchNorm-replay drift shows up here);
 6. a supervised run whose worker child is SIGKILLed mid-step must
    recover bit-identically: under the ``"restart"`` policy the child is
-   respawned, its sampling stream replayed, and the step retried — the
-   weights must match the fault-free run exactly; under the ``"eject"``
+   respawned and the task retried with the rank's stream as the trainer
+   held it before the step (the task carries it; the child keeps none) —
+   the weights must match the fault-free run exactly; under the ``"eject"``
    policy the rank is ejected at the boundary and later readmitted — the
    process-worker run must match a sequential run of the same
    WorkerFault schedule, and both must log the same eject -> rejoin

@@ -23,8 +23,8 @@ Subcommands:
 - ``plan`` — one-shot deployment recommendation (``--json`` emits the
   versioned schema the planning service serves);
 - ``serve`` — capacity-planning service loop: JSONL queries on stdin (or
-  ``--input``), canonical JSONL plans on stdout, backed by the sharded
-  memoized result cache with single-flight de-duplication;
+  ``--input``), canonical JSONL plans on stdout, backed by the
+  memoized LRU result cache with single-flight de-duplication;
 - ``evaluate`` — regenerate the paper's tables/figures (wraps the
   experiment drivers; ``--fast`` skips the convergence figures);
 - ``bench`` — hot-path micro-benchmark: per-aggregator step time and
@@ -377,8 +377,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve import PlannerService, ResultCache, serve_jsonl
 
     service = PlannerService(
-        cache=ResultCache(shards=args.shards,
-                          capacity_per_shard=args.capacity_per_shard),
+        cache=ResultCache(capacity=args.capacity),
         max_workers=args.workers,
     )
     try:
@@ -687,10 +686,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="JSONL plan file ('-' = stdout)")
     p_serve.add_argument("--workers", type=int, default=4,
                          help="thread-pool width for uncached queries")
-    p_serve.add_argument("--shards", type=int, default=8,
-                         help="result-cache shard count")
-    p_serve.add_argument("--capacity-per-shard", type=int, default=4096,
-                         help="LRU bound per cache shard")
+    p_serve.add_argument("--capacity", type=int, default=32768,
+                         help="LRU bound on result-cache entries")
     p_serve.add_argument("--batch-lines", type=int, default=64,
                          help="input lines answered per submit_batch")
     p_serve.add_argument("--warm-start", action="store_true",

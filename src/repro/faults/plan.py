@@ -190,10 +190,11 @@ class WorkerFault:
     Unlike wire faults (which strike *collective calls*) and peer faults
     (which strike *published updates*), worker faults strike the *compute*:
     the worker executing ``rank``'s backprop misbehaves at training step
-    ``step``. Faults are self-applied — a process child reads the plan and
-    injects the failure into itself at the top of the task, *before any
-    batch draw*, so a respawned child replaying the rank's rng history
-    lands exactly where the dead one would have been. The sequential
+    ``step``. The trainer reads the plan when it builds the step's tasks
+    and ships the fault in the rank's task; a process child injects the
+    failure into itself at the top of the task, *before any batch draw*,
+    so a failed attempt leaves the rank's sampling stream where the
+    fault-free run has it. The sequential
     backend runs the same task in-process and answers the fault with the
     error the child would have died with, at the same point, which is what
     makes ``workers="process"`` recovery comparable bit-for-bit against a
@@ -257,8 +258,9 @@ class FaultPlan:
             ``recoveries`` / ``joins`` events are interpreted with
             ``call_index`` meaning *window index*.
         worker_faults: scheduled worker-process failures
-            (:class:`WorkerFault`), self-applied by process children and
-            simulated by the sequential backend at the same step.
+            (:class:`WorkerFault`), shipped in the step's task, then
+            self-applied by process children and simulated by the
+            sequential backend at the same point.
     """
 
     seed: int = 0
@@ -334,9 +336,8 @@ class FaultPlan:
     def worker_fault_at(self, rank: int, step: int) -> Optional[WorkerFault]:
         """The worker fault scheduled for ``rank`` at trainer step ``step``.
 
-        At most one per (rank, step) — enforced at construction — so both
-        the child applying it and the supervisor reconciling against it see
-        the same unambiguous schedule.
+        At most one per (rank, step) — enforced at construction — so the
+        trainer building the step's tasks reads an unambiguous schedule.
         """
         for fault in self.worker_faults:
             if fault.rank == rank and fault.step == step:

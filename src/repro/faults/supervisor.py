@@ -20,14 +20,15 @@ that turns both events from run-killers into membership events:
 Two recovery rungs, mirroring the communication layer's ladder:
 
 ``"restart"``
-    The dead child is ejected from the pool, a fresh one is respawned and
-    rejoined (its sampling stream fast-forwarded through the rank's
-    completed-task history), and the failed task is re-run *within the
-    same step* — the roster never shrinks. Because scheduled
+    The dead child is ejected from the pool, a fresh one is respawned,
+    and the failed task is re-run *within the same step*, without its
+    fault — the roster never shrinks. Because scheduled
     :class:`~repro.faults.plan.WorkerFault` injections fire *before any
-    batch draw*, the retried task consumes exactly the draws the fault-free
-    run would have: the recovered trajectory is **bit-identical to the
-    fault-free run**. This works with any process group.
+    batch draw*, a failed attempt returns no generator and leaves the
+    trainer's stream for the rank untouched, so the retried task consumes
+    exactly the draws the fault-free run would have: the recovered
+    trajectory is **bit-identical to the fault-free run**. This works with
+    any process group.
 
 ``"eject"``
     The step completes degraded — the dead rank contributes nothing and
@@ -37,8 +38,9 @@ Two recovery rungs, mirroring the communication layer's ladder:
     at the next step boundary. After ``respawn_delay_steps`` boundaries
     the group readmits it (its ``schedule_rejoin``) through the same
     admission as a plan :class:`~repro.faults.plan.Recovery` (donor state
-    broadcast, compressor warm-start, re-shard, fresh child spawned
-    against the replayed stream). The trajectory is bit-identical to a *sequential*
+    broadcast, compressor warm-start, re-shard, fresh child spawned; the
+    rank's stream waited in the trainer). The trajectory is bit-identical
+    to a *sequential*
     run handling the same :class:`~repro.faults.plan.WorkerFault`
     schedule, which is what ``scripts/check_determinism.py`` gates.
 

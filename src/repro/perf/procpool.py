@@ -8,10 +8,11 @@ Python between numpy kernels holds the GIL — and returns the same
 :class:`WorkerStepResult` s, keeping the repo's bit-identity contract:
 
 - every worker rank gets a **persistent child process** holding its own
-  model replica, loss head, data shard cache, and per-rank sampling
-  stream (derived from ``(seed, rank)`` exactly as the sequential
-  trainer derives it, so the stream a rank consumes is identical in
-  every backend);
+  model replica, loss head and data shard cache — but not the rank's
+  sampling stream: each task carries the trainer's generator for the
+  rank and the result returns it advanced, so the trainer owns every
+  stream on either backend and a child keeps nothing a respawn must
+  rebuild;
 - gradients never cross a pipe: each child binds its replica's
   ``Parameter.grad`` slots into the worker's
   :class:`~repro.perf.arena.GradientArena` slab, which lives in a
@@ -39,33 +40,30 @@ Python between numpy kernels holds the GIL — and returns the same
 
 Roster changes compose: a join spawns a fresh child pinned to the new
 rank at the admission boundary (never on the hot path), an ejected
-rank's child simply idles — its rng stream freezes exactly like the
-parent-side ``_rngs`` entry does — and a rejoin resumes it. Every child
-draws from :func:`~repro.utils.seeding.rank_rng`, the stream the
-sequential backend gives the same rank. Slabs created by ``ensure_slots``
+rank's child simply idles — the rank's stream waits, frozen, in the
+trainer — and a rejoin resumes it. Slabs created by ``ensure_slots``
 growth are discovered lazily: the pool names the slot's segment in every
 task message, so children attach on first use.
 
 Spawn-vs-fork: ``fork`` (default where available) inherits the initial
 payload for free; ``spawn`` pickles it once at pool construction —
-model template, dataset, seeds — which is why the payload contains no
-live OS resources. Both start methods produce bit-identical
+model template, dataset, arena layout — which is why the payload
+contains no live OS resources. Both start methods produce bit-identical
 trajectories; see ``docs/performance.md`` for the trade-offs.
 
 Supervision: children die and hang. The pool *detects* — pipe EOF or a
 dead ``exitcode`` raises :class:`~repro.faults.WorkerDeadError`, a
 blown ``step_timeout`` with the child still alive raises
 :class:`~repro.faults.WorkerTimeoutError` — and offers the recovery
-verbs (:meth:`ProcessWorkerPool.discard`, automatic rng-stream replay
-when ``ensure_ranks`` spawns the rank again); *policy* lives in
-:mod:`repro.faults.supervisor` and the trainer. The pool records every
-completed task's ``(shard_index, shard_world)`` per rank, so a respawned
-child fast-forwards the rank's sampling stream through exactly the draws
-the dead child consumed — the invariant that keeps crash recovery
-bit-identical. Scheduled
-:class:`~repro.faults.WorkerFault` injections are *self-applied* by
-children (before any batch draw) from the pool's ``fault_plan``, so
-supervision is testable deterministically.
+verbs (:meth:`ProcessWorkerPool.discard`, then ``ensure_ranks`` to spawn
+the rank again); *policy* lives in :mod:`repro.faults.supervisor` and the
+trainer. A respawned child replays nothing: a crashed or hung task
+returns no generator, so the trainer's stream for the rank stays where
+it was before the step, and the retried task carries it again — the
+invariant that keeps crash recovery bit-identical. A scheduled
+:class:`~repro.faults.WorkerFault` arrives in the task
+(:attr:`WorkerStepTask.fault`) and the child applies it before any batch
+draw, so supervision is testable deterministically.
 """
 
 from __future__ import annotations
@@ -80,7 +78,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
 import multiprocessing
 import numpy as np
 
-from repro.faults.plan import FaultPlan, WorkerFault
+from repro.faults.plan import WorkerFault
 from repro.faults.supervisor import (
     WorkerDeadError,
     WorkerError,
@@ -98,7 +96,6 @@ from repro.perf.replicas import (
     recorded_pass,
     require_deterministic_forward,
 )
-from repro.utils.seeding import rank_rng
 
 if TYPE_CHECKING:  # import cycle: repro.train imports the trainer,
     # which imports this module — the dataset type is annotation-only.
@@ -110,27 +107,29 @@ class WorkerStepTask:
     """One worker's assignment for one step.
 
     Attributes:
-        rank: the rank id whose pass this is (selects the child and the
-            sampling stream).
+        rank: the rank id whose pass this is (selects the child).
         slot: the worker's position in this step's live roster; selects
             the arena slab the gradients land in.
         shard_index/shard_world: arguments of ``train_data.shard`` for
             this rank this step: its slot and the live world size, the
             trainer's one shard rule, so shards stay pairwise disjoint and
             jointly exhaustive at every world size.
-        step: 0-based trainer step index — the key scheduled
-            :class:`~repro.faults.WorkerFault` injections fire on.
-        suppress_fault: set on a supervised retry so the respawned child
-            does not re-apply the fault that killed its predecessor
-            (worker faults are one-shot, like a transient crash).
+        rng: the rank's sampling stream, owned by the trainer. The
+            sequential backend draws from this very object; a child draws
+            from a pickled copy and returns it advanced
+            (:attr:`WorkerStepResult.rng`).
+        fault: the :class:`~repro.faults.WorkerFault` scheduled for this
+            rank at this step, applied before any batch draw; ``None``
+            when none is scheduled and on a supervised retry (worker
+            faults are one-shot, like a transient crash).
     """
 
     rank: int
     slot: int
     shard_index: int
     shard_world: int
-    step: int = 0
-    suppress_fault: bool = False
+    rng: np.random.Generator
+    fault: Optional[WorkerFault] = None
 
 
 @dataclass
@@ -140,13 +139,15 @@ class WorkerStepResult:
     ``factors`` are the thin gradient products a factored slot recorded
     instead of adding (:attr:`GradientArena.factored`), per name in
     backward order — what the slot's pending entry would hold after a
-    sequential pass.
+    sequential pass. ``rng`` is the task's generator after the pass's
+    draws, for the trainer to keep as the rank's stream.
     """
 
     loss: float
     batch_stats: List[List[Tuple[np.ndarray, np.ndarray]]]
     factors: Dict[str, PendingProducts]
     alloc_stats: Dict[str, int]
+    rng: np.random.Generator
 
 
 def _scrubbed_template(model: Module) -> Module:
@@ -181,11 +182,9 @@ def _worker_main(conn, payload: dict, init_crash: bool = False) -> None:
     """
     model: Module = payload["model"]
     train_data: ArrayDataset = payload["train_data"]
-    seed: int = payload["seed"]
     batch_size: int = payload["batch_size"]
     carried = payload["carried"]
     factored = carried if payload["factored"] else ()
-    fault_plan: Optional[FaultPlan] = payload.get("fault_plan")
     layout: ArenaLayout = payload["layout"]
 
     weights_segment = shm.attach_segment(payload["weights_segment"])
@@ -201,23 +200,12 @@ def _worker_main(conn, payload: dict, init_crash: bool = False) -> None:
 
     loss_fn = CrossEntropyLoss()
     bns = batch_norms(model)
-    rngs: Dict[int, np.random.Generator] = {}
     shards: Dict[Tuple[int, int], ArrayDataset] = {}
     slabs: Dict[str, Tuple[object, np.ndarray, Dict[str, np.ndarray]]] = {}
 
-    def apply_worker_fault(task: WorkerStepTask) -> None:
-        """Self-apply the plan's scheduled fault for this (rank, step).
-
-        Fires *before any batch draw*, so a crashed task consumes nothing
-        from the rank's sampling stream — the property that lets a
-        respawned child replay the completed-task history and land
-        exactly where the fault-free run would be.
-        """
-        if fault_plan is None or task.suppress_fault:
-            return
-        fault: Optional[WorkerFault] = fault_plan.worker_fault_at(
-            task.rank, task.step
-        )
+    def apply_worker_fault(fault: Optional[WorkerFault]) -> None:
+        """Self-apply the task's scheduled fault, before any batch draw,
+        so a crashed or hung task has consumed nothing of its stream."""
         if fault is None:
             return
         if fault.kind == "crash":
@@ -228,30 +216,8 @@ def _worker_main(conn, payload: dict, init_crash: bool = False) -> None:
         elif fault.kind == "slow":
             time.sleep(fault.delay_s)
 
-    def fast_forward(rank: int, history: List[Tuple[int, int]]) -> None:
-        """Replay a dead predecessor's completed batch draws.
-
-        Consumes exactly the draws the previous child for ``rank`` made —
-        same shard geometry, same order, same bounds — so the stream
-        state after replay is bit-identical to the stream the parent
-        would hold in sequential mode. No forward pass runs: only the
-        rng advances.
-        """
-        rng = rngs.get(rank)
-        if rng is None:
-            rng = rngs[rank] = rank_rng(seed, rank)
-        for shard_index, shard_world in history:
-            shard_key = (shard_index, shard_world)
-            shard = shards.get(shard_key)
-            if shard is None:
-                shard = shards[shard_key] = train_data.shard(*shard_key)
-            shard.batch(rng, batch_size)
-
     def run_task(task: WorkerStepTask, segment_name: str) -> WorkerStepResult:
-        apply_worker_fault(task)
-        rng = rngs.get(task.rank)
-        if rng is None:
-            rng = rngs[task.rank] = rank_rng(seed, task.rank)
+        apply_worker_fault(task.fault)
         shard_key = (task.shard_index, task.shard_world)
         shard = shards.get(shard_key)
         if shard is None:
@@ -274,13 +240,14 @@ def _worker_main(conn, payload: dict, init_crash: bool = False) -> None:
             )
         ALLOC_STATS.reset()
         loss, batch_stats = recorded_pass(
-            model, bns, loss_fn, shard, rng, batch_size
+            model, bns, loss_fn, shard, task.rng, batch_size
         )
         return WorkerStepResult(
             loss=loss,
             batch_stats=batch_stats,
             factors={name: p for name, p in pending.items() if p},
             alloc_stats=ALLOC_STATS.snapshot(),
+            rng=task.rng,
         )
 
     conn.send(("ready",))
@@ -293,9 +260,6 @@ def _worker_main(conn, payload: dict, init_crash: bool = False) -> None:
                 conn.send(("ok", result))
             except BaseException as exc:  # ship the failure, keep serving
                 conn.send(("error", repr(exc), traceback.format_exc()))
-        elif kind == "replay":
-            fast_forward(message[1], message[2])
-            conn.send(("replayed",))
         elif kind == "close":
             break
         else:
@@ -325,7 +289,6 @@ class ProcessWorkerPool:
         train_data: the full training set; children derive shards
             locally (deterministic strided slicing), so elastic
             re-sharding costs one tuple per task, not a data transfer.
-        seed: the trainer's sampling seed.
         batch_size: the trainer's per-worker batch size (fixed for the
             pool's lifetime, like the trainer's).
         start_method: ``"fork"``, ``"spawn"``, or ``None`` to pick fork
@@ -336,10 +299,6 @@ class ProcessWorkerPool:
             :class:`~repro.faults.WorkerDeadError` and a deadlocked one
             :class:`~repro.faults.WorkerTimeoutError` instead of hanging
             the training loop forever.
-        fault_plan: optional :class:`~repro.faults.FaultPlan` whose
-            ``worker_faults`` the children self-apply at the scheduled
-            (rank, step) cells — deterministic chaos for the supervision
-            tests.
     """
 
     def __init__(
@@ -348,11 +307,9 @@ class ProcessWorkerPool:
         arena: GradientArena,
         train_data: ArrayDataset,
         *,
-        seed: int,
         batch_size: int,
         start_method: Optional[str] = None,
         step_timeout: Optional[float] = None,
-        fault_plan: Optional[FaultPlan] = None,
     ):
         # ``close()`` must be safe on a partially constructed pool, so the
         # attributes it reads exist before anything that can raise or leak.
@@ -388,24 +345,17 @@ class ProcessWorkerPool:
                 "model": _scrubbed_template(model),
                 "layout": layout,
                 "train_data": train_data,
-                "seed": seed,
                 "batch_size": batch_size,
                 # Bound as the parent binds them.
                 "carried": arena.carried,
                 "factored": bool(arena.factored),
                 "weights_segment": self._weights_segment.name,
-                "fault_plan": fault_plan,
             }
         except BaseException:
             # Construction failed after the segment was created: release
             # it here, because no caller ever gets a handle to close().
             self.close()
             raise
-        #: Completed-task history per rank: the (shard_index, shard_world)
-        #: geometry of every batch-drawing task the rank's child finished.
-        #: A respawned child replays it to fast-forward the rank's
-        #: sampling stream to exactly where the dead child left it.
-        self._history: Dict[int, List[Tuple[int, int]]] = {}
         #: Ranks whose next ``_spawn`` should die mid-seed (test/chaos
         #: seam for child-crash-during-admission coverage).
         self._spawn_crashes: Dict[int, int] = {}
@@ -443,18 +393,6 @@ class ProcessWorkerPool:
                     f"worker process for rank {rank} failed to initialize: "
                     f"{reply!r}",
                 )
-            history = self._history.get(rank)
-            if history:
-                # A predecessor served this rank: fast-forward the fresh
-                # child's sampling stream through the completed draws.
-                parent_conn.send(("replay", rank, list(history)))
-                reply = self._recv(parent_conn, rank, process, phase="replay")
-                if reply != ("replayed",):
-                    raise WorkerError(
-                        rank,
-                        f"worker process for rank {rank} failed to replay "
-                        f"its stream history: {reply!r}",
-                    )
         except WorkerError:
             # Never leave a half-initialized child behind: close the pipe
             # and reap (or kill) the process before propagating.
@@ -494,8 +432,10 @@ class ProcessWorkerPool:
         owns them through the :mod:`repro.perf.shm` registry, so reaping
         the process and dropping the pipe reclaims everything the child
         held (its mappings die with it; the slab stays valid under the
-        parent's ownership). The rank's task history is kept so a future
-        respawn replays the sampling stream.
+        parent's ownership). Nothing of the rank's is lost with it: its
+        sampling stream lives in the trainer, so ``ensure_ranks`` can
+        spawn a fresh child that serves the rank's next task as the dead
+        one would have.
         """
         entry = self._children.pop(rank, None)
         if entry is None:
@@ -586,9 +526,6 @@ class ProcessWorkerPool:
                 ))
                 continue
             results.append(reply[1])
-            self._history.setdefault(task.rank, []).append(
-                (task.shard_index, task.shard_world)
-            )
         for result in results:
             if isinstance(result, Exception) and not (
                 capture_errors and isinstance(result, WorkerError)

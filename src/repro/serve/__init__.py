@@ -4,7 +4,7 @@ The "serve millions of users" face of the project: the calibrated
 performance simulator becomes the *backend* of a planning service, and
 this package is its front — canonical hashable queries
 (:mod:`repro.serve.query`), one versioned plan schema shared by the CLI
-and the service (:mod:`repro.serve.schema`), a sharded memoized result
+and the service (:mod:`repro.serve.schema`), a memoized LRU result
 cache (:mod:`repro.serve.cache`), and the single-flighted batched service
 itself (:mod:`repro.serve.service`).
 
@@ -20,7 +20,7 @@ See ``docs/planner_service.md`` for the architecture, the cache-key
 contract and the invalidation rules.
 """
 
-from repro.serve.cache import ResultCache, ShardStats
+from repro.serve.cache import ResultCache
 from repro.serve.query import (
     SCHEMA_VERSION,
     PlanQuery,
@@ -53,7 +53,6 @@ __all__ = [
     "PlanResult",
     "PlannerService",
     "ResultCache",
-    "ShardStats",
     "assessment_from_dict",
     "assessment_to_dict",
     "canonical_float",

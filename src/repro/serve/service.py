@@ -4,7 +4,7 @@
 simulator sweep per call — into a high-throughput lookup service:
 
 - every answer is the canonical payload of :func:`repro.serve.schema
-  .plan_payload`, stored in a sharded LRU :class:`ResultCache` keyed by
+  .plan_payload`, stored in the LRU :class:`ResultCache` keyed by
   the query's canonical SHA-256;
 - concurrent identical queries are *single-flighted*: the first caller
   computes, everyone else parks on the same in-flight slot and receives
@@ -110,7 +110,7 @@ class PlannerService:
     """Memoized, single-flighted, batched front end of the planner.
 
     Args:
-        cache: result cache (default: 8 shards x 4096 entries).
+        cache: result cache (default: one LRU of 32 768 entries).
         max_workers: thread-pool width for batch fan-out.
         compute_fn: ``PlanQuery -> payload`` override (tests, sharding
             across processes, ...). Must be deterministic per query and

@@ -42,7 +42,7 @@ from repro.sim.strategies import BuildContext, ClusterSpec, SystemConfig
 
 _COMPUTE_TAGS = ("forward", "backward", "compression")
 _MAX_RETRANSMITS = 10
-#: Cost of one child respawn (process start + sampling-stream replay),
+#: Cost of one child respawn (process start and model-replica setup),
 #: paid per crash before collectives may begin.
 WORKER_RESPAWN_S = 0.05
 

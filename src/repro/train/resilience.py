@@ -25,48 +25,44 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
+#: A finite loss above ``DIVERGENCE_FACTOR * ema`` counts as a divergent step.
+DIVERGENCE_FACTOR = 10.0
+#: Checkpoint ring size: a corrupt newest file falls back to its predecessor.
+CHECKPOINT_KEEP = 2
+#: Smoothing of the loss EMA the divergence test compares against.
+LOSS_EMA_BETA = 0.9
+
 
 @dataclass(frozen=True)
 class ResilienceConfig:
     """Knobs for the trainer's detect/skip/fallback/rollback ladder.
 
+    Every step checks the per-worker losses/gradients and the aggregated
+    gradient for non-finite values; the divergence test and the checkpoint
+    ring use the module constants above.
+
     Attributes:
-        check_finite: verify per-worker losses/gradients and the aggregated
-            gradient every step.
         fallback_steps: steps of uncompressed aggregation after a skip or
             rollback (0 disables the fallback rung).
-        divergence_factor: a finite loss above ``factor * ema`` counts as a
-            divergent step.
         divergence_patience: consecutive divergent/skipped steps before a
             rollback fires.
         checkpoint_interval: steps between good-state checkpoints (0
             disables checkpointing, and with it the rollback rung).
         checkpoint_dir: where the checkpoint ring lives; ``None`` uses a
             fresh temporary directory.
-        checkpoint_keep: ring size (>= 2 lets a corrupt newest file fall
-            back to its predecessor).
         max_rollbacks: abort the run after this many restorations.
-        loss_ema_beta: smoothing for the divergence baseline.
     """
 
-    check_finite: bool = True
     fallback_steps: int = 5
-    divergence_factor: float = 10.0
     divergence_patience: int = 3
     checkpoint_interval: int = 10
     checkpoint_dir: Optional[str] = None
-    checkpoint_keep: int = 2
     max_rollbacks: int = 3
-    loss_ema_beta: float = 0.9
 
     def __post_init__(self) -> None:
         if self.fallback_steps < 0:
             raise ValueError(
                 f"fallback_steps must be >= 0, got {self.fallback_steps}"
-            )
-        if self.divergence_factor <= 1.0:
-            raise ValueError(
-                f"divergence_factor must be > 1, got {self.divergence_factor}"
             )
         if self.divergence_patience < 1:
             raise ValueError(
@@ -76,17 +72,9 @@ class ResilienceConfig:
             raise ValueError(
                 f"checkpoint_interval must be >= 0, got {self.checkpoint_interval}"
             )
-        if self.checkpoint_keep < 1:
-            raise ValueError(
-                f"checkpoint_keep must be >= 1, got {self.checkpoint_keep}"
-            )
         if self.max_rollbacks < 0:
             raise ValueError(
                 f"max_rollbacks must be >= 0, got {self.max_rollbacks}"
-            )
-        if not 0.0 <= self.loss_ema_beta < 1.0:
-            raise ValueError(
-                f"loss_ema_beta must be in [0, 1), got {self.loss_ema_beta}"
             )
 
 

@@ -72,7 +72,13 @@ from repro.train.checkpoint import CheckpointError, CheckpointManager
 from repro.train.datasets import ArrayDataset
 from repro.train.history import TrainingHistory
 from repro.train.reducer import BucketedReducer
-from repro.train.resilience import ResilienceConfig, ResilienceLog
+from repro.train.resilience import (
+    CHECKPOINT_KEEP,
+    DIVERGENCE_FACTOR,
+    LOSS_EMA_BETA,
+    ResilienceConfig,
+    ResilienceLog,
+)
 from repro.utils.seeding import rank_rng
 from repro.utils.validation import is_finite
 
@@ -102,12 +108,13 @@ class _InProcessWorkers:
     """The sequential backend: the process pool's step protocol, in-process.
 
     Each task runs in turn on the trainer's one model, bound to the task's
-    slab, drawing from ``trainer.train_shards[rank]`` with
-    ``trainer._rngs[rank]``. A scheduled :class:`~repro.faults.WorkerFault`
-    becomes the error its child would have died with, at the point the
-    child applies it (before any batch draw); the gradient factors stay in
-    the arena's pending entries and the allocation counters in this
-    process, so the results carry neither.
+    slab, drawing from ``trainer.train_shards[rank]`` with the task's
+    generator — ``trainer._rngs[rank]`` itself, so handing it back changes
+    nothing. The task's :class:`~repro.faults.WorkerFault` becomes the
+    error its child would have died with, at the point the child applies
+    it (before any batch draw); the gradient factors stay in the arena's
+    pending entries and the allocation counters in this process, so the
+    results carry neither.
     """
 
     def __init__(self, trainer: "DataParallelTrainer"):
@@ -129,16 +136,12 @@ class _InProcessWorkers:
         self, tasks: List[WorkerStepTask], capture_errors: bool = False
     ) -> List[Union[WorkerStepResult, WorkerError]]:
         trainer = self._trainer
-        supervisor = trainer._supervisor
         results: List[Union[WorkerStepResult, WorkerError]] = []
         for task in tasks:
             trainer.reducer.begin_worker(task.slot)
-            fault = None
-            if supervisor is not None and supervisor.plan is not None:
-                fault = supervisor.plan.worker_fault_at(task.rank, task.step)
             error = (
-                None if fault is None or task.suppress_fault
-                else WorkerSupervisor.simulated_failure(fault)
+                None if task.fault is None
+                else WorkerSupervisor.simulated_failure(task.fault)
             )
             if error is not None:
                 if not capture_errors:
@@ -148,10 +151,11 @@ class _InProcessWorkers:
             trainer._arena.bind(trainer.model, task.slot)
             loss, batch_stats = recorded_pass(
                 trainer.model, trainer._bns, trainer.loss_fn,
-                trainer.train_shards[task.rank], trainer._rngs[task.rank],
-                trainer.batch_size,
+                trainer.train_shards[task.rank], task.rng, trainer.batch_size,
             )
-            results.append(WorkerStepResult(loss, batch_stats, {}, {}))
+            results.append(
+                WorkerStepResult(loss, batch_stats, {}, {}, task.rng)
+            )
         return results
 
 
@@ -269,14 +273,8 @@ class DataParallelTrainer:
                     model,
                     self._arena,
                     train_data,
-                    seed=seed,
                     batch_size=self.batch_size,
                     step_timeout=worker_step_timeout,
-                    fault_plan=(
-                        self._supervisor.plan
-                        if self._supervisor is not None
-                        else None
-                    ),
                 )
             except BaseException:
                 # No caller ever gets a handle to close(): release the
@@ -303,9 +301,11 @@ class DataParallelTrainer:
 
         One task per live rank goes to the worker backend (children for
         newly admitted ranks are spawned first — an admission-boundary
-        cost, never a steady-state one); the gradients land in the arena
-        slabs. Failed workers go through :meth:`_recover`, then one loop
-        consumes what came back besides the slabs: BatchNorm batch
+        cost, never a steady-state one), carrying the rank's sampling
+        stream and the fault the plan schedules for it at this step; the
+        gradients land in the arena slabs. Failed workers go through
+        :meth:`_recover`, then one loop consumes what came back besides
+        the slabs: the advanced stream kept as the rank's, BatchNorm batch
         statistics replayed onto the master in slot order, allocation
         deltas merged, and the gradient factors a process child's factored
         slot kept extended into the slot's pending entry — so the
@@ -314,13 +314,18 @@ class DataParallelTrainer:
         workers = self._workers
         self._ensure_ranks_supervised(ranks)
         workers.broadcast_weights(self.model)
+        plan = self._supervisor.plan if self._supervisor is not None else None
         tasks = [
             WorkerStepTask(
                 rank=rank,
                 slot=slot,
                 shard_index=slot,
                 shard_world=len(ranks),
-                step=self._step_count,
+                rng=self._rngs[rank],
+                fault=(
+                    plan.worker_fault_at(rank, self._step_count)
+                    if plan is not None else None
+                ),
             )
             for slot, rank in enumerate(ranks)
         ]
@@ -338,6 +343,7 @@ class DataParallelTrainer:
         for task, result in zip(tasks, results):
             if not isinstance(result, WorkerStepResult):
                 continue  # ejected: its slot aggregates the stale slab
+            self._rngs[task.rank] = result.rng
             losses.append(result.loss)
             for bn, stats in zip(self._bns, result.batch_stats):
                 for mean, var in stats:
@@ -387,11 +393,11 @@ class DataParallelTrainer:
     ) -> list:
         """Recover from worker failures after the step collected.
 
-        ``"restart"``: discard the dead/hung worker, respawn it (sampling
-        stream fast-forwarded through the rank's completed-task history)
-        and re-run the failed task *within this step* with the fault
-        suppressed — the retried pass consumes exactly the draws the
-        fault-free run would have, so the trajectory stays bit-identical
+        ``"restart"``: discard the dead/hung worker, respawn it and re-run
+        the failed task *within this step* without its fault. The failed
+        attempt returned no generator, so the retry carries the rank's
+        stream as it stood before the step and consumes exactly the draws
+        the fault-free run would have: the trajectory stays bit-identical
         to fault-free. A repeat failure of the same task raises.
 
         ``"eject"``: discard the worker and mark the rank failed; its
@@ -411,7 +417,7 @@ class DataParallelTrainer:
                 self._eject_worker(error.rank)
         if retry_indices:
             retry_tasks = [
-                replace(tasks[index], suppress_fault=True)
+                replace(tasks[index], fault=None)
                 for index in retry_indices
             ]
             self._ensure_ranks_supervised([task.rank for task in retry_tasks])
@@ -538,10 +544,10 @@ class DataParallelTrainer:
             is_finite(array) for grads in per_worker for array in grads.arrays()
         )
         applied = False
-        if not cfg.check_finite or grads_finite:
+        if grads_finite:
             aggregator = self._current_aggregator()
             aggregated = self.reducer.finish_step(aggregator)
-            if cfg.check_finite and not aggregate_is_finite(aggregated):
+            if not aggregate_is_finite(aggregated):
                 self._skip_step("non-finite aggregated gradient")
             else:
                 self.optimizer.step(aggregated)
@@ -556,13 +562,13 @@ class DataParallelTrainer:
         if loss_finite:
             baseline = self._loss_ema
             if (applied and baseline is not None
-                    and mean_loss > cfg.divergence_factor * max(baseline, 1e-12)):
+                    and mean_loss > DIVERGENCE_FACTOR * max(baseline, 1e-12)):
                 divergent = True
             if applied:
                 self._loss_ema = (
                     mean_loss if baseline is None
-                    else cfg.loss_ema_beta * baseline
-                    + (1.0 - cfg.loss_ema_beta) * mean_loss
+                    else LOSS_EMA_BETA * baseline
+                    + (1.0 - LOSS_EMA_BETA) * mean_loss
                 )
 
         if divergent:
@@ -624,7 +630,7 @@ class DataParallelTrainer:
         assert cfg is not None and log is not None
         if self._checkpoints is None:
             directory = cfg.checkpoint_dir or tempfile.mkdtemp(prefix="repro-ckpt-")
-            self._checkpoints = CheckpointManager(directory, keep=cfg.checkpoint_keep)
+            self._checkpoints = CheckpointManager(directory, keep=CHECKPOINT_KEEP)
         self._checkpoints.save(
             self.model, self.optimizer, metadata={"step": self._step_count}
         )

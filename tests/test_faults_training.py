@@ -177,7 +177,7 @@ class TestTrainerLadder:
         assert log.fallback_steps_run == 2  # window closed after 2 steps
 
     def test_nan_aggregated_gradient_also_skips(self):
-        # check_finite guards the *aggregated* gradient too; disable the
+        # The finite check guards the *aggregated* gradient too; disable the
         # per-worker poison detection path by corrupting after aggregation:
         # the reduced factor the update would be decoded from.
         cfg = ResilienceConfig(fallback_steps=0, checkpoint_interval=0)
@@ -299,7 +299,7 @@ def _overflow_after_the_local_check(trainer, method):
 
 
 class TestPayloadFiniteCheck:
-    """``check_finite`` judges the reduced payload the update is decoded
+    """The finite check judges the reduced payload the update is decoded
     from; a payload whose decode could overflow is skipped like a
     non-finite one, leaving weights and velocities as they were and the
     residuals emptied."""

@@ -11,6 +11,7 @@ close, idempotency, crash containment, leak detection — is tested as
 behavior, not left to the GC.
 """
 
+import copy
 import multiprocessing
 
 import numpy as np
@@ -29,6 +30,7 @@ from repro.perf.procpool import ProcessWorkerPool, WorkerStepTask
 from repro.perf.replicas import iter_modules
 from repro.train.datasets import make_cifar_like
 from repro.train.trainer import DataParallelTrainer
+from repro.utils.seeding import rank_rng
 
 pytestmark = pytest.mark.perf
 
@@ -221,9 +223,7 @@ class TestPoolLifecycle:
         train_data, _ = make_cifar_like(num_train=16, num_test=4, seed=0)
         model = make_small_vgg(base_width=2, rng=np.random.default_rng(0))
         arena = GradientArena(model, world, backing="shared")
-        pool = ProcessWorkerPool(
-            model, arena, train_data, seed=0, batch_size=2
-        )
+        pool = ProcessWorkerPool(model, arena, train_data, batch_size=2)
         return model, arena, pool
 
     def test_pool_requires_shared_arena(self):
@@ -231,20 +231,60 @@ class TestPoolLifecycle:
         model = make_small_vgg(base_width=2, rng=np.random.default_rng(0))
         arena = GradientArena(model, 1)
         with pytest.raises(ValueError, match="shared"):
-            ProcessWorkerPool(model, arena, train_data, seed=0, batch_size=2)
+            ProcessWorkerPool(model, arena, train_data, batch_size=2)
 
     def test_worker_error_propagates_with_traceback(self):
         model, arena, pool = self._make_pool()
         try:
             pool.ensure_ranks([0])
             pool.broadcast_weights(model)
-            bogus = WorkerStepTask(rank=0, slot=0, shard_index=0, shard_world=0)
+            bogus = WorkerStepTask(
+                rank=0, slot=0, shard_index=0, shard_world=0,
+                rng=rank_rng(0, 0),
+            )
             with pytest.raises(RuntimeError, match="rank 0 failed"):
                 pool.run_step([bogus])
             # The child survives a failed task and serves the next one.
-            good = WorkerStepTask(rank=0, slot=0, shard_index=0, shard_world=1)
+            good = WorkerStepTask(
+                rank=0, slot=0, shard_index=0, shard_world=1,
+                rng=rank_rng(0, 0),
+            )
             (result,) = pool.run_step([good])
             assert np.isfinite(result.loss)
+        finally:
+            pool.close()
+            arena.close()
+
+    def test_respawned_child_needs_no_replay(self):
+        """The stream a task carries is the only one a child draws from:
+        a fresh child handed the same generator state computes the same
+        loss and writes the same slab bytes as its discarded predecessor."""
+        model, arena, pool = self._make_pool()
+        state = rank_rng(0, 0)
+        state.random(3)  # not the stream's start: a child must not re-derive it
+
+        def run_once():
+            task = WorkerStepTask(
+                rank=0, slot=0, shard_index=0, shard_world=1,
+                rng=copy.deepcopy(state),
+            )
+            arena.slab(0)[:] = 0.0
+            (result,) = pool.run_step([task])
+            return result, arena.slab(0).tobytes()
+
+        try:
+            pool.ensure_ranks([0])
+            pool.broadcast_weights(model)
+            first, first_slab = run_once()
+            pool.discard(0)
+            pool.ensure_ranks([0])
+            second, second_slab = run_once()
+            assert second.loss == first.loss
+            assert second_slab == first_slab
+            # The result hands back the stream advanced past the draw.
+            assert (second.rng.bit_generator.state
+                    == first.rng.bit_generator.state
+                    != state.bit_generator.state)
         finally:
             pool.close()
             arena.close()

@@ -122,7 +122,7 @@ class TestPlanQuery:
 
 class TestResultCache:
     def test_put_get_hit_miss_counters(self):
-        cache = ResultCache(shards=2, capacity_per_shard=4)
+        cache = ResultCache(capacity=4)
         key = small_query().cache_key()
         assert cache.get(key, 0) is None
         cache.put(key, 0, "payload")
@@ -132,7 +132,7 @@ class TestResultCache:
         assert stats["entries"] == 1 and len(cache) == 1
 
     def test_stale_generation_is_a_miss_and_drops(self):
-        cache = ResultCache(shards=1, capacity_per_shard=4)
+        cache = ResultCache(capacity=4)
         cache.put("a" * 64, 0, "old")
         assert cache.get("a" * 64, 1) is None
         stats = cache.stats()
@@ -140,7 +140,7 @@ class TestResultCache:
         assert stats["entries"] == 0  # dropped, not kept around
 
     def test_lru_eviction(self):
-        cache = ResultCache(shards=1, capacity_per_shard=2)
+        cache = ResultCache(capacity=2)
         keys = [format(i, "064x") for i in range(3)]
         for i, key in enumerate(keys):
             cache.put(key, 0, str(i))
@@ -151,7 +151,7 @@ class TestResultCache:
         assert cache.stats()["evictions"] == 1
 
     def test_lru_refresh_on_hit(self):
-        cache = ResultCache(shards=1, capacity_per_shard=2)
+        cache = ResultCache(capacity=2)
         keys = [format(i, "064x") for i in range(3)]
         cache.put(keys[0], 0, "0")
         cache.put(keys[1], 0, "1")
@@ -160,16 +160,8 @@ class TestResultCache:
         assert cache.get(keys[0], 0) == "0"
         assert cache.get(keys[1], 0) is None
 
-    def test_keys_spread_across_shards(self):
-        cache = ResultCache(shards=8, capacity_per_shard=64)
-        indices = {
-            cache.shard_index(small_query(gpus=g).cache_key())
-            for g in range(1, 65)
-        }
-        assert len(indices) >= 4  # SHA-256 prefixes spread uniformly
-
     def test_invalidate_all(self):
-        cache = ResultCache(shards=4, capacity_per_shard=8)
+        cache = ResultCache(capacity=8)
         for i in range(6):
             cache.put(format(i, "064x"), 0, str(i))
         assert cache.invalidate_all() == 6
@@ -177,9 +169,7 @@ class TestResultCache:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            ResultCache(shards=0)
-        with pytest.raises(ValueError):
-            ResultCache(capacity_per_shard=0)
+            ResultCache(capacity=0)
 
 
 class CountingCompute:

@@ -5,9 +5,11 @@ The contract under test, per ``docs/fault_tolerance.md``:
 - the pool raises *typed* errors (:class:`WorkerDeadError` /
   :class:`WorkerTimeoutError`, both ``WorkerError``, both
   ``RuntimeError``) instead of bare ``RuntimeError``;
-- under the ``"restart"`` policy a crashed/hung child is respawned, its
-  sampling stream replayed, and the failed task re-run within the step —
-  the recovered trajectory is **bit-identical to the fault-free run**;
+- under the ``"restart"`` policy a crashed/hung child is respawned and
+  the failed task re-run within the step, carrying the rank's sampling
+  stream as the trainer held it before the step (children keep no
+  stream, so a respawn replays nothing) — the recovered trajectory is
+  **bit-identical to the fault-free run**;
 - under the ``"eject"`` policy the step degrades, the resilient group
   ejects the rank at the next boundary and later readmits it — bit-identical to the *sequential* twin simulating the
   same :class:`WorkerFault` schedule;
@@ -47,6 +49,7 @@ from repro.perf.procpool import ProcessWorkerPool, WorkerStepTask
 from repro.perf.replicas import batch_norms
 from repro.train.datasets import ArrayDataset, make_cifar_like
 from repro.train.trainer import DataParallelTrainer
+from repro.utils.seeding import rank_rng
 
 pytestmark = pytest.mark.faults
 
@@ -191,17 +194,24 @@ class TestTypedErrors:
 # Restart rung: bit-identical to fault-free, every fault kind
 # ----------------------------------------------------------------------
 class TestRestartPolicy:
-    @pytest.mark.parametrize("kind", ["crash", "slow"])
-    def test_bit_identical_to_fault_free(self, kind):
+    @pytest.mark.parametrize(
+        "kind, step, steps",
+        [("crash", 1, 3), ("slow", 1, 3), ("crash", 4, 6)],
+        # The late crash respawns a child into a stream its predecessor
+        # advanced four times: the task must carry it there.
+        ids=["crash", "slow", "late-crash"],
+    )
+    def test_bit_identical_to_fault_free(self, kind, step, steps):
         plan = FaultPlan(seed=11, worker_faults=(
-            WorkerFault(kind, rank=1, step=1, delay_s=0.01),
+            WorkerFault(kind, rank=1, step=step, delay_s=0.01),
         ))
         policy = SupervisionPolicy(on_failure="restart")
-        clean = run_steps(*make_trainer(), steps=3)
+        clean = run_steps(*make_trainer(), steps=steps)
         faulty_trainer, faulty_model = make_trainer(plan=plan, policy=policy)
-        faulty = run_steps(faulty_trainer, faulty_model, steps=3)
+        faulty = run_steps(faulty_trainer, faulty_model, steps=steps)
         seq = run_steps(
-            *make_trainer(workers="seq", plan=plan, policy=policy), steps=3
+            *make_trainer(workers="seq", plan=plan, policy=policy),
+            steps=steps,
         )
         assert faulty[0] == clean[0] == seq[0]
         assert np.array_equal(faulty[1], clean[1])
@@ -382,14 +392,15 @@ class TestPoolCrashSafety:
         model = make_mlp(6, 10, 3, rng=np.random.default_rng(0))
         arena = GradientArena(model, world, backing="shared")
         pool = ProcessWorkerPool(
-            model, arena, train_data, seed=0, batch_size=4, **kwargs
+            model, arena, train_data, batch_size=4, **kwargs
         )
         return model, arena, pool
 
-    def _task(self, arena, rank=0, slot=None):
+    def _task(self, arena, rank=0, slot=None, fault=None):
         slot = rank if slot is None else slot
         return WorkerStepTask(
             rank=rank, slot=slot, shard_index=rank, shard_world=arena.world_size,
+            rng=rank_rng(0, rank), fault=fault,
         )
 
     def test_run_step_raises_typed_dead_error(self):
@@ -434,7 +445,7 @@ class TestPoolCrashSafety:
             lambda model: (_ for _ in ()).throw(RuntimeError("boom")),
         )
         with pytest.raises(RuntimeError, match="boom"):
-            ProcessWorkerPool(model, arena, train_data, seed=0, batch_size=4)
+            ProcessWorkerPool(model, arena, train_data, batch_size=4)
         # The constructor-owned broadcast segment was released on the way
         # out; only the arena's own segment may remain.
         assert shm.live_segment_names() == before
@@ -449,17 +460,13 @@ class TestPoolCrashSafety:
             arena.close()
 
     def test_discard_kills_hung_child(self):
-        plan = FaultPlan(seed=0, worker_faults=(
-            WorkerFault("hang", rank=0, step=0),
-        ))
-        model, arena, pool = self._make_pool(
-            step_timeout=2.0, fault_plan=plan
-        )
+        model, arena, pool = self._make_pool(step_timeout=2.0)
         try:
             pool.ensure_ranks([0])
             pool.broadcast_weights(model)
+            hang = WorkerFault("hang", rank=0, step=0)
             with pytest.raises(WorkerTimeoutError):
-                pool.run_step([self._task(arena)])
+                pool.run_step([self._task(arena, fault=hang)])
             process = pool._children[0][1]
             assert process.is_alive()  # hung, not dead
             pool.discard(0)

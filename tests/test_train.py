@@ -169,7 +169,10 @@ class TestTrainer:
         """One aggregated S-SGD step == SGD on the mean of worker gradients."""
         trainer = self._make_trainer(world=3)
         trainer._workers.run_step([
-            WorkerStepTask(rank=rank, slot=rank, shard_index=rank, shard_world=3)
+            WorkerStepTask(
+                rank=rank, slot=rank, shard_index=rank, shard_world=3,
+                rng=trainer._rngs[rank],
+            )
             for rank in range(3)
         ])
         per_worker = [trainer._arena.grads(slot) for slot in range(3)]
